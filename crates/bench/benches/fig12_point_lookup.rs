@@ -19,7 +19,7 @@ use lsm_bench::{
     Timer,
 };
 use lsm_bloom::BloomKind;
-use lsm_engine::query::{filter_scan_count, QueryOptions};
+use lsm_engine::query::QueryOptions;
 use lsm_engine::{Dataset, StrategyKind};
 use lsm_workload::{SelectivityQueries, TweetConfig, TweetGenerator};
 use std::sync::Arc;
@@ -153,7 +153,7 @@ fn main() {
         // Full-scan baseline: flat across selectivities.
         standard.ds.storage().clear_cache();
         let timer = Timer::start(standard.ds.storage().clock());
-        let report = filter_scan_count(&standard.ds, None, None).expect("scan");
+        let report = standard.ds.filter_scan().count().expect("scan");
         let (scan_time, _) = timer.elapsed();
         std::hint::black_box(report.matches);
         row("scan", &vec![scan_time; high.len()]);

@@ -17,7 +17,6 @@
 use lsm_bench::{
     old_time_range, recent_time_range, row, scaled, table_header, Env, EnvConfig, Timer,
 };
-use lsm_engine::query::filter_scan_count;
 use lsm_engine::{Dataset, StrategyKind};
 use lsm_storage::LeafEncoding;
 use lsm_workload::UpdateDistribution;
@@ -67,7 +66,14 @@ fn times(ds: &Dataset, max_time: i64, recent: bool) -> Vec<f64> {
             for _ in 0..reps {
                 ds.storage().clear_cache();
                 let timer = Timer::start(ds.storage().clock());
-                let r = filter_scan_count(ds, lo.as_ref(), hi.as_ref()).expect("scan");
+                let mut scan = ds.filter_scan();
+                if let Some(lo) = lo.clone() {
+                    scan = scan.range_from(lo);
+                }
+                if let Some(hi) = hi.clone() {
+                    scan = scan.range_to(hi);
+                }
+                let r = scan.count().expect("scan");
                 total += timer.elapsed().0;
                 std::hint::black_box(r.matches);
             }

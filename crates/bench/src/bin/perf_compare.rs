@@ -78,7 +78,7 @@ fn parse(text: &str) -> BTreeMap<(String, String), Row> {
 
 /// Serial rows per second for a `scan_heavy` row, derived from its raw
 /// fields (the snapshot records rows and wall seconds separately).
-fn scan_serial_rows_per_sec(row: &Row) -> Option<f64> {
+fn serial_scan_rows_per_sec(row: &Row) -> Option<f64> {
     let rows = row.fields.get("rows")?;
     let secs = row.fields.get("serial_wall_secs")?;
     Some(rows / secs.max(1e-9))
@@ -121,7 +121,7 @@ const CHECKS: &[Check] = &[
         array: "scan_heavy",
         metric: "serial_rows_per_sec",
         higher_is_better: true,
-        derive: Some(scan_serial_rows_per_sec),
+        derive: Some(serial_scan_rows_per_sec),
     },
     Check {
         array: "index_only",

@@ -1909,7 +1909,7 @@ mod tests {
         assert!(ds.get(&Value::Int(2)).unwrap().is_some());
         // The MB filter scan counts without reconciliation — exactly the
         // path that would overcount if the bit were missed.
-        let report = crate::query::filter_scan::filter_scan_count(&ds, None, None).unwrap();
+        let report = ds.filter_scan().count().unwrap();
         assert_eq!(report.matches, 1);
     }
 

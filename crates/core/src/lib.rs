@@ -89,18 +89,23 @@
 //! for mutable bitmaps implements both the Lock and Side-file methods
 //! (§5.3).
 //!
-//! ## Parallel queries
+//! ## One read path, `n` partitions
 //!
-//! [`QueryBuilder::parallel(n)`](query::QueryBuilder::parallel) executes
-//! the Figure 5 pipeline across up to `n` threads: the secondary scan is
+//! Secondary-index queries and primary-index filter scans each run
+//! through one executor over `n` partitions of the key space; the default
+//! is `n = 1`, a single partition executed inline on the calling thread.
+//! [`QueryBuilder::parallel(n)`](query::QueryBuilder::parallel) fans the
+//! Figure 5 pipeline across up to `n` threads: the secondary scan is
 //! partitioned along component page boundaries over one atomically
-//! captured index snapshot, per-partition candidates are validated,
-//! k-way merged, and globally deduplicated (query-driven repair marks are
-//! aggregated and applied once), and the record fetch fans out over
-//! contiguous primary-key chunks against a shared primary-index snapshot.
-//! Results are identical to serial execution and always in primary-key
-//! order, from both [`PreparedQuery::execute`](query::PreparedQuery::execute)
-//! and [`PreparedQuery::stream`](query::PreparedQuery::stream). Partition
+//! captured index snapshot, per-partition candidates are validated and —
+//! when more than one partition produced any — k-way merged and globally
+//! deduplicated (query-driven repair marks are collected and applied
+//! once), and the record fetch fans out over contiguous primary-key
+//! chunks, each a live batched lookup. `parallel(n)` implies
+//! `sort_output`, so results are identical for every `n` and always in
+//! primary-key order, from both
+//! [`PreparedQuery::execute`](query::PreparedQuery::execute) and
+//! [`PreparedQuery::stream`](query::PreparedQuery::stream). Partition
 //! tasks run on the runtime's shared [`QueryPool`] when
 //! [`EngineConfig::query_workers`](EngineConfig) is set (bounding
 //! engine-wide query parallelism; the caller always participates) and on
@@ -128,6 +133,25 @@
 //! fixed-size runtime, preserving the PR 2 per-dataset behaviour. A
 //! dataset deregisters on drop, discarding its queued jobs; the runtime
 //! shuts down, draining in-flight rebuilds, when its last handle drops.
+//!
+//! ```
+//! use lsm_engine::{Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime};
+//! use lsm_storage::{Storage, StorageOptions};
+//! # use lsm_common::{FieldType, Schema};
+//! # let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
+//! // One runtime, N datasets.
+//! let runtime = MaintenanceRuntime::start(
+//!     EngineConfig::builder().min_workers(1).max_workers(2).build()?,
+//! )?;
+//! let a = Dataset::open_with_runtime(
+//!     Storage::new(StorageOptions::test()), None,
+//!     DatasetConfig::new(schema.clone(), 0), &runtime)?;
+//! let b = Dataset::open_with_runtime(
+//!     Storage::new(StorageOptions::test()), None,
+//!     DatasetConfig::new(schema, 0), &runtime)?;
+//! assert_eq!(runtime.stats().datasets, 2);
+//! # Ok::<(), lsm_common::Error>(())
+//! ```
 //!
 //! **Priorities & fairness.** The queue is a fair scheduler, not FIFO:
 //! flush jobs run before merge jobs (flushes are what release stalled
@@ -189,59 +213,6 @@
 //! clock — background jobs must not race it), and advances the clock past
 //! everything durable and replayed before returning.
 //!
-//! # Deprecation path
-//!
-//! The historical free functions — [`query::secondary_query`],
-//! [`repair::full_repair`], [`repair::merge_repair_secondary`],
-//! [`repair::standalone_repair_secondary`], [`repair::primary_repair`] —
-//! remain as `#[deprecated]` shims delegating to the builders, and the
-//! per-dataset `MaintenanceScheduler` name survives as a `#[deprecated]`
-//! alias of [`MaintenanceRuntime`]; all will be removed once external
-//! callers migrate.
-//!
-//! ## Migrating from `MaintenanceScheduler` to `MaintenanceRuntime`
-//!
-//! `MaintenanceScheduler` was a *per-dataset* worker pool; the alias still
-//! compiles, but every dataset opened through it runs its own threads. To
-//! migrate:
-//!
-//! 1. **One dataset, unchanged behaviour** — keep
-//!    [`MaintenanceMode::Background`]`{ workers }` in [`DatasetConfig`]
-//!    (or call `ds.maintenance().background(n)`); the dataset gets a
-//!    private fixed-size runtime exactly like the old scheduler, with no
-//!    quotas and no throttling ([`EngineConfig::fixed`]).
-//! 2. **Many datasets, one bounded pool** — build an [`EngineConfig`]
-//!    (`EngineConfig::builder().min_workers(1).max_workers(4)...`), start
-//!    it once with [`MaintenanceRuntime::start`], and open each dataset
-//!    with [`Dataset::open_with_runtime`]. Worker counts, read/write
-//!    throttles, per-dataset quotas, and the fairness quantum are all
-//!    runtime-wide knobs now — per-dataset worker counts in
-//!    `MaintenanceMode::Background` are ignored when a shared runtime is
-//!    supplied.
-//! 3. **Draining** — `scheduler.quiesce()` used to drain the dataset's
-//!    whole pool; on a shared runtime, `ds.maintenance().quiesce()` drains
-//!    only that dataset's jobs, and [`MaintenanceRuntime::quiesce`] drains
-//!    everything.
-//!
-//! ```
-//! use lsm_engine::{Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime};
-//! use lsm_storage::{Storage, StorageOptions};
-//! # use lsm_common::{FieldType, Schema};
-//! # let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
-//! // Before: one MaintenanceScheduler (= worker pool) per dataset.
-//! // After: one runtime, N datasets.
-//! let runtime = MaintenanceRuntime::start(
-//!     EngineConfig::builder().min_workers(1).max_workers(2).build()?,
-//! )?;
-//! let a = Dataset::open_with_runtime(
-//!     Storage::new(StorageOptions::test()), None,
-//!     DatasetConfig::new(schema.clone(), 0), &runtime)?;
-//! let b = Dataset::open_with_runtime(
-//!     Storage::new(StorageOptions::test()), None,
-//!     DatasetConfig::new(schema, 0), &runtime)?;
-//! assert_eq!(runtime.stats().datasets, 2);
-//! # Ok::<(), lsm_common::Error>(())
-//! ```
 
 #![warn(missing_docs)]
 
@@ -275,22 +246,6 @@ pub use query::{
 pub use repair::{RepairMode, RepairOptions, RepairReport};
 pub use scheduler::{DatasetRuntimeStats, MaintenanceRuntime, RuntimeStatsSnapshot};
 pub use stats::{EngineStats, EngineStatsSnapshot};
-
-/// The per-dataset scheduler's old name, kept as an alias so downstream
-/// code migrates with a warning instead of a hard break.
-#[deprecated(
-    note = "renamed to MaintenanceRuntime — one engine-wide runtime now serves many datasets \
-            (register with Dataset::open_with_runtime)"
-)]
-pub type MaintenanceScheduler = MaintenanceRuntime;
-
-// Deprecated free functions, re-exported for backwards compatibility.
-#[allow(deprecated)]
-pub use query::secondary_query;
-#[allow(deprecated)]
-pub use repair::{
-    full_repair, merge_repair_secondary, primary_repair, standalone_repair_secondary,
-};
 
 /// The repository's top-level `ARCHITECTURE.md`, rendered here so its
 /// every example compiles and runs as a doctest of this crate. Covers the

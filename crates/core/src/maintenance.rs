@@ -1,12 +1,12 @@
 //! The fluent maintenance API: [`Dataset::maintenance`] → [`Maintenance`] →
 //! [`RepairPlan`].
 //!
-//! Index repair (Section 4.4) has four historical entry points —
-//! `full_repair`, `standalone_repair_secondary`, `merge_repair_secondary`,
-//! and the DELI-style `primary_repair` — each taking trees and option
-//! structs the caller had to keep consistent with the dataset's strategy.
-//! The facade wraps them behind three verbs, with a [`RepairPlan`] builder
-//! for the mode / Bloom-filter / merge-scan knobs:
+//! Index repair (Section 4.4) comes in four forms — standalone repair of
+//! every secondary index or of one, merge repair, and the DELI-style
+//! primary repair — whose trees and option structs must stay consistent
+//! with the dataset's strategy. The facade is their only public entry
+//! point: three verbs, with a [`RepairPlan`] builder for the mode /
+//! Bloom-filter / merge-scan knobs:
 //!
 //! ```text
 //! ds.maintenance().repair_all()?;                      // strategy-aware defaults

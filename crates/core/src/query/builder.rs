@@ -165,11 +165,12 @@ impl<'a> QueryBuilder<'a> {
     /// [`EngineConfig::query_workers`](crate::EngineConfig) — ephemeral
     /// threads otherwise; the calling thread always participates).
     ///
-    /// Results are identical to the serial execution and always arrive in
-    /// primary-key order, both from [`PreparedQuery::execute`] and batch
-    /// by batch from [`PreparedQuery::stream`]. `n <= 1` runs a single
-    /// partition on the calling thread — still through the partitioned
-    /// path, so the pk-ordered output shape does not depend on `n`.
+    /// Implies [`sort_output`](QueryBuilder::sort_output): results always
+    /// arrive in primary-key order, both from [`PreparedQuery::execute`]
+    /// and batch by batch from [`PreparedQuery::stream`], and are identical
+    /// for every `n`. The default query is the same executor at `n = 1`
+    /// (one partition, run inline on the calling thread), so `parallel(1)`
+    /// differs from it only by the implied sort.
     pub fn parallel(mut self, n: usize) -> Self {
         self.parallel = Some(n.max(1));
         self
@@ -268,6 +269,9 @@ impl<'a> QueryBuilder<'a> {
         if let Some(v) = self.sort_output {
             opts.sort_output = v;
         }
+        // Partition outputs are concatenated, which only yields a defined
+        // order when every chunk is sorted: `.parallel(n)` implies it.
+        opts.sort_output |= self.parallel.is_some();
         if let Some(v) = self.query_driven_repair {
             opts.query_driven_repair = v;
         }
@@ -286,7 +290,7 @@ impl<'a> QueryBuilder<'a> {
             lo: self.lo,
             hi: self.hi,
             limit: self.limit,
-            parallelism: self.parallel,
+            parallelism: self.parallel.unwrap_or(1),
             options: opts,
         })
     }
@@ -339,7 +343,7 @@ pub struct PreparedQuery<'a> {
     lo: Option<Value>,
     hi: Option<Value>,
     limit: Option<usize>,
-    parallelism: Option<usize>,
+    parallelism: usize,
     options: QueryOptions,
 }
 
@@ -362,25 +366,13 @@ impl<'a> PreparedQuery<'a> {
     /// The resolved partition fan-out (1 when [`QueryBuilder::parallel`]
     /// was not requested).
     pub fn parallelism(&self) -> usize {
-        self.parallelism.unwrap_or(1)
+        self.parallelism
     }
 
     /// Runs the query, collecting all results into a [`QueryResult`].
-    /// With [`QueryBuilder::parallel`] set, results are in primary-key
-    /// order; serially, record order follows the fetch unless
-    /// `sort_output` is set.
+    /// Record order follows the fetch unless `sort_output` is set (which
+    /// [`QueryBuilder::parallel`] implies); then it is primary-key order.
     pub fn execute(&self) -> Result<QueryResult> {
-        if let Some(n) = self.parallelism {
-            return crate::query::parallel::execute_parallel(
-                &self.ds.shared()?,
-                &self.index,
-                self.lo.as_ref(),
-                self.hi.as_ref(),
-                &self.options,
-                self.limit,
-                n,
-            );
-        }
         exec::execute(
             self.ds,
             &self.index,
@@ -388,48 +380,15 @@ impl<'a> PreparedQuery<'a> {
             self.hi.as_ref(),
             &self.options,
             self.limit,
+            self.parallelism,
         )
     }
 
     /// Runs the query as a stream that fetches records one batch at a time
-    /// (bounded memory; see [`RecordStream`]). With
-    /// [`QueryBuilder::parallel`] set, the candidate gathering (scan +
-    /// validation) fans across partitions and the merged stream preserves
-    /// primary-key order.
+    /// (bounded memory, primary-key order; see [`RecordStream`]). The
+    /// candidate gathering (scan + validation) fans across the resolved
+    /// partitions up front; the fetch is lazy.
     pub fn stream(&self) -> Result<RecordStream<'a>> {
-        if let Some(n) = self.parallelism {
-            if self.options.index_only {
-                return Err(lsm_common::Error::invalid(
-                    "index-only queries return keys, not records; use execute()",
-                ));
-            }
-            let shared = self.ds.shared()?;
-            let pool = shared.query_pool();
-            let candidates = crate::query::parallel::gather_parallel(
-                &shared,
-                &self.index,
-                self.lo.as_ref(),
-                self.hi.as_ref(),
-                &self.options,
-                n,
-                pool.as_ref(),
-            )?;
-            let (keys, hints) = candidates
-                .into_iter()
-                .map(|c| (c.pk_key, c.source_id))
-                .unzip();
-            let sec_field = self.ds.secondary(&self.index)?.field;
-            return Ok(RecordStream::from_candidates(
-                self.ds,
-                keys,
-                hints,
-                sec_field,
-                self.lo.clone(),
-                self.hi.clone(),
-                &self.options,
-                self.limit,
-            ));
-        }
         RecordStream::open(
             self.ds,
             &self.index,
@@ -437,6 +396,7 @@ impl<'a> PreparedQuery<'a> {
             self.hi.clone(),
             &self.options,
             self.limit,
+            self.parallelism,
         )
     }
 }

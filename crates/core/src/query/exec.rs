@@ -1,76 +1,115 @@
-//! Query execution internals shared by [`secondary_query`], the fluent
-//! [`QueryBuilder`](crate::query::QueryBuilder), and the streaming
-//! [`RecordStream`](crate::query::RecordStream): the Figure 5 pipeline of
-//! secondary-index scan → candidate sort/dedup → validation → record fetch.
+//! The one query executor: the Figure 5 pipeline of secondary-index scan →
+//! candidate sort/dedup → validation → record fetch, over `n` partitions
+//! of the key space.
 //!
-//! [`secondary_query`]: crate::query::secondary_query
+//! Every query — [`PreparedQuery::execute`](crate::query::PreparedQuery::execute)
+//! and [`PreparedQuery::stream`](crate::query::PreparedQuery::stream), with
+//! or without [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) —
+//! runs the same two stages; the un-partitioned query is the `n = 1` case,
+//! not a second engine:
+//!
+//! 1. **Scan + validation** (`gather`). One atomically captured snapshot
+//!    of the secondary index (in-memory run + disk components) is split
+//!    into ≤ `n` disjoint secondary-key sub-ranges along component page
+//!    boundaries ([`LsmScan::partition_scan`], free of I/O for `n = 1`),
+//!    the captured memory run is cut into owned per-partition slices, and
+//!    each partition scans, sorts, deduplicates, and (when requested)
+//!    Timestamp-validates its own candidates. When more than one partition
+//!    produced candidates, the pk-ordered partial lists are k-way merged
+//!    and deduplicated globally (an updated record leaves entries under
+//!    old and new secondary keys, possibly in different partitions).
+//!    Query-driven repair marks are collected by the partitions and applied
+//!    once, after the merge.
+//! 2. **Record fetch** (`FetchPlan::fetch_chunk`). The validated primary
+//!    keys are fetched in contiguous ascending chunks — ≤ `n` chunks for a
+//!    collecting query, `keys_per_batch`-sized chunks for a stream — each
+//!    through one live [`lookup_sorted`] call. No primary-index snapshot is
+//!    shared between chunks: `lookup_sorted` reads the memory component
+//!    first and captures the disk list after, so an entry that moves from
+//!    memory to disk mid-query is seen by every chunk (in memory, on disk,
+//!    or both — never neither), which is the only guarantee the pipeline
+//!    needs. With `sort_output` each chunk is restored to key order, so
+//!    concatenating the chunks yields primary-key order with no merge.
+//!
+//! A single partition (or chunk) runs inline on the calling thread;
+//! several are scattered over the dataset's query pool
+//! (`run_partitions`). `.parallel(n)` implies `sort_output`, so its result
+//! shape does not depend on `n` — and `parallel(1)` costs exactly what the
+//! default query with `sort_output(true)` costs, on both clocks.
 
-use crate::dataset::{Dataset, SecondaryIndex};
+use crate::dataset::Dataset;
 use crate::keys::{bound_as_ref, sk_range};
-use crate::query::{QueryOptions, QueryResult, ValidationMethod};
+use crate::query::pool::{append, run_partitions};
+use crate::query::{QueryOptions, QueryResult, RecordStream, ValidationMethod};
 use lsm_common::{Error, Key, Record, Result, Timestamp, Value};
 use lsm_tree::{
-    lookup_sorted, newest_version_after, ComponentId, LookupOptions, LsmScan, ScanOptions,
+    lookup_sorted, newest_version_after, ComponentId, DiskComponent, LookupOptions, LsmEntry,
+    LsmScan, ScanOptions, ScanPartition,
 };
+use std::ops::{Bound, Range};
+use std::sync::Arc;
 
 /// One candidate produced by the secondary-index scan.
 #[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    pub pk_key: Key,
-    pub ts: Timestamp,
+struct Candidate {
+    pk_key: Key,
+    ts: Timestamp,
     /// Repaired timestamp of the source component (`now` for memory).
-    pub repaired_ts: Timestamp,
+    repaired_ts: Timestamp,
     /// Component ID of the source (for pID pruning).
-    pub source_id: ComponentId,
+    source_id: ComponentId,
     /// Source disk component index and entry ordinal (None for memory),
     /// for query-driven repair.
-    pub source: Option<(usize, u64)>,
+    source: Option<RepairMark>,
 }
 
 /// A query-driven-repair mark: `(disk component index, entry ordinal)` in
-/// the component list the candidates were scanned from. The parallel path
-/// collects these per partition and applies the aggregate once; the serial
-/// path applies them inline.
-pub(crate) type RepairMark = (usize, u64);
+/// the component list the candidates were scanned from.
+type RepairMark = (usize, u64);
 
-/// Steps 1-3 of Figure 5: scan the secondary index for `sk ∈ [lo, hi]`,
-/// sort and deduplicate the candidates, and apply Timestamp validation when
-/// requested. The returned candidates are distinct primary keys in
-/// ascending key order.
-pub(crate) fn gather_candidates(
-    ds: &Dataset,
-    sec: &SecondaryIndex,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-    opts: &QueryOptions,
-) -> Result<Vec<Candidate>> {
-    let (lo_b, hi_b) = sk_range(lo, hi);
-    let (lo_ref, hi_ref) = (bound_as_ref(&lo_b), bound_as_ref(&hi_b));
-    let mem = sec.tree.mem_snapshot_range(lo_ref, hi_ref);
-    let comps = sec.tree.disk_components();
-    let mem = (!mem.is_empty()).then_some(mem);
-    let mut candidates = scan_candidates(ds, mem, &comps, lo_ref, hi_ref)?;
-    sort_dedup_candidates(ds, &mut candidates, opts);
-    validate_candidates(ds, &comps, candidates, opts, None)
+/// One partition of a captured index view: its owned slice of the memory
+/// run (`None` = nothing buffered in the sub-range) and its key bounds.
+pub(crate) type ScanTask = (Option<Vec<(Key, LsmEntry)>>, ScanPartition);
+
+/// Cuts a captured, key-ordered memory run into owned per-partition slices.
+/// `partitions` are the ascending, contiguous sub-ranges
+/// [`LsmScan::partition_scan`] planned over the range the run was captured
+/// for, so each slice is peeled off the back at its partition's lower bound
+/// and the first partition keeps the rest — entries are moved, never cloned.
+pub(crate) fn split_run(
+    mut run: Vec<(Key, LsmEntry)>,
+    partitions: Vec<ScanPartition>,
+) -> Vec<ScanTask> {
+    let mut tasks: Vec<ScanTask> = Vec::with_capacity(partitions.len());
+    for (i, part) in partitions.into_iter().enumerate().rev() {
+        let slice = if i == 0 {
+            std::mem::take(&mut run)
+        } else {
+            let start = match &part.0 {
+                Bound::Unbounded => 0,
+                Bound::Included(k) => run.partition_point(|(key, _)| key < k),
+                Bound::Excluded(k) => run.partition_point(|(key, _)| key <= k),
+            };
+            run.split_off(start)
+        };
+        tasks.push(((!slice.is_empty()).then_some(slice), part));
+    }
+    tasks.reverse();
+    tasks
 }
 
-/// Step 1 of Figure 5 over an explicit view: scans `[lo, hi]` of the
-/// secondary index given an in-memory run (`None` = nothing buffered;
-/// owned, so the serial path moves its snapshot in without copying) and
-/// a disk-component list. Candidate `source` indices refer to `comps`.
-/// The parallel path calls this once per partition against one shared
-/// snapshot.
-pub(crate) fn scan_candidates(
+/// Step 1 of Figure 5 for one partition: scans `[lo, hi]` of the captured
+/// secondary-index view. Candidate `source` indices refer to `comps`.
+fn scan_candidates(
     ds: &Dataset,
-    mem: Option<Vec<(Key, lsm_tree::LsmEntry)>>,
-    comps: &[std::sync::Arc<lsm_tree::DiskComponent>],
-    lo: std::ops::Bound<&[u8]>,
-    hi: std::ops::Bound<&[u8]>,
+    mem: Option<Vec<(Key, LsmEntry)>>,
+    comps: &[Arc<DiskComponent>],
+    lo: Bound<&[u8]>,
+    hi: Bound<&[u8]>,
 ) -> Result<Vec<Candidate>> {
-    let storage = ds.storage();
-    let mem = mem.filter(|m| !m.is_empty());
     let has_mem = mem.is_some();
-    let mut scan = LsmScan::new(storage.clone(), mem, comps, lo, hi, ScanOptions::default())?;
+    let opts = ScanOptions::default();
+    let mut scan = LsmScan::new(ds.storage().clone(), mem, comps, lo, hi, opts)?;
     let now = ds.clock().now();
     let mut candidates: Vec<Candidate> = Vec::new();
     while let Some((key, entry, rank, ordinal)) = scan.next_reconciled()? {
@@ -99,15 +138,11 @@ pub(crate) fn scan_candidates(
 /// Step 2 of Figure 5: sort by `(pk asc, ts desc)` and deduplicate —
 /// exact `(pk, ts)` duplicates always, and down to one (the newest)
 /// candidate per pk when no Timestamp validation will follow.
-pub(crate) fn sort_dedup_candidates(
-    ds: &Dataset,
-    candidates: &mut Vec<Candidate>,
-    opts: &QueryOptions,
-) {
+fn sort_dedup_candidates(ds: &Dataset, candidates: &mut Vec<Candidate>, opts: &QueryOptions) {
     charge_sort(ds, candidates.len() as u64);
     candidates.sort_by(|a, b| (&a.pk_key, b.ts).cmp(&(&b.pk_key, a.ts)));
     candidates.dedup_by(|a, b| a.pk_key == b.pk_key && a.ts == b.ts);
-    if opts.validation == ValidationMethod::None || opts.validation == ValidationMethod::Direct {
+    if opts.validation != ValidationMethod::Timestamp {
         // Distinct on pk (keep the newest candidate).
         candidates.dedup_by(|a, b| a.pk_key == b.pk_key);
     }
@@ -115,16 +150,13 @@ pub(crate) fn sort_dedup_candidates(
 
 /// Step 3 of Figure 5: Timestamp validation (Figure 5b) against the
 /// primary key index, plus the final distinct-pk pass. A no-op for the
-/// other validation methods. With `marks` set, query-driven-repair
-/// obsolescence proofs are collected there (indices into `comps`) instead
-/// of being applied inline — the parallel path aggregates marks across
-/// partitions and applies them once.
-pub(crate) fn validate_candidates(
+/// other validation methods. Query-driven-repair obsolescence proofs are
+/// pushed onto `marks`; the caller applies them once per query.
+fn validate_candidates(
     ds: &Dataset,
-    comps: &[std::sync::Arc<lsm_tree::DiskComponent>],
-    mut candidates: Vec<Candidate>,
+    candidates: Vec<Candidate>,
     opts: &QueryOptions,
-    mut marks: Option<&mut Vec<RepairMark>>,
+    marks: &mut Vec<RepairMark>,
 ) -> Result<Vec<Candidate>> {
     if opts.validation != ValidationMethod::Timestamp {
         return Ok(candidates);
@@ -144,19 +176,196 @@ pub(crate) fn validate_candidates(
         } else if opts.query_driven_repair {
             // Query-driven maintenance: record the proof of obsolescence
             // so future queries skip this entry without re-validating.
-            if let Some((idx, ordinal)) = cand.source {
-                match marks.as_deref_mut() {
-                    Some(collected) => collected.push((idx, ordinal)),
-                    None => {
-                        comps[idx].bitmap_or_create().set(ordinal);
-                    }
-                }
-            }
+            marks.extend(cand.source);
         }
     }
-    candidates = valid;
-    candidates.dedup_by(|a, b| a.pk_key == b.pk_key);
-    Ok(candidates)
+    valid.dedup_by(|a, b| a.pk_key == b.pk_key);
+    Ok(valid)
+}
+
+/// K-way merges per-partition candidate lists (each sorted by
+/// `(pk asc, ts desc)`) into one list in the same order. Entries are
+/// moved, not cloned; the fan-out is small, so a per-element linear scan
+/// over the part heads beats heap bookkeeping.
+fn merge_candidates(parts: Vec<Vec<Candidate>>) -> Vec<Candidate> {
+    let total: usize = parts.iter().map(Vec::len).sum();
+    let mut merged = Vec::with_capacity(total);
+    let mut iters: Vec<std::vec::IntoIter<Candidate>> =
+        parts.into_iter().map(Vec::into_iter).collect();
+    loop {
+        let mut best: Option<(usize, &Candidate)> = None;
+        for (i, iter) in iters.iter().enumerate() {
+            let Some(cand) = iter.as_slice().first() else {
+                continue;
+            };
+            // Same comparator as the per-partition sort: pk asc, ts desc.
+            if best.is_none_or(|(_, bc)| (&cand.pk_key, bc.ts) < (&bc.pk_key, cand.ts)) {
+                best = Some((i, cand));
+            }
+        }
+        let Some((i, _)) = best else { break };
+        merged.extend(iters[i].next());
+    }
+    merged
+}
+
+/// Steps 1-3 of Figure 5 over ≤ `n` partitions (see the module docs):
+/// returns the validated candidates — distinct primary keys, ascending —
+/// packaged with everything the record fetch needs.
+pub(crate) fn gather(
+    ds: &Dataset,
+    index: &str,
+    lo: Option<Value>,
+    hi: Option<Value>,
+    opts: &QueryOptions,
+    n: usize,
+) -> Result<FetchPlan> {
+    let sec = ds.secondary(index)?;
+    let (lo_b, hi_b) = sk_range(lo.as_ref(), hi.as_ref());
+    let (lo_ref, hi_ref) = (bound_as_ref(&lo_b), bound_as_ref(&hi_b));
+
+    // One atomically captured view of the secondary index: every partition
+    // scans the same in-memory run and component list, so an entry
+    // mid-flush is seen exactly once across the whole fan-out.
+    let (mem, comps) = sec
+        .tree
+        .mem_and_disk_snapshot_if(lo_ref, hi_ref, |_, _| true);
+    let partitions = LsmScan::partition_scan(&comps, lo_ref, hi_ref, n)?;
+    if n > 1 {
+        ds.stats().record_parallel_query(partitions.len());
+    }
+    let tasks = split_run(mem.unwrap_or_default(), partitions);
+    let comps = Arc::new(comps);
+    let (scan_comps, scan_opts) = (comps.clone(), *opts);
+    let scan_partition = move |ds: &Dataset, (mem, (plo, phi)): ScanTask| {
+        let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
+        let mut cands = scan_candidates(ds, mem, &scan_comps, plo, phi)?;
+        sort_dedup_candidates(ds, &mut cands, &scan_opts);
+        let mut marks = Vec::new();
+        let cands = validate_candidates(ds, cands, &scan_opts, &mut marks)?;
+        Ok::<_, Error>((cands, marks))
+    };
+    let outcomes = run_partitions(ds, tasks, scan_partition)?;
+
+    let mut partial: Vec<Vec<Candidate>> = Vec::with_capacity(outcomes.len());
+    let mut marks: Vec<RepairMark> = Vec::new();
+    for outcome in outcomes {
+        let (cands, part_marks) = outcome?;
+        if !cands.is_empty() {
+            partial.push(cands);
+        }
+        marks.extend(part_marks);
+    }
+    let candidates = if partial.len() > 1 {
+        // The same pk can match in several sk partitions: merge the
+        // pk-ordered lists and repeat the per-partition deduplication
+        // globally.
+        charge_sort(ds, partial.iter().map(Vec::len).sum::<usize>() as u64);
+        let mut merged = merge_candidates(partial);
+        merged.dedup_by(|a, b| a.pk_key == b.pk_key && a.ts == b.ts);
+        merged.dedup_by(|a, b| a.pk_key == b.pk_key);
+        merged
+    } else {
+        partial.pop().unwrap_or_default()
+    };
+    for (idx, ordinal) in marks {
+        comps[idx].bitmap_or_create().set(ordinal);
+    }
+
+    let (keys, hints) = candidates
+        .into_iter()
+        .map(|c| (c.pk_key, c.source_id))
+        .unzip();
+    Ok(FetchPlan {
+        keys,
+        hints,
+        keys_per_batch: keys_per_batch(ds, opts.batch_bytes),
+        opts: *opts,
+        sec_field: sec.field,
+        lo,
+        hi,
+    })
+}
+
+/// Step 4 of Figure 5: the validated candidate keys of one query plus
+/// everything a chunk fetch needs. Shared by the collecting fetch
+/// (`fetch_all`) and the [`RecordStream`].
+#[derive(Debug)]
+pub(crate) struct FetchPlan {
+    /// Post-validation candidate primary keys, distinct and ascending.
+    pub(crate) keys: Vec<Key>,
+    /// Per-key component-ID hints, parallel to `keys` (pID).
+    hints: Vec<ComponentId>,
+    /// Keys per lookup batch, from `batch_bytes` and the average record size.
+    pub(crate) keys_per_batch: usize,
+    opts: QueryOptions,
+    sec_field: usize,
+    lo: Option<Value>,
+    hi: Option<Value>,
+}
+
+impl FetchPlan {
+    /// Fetches the records of `keys[range]` with the batched point-lookup
+    /// machinery, dropping those that fail the Direct predicate re-check
+    /// (Figure 5a). Batched probing destroys key order within the chunk;
+    /// `sort` restores it.
+    pub(crate) fn fetch_chunk(
+        &self,
+        ds: &Dataset,
+        range: Range<usize>,
+        sort: bool,
+    ) -> Result<Vec<Record>> {
+        let keys = &self.keys[range.clone()];
+        let lopts = LookupOptions {
+            batched: self.opts.batched,
+            keys_per_batch: self.keys_per_batch,
+            stateful: self.opts.stateful,
+            id_hints: self
+                .opts
+                .propagate_component_ids
+                .then(|| &self.hints[range]),
+        };
+        let mut found = lookup_sorted(ds.primary(), keys, &lopts)?;
+        fetch_missing_under_lock(ds, keys, &mut found)?;
+        if sort {
+            charge_sort(ds, found.len() as u64);
+            found.sort_by_key(|(i, _)| *i);
+        }
+        let direct = self.opts.validation == ValidationMethod::Direct;
+        let mut records = Vec::with_capacity(found.len());
+        for (_, entry) in found {
+            let record = Record::decode(&entry.value)?;
+            if !direct || self.predicate_holds(&record) {
+                records.push(record);
+            }
+        }
+        Ok(records)
+    }
+
+    /// Re-checks the query predicate on a fetched record (Direct
+    /// validation, Figure 5a).
+    fn predicate_holds(&self, record: &Record) -> bool {
+        let sk = record.get(self.sec_field);
+        self.lo.as_ref().is_none_or(|l| sk >= l) && self.hi.as_ref().is_none_or(|h| sk <= h)
+    }
+
+    /// The collecting fetch: ≤ `n` contiguous ascending chunks, each
+    /// re-sorted when `sort_output` is set, concatenated in chunk order.
+    fn fetch_all(self, ds: &Dataset, n: usize) -> Result<Vec<Record>> {
+        let len = self.keys.len();
+        let chunk = len.div_ceil(n).max(1);
+        let ranges: Vec<Range<usize>> = (0..len)
+            .step_by(chunk)
+            .map(|start| start..(start + chunk).min(len))
+            .collect();
+        let sort = self.opts.sort_output;
+        let plan = Arc::new(self);
+        let mut records = Vec::new();
+        for part in run_partitions(ds, ranges, move |ds, r| plan.fetch_chunk(ds, r, sort))? {
+            append(&mut records, part?);
+        }
+        Ok(records)
+    }
 }
 
 /// Re-probes every candidate key that resolved to "not found" via
@@ -166,7 +375,7 @@ pub(crate) fn validate_candidates(
 /// unresolved candidates are re-probed, deletions gate most probes
 /// through the Bloom filters, and the whole pass is a no-op for the
 /// other strategies.
-pub(crate) fn fetch_missing_under_lock(
+fn fetch_missing_under_lock(
     ds: &Dataset,
     keys: &[Key],
     found: &mut lsm_tree::lookup::FoundEntries,
@@ -191,56 +400,8 @@ pub(crate) fn fetch_missing_under_lock(
     Ok(())
 }
 
-/// Re-checks the query predicate on a fetched record (Direct validation,
-/// Figure 5a).
-pub(crate) fn direct_predicate_holds(
-    record: &Record,
-    sec_field: usize,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-) -> bool {
-    let sk = record.get(sec_field);
-    lo.is_none_or(|l| sk >= l) && hi.is_none_or(|h| sk <= h)
-}
-
-/// Step 4 of Figure 5 (collecting form): fetch all candidate records from
-/// the primary index with the batched point-lookup machinery, applying
-/// Direct validation when requested.
-fn fetch_records(
-    ds: &Dataset,
-    sec: &SecondaryIndex,
-    candidates: &[Candidate],
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-    opts: &QueryOptions,
-) -> Result<Vec<Record>> {
-    let keys: Vec<Key> = candidates.iter().map(|c| c.pk_key.clone()).collect();
-    let hints: Vec<ComponentId> = candidates.iter().map(|c| c.source_id).collect();
-    let keys_per_batch = keys_per_batch(ds, opts.batch_bytes);
-    let lopts = LookupOptions {
-        batched: opts.batched,
-        keys_per_batch,
-        stateful: opts.stateful,
-        id_hints: opts.propagate_component_ids.then_some(hints.as_slice()),
-    };
-    let mut found = lookup_sorted(ds.primary(), &keys, &lopts)?;
-    fetch_missing_under_lock(ds, &keys, &mut found)?;
-
-    let mut records = Vec::with_capacity(found.len());
-    for (_, entry) in found {
-        let record = Record::decode(&entry.value)?;
-        if opts.validation == ValidationMethod::Direct
-            && !direct_predicate_holds(&record, sec.field, lo, hi)
-        {
-            continue;
-        }
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Runs the full query pipeline, collecting every result (the historical
-/// `secondary_query` behaviour, plus an optional result limit).
+/// Runs the full query pipeline over ≤ `n` partitions, collecting every
+/// result (up to `limit`).
 pub(crate) fn execute(
     ds: &Dataset,
     index: &str,
@@ -248,55 +409,36 @@ pub(crate) fn execute(
     hi: Option<&Value>,
     opts: &QueryOptions,
     limit: Option<usize>,
+    n: usize,
 ) -> Result<QueryResult> {
+    let plan = gather(ds, index, lo.cloned(), hi.cloned(), opts, n)?;
+    let cap = limit.unwrap_or(usize::MAX);
+
+    // Index-only fast path: no record fetch needed.
+    if opts.index_only && opts.validation != ValidationMethod::Direct {
+        let keys = plan
+            .keys
+            .iter()
+            .take(cap)
+            .map(|k| crate::keys::decode_pk(k));
+        return Ok(QueryResult::Keys(keys.collect::<Result<_>>()?));
+    }
     // Limited record queries go through the stream so the record fetch —
     // the dominant I/O — stops after `limit` results instead of fetching
     // every candidate and truncating. The stream yields primary-key order,
     // which matches the `sort_output` collecting path.
     if limit.is_some() && !opts.index_only {
-        let stream =
-            crate::query::RecordStream::open(ds, index, lo.cloned(), hi.cloned(), opts, limit)?;
-        let records = stream.collect::<Result<Vec<_>>>()?;
+        let records = RecordStream::over(ds, plan, limit).collect::<Result<_>>()?;
         return Ok(QueryResult::Records(records));
     }
-
-    let sec = ds.secondary(index)?;
-    let candidates = gather_candidates(ds, sec, lo, hi, opts)?;
-
-    // Index-only fast path: no record fetch needed.
-    if opts.index_only && opts.validation != ValidationMethod::Direct {
-        let mut keys = candidates
-            .iter()
-            .map(|c| crate::keys::decode_pk(&c.pk_key))
-            .collect::<Result<Vec<_>>>()?;
-        truncate_to(&mut keys, limit);
-        return Ok(QueryResult::Keys(keys));
-    }
-
-    let mut records = fetch_records(ds, sec, &candidates, lo, hi, opts)?;
-
+    let records = plan.fetch_all(ds, n)?;
     if opts.index_only {
         // Direct validation + index-only still had to fetch records.
-        let mut keys: Vec<Value> = records
-            .iter()
-            .map(|r| r.get(ds.config().pk_field).clone())
-            .collect();
-        truncate_to(&mut keys, limit);
-        return Ok(QueryResult::Keys(keys));
-    }
-
-    if opts.sort_output {
-        charge_sort(ds, records.len() as u64);
         let pk_field = ds.config().pk_field;
-        records.sort_by(|a, b| a.get(pk_field).cmp(b.get(pk_field)));
+        let keys = records.iter().take(cap).map(|r| r.get(pk_field).clone());
+        return Ok(QueryResult::Keys(keys.collect()));
     }
     Ok(QueryResult::Records(records))
-}
-
-fn truncate_to<T>(items: &mut Vec<T>, limit: Option<usize>) {
-    if let Some(n) = limit {
-        items.truncate(n);
-    }
 }
 
 /// Charges the CPU cost model for an `n log n` sort.
@@ -310,8 +452,79 @@ pub(crate) fn charge_sort(ds: &Dataset, n: u64) {
 
 /// Derives the per-batch key count from the batching memory and the average
 /// record size of the primary index.
-pub(crate) fn keys_per_batch(ds: &Dataset, batch_bytes: usize) -> usize {
+fn keys_per_batch(ds: &Dataset, batch_bytes: usize) -> usize {
     let entries = ds.primary().disk_entries().max(1);
     let avg = (ds.primary().disk_bytes() / entries).max(64) as usize;
     (batch_bytes / avg).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cand(pk: u8, ts: u64) -> Candidate {
+        Candidate {
+            pk_key: vec![pk],
+            ts,
+            repaired_ts: 0,
+            source_id: ComponentId::new(1, 1),
+            source: None,
+        }
+    }
+
+    #[test]
+    fn merge_orders_by_pk_then_ts_desc() {
+        let merged = merge_candidates(vec![
+            vec![cand(1, 5), cand(3, 2)],
+            vec![cand(1, 9), cand(2, 1)],
+            vec![],
+        ]);
+        let got: Vec<(u8, u64)> = merged.iter().map(|c| (c.pk_key[0], c.ts)).collect();
+        assert_eq!(got, vec![(1, 9), (1, 5), (2, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn split_run_respects_bounds() {
+        let run: Vec<(Key, LsmEntry)> = (0u8..10)
+            .map(|i| (vec![i], LsmEntry::put(vec![])))
+            .collect();
+        let lens = |parts: Vec<ScanPartition>| -> Vec<usize> {
+            split_run(run.clone(), parts)
+                .into_iter()
+                .map(|(mem, _)| mem.map_or(0, |m| m.len()))
+                .collect()
+        };
+        assert_eq!(lens(vec![(Bound::Unbounded, Bound::Unbounded)]), vec![10]);
+        assert_eq!(
+            lens(vec![
+                (Bound::Unbounded, Bound::Excluded(vec![3])),
+                (Bound::Included(vec![3]), Bound::Excluded(vec![7])),
+                (Bound::Included(vec![7]), Bound::Excluded(vec![20])),
+                (Bound::Included(vec![20]), Bound::Unbounded),
+            ]),
+            vec![3, 4, 3, 0]
+        );
+        assert_eq!(
+            lens(vec![
+                (Bound::Unbounded, Bound::Included(vec![3])),
+                (Bound::Excluded(vec![3]), Bound::Unbounded),
+            ]),
+            vec![4, 6]
+        );
+        // Slices are contiguous, ordered, and `None` when empty.
+        let tasks = split_run(
+            run.clone(),
+            vec![
+                (Bound::Unbounded, Bound::Excluded(vec![5])),
+                (Bound::Included(vec![5]), Bound::Unbounded),
+            ],
+        );
+        assert_eq!(tasks[0].0.as_ref().unwrap()[4].0, vec![4]);
+        assert_eq!(tasks[1].0.as_ref().unwrap()[0].0, vec![5]);
+        assert!(
+            split_run(Vec::new(), vec![(Bound::Unbounded, Bound::Unbounded)])[0]
+                .0
+                .is_none()
+        );
+    }
 }

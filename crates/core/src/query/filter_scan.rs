@@ -17,38 +17,46 @@
 //!   components are scanned one by one, independently, with no
 //!   reconciliation and full pruning.
 //!
-//! Both the serial and the partitioned execution paths run over **one**
-//! plan captured by `capture_plan`, so the snapshot discipline (and the
-//! per-strategy memory-inclusion rules documented there) cannot drift
-//! between them.
+//! # One plan, `n` partitions
 //!
-//! # Partitioned filter scans
-//!
-//! [`FilterScanBuilder::parallel(n)`](FilterScanBuilder::parallel) splits
-//! the captured plan into ≤ `n` disjoint, ascending primary-key sub-ranges
-//! along component leaf boundaries ([`LsmScan::partition_scan`]) and
-//! scatters one scan+filter task per partition over the engine's shared
+//! Every execution — [`count`](FilterScanBuilder::count),
+//! [`records`](FilterScanBuilder::records) or
+//! [`stream`](FilterScanBuilder::stream), with or without
+//! [`parallel(n)`](FilterScanBuilder::parallel) — captures exactly **one**
+//! plan (`capture_plan`: the strategy's component-inclusion decision, the
+//! memory run and, under Mutable-bitmap, the frozen bitmaps, taken
+//! atomically) and consumes it through one partition body. The plan is
+//! split into ≤ `n` disjoint, ascending primary-key sub-ranges along
+//! component leaf boundaries ([`LsmScan::partition_scan`], free of I/O for
+//! `n = 1`) and the captured memory run is cut into owned per-partition
+//! slices; a single partition — the default — runs inline on the calling
+//! thread, several are scattered over the engine's shared
 //! [`QueryPool`](crate::query::pool::QueryPool) (ephemeral threads when
 //! the dataset's runtime has none — the caller always participates, and
 //! each task re-installs the caller's I/O throttles). Every partition
-//! reads the same captured memory run (sliced to its bounds) and the same
-//! component list; reconciliation is per-key and keys never span
-//! partitions, so per-partition outputs are exactly the serial outputs
-//! restricted to each sub-range. Partitions are disjoint and ascending,
-//! so concatenating them in partition order *is* the k-way merge — the
-//! result is in primary-key order, identical to the serial path (the
-//! Mutable-bitmap branch sorts each partition locally with the same
-//! comparator the serial path uses globally).
+//! reads the same component list; reconciliation is per-key and keys never
+//! span partitions, so each partition's output is exactly the whole scan's
+//! output restricted to its sub-range. Partitions are disjoint and
+//! ascending, so concatenating them in partition order *is* the k-way
+//! merge — the result is in primary-key order for every `n` (the
+//! Mutable-bitmap branch, which visits in component order, sorts each
+//! partition locally).
+//!
+//! The one thing `n = 1` can do that a fan-out cannot is *stream*: for the
+//! reconciled strategies a single-partition
+//! [`stream`](FilterScanBuilder::stream) yields straight from the merge
+//! scan over the captured plan with bounded memory; every other stream
+//! replays the collected matches.
 
 use crate::config::StrategyKind;
 use crate::dataset::Dataset;
-use crate::query::exec;
-use crate::query::parallel::slice_range;
-use crate::query::pool::{scatter, TaskFn};
+use crate::keys::bound_as_ref;
+use crate::query::exec::{self, split_run, ScanTask};
+use crate::query::pool::{append, run_partitions};
 use lsm_common::{Key, Record, Result, Value};
 use lsm_tree::{
-    scan_components_sequential_frozen, BitmapSnapshot, DiskComponent, LsmEntry, LsmScan,
-    RangeFilter, ScanOptions,
+    scan_components_sequential, BitmapSnapshot, DiskComponent, LsmEntry, LsmScan, RangeFilter,
+    ScanOptions,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -62,7 +70,9 @@ pub struct FilterScanReport {
     pub components_scanned: u64,
     /// Disk components pruned by their range filters.
     pub components_pruned: u64,
-    /// Scan partitions planned (0 for the serial path).
+    /// Scan partitions actually run: 1 by default, at most `n` under
+    /// [`parallel(n)`](FilterScanBuilder::parallel) (small trees may split
+    /// into fewer partitions than requested).
     pub partitions: u64,
 }
 
@@ -74,38 +84,35 @@ fn overlaps(filter: Option<&RangeFilter>, lo: Option<&Value>, hi: Option<&Value>
     }
 }
 
-/// Does `record` satisfy `filter_field ∈ [lo, hi]`?
-fn matches_pred(
-    record: &Record,
-    filter_field: usize,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-) -> bool {
-    let v = record.get(filter_field);
-    lo.is_none_or(|l| v >= l) && hi.is_none_or(|h| v <= h)
-}
-
-/// One captured filter-scan plan: the strategy's component-inclusion
-/// decision plus the memory run, taken atomically. Consumed by exactly one
-/// execution path (serial, partitioned, or streaming).
+/// One captured filter-scan plan: the predicate, the strategy's
+/// component-inclusion decision and the memory run, taken atomically.
+/// Consumed by exactly one execution.
 struct ScanPlan {
     filter_field: usize,
     strategy: StrategyKind,
+    lo: Option<Value>,
+    hi: Option<Value>,
     /// The captured memory run — already gated by the inclusion rules
     /// below, `None` when the strategy may skip memory entirely.
     mem: Option<Vec<(Key, LsmEntry)>>,
     /// Disk components to scan, newest-first.
     included: Vec<Arc<DiskComponent>>,
     /// Bitmap snapshots frozen atomically with the capture, one per
-    /// included component — populated only for Mutable-bitmap (the other
-    /// strategies never mutate primary bitmaps in place). Shared by every
-    /// partition of a partitioned execution.
-    bitmaps: Arc<Vec<Option<BitmapSnapshot>>>,
+    /// included component — `None` throughout except under Mutable-bitmap
+    /// (the other strategies never mutate primary bitmaps in place).
+    /// Shared by every partition.
+    bitmaps: Vec<Option<BitmapSnapshot>>,
     components_pruned: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Plans captured on this thread (a capture always runs on the caller).
+    static CAPTURES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// Captures one filter-scan plan for `filter_key ∈ [lo, hi]` — the single
-/// capture point shared by the serial and partitioned paths.
+/// capture point of every execution.
 ///
 /// Atomic memory+disk capture: an entry mid-flush appears in exactly
 /// one of the two, which the Mutable-bitmap branch (no reconciliation)
@@ -129,17 +136,16 @@ struct ScanPlan {
 /// bitmaps afterwards could observe the mark without the replacement and
 /// lose the record — the same torn window the Side-file method closes for
 /// flushes, and exactly what the churn oracle exercises.
-fn capture_plan(ds: &Dataset, lo: Option<&Value>, hi: Option<&Value>) -> Result<ScanPlan> {
+fn capture_plan(ds: &Dataset, lo: Option<Value>, hi: Option<Value>) -> Result<ScanPlan> {
+    #[cfg(test)]
+    CAPTURES.with(|c| c.set(c.get() + 1));
     let filter_field = ds
         .config()
         .filter_field
         .ok_or_else(|| lsm_common::Error::invalid("dataset has no filter field"))?;
     let strategy = ds.config().strategy;
-    let primary = ds.primary();
-    // Filter scans read the full primary-key range; pruning happens per
-    // component through the range filters on the *filter* key.
-    let (scan_lo, scan_hi): (Bound<&[u8]>, Bound<&[u8]>) = (Bound::Unbounded, Bound::Unbounded);
-    let lazy_mem = matches!(
+    let (lo_ref, hi_ref) = (lo.as_ref(), hi.as_ref());
+    let lazy = matches!(
         strategy,
         StrategyKind::Validation | StrategyKind::DeletedKeyBTree
     );
@@ -147,238 +153,150 @@ fn capture_plan(ds: &Dataset, lo: Option<&Value>, hi: Option<&Value>) -> Result<
     // for the duration of the capture and bitmap freeze; see above.
     let _capture_guard =
         (strategy == StrategyKind::MutableBitmap).then(|| ds.dataset_lock().write());
+    // Filter scans read the full primary-key range; pruning happens per
+    // component through the range filters on the *filter* key.
     let mut mem_filter_overlaps = false;
-    let (mem_snapshot, comps) = primary.mem_and_disk_snapshot_if(scan_lo, scan_hi, |f, disk| {
-        mem_filter_overlaps = overlaps(f, lo, hi);
-        mem_filter_overlaps || (lazy_mem && disk.iter().any(|c| overlaps(c.range_filter(), lo, hi)))
-    });
-    let mem_all = mem_snapshot.unwrap_or_default();
-    let mem_overlaps = mem_filter_overlaps && !mem_all.is_empty();
-
-    let included: Vec<_> = match strategy {
-        // Independent per-component pruning (Mutable-bitmap needs no
-        // reconciliation; Eager filters are accurate).
-        StrategyKind::Eager | StrategyKind::MutableBitmap => comps
-            .iter()
-            .filter(|c| overlaps(c.range_filter(), lo, hi))
-            .cloned()
-            .collect(),
+    let (mem, comps) =
+        ds.primary()
+            .mem_and_disk_snapshot_if(Bound::Unbounded, Bound::Unbounded, |f, disk| {
+                mem_filter_overlaps = overlaps(f, lo_ref, hi_ref);
+                mem_filter_overlaps
+                    || (lazy
+                        && disk
+                            .iter()
+                            .any(|c| overlaps(c.range_filter(), lo_ref, hi_ref)))
+            });
+    let included: Vec<_> = if lazy {
         // All components newer than (and including) the oldest
         // overlapping one must be read.
-        StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
-            match comps
-                .iter()
-                .rposition(|c| overlaps(c.range_filter(), lo, hi))
-            {
-                None => Vec::new(),
-                Some(i) => comps[..=i].to_vec(),
-            }
-        }
+        let oldest = comps
+            .iter()
+            .rposition(|c| overlaps(c.range_filter(), lo_ref, hi_ref));
+        oldest.map_or_else(Vec::new, |i| comps[..=i].to_vec())
+    } else {
+        // Independent per-component pruning (Mutable-bitmap needs no
+        // reconciliation; Eager filters are accurate).
+        comps
+            .iter()
+            .filter(|c| overlaps(c.range_filter(), lo_ref, hi_ref))
+            .cloned()
+            .collect()
     };
-    let include_mem = match strategy {
-        StrategyKind::Eager | StrategyKind::MutableBitmap => mem_overlaps,
-        StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
-            mem_overlaps || !included.is_empty()
-        }
-    };
+    let include_mem = mem_filter_overlaps || (lazy && !included.is_empty());
     // Still under the capture guard: the frozen snapshots and the memory
     // run describe the same instant.
-    let bitmaps = match strategy {
-        StrategyKind::MutableBitmap => included
-            .iter()
-            .map(|c| c.bitmap().map(|b| b.snapshot()))
-            .collect(),
-        _ => Vec::new(),
-    };
-    let components_pruned = (comps.len() - included.len()) as u64;
+    let freeze = strategy == StrategyKind::MutableBitmap;
+    let bitmaps = included
+        .iter()
+        .map(|c| freeze.then(|| c.bitmap()).flatten().map(|b| b.snapshot()))
+        .collect();
     Ok(ScanPlan {
         filter_field,
         strategy,
-        mem: (include_mem && !mem_all.is_empty()).then_some(mem_all),
+        mem: mem.filter(|m| include_mem && !m.is_empty()),
+        components_pruned: (comps.len() - included.len()) as u64,
         included,
-        bitmaps: Arc::new(bitmaps),
-        components_pruned,
+        bitmaps,
+        lo,
+        hi,
     })
 }
 
-/// Runs `plan` serially, invoking `visit` for every match. Returns whether
-/// the visit order was primary-key order — true for the reconciled
-/// strategies; the Mutable-bitmap sequential scan visits in component
-/// order, so callers needing pk order must sort.
-fn scan_serial(
-    ds: &Dataset,
-    plan: ScanPlan,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-    mut visit: impl FnMut(Key, Record),
-) -> Result<bool> {
-    let field = plan.filter_field;
-    match plan.strategy {
-        StrategyKind::MutableBitmap => {
-            scan_components_sequential_frozen(
-                plan.mem,
-                &plan.included,
-                &plan.bitmaps,
-                Bound::Unbounded,
-                Bound::Unbounded,
-                |k, e| {
-                    if let Ok(r) = Record::decode(&e.value) {
-                        if matches_pred(&r, field, lo, hi) {
-                            visit(k, r);
-                        }
-                    }
-                },
-            )?;
-            Ok(false)
-        }
-        _ => {
-            let mut scan = LsmScan::new(
-                ds.storage().clone(),
-                plan.mem,
-                &plan.included,
-                Bound::Unbounded,
-                Bound::Unbounded,
-                ScanOptions::default(),
-            )?;
-            while let Some((k, e)) = scan.next_entry()? {
-                let r = Record::decode(&e.value)?;
-                if matches_pred(&r, field, lo, hi) {
-                    visit(k, r);
+impl ScanPlan {
+    /// Does `record` satisfy `filter_field ∈ [lo, hi]`?
+    fn matches(&self, record: &Record) -> bool {
+        let v = record.get(self.filter_field);
+        self.lo.as_ref().is_none_or(|l| v >= l) && self.hi.as_ref().is_none_or(|h| v <= h)
+    }
+
+    /// Do scans of this plan reconcile versions (and so visit in
+    /// primary-key order)? Only Mutable-bitmap does not (Section 6.4.2).
+    fn reconciles(&self) -> bool {
+        self.strategy != StrategyKind::MutableBitmap
+    }
+
+    /// The reconciling merge scan of `[lo, hi]` over `mem` plus the
+    /// included components.
+    fn merge_scan(
+        &self,
+        ds: &Dataset,
+        mem: Option<Vec<(Key, LsmEntry)>>,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
+    ) -> Result<LsmScan> {
+        let opts = ScanOptions::default();
+        LsmScan::new(ds.storage().clone(), mem, &self.included, lo, hi, opts)
+    }
+
+    /// The one partition body: scans `task`'s sub-range, returning its
+    /// match count plus — when `collect` is set — the matching records in
+    /// primary-key order. A corrupt record value fails the scan under
+    /// every strategy.
+    fn scan_partition(
+        &self,
+        ds: &Dataset,
+        (mem, (plo, phi)): ScanTask,
+        collect: bool,
+    ) -> Result<(u64, Vec<Record>)> {
+        let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
+        let mut count = 0u64;
+        let mut rows: Vec<(Key, Record)> = Vec::new();
+        let mut visit = |k: Key, e: LsmEntry| -> Result<()> {
+            let r = Record::decode(&e.value)?;
+            if self.matches(&r) {
+                count += 1;
+                if collect {
+                    rows.push((k, r));
                 }
             }
-            Ok(true)
+            Ok(())
+        };
+        if self.reconciles() {
+            let mut scan = self.merge_scan(ds, mem, plo, phi)?;
+            while let Some((k, e)) = scan.next_entry()? {
+                visit(k, e)?;
+            }
+        } else {
+            scan_components_sequential(mem, &self.included, &self.bitmaps, plo, phi, visit)?;
+            // Component order → primary-key order; with disjoint ascending
+            // partitions the local sorts add up to the global order.
+            exec::charge_sort(ds, rows.len() as u64);
+            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
+        Ok((count, rows.into_iter().map(|(_, r)| r).collect()))
     }
-}
 
-/// One partition's output: match count plus its collected `(pk, record)`
-/// rows (empty when only counting).
-type PartitionOutput = Result<(u64, Vec<(Key, Record)>)>;
-
-/// Runs `plan` across ≤ `parallelism` partitions (see the module docs).
-/// Returns `(matches, records, partitions)`; `records` is empty unless
-/// `collect` is set, and always in primary-key order.
-fn scan_partitioned(
-    ds: &Arc<Dataset>,
-    plan: ScanPlan,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-    parallelism: usize,
-    collect: bool,
-) -> Result<(u64, Vec<Record>, u64)> {
-    let partitions = LsmScan::partition_scan(
-        &plan.included,
-        Bound::Unbounded,
-        Bound::Unbounded,
-        parallelism,
-    )?;
-    ds.stats().record_parallel_filter_scan(partitions.len());
-    let num_partitions = partitions.len() as u64;
-
-    let mem: Arc<Vec<(Key, LsmEntry)>> = Arc::new(plan.mem.unwrap_or_default());
-    let included: Arc<Vec<Arc<DiskComponent>>> = Arc::new(plan.included);
-    let bitmaps = plan.bitmaps;
-    let (strategy, field) = (plan.strategy, plan.filter_field);
-    let (lo, hi) = (lo.cloned(), hi.cloned());
-    let tasks: Vec<TaskFn<PartitionOutput>> = partitions
-        .into_iter()
-        .map(|(plo, phi)| {
-            let ds = ds.clone();
-            let mem = mem.clone();
-            let included = included.clone();
-            let bitmaps = bitmaps.clone();
-            let (lo, hi) = (lo.clone(), hi.clone());
-            let task = move || {
-                let (start, end) = slice_range(&mem, &plo, &phi);
-                let mem_slice = (start < end).then(|| mem[start..end].to_vec());
-                let (plo, phi) = (
-                    crate::keys::bound_as_ref(&plo),
-                    crate::keys::bound_as_ref(&phi),
-                );
-                let mut count = 0u64;
-                let mut out: Vec<(Key, Record)> = Vec::new();
-                let mut on_match = |k: Key, r: Record| {
-                    count += 1;
-                    if collect {
-                        out.push((k, r));
-                    }
-                };
-                match strategy {
-                    StrategyKind::MutableBitmap => {
-                        // All partitions reuse the plan's frozen bitmaps.
-                        scan_components_sequential_frozen(
-                            mem_slice,
-                            &included,
-                            &bitmaps,
-                            plo,
-                            phi,
-                            |k, e| {
-                                if let Ok(r) = Record::decode(&e.value) {
-                                    if matches_pred(&r, field, lo.as_ref(), hi.as_ref()) {
-                                        on_match(k, r);
-                                    }
-                                }
-                            },
-                        )?;
-                        // Local sort per partition: with disjoint ascending
-                        // partitions this yields the global pk order the
-                        // serial path produces by sorting everything.
-                        if out.len() > 1 {
-                            exec::charge_sort(&ds, out.len() as u64);
-                            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        }
-                    }
-                    _ => {
-                        let mut scan = LsmScan::new(
-                            ds.storage().clone(),
-                            mem_slice,
-                            &included,
-                            plo,
-                            phi,
-                            ScanOptions::default(),
-                        )?;
-                        while let Some((k, e)) = scan.next_entry()? {
-                            let r = Record::decode(&e.value)?;
-                            if matches_pred(&r, field, lo.as_ref(), hi.as_ref()) {
-                                on_match(k, r);
-                            }
-                        }
-                    }
-                }
-                Ok((count, out))
-            };
-            Box::new(task) as Box<dyn FnOnce() -> _ + Send>
-        })
-        .collect();
-
-    let pool = ds.query_pool();
-    let mut matches = 0u64;
-    let mut records = Vec::new();
-    for outcome in scatter(pool.as_ref(), tasks) {
-        let (count, part) = outcome?;
-        matches += count;
-        records.extend(part.into_iter().map(|(_, r)| r));
+    /// Runs the plan over ≤ `n` partitions (see the module docs), returning
+    /// the report plus — when `collect` is set — the matching records in
+    /// primary-key order.
+    fn run(
+        mut self,
+        ds: &Dataset,
+        n: usize,
+        collect: bool,
+    ) -> Result<(FilterScanReport, Vec<Record>)> {
+        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+        let partitions = LsmScan::partition_scan(&self.included, lo, hi, n)?;
+        if n > 1 {
+            ds.stats().record_parallel_filter_scan(partitions.len());
+        }
+        let mut report = FilterScanReport {
+            matches: 0,
+            components_scanned: self.included.len() as u64,
+            components_pruned: self.components_pruned,
+            partitions: partitions.len() as u64,
+        };
+        let tasks = split_run(self.mem.take().unwrap_or_default(), partitions);
+        let plan = Arc::new(self);
+        let body = move |ds: &Dataset, task| plan.scan_partition(ds, task, collect);
+        let mut records = Vec::new();
+        for part in run_partitions(ds, tasks, body)? {
+            let (count, rows) = part?;
+            report.matches += count;
+            append(&mut records, rows);
+        }
+        Ok((report, records))
     }
-    Ok((matches, records, num_partitions))
-}
-
-/// Scans the primary index with a predicate `filter_key ∈ [lo, hi]` and
-/// returns the match count plus pruning statistics.
-pub fn filter_scan_count(
-    ds: &Dataset,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-) -> Result<FilterScanReport> {
-    let plan = capture_plan(ds, lo, hi)?;
-    let mut report = FilterScanReport {
-        components_scanned: plan.included.len() as u64,
-        components_pruned: plan.components_pruned,
-        ..FilterScanReport::default()
-    };
-    let mut matches = 0u64;
-    scan_serial(ds, plan, lo, hi, |_, _| matches += 1)?;
-    report.matches = matches;
-    Ok(report)
 }
 
 impl Dataset {
@@ -413,25 +331,25 @@ impl Dataset {
             ds: self,
             lo: None,
             hi: None,
-            parallel: None,
+            partitions: 1,
         }
     }
 }
 
 /// A fluent primary-index filter scan under construction; obtained from
 /// [`Dataset::filter_scan`]. The predicate is on the dataset's configured
-/// filter field; execution is serial unless
-/// [`parallel(n)`](FilterScanBuilder::parallel) is requested.
+/// filter field; the scan runs as one partition on the calling thread
+/// unless [`parallel(n)`](FilterScanBuilder::parallel) asks for more.
 #[derive(Debug, Clone)]
 #[must_use = "a FilterScanBuilder does nothing until executed"]
 pub struct FilterScanBuilder<'a> {
     ds: &'a Dataset,
     lo: Option<Value>,
     hi: Option<Value>,
-    parallel: Option<usize>,
+    partitions: usize,
 }
 
-impl<'a> FilterScanBuilder<'a> {
+impl FilterScanBuilder<'_> {
     /// Restricts the scan to `filter_key ∈ [lo, hi]` (inclusive).
     pub fn range(mut self, lo: impl Into<Value>, hi: impl Into<Value>) -> Self {
         self.lo = Some(lo.into());
@@ -454,101 +372,47 @@ impl<'a> FilterScanBuilder<'a> {
     /// Executes the scan across up to `n` primary-key partitions in
     /// parallel (the engine's shared query pool when the dataset's runtime
     /// has one, ephemeral threads otherwise; the caller always
-    /// participates). Results are identical to the serial execution and in
-    /// primary-key order; `n <= 1` still runs through the partitioned
-    /// path on the calling thread.
+    /// participates). Results are identical for every `n` and in
+    /// primary-key order; the default is `n = 1`, one partition run inline
+    /// on the calling thread.
     pub fn parallel(mut self, n: usize) -> Self {
-        self.parallel = Some(n.max(1));
+        self.partitions = n.max(1);
         self
     }
 
     /// Runs the scan, returning the match count plus pruning statistics.
     pub fn count(self) -> Result<FilterScanReport> {
-        match self.parallel {
-            None => filter_scan_count(self.ds, self.lo.as_ref(), self.hi.as_ref()),
-            Some(n) => {
-                let ds = self.ds.shared()?;
-                let (lo, hi) = (self.lo.as_ref(), self.hi.as_ref());
-                let plan = capture_plan(&ds, lo, hi)?;
-                let mut report = FilterScanReport {
-                    components_scanned: plan.included.len() as u64,
-                    components_pruned: plan.components_pruned,
-                    ..FilterScanReport::default()
-                };
-                let (matches, _, partitions) = scan_partitioned(&ds, plan, lo, hi, n, false)?;
-                report.matches = matches;
-                report.partitions = partitions;
-                Ok(report)
-            }
-        }
+        let plan = capture_plan(self.ds, self.lo, self.hi)?;
+        Ok(plan.run(self.ds, self.partitions, false)?.0)
     }
 
     /// Runs the scan and collects the matching records in primary-key
-    /// order (identical output for the serial and partitioned paths).
+    /// order.
     pub fn records(self) -> Result<Vec<Record>> {
-        let (lo, hi) = (self.lo.as_ref(), self.hi.as_ref());
-        match self.parallel {
-            Some(n) => {
-                let ds = self.ds.shared()?;
-                let plan = capture_plan(&ds, lo, hi)?;
-                let (_, records, _) = scan_partitioned(&ds, plan, lo, hi, n, true)?;
-                Ok(records)
-            }
-            None => {
-                let plan = capture_plan(self.ds, lo, hi)?;
-                let mut out: Vec<(Key, Record)> = Vec::new();
-                let ordered = scan_serial(self.ds, plan, lo, hi, |k, r| out.push((k, r)))?;
-                if !ordered {
-                    exec::charge_sort(self.ds, out.len() as u64);
-                    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                }
-                Ok(out.into_iter().map(|(_, r)| r).collect())
-            }
-        }
+        let plan = capture_plan(self.ds, self.lo, self.hi)?;
+        Ok(plan.run(self.ds, self.partitions, true)?.1)
     }
 
     /// Runs the scan as an iterator of matching records in primary-key
-    /// order. For the reconciled strategies (serial) this streams from the
-    /// underlying merge scan with bounded memory; the Mutable-bitmap
-    /// strategy and the partitioned path must materialize (and, for
-    /// Mutable-bitmap, sort) the matches first, so their streams replay a
-    /// buffer.
+    /// order, over one captured plan. A single-partition scan of a
+    /// reconciled strategy streams from the underlying merge scan with
+    /// bounded memory; the Mutable-bitmap strategy (which must sort) and
+    /// fanned-out scans materialize the matches first, so their streams
+    /// replay a buffer.
     pub fn stream(self) -> Result<FilterScanStream> {
-        if self.parallel.is_some() {
-            let records = self.records()?;
-            return Ok(FilterScanStream {
-                inner: StreamInner::Buffered(records.into_iter()),
-            });
-        }
-        let (lo, hi) = (self.lo.clone(), self.hi.clone());
-        let plan = capture_plan(self.ds, lo.as_ref(), hi.as_ref())?;
-        if plan.strategy == StrategyKind::MutableBitmap {
-            let records = self.records()?;
-            return Ok(FilterScanStream {
-                inner: StreamInner::Buffered(records.into_iter()),
-            });
-        }
-        let filter_field = plan.filter_field;
-        let scan = LsmScan::new(
-            self.ds.storage().clone(),
-            plan.mem,
-            &plan.included,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            ScanOptions::default(),
-        )?;
-        Ok(FilterScanStream {
-            inner: StreamInner::Scan {
-                scan,
-                // Keep the captured components alive for the stream's
-                // lifetime — dropping them would retire their files while
-                // the scan still reads them.
-                _components: plan.included,
-                filter_field,
-                lo,
-                hi,
-            },
-        })
+        let mut plan = capture_plan(self.ds, self.lo, self.hi)?;
+        let inner = if plan.reconciles() && self.partitions == 1 {
+            let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+            let mem = plan.mem.take();
+            let scan = plan.merge_scan(self.ds, mem, lo, hi)?;
+            // The plan rides along: it holds the predicate, and dropping
+            // its components would retire their files mid-scan.
+            StreamInner::Scan { scan, plan }
+        } else {
+            let records = plan.run(self.ds, self.partitions, true)?.1;
+            StreamInner::Buffered(records.into_iter())
+        };
+        Ok(FilterScanStream { inner })
     }
 }
 
@@ -559,15 +423,9 @@ pub struct FilterScanStream {
 }
 
 enum StreamInner {
-    /// Live merge scan over the captured snapshot (bounded memory).
-    Scan {
-        scan: LsmScan,
-        _components: Vec<Arc<DiskComponent>>,
-        filter_field: usize,
-        lo: Option<Value>,
-        hi: Option<Value>,
-    },
-    /// Pre-materialized matches (Mutable-bitmap / partitioned execution).
+    /// Live merge scan over the captured plan (bounded memory).
+    Scan { scan: LsmScan, plan: ScanPlan },
+    /// Pre-materialized matches (Mutable-bitmap / fanned-out execution).
     Buffered(std::vec::IntoIter<Record>),
 }
 
@@ -589,24 +447,15 @@ impl Iterator for FilterScanStream {
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.inner {
             StreamInner::Buffered(it) => it.next().map(Ok),
-            StreamInner::Scan {
-                scan,
-                filter_field,
-                lo,
-                hi,
-                ..
-            } => loop {
-                match scan.next_entry() {
-                    Err(e) => return Some(Err(e)),
+            StreamInner::Scan { scan, plan } => loop {
+                let entry = match scan.next_entry() {
+                    Ok(Some((_, e))) => e,
                     Ok(None) => return None,
-                    Ok(Some((_, e))) => match Record::decode(&e.value) {
-                        Err(e) => return Some(Err(e)),
-                        Ok(r) => {
-                            if matches_pred(&r, *filter_field, lo.as_ref(), hi.as_ref()) {
-                                return Some(Ok(r));
-                            }
-                        }
-                    },
+                    Err(e) => return Some(Err(e)),
+                };
+                match Record::decode(&entry.value) {
+                    Ok(r) if !plan.matches(&r) => continue,
+                    decoded => return Some(decoded),
                 }
             },
         }
@@ -645,6 +494,18 @@ mod tests {
         }
     }
 
+    /// Counts `time ∈ [lo, hi]` through the default (one-partition) scan.
+    fn count(ds: &Dataset, lo: Option<i64>, hi: Option<i64>) -> Result<FilterScanReport> {
+        let mut scan = ds.filter_scan();
+        if let Some(lo) = lo {
+            scan = scan.range_from(lo);
+        }
+        if let Some(hi) = hi {
+            scan = scan.range_to(hi);
+        }
+        scan.count()
+    }
+
     fn all_strategies() -> Vec<StrategyKind> {
         vec![
             StrategyKind::Eager,
@@ -658,11 +519,11 @@ mod tests {
         for s in all_strategies() {
             let ds = dataset(s);
             load(&ds);
-            let r = filter_scan_count(&ds, Some(&Value::Int(50)), Some(&Value::Int(149))).unwrap();
+            let r = count(&ds, Some(50), Some(149)).unwrap();
             assert_eq!(r.matches, 100, "{s:?}");
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(99))).unwrap();
+            let r = count(&ds, None, Some(99)).unwrap();
             assert_eq!(r.matches, 100, "{s:?}");
-            let r = filter_scan_count(&ds, Some(&Value::Int(250)), None).unwrap();
+            let r = count(&ds, Some(250), None).unwrap();
             assert_eq!(r.matches, 50, "{s:?}");
         }
     }
@@ -673,7 +534,7 @@ mod tests {
             let ds = dataset(s);
             load(&ds);
             // Query on OLD data (component 0 only).
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(99))).unwrap();
+            let r = count(&ds, None, Some(99)).unwrap();
             match s {
                 StrategyKind::Eager | StrategyKind::MutableBitmap => {
                     assert_eq!(r.components_scanned, 1, "{s:?}");
@@ -686,7 +547,7 @@ mod tests {
                 }
             }
             // Query on RECENT data: everyone prunes the old components.
-            let r = filter_scan_count(&ds, Some(&Value::Int(200)), None).unwrap();
+            let r = count(&ds, Some(200), None).unwrap();
             assert_eq!(r.components_scanned, 1, "{s:?}");
             assert_eq!(r.components_pruned, 2, "{s:?}");
         }
@@ -703,10 +564,10 @@ mod tests {
             }
             ds.flush_all().unwrap();
             // Old-data query must NOT return the stale versions.
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+            let r = count(&ds, None, Some(10)).unwrap();
             assert_eq!(r.matches, 1, "{s:?}"); // only id=10 (time 10) remains
                                                // Recent-data query sees the moved records.
-            let r = filter_scan_count(&ds, Some(&Value::Int(290)), None).unwrap();
+            let r = count(&ds, Some(290), None).unwrap();
             assert_eq!(r.matches, 10 + 10, "{s:?}"); // ids 0..10 + 290..300
         }
     }
@@ -719,7 +580,7 @@ mod tests {
         // time (Figure 3), so an old-data query must include the memory
         // component and see the deletion.
         ds.upsert(&rec(5, 299)).unwrap();
-        let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+        let r = count(&ds, None, Some(10)).unwrap();
         assert_eq!(r.matches, 10); // ids 0..11 minus the moved id 5
     }
 
@@ -733,7 +594,7 @@ mod tests {
         ds.flush_all().unwrap();
         // Old-data query: old components' filters unchanged, deletes are in
         // the bitmaps — pruning power intact (Figure 19's key effect).
-        let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+        let r = count(&ds, None, Some(10)).unwrap();
         assert_eq!(r.components_pruned, 3); // two newer + ... of 4 comps
         assert_eq!(r.matches, 1);
     }
@@ -754,7 +615,7 @@ mod tests {
             ds.upsert(&rec(0, 100)).unwrap();
             // Old-data query: mem filter misses, but the stale version of
             // id 0 must still be overridden.
-            let r = filter_scan_count(&ds, None, Some(&Value::Int(10))).unwrap();
+            let r = count(&ds, None, Some(10)).unwrap();
             assert_eq!(r.matches, 2, "{s:?}: stale version leaked");
         }
     }
@@ -764,8 +625,71 @@ mod tests {
         let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
         let cfg = DatasetConfig::new(schema, 0);
         let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
-        assert!(filter_scan_count(&ds, None, None).is_err());
+        assert!(ds.filter_scan().parallel(2).count().is_err());
         assert!(ds.filter_scan().count().is_err());
+    }
+
+    /// Regression: a corrupt primary value must fail an unbounded scan under
+    /// every strategy — the Mutable-bitmap branch used to skip undecodable
+    /// records and return a short count.
+    #[test]
+    fn corrupt_record_fails_the_scan_under_every_strategy() {
+        for s in [
+            StrategyKind::Eager,
+            StrategyKind::Validation,
+            StrategyKind::MutableBitmap,
+            StrategyKind::DeletedKeyBTree,
+        ] {
+            let ds = dataset(s);
+            load(&ds);
+            let ts = ds.clock().now();
+            ds.primary().put(
+                crate::keys::encode_pk(&Value::Int(7)),
+                LsmEntry::put_ts(vec![0xFF; 3], ts),
+                ts,
+            );
+            for n in [1, 3] {
+                assert!(ds.filter_scan().parallel(n).count().is_err(), "{s:?} n={n}");
+                assert!(ds.filter_scan().parallel(n).records().is_err(), "{s:?}");
+            }
+            assert!(ds.filter_scan().count().is_err(), "{s:?} default");
+            assert!(ds
+                .filter_scan()
+                .stream()
+                .and_then(|it| it.collect::<Result<Vec<_>>>())
+                .is_err());
+        }
+    }
+
+    /// Every execution captures exactly one plan (the Mutable-bitmap
+    /// capture takes the dataset write lock and freezes bitmaps — `stream`
+    /// used to pay for it twice).
+    #[test]
+    fn every_execution_captures_exactly_once() {
+        for s in all_strategies() {
+            let ds = dataset(s);
+            load(&ds);
+            for n in [1, 3] {
+                let captures = |run: &dyn Fn(FilterScanBuilder<'_>)| {
+                    let before = CAPTURES.with(|c| c.get());
+                    run(ds.filter_scan().range(50, 250).parallel(n));
+                    CAPTURES.with(|c| c.get()) - before
+                };
+                assert_eq!(
+                    captures(&|b| assert_eq!(b.count().unwrap().matches, 201)),
+                    1
+                );
+                assert_eq!(
+                    captures(&|b| assert_eq!(b.records().unwrap().len(), 201)),
+                    1
+                );
+                assert_eq!(
+                    captures(&|b| assert_eq!(b.stream().unwrap().count(), 201)),
+                    1,
+                    "{s:?} n={n} stream"
+                );
+            }
+        }
     }
 
     /// The builder's serial/parallel/stream outputs agree with each other
@@ -851,12 +775,14 @@ mod tests {
             after.filter_scan_partitions - before.filter_scan_partitions,
             report.partitions
         );
-        // Serial scans leave the partitioned counters untouched.
-        let r = ds.filter_scan().count().unwrap();
-        assert_eq!(r.partitions, 0);
-        assert_eq!(
-            ds.stats().snapshot().parallel_filter_scans,
-            after.parallel_filter_scans
-        );
+        // The default scan and `parallel(1)` are the same single inline
+        // partition: both report it, neither touches the fan-out counters.
+        for r in [
+            ds.filter_scan().count().unwrap(),
+            ds.filter_scan().parallel(1).count().unwrap(),
+        ] {
+            assert_eq!(r.partitions, 1);
+        }
+        assert_eq!(ds.stats().snapshot(), after);
     }
 }

@@ -12,27 +12,30 @@
 //!    machinery with the stateful-cursor / blocked-Bloom / component-ID
 //!    optimizations of Section 3.2.
 //!
-//! The preferred entry point is the fluent [`QueryBuilder`] obtained from
+//! The entry point is the fluent [`QueryBuilder`] obtained from
 //! [`Dataset::query`](crate::Dataset::query), which resolves a correct
 //! [`ValidationMethod`] from the dataset's maintenance strategy and offers
-//! both a collecting ([`PreparedQuery::execute`]) and a streaming
-//! ([`PreparedQuery::stream`]) execution path. The free function
-//! [`secondary_query`] survives as a deprecated shim.
+//! a collecting ([`PreparedQuery::execute`]) and a streaming
+//! ([`PreparedQuery::stream`]) form of the **one** read path: the pipeline
+//! runs over `n` partitions of the key space, `n = 1` — a single partition
+//! executed inline on the calling thread — unless
+//! [`QueryBuilder::parallel`] asks for more (crate-private `exec` module).
+//! Primary-index filter scans ([`Dataset::filter_scan`](crate::Dataset::filter_scan),
+//! [`filter_scan`]) follow the same shape: one captured plan, `n`
+//! partitions, one partition body.
 
 pub mod builder;
 mod exec;
 pub mod filter_scan;
-pub(crate) mod parallel;
 pub mod pool;
 pub mod stream;
 
 pub use builder::{PreparedQuery, QueryBuilder};
-pub use filter_scan::{filter_scan_count, FilterScanBuilder, FilterScanReport, FilterScanStream};
+pub use filter_scan::{FilterScanBuilder, FilterScanReport, FilterScanStream};
 pub use pool::QueryPool;
 pub use stream::RecordStream;
 
-use crate::dataset::Dataset;
-use lsm_common::{Record, Result, Value};
+use lsm_common::{Record, Value};
 
 /// How candidates from a possibly-stale secondary index are validated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,7 +72,8 @@ pub struct QueryOptions {
     /// (Jia's "pID" optimization).
     pub propagate_component_ids: bool,
     /// Re-sort fetched records into primary-key order (batching destroys
-    /// the order; Figure 12d measures this).
+    /// the order; Figure 12d measures this). Implied by
+    /// [`QueryBuilder::parallel`].
     pub sort_output: bool,
     /// Query-driven maintenance (the paper's future-work direction inspired
     /// by database cracking, Section 7): when Timestamp validation proves a
@@ -144,25 +148,11 @@ impl QueryResult {
     }
 }
 
-/// Runs a secondary-index range query `sk ∈ [lo, hi]` against `index`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the fluent `Dataset::query(index)` builder instead"
-)]
-pub fn secondary_query(
-    ds: &Dataset,
-    index: &str,
-    lo: Option<&Value>,
-    hi: Option<&Value>,
-    opts: &QueryOptions,
-) -> Result<QueryResult> {
-    exec::execute(ds, index, lo, hi, opts, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{DatasetConfig, SecondaryIndexDef, StrategyKind};
+    use crate::dataset::Dataset;
     use lsm_common::{FieldType, Schema};
     use lsm_storage::{Storage, StorageOptions};
     use std::sync::Arc;
@@ -426,36 +416,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(prepared.options().index_only);
-    }
-
-    #[test]
-    fn deprecated_shim_matches_builder() {
-        let ds = dataset(StrategyKind::Validation);
-        for i in 0..50 {
-            ds.insert(&rec(i, i % 5)).unwrap();
-        }
-        ds.flush_all().unwrap();
-        #[allow(deprecated)]
-        let via_shim = secondary_query(
-            &ds,
-            "user_id",
-            Some(&Value::Int(2)),
-            Some(&Value::Int(3)),
-            &QueryOptions {
-                validation: ValidationMethod::Timestamp,
-                sort_output: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let via_builder = ds
-            .query("user_id")
-            .range(2, 3)
-            .validation(ValidationMethod::Timestamp)
-            .sort_output(true)
-            .execute()
-            .unwrap();
-        assert_eq!(via_shim, via_builder);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! A [`QueryPool`] is a small fixed set of threads serving *partition
 //! tasks*: one parallel query splits into `k` independent pieces
 //! (per-partition secondary scans, per-chunk record fetches) and scatters
-//! them over the pool with the crate-private `scatter` helper. The calling
+//! them over the pool with the crate-private `run_partitions` / `scatter`
+//! helpers (a single piece runs inline on the caller). The calling
 //! thread always
 //! participates — it claims tasks from the same batch while pool workers
 //! help — so a saturated (or absent) pool degrades to serial execution on
@@ -20,6 +21,8 @@
 //! job (query-driven repair inside a rebuild, for example) therefore still
 //! respects the runtime's `io_read_limit` across all of its threads.
 
+use crate::dataset::Dataset;
+use lsm_common::Result;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -263,6 +266,46 @@ pub(crate) fn scatter<T: Send + 'static>(
         // either stored its result or re-raised its panic before this line.
         .map(|slot| slot.take().expect("completed task has a result"))
         .collect()
+}
+
+/// Runs `body` once per partition and returns the results in partition
+/// order. A single partition runs inline on the caller — no `Arc` upgrade,
+/// no boxing, no synchronization — so an un-partitioned read *is* the
+/// one-partition case of this function; several are scattered over the
+/// dataset's query pool (ephemeral threads when it has none).
+pub(crate) fn run_partitions<P, T>(
+    ds: &Dataset,
+    parts: Vec<P>,
+    body: impl Fn(&Dataset, P) -> T + Send + Sync + 'static,
+) -> Result<Vec<T>>
+where
+    P: Send + 'static,
+    T: Send + 'static,
+{
+    if parts.len() <= 1 {
+        return Ok(parts.into_iter().map(|p| body(ds, p)).collect());
+    }
+    let ds = ds.shared()?;
+    let body = Arc::new(body);
+    let tasks = parts
+        .into_iter()
+        .map(|p| {
+            let (ds, body) = (ds.clone(), body.clone());
+            Box::new(move || body(&ds, p)) as TaskFn<T>
+        })
+        .collect();
+    Ok(scatter(ds.query_pool().as_ref(), tasks))
+}
+
+/// Appends one partition's output to the concatenated result, adopting its
+/// buffer while the result is still empty — the single-partition case
+/// copies nothing.
+pub(crate) fn append<T>(all: &mut Vec<T>, part: Vec<T>) {
+    if all.is_empty() {
+        *all = part;
+    } else {
+        all.extend(part);
+    }
 }
 
 #[cfg(test)]

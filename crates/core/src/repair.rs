@@ -510,67 +510,6 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
     Ok(repaired)
 }
 
-// ---- deprecated free-function shims ----------------------------------------
-//
-// The historical entry points are kept as thin wrappers so existing callers
-// migrate at their own pace; new code goes through `Dataset::maintenance()`.
-
-/// Merge repair (Figure 7) of the secondary components in `range`.
-///
-/// NOT safe on a dataset running background maintenance
-/// ([`MaintenanceMode::Background`](crate::MaintenanceMode)): this shim
-/// splices the tree's component list without the dataset's merge lock and
-/// can race a scheduler-driven merge. The
-/// [`Dataset::maintenance`](crate::Dataset::maintenance) replacement
-/// serializes correctly.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Dataset::maintenance().plan().with_merge(true).repair_index(name)` instead"
-)]
-pub fn merge_repair_secondary(
-    sec_tree: &LsmTree,
-    pk_tree: &LsmTree,
-    range: MergeRange,
-    opts: &RepairOptions,
-) -> Result<RepairReport> {
-    merge_repair(sec_tree, pk_tree, range, opts)
-}
-
-/// Standalone repair (Section 4.4) of one secondary index.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Dataset::maintenance().repair_index(name)` instead"
-)]
-pub fn standalone_repair_secondary(
-    sec_tree: &LsmTree,
-    pk_tree: &LsmTree,
-    opts: &RepairOptions,
-) -> Result<RepairReport> {
-    standalone_repair(sec_tree, pk_tree, opts)
-}
-
-/// Standalone-repairs every secondary index.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Dataset::maintenance().repair_all()` instead"
-)]
-pub fn full_repair(
-    dataset: &Dataset,
-    opts: &RepairOptions,
-    parallel: bool,
-) -> Result<Vec<RepairReport>> {
-    repair_all_secondaries(dataset, opts, parallel)
-}
-
-/// DELI-style primary repair (Section 4.1).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Dataset::maintenance().repair_primary()` instead"
-)]
-pub fn primary_repair(dataset: &Dataset, with_merge: bool) -> Result<u64> {
-    deli_primary_repair(dataset, with_merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,15 +38,18 @@ pub struct EngineStats {
     /// Wall-clock nanoseconds this dataset's background jobs spent waiting
     /// in the runtime's I/O write throttle (flush builds, merge outputs).
     pub write_throttle_wait_ns: AtomicU64,
-    /// Queries executed through the parallel path
-    /// ([`QueryBuilder::parallel`](crate::QueryBuilder::parallel)).
+    /// Queries fanned out with
+    /// [`QueryBuilder::parallel(n)`](crate::QueryBuilder::parallel), `n > 1`
+    /// (the default query and `parallel(1)` run one inline partition and
+    /// are not counted).
     pub parallel_queries: AtomicU64,
     /// Scan partitions planned across all parallel queries (divide by
     /// `parallel_queries` for the average fan-out actually achieved —
     /// small ranges may split into fewer partitions than requested).
     pub query_partitions: AtomicU64,
-    /// Primary-index filter scans executed through the partitioned path
-    /// ([`FilterScanBuilder::parallel`](crate::FilterScanBuilder::parallel)).
+    /// Primary-index filter scans fanned out with
+    /// [`FilterScanBuilder::parallel(n)`](crate::FilterScanBuilder::parallel),
+    /// `n > 1`.
     pub parallel_filter_scans: AtomicU64,
     /// Scan partitions planned across all partitioned filter scans (divide
     /// by `parallel_filter_scans` for the average fan-out actually
@@ -89,14 +92,14 @@ impl EngineStats {
         self.bump(&self.merge_jobs);
     }
 
-    /// Counts one parallel query execution planned into `partitions`.
+    /// Counts one fanned-out (`n > 1`) query planned into `partitions`.
     pub(crate) fn record_parallel_query(&self, partitions: usize) {
         self.bump(&self.parallel_queries);
         self.query_partitions
             .fetch_add(partitions as u64, Ordering::Relaxed);
     }
 
-    /// Counts one partitioned filter-scan execution planned into
+    /// Counts one fanned-out (`n > 1`) filter scan planned into
     /// `partitions`.
     pub(crate) fn record_parallel_filter_scan(&self, partitions: usize) {
         self.bump(&self.parallel_filter_scans);

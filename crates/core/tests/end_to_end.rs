@@ -3,7 +3,6 @@
 //! oracle and exercising flushes, merges, repair, and filter scans together.
 
 use lsm_common::Value;
-use lsm_engine::query::filter_scan_count;
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use lsm_workload::{TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
@@ -103,11 +102,14 @@ fn tweet_workload_queries_match_oracle() {
                 .values()
                 .filter(|(_, t)| lo.is_none_or(|l| *t >= l) && hi.is_none_or(|h| *t <= h))
                 .count() as u64;
-            let lo_v = lo.map(Value::Int);
-            let hi_v = hi.map(Value::Int);
-            let got = filter_scan_count(&ds, lo_v.as_ref(), hi_v.as_ref())
-                .unwrap()
-                .matches;
+            let mut scan = ds.filter_scan();
+            if let Some(lo) = lo {
+                scan = scan.range_from(lo);
+            }
+            if let Some(hi) = hi {
+                scan = scan.range_to(hi);
+            }
+            let got = scan.count().unwrap().matches;
             assert_eq!(got, want, "{strategy:?} time in [{lo:?},{hi:?}]");
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! A randomized workload (inserts, upserts, deletes, interleaved flushes,
 //! plus an unflushed tail) is mirrored into a `BTreeMap`; the same
-//! filter predicates then run through the serial collecting path, the
-//! partitioned path at several fan-outs, and both streams, across all four
-//! maintenance strategies and all three leaf-page encodings. Every path must
-//! return *identical* records in primary-key order, matching the mirror —
+//! filter predicates then run through the one scan executor at its default
+//! `n = 1` (collecting and streaming), and fanned out at several `n`
+//! (collecting and streaming), across all four maintenance strategies and
+//! all three leaf-page encodings. Every execution must return *identical*
+//! records in primary-key order, matching the mirror —
 //! including while background flushes, merges, and delete traffic churn
 //! components underneath the scans.
 
@@ -85,8 +86,8 @@ fn expected(mirror: &BTreeMap<i64, i64>, lo: Option<i64>, hi: Option<i64>) -> Ve
         .collect()
 }
 
-/// Runs one predicate through every execution path at fan-outs `ns` and
-/// checks each against the mirror.
+/// Runs one predicate at `n = 1` and at every fan-out in `ns` — count,
+/// records and stream — and checks each against the mirror.
 fn check_range(
     ds: &Dataset,
     mirror: &BTreeMap<i64, i64>,

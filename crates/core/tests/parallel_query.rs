@@ -1,19 +1,21 @@
-//! Parallel-vs-serial equivalence oracle.
+//! Fan-out equivalence oracle for the one query executor.
 //!
 //! A randomized workload (inserts, upserts, deletes, interleaved flushes,
 //! plus an unflushed tail) is mirrored into a `BTreeMap` oracle; the same
-//! query set then runs through the serial collecting path, the parallel
-//! collecting path, and the parallel stream, across the Eager, Validation,
-//! and Mutable-bitmap strategies. All three must return *identical* results
-//! in primary-key order, matching the oracle — including while background
-//! maintenance churns components underneath the queries.
+//! query set then runs at `n = 1` (the default query), fanned out with
+//! `parallel(n)`, and through the fanned-out stream, across the Eager,
+//! Validation, and Mutable-bitmap strategies. All three must return
+//! *identical* results in primary-key order, matching the oracle —
+//! including while background maintenance churns components underneath the
+//! queries. A cost-clock test pins that the default query and
+//! `parallel(1)` are the same execution, not merely the same answer.
 
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::{
     Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, QueryResult, SecondaryIndexDef,
     StrategyKind,
 };
-use lsm_storage::{Storage, StorageOptions};
+use lsm_storage::{IoStatsSnapshot, Storage, StorageOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -82,7 +84,8 @@ fn ids_of(res: &QueryResult) -> Vec<i64> {
         .collect()
 }
 
-/// Runs one query three ways and checks all of them against the oracle.
+/// Runs one query at `n = 1`, fanned out, and fanned out as a stream, and
+/// checks all three against the oracle.
 fn check_range(ds: &Dataset, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64, n: usize) {
     let want = expected(oracle, lo, hi);
 
@@ -288,5 +291,75 @@ fn parallel_matches_serial_under_background_maintenance() {
         let snap = ds.stats().snapshot();
         assert!(snap.parallel_queries > 0);
         assert!(snap.query_partitions >= snap.parallel_queries);
+    }
+}
+
+/// Runs one read and returns its result with its whole cost: simulated
+/// nanoseconds plus the I/O counter delta (pages and bytes read, cache
+/// hits, Bloom checks, CPU charge).
+fn cost<T>(ds: &Dataset, read: impl FnOnce() -> T) -> (T, u64, IoStatsSnapshot) {
+    let storage = ds.storage();
+    let (t0, before) = (storage.clock().now_nanos(), storage.stats());
+    let out = read();
+    let sim_ns = storage.clock().now_nanos() - t0;
+    (out, sim_ns, storage.stats().since(&before))
+}
+
+/// The default read *is* the `n = 1` case of the partitioned executor:
+/// on two identically seeded datasets, the default forms and their
+/// `parallel(1)` spellings return equal results at equal cost on the
+/// deterministic clock — sim time, pages, bytes, Bloom checks — for
+/// queries, index-only queries and filter scans, under every strategy.
+#[test]
+fn default_is_parallel_one_on_the_cost_clock() {
+    for strategy in [
+        StrategyKind::Eager,
+        StrategyKind::Validation,
+        StrategyKind::MutableBitmap,
+        StrategyKind::DeletedKeyBTree,
+    ] {
+        let open = || {
+            let mut cfg = config(strategy);
+            cfg.filter_field = Some(1);
+            let ds = Dataset::open(storage(), None, cfg).unwrap();
+            apply_workload(&ds, &mut BTreeMap::new(), 5);
+            ds
+        };
+        let (a, b) = (open(), open());
+        for (lo, hi) in [(0, 99), (10, 30), (42, 42), (500, 600)] {
+            let label = format!("{strategy:?} [{lo},{hi}]");
+            let (qa, qb) = (a.query("val").range(lo, hi), b.query("val").range(lo, hi));
+            assert_eq!(
+                cost(&a, || qa.clone().sort_output(true).execute().unwrap()),
+                cost(&b, || qb.clone().parallel(1).execute().unwrap()),
+                "{label}: query"
+            );
+            // Index-only queries fetch no records — except under the
+            // deleted-key baseline, whose Direct validation does, so there
+            // `parallel(1)`'s implied sort has something to order.
+            let fetches = strategy == StrategyKind::DeletedKeyBTree;
+            assert_eq!(
+                cost(&a, || qa
+                    .index_only()
+                    .sort_output(fetches)
+                    .execute()
+                    .unwrap()),
+                cost(&b, || qb.index_only().parallel(1).execute().unwrap()),
+                "{label}: index-only"
+            );
+            assert_eq!(
+                cost(&a, || a.filter_scan().range(lo, hi).count().unwrap()),
+                cost(&b, || b
+                    .filter_scan()
+                    .range(lo, hi)
+                    .parallel(1)
+                    .count()
+                    .unwrap()),
+                "{label}: filter scan"
+            );
+        }
+        // Asking for one partition is not a fan-out.
+        assert_eq!(a.stats().snapshot(), b.stats().snapshot(), "{strategy:?}");
+        assert_eq!(b.stats().snapshot().parallel_queries, 0, "{strategy:?}");
     }
 }

@@ -33,14 +33,11 @@ pub use component::DiskComponent;
 pub use component_id::ComponentId;
 pub use entry::LsmEntry;
 pub use lookup::{
-    locate_valid, lookup_sorted, lookup_sorted_view, newest_disk_version_after,
-    newest_version_after, point_lookup, LookupOptions,
+    locate_valid, lookup_sorted, newest_disk_version_after, newest_version_after, point_lookup,
+    LookupOptions,
 };
 pub use memtable::MemComponent;
 pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};
 pub use range_filter::RangeFilter;
-pub use scan::{
-    scan_components_sequential, scan_components_sequential_frozen,
-    scan_components_sequential_range, LsmScan, ScanOptions, ScanPartition,
-};
+pub use scan::{scan_components_sequential, LsmScan, ScanOptions, ScanPartition};
 pub use tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};

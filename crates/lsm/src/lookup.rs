@@ -143,9 +143,10 @@ pub fn locate_valid(
 ///
 /// The memory component is read live through `tree` and the disk-component
 /// list is captured *after* the memory pass, so an entry mid-flush is seen
-/// in memory or on disk (never neither). Every call builds its own
-/// per-component stateful cursors — concurrent callers (parallel query
-/// partitions fetching their own sorted batches) share no cursor state.
+/// in memory or on disk (never neither) — which is why concurrent chunk
+/// fetches of one query need no shared snapshot. Every call builds its own
+/// per-component stateful cursors — concurrent callers (query partitions
+/// fetching their own sorted chunks) share no cursor state.
 pub fn lookup_sorted(
     tree: &LsmTree,
     keys: &[Key],
@@ -155,81 +156,19 @@ pub fn lookup_sorted(
     if keys.is_empty() {
         return Ok(found);
     }
+    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
     // The memory component is always checked first (it is the newest);
     // the disk list is captured after, closing the flush-install window.
-    let unresolved = resolve_mem(keys, |k| tree.mem_get(k), &mut found);
-    let components = tree.disk_components();
-    lookup_disk(
-        tree.storage(),
-        &components,
-        keys,
-        &unresolved,
-        opts,
-        &mut found,
-    )?;
-    Ok(found)
-}
-
-/// [`lookup_sorted`] over an explicit snapshot — a key-ordered in-memory
-/// run plus a disk-component list, e.g. one captured atomically with
-/// [`LsmTree::mem_and_disk_snapshot`].
-///
-/// Parallel queries fetch candidate batches per partition against one
-/// shared snapshot: every partition resolves against the same component
-/// list (so an entry mid-flush is seen exactly once, and component-ID
-/// pruning agrees across partitions), while each call still builds its own
-/// stateful cursors — no cursor is ever shared across partitions.
-pub fn lookup_sorted_view(
-    storage: &Arc<lsm_storage::Storage>,
-    mem: Option<&[(Key, LsmEntry)]>,
-    components: &[Arc<DiskComponent>],
-    keys: &[Key],
-    opts: &LookupOptions<'_>,
-) -> Result<FoundEntries> {
-    let mut found: FoundEntries = Vec::new();
-    if keys.is_empty() {
-        return Ok(found);
-    }
-    let mem_get = |key: &[u8]| {
-        let run = mem?;
-        run.binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|idx| run[idx].1.clone())
-    };
-    let unresolved = resolve_mem(keys, mem_get, &mut found);
-    lookup_disk(storage, components, keys, &unresolved, opts, &mut found)?;
-    Ok(found)
-}
-
-/// Resolves the keys found in memory into `found`; returns the indices
-/// still unresolved, in ascending key order.
-fn resolve_mem(
-    keys: &[Key],
-    mem_get: impl Fn(&[u8]) -> Option<LsmEntry>,
-    found: &mut FoundEntries,
-) -> Vec<usize> {
-    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
     let mut unresolved: Vec<usize> = Vec::with_capacity(keys.len());
     for (i, key) in keys.iter().enumerate() {
-        match mem_get(key) {
+        match tree.mem_get(key) {
             Some(e) if e.anti_matter => {} // deleted: resolved, no result
             Some(e) => found.push((i, e)),
             None => unresolved.push(i),
         }
     }
-    unresolved
-}
-
-/// The disk half of a sorted lookup: probes `components` (newest first)
-/// for the still-unresolved keys, batched or naive per `opts`.
-fn lookup_disk(
-    storage: &Arc<lsm_storage::Storage>,
-    components: &[Arc<DiskComponent>],
-    keys: &[Key],
-    unresolved: &[usize],
-    opts: &LookupOptions<'_>,
-    found: &mut FoundEntries,
-) -> Result<()> {
+    let components = tree.disk_components();
+    let storage = tree.storage();
     if opts.batched {
         let batch = if opts.keys_per_batch == 0 {
             unresolved.len().max(1)
@@ -237,13 +176,13 @@ fn lookup_disk(
             opts.keys_per_batch
         };
         for chunk in unresolved.chunks(batch) {
-            lookup_batch(storage, keys, chunk, components, opts, found)?;
+            lookup_batch(storage, keys, chunk, &components, opts, &mut found)?;
         }
     } else {
         // Naive: per key, walk the components newest → oldest.
-        for &i in unresolved {
+        for &i in &unresolved {
             let key = &keys[i];
-            for comp in components {
+            for comp in &components {
                 if let Some(hints) = opts.id_hints {
                     if !comp.id().overlaps(&hints[i]) {
                         continue;
@@ -261,7 +200,7 @@ fn lookup_disk(
             }
         }
     }
-    Ok(())
+    Ok(found)
 }
 
 /// One batch of the batched algorithm (Section 3.2): probe each component
@@ -530,49 +469,5 @@ mod tests {
         assert!(lookup_sorted(&t, &[], &LookupOptions::default())
             .unwrap()
             .is_empty());
-    }
-
-    /// The snapshot-view lookup must agree with the live lookup when handed
-    /// an atomically captured view of the same tree.
-    #[test]
-    fn lookup_view_matches_live_lookup() {
-        use std::ops::Bound;
-        let t = sample_tree();
-        let keys: Vec<Key> = vec![key(0), key(50), key(120), key(260), key(999)];
-        let (mem, comps) = t.mem_and_disk_snapshot(Bound::Unbounded, Bound::Unbounded);
-        for (batched, stateful) in [(false, false), (true, false), (true, true)] {
-            let opts = LookupOptions {
-                batched,
-                stateful,
-                keys_per_batch: 3,
-                id_hints: None,
-            };
-            let mut live: Vec<(usize, Vec<u8>)> = lookup_sorted(&t, &keys, &opts)
-                .unwrap()
-                .into_iter()
-                .map(|(i, e)| (i, e.value.into_bytes()))
-                .collect();
-            let mut view: Vec<(usize, Vec<u8>)> =
-                lookup_sorted_view(t.storage(), Some(&mem), &comps, &keys, &opts)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(i, e)| (i, e.value.into_bytes()))
-                    .collect();
-            live.sort();
-            view.sort();
-            assert_eq!(live, view, "batched={batched} stateful={stateful}");
-        }
-        // An empty mem view resolves everything on disk (key 0's mem
-        // version disappears, exposing the disk version).
-        let found = lookup_sorted_view(
-            t.storage(),
-            None,
-            &comps,
-            &[key(0)],
-            &LookupOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].1.value, b"v1");
     }
 }

@@ -331,45 +331,13 @@ impl LsmScan {
 }
 
 /// Scans components one at a time with **no reconciliation** — the
-/// Mutable-bitmap strategy's scan mode (Section 6.4.2). Entries arrive
-/// grouped by component, not in global key order. `visit` receives
-/// `(key, entry)` for every valid, non-anti-matter entry.
-pub fn scan_components_sequential(
-    mem_snapshot: Option<Vec<(Key, LsmEntry)>>,
-    components: &[Arc<DiskComponent>],
-    visit: impl FnMut(Key, LsmEntry),
-) -> Result<()> {
-    scan_components_sequential_range(
-        mem_snapshot,
-        components,
-        Bound::Unbounded,
-        Bound::Unbounded,
-        visit,
-    )
-}
-
-/// [`scan_components_sequential`] restricted to the key range `[lo, hi]` —
-/// one partition of a partitioned filter scan. Disk components are scanned
-/// with ranged B+-tree scans; memory entries are visited as given (the
-/// caller slices its mem snapshot to the partition), still skipping
-/// anti-matter.
-pub fn scan_components_sequential_range(
-    mem_snapshot: Option<Vec<(Key, LsmEntry)>>,
-    components: &[Arc<DiskComponent>],
-    lo: Bound<&[u8]>,
-    hi: Bound<&[u8]>,
-    visit: impl FnMut(Key, LsmEntry),
-) -> Result<()> {
-    let bitmaps: Vec<Option<BitmapSnapshot>> = components
-        .iter()
-        .map(|c| c.bitmap().map(|b| b.snapshot()))
-        .collect();
-    scan_components_sequential_frozen(mem_snapshot, components, &bitmaps, lo, hi, visit)
-}
-
-/// [`scan_components_sequential_range`] with **pre-frozen** bitmap
-/// snapshots: `bitmaps[i]` pairs with `components[i]`.
+/// Mutable-bitmap strategy's scan mode (Section 6.4.2) — over the key range
+/// `[lo, hi]`. Entries arrive grouped by component, not in global key
+/// order. `visit` receives `(key, entry)` for every valid, non-anti-matter
+/// entry; its first error aborts the scan. Memory entries are visited as
+/// given (the caller slices its captured run to the range).
 ///
+/// `bitmaps[i]` is the **pre-frozen** validity snapshot of `components[i]`.
 /// Under the Mutable-bitmap strategy, a concurrent writer marks the old
 /// on-disk version's bitmap bit *before* inserting the replacement into
 /// the memory component; snapshotting a live bitmap after the memory
@@ -378,34 +346,29 @@ pub fn scan_components_sequential_range(
 /// bitmaps atomically with the memory+disk capture (the filter-scan
 /// capture does this under the dataset write lock) and every partition of
 /// a partitioned scan must reuse the same frozen snapshots.
-pub fn scan_components_sequential_frozen(
+pub fn scan_components_sequential(
     mem_snapshot: Option<Vec<(Key, LsmEntry)>>,
     components: &[Arc<DiskComponent>],
     bitmaps: &[Option<BitmapSnapshot>],
     lo: Bound<&[u8]>,
     hi: Bound<&[u8]>,
-    mut visit: impl FnMut(Key, LsmEntry),
+    mut visit: impl FnMut(Key, LsmEntry) -> Result<()>,
 ) -> Result<()> {
     debug_assert_eq!(components.len(), bitmaps.len());
-    if let Some(entries) = mem_snapshot {
-        for (k, e) in entries {
-            if !e.anti_matter {
-                visit(k, e);
-            }
+    for (k, e) in mem_snapshot.into_iter().flatten() {
+        if !e.anti_matter {
+            visit(k, e)?;
         }
     }
-    for (i, comp) in components.iter().enumerate() {
-        let bitmap = bitmaps.get(i).and_then(|b| b.as_ref());
+    for (comp, bitmap) in components.iter().zip(bitmaps) {
         let mut scan = comp.btree().scan(lo, clone_bound(&hi))?;
         while let Some((k, raw, ordinal)) = scan.next_entry_pinned()? {
-            if let Some(bm) = bitmap {
-                if bm.get(ordinal) {
-                    continue;
-                }
+            if bitmap.as_ref().is_some_and(|bm| bm.get(ordinal)) {
+                continue;
             }
             let entry = LsmEntry::decode_buf(raw)?;
             if !entry.anti_matter {
-                visit(k, entry);
+                visit(k, entry)?;
             }
         }
     }
@@ -699,8 +662,24 @@ mod tests {
             (b"d".to_vec(), LsmEntry::put(b"4".to_vec())),
             (b"e".to_vec(), LsmEntry::anti_matter()),
         ];
+        let comps = [c2, c1];
+        let frozen: Vec<_> = comps
+            .iter()
+            .map(|c| c.bitmap().map(|b| b.snapshot()))
+            .collect();
         let mut seen = Vec::new();
-        scan_components_sequential(Some(mem), &[c2, c1], |k, _| seen.push(k)).unwrap();
+        scan_components_sequential(
+            Some(mem),
+            &comps,
+            &frozen,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            |k, _| {
+                seen.push(k);
+                Ok(())
+            },
+        )
+        .unwrap();
         seen.sort();
         assert_eq!(seen, vec![b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]);
     }

@@ -495,17 +495,6 @@ impl LsmTree {
         (snapshot, disk)
     }
 
-    /// [`LsmTree::mem_and_disk_snapshot_if`] with the memory run always
-    /// included.
-    pub fn mem_and_disk_snapshot(
-        &self,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> (Vec<(Key, LsmEntry)>, Vec<Arc<DiskComponent>>) {
-        let (snapshot, disk) = self.mem_and_disk_snapshot_if(lo, hi, |_, _| true);
-        (snapshot.unwrap_or_default(), disk)
-    }
-
     /// Discards the memory components (crash simulation in recovery tests).
     pub fn clear_mem(&self) {
         for m in &self.mem {
@@ -726,7 +715,7 @@ impl LsmTree {
     /// the generation clears: a reconciling reader that captures memory
     /// first either sees the entries in the sealed generation, on disk, or
     /// both (never neither), while the atomic
-    /// [`LsmTree::mem_and_disk_snapshot`] capture sees them exactly once.
+    /// [`LsmTree::mem_and_disk_snapshot_if`] capture sees them exactly once.
     pub fn install_sealed(&self, comps: Vec<Arc<DiskComponent>>) {
         let mut sealed = self.sealed.write();
         self.disk.write().splice(0..0, comps);

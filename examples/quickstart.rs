@@ -64,7 +64,10 @@ fn main() {
     assert_eq!(q1.records()[0].get(0), &Value::Int(102));
 
     // Q2: everything with Time < 2017 via the range filter.
-    let q2 = lsm_engine::query::filter_scan_count(&ds, None, Some(&Value::Int(2016)))
+    let q2 = ds
+        .filter_scan()
+        .range_to(2016)
+        .count()
         .expect("filter scan");
     println!(
         "records with time < 2017: {} (scanned {} components, pruned {})",

@@ -10,7 +10,6 @@
 //! navigation, Section 3.2) and time-window scans over the range filter.
 
 use lsm_common::Value;
-use lsm_engine::query::filter_scan_count;
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use lsm_workload::{
@@ -113,7 +112,14 @@ fn main() {
         ds.storage().clear_cache();
         let clock = ds.storage().clock();
         let t0 = clock.now_secs();
-        let r = filter_scan_count(&ds, lo.as_ref(), hi.as_ref()).expect("scan");
+        let mut scan = ds.filter_scan();
+        if let Some(lo) = lo {
+            scan = scan.range_from(lo);
+        }
+        if let Some(hi) = hi {
+            scan = scan.range_to(hi);
+        }
+        let r = scan.count().expect("scan");
         println!(
             "  {name}: {} tweets, {}/{} components pruned, {:.2} sim-ms",
             r.matches,
