@@ -1,11 +1,19 @@
-//! Criterion microbenchmarks for the CPU-level optimizations of Section 3.2
-//! (real wall-clock, not simulated): standard vs blocked Bloom filter
-//! probes, and cold B+-tree search vs the stateful cursor.
+//! Criterion microbenchmarks, one per layer (real wall-clock, not
+//! simulated): the CPU-level optimizations of Section 3.2 — standard vs
+//! blocked Bloom filter probes, cold B+-tree search vs the stateful cursor —
+//! the record codec and its allocation-free view (common), and the
+//! reconciling merge scan at a small and a large fan-in (lsm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bloom::{BlockedBloom, BloomFilter, StandardBloom};
 use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
+use lsm_common::{Record, RecordView};
 use lsm_storage::{Storage, StorageOptions};
+use lsm_tree::{ComponentBuilder, ComponentId, DiskComponent, LsmEntry, LsmScan, ScanOptions};
+use lsm_workload::{TweetConfig, TweetGenerator};
+use std::hint::black_box;
+use std::ops::Bound;
+use std::sync::Arc;
 
 fn bench_bloom(c: &mut Criterion) {
     let n = 1_000_000usize;
@@ -94,6 +102,79 @@ fn bench_btree_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// The record codec on a §6.1 tweet (~500 B message): building and parsing
+/// the whole record against validating it in place and reading one field
+/// (`creation_time`, what a filter scan wants from every entry).
+fn bench_record_codec(c: &mut Criterion) {
+    let tweet = TweetGenerator::new(TweetConfig::default()).next_new();
+    let encoded = tweet.encode();
+    let mut group = c.benchmark_group("record_codec");
+    group.bench_function("encode", |b| b.iter(|| black_box(&tweet).encode()));
+    group.bench_function("decode", |b| {
+        b.iter(|| Record::decode(black_box(&encoded)).unwrap())
+    });
+    group.bench_function("view_parse", |b| {
+        b.iter(|| RecordView::parse(black_box(&encoded)).unwrap().arity())
+    });
+    group.bench_function("view_field", |b| {
+        b.iter(|| {
+            let view = RecordView::parse(black_box(&encoded)).unwrap();
+            view.field_bytes(3).unwrap().len()
+        })
+    });
+    group.finish();
+}
+
+/// `fan_in` equal-sized components of `per_component` keys, newest first;
+/// every tenth key of a component is shared with all the others, so
+/// reconciliation has older versions to consume.
+fn build_components(
+    storage: &Arc<Storage>,
+    fan_in: u64,
+    per_component: u64,
+) -> Vec<Arc<DiskComponent>> {
+    (0..fan_in)
+        .map(|c| {
+            let id = ComponentId::new(fan_in - c, fan_in - c);
+            let mut b = ComponentBuilder::new(storage.clone(), id, Default::default()).unwrap();
+            for i in 0..per_component {
+                let own = if i % 10 == 0 { 0 } else { c };
+                let key = i * fan_in + own;
+                b.add(&key.to_be_bytes(), &LsmEntry::put(vec![b'v'; 64]))
+                    .unwrap();
+            }
+            Arc::new(b.finish().unwrap())
+        })
+        .collect()
+}
+
+/// The reconciling merge scan over warm pages at fan-in 4 (a merge) and 32
+/// (a primary-index scan late in an ingest): time per pass over ~64 k
+/// entries.
+fn bench_lsm_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lsm_scan");
+    for fan_in in [4u64, 32] {
+        let storage = Storage::new(StorageOptions {
+            cache_pages: 1 << 20, // fully cached: measure CPU only
+            ..StorageOptions::test()
+        });
+        let comps = build_components(&storage, fan_in, 65_536 / fan_in);
+        let scan_all = || {
+            let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+            let opts = ScanOptions::default();
+            let mut scan = LsmScan::new(storage.clone(), None, &comps, lo, hi, opts).unwrap();
+            let mut n = 0u64;
+            while scan.next_entry().unwrap().is_some() {
+                n += 1;
+            }
+            n
+        };
+        black_box(scan_all()); // warm the cache
+        group.bench_function(&format!("fanin_{fan_in}"), |b| b.iter(scan_all));
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -104,6 +185,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bloom, bench_btree_search
+    targets = bench_bloom, bench_btree_search, bench_record_codec, bench_lsm_scan
 }
 criterion_main!(benches);

@@ -32,6 +32,7 @@ pub struct StatefulCursor<'t> {
 struct CursorState {
     leaf_no: PageNo,
     pos: usize,
+    /// Last key of leaf `leaf_no`; rewritten only when the leaf changes.
     last_key: Vec<u8>,
 }
 
@@ -95,12 +96,22 @@ impl<'t> StatefulCursor<'t> {
             Ok(i) => i,
             Err(i) => i.min(leaf.count().saturating_sub(1)),
         };
-        let last_key = leaf.last_key()?.map(|k| k.into_owned()).unwrap_or_default();
-        self.state = Some(CursorState {
-            leaf_no,
-            pos,
-            last_key,
-        });
+        match &mut self.state {
+            Some(state) if state.leaf_no == leaf_no => state.pos = pos,
+            state => {
+                // A new leaf: refill the one key buffer the cursor owns.
+                let mut last_key = state.take().map(|s| s.last_key).unwrap_or_default();
+                last_key.clear();
+                if let Some(k) = leaf.last_key()? {
+                    last_key.extend_from_slice(&k);
+                }
+                *state = Some(CursorState {
+                    leaf_no,
+                    pos,
+                    last_key,
+                });
+            }
+        }
         match found {
             Ok(i) => {
                 let (_, v) = leaf.entry(i)?;

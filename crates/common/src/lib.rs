@@ -7,7 +7,9 @@
 //!   order-preserving ("memcomparable") byte encoding so that composite index
 //!   keys can be compared as raw byte strings;
 //! * [`schema::Schema`] and [`schema::Record`] — the minimal row model used by
-//!   the engine (the paper's tweets are records of this form);
+//!   the engine (the paper's tweets are records of this form) — and
+//!   [`schema::RecordView`], the allocation-free way to read one field of a
+//!   stored record;
 //! * [`clock::LogicalClock`] — the monotonic per-dataset clock that stands in
 //!   for the node-local wall-clock time used by the paper for ingestion
 //!   timestamps and component IDs;
@@ -22,7 +24,7 @@ pub mod value;
 
 pub use clock::{LogicalClock, Timestamp};
 pub use error::{Error, Result};
-pub use schema::{FieldType, Record, Schema};
+pub use schema::{FieldType, Record, RecordView, Schema};
 pub use value::Value;
 
 /// An encoded, memcomparable key. Keys compare correctly as raw byte strings.

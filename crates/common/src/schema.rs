@@ -7,7 +7,7 @@
 //! the small general row model those records are expressed in.
 
 use crate::error::{Error, Result};
-use crate::value::Value;
+use crate::value::{validate_from, Value};
 
 /// The type of a record field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,11 +127,7 @@ impl Record {
     /// Serializes the record to bytes (length-prefixed memcomparable values;
     /// the encoding is self-delimiting so no schema is needed to decode).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for v in &self.values {
-            v.encode_into(&mut out);
-        }
-        out
+        crate::value::encode_composite(&self.values)
     }
 
     /// Deserializes a record produced by [`Record::encode`].
@@ -145,6 +141,79 @@ impl Record {
 impl From<Vec<Value>> for Record {
     fn from(values: Vec<Value>) -> Self {
         Record { values }
+    }
+}
+
+/// A validated, borrowed view of an encoded record: reads one field of a
+/// stored record without building the others.
+///
+/// [`RecordView::parse`] accepts exactly the buffers [`Record::decode`]
+/// accepts and allocates nothing. A field is exposed as its memcomparable
+/// encoding ([`RecordView::field_bytes`]); the encoding is order-preserving,
+/// so a range predicate on a field is two byte-string comparisons against
+/// pre-encoded bounds.
+///
+/// ```
+/// use lsm_common::{Record, RecordView, Value};
+///
+/// let stored = Record::new(vec![Value::Int(7), Value::Str("CA".into())]).encode();
+/// let view = RecordView::parse(&stored).unwrap();
+/// assert_eq!(view.arity(), 2);
+/// assert!(view.field_bytes(0).unwrap() < Value::Int(8).encode().as_slice());
+/// assert_eq!(view.field(1).unwrap(), Value::Str("CA".into()));
+/// assert!(view.field_bytes(2).is_err()); // shorter than asked: corruption, no panic
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    buf: &'a [u8],
+    arity: usize,
+}
+
+impl<'a> RecordView<'a> {
+    /// Validates `buf` as an encoded record — every tag, length, string
+    /// terminator, escape and UTF-8 check of [`Record::decode`].
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+        let (mut at, mut arity) = (0, 0);
+        while at < buf.len() {
+            at += validate_from(&buf[at..])?;
+            arity += 1;
+        }
+        Ok(RecordView { buf, arity })
+    }
+
+    /// Number of fields stored.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The memcomparable encoding of field `idx`
+    /// (`== self.field(idx)?.encode()`).
+    ///
+    /// # Errors
+    /// [`Error::Corruption`] when the stored record has no field `idx` — a
+    /// record shorter than the schema it is read under.
+    pub fn field_bytes(&self, idx: usize) -> Result<&'a [u8]> {
+        if idx >= self.arity {
+            return Err(Error::corruption(format!(
+                "record has {} fields, field {idx} wanted",
+                self.arity
+            )));
+        }
+        let mut rest = self.buf;
+        for _ in 0..idx {
+            rest = &rest[validate_from(rest)?..];
+        }
+        Ok(&rest[..validate_from(rest)?])
+    }
+
+    /// Decodes field `idx` alone.
+    pub fn field(&self, idx: usize) -> Result<Value> {
+        Ok(Value::decode_from(self.field_bytes(idx)?)?.0)
+    }
+
+    /// Decodes the whole record.
+    pub fn to_record(&self) -> Result<Record> {
+        Record::decode(self.buf)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property tests: the memcomparable encoding is order-preserving and
-//! round-trips, including in composite keys.
+//! round-trips, including in composite keys; and `RecordView` agrees with
+//! `Record::decode` on every buffer, damaged or not.
 
 use lsm_common::value::{decode_composite, encode_composite};
-use lsm_common::Value;
+use lsm_common::{Record, RecordView, Value};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -17,6 +18,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     #[test]
     fn roundtrip(v in arb_value()) {
         let enc = v.encode();
@@ -44,6 +47,40 @@ proptest! {
         // a strict prefix of the other (prefix pairs compare by length).
         if a.len() == b.len() {
             prop_assert_eq!(encode_composite(&a).cmp(&encode_composite(&b)), a.cmp(&b));
+        }
+    }
+
+    // `RecordView::parse` accepts exactly what `Record::decode` accepts —
+    // over encoded records, intact or with one byte flipped or the tail cut
+    // off — and on those every accessor agrees with the decoded record.
+    #[test]
+    fn record_view_agrees_with_decode(
+        values in proptest::collection::vec(arb_value(), 0..6),
+        damage in prop_oneof![
+            Just(None),
+            (any::<usize>(), any::<u8>(), any::<bool>()).prop_map(Some),
+        ],
+    ) {
+        let mut buf = Record::new(values).encode();
+        if let Some((at, byte, truncate)) = damage {
+            if truncate {
+                buf.truncate(at % (buf.len() + 1));
+            } else if !buf.is_empty() {
+                let at = at % buf.len();
+                buf[at] ^= byte | 1;
+            }
+        }
+        let (decoded, view) = (Record::decode(&buf), RecordView::parse(&buf));
+        prop_assert_eq!(decoded.is_ok(), view.is_ok(), "{:?} vs {:?}", decoded, view);
+        if let (Ok(record), Ok(view)) = (decoded, view) {
+            prop_assert_eq!(view.arity(), record.values.len());
+            prop_assert_eq!(view.to_record().unwrap(), record.clone());
+            for (i, v) in record.values.iter().enumerate() {
+                prop_assert_eq!(&view.field(i).unwrap(), v);
+                prop_assert_eq!(view.field_bytes(i).unwrap().to_vec(), v.encode());
+            }
+            prop_assert!(view.field_bytes(record.values.len()).is_err());
+            prop_assert!(view.field(record.values.len()).is_err());
         }
     }
 

@@ -12,7 +12,7 @@ use crate::keys::{encode_pk, encode_sk_pk};
 use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
 use crate::txn::{LockManager, LogOp, LogRecord, Wal};
-use lsm_common::{Error, LogicalClock, Record, Result, Timestamp, Value};
+use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
 use lsm_tree::{locate_valid, point_lookup, LsmEntry, LsmOptions, LsmTree, MergeRange};
 use parking_lot::{Mutex, RwLock};
@@ -447,6 +447,21 @@ impl Dataset {
         self.cfg.filter_field.map(|f| record.get(f).clone())
     }
 
+    /// Views a stored primary-index value, for reading single fields of it.
+    /// A value with fewer fields than the schema is rejected here, before
+    /// the caller has changed anything on its account.
+    fn stored_record<'a>(&self, value: &'a [u8]) -> Result<RecordView<'a>> {
+        let view = RecordView::parse(value)?;
+        if view.arity() < self.cfg.schema.arity() {
+            return Err(Error::corruption(format!(
+                "stored record has {} fields, the schema {}",
+                view.arity(),
+                self.cfg.schema.arity()
+            )));
+        }
+        Ok(view)
+    }
+
     /// Marks the dataset as replaying the log (operations are not re-logged).
     pub(crate) fn set_recovering(&self, on: bool) {
         self.recovering
@@ -768,7 +783,7 @@ impl Dataset {
                 let Some(old) = old.filter(|e| !e.anti_matter) else {
                     return Ok(false); // key absent: ignored
                 };
-                let old_record = Record::decode(&old.value)?;
+                let old_record = self.stored_record(&old.value)?;
                 self.log(sink, LogOp::Delete, pk_key, &[], ts, false)?;
                 self.primary
                     .put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
@@ -776,12 +791,12 @@ impl Dataset {
                     pk_tree.put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
                 }
                 for sec in &self.secondaries {
-                    let sk = old_record.get(sec.field);
+                    let sk = old_record.field(sec.field)?;
                     sec.tree
-                        .put(encode_sk_pk(sk, pk), LsmEntry::anti_matter_ts(ets), ts);
+                        .put(encode_sk_pk(&sk, pk), LsmEntry::anti_matter_ts(ets), ts);
                 }
-                if let Some(v) = self.filter_value(&old_record) {
-                    self.primary.widen_mem_filter(pk_key, &v);
+                if let Some(f) = self.cfg.filter_field {
+                    self.primary.widen_mem_filter(pk_key, &old_record.field(f)?);
                 }
             }
             StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
@@ -983,7 +998,12 @@ impl Dataset {
                 // Point lookup to fetch the old record (Section 3.1).
                 self.stats.bump(&self.stats.maintenance_lookups);
                 let old = point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter);
-                let old_record = old.map(|e| Record::decode(&e.value)).transpose()?;
+                // Only single fields of the old record are wanted: read
+                // them through a view, never decoding the rest.
+                let old_record = old
+                    .as_ref()
+                    .map(|e| self.stored_record(&e.value))
+                    .transpose()?;
                 self.log(sink, LogOp::Upsert, pk_key, &record_bytes, ts, false)?;
                 self.primary
                     .put(pk_key.to_vec(), LsmEntry::put_ts(record_bytes, ets), ts);
@@ -994,14 +1014,14 @@ impl Dataset {
                     let new_sk = record.get(sec.field);
                     match &old_record {
                         Some(old_rec) => {
-                            let old_sk = old_rec.get(sec.field);
-                            if old_sk == new_sk {
+                            let old_sk = old_rec.field(sec.field)?;
+                            if &old_sk == new_sk {
                                 // Unchanged secondary key: skip maintenance
                                 // (the Section 3.1 optimization).
                                 continue;
                             }
                             sec.tree.put(
-                                encode_sk_pk(old_sk, pk),
+                                encode_sk_pk(&old_sk, pk),
                                 LsmEntry::anti_matter_ts(ets),
                                 ts,
                             );
@@ -1025,10 +1045,8 @@ impl Dataset {
                 if let Some(v) = self.filter_value(record) {
                     self.primary.widen_mem_filter(pk_key, &v);
                 }
-                if let Some(old_rec) = &old_record {
-                    if let Some(v) = self.filter_value(old_rec) {
-                        self.primary.widen_mem_filter(pk_key, &v);
-                    }
+                if let (Some(old_rec), Some(f)) = (&old_record, self.cfg.filter_field) {
+                    self.primary.widen_mem_filter(pk_key, &old_rec.field(f)?);
                 }
             }
             StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
@@ -1095,16 +1113,14 @@ impl Dataset {
         let Some(old) = old_mem_entry.filter(|e| !e.anti_matter) else {
             return Ok(());
         };
-        let old_record = Record::decode(&old.value)?;
+        let old_record = self.stored_record(&old.value)?;
         for sec in &self.secondaries {
-            let old_sk = old_record.get(sec.field);
-            if let Some(new_rec) = new_record {
-                if new_rec.get(sec.field) == old_sk {
-                    continue; // the new entry replaced it under the same key
-                }
+            let old_sk = old_record.field(sec.field)?;
+            if new_record.is_some_and(|new_rec| new_rec.get(sec.field) == &old_sk) {
+                continue; // the new entry replaced it under the same key
             }
             sec.tree
-                .put(encode_sk_pk(old_sk, pk), LsmEntry::anti_matter_ts(ets), ts);
+                .put(encode_sk_pk(&old_sk, pk), LsmEntry::anti_matter_ts(ets), ts);
         }
         Ok(())
     }
@@ -1793,6 +1809,35 @@ mod tests {
                 rec(101, "CA", 2015)
             );
             assert!(ds.get(&Value::Int(999)).unwrap().is_none());
+        }
+    }
+
+    /// Regression: writing over a stored record that decodes cleanly but is
+    /// shorter than the schema — the Eager old-record fetch, and the lazy
+    /// strategies' memory-component cleanup — is a corruption error; both
+    /// used to index the decoded record out of bounds.
+    #[test]
+    fn write_over_a_short_stored_record_is_an_error() {
+        type Write = fn(&Dataset) -> Result<()>;
+        let writes: [Write; 2] = [
+            |ds| ds.upsert(&rec(7, "CA", 2015)),
+            |ds| ds.delete(&Value::Int(7)).map(|_| ()),
+        ];
+        for s in all_strategies() {
+            for write in writes {
+                let ds = dataset(s);
+                let ts = ds.clock().now();
+                ds.primary().put(
+                    encode_pk(&Value::Int(7)),
+                    LsmEntry::put_ts(Value::Int(7).encode(), ts),
+                    ts,
+                );
+                let result = write(&ds);
+                assert!(
+                    matches!(result, Err(Error::Corruption(_))),
+                    "{s:?} {result:?}"
+                );
+            }
         }
     }
 

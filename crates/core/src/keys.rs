@@ -5,8 +5,7 @@
 //! primary key (Section 3), so duplicate secondary keys are handled by the
 //! ordinary key ordering.
 
-use lsm_common::value::{decode_composite, encode_composite};
-use lsm_common::{Error, Key, Result, Value};
+use lsm_common::{Error, Key, RecordView, Result, Value};
 use std::ops::Bound;
 
 /// Encodes a primary key value.
@@ -21,21 +20,31 @@ pub fn decode_pk(key: &[u8]) -> Result<Value> {
 
 /// Encodes a secondary index key `(secondary key, primary key)`.
 pub fn encode_sk_pk(sk: &Value, pk: &Value) -> Key {
-    encode_composite(&[sk.clone(), pk.clone()])
+    let mut key = Vec::with_capacity(sk.encoded_len() + pk.encoded_len());
+    sk.encode_into(&mut key);
+    pk.encode_into(&mut key);
+    key
+}
+
+/// Splits a secondary index key into the encodings of its two parts,
+/// `(secondary key, primary key)`, borrowed from `key` — for callers that
+/// want the primary key as *bytes* (a lookup key), not as a [`Value`].
+/// Both parts are fully validated; anything but two parts is corruption.
+pub fn split_sk_pk(key: &[u8]) -> Result<(&[u8], &[u8])> {
+    let parts = RecordView::parse(key)?;
+    if parts.arity() != 2 {
+        return Err(Error::corruption(format!(
+            "secondary key with {} parts",
+            parts.arity()
+        )));
+    }
+    Ok((parts.field_bytes(0)?, parts.field_bytes(1)?))
 }
 
 /// Splits a secondary index key back into `(secondary key, primary key)`.
 pub fn decode_sk_pk(key: &[u8]) -> Result<(Value, Value)> {
-    let parts = decode_composite(key)?;
-    if parts.len() != 2 {
-        return Err(Error::corruption(format!(
-            "secondary key with {} parts",
-            parts.len()
-        )));
-    }
-    let mut it = parts.into_iter();
-    // INVARIANT: `parts.len() == 2` was checked above; both calls yield.
-    Ok((it.next().unwrap(), it.next().unwrap()))
+    let (sk, pk) = split_sk_pk(key)?;
+    Ok((Value::decode_from(sk)?.0, Value::decode_from(pk)?.0))
 }
 
 /// Borrows an owned key bound as the byte-slice bound the scan layer takes
@@ -87,8 +96,15 @@ mod tests {
     fn sk_pk_roundtrip() {
         let (sk, pk) = (Value::Str("CA".into()), Value::Int(101));
         let k = encode_sk_pk(&sk, &pk);
-        assert_eq!(decode_sk_pk(&k).unwrap(), (sk, pk));
+        assert_eq!(decode_sk_pk(&k).unwrap(), (sk.clone(), pk.clone()));
+        assert_eq!(
+            split_sk_pk(&k).unwrap(),
+            (sk.encode().as_slice(), pk.encode().as_slice())
+        );
+        // One part, three parts, a damaged part: corruption, never a panic.
         assert!(decode_sk_pk(&encode_pk(&Value::Int(1))).is_err());
+        assert!(split_sk_pk(&[k.as_slice(), &encode_pk(&pk)].concat()).is_err());
+        assert!(split_sk_pk(&k[..k.len() - 1]).is_err());
     }
 
     #[test]

@@ -392,8 +392,8 @@ impl<'a> PreparedQuery<'a> {
         RecordStream::open(
             self.ds,
             &self.index,
-            self.lo.clone(),
-            self.hi.clone(),
+            self.lo.as_ref(),
+            self.hi.as_ref(),
             &self.options,
             self.limit,
             self.parallelism,

@@ -38,16 +38,44 @@
 //! default query with `sort_output(true)` costs, on both clocks.
 
 use crate::dataset::Dataset;
-use crate::keys::{bound_as_ref, sk_range};
+use crate::keys::{bound_as_ref, sk_range, split_sk_pk};
 use crate::query::pool::{append, run_partitions};
 use crate::query::{QueryOptions, QueryResult, RecordStream, ValidationMethod};
-use lsm_common::{Error, Key, Record, Result, Timestamp, Value};
+use lsm_common::{Error, Key, Record, RecordView, Result, Timestamp, Value};
 use lsm_tree::{
     lookup_sorted, newest_version_after, ComponentId, DiskComponent, LookupOptions, LsmEntry,
     LsmScan, ScanOptions, ScanPartition,
 };
 use std::ops::{Bound, Range};
 use std::sync::Arc;
+
+/// An inclusive range predicate on one field of a stored record, with its
+/// bounds pre-encoded: the value encoding is order-preserving, so the test
+/// is two byte-string comparisons on the [`RecordView`] — no field is
+/// decoded. `None` = unbounded.
+#[derive(Debug)]
+pub(crate) struct FieldRange {
+    field: usize,
+    lo: Option<Key>,
+    hi: Option<Key>,
+}
+
+impl FieldRange {
+    pub(crate) fn new(field: usize, lo: Option<&Value>, hi: Option<&Value>) -> Self {
+        FieldRange {
+            field,
+            lo: lo.map(Value::encode),
+            hi: hi.map(Value::encode),
+        }
+    }
+
+    /// Does the record satisfy the predicate? A stored record without the
+    /// field is corrupt.
+    pub(crate) fn holds(&self, record: &RecordView<'_>) -> Result<bool> {
+        let v = record.field_bytes(self.field)?;
+        Ok(self.lo.as_deref().is_none_or(|l| v >= l) && self.hi.as_deref().is_none_or(|h| v <= h))
+    }
+}
 
 /// One candidate produced by the secondary-index scan.
 #[derive(Debug, Clone)]
@@ -123,9 +151,9 @@ fn scan_candidates(
             let comp = &comps[idx];
             (comp.repaired_ts(), comp.id(), Some((idx, ordinal)))
         };
-        let (_, pk) = crate::keys::decode_sk_pk(&key)?;
+        let (_, pk) = split_sk_pk(&key)?;
         candidates.push(Candidate {
-            pk_key: pk.encode(),
+            pk_key: pk.to_vec(),
             ts: entry.ts,
             repaired_ts,
             source_id,
@@ -215,13 +243,13 @@ fn merge_candidates(parts: Vec<Vec<Candidate>>) -> Vec<Candidate> {
 pub(crate) fn gather(
     ds: &Dataset,
     index: &str,
-    lo: Option<Value>,
-    hi: Option<Value>,
+    lo: Option<&Value>,
+    hi: Option<&Value>,
     opts: &QueryOptions,
     n: usize,
 ) -> Result<FetchPlan> {
     let sec = ds.secondary(index)?;
-    let (lo_b, hi_b) = sk_range(lo.as_ref(), hi.as_ref());
+    let (lo_b, hi_b) = sk_range(lo, hi);
     let (lo_ref, hi_ref) = (bound_as_ref(&lo_b), bound_as_ref(&hi_b));
 
     // One atomically captured view of the secondary index: every partition
@@ -281,9 +309,7 @@ pub(crate) fn gather(
         hints,
         keys_per_batch: keys_per_batch(ds, opts.batch_bytes),
         opts: *opts,
-        sec_field: sec.field,
-        lo,
-        hi,
+        predicate: FieldRange::new(sec.field, lo, hi),
     })
 }
 
@@ -299,9 +325,8 @@ pub(crate) struct FetchPlan {
     /// Keys per lookup batch, from `batch_bytes` and the average record size.
     pub(crate) keys_per_batch: usize,
     opts: QueryOptions,
-    sec_field: usize,
-    lo: Option<Value>,
-    hi: Option<Value>,
+    /// The query predicate, for the Direct re-check (Figure 5a).
+    predicate: FieldRange,
 }
 
 impl FetchPlan {
@@ -334,19 +359,13 @@ impl FetchPlan {
         let direct = self.opts.validation == ValidationMethod::Direct;
         let mut records = Vec::with_capacity(found.len());
         for (_, entry) in found {
-            let record = Record::decode(&entry.value)?;
-            if !direct || self.predicate_holds(&record) {
-                records.push(record);
+            // Direct validation re-checks the predicate on the stored bytes;
+            // only the survivors are decoded.
+            if !direct || self.predicate.holds(&RecordView::parse(&entry.value)?)? {
+                records.push(Record::decode(&entry.value)?);
             }
         }
         Ok(records)
-    }
-
-    /// Re-checks the query predicate on a fetched record (Direct
-    /// validation, Figure 5a).
-    fn predicate_holds(&self, record: &Record) -> bool {
-        let sk = record.get(self.sec_field);
-        self.lo.as_ref().is_none_or(|l| sk >= l) && self.hi.as_ref().is_none_or(|h| sk <= h)
     }
 
     /// The collecting fetch: ≤ `n` contiguous ascending chunks, each
@@ -411,7 +430,7 @@ pub(crate) fn execute(
     limit: Option<usize>,
     n: usize,
 ) -> Result<QueryResult> {
-    let plan = gather(ds, index, lo.cloned(), hi.cloned(), opts, n)?;
+    let plan = gather(ds, index, lo, hi, opts, n)?;
     let cap = limit.unwrap_or(usize::MAX);
 
     // Index-only fast path: no record fetch needed.
@@ -435,8 +454,11 @@ pub(crate) fn execute(
     if opts.index_only {
         // Direct validation + index-only still had to fetch records.
         let pk_field = ds.config().pk_field;
-        let keys = records.iter().take(cap).map(|r| r.get(pk_field).clone());
-        return Ok(QueryResult::Keys(keys.collect()));
+        let keys = records.iter().take(cap).map(|r| {
+            let pk = r.values.get(pk_field).cloned();
+            pk.ok_or_else(|| Error::corruption("stored record has no primary-key field"))
+        });
+        return Ok(QueryResult::Keys(keys.collect::<Result<_>>()?));
     }
     Ok(QueryResult::Records(records))
 }

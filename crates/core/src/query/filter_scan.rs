@@ -51,9 +51,9 @@
 use crate::config::StrategyKind;
 use crate::dataset::Dataset;
 use crate::keys::bound_as_ref;
-use crate::query::exec::{self, split_run, ScanTask};
+use crate::query::exec::{self, split_run, FieldRange, ScanTask};
 use crate::query::pool::{append, run_partitions};
-use lsm_common::{Key, Record, Result, Value};
+use lsm_common::{Key, Record, RecordView, Result, Value};
 use lsm_tree::{
     scan_components_sequential, BitmapSnapshot, DiskComponent, LsmEntry, LsmScan, RangeFilter,
     ScanOptions,
@@ -88,10 +88,9 @@ fn overlaps(filter: Option<&RangeFilter>, lo: Option<&Value>, hi: Option<&Value>
 /// component-inclusion decision and the memory run, taken atomically.
 /// Consumed by exactly one execution.
 struct ScanPlan {
-    filter_field: usize,
+    /// `filter_field ∈ [lo, hi]`, evaluated on the stored bytes.
+    predicate: FieldRange,
     strategy: StrategyKind,
-    lo: Option<Value>,
-    hi: Option<Value>,
     /// The captured memory run — already gated by the inclusion rules
     /// below, `None` when the strategy may skip memory entirely.
     mem: Option<Vec<(Key, LsmEntry)>>,
@@ -136,7 +135,7 @@ thread_local! {
 /// bitmaps afterwards could observe the mark without the replacement and
 /// lose the record — the same torn window the Side-file method closes for
 /// flushes, and exactly what the churn oracle exercises.
-fn capture_plan(ds: &Dataset, lo: Option<Value>, hi: Option<Value>) -> Result<ScanPlan> {
+fn capture_plan(ds: &Dataset, lo: Option<&Value>, hi: Option<&Value>) -> Result<ScanPlan> {
     #[cfg(test)]
     CAPTURES.with(|c| c.set(c.get() + 1));
     let filter_field = ds
@@ -144,7 +143,6 @@ fn capture_plan(ds: &Dataset, lo: Option<Value>, hi: Option<Value>) -> Result<Sc
         .filter_field
         .ok_or_else(|| lsm_common::Error::invalid("dataset has no filter field"))?;
     let strategy = ds.config().strategy;
-    let (lo_ref, hi_ref) = (lo.as_ref(), hi.as_ref());
     let lazy = matches!(
         strategy,
         StrategyKind::Validation | StrategyKind::DeletedKeyBTree
@@ -159,26 +157,23 @@ fn capture_plan(ds: &Dataset, lo: Option<Value>, hi: Option<Value>) -> Result<Sc
     let (mem, comps) =
         ds.primary()
             .mem_and_disk_snapshot_if(Bound::Unbounded, Bound::Unbounded, |f, disk| {
-                mem_filter_overlaps = overlaps(f, lo_ref, hi_ref);
+                mem_filter_overlaps = overlaps(f, lo, hi);
                 mem_filter_overlaps
-                    || (lazy
-                        && disk
-                            .iter()
-                            .any(|c| overlaps(c.range_filter(), lo_ref, hi_ref)))
+                    || (lazy && disk.iter().any(|c| overlaps(c.range_filter(), lo, hi)))
             });
     let included: Vec<_> = if lazy {
         // All components newer than (and including) the oldest
         // overlapping one must be read.
         let oldest = comps
             .iter()
-            .rposition(|c| overlaps(c.range_filter(), lo_ref, hi_ref));
+            .rposition(|c| overlaps(c.range_filter(), lo, hi));
         oldest.map_or_else(Vec::new, |i| comps[..=i].to_vec())
     } else {
         // Independent per-component pruning (Mutable-bitmap needs no
         // reconciliation; Eager filters are accurate).
         comps
             .iter()
-            .filter(|c| overlaps(c.range_filter(), lo_ref, hi_ref))
+            .filter(|c| overlaps(c.range_filter(), lo, hi))
             .cloned()
             .collect()
     };
@@ -191,24 +186,16 @@ fn capture_plan(ds: &Dataset, lo: Option<Value>, hi: Option<Value>) -> Result<Sc
         .map(|c| freeze.then(|| c.bitmap()).flatten().map(|b| b.snapshot()))
         .collect();
     Ok(ScanPlan {
-        filter_field,
+        predicate: FieldRange::new(filter_field, lo, hi),
         strategy,
         mem: mem.filter(|m| include_mem && !m.is_empty()),
         components_pruned: (comps.len() - included.len()) as u64,
         included,
         bitmaps,
-        lo,
-        hi,
     })
 }
 
 impl ScanPlan {
-    /// Does `record` satisfy `filter_field ∈ [lo, hi]`?
-    fn matches(&self, record: &Record) -> bool {
-        let v = record.get(self.filter_field);
-        self.lo.as_ref().is_none_or(|l| v >= l) && self.hi.as_ref().is_none_or(|h| v <= h)
-    }
-
     /// Do scans of this plan reconcile versions (and so visit in
     /// primary-key order)? Only Mutable-bitmap does not (Section 6.4.2).
     fn reconciles(&self) -> bool {
@@ -230,8 +217,10 @@ impl ScanPlan {
 
     /// The one partition body: scans `task`'s sub-range, returning its
     /// match count plus — when `collect` is set — the matching records in
-    /// primary-key order. A corrupt record value fails the scan under
-    /// every strategy.
+    /// primary-key order. The predicate runs on a [`RecordView`] of every
+    /// scanned value; a [`Record`] is built only for a row that is
+    /// returned. A corrupt record value — one shorter than the schema
+    /// included — fails the scan under every strategy.
     fn scan_partition(
         &self,
         ds: &Dataset,
@@ -242,11 +231,10 @@ impl ScanPlan {
         let mut count = 0u64;
         let mut rows: Vec<(Key, Record)> = Vec::new();
         let mut visit = |k: Key, e: LsmEntry| -> Result<()> {
-            let r = Record::decode(&e.value)?;
-            if self.matches(&r) {
+            if self.predicate.holds(&RecordView::parse(&e.value)?)? {
                 count += 1;
                 if collect {
-                    rows.push((k, r));
+                    rows.push((k, Record::decode(&e.value)?));
                 }
             }
             Ok(())
@@ -382,14 +370,14 @@ impl FilterScanBuilder<'_> {
 
     /// Runs the scan, returning the match count plus pruning statistics.
     pub fn count(self) -> Result<FilterScanReport> {
-        let plan = capture_plan(self.ds, self.lo, self.hi)?;
+        let plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
         Ok(plan.run(self.ds, self.partitions, false)?.0)
     }
 
     /// Runs the scan and collects the matching records in primary-key
     /// order.
     pub fn records(self) -> Result<Vec<Record>> {
-        let plan = capture_plan(self.ds, self.lo, self.hi)?;
+        let plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
         Ok(plan.run(self.ds, self.partitions, true)?.1)
     }
 
@@ -400,7 +388,7 @@ impl FilterScanBuilder<'_> {
     /// fanned-out scans materialize the matches first, so their streams
     /// replay a buffer.
     pub fn stream(self) -> Result<FilterScanStream> {
-        let mut plan = capture_plan(self.ds, self.lo, self.hi)?;
+        let mut plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
         let inner = if plan.reconciles() && self.partitions == 1 {
             let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
             let mem = plan.mem.take();
@@ -453,9 +441,11 @@ impl Iterator for FilterScanStream {
                     Ok(None) => return None,
                     Err(e) => return Some(Err(e)),
                 };
-                match Record::decode(&entry.value) {
-                    Ok(r) if !plan.matches(&r) => continue,
-                    decoded => return Some(decoded),
+                let holds = RecordView::parse(&entry.value).and_then(|v| plan.predicate.holds(&v));
+                match holds {
+                    Ok(false) => continue,
+                    Ok(true) => return Some(Record::decode(&entry.value)),
+                    Err(e) => return Some(Err(e)),
                 }
             },
         }
@@ -631,7 +621,9 @@ mod tests {
 
     /// Regression: a corrupt primary value must fail an unbounded scan under
     /// every strategy — the Mutable-bitmap branch used to skip undecodable
-    /// records and return a short count.
+    /// records and return a short count, and a value that decodes cleanly
+    /// but holds fewer fields than the schema (here: the pk alone, no
+    /// filter field) used to panic the reader with an index out of bounds.
     #[test]
     fn corrupt_record_fails_the_scan_under_every_strategy() {
         for s in [
@@ -640,24 +632,28 @@ mod tests {
             StrategyKind::MutableBitmap,
             StrategyKind::DeletedKeyBTree,
         ] {
-            let ds = dataset(s);
-            load(&ds);
-            let ts = ds.clock().now();
-            ds.primary().put(
-                crate::keys::encode_pk(&Value::Int(7)),
-                LsmEntry::put_ts(vec![0xFF; 3], ts),
-                ts,
-            );
-            for n in [1, 3] {
-                assert!(ds.filter_scan().parallel(n).count().is_err(), "{s:?} n={n}");
-                assert!(ds.filter_scan().parallel(n).records().is_err(), "{s:?}");
+            for corrupt in [vec![0xFF; 3], Value::Int(7).encode()] {
+                let ds = dataset(s);
+                load(&ds);
+                let ts = ds.clock().now();
+                ds.primary().put(
+                    crate::keys::encode_pk(&Value::Int(7)),
+                    LsmEntry::put_ts(corrupt.clone(), ts),
+                    ts,
+                );
+                let is_corruption =
+                    |e: lsm_common::Error| matches!(e, lsm_common::Error::Corruption(_));
+                for n in [1, 3] {
+                    let scan = || ds.filter_scan().parallel(n);
+                    assert!(scan().count().is_err_and(is_corruption), "{s:?} n={n}");
+                    assert!(scan().records().is_err_and(is_corruption), "{s:?} n={n}");
+                    let streamed = scan()
+                        .stream()
+                        .and_then(|it| it.collect::<Result<Vec<_>>>());
+                    assert!(streamed.is_err_and(is_corruption), "{s:?} n={n}");
+                }
+                assert!(ds.filter_scan().count().is_err(), "{s:?} default");
             }
-            assert!(ds.filter_scan().count().is_err(), "{s:?} default");
-            assert!(ds
-                .filter_scan()
-                .stream()
-                .and_then(|it| it.collect::<Result<Vec<_>>>())
-                .is_err());
         }
     }
 

@@ -227,6 +227,34 @@ mod tests {
         );
     }
 
+    /// Regression: the Direct re-check over a stored record that decodes
+    /// cleanly but is shorter than the schema (no `user_id` field) is a
+    /// corruption error — it used to index out of bounds.
+    #[test]
+    fn direct_validation_over_a_short_record_is_an_error() {
+        let ds = dataset(StrategyKind::Validation);
+        for i in 0..20 {
+            ds.insert(&rec(i, i % 10)).unwrap();
+        }
+        let ts = ds.clock().now();
+        ds.primary().put(
+            crate::keys::encode_pk(&Value::Int(7)),
+            lsm_tree::LsmEntry::put_ts(Value::Int(7).encode(), ts),
+            ts,
+        );
+        let direct = || {
+            ds.query("user_id")
+                .range(0, 9)
+                .validation(ValidationMethod::Direct)
+        };
+        for result in [direct().execute(), direct().index_only().execute()] {
+            assert!(
+                matches!(result, Err(lsm_common::Error::Corruption(_))),
+                "{result:?}"
+            );
+        }
+    }
+
     #[test]
     fn eager_queries_accurate() {
         check_query_correctness(StrategyKind::Eager, None);

@@ -42,8 +42,8 @@ impl<'a> RecordStream<'a> {
     pub(crate) fn open(
         ds: &'a Dataset,
         index: &str,
-        lo: Option<Value>,
-        hi: Option<Value>,
+        lo: Option<&Value>,
+        hi: Option<&Value>,
         opts: &QueryOptions,
         limit: Option<usize>,
         n: usize,

@@ -20,8 +20,8 @@
 //!   emit secondary anti-matter — paying full-record I/O.
 
 use crate::dataset::Dataset;
-use crate::keys::{decode_sk_pk, encode_sk_pk};
-use lsm_common::{Key, Record, Result, Timestamp};
+use crate::keys::{encode_sk_pk, split_sk_pk};
+use lsm_common::{Key, RecordView, Result, Timestamp};
 use lsm_tree::{
     newest_disk_version_after, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent,
     LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
@@ -243,32 +243,24 @@ pub(crate) fn merge_repair(
         if entry.anti_matter {
             continue; // anti-matter needs no validation
         }
+        let pk_key = split_sk_pk(&key)?.1;
         if bloom_opt {
-            let (_, pk) = decode_sk_pk(&key)?;
-            let pk_key = pk.encode();
             // Per-entry pruning: a component whose maxTS is at or below the
             // entry's own timestamp cannot contain a newer version.
             let touched = unpruned
                 .iter()
                 .filter(|c| !c.id().at_or_before(entry.ts))
-                .any(|c| c.bloom_may_contain(sec_tree.storage(), &pk_key));
+                .any(|c| c.bloom_may_contain(sec_tree.storage(), pk_key));
             if !touched {
                 report.skipped_by_bloom += 1;
                 continue;
             }
-            candidates.push(Candidate {
-                pkey: pk_key,
-                ts: entry.ts,
-                position,
-            });
-        } else {
-            let (_, pk) = decode_sk_pk(&key)?;
-            candidates.push(Candidate {
-                pkey: pk.encode(),
-                ts: entry.ts,
-                position,
-            });
         }
+        candidates.push(Candidate {
+            pkey: pk_key.to_vec(),
+            ts: entry.ts,
+            position,
+        });
     }
 
     let n = builder.num_entries();
@@ -327,20 +319,19 @@ pub(crate) fn standalone_repair(
             if entry.anti_matter {
                 continue;
             }
-            let (_, pk) = decode_sk_pk(&key)?;
-            let pk_key = pk.encode();
+            let pk_key = split_sk_pk(&key)?.1;
             if bloom_opt {
                 let touched = unpruned
                     .iter()
                     .filter(|c| !c.id().at_or_before(entry.ts))
-                    .any(|c| c.bloom_may_contain(sec_tree.storage(), &pk_key));
+                    .any(|c| c.bloom_may_contain(sec_tree.storage(), pk_key));
                 if !touched {
                     report.skipped_by_bloom += 1;
                     continue;
                 }
             }
             candidates.push(Candidate {
-                pkey: pk_key,
+                pkey: pk_key.to_vec(),
                 ts: entry.ts,
                 position,
             });
@@ -460,24 +451,27 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
         // Newest version (index 0) wins; older record versions are obsolete.
         let newest = &versions[0];
         let newest_record = (!newest.anti_matter)
-            .then(|| Record::decode(&newest.value))
+            .then(|| RecordView::parse(&newest.value))
             .transpose()?;
         for old in &versions[1..] {
             if old.anti_matter {
                 continue;
             }
-            let old_record = Record::decode(&old.value)?;
+            let old_record = RecordView::parse(&old.value)?;
             repaired += 1;
-            let pk = old_record.get(dataset.config().pk_field);
+            let pk = old_record.field(dataset.config().pk_field)?;
             for sec in dataset.secondaries() {
-                let old_sk = old_record.get(sec.field);
+                let old_sk = old_record.field(sec.field)?;
                 if let Some(new_rec) = &newest_record {
-                    if new_rec.get(sec.field) == old_sk {
+                    if new_rec.field(sec.field)? == old_sk {
                         continue; // same secondary key: entry still valid
                     }
                 }
-                sec.tree
-                    .put(encode_sk_pk(old_sk, pk), LsmEntry::anti_matter_ts(ets), ets);
+                sec.tree.put(
+                    encode_sk_pk(&old_sk, &pk),
+                    LsmEntry::anti_matter_ts(ets),
+                    ets,
+                );
             }
         }
         // A newest anti-matter version also invalidates nothing extra here:
@@ -514,7 +508,7 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
 mod tests {
     use super::*;
     use crate::config::{DatasetConfig, SecondaryIndexDef, StrategyKind};
-    use lsm_common::{FieldType, Schema, Value};
+    use lsm_common::{FieldType, Record, Schema, Value};
     use lsm_storage::{Storage, StorageOptions};
 
     fn dataset(strategy: StrategyKind) -> Arc<Dataset> {

@@ -17,6 +17,8 @@ use crate::entry::LsmEntry;
 use lsm_btree::BTreeScan;
 use lsm_common::{Key, Result};
 use lsm_storage::Storage;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -81,14 +83,38 @@ struct Head {
     rank: usize,
 }
 
-/// Reconciling k-way merge scan.
+/// Heads order by `(key, rank)`, reversed: the top of the (max-)heap is the
+/// smallest key and, among equal keys, the newest source.
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&other.key, other.rank).cmp(&(&self.key, self.rank))
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head {}
+
+/// Reconciling k-way merge scan: a binary heap over the sources' head
+/// entries, so producing one key costs the `⌈log2 k⌉` comparisons the scan
+/// charges for it.
 pub struct LsmScan {
     storage: Arc<Storage>,
     sources: Vec<Source>,
-    heads: Vec<Option<Head>>,
+    /// At most one head per source that still has entries.
+    heads: BinaryHeap<Head>,
     opts: ScanOptions,
     started: bool,
-    num_sources: usize,
 }
 
 impl LsmScan {
@@ -118,14 +144,12 @@ impl LsmScan {
             };
             sources.push(Source::Disk { scan, bitmap });
         }
-        let n = sources.len();
         Ok(LsmScan {
             storage,
             sources,
-            heads: Vec::new(),
+            heads: BinaryHeap::new(),
             opts,
             started: false,
-            num_sources: n,
         })
     }
 
@@ -144,30 +168,52 @@ impl LsmScan {
                 bitmap: snap.clone(),
             });
         }
-        let n = sources.len();
         Ok(LsmScan {
             storage,
             sources,
-            heads: Vec::new(),
+            heads: BinaryHeap::new(),
             opts,
             started: false,
-            num_sources: n,
         })
     }
 
     fn prime(&mut self) -> Result<()> {
-        self.heads = Vec::with_capacity(self.sources.len());
-        for i in 0..self.sources.len() {
-            let h = self.sources[i].next(self.opts.respect_bitmaps)?;
-            self.heads.push(h.map(|(key, entry, ordinal)| Head {
-                key,
-                entry,
-                ordinal,
-                rank: i,
-            }));
+        self.heads.reserve(self.sources.len());
+        for (rank, source) in self.sources.iter_mut().enumerate() {
+            if let Some((key, entry, ordinal)) = source.next(self.opts.respect_bitmaps)? {
+                self.heads.push(Head {
+                    key,
+                    entry,
+                    ordinal,
+                    rank,
+                });
+            }
         }
         self.started = true;
         Ok(())
+    }
+
+    /// Takes the top head and puts its source's next entry in its place (one
+    /// sift-down; an exhausted source leaves the heap).
+    fn pop_and_advance(&mut self) -> Result<Option<Head>> {
+        let Some(mut top) = self.heads.peek_mut() else {
+            return Ok(None);
+        };
+        let rank = top.rank;
+        Ok(Some(
+            match self.sources[rank].next(self.opts.respect_bitmaps)? {
+                Some((key, entry, ordinal)) => std::mem::replace(
+                    &mut *top,
+                    Head {
+                        key,
+                        entry,
+                        ordinal,
+                        rank,
+                    },
+                ),
+                None => PeekMut::pop(top),
+            },
+        ))
     }
 
     /// Returns the next reconciled entry: `(key, entry)` where `entry` is
@@ -192,49 +238,26 @@ impl LsmScan {
         if !self.started {
             self.prime()?;
         }
-        // Find the smallest key; among ties the smallest rank (newest) wins.
-        let mut winner: Option<usize> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            let Some(h) = head else { continue };
-            match winner {
-                None => winner = Some(i),
-                Some(w) => {
-                    // INVARIANT: `w` was only ever set for a `Some` head and
-                    // no head is advanced during this scan.
-                    let wh = self.heads[w].as_ref().unwrap();
-                    if h.key < wh.key || (h.key == wh.key && h.rank < wh.rank) {
-                        winner = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(w) = winner else { return Ok(None) };
-        // INVARIANT: the winner index always points at a `Some` head.
-        let win_key = self.heads[w].as_ref().unwrap().key.clone();
+        // The smallest key; among ties the smallest rank (newest) wins.
+        let Some(winner) = self.pop_and_advance()? else {
+            return Ok(None);
+        };
 
         // Charge the reconciliation cost: one heap round over the sources.
-        let log_k = (usize::BITS - self.num_sources.leading_zeros()) as u64;
+        let log_k = (usize::BITS - self.sources.len().leading_zeros()) as u64;
         self.storage
             .charge_cpu(self.storage.cpu().key_cmp_ns * log_k.max(1));
 
-        // Advance every source sitting on the winning key; keep the winner.
-        let mut result: Option<(Key, LsmEntry, usize, u64)> = None;
-        for i in 0..self.heads.len() {
-            let Some(head) = self.heads[i].take_if(|h| h.key == win_key) else {
-                continue;
-            };
-            if i == w {
-                result = Some((head.key, head.entry, head.rank, head.ordinal));
-            }
-            let next = self.sources[i].next(self.opts.respect_bitmaps)?;
-            self.heads[i] = next.map(|(key, entry, ordinal)| Head {
-                key,
-                entry,
-                ordinal,
-                rank: i,
-            });
+        // Older versions of the winning key are consumed with it.
+        while self.heads.peek().is_some_and(|h| h.key == winner.key) {
+            self.pop_and_advance()?;
         }
-        Ok(result)
+        Ok(Some((
+            winner.key,
+            winner.entry,
+            winner.rank,
+            winner.ordinal,
+        )))
     }
 }
 
@@ -382,6 +405,8 @@ mod tests {
     use crate::component_id::ComponentId;
     use crate::tree::ComponentBuilder;
     use lsm_storage::StorageOptions;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())
@@ -637,6 +662,196 @@ mod tests {
         let parts =
             LsmScan::partition_scan(&[tiny], Bound::Unbounded, Bound::Unbounded, 4).unwrap();
         assert_eq!(parts.len(), 1);
+    }
+
+    /// One generated source: `(key, anti-matter?, bitmap bit set?)` per
+    /// entry, keys from a small domain so sources overlap heavily.
+    type SourceSpec = Vec<(u8, bool, bool)>;
+
+    fn arb_sources() -> impl Strategy<Value = Vec<SourceSpec>> {
+        let entry = (0..48u8, 0..4u8, 0..5u8).prop_map(|(k, anti, dead)| (k, anti == 0, dead == 0));
+        proptest::collection::vec(proptest::collection::vec(entry, 0..24), 1..41)
+    }
+
+    fn arb_bound() -> impl Strategy<Value = Bound<Key>> {
+        prop_oneof![
+            2 => Just(Bound::Unbounded),
+            1 => (0..48u8).prop_map(|k| Bound::Included(vec![k])),
+            1 => (0..48u8).prop_map(|k| Bound::Excluded(vec![k])),
+        ]
+    }
+
+    /// A generated scan input, built: the sources newest-first (an optional
+    /// memory run, then disk components) next to the model's view of them —
+    /// per source its `(key, entry, bitmap bit)` rows in key order.
+    struct Fixture {
+        mem: Option<Vec<(Key, LsmEntry)>>,
+        comps: Vec<Arc<DiskComponent>>,
+        rows: Vec<Vec<(Key, LsmEntry, bool)>>,
+    }
+
+    fn fixture(s: &Arc<Storage>, specs: &[SourceSpec], with_mem: bool) -> Fixture {
+        let mut fx = Fixture {
+            mem: None,
+            comps: Vec::new(),
+            rows: Vec::new(),
+        };
+        for (rank, spec) in specs.iter().enumerate() {
+            let in_mem = with_mem && rank == 0;
+            let distinct: BTreeMap<u8, (bool, bool)> = spec
+                .iter()
+                .map(|&(k, anti, dead)| (k, (anti, dead)))
+                .collect();
+            let rows: Vec<(Key, LsmEntry, bool)> = distinct
+                .into_iter()
+                .map(|(k, (anti, dead))| {
+                    let entry = if anti {
+                        LsmEntry::anti_matter()
+                    } else {
+                        LsmEntry::put(vec![rank as u8, k])
+                    };
+                    // Memory runs carry no bitmap.
+                    (vec![k], entry, dead && !in_mem)
+                })
+                .collect();
+            if in_mem {
+                fx.mem = Some(
+                    rows.iter()
+                        .map(|(k, e, _)| (k.clone(), e.clone()))
+                        .collect(),
+                );
+            } else {
+                // Newest-first: later ranks get older IDs.
+                let id = ComponentId::new(1000 - rank as u64, 1000 - rank as u64);
+                let mut b = ComponentBuilder::new(s.clone(), id, Default::default()).unwrap();
+                for (k, e, _) in &rows {
+                    b.add(k, e).unwrap();
+                }
+                let comp = Arc::new(b.finish().unwrap());
+                if rows.iter().any(|(_, _, dead)| *dead) {
+                    let bm = Arc::new(AtomicBitmap::new(rows.len() as u64));
+                    for (i, (_, _, dead)) in rows.iter().enumerate() {
+                        if *dead {
+                            bm.set(i as u64);
+                        }
+                    }
+                    comp.set_bitmap(bm).unwrap();
+                }
+                fx.comps.push(comp);
+            }
+            fx.rows.push(rows);
+        }
+        fx
+    }
+
+    fn in_range(key: &Key, lo: &Bound<Key>, hi: &Bound<Key>) -> bool {
+        (match lo {
+            Bound::Unbounded => true,
+            Bound::Included(l) => key >= l,
+            Bound::Excluded(l) => key > l,
+        }) && (match hi {
+            Bound::Unbounded => true,
+            Bound::Included(h) => key <= h,
+            Bound::Excluded(h) => key < h,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // The heap merge against a `BTreeMap` model: inserting every visible
+        // entry oldest source first leaves, per key, the newest version with
+        // its source rank and ordinal — the exact `next_reconciled` sequence.
+        #[test]
+        fn scan_matches_btreemap_model(
+            specs in arb_sources(),
+            with_mem in any::<bool>(),
+            respect_bitmaps in any::<bool>(),
+            emit_anti_matter in any::<bool>(),
+            lo in arb_bound(),
+            hi in arb_bound(),
+        ) {
+            let s = storage();
+            let fx = fixture(&s, &specs, with_mem);
+            let mut model: BTreeMap<Key, (LsmEntry, usize, u64)> = BTreeMap::new();
+            for (rank, rows) in fx.rows.iter().enumerate().rev() {
+                let in_mem = with_mem && rank == 0;
+                for (ordinal, (key, entry, dead)) in rows.iter().enumerate() {
+                    // The caller slices the memory run to the range itself.
+                    if (in_mem || in_range(key, &lo, &hi)) && !(respect_bitmaps && *dead) {
+                        let ordinal = if in_mem { 0 } else { ordinal as u64 };
+                        model.insert(key.clone(), (entry.clone(), rank, ordinal));
+                    }
+                }
+            }
+            let opts = ScanOptions { emit_anti_matter, respect_bitmaps };
+            let open = || {
+                LsmScan::new(s.clone(), fx.mem.clone(), &fx.comps, bound_ref(&lo), bound_ref(&hi), opts)
+                    .unwrap()
+            };
+
+            let mut scan = open();
+            let mut reconciled = Vec::new();
+            while let Some(row) = scan.next_reconciled().unwrap() {
+                reconciled.push(row);
+            }
+            let want: Vec<_> = model
+                .iter()
+                .map(|(k, (e, rank, ord))| (k.clone(), e.clone(), *rank, *ord))
+                .collect();
+            prop_assert_eq!(reconciled, want);
+
+            let mut scan = open();
+            let mut entries = Vec::new();
+            while let Some(row) = scan.next_entry().unwrap() {
+                entries.push(row);
+            }
+            let want: Vec<_> = model
+                .into_iter()
+                .filter(|(_, (e, _, _))| emit_anti_matter || !e.anti_matter)
+                .map(|(k, (e, _, _))| (k, e))
+                .collect();
+            prop_assert_eq!(entries, want);
+        }
+
+        // The bill of a scan, pinned: every entry a component's B-tree scan
+        // hands over costs one `key_cmp_ns` (bitmap-dead ones included), and
+        // every reconciled key — suppressed anti-matter included — costs
+        // `key_cmp_ns × ⌈log2 k⌉` over the k sources the scan was opened on.
+        #[test]
+        fn scan_cost_is_pinned(specs in arb_sources(), with_mem in any::<bool>()) {
+            let s = storage();
+            let fx = fixture(&s, &specs, with_mem);
+            let k = specs.len();
+            let mut scan = LsmScan::new(
+                s.clone(),
+                fx.mem.clone(),
+                &fx.comps,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                ScanOptions::default(),
+            )
+            .unwrap();
+            let before = s.stats().cpu_ns;
+            while scan.next_entry().unwrap().is_some() {}
+            let charged = s.stats().cpu_ns - before;
+
+            let disk_rows = &fx.rows[usize::from(with_mem)..];
+            let streamed: usize = disk_rows.iter().map(Vec::len).sum();
+            let reconciled: BTreeSet<&Key> = fx
+                .rows
+                .iter()
+                .flatten()
+                .filter(|(_, _, dead)| !dead)
+                .map(|(key, _, _)| key)
+                .collect();
+            let log_k = u64::from(usize::BITS - k.leading_zeros());
+            let key_cmp_ns = s.cpu().key_cmp_ns;
+            prop_assert_eq!(
+                charged,
+                streamed as u64 * key_cmp_ns + reconciled.len() as u64 * key_cmp_ns * log_k
+            );
+        }
     }
 
     #[test]
