@@ -1,15 +1,20 @@
 //! Criterion microbenchmarks, one per layer (real wall-clock, not
 //! simulated): the CPU-level optimizations of Section 3.2 — standard vs
-//! blocked Bloom filter probes, cold B+-tree search vs the stateful cursor —
-//! the record codec and its allocation-free view (common), and the
-//! reconciling merge scan at a small and a large fan-in (lsm).
+//! blocked Bloom filter probes, by key and by precomputed hash, cold
+//! B+-tree search vs the stateful cursor — the cache-hit page read
+//! (storage), the record codec and its allocation-free view (common), and
+//! the point lookup and the reconciling merge scan at a small and a large
+//! number of components (lsm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lsm_bloom::{BlockedBloom, BloomFilter, StandardBloom};
+use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
 use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
 use lsm_common::{Record, RecordView};
 use lsm_storage::{Storage, StorageOptions};
-use lsm_tree::{ComponentBuilder, ComponentId, DiskComponent, LsmEntry, LsmScan, ScanOptions};
+use lsm_tree::{
+    point_lookup, BuildOptions, ComponentBuilder, ComponentId, DiskComponent, LsmEntry, LsmOptions,
+    LsmScan, LsmTree, ScanOptions,
+};
 use lsm_workload::{TweetConfig, TweetGenerator};
 use std::hint::black_box;
 use std::ops::Bound;
@@ -45,6 +50,37 @@ fn bench_bloom(c: &mut Criterion) {
                 }
             }
             std::hint::black_box(hits)
+        })
+    });
+    // What a lookup pays per component once the key is hashed.
+    let hashes: Vec<KeyHash> = probe_keys.iter().map(|k| KeyHash::new(k)).collect();
+    let filters: [(&str, &dyn BloomFilter); 2] =
+        [("standard_hashed", &standard), ("blocked_hashed", &blocked)];
+    for (name, filter) in filters {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let hits = hashes.iter().filter(|h| filter.may_contain_hash(**h));
+                black_box(hits.count())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// `Storage::read_page` of resident pages: 32 reads per iteration.
+fn bench_storage_read_hit(c: &mut Criterion) {
+    let storage = Storage::new(StorageOptions::test());
+    let file = storage.create_file();
+    for p in 0..32u32 {
+        storage.append_page(file, &p.to_le_bytes()).unwrap();
+        storage.read_page(file, p).unwrap(); // admit
+    }
+    let mut group = c.benchmark_group("storage");
+    group.bench_function("read_hit", |b| {
+        b.iter(|| {
+            for p in 0..32 {
+                black_box(storage.read_page(file, p).unwrap());
+            }
         })
     });
     group.finish();
@@ -136,7 +172,11 @@ fn build_components(
     (0..fan_in)
         .map(|c| {
             let id = ComponentId::new(fan_in - c, fan_in - c);
-            let mut b = ComponentBuilder::new(storage.clone(), id, Default::default()).unwrap();
+            let opts = BuildOptions {
+                expected_keys: per_component as usize,
+                ..BuildOptions::default()
+            };
+            let mut b = ComponentBuilder::new(storage.clone(), id, opts).unwrap();
             for i in 0..per_component {
                 let own = if i % 10 == 0 { 0 } else { c };
                 let key = i * fan_in + own;
@@ -175,6 +215,51 @@ fn bench_lsm_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// `point_lookup` over warm pages with 4 and 32 disk components: 1024
+/// lookups per iteration, of keys spread over all components (`present`)
+/// and of keys no component holds (`absent`: every filter is probed).
+fn bench_point_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("point_lookup");
+    for fan_in in [4u64, 32] {
+        let storage = Storage::new(StorageOptions {
+            cache_pages: 1 << 20, // fully cached: measure CPU only
+            ..StorageOptions::test()
+        });
+        let per_component = 65_536 / fan_in;
+        let tree = LsmTree::new(storage.clone(), LsmOptions::default());
+        for comp in build_components(&storage, fan_in, per_component)
+            .into_iter()
+            .rev()
+        {
+            tree.push_newest(comp);
+        }
+        // `build_components` stores key `i * fan_in + c` in component `c`
+        // when `i % 10 != 0`; nothing at or past `per_component * fan_in`.
+        let present: Vec<[u8; 8]> = (0..1024u64)
+            .map(|j| {
+                (((j * 61 % (per_component / 10)) * 10 + 1) * fan_in + j % fan_in).to_be_bytes()
+            })
+            .collect();
+        let absent: Vec<[u8; 8]> = (0..1024u64)
+            .map(|j| (per_component * fan_in + j * 7919).to_be_bytes())
+            .collect();
+        for (name, keys, found) in [("present", &present, 1024), ("absent", &absent, 0)] {
+            let lookup_all = || {
+                let hits = keys.iter().filter(|k| {
+                    let hit = point_lookup(&tree, k.as_slice()).unwrap();
+                    hit.is_some()
+                });
+                hits.count()
+            };
+            assert_eq!(lookup_all(), found); // warm the cache
+            group.bench_function(&format!("components_{fan_in}/{name}"), |b| {
+                b.iter(lookup_all)
+            });
+        }
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -185,6 +270,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bloom, bench_btree_search, bench_record_codec, bench_lsm_scan
+    targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_record_codec,
+        bench_point_lookup, bench_lsm_scan
 }
 criterion_main!(benches);

@@ -28,12 +28,39 @@ pub use hash::{fmix64, hash64};
 /// Block size of the blocked filter: one CPU cache line (64 bytes).
 pub const BLOCK_BITS: usize = 512;
 
+/// The double-hashing pair every probe of a key is derived from
+/// (`g_i = h1 + i·h2`). It depends on the key alone — not on a filter's
+/// size, kind or probe count — so a lookup that walks many components
+/// hashes its key once and probes every filter with the same `KeyHash`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHash {
+    h1: u64,
+    h2: u64,
+}
+
+impl KeyHash {
+    /// Hashes `key`.
+    pub fn new(key: &[u8]) -> Self {
+        let h = hash64(key, 0x9E37_79B9_7F4A_7C15);
+        KeyHash {
+            h1: h,
+            h2: (h >> 32) | 1, // odd, so probes cycle through the space
+        }
+    }
+}
+
 /// Common interface of the two Bloom filter variants.
 pub trait BloomFilter: Send + Sync {
     /// Inserts a key.
     fn insert(&mut self, key: &[u8]);
-    /// Tests membership; false positives possible, false negatives not.
-    fn may_contain(&self, key: &[u8]) -> bool;
+    /// Tests membership of the key `hash` was computed from; false
+    /// positives possible, false negatives not.
+    fn may_contain_hash(&self, hash: KeyHash) -> bool;
+    /// [`BloomFilter::may_contain_hash`] for a caller that probes one
+    /// filter only.
+    fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hash(KeyHash::new(key))
+    }
     /// Number of hash probes per operation.
     fn num_probes(&self) -> u32;
     /// Size of the bit array in bits.
@@ -41,10 +68,7 @@ pub trait BloomFilter: Send + Sync {
     /// True if a membership test touches a single cache line.
     fn is_blocked(&self) -> bool;
     /// Tests many keys in one call, writing one verdict per key into `out`
-    /// (cleared first). The default probes key by key; blocked filters
-    /// override it with a two-pass layout that resolves every key's block
-    /// up front before probing — the batched shape scan and fetch paths
-    /// issue, which keeps the block loads independent of the probe loop.
+    /// (cleared first).
     fn may_contain_batch(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
         out.clear();
         out.extend(keys.iter().map(|k| self.may_contain(k)));
@@ -61,13 +85,6 @@ pub fn optimal_k(bits_per_key: f64) -> u32 {
 pub fn bits_per_key_for_fpr(fpr: f64) -> f64 {
     let fpr = fpr.clamp(1e-9, 0.5);
     -fpr.ln() / (std::f64::consts::LN_2 * std::f64::consts::LN_2)
-}
-
-fn probe_pair(key: &[u8]) -> (u64, u64) {
-    let h = hash64(key, 0x9E37_79B9_7F4A_7C15);
-    let h1 = h;
-    let h2 = (h >> 32) | 1; // odd, so probes cycle through the space
-    (h1, h2)
 }
 
 /// Classic Bloom filter with probes spread over the whole bit array.
@@ -113,14 +130,13 @@ impl StandardBloom {
 
 impl BloomFilter for StandardBloom {
     fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = probe_pair(key);
+        let KeyHash { h1, h2 } = KeyHash::new(key);
         for i in 0..self.k as u64 {
             self.set_bit(h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits);
         }
     }
 
-    fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = probe_pair(key);
+    fn may_contain_hash(&self, KeyHash { h1, h2 }: KeyHash) -> bool {
         (0..self.k as u64).all(|i| self.get_bit(h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits))
     }
 
@@ -181,7 +197,7 @@ impl BlockedBloom {
 
 impl BloomFilter for BlockedBloom {
     fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = probe_pair(key);
+        let KeyHash { h1, h2 } = KeyHash::new(key);
         let b = self.block_of(h1);
         let block = &mut self.blocks[b];
         // Derive in-block bits from a different rotation of the hash so the
@@ -193,8 +209,7 @@ impl BloomFilter for BlockedBloom {
         }
     }
 
-    fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = probe_pair(key);
+    fn may_contain_hash(&self, KeyHash { h1, h2 }: KeyHash) -> bool {
         let block = &self.blocks[self.block_of(h1)];
         let g1 = h1.rotate_left(21);
         (0..self.k as u64).all(|i| {
@@ -213,28 +228,6 @@ impl BloomFilter for BlockedBloom {
 
     fn is_blocked(&self) -> bool {
         true
-    }
-
-    /// Two-pass batched probe: pass one hashes every key and resolves its
-    /// block index (on real hardware this is where the block's cache line
-    /// would be prefetched); pass two runs the in-block probes. Verdicts
-    /// are identical to per-key [`BloomFilter::may_contain`].
-    fn may_contain_batch(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        let resolved: Vec<(usize, u64, u64)> = keys
-            .iter()
-            .map(|k| {
-                let (h1, h2) = probe_pair(k);
-                (self.block_of(h1), h1.rotate_left(21), h2)
-            })
-            .collect();
-        out.clear();
-        out.extend(resolved.into_iter().map(|(b, g1, h2)| {
-            let block = &self.blocks[b];
-            (0..self.k as u64).all(|i| {
-                let bit = (g1.wrapping_add(i.wrapping_mul(h2)) % BLOCK_BITS as u64) as usize;
-                block[bit / 64] & (1 << (bit % 64)) != 0
-            })
-        }));
     }
 }
 
@@ -369,6 +362,27 @@ mod tests {
             for (k, got) in refs.iter().zip(&out) {
                 assert_eq!(*got, f.may_contain(k));
             }
+        }
+    }
+
+    #[test]
+    fn hashed_probe_agrees_with_keyed_probe() {
+        // A hash computed once answers for the key on every filter, and the
+        // bits probed are the ones `insert` set: the false-positive counts
+        // are the values the keyed probe gave before `KeyHash` existed.
+        for (kind, false_positives) in [(BloomKind::Standard, 198), (BloomKind::Blocked, 167)] {
+            let mut f = build_filter(kind, 10_000, 0.01);
+            for k in keys(10_000, 1) {
+                f.insert(&k);
+            }
+            let mut fp = 0;
+            for k in keys(10_000, 1).iter().chain(&keys(20_000, 2)) {
+                let verdict = f.may_contain_hash(KeyHash::new(k));
+                assert_eq!(verdict, f.may_contain(k), "{kind:?}");
+                assert!(verdict || k[0] == 2, "{kind:?}: false negative");
+                fp += usize::from(verdict && k[0] == 2);
+            }
+            assert_eq!(fp, false_positives, "{kind:?}");
         }
     }
 

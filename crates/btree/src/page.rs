@@ -350,9 +350,15 @@ impl<'a> InternalPage<'a> {
         self.count
     }
 
-    /// Returns the `(separator, child)` entry at `idx`.
+    /// Returns the `(separator, child)` entry at `idx`;
+    /// [`Error::Corruption`] when the page has no such slot.
     pub fn entry(&self, idx: usize) -> Result<(&'a [u8], u32)> {
-        assert!(idx < self.count, "internal index out of bounds");
+        if idx >= self.count {
+            return Err(Error::corruption(format!(
+                "internal page has no entry {idx} ({} slots)",
+                self.count
+            )));
+        }
         let slot_off = INTERNAL_HEADER + idx * 4;
         let off = u32::from_le_bytes(self.data[slot_off..slot_off + 4].try_into().unwrap());
         let heap = &self.data[INTERNAL_HEADER + self.count * 4..];
@@ -366,9 +372,10 @@ impl<'a> InternalPage<'a> {
 
     /// Finds the child to descend into for `key`: the rightmost child whose
     /// separator is `<= key` (the leftmost child if `key` sorts before all
-    /// separators). Returns `(child_idx, child_page, cmps)`.
+    /// separators). Returns `(child_idx, child_page, cmps)`. A page with
+    /// no slots routes nowhere: the bulk loader never writes one, so it is
+    /// reported as [`Error::Corruption`].
     pub fn route(&self, key: &[u8]) -> Result<(usize, u32, u32)> {
-        debug_assert!(self.count > 0, "routing in empty internal page");
         let mut lo = 0usize;
         let mut hi = self.count;
         let mut cmps = 0u32;
@@ -503,6 +510,15 @@ mod tests {
         assert_eq!(p.route(b"m").unwrap().1, 20);
         assert_eq!(p.route(b"n").unwrap().1, 20);
         assert_eq!(p.route(b"z").unwrap().1, 30);
+    }
+
+    #[test]
+    fn empty_internal_page_routes_to_an_error() {
+        let data = InternalPageBuilder::new(4096).finish();
+        let p = InternalPage::parse(&data).unwrap();
+        assert_eq!(p.count(), 0);
+        assert!(matches!(p.route(b"k"), Err(Error::Corruption(_))));
+        assert!(matches!(p.entry(0), Err(Error::Corruption(_))));
     }
 
     #[test]

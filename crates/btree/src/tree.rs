@@ -129,27 +129,42 @@ impl BTree {
         self.storage.file_pages(self.file).unwrap_or(0) as u64 * self.storage.page_size() as u64
     }
 
-    fn charge_node(&self, cmps: u32) {
+    /// Charges `nodes` node visits and the `cmps` key comparisons made
+    /// inside them.
+    fn charge_nodes(&self, nodes: u32, cmps: u32) {
         let cpu = self.storage.cpu();
-        self.storage
-            .charge_cpu(cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns);
+        self.storage.charge_cpu(
+            u64::from(nodes) * cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns,
+        );
+    }
+
+    /// Walks the router levels down to the leaf page that would contain
+    /// `key`, charging nothing: returns the leaf and the comparisons made
+    /// on the `height - 1` internal pages, for the caller to charge
+    /// together with its own leaf visit. `None` on an empty tree.
+    fn descend(&self, key: &[u8]) -> Result<Option<(PageNo, u32)>> {
+        if self.meta.height == 0 {
+            return Ok(None);
+        }
+        let mut page_no = self.meta.root;
+        let mut cmps = 0;
+        for _ in 1..self.meta.height {
+            let data = self.storage.read_page(self.file, page_no)?;
+            let (_, child, c) = InternalPage::parse(&data)?.route(key)?;
+            cmps += c;
+            page_no = child;
+        }
+        Ok(Some((page_no, cmps)))
     }
 
     /// Descends to the leaf page that would contain `key`.
     /// Returns `None` on an empty tree.
     pub fn locate_leaf(&self, key: &[u8]) -> Result<Option<PageNo>> {
-        if self.meta.height == 0 {
+        let Some((leaf_no, cmps)) = self.descend(key)? else {
             return Ok(None);
-        }
-        let mut page_no = self.meta.root;
-        for _ in 1..self.meta.height {
-            let data = self.storage.read_page(self.file, page_no)?;
-            let page = InternalPage::parse(&data)?;
-            let (_, child, cmps) = page.route(key)?;
-            self.charge_node(cmps);
-            page_no = child;
-        }
-        Ok(Some(page_no))
+        };
+        self.charge_nodes(self.meta.height - 1, cmps);
+        Ok(Some(leaf_no))
     }
 
     /// Point lookup. Returns `(value, global ordinal)` if the key exists.
@@ -160,15 +175,16 @@ impl BTree {
     /// Point lookup without copying the value: the returned [`PageSlice`]
     /// pins the cached leaf page and references the value bytes in place.
     /// This is the zero-copy entry point the LSM lookup path uses; plain
-    /// [`BTree::search`] copies at the same spot callers always paid.
+    /// [`BTree::search`] copies at the same spot callers always paid. The
+    /// whole root-to-leaf walk is charged in one call.
     pub fn search_pinned(&self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
-        let Some(leaf_no) = self.locate_leaf(key)? else {
+        let Some((leaf_no, router_cmps)) = self.descend(key)? else {
             return Ok(None);
         };
         let data = self.storage.read_page(self.file, leaf_no)?;
         let leaf = LeafView::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
-        self.charge_node(cmps);
+        self.charge_nodes(self.meta.height, router_cmps + cmps);
         match found {
             Ok(idx) => {
                 let (_, v) = leaf.entry(idx)?;
@@ -206,7 +222,7 @@ impl BTree {
                     let data = self.read_leaf(leaf_no)?;
                     let leaf = LeafView::parse(&data)?;
                     let (found, cmps) = leaf.search(k)?;
-                    self.charge_node(cmps);
+                    self.charge_nodes(1, cmps);
                     let idx = match (found, &lo) {
                         (Ok(i), Bound::Included(_)) => i,
                         (Ok(i), _) => i + 1,
@@ -421,6 +437,35 @@ mod tests {
         let file = t.file();
         t.destroy().unwrap();
         assert!(t.storage().read_page(file, 0).is_err());
+    }
+
+    #[test]
+    fn search_through_an_empty_internal_page_is_corruption() {
+        // A two-level file whose root is an internal page with a slot
+        // count of 0: the bulk loader never writes one, so it can only be
+        // damage, and a search must say so instead of panicking.
+        let s = storage();
+        let f = s.create_file();
+        let mut leaf = crate::page::LeafPageBuilder::new(s.page_size(), 0);
+        leaf.add(b"k", b"v").unwrap();
+        s.append_page(f, &leaf.finish()).unwrap();
+        s.append_page(f, &0u16.to_le_bytes()).unwrap();
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&META_MAGIC.to_le_bytes());
+        meta.extend_from_slice(&1u32.to_le_bytes()); // root: the empty page
+        meta.extend_from_slice(&2u32.to_le_bytes()); // height
+        meta.extend_from_slice(&1u32.to_le_bytes()); // leaves
+        meta.extend_from_slice(&1u64.to_le_bytes()); // entries
+        crate::encoding::put_slice(&mut meta, b"k");
+        crate::encoding::put_slice(&mut meta, b"k");
+        s.append_page(f, &meta).unwrap();
+        let t = BTree::open(s, f).unwrap();
+        for res in [
+            t.search_pinned(b"k").map(|_| ()),
+            t.locate_leaf(b"k").map(|_| ()),
+        ] {
+            assert!(matches!(res, Err(Error::Corruption(_))), "{res:?}");
+        }
     }
 
     #[test]

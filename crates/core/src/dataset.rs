@@ -487,7 +487,7 @@ impl Dataset {
             .pk_index
             .as_ref()
             .ok_or_else(|| Error::invalid("mutable-bitmap requires the primary key index"))?;
-        for comp in pk_tree.disk_components() {
+        for comp in pk_tree.disk_components().iter() {
             if !comp.bloom_may_contain(self.storage.as_ref(), pk_key) {
                 continue;
             }
@@ -587,8 +587,10 @@ impl Dataset {
                     let sec_max: Option<Timestamp> = self
                         .secondaries
                         .iter()
-                        .flat_map(|s| s.tree.disk_components())
-                        .map(|c| c.id().max_ts)
+                        .filter_map(|s| {
+                            let comps = s.tree.disk_components();
+                            comps.iter().map(|c| c.id().max_ts).max()
+                        })
                         .max();
                     newest.id().min_ts > sec_max.unwrap_or(0)
                 }
@@ -603,7 +605,7 @@ impl Dataset {
         let Some(pk_tree) = &self.pk_index else {
             return Ok(());
         };
-        for p in self.primary.disk_components() {
+        for p in self.primary.disk_components().iter() {
             let pk_comps = pk_tree.disk_components(); // newest first
             if pk_comps.iter().any(|c| c.id() == p.id()) {
                 continue;
@@ -626,7 +628,7 @@ impl Dataset {
                     p.id()
                 )));
             }
-            let mirrored = pk_tree.mirror_component(&p)?;
+            let mirrored = pk_tree.mirror_component(p)?;
             if self.cfg.strategy == StrategyKind::MutableBitmap {
                 let bitmap = p.bitmap().ok_or_else(|| {
                     Error::corruption("merged mutable-bitmap primary has no bitmap")
@@ -2008,7 +2010,7 @@ mod tests {
             .primary()
             .disk_components()
             .iter()
-            .zip(ds.pk_index().unwrap().disk_components())
+            .zip(ds.pk_index().unwrap().disk_components().iter())
         {
             assert_eq!(pc.num_entries(), kc.num_entries());
             assert!(Arc::ptr_eq(&pc.bitmap().unwrap(), &kc.bitmap().unwrap()));

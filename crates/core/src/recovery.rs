@@ -109,7 +109,7 @@ pub fn checkpoint(ds: &Dataset, state: &CheckpointState) -> Result<()> {
     ds.checkpoint_crash_site()?;
     let mut bitmaps = state.bitmaps.lock();
     bitmaps.clear();
-    for comp in ds.primary().disk_components() {
+    for comp in ds.primary().disk_components().iter() {
         if let Some(b) = comp.bitmap() {
             bitmaps.insert((comp.id().min_ts, comp.id().max_ts), b.snapshot());
         }
@@ -151,7 +151,7 @@ pub fn simulate_crash(ds: &Dataset, state: &CheckpointState) -> Result<()> {
     }
     // Bitmaps: reset to checkpointed snapshots (zeroes when none).
     let bitmaps = state.bitmaps.lock();
-    for comp in ds.primary().disk_components() {
+    for comp in ds.primary().disk_components().iter() {
         if let Some(live) = comp.bitmap() {
             let fresh = lsm_tree::AtomicBitmap::new(live.len());
             if let Some(snap) = bitmaps.get(&(comp.id().min_ts, comp.id().max_ts)) {
@@ -165,7 +165,7 @@ pub fn simulate_crash(ds: &Dataset, state: &CheckpointState) -> Result<()> {
             comp.set_bitmap(fresh.clone())?;
             // Keep the paired pk-index component on the shared bitmap.
             if let Some(pk) = ds.pk_index() {
-                for kc in pk.disk_components() {
+                for kc in pk.disk_components().iter() {
                     if kc.id() == comp.id() {
                         kc.set_bitmap(fresh.clone())?;
                     }
@@ -524,8 +524,9 @@ mod tests {
         let comp_a = ds
             .primary()
             .disk_components()
-            .into_iter()
+            .iter()
             .find(|c| c.id().min_ts == 1)
+            .cloned()
             .unwrap();
         assert_eq!(comp_a.bitmap().unwrap().count_set(), 1, "bit redone");
         // The clock must sit at/above the max replayed LSN...

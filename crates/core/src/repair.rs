@@ -90,8 +90,9 @@ struct Candidate {
 fn unpruned_pk_components(pk_tree: &LsmTree, prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
     pk_tree
         .disk_components()
-        .into_iter()
+        .iter()
         .filter(|c| !c.id().at_or_before(prune_ts))
+        .cloned()
         .collect()
 }
 
@@ -296,7 +297,7 @@ pub(crate) fn standalone_repair(
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
     let mut report = RepairReport::default();
-    for comp in sec_tree.disk_components() {
+    for comp in sec_tree.disk_components().iter() {
         let prune_ts = comp.repaired_ts();
         let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
         let unpruned = unpruned_pk_components(pk_tree, prune_ts);
@@ -424,7 +425,7 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
     // by key. (LsmScan reconciles versions away, so this needs its own
     // k-way walk over full records — the expensive part DELI pays.)
     let mut scans = Vec::new();
-    for c in &comps {
+    for c in comps.iter() {
         scans.push(c.btree().scan_all()?);
     }
     let mut heads: Vec<Option<(Key, Vec<u8>, u64)>> = Vec::with_capacity(scans.len());

@@ -15,18 +15,47 @@ use crate::build_link::BuildLink;
 use crate::component_id::ComponentId;
 use crate::entry::LsmEntry;
 use crate::range_filter::RangeFilter;
-use lsm_bloom::BloomFilter;
+use lsm_bloom::{BloomFilter, KeyHash};
 use lsm_common::{Result, Timestamp};
 use lsm_storage::Storage;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Bloom probes a lookup has made but not yet accounted for. A lookup
+/// walks many components per key, so it tallies each probe's simulated CPU
+/// cost and outcome here and applies the sums in one call — before the next
+/// fallible step, so nothing probed goes unbilled. The totals are exactly
+/// those of billing probe by probe.
+#[derive(Debug, Default)]
+pub(crate) struct BloomTally {
+    cpu_ns: u64,
+    checks: u64,
+    negatives: u64,
+}
+
+impl BloomTally {
+    /// Charges the tallied CPU time, records the tallied checks, and
+    /// resets the tally.
+    pub(crate) fn apply(&mut self, storage: &Storage) {
+        if self.checks > 0 {
+            storage.charge_cpu(self.cpu_ns);
+            storage
+                .raw_stats()
+                .record_bloom_checks(self.checks, self.negatives);
+            *self = BloomTally::default();
+        }
+    }
+}
+
 /// An immutable disk component of one LSM index.
 pub struct DiskComponent {
     id: ComponentId,
     btree: lsm_btree::BTree,
     bloom: Option<Box<dyn BloomFilter>>,
+    /// Simulated CPU cost of one probe of `bloom`: a blocked filter pays
+    /// one cache miss and `k - 1` hits, a standard filter `k` misses.
+    bloom_probe_ns: u64,
     filter: Option<RangeFilter>,
     bitmap: RwLock<Option<Arc<AtomicBitmap>>>,
     /// Largest primary-key-index timestamp this component has been validated
@@ -60,10 +89,20 @@ impl DiskComponent {
         filter: Option<RangeFilter>,
         bitmap: Option<Arc<AtomicBitmap>>,
     ) -> Self {
+        let cpu = btree.storage().cpu();
+        let bloom_probe_ns = bloom.as_ref().map_or(0, |b| {
+            let k = u64::from(b.num_probes());
+            if b.is_blocked() {
+                cpu.bloom_probe_miss_ns + (k - 1) * cpu.bloom_probe_hit_ns
+            } else {
+                k * cpu.bloom_probe_miss_ns
+            }
+        });
         DiskComponent {
             id,
             btree,
             bloom,
+            bloom_probe_ns,
             filter,
             bitmap: RwLock::new(bitmap),
             repaired_ts: AtomicU64::new(0),
@@ -97,53 +136,29 @@ impl DiskComponent {
         self.filter.as_ref()
     }
 
+    /// Probes the Bloom filter with a key's precomputed hash, adding the
+    /// probe's cost and outcome to `tally` instead of billing it. Returns
+    /// `true` if the key may be present; with no filter that is always,
+    /// and nothing is tallied.
+    pub(crate) fn bloom_probe(&self, hash: KeyHash, tally: &mut BloomTally) -> bool {
+        let Some(bloom) = &self.bloom else {
+            return true;
+        };
+        let positive = bloom.may_contain_hash(hash);
+        tally.cpu_ns += self.bloom_probe_ns;
+        tally.checks += 1;
+        tally.negatives += u64::from(!positive);
+        positive
+    }
+
     /// Tests the Bloom filter for `key`, charging the CPU model per probe
     /// (blocked filters charge one cache miss, standard filters `k`).
     /// Returns `true` if the key may be present (or no filter exists).
     pub fn bloom_may_contain(&self, storage: &Storage, key: &[u8]) -> bool {
-        let Some(bloom) = &self.bloom else {
-            return true;
-        };
-        let cpu = storage.cpu();
-        let k = u64::from(bloom.num_probes());
-        let cost = if bloom.is_blocked() {
-            cpu.bloom_probe_miss_ns + (k - 1) * cpu.bloom_probe_hit_ns
-        } else {
-            k * cpu.bloom_probe_miss_ns
-        };
-        storage.charge_cpu(cost);
-        let positive = bloom.may_contain(key);
-        storage.raw_stats().record_bloom_check(!positive);
+        let mut tally = BloomTally::default();
+        let positive = self.bloom_probe(KeyHash::new(key), &mut tally);
+        tally.apply(storage);
         positive
-    }
-
-    /// Batched Bloom probe: one [`BloomFilter::may_contain_batch`] call
-    /// resolves every key's verdict (blocked filters use their two-pass
-    /// cache-line layout), charged and recorded per key exactly like
-    /// [`DiskComponent::bloom_may_contain`]. With no filter every verdict
-    /// is `true` and nothing is charged.
-    pub fn bloom_may_contain_batch(&self, storage: &Storage, keys: &[&[u8]], out: &mut Vec<bool>) {
-        let Some(bloom) = &self.bloom else {
-            out.clear();
-            out.resize(keys.len(), true);
-            return;
-        };
-        if keys.is_empty() {
-            out.clear();
-            return;
-        }
-        let cpu = storage.cpu();
-        let k = u64::from(bloom.num_probes());
-        let per_key = if bloom.is_blocked() {
-            cpu.bloom_probe_miss_ns + (k - 1) * cpu.bloom_probe_hit_ns
-        } else {
-            k * cpu.bloom_probe_miss_ns
-        };
-        storage.charge_cpu(per_key * keys.len() as u64);
-        bloom.may_contain_batch(keys, out);
-        for positive in out.iter() {
-            storage.raw_stats().record_bloom_check(!positive);
-        }
     }
 
     /// True if the component has a Bloom filter.

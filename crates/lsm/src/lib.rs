@@ -40,4 +40,4 @@ pub use memtable::MemComponent;
 pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};
 pub use range_filter::RangeFilter;
 pub use scan::{scan_components_sequential, LsmScan, ScanOptions, ScanPartition};
-pub use tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
+pub use tree::{BuildOptions, ComponentBuilder, ComponentList, LsmOptions, LsmTree};

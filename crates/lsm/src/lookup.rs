@@ -15,13 +15,20 @@
 //! * **component-ID propagation** ("pID", after Jia): a per-key timestamp
 //!   interval (the ID of the secondary-index component the key was found
 //!   in) prunes primary components whose ID interval is disjoint.
+//!
+//! Every single-key entry point here is the memory probe plus one shared
+//! walk over an immutable snapshot of the component list (`newest_on_disk`):
+//! the key is hashed once for all Bloom filters, and the probes' simulated
+//! cost and counters are applied per lookup, not per component.
 
-use crate::component::DiskComponent;
+use crate::component::{BloomTally, DiskComponent};
 use crate::component_id::ComponentId;
 use crate::entry::LsmEntry;
 use crate::tree::LsmTree;
+use lsm_bloom::KeyHash;
 use lsm_btree::StatefulCursor;
 use lsm_common::{Key, Result, Timestamp};
+use lsm_storage::Storage;
 use std::sync::Arc;
 
 /// Options for [`lookup_sorted`].
@@ -43,6 +50,39 @@ pub struct LookupOptions<'a> {
 /// necessarily key order when batching).
 pub type FoundEntries = Vec<(usize, LsmEntry)>;
 
+/// The newest disk version of a key: the entry, its ordinal, and the
+/// component (borrowed from the caller's snapshot) it was found in.
+type DiskHit<'c> = (&'c Arc<DiskComponent>, LsmEntry, u64);
+
+/// The one per-key walk every point lookup is built on: `components`
+/// newest → oldest, skipping those `eligible` rejects (unprobed and
+/// unbilled), gating each B+-tree search by the component's Bloom filter,
+/// stopping at the first component that holds `key`.
+///
+/// The key is hashed once for all filters, and the probes' simulated cost
+/// and counters are tallied and applied once before each tree search and
+/// once at the end — the same totals as billing probe by probe.
+fn newest_on_disk<'c>(
+    storage: &Storage,
+    components: &'c [Arc<DiskComponent>],
+    key: &[u8],
+    eligible: impl Fn(&DiskComponent) -> bool,
+) -> Result<Option<DiskHit<'c>>> {
+    let hash = KeyHash::new(key);
+    let mut tally = BloomTally::default();
+    for comp in components {
+        if !eligible(comp) || !comp.bloom_probe(hash, &mut tally) {
+            continue;
+        }
+        tally.apply(storage);
+        if let Some((entry, ordinal)) = comp.search(key)? {
+            return Ok(Some((comp, entry, ordinal)));
+        }
+    }
+    tally.apply(storage);
+    Ok(None)
+}
+
 /// Looks up one key: memory component first, then disk components newest to
 /// oldest, gated by Bloom filters. Returns the newest version — which may
 /// be an anti-matter entry; callers decide what deletion means. Entries
@@ -51,19 +91,9 @@ pub fn point_lookup(tree: &LsmTree, key: &[u8]) -> Result<Option<LsmEntry>> {
     if let Some(e) = tree.mem_get(key) {
         return Ok(Some(e));
     }
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, ordinal)) = comp.search(key)? {
-            if !comp.is_valid(ordinal) {
-                return Ok(None);
-            }
-            return Ok(Some(entry));
-        }
-    }
-    Ok(None)
+    let components = tree.disk_components();
+    let hit = newest_on_disk(tree.storage(), &components, key, |_| true)?;
+    Ok(hit.and_then(|(comp, entry, ordinal)| comp.is_valid(ordinal).then_some(entry)))
 }
 
 /// The newest version of `key` among components strictly newer than
@@ -78,19 +108,7 @@ pub fn newest_version_after(
     if let Some(e) = tree.mem_get(key) {
         return Ok(Some(e));
     }
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
-        if comp.id().at_or_before(prune_ts) {
-            continue;
-        }
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, _)) = comp.search(key)? {
-            return Ok(Some(entry));
-        }
-    }
-    Ok(None)
+    newest_disk_version_after(tree, key, prune_ts)
 }
 
 /// Like [`newest_version_after`] but searching disk components only —
@@ -101,19 +119,11 @@ pub fn newest_disk_version_after(
     key: &[u8],
     prune_ts: Timestamp,
 ) -> Result<Option<LsmEntry>> {
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
-        if comp.id().at_or_before(prune_ts) {
-            continue;
-        }
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, _)) = comp.search(key)? {
-            return Ok(Some(entry));
-        }
-    }
-    Ok(None)
+    let components = tree.disk_components();
+    let hit = newest_on_disk(tree.storage(), &components, key, |comp| {
+        !comp.id().at_or_before(prune_ts)
+    })?;
+    Ok(hit.map(|(_, entry, _)| entry))
 }
 
 /// Locates the valid (bitmap-live, non-anti-matter) disk entry for `key`,
@@ -124,19 +134,13 @@ pub fn locate_valid(
     tree: &LsmTree,
     key: &[u8],
 ) -> Result<Option<(Arc<DiskComponent>, u64, LsmEntry)>> {
-    let storage = tree.storage();
-    for comp in tree.disk_components() {
-        if !comp.bloom_may_contain(storage, key) {
-            continue;
-        }
-        if let Some((entry, ordinal)) = comp.search(key)? {
-            if !comp.is_valid(ordinal) || entry.anti_matter {
-                return Ok(None); // deleted already; older versions are stale
-            }
-            return Ok(Some((comp, ordinal, entry)));
-        }
-    }
-    Ok(None)
+    let components = tree.disk_components();
+    let hit = newest_on_disk(tree.storage(), &components, key, |_| true)?;
+    // An invalidated or anti-matter newest version means deleted already;
+    // older versions are stale.
+    Ok(hit
+        .filter(|(comp, entry, ordinal)| comp.is_valid(*ordinal) && !entry.anti_matter)
+        .map(|(comp, entry, ordinal)| (comp.clone(), ordinal, entry)))
 }
 
 /// Fetches many keys (must be sorted ascending). See [`LookupOptions`].
@@ -181,21 +185,14 @@ pub fn lookup_sorted(
     } else {
         // Naive: per key, walk the components newest → oldest.
         for &i in &unresolved {
-            let key = &keys[i];
-            for comp in &components {
-                if let Some(hints) = opts.id_hints {
-                    if !comp.id().overlaps(&hints[i]) {
-                        continue;
-                    }
-                }
-                if !comp.bloom_may_contain(storage, key) {
-                    continue;
-                }
-                if let Some((entry, ordinal)) = comp.search(key)? {
-                    if comp.is_valid(ordinal) && !entry.anti_matter {
-                        found.push((i, entry));
-                    }
-                    break; // resolved (live, deleted, or invalidated)
+            let hit = newest_on_disk(storage, &components, &keys[i], |comp| {
+                opts.id_hints
+                    .is_none_or(|hints| comp.id().overlaps(&hints[i]))
+            })?;
+            // Found means resolved: live, deleted, or invalidated.
+            if let Some((comp, entry, ordinal)) = hit {
+                if comp.is_valid(ordinal) && !entry.anti_matter {
+                    found.push((i, entry));
                 }
             }
         }
@@ -206,53 +203,43 @@ pub fn lookup_sorted(
 /// One batch of the batched algorithm (Section 3.2): probe each component
 /// once, in ascending key order, dropping resolved keys as we go.
 fn lookup_batch(
-    storage: &Arc<lsm_storage::Storage>,
+    storage: &Storage,
     keys: &[Key],
     batch: &[usize],
     components: &[Arc<DiskComponent>],
     opts: &LookupOptions<'_>,
     found: &mut FoundEntries,
 ) -> Result<()> {
-    let mut remaining: Vec<usize> = batch.to_vec();
+    // Hashed once per batch; `remaining` holds positions into `batch`.
+    let hashes: Vec<KeyHash> = batch.iter().map(|&i| KeyHash::new(&keys[i])).collect();
+    let mut remaining: Vec<usize> = (0..batch.len()).collect();
+    let mut still_unresolved: Vec<usize> = Vec::with_capacity(batch.len());
+    let mut verdicts: Vec<bool> = Vec::with_capacity(batch.len());
     for comp in components {
         if remaining.is_empty() {
             break;
         }
-        // Batched Bloom pre-pass: probe every key that survives
-        // component-ID pruning in ONE filter call, so blocked filters can
-        // resolve all block loads before the in-block probes (and the
-        // B+-tree probe loop below stays branch-simple). Pruned keys are
-        // never probed, so the bloom-check stats match the naive path.
-        let candidates: Vec<&[u8]> = remaining
-            .iter()
-            .filter(|&&i| {
-                opts.id_hints
-                    .is_none_or(|hints| comp.id().overlaps(&hints[i]))
-            })
-            .map(|&i| keys[i].as_slice())
-            .collect();
-        let mut verdicts: Vec<bool> = Vec::new();
-        comp.bloom_may_contain_batch(storage, &candidates, &mut verdicts);
-        let mut vi = 0usize;
+        // Bloom pre-pass: every key that survives component-ID pruning is
+        // probed (pruned keys never are, so the bloom-check stats match
+        // the naive path) and the component's probes are billed together,
+        // which leaves the B+-tree probe loop below branch-simple.
+        let mut tally = BloomTally::default();
+        verdicts.clear();
+        verdicts.extend(remaining.iter().map(|&j| {
+            opts.id_hints
+                .is_none_or(|hints| comp.id().overlaps(&hints[batch[j]]))
+                && comp.bloom_probe(hashes[j], &mut tally)
+        }));
+        tally.apply(storage);
         let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
-        let mut still_unresolved: Vec<usize> = Vec::with_capacity(remaining.len());
-        for &i in &remaining {
-            let key = &keys[i];
-            if let Some(hints) = opts.id_hints {
-                if !comp.id().overlaps(&hints[i]) {
-                    still_unresolved.push(i);
-                    continue;
-                }
-            }
-            let positive = verdicts[vi];
-            vi += 1;
-            if !positive {
-                still_unresolved.push(i);
-                continue;
-            }
-            let hit = match &mut cursor {
-                Some(c) => c.seek_pinned(key)?,
-                None => comp.btree().search_pinned(key)?,
+        for (&j, &positive) in remaining.iter().zip(&verdicts) {
+            let i = batch[j];
+            let hit = if !positive {
+                None
+            } else if let Some(c) = &mut cursor {
+                c.seek_pinned(&keys[i])?
+            } else {
+                comp.btree().search_pinned(&keys[i])?
             };
             match hit {
                 Some((raw, ordinal)) => {
@@ -262,10 +249,11 @@ fn lookup_batch(
                     }
                     // resolved either way: newest version seen
                 }
-                None => still_unresolved.push(i),
+                None => still_unresolved.push(j),
             }
         }
-        remaining = still_unresolved;
+        std::mem::swap(&mut remaining, &mut still_unresolved);
+        still_unresolved.clear();
     }
     Ok(())
 }
@@ -273,8 +261,12 @@ fn lookup_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{LsmOptions, LsmTree};
+    use crate::bitmap::AtomicBitmap;
+    use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
+    use lsm_bloom::{build_filter, BloomFilter, BloomKind};
     use lsm_storage::{Storage, StorageOptions};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn key(i: u32) -> Key {
         format!("k{i:06}").into_bytes()
@@ -461,6 +453,434 @@ mod tests {
         assert!(locate_valid(&t, &key(40)).unwrap().is_none());
         // point_lookup treats the invalidated entry as deleted too.
         assert!(point_lookup(&t, &key(40)).unwrap().is_none());
+    }
+
+    // ---- differential + pinned-cost tests ----------------------------------
+
+    /// Bloom rate of the generated trees: high, so false positives (a
+    /// probe that passes the filter and misses the B+-tree) are common.
+    const FPR: f64 = 0.2;
+    /// Generated keys are `[k]` for `k` below this; `[k + KEYS]` is absent.
+    const KEYS: u8 = 48;
+
+    /// One generated source: `(key, anti-matter?, bitmap bit set?)` per
+    /// entry, keys from a small domain so sources overlap heavily.
+    type SourceSpec = Vec<(u8, bool, bool)>;
+
+    fn arb_sources() -> impl Strategy<Value = Vec<SourceSpec>> {
+        let entry = (0..KEYS, 0..4u8, 0..5u8).prop_map(|(k, anti, dead)| (k, anti == 0, dead == 0));
+        proptest::collection::vec(proptest::collection::vec(entry, 0..24), 1..41)
+    }
+
+    /// The model's view of one entry of one source.
+    #[derive(Debug, Clone)]
+    struct Row {
+        entry: LsmEntry,
+        ordinal: u64,
+        dead: bool,
+    }
+
+    /// A generated tree next to what the model knows of it. Disk source
+    /// `rank` (0 = newest) has ID `(10·age + 1, 10·age + 10)` where `age`
+    /// counts from the oldest, and `filters[rank]` probes exactly like the
+    /// component's own Bloom filter (same kind, sizing and keys).
+    struct Fixture {
+        tree: LsmTree,
+        mem: BTreeMap<Key, LsmEntry>,
+        disk: Vec<BTreeMap<Key, Row>>,
+        filters: Vec<Box<dyn BloomFilter>>,
+    }
+
+    fn disk_id(age: usize) -> ComponentId {
+        ComponentId::new(10 * age as u64 + 1, 10 * age as u64 + 10)
+    }
+
+    fn fixture(specs: &[SourceSpec], with_mem: bool, kind: BloomKind) -> Fixture {
+        let tree = LsmTree::new(
+            Storage::new(StorageOptions::test()),
+            LsmOptions {
+                bloom_kind: kind,
+                bloom_fpr: FPR,
+                ..LsmOptions::default()
+            },
+        );
+        let mut fx = Fixture {
+            tree,
+            mem: BTreeMap::new(),
+            disk: Vec::new(),
+            filters: Vec::new(),
+        };
+        let (mem_spec, disk_specs) = specs.split_at(usize::from(with_mem));
+        // Oldest first, so `push_newest` leaves rank 0 in front.
+        for (age, spec) in disk_specs.iter().rev().enumerate() {
+            let distinct: BTreeMap<u8, (bool, bool)> = spec
+                .iter()
+                .map(|&(k, anti, dead)| (k, (anti, dead)))
+                .collect();
+            let id = disk_id(age);
+            let mut builder = ComponentBuilder::new(
+                fx.tree.storage().clone(),
+                id,
+                BuildOptions {
+                    bloom_kind: kind,
+                    bloom_fpr: FPR,
+                    expected_keys: distinct.len(),
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            let mut filter = build_filter(kind, distinct.len(), FPR);
+            let mut rows = BTreeMap::new();
+            let bitmap = AtomicBitmap::new(distinct.len() as u64);
+            for (ordinal, (k, (anti, dead))) in distinct.into_iter().enumerate() {
+                let entry = if anti {
+                    LsmEntry::anti_matter_ts(id.max_ts)
+                } else {
+                    LsmEntry::put_ts(vec![age as u8, k], id.max_ts)
+                };
+                builder.add(&[k], &entry).unwrap();
+                filter.insert(&[k]);
+                if dead {
+                    bitmap.set(ordinal as u64);
+                }
+                let ordinal = ordinal as u64;
+                rows.insert(
+                    vec![k],
+                    Row {
+                        entry,
+                        ordinal,
+                        dead,
+                    },
+                );
+            }
+            let comp = Arc::new(builder.finish().unwrap());
+            if rows.values().any(|r| r.dead) {
+                comp.set_bitmap(Arc::new(bitmap)).unwrap();
+            }
+            fx.tree.push_newest(comp);
+            fx.disk.insert(0, rows);
+            fx.filters.insert(0, filter);
+        }
+        let mem_ts = 10 * disk_specs.len() as u64 + 5;
+        for &(k, anti, _) in mem_spec.iter().flatten() {
+            let entry = if anti {
+                LsmEntry::anti_matter_ts(mem_ts)
+            } else {
+                LsmEntry::put_ts(vec![0xEE, k], mem_ts)
+            };
+            fx.tree.put(vec![k], entry.clone(), mem_ts);
+            fx.mem.insert(vec![k], entry);
+        }
+        fx
+    }
+
+    impl Fixture {
+        /// The disk components a walk for some key may enter, as ranks.
+        fn eligible(&self, keep: impl Fn(ComponentId) -> bool) -> Vec<usize> {
+            let n = self.disk.len();
+            (0..n).filter(|&rank| keep(disk_id(n - 1 - rank))).collect()
+        }
+
+        /// The model: insert the eligible sources oldest first; what is
+        /// left under `key` is its newest version and where it lives.
+        fn newest_on_disk(&self, key: &Key, ranks: &[usize]) -> Option<(usize, Row)> {
+            let mut model: BTreeMap<&Key, (usize, &Row)> = BTreeMap::new();
+            for &rank in ranks.iter().rev() {
+                for (k, row) in &self.disk[rank] {
+                    model.insert(k, (rank, row));
+                }
+            }
+            model.get(key).map(|&(rank, row)| (rank, row.clone()))
+        }
+
+        /// What `lookup_sorted` owes for `keys`: `(index, entry)` of every
+        /// key whose newest eligible version is live.
+        fn sorted_model(&self, keys: &[Key], hints: Option<&[ComponentId]>) -> FoundEntries {
+            let mut want = FoundEntries::new();
+            for (i, key) in keys.iter().enumerate() {
+                if let Some(e) = self.mem.get(key) {
+                    if !e.anti_matter {
+                        want.push((i, e.clone()));
+                    }
+                    continue;
+                }
+                let ranks = self.eligible(|id| hints.is_none_or(|h| id.overlaps(&h[i])));
+                if let Some((_, row)) = self.newest_on_disk(key, &ranks) {
+                    if !row.dead && !row.entry.anti_matter {
+                        want.push((i, row.entry));
+                    }
+                }
+            }
+            want
+        }
+    }
+
+    /// One pID hint per key of [`all_keys`], from generated `(start, span)`.
+    fn arb_hints() -> impl Strategy<Value = Vec<ComponentId>> {
+        let hint =
+            (0..420u64, 0..60u64).prop_map(|(lo, len)| ComponentId::new(lo + 1, lo + 1 + len));
+        proptest::collection::vec(hint, 2 * KEYS as usize)
+    }
+
+    fn all_keys() -> Vec<Key> {
+        (0..2 * KEYS).map(|k| vec![k]).collect()
+    }
+
+    fn sorted_by_index(mut found: FoundEntries) -> FoundEntries {
+        found.sort_by_key(|(i, _)| *i);
+        found
+    }
+
+    const SORTED_MODES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every lookup entry point against the `BTreeMap` model, over
+        // present, overwritten, deleted, invalidated and absent keys.
+        #[test]
+        fn lookup_matches_btreemap_model(
+            specs in arb_sources(),
+            with_mem in any::<bool>(),
+            blocked in any::<bool>(),
+            prune_age in 0..42usize,
+            hints in arb_hints(),
+            keys_per_batch in 0..9usize,
+        ) {
+            let kind = if blocked { BloomKind::Blocked } else { BloomKind::Standard };
+            let fx = fixture(&specs, with_mem, kind);
+            let t = &fx.tree;
+            let keys = all_keys();
+            let prune_ts = 10 * prune_age as u64 + 3; // mid-interval: never a boundary
+            let every = fx.eligible(|_| true);
+            let unpruned = fx.eligible(|id| !id.at_or_before(prune_ts));
+
+            for key in &keys {
+                let newest = fx.newest_on_disk(key, &every);
+                let want = match fx.mem.get(key) {
+                    Some(e) => Some(e.clone()),
+                    None => newest.clone().filter(|(_, row)| !row.dead).map(|(_, row)| row.entry),
+                };
+                prop_assert_eq!(point_lookup(t, key).unwrap(), want);
+
+                let want = newest
+                    .filter(|(_, row)| !row.dead && !row.entry.anti_matter)
+                    .map(|(rank, row)| (disk_id(fx.disk.len() - 1 - rank), row.ordinal, row.entry));
+                let got = locate_valid(t, key).unwrap().map(|(c, ord, e)| (c.id(), ord, e));
+                prop_assert_eq!(got, want);
+
+                let on_disk = fx.newest_on_disk(key, &unpruned).map(|(_, row)| row.entry);
+                prop_assert_eq!(
+                    newest_disk_version_after(t, key, prune_ts).unwrap(),
+                    on_disk.clone()
+                );
+                let want = fx.mem.get(key).cloned().or(on_disk);
+                prop_assert_eq!(newest_version_after(t, key, prune_ts).unwrap(), want);
+            }
+
+            for id_hints in [None, Some(hints.as_slice())] {
+                let want = fx.sorted_model(&keys, id_hints);
+                for (batched, stateful) in SORTED_MODES {
+                    let opts = LookupOptions { batched, stateful, keys_per_batch, id_hints };
+                    let got = sorted_by_index(lookup_sorted(t, &keys, &opts).unwrap());
+                    prop_assert_eq!(&got, &want, "batched={} stateful={}", batched, stateful);
+                }
+            }
+        }
+
+        // The bill of a lookup, pinned: one memtable op per memory probe,
+        // and per key a walk newest → oldest over the eligible components
+        // that pays one Bloom probe (k misses for a standard filter, one
+        // miss + k − 1 hits for a blocked one) per component entered, one
+        // tree search per probe that passes, and stops at the first hit.
+        #[test]
+        fn lookup_cost_is_pinned(
+            specs in arb_sources(),
+            with_mem in any::<bool>(),
+            blocked in any::<bool>(),
+            prune_age in 0..42usize,
+            hints in arb_hints(),
+        ) {
+            let kind = if blocked { BloomKind::Blocked } else { BloomKind::Standard };
+            let fx = fixture(&specs, with_mem, kind);
+            let t = &fx.tree;
+            let s = t.storage().clone();
+            let cpu = *s.cpu();
+            let keys = all_keys();
+            let comps = t.disk_components();
+            let probe_ns = |f: &dyn BloomFilter| {
+                let k = u64::from(f.num_probes());
+                if f.is_blocked() {
+                    cpu.bloom_probe_miss_ns + (k - 1) * cpu.bloom_probe_hit_ns
+                } else {
+                    k * cpu.bloom_probe_miss_ns
+                }
+            };
+            // (cpu_ns, bloom_checks, bloom_negatives) of one key's walk.
+            let walk = |key: &Key, ranks: &[usize]| {
+                let mut bill = (0u64, 0u64, 0u64);
+                for &rank in ranks {
+                    let filter = fx.filters[rank].as_ref();
+                    bill.0 += probe_ns(filter);
+                    bill.1 += 1;
+                    if !filter.may_contain(key) {
+                        bill.2 += 1;
+                        continue;
+                    }
+                    let before = s.stats().cpu_ns;
+                    let hit = comps[rank].search(key).unwrap();
+                    bill.0 += s.stats().cpu_ns - before;
+                    if hit.is_some() {
+                        break;
+                    }
+                }
+                bill
+            };
+            let measure = |run: &dyn Fn()| {
+                let before = s.stats();
+                run();
+                let d = s.stats().since(&before);
+                (d.cpu_ns, d.bloom_checks, d.bloom_negatives)
+            };
+            let add = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 + b.0, a.1 + b.1, a.2 + b.2);
+            let mem_op = (cpu.memtable_op_ns, 0, 0);
+
+            let prune_ts = 10 * prune_age as u64 + 3;
+            let every = fx.eligible(|_| true);
+            let unpruned = fx.eligible(|id| !id.at_or_before(prune_ts));
+            for key in &keys {
+                let on_disk = walk(key, &every);
+                let want = if fx.mem.contains_key(key) { mem_op } else { add(mem_op, on_disk) };
+                prop_assert_eq!(measure(&|| { point_lookup(t, key).unwrap(); }), want);
+                prop_assert_eq!(measure(&|| { locate_valid(t, key).unwrap(); }), on_disk);
+                let want = walk(key, &unpruned);
+                let got = measure(&|| { newest_disk_version_after(t, key, prune_ts).unwrap(); });
+                prop_assert_eq!(got, want);
+            }
+
+            for id_hints in [None, Some(hints.as_slice())] {
+                let mut want = (0, 0, 0);
+                for (i, key) in keys.iter().enumerate() {
+                    want = add(want, mem_op);
+                    if !fx.mem.contains_key(key) {
+                        let ranks = fx.eligible(|id| id_hints.is_none_or(|h| id.overlaps(&h[i])));
+                        want = add(want, walk(key, &ranks));
+                    }
+                }
+                for (batched, stateful) in SORTED_MODES {
+                    let opts = LookupOptions { batched, stateful, keys_per_batch: 7, id_hints };
+                    let got = measure(&|| { lookup_sorted(t, &keys, &opts).unwrap(); });
+                    if stateful {
+                        // The cursor searches leaves its own way; the
+                        // filters it passes through are the same.
+                        prop_assert_eq!((got.1, got.2), (want.1, want.2));
+                    } else {
+                        prop_assert_eq!(got, want, "batched={}", batched);
+                    }
+                }
+            }
+        }
+    }
+
+    // ---- component-list snapshots -------------------------------------------
+
+    /// Readers looking up a fixed key set while a writer overwrites,
+    /// flushes and merges never miss a key: a lookup runs against the
+    /// memory component plus one immutable component list, whatever the
+    /// writer installs meanwhile. The writer starts each round only after
+    /// a reader finished another pass, so every round overlaps lookups.
+    #[test]
+    fn lookups_never_miss_a_key_while_flushes_and_merges_swap_the_list() {
+        const N: u32 = 300;
+        const ROUNDS: u32 = 12;
+        let t = LsmTree::new(Storage::new(StorageOptions::test()), LsmOptions::default());
+        let mut ts = 0u64;
+        let write = |lo: u32, hi: u32, ts: &mut u64| {
+            for i in lo..hi {
+                *ts += 1;
+                t.put(
+                    key(i),
+                    LsmEntry::put_ts(ts.to_be_bytes().to_vec(), *ts),
+                    *ts,
+                );
+            }
+        };
+        for third in 0..3 {
+            write(third * N / 3, (third + 1) * N / 3, &mut ts);
+            t.flush().unwrap();
+        }
+        let keys: Vec<Key> = (0..N).map(key).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (pass_tx, pass_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            for reader in 0..2 {
+                let (t, keys, done, pass_tx) = (&t, &keys, &done, pass_tx.clone());
+                scope.spawn(move || {
+                    while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                        for k in keys {
+                            let e = point_lookup(t, k).unwrap();
+                            assert!(e.is_some_and(|e| !e.anti_matter), "reader {reader} missed");
+                        }
+                        for (batched, stateful) in SORTED_MODES {
+                            let opts = LookupOptions {
+                                batched,
+                                stateful,
+                                keys_per_batch: 64,
+                                id_hints: None,
+                            };
+                            let found = lookup_sorted(t, keys, &opts).unwrap();
+                            assert_eq!(found.len(), keys.len(), "reader {reader} missed");
+                        }
+                        let _ = pass_tx.send(());
+                    }
+                });
+            }
+            drop(pass_tx);
+            for round in 0..ROUNDS {
+                pass_rx.recv().expect("a reader is running");
+                write(round * 20, round * 20 + 60, &mut ts);
+                t.flush().unwrap();
+                if round % 2 == 1 {
+                    let end = t.num_disk_components() - 1;
+                    t.merge_range(crate::MergeRange { start: 0, end }).unwrap();
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        assert_eq!(
+            lookup_sorted(&t, &keys, &LookupOptions::default())
+                .unwrap()
+                .len(),
+            keys.len()
+        );
+    }
+
+    /// A snapshot taken before a merge still reads the components the merge
+    /// retired; their files go only when the last holder lets go.
+    #[test]
+    fn a_held_snapshot_outlives_the_merge_that_retired_it() {
+        let t = sample_tree();
+        let s = t.storage().clone();
+        let held = t.disk_components();
+        assert_eq!(held.len(), 3);
+        t.merge_range(crate::MergeRange { start: 0, end: 2 })
+            .unwrap();
+        assert_eq!(t.num_disk_components(), 1);
+        assert_eq!(held.len(), 3, "an install never edits a list in place");
+
+        s.clear_cache(); // reads below must reach the retired files
+        let (e, _) = held[2].search(&key(50)).unwrap().unwrap();
+        assert_eq!(e.value, b"v1");
+        let (e, _) = held[1].search(&key(150)).unwrap().unwrap();
+        assert_eq!(e.value, b"v2");
+        assert!(held[0].search(&key(270)).unwrap().unwrap().0.anti_matter);
+
+        let files: Vec<_> = held.iter().map(|c| c.btree().file()).collect();
+        drop(held);
+        for f in files {
+            assert!(s.read_page(f, 0).is_err(), "{f:?} outlived its last reader");
+        }
+        assert_eq!(point_lookup(&t, &key(150)).unwrap().unwrap().value, b"v2");
     }
 
     #[test]

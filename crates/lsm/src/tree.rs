@@ -174,9 +174,16 @@ impl ComponentBuilder {
     }
 }
 
+/// An immutable snapshot of a tree's disk components, newest first.
+/// Taking one is a reference-count bump; installs publish a new list and
+/// never touch one a reader already holds, so a snapshot keeps every
+/// component in it (and the files of any a merge has since retired) alive
+/// and readable for as long as it is held.
+pub type ComponentList = Arc<[Arc<DiskComponent>]>;
+
 /// A captured in-memory run (key-ordered, active merged over sealed) plus
 /// the disk component list — see [`LsmTree::mem_and_disk_snapshot_if`].
-pub type TreeSnapshot = (Option<Vec<(Key, LsmEntry)>>, Vec<Arc<DiskComponent>>);
+pub type TreeSnapshot = (Option<Vec<(Key, LsmEntry)>>, ComponentList);
 
 /// One atomically sealed memory generation: the per-shard immutable runs
 /// (indexed like the active shard vector; `None` = shard was empty) and
@@ -218,8 +225,11 @@ pub struct LsmTree {
     /// snapshots into disk components; readers see both (active wins).
     sealed: RwLock<Option<Arc<SealedGen>>>,
     /// Disk components, newest first (as drawn in Figure 1, reading
-    /// right-to-left).
-    disk: RwLock<Vec<Arc<DiskComponent>>>,
+    /// right-to-left). The list behind the `Arc` is never mutated: the
+    /// four installers (`install_sealed`, `replace_range`, `push_newest`,
+    /// `uninstall_newest`) build a new list and swap it in under the write
+    /// lock; readers hold the read lock only for the reference-count bump.
+    disk: RwLock<ComponentList>,
 }
 
 impl std::fmt::Debug for LsmTree {
@@ -244,7 +254,7 @@ impl LsmTree {
                 .collect(),
             mem_bytes_total: AtomicUsize::new(0),
             sealed: RwLock::new(None),
-            disk: RwLock::new(Vec::new()),
+            disk: RwLock::new(Arc::new([])),
         }
     }
 
@@ -467,7 +477,7 @@ impl LsmTree {
     ) -> TreeSnapshot {
         let guards = self.lock_all_shards();
         let sealed_guard = self.sealed.read();
-        let disk = self.disk.read().clone();
+        let disk = self.disk_components();
         let mut filter: Option<RangeFilter> = None;
         let mut fold = |f: &RangeFilter| match &mut filter {
             Some(acc) => acc.union(f),
@@ -506,8 +516,8 @@ impl LsmTree {
 
     // ---- disk components ---------------------------------------------------
 
-    /// Disk components, newest first.
-    pub fn disk_components(&self) -> Vec<Arc<DiskComponent>> {
+    /// The current disk components, newest first (see [`ComponentList`]).
+    pub fn disk_components(&self) -> ComponentList {
         self.disk.read().clone()
     }
 
@@ -518,17 +528,18 @@ impl LsmTree {
 
     /// Total bytes across disk components.
     pub fn disk_bytes(&self) -> u64 {
-        self.disk.read().iter().map(|c| c.byte_size()).sum()
+        self.disk_components().iter().map(|c| c.byte_size()).sum()
     }
 
     /// Total entries across disk components.
     pub fn disk_entries(&self) -> u64 {
-        self.disk.read().iter().map(|c| c.num_entries()).sum()
+        self.disk_components().iter().map(|c| c.num_entries()).sum()
     }
 
     /// Pushes a component as the newest (recovery / tests).
     pub fn push_newest(&self, comp: Arc<DiskComponent>) {
-        self.disk.write().insert(0, comp);
+        let mut disk = self.disk.write();
+        *disk = std::iter::once(comp).chain(disk.iter().cloned()).collect();
     }
 
     /// Removes the newest disk component and destroys its files. Crash
@@ -541,10 +552,10 @@ impl LsmTree {
     pub fn uninstall_newest(&self) -> Option<ComponentId> {
         let comp = {
             let mut disk = self.disk.write();
-            if disk.is_empty() {
-                return None;
-            }
-            disk.remove(0)
+            let (newest, rest) = disk.split_first()?;
+            let newest = newest.clone();
+            *disk = rest.into();
+            newest
         };
         let id = comp.id();
         comp.retire();
@@ -718,7 +729,9 @@ impl LsmTree {
     /// [`LsmTree::mem_and_disk_snapshot_if`] capture sees them exactly once.
     pub fn install_sealed(&self, comps: Vec<Arc<DiskComponent>>) {
         let mut sealed = self.sealed.write();
-        self.disk.write().splice(0..0, comps);
+        let mut disk = self.disk.write();
+        *disk = comps.into_iter().chain(disk.iter().cloned()).collect();
+        drop(disk);
         *sealed = None;
     }
 
@@ -766,7 +779,7 @@ impl LsmTree {
     /// at least two generations, keeping it distinguishable from any flush
     /// generation's interval — recovery relies on that).
     pub fn select_merge(&self, policy: &dyn MergePolicy) -> Option<MergeRange> {
-        let disk = self.disk.read();
+        let disk = self.disk_components();
         let groups = Self::generation_groups(&disk);
         let sizes: Vec<u64> = groups.iter().map(|g| g.2).collect();
         let r = policy.select(&sizes)?;
@@ -780,7 +793,7 @@ impl LsmTree {
     /// Returns an empty vector when the range no longer fits the component
     /// list (a stale plan after a concurrent merge).
     pub fn components_in_range(&self, range: MergeRange) -> Vec<Arc<DiskComponent>> {
-        let disk = self.disk.read();
+        let disk = self.disk_components();
         let n = disk.len();
         if range.end >= n || range.start > range.end {
             return Vec::new();
@@ -875,7 +888,14 @@ impl LsmTree {
             }
             let lo = n - 1 - range.end;
             let hi = n - 1 - range.start;
-            disk.splice(lo..=hi, [new_comp]).collect()
+            let removed = disk[lo..=hi].to_vec();
+            *disk = disk[..lo]
+                .iter()
+                .cloned()
+                .chain([new_comp])
+                .chain(disk[hi + 1..].iter().cloned())
+                .collect();
+            removed
         };
         if destroy_old {
             for c in removed {
@@ -1194,7 +1214,7 @@ mod tests {
         let comps = t.disk_components();
         assert!(comps.len() > 1, "expected several shard components");
         assert!(comps.len() <= 4);
-        for c in &comps {
+        for c in comps.iter() {
             assert_eq!(c.id(), ComponentId::new(1, 100), "shared generation id");
         }
         let total: u64 = comps.iter().map(|c| c.num_entries()).sum();

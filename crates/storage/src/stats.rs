@@ -87,11 +87,12 @@ impl IoStats {
         field.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records a bloom filter check (and whether it pruned).
-    pub fn record_bloom_check(&self, negative: bool) {
-        self.add(&self.bloom_checks, 1);
-        if negative {
-            self.add(&self.bloom_negatives, 1);
+    /// Records `checks` bloom filter checks, `negatives` of which pruned —
+    /// a lookup reports the filters it probed in one call.
+    pub fn record_bloom_checks(&self, checks: u64, negatives: u64) {
+        self.add(&self.bloom_checks, checks);
+        if negatives > 0 {
+            self.add(&self.bloom_negatives, negatives);
         }
     }
 }
@@ -190,8 +191,7 @@ mod tests {
     #[test]
     fn bloom_counters() {
         let s = IoStats::new();
-        s.record_bloom_check(true);
-        s.record_bloom_check(false);
+        s.record_bloom_checks(2, 1);
         let snap = s.snapshot();
         assert_eq!(snap.bloom_checks, 2);
         assert_eq!(snap.bloom_negatives, 1);

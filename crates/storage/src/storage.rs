@@ -262,14 +262,20 @@ impl Storage {
 
     /// Consults the fault plan for an operation of class `op`. Error-like
     /// actions return `Err`; write-mutating actions are returned for
-    /// `append_page` to apply.
-    fn fault_check(&self, op: FaultOp, what: &str) -> Result<Option<FaultAction>> {
+    /// `append_page` to apply. `what` is formatted only when a fault fires,
+    /// so an operation that passes the check allocates nothing for it.
+    fn fault_check(
+        &self,
+        op: FaultOp,
+        what: std::fmt::Arguments<'_>,
+    ) -> Result<Option<FaultAction>> {
         let Some(plan) = self.fault_plan() else {
             return Ok(None);
         };
         let Some(action) = plan.on_op(op) else {
             return Ok(None);
         };
+        let what = &what.to_string();
         self.stats
             .faults_injected
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -356,7 +362,7 @@ impl Storage {
                 self.opts.page_size
             )));
         }
-        let injected = self.fault_check(FaultOp::Append, &format!("append to {file:?}"))?;
+        let injected = self.fault_check(FaultOp::Append, format_args!("append to {file:?}"))?;
         // Rate-limit first: threads that installed a write IoThrottle
         // (background flush builds and merge outputs) pay for the page
         // before it reaches the device, so foreground writers see the
@@ -436,7 +442,7 @@ impl Storage {
     /// Reads one page, going through the buffer cache and charging the
     /// device model on a miss.
     pub fn read_page(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
-        self.fault_check(FaultOp::Read, &format!("read of {file:?}/{page}"))?;
+        self.fault_check(FaultOp::Read, format_args!("read of {file:?}/{page}"))?;
         let data = {
             let files = self.files.read();
             let state = files
@@ -520,7 +526,7 @@ impl Storage {
         }
         self.fault_check(
             FaultOp::Read,
-            &format!("read burst of {file:?}/{page}+{count}"),
+            format_args!("read burst of {file:?}/{page}+{count}"),
         )?;
         let pages = self.page_data_batch(file, page, count)?;
         // Admit all pages; charge only those not already resident. Each
@@ -613,7 +619,7 @@ impl Storage {
 
     /// Deletes a file, dropping its pages and evicting its cached entries.
     pub fn delete_file(&self, file: FileId) -> Result<()> {
-        self.fault_check(FaultOp::Delete, &format!("delete of {file:?}"))?;
+        self.fault_check(FaultOp::Delete, format_args!("delete of {file:?}"))?;
         {
             let mut files = self.files.write();
             let state = files
