@@ -1,19 +1,20 @@
 //! Criterion microbenchmarks, one per layer (real wall-clock, not
 //! simulated): the CPU-level optimizations of Section 3.2 — standard vs
 //! blocked Bloom filter probes, by key and by precomputed hash, cold
-//! B+-tree search vs the stateful cursor — the cache-hit page read
-//! (storage), the record codec and its allocation-free view (common), and
-//! the point lookup and the reconciling merge scan at a small and a large
-//! number of components (lsm).
+//! B+-tree search vs the stateful cursor, the in-leaf search of each leaf
+//! codec over cold pages (btree) — the cache-hit page read (storage), the
+//! record codec and its allocation-free view (common), and the point
+//! lookup, the batched stateful fetch and the reconciling merge scan at a
+//! small and a large number of components (lsm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
-use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
+use lsm_btree::{AnyLeafBuilder, BTree, BTreeBuilder, LeafView, StatefulCursor};
 use lsm_common::{Record, RecordView};
-use lsm_storage::{Storage, StorageOptions};
+use lsm_storage::{LeafEncoding, Storage, StorageOptions};
 use lsm_tree::{
-    point_lookup, BuildOptions, ComponentBuilder, ComponentId, DiskComponent, LsmEntry, LsmOptions,
-    LsmScan, LsmTree, ScanOptions,
+    lookup_sorted, point_lookup, BuildOptions, ComponentBuilder, ComponentId, DiskComponent,
+    LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, ScanOptions,
 };
 use lsm_workload::{TweetConfig, TweetGenerator};
 use std::hint::black_box;
@@ -135,6 +136,53 @@ fn bench_btree_search(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    group.finish();
+}
+
+/// `LeafView::search` on primary-index-shaped leaves — 128 KB pages of
+/// 9-byte keys and ~700-byte values: 4096 searches of present keys per
+/// iteration, consecutive ones in different pages, over 1024 pages, so the
+/// slot and key lines a search touches (~4 MB per iteration) do not stay
+/// in the L2 cache — as in a lookup in a dataset larger than it.
+fn bench_leaf_search(c: &mut Criterion) {
+    const PAGES: u64 = 1024;
+    const PAGE_SIZE: usize = 128 * 1024;
+    let value = vec![b'v'; 700];
+    let mut group = c.benchmark_group("leaf_search");
+    for encoding in [
+        LeafEncoding::Plain,
+        LeafEncoding::Prefix,
+        LeafEncoding::Columnar,
+    ] {
+        let mut next_key = 0u64;
+        // (page, its first key, its number of keys)
+        let pages: Vec<(Vec<u8>, u64, u64)> = (0..PAGES)
+            .map(|_| {
+                let first = next_key;
+                let mut b = AnyLeafBuilder::new(encoding, PAGE_SIZE, first);
+                while b.fits(&next_key.to_be_bytes(), &value) {
+                    b.add(&next_key.to_be_bytes(), &value).unwrap();
+                    next_key += 1;
+                }
+                (b.finish(), first, next_key - first)
+            })
+            .collect();
+        let probes: Vec<(&[u8], [u8; 8])> = (0..4096u64)
+            .map(|j| {
+                let (page, first, count) = &pages[(j * 7919 % PAGES) as usize];
+                (page.as_slice(), (first + j * 61 % count).to_be_bytes())
+            })
+            .collect();
+        group.bench_function(encoding.name(), |b| {
+            b.iter(|| {
+                let hits = probes.iter().filter(|(page, key)| {
+                    let leaf = LeafView::parse(page).unwrap();
+                    leaf.search(key).unwrap().0.is_ok()
+                });
+                assert_eq!(hits.count(), probes.len());
+            })
+        });
+    }
     group.finish();
 }
 
@@ -260,6 +308,72 @@ fn bench_point_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Figure 5 record fetch — `lookup_sorted`, batched, stateful — over 32
+/// warm primary-index-shaped components (128 KB pages, ~700-byte records,
+/// 2048 keys striped into each): `sparse` asks every component for one key
+/// per leaf, the regime of a secondary-index query, where half the tree
+/// probes descend; `dense` asks for 4096 consecutive keys, which ride the
+/// leaf. An iteration fetches 16 key sets, one `lookup_sorted` each, that
+/// together cover every leaf, so the leaves are met out of the L2 cache.
+fn bench_batched_fetch(c: &mut Criterion) {
+    const FAN_IN: u64 = 32;
+    const PER_COMPONENT: u64 = 2048;
+    const SETS: u64 = 16;
+    let storage = Storage::new(StorageOptions {
+        cache_pages: 1 << 12, // fully cached: measure CPU only
+        ..StorageOptions::hdd(0)
+    });
+    let tree = LsmTree::new(storage.clone(), LsmOptions::default());
+    let mut per_leaf = 0;
+    for c in (0..FAN_IN).rev() {
+        let id = ComponentId::new(FAN_IN - c, FAN_IN - c);
+        let opts = BuildOptions {
+            expected_keys: PER_COMPONENT as usize,
+            ..BuildOptions::default()
+        };
+        let mut b = ComponentBuilder::new(storage.clone(), id, opts).unwrap();
+        for i in 0..PER_COMPONENT {
+            let key = i * FAN_IN + c;
+            b.add(&key.to_be_bytes(), &LsmEntry::put(vec![b'v'; 700]))
+                .unwrap();
+        }
+        let comp = b.finish().unwrap();
+        per_leaf = PER_COMPONENT.div_ceil(u64::from(comp.btree().num_leaves()));
+        tree.push_newest(Arc::new(comp));
+    }
+    // Big-endian keys sort like the numbers: both kinds of set ascend.
+    let key = |k: u64| k.to_be_bytes().to_vec();
+    let sparse: Vec<Vec<Vec<u8>>> = (0..SETS)
+        .map(|set| {
+            (set * per_leaf / SETS..PER_COMPONENT)
+                .step_by(per_leaf as usize)
+                .flat_map(|i| (0..FAN_IN).map(move |c| key(i * FAN_IN + c)))
+                .collect()
+        })
+        .collect();
+    let dense: Vec<Vec<Vec<u8>>> = (0..SETS)
+        .map(|set| (set * 4096..(set + 1) * 4096).map(key).collect())
+        .collect();
+    let opts = LookupOptions {
+        batched: true,
+        stateful: true,
+        ..LookupOptions::default()
+    };
+    let mut group = c.benchmark_group("batched_fetch");
+    for (name, sets) in [("sparse", &sparse), ("dense", &dense)] {
+        let fetch_all = || {
+            for keys in sets {
+                assert_eq!(lookup_sorted(&tree, keys, &opts).unwrap().len(), keys.len());
+            }
+        };
+        fetch_all(); // warm the cache
+        group.bench_function(&format!("components_{FAN_IN}/{name}"), |b| {
+            b.iter(fetch_all)
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -270,7 +384,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_record_codec,
-        bench_point_lookup, bench_lsm_scan
+    targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_leaf_search,
+        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan
 }
 criterion_main!(benches);

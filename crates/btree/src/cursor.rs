@@ -10,11 +10,21 @@
 //! * falls back to a root descent only when the probe key leaves the
 //!   current leaf's key range.
 //!
+//! The leaf's key range is bounded by its **fence**: the separator that
+//! follows it on the router page the descent walked (the first key of the
+//! next leaf), so a descent reads nothing of the leaf but what its search
+//! compares. A key below the fence but above the leaf's last key lies in
+//! the gap between two leaves — in no leaf at all; the gallop runs off the
+//! end of the page, and the probe is then redone as the descent a last-key
+//! bound would have sent it on, so every probe returns, counts and charges
+//! what it would under that bound. The rightmost leaf has no fence and is
+//! bounded by its last key.
+//!
 //! Probe keys must be non-decreasing; this is guaranteed by the sorted fetch
 //! lists the engine produces.
 
 use crate::leaf::LeafView;
-use crate::tree::BTree;
+use crate::tree::{pinned_match, BTree};
 use lsm_common::Result;
 use lsm_storage::{PageNo, PageSlice};
 
@@ -32,8 +42,21 @@ pub struct StatefulCursor<'t> {
 struct CursorState {
     leaf_no: PageNo,
     pos: usize,
-    /// Last key of leaf `leaf_no`; rewritten only when the leaf changes.
-    last_key: Vec<u8>,
+    /// Upper bound of the keys leaf `leaf_no` can hold: its fence
+    /// (exclusive) when `fenced`, else its last key (inclusive). Rewritten
+    /// only by a descent.
+    bound: Vec<u8>,
+    fenced: bool,
+}
+
+impl CursorState {
+    fn covers(&self, key: &[u8]) -> bool {
+        if self.fenced {
+            key < self.bound.as_slice()
+        } else {
+            key <= self.bound.as_slice()
+        }
+    }
 }
 
 impl<'t> StatefulCursor<'t> {
@@ -58,67 +81,152 @@ impl<'t> StatefulCursor<'t> {
     /// page instead of being copied — the zero-copy batched-probe path.
     pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
         // Fast path: the remembered leaf still covers `key`.
-        if let Some(state) = &self.state {
-            if key <= state.last_key.as_slice() {
+        if let Some(state) = self.state.as_mut().filter(|s| s.covers(key)) {
+            let data = self.tree.read_leaf(state.leaf_no)?;
+            let leaf = LeafView::parse(&data)?;
+            let (found, cmps) = leaf.exponential_search(key, state.pos)?;
+            // Off the end of the page: a gap key under the fence. Nothing
+            // is counted or charged; the descent below answers it.
+            if found != Err(leaf.count()) {
                 self.leaf_hits += 1;
-                let leaf_no = state.leaf_no;
-                let from = state.pos;
-                return self.probe_leaf(leaf_no, key, from, true);
+                let (Ok(pos) | Err(pos)) = found;
+                state.pos = pos;
+                self.tree.charge_nodes(1, cmps);
+                return pinned_match(&data, &leaf, found);
             }
         }
-        // Slow path: descend from the root.
+        // Slow path: descend from the root, into the bound buffer the
+        // cursor already owns.
         self.descents += 1;
-        let Some(leaf_no) = self.tree.locate_leaf(key)? else {
+        let (prev_leaf, mut bound) = match self.state.take() {
+            Some(s) => (Some(s.leaf_no), s.bound),
+            None => (None, Vec::new()),
+        };
+        let Some((leaf_no, fenced)) = self.tree.locate_leaf_fenced(key, Some(&mut bound))? else {
             return Ok(None);
         };
-        self.probe_leaf(leaf_no, key, 0, false)
-    }
-
-    fn probe_leaf(
-        &mut self,
-        leaf_no: PageNo,
-        key: &[u8],
-        from: usize,
-        exponential: bool,
-    ) -> Result<Option<(PageSlice, u64)>> {
         let data = self.tree.read_leaf(leaf_no)?;
         let leaf = LeafView::parse(&data)?;
-        let (found, cmps) = if exponential {
-            leaf.exponential_search(key, from)?
-        } else {
-            leaf.search(key)?
-        };
-        let storage = self.tree.storage();
-        let cpu = storage.cpu();
-        storage.charge_cpu(cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns);
-
-        let pos = match found {
-            Ok(i) => i,
-            Err(i) => i.min(leaf.count().saturating_sub(1)),
-        };
-        match &mut self.state {
-            Some(state) if state.leaf_no == leaf_no => state.pos = pos,
-            state => {
-                // A new leaf: refill the one key buffer the cursor owns.
-                let mut last_key = state.take().map(|s| s.last_key).unwrap_or_default();
-                last_key.clear();
-                if let Some(k) = leaf.last_key()? {
-                    last_key.extend_from_slice(&k);
-                }
-                *state = Some(CursorState {
-                    leaf_no,
-                    pos,
-                    last_key,
-                });
+        let (found, cmps) = leaf.search(key)?;
+        // No fence: the rightmost leaf, bounded by its last key — which
+        // `bound` still holds when the descent came back to the same leaf.
+        if !fenced && prev_leaf != Some(leaf_no) {
+            bound.clear();
+            if let Some(k) = leaf.last_key()? {
+                bound.extend_from_slice(&k);
             }
         }
-        match found {
-            Ok(i) => {
-                let (_, v) = leaf.entry(i)?;
-                let ordinal = leaf.base_ordinal() + i as u64;
-                Ok(Some((PageSlice::from_subslice(&data, v), ordinal)))
+        let (Ok(pos) | Err(pos)) = found;
+        self.state = Some(CursorState {
+            leaf_no,
+            pos: pos.min(leaf.count().saturating_sub(1)),
+            bound,
+            fenced,
+        });
+        self.tree.charge_nodes(1, cmps);
+        pinned_match(&data, &leaf, found)
+    }
+}
+
+/// The last-key cursor, the differential test's oracle: it bounds the
+/// remembered leaf by a copy of the leaf's own last key, taken on every
+/// descent that changes leaf, and so never meets a gap key on its fast
+/// path. What it returns, counts and charges defines what
+/// [`StatefulCursor`](super::StatefulCursor) must.
+#[cfg(test)]
+mod oracle {
+    use crate::leaf::LeafView;
+    use crate::tree::BTree;
+    use lsm_common::Result;
+    use lsm_storage::{PageNo, PageSlice};
+
+    pub struct StatefulCursor<'t> {
+        tree: &'t BTree,
+        state: Option<CursorState>,
+        pub descents: u64,
+        pub leaf_hits: u64,
+    }
+
+    struct CursorState {
+        leaf_no: PageNo,
+        pos: usize,
+        last_key: Vec<u8>,
+    }
+
+    impl<'t> StatefulCursor<'t> {
+        pub fn new(tree: &'t BTree) -> Self {
+            StatefulCursor {
+                tree,
+                state: None,
+                descents: 0,
+                leaf_hits: 0,
             }
-            Err(_) => Ok(None),
+        }
+
+        pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
+            // Fast path: the remembered leaf still covers `key`.
+            if let Some(state) = &self.state {
+                if key <= state.last_key.as_slice() {
+                    self.leaf_hits += 1;
+                    let leaf_no = state.leaf_no;
+                    let from = state.pos;
+                    return self.probe_leaf(leaf_no, key, from, true);
+                }
+            }
+            // Slow path: descend from the root.
+            self.descents += 1;
+            let Some(leaf_no) = self.tree.locate_leaf(key)? else {
+                return Ok(None);
+            };
+            self.probe_leaf(leaf_no, key, 0, false)
+        }
+
+        fn probe_leaf(
+            &mut self,
+            leaf_no: PageNo,
+            key: &[u8],
+            from: usize,
+            exponential: bool,
+        ) -> Result<Option<(PageSlice, u64)>> {
+            let data = self.tree.read_leaf(leaf_no)?;
+            let leaf = LeafView::parse(&data)?;
+            let (found, cmps) = if exponential {
+                leaf.exponential_search(key, from)?
+            } else {
+                leaf.search(key)?
+            };
+            let storage = self.tree.storage();
+            let cpu = storage.cpu();
+            storage.charge_cpu(cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns);
+
+            let pos = match found {
+                Ok(i) => i,
+                Err(i) => i.min(leaf.count().saturating_sub(1)),
+            };
+            match &mut self.state {
+                Some(state) if state.leaf_no == leaf_no => state.pos = pos,
+                state => {
+                    // A new leaf: refill the one key buffer the cursor owns.
+                    let mut last_key = state.take().map(|s| s.last_key).unwrap_or_default();
+                    last_key.clear();
+                    if let Some(k) = leaf.last_key()? {
+                        last_key.extend_from_slice(&k);
+                    }
+                    *state = Some(CursorState {
+                        leaf_no,
+                        pos,
+                        last_key,
+                    });
+                }
+            }
+            match found {
+                Ok(i) => {
+                    let (_, v) = leaf.entry(i)?;
+                    let ordinal = leaf.base_ordinal() + i as u64;
+                    Ok(Some((PageSlice::from_subslice(&data, v), ordinal)))
+                }
+                Err(_) => Ok(None),
+            }
         }
     }
 }
@@ -127,7 +235,8 @@ impl<'t> StatefulCursor<'t> {
 mod tests {
     use super::*;
     use crate::builder::BTreeBuilder;
-    use lsm_storage::{Storage, StorageOptions};
+    use lsm_storage::{LeafEncoding, Storage, StorageOptions};
+    use proptest::prelude::*;
 
     fn build(n: u32) -> BTree {
         let s = Storage::new(StorageOptions::test());
@@ -224,5 +333,93 @@ mod tests {
             cursor_cpu < cold_cpu,
             "cursor {cursor_cpu} vs cold {cold_cpu}"
         );
+    }
+
+    // ---- differential test against the last-key cursor ---------------------
+
+    /// Entry counts giving trees of height 1, 2 and 3 on 256-byte pages.
+    const SIZES: [u32; 3] = [6, 120, 900];
+    const ENCODINGS: [LeafEncoding; 3] = [
+        LeafEncoding::Plain,
+        LeafEncoding::Prefix,
+        LeafEncoding::Columnar,
+    ];
+
+    /// Stored keys are the even numbers below `2 * n`; odd numbers and
+    /// everything from `2 * n` up are absent.
+    fn numbered(i: u32) -> Vec<u8> {
+        format!("k{i:05}").into_bytes()
+    }
+
+    fn small_page_tree(n: u32, encoding: LeafEncoding) -> BTree {
+        let s = Storage::new(StorageOptions {
+            page_size: 256,
+            leaf_encoding: encoding,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s);
+        for i in 0..n {
+            b.add(&numbered(2 * i), format!("v{i}").as_bytes()).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Every probe of a sorted sequence — present keys, absent keys
+        // inside a leaf, keys in the gap between two leaves (below the
+        // fence, above the last key), keys past the last leaf, repeats —
+        // returns, counts and charges what the last-key cursor does.
+        #[test]
+        fn fenced_cursor_matches_the_last_key_cursor(
+            size in 0..3usize,
+            encoding in 0..3usize,
+            picks in proptest::collection::vec((0..2048u32, any::<bool>()), 0..80),
+            every_gap in any::<bool>(),
+        ) {
+            let n = SIZES[size];
+            let tree = small_page_tree(n, ENCODINGS[encoding]);
+            prop_assert_eq!(tree.height() as usize, size + 1);
+            let mut probes: Vec<Vec<u8>> = Vec::new();
+            for (pick, twice) in picks {
+                // Up to a leaf's worth of keys past the end.
+                let key = numbered(pick % (2 * n + 16));
+                if twice {
+                    probes.push(key.clone());
+                }
+                probes.push(key);
+            }
+            if every_gap {
+                // The odd number just below each leaf's first key.
+                for leaf_no in 1..tree.num_leaves() {
+                    let first = tree.leaf_first_key(leaf_no).unwrap().unwrap();
+                    let first: u32 = std::str::from_utf8(&first[1..]).unwrap().parse().unwrap();
+                    probes.push(numbered(first - 1));
+                }
+            }
+            probes.sort();
+
+            let s = tree.storage().clone();
+            let charged = |run: &mut dyn FnMut() -> Option<(Vec<u8>, u64)>| {
+                let before = s.stats().cpu_ns;
+                let hit = run();
+                (hit, s.stats().cpu_ns - before)
+            };
+            let mut cursor = StatefulCursor::new(&tree);
+            let mut oracle = oracle::StatefulCursor::new(&tree);
+            for key in &probes {
+                let want = charged(&mut || {
+                    oracle.seek_pinned(key).unwrap().map(|(v, ord)| (v.to_vec(), ord))
+                });
+                let got = charged(&mut || cursor.seek(key).unwrap());
+                prop_assert_eq!(&got, &want, "probe {:?}", String::from_utf8_lossy(key));
+                prop_assert_eq!(
+                    (cursor.descents, cursor.leaf_hits),
+                    (oracle.descents, oracle.leaf_hits),
+                    "after probe {:?}", String::from_utf8_lossy(key)
+                );
+            }
+        }
     }
 }

@@ -823,12 +823,14 @@ impl<'a> LeafView<'a> {
         }
     }
 
-    /// Key of the entry at `idx`. For columnar pages this reads only the
-    /// key strip — index-only consumers never touch value bytes.
+    /// Key of the entry at `idx`. Plain pages decode the key alone and
+    /// columnar pages read only the key strip — index-only consumers never
+    /// touch value bytes.
     pub fn key(&self, idx: usize) -> Result<Cow<'a, [u8]>> {
         match self {
+            LeafView::Plain(p) => Ok(Cow::Borrowed(p.key(idx)?)),
+            LeafView::Prefix(p) => p.key(idx),
             LeafView::Columnar(p) => p.key(idx),
-            _ => Ok(self.entry(idx)?.0),
         }
     }
 

@@ -144,27 +144,30 @@ impl<'a> LeafPage<'a> {
         self.base_ordinal
     }
 
-    fn entry_at(&self, idx: usize) -> Result<(&'a [u8], &'a [u8])> {
+    /// The bytes of entry `idx` onward, through its slot.
+    fn entry_bytes(&self, idx: usize) -> Result<&'a [u8]> {
         let slot_off = LEAF_HEADER + idx * 4;
         let off = u32::from_le_bytes(self.data[slot_off..slot_off + 4].try_into().unwrap());
         let heap = &self.data[LEAF_HEADER + self.count * 4..];
-        let rest = heap
-            .get(off as usize..)
-            .ok_or_else(|| Error::corruption("leaf entry offset out of bounds"))?;
-        let (key, n) = get_slice(rest)?;
-        let (value, _) = get_slice(&rest[n..])?;
-        Ok((key, value))
+        heap.get(off as usize..)
+            .ok_or_else(|| Error::corruption("leaf entry offset out of bounds"))
     }
 
     /// Returns the entry at `idx` (panics on out-of-bounds index).
     pub fn entry(&self, idx: usize) -> Result<(&'a [u8], &'a [u8])> {
         assert!(idx < self.count, "leaf index out of bounds");
-        self.entry_at(idx)
+        let rest = self.entry_bytes(idx)?;
+        let (key, n) = get_slice(rest)?;
+        let (value, _) = get_slice(&rest[n..])?;
+        Ok((key, value))
     }
 
-    /// Key of the entry at `idx`.
+    /// Key of the entry at `idx` (panics on out-of-bounds index). Decodes
+    /// the slot and the key alone — what an in-page search compares — and
+    /// leaves the value's header unread.
     pub fn key(&self, idx: usize) -> Result<&'a [u8]> {
-        Ok(self.entry(idx)?.0)
+        assert!(idx < self.count, "leaf index out of bounds");
+        Ok(get_slice(self.entry_bytes(idx)?)?.0)
     }
 
     /// First key (None if the page is empty).
@@ -439,6 +442,22 @@ mod tests {
         assert_eq!(p.search(b"a").unwrap().0, Err(0));
         assert_eq!(p.search(b"c").unwrap().0, Err(1));
         assert_eq!(p.search(b"g").unwrap().0, Err(3));
+    }
+
+    /// A search compares keys and nothing else: a pivot whose value header
+    /// is damaged is passed over (reading that entry still fails).
+    #[test]
+    fn search_decodes_keys_only() {
+        let mut data = build_leaf(&[(b"b", b"1"), (b"d", b"2"), (b"f", b"3")], 0);
+        // The heap ends `… 1 d | 1 2 | 1 f 1 3`: make "d"'s value claim to
+        // run past the page.
+        let value_header = data.len() - 6;
+        data[value_header] = 0xFF;
+        let p = LeafPage::parse(&data).unwrap();
+        assert!(p.entry(1).is_err());
+        assert_eq!(p.key(1).unwrap(), b"d");
+        assert_eq!(p.search(b"f").unwrap().0, Ok(2));
+        assert_eq!(p.exponential_search(b"f", 0).unwrap().0, Ok(2));
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl BTree {
 
     /// Charges `nodes` node visits and the `cmps` key comparisons made
     /// inside them.
-    fn charge_nodes(&self, nodes: u32, cmps: u32) {
+    pub(crate) fn charge_nodes(&self, nodes: u32, cmps: u32) {
         let cpu = self.storage.cpu();
         self.storage.charge_cpu(
             u64::from(nodes) * cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns,
@@ -139,32 +139,65 @@ impl BTree {
     }
 
     /// Walks the router levels down to the leaf page that would contain
-    /// `key`, charging nothing: returns the leaf and the comparisons made
-    /// on the `height - 1` internal pages, for the caller to charge
-    /// together with its own leaf visit. `None` on an empty tree.
-    fn descend(&self, key: &[u8]) -> Result<Option<(PageNo, u32)>> {
+    /// `key`, charging nothing: returns the leaf, the comparisons made on
+    /// the `height - 1` internal pages — for the caller to charge together
+    /// with its own leaf visit — and whether `fence` was written. `None`
+    /// on an empty tree.
+    ///
+    /// A `fence` buffer receives the leaf's exclusive upper bound: the
+    /// separator after the child taken, from the lowest router page that
+    /// has one — the first key of the next leaf, read off a page the walk
+    /// has just searched. The rightmost leaf (and the only leaf of a
+    /// height-1 tree) has none, and the buffer is left as it was.
+    fn descend(
+        &self,
+        key: &[u8],
+        mut fence: Option<&mut Vec<u8>>,
+    ) -> Result<Option<(PageNo, u32, bool)>> {
         if self.meta.height == 0 {
             return Ok(None);
         }
         let mut page_no = self.meta.root;
         let mut cmps = 0;
+        let mut fenced = false;
         for _ in 1..self.meta.height {
             let data = self.storage.read_page(self.file, page_no)?;
-            let (_, child, c) = InternalPage::parse(&data)?.route(key)?;
+            let page = InternalPage::parse(&data)?;
+            let (idx, child, c) = page.route(key)?;
+            if let Some(fence) = fence.as_deref_mut() {
+                if idx + 1 < page.count() {
+                    fence.clear();
+                    fence.extend_from_slice(page.entry(idx + 1)?.0);
+                    fenced = true;
+                }
+            }
             cmps += c;
             page_no = child;
         }
-        Ok(Some((page_no, cmps)))
+        Ok(Some((page_no, cmps, fenced)))
     }
 
     /// Descends to the leaf page that would contain `key`.
     /// Returns `None` on an empty tree.
     pub fn locate_leaf(&self, key: &[u8]) -> Result<Option<PageNo>> {
-        let Some((leaf_no, cmps)) = self.descend(key)? else {
+        Ok(self
+            .locate_leaf_fenced(key, None)?
+            .map(|(leaf_no, _)| leaf_no))
+    }
+
+    /// [`BTree::locate_leaf`] for the stateful cursor: same walk, same
+    /// charge, and `fence` receives the leaf's exclusive upper bound when
+    /// the router has one (see `descend`); the flag says whether it did.
+    pub(crate) fn locate_leaf_fenced(
+        &self,
+        key: &[u8],
+        fence: Option<&mut Vec<u8>>,
+    ) -> Result<Option<(PageNo, bool)>> {
+        let Some((leaf_no, cmps, fenced)) = self.descend(key, fence)? else {
             return Ok(None);
         };
         self.charge_nodes(self.meta.height - 1, cmps);
-        Ok(Some(leaf_no))
+        Ok(Some((leaf_no, fenced)))
     }
 
     /// Point lookup. Returns `(value, global ordinal)` if the key exists.
@@ -178,21 +211,14 @@ impl BTree {
     /// [`BTree::search`] copies at the same spot callers always paid. The
     /// whole root-to-leaf walk is charged in one call.
     pub fn search_pinned(&self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
-        let Some((leaf_no, router_cmps)) = self.descend(key)? else {
+        let Some((leaf_no, router_cmps, _)) = self.descend(key, None)? else {
             return Ok(None);
         };
         let data = self.storage.read_page(self.file, leaf_no)?;
         let leaf = LeafView::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
         self.charge_nodes(self.meta.height, router_cmps + cmps);
-        match found {
-            Ok(idx) => {
-                let (_, v) = leaf.entry(idx)?;
-                let ordinal = leaf.base_ordinal() + idx as u64;
-                Ok(Some((PageSlice::from_subslice(&data, v), ordinal)))
-            }
-            Err(_) => Ok(None),
-        }
+        pinned_match(&data, &leaf, found)
     }
 
     /// Reads and parses leaf page `leaf_no`, returning the raw page bytes.
@@ -253,6 +279,22 @@ impl BTree {
     pub fn destroy(&self) -> Result<()> {
         self.storage.delete_file(self.file)
     }
+}
+
+/// What a point search answers for an in-leaf search result: the matched
+/// entry's value — pinning `data`, the page `leaf` views — and its global
+/// ordinal.
+pub(crate) fn pinned_match(
+    data: &Arc<[u8]>,
+    leaf: &LeafView<'_>,
+    found: std::result::Result<usize, usize>,
+) -> Result<Option<(PageSlice, u64)>> {
+    let Ok(idx) = found else {
+        return Ok(None);
+    };
+    let (_, v) = leaf.entry(idx)?;
+    let ordinal = leaf.base_ordinal() + idx as u64;
+    Ok(Some((PageSlice::from_subslice(data, v), ordinal)))
 }
 
 /// Streaming scan over a key range. Leaves are contiguous pages, so the

@@ -132,8 +132,17 @@ impl Record {
 
     /// Deserializes a record produced by [`Record::encode`].
     pub fn decode(buf: &[u8]) -> Result<Record> {
+        Record::decode_sized(buf, 0)
+    }
+
+    /// [`Record::decode`] for a caller that knows how many fields to expect
+    /// (its schema's arity): the field vector is allocated once, at that
+    /// size, instead of growing. `arity` is a capacity, not a check — the
+    /// result is what [`Record::decode`] returns, whatever the record holds.
+    pub fn decode_sized(buf: &[u8], arity: usize) -> Result<Record> {
+        let values = Vec::with_capacity(arity);
         Ok(Record {
-            values: crate::value::decode_composite(buf)?,
+            values: crate::value::decode_composite_into(buf, values)?,
         })
     }
 }
@@ -193,17 +202,30 @@ impl<'a> RecordView<'a> {
     /// [`Error::Corruption`] when the stored record has no field `idx` — a
     /// record shorter than the schema it is read under.
     pub fn field_bytes(&self, idx: usize) -> Result<&'a [u8]> {
-        if idx >= self.arity {
-            return Err(Error::corruption(format!(
-                "record has {} fields, field {idx} wanted",
-                self.arity
-            )));
+        Self::leading_field(self.buf, idx)
+    }
+
+    /// Field `idx` of the encoded record `buf`, as [`RecordView::field_bytes`]
+    /// returns it, checking fields `0..=idx` only: what follows them is
+    /// neither read nor validated. For a predicate on an early field of a
+    /// record whose every byte something else is about to check anyway — a
+    /// [`Record::decode`] of the rows the predicate keeps, a
+    /// [`RecordView::parse`] of those it drops.
+    pub fn leading_field(buf: &'a [u8], idx: usize) -> Result<&'a [u8]> {
+        let (mut rest, mut have) = (buf, 0);
+        loop {
+            if rest.is_empty() {
+                return Err(Error::corruption(format!(
+                    "record has {have} fields, field {idx} wanted"
+                )));
+            }
+            let len = validate_from(rest)?;
+            if have == idx {
+                return Ok(&rest[..len]);
+            }
+            rest = &rest[len..];
+            have += 1;
         }
-        let mut rest = self.buf;
-        for _ in 0..idx {
-            rest = &rest[validate_from(rest)?..];
-        }
-        Ok(&rest[..validate_from(rest)?])
     }
 
     /// Decodes field `idx` alone.

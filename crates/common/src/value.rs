@@ -281,8 +281,12 @@ pub fn encode_composite(parts: &[Value]) -> Vec<u8> {
 }
 
 /// Decodes all value parts of a composite key.
-pub fn decode_composite(mut buf: &[u8]) -> Result<Vec<Value>> {
-    let mut parts = Vec::new();
+pub fn decode_composite(buf: &[u8]) -> Result<Vec<Value>> {
+    decode_composite_into(buf, Vec::new())
+}
+
+/// [`decode_composite`] into a vector the caller has sized.
+pub(crate) fn decode_composite_into(mut buf: &[u8], mut parts: Vec<Value>) -> Result<Vec<Value>> {
     while !buf.is_empty() {
         let (v, n) = Value::decode_from(buf)?;
         parts.push(v);

@@ -53,6 +53,8 @@ proptest! {
     // `RecordView::parse` accepts exactly what `Record::decode` accepts —
     // over encoded records, intact or with one byte flipped or the tail cut
     // off — and on those every accessor agrees with the decoded record.
+    // Sizing the decode changes nothing it returns, and `leading_field(i)`
+    // sees what decoding the first `i + 1` values sees, and no further.
     #[test]
     fn record_view_agrees_with_decode(
         values in proptest::collection::vec(arb_value(), 0..6),
@@ -60,6 +62,7 @@ proptest! {
             Just(None),
             (any::<usize>(), any::<u8>(), any::<bool>()).prop_map(Some),
         ],
+        sized_for in 0..8usize,
     ) {
         let mut buf = Record::new(values).encode();
         if let Some((at, byte, truncate)) = damage {
@@ -72,6 +75,21 @@ proptest! {
         }
         let (decoded, view) = (Record::decode(&buf), RecordView::parse(&buf));
         prop_assert_eq!(decoded.is_ok(), view.is_ok(), "{:?} vs {:?}", decoded, view);
+        prop_assert_eq!(&Record::decode_sized(&buf, sized_for), &decoded);
+        let mut rest = buf.as_slice();
+        for i in 0..7 {
+            let field = RecordView::leading_field(&buf, i);
+            match Value::decode_from(rest) {
+                Ok((_, n)) => {
+                    prop_assert_eq!(field.unwrap(), &rest[..n], "field {}", i);
+                    rest = &rest[n..];
+                }
+                Err(_) => {
+                    prop_assert!(field.is_err(), "field {}: {:?}", i, field);
+                    break;
+                }
+            }
+        }
         if let (Ok(record), Ok(view)) = (decoded, view) {
             prop_assert_eq!(view.arity(), record.values.len());
             prop_assert_eq!(view.to_record().unwrap(), record.clone());

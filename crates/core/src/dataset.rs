@@ -1727,7 +1727,10 @@ impl Dataset {
             hit = self.second_chance_lookup(&pk_key)?;
         }
         match hit {
-            Some(e) if !e.anti_matter => Ok(Some(Record::decode(&e.value)?)),
+            Some(e) if !e.anti_matter => {
+                let arity = self.cfg.schema.arity();
+                Ok(Some(Record::decode_sized(&e.value, arity)?))
+            }
             _ => Ok(None),
         }
     }

@@ -69,11 +69,22 @@ impl FieldRange {
         }
     }
 
+    /// Is the encoded field value `v` inside the range?
+    fn admits(&self, v: &[u8]) -> bool {
+        self.lo.as_deref().is_none_or(|l| v >= l) && self.hi.as_deref().is_none_or(|h| v <= h)
+    }
+
     /// Does the record satisfy the predicate? A stored record without the
     /// field is corrupt.
     pub(crate) fn holds(&self, record: &RecordView<'_>) -> Result<bool> {
-        let v = record.field_bytes(self.field)?;
-        Ok(self.lo.as_deref().is_none_or(|l| v >= l) && self.hi.as_deref().is_none_or(|h| v <= h))
+        Ok(self.admits(record.field_bytes(self.field)?))
+    }
+
+    /// [`FieldRange::holds`] on stored bytes nothing has validated yet:
+    /// only the fields up to the predicate's are checked, so the caller
+    /// owes the record one whole validation whatever the verdict.
+    pub(crate) fn holds_on_prefix(&self, stored: &[u8]) -> Result<bool> {
+        Ok(self.admits(RecordView::leading_field(stored, self.field)?))
     }
 }
 
@@ -140,7 +151,7 @@ fn scan_candidates(
     let mut scan = LsmScan::new(ds.storage().clone(), mem, comps, lo, hi, opts)?;
     let now = ds.clock().now();
     let mut candidates: Vec<Candidate> = Vec::new();
-    while let Some((key, entry, rank, ordinal)) = scan.next_reconciled()? {
+    while let Some((mut key, entry, rank, ordinal)) = scan.next_reconciled()? {
         if entry.anti_matter {
             continue;
         }
@@ -151,9 +162,12 @@ fn scan_candidates(
             let comp = &comps[idx];
             (comp.repaired_ts(), comp.id(), Some((idx, ordinal)))
         };
-        let (_, pk) = split_sk_pk(&key)?;
+        // The candidate's pk is the tail of the scanned key: it keeps the
+        // key's buffer, minus the secondary-key prefix.
+        let sk_len = split_sk_pk(&key)?.0.len();
+        key.drain(..sk_len);
         candidates.push(Candidate {
-            pk_key: pk.to_vec(),
+            pk_key: key,
             ts: entry.ts,
             repaired_ts,
             source_id,
@@ -357,13 +371,19 @@ impl FetchPlan {
             found.sort_by_key(|(i, _)| *i);
         }
         let direct = self.opts.validation == ValidationMethod::Direct;
+        let arity = ds.config().schema.arity();
         let mut records = Vec::with_capacity(found.len());
         for (_, entry) in found {
-            // Direct validation re-checks the predicate on the stored bytes;
-            // only the survivors are decoded.
-            if !direct || self.predicate.holds(&RecordView::parse(&entry.value)?)? {
-                records.push(Record::decode(&entry.value)?);
+            // Direct validation re-checks the predicate where its field
+            // lies, reading the stored bytes only up to it. Every record is
+            // then validated once, whole — a survivor by its decode, a
+            // dropped one in place — so damage anywhere in a stored record
+            // fails the query and never just shortens its result.
+            if direct && !self.predicate.holds_on_prefix(&entry.value)? {
+                RecordView::parse(&entry.value)?;
+                continue;
             }
+            records.push(Record::decode_sized(&entry.value, arity)?);
         }
         Ok(records)
     }

@@ -255,6 +255,72 @@ mod tests {
         }
     }
 
+    /// The Direct re-check reads a stored record only up to the predicate's
+    /// field, so what validates the rest must run whatever the verdict:
+    /// bad UTF-8 in a later field fails the query both when the row would
+    /// have been returned (its decode finds it) and when it would have been
+    /// dropped (a stale index entry over a record now out of range) — a
+    /// damaged row is never silently missing from a result.
+    #[test]
+    fn damage_after_the_predicate_field_fails_the_query_either_way() {
+        for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
+            let schema = Schema::new(vec![
+                ("id", FieldType::Int),
+                ("user_id", FieldType::Int),
+                ("message", FieldType::Str),
+            ])
+            .unwrap();
+            let mut cfg = DatasetConfig::new(schema, 0);
+            cfg.strategy = strategy;
+            cfg.merge_repair = false;
+            cfg.memory_budget = usize::MAX;
+            cfg.secondary_indexes = vec![SecondaryIndexDef {
+                name: "user_id".into(),
+                field: 1,
+            }];
+            for (stored_uid, survives) in [(7, true), (50, false)] {
+                let ds =
+                    Dataset::open(Storage::new(StorageOptions::test()), None, cfg.clone()).unwrap();
+                let tweet = |id: i64, uid: i64| {
+                    Record::new(vec![
+                        Value::Int(id),
+                        Value::Int(uid),
+                        Value::Str("hello".into()),
+                    ])
+                };
+                for i in 0..20 {
+                    ds.insert(&tweet(i, i % 10)).unwrap();
+                }
+                ds.flush_all().unwrap();
+                let direct = || {
+                    ds.query("user_id")
+                        .range(0, 9)
+                        .validation(ValidationMethod::Direct)
+                };
+                assert_eq!(direct().execute().unwrap().records().len(), 20);
+
+                // Overwrite record 7 (indexed under user_id 7) in place with
+                // a copy whose message is not UTF-8.
+                let mut damaged = tweet(7, stored_uid).encode();
+                let at = damaged.len() - 4; // inside "hello"
+                damaged[at] = 0xFF;
+                let ts = ds.clock().now();
+                ds.primary().put(
+                    crate::keys::encode_pk(&Value::Int(7)),
+                    lsm_tree::LsmEntry::put_ts(damaged, ts),
+                    ts,
+                );
+                let streamed = direct().stream().and_then(Iterator::collect);
+                for result in [direct().execute(), streamed.map(QueryResult::Records)] {
+                    assert!(
+                        matches!(result, Err(lsm_common::Error::Corruption(_))),
+                        "{strategy:?} survives={survives}: {result:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn eager_queries_accurate() {
         check_query_correctness(StrategyKind::Eager, None);

@@ -27,7 +27,7 @@ use crate::entry::LsmEntry;
 use crate::tree::LsmTree;
 use lsm_bloom::KeyHash;
 use lsm_btree::StatefulCursor;
-use lsm_common::{Key, Result, Timestamp};
+use lsm_common::{Error, Key, Result, Timestamp};
 use lsm_storage::Storage;
 use std::sync::Arc;
 
@@ -143,7 +143,8 @@ pub fn locate_valid(
         .map(|(comp, entry, ordinal)| (comp.clone(), ordinal, entry)))
 }
 
-/// Fetches many keys (must be sorted ascending). See [`LookupOptions`].
+/// Fetches many keys, which must be sorted ascending (repeats allowed;
+/// [`Error::InvalidArgument`] otherwise). See [`LookupOptions`].
 ///
 /// The memory component is read live through `tree` and the disk-component
 /// list is captured *after* the memory pass, so an entry mid-flush is seen
@@ -160,7 +161,11 @@ pub fn lookup_sorted(
     if keys.is_empty() {
         return Ok(found);
     }
-    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
+    // The stateful cursor only moves forward: a key behind its position
+    // would be reported absent, so order is checked, not assumed.
+    if !keys.is_sorted() {
+        return Err(Error::invalid("lookup_sorted: keys must be ascending"));
+    }
     // The memory component is always checked first (it is the newest);
     // the disk list is captured after, closing the flush-install window.
     let mut unresolved: Vec<usize> = Vec::with_capacity(keys.len());
@@ -210,50 +215,55 @@ fn lookup_batch(
     opts: &LookupOptions<'_>,
     found: &mut FoundEntries,
 ) -> Result<()> {
+    /// Marks a slot of `remaining` whose key a component resolved.
+    const RESOLVED: usize = usize::MAX;
     // Hashed once per batch; `remaining` holds positions into `batch`.
     let hashes: Vec<KeyHash> = batch.iter().map(|&i| KeyHash::new(&keys[i])).collect();
     let mut remaining: Vec<usize> = (0..batch.len()).collect();
-    let mut still_unresolved: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut verdicts: Vec<bool> = Vec::with_capacity(batch.len());
+    // Slots of `remaining` whose key passed the component's filter.
+    let mut positives: Vec<usize> = Vec::new();
     for comp in components {
         if remaining.is_empty() {
             break;
         }
         // Bloom pre-pass: every key that survives component-ID pruning is
         // probed (pruned keys never are, so the bloom-check stats match
-        // the naive path) and the component's probes are billed together,
-        // which leaves the B+-tree probe loop below branch-simple.
+        // the naive path) and the component's probes are billed together.
+        // Most verdicts are negative, so the B+-tree probe loop below runs
+        // over the positives alone.
         let mut tally = BloomTally::default();
-        verdicts.clear();
-        verdicts.extend(remaining.iter().map(|&j| {
-            opts.id_hints
+        positives.clear();
+        for (slot, &j) in remaining.iter().enumerate() {
+            if opts
+                .id_hints
                 .is_none_or(|hints| comp.id().overlaps(&hints[batch[j]]))
                 && comp.bloom_probe(hashes[j], &mut tally)
-        }));
-        tally.apply(storage);
-        let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
-        for (&j, &positive) in remaining.iter().zip(&verdicts) {
-            let i = batch[j];
-            let hit = if !positive {
-                None
-            } else if let Some(c) = &mut cursor {
-                c.seek_pinned(&keys[i])?
-            } else {
-                comp.btree().search_pinned(&keys[i])?
-            };
-            match hit {
-                Some((raw, ordinal)) => {
-                    let entry = LsmEntry::decode_slice(raw)?;
-                    if comp.is_valid(ordinal) && !entry.anti_matter {
-                        found.push((i, entry));
-                    }
-                    // resolved either way: newest version seen
-                }
-                None => still_unresolved.push(j),
+            {
+                positives.push(slot);
             }
         }
-        std::mem::swap(&mut remaining, &mut still_unresolved);
-        still_unresolved.clear();
+        tally.apply(storage);
+        let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
+        let mut resolved = false;
+        for &slot in &positives {
+            let i = batch[remaining[slot]];
+            let hit = match &mut cursor {
+                Some(c) => c.seek_pinned(&keys[i])?,
+                None => comp.btree().search_pinned(&keys[i])?,
+            };
+            if let Some((raw, ordinal)) = hit {
+                let entry = LsmEntry::decode_slice(raw)?;
+                if comp.is_valid(ordinal) && !entry.anti_matter {
+                    found.push((i, entry));
+                }
+                // resolved either way: newest version seen
+                remaining[slot] = RESOLVED;
+                resolved = true;
+            }
+        }
+        if resolved {
+            remaining.retain(|&j| j != RESOLVED);
+        }
     }
     Ok(())
 }
@@ -881,6 +891,35 @@ mod tests {
             assert!(s.read_page(f, 0).is_err(), "{f:?} outlived its last reader");
         }
         assert_eq!(point_lookup(&t, &key(150)).unwrap().unwrap().value, b"v2");
+    }
+
+    /// A key behind the stateful cursor's position would read as absent,
+    /// so unsorted input is an error in every build — not a `debug_assert!`
+    /// that an optimized build drops.
+    #[test]
+    fn descending_keys_are_rejected_not_missed() {
+        let t = sample_tree();
+        let keys = vec![key(120), key(50)];
+        for (batched, stateful) in SORTED_MODES {
+            let opts = LookupOptions {
+                batched,
+                stateful,
+                ..LookupOptions::default()
+            };
+            let res = lookup_sorted(&t, &keys, &opts);
+            assert!(
+                matches!(res, Err(Error::InvalidArgument(_))),
+                "batched={batched} stateful={stateful}: {res:?}"
+            );
+        }
+        // Repeats are in order.
+        let keys = vec![key(50), key(50)];
+        let opts = LookupOptions {
+            batched: true,
+            stateful: true,
+            ..LookupOptions::default()
+        };
+        assert_eq!(lookup_sorted(&t, &keys, &opts).unwrap().len(), 2);
     }
 
     #[test]
