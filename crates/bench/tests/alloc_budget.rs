@@ -1,4 +1,4 @@
-//! Allocation budgets of the hot read calls.
+//! Allocation budgets of the hot read and write calls.
 //!
 //! A warm `Dataset::get` of a present key owes its caller four
 //! allocations — the encoded primary key, and the returned `Record`'s
@@ -6,7 +6,9 @@
 //! cache-hit `Storage::read_page` owes none; a secondary-index query owes
 //! each returned row its `Record` (three) and the candidate key the fetch
 //! looked it up by, and is allowed one and a half more per row for the
-//! scan's reconciliation and the vectors that grow with the result.
+//! scan's reconciliation and the vectors that grow with the result. On
+//! the write side, a warm upsert owes six and a merge owes each output
+//! entry its scanned key plus a share of its page (at most two in all).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, so nothing else
 //! may run beside the measured calls. Each budget is checked on the
@@ -14,11 +16,12 @@
 //! process can only add to a trial.
 
 use lsm_bench::alloc_track::{allocations, CountingAlloc};
-use lsm_bench::{prepare_dataset, Env, EnvConfig};
+use lsm_bench::{apply, prepare_dataset, Env, EnvConfig};
 use lsm_common::Value;
 use lsm_engine::StrategyKind;
 use lsm_storage::{Storage, StorageOptions};
-use lsm_workload::{UpdateDistribution, USER_ID_DOMAIN};
+use lsm_tree::{LsmEntry, LsmOptions, LsmTree, MergeRange};
+use lsm_workload::{Op, UpdateDistribution, USER_ID_DOMAIN};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -90,4 +93,50 @@ fn hot_read_calls_stay_inside_their_allocation_budgets() {
     let per_query = cheapest(4, || assert_eq!(query(), rows));
     let per_row = per_query as f64 / rows as f64;
     assert!(per_row <= 5.5, "{per_row:.2} allocations per returned row");
+
+    // Write path. A Validation upsert with the WAL on and the memtable
+    // under budget (the flush above emptied it; the budget holds hundreds
+    // of these records) owes six: the encoded primary key, the key lock's
+    // table entry, the encoded record, and the keys of the primary,
+    // primary-key and secondary memtable entries. It made 11 before the
+    // log frame was encoded in place; the five that went were the
+    // `LogRecord`'s key and value, the `body` / `out` double buffer and
+    // the batch's `Vec<Vec<u8>>`.
+    let mut workload = workload;
+    let ops: Vec<Op> = (0..32).map(|_| workload.next_op()).collect();
+    let mut ops = ops.iter();
+    let per_upsert = cheapest(32, || apply(&ds, ops.next().expect("one op per trial")));
+    // (The lock-order detector copies the held-lock list at every nested
+    // acquisition, and an upsert nests eight: not the engine's count.)
+    assert!(
+        per_upsert <= 6 || cfg!(lock_order_check),
+        "a warm upsert allocated {per_upsert}"
+    );
+
+    // Merge: two primary-shaped components (9-byte keys, timestamped
+    // ~600-byte values, a third of the keys in both). The scan owes each
+    // output entry its key; the builders owe it nothing but their share of
+    // a page (1.27 measured; 5.32 before the builder diet — the encoded
+    // entry, `max_key`, and `last_key` twice).
+    let tree = LsmTree::new(
+        Storage::new(StorageOptions::hdd(64 << 20)),
+        LsmOptions::default(),
+    );
+    let mut ts = 0;
+    for keys in [0..3000u64, 2000..5000] {
+        for k in keys {
+            ts += 1;
+            let value = vec![(k % 251) as u8; 550 + (k % 100) as usize];
+            tree.put(k.to_be_bytes().to_vec(), LsmEntry::put_ts(value, ts), ts);
+        }
+        tree.flush().unwrap();
+    }
+    let before = allocations();
+    let merged = tree.merge_range(MergeRange { start: 0, end: 1 }).unwrap();
+    let per_entry = (allocations() - before) as f64 / merged.num_entries() as f64;
+    assert_eq!(merged.num_entries(), 5000);
+    assert!(
+        per_entry <= 2.0,
+        "{per_entry:.2} allocations per merged entry"
+    );
 }

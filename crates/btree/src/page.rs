@@ -26,7 +26,6 @@ pub struct LeafPageBuilder {
     slots: Vec<u32>,
     heap: Vec<u8>,
     first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
 }
 
 /// Fixed header: base_ordinal (8) + count (2).
@@ -41,9 +40,9 @@ impl LeafPageBuilder {
             page_size,
             base_ordinal,
             slots: Vec::new(),
-            heap: Vec::new(),
+            // Sized once: entries are only accepted while they fit the page.
+            heap: Vec::with_capacity(page_size.saturating_sub(LEAF_HEADER)),
             first_key: None,
-            last_key: None,
         }
     }
 
@@ -74,7 +73,7 @@ impl LeafPageBuilder {
             return Err(Error::Storage("leaf page overflow".into()));
         }
         debug_assert!(
-            self.last_key.as_deref().is_none_or(|lk| lk < key),
+            self.last_key().is_none_or(|lk| lk < key),
             "keys must be strictly ascending"
         );
         if self.heap.len() > u32::MAX as usize {
@@ -86,8 +85,14 @@ impl LeafPageBuilder {
         if self.first_key.is_none() {
             self.first_key = Some(key.to_vec());
         }
-        self.last_key = Some(key.to_vec());
         Ok(())
+    }
+
+    /// The key added last, read back from the heap (the ordering check is
+    /// its only reader, so it is not worth a copy per entry).
+    fn last_key(&self) -> Option<&[u8]> {
+        let start = *self.slots.last()? as usize;
+        get_slice(&self.heap[start..]).ok().map(|(key, _)| key)
     }
 
     /// First key in the page (None if empty).

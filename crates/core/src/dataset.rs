@@ -11,6 +11,7 @@ use crate::config::{DatasetConfig, EngineConfig, MaintenanceMode, StrategyKind};
 use crate::keys::{encode_pk, encode_sk_pk};
 use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
+use crate::txn::wal::Frame;
 use crate::txn::{LockManager, LogOp, LogRecord, Wal};
 use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
@@ -653,24 +654,30 @@ impl Dataset {
             return Ok(());
         }
         if let Some(wal) = &self.wal {
-            let rec = LogRecord {
-                lsn: ts,
-                op,
-                key: key.to_vec(),
-                value: value.to_vec(),
-                update_bit,
-            };
             match sink {
                 LogSink::Immediate => {
                     // Crash *before* the record is even buffered: the
                     // operation is simply not durable, as if the process
                     // died entering the log call.
                     self.crash_site_on(wal.storage(), "wal_append")?;
-                    wal.append(&rec)?;
+                    // Borrowed: the staging page takes the only copy.
+                    wal.append_frame(Frame {
+                        lsn: ts,
+                        op,
+                        update_bit,
+                        key,
+                        value,
+                    })?;
                 }
                 // A batch stages its records and appends them as one group
                 // at commit ([`WriteBatch::commit`](crate::WriteBatch)).
-                LogSink::Staged(buf) => buf.push(rec),
+                LogSink::Staged(buf) => buf.push(LogRecord {
+                    lsn: ts,
+                    op,
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                    update_bit,
+                }),
             }
         }
         Ok(())
@@ -1379,6 +1386,8 @@ impl Dataset {
         }
         {
             let _drain = self.dataset_lock.write();
+            // Exact: the drain lock excludes every writer.
+            let sealing = self.mem_total_bytes() as u64;
             let mut any = self.primary.seal_mem()?;
             if let Some(pk_tree) = &self.pk_index {
                 any |= pk_tree.seal_mem()?;
@@ -1399,6 +1408,9 @@ impl Dataset {
                 }
                 return Ok(flushed);
             }
+            self.stats
+                .flush_sealed_bytes
+                .fetch_add(sealing, std::sync::atomic::Ordering::Relaxed);
         }
         flushed |= self.build_and_install_sealed(mutable_bitmap)?;
         if flushed {
@@ -1994,6 +2006,26 @@ mod tests {
         // Tiering with unlimited cap keeps the component count low.
         assert!(ds.primary().num_disk_components() <= 4);
         assert!(ds.get(&Value::Int(3999)).unwrap().is_some());
+    }
+
+    /// Inline, a flush seals the moment the budget is crossed, so the mean
+    /// flush is one budget plus at most the operation that crossed it.
+    #[test]
+    fn inline_flushes_seal_one_memory_budget() {
+        let mut cfg = config(StrategyKind::Validation);
+        cfg.memory_budget = 32 * 1024;
+        let budget = cfg.memory_budget as f64;
+        let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+        for i in 0..4000 {
+            ds.upsert(&rec(i, "CA", i)).unwrap();
+        }
+        let snap = ds.stats().snapshot();
+        assert!(snap.flushes >= 3, "flushes {}", snap.flushes);
+        let mean = snap.flush_sealed_bytes as f64 / snap.flushes as f64;
+        assert!(
+            (1.0..=1.05).contains(&(mean / budget)),
+            "mean flush of {mean} bytes against a budget of {budget}"
+        );
     }
 
     #[test]

@@ -79,12 +79,39 @@ pub struct RepairReport {
     pub used_merge_scan: bool,
 }
 
-/// One candidate for validation: Figure 7's `(pkey, ts, position)`.
-#[derive(Debug, Clone)]
+/// One candidate for validation: Figure 7's `(pkey, ts, position)`, the
+/// key held as a span of its [`Candidates`] arena.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
-    pkey: Key,
+    key_start: usize,
+    key_len: u32,
     ts: Timestamp,
     position: u64,
+}
+
+/// The sorter's input: every candidate's primary key back to back in one
+/// buffer (a merge collects hundreds of thousands; one `Vec<u8>` each was
+/// an allocation per scanned entry).
+#[derive(Debug, Default)]
+struct Candidates {
+    keys: Vec<u8>,
+    list: Vec<Candidate>,
+}
+
+impl Candidates {
+    fn push(&mut self, pkey: &[u8], ts: Timestamp, position: u64) {
+        self.list.push(Candidate {
+            key_start: self.keys.len(),
+            key_len: pkey.len() as u32,
+            ts,
+            position,
+        });
+        self.keys.extend_from_slice(pkey);
+    }
+}
+
+fn key_of<'a>(keys: &'a [u8], cand: &Candidate) -> &'a [u8] {
+    &keys[cand.key_start..cand.key_start + cand.key_len as usize]
 }
 
 fn unpruned_pk_components(pk_tree: &LsmTree, prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
@@ -109,13 +136,15 @@ fn validate_candidates(
     sec_tree: &LsmTree,
     pk_tree: &LsmTree,
     prune_ts: Timestamp,
-    candidates: &mut [Candidate],
+    candidates: &mut Candidates,
     bitmap: &AtomicBitmap,
     opts: &RepairOptions,
     report: &mut RepairReport,
 ) -> Result<()> {
+    let keys = candidates.keys.as_slice();
+    let candidates = candidates.list.as_mut_slice();
     charge_sort(sec_tree, candidates.len() as u64);
-    candidates.sort_by(|a, b| a.pkey.cmp(&b.pkey));
+    candidates.sort_by(|a, b| key_of(keys, a).cmp(key_of(keys, b)));
     report.keys_validated += candidates.len() as u64;
 
     let effective_prune = match opts.mode {
@@ -143,15 +172,16 @@ fn validate_candidates(
         )?;
         let mut head = scan.next_entry()?;
         for cand in candidates.iter() {
+            let pkey = key_of(keys, cand);
             while let Some((k, _)) = &head {
-                if k.as_slice() < cand.pkey.as_slice() {
+                if k.as_slice() < pkey {
                     head = scan.next_entry()?;
                 } else {
                     break;
                 }
             }
             if let Some((k, e)) = &head {
-                if *k == cand.pkey && e.ts > cand.ts {
+                if k.as_slice() == pkey && e.ts > cand.ts {
                     bitmap.set(cand.position);
                     report.invalidated += 1;
                 }
@@ -161,7 +191,8 @@ fn validate_candidates(
     }
 
     for cand in candidates.iter() {
-        if let Some(found) = newest_disk_version_after(pk_tree, &cand.pkey, effective_prune)? {
+        let pkey = key_of(keys, cand);
+        if let Some(found) = newest_disk_version_after(pk_tree, pkey, effective_prune)? {
             // Invalid iff the same key exists with a larger timestamp
             // (an update or a delete after this entry was written).
             if found.ts > cand.ts {
@@ -234,7 +265,7 @@ pub(crate) fn merge_repair(
             respect_bitmaps: true,
         },
     )?;
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut candidates = Candidates::default();
     while let Some((key, entry)) = scan.next_entry()? {
         if entry.anti_matter && drop_anti {
             continue;
@@ -257,11 +288,7 @@ pub(crate) fn merge_repair(
                 continue;
             }
         }
-        candidates.push(Candidate {
-            pkey: pk_key.to_vec(),
-            ts: entry.ts,
-            position,
-        });
+        candidates.push(pk_key, entry.ts, position);
     }
 
     let n = builder.num_entries();
@@ -306,7 +333,7 @@ pub(crate) fn standalone_repair(
         }
         let old_bitmap = comp.bitmap().map(|b| b.snapshot());
         let bitmap = Arc::new(AtomicBitmap::new(comp.num_entries()));
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut candidates = Candidates::default();
         let mut bscan = comp.btree().scan_all()?;
         while let Some((key, raw, position)) = bscan.next_entry()? {
             report.entries_scanned += 1;
@@ -331,11 +358,7 @@ pub(crate) fn standalone_repair(
                     continue;
                 }
             }
-            candidates.push(Candidate {
-                pkey: pk_key.to_vec(),
-                ts: entry.ts,
-                position,
-            });
+            candidates.push(pk_key, entry.ts, position);
         }
         validate_candidates(
             sec_tree,

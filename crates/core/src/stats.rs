@@ -15,6 +15,12 @@ pub struct EngineStats {
     pub deletes: AtomicU64,
     /// Flush operations.
     pub flushes: AtomicU64,
+    /// Active memory-component bytes (all indexes) at the moment each
+    /// flush sealed them, summed: divided by [`EngineStats::flushes`] it is
+    /// the mean flush size — `memory_budget` inline, between one and two
+    /// budgets in the background (docs/OPERATIONS.md, "Flush size follows
+    /// worker lag").
+    pub flush_sealed_bytes: AtomicU64,
     /// Merge operations.
     pub merges: AtomicU64,
     /// Secondary-index repair operations.
@@ -120,6 +126,7 @@ impl EngineStats {
             upserts: self.upserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
+            flush_sealed_bytes: self.flush_sealed_bytes.load(Ordering::Relaxed),
             merges: self.merges.load(Ordering::Relaxed),
             repairs: self.repairs.load(Ordering::Relaxed),
             maintenance_lookups: self.maintenance_lookups.load(Ordering::Relaxed),
@@ -151,6 +158,7 @@ pub struct EngineStatsSnapshot {
     pub upserts: u64,
     pub deletes: u64,
     pub flushes: u64,
+    pub flush_sealed_bytes: u64,
     pub merges: u64,
     pub repairs: u64,
     pub maintenance_lookups: u64,

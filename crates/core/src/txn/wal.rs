@@ -124,32 +124,88 @@ fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().unwrap())
 }
 
-/// FNV-1a over a record body: cheap, and any zero-fill or truncation a
-/// torn write produces changes it.
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// Bytes a frame spends around its key and value: length prefix (4), LSN
+/// (8), op (1), update bit (1), key and value lengths (4 + 4), checksum (4).
+const FRAME_OVERHEAD: usize = 26;
+
+/// Checksum of a frame body: two independent multiply-xor lanes over
+/// little-endian `u64` words, the tail bytes zero-padded into a last word,
+/// and the body length folded into the seed — so a zero-filled suffix (a
+/// torn write), a truncation (a short write) and a flipped bit all change
+/// it. Not cryptographic; it guards against damage, not forgery.
+fn checksum(data: &[u8]) -> u32 {
+    const K0: u64 = 0x9E37_79B9_7F4A_7C15;
+    const K1: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    let mix = |lane: u64, word: [u8; 8], k: u64| {
+        (lane ^ u64::from_le_bytes(word))
+            .wrapping_mul(k)
+            .rotate_left(31)
+    };
+    let (words, tail) = data.as_chunks::<8>();
+    let mut a = K0 ^ data.len() as u64;
+    let mut b = K1;
+    let mut pairs = words.chunks_exact(2);
+    for pair in &mut pairs {
+        a = mix(a, pair[0], K0);
+        b = mix(b, pair[1], K1);
     }
-    h
+    if let [word] = pairs.remainder() {
+        a = mix(a, *word, K0);
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    b = mix(b, last, K1);
+    let mut h = (a ^ b.rotate_left(17)).wrapping_mul(K0);
+    h ^= h >> 29;
+    h = h.wrapping_mul(K1);
+    (h ^ (h >> 32)) as u32
+}
+
+/// One log record borrowed from whoever is committing it. Every append
+/// goes through this view, so a record's key and value are copied exactly
+/// once — by [`Frame::encode_into`], into the staging page.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    pub(crate) lsn: Timestamp,
+    pub(crate) op: LogOp,
+    pub(crate) update_bit: bool,
+    pub(crate) key: &'a [u8],
+    pub(crate) value: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Encoded length, known before a byte is written.
+    fn len(&self) -> usize {
+        FRAME_OVERHEAD + self.key.len() + self.value.len()
+    }
+
+    /// Appends `[len][lsn][op][update_bit][klen][key][vlen][value][sum]`
+    /// to `page`: `len` counts the body (everything between itself and
+    /// the checksum), which is also what the checksum covers.
+    fn encode_into(&self, page: &mut Vec<u8>) {
+        let start = page.len();
+        page.extend_from_slice(&((self.len() - 8) as u32).to_le_bytes());
+        page.extend_from_slice(&self.lsn.to_le_bytes());
+        page.push(self.op as u8);
+        page.push(u8::from(self.update_bit));
+        page.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
+        page.extend_from_slice(self.key);
+        page.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        page.extend_from_slice(self.value);
+        let sum = checksum(&page[start + 4..]);
+        page.extend_from_slice(&sum.to_le_bytes());
+    }
 }
 
 impl LogRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(18 + self.key.len() + self.value.len());
-        body.extend_from_slice(&self.lsn.to_le_bytes());
-        body.push(self.op as u8);
-        body.push(u8::from(self.update_bit));
-        body.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.key);
-        body.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.value);
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a(&out[4..]).to_le_bytes());
-        out
+    fn frame(&self) -> Frame<'_> {
+        Frame {
+            lsn: self.lsn,
+            op: self.op,
+            update_bit: self.update_bit,
+            key: &self.key,
+            value: &self.value,
+        }
     }
 
     fn decode(buf: &[u8]) -> Result<(LogRecord, usize)> {
@@ -163,7 +219,7 @@ impl LogRecord {
         let sum = buf
             .get(4 + len..8 + len)
             .ok_or_else(|| Error::corruption("truncated log checksum"))?;
-        if le32(sum) != fnv1a(body) {
+        if le32(sum) != checksum(body) {
             return Err(Error::corruption("log record checksum mismatch"));
         }
         if body.len() < 18 {
@@ -273,7 +329,7 @@ impl Wal {
     /// and lets the active leader cover it. No-force: the record is not
     /// durable until the next [`Wal::force`].
     pub fn append(&self, rec: &LogRecord) -> Result<()> {
-        self.append_all(std::slice::from_ref(rec))
+        self.append_batch(std::slice::from_ref(rec))
     }
 
     /// Appends a batch of records under ONE lock acquisition, so a
@@ -281,24 +337,36 @@ impl Wal {
     /// most one leader election. Page rotation still happens per fill —
     /// a large batch simply queues several pages for the same leader.
     pub fn append_batch(&self, recs: &[LogRecord]) -> Result<()> {
-        self.append_all(recs)
-    }
-
-    fn append_all(&self, recs: &[LogRecord]) -> Result<()> {
         if recs.is_empty() {
             return Ok(());
         }
+        self.stage(recs.iter().map(LogRecord::frame))
+    }
+
+    /// [`Wal::append`] for a record whose key and value are still the
+    /// committer's own buffers.
+    pub(crate) fn append_frame(&self, frame: Frame<'_>) -> Result<()> {
+        self.stage(std::iter::once(frame))
+    }
+
+    /// Encodes `frames` into the staging page, in order, under one lock
+    /// acquisition. An oversize frame fails the whole call before anything
+    /// is staged: a batch is never half-logged.
+    fn stage<'a>(&self, frames: impl Iterator<Item = Frame<'a>> + Clone) -> Result<()> {
         let page_size = self.storage.page_size();
-        let encoded: Vec<Vec<u8>> = recs.iter().map(LogRecord::encode).collect();
-        if encoded.iter().any(|b| b.len() > page_size) {
+        if frames.clone().any(|f| f.len() > page_size) {
             return Err(Error::Storage("log record larger than page".into()));
         }
         let mut inner = self.inner.lock();
-        for bytes in &encoded {
-            if inner.page.len() + bytes.len() > page_size {
+        for frame in frames {
+            if inner.page.len() + frame.len() > page_size {
                 inner.rotate_page();
             }
-            inner.page.extend_from_slice(bytes);
+            if inner.page.capacity() == 0 {
+                // One reservation per page, not a regrow per doubling.
+                inner.page.reserve_exact(page_size);
+            }
+            frame.encode_into(&mut inner.page);
             inner.page_records += 1;
         }
         if inner.pending.is_empty() || inner.writer_active {
@@ -498,6 +566,102 @@ impl Wal {
 mod tests {
     use super::*;
     use lsm_storage::StorageOptions;
+    use proptest::prelude::*;
+
+    fn encode(rec: &LogRecord) -> Vec<u8> {
+        let mut frame = Vec::new();
+        rec.frame().encode_into(&mut frame);
+        frame
+    }
+
+    fn arb_record() -> impl Strategy<Value = LogRecord> {
+        let op = prop_oneof![
+            Just(LogOp::Insert),
+            Just(LogOp::Upsert),
+            Just(LogOp::Delete),
+            Just(LogOp::Checkpoint)
+        ];
+        (
+            (any::<u64>(), op, any::<bool>()),
+            proptest::collection::vec(any::<u8>(), 0..40),
+            proptest::collection::vec(any::<u8>(), 0..700),
+        )
+            .prop_map(|((lsn, op, update_bit), key, value)| LogRecord {
+                lsn,
+                op,
+                key,
+                value,
+                update_bit,
+            })
+    }
+
+    proptest! {
+        // What the device can do to a frame — cut it short (`ShortWrite`,
+        // a page boundary), zero its tail (`TornWrite`), flip a bit — is
+        // always noticed; an undamaged frame always comes back.
+        #[test]
+        fn frame_roundtrips_and_damage_is_rejected(
+            rec in arb_record(),
+            flips in proptest::collection::vec(any::<usize>(), 32),
+        ) {
+            let frame = encode(&rec);
+            prop_assert_eq!(frame.len(), 26 + rec.key.len() + rec.value.len());
+            let (back, used) = LogRecord::decode(&frame).unwrap();
+            prop_assert_eq!(&back, &rec);
+            prop_assert_eq!(used, frame.len());
+            // Trailing bytes (the next frame) are not this frame's business.
+            let mut followed = frame.clone();
+            followed.extend_from_slice(&[0xAB; 9]);
+            prop_assert_eq!(LogRecord::decode(&followed).unwrap(), (back, used));
+
+            for cut in 0..frame.len() {
+                prop_assert!(LogRecord::decode(&frame[..cut]).is_err(), "prefix of {cut} bytes accepted");
+            }
+            for keep in 0..frame.len() {
+                let mut torn = frame.clone();
+                torn[keep..].fill(0);
+                if torn != frame {
+                    prop_assert!(LogRecord::decode(&torn).is_err(), "tear after {keep} bytes accepted");
+                }
+            }
+            // Sampled over the whole frame, plus every bit of the length
+            // prefix and of the stored sum.
+            let bits = frame.len() * 8;
+            let edges = (0..32).chain(bits - 32..bits);
+            for bit in flips.iter().map(|f| f % bits).chain(edges) {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(LogRecord::decode(&flipped).is_err(), "flip of bit {bit} accepted");
+            }
+        }
+    }
+
+    /// The page-fill rule is part of the cost contract (`log_bytes_written`,
+    /// `recover_sim_s`): a frame that does not fit the staging page starts
+    /// the next one, and a frame is `26 + key + value` bytes. The expected
+    /// figures were recorded from the commit before the in-place encoder.
+    #[test]
+    fn fixed_stream_fills_pages_as_before() {
+        let w = wal();
+        let mut payload = 0u64;
+        for i in 0..2000u64 {
+            let value_len = 450 + (i * 37 % 101) as usize;
+            payload += 8 + value_len as u64;
+            w.append(&LogRecord {
+                lsn: i + 1,
+                op: LogOp::Upsert,
+                key: (i * 7919).to_be_bytes().to_vec(),
+                value: vec![(i % 251) as u8; value_len],
+                update_bit: i % 3 == 0,
+            })
+            .unwrap();
+        }
+        w.force().unwrap();
+        let io = w.storage().stats();
+        assert_eq!(io.bytes_written, payload + 2000 * 26);
+        assert_eq!((io.pages_written, io.bytes_written), (286, 1_067_983));
+        assert_eq!(w.replay(0, false).unwrap().len(), 2000);
+    }
 
     fn wal() -> Wal {
         Wal::new(Storage::new(StorageOptions::test()))
@@ -516,7 +680,7 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let r = rec(7, LogOp::Upsert);
-        let enc = r.encode();
+        let enc = encode(&r);
         let (back, used) = LogRecord::decode(&enc).unwrap();
         assert_eq!(back, r);
         assert_eq!(used, enc.len());
@@ -588,6 +752,22 @@ mod tests {
             update_bit: false,
         };
         assert!(w.append(&r).is_err());
+    }
+
+    #[test]
+    fn oversized_record_fails_its_whole_batch_before_staging() {
+        let w = wal();
+        let mut batch: Vec<LogRecord> = (1..=3u64).map(|i| rec(i, LogOp::Upsert)).collect();
+        batch[2].value = vec![0; w.storage().page_size()];
+        assert!(w.append_batch(&batch).is_err());
+        // Not even the two records ahead of the oversize one were staged.
+        assert!(w.replay(0, true).unwrap().is_empty());
+        w.force().unwrap();
+        assert_eq!(w.storage().stats().pages_written, 0);
+        // A frame of exactly one page is the largest accepted.
+        batch[2].value = vec![0; w.storage().page_size() - 26 - batch[2].key.len()];
+        w.append_batch(&batch).unwrap();
+        assert_eq!(w.replay(0, true).unwrap().len(), 3);
     }
 
     #[test]

@@ -80,8 +80,17 @@ impl LsmEntry {
 
     /// Serializes the entry.
     pub fn encode(&self) -> Bytes {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serializes the entry into `out`, replacing its contents — a builder
+    /// that encodes one entry after another reuses one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let has_ts = self.ts != NO_TIMESTAMP;
-        let mut out = Vec::with_capacity(1 + if has_ts { 8 } else { 0 } + self.value.len());
+        out.clear();
+        out.reserve(1 + if has_ts { 8 } else { 0 } + self.value.len());
         let mut flags = 0u8;
         if self.anti_matter {
             flags |= FLAG_ANTI_MATTER;
@@ -94,7 +103,6 @@ impl LsmEntry {
             out.extend_from_slice(&self.ts.to_be_bytes());
         }
         out.extend_from_slice(&self.value);
-        out
     }
 
     /// Deserializes an entry produced by [`LsmEntry::encode`], copying the

@@ -91,6 +91,8 @@ pub struct ComponentBuilder {
     bloom: Option<Box<dyn BloomFilter>>,
     filter: Option<RangeFilter>,
     make_mutable_bitmap: bool,
+    /// The entry being added, encoded; reused from one `add` to the next.
+    encoded: Vec<u8>,
 }
 
 /// Options for [`ComponentBuilder`].
@@ -136,6 +138,7 @@ impl ComponentBuilder {
             bloom,
             filter: opts.filter,
             make_mutable_bitmap: opts.make_mutable_bitmap,
+            encoded: Vec::new(),
         })
     }
 
@@ -143,7 +146,8 @@ impl ComponentBuilder {
     /// position in the new component.
     pub fn add(&mut self, key: &[u8], entry: &LsmEntry) -> Result<u64> {
         let ordinal = self.btree.next_ordinal();
-        self.btree.add(key, &entry.encode())?;
+        entry.encode_into(&mut self.encoded);
+        self.btree.add(key, &self.encoded)?;
         if let Some(bloom) = &mut self.bloom {
             bloom.insert(key);
         }
@@ -336,23 +340,28 @@ impl LsmTree {
             .and_then(|s| s.get(key).cloned())
     }
 
-    /// Reads the *active* memory component only — writers that must
-    /// distinguish "replaced in place" from "immutable, mid-flush" (the
-    /// Mutable-bitmap delete probe) use this together with
-    /// [`LsmTree::sealed_get`].
+    /// The header (anti-matter flag and timestamp, payload stripped — see
+    /// [`LsmEntry::key_only`]) of `key`'s entry in the *active* memory
+    /// component only. Writers that must distinguish "replaced in place"
+    /// from "immutable, mid-flush" (the Mutable-bitmap delete probe) use
+    /// this together with [`LsmTree::sealed_get`]; neither needs the
+    /// record, so neither copies it.
     pub fn mem_get_active(&self, key: &[u8]) -> Option<LsmEntry> {
         self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
-        self.mem[self.shard_of(key)].lock().get(key).cloned()
+        self.mem[self.shard_of(key)]
+            .lock()
+            .get(key)
+            .map(LsmEntry::key_only)
     }
 
-    /// Reads the sealed (flushing) snapshot only.
+    /// The header of `key`'s entry in the sealed (flushing) snapshot only.
     pub fn sealed_get(&self, key: &[u8]) -> Option<LsmEntry> {
         let shard = self.shard_of(key);
         self.sealed
             .read()
             .as_ref()
             .and_then(|g| g.shards[shard].as_ref())
-            .and_then(|s| s.get(key).cloned())
+            .and_then(|s| s.get(key).map(LsmEntry::key_only))
     }
 
     /// True if a sealed generation is pending (a flush is mid-build, or a

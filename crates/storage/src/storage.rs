@@ -375,6 +375,25 @@ impl Storage {
                 .write_throttle_wait_ns
                 .fetch_add(waited, std::sync::atomic::Ordering::Relaxed);
         }
+        // What the device ends up holding, built BEFORE the file-table lock:
+        // the page-sized allocation and copy would otherwise sit inside a
+        // write lock every `read_page` in the process queues behind. An
+        // injected torn write keeps the page length but zeroes the tail
+        // (bytes that never reached the platter); a short write truncates
+        // the page outright. Both look like a success to the writer — the
+        // damage is only discovered after the crash.
+        let (stored, torn): (Arc<[u8]>, bool) = match injected {
+            Some(FaultAction::TornWrite { keep_bytes }) => {
+                let mut page = data.to_vec();
+                let keep = keep_bytes.min(page.len());
+                page[keep..].fill(0);
+                (page.into(), true)
+            }
+            Some(FaultAction::ShortWrite { keep_bytes }) => {
+                (data[..keep_bytes.min(data.len())].into(), true)
+            }
+            _ => (data.into(), false),
+        };
         let page_no = {
             let mut files = self.files.write();
             let state = files
@@ -383,31 +402,14 @@ impl Storage {
             if state.deleted {
                 return Err(Error::Storage(format!("file {file:?} is deleted")));
             }
-            // An injected torn write keeps the page length but zeroes the
-            // tail (bytes that never reached the platter); a short write
-            // truncates the page outright. Both look like a success to the
-            // writer — the damage is only discovered after the crash.
-            match injected {
-                Some(FaultAction::TornWrite { keep_bytes }) => {
-                    let mut page = data.to_vec();
-                    let keep = keep_bytes.min(page.len());
-                    page[keep..].fill(0);
-                    state.pages.push(Arc::from(page.as_slice()));
-                    self.stats
-                        .torn_writes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                Some(FaultAction::ShortWrite { keep_bytes }) => {
-                    let keep = keep_bytes.min(data.len());
-                    state.pages.push(Arc::from(&data[..keep]));
-                    self.stats
-                        .torn_writes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                _ => state.pages.push(Arc::from(data)),
-            }
+            state.pages.push(stored);
             (state.pages.len() - 1) as PageNo
         };
+        if torn {
+            self.stats
+                .torn_writes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         let mut seek = 0;
         {
             let mut lw = self.last_write.lock();
@@ -694,6 +696,82 @@ mod tests {
         assert_eq!(&*s.read_page(f, 0).unwrap(), b"hello");
         assert_eq!(&*s.read_page(f, 1).unwrap(), b"world");
         assert_eq!(s.file_pages(f).unwrap(), 2);
+    }
+
+    /// An injected tear keeps the length and zeroes the tail; a short write
+    /// truncates; both report success, count one `torn_writes` each and are
+    /// charged like the full page; an append to a missing file stores and
+    /// counts nothing, whatever was scripted for it.
+    #[test]
+    fn torn_and_short_writes_store_exactly_the_scripted_bytes() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let s = storage();
+        let f = s.create_file();
+        let at = |index, action| FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Append,
+                index,
+            },
+            action,
+        };
+        let plan = FaultPlan::new(vec![
+            at(1, FaultAction::TornWrite { keep_bytes: 3 }),
+            at(2, FaultAction::ShortWrite { keep_bytes: 2 }),
+            at(3, FaultAction::TornWrite { keep_bytes: 99 }),
+            at(4, FaultAction::ShortWrite { keep_bytes: 99 }),
+            at(5, FaultAction::TornWrite { keep_bytes: 1 }),
+        ]);
+        s.install_fault_plan(plan.clone());
+        plan.arm();
+        for _ in 0..5 {
+            s.append_page(f, b"abcdef").unwrap();
+        }
+        assert!(s.append_page(FileId(77), b"abcdef").is_err());
+        s.clear_fault_plan();
+        let stored: Vec<Vec<u8>> = (0..5)
+            .map(|p| s.read_page(f, p).unwrap().to_vec())
+            .collect();
+        assert_eq!(
+            stored,
+            [&b"abcdef"[..], b"abc\0\0\0", b"ab", b"abcdef", b"abcdef"]
+        );
+        let io = s.stats();
+        assert_eq!(io.torn_writes, 4);
+        assert_eq!(io.faults_injected, 5);
+        assert_eq!((io.pages_written, io.bytes_written), (5, 30));
+    }
+
+    /// The page is built before the file table is locked and published by
+    /// one push under it: a reader of another file is never held up by the
+    /// copy, and nobody sees a page number before its bytes are complete.
+    #[test]
+    fn concurrent_readers_never_see_a_half_appended_page() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let s = storage();
+        let (quiet, busy) = (s.create_file(), s.create_file());
+        s.append_page(quiet, &[7u8; 4096]).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..2000u32 {
+                    s.append_page(busy, &[(i % 251) as u8; 4096]).unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    assert!(s.read_page(quiet, 0).unwrap().iter().all(|&b| b == 7));
+                    let n = s.file_pages(busy).unwrap();
+                    if n > 0 {
+                        let page = s.read_page(busy, n - 1).unwrap();
+                        assert_eq!(page.len(), 4096);
+                        let fill = ((n - 1) % 251) as u8;
+                        assert!(page.iter().all(|&b| b == fill), "page {} torn", n - 1);
+                    }
+                }
+            });
+        });
+        assert_eq!(s.file_pages(busy).unwrap(), 2000);
     }
 
     #[test]
