@@ -4,8 +4,9 @@
 //! B+-tree search vs the stateful cursor, the in-leaf search of each leaf
 //! codec over cold pages (btree) — the cache-hit page read (storage), the
 //! record codec and its allocation-free view (common), and the point
-//! lookup, the batched stateful fetch and the reconciling merge scan at a
-//! small and a large number of components (lsm).
+//! lookup, the batched stateful fetch, the reconciling merge scan at a
+//! small and a large number of components, and the whole merge — scan,
+//! reconcile, build — of pk-shaped and primary-shaped entries (lsm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
@@ -14,7 +15,7 @@ use lsm_common::{Record, RecordView};
 use lsm_storage::{LeafEncoding, Storage, StorageOptions};
 use lsm_tree::{
     lookup_sorted, point_lookup, BuildOptions, ComponentBuilder, ComponentId, DiskComponent,
-    LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, ScanOptions,
+    LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, MergeRange, ScanOptions,
 };
 use lsm_workload::{TweetConfig, TweetGenerator};
 use std::hint::black_box;
@@ -216,6 +217,7 @@ fn build_components(
     storage: &Arc<Storage>,
     fan_in: u64,
     per_component: u64,
+    entry_of: impl Fn(u64) -> LsmEntry,
 ) -> Vec<Arc<DiskComponent>> {
     (0..fan_in)
         .map(|c| {
@@ -228,12 +230,16 @@ fn build_components(
             for i in 0..per_component {
                 let own = if i % 10 == 0 { 0 } else { c };
                 let key = i * fan_in + own;
-                b.add(&key.to_be_bytes(), &LsmEntry::put(vec![b'v'; 64]))
-                    .unwrap();
+                b.add(&key.to_be_bytes(), &entry_of(key)).unwrap();
             }
             Arc::new(b.finish().unwrap())
         })
         .collect()
+}
+
+/// The 64-byte untimestamped value the scan and lookup benches store.
+fn small_value(_key: u64) -> LsmEntry {
+    LsmEntry::put(vec![b'v'; 64])
 }
 
 /// The reconciling merge scan over warm pages at fan-in 4 (a merge) and 32
@@ -246,7 +252,7 @@ fn bench_lsm_scan(c: &mut Criterion) {
             cache_pages: 1 << 20, // fully cached: measure CPU only
             ..StorageOptions::test()
         });
-        let comps = build_components(&storage, fan_in, 65_536 / fan_in);
+        let comps = build_components(&storage, fan_in, 65_536 / fan_in, small_value);
         let scan_all = || {
             let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
             let opts = ScanOptions::default();
@@ -263,6 +269,61 @@ fn bench_lsm_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// `LsmTree::merge_range` over warm pages — the scan → reconcile → build
+/// loop every flush-driven merge runs — for the two entry shapes an ingest
+/// merges: `pk` (the primary-key and secondary indexes: a 9-byte key over
+/// a timestamp and no payload, where the cost is per entry) and `primary`
+/// (the same keys over ~500-byte records, where it is per byte), at fan-in
+/// 2 and 4. Time per merge of 65,536 input entries into ~59 k (a tenth of
+/// the keys are in every input): entries / s = 65,536 / time.
+fn bench_merge(c: &mut Criterion) {
+    const ENTRIES: u64 = 65_536;
+    let mut group = c.benchmark_group("merge");
+    for (shape, payload) in [("pk", 0usize), ("primary", 500)] {
+        for fan_in in [2u64, 4] {
+            let storage = Storage::new(StorageOptions {
+                cache_pages: 1 << 20, // fully cached: measure CPU only
+                ..StorageOptions::hdd(0)
+            });
+            let per_component = ENTRIES / fan_in;
+            // A merge retires its inputs, so every sample gets fresh ones;
+            // the previous sample's tree is parked here and freed by the
+            // next (untimed) setup, not inside the measured merge.
+            let done = std::cell::RefCell::new(None);
+            let inputs = || {
+                done.borrow_mut().take();
+                let tree = LsmTree::new(storage.clone(), LsmOptions::default());
+                let entry_of = |key| LsmEntry::put_ts(vec![b'v'; payload], key + 1);
+                for comp in build_components(&storage, fan_in, per_component, entry_of)
+                    .into_iter()
+                    .rev()
+                {
+                    // Read every page once: the merge finds them cached.
+                    let mut scan = comp.btree().scan_all().unwrap();
+                    while scan.advance().unwrap() {}
+                    tree.push_newest(comp);
+                }
+                tree
+            };
+            group.bench_function(&format!("{shape}/fanin_{fan_in}"), |b| {
+                b.iter_batched(
+                    inputs,
+                    |tree| {
+                        let range = MergeRange {
+                            start: 0,
+                            end: fan_in as usize - 1,
+                        };
+                        black_box(tree.merge_range(range).unwrap().num_entries());
+                        done.borrow_mut().replace(tree);
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
 /// `point_lookup` over warm pages with 4 and 32 disk components: 1024
 /// lookups per iteration, of keys spread over all components (`present`)
 /// and of keys no component holds (`absent`: every filter is probed).
@@ -275,7 +336,7 @@ fn bench_point_lookup(c: &mut Criterion) {
         });
         let per_component = 65_536 / fan_in;
         let tree = LsmTree::new(storage.clone(), LsmOptions::default());
-        for comp in build_components(&storage, fan_in, per_component)
+        for comp in build_components(&storage, fan_in, per_component, small_value)
             .into_iter()
             .rev()
         {
@@ -385,6 +446,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_leaf_search,
-        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan
+        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan, bench_merge
 }
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use crate::leaf::AnyLeafBuilder;
 use crate::page::InternalPageBuilder;
 use crate::tree::{BTree, TreeMeta, META_MAGIC};
 use lsm_common::{Error, Result};
-use lsm_storage::{FileId, LeafEncoding, Storage};
+use lsm_storage::{FileId, Storage};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
@@ -24,7 +24,6 @@ pub struct BTreeBuilder {
     storage: Arc<Storage>,
     file: FileId,
     page_size: usize,
-    encoding: LeafEncoding,
     leaf: AnyLeafBuilder,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
     leaf_index: Vec<(Vec<u8>, u32)>,
@@ -42,13 +41,12 @@ impl BTreeBuilder {
     pub fn new(storage: Arc<Storage>) -> Self {
         let file = storage.create_file();
         let page_size = storage.page_size();
-        let encoding = storage.leaf_encoding();
+        let leaf = AnyLeafBuilder::new(storage.leaf_encoding(), page_size, 0);
         BTreeBuilder {
             storage,
             file,
             page_size,
-            encoding,
-            leaf: AnyLeafBuilder::new(encoding, page_size, 0),
+            leaf,
             leaf_index: Vec::new(),
             next_page: 0,
             num_entries: 0,
@@ -100,12 +98,8 @@ impl BTreeBuilder {
             .expect("flush_leaf on empty leaf")
             .to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
-        let page = std::mem::replace(
-            &mut self.leaf,
-            AnyLeafBuilder::new(self.encoding, self.page_size, next_base),
-        );
-        let data = page.finish();
-        let page_no = self.storage.append_page(self.file, &data)?;
+        let page = self.leaf.take_shared(next_base);
+        let page_no = self.storage.append_page_shared(self.file, page)?;
         debug_assert_eq!(page_no, self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
@@ -179,7 +173,7 @@ impl BTreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_storage::StorageOptions;
+    use lsm_storage::{LeafEncoding, StorageOptions};
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())

@@ -43,9 +43,11 @@
 
 use crate::encoding::{get_slice, get_varint, put_slice, put_varint, slice_len, varint_len};
 use crate::page::{LeafPage, LeafPageBuilder};
+use crate::walk::Layout;
 use lsm_common::{Error, Result};
 use lsm_storage::LeafEncoding;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Bit 63 of the base-ordinal word marks a prefix-compressed leaf.
 const PREFIX_FLAG: u64 = 1 << 63;
@@ -242,6 +244,16 @@ impl<'a> PrefixLeafPage<'a> {
 
     fn heap(&self) -> &'a [u8] {
         &self.data[PREFIX_HEADER + self.num_restarts * 4..]
+    }
+
+    /// Where a [`LeafWalk`](crate::walk::LeafWalk) finds the restart array
+    /// and the entry heap.
+    pub(crate) fn layout(&self) -> Layout {
+        Layout::Prefix {
+            interval: self.restart_interval,
+            restarts: PREFIX_HEADER,
+            heap: PREFIX_HEADER + self.num_restarts * 4,
+        }
     }
 
     fn restart_offset(&self, r: usize) -> usize {
@@ -594,6 +606,19 @@ impl<'a> ColumnarLeafPage<'a> {
         &self.data[start..start + self.key_strip_len]
     }
 
+    /// Where a [`LeafWalk`](crate::walk::LeafWalk) finds the restart arrays
+    /// and the two strips.
+    pub(crate) fn layout(&self) -> Layout {
+        let keys = COLUMNAR_HEADER + self.num_restarts * 8;
+        Layout::Columnar {
+            interval: self.restart_interval,
+            key_restarts: COLUMNAR_HEADER,
+            value_restarts: COLUMNAR_HEADER + self.num_restarts * 4,
+            keys,
+            values: keys + self.key_strip_len,
+        }
+    }
+
     fn value_strip(&self) -> &'a [u8] {
         &self.data[COLUMNAR_HEADER + self.num_restarts * 8 + self.key_strip_len..]
     }
@@ -809,6 +834,15 @@ impl<'a> LeafView<'a> {
         }
     }
 
+    /// The page geometry a [`LeafWalk`](crate::walk::LeafWalk) steps by.
+    pub(crate) fn layout(&self) -> Layout {
+        match self {
+            LeafView::Plain(p) => p.layout(),
+            LeafView::Prefix(p) => p.layout(),
+            LeafView::Columnar(p) => p.layout(),
+        }
+    }
+
     /// Returns the entry at `idx` (panics on out-of-bounds index). Keys
     /// borrow from the page where the encoding allows and are reconstructed
     /// (owned) otherwise; values always borrow.
@@ -1006,6 +1040,31 @@ impl AnyLeafBuilder {
             AnyLeafBuilder::Plain(b) => b.finish(),
             AnyLeafBuilder::Prefix(b) => b.finish(),
             AnyLeafBuilder::Columnar(b) => b.finish(),
+        }
+    }
+
+    /// Serializes the page into the shared buffer the storage layer keeps
+    /// and restarts the builder for the leaf whose first entry has ordinal
+    /// `next_base` (see [`LeafPageBuilder::take_shared`]).
+    pub fn take_shared(&mut self, next_base: u64) -> Arc<[u8]> {
+        match self {
+            AnyLeafBuilder::Plain(b) => b.take_shared(next_base),
+            AnyLeafBuilder::Prefix(b) => {
+                let next = PrefixLeafPageBuilder::with_restart_interval(
+                    b.page_size,
+                    next_base,
+                    b.restart_interval,
+                );
+                std::mem::replace(b, next).finish().into()
+            }
+            AnyLeafBuilder::Columnar(b) => {
+                let next = ColumnarLeafPageBuilder::with_restart_interval(
+                    b.page_size,
+                    next_base,
+                    b.restart_interval,
+                );
+                std::mem::replace(b, next).finish().into()
+            }
         }
     }
 }

@@ -8,6 +8,9 @@
 //!   written contiguously so scans are sequential;
 //! * [`tree::BTree`] — point search (returning each entry's global ordinal,
 //!   which validity bitmaps index by), range scans, key-range metadata;
+//! * [`tree::BTreeScan`] — the range scan: a leaf at a time, lending each
+//!   entry as slices of the page it holds (owning wrappers for callers
+//!   that keep entries);
 //! * [`cursor::StatefulCursor`] — the "stateful B+-tree lookup" of
 //!   Section 3.2: remembers the last leaf/position and uses exponential
 //!   search for sorted probe streams;
@@ -29,6 +32,7 @@ pub mod encoding;
 pub mod leaf;
 pub mod page;
 pub mod tree;
+mod walk;
 
 pub use builder::BTreeBuilder;
 pub use cursor::StatefulCursor;

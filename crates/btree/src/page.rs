@@ -17,6 +17,7 @@
 
 use crate::encoding::{get_slice, get_varint, put_slice, put_varint, slice_len};
 use lsm_common::{Error, Result};
+use std::sync::Arc;
 
 /// Builds a leaf page incrementally, respecting a page-size budget.
 #[derive(Debug)]
@@ -100,16 +101,39 @@ impl LeafPageBuilder {
         self.first_key.as_deref()
     }
 
+    /// Writes the page image into `out`, which is `current_size()` long.
+    fn write_into(&self, out: &mut [u8]) {
+        let (header, body) = out.split_at_mut(LEAF_HEADER);
+        header[..8].copy_from_slice(&self.base_ordinal.to_le_bytes());
+        header[8..].copy_from_slice(&(self.slots.len() as u16).to_le_bytes());
+        let (slots, heap) = body.split_at_mut(self.slots.len() * 4);
+        for (dst, slot) in slots.chunks_exact_mut(4).zip(&self.slots) {
+            dst.copy_from_slice(&slot.to_le_bytes());
+        }
+        heap.copy_from_slice(&self.heap);
+    }
+
     /// Serializes the page.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.current_size());
-        out.extend_from_slice(&self.base_ordinal.to_le_bytes());
-        out.extend_from_slice(&(self.slots.len() as u16).to_le_bytes());
-        for s in &self.slots {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        out.extend_from_slice(&self.heap);
+        let mut out = vec![0; self.current_size()];
+        self.write_into(&mut out);
         out
+    }
+
+    /// Serializes the page straight into the shared buffer the storage
+    /// layer keeps ([`lsm_storage::Storage::append_page_shared`]) — the page
+    /// image is written once, where [`LeafPageBuilder::finish`] followed by
+    /// a copying append writes it twice — and restarts the builder, buffers
+    /// kept, for the leaf whose first entry has ordinal `next_base`.
+    pub fn take_shared(&mut self, next_base: u64) -> Arc<[u8]> {
+        let mut page: Arc<[u8]> = std::iter::repeat_n(0, self.current_size()).collect();
+        // INVARIANT: `page` was created on the line above and never cloned.
+        self.write_into(Arc::get_mut(&mut page).expect("a fresh Arc is unshared"));
+        self.base_ordinal = next_base;
+        self.slots.clear();
+        self.heap.clear();
+        self.first_key = None;
+        page
     }
 }
 
@@ -147,6 +171,15 @@ impl<'a> LeafPage<'a> {
     /// Global ordinal of entry 0.
     pub fn base_ordinal(&self) -> u64 {
         self.base_ordinal
+    }
+
+    /// Where a [`LeafWalk`](crate::walk::LeafWalk) finds the slot
+    /// directory and the entry heap.
+    pub(crate) fn layout(&self) -> crate::walk::Layout {
+        crate::walk::Layout::Plain {
+            slots: LEAF_HEADER,
+            heap: LEAF_HEADER + self.count * 4,
+        }
     }
 
     /// The bytes of entry `idx` onward, through its slot.

@@ -8,6 +8,7 @@
 use crate::encoding::get_slice;
 use crate::leaf::LeafView;
 use crate::page::InternalPage;
+use crate::walk::{LeafWalk, Slot, Span};
 use lsm_common::{Error, Result};
 use lsm_storage::{FileId, PageNo, PageSlice, Storage, ValueBuf};
 use std::ops::Bound;
@@ -258,16 +259,7 @@ impl BTree {
                 }
             },
         };
-        Ok(BTreeScan {
-            tree: self.clone(),
-            leaf_no: start_leaf,
-            idx: start_idx,
-            hi,
-            done: self.meta.num_leaves == 0,
-            next_readahead: start_leaf,
-            buffer_start: 0,
-            buffer: Vec::new(),
-        })
+        Ok(BTreeScan::new(self.clone(), start_leaf, start_idx, hi))
     }
 
     /// Scans the whole tree in key order.
@@ -299,90 +291,214 @@ pub(crate) fn pinned_match(
 
 /// Streaming scan over a key range. Leaves are contiguous pages, so the
 /// underlying reads are sequential.
+///
+/// The scan works a leaf at a time: it holds the current leaf's page and
+/// its parsed header once, and [`BTreeScan::advance`] steps to the next
+/// entry without copying it — [`BTreeScan::entry`] lends the key, value and
+/// ordinal as slices that live until the next `advance`. A k-way merge
+/// that must step a source *before* it hands the source's entry on calls
+/// [`BTreeScan::hold`] first: the held entry (and, across a leaf boundary,
+/// its page) stays readable through [`BTreeScan::held`] until the next
+/// `hold`. [`BTreeScan::next_entry`] / [`BTreeScan::next_entry_pinned`]
+/// are the owning wrappers.
 pub struct BTreeScan {
     tree: BTree,
-    leaf_no: PageNo,
-    idx: usize,
     hi: Bound<Vec<u8>>,
     done: bool,
+    /// The leaf [`BTreeScan::advance`] loads once the current one runs out.
+    next_leaf: PageNo,
+    /// Entry index the walk over `next_leaf` starts at (non-zero only for
+    /// the first leaf of a lower-bounded scan).
+    start_idx: usize,
     /// First leaf not yet covered by a read-ahead burst.
     next_readahead: PageNo,
     /// Private scan buffer holding the current burst, so interleaved scans
     /// (k-way merges over many components) do not thrash the shared cache.
     buffer_start: PageNo,
     buffer: Vec<Arc<[u8]>>,
+    /// The current leaf: its page, held once, and the walk over it.
+    leaf: Option<(Arc<[u8]>, LeafWalk)>,
+    /// The current key of a delta-encoded leaf, rebuilt in place.
+    key: Vec<u8>,
+    /// The entry the scan stands on.
+    cur: Slot,
+    /// The entry [`BTreeScan::hold`] was last called on, a copy of its key
+    /// if that lived in `key`, and its page once the scan has left it
+    /// (`None` while it is still `leaf`).
+    held: Slot,
+    held_key: Vec<u8>,
+    held_leaf: Option<Arc<[u8]>>,
+    held_on_leaf: bool,
 }
 
 impl BTreeScan {
+    fn new(tree: BTree, start_leaf: PageNo, start_idx: usize, hi: Bound<Vec<u8>>) -> Self {
+        BTreeScan {
+            done: tree.meta.num_leaves == 0,
+            tree,
+            hi,
+            next_leaf: start_leaf,
+            start_idx,
+            next_readahead: start_leaf,
+            buffer_start: 0,
+            buffer: Vec::new(),
+            leaf: None,
+            key: Vec::new(),
+            cur: Slot::default(),
+            held: Slot::default(),
+            held_key: Vec::new(),
+            held_leaf: None,
+            held_on_leaf: false,
+        }
+    }
+
+    /// Steps to the next entry; `false` at the end of the range. Charges
+    /// one comparison-equivalent per entry stepped onto.
+    pub fn advance(&mut self) -> Result<bool> {
+        loop {
+            if self.done {
+                return Ok(false);
+            }
+            if let Some((page, walk)) = &mut self.leaf {
+                if let Some(slot) = walk.next(page, &mut self.key)? {
+                    let key = slot.key_in(page, &self.key);
+                    let within = match &self.hi {
+                        Bound::Unbounded => true,
+                        Bound::Included(h) => key <= h.as_slice(),
+                        Bound::Excluded(h) => key < h.as_slice(),
+                    };
+                    if !within {
+                        self.done = true;
+                        return Ok(false);
+                    }
+                    self.cur = slot;
+                    // Streaming cost: one comparison-equivalent per entry.
+                    let storage = &self.tree.storage;
+                    storage.charge_cpu(storage.cpu().key_cmp_ns);
+                    return Ok(true);
+                }
+            }
+            if self.next_leaf >= self.tree.meta.num_leaves {
+                self.done = true;
+                return Ok(false);
+            }
+            self.load_next_leaf()?;
+        }
+    }
+
+    /// Makes `next_leaf` the current leaf.
+    fn load_next_leaf(&mut self) -> Result<()> {
+        let leaf_no = self.next_leaf;
+        // Issue a read-ahead burst so the sequential leaf reads are
+        // amortized over one seek (the paper's 4MB read-ahead), and keep
+        // the burst in a private buffer so interleaved scans don't re-pay
+        // for pages evicted from the shared cache.
+        if leaf_no >= self.next_readahead {
+            let ra = self.tree.storage.readahead_pages();
+            let count = ra.min(self.tree.meta.num_leaves - leaf_no);
+            // One batched call charges the burst AND returns the page
+            // handles — no per-page `page_data` re-locking.
+            self.buffer = self
+                .tree
+                .storage
+                .read_pages(self.tree.file, leaf_no, count)?;
+            self.buffer_start = leaf_no;
+            self.next_readahead = leaf_no + count;
+        }
+        let buffered = leaf_no
+            .checked_sub(self.buffer_start)
+            .and_then(|i| self.buffer.get(i as usize));
+        let page = match buffered {
+            Some(page) => page.clone(),
+            None => self.tree.read_leaf(leaf_no)?,
+        };
+        let walk = LeafWalk::open_at(&page, std::mem::take(&mut self.start_idx), &mut self.key)?;
+        let left = self.leaf.replace((page, walk));
+        if std::mem::take(&mut self.held_on_leaf) {
+            self.held_leaf = left.map(|(page, _)| page);
+        }
+        self.next_leaf = leaf_no + 1;
+        Ok(())
+    }
+
+    fn page(&self) -> &[u8] {
+        self.leaf.as_ref().map_or(&[], |(page, _)| page)
+    }
+
+    /// The entry the scan stands on — `(key, value, ordinal)`, lent until
+    /// the next [`BTreeScan::advance`]. Meaningful once `advance` has
+    /// returned `true`.
+    #[inline]
+    pub fn entry(&self) -> (&[u8], &[u8], u64) {
+        let page = self.page();
+        let key = self.cur.key_in(page, &self.key);
+        (key, self.cur.value.of(page), self.cur.ordinal)
+    }
+
+    /// Keeps the entry the scan stands on readable through
+    /// [`BTreeScan::held`] while the scan advances past it, until the next
+    /// `hold`.
+    #[inline]
+    pub fn hold(&mut self) {
+        self.held = self.cur;
+        if self.cur.key.is_none() {
+            self.held_key.clear();
+            self.held_key.extend_from_slice(&self.key);
+        }
+        self.held_leaf = None;
+        self.held_on_leaf = true;
+    }
+
+    fn held_page(&self) -> &[u8] {
+        self.held_leaf.as_deref().unwrap_or_else(|| self.page())
+    }
+
+    /// The entry [`BTreeScan::hold`] was last called on.
+    #[inline]
+    pub fn held(&self) -> (&[u8], &[u8], u64) {
+        let page = self.held_page();
+        let key = self.held.key_in(page, &self.held_key);
+        (key, self.held.value.of(page), self.held.ordinal)
+    }
+
+    /// The held entry's value from byte `from` on, pinning its page — what
+    /// an owning consumer keeps after the scan has moved on.
+    pub fn held_value_pinned(&self, from: usize) -> PageSlice {
+        let page = self.held_leaf.as_ref().or(self.leaf.as_ref().map(|l| &l.0));
+        pin(page, self.held.value, from)
+    }
+
     /// Returns the next `(key, value, ordinal)`, or `None` at end of range.
     #[allow(clippy::type_complexity)]
     pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>, u64)>> {
-        Ok(self
-            .next_entry_pinned()?
-            .map(|(k, v, ord)| (k, v.into_bytes(), ord)))
+        if !self.advance()? {
+            return Ok(None);
+        }
+        let (key, value, ordinal) = self.entry();
+        Ok(Some((key.to_vec(), value.to_vec(), ordinal)))
     }
 
     /// Like [`BTreeScan::next_entry`] but the value pins the scan-buffer
     /// page instead of being copied out — the zero-copy scan path.
     #[allow(clippy::type_complexity)]
     pub fn next_entry_pinned(&mut self) -> Result<Option<(Vec<u8>, ValueBuf, u64)>> {
-        loop {
-            if self.done {
-                return Ok(None);
-            }
-            if self.leaf_no >= self.tree.meta.num_leaves {
-                self.done = true;
-                return Ok(None);
-            }
-            // Issue a read-ahead burst so the sequential leaf reads are
-            // amortized over one seek (the paper's 4MB read-ahead), and keep
-            // the burst in a private buffer so interleaved scans don't
-            // re-pay for pages evicted from the shared cache.
-            if self.leaf_no >= self.next_readahead {
-                let ra = self.tree.storage.readahead_pages();
-                let count = ra.min(self.tree.meta.num_leaves - self.leaf_no);
-                // One batched call charges the burst AND returns the page
-                // handles — no per-page `page_data` re-locking.
-                self.buffer = self
-                    .tree
-                    .storage
-                    .read_pages(self.tree.file, self.leaf_no, count)?;
-                self.buffer_start = self.leaf_no;
-                self.next_readahead = self.leaf_no + count;
-            }
-            let data = if self.leaf_no >= self.buffer_start
-                && ((self.leaf_no - self.buffer_start) as usize) < self.buffer.len()
-            {
-                self.buffer[(self.leaf_no - self.buffer_start) as usize].clone()
-            } else {
-                self.tree.read_leaf(self.leaf_no)?
-            };
-            let leaf = LeafView::parse(&data)?;
-            if self.idx >= leaf.count() {
-                self.leaf_no += 1;
-                self.idx = 0;
-                continue;
-            }
-            let (k, v) = leaf.entry(self.idx)?;
-            let within = match &self.hi {
-                Bound::Unbounded => true,
-                Bound::Included(h) => k.as_ref() <= h.as_slice(),
-                Bound::Excluded(h) => k.as_ref() < h.as_slice(),
-            };
-            if !within {
-                self.done = true;
-                return Ok(None);
-            }
-            let ordinal = leaf.base_ordinal() + self.idx as u64;
-            self.idx += 1;
-            // Streaming cost: one comparison-equivalent per entry.
-            self.tree
-                .storage
-                .charge_cpu(self.tree.storage.cpu().key_cmp_ns);
-            let value = ValueBuf::from(PageSlice::from_subslice(&data, v));
-            return Ok(Some((k.into_owned(), value, ordinal)));
+        if !self.advance()? {
+            return Ok(None);
         }
+        let (key, _, ordinal) = self.entry();
+        let value = pin(self.leaf.as_ref().map(|l| &l.0), self.cur.value, 0);
+        Ok(Some((key.to_vec(), ValueBuf::from(value), ordinal)))
     }
+}
+
+/// `page[span]` from byte `from` of the span on, pinning `page`.
+fn pin(page: Option<&Arc<[u8]>>, span: Span, from: usize) -> PageSlice {
+    let Some(page) = page else {
+        return PageSlice::new(Arc::from([]), 0, 0);
+    };
+    let end = (span.end as usize).min(page.len());
+    let start = (span.start as usize + from).min(end);
+    PageSlice::new(page.clone(), start, end - start)
 }
 
 #[cfg(test)]
@@ -471,6 +587,124 @@ mod tests {
             after.seq_reads,
             after.rand_reads
         );
+    }
+
+    /// The entries of `t` in `[lo, hi]`, read leaf by leaf and index by
+    /// index through [`LeafView::entry`] — the way the scan worked before
+    /// it walked a leaf at a time.
+    #[allow(clippy::type_complexity)]
+    fn entries_by_index(
+        t: &BTree,
+        lo: &Bound<Vec<u8>>,
+        hi: &Bound<Vec<u8>>,
+    ) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+        let mut out = Vec::new();
+        for leaf_no in 0..t.num_leaves() {
+            let data = t.storage().page_data(t.file(), leaf_no).unwrap();
+            let leaf = LeafView::parse(&data).unwrap();
+            for idx in 0..leaf.count() {
+                let (k, v) = leaf.entry(idx).unwrap();
+                let above = match lo {
+                    Bound::Unbounded => true,
+                    Bound::Included(l) => k.as_ref() >= l.as_slice(),
+                    Bound::Excluded(l) => k.as_ref() > l.as_slice(),
+                };
+                let below = match hi {
+                    Bound::Unbounded => true,
+                    Bound::Included(h) => k.as_ref() <= h.as_slice(),
+                    Bound::Excluded(h) => k.as_ref() < h.as_slice(),
+                };
+                if above && below {
+                    out.push((k.into_owned(), v.to_vec(), leaf.base_ordinal() + idx as u64));
+                }
+            }
+        }
+        out
+    }
+
+    fn arb_bound() -> impl proptest::strategy::Strategy<Value = Bound<Vec<u8>>> {
+        use proptest::prelude::*;
+        let key = (0..700u32).prop_map(|i| format!("key{i:05}").into_bytes());
+        prop_oneof![
+            2 => Just(Bound::Unbounded),
+            1 => key.clone().prop_map(Bound::Included),
+            1 => key.prop_map(Bound::Excluded),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        // The lending scan and its owning wrappers against the by-index
+        // read, on every leaf codec: the same entries, one comparison
+        // charged per entry, and a held entry that stays intact while the
+        // scan moves on — across leaf boundaries included.
+        #[test]
+        fn lending_scan_matches_entries_by_index(
+            n in 0..600u32,
+            step in 1..4u32,
+            bounds in (arb_bound(), arb_bound()),
+            encoding in 0..3usize,
+        ) {
+            use lsm_storage::LeafEncoding::{Columnar, Plain, Prefix};
+            let s = Storage::new(StorageOptions {
+                leaf_encoding: [Plain, Prefix, Columnar][encoding],
+                ..StorageOptions::test()
+            });
+            let mut b = BTreeBuilder::new(s.clone());
+            for i in (0..n).map(|i| i * step) {
+                let value = vec![(i % 251) as u8; (i * 7 % 60) as usize];
+                b.add(format!("key{i:05}").as_bytes(), &value).unwrap();
+            }
+            let t = b.finish().unwrap();
+            let (lo, hi) = bounds;
+            let want = entries_by_index(&t, &lo, &hi);
+            let lo_ref = match &lo {
+                Bound::Unbounded => Bound::Unbounded,
+                Bound::Included(k) => Bound::Included(k.as_slice()),
+                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+            };
+            let key_cmp_ns = s.cpu().key_cmp_ns;
+
+            let mut scan = t.scan(lo_ref, hi.clone()).unwrap();
+            let mut held: Option<&(Vec<u8>, Vec<u8>, u64)> = None;
+            for row in &want {
+                let before = s.stats().cpu_ns;
+                proptest::prop_assert!(scan.advance().unwrap());
+                proptest::prop_assert_eq!(s.stats().cpu_ns - before, key_cmp_ns);
+                let (k, v, ord) = scan.entry();
+                proptest::prop_assert_eq!((k, v, ord), (row.0.as_slice(), row.1.as_slice(), row.2));
+                if let Some(h) = held {
+                    let (k, v, ord) = scan.held();
+                    proptest::prop_assert_eq!((k, v, ord), (h.0.as_slice(), h.1.as_slice(), h.2));
+                    proptest::prop_assert_eq!(scan.held_value_pinned(0).to_vec(), h.1.clone());
+                }
+                // Hold every third entry, so a held entry is read back
+                // both right away and two advances later.
+                if row.2 % 3 == 0 {
+                    scan.hold();
+                    held = Some(row);
+                }
+            }
+            let before = s.stats().cpu_ns;
+            proptest::prop_assert!(!scan.advance().unwrap());
+            proptest::prop_assert!(!scan.advance().unwrap());
+            proptest::prop_assert_eq!(s.stats().cpu_ns, before);
+
+            let mut scan = t.scan(lo_ref, hi.clone()).unwrap();
+            let mut pinned = Vec::new();
+            while let Some((k, v, ord)) = scan.next_entry_pinned().unwrap() {
+                proptest::prop_assert!(v.is_pinned());
+                pinned.push((k, v.into_bytes(), ord));
+            }
+            proptest::prop_assert_eq!(&pinned, &want);
+            let mut scan = t.scan(lo_ref, hi).unwrap();
+            let mut owned = Vec::new();
+            while let Some(row) = scan.next_entry().unwrap() {
+                owned.push(row);
+            }
+            proptest::prop_assert_eq!(&owned, &want);
+        }
     }
 
     #[test]

@@ -117,12 +117,12 @@ pub fn merge_primary_with_cc(
                     respect_bitmaps: true,
                 },
             )?;
-            while let Some((key, entry)) = scan.next_entry()? {
-                if entry.anti_matter && drop_anti {
+            while let Some(lent) = scan.next_lent()? {
+                if lent.entry.anti_matter && drop_anti {
                     continue;
                 }
-                p_builder.add(&key, &entry)?;
-                k_builder.add(&key, &entry.key_only())?;
+                p_builder.add_ref(lent.key, lent.entry)?;
+                k_builder.add_ref(lent.key, lent.entry.key_only())?;
             }
         }
         CcMethod::Lock | CcMethod::Baseline => {
@@ -139,34 +139,35 @@ pub fn merge_primary_with_cc(
                     respect_bitmaps: false,
                 },
             )?;
-            while let Some((key, entry, rank, ordinal)) = scan.next_reconciled()? {
+            while let Some(lent) = scan.next_lent()? {
+                let (key, entry) = (lent.key, lent.entry);
                 if entry.anti_matter {
                     if !drop_anti {
-                        p_builder.add(&key, &entry)?;
-                        k_builder.add(&key, &entry.key_only())?;
+                        p_builder.add_ref(key, entry)?;
+                        k_builder.add_ref(key, entry.key_only())?;
                         if let Some(link) = &link {
-                            link.publish_scanned(key);
+                            link.publish_scanned(key.to_vec());
                         }
                     }
                     continue;
                 }
                 match (&link, method) {
                     (Some(link), CcMethod::Lock) => {
-                        ds.locks().lock_shared(&key);
+                        ds.locks().lock_shared(key);
                         // Re-check validity under the lock: a writer may have
                         // deleted the key since the scan read it.
-                        let still_valid = p_inputs[rank].is_valid(ordinal);
+                        let still_valid = p_inputs[lent.rank].is_valid(lent.ordinal);
                         if still_valid {
-                            p_builder.add(&key, &entry)?;
-                            k_builder.add(&key, &entry.key_only())?;
-                            link.publish_scanned(key.clone());
+                            p_builder.add_ref(key, entry)?;
+                            k_builder.add_ref(key, entry.key_only())?;
+                            link.publish_scanned(key.to_vec());
                         }
-                        ds.locks().unlock_shared(&key);
+                        ds.locks().unlock_shared(key);
                     }
                     _ => {
-                        if p_inputs[rank].is_valid(ordinal) {
-                            p_builder.add(&key, &entry)?;
-                            k_builder.add(&key, &entry.key_only())?;
+                        if p_inputs[lent.rank].is_valid(lent.ordinal) {
+                            p_builder.add_ref(key, entry)?;
+                            k_builder.add_ref(key, entry.key_only())?;
                         }
                     }
                 }

@@ -21,10 +21,11 @@
 
 use crate::dataset::Dataset;
 use crate::keys::{encode_sk_pk, split_sk_pk};
-use lsm_common::{Key, RecordView, Result, Timestamp};
+use lsm_common::{Error, Key, RecordView, Result, Timestamp};
+use lsm_storage::Storage;
 use lsm_tree::{
-    newest_disk_version_after, AtomicBitmap, ComponentBuilder, ComponentId, DiskComponent,
-    LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
+    newest_version_among, AtomicBitmap, ComponentBuilder, ComponentId, ComponentList,
+    DiskComponent, EntryRef, LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -83,6 +84,10 @@ pub struct RepairReport {
 /// key held as a span of its [`Candidates`] arena.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
+    /// The key's first eight bytes, big-endian and zero-padded: it orders
+    /// as the key does wherever two prefixes differ, so most comparisons
+    /// of the sort never leave the candidate list for the arena.
+    key_prefix: u64,
     key_start: usize,
     key_len: u32,
     ts: Timestamp,
@@ -100,7 +105,11 @@ struct Candidates {
 
 impl Candidates {
     fn push(&mut self, pkey: &[u8], ts: Timestamp, position: u64) {
+        let mut prefix = [0u8; 8];
+        let n = pkey.len().min(8);
+        prefix[..n].copy_from_slice(&pkey[..n]);
         self.list.push(Candidate {
+            key_prefix: u64::from_be_bytes(prefix),
             key_start: self.keys.len(),
             key_len: pkey.len() as u32,
             ts,
@@ -114,28 +123,29 @@ fn key_of<'a>(keys: &'a [u8], cand: &Candidate) -> &'a [u8] {
     &keys[cand.key_start..cand.key_start + cand.key_len as usize]
 }
 
-fn unpruned_pk_components(pk_tree: &LsmTree, prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
-    pk_tree
-        .disk_components()
+/// The components of `pk_components` — one snapshot of the primary key
+/// index's list, newest first — that `prune_ts` does not prune.
+fn unpruned(pk_components: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Vec<Arc<DiskComponent>> {
+    pk_components
         .iter()
         .filter(|c| !c.id().at_or_before(prune_ts))
         .cloned()
         .collect()
 }
 
-fn charge_sort(tree: &LsmTree, n: u64) {
+fn charge_sort(storage: &Storage, n: u64) {
     if n > 1 {
         let log_n = u64::from(64 - n.leading_zeros());
-        tree.storage()
-            .charge_cpu(n * log_n * tree.storage().cpu().sort_entry_ns);
+        storage.charge_cpu(n * log_n * storage.cpu().sort_entry_ns);
     }
 }
 
-/// Validates sorted candidates and sets bitmap bits for the invalid ones.
+/// Sorts the candidates and validates them against `pk_components` — the
+/// unpruned part of the repair's one primary-key-index snapshot — setting
+/// bitmap bits for the invalid ones.
 fn validate_candidates(
-    sec_tree: &LsmTree,
-    pk_tree: &LsmTree,
-    prune_ts: Timestamp,
+    storage: &Arc<Storage>,
+    pk_components: &[Arc<DiskComponent>],
     candidates: &mut Candidates,
     bitmap: &AtomicBitmap,
     opts: &RepairOptions,
@@ -143,26 +153,25 @@ fn validate_candidates(
 ) -> Result<()> {
     let keys = candidates.keys.as_slice();
     let candidates = candidates.list.as_mut_slice();
-    charge_sort(sec_tree, candidates.len() as u64);
-    candidates.sort_by(|a, b| key_of(keys, a).cmp(key_of(keys, b)));
+    charge_sort(storage, candidates.len() as u64);
+    // Key order, decided by the prefixes wherever they differ; stable, so
+    // equal keys keep their scan order.
+    candidates.sort_by(|a, b| {
+        a.key_prefix
+            .cmp(&b.key_prefix)
+            .then_with(|| key_of(keys, a).cmp(key_of(keys, b)))
+    });
     report.keys_validated += candidates.len() as u64;
 
-    let effective_prune = match opts.mode {
-        RepairMode::PrimaryKeyIndex { .. } => prune_ts,
-        RepairMode::DeletedKeyBTree => 0, // no pruning for the baseline
-    };
-
-    let unpruned = unpruned_pk_components(pk_tree, effective_prune);
-    let unpruned_entries: u64 = unpruned.iter().map(|c| c.num_entries()).sum();
-
-    if opts.merge_scan_opt && candidates.len() as u64 > unpruned_entries {
+    let pk_entries: u64 = pk_components.iter().map(|c| c.num_entries()).sum();
+    if opts.merge_scan_opt && candidates.len() as u64 > pk_entries {
         // Merge join the sorted candidates with a reconciling scan of the
         // unpruned pk-index components.
         report.used_merge_scan = true;
         let mut scan = LsmScan::new(
-            pk_tree.storage().clone(),
+            storage.clone(),
             None,
-            &unpruned,
+            pk_components,
             Bound::Unbounded,
             Bound::Unbounded,
             ScanOptions {
@@ -170,21 +179,15 @@ fn validate_candidates(
                 respect_bitmaps: false,
             },
         )?;
-        let mut head = scan.next_entry()?;
+        let mut head = scan.next_lent()?;
         for cand in candidates.iter() {
             let pkey = key_of(keys, cand);
-            while let Some((k, _)) = &head {
-                if k.as_slice() < pkey {
-                    head = scan.next_entry()?;
-                } else {
-                    break;
-                }
+            while head.is_some_and(|h| h.key < pkey) {
+                head = scan.next_lent()?;
             }
-            if let Some((k, e)) = &head {
-                if k.as_slice() == pkey && e.ts > cand.ts {
-                    bitmap.set(cand.position);
-                    report.invalidated += 1;
-                }
+            if head.is_some_and(|h| h.key == pkey && h.entry.ts > cand.ts) {
+                bitmap.set(cand.position);
+                report.invalidated += 1;
             }
         }
         return Ok(());
@@ -192,7 +195,7 @@ fn validate_candidates(
 
     for cand in candidates.iter() {
         let pkey = key_of(keys, cand);
-        if let Some(found) = newest_disk_version_after(pk_tree, pkey, effective_prune)? {
+        if let Some(found) = newest_version_among(storage, pk_components, pkey)? {
             // Invalid iff the same key exists with a larger timestamp
             // (an update or a delete after this entry was written).
             if found.ts > cand.ts {
@@ -204,16 +207,99 @@ fn validate_candidates(
     Ok(())
 }
 
-/// Computes the new repaired timestamp: the maximum timestamp of the
-/// unpruned primary-key-index components (Section 4.4), never less than the
-/// old watermark.
-fn new_repaired_ts(pk_tree: &LsmTree, prune_ts: Timestamp) -> Timestamp {
-    unpruned_pk_components(pk_tree, prune_ts)
+/// The new repaired timestamp: the maximum timestamp of the unpruned
+/// primary-key-index components the candidates were validated against
+/// (Section 4.4), never less than the old watermark.
+fn new_repaired_ts(unpruned: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Timestamp {
+    unpruned
         .iter()
         .map(|c| c.id().max_ts)
         .max()
         .unwrap_or(0)
         .max(prune_ts)
+}
+
+/// The validation of one repaired component, against one snapshot of the
+/// primary key index's component list. Flushes are not serialized against
+/// repairs: were the Bloom pruning, the validation and the new repaired
+/// timestamp each to read the live list, a pk component installed in
+/// between would be covered by the timestamp without any candidate having
+/// been validated against it — and a query pruning by that timestamp would
+/// return a stale entry.
+struct Validation<'a> {
+    storage: &'a Arc<Storage>,
+    opts: &'a RepairOptions,
+    prune_ts: Timestamp,
+    /// Components of the snapshot newer than `prune_ts`, newest first.
+    unpruned: Vec<Arc<DiskComponent>>,
+    /// The whole snapshot, for the deleted-key baseline, which validates
+    /// without pruning.
+    whole: Option<ComponentList>,
+    candidates: Candidates,
+}
+
+impl<'a> Validation<'a> {
+    fn new(
+        storage: &'a Arc<Storage>,
+        pk_components: ComponentList,
+        prune_ts: Timestamp,
+        opts: &'a RepairOptions,
+    ) -> Self {
+        Validation {
+            storage,
+            opts,
+            prune_ts,
+            unpruned: unpruned(&pk_components, prune_ts),
+            whole: (opts.mode == RepairMode::DeletedKeyBTree).then_some(pk_components),
+            candidates: Candidates::default(),
+        }
+    }
+
+    /// Offers the scanned (non-anti-matter) entry at `position` for
+    /// validation. With the Bloom filter optimization, an entry whose
+    /// primary key no unpruned component may contain cannot have been
+    /// touched since the last repair and is skipped.
+    fn consider(
+        &mut self,
+        key: &[u8],
+        ts: Timestamp,
+        position: u64,
+        report: &mut RepairReport,
+    ) -> Result<()> {
+        let pk_key = split_sk_pk(key)?.1;
+        if matches!(
+            self.opts.mode,
+            RepairMode::PrimaryKeyIndex { bloom_opt: true }
+        ) {
+            // Per-entry pruning: a component whose maxTS is at or below the
+            // entry's own timestamp cannot contain a newer version.
+            let touched = self
+                .unpruned
+                .iter()
+                .filter(|c| !c.id().at_or_before(ts))
+                .any(|c| c.bloom_may_contain(self.storage, pk_key));
+            if !touched {
+                report.skipped_by_bloom += 1;
+                return Ok(());
+            }
+        }
+        self.candidates.push(pk_key, ts, position);
+        Ok(())
+    }
+
+    /// Validates the candidates into `bitmap` and returns the component's
+    /// new repaired timestamp.
+    fn finish(mut self, bitmap: &AtomicBitmap, report: &mut RepairReport) -> Result<Timestamp> {
+        validate_candidates(
+            self.storage,
+            self.whole.as_deref().unwrap_or(&self.unpruned),
+            &mut self.candidates,
+            bitmap,
+            self.opts,
+            report,
+        )?;
+        Ok(new_repaired_ts(&self.unpruned, self.prune_ts))
+    }
 }
 
 /// Merge repair (Figure 7): merges the secondary components of `range` into
@@ -224,18 +310,29 @@ pub(crate) fn merge_repair(
     range: MergeRange,
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
+    merge_repair_against(sec_tree, pk_tree.disk_components(), range, opts)
+}
+
+/// [`merge_repair`] against one snapshot of the primary key index's
+/// component list: everything the repair decides — Bloom pruning,
+/// validation, the new repaired timestamp — is derived from it.
+fn merge_repair_against(
+    sec_tree: &LsmTree,
+    pk_components: ComponentList,
+    range: MergeRange,
+    opts: &RepairOptions,
+) -> Result<RepairReport> {
     let inputs = sec_tree.components_in_range(range);
-    assert!(!inputs.is_empty());
+    let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
+        .ok_or_else(|| Error::invalid("merge repair range holds no components"))?;
     let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
     let drop_anti = sec_tree.range_includes_oldest(range);
-    // INVARIANT: `inputs` is non-empty (asserted above), so the merged id
-    // has at least one constituent.
-    let id = ComponentId::merged(inputs.iter().map(|c| c.id())).expect("non-empty merge");
     let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
+    let storage = sec_tree.storage();
 
     let mut report = RepairReport::default();
     let mut builder = ComponentBuilder::new(
-        sec_tree.storage().clone(),
+        storage.clone(),
         id,
         lsm_tree::BuildOptions {
             with_bloom: sec_tree.options().with_bloom,
@@ -246,16 +343,12 @@ pub(crate) fn merge_repair(
             make_mutable_bitmap: false,
         },
     )?;
-
-    // Bloom optimization setup: keys absent from every unpruned pk-index
-    // component cannot have been touched since the last repair.
-    let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
-    let unpruned = unpruned_pk_components(pk_tree, prune_ts);
+    let mut validation = Validation::new(storage, pk_components, prune_ts, opts);
 
     // Scan all merging components (Figure 7 lines 1-7): valid entries go to
     // the new component; (pkey, ts, position) go to the sorter.
     let mut scan = LsmScan::new(
-        sec_tree.storage().clone(),
+        storage.clone(),
         None,
         &inputs,
         Bound::Unbounded,
@@ -265,48 +358,27 @@ pub(crate) fn merge_repair(
             respect_bitmaps: true,
         },
     )?;
-    let mut candidates = Candidates::default();
-    while let Some((key, entry)) = scan.next_entry()? {
+    while let Some(lent) = scan.next_lent()? {
+        let entry = lent.entry;
         if entry.anti_matter && drop_anti {
             continue;
         }
         report.entries_scanned += 1;
-        let position = builder.add(&key, &entry)?;
-        if entry.anti_matter {
-            continue; // anti-matter needs no validation
+        let position = builder.add_ref(lent.key, entry)?;
+        // Anti-matter needs no validation.
+        if !entry.anti_matter {
+            validation.consider(lent.key, entry.ts, position, &mut report)?;
         }
-        let pk_key = split_sk_pk(&key)?.1;
-        if bloom_opt {
-            // Per-entry pruning: a component whose maxTS is at or below the
-            // entry's own timestamp cannot contain a newer version.
-            let touched = unpruned
-                .iter()
-                .filter(|c| !c.id().at_or_before(entry.ts))
-                .any(|c| c.bloom_may_contain(sec_tree.storage(), pk_key));
-            if !touched {
-                report.skipped_by_bloom += 1;
-                continue;
-            }
-        }
-        candidates.push(pk_key, entry.ts, position);
     }
 
     let n = builder.num_entries();
     let new_comp = Arc::new(builder.finish()?);
     let bitmap = Arc::new(AtomicBitmap::new(n));
-    validate_candidates(
-        sec_tree,
-        pk_tree,
-        prune_ts,
-        &mut candidates,
-        &bitmap,
-        opts,
-        &mut report,
-    )?;
+    let repaired_ts = validation.finish(&bitmap, &mut report)?;
     if bitmap.count_set() > 0 {
         new_comp.set_bitmap(bitmap)?;
     }
-    new_comp.set_repaired_ts(new_repaired_ts(pk_tree, prune_ts));
+    new_comp.set_repaired_ts(repaired_ts);
 
     if opts.mode == RepairMode::DeletedKeyBTree {
         write_deleted_key_btree(sec_tree, &new_comp)?;
@@ -323,54 +395,32 @@ pub(crate) fn standalone_repair(
     pk_tree: &LsmTree,
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
+    let storage = sec_tree.storage();
     let mut report = RepairReport::default();
     for comp in sec_tree.disk_components().iter() {
-        let prune_ts = comp.repaired_ts();
-        let bloom_opt = matches!(opts.mode, RepairMode::PrimaryKeyIndex { bloom_opt: true });
-        let unpruned = unpruned_pk_components(pk_tree, prune_ts);
-        if unpruned.is_empty() && pk_tree.mem_len() == 0 {
+        let pk_components = pk_tree.disk_components();
+        let mut validation = Validation::new(storage, pk_components, comp.repaired_ts(), opts);
+        if validation.unpruned.is_empty() && pk_tree.mem_len() == 0 {
             continue; // nothing new to validate against
         }
         let old_bitmap = comp.bitmap().map(|b| b.snapshot());
         let bitmap = Arc::new(AtomicBitmap::new(comp.num_entries()));
-        let mut candidates = Candidates::default();
-        let mut bscan = comp.btree().scan_all()?;
-        while let Some((key, raw, position)) = bscan.next_entry()? {
+        let mut scan = comp.btree().scan_all()?;
+        while scan.advance()? {
+            let (key, raw, position) = scan.entry();
             report.entries_scanned += 1;
-            if let Some(old) = &old_bitmap {
-                if old.get(position) {
-                    bitmap.set(position); // carry over known-invalid bits
-                    continue;
-                }
-            }
-            let entry = LsmEntry::decode(&raw)?;
-            if entry.anti_matter {
+            if old_bitmap.as_ref().is_some_and(|old| old.get(position)) {
+                bitmap.set(position); // carry over known-invalid bits
                 continue;
             }
-            let pk_key = split_sk_pk(&key)?.1;
-            if bloom_opt {
-                let touched = unpruned
-                    .iter()
-                    .filter(|c| !c.id().at_or_before(entry.ts))
-                    .any(|c| c.bloom_may_contain(sec_tree.storage(), pk_key));
-                if !touched {
-                    report.skipped_by_bloom += 1;
-                    continue;
-                }
+            let entry = EntryRef::decode(raw)?;
+            if !entry.anti_matter {
+                validation.consider(key, entry.ts, position, &mut report)?;
             }
-            candidates.push(pk_key, entry.ts, position);
         }
-        validate_candidates(
-            sec_tree,
-            pk_tree,
-            prune_ts,
-            &mut candidates,
-            &bitmap,
-            opts,
-            &mut report,
-        )?;
+        let repaired_ts = validation.finish(&bitmap, &mut report)?;
         comp.set_bitmap(bitmap)?;
-        comp.set_repaired_ts(new_repaired_ts(pk_tree, prune_ts));
+        comp.set_repaired_ts(repaired_ts);
     }
     Ok(report)
 }
@@ -385,9 +435,10 @@ fn write_deleted_key_btree(sec_tree: &LsmTree, comp: &DiskComponent) -> Result<(
     };
     let mut builder = lsm_btree::BTreeBuilder::new(sec_tree.storage().clone());
     let mut scan = comp.btree().scan_all()?;
-    while let Some((key, _, position)) = scan.next_entry()? {
+    while scan.advance()? {
+        let (key, _, position) = scan.entry();
         if bitmap.get(position) {
-            builder.add(&key, &[])?;
+            builder.add(key, &[])?;
         }
     }
     builder.finish()?;
@@ -646,6 +697,74 @@ mod tests {
         // 2 components; equality fails the strict >, so take whichever path
         // ran — the outcome must match the point-lookup path.
         assert_eq!(report.invalidated, 50);
+    }
+
+    /// A flush may install a primary-key-index component while a repair
+    /// runs. The repair validates against the snapshot it started from, so
+    /// the repaired timestamp must come from that snapshot too: covering
+    /// the newcomer would let queries prune a component no candidate was
+    /// checked against.
+    #[test]
+    fn repaired_ts_covers_only_the_components_validated_against() {
+        let ds = dataset(StrategyKind::Validation);
+        for i in 0..100 {
+            ds.insert(&rec(i, "CA")).unwrap();
+        }
+        ds.flush_all().unwrap();
+        let pk_tree = ds.pk_index().unwrap();
+        let before_flush = pk_tree.disk_components();
+        // The racing flush: record 7 moves to NY, which obsoletes (CA, 7).
+        ds.upsert(&rec(7, "NY")).unwrap();
+        ds.flush_all().unwrap();
+        let newcomer = pk_tree.disk_components()[0].clone();
+
+        let sec = &ds.secondaries()[0].tree;
+        let report = merge_repair_against(
+            sec,
+            before_flush,
+            MergeRange { start: 0, end: 1 },
+            &RepairOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.invalidated, 0, "the update is not in the snapshot");
+        let repaired = &sec.disk_components()[0];
+        assert!(
+            repaired.repaired_ts() < newcomer.id().max_ts,
+            "repaired_ts {} covers unvalidated component {:?}",
+            repaired.repaired_ts(),
+            newcomer.id()
+        );
+        // (CA, 7) is still in the index; Timestamp validation must still
+        // reach the newcomer and reject it.
+        let res = ds
+            .query("location")
+            .eq("CA")
+            .index_only()
+            .execute()
+            .unwrap();
+        let mut got: Vec<i64> = res.keys().iter().map(|k| k.as_int().unwrap()).collect();
+        got.sort_unstable();
+        let want: Vec<i64> = (0..100).filter(|&i| i != 7).collect();
+        assert_eq!(got, want);
+    }
+
+    /// A plan gone stale — its range no longer fits the component list —
+    /// is an error to the caller, not a panic on a maintenance worker.
+    #[test]
+    fn merge_repair_of_a_stale_range_is_an_error() {
+        let ds = dataset(StrategyKind::Validation);
+        obsolete_setup(&ds);
+        let sec = &ds.secondaries()[0].tree;
+        sec.merge_range(MergeRange { start: 0, end: 1 }).unwrap();
+        let err = merge_repair(
+            sec,
+            ds.pk_index().unwrap(),
+            MergeRange { start: 1, end: 1 },
+            &RepairOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
+        assert_eq!(sec.num_disk_components(), 1);
     }
 
     #[test]

@@ -31,13 +31,13 @@ pub use bitmap::{AtomicBitmap, BitmapSnapshot};
 pub use build_link::BuildLink;
 pub use component::DiskComponent;
 pub use component_id::ComponentId;
-pub use entry::LsmEntry;
+pub use entry::{EntryRef, LsmEntry};
 pub use lookup::{
-    locate_valid, lookup_sorted, newest_disk_version_after, newest_version_after, point_lookup,
-    LookupOptions,
+    locate_valid, lookup_sorted, newest_disk_version_after, newest_version_after,
+    newest_version_among, point_lookup, LookupOptions,
 };
 pub use memtable::MemComponent;
 pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};
 pub use range_filter::RangeFilter;
-pub use scan::{scan_components_sequential, LsmScan, ScanOptions, ScanPartition};
+pub use scan::{scan_components_sequential, Lent, LsmScan, ScanOptions, ScanPartition};
 pub use tree::{BuildOptions, ComponentBuilder, ComponentList, LsmOptions, LsmTree};

@@ -126,6 +126,19 @@ pub fn newest_disk_version_after(
     Ok(hit.map(|(_, entry, _)| entry))
 }
 
+/// The newest version of `key` among `components` (newest first) — the
+/// probes of [`newest_disk_version_after`] over a component list the
+/// caller has snapshotted and pruned once, for the many keys of one index
+/// repair.
+pub fn newest_version_among(
+    storage: &Storage,
+    components: &[Arc<DiskComponent>],
+    key: &[u8],
+) -> Result<Option<LsmEntry>> {
+    let hit = newest_on_disk(storage, components, key, |_| true)?;
+    Ok(hit.map(|(_, entry, _)| entry))
+}
+
 /// Locates the valid (bitmap-live, non-anti-matter) disk entry for `key`,
 /// returning its component and ordinal — the Mutable-bitmap strategy's
 /// delete/upsert probe (Section 5.2): "search the primary key index to

@@ -3,7 +3,9 @@
 //! A query over LSM data must reconcile entries with identical keys across
 //! components: newer components override older ones and anti-matter entries
 //! suppress deleted keys (Section 2.1). [`LsmScan`] is the reconciling
-//! k-way merge used by queries and by component merges.
+//! k-way merge used by queries and by component merges: queries take owned
+//! entries from it, merges borrow them ([`LsmScan::next_lent`]) straight
+//! out of the leaf pages the scan holds.
 //!
 //! The Mutable-bitmap strategy lets filter scans skip reconciliation
 //! entirely (Section 6.4.2): because deletions are applied in place through
@@ -13,12 +15,10 @@
 
 use crate::bitmap::BitmapSnapshot;
 use crate::component::DiskComponent;
-use crate::entry::LsmEntry;
+use crate::entry::{EntryHeader, EntryRef, LsmEntry};
 use lsm_btree::BTreeScan;
 use lsm_common::{Key, Result};
 use lsm_storage::Storage;
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -40,79 +40,170 @@ impl Default for ScanOptions {
     }
 }
 
+/// One reconciled entry, lent by [`LsmScan::next_lent`] until the scan's
+/// next step: the key and the entry's payload are slices of the winning
+/// source — a leaf page the scan holds, or the memory run it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lent<'a> {
+    /// The reconciled key.
+    pub key: &'a [u8],
+    /// The newest version of `key`.
+    pub entry: EntryRef<'a>,
+    /// The winning source's recency rank (0 = newest source).
+    pub rank: usize,
+    /// The entry's ordinal in that source (0 for the memory run).
+    pub ordinal: u64,
+}
+
+// A scan has at most one `Mem` source; boxing `Disk` to even out the sizes
+// would put a pointer hop under every heap comparison.
+#[allow(clippy::large_enum_variant)]
 enum Source {
     /// Snapshot of the memory component's range (newest; rank 0).
     Mem {
-        entries: std::vec::IntoIter<(Key, LsmEntry)>,
+        entries: Vec<(Key, LsmEntry)>,
+        /// Index of the entry after the head; the held entry's index.
+        next: usize,
+        held: usize,
     },
     /// One disk component.
     Disk {
         scan: BTreeScan,
         /// Frozen bitmap for this scan (Side-file method scans snapshots).
         bitmap: Option<BitmapSnapshot>,
+        /// Header of the entry the scan stands on — parsed, and so
+        /// validated, as the entry is stepped onto — and of the held one.
+        head: EntryHeader,
+        held: EntryHeader,
     },
 }
 
 impl Source {
-    fn next(&mut self, respect_bitmaps: bool) -> Result<Option<(Key, LsmEntry, u64)>> {
+    fn disk(scan: BTreeScan, bitmap: Option<BitmapSnapshot>) -> Self {
+        Source::Disk {
+            scan,
+            bitmap,
+            head: EntryHeader::default(),
+            held: EntryHeader::default(),
+        }
+    }
+
+    /// Steps to the next visible entry, which becomes the head; `false`
+    /// once the source is exhausted.
+    fn advance(&mut self, respect_bitmaps: bool) -> Result<bool> {
         match self {
-            Source::Mem { entries } => Ok(entries.next().map(|(k, e)| (k, e, 0))),
-            Source::Disk { scan, bitmap, .. } => loop {
-                let Some((k, raw, ordinal)) = scan.next_entry_pinned()? else {
-                    return Ok(None);
-                };
-                if respect_bitmaps {
-                    if let Some(bm) = bitmap {
-                        if bm.get(ordinal) {
-                            continue; // invalidated entry
-                        }
-                    }
+            Source::Mem { entries, next, .. } => {
+                *next += 1;
+                Ok(*next <= entries.len())
+            }
+            Source::Disk {
+                scan, bitmap, head, ..
+            } => loop {
+                if !scan.advance()? {
+                    return Ok(false);
                 }
-                return Ok(Some((k, LsmEntry::decode_buf(raw)?, ordinal)));
+                let (_, raw, ordinal) = scan.entry();
+                if respect_bitmaps && bitmap.as_ref().is_some_and(|bm| bm.get(ordinal)) {
+                    continue; // invalidated entry
+                }
+                *head = EntryHeader::parse(raw)?;
+                return Ok(true);
             },
+        }
+    }
+
+    /// The head's key.
+    fn key(&self) -> &[u8] {
+        match self {
+            Source::Mem { entries, next, .. } => &entries[next - 1].0,
+            Source::Disk { scan, .. } => scan.entry().0,
+        }
+    }
+
+    /// Keeps the head readable through [`Source::held`] while the source
+    /// advances past it.
+    fn hold(&mut self) {
+        match self {
+            Source::Mem { next, held, .. } => *held = *next - 1,
+            Source::Disk {
+                scan, head, held, ..
+            } => {
+                scan.hold();
+                *held = *head;
+            }
+        }
+    }
+
+    fn held_key(&self) -> &[u8] {
+        match self {
+            Source::Mem { entries, held, .. } => &entries[*held].0,
+            Source::Disk { scan, .. } => scan.held().0,
+        }
+    }
+
+    /// The held entry, lent.
+    fn held(&self, rank: usize) -> Lent<'_> {
+        match self {
+            Source::Mem { entries, held, .. } => {
+                let (key, entry) = &entries[*held];
+                Lent {
+                    key,
+                    entry: entry.into(),
+                    rank,
+                    ordinal: 0,
+                }
+            }
+            Source::Disk { scan, held, .. } => {
+                let (key, raw, ordinal) = scan.held();
+                Lent {
+                    key,
+                    entry: held.lend(raw),
+                    rank,
+                    ordinal,
+                }
+            }
+        }
+    }
+
+    /// The held entry, owned: a memory entry is moved out of the run, a
+    /// disk entry's value pins its leaf page.
+    fn take_held(&mut self) -> (Key, LsmEntry, u64) {
+        match self {
+            Source::Mem { entries, held, .. } => {
+                let (key, entry) = &mut entries[*held];
+                let entry = std::mem::replace(entry, LsmEntry::anti_matter());
+                (std::mem::take(key), entry, 0)
+            }
+            Source::Disk { scan, held, .. } => {
+                let (key, _, ordinal) = scan.held();
+                let entry = LsmEntry {
+                    anti_matter: held.anti_matter,
+                    ts: held.ts,
+                    value: scan.held_value_pinned(held.payload_at()).into(),
+                };
+                (key.to_vec(), entry, ordinal)
+            }
         }
     }
 }
 
-/// Head entry of one source, tagged with the source's recency rank
-/// (0 = newest).
-struct Head {
-    key: Key,
-    entry: LsmEntry,
-    ordinal: u64,
-    rank: usize,
-}
-
-/// Heads order by `(key, rank)`, reversed: the top of the (max-)heap is the
-/// smallest key and, among equal keys, the newest source.
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (&other.key, other.rank).cmp(&(&self.key, self.rank))
-    }
-}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Head {}
-
 /// Reconciling k-way merge scan: a binary heap over the sources' head
 /// entries, so producing one key costs the `⌈log2 k⌉` comparisons the scan
 /// charges for it.
+///
+/// The heap orders *source indexes*; the heads stay where they are — in the
+/// leaf page each source's B-tree scan holds — and a reconciled entry is
+/// lent from there ([`LsmScan::next_lent`]) instead of being copied out.
+/// [`LsmScan::next_entry`] and [`LsmScan::next_reconciled`] are the owning
+/// wrappers the read paths use.
 pub struct LsmScan {
     storage: Arc<Storage>,
+    /// Newest first: a source's index is its recency rank.
     sources: Vec<Source>,
-    /// At most one head per source that still has entries.
-    heads: BinaryHeap<Head>,
+    /// Min-heap of the sources that still have a head, by `(head key,
+    /// rank)`: the top is the smallest key and, among equal keys, the
+    /// newest source.
+    heap: Vec<usize>,
     opts: ScanOptions,
     started: bool,
 }
@@ -132,7 +223,9 @@ impl LsmScan {
         let mut sources = Vec::with_capacity(components.len() + 1);
         if let Some(entries) = mem_snapshot {
             sources.push(Source::Mem {
-                entries: entries.into_iter(),
+                entries,
+                next: 0,
+                held: 0,
             });
         }
         for comp in components {
@@ -142,15 +235,9 @@ impl LsmScan {
             } else {
                 None
             };
-            sources.push(Source::Disk { scan, bitmap });
+            sources.push(Source::disk(scan, bitmap));
         }
-        Ok(LsmScan {
-            storage,
-            sources,
-            heads: BinaryHeap::new(),
-            opts,
-            started: false,
-        })
+        Ok(Self::over(storage, sources, opts))
     }
 
     /// Creates a scan with explicit bitmap snapshots per component (the
@@ -162,86 +249,85 @@ impl LsmScan {
     ) -> Result<Self> {
         let mut sources = Vec::with_capacity(components.len());
         for (comp, snap) in components {
-            let scan = comp.btree().scan_all()?;
-            sources.push(Source::Disk {
-                scan,
-                bitmap: snap.clone(),
-            });
+            sources.push(Source::disk(comp.btree().scan_all()?, snap.clone()));
         }
-        Ok(LsmScan {
+        Ok(Self::over(storage, sources, opts))
+    }
+
+    fn over(storage: Arc<Storage>, sources: Vec<Source>, opts: ScanOptions) -> Self {
+        LsmScan {
             storage,
+            heap: Vec::with_capacity(sources.len()),
             sources,
-            heads: BinaryHeap::new(),
             opts,
             started: false,
-        })
+        }
+    }
+
+    /// True if source `a`'s head sorts before source `b`'s.
+    fn before(&self, a: usize, b: usize) -> bool {
+        (self.sources[a].key(), a) < (self.sources[b].key(), b)
+    }
+
+    /// Restores the heap below position `at`.
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let left = 2 * at + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !self.before(self.heap[child], self.heap[at]) {
+                return;
+            }
+            self.heap.swap(child, at);
+            at = child;
+        }
     }
 
     fn prime(&mut self) -> Result<()> {
-        self.heads.reserve(self.sources.len());
         for (rank, source) in self.sources.iter_mut().enumerate() {
-            if let Some((key, entry, ordinal)) = source.next(self.opts.respect_bitmaps)? {
-                self.heads.push(Head {
-                    key,
-                    entry,
-                    ordinal,
-                    rank,
-                });
+            if source.advance(self.opts.respect_bitmaps)? {
+                self.heap.push(rank);
             }
+        }
+        for at in (0..self.heap.len() / 2).rev() {
+            self.sift_down(at);
         }
         self.started = true;
         Ok(())
     }
 
-    /// Takes the top head and puts its source's next entry in its place (one
-    /// sift-down; an exhausted source leaves the heap).
-    fn pop_and_advance(&mut self) -> Result<Option<Head>> {
-        let Some(mut top) = self.heads.peek_mut() else {
-            return Ok(None);
-        };
-        let rank = top.rank;
-        Ok(Some(
-            match self.sources[rank].next(self.opts.respect_bitmaps)? {
-                Some((key, entry, ordinal)) => std::mem::replace(
-                    &mut *top,
-                    Head {
-                        key,
-                        entry,
-                        ordinal,
-                        rank,
-                    },
-                ),
-                None => PeekMut::pop(top),
-            },
-        ))
-    }
-
-    /// Returns the next reconciled entry: `(key, entry)` where `entry` is
-    /// the newest version of `key`. Anti-matter entries are suppressed
-    /// unless `emit_anti_matter` is set.
-    pub fn next_entry(&mut self) -> Result<Option<(Key, LsmEntry)>> {
-        loop {
-            let Some((key, entry, _, _)) = self.next_reconciled()? else {
-                return Ok(None);
-            };
-            if entry.anti_matter && !self.opts.emit_anti_matter {
-                continue;
-            }
-            return Ok(Some((key, entry)));
+    /// Steps the top source to its next entry (one sift-down; an exhausted
+    /// source leaves the heap).
+    fn advance_top(&mut self) -> Result<()> {
+        let top = self.heap[0];
+        if !self.sources[top].advance(self.opts.respect_bitmaps)? {
+            self.heap.swap_remove(0);
         }
+        self.sift_down(0);
+        Ok(())
     }
 
-    /// Like [`LsmScan::next_entry`] but also reports the winning source's
-    /// rank (0 = newest source) and the entry's ordinal in that source —
-    /// used by merges and repairs.
-    pub fn next_reconciled(&mut self) -> Result<Option<(Key, LsmEntry, usize, u64)>> {
+    /// One reconciliation step: holds the winning head — the smallest key;
+    /// among ties the smallest rank (newest) — steps its source and every
+    /// source carrying an older version of the key, and returns the
+    /// winner's rank. `None` once every source is exhausted.
+    fn step(&mut self) -> Result<Option<usize>> {
         if !self.started {
             self.prime()?;
         }
-        // The smallest key; among ties the smallest rank (newest) wins.
-        let Some(winner) = self.pop_and_advance()? else {
+        let Some(&winner) = self.heap.first() else {
             return Ok(None);
         };
+        self.sources[winner].hold();
+        self.advance_top()?;
 
         // Charge the reconciliation cost: one heap round over the sources.
         let log_k = (usize::BITS - self.sources.len().leading_zeros()) as u64;
@@ -249,17 +335,56 @@ impl LsmScan {
             .charge_cpu(self.storage.cpu().key_cmp_ns * log_k.max(1));
 
         // Older versions of the winning key are consumed with it.
-        while self.heads.peek().is_some_and(|h| h.key == winner.key) {
-            self.pop_and_advance()?;
+        // (The winner's own next key is past it: keys ascend in a source.)
+        while let Some(&top) = self.heap.first() {
+            if top == winner || self.sources[top].key() != self.sources[winner].held_key() {
+                break;
+            }
+            self.advance_top()?;
         }
-        Ok(Some((
-            winner.key,
-            winner.entry,
-            winner.rank,
-            winner.ordinal,
-        )))
+        Ok(Some(winner))
+    }
+
+    /// Returns the next reconciled entry without copying it: the newest
+    /// version of the next key — anti-matter included, whatever
+    /// [`ScanOptions::emit_anti_matter`] says — with the winning source's
+    /// rank and the entry's ordinal in it, all lent until the next call.
+    /// Merges and repairs build from this.
+    pub fn next_lent(&mut self) -> Result<Option<Lent<'_>>> {
+        Ok(self.step()?.map(|winner| self.sources[winner].held(winner)))
+    }
+
+    /// Returns the next reconciled entry: `(key, entry)` where `entry` is
+    /// the newest version of `key`. Anti-matter entries are suppressed
+    /// unless `emit_anti_matter` is set.
+    pub fn next_entry(&mut self) -> Result<Option<(Key, LsmEntry)>> {
+        loop {
+            let Some(winner) = self.step()? else {
+                return Ok(None);
+            };
+            let source = &mut self.sources[winner];
+            if source.held(winner).entry.anti_matter && !self.opts.emit_anti_matter {
+                continue;
+            }
+            let (key, entry, _) = source.take_held();
+            return Ok(Some((key, entry)));
+        }
+    }
+
+    /// Like [`LsmScan::next_entry`] but also reports the winning source's
+    /// rank (0 = newest source) and the entry's ordinal in that source, and
+    /// never suppresses anti-matter — the owning twin of
+    /// [`LsmScan::next_lent`].
+    pub fn next_reconciled(&mut self) -> Result<Option<(Key, LsmEntry, usize, u64)>> {
+        Ok(self.step()?.map(|winner| {
+            let (key, entry, ordinal) = self.sources[winner].take_held();
+            (key, entry, winner, ordinal)
+        }))
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 fn clone_bound(b: &Bound<&[u8]>) -> Bound<Vec<u8>> {
     match b {
@@ -404,7 +529,7 @@ mod tests {
     use crate::bitmap::AtomicBitmap;
     use crate::component_id::ComponentId;
     use crate::tree::ComponentBuilder;
-    use lsm_storage::StorageOptions;
+    use lsm_storage::{LeafEncoding, StorageOptions};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -691,6 +816,17 @@ mod tests {
     }
 
     fn fixture(s: &Arc<Storage>, specs: &[SourceSpec], with_mem: bool) -> Fixture {
+        fixture_padded(s, specs, with_mem, 0)
+    }
+
+    /// [`fixture`] with every value followed by `pad` filler bytes, so a
+    /// source of a few entries spans several leaf pages.
+    fn fixture_padded(
+        s: &Arc<Storage>,
+        specs: &[SourceSpec],
+        with_mem: bool,
+        pad: usize,
+    ) -> Fixture {
         let mut fx = Fixture {
             mem: None,
             comps: Vec::new(),
@@ -708,7 +844,9 @@ mod tests {
                     let entry = if anti {
                         LsmEntry::anti_matter()
                     } else {
-                        LsmEntry::put(vec![rank as u8, k])
+                        let mut value = vec![rank as u8, k];
+                        value.resize(2 + pad, k);
+                        LsmEntry::put(value)
                     };
                     // Memory runs carry no bitmap.
                     (vec![k], entry, dead && !in_mem)
@@ -851,6 +989,73 @@ mod tests {
                 charged,
                 streamed as u64 * key_cmp_ns + reconciled.len() as u64 * key_cmp_ns * log_k
             );
+        }
+    }
+
+    fn arb_encoding() -> impl Strategy<Value = LeafEncoding> {
+        prop_oneof![
+            Just(LeafEncoding::Plain),
+            Just(LeafEncoding::Prefix),
+            Just(LeafEncoding::Columnar),
+        ]
+    }
+
+    /// Runs `step` and returns its result with the CPU time it charged.
+    fn billed<T>(s: &Storage, step: impl FnOnce() -> T) -> (T, u64) {
+        let before = s.stats().cpu_ns;
+        let out = step();
+        (out, s.stats().cpu_ns - before)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The lending scan against the owning scan it replaced, step by
+        // step: the same `(key, entry, rank, ordinal)` — lent or owned — and
+        // the same simulated CPU time charged for producing it, on every
+        // leaf codec, with sources that span several leaves.
+        #[test]
+        fn lending_scan_matches_owning_oracle(
+            specs in arb_sources(),
+            flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+            bounds in (arb_bound(), arb_bound()),
+            layout in (arb_encoding(), 0..400usize),
+        ) {
+            let (with_mem, respect_bitmaps, emit_anti_matter) = flags;
+            let (lo, hi) = bounds;
+            let (leaf_encoding, pad) = layout;
+            let s = Storage::new(StorageOptions { leaf_encoding, ..StorageOptions::test() });
+            let fx = fixture_padded(&s, &specs, with_mem, pad);
+            let opts = ScanOptions { emit_anti_matter, respect_bitmaps };
+            let (lo, hi) = (bound_ref(&lo), bound_ref(&hi));
+            let lending = || LsmScan::new(s.clone(), fx.mem.clone(), &fx.comps, lo, hi, opts).unwrap();
+            let owning = || {
+                oracle::OwningScan::new(s.clone(), fx.mem.clone(), &fx.comps, lo, hi, opts).unwrap()
+            };
+
+            let (mut lent, mut owned, mut want) = (lending(), lending(), owning());
+            loop {
+                let expected = billed(&s, || want.next_reconciled().unwrap());
+                let got = billed(&s, || {
+                    let row = lent.next_lent().unwrap();
+                    row.map(|l| (l.key.to_vec(), l.entry.to_entry(), l.rank, l.ordinal))
+                });
+                prop_assert_eq!(&got, &expected);
+                let got = billed(&s, || owned.next_reconciled().unwrap());
+                prop_assert_eq!(&got, &expected);
+                if expected.0.is_none() {
+                    break;
+                }
+            }
+
+            let (mut got, mut want) = (lending(), owning());
+            loop {
+                let expected = billed(&s, || want.next_entry().unwrap());
+                prop_assert_eq!(&billed(&s, || got.next_entry().unwrap()), &expected);
+                if expected.0.is_none() {
+                    break;
+                }
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 
 use crate::component::DiskComponent;
 use crate::component_id::ComponentId;
-use crate::entry::LsmEntry;
+use crate::entry::{EntryRef, LsmEntry};
 use crate::memtable::MemComponent;
 use crate::merge_policy::{MergePolicy, MergeRange};
 use crate::range_filter::RangeFilter;
@@ -91,7 +91,8 @@ pub struct ComponentBuilder {
     bloom: Option<Box<dyn BloomFilter>>,
     filter: Option<RangeFilter>,
     make_mutable_bitmap: bool,
-    /// The entry being added, encoded; reused from one `add` to the next.
+    /// The entry being added, encoded — when it did not arrive with its
+    /// stored bytes; reused from one `add` to the next.
     encoded: Vec<u8>,
 }
 
@@ -145,9 +146,16 @@ impl ComponentBuilder {
     /// Appends an entry (keys strictly ascending) and returns its ordinal
     /// position in the new component.
     pub fn add(&mut self, key: &[u8], entry: &LsmEntry) -> Result<u64> {
+        self.add_ref(key, entry.into())
+    }
+
+    /// [`ComponentBuilder::add`] for a borrowed entry. One lent by a scan
+    /// still knows its stored bytes, and those go into the open leaf
+    /// verbatim: the payload is copied page → page once, never through an
+    /// encode buffer.
+    pub fn add_ref(&mut self, key: &[u8], entry: EntryRef<'_>) -> Result<u64> {
         let ordinal = self.btree.next_ordinal();
-        entry.encode_into(&mut self.encoded);
-        self.btree.add(key, &self.encoded)?;
+        self.btree.add(key, entry.stored_form(&mut self.encoded))?;
         if let Some(bloom) = &mut self.bloom {
             bloom.insert(key);
         }
@@ -602,14 +610,8 @@ impl LsmTree {
                 respect_bitmaps: false,
             },
         )?;
-        while let Some((k, e)) = scan.next_entry()? {
-            builder.add(
-                &k,
-                &LsmEntry {
-                    value: lsm_storage::ValueBuf::empty(),
-                    ..e
-                },
-            )?;
+        while let Some(lent) = scan.next_lent()? {
+            builder.add_ref(lent.key, lent.entry.key_only())?;
         }
         Ok(Arc::new(builder.finish()?))
     }
@@ -866,11 +868,11 @@ impl LsmTree {
                 respect_bitmaps: true,
             },
         )?;
-        while let Some((k, e)) = scan.next_entry()? {
-            if e.anti_matter && drop_anti {
+        while let Some(lent) = scan.next_lent()? {
+            if lent.entry.anti_matter && drop_anti {
                 continue;
             }
-            builder.add(&k, &e)?;
+            builder.add_ref(lent.key, lent.entry)?;
         }
         let new_comp = Arc::new(builder.finish()?);
         self.replace_range(range, new_comp.clone(), true)?;

@@ -355,6 +355,23 @@ impl Storage {
     /// Appends are charged as sequential writes, with a seek when the write
     /// target switches files.
     pub fn append_page(&self, file: FileId, data: &[u8]) -> Result<PageNo> {
+        self.append(file, data, || data.into())
+    }
+
+    /// [`Storage::append_page`] for a page the caller built in a shared
+    /// buffer: the device keeps that very buffer instead of a copy of it.
+    pub fn append_page_shared(&self, file: FileId, page: Arc<[u8]>) -> Result<PageNo> {
+        self.append(file, &page, || page.clone())
+    }
+
+    /// Appends `data`; `whole` yields the stored page when no fault
+    /// mutates it.
+    fn append(
+        &self,
+        file: FileId,
+        data: &[u8],
+        whole: impl FnOnce() -> Arc<[u8]>,
+    ) -> Result<PageNo> {
         if data.len() > self.opts.page_size {
             return Err(Error::Storage(format!(
                 "page of {} bytes exceeds page size {}",
@@ -392,7 +409,7 @@ impl Storage {
             Some(FaultAction::ShortWrite { keep_bytes }) => {
                 (data[..keep_bytes.min(data.len())].into(), true)
             }
-            _ => (data.into(), false),
+            _ => (whole(), false),
         };
         let page_no = {
             let mut files = self.files.write();
@@ -739,6 +756,41 @@ mod tests {
         assert_eq!(io.torn_writes, 4);
         assert_eq!(io.faults_injected, 5);
         assert_eq!((io.pages_written, io.bytes_written), (5, 30));
+    }
+
+    /// A shared append keeps the caller's buffer itself — no second copy
+    /// of the page image — unless a fault damages the page, which must not
+    /// reach through to the buffer the caller still holds.
+    #[test]
+    fn shared_append_stores_the_callers_buffer_unless_a_fault_tears_it() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let s = storage();
+        let f = s.create_file();
+        let page: Arc<[u8]> = Arc::from(&b"abcdef"[..]);
+        s.append_page_shared(f, page.clone()).unwrap();
+        assert!(Arc::ptr_eq(&s.read_page(f, 0).unwrap(), &page));
+
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Append,
+                index: 0,
+            },
+            action: FaultAction::TornWrite { keep_bytes: 2 },
+        }]);
+        s.install_fault_plan(plan.clone());
+        plan.arm();
+        s.append_page_shared(f, page.clone()).unwrap();
+        s.clear_fault_plan();
+        assert_eq!(&*s.read_page(f, 1).unwrap(), b"ab\0\0\0\0");
+        assert_eq!(&*page, b"abcdef");
+        let io = s.stats();
+        assert_eq!(
+            (io.pages_written, io.bytes_written, io.torn_writes),
+            (2, 12, 1)
+        );
+        assert!(s
+            .append_page_shared(f, vec![0; s.page_size() + 1].into())
+            .is_err());
     }
 
     /// The page is built before the file table is locked and published by
