@@ -5,8 +5,9 @@
 //! codec over cold pages (btree) — the cache-hit page read (storage), the
 //! record codec and its allocation-free view (common), and the point
 //! lookup, the batched stateful fetch, the reconciling merge scan at a
-//! small and a large number of components, and the whole merge — scan,
-//! reconcile, build — of pk-shaped and primary-shaped entries (lsm).
+//! small and a large number of components, the whole merge — scan,
+//! reconcile, build — of pk-shaped and primary-shaped entries, and index
+//! repair's point validation of sorted candidates (lsm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
@@ -14,8 +15,8 @@ use lsm_btree::{AnyLeafBuilder, BTree, BTreeBuilder, LeafView, StatefulCursor};
 use lsm_common::{Record, RecordView};
 use lsm_storage::{LeafEncoding, Storage, StorageOptions};
 use lsm_tree::{
-    lookup_sorted, point_lookup, BuildOptions, ComponentBuilder, ComponentId, DiskComponent,
-    LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, MergeRange, ScanOptions,
+    lookup_sorted, point_lookup, sorted_timestamps, BuildOptions, ComponentBuilder, ComponentId,
+    DiskComponent, LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, MergeRange, ScanOptions,
 };
 use lsm_workload::{TweetConfig, TweetGenerator};
 use std::hint::black_box;
@@ -324,6 +325,38 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
+/// Index repair's point validation (Figure 7, after the sort): the newest
+/// timestamp of each of 65 536 ascending candidate keys, by
+/// `sorted_timestamps`, against a warm two-component pk index of which the
+/// candidates are every 33rd key (`sparse`, 3 %: ~200 probes per 6 500-entry
+/// leaf) or every other key (`dense`, 50 %).
+fn bench_repair_validate(c: &mut Criterion) {
+    const CANDIDATES: u64 = 65_536;
+    let mut group = c.benchmark_group("repair_validate");
+    for (name, step) in [("sparse", 33u64), ("dense", 2)] {
+        let storage = Storage::new(StorageOptions {
+            cache_pages: 1 << 20, // fully cached: measure CPU only
+            ..StorageOptions::hdd(0)
+        });
+        let entry_of = |key| LsmEntry::put_ts(Vec::new(), key + 1);
+        let comps = build_components(&storage, 2, CANDIDATES * step / 2, entry_of);
+        let keys: Vec<[u8; 8]> = (0..CANDIDATES).map(|i| (i * step).to_be_bytes()).collect();
+        let validate = || {
+            let mut newer = 0u64;
+            let on_newest = |j: usize, ts| newer += u64::from(ts > j as u64);
+            let key_of = |j: usize| keys[j].as_slice();
+            let walk =
+                sorted_timestamps(&storage, &comps, keys.len(), key_of, |_, _| true, on_newest);
+            black_box((walk.unwrap(), newer))
+        };
+        // Nineteen candidates in twenty are stored keys (`build_components`
+        // leaves gaps); this also warms the cache.
+        assert!(validate().0.tree_probes >= CANDIDATES * 9 / 10);
+        group.bench_function(name, |b| b.iter(validate));
+    }
+    group.finish();
+}
+
 /// `point_lookup` over warm pages with 4 and 32 disk components: 1024
 /// lookups per iteration, of keys spread over all components (`present`)
 /// and of keys no component holds (`absent`: every filter is probed).
@@ -446,6 +479,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_leaf_search,
-        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan, bench_merge
+        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan, bench_merge,
+        bench_repair_validate
 }
 criterion_main!(benches);

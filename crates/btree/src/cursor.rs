@@ -20,6 +20,15 @@
 //! what it would under that bound. The rightmost leaf has no fence and is
 //! bounded by its last key.
 //!
+//! The cursor **keeps the page** of its remembered leaf. A probe the leaf
+//! covers searches those bytes and asks the storage layer nothing: a
+//! repeated hit on the page read last moves neither the simulated clock (a
+//! hit is free) nor the cache's eviction order, so the only trace of the
+//! read the cursor skips is one `IoStats::cache_hits` count — a leaf visit
+//! is one page read however many probes it serves. The held page is the
+//! `Arc` the device stores, so it stays readable if the tree's file is
+//! destroyed under the cursor; the next descent reports that.
+//!
 //! Probe keys must be non-decreasing; this is guaranteed by the sorted fetch
 //! lists the engine produces.
 
@@ -27,6 +36,7 @@ use crate::leaf::LeafView;
 use crate::tree::{pinned_match, BTree};
 use lsm_common::Result;
 use lsm_storage::{PageNo, PageSlice};
+use std::sync::Arc;
 
 /// A stateful lookup cursor over one [`BTree`].
 pub struct StatefulCursor<'t> {
@@ -41,6 +51,8 @@ pub struct StatefulCursor<'t> {
 
 struct CursorState {
     leaf_no: PageNo,
+    /// Leaf `leaf_no`'s page, as the descent that reached it read it.
+    page: Arc<[u8]>,
     pos: usize,
     /// Upper bound of the keys leaf `leaf_no` can hold: its fence
     /// (exclusive) when `fenced`, else its last key (inclusive). Rewritten
@@ -82,8 +94,7 @@ impl<'t> StatefulCursor<'t> {
     pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
         // Fast path: the remembered leaf still covers `key`.
         if let Some(state) = self.state.as_mut().filter(|s| s.covers(key)) {
-            let data = self.tree.read_leaf(state.leaf_no)?;
-            let leaf = LeafView::parse(&data)?;
+            let leaf = LeafView::parse(&state.page)?;
             let (found, cmps) = leaf.exponential_search(key, state.pos)?;
             // Off the end of the page: a gap key under the fence. Nothing
             // is counted or charged; the descent below answers it.
@@ -92,7 +103,7 @@ impl<'t> StatefulCursor<'t> {
                 let (Ok(pos) | Err(pos)) = found;
                 state.pos = pos;
                 self.tree.charge_nodes(1, cmps);
-                return pinned_match(&data, &leaf, found);
+                return pinned_match(&state.page, &leaf, found);
             }
         }
         // Slow path: descend from the root, into the bound buffer the
@@ -105,8 +116,8 @@ impl<'t> StatefulCursor<'t> {
         let Some((leaf_no, fenced)) = self.tree.locate_leaf_fenced(key, Some(&mut bound))? else {
             return Ok(None);
         };
-        let data = self.tree.read_leaf(leaf_no)?;
-        let leaf = LeafView::parse(&data)?;
+        let page = self.tree.read_leaf(leaf_no)?;
+        let leaf = LeafView::parse(&page)?;
         let (found, cmps) = leaf.search(key)?;
         // No fence: the rightmost leaf, bounded by its last key — which
         // `bound` still holds when the descent came back to the same leaf.
@@ -117,14 +128,17 @@ impl<'t> StatefulCursor<'t> {
             }
         }
         let (Ok(pos) | Err(pos)) = found;
+        let pos = pos.min(leaf.count().saturating_sub(1));
+        self.tree.charge_nodes(1, cmps);
+        let hit = pinned_match(&page, &leaf, found);
         self.state = Some(CursorState {
             leaf_no,
-            pos: pos.min(leaf.count().saturating_sub(1)),
+            page,
+            pos,
             bound,
             fenced,
         });
-        self.tree.charge_nodes(1, cmps);
-        pinned_match(&data, &leaf, found)
+        hit
     }
 }
 
@@ -335,6 +349,30 @@ mod tests {
         );
     }
 
+    /// The cursor holds its leaf's page, not a page number: probes the leaf
+    /// covers are answered from it whatever became of the file (a merge
+    /// retiring the component mid-walk), and the first probe that has to
+    /// descend reports the loss.
+    #[test]
+    fn a_held_leaf_outlives_its_file() {
+        let t = build(5000);
+        let mut c = StatefulCursor::new(&t);
+        let (v, _) = c.seek(b"key00000000").unwrap().unwrap();
+        assert_eq!(v, b"v0");
+        let hits_before = t.storage().stats().cache_hits;
+        t.destroy().unwrap();
+        let (v, ord) = c.seek(b"key00000007").unwrap().unwrap();
+        assert_eq!((v.as_slice(), ord), (b"v7".as_slice(), 7));
+        assert!(c.seek(b"key00000007x").unwrap().is_none());
+        assert_eq!((c.descents, c.leaf_hits), (1, 2));
+        assert_eq!(
+            t.storage().stats().cache_hits,
+            hits_before,
+            "no page was asked for"
+        );
+        assert!(c.seek(b"key00004999").is_err(), "a descent reads the file");
+    }
+
     // ---- differential test against the last-key cursor ---------------------
 
     /// Entry counts giving trees of height 1, 2 and 3 on 256-byte pages.
@@ -370,7 +408,10 @@ mod tests {
         // Every probe of a sorted sequence — present keys, absent keys
         // inside a leaf, keys in the gap between two leaves (below the
         // fence, above the last key), keys past the last leaf, repeats —
-        // returns, counts and charges what the last-key cursor does.
+        // returns, counts and charges what the last-key cursor does, and
+        // reads pages only to descend: one read per level per descent,
+        // none for a probe the held leaf serves (the last-key cursor reads
+        // the leaf again for each).
         #[test]
         fn fenced_cursor_matches_the_last_key_cursor(
             size in 0..3usize,
@@ -401,24 +442,30 @@ mod tests {
             probes.sort();
 
             let s = tree.storage().clone();
+            // (hit, cpu_ns charged, pages read from cache or device)
             let charged = |run: &mut dyn FnMut() -> Option<(Vec<u8>, u64)>| {
-                let before = s.stats().cpu_ns;
+                let before = s.stats();
                 let hit = run();
-                (hit, s.stats().cpu_ns - before)
+                let d = s.stats().since(&before);
+                (hit, d.cpu_ns, d.cache_hits + d.rand_reads + d.seq_reads)
             };
             let mut cursor = StatefulCursor::new(&tree);
             let mut oracle = oracle::StatefulCursor::new(&tree);
             for key in &probes {
+                let descents = cursor.descents;
                 let want = charged(&mut || {
                     oracle.seek_pinned(key).unwrap().map(|(v, ord)| (v.to_vec(), ord))
                 });
                 let got = charged(&mut || cursor.seek(key).unwrap());
-                prop_assert_eq!(&got, &want, "probe {:?}", String::from_utf8_lossy(key));
+                prop_assert_eq!((&got.0, got.1), (&want.0, want.1), "probe {:?}", String::from_utf8_lossy(key));
                 prop_assert_eq!(
                     (cursor.descents, cursor.leaf_hits),
                     (oracle.descents, oracle.leaf_hits),
                     "after probe {:?}", String::from_utf8_lossy(key)
                 );
+                let descended = cursor.descents > descents;
+                prop_assert_eq!(got.2, if descended { u64::from(tree.height()) } else { 0 });
+                prop_assert_eq!(want.2, if descended { u64::from(tree.height()) } else { 1 });
             }
         }
     }

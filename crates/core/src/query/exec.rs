@@ -43,8 +43,8 @@ use crate::query::pool::{append, run_partitions};
 use crate::query::{QueryOptions, QueryResult, RecordStream, ValidationMethod};
 use lsm_common::{Error, Key, Record, RecordView, Result, Timestamp, Value};
 use lsm_tree::{
-    lookup_sorted, newest_version_after, ComponentId, DiskComponent, LookupOptions, LsmEntry,
-    LsmScan, ScanOptions, ScanPartition,
+    lookup_sorted, sorted_timestamps, ComponentId, DiskComponent, LookupOptions, LsmEntry, LsmScan,
+    ScanOptions, ScanPartition,
 };
 use std::ops::{Bound, Range};
 use std::sync::Arc;
@@ -194,6 +194,13 @@ fn sort_dedup_candidates(ds: &Dataset, candidates: &mut Vec<Candidate>, opts: &Q
 /// primary key index, plus the final distinct-pk pass. A no-op for the
 /// other validation methods. Query-driven-repair obsolescence proofs are
 /// pushed onto `marks`; the caller applies them once per query.
+///
+/// A candidate is obsolete iff the newest version of its key — in memory,
+/// else among the disk components newer than both its own and its source's
+/// repaired timestamp — is younger than it. The memory component is probed
+/// first and the disk list captured once, after, so an entry mid-flush is
+/// seen in one or the other; the candidates arrive in key order, so the
+/// disk probes are one batched, stateful walk (Section 3.2).
 fn validate_candidates(
     ds: &Dataset,
     candidates: Vec<Candidate>,
@@ -206,14 +213,29 @@ fn validate_candidates(
     let pk_tree = ds
         .pk_index()
         .ok_or_else(|| Error::invalid("timestamp validation requires the pk index"))?;
+    let mut obsolete = vec![false; candidates.len()];
+    let mut unseen: Vec<usize> = Vec::with_capacity(candidates.len());
+    for (i, cand) in candidates.iter().enumerate() {
+        match pk_tree.mem_get(&cand.pk_key) {
+            Some(found) => obsolete[i] = found.ts > cand.ts,
+            None => unseen.push(i),
+        }
+    }
+    let pk_components = pk_tree.disk_components();
+    sorted_timestamps(
+        ds.storage(),
+        &pk_components,
+        unseen.len(),
+        |j| candidates[unseen[j]].pk_key.as_slice(),
+        |j, comp| {
+            let cand = &candidates[unseen[j]];
+            !comp.id().at_or_before(cand.ts.max(cand.repaired_ts))
+        },
+        |j, newest| obsolete[unseen[j]] = newest > candidates[unseen[j]].ts,
+    )?;
     let mut valid = Vec::with_capacity(candidates.len());
-    for cand in candidates {
-        let prune = cand.ts.max(cand.repaired_ts);
-        let invalid = match newest_version_after(pk_tree, &cand.pk_key, prune)? {
-            Some(found) => found.ts > cand.ts,
-            None => false,
-        };
-        if !invalid {
+    for (cand, obsolete) in candidates.into_iter().zip(obsolete) {
+        if !obsolete {
             valid.push(cand);
         } else if opts.query_driven_repair {
             // Query-driven maintenance: record the proof of obsolescence
@@ -568,5 +590,127 @@ mod tests {
                 .0
                 .is_none()
         );
+    }
+
+    // ---- Timestamp validation against the per-key probes ---------------------
+
+    /// Figure 5b as it ran before the sorted walk: per candidate, the
+    /// memory component, then one Bloom-gated search per unpruned disk
+    /// component of a snapshot of its own.
+    fn validate_per_key(
+        ds: &Dataset,
+        candidates: Vec<Candidate>,
+        opts: &QueryOptions,
+        marks: &mut Vec<RepairMark>,
+    ) -> Vec<Candidate> {
+        let pk_tree = ds.pk_index().unwrap();
+        let mut valid = Vec::new();
+        for cand in candidates {
+            let prune = cand.ts.max(cand.repaired_ts);
+            let newest = pk_tree.mem_get(&cand.pk_key).or_else(|| {
+                let unpruned = |c: &DiskComponent| !c.id().at_or_before(prune);
+                let comps = pk_tree.disk_components();
+                let oracle = crate::repair::oracle::newest_version_among;
+                oracle(ds.storage(), &comps, &cand.pk_key, unpruned)
+                    .unwrap()
+                    .0
+            });
+            if newest.is_none_or(|found| found.ts <= cand.ts) {
+                valid.push(cand);
+            } else if opts.query_driven_repair {
+                marks.extend(cand.source);
+            }
+        }
+        valid.dedup_by(|a, b| a.pk_key == b.pk_key);
+        valid
+    }
+
+    /// A Timestamp-validated index-only query over candidates whose newest
+    /// versions are spread over the pk index's memory component (an update
+    /// not yet flushed), anti-matter (a delete), components a repair's
+    /// timestamp prunes and components it does not: the walk keeps the
+    /// candidates, leaves the marks and pays the Bloom checks of the
+    /// per-key probes.
+    #[test]
+    fn timestamp_validation_on_the_sorted_walk_matches_the_per_key_probes() {
+        use crate::config::{DatasetConfig, SecondaryIndexDef, StrategyKind};
+        use lsm_common::{FieldType, Schema};
+        let schema = Schema::new(vec![("id", FieldType::Int), ("group", FieldType::Int)]).unwrap();
+        let mut cfg = DatasetConfig::new(schema, 0);
+        cfg.strategy = StrategyKind::Validation;
+        cfg.merge_repair = false;
+        cfg.memory_budget = usize::MAX;
+        cfg.secondary_indexes = vec![SecondaryIndexDef {
+            name: "group".into(),
+            field: 1,
+        }];
+        let storage = lsm_storage::Storage::new(lsm_storage::StorageOptions::test());
+        let ds = Dataset::open(storage, None, cfg).unwrap();
+        let rec = |id: i64, group: i64| Record::new(vec![Value::Int(id), Value::Int(group)]);
+        for id in 0..200 {
+            ds.insert(&rec(id, 1)).unwrap();
+        }
+        ds.flush_all().unwrap();
+        for id in (0..200).step_by(4) {
+            ds.upsert(&rec(id, 2)).unwrap(); // leaves group 1
+        }
+        ds.flush_all().unwrap();
+        ds.maintenance().repair_all().unwrap(); // repaired timestamps now prune
+        for id in (1..200).step_by(10) {
+            ds.delete(&Value::Int(id)).unwrap(); // anti-matter in the pk index
+        }
+        for id in (2..200).step_by(6) {
+            ds.upsert(&rec(id, 1)).unwrap(); // a second group-1 entry, newer
+        }
+        ds.flush_all().unwrap();
+        for id in (3..200).step_by(8) {
+            ds.upsert(&rec(id, 3)).unwrap(); // still in memory
+        }
+
+        let opts = QueryOptions {
+            index_only: true,
+            validation: ValidationMethod::Timestamp,
+            query_driven_repair: true,
+            ..QueryOptions::default()
+        };
+        let sec = ds.secondary("group").unwrap();
+        let (lo, hi) = sk_range(Some(&Value::Int(1)), Some(&Value::Int(2)));
+        let (lo, hi) = (bound_as_ref(&lo), bound_as_ref(&hi));
+        let (mem, comps) = sec.tree.mem_and_disk_snapshot_if(lo, hi, |_, _| true);
+        let mut candidates = scan_candidates(&ds, mem, &comps, lo, hi).unwrap();
+        sort_dedup_candidates(&ds, &mut candidates, &opts);
+        assert!(candidates.windows(2).any(|w| w[0].pk_key == w[1].pk_key));
+
+        let stats = || ds.storage().stats();
+        let (before, mut want_marks) = (stats(), Vec::new());
+        let want = validate_per_key(&ds, candidates.clone(), &opts, &mut want_marks);
+        let per_key = stats().since(&before);
+        let (before, mut marks) = (stats(), Vec::new());
+        let got = validate_candidates(&ds, candidates, &opts, &mut marks).unwrap();
+        let walk = stats().since(&before);
+
+        let keys = |cands: &[Candidate]| -> Vec<(Key, Timestamp)> {
+            cands.iter().map(|c| (c.pk_key.clone(), c.ts)).collect()
+        };
+        assert_eq!(keys(&got), keys(&want));
+        marks.sort_unstable();
+        want_marks.sort_unstable();
+        assert_eq!(marks, want_marks);
+        assert!(!marks.is_empty());
+        assert_eq!(
+            (walk.bloom_checks, walk.bloom_negatives),
+            (per_key.bloom_checks, per_key.bloom_negatives)
+        );
+        assert!(walk.bloom_checks > 0);
+
+        // The query itself, against the model: ids now in group 1 or 2,
+        // that is, neither deleted nor (last of all) moved to group 3.
+        let res = ds.query("group").range(1, 2).with_options(opts);
+        let res = res.execute().unwrap();
+        let mut got: Vec<i64> = res.keys().iter().map(|k| k.as_int().unwrap()).collect();
+        got.sort_unstable();
+        let gone = |id: &i64| (id - 3) % 8 == 0 || (id - 1) % 10 == 0;
+        let model: Vec<i64> = (0..200).filter(|id| !gone(id)).collect();
+        assert_eq!(got, model);
     }
 }

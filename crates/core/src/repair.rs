@@ -24,8 +24,8 @@ use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Error, Key, RecordView, Result, Timestamp};
 use lsm_storage::Storage;
 use lsm_tree::{
-    newest_version_among, AtomicBitmap, ComponentBuilder, ComponentId, ComponentList,
-    DiskComponent, EntryRef, LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions,
+    any_may_contain, sorted_timestamps, AtomicBitmap, ComponentBuilder, ComponentId, ComponentList,
+    DiskComponent, EntryRef, LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions, WalkStats,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -78,6 +78,12 @@ pub struct RepairReport {
     pub invalidated: u64,
     /// True if the merge-scan path was taken.
     pub used_merge_scan: bool,
+    /// Primary-key-index B+-tree probes made by point validation: the
+    /// `(candidate, component)` pairs the Bloom filters let through.
+    pub pk_tree_probes: u64,
+    /// Root-to-leaf descents those probes took: the candidates are probed
+    /// in key order on a stateful cursor, so one per leaf visited.
+    pub pk_leaf_visits: u64,
 }
 
 /// One candidate for validation: Figure 7's `(pkey, ts, position)`, the
@@ -154,20 +160,28 @@ fn validate_candidates(
     let keys = candidates.keys.as_slice();
     let candidates = candidates.list.as_mut_slice();
     charge_sort(storage, candidates.len() as u64);
-    // Key order, decided by the prefixes wherever they differ; stable, so
-    // equal keys keep their scan order.
-    candidates.sort_by(|a, b| {
+    // Key order, decided by the prefixes wherever they differ. Unstable:
+    // candidates of one primary key are validated independently, each into
+    // the bit of its own `position`, so their order changes no bit.
+    candidates.sort_unstable_by(|a, b| {
         a.key_prefix
             .cmp(&b.key_prefix)
             .then_with(|| key_of(keys, a).cmp(key_of(keys, b)))
     });
     report.keys_validated += candidates.len() as u64;
+    // Invalid iff the same key exists with a larger timestamp (an update
+    // or a delete after this entry was written).
+    let mut invalidate = |cand: &Candidate, newest: Timestamp| {
+        if newest > cand.ts {
+            bitmap.set(cand.position);
+            report.invalidated += 1;
+        }
+    };
 
     let pk_entries: u64 = pk_components.iter().map(|c| c.num_entries()).sum();
     if opts.merge_scan_opt && candidates.len() as u64 > pk_entries {
         // Merge join the sorted candidates with a reconciling scan of the
         // unpruned pk-index components.
-        report.used_merge_scan = true;
         let mut scan = LsmScan::new(
             storage.clone(),
             None,
@@ -185,26 +199,138 @@ fn validate_candidates(
             while head.is_some_and(|h| h.key < pkey) {
                 head = scan.next_lent()?;
             }
-            if head.is_some_and(|h| h.key == pkey && h.entry.ts > cand.ts) {
-                bitmap.set(cand.position);
-                report.invalidated += 1;
+            if let Some(h) = head.filter(|h| h.key == pkey) {
+                invalidate(cand, h.entry.ts);
             }
         }
+        report.used_merge_scan = true;
         return Ok(());
     }
 
-    for cand in candidates.iter() {
-        let pkey = key_of(keys, cand);
-        if let Some(found) = newest_version_among(storage, pk_components, pkey)? {
-            // Invalid iff the same key exists with a larger timestamp
-            // (an update or a delete after this entry was written).
-            if found.ts > cand.ts {
-                bitmap.set(cand.position);
-                report.invalidated += 1;
+    let walk = newest_timestamps(storage, pk_components, keys, candidates, |i, newest| {
+        invalidate(&candidates[i], newest)
+    })?;
+    report.pk_tree_probes += walk.tree_probes;
+    report.pk_leaf_visits += walk.leaf_visits;
+    Ok(())
+}
+
+/// Point validation's probes: the candidates are sorted, so they are one
+/// batched, stateful walk of the pk index (Section 3.2). `on_newest(i, ts)`
+/// gets the timestamp of the newest version of candidate `i`'s key, if
+/// `pk_components` hold one.
+fn newest_timestamps(
+    storage: &Storage,
+    pk_components: &[Arc<DiskComponent>],
+    keys: &[u8],
+    candidates: &[Candidate],
+    on_newest: impl FnMut(usize, Timestamp),
+) -> Result<WalkStats> {
+    #[cfg(test)]
+    if oracle::enabled() {
+        return oracle::newest_timestamps(storage, pk_components, keys, candidates, on_newest);
+    }
+    sorted_timestamps(
+        storage,
+        pk_components,
+        candidates.len(),
+        |i| key_of(keys, &candidates[i]),
+        |_, _| true,
+        on_newest,
+    )
+}
+
+/// The Bloom filter optimization's test (Section 4.4): may any unpruned
+/// component newer than `ts` — one at or below the entry's own timestamp
+/// cannot hold a newer version — contain `pk_key`?
+fn touched_since(
+    storage: &Storage,
+    unpruned: &[Arc<DiskComponent>],
+    pk_key: &[u8],
+    ts: Timestamp,
+) -> bool {
+    let newer = |c: &DiskComponent| !c.id().at_or_before(ts);
+    #[cfg(test)]
+    if oracle::enabled() {
+        return oracle::touched_since(storage, unpruned, pk_key, newer);
+    }
+    any_may_contain(storage, unpruned, pk_key, newer)
+}
+
+/// Validation as it ran before the sorted walk — one independent
+/// root-to-leaf search per candidate and component, one hash and one bill
+/// per Bloom probe — switched in per thread, for the tests that demand the
+/// same bitmap, report and Bloom bill from both.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn enabled() -> bool {
+        ENABLED.get()
+    }
+
+    /// Runs `f` with this thread's repairs validating per key.
+    pub(crate) fn with<T>(f: impl FnOnce() -> T) -> T {
+        ENABLED.set(true);
+        let out = f();
+        ENABLED.set(false);
+        out
+    }
+
+    /// The newest version of `key` among the `components` (newest first)
+    /// that `eligible` admits, and the B+-tree searches that took.
+    pub(crate) fn newest_version_among(
+        storage: &Storage,
+        components: &[Arc<DiskComponent>],
+        key: &[u8],
+        eligible: impl Fn(&DiskComponent) -> bool,
+    ) -> Result<(Option<LsmEntry>, u64)> {
+        let mut searches = 0;
+        for comp in components.iter().filter(|c| eligible(c)) {
+            if comp.bloom_may_contain(storage, key) {
+                searches += 1;
+                if let Some((entry, _)) = comp.search(key)? {
+                    return Ok((Some(entry), searches));
+                }
             }
         }
+        Ok((None, searches))
     }
-    Ok(())
+
+    pub(super) fn newest_timestamps(
+        storage: &Storage,
+        pk_components: &[Arc<DiskComponent>],
+        keys: &[u8],
+        candidates: &[Candidate],
+        mut on_newest: impl FnMut(usize, Timestamp),
+    ) -> Result<WalkStats> {
+        let mut stats = WalkStats::default();
+        for (i, cand) in candidates.iter().enumerate() {
+            let (found, searches) =
+                newest_version_among(storage, pk_components, key_of(keys, cand), |_| true)?;
+            stats.tree_probes += searches;
+            stats.leaf_visits += searches;
+            if let Some(found) = found {
+                on_newest(i, found.ts);
+            }
+        }
+        Ok(stats)
+    }
+
+    pub(super) fn touched_since(
+        storage: &Storage,
+        unpruned: &[Arc<DiskComponent>],
+        pk_key: &[u8],
+        newer: impl Fn(&DiskComponent) -> bool,
+    ) -> bool {
+        let mut newer = unpruned.iter().filter(|c| newer(c));
+        newer.any(|c| c.bloom_may_contain(storage, pk_key))
+    }
 }
 
 /// The new repaired timestamp: the maximum timestamp of the unpruned
@@ -267,21 +393,10 @@ impl<'a> Validation<'a> {
         report: &mut RepairReport,
     ) -> Result<()> {
         let pk_key = split_sk_pk(key)?.1;
-        if matches!(
-            self.opts.mode,
-            RepairMode::PrimaryKeyIndex { bloom_opt: true }
-        ) {
-            // Per-entry pruning: a component whose maxTS is at or below the
-            // entry's own timestamp cannot contain a newer version.
-            let touched = self
-                .unpruned
-                .iter()
-                .filter(|c| !c.id().at_or_before(ts))
-                .any(|c| c.bloom_may_contain(self.storage, pk_key));
-            if !touched {
-                report.skipped_by_bloom += 1;
-                return Ok(());
-            }
+        let bloom_opt = self.opts.mode == RepairMode::PrimaryKeyIndex { bloom_opt: true };
+        if bloom_opt && !touched_since(self.storage, &self.unpruned, pk_key, ts) {
+            report.skipped_by_bloom += 1;
+            return Ok(());
         }
         self.candidates.push(pk_key, ts, position);
         Ok(())
@@ -706,6 +821,11 @@ mod tests {
     /// checked against.
     #[test]
     fn repaired_ts_covers_only_the_components_validated_against() {
+        repaired_ts_covers_only_its_snapshot();
+        oracle::with(repaired_ts_covers_only_its_snapshot);
+    }
+
+    fn repaired_ts_covers_only_its_snapshot() {
         let ds = dataset(StrategyKind::Validation);
         for i in 0..100 {
             ds.insert(&rec(i, "CA")).unwrap();
@@ -848,5 +968,182 @@ mod tests {
         let reports = ds.maintenance().repair_all().unwrap();
         assert_eq!(reports[0].invalidated, 0);
         assert_eq!(live_secondary_entries(&ds), 50 + 20);
+    }
+
+    // ---- the sorted walk against per-key validation -------------------------
+
+    /// Six flushes of churn over 400 records: updates that move a record
+    /// to another location (obsoleting a secondary entry), updates that
+    /// keep it, deletes, and re-inserts — so the pk index has six
+    /// components holding several versions of many keys, anti-matter
+    /// included, and every secondary component has obsolete entries.
+    fn churn(ds: &Dataset) {
+        for i in 0..400 {
+            ds.insert(&rec(i, "CA")).unwrap();
+        }
+        ds.flush_all().unwrap();
+        for round in 1..6i64 {
+            for i in (0..400).filter(|i| i % (round + 1) == 0) {
+                match (i + round) % 4 {
+                    0 => {
+                        ds.delete(&Value::Int(i)).unwrap();
+                    }
+                    1 => ds.upsert(&rec(i, "CA")).unwrap(),
+                    _ => ds
+                        .upsert(&rec(i, ["NY", "TX", "WA"][(round % 3) as usize]))
+                        .unwrap(),
+                }
+            }
+            ds.flush_all().unwrap();
+        }
+    }
+
+    /// Everything a repair decides and is billed.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        report: RepairReport,
+        /// Per secondary component.
+        bitmaps: Vec<Option<lsm_tree::BitmapSnapshot>>,
+        repaired_ts: Vec<Timestamp>,
+        bloom_checks: u64,
+        bloom_negatives: u64,
+        cpu_ns: u64,
+    }
+
+    /// Runs `repair` on a freshly churned dataset, after one earlier repair
+    /// and one more flush so that repaired timestamps prune.
+    fn outcome(repair: impl Fn(&Dataset) -> RepairReport) -> Outcome {
+        let ds = dataset(StrategyKind::Validation);
+        churn(&ds);
+        ds.maintenance().repair_all().unwrap();
+        for i in 0..60 {
+            ds.upsert(&rec(i * 5, "OR")).unwrap();
+        }
+        ds.flush_all().unwrap();
+        let before = ds.storage().stats();
+        let report = repair(&ds);
+        let billed = ds.storage().stats().since(&before);
+        let comps = ds.secondaries()[0].tree.disk_components();
+        Outcome {
+            report,
+            bitmaps: comps
+                .iter()
+                .map(|c| c.bitmap().map(|b| b.snapshot()))
+                .collect(),
+            repaired_ts: comps.iter().map(|c| c.repaired_ts()).collect(),
+            bloom_checks: billed.bloom_checks,
+            bloom_negatives: billed.bloom_negatives,
+            cpu_ns: billed.cpu_ns,
+        }
+    }
+
+    /// Merge repair and standalone repair, with and without the Bloom
+    /// filter optimization, decide bit for bit what one search per
+    /// candidate and component decided, from the same Bloom probes (the
+    /// optimization's too: hashed once per key, billed once, where the
+    /// oracle hashes and bills per component) — in one descent per
+    /// pk-index leaf visited instead of one per probe.
+    #[test]
+    fn repairs_on_the_sorted_walk_match_per_key_validation() {
+        for with_merge in [true, false] {
+            for bloom in [false, true] {
+                let repair = |ds: &Dataset| {
+                    let plan = ds.maintenance().plan().merge_scan(false).bloom(bloom);
+                    plan.with_merge(with_merge)
+                        .repair_index("location")
+                        .unwrap()
+                };
+                let walk = outcome(repair);
+                let per_key = oracle::with(|| outcome(repair));
+                let case = format!("with_merge={with_merge} bloom={bloom}");
+                assert!(walk.report.invalidated > 0, "{case}: {walk:?}");
+                assert!(!walk.report.used_merge_scan, "{case}");
+                assert_eq!(bloom, walk.report.skipped_by_bloom > 0, "{case}");
+                // Per key, every probe is its own descent.
+                assert_eq!(per_key.report.pk_leaf_visits, per_key.report.pk_tree_probes);
+                assert!(
+                    walk.report.pk_leaf_visits * 4 < walk.report.pk_tree_probes,
+                    "{case}: {walk:?}"
+                );
+                assert!(
+                    walk.cpu_ns < per_key.cpu_ns,
+                    "{case}: {} vs {}",
+                    walk.cpu_ns,
+                    per_key.cpu_ns
+                );
+                let leaf_visits = walk.report.pk_leaf_visits;
+                let same_but = |o: Outcome| Outcome {
+                    report: RepairReport {
+                        pk_leaf_visits: leaf_visits,
+                        ..o.report
+                    },
+                    cpu_ns: 0,
+                    ..o
+                };
+                assert_eq!(same_but(walk), same_but(per_key), "{case}");
+            }
+        }
+    }
+
+    /// Candidates of one primary key are validated each on its own, so the
+    /// unstable sort may leave them in any order: shuffled input, same bits.
+    #[test]
+    fn equal_key_candidates_validate_alike_in_any_order() {
+        let ds = dataset(StrategyKind::Validation);
+        obsolete_setup(&ds); // pk 0..50 written at ts ≤ 100, rewritten after
+        let storage = ds.storage();
+        let pk_components = ds.pk_index().unwrap().disk_components();
+        let newest_of_7 = {
+            let key = crate::keys::encode_pk(&Value::Int(7));
+            oracle::newest_version_among(storage, &pk_components, &key, |_| true)
+                .unwrap()
+                .0
+                .unwrap()
+                .ts
+        };
+        // (pk, ts, position): five candidates of pk 7 on both sides of its
+        // newest version, between candidates of other keys.
+        let triples: Vec<(i64, Timestamp, u64)> = vec![
+            (3, 1, 0),
+            (7, newest_of_7 - 1, 1),
+            (7, newest_of_7, 2),
+            (7, 1, 3),
+            (7, newest_of_7 + 1, 4),
+            (7, 2, 5),
+            (60, 1, 6),
+            (60, u64::MAX - 1, 7),
+        ];
+        let validate = |order: &[usize]| {
+            let mut candidates = Candidates::default();
+            for &i in order {
+                let (pk, ts, position) = triples[i];
+                candidates.push(&crate::keys::encode_pk(&Value::Int(pk)), ts, position);
+            }
+            let bitmap = AtomicBitmap::new(triples.len() as u64);
+            let opts = RepairOptions::default();
+            let mut report = RepairReport::default();
+            validate_candidates(
+                storage,
+                &pk_components,
+                &mut candidates,
+                &bitmap,
+                &opts,
+                &mut report,
+            )
+            .unwrap();
+            assert_eq!((report.keys_validated, report.invalidated), (8, 5));
+            (0..bitmap.len())
+                .filter(|&i| bitmap.get(i))
+                .collect::<Vec<u64>>()
+        };
+        let want = vec![0, 1, 3, 5, 6];
+        for order in [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [7, 6, 5, 4, 3, 2, 1, 0],
+            [4, 2, 7, 1, 0, 5, 3, 6],
+            [5, 3, 1, 6, 2, 4, 0, 7],
+        ] {
+            assert_eq!(validate(&order), want, "{order:?}");
+        }
     }
 }

@@ -33,8 +33,8 @@ pub use component::DiskComponent;
 pub use component_id::ComponentId;
 pub use entry::{EntryRef, LsmEntry};
 pub use lookup::{
-    locate_valid, lookup_sorted, newest_disk_version_after, newest_version_after,
-    newest_version_among, point_lookup, LookupOptions,
+    any_may_contain, locate_valid, lookup_sorted, point_lookup, sorted_timestamps, LookupOptions,
+    WalkStats,
 };
 pub use memtable::MemComponent;
 pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};

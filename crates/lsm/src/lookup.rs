@@ -20,15 +20,22 @@
 //! walk over an immutable snapshot of the component list (`newest_on_disk`):
 //! the key is hashed once for all Bloom filters, and the probes' simulated
 //! cost and counters are applied per lookup, not per component.
+//!
+//! Every multi-key probe — the record fetch's batches ([`lookup_sorted`]),
+//! index repair's validation and a query's Timestamp validation
+//! ([`sorted_timestamps`]) — is one **sorted walk** (`walk_sorted`): the
+//! batched, stateful algorithm above, over however the caller holds its
+//! keys, whichever components each key may enter, and whatever it wants of
+//! a hit.
 
 use crate::component::{BloomTally, DiskComponent};
 use crate::component_id::ComponentId;
-use crate::entry::LsmEntry;
+use crate::entry::{EntryHeader, LsmEntry};
 use crate::tree::LsmTree;
 use lsm_bloom::KeyHash;
 use lsm_btree::StatefulCursor;
 use lsm_common::{Error, Key, Result, Timestamp};
-use lsm_storage::Storage;
+use lsm_storage::{PageSlice, Storage};
 use std::sync::Arc;
 
 /// Options for [`lookup_sorted`].
@@ -50,14 +57,29 @@ pub struct LookupOptions<'a> {
 /// necessarily key order when batching).
 pub type FoundEntries = Vec<(usize, LsmEntry)>;
 
-/// The newest disk version of a key: the entry, its ordinal, and the
-/// component (borrowed from the caller's snapshot) it was found in.
-type DiskHit<'c> = (&'c Arc<DiskComponent>, LsmEntry, u64);
+/// The newest disk version of a key: the component (borrowed from the
+/// caller's snapshot) it was found in, the stored entry pinned in its leaf
+/// page, and its ordinal.
+type DiskHit<'c> = (&'c Arc<DiskComponent>, PageSlice, u64);
+
+/// The B+-tree work of a multi-key probe, for the caller's report: Bloom
+/// checks are on `IoStats` already; these say what passed the filters and
+/// what that cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkStats {
+    /// B+-tree probes made: `(key, component)` pairs the Bloom filter let
+    /// through.
+    pub tree_probes: u64,
+    /// Root-to-leaf descents those probes took. A stateful walk descends
+    /// once per leaf it visits, however many probes the leaf serves.
+    pub leaf_visits: u64,
+}
 
 /// The one per-key walk every point lookup is built on: `components`
 /// newest → oldest, skipping those `eligible` rejects (unprobed and
 /// unbilled), gating each B+-tree search by the component's Bloom filter,
-/// stopping at the first component that holds `key`.
+/// stopping at the first component that holds `key`. Also returns the
+/// number of B+-tree searches made.
 ///
 /// The key is hashed once for all filters, and the probes' simulated cost
 /// and counters are tallied and applied once before each tree search and
@@ -67,20 +89,34 @@ fn newest_on_disk<'c>(
     components: &'c [Arc<DiskComponent>],
     key: &[u8],
     eligible: impl Fn(&DiskComponent) -> bool,
-) -> Result<Option<DiskHit<'c>>> {
+) -> Result<(Option<DiskHit<'c>>, u64)> {
     let hash = KeyHash::new(key);
     let mut tally = BloomTally::default();
+    let mut searches = 0;
     for comp in components {
         if !eligible(comp) || !comp.bloom_probe(hash, &mut tally) {
             continue;
         }
         tally.apply(storage);
-        if let Some((entry, ordinal)) = comp.search(key)? {
-            return Ok(Some((comp, entry, ordinal)));
+        searches += 1;
+        if let Some((raw, ordinal)) = comp.btree().search_pinned(key)? {
+            return Ok((Some((comp, raw, ordinal)), searches));
         }
     }
     tally.apply(storage);
-    Ok(None)
+    Ok((None, searches))
+}
+
+/// A key's newest disk version over every component, decoded.
+fn find_on_disk<'c>(
+    storage: &Storage,
+    components: &'c [Arc<DiskComponent>],
+    key: &[u8],
+) -> Result<Option<(&'c Arc<DiskComponent>, LsmEntry, u64)>> {
+    let Some((comp, raw, ordinal)) = newest_on_disk(storage, components, key, |_| true)?.0 else {
+        return Ok(None);
+    };
+    Ok(Some((comp, LsmEntry::decode_slice(raw)?, ordinal)))
 }
 
 /// Looks up one key: memory component first, then disk components newest to
@@ -92,51 +128,8 @@ pub fn point_lookup(tree: &LsmTree, key: &[u8]) -> Result<Option<LsmEntry>> {
         return Ok(Some(e));
     }
     let components = tree.disk_components();
-    let hit = newest_on_disk(tree.storage(), &components, key, |_| true)?;
+    let hit = find_on_disk(tree.storage(), &components, key)?;
     Ok(hit.and_then(|(comp, entry, ordinal)| comp.is_valid(ordinal).then_some(entry)))
-}
-
-/// The newest version of `key` among components strictly newer than
-/// `prune_ts` (plus the memory component). This is the primary-key-index
-/// probe used by Timestamp Validation and index repair (Section 4.3/4.4):
-/// components with `maxTS <= prune_ts` are pruned.
-pub fn newest_version_after(
-    tree: &LsmTree,
-    key: &[u8],
-    prune_ts: Timestamp,
-) -> Result<Option<LsmEntry>> {
-    if let Some(e) = tree.mem_get(key) {
-        return Ok(Some(e));
-    }
-    newest_disk_version_after(tree, key, prune_ts)
-}
-
-/// Like [`newest_version_after`] but searching disk components only —
-/// index repair (Section 4.4) validates against flushed state and advances
-/// the repaired timestamp to the newest unpruned disk component.
-pub fn newest_disk_version_after(
-    tree: &LsmTree,
-    key: &[u8],
-    prune_ts: Timestamp,
-) -> Result<Option<LsmEntry>> {
-    let components = tree.disk_components();
-    let hit = newest_on_disk(tree.storage(), &components, key, |comp| {
-        !comp.id().at_or_before(prune_ts)
-    })?;
-    Ok(hit.map(|(_, entry, _)| entry))
-}
-
-/// The newest version of `key` among `components` (newest first) — the
-/// probes of [`newest_disk_version_after`] over a component list the
-/// caller has snapshotted and pruned once, for the many keys of one index
-/// repair.
-pub fn newest_version_among(
-    storage: &Storage,
-    components: &[Arc<DiskComponent>],
-    key: &[u8],
-) -> Result<Option<LsmEntry>> {
-    let hit = newest_on_disk(storage, components, key, |_| true)?;
-    Ok(hit.map(|(_, entry, _)| entry))
 }
 
 /// Locates the valid (bitmap-live, non-anti-matter) disk entry for `key`,
@@ -148,12 +141,31 @@ pub fn locate_valid(
     key: &[u8],
 ) -> Result<Option<(Arc<DiskComponent>, u64, LsmEntry)>> {
     let components = tree.disk_components();
-    let hit = newest_on_disk(tree.storage(), &components, key, |_| true)?;
+    let hit = find_on_disk(tree.storage(), &components, key)?;
     // An invalidated or anti-matter newest version means deleted already;
     // older versions are stale.
     Ok(hit
         .filter(|(comp, entry, ordinal)| comp.is_valid(*ordinal) && !entry.anti_matter)
         .map(|(comp, entry, ordinal)| (comp.clone(), ordinal, entry)))
+}
+
+/// True if the Bloom filter of any component of `components` that `keep`
+/// admits may contain `key` — index repair's "has anything touched this
+/// key since" test (Section 4.4). Stops at the first filter that may; the
+/// key is hashed once, and the probes made are billed in one call.
+pub fn any_may_contain(
+    storage: &Storage,
+    components: &[Arc<DiskComponent>],
+    key: &[u8],
+    keep: impl Fn(&DiskComponent) -> bool,
+) -> bool {
+    let hash = KeyHash::new(key);
+    let mut tally = BloomTally::default();
+    let touched = components
+        .iter()
+        .any(|comp| keep(comp) && comp.bloom_probe(hash, &mut tally));
+    tally.apply(storage);
+    touched
 }
 
 /// Fetches many keys, which must be sorted ascending (repeats allowed;
@@ -174,8 +186,8 @@ pub fn lookup_sorted(
     if keys.is_empty() {
         return Ok(found);
     }
-    // The stateful cursor only moves forward: a key behind its position
-    // would be reported absent, so order is checked, not assumed.
+    // Whatever the mode and wherever the batch boundaries fall, order is
+    // checked over the whole slice, not assumed.
     if !keys.is_sorted() {
         return Err(Error::invalid("lookup_sorted: keys must be ascending"));
     }
@@ -203,23 +215,36 @@ pub fn lookup_sorted(
     } else {
         // Naive: per key, walk the components newest → oldest.
         for &i in &unresolved {
-            let hit = newest_on_disk(storage, &components, &keys[i], |comp| {
+            let (hit, _) = newest_on_disk(storage, &components, &keys[i], |comp| {
                 opts.id_hints
                     .is_none_or(|hints| comp.id().overlaps(&hints[i]))
             })?;
-            // Found means resolved: live, deleted, or invalidated.
-            if let Some((comp, entry, ordinal)) = hit {
-                if comp.is_valid(ordinal) && !entry.anti_matter {
-                    found.push((i, entry));
-                }
+            if let Some((comp, raw, ordinal)) = hit {
+                push_if_live(&mut found, i, comp, raw, ordinal)?;
             }
         }
     }
     Ok(found)
 }
 
-/// One batch of the batched algorithm (Section 3.2): probe each component
-/// once, in ascending key order, dropping resolved keys as we go.
+/// A key's newest version was found: it is resolved — live, deleted, or
+/// invalidated — and only a live one is a result.
+fn push_if_live(
+    found: &mut FoundEntries,
+    i: usize,
+    comp: &DiskComponent,
+    raw: PageSlice,
+    ordinal: u64,
+) -> Result<()> {
+    let entry = LsmEntry::decode_slice(raw)?;
+    if comp.is_valid(ordinal) && !entry.anti_matter {
+        found.push((i, entry));
+    }
+    Ok(())
+}
+
+/// One batch of the batched algorithm (Section 3.2): the sorted walk over
+/// `keys[batch[..]]`, pruned by the pID hints.
 fn lookup_batch(
     storage: &Storage,
     keys: &[Key],
@@ -228,66 +253,210 @@ fn lookup_batch(
     opts: &LookupOptions<'_>,
     found: &mut FoundEntries,
 ) -> Result<()> {
+    walk_sorted(
+        storage,
+        components,
+        batch.len(),
+        |j| keys[batch[j]].as_slice(),
+        |j, comp| {
+            opts.id_hints
+                .is_none_or(|hints| comp.id().overlaps(&hints[batch[j]]))
+        },
+        opts.stateful,
+        |j, comp, raw, ordinal| push_if_live(found, batch[j], comp, raw, ordinal),
+    )?;
+    Ok(())
+}
+
+/// The timestamp of the newest version of each of `n` ascending keys among
+/// the disk components it may enter — the primary-key-index probe of
+/// Timestamp validation (Section 4.3) and of index repair (Section 4.4),
+/// as Section 3.2's batched, stateful lookup.
+///
+/// `key_of(j)` lends key `j`; `eligible(j, component)` says whether key `j`
+/// may enter a component (a validator prunes the components at or below
+/// the key's own or repaired timestamp); `on_newest(j, ts)` is called once
+/// for every key some eligible component holds, with the timestamp of the
+/// newest such version — an anti-matter entry counts, a validity bitmap
+/// does not. Keys out of order are an [`Error::InvalidArgument`].
+pub fn sorted_timestamps<'k>(
+    storage: &Storage,
+    components: &[Arc<DiskComponent>],
+    n: usize,
+    key_of: impl Fn(usize) -> &'k [u8],
+    eligible: impl Fn(usize, &DiskComponent) -> bool,
+    mut on_newest: impl FnMut(usize, Timestamp),
+) -> Result<WalkStats> {
+    walk_sorted(
+        storage,
+        components,
+        n,
+        key_of,
+        eligible,
+        true,
+        |j, _, raw, _| {
+            on_newest(j, EntryHeader::parse(&raw)?.ts);
+            Ok(())
+        },
+    )
+}
+
+/// The one multi-key probe (Section 3.2, batched): `components` newest →
+/// oldest and, per component, a Bloom pre-pass over the keys still
+/// unresolved, then the B+-tree probes of the positives in ascending key
+/// order — on one [`StatefulCursor`] when `stateful` — with the keys the
+/// component resolved dropped before the next. `on_hit(j, component,
+/// stored entry, ordinal)` sees the newest version of every key found.
+///
+/// Per key this enters the components the per-key walk (`newest_on_disk`)
+/// enters, in the same order, and stops where it stops: pruned components
+/// are neither probed nor billed, so Bloom checks, negatives and their
+/// charge are the per-key walk's, key for key. What differs is the order
+/// of page accesses and, with the cursor, the B+-tree work per probe.
+///
+/// Keys must ascend (repeats allowed): the cursor only moves forward, and
+/// a key behind its position would read as absent, so order is checked —
+/// in the pass that hashes the keys — and a violation is an
+/// [`Error::InvalidArgument`] in every build.
+fn walk_sorted<'k>(
+    storage: &Storage,
+    components: &[Arc<DiskComponent>],
+    n: usize,
+    key_of: impl Fn(usize) -> &'k [u8],
+    eligible: impl Fn(usize, &DiskComponent) -> bool,
+    stateful: bool,
+    mut on_hit: impl FnMut(usize, &Arc<DiskComponent>, PageSlice, u64) -> Result<()>,
+) -> Result<WalkStats> {
     /// Marks a slot of `remaining` whose key a component resolved.
     const RESOLVED: usize = usize::MAX;
-    // Hashed once per batch; `remaining` holds positions into `batch`.
-    let hashes: Vec<KeyHash> = batch.iter().map(|&i| KeyHash::new(&keys[i])).collect();
-    let mut remaining: Vec<usize> = (0..batch.len()).collect();
+    let mut stats = WalkStats::default();
+    // Nothing to batch: no key, or none that may enter any component — and
+    // a lone key takes the per-key walk, which charges what one cursor
+    // seek per component would. Neither allocates.
+    if !components
+        .iter()
+        .any(|comp| (0..n).any(|j| eligible(j, comp)))
+    {
+        return Ok(stats);
+    }
+    if n == 1 {
+        let (hit, searches) = newest_on_disk(storage, components, key_of(0), |c| eligible(0, c))?;
+        stats.tree_probes = searches;
+        stats.leaf_visits = searches;
+        if let Some((comp, raw, ordinal)) = hit {
+            on_hit(0, comp, raw, ordinal)?;
+        }
+        return Ok(stats);
+    }
+    // Hashed once per walk; `remaining` holds the keys no component has
+    // resolved yet.
+    let mut hashes: Vec<KeyHash> = Vec::with_capacity(n);
+    let mut prev = key_of(0);
+    for j in 0..n {
+        let key = key_of(j);
+        if key < prev {
+            return Err(Error::invalid("sorted lookup: keys must be ascending"));
+        }
+        hashes.push(KeyHash::new(key));
+        prev = key;
+    }
+    let mut remaining: Vec<usize> = (0..n).collect();
     // Slots of `remaining` whose key passed the component's filter.
     let mut positives: Vec<usize> = Vec::new();
     for comp in components {
         if remaining.is_empty() {
             break;
         }
-        // Bloom pre-pass: every key that survives component-ID pruning is
-        // probed (pruned keys never are, so the bloom-check stats match
-        // the naive path) and the component's probes are billed together.
-        // Most verdicts are negative, so the B+-tree probe loop below runs
-        // over the positives alone.
+        // Bloom pre-pass: every key eligible for the component is probed
+        // and the component's probes are billed together. Most verdicts
+        // are negative, so the B+-tree probe loop below runs over the
+        // positives alone.
         let mut tally = BloomTally::default();
         positives.clear();
         for (slot, &j) in remaining.iter().enumerate() {
-            if opts
-                .id_hints
-                .is_none_or(|hints| comp.id().overlaps(&hints[batch[j]]))
-                && comp.bloom_probe(hashes[j], &mut tally)
-            {
+            if eligible(j, comp) && comp.bloom_probe(hashes[j], &mut tally) {
                 positives.push(slot);
             }
         }
         tally.apply(storage);
-        let mut cursor = opts.stateful.then(|| StatefulCursor::new(comp.btree()));
+        stats.tree_probes += positives.len() as u64;
+        let mut cursor = stateful.then(|| StatefulCursor::new(comp.btree()));
         let mut resolved = false;
         for &slot in &positives {
-            let i = batch[remaining[slot]];
+            let j = remaining[slot];
             let hit = match &mut cursor {
-                Some(c) => c.seek_pinned(&keys[i])?,
-                None => comp.btree().search_pinned(&keys[i])?,
+                Some(c) => c.seek_pinned(key_of(j))?,
+                None => comp.btree().search_pinned(key_of(j))?,
             };
             if let Some((raw, ordinal)) = hit {
-                let entry = LsmEntry::decode_slice(raw)?;
-                if comp.is_valid(ordinal) && !entry.anti_matter {
-                    found.push((i, entry));
-                }
+                on_hit(j, comp, raw, ordinal)?;
                 // resolved either way: newest version seen
                 remaining[slot] = RESOLVED;
                 resolved = true;
             }
         }
+        stats.leaf_visits += cursor.map_or(positives.len() as u64, |c| c.descents);
         if resolved {
             remaining.retain(|&j| j != RESOLVED);
         }
     }
-    Ok(())
+    Ok(stats)
+}
+
+/// The per-key probes the sorted walk replaced, kept as its oracle: what
+/// they return, check and charge defines what [`sorted_timestamps`] must.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The newest version of `key` among components strictly newer than
+    /// `prune_ts` (plus the memory component): components with
+    /// `maxTS <= prune_ts` are pruned.
+    pub fn newest_version_after(
+        tree: &LsmTree,
+        key: &[u8],
+        prune_ts: Timestamp,
+    ) -> Result<Option<LsmEntry>> {
+        if let Some(e) = tree.mem_get(key) {
+            return Ok(Some(e));
+        }
+        newest_disk_version_after(tree, key, prune_ts)
+    }
+
+    /// Like [`newest_version_after`] but searching disk components only.
+    pub fn newest_disk_version_after(
+        tree: &LsmTree,
+        key: &[u8],
+        prune_ts: Timestamp,
+    ) -> Result<Option<LsmEntry>> {
+        let components = tree.disk_components();
+        newest_version_among(tree.storage(), &components, key, |comp| {
+            !comp.id().at_or_before(prune_ts)
+        })
+    }
+
+    /// The newest version of `key` among the `components` (newest first)
+    /// that `eligible` admits.
+    pub fn newest_version_among(
+        storage: &Storage,
+        components: &[Arc<DiskComponent>],
+        key: &[u8],
+        eligible: impl Fn(&DiskComponent) -> bool,
+    ) -> Result<Option<LsmEntry>> {
+        let (hit, _) = newest_on_disk(storage, components, key, eligible)?;
+        hit.map(|(_, raw, _)| LsmEntry::decode_slice(raw))
+            .transpose()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::bitmap::AtomicBitmap;
     use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
     use lsm_bloom::{build_filter, BloomFilter, BloomKind};
-    use lsm_storage::{Storage, StorageOptions};
+    use lsm_storage::{LeafEncoding, Storage, StorageOptions};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -519,8 +688,17 @@ mod tests {
     }
 
     fn fixture(specs: &[SourceSpec], with_mem: bool, kind: BloomKind) -> Fixture {
+        fixture_on(StorageOptions::test(), specs, with_mem, kind)
+    }
+
+    fn fixture_on(
+        storage: StorageOptions,
+        specs: &[SourceSpec],
+        with_mem: bool,
+        kind: BloomKind,
+    ) -> Fixture {
         let tree = LsmTree::new(
-            Storage::new(StorageOptions::test()),
+            Storage::new(storage),
             LsmOptions {
                 bloom_kind: kind,
                 bloom_fpr: FPR,
@@ -802,6 +980,257 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    // ---- the sorted walk against the per-key walk -----------------------------
+
+    const ENCODINGS: [LeafEncoding; 3] = [
+        LeafEncoding::Plain,
+        LeafEncoding::Prefix,
+        LeafEncoding::Columnar,
+    ];
+
+    /// One hit of a walk: `(key index, component, ordinal, stored entry)`.
+    type Hit = (usize, ComponentId, u64, Vec<u8>);
+
+    /// `(cpu_ns, bloom_checks, bloom_negatives)` charged while `run` ran.
+    fn billed(s: &Storage, run: impl FnOnce()) -> (u64, u64, u64) {
+        let before = s.stats();
+        run();
+        let d = s.stats().since(&before);
+        (d.cpu_ns, d.bloom_checks, d.bloom_negatives)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The sorted walk against one per-key walk per key, on 256-byte
+        // pages (a source of 24 keys is a tree of height 2) in each leaf
+        // codec, with per-key timestamp pruning and pID hints on and off,
+        // every third key asked for twice: the same key is found in the
+        // same component at the same ordinal, the same filters are probed,
+        // and the same trees searched — in no more descents. (Charged CPU
+        // is not ordered in general: a gallop across a one-leaf tree can
+        // take more comparisons than its binary search, and there is no
+        // router walk to save. `a_repair_shaped_walk_…` pins the saving.)
+        #[test]
+        fn sorted_walk_matches_per_key_oracle(
+            specs in arb_sources(),
+            encoding in 0..3usize,
+            blocked in any::<bool>(),
+            prune_ages in proptest::collection::vec(0..42u64, 2 * KEYS as usize),
+            per_key_prune in any::<bool>(),
+            hints in arb_hints(),
+            with_hints in any::<bool>(),
+        ) {
+            let kind = if blocked { BloomKind::Blocked } else { BloomKind::Standard };
+            let options = StorageOptions {
+                page_size: 256,
+                leaf_encoding: ENCODINGS[encoding],
+                ..StorageOptions::test()
+            };
+            let fx = fixture_on(options, &specs, false, kind);
+            let s = fx.tree.storage().clone();
+            let comps = fx.tree.disk_components();
+            // (key, the index its pruning is drawn at)
+            let keys: Vec<(Key, usize)> = all_keys()
+                .into_iter()
+                .enumerate()
+                .flat_map(|(i, k)| std::iter::repeat_n((k, i), 1 + usize::from(i % 3 == 0)))
+                .collect();
+            let key_of = |j: usize| keys[j].0.as_slice();
+            let eligible = |j: usize, comp: &DiskComponent| {
+                let i = keys[j].1;
+                (!per_key_prune || !comp.id().at_or_before(10 * prune_ages[i] + 3))
+                    && (!with_hints || comp.id().overlaps(&hints[i]))
+            };
+
+            let mut want: Vec<Hit> = Vec::new();
+            let mut searches = 0;
+            let per_key = billed(&s, || {
+                for j in 0..keys.len() {
+                    let (hit, n) = newest_on_disk(&s, &comps, key_of(j), |c| eligible(j, c)).unwrap();
+                    searches += n;
+                    want.extend(hit.map(|(comp, raw, ordinal)| (j, comp.id(), ordinal, raw.to_vec())));
+                }
+            });
+
+            for stateful in [false, true] {
+                let mut got: Vec<Hit> = Vec::new();
+                let mut stats = WalkStats::default();
+                let walk = billed(&s, || {
+                    stats = walk_sorted(&s, &comps, keys.len(), key_of, eligible, stateful, |j, comp, raw, ordinal| {
+                        got.push((j, comp.id(), ordinal, raw.to_vec()));
+                        Ok(())
+                    })
+                    .unwrap();
+                });
+                // Hits arrive component by component; a key has one.
+                got.sort_by_key(|hit| hit.0);
+                prop_assert_eq!(&got, &want, "stateful={}", stateful);
+                prop_assert_eq!((walk.1, walk.2), (per_key.1, per_key.2), "stateful={}", stateful);
+                prop_assert_eq!(stats.tree_probes, searches);
+                if stateful {
+                    prop_assert!(stats.leaf_visits <= searches);
+                } else {
+                    prop_assert_eq!(walk.0, per_key.0);
+                    prop_assert_eq!(stats.leaf_visits, searches);
+                }
+            }
+
+            let mut newest: Vec<(usize, Timestamp)> = Vec::new();
+            sorted_timestamps(&s, &comps, keys.len(), key_of, eligible, |j, ts| newest.push((j, ts))).unwrap();
+            newest.sort_unstable();
+            let want_ts: Vec<(usize, Timestamp)> = want
+                .iter()
+                .map(|(j, _, _, raw)| (*j, LsmEntry::decode(raw).unwrap().ts))
+                .collect();
+            prop_assert_eq!(newest, want_ts);
+        }
+    }
+
+    /// Index repair's shape — two pk-index components, sorted candidates
+    /// at 3 % and at 50 % of the keys: one descent per leaf visited, not
+    /// per candidate, and a smaller CPU charge for the same answers.
+    #[test]
+    fn a_repair_shaped_walk_descends_once_per_leaf_and_is_charged_less() {
+        let t = LsmTree::new(Storage::new(StorageOptions::test()), LsmOptions::default());
+        let n = 20_000u32;
+        for (ts, stripe) in [(1, 0), (2, 1)] {
+            for i in (0..n).filter(|i| i % 2 == stripe) {
+                t.put(key(i), LsmEntry::put_ts(Vec::new(), ts), ts);
+            }
+            t.flush().unwrap();
+        }
+        let s = t.storage().clone();
+        let comps = t.disk_components();
+        let leaves: u64 = comps
+            .iter()
+            .map(|c| u64::from(c.btree().num_leaves()))
+            .sum();
+        for step in [33, 2] {
+            let keys: Vec<Key> = (0..n).step_by(step).map(key).collect();
+            let mut want = Vec::new();
+            let per_key = billed(&s, || {
+                for k in &keys {
+                    let newest = newest_version_among(&s, &comps, k, |_| true).unwrap();
+                    want.push(newest.unwrap().ts);
+                }
+            });
+            let mut got = vec![0; keys.len()];
+            let mut stats = WalkStats::default();
+            let walk = billed(&s, || {
+                stats = sorted_timestamps(
+                    &s,
+                    &comps,
+                    keys.len(),
+                    |j| &keys[j],
+                    |_, _| true,
+                    |j, ts| got[j] = ts,
+                )
+                .unwrap();
+            });
+            assert_eq!(got, want);
+            assert_eq!(
+                (walk.1, walk.2),
+                (per_key.1, per_key.2),
+                "the same Bloom probes"
+            );
+            assert!(stats.tree_probes >= keys.len() as u64);
+            assert!(
+                stats.leaf_visits <= leaves,
+                "{stats:?} over {leaves} leaves"
+            );
+            assert!(stats.leaf_visits * 4 < stats.tree_probes, "{stats:?}");
+            assert!(
+                walk.0 < per_key.0,
+                "step {step}: walk {} ns, per key {} ns",
+                walk.0,
+                per_key.0
+            );
+        }
+    }
+
+    /// No key, a lone key, and keys no component is eligible for take no
+    /// batch: a lone key is charged the per-key walk, the others nothing.
+    #[test]
+    fn tiny_walks_are_the_per_key_walk_or_nothing() {
+        let t = sample_tree();
+        let s = t.storage().clone();
+        let comps = t.disk_components();
+        let keys = [key(150), key(260)];
+        let timestamps = |n: usize, eligible: &dyn Fn(usize, &DiskComponent) -> bool| {
+            let mut seen = Vec::new();
+            let mut stats = WalkStats::default();
+            let bill = billed(&s, || {
+                stats = sorted_timestamps(
+                    &s,
+                    &comps,
+                    n,
+                    |j| &keys[j],
+                    eligible,
+                    |j, ts| seen.push((j, ts)),
+                )
+                .unwrap();
+            });
+            (seen, stats, bill)
+        };
+        let nothing = (Vec::new(), WalkStats::default(), (0, 0, 0));
+        assert_eq!(timestamps(0, &|_, _| true), nothing);
+        assert_eq!(timestamps(2, &|_, _| false), nothing);
+
+        let mut want = None;
+        let per_key = billed(&s, || {
+            want = newest_version_among(&s, &comps, &keys[0], |_| true).unwrap()
+        });
+        let (seen, stats, bill) = timestamps(1, &|_, _| true);
+        assert_eq!(seen, vec![(0, want.unwrap().ts)]);
+        assert_eq!(bill, per_key);
+        assert_eq!(stats.tree_probes, stats.leaf_visits);
+        assert!(stats.tree_probes >= 1);
+    }
+
+    /// The walk's cursors only move forward, so each of its callers gets
+    /// an error for keys out of order — never a key silently not found.
+    #[test]
+    fn every_sorted_walk_rejects_descending_keys() {
+        let t = sample_tree();
+        let comps = t.disk_components();
+        let keys = [key(120), key(50)];
+        let res = sorted_timestamps(t.storage(), &comps, 2, |j| &keys[j], |_, _| true, |_, _| {});
+        assert!(matches!(res, Err(Error::InvalidArgument(_))), "{res:?}");
+        let keys = [key(50), key(50), key(120)];
+        let mut seen = 0;
+        sorted_timestamps(
+            t.storage(),
+            &comps,
+            3,
+            |j| &keys[j],
+            |_, _| true,
+            |_, _| seen += 1,
+        )
+        .unwrap();
+        assert_eq!(seen, 3, "repeats are in order");
+    }
+
+    #[test]
+    fn any_may_contain_probes_like_any_and_bills_once() {
+        let t = sample_tree();
+        let s = t.storage().clone();
+        let comps = t.disk_components();
+        for (k, after) in [(key(150), 0), (key(150), 400), (key(50), 0), (key(9999), 0)] {
+            let keep = |c: &DiskComponent| !c.id().at_or_before(after);
+            let mut want = false;
+            let each = billed(&s, || {
+                want = comps
+                    .iter()
+                    .filter(|c| keep(c))
+                    .any(|c| c.bloom_may_contain(&s, &k));
+            });
+            let mut got = false;
+            let once = billed(&s, || got = any_may_contain(&s, &comps, &k, keep));
+            assert_eq!((got, once), (want, each), "key {k:?} after {after}");
         }
     }
 
