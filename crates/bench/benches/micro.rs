@@ -5,20 +5,25 @@
 //! codec over cold pages (btree) — the cache-hit page read (storage), the
 //! record codec and its allocation-free view (common), and the point
 //! lookup, the batched stateful fetch, the reconciling merge scan at a
-//! small and a large number of components, the whole merge — scan,
+//! small and a large number of components — owning and lending, and over
+//! keys that tie in the heap's cached prefixes —, the whole merge — scan,
 //! reconcile, build — of pk-shaped and primary-shaped entries, and index
-//! repair's point validation of sorted candidates (lsm).
+//! repair's point validation of sorted candidates (lsm), and the counting
+//! filter scan under a reconciling and a component-at-a-time strategy
+//! (engine).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
 use lsm_btree::{AnyLeafBuilder, BTree, BTreeBuilder, LeafView, StatefulCursor};
 use lsm_common::{Record, RecordView};
+use lsm_engine::StrategyKind;
 use lsm_storage::{LeafEncoding, Storage, StorageOptions};
 use lsm_tree::{
     lookup_sorted, point_lookup, sorted_timestamps, BuildOptions, ComponentBuilder, ComponentId,
     DiskComponent, LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, MergeRange, ScanOptions,
 };
-use lsm_workload::{TweetConfig, TweetGenerator};
+use lsm_workload::{TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::hint::black_box;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -220,6 +225,17 @@ fn build_components(
     per_component: u64,
     entry_of: impl Fn(u64) -> LsmEntry,
 ) -> Vec<Arc<DiskComponent>> {
+    build_components_under(b"", storage, fan_in, per_component, entry_of)
+}
+
+/// [`build_components`] with `stem` in front of every key.
+fn build_components_under(
+    stem: &[u8],
+    storage: &Arc<Storage>,
+    fan_in: u64,
+    per_component: u64,
+    entry_of: impl Fn(u64) -> LsmEntry,
+) -> Vec<Arc<DiskComponent>> {
     (0..fan_in)
         .map(|c| {
             let id = ComponentId::new(fan_in - c, fan_in - c);
@@ -231,7 +247,8 @@ fn build_components(
             for i in 0..per_component {
                 let own = if i % 10 == 0 { 0 } else { c };
                 let key = i * fan_in + own;
-                b.add(&key.to_be_bytes(), &entry_of(key)).unwrap();
+                let stored = [stem, &key.to_be_bytes()].concat();
+                b.add(&stored, &entry_of(key)).unwrap();
             }
             Arc::new(b.finish().unwrap())
         })
@@ -244,20 +261,35 @@ fn small_value(_key: u64) -> LsmEntry {
 }
 
 /// The reconciling merge scan over warm pages at fan-in 4 (a merge) and 32
-/// (a primary-index scan late in an ingest): time per pass over ~64 k
-/// entries.
+/// (a primary-index scan late in an ingest), and at fan-in 32 over keys
+/// that all share their first eight bytes, so every heap comparison ties
+/// on the cached prefixes and reads the keys: time per pass over ~64 k
+/// entries. `lsm_scan` takes owned entries (`next_entry`, what the repo
+/// benchmark's layer replay drives), `lsm_scan_lent` borrows them
+/// (`next_lent`, what merges and queries run on).
 fn bench_lsm_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lsm_scan");
-    for fan_in in [4u64, 32] {
+    let cases = [
+        ("fanin_4", 4u64, &b""[..]),
+        ("fanin_32", 32, b""),
+        ("shared_prefix_32", 32, b"one stem"),
+    ]
+    .map(|(name, fan_in, stem)| {
         let storage = Storage::new(StorageOptions {
             cache_pages: 1 << 20, // fully cached: measure CPU only
             ..StorageOptions::test()
         });
-        let comps = build_components(&storage, fan_in, 65_536 / fan_in, small_value);
+        let per_component = 65_536 / fan_in;
+        let comps = build_components_under(stem, &storage, fan_in, per_component, small_value);
+        (name, storage, comps)
+    });
+    let open = |storage: &Arc<Storage>, comps: &[Arc<DiskComponent>]| {
+        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+        LsmScan::new(storage.clone(), None, comps, lo, hi, ScanOptions::default()).unwrap()
+    };
+    let mut group = c.benchmark_group("lsm_scan");
+    for (name, storage, comps) in &cases {
         let scan_all = || {
-            let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
-            let opts = ScanOptions::default();
-            let mut scan = LsmScan::new(storage.clone(), None, &comps, lo, hi, opts).unwrap();
+            let mut scan = open(storage, comps);
             let mut n = 0u64;
             while scan.next_entry().unwrap().is_some() {
                 n += 1;
@@ -265,7 +297,58 @@ fn bench_lsm_scan(c: &mut Criterion) {
             n
         };
         black_box(scan_all()); // warm the cache
-        group.bench_function(&format!("fanin_{fan_in}"), |b| b.iter(scan_all));
+        group.bench_function(name, |b| b.iter(scan_all));
+    }
+    group.finish();
+    let mut group = c.benchmark_group("lsm_scan_lent");
+    for (name, storage, comps) in &cases {
+        let scan_all = || {
+            let mut scan = open(storage, comps);
+            let mut bytes = 0usize;
+            while let Some(lent) = scan.next_lent().unwrap() {
+                bytes += lent.key.len() + lent.entry.value.len();
+            }
+            bytes
+        };
+        group.bench_function(name, |b| b.iter(scan_all));
+    }
+    group.finish();
+}
+
+/// `filter_scan().count()` of every record over warm pages and sixteen
+/// primary components of 1024 tweets each, a fifth of them updates: under
+/// Validation the components are reconciled under one heap, under
+/// Mutable-bitmap they are walked one after another. Time per scan of
+/// 16,384 entries.
+fn bench_filter_scan(c: &mut Criterion) {
+    const COMPONENTS: usize = 16;
+    const PER_COMPONENT: usize = 1024;
+    let mut group = c.benchmark_group("filter_scan/count");
+    for (name, strategy) in [
+        ("validation", StrategyKind::Validation),
+        ("mutable_bitmap", StrategyKind::MutableBitmap),
+    ] {
+        let dataset_bytes = (COMPONENTS * PER_COMPONENT * 600) as u64;
+        let env = Env::new(&EnvConfig {
+            dataset_bytes: 8 * dataset_bytes,
+            cache_fraction: 1.0, // fully cached: measure CPU only
+            ..EnvConfig::default()
+        });
+        let mut cfg = tweet_dataset_config(strategy, dataset_bytes, 0);
+        cfg.memory_budget = usize::MAX; // one flush per component, by hand
+        let ds = open_tweet_dataset(&env, cfg);
+        let mut workload =
+            UpsertWorkload::new(TweetConfig::default(), 0.2, UpdateDistribution::Uniform);
+        for _ in 0..COMPONENTS {
+            for _ in 0..PER_COMPONENT {
+                apply(&ds, &workload.next_op());
+            }
+            ds.flush_all().unwrap();
+        }
+        assert_eq!(ds.primary().num_disk_components(), COMPONENTS);
+        let count = || ds.filter_scan().count().unwrap().matches;
+        assert!(count() > 0); // warm the cache
+        group.bench_function(name, |b| b.iter(count));
     }
     group.finish();
 }
@@ -479,7 +562,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_leaf_search,
-        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan, bench_merge,
-        bench_repair_validate
+        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan,
+        bench_filter_scan, bench_merge, bench_repair_validate
 }
 criterion_main!(benches);

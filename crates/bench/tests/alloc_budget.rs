@@ -6,7 +6,9 @@
 //! cache-hit `Storage::read_page` owes none; a secondary-index query owes
 //! each returned row its `Record` (three) and the candidate key the fetch
 //! looked it up by, and is allowed one and a half more per row for the
-//! scan's reconciliation and the vectors that grow with the result. On
+//! scan's reconciliation and the vectors that grow with the result; a
+//! candidate scan owes each candidate its primary key, and a counting
+//! filter scan owes a scanned entry nothing (a fiftieth at most). On
 //! the write side, a warm upsert owes six, and a merge or a merge repair
 //! owes each output entry only a share of its page (a quarter at most).
 //!
@@ -18,9 +20,10 @@
 use lsm_bench::alloc_track::{allocations, CountingAlloc};
 use lsm_bench::{apply, open_tweet_dataset, prepare_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::Value;
-use lsm_engine::StrategyKind;
+use lsm_engine::keys::{bound_as_ref, sk_range};
+use lsm_engine::{Dataset, StrategyKind, ValidationMethod};
 use lsm_storage::{Storage, StorageOptions};
-use lsm_tree::{LsmEntry, LsmOptions, LsmTree, MergeRange};
+use lsm_tree::{LsmEntry, LsmOptions, LsmTree, MergeRange, ScanOptions};
 use lsm_workload::{Op, TweetConfig, UpdateDistribution, UpsertWorkload, USER_ID_DOMAIN};
 
 #[global_allocator]
@@ -93,6 +96,57 @@ fn hot_read_calls_stay_inside_their_allocation_budgets() {
     let per_query = cheapest(4, || assert_eq!(query(), rows));
     let per_row = per_query as f64 / rows as f64;
     assert!(per_row <= 5.5, "{per_row:.2} allocations per returned row");
+
+    // A 10 % range, index-only and unvalidated — the candidate scan with
+    // nothing behind it: a candidate owes the copy of its primary key out
+    // of the lent secondary entry and nothing else; the query owes, once,
+    // its scan's set-up per component and the vectors that grow with the
+    // result (50 measured over these components).
+    let (lo, hi) = sk_range(Some(&Value::Int(0)), Some(&(USER_ID_DOMAIN / 10).into()));
+    let secondary = &ds.secondaries()[0].tree;
+    let mut scan = secondary
+        .scan(bound_as_ref(&lo), bound_as_ref(&hi), ScanOptions::default())
+        .unwrap();
+    let mut candidates = 0;
+    while let Some(lent) = scan.next_lent().unwrap() {
+        candidates += u64::from(!lent.entry.anti_matter);
+    }
+    assert!(candidates >= 1000, "{candidates} candidates");
+    let keys = || {
+        let q = ds.query("user_id").range(0, USER_ID_DOMAIN / 10);
+        let q = q.index_only().validation(ValidationMethod::None);
+        q.execute().unwrap().keys().len()
+    };
+    let distinct = keys(); // warm-up
+    let per_query = cheapest(4, || assert_eq!(keys(), distinct));
+    assert!(
+        per_query <= candidates + 64,
+        "{per_query} allocations over {candidates} scanned candidates"
+    );
+
+    // A filter scan that only counts. The scan lends each entry out of its
+    // leaf and the predicate reads it there, so a scanned entry owes
+    // nothing; what is left is paid per scan, per component and per
+    // read-ahead burst (0.003 and 0.004 measured; 0.84 and 1.00 while
+    // every live key was copied out).
+    // Validation reconciles the components under one heap; Mutable-bitmap
+    // walks them one after another.
+    let count_budget = |ds: &Dataset| {
+        assert!(ds.primary().num_disk_components() >= 8);
+        let count = || ds.filter_scan().count().unwrap().matches;
+        let live = count(); // warm-up
+        let per_scan = cheapest(4, || assert_eq!(count(), live));
+        let per_entry = per_scan as f64 / ds.primary().disk_entries() as f64;
+        let strategy = ds.config().strategy;
+        assert!(
+            per_entry <= 0.02,
+            "{per_entry:.3} allocations per entry of a {strategy:?} filter scan"
+        );
+    };
+    count_budget(&ds);
+    let in_place = StrategyKind::MutableBitmap;
+    let distribution = UpdateDistribution::Uniform;
+    count_budget(&prepare_dataset(&env, in_place, dataset_bytes, n, 0.2, distribution).0);
 
     // Write path. A Validation upsert with the WAL on and the memtable
     // under budget (the flush above emptied it; the budget holds hundreds

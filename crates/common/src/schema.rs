@@ -190,6 +190,26 @@ impl<'a> RecordView<'a> {
         Ok(RecordView { buf, arity })
     }
 
+    /// `RecordView::parse(buf)?.field_bytes(idx)` in one walk: validates
+    /// the whole record exactly as [`RecordView::parse`] does — the same
+    /// buffers accepted, the same error for the rest — and answers field
+    /// `idx`'s encoding from that walk. For a predicate on one field of a
+    /// record nothing else is going to validate.
+    pub fn parse_field(buf: &'a [u8], idx: usize) -> Result<&'a [u8]> {
+        let (mut at, mut arity, mut field) = (0, 0, None);
+        while at < buf.len() {
+            let len = validate_from(&buf[at..])?;
+            if arity == idx {
+                field = Some(&buf[at..at + len]);
+            }
+            at += len;
+            arity += 1;
+        }
+        field.ok_or_else(|| {
+            Error::corruption(format!("record has {arity} fields, field {idx} wanted"))
+        })
+    }
+
     /// Number of fields stored.
     pub fn arity(&self) -> usize {
         self.arity

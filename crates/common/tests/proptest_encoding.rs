@@ -53,8 +53,9 @@ proptest! {
     // `RecordView::parse` accepts exactly what `Record::decode` accepts —
     // over encoded records, intact or with one byte flipped or the tail cut
     // off — and on those every accessor agrees with the decoded record.
-    // Sizing the decode changes nothing it returns, and `leading_field(i)`
-    // sees what decoding the first `i + 1` values sees, and no further.
+    // Sizing the decode changes nothing it returns, `leading_field(i)` sees
+    // what decoding the first `i + 1` values sees, and no further, and
+    // `parse_field(i)` is `parse` then `field_bytes(i)`, error for error.
     #[test]
     fn record_view_agrees_with_decode(
         values in proptest::collection::vec(arb_value(), 0..6),
@@ -78,6 +79,8 @@ proptest! {
         prop_assert_eq!(&Record::decode_sized(&buf, sized_for), &decoded);
         let mut rest = buf.as_slice();
         for i in 0..7 {
+            let two_walks = RecordView::parse(&buf).and_then(|v| v.field_bytes(i));
+            prop_assert_eq!(RecordView::parse_field(&buf, i), two_walks, "field {}", i);
             let field = RecordView::leading_field(&buf, i);
             match Value::decode_from(rest) {
                 Ok((_, n)) => {

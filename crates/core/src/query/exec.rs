@@ -74,17 +74,31 @@ impl FieldRange {
         self.lo.as_deref().is_none_or(|l| v >= l) && self.hi.as_deref().is_none_or(|h| v <= h)
     }
 
-    /// Does the record satisfy the predicate? A stored record without the
-    /// field is corrupt.
-    pub(crate) fn holds(&self, record: &RecordView<'_>) -> Result<bool> {
-        Ok(self.admits(record.field_bytes(self.field)?))
+    /// Does the stored record satisfy the predicate? Validates the whole
+    /// record on the way — one walk, for a caller that wants the verdict
+    /// alone. A stored record without the field is corrupt.
+    pub(crate) fn holds_validating(&self, stored: &[u8]) -> Result<bool> {
+        Ok(self.admits(RecordView::parse_field(stored, self.field)?))
     }
 
-    /// [`FieldRange::holds`] on stored bytes nothing has validated yet:
-    /// only the fields up to the predicate's are checked, so the caller
-    /// owes the record one whole validation whatever the verdict.
-    pub(crate) fn holds_on_prefix(&self, stored: &[u8]) -> Result<bool> {
+    /// The verdict on stored bytes nothing has validated yet: only the
+    /// fields up to the predicate's are checked, so the caller owes the
+    /// record one whole validation whatever the verdict.
+    fn holds_on_prefix(&self, stored: &[u8]) -> Result<bool> {
         Ok(self.admits(RecordView::leading_field(stored, self.field)?))
+    }
+
+    /// The stored record if it satisfies the predicate, read where the
+    /// predicate's field lies. Either way the record is validated once,
+    /// whole — a survivor by its decode, a dropped one in place — so damage
+    /// anywhere in a stored record fails the query and never just shortens
+    /// its result. `arity` sizes the decode.
+    pub(crate) fn select(&self, stored: &[u8], arity: usize) -> Result<Option<Record>> {
+        if self.holds_on_prefix(stored)? {
+            return Record::decode_sized(stored, arity).map(Some);
+        }
+        RecordView::parse(stored)?;
+        Ok(None)
     }
 }
 
@@ -151,24 +165,26 @@ fn scan_candidates(
     let mut scan = LsmScan::new(ds.storage().clone(), mem, comps, lo, hi, opts)?;
     let now = ds.clock().now();
     let mut candidates: Vec<Candidate> = Vec::new();
-    while let Some((mut key, entry, rank, ordinal)) = scan.next_reconciled()? {
-        if entry.anti_matter {
+    while let Some(lent) = scan.next_lent()? {
+        if lent.entry.anti_matter {
             continue;
         }
-        let (repaired_ts, source_id, source) = if has_mem && rank == 0 {
-            (now, ComponentId::new(entry.ts.max(1), now.max(1)), None)
+        let (repaired_ts, source_id, source) = if has_mem && lent.rank == 0 {
+            (
+                now,
+                ComponentId::new(lent.entry.ts.max(1), now.max(1)),
+                None,
+            )
         } else {
-            let idx = rank - usize::from(has_mem);
+            let idx = lent.rank - usize::from(has_mem);
             let comp = &comps[idx];
-            (comp.repaired_ts(), comp.id(), Some((idx, ordinal)))
+            (comp.repaired_ts(), comp.id(), Some((idx, lent.ordinal)))
         };
-        // The candidate's pk is the tail of the scanned key: it keeps the
-        // key's buffer, minus the secondary-key prefix.
-        let sk_len = split_sk_pk(&key)?.0.len();
-        key.drain(..sk_len);
+        // The candidate's pk is the tail of the scanned key — the one
+        // thing copied out of the lent entry.
         candidates.push(Candidate {
-            pk_key: key,
-            ts: entry.ts,
+            pk_key: split_sk_pk(lent.key)?.1.to_vec(),
+            ts: lent.entry.ts,
             repaired_ts,
             source_id,
             source,
@@ -396,16 +412,13 @@ impl FetchPlan {
         let arity = ds.config().schema.arity();
         let mut records = Vec::with_capacity(found.len());
         for (_, entry) in found {
-            // Direct validation re-checks the predicate where its field
-            // lies, reading the stored bytes only up to it. Every record is
-            // then validated once, whole — a survivor by its decode, a
-            // dropped one in place — so damage anywhere in a stored record
-            // fails the query and never just shortens its result.
-            if direct && !self.predicate.holds_on_prefix(&entry.value)? {
-                RecordView::parse(&entry.value)?;
-                continue;
-            }
-            records.push(Record::decode_sized(&entry.value, arity)?);
+            // Direct validation re-checks the predicate on the stored bytes.
+            let record = if direct {
+                self.predicate.select(&entry.value, arity)?
+            } else {
+                Some(Record::decode_sized(&entry.value, arity)?)
+            };
+            records.extend(record);
         }
         Ok(records)
     }

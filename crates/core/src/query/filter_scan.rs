@@ -53,10 +53,10 @@ use crate::dataset::Dataset;
 use crate::keys::bound_as_ref;
 use crate::query::exec::{self, split_run, FieldRange, ScanTask};
 use crate::query::pool::{append, run_partitions};
-use lsm_common::{Key, Record, RecordView, Result, Value};
+use lsm_common::{Key, Record, Result, Value};
 use lsm_tree::{
-    scan_components_sequential, BitmapSnapshot, DiskComponent, LsmEntry, LsmScan, RangeFilter,
-    ScanOptions,
+    scan_components_sequential, BitmapSnapshot, DiskComponent, EntryRef, LsmEntry, LsmScan,
+    RangeFilter, ScanOptions,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -90,6 +90,8 @@ fn overlaps(filter: Option<&RangeFilter>, lo: Option<&Value>, hi: Option<&Value>
 struct ScanPlan {
     /// `filter_field ∈ [lo, hi]`, evaluated on the stored bytes.
     predicate: FieldRange,
+    /// The schema's arity: sizes the decode of a returned row.
+    arity: usize,
     strategy: StrategyKind,
     /// The captured memory run — already gated by the inclusion rules
     /// below, `None` when the strategy may skip memory entirely.
@@ -187,6 +189,7 @@ fn capture_plan(ds: &Dataset, lo: Option<&Value>, hi: Option<&Value>) -> Result<
         .collect();
     Ok(ScanPlan {
         predicate: FieldRange::new(filter_field, lo, hi),
+        arity: ds.config().schema.arity(),
         strategy,
         mem: mem.filter(|m| include_mem && !m.is_empty()),
         components_pruned: (comps.len() - included.len()) as u64,
@@ -217,10 +220,12 @@ impl ScanPlan {
 
     /// The one partition body: scans `task`'s sub-range, returning its
     /// match count plus — when `collect` is set — the matching records in
-    /// primary-key order. The predicate runs on a [`RecordView`] of every
-    /// scanned value; a [`Record`] is built only for a row that is
-    /// returned. A corrupt record value — one shorter than the schema
-    /// included — fails the scan under every strategy.
+    /// primary-key order. Entries are lent by the scan and the predicate
+    /// runs on the stored bytes where they lie; a key is copied and a
+    /// [`Record`] built only for a row that is returned. Every scanned
+    /// record is validated whole, exactly once, so a corrupt record value —
+    /// damaged behind the predicate's field, dropped by the predicate, or
+    /// shorter than the schema — fails the scan under every strategy.
     fn scan_partition(
         &self,
         ds: &Dataset,
@@ -230,19 +235,21 @@ impl ScanPlan {
         let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
         let mut count = 0u64;
         let mut rows: Vec<(Key, Record)> = Vec::new();
-        let mut visit = |k: Key, e: LsmEntry| -> Result<()> {
-            if self.predicate.holds(&RecordView::parse(&e.value)?)? {
+        let mut visit = |key: &[u8], e: EntryRef<'_>| -> Result<()> {
+            if !collect {
+                count += u64::from(self.predicate.holds_validating(e.value)?);
+            } else if let Some(record) = self.predicate.select(e.value, self.arity)? {
                 count += 1;
-                if collect {
-                    rows.push((k, Record::decode(&e.value)?));
-                }
+                rows.push((key.to_vec(), record));
             }
             Ok(())
         };
         if self.reconciles() {
             let mut scan = self.merge_scan(ds, mem, plo, phi)?;
-            while let Some((k, e)) = scan.next_entry()? {
-                visit(k, e)?;
+            while let Some(lent) = scan.next_lent()? {
+                if !lent.entry.anti_matter {
+                    visit(lent.key, lent.entry)?;
+                }
             }
         } else {
             scan_components_sequential(mem, &self.included, &self.bitmaps, plo, phi, visit)?;
@@ -395,7 +402,10 @@ impl FilterScanBuilder<'_> {
             let scan = plan.merge_scan(self.ds, mem, lo, hi)?;
             // The plan rides along: it holds the predicate, and dropping
             // its components would retire their files mid-scan.
-            StreamInner::Scan { scan, plan }
+            StreamInner::Scan {
+                scan,
+                plan: Box::new(plan),
+            }
         } else {
             let records = plan.run(self.ds, self.partitions, true)?.1;
             StreamInner::Buffered(records.into_iter())
@@ -412,7 +422,7 @@ pub struct FilterScanStream {
 
 enum StreamInner {
     /// Live merge scan over the captured plan (bounded memory).
-    Scan { scan: LsmScan, plan: ScanPlan },
+    Scan { scan: LsmScan, plan: Box<ScanPlan> },
     /// Pre-materialized matches (Mutable-bitmap / fanned-out execution).
     Buffered(std::vec::IntoIter<Record>),
 }
@@ -436,16 +446,17 @@ impl Iterator for FilterScanStream {
         match &mut self.inner {
             StreamInner::Buffered(it) => it.next().map(Ok),
             StreamInner::Scan { scan, plan } => loop {
-                let entry = match scan.next_entry() {
-                    Ok(Some((_, e))) => e,
+                let entry = match scan.next_lent() {
+                    Ok(Some(lent)) => lent.entry,
                     Ok(None) => return None,
                     Err(e) => return Some(Err(e)),
                 };
-                let holds = RecordView::parse(&entry.value).and_then(|v| plan.predicate.holds(&v));
-                match holds {
-                    Ok(false) => continue,
-                    Ok(true) => return Some(Record::decode(&entry.value)),
-                    Err(e) => return Some(Err(e)),
+                if entry.anti_matter {
+                    continue;
+                }
+                match plan.predicate.select(entry.value, plan.arity).transpose() {
+                    Some(row) => return Some(row),
+                    None => continue,
                 }
             },
         }
@@ -461,7 +472,12 @@ mod tests {
     use std::sync::Arc;
 
     fn dataset(strategy: StrategyKind) -> Arc<Dataset> {
-        let schema = Schema::new(vec![("id", FieldType::Int), ("time", FieldType::Int)]).unwrap();
+        let schema = Schema::new(vec![
+            ("id", FieldType::Int),
+            ("time", FieldType::Int),
+            ("message", FieldType::Str),
+        ])
+        .unwrap();
         let mut cfg = DatasetConfig::new(schema, 0);
         cfg.strategy = strategy;
         cfg.filter_field = Some(1);
@@ -471,7 +487,11 @@ mod tests {
     }
 
     fn rec(id: i64, t: i64) -> Record {
-        Record::new(vec![Value::Int(id), Value::Int(t)])
+        Record::new(vec![
+            Value::Int(id),
+            Value::Int(t),
+            Value::Str(format!("m\0{id}")),
+        ])
     }
 
     /// Three time-correlated components: times 0..100, 100..200, 200..300.
@@ -624,15 +644,27 @@ mod tests {
     /// records and return a short count, and a value that decodes cleanly
     /// but holds fewer fields than the schema (here: the pk alone, no
     /// filter field) used to panic the reader with an index out of bounds.
+    /// The third case is damaged *behind* the predicate's field (a bad
+    /// escape inside `message`) in a row the predicate drops — its time is
+    /// past the scanned range: nothing reads the message to answer the
+    /// query, and the scan must fail all the same.
     #[test]
     fn corrupt_record_fails_the_scan_under_every_strategy() {
+        let mut bad_escape = rec(7, 1_000).encode();
+        let escape = bad_escape.iter().rposition(|&b| b == 0xFF).unwrap();
+        bad_escape[escape] = 0x01;
+        assert!(Record::decode(&bad_escape).is_err());
         for s in [
             StrategyKind::Eager,
             StrategyKind::Validation,
             StrategyKind::MutableBitmap,
             StrategyKind::DeletedKeyBTree,
         ] {
-            for corrupt in [vec![0xFF; 3], Value::Int(7).encode()] {
+            for (corrupt, hi) in [
+                (vec![0xFF; 3], None),
+                (Value::Int(7).encode(), None),
+                (bad_escape.clone(), Some(299)),
+            ] {
                 let ds = dataset(s);
                 load(&ds);
                 let ts = ds.clock().now();
@@ -644,7 +676,13 @@ mod tests {
                 let is_corruption =
                     |e: lsm_common::Error| matches!(e, lsm_common::Error::Corruption(_));
                 for n in [1, 3] {
-                    let scan = || ds.filter_scan().parallel(n);
+                    let scan = || {
+                        let scan = ds.filter_scan().parallel(n);
+                        match hi {
+                            Some(hi) => scan.range_to(hi),
+                            None => scan,
+                        }
+                    };
                     assert!(scan().count().is_err_and(is_corruption), "{s:?} n={n}");
                     assert!(scan().records().is_err_and(is_corruption), "{s:?} n={n}");
                     let streamed = scan()

@@ -48,6 +48,9 @@ fn run_concurrent_merge(method: CcMethod) {
     let stop = Arc::new(AtomicBool::new(false));
     let writer_ds = ds.clone();
     let writer_stop = stop.clone();
+    // The merge waits for the writer's first upsert: a fast merge could
+    // otherwise finish before the writer thread has run at all.
+    let (writing, first_upsert) = std::sync::mpsc::channel();
     // A writer upserting random-ish keys at max speed while the merge runs.
     let writer = std::thread::spawn(move || {
         let mut updated = Vec::new();
@@ -60,6 +63,9 @@ fn run_concurrent_merge(method: CcMethod) {
             let id = x.rem_euclid(total);
             writer_ds.upsert_no_maintenance(&rec(id, round)).unwrap();
             updated.push((id, round));
+            if round == 1 {
+                writing.send(()).unwrap();
+            }
             round += 1;
         }
         updated
@@ -70,6 +76,7 @@ fn run_concurrent_merge(method: CcMethod) {
         start: 0,
         end: n_comps as usize - 1,
     };
+    first_upsert.recv().expect("the writer's first upsert");
     let new_comp = merge_primary_with_cc(&ds, range, method).unwrap();
     stop.store(true, Ordering::Relaxed);
     let updates = writer.join().unwrap();

@@ -173,7 +173,7 @@ impl OwningScan {
     /// unless `emit_anti_matter` is set.
     pub(super) fn next_entry(&mut self) -> Result<Option<(Key, LsmEntry)>> {
         loop {
-            let Some((key, entry, _, _)) = self.next_reconciled()? else {
+            let Some((key, entry, _, _)) = self.next_ranked()? else {
                 return Ok(None);
             };
             if entry.anti_matter && !self.opts.emit_anti_matter {
@@ -186,7 +186,7 @@ impl OwningScan {
     /// Like [`OwningScan::next_entry`] but also reports the winning source's
     /// rank (0 = newest source) and the entry's ordinal in that source —
     /// used by merges and repairs.
-    pub(super) fn next_reconciled(&mut self) -> Result<Option<(Key, LsmEntry, usize, u64)>> {
+    pub(super) fn next_ranked(&mut self) -> Result<Option<(Key, LsmEntry, usize, u64)>> {
         if !self.started {
             self.prime()?;
         }
