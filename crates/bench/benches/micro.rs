@@ -2,7 +2,9 @@
 //! simulated): the CPU-level optimizations of Section 3.2 — standard vs
 //! blocked Bloom filter probes, by key and by precomputed hash, cold
 //! B+-tree search vs the stateful cursor, the in-leaf search of each leaf
-//! codec over cold pages (btree) — the cache-hit page read (storage), the
+//! codec over cold pages, the plain page's over mixed-width keys too, and
+//! the route through one router page (btree) — the cache-hit page read
+//! (storage), the
 //! record codec and its allocation-free view (common), and the point
 //! lookup, the batched stateful fetch, the reconciling merge scan at a
 //! small and a large number of components — owning and lending, and over
@@ -15,6 +17,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
+use lsm_btree::page::{InternalPage, InternalPageBuilder};
 use lsm_btree::{AnyLeafBuilder, BTree, BTreeBuilder, LeafView, StatefulCursor};
 use lsm_common::{Record, RecordView};
 use lsm_engine::StrategyKind;
@@ -147,40 +150,46 @@ fn bench_btree_search(c: &mut Criterion) {
 }
 
 /// `LeafView::search` on primary-index-shaped leaves — 128 KB pages of
-/// 9-byte keys and ~700-byte values: 4096 searches of present keys per
+/// 8-byte keys and ~700-byte values: 4096 searches of present keys per
 /// iteration, consecutive ones in different pages, over 1024 pages, so the
-/// slot and key lines a search touches (~4 MB per iteration) do not stay
-/// in the L2 cache — as in a lookup in a dataset larger than it.
+/// key lines a search touches (~4 MB per iteration) do not stay in the L2
+/// cache — as in a lookup in a dataset larger than it. `plain_varwidth`
+/// is the plain page over 8- to 10-byte keys, which it stores through key
+/// ends instead of as one fixed-stride strip.
 fn bench_leaf_search(c: &mut Criterion) {
     const PAGES: u64 = 1024;
     const PAGE_SIZE: usize = 128 * 1024;
     let value = vec![b'v'; 700];
     let mut group = c.benchmark_group("leaf_search");
-    for encoding in [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
+    for (name, encoding, varwidth) in [
+        ("plain", LeafEncoding::Plain, false),
+        ("prefix", LeafEncoding::Prefix, false),
+        ("columnar", LeafEncoding::Columnar, false),
+        ("plain_varwidth", LeafEncoding::Plain, true),
     ] {
+        // Big-endian keys, with 0–2 bytes after them when `varwidth`.
+        let suffix = |k: u64| if varwidth { (k % 3) as usize } else { 0 };
+        let key_of = |k: u64| [&k.to_be_bytes()[..], &[0xFF; 2][..suffix(k)]].concat();
         let mut next_key = 0u64;
         // (page, its first key, its number of keys)
         let pages: Vec<(Vec<u8>, u64, u64)> = (0..PAGES)
             .map(|_| {
                 let first = next_key;
                 let mut b = AnyLeafBuilder::new(encoding, PAGE_SIZE, first);
-                while b.fits(&next_key.to_be_bytes(), &value) {
-                    b.add(&next_key.to_be_bytes(), &value).unwrap();
+                while b.fits(&key_of(next_key), &value) {
+                    b.add(&key_of(next_key), &value).unwrap();
                     next_key += 1;
                 }
                 (b.finish(), first, next_key - first)
             })
             .collect();
-        let probes: Vec<(&[u8], [u8; 8])> = (0..4096u64)
+        let probes: Vec<(&[u8], Vec<u8>)> = (0..4096u64)
             .map(|j| {
                 let (page, first, count) = &pages[(j * 7919 % PAGES) as usize];
-                (page.as_slice(), (first + j * 61 % count).to_be_bytes())
+                (page.as_slice(), key_of(first + j * 61 % count))
             })
             .collect();
-        group.bench_function(encoding.name(), |b| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let hits = probes.iter().filter(|(page, key)| {
                     let leaf = LeafView::parse(page).unwrap();
@@ -190,6 +199,37 @@ fn bench_leaf_search(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// `InternalPage::route` over one 128 KB router page of 9-byte
+/// separators (~6 900 of them): 4096 routes per iteration, of separators
+/// and of keys between two.
+fn bench_router_route(c: &mut Criterion) {
+    let separator = |i: u64| [&[7][..], &(i * 2).to_be_bytes()[..]].concat();
+    let mut b = InternalPageBuilder::new(128 * 1024);
+    let mut n = 0u64;
+    while b.fits(&separator(n)) {
+        b.add(&separator(n), n as u32).unwrap();
+        n += 1;
+    }
+    let page = b.finish();
+    let probes: Vec<Vec<u8>> = (0..4096u64)
+        .map(|j| {
+            let mut key = separator(j * 7919 % n);
+            // Every other probe falls between two separators.
+            *key.last_mut().unwrap() += (j % 2) as u8;
+            key
+        })
+        .collect();
+    let mut group = c.benchmark_group("router_route");
+    group.bench_function("fixed_9", |b| {
+        b.iter(|| {
+            let router = InternalPage::parse(&page).unwrap();
+            let children = probes.iter().map(|k| router.route(k).unwrap().1 as u64);
+            black_box(children.sum::<u64>())
+        })
+    });
     group.finish();
 }
 
@@ -562,7 +602,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_bloom, bench_storage_read_hit, bench_btree_search, bench_leaf_search,
-        bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan,
+        bench_router_route, bench_record_codec, bench_point_lookup, bench_batched_fetch, bench_lsm_scan,
         bench_filter_scan, bench_merge, bench_repair_validate
 }
 criterion_main!(benches);

@@ -282,33 +282,58 @@ mod tests {
         assert_eq!(reopened.search(&k).unwrap().unwrap().0, v);
     }
 
-    /// FNV-1a over every page of the tree's file (length-prefixed), its
-    /// key bounds and entry count: any byte the builder writes differently
-    /// moves it.
-    fn tree_digest(t: &BTree, s: &Storage) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
+    /// FNV-1a digests of the tree's file: `(leaves, whole)` — the leaf
+    /// pages alone (length-prefixed), and every page plus the key bounds
+    /// and entry count. Any byte the builder writes differently moves
+    /// `whole`; only a leaf byte moves `leaves`.
+    fn tree_digest(t: &BTree, s: &Storage) -> (u64, u64) {
+        fn eat(h: &mut u64, bytes: &[u8]) {
             for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
-        };
-        for p in 0..s.file_pages(t.file()).unwrap() {
-            eat(&s.read_page(t.file(), p).unwrap());
         }
-        eat(t.min_key().unwrap());
-        eat(t.max_key().unwrap());
-        eat(&t.num_entries().to_le_bytes());
-        h
+        let (mut leaves, mut whole) = (0xcbf2_9ce4_8422_2325_u64, 0xcbf2_9ce4_8422_2325_u64);
+        for p in 0..s.file_pages(t.file()).unwrap() {
+            let page = s.read_page(t.file(), p).unwrap();
+            if p < t.num_leaves() {
+                eat(&mut leaves, &page);
+            }
+            eat(&mut whole, &page);
+        }
+        eat(&mut whole, t.min_key().unwrap());
+        eat(&mut whole, t.max_key().unwrap());
+        eat(&mut whole, &t.num_entries().to_le_bytes());
+        (leaves, whole)
     }
 
-    /// The builder's allocation diet must not move a byte: digests
-    /// recorded from the commit before it, one fixed stream per leaf codec.
+    /// The builders must not move a byte by accident: one fixed stream per
+    /// leaf codec, digests recorded from the commit before the builder's
+    /// allocation diet. When plain leaves and every router page became key
+    /// strips, the `Plain` leaf digest and all three whole-file digests
+    /// (router pages are shared by every codec) were re-recorded; the
+    /// `Prefix` and `Columnar` leaf digests are the parent's, and so is
+    /// every page count — no page boundary moved.
     #[test]
     fn built_pages_match_recorded_digests() {
-        for (encoding, expected) in [
-            (LeafEncoding::Plain, 0x0c42_8c4b_8519_76ba_u64),
-            (LeafEncoding::Prefix, 0x3052_dcd9_5841_db0e),
-            (LeafEncoding::Columnar, 0x688b_d216_5fac_91d9),
+        for (encoding, leaves, whole, pages) in [
+            (
+                LeafEncoding::Plain,
+                0xbecd_8134_723f_9cdb,
+                0x8e3a_06b5_c3cf_511c,
+                56,
+            ),
+            (
+                LeafEncoding::Prefix,
+                0xdcd8_a918_faff_e19c,
+                0xde8b_e0b5_0985_2ec0,
+                40,
+            ),
+            (
+                LeafEncoding::Columnar,
+                0xd2a2_09f2_babf_1455,
+                0x0cf9_8adb_b9a7_5339,
+                41,
+            ),
         ] {
             let s = Storage::new(StorageOptions {
                 leaf_encoding: encoding,
@@ -324,7 +349,29 @@ mod tests {
             assert_eq!(t.num_entries(), 3000);
             assert_eq!(t.min_key().unwrap(), b"user00000/item0000000");
             assert_eq!(t.max_key().unwrap(), b"user00074/item0038987");
-            assert_eq!(tree_digest(&t, &s), expected, "{encoding:?}");
+            assert_eq!(s.file_pages(t.file()).unwrap(), pages, "{encoding:?}");
+            assert_eq!(tree_digest(&t, &s), (leaves, whole), "{encoding:?}");
+        }
+    }
+
+    /// A 2 MiB page has room for more than `u16::MAX` pk-index-sized
+    /// entries; the leaves stop at that many, so no count wraps and every
+    /// key is found.
+    #[test]
+    fn huge_pages_cap_their_entry_count() {
+        let s = Storage::new(StorageOptions {
+            page_size: 2 << 20,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s);
+        let key = |i: u32| i.to_be_bytes();
+        for i in 0..200_000u32 {
+            b.add(&key(i), &[0; 8]).unwrap();
+        }
+        let t = b.finish().unwrap();
+        assert_eq!(t.num_leaves(), 200_000u32.div_ceil(u16::MAX.into()));
+        for i in 0..200_000u32 {
+            assert_eq!(t.search(&key(i)).unwrap().unwrap().1, u64::from(i));
         }
     }
 }

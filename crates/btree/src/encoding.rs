@@ -50,7 +50,9 @@ pub fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
 pub fn get_slice(buf: &[u8]) -> Result<(&[u8], usize)> {
     let (len, n) = get_varint(buf)?;
     let len = len as usize;
-    if buf.len() < n + len {
+    // `n <= buf.len()`: the varint was read from `buf`. A damaged length
+    // can be near `usize::MAX`, so it is compared, never added.
+    if buf.len() - n < len {
         return Err(Error::corruption("truncated slice"));
     }
     Ok((&buf[n..n + len], n + len))

@@ -1,5 +1,6 @@
-//! Leaf-page codecs: the plain slotted format plus two opt-in compressed
-//! encodings — prefix and columnar — unified behind [`LeafView`].
+//! Leaf-page codecs: the plain key-strip format ([`crate::page`]) plus two
+//! opt-in compressed encodings — prefix and columnar — unified behind
+//! [`LeafView`].
 //!
 //! The prefix format shares each key's common prefix with its predecessor
 //! (LevelDB-style) and keeps a **restart point** every `restart_interval`
@@ -38,11 +39,11 @@
 //! Bits 63/62 of the base-ordinal word distinguish the three encodings
 //! (63 → prefix, 62 → columnar, neither → plain), so a reader detects the
 //! format per page and mixed-encoding trees (old components plus new
-//! flushes) need no migration. Plain pages are written byte-for-byte as
-//! before; ordinals never approach `2^62`.
+//! flushes) need no migration; ordinals never approach `2^62`. Every
+//! builder stops at [`u16::MAX`] entries, the most a page's count holds.
 
 use crate::encoding::{get_slice, get_varint, put_slice, put_varint, slice_len, varint_len};
-use crate::page::{LeafPage, LeafPageBuilder};
+use crate::page::{gallop, LeafPage, LeafPageBuilder, MAX_ENTRIES};
 use crate::walk::Layout;
 use lsm_common::{Error, Result};
 use lsm_storage::LeafEncoding;
@@ -128,9 +129,11 @@ impl PrefixLeafPageBuilder {
         }
     }
 
-    /// True if `(key, value)` fits in the remaining budget.
+    /// True if `(key, value)` fits in the remaining budget (and the page
+    /// holds fewer than [`u16::MAX`] entries).
     pub fn fits(&self, key: &[u8], value: &[u8]) -> bool {
-        self.current_size() + self.entry_cost(key, value) <= self.page_size
+        self.count < MAX_ENTRIES
+            && self.current_size() + self.entry_cost(key, value) <= self.page_size
     }
 
     /// True if no entries have been added.
@@ -474,9 +477,11 @@ impl ColumnarLeafPageBuilder {
         }
     }
 
-    /// True if `(key, value)` fits in the remaining budget.
+    /// True if `(key, value)` fits in the remaining budget (and the page
+    /// holds fewer than [`u16::MAX`] entries).
     pub fn fits(&self, key: &[u8], value: &[u8]) -> bool {
-        self.current_size() + self.entry_cost(key, value) <= self.page_size
+        self.count < MAX_ENTRIES
+            && self.current_size() + self.entry_cost(key, value) <= self.page_size
     }
 
     /// True if no entries have been added.
@@ -792,7 +797,7 @@ impl<'a> ColumnarLeafPage<'a> {
 /// coexist in one tree (and one LSM component stack).
 #[derive(Debug, Clone, Copy)]
 pub enum LeafView<'a> {
-    /// The original slotted format.
+    /// The key-strip format ([`crate::page`]).
     Plain(LeafPage<'a>),
     /// The prefix-compressed format.
     Prefix(PrefixLeafPage<'a>),
@@ -837,7 +842,7 @@ impl<'a> LeafView<'a> {
     /// The page geometry a [`LeafWalk`](crate::walk::LeafWalk) steps by.
     pub(crate) fn layout(&self) -> Layout {
         match self {
-            LeafView::Plain(p) => p.layout(),
+            LeafView::Plain(p) => Layout::Plain(p.shape()),
             LeafView::Prefix(p) => p.layout(),
             LeafView::Columnar(p) => p.layout(),
         }
@@ -857,9 +862,8 @@ impl<'a> LeafView<'a> {
         }
     }
 
-    /// Key of the entry at `idx`. Plain pages decode the key alone and
-    /// columnar pages read only the key strip — index-only consumers never
-    /// touch value bytes.
+    /// Key of the entry at `idx`. Plain and columnar pages read only their
+    /// key strip — index-only consumers never touch value bytes.
     pub fn key(&self, idx: usize) -> Result<Cow<'a, [u8]>> {
         match self {
             LeafView::Plain(p) => Ok(Cow::Borrowed(p.key(idx)?)),
@@ -887,9 +891,9 @@ impl<'a> LeafView<'a> {
     }
 
     /// In-page search for `key`; every encoding returns identical
-    /// `Ok(idx)` / `Err(insertion_point)` values. Prefix and columnar
-    /// pages search restart keys then one block; columnar never reads
-    /// its value strip.
+    /// `Ok(idx)` / `Err(insertion_point)` values. Plain pages bisect their
+    /// key strip; prefix and columnar pages search restart keys then one
+    /// block. Neither plain nor columnar reads a value byte.
     pub fn search(&self, key: &[u8]) -> Result<(std::result::Result<usize, usize>, u32)> {
         match self {
             LeafView::Plain(p) => p.search(key),
@@ -914,57 +918,11 @@ impl<'a> LeafView<'a> {
     }
 }
 
-/// The shared gallop-then-binary-search used by the compressed encodings:
-/// identical probe sequence to [`LeafPage::exponential_search`], expressed
-/// over a key accessor so prefix and columnar pages agree exactly.
-fn gallop<'a>(
-    key: &[u8],
-    from: usize,
-    n: usize,
-    key_at: impl Fn(usize) -> Result<Cow<'a, [u8]>>,
-) -> Result<(std::result::Result<usize, usize>, u32)> {
-    let mut cmps = 0u32;
-    if from >= n {
-        return Ok((Err(n), cmps));
-    }
-    let mut step = 1usize;
-    let mut prev = from;
-    let mut bound = from;
-    loop {
-        cmps += 1;
-        match key_at(bound)?.as_ref().cmp(key) {
-            std::cmp::Ordering::Less => {
-                prev = bound + 1;
-                if bound == n - 1 {
-                    return Ok((Err(n), cmps));
-                }
-                bound = (bound + step).min(n - 1);
-                step *= 2;
-            }
-            std::cmp::Ordering::Equal => return Ok((Ok(bound), cmps)),
-            std::cmp::Ordering::Greater => break,
-        }
-    }
-    let mut lo = prev;
-    let mut hi = bound;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        cmps += 1;
-        match key_at(mid)?.as_ref().cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok((Ok(mid), cmps)),
-        }
-    }
-    Ok((Err(lo), cmps))
-}
-
-/// A leaf builder of either encoding, dispatched once per tree from
-/// [`lsm_storage::StorageOptions::leaf_encoding`]. Plain stays byte-for-byte
-/// identical to what [`LeafPageBuilder`] always wrote.
+/// A leaf builder of any encoding, dispatched once per tree from
+/// [`lsm_storage::StorageOptions::leaf_encoding`].
 #[derive(Debug)]
 pub enum AnyLeafBuilder {
-    /// The original slotted format.
+    /// The key-strip format ([`crate::page`]).
     Plain(LeafPageBuilder),
     /// The prefix-compressed format.
     Prefix(PrefixLeafPageBuilder),
@@ -1185,6 +1143,37 @@ mod tests {
             plain.add(k, v).unwrap();
         }
         assert_eq!(any.finish(), plain.finish());
+    }
+
+    /// A page's count is a `u16`: on a page with room for more, every
+    /// codec's builder stops at `u16::MAX` entries, the count round-trips
+    /// and the last key is found (it used to wrap, and hide the rest).
+    #[test]
+    fn entry_count_stops_at_u16_max_on_a_2_mib_page() {
+        for encoding in [
+            LeafEncoding::Plain,
+            LeafEncoding::Prefix,
+            LeafEncoding::Columnar,
+        ] {
+            let mut b = AnyLeafBuilder::new(encoding, 2 << 20, 0);
+            let mut n = 0u32;
+            while n < 70_000 && b.fits(&n.to_be_bytes(), b"") {
+                b.add(&n.to_be_bytes(), b"").unwrap();
+                n += 1;
+            }
+            assert_eq!(n as usize, MAX_ENTRIES, "{encoding:?}");
+            assert!(b.add(&n.to_be_bytes(), b"").is_err(), "{encoding:?}");
+            let page = b.finish();
+            assert!(
+                page.len() < 2 << 20,
+                "{encoding:?}: the cap, not the page, binds"
+            );
+            let view = LeafView::parse(&page).unwrap();
+            assert_eq!(view.count(), MAX_ENTRIES, "{encoding:?}");
+            let last = (n - 1).to_be_bytes();
+            assert_eq!(view.search(&last).unwrap().0, Ok(MAX_ENTRIES - 1));
+            assert_eq!(view.last_key().unwrap().unwrap().as_ref(), last);
+        }
     }
 
     fn build_columnar(entries: &[(&[u8], &[u8])], base: u64, interval: u16) -> Vec<u8> {

@@ -14,12 +14,12 @@
 //! * [`cursor::StatefulCursor`] — the "stateful B+-tree lookup" of
 //!   Section 3.2: remembers the last leaf/position and uses exponential
 //!   search for sorted probe streams;
-//! * [`leaf::LeafView`] — per-page leaf-codec dispatch: the plain slotted
-//!   format plus the opt-in prefix-compressed and columnar strip formats
-//!   ([`lsm_storage::LeafEncoding`]) read through one view, so
-//!   mixed-encoding trees need no migration. Columnar pages keep keys and
-//!   values in separate in-page strips, so index-only scans and probe
-//!   filtering touch only the key strip.
+//! * [`leaf::LeafView`] — per-page leaf-codec dispatch: the plain
+//!   key-strip format ([`page`]) plus the opt-in prefix-compressed and
+//!   columnar formats ([`lsm_storage::LeafEncoding`]) read through one
+//!   view, so mixed-encoding trees need no migration. Plain and columnar
+//!   pages keep keys apart from values, so searches, index-only scans and
+//!   probe filtering touch only the keys.
 //!
 //! All page reads go through [`lsm_storage::Storage`], so every search and
 //! scan is charged to the simulated device and CPU cost models.

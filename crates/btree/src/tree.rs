@@ -224,7 +224,8 @@ impl BTree {
 
     /// Reads and parses leaf page `leaf_no`, returning the raw page bytes.
     /// Callers re-parse with [`LeafView::parse`]; pages are cheap to parse
-    /// (header + slot directory only).
+    /// (the header alone, or for compressed codecs the header and restart
+    /// array bounds).
     pub fn read_leaf(&self, leaf_no: PageNo) -> Result<Arc<[u8]>> {
         debug_assert!(leaf_no < self.meta.num_leaves);
         self.storage.read_page(self.file, leaf_no)
@@ -717,7 +718,7 @@ mod tests {
 
     #[test]
     fn search_through_an_empty_internal_page_is_corruption() {
-        // A two-level file whose root is an internal page with a slot
+        // A two-level file whose root is an internal page with an entry
         // count of 0: the bulk loader never writes one, so it can only be
         // damage, and a search must say so instead of panicking.
         let s = storage();
@@ -725,7 +726,11 @@ mod tests {
         let mut leaf = crate::page::LeafPageBuilder::new(s.page_size(), 0);
         leaf.add(b"k", b"v").unwrap();
         s.append_page(f, &leaf.finish()).unwrap();
-        s.append_page(f, &0u16.to_le_bytes()).unwrap();
+        s.append_page(
+            f,
+            &crate::page::InternalPageBuilder::new(s.page_size()).finish(),
+        )
+        .unwrap();
         let mut meta = Vec::new();
         meta.extend_from_slice(&META_MAGIC.to_le_bytes());
         meta.extend_from_slice(&1u32.to_le_bytes()); // root: the empty page

@@ -5,19 +5,31 @@
 //! of the restart block up to `idx`, and for every page a header parse by
 //! the caller first. A scan wants the entries one after another, so a
 //! [`LeafWalk`] parses the header once and then keeps only integers: where
-//! the next key and value start. It holds no reference to the page, which
-//! lets a scan own it beside the page's `Arc<[u8]>`; each step is handed the
-//! page again and answers with byte ranges into it.
+//! the next key and value start (a plain page answers any index straight
+//! from its key strip and value ends). It holds no reference to the page,
+//! which lets a scan own it beside the page's `Arc<[u8]>`; each step is
+//! handed the page again and answers with byte ranges into it.
 
 use crate::encoding::get_varint;
 use crate::leaf::LeafView;
+use crate::page::{u32_at, LeafShape};
 use lsm_common::{Error, Result};
+use std::ops::Range;
 
 /// A byte range inside a page.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Span {
     pub(crate) start: u32,
     pub(crate) end: u32,
+}
+
+impl From<Range<usize>> for Span {
+    fn from(range: Range<usize>) -> Self {
+        Span {
+            start: range.start as u32,
+            end: range.end as u32,
+        }
+    }
 }
 
 impl Span {
@@ -50,8 +62,8 @@ impl Slot {
 /// The page geometry a walk needs, as offsets from the start of the page.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Layout {
-    /// Slot directory at `slots`, entry heap at `heap`.
-    Plain { slots: usize, heap: usize },
+    /// The key strip and value ends of a plain page.
+    Plain(LeafShape),
     /// Restart array at `restarts`, entry heap at `heap`.
     Prefix {
         interval: usize,
@@ -80,20 +92,7 @@ fn span_at(page: &[u8], pos: usize, limit: usize) -> Result<Span> {
     if rest.len() - n < len {
         return Err(Error::corruption("truncated slice"));
     }
-    Ok(Span {
-        start: (pos + n) as u32,
-        end: (pos + n + len) as u32,
-    })
-}
-
-/// The little-endian `u32` at `page[at]` (a slot or restart offset the
-/// header parse already bounds-checked).
-fn offset_at(page: &[u8], at: usize) -> Result<usize> {
-    let bytes = page
-        .get(at..at + 4)
-        .ok_or_else(|| Error::corruption("leaf offset array out of bounds"))?;
-    // INVARIANT: `bytes` is exactly four bytes long.
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()) as usize)
+    Ok(Span::from(pos + n..pos + n + len))
 }
 
 /// Applies one `[shared][suffix_len][suffix]` delta at `page[pos]` to `key`
@@ -145,7 +144,7 @@ impl LeafWalk {
             value_pos: 0,
         };
         let interval = match layout {
-            Layout::Plain { .. } => return Ok(walk),
+            Layout::Plain(_) => return Ok(walk),
             Layout::Prefix { interval, .. } | Layout::Columnar { interval, .. } => interval,
         };
         walk.idx = idx - idx % interval;
@@ -161,18 +160,17 @@ impl LeafWalk {
         }
         let end = page.len();
         let (key_span, value) = match self.layout {
-            Layout::Plain { slots, heap } => {
-                let at = heap + offset_at(page, slots + i * 4)?;
-                let key = span_at(page, at, end)?;
-                (Some(key), span_at(page, key.end as usize, end)?)
-            }
+            Layout::Plain(shape) => (
+                Some(shape.key_range(page, i)?.into()),
+                shape.value_range(page, i)?.into(),
+            ),
             Layout::Prefix {
                 interval,
                 restarts,
                 heap,
             } => {
                 let after_key = if i.is_multiple_of(interval) {
-                    let at = heap + offset_at(page, restarts + i / interval * 4)?;
+                    let at = heap + u32_at(page, restarts + i / interval * 4)?;
                     let full = span_at(page, at, end)?;
                     key.clear();
                     key.extend_from_slice(full.of(page));
@@ -193,12 +191,12 @@ impl LeafWalk {
             } => {
                 if i.is_multiple_of(interval) {
                     let r = i / interval * 4;
-                    let at = keys + offset_at(page, key_restarts + r)?;
+                    let at = keys + u32_at(page, key_restarts + r)?;
                     let full = span_at(page, at, values)?;
                     key.clear();
                     key.extend_from_slice(full.of(page));
                     self.key_pos = full.end as usize;
-                    self.value_pos = values + offset_at(page, value_restarts + r)?;
+                    self.value_pos = values + u32_at(page, value_restarts + r)?;
                 } else {
                     self.key_pos = apply_delta(page, self.key_pos, values, key)?;
                 }

@@ -26,19 +26,23 @@ pub type PageNo = u32;
 
 /// On-disk encoding for B+-tree leaf pages built on this storage.
 ///
-/// `Plain` is the original format and stays byte-for-byte identical to what
-/// earlier versions wrote. `Prefix` shares key prefixes between adjacent
-/// entries with restart points every K entries, trading a little decode CPU
+/// `Plain` keeps a page's keys uncompressed in one dense strip — a fixed
+/// stride when they share one width — with the values behind it, so a
+/// search reads keys and nothing else. `Prefix` shares key prefixes between
+/// adjacent entries with restart points every K entries, trading decode CPU
 /// for smaller leaves — and therefore more entries per buffer-cache page.
 /// `Columnar` keeps the same key compression but splits each page into a
 /// key strip and a value strip, so index-only scans and probe filtering
-/// read keys without ever decoding value bytes, and each value comes out
-/// as one contiguous page slice (the zero-copy fetch path). Readers detect
-/// the encoding per page, so mixed-encoding trees (old components plus new
-/// flushes) need no migration.
+/// read keys without ever decoding value bytes. On every encoding each
+/// value comes out as one contiguous page slice (the zero-copy fetch path).
+/// Readers detect the encoding per page, so mixed-encoding trees (old
+/// components plus new flushes) need no migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeafEncoding {
-    /// The original slot-directory format; the default.
+    /// The default: `[base_ordinal u64][count u16][key_width u16][keys]
+    /// [value end u32 × count][values]`, the keys either `count ×
+    /// key_width` bytes or — `key_width` 0, when widths differ — key ends
+    /// and then the key bytes (`lsm_btree::page`).
     #[default]
     Plain,
     /// Prefix-compressed entries with periodic restart points.
@@ -88,7 +92,7 @@ pub struct StorageOptions {
     pub cpu: CpuCosts,
     /// Leaf-page encoding for B+-trees built on this storage (see
     /// [`LeafEncoding`]). Defaults to [`LeafEncoding::Plain`], the
-    /// original on-disk format.
+    /// key-strip format.
     pub leaf_encoding: LeafEncoding,
 }
 
