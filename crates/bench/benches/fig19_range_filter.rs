@@ -9,32 +9,21 @@
 //! queries the Validation strategy loses all pruning (every newer component
 //! must be read); Eager prunes only in the append-only case (updates widen
 //! its filters); Mutable-bitmap prunes effectively in every setting.
-//!
-//! Every strategy row runs on both leaf-page encodings: pruning decisions
-//! are encoding-independent, so the plain and prefix rows should track each
-//! other, with prefix saving pages on whatever does get read.
 
 use lsm_bench::{
     old_time_range, recent_time_range, row, scaled, table_header, Env, EnvConfig, Timer,
 };
 use lsm_engine::{Dataset, StrategyKind};
-use lsm_storage::LeafEncoding;
 use lsm_workload::UpdateDistribution;
 use std::sync::Arc;
 
 const DAYS: [i64; 5] = [1, 7, 30, 180, 365];
 const TOTAL_DAYS: i64 = 730;
 
-fn prepare(
-    strategy: StrategyKind,
-    update_ratio: f64,
-    n: usize,
-    encoding: LeafEncoding,
-) -> (Env, Arc<Dataset>, i64) {
+fn prepare(strategy: StrategyKind, update_ratio: f64, n: usize) -> (Env, Arc<Dataset>, i64) {
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
-        leaf_encoding: encoding,
         ..Default::default()
     });
     let cfg = lsm_bench::tweet_dataset_config(strategy, dataset_bytes, 1);
@@ -100,13 +89,8 @@ fn main() {
             ("validation", StrategyKind::Validation),
             ("mutable-bitmap", StrategyKind::MutableBitmap),
         ] {
-            for encoding in [LeafEncoding::Plain, LeafEncoding::Prefix] {
-                let (_env, ds, max_time) = prepare(strategy, ratio, n, encoding);
-                row(
-                    &format!("{label}/{}", encoding.name()),
-                    &times(&ds, max_time, recent),
-                );
-            }
+            let (_env, ds, max_time) = prepare(strategy, ratio, n);
+            row(label, &times(&ds, max_time, recent));
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks, one per layer (real wall-clock, not
 //! simulated): the CPU-level optimizations of Section 3.2 — standard vs
 //! blocked Bloom filter probes, by key and by precomputed hash, cold
-//! B+-tree search vs the stateful cursor, the in-leaf search of each leaf
-//! codec over cold pages, the plain page's over mixed-width keys too, and
-//! the route through one router page (btree) — the cache-hit page read
+//! B+-tree search vs the stateful cursor, the in-leaf search over cold
+//! pages of fixed- and of mixed-width keys, and the route through one
+//! router page (btree) — the cache-hit page read
 //! (storage), the
 //! record codec and its allocation-free view (common), and the point
 //! lookup, the batched stateful fetch, the reconciling merge scan at a
@@ -17,11 +17,11 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_bloom::{BlockedBloom, BloomFilter, KeyHash, StandardBloom};
-use lsm_btree::page::{InternalPage, InternalPageBuilder};
-use lsm_btree::{AnyLeafBuilder, BTree, BTreeBuilder, LeafView, StatefulCursor};
+use lsm_btree::page::{InternalPage, InternalPageBuilder, LeafPage, LeafPageBuilder};
+use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
 use lsm_common::{Record, RecordView};
 use lsm_engine::StrategyKind;
-use lsm_storage::{LeafEncoding, Storage, StorageOptions};
+use lsm_storage::{Storage, StorageOptions};
 use lsm_tree::{
     lookup_sorted, point_lookup, sorted_timestamps, BuildOptions, ComponentBuilder, ComponentId,
     DiskComponent, LookupOptions, LsmEntry, LsmOptions, LsmScan, LsmTree, MergeRange, ScanOptions,
@@ -149,24 +149,19 @@ fn bench_btree_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// `LeafView::search` on primary-index-shaped leaves — 128 KB pages of
+/// `LeafPage::search` on primary-index-shaped leaves — 128 KB pages of
 /// 8-byte keys and ~700-byte values: 4096 searches of present keys per
 /// iteration, consecutive ones in different pages, over 1024 pages, so the
 /// key lines a search touches (~4 MB per iteration) do not stay in the L2
 /// cache — as in a lookup in a dataset larger than it. `plain_varwidth`
-/// is the plain page over 8- to 10-byte keys, which it stores through key
-/// ends instead of as one fixed-stride strip.
+/// is the page over 8- to 10-byte keys, which it stores through key ends
+/// instead of as one fixed-stride strip.
 fn bench_leaf_search(c: &mut Criterion) {
     const PAGES: u64 = 1024;
     const PAGE_SIZE: usize = 128 * 1024;
     let value = vec![b'v'; 700];
     let mut group = c.benchmark_group("leaf_search");
-    for (name, encoding, varwidth) in [
-        ("plain", LeafEncoding::Plain, false),
-        ("prefix", LeafEncoding::Prefix, false),
-        ("columnar", LeafEncoding::Columnar, false),
-        ("plain_varwidth", LeafEncoding::Plain, true),
-    ] {
+    for (name, varwidth) in [("plain", false), ("plain_varwidth", true)] {
         // Big-endian keys, with 0–2 bytes after them when `varwidth`.
         let suffix = |k: u64| if varwidth { (k % 3) as usize } else { 0 };
         let key_of = |k: u64| [&k.to_be_bytes()[..], &[0xFF; 2][..suffix(k)]].concat();
@@ -175,7 +170,7 @@ fn bench_leaf_search(c: &mut Criterion) {
         let pages: Vec<(Vec<u8>, u64, u64)> = (0..PAGES)
             .map(|_| {
                 let first = next_key;
-                let mut b = AnyLeafBuilder::new(encoding, PAGE_SIZE, first);
+                let mut b = LeafPageBuilder::new(PAGE_SIZE, first);
                 while b.fits(&key_of(next_key), &value) {
                     b.add(&key_of(next_key), &value).unwrap();
                     next_key += 1;
@@ -192,7 +187,7 @@ fn bench_leaf_search(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let hits = probes.iter().filter(|(page, key)| {
-                    let leaf = LeafView::parse(page).unwrap();
+                    let leaf = LeafPage::parse(page).unwrap();
                     leaf.search(key).unwrap().0.is_ok()
                 });
                 assert_eq!(hits.count(), probes.len());

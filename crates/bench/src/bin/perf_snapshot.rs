@@ -8,15 +8,13 @@
 //! update-heavy lazy dataset), a device sweep (the same inline ingest
 //! on the hdd / ssd / nvme profiles), a multi-writer scenario
 //! (1/2/4/8 writer threads committing `WriteBatch`es against one sharded,
-//! WAL-backed dataset — the group-commit measurement), and a scan-heavy
-//! scenario (serial vs `parallel(4)` filter scans on plain, prefix and
-//! columnar leaf pages, with live on-disk bytes and cache
-//! hit-rates), and an index-only scenario (cold-cache `index_only()`
-//! secondary range queries per leaf encoding, comparing device bytes
-//! read), written as JSON so the perf trajectory accumulates across
-//! commits. Schema history is documented in `docs/OPERATIONS.md`
-//! (`schema_version` 8: adds the `index_only` array, the columnar
-//! `scan_heavy` row, and `lookup_allocs_per_op` on the variants).
+//! WAL-backed dataset — the group-commit measurement), a scan-heavy
+//! scenario (serial vs `parallel(4)` filter scans, with live on-disk bytes
+//! and cache hit-rates), and an index-only scenario (cold-cache
+//! `index_only()` secondary range queries, with device bytes read),
+//! written as JSON so the perf trajectory accumulates across commits.
+//! Schema history is documented in `docs/OPERATIONS.md` (`schema_version`
+//! 9: one `scan_heavy` and one `index_only` row, no `encoding` field).
 //!
 //! ```sh
 //! cargo run -p lsm-bench --release --bin perf_snapshot
@@ -35,7 +33,6 @@ use lsm_bench::{
 };
 use lsm_common::Value;
 use lsm_engine::{Dataset, EngineConfig, MaintenanceMode, MaintenanceRuntime, StrategyKind};
-use lsm_storage::LeafEncoding;
 use lsm_workload::{Op, TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
 use std::time::Instant;
@@ -233,8 +230,7 @@ fn json_scan_heavy(s: &ScanHeavyRun) -> String {
     format!(
         concat!(
             "    {{\n",
-            "      \"mode\": \"filter-scan-{}\",\n",
-            "      \"encoding\": \"{}\",\n",
+            "      \"mode\": \"filter-scan-plain\",\n",
             "      \"records\": {},\n",
             "      \"scans\": {},\n",
             "      \"parallelism\": {},\n",
@@ -249,8 +245,6 @@ fn json_scan_heavy(s: &ScanHeavyRun) -> String {
             "      \"parallel_cache_hit_ratio\": {:.4}\n",
             "    }}"
         ),
-        s.encoding.name(),
-        s.encoding.name(),
         s.records,
         s.scans,
         s.parallelism,
@@ -270,8 +264,7 @@ fn json_index_only(r: &IndexOnlyRun) -> String {
     format!(
         concat!(
             "    {{\n",
-            "      \"mode\": \"index-only-{}\",\n",
-            "      \"encoding\": \"{}\",\n",
+            "      \"mode\": \"index-only-plain\",\n",
             "      \"records\": {},\n",
             "      \"queries\": {},\n",
             "      \"index_bytes\": {},\n",
@@ -281,15 +274,7 @@ fn json_index_only(r: &IndexOnlyRun) -> String {
             "      \"wall_secs\": {:.4}\n",
             "    }}"
         ),
-        r.encoding.name(),
-        r.encoding.name(),
-        r.records,
-        r.queries,
-        r.index_bytes,
-        r.bytes_read,
-        r.rows,
-        r.rows_per_sec,
-        r.wall_secs,
+        r.records, r.queries, r.index_bytes, r.bytes_read, r.rows, r.rows_per_sec, r.wall_secs,
     )
 }
 
@@ -449,23 +434,13 @@ fn main() {
         .collect();
 
     // Scan-heavy scenario (schema_version 7): serial vs parallel(4) filter
-    // scans over the same dataset built with each leaf-page encoding — the
-    // read-path + compression acceptance measurement (`index_bytes` for
-    // the compressed encodings must undercut plain).
-    let scan_heavy = [
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Plain),
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Prefix),
-        run_scan_heavy_scenario(scaled(60_000), 24, 4, LeafEncoding::Columnar),
-    ];
+    // scans over one pre-loaded dataset — the read-path measurement, with
+    // the live bytes on disk beside it.
+    let scan_heavy = [run_scan_heavy_scenario(scaled(60_000), 24, 4)];
 
     // Index-only scenario (schema_version 8): cold-cache `index_only()`
-    // secondary range queries per leaf encoding — the key-strip acceptance
-    // measurement (`bytes_read` for columnar must undercut plain by >=20%).
-    let index_only = [
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Plain),
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Prefix),
-        run_index_only_scenario(scaled(60_000), 24, LeafEncoding::Columnar),
-    ];
+    // secondary range queries — every byte read is index structure.
+    let index_only = [run_index_only_scenario(scaled(60_000), 24)];
 
     let body: Vec<String> = variants.iter().map(json_variant).collect();
     let multi_body: Vec<String> = multi.iter().map(json_multi).collect();
@@ -477,7 +452,7 @@ fn main() {
     let scan_body: Vec<String> = scan_heavy.iter().map(json_scan_heavy).collect();
     let index_only_body: Vec<String> = index_only.iter().map(json_index_only).collect();
     let json = format!(
-        "{{\n  \"schema_version\": 8,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema_version\": 9,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
         scale(),
         body.join(",\n"),
         multi_body.join(",\n"),
@@ -556,9 +531,8 @@ fn main() {
     }
     for s in &scan_heavy {
         eprintln!(
-            "scan_heavy {}: {} scans × {} recs, {} bytes on disk — serial {:.3}s vs \
+            "scan_heavy: {} scans × {} recs, {} bytes on disk — serial {:.3}s vs \
              parallel({}) {:.3}s = {:.2}x ({} partitions, hit {:.2}/{:.2})",
-            s.encoding.name(),
             s.scans,
             s.records,
             s.index_bytes,
@@ -573,15 +547,9 @@ fn main() {
     }
     for r in &index_only {
         eprintln!(
-            "index_only {}: {} queries x {} recs — {} bytes read ({} on disk), \
+            "index_only: {} queries x {} recs — {} bytes read ({} on disk), \
              {:.0} rows/s over {:.3}s",
-            r.encoding.name(),
-            r.queries,
-            r.records,
-            r.bytes_read,
-            r.index_bytes,
-            r.rows_per_sec,
-            r.wall_secs
+            r.queries, r.records, r.bytes_read, r.index_bytes, r.rows_per_sec, r.wall_secs
         );
     }
     eprintln!("wrote {out}");

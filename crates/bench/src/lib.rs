@@ -23,7 +23,7 @@
 
 use lsm_common::{Record, Value};
 use lsm_engine::{Dataset, DatasetConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind};
-use lsm_storage::{LeafEncoding, SimClock, Storage, StorageOptions};
+use lsm_storage::{SimClock, Storage, StorageOptions};
 use lsm_workload::{Op, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
 
@@ -147,10 +147,6 @@ pub struct EnvConfig {
     /// Buffer-cache shards (1 = the classic single CLOCK; raise for
     /// parallel-query scenarios so readers stop serializing on one lock).
     pub cache_shards: usize,
-    /// Leaf-page encoding for every B+-tree the run builds (`Plain` keeps
-    /// the byte-for-byte legacy pages; `Prefix` turns on restart-point
-    /// prefix compression).
-    pub leaf_encoding: LeafEncoding,
 }
 
 impl Default for EnvConfig {
@@ -160,7 +156,6 @@ impl Default for EnvConfig {
             cache_fraction: 0.067,
             ssd: false,
             cache_shards: 1,
-            leaf_encoding: LeafEncoding::Plain,
         }
     }
 }
@@ -182,7 +177,6 @@ impl Env {
         let cache_bytes = (cfg.dataset_bytes as f64 * cfg.cache_fraction) as usize;
         let opts = StorageOptions {
             cache_shards: cfg.cache_shards.max(1),
-            leaf_encoding: cfg.leaf_encoding,
             ..device.options(cache_bytes)
         };
         let clock = SimClock::new();
@@ -720,8 +714,7 @@ pub fn run_query_heavy_scenario(n: usize, queries: usize, parallelism: usize) ->
 }
 
 /// What one scan-heavy run measured: the same `creation_time` filter scans
-/// executed serially and with `parallel(n)` over a pre-loaded dataset built
-/// with one leaf-page encoding.
+/// executed serially and with `parallel(n)` over a pre-loaded dataset.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanHeavyRun {
     /// Records pre-loaded into the dataset.
@@ -730,12 +723,9 @@ pub struct ScanHeavyRun {
     pub scans: usize,
     /// The `parallel(n)` fan-out measured against serial.
     pub parallelism: usize,
-    /// Leaf-page encoding every B+-tree in the run was built with.
-    pub encoding: LeafEncoding,
     /// Disk components of the primary index at scan time.
     pub components: usize,
-    /// Live bytes on the data device after the load — the compression
-    /// acceptance number (`Prefix` must come in under `Plain`).
+    /// Live bytes on the data device after the load.
     pub index_bytes: u64,
     /// Wall seconds for the serial pass.
     pub serial_wall_secs: f64,
@@ -755,23 +745,17 @@ pub struct ScanHeavyRun {
 
 /// The scan-heavy scenario shared by `perf_snapshot` and the filter-scan
 /// benches: pre-load a Validation tweet dataset (leaving several disk
-/// components) with `encoding` leaf pages, then run `scans` rotating ~10%
-/// `creation_time` slices twice — serially and with `parallel(n)` — from a
-/// cold cache each time. Besides the wall-clock comparison it records the
-/// live on-disk bytes after the load, so the prefix encoding's size win
-/// lands in the perf trajectory next to its scan cost.
-pub fn run_scan_heavy_scenario(
-    n: usize,
-    scans: usize,
-    parallelism: usize,
-    encoding: LeafEncoding,
-) -> ScanHeavyRun {
+/// components), then run `scans` rotating ~10% `creation_time` slices
+/// twice — serially and with `parallel(n)` — from a cold cache each time.
+/// Besides the wall-clock comparison it records the live on-disk bytes
+/// after the load, so page size lands in the perf trajectory next to scan
+/// cost.
+pub fn run_scan_heavy_scenario(n: usize, scans: usize, parallelism: usize) -> ScanHeavyRun {
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
         cache_shards: 8,
-        leaf_encoding: encoding,
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
@@ -834,7 +818,6 @@ pub fn run_scan_heavy_scenario(
         records: n,
         scans,
         parallelism,
-        encoding,
         components: ds.primary().num_disk_components(),
         index_bytes,
         serial_wall_secs,
@@ -848,20 +831,17 @@ pub fn run_scan_heavy_scenario(
 }
 
 /// What one index-only run measured: secondary `user_id` range queries
-/// answered from the index alone (no record fetch) over a dataset built
-/// with one leaf-page encoding, from a cold cache.
+/// answered from the index alone (no record fetch), from a cold cache.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexOnlyRun {
     /// Records pre-loaded into the dataset.
     pub records: usize,
     /// Index-only queries per pass.
     pub queries: usize,
-    /// Leaf-page encoding every B+-tree in the run was built with.
-    pub encoding: LeafEncoding,
     /// Live bytes on the data device after the load.
     pub index_bytes: u64,
-    /// Device bytes read during the cold-cache query pass — the
-    /// compression acceptance number (`Columnar` must undercut `Plain`).
+    /// Device bytes read during the cold-cache query pass: index structure
+    /// alone, since no record is fetched.
     pub bytes_read: u64,
     /// Primary keys returned per pass.
     pub rows: usize,
@@ -871,22 +851,18 @@ pub struct IndexOnlyRun {
     pub wall_secs: f64,
 }
 
-/// The index-only scenario: pre-load an Eager tweet dataset with
-/// `encoding` leaf pages (several disk components), then answer rotating
-/// ~10% `user_id` range queries with `index_only()` — primary keys
-/// straight from the always-accurate secondary index, no validation and
-/// no record fetch — from a cold cache. Every byte the pass reads is
-/// index structure, so the bytes-read comparison across encodings is the
-/// key-strip acceptance number: the prefix and columnar codecs shrink
-/// what the device has to deliver.
-pub fn run_index_only_scenario(n: usize, queries: usize, encoding: LeafEncoding) -> IndexOnlyRun {
+/// The index-only scenario: pre-load an Eager tweet dataset (several disk
+/// components), then answer rotating ~10% `user_id` range queries with
+/// `index_only()` — primary keys straight from the always-accurate
+/// secondary index, no validation and no record fetch — from a cold cache.
+/// Every byte the pass reads is index structure.
+pub fn run_index_only_scenario(n: usize, queries: usize) -> IndexOnlyRun {
     use lsm_workload::USER_ID_DOMAIN;
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
         cache_shards: 8,
-        leaf_encoding: encoding,
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Eager, dataset_bytes, 1);
@@ -927,7 +903,6 @@ pub fn run_index_only_scenario(n: usize, queries: usize, encoding: LeafEncoding)
     IndexOnlyRun {
         records: n,
         queries,
-        encoding,
         index_bytes,
         bytes_read: io.bytes_read,
         rows,

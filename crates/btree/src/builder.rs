@@ -7,8 +7,7 @@
 //! level, then a metadata page last.
 
 use crate::encoding::put_slice;
-use crate::leaf::AnyLeafBuilder;
-use crate::page::InternalPageBuilder;
+use crate::page::{InternalPageBuilder, LeafPageBuilder};
 use crate::tree::{BTree, TreeMeta, META_MAGIC};
 use lsm_common::{Error, Result};
 use lsm_storage::{FileId, Storage};
@@ -16,15 +15,11 @@ use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
 /// then call [`BTreeBuilder::finish`].
-///
-/// Leaves are emitted in the encoding the storage was configured with
-/// ([`lsm_storage::StorageOptions::leaf_encoding`]); internal pages and the
-/// metadata page are encoding-independent.
 pub struct BTreeBuilder {
     storage: Arc<Storage>,
     file: FileId,
     page_size: usize,
-    leaf: AnyLeafBuilder,
+    leaf: LeafPageBuilder,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
     leaf_index: Vec<(Vec<u8>, u32)>,
     next_page: u32,
@@ -41,7 +36,7 @@ impl BTreeBuilder {
     pub fn new(storage: Arc<Storage>) -> Self {
         let file = storage.create_file();
         let page_size = storage.page_size();
-        let leaf = AnyLeafBuilder::new(storage.leaf_encoding(), page_size, 0);
+        let leaf = LeafPageBuilder::new(page_size, 0);
         BTreeBuilder {
             storage,
             file,
@@ -173,7 +168,7 @@ impl BTreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_storage::{LeafEncoding, StorageOptions};
+    use lsm_storage::StorageOptions;
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())
@@ -282,6 +277,62 @@ mod tests {
         assert_eq!(reopened.search(&k).unwrap().unwrap().0, v);
     }
 
+    /// Each leaf's ordinal word is the number of entries on the leaves
+    /// before it, and the last leaf ends at the tree's entry count.
+    #[test]
+    fn leaf_ordinals_run_on_from_leaf_to_leaf() {
+        let s = Storage::new(StorageOptions {
+            page_size: 256,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s.clone());
+        for i in 0..700u32 {
+            b.add(format!("k{i:05}").as_bytes(), &vec![7; (i % 13) as usize])
+                .unwrap();
+        }
+        let t = b.finish().unwrap();
+        assert!(t.num_leaves() > 10);
+        let mut next = 0u64;
+        for leaf_no in 0..t.num_leaves() {
+            let data = t.read_leaf(leaf_no).unwrap();
+            let leaf = crate::page::LeafPage::parse(&data).unwrap();
+            assert!(leaf.count() > 0, "leaf {leaf_no} is empty");
+            assert_eq!(leaf.base_ordinal(), next, "leaf {leaf_no}");
+            next += leaf.count() as u64;
+        }
+        assert_eq!(next, t.num_entries());
+    }
+
+    /// Keys of several widths are stored through key ends (`key_width` 0)
+    /// and every one is found, with its ordinal, across many leaves.
+    #[test]
+    fn keys_of_mixed_widths_build_and_search() {
+        let s = Storage::new(StorageOptions {
+            page_size: 256,
+            ..StorageOptions::test()
+        });
+        let key = |i: u32| format!("u{i:04}{}", "~".repeat(i as usize % 4)).into_bytes();
+        let mut b = BTreeBuilder::new(s);
+        for i in 0..400u32 {
+            b.add(&key(i), &i.to_le_bytes()).unwrap();
+        }
+        let t = b.finish().unwrap();
+        assert!(t.height() >= 2);
+        for leaf_no in 0..t.num_leaves() {
+            let data = t.read_leaf(leaf_no).unwrap();
+            if crate::page::LeafPage::parse(&data).unwrap().count() > 1 {
+                assert_eq!(&data[10..12], &[0, 0], "leaf {leaf_no}");
+            }
+        }
+        for i in 0..400u32 {
+            let (v, ord) = t.search(&key(i)).unwrap().unwrap();
+            assert_eq!((v, ord), (i.to_le_bytes().to_vec(), u64::from(i)));
+            let mut absent = key(i);
+            absent.push(b'!');
+            assert!(t.search(&absent).unwrap().is_none());
+        }
+    }
+
     /// FNV-1a digests of the tree's file: `(leaves, whole)` — the leaf
     /// pages alone (length-prefixed), and every page plus the key bounds
     /// and entry count. Any byte the builder writes differently moves
@@ -306,52 +357,28 @@ mod tests {
         (leaves, whole)
     }
 
-    /// The builders must not move a byte by accident: one fixed stream per
-    /// leaf codec, digests recorded from the commit before the builder's
-    /// allocation diet. When plain leaves and every router page became key
-    /// strips, the `Plain` leaf digest and all three whole-file digests
-    /// (router pages are shared by every codec) were re-recorded; the
-    /// `Prefix` and `Columnar` leaf digests are the parent's, and so is
-    /// every page count — no page boundary moved.
+    /// The builder must not move a byte by accident: one fixed stream,
+    /// digests recorded from the commit before the builder's allocation
+    /// diet and re-recorded once, when leaves and router pages became key
+    /// strips (the page count held: no page boundary moved).
     #[test]
     fn built_pages_match_recorded_digests() {
-        for (encoding, leaves, whole, pages) in [
-            (
-                LeafEncoding::Plain,
-                0xbecd_8134_723f_9cdb,
-                0x8e3a_06b5_c3cf_511c,
-                56,
-            ),
-            (
-                LeafEncoding::Prefix,
-                0xdcd8_a918_faff_e19c,
-                0xde8b_e0b5_0985_2ec0,
-                40,
-            ),
-            (
-                LeafEncoding::Columnar,
-                0xd2a2_09f2_babf_1455,
-                0x0cf9_8adb_b9a7_5339,
-                41,
-            ),
-        ] {
-            let s = Storage::new(StorageOptions {
-                leaf_encoding: encoding,
-                ..StorageOptions::test()
-            });
-            let mut b = BTreeBuilder::new(s.clone());
-            for i in 0..3000u32 {
-                let key = format!("user{:05}/item{:07}", i / 40, i * 13);
-                let value = vec![(i % 251) as u8; (i * 7 % 90) as usize];
-                b.add(key.as_bytes(), &value).unwrap();
-            }
-            let t = b.finish().unwrap();
-            assert_eq!(t.num_entries(), 3000);
-            assert_eq!(t.min_key().unwrap(), b"user00000/item0000000");
-            assert_eq!(t.max_key().unwrap(), b"user00074/item0038987");
-            assert_eq!(s.file_pages(t.file()).unwrap(), pages, "{encoding:?}");
-            assert_eq!(tree_digest(&t, &s), (leaves, whole), "{encoding:?}");
+        let s = storage();
+        let mut b = BTreeBuilder::new(s.clone());
+        for i in 0..3000u32 {
+            let key = format!("user{:05}/item{:07}", i / 40, i * 13);
+            let value = vec![(i % 251) as u8; (i * 7 % 90) as usize];
+            b.add(key.as_bytes(), &value).unwrap();
         }
+        let t = b.finish().unwrap();
+        assert_eq!(t.num_entries(), 3000);
+        assert_eq!(t.min_key().unwrap(), b"user00000/item0000000");
+        assert_eq!(t.max_key().unwrap(), b"user00074/item0038987");
+        assert_eq!(s.file_pages(t.file()).unwrap(), 56);
+        assert_eq!(
+            tree_digest(&t, &s),
+            (0xbecd_8134_723f_9cdb, 0x8e3a_06b5_c3cf_511c)
+        );
     }
 
     /// A 2 MiB page has room for more than `u16::MAX` pk-index-sized

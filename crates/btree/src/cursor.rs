@@ -32,8 +32,8 @@
 //! Probe keys must be non-decreasing; this is guaranteed by the sorted fetch
 //! lists the engine produces.
 
-use crate::leaf::LeafView;
-use crate::tree::{pinned_match, BTree};
+use crate::page::LeafPage;
+use crate::tree::BTree;
 use lsm_common::Result;
 use lsm_storage::{PageNo, PageSlice};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ impl<'t> StatefulCursor<'t> {
     pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
         // Fast path: the remembered leaf still covers `key`.
         if let Some(state) = self.state.as_mut().filter(|s| s.covers(key)) {
-            let leaf = LeafView::parse(&state.page)?;
+            let leaf = LeafPage::parse(&state.page)?;
             let (found, cmps) = leaf.exponential_search(key, state.pos)?;
             // Off the end of the page: a gap key under the fence. Nothing
             // is counted or charged; the descent below answers it.
@@ -103,7 +103,7 @@ impl<'t> StatefulCursor<'t> {
                 let (Ok(pos) | Err(pos)) = found;
                 state.pos = pos;
                 self.tree.charge_nodes(1, cmps);
-                return pinned_match(&state.page, &leaf, found);
+                return self.tree.pinned_match(&state.page, &leaf, found);
             }
         }
         // Slow path: descend from the root, into the bound buffer the
@@ -117,20 +117,20 @@ impl<'t> StatefulCursor<'t> {
             return Ok(None);
         };
         let page = self.tree.read_leaf(leaf_no)?;
-        let leaf = LeafView::parse(&page)?;
+        let leaf = LeafPage::parse(&page)?;
         let (found, cmps) = leaf.search(key)?;
         // No fence: the rightmost leaf, bounded by its last key — which
         // `bound` still holds when the descent came back to the same leaf.
         if !fenced && prev_leaf != Some(leaf_no) {
             bound.clear();
             if let Some(k) = leaf.last_key()? {
-                bound.extend_from_slice(&k);
+                bound.extend_from_slice(k);
             }
         }
         let (Ok(pos) | Err(pos)) = found;
         let pos = pos.min(leaf.count().saturating_sub(1));
         self.tree.charge_nodes(1, cmps);
-        let hit = pinned_match(&page, &leaf, found);
+        let hit = self.tree.pinned_match(&page, &leaf, found);
         self.state = Some(CursorState {
             leaf_no,
             page,
@@ -149,7 +149,7 @@ impl<'t> StatefulCursor<'t> {
 /// [`StatefulCursor`](super::StatefulCursor) must.
 #[cfg(test)]
 mod oracle {
-    use crate::leaf::LeafView;
+    use crate::page::LeafPage;
     use crate::tree::BTree;
     use lsm_common::Result;
     use lsm_storage::{PageNo, PageSlice};
@@ -203,7 +203,7 @@ mod oracle {
             exponential: bool,
         ) -> Result<Option<(PageSlice, u64)>> {
             let data = self.tree.read_leaf(leaf_no)?;
-            let leaf = LeafView::parse(&data)?;
+            let leaf = LeafPage::parse(&data)?;
             let (found, cmps) = if exponential {
                 leaf.exponential_search(key, from)?
             } else {
@@ -224,7 +224,7 @@ mod oracle {
                     let mut last_key = state.take().map(|s| s.last_key).unwrap_or_default();
                     last_key.clear();
                     if let Some(k) = leaf.last_key()? {
-                        last_key.extend_from_slice(&k);
+                        last_key.extend_from_slice(k);
                     }
                     *state = Some(CursorState {
                         leaf_no,
@@ -249,7 +249,7 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::builder::BTreeBuilder;
-    use lsm_storage::{LeafEncoding, Storage, StorageOptions};
+    use lsm_storage::{Storage, StorageOptions};
     use proptest::prelude::*;
 
     fn build(n: u32) -> BTree {
@@ -373,15 +373,43 @@ mod tests {
         assert!(c.seek(b"key00004999").is_err(), "a descent reads the file");
     }
 
+    /// On keys of several widths (pages with `key_width` 0) the cursor
+    /// answers every ascending probe — present, absent inside a leaf,
+    /// between leaves and past the end — as a root-to-leaf search does.
+    #[test]
+    fn cursor_matches_search_on_keys_of_mixed_widths() {
+        let s = Storage::new(StorageOptions {
+            page_size: 256,
+            ..StorageOptions::test()
+        });
+        let key = |i: u32| format!("u{i:04}{}", "~".repeat(i as usize % 5)).into_bytes();
+        let mut b = BTreeBuilder::new(s);
+        for i in (0..600u32).step_by(2) {
+            b.add(&key(i), format!("v{i}").as_bytes()).unwrap();
+        }
+        let t = b.finish().unwrap();
+        assert!(t.num_leaves() > 10);
+        let mut c = StatefulCursor::new(&t);
+        let mut hits = 0;
+        for i in 0..620u32 {
+            let probe = key(i);
+            let got = c.seek(&probe).unwrap();
+            assert_eq!(got, t.search(&probe).unwrap(), "probe {i}");
+            hits += usize::from(got.is_some());
+        }
+        assert_eq!(hits, 300);
+        assert!(
+            c.leaf_hits > c.descents,
+            "{} vs {}",
+            c.leaf_hits,
+            c.descents
+        );
+    }
+
     // ---- differential test against the last-key cursor ---------------------
 
     /// Entry counts giving trees of height 1, 2 and 3 on 256-byte pages.
     const SIZES: [u32; 3] = [6, 120, 900];
-    const ENCODINGS: [LeafEncoding; 3] = [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ];
 
     /// Stored keys are the even numbers below `2 * n`; odd numbers and
     /// everything from `2 * n` up are absent.
@@ -389,10 +417,9 @@ mod tests {
         format!("k{i:05}").into_bytes()
     }
 
-    fn small_page_tree(n: u32, encoding: LeafEncoding) -> BTree {
+    fn small_page_tree(n: u32) -> BTree {
         let s = Storage::new(StorageOptions {
             page_size: 256,
-            leaf_encoding: encoding,
             ..StorageOptions::test()
         });
         let mut b = BTreeBuilder::new(s);
@@ -415,12 +442,11 @@ mod tests {
         #[test]
         fn fenced_cursor_matches_the_last_key_cursor(
             size in 0..3usize,
-            encoding in 0..3usize,
             picks in proptest::collection::vec((0..2048u32, any::<bool>()), 0..80),
             every_gap in any::<bool>(),
         ) {
             let n = SIZES[size];
-            let tree = small_page_tree(n, ENCODINGS[encoding]);
+            let tree = small_page_tree(n);
             prop_assert_eq!(tree.height() as usize, size + 1);
             let mut probes: Vec<Vec<u8>> = Vec::new();
             for (pick, twice) in picks {

@@ -14,12 +14,10 @@
 //! * [`cursor::StatefulCursor`] — the "stateful B+-tree lookup" of
 //!   Section 3.2: remembers the last leaf/position and uses exponential
 //!   search for sorted probe streams;
-//! * [`leaf::LeafView`] — per-page leaf-codec dispatch: the plain
-//!   key-strip format ([`page`]) plus the opt-in prefix-compressed and
-//!   columnar formats ([`lsm_storage::LeafEncoding`]) read through one
-//!   view, so mixed-encoding trees need no migration. Plain and columnar
-//!   pages keep keys apart from values, so searches, index-only scans and
-//!   probe filtering touch only the keys.
+//! * [`page`] — the one page format: every leaf ([`page::LeafPage`]) and
+//!   router page keeps its keys in a dense strip apart from the values, so
+//!   searches, index-only scans and probe filtering touch only the keys,
+//!   and every key and value is a slice of the page.
 //!
 //! All page reads go through [`lsm_storage::Storage`], so every search and
 //! scan is charged to the simulated device and CPU cost models.
@@ -29,15 +27,10 @@
 pub mod builder;
 pub mod cursor;
 pub mod encoding;
-pub mod leaf;
 pub mod page;
 pub mod tree;
 mod walk;
 
 pub use builder::BTreeBuilder;
 pub use cursor::StatefulCursor;
-pub use leaf::{
-    AnyLeafBuilder, ColumnarLeafPage, ColumnarLeafPageBuilder, LeafView, PrefixLeafPage,
-    PrefixLeafPageBuilder,
-};
 pub use tree::{BTree, BTreeScan};

@@ -48,10 +48,10 @@ const SLOTTED_LEAF_HEADER: usize = 10;
 const SLOTTED_INTERNAL_HEADER: usize = 2;
 /// Most entries one page holds: its count is a `u16`. Every builder's
 /// `fits` says no at this many, whatever room is left.
-pub(crate) const MAX_ENTRIES: usize = u16::MAX as usize;
+const MAX_ENTRIES: usize = u16::MAX as usize;
 
 /// The little-endian `u32` at `data[at]`.
-pub(crate) fn u32_at(data: &[u8], at: usize) -> Result<usize> {
+fn u32_at(data: &[u8], at: usize) -> Result<usize> {
     let bytes = data
         .get(at..at + 4)
         .ok_or_else(|| Error::corruption("page offset array out of bounds"))?;
@@ -381,6 +381,11 @@ impl LeafShape {
         self.keys.count
     }
 
+    /// Global ordinal of entry 0.
+    pub(crate) fn base_ordinal(&self) -> u64 {
+        self.base_ordinal
+    }
+
     /// Where the values start (the value ends sit right after the keys).
     fn values(&self) -> usize {
         self.keys.end + self.keys.count * 4
@@ -421,7 +426,7 @@ impl<'a> LeafPage<'a> {
 
     /// Global ordinal of entry 0.
     pub fn base_ordinal(&self) -> u64 {
-        self.shape.base_ordinal
+        self.shape.base_ordinal()
     }
 
     /// The parsed header a [`LeafWalk`](crate::walk::LeafWalk) steps by.
@@ -484,17 +489,17 @@ impl<'a> LeafPage<'a> {
 /// Binary search for `key` over `lo..hi` of ascending keys read through
 /// `key_at`, adding one to `cmps` per comparison.
 #[inline]
-fn bisect<K: AsRef<[u8]>>(
+fn bisect<'k>(
     key: &[u8],
     mut lo: usize,
     mut hi: usize,
-    key_at: &impl Fn(usize) -> Result<K>,
+    key_at: &impl Fn(usize) -> Result<&'k [u8]>,
     cmps: &mut u32,
 ) -> Result<std::result::Result<usize, usize>> {
     while lo < hi {
         let mid = (lo + hi) / 2;
         *cmps += 1;
-        match key_at(mid)?.as_ref().cmp(key) {
+        match key_at(mid)?.cmp(key) {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(Ok(mid)),
@@ -507,10 +512,10 @@ fn bisect<K: AsRef<[u8]>>(
 /// `Ok(idx)` on a match, else `Err(insertion_point)`, and the comparisons
 /// made.
 #[inline]
-fn binary_search<K: AsRef<[u8]>>(
+fn binary_search<'k>(
     key: &[u8],
     n: usize,
-    key_at: impl Fn(usize) -> Result<K>,
+    key_at: impl Fn(usize) -> Result<&'k [u8]>,
 ) -> Result<(std::result::Result<usize, usize>, u32)> {
     let mut cmps = 0;
     let found = bisect(key, 0, n, &key_at, &mut cmps)?;
@@ -520,14 +525,12 @@ fn binary_search<K: AsRef<[u8]>>(
 /// Exponential (galloping) search for `key` from position `from` over `n`
 /// ascending keys read through `key_at`: gallop to a window
 /// `[from + step/2, from + step]` that holds `key`, then binary-search it.
-/// Every leaf codec runs this one probe sequence, so results and
-/// comparison counts agree across encodings.
 #[inline]
-pub(crate) fn gallop<K: AsRef<[u8]>>(
+fn gallop<'k>(
     key: &[u8],
     from: usize,
     n: usize,
-    key_at: impl Fn(usize) -> Result<K>,
+    key_at: impl Fn(usize) -> Result<&'k [u8]>,
 ) -> Result<(std::result::Result<usize, usize>, u32)> {
     let mut cmps = 0u32;
     if from >= n {
@@ -538,7 +541,7 @@ pub(crate) fn gallop<K: AsRef<[u8]>>(
     let mut bound = from;
     loop {
         cmps += 1;
-        match key_at(bound)?.as_ref().cmp(key) {
+        match key_at(bound)?.cmp(key) {
             Ordering::Less => {
                 prev = bound + 1;
                 if bound == n - 1 {
@@ -761,6 +764,95 @@ mod tests {
     }
 
     #[test]
+    fn single_entry_leaf() {
+        let data = build_leaf(&[(b"k", b"v")], 3);
+        let p = LeafPage::parse(&data).unwrap();
+        assert_eq!((p.count(), p.base_ordinal()), (1, 3));
+        assert_eq!(p.entry(0).unwrap(), (&b"k"[..], &b"v"[..]));
+        assert_eq!(p.first_key().unwrap(), p.last_key().unwrap());
+        for (probe, want) in [(&b"j"[..], Err(0)), (b"k", Ok(0)), (b"l", Err(1))] {
+            assert_eq!(p.search(probe).unwrap().0, want, "{probe:?}");
+            assert_eq!(p.exponential_search(probe, 0).unwrap().0, want, "{probe:?}");
+        }
+    }
+
+    /// A gallop that starts at or past the last entry has nothing to
+    /// compare: it answers "after everything" and charges nothing.
+    #[test]
+    fn gallop_from_the_end_compares_nothing() {
+        let data = build_leaf(&[(b"b", b"1"), (b"d", b"2")], 0);
+        let p = LeafPage::parse(&data).unwrap();
+        for from in [2, 3, 100] {
+            assert_eq!(p.exponential_search(b"a", from).unwrap(), (Err(2), 0));
+            assert_eq!(p.exponential_search(b"d", from).unwrap(), (Err(2), 0));
+        }
+    }
+
+    /// Pages written one after another through `take_shared` are the
+    /// pages fresh builders `finish` — the key strip's width included,
+    /// which a page of mixed widths must not leak into the next page.
+    #[test]
+    fn take_shared_writes_what_finish_writes() {
+        let pages: [&[(&[u8], &[u8])]; 4] = [
+            &[(b"aa", b"1"), (b"bb", b"22")],
+            &[(b"c", b"3"), (b"ccc", b"")],
+            &[(b"dd", b"4"), (b"ee", b"55"), (b"ff", b"6")],
+            &[],
+        ];
+        let mut shared = LeafPageBuilder::new(4096, 10);
+        let mut base = 10;
+        for entries in pages {
+            for (k, v) in entries {
+                shared.add(k, v).unwrap();
+            }
+            let next = base + entries.len() as u64;
+            let page = shared.take_shared(next);
+            assert_eq!(&page[..], &build_leaf(entries, base)[..], "page at {base}");
+            assert!(shared.is_empty());
+            assert_eq!(shared.current_size(), LEAF_HEADER);
+            base = next;
+        }
+    }
+
+    /// `current_size` is what `finish` writes, after every entry, for leaf
+    /// and router builders over fixed- and mixed-width keys.
+    #[test]
+    fn current_size_is_the_finished_length() {
+        let fixed: Vec<Vec<u8>> = (0..20u8).map(|i| vec![b'k', i]).collect();
+        let mixed: Vec<Vec<u8>> = (0..20u8).map(|i| vec![b'k'; 1 + i as usize]).collect();
+        for keys in [fixed, mixed] {
+            for n in 0..=keys.len() {
+                let mut leaf = LeafPageBuilder::new(4096, 0);
+                let mut router = InternalPageBuilder::new(4096);
+                for (i, k) in keys[..n].iter().enumerate() {
+                    leaf.add(k, &vec![1; i % 4]).unwrap();
+                    router.add(k, i as u32).unwrap();
+                }
+                let (size, router_size) = (leaf.current_size(), router.current_size());
+                assert_eq!(leaf.finish().len(), size, "leaf of {n}");
+                assert_eq!(router.finish().len(), router_size, "router of {n}");
+            }
+        }
+    }
+
+    /// A key wider than a `u16` cannot be a strip width: such keys are
+    /// stored through key ends even when they all share one width.
+    #[test]
+    fn keys_wider_than_a_u16_take_the_variable_path() {
+        let wide = u16::MAX as usize + 1;
+        let (a, b) = (vec![b'a'; wide], vec![b'b'; wide]);
+        let mut builder = LeafPageBuilder::new(1 << 20, 0);
+        builder.add(&a, b"1").unwrap();
+        builder.add(&b, b"2").unwrap();
+        let data = builder.finish();
+        assert_eq!(&data[8..12], &[2, 0, 0, 0]);
+        let p = LeafPage::parse(&data).unwrap();
+        assert_eq!(p.entry(0).unwrap(), (&a[..], &b"1"[..]));
+        assert_eq!(p.entry(1).unwrap(), (&b[..], &b"2"[..]));
+        assert_eq!(p.search(&b).unwrap().0, Ok(1));
+    }
+
+    #[test]
     fn leaf_binary_search() {
         let data = build_leaf(&[(b"b", b"1"), (b"d", b"2"), (b"f", b"3")], 0);
         let p = LeafPage::parse(&data).unwrap();
@@ -823,6 +915,30 @@ mod tests {
                 }
                 b.add(&key, &value).unwrap();
                 slotted += cost;
+                assert!(b.current_size() <= slotted);
+            }
+        }
+    }
+
+    /// The router builder's budget follows the same rule as the leaf's:
+    /// separators are admitted exactly while the slotted accounting (with
+    /// 5 bytes reserved per child) allows them, and the page written is
+    /// never larger than that accounting.
+    #[test]
+    fn router_pages_break_where_slotted_pages_did() {
+        for key_len in [4usize, 8, 9, 40] {
+            let mut b = InternalPageBuilder::new(4096);
+            let mut slotted = SLOTTED_INTERNAL_HEADER;
+            for i in 0u32.. {
+                let mut key = vec![0u8; key_len];
+                key[key_len - 4..].copy_from_slice(&i.to_be_bytes());
+                let cost = 4 + slice_len(&key) + 5;
+                assert_eq!(b.fits(&key), slotted + cost <= 4096, "width {key_len}");
+                if !b.fits(&key) {
+                    break;
+                }
+                b.add(&key, i).unwrap();
+                slotted += 4 + slice_len(&key) + varint_len(u64::from(i));
                 assert!(b.current_size() <= slotted);
             }
         }
@@ -900,6 +1016,28 @@ mod tests {
         assert!(matches!(p.entry(0), Err(Error::Corruption(_))));
     }
 
+    /// A page's count is a `u16`: on a page with room for more, the leaf
+    /// builder stops at `u16::MAX` entries, the count round-trips and the
+    /// last key is found (it used to wrap, and hide the rest).
+    #[test]
+    fn entry_count_stops_at_u16_max_on_a_2_mib_page() {
+        let mut b = LeafPageBuilder::new(2 << 20, 0);
+        let mut n = 0u32;
+        while n < 70_000 && b.fits(&n.to_be_bytes(), b"") {
+            b.add(&n.to_be_bytes(), b"").unwrap();
+            n += 1;
+        }
+        assert_eq!(n as usize, MAX_ENTRIES);
+        assert!(b.add(&n.to_be_bytes(), b"").is_err());
+        let data = b.finish();
+        assert!(data.len() < 2 << 20, "the cap, not the page, binds");
+        let p = LeafPage::parse(&data).unwrap();
+        assert_eq!(p.count(), MAX_ENTRIES);
+        let last = (n - 1).to_be_bytes();
+        assert_eq!(p.search(&last).unwrap().0, Ok(MAX_ENTRIES - 1));
+        assert_eq!(p.last_key().unwrap(), Some(&last[..]));
+    }
+
     /// A router page's count is a `u16`: the builder stops at `u16::MAX`
     /// children even when the page has room for more, and every one of
     /// them routes.
@@ -936,5 +1074,39 @@ mod tests {
         let mut data = build_leaf(&[(b"a", b"1"), (b"bb", b"2")], 0);
         data[16] = 0xFF;
         assert!(matches!(LeafPage::parse(&data), Err(Error::Corruption(_))));
+    }
+
+    /// A page cut after its keys — whole keys, but value ends or children
+    /// missing — fails to parse, on both key layouts.
+    #[test]
+    fn parse_rejects_a_page_cut_after_its_keys() {
+        for keys in [[&b"aa"[..], b"bb"], [b"a", b"bb"]] {
+            let mut leaf = LeafPageBuilder::new(4096, 0);
+            let mut router = InternalPageBuilder::new(4096);
+            for (i, k) in keys.iter().enumerate() {
+                leaf.add(k, b"v").unwrap();
+                router.add(k, i as u32).unwrap();
+            }
+            let (leaf, router) = (leaf.finish(), router.finish());
+            let shape = LeafPage::parse(&leaf).unwrap().shape();
+            let leaf_keys_end = shape.values() - 4 * keys.len();
+            for cut in leaf_keys_end..shape.values() {
+                let res = LeafPage::parse(&leaf[..cut]);
+                assert!(
+                    matches!(res, Err(Error::Corruption(_))),
+                    "leaf cut at {cut}"
+                );
+            }
+            let children = router.len() - 4 * keys.len();
+            for cut in children..router.len() {
+                let res = InternalPage::parse(&router[..cut]);
+                assert!(
+                    matches!(res, Err(Error::Corruption(_))),
+                    "router cut at {cut}"
+                );
+            }
+            assert!(LeafPage::parse(&leaf[..shape.values()]).is_ok());
+            assert!(InternalPage::parse(&router).is_ok());
+        }
     }
 }

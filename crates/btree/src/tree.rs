@@ -6,8 +6,7 @@
 //! cursors, and range/full scans that read leaves sequentially.
 
 use crate::encoding::get_slice;
-use crate::leaf::LeafView;
-use crate::page::InternalPage;
+use crate::page::{InternalPage, LeafPage, LeafShape};
 use crate::walk::{LeafWalk, Slot, Span};
 use lsm_common::{Error, Result};
 use lsm_storage::{FileId, PageNo, PageSlice, Storage, ValueBuf};
@@ -216,16 +215,46 @@ impl BTree {
             return Ok(None);
         };
         let data = self.storage.read_page(self.file, leaf_no)?;
-        let leaf = LeafView::parse(&data)?;
+        let leaf = LeafPage::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
         self.charge_nodes(self.meta.height, router_cmps + cmps);
-        pinned_match(&data, &leaf, found)
+        self.pinned_match(&data, &leaf, found)
     }
 
-    /// Reads and parses leaf page `leaf_no`, returning the raw page bytes.
-    /// Callers re-parse with [`LeafView::parse`]; pages are cheap to parse
-    /// (the header alone, or for compressed codecs the header and restart
-    /// array bounds).
+    /// What a point search answers for an in-leaf search result: the
+    /// matched entry's value — pinning `data`, the page `leaf` views — and
+    /// its global ordinal.
+    pub(crate) fn pinned_match(
+        &self,
+        data: &Arc<[u8]>,
+        leaf: &LeafPage<'_>,
+        found: std::result::Result<usize, usize>,
+    ) -> Result<Option<(PageSlice, u64)>> {
+        self.check_ordinals(leaf.shape())?;
+        let Ok(idx) = found else {
+            return Ok(None);
+        };
+        let (_, v) = leaf.entry(idx)?;
+        let ordinal = leaf.base_ordinal() + idx as u64;
+        Ok(Some((PageSlice::from_subslice(data, v), ordinal)))
+    }
+
+    /// [`Error::Corruption`] unless every ordinal of `leaf` is one of the
+    /// tree's: a damaged ordinal word would otherwise reach the validity
+    /// bitmaps, which index by ordinal, out of bounds.
+    fn check_ordinals(&self, leaf: LeafShape) -> Result<()> {
+        let (base, count) = (leaf.base_ordinal(), leaf.count() as u64);
+        match base.checked_add(count) {
+            Some(end) if end <= self.meta.num_entries => Ok(()),
+            _ => Err(Error::corruption(format!(
+                "leaf of {count} entries from ordinal {base} runs past the tree's {}",
+                self.meta.num_entries
+            ))),
+        }
+    }
+
+    /// Reads leaf page `leaf_no`, returning the raw page bytes for
+    /// [`LeafPage::parse`], which reads the header alone.
     pub fn read_leaf(&self, leaf_no: PageNo) -> Result<Arc<[u8]>> {
         debug_assert!(leaf_no < self.meta.num_leaves);
         self.storage.read_page(self.file, leaf_no)
@@ -236,8 +265,8 @@ impl BTree {
     /// `None` only for an empty leaf (which the bulk loader never writes).
     pub fn leaf_first_key(&self, leaf_no: PageNo) -> Result<Option<Vec<u8>>> {
         let data = self.read_leaf(leaf_no)?;
-        let leaf = LeafView::parse(&data)?;
-        Ok(leaf.first_key()?.map(|k| k.into_owned()))
+        let leaf = LeafPage::parse(&data)?;
+        Ok(leaf.first_key()?.map(<[u8]>::to_vec))
     }
 
     /// Creates a scan over entries in `[lo, hi]` (bounds on encoded keys).
@@ -248,7 +277,7 @@ impl BTree {
                 None => (0, 0),
                 Some(leaf_no) => {
                     let data = self.read_leaf(leaf_no)?;
-                    let leaf = LeafView::parse(&data)?;
+                    let leaf = LeafPage::parse(&data)?;
                     let (found, cmps) = leaf.search(k)?;
                     self.charge_nodes(1, cmps);
                     let idx = match (found, &lo) {
@@ -272,22 +301,6 @@ impl BTree {
     pub fn destroy(&self) -> Result<()> {
         self.storage.delete_file(self.file)
     }
-}
-
-/// What a point search answers for an in-leaf search result: the matched
-/// entry's value — pinning `data`, the page `leaf` views — and its global
-/// ordinal.
-pub(crate) fn pinned_match(
-    data: &Arc<[u8]>,
-    leaf: &LeafView<'_>,
-    found: std::result::Result<usize, usize>,
-) -> Result<Option<(PageSlice, u64)>> {
-    let Ok(idx) = found else {
-        return Ok(None);
-    };
-    let (_, v) = leaf.entry(idx)?;
-    let ordinal = leaf.base_ordinal() + idx as u64;
-    Ok(Some((PageSlice::from_subslice(data, v), ordinal)))
 }
 
 /// Streaming scan over a key range. Leaves are contiguous pages, so the
@@ -319,15 +332,11 @@ pub struct BTreeScan {
     buffer: Vec<Arc<[u8]>>,
     /// The current leaf: its page, held once, and the walk over it.
     leaf: Option<(Arc<[u8]>, LeafWalk)>,
-    /// The current key of a delta-encoded leaf, rebuilt in place.
-    key: Vec<u8>,
     /// The entry the scan stands on.
     cur: Slot,
-    /// The entry [`BTreeScan::hold`] was last called on, a copy of its key
-    /// if that lived in `key`, and its page once the scan has left it
-    /// (`None` while it is still `leaf`).
+    /// The entry [`BTreeScan::hold`] was last called on, and its page once
+    /// the scan has left it (`None` while it is still `leaf`).
     held: Slot,
-    held_key: Vec<u8>,
     held_leaf: Option<Arc<[u8]>>,
     held_on_leaf: bool,
 }
@@ -344,10 +353,8 @@ impl BTreeScan {
             buffer_start: 0,
             buffer: Vec::new(),
             leaf: None,
-            key: Vec::new(),
             cur: Slot::default(),
             held: Slot::default(),
-            held_key: Vec::new(),
             held_leaf: None,
             held_on_leaf: false,
         }
@@ -361,8 +368,8 @@ impl BTreeScan {
                 return Ok(false);
             }
             if let Some((page, walk)) = &mut self.leaf {
-                if let Some(slot) = walk.next(page, &mut self.key)? {
-                    let key = slot.key_in(page, &self.key);
+                if let Some(slot) = walk.next(page)? {
+                    let key = slot.key.of(page);
                     let within = match &self.hi {
                         Bound::Unbounded => true,
                         Bound::Included(h) => key <= h.as_slice(),
@@ -413,7 +420,8 @@ impl BTreeScan {
             Some(page) => page.clone(),
             None => self.tree.read_leaf(leaf_no)?,
         };
-        let walk = LeafWalk::open_at(&page, std::mem::take(&mut self.start_idx), &mut self.key)?;
+        let walk = LeafWalk::open_at(&page, std::mem::take(&mut self.start_idx))?;
+        self.tree.check_ordinals(walk.shape())?;
         let left = self.leaf.replace((page, walk));
         if std::mem::take(&mut self.held_on_leaf) {
             self.held_leaf = left.map(|(page, _)| page);
@@ -431,9 +439,7 @@ impl BTreeScan {
     /// returned `true`.
     #[inline]
     pub fn entry(&self) -> (&[u8], &[u8], u64) {
-        let page = self.page();
-        let key = self.cur.key_in(page, &self.key);
-        (key, self.cur.value.of(page), self.cur.ordinal)
+        self.cur.of(self.page())
     }
 
     /// Keeps the entry the scan stands on readable through
@@ -442,10 +448,6 @@ impl BTreeScan {
     #[inline]
     pub fn hold(&mut self) {
         self.held = self.cur;
-        if self.cur.key.is_none() {
-            self.held_key.clear();
-            self.held_key.extend_from_slice(&self.key);
-        }
         self.held_leaf = None;
         self.held_on_leaf = true;
     }
@@ -457,9 +459,7 @@ impl BTreeScan {
     /// The entry [`BTreeScan::hold`] was last called on.
     #[inline]
     pub fn held(&self) -> (&[u8], &[u8], u64) {
-        let page = self.held_page();
-        let key = self.held.key_in(page, &self.held_key);
-        (key, self.held.value.of(page), self.held.ordinal)
+        self.held.of(self.held_page())
     }
 
     /// The held entry's value from byte `from` on, pinning its page — what
@@ -591,7 +591,7 @@ mod tests {
     }
 
     /// The entries of `t` in `[lo, hi]`, read leaf by leaf and index by
-    /// index through [`LeafView::entry`] — the way the scan worked before
+    /// index through [`LeafPage::entry`] — the way the scan worked before
     /// it walked a leaf at a time.
     #[allow(clippy::type_complexity)]
     fn entries_by_index(
@@ -602,21 +602,21 @@ mod tests {
         let mut out = Vec::new();
         for leaf_no in 0..t.num_leaves() {
             let data = t.storage().page_data(t.file(), leaf_no).unwrap();
-            let leaf = LeafView::parse(&data).unwrap();
+            let leaf = LeafPage::parse(&data).unwrap();
             for idx in 0..leaf.count() {
                 let (k, v) = leaf.entry(idx).unwrap();
                 let above = match lo {
                     Bound::Unbounded => true,
-                    Bound::Included(l) => k.as_ref() >= l.as_slice(),
-                    Bound::Excluded(l) => k.as_ref() > l.as_slice(),
+                    Bound::Included(l) => k >= l.as_slice(),
+                    Bound::Excluded(l) => k > l.as_slice(),
                 };
                 let below = match hi {
                     Bound::Unbounded => true,
-                    Bound::Included(h) => k.as_ref() <= h.as_slice(),
-                    Bound::Excluded(h) => k.as_ref() < h.as_slice(),
+                    Bound::Included(h) => k <= h.as_slice(),
+                    Bound::Excluded(h) => k < h.as_slice(),
                 };
                 if above && below {
-                    out.push((k.into_owned(), v.to_vec(), leaf.base_ordinal() + idx as u64));
+                    out.push((k.to_vec(), v.to_vec(), leaf.base_ordinal() + idx as u64));
                 }
             }
         }
@@ -637,21 +637,16 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         // The lending scan and its owning wrappers against the by-index
-        // read, on every leaf codec: the same entries, one comparison
-        // charged per entry, and a held entry that stays intact while the
-        // scan moves on — across leaf boundaries included.
+        // read: the same entries, one comparison charged per entry, and a
+        // held entry that stays intact while the scan moves on — across
+        // leaf boundaries included.
         #[test]
         fn lending_scan_matches_entries_by_index(
             n in 0..600u32,
             step in 1..4u32,
             bounds in (arb_bound(), arb_bound()),
-            encoding in 0..3usize,
         ) {
-            use lsm_storage::LeafEncoding::{Columnar, Plain, Prefix};
-            let s = Storage::new(StorageOptions {
-                leaf_encoding: [Plain, Prefix, Columnar][encoding],
-                ..StorageOptions::test()
-            });
+            let s = storage();
             let mut b = BTreeBuilder::new(s.clone());
             for i in (0..n).map(|i| i * step) {
                 let value = vec![(i % 251) as u8; (i * 7 % 60) as usize];
@@ -746,6 +741,110 @@ mod tests {
             t.locate_leaf(b"k").map(|_| ()),
         ] {
             assert!(matches!(res, Err(Error::Corruption(_))), "{res:?}");
+        }
+    }
+
+    /// A copy of `t`'s file whose metadata page claims `num_entries`
+    /// entries, and `leaf` applied to leaf page 0.
+    fn copy_with(t: &BTree, num_entries: u64, leaf: impl Fn(&mut [u8])) -> BTree {
+        let s = t.storage().clone();
+        let f = s.create_file();
+        let pages = s.file_pages(t.file()).unwrap();
+        for p in 0..pages - 1 {
+            let mut page = s.page_data(t.file(), p).unwrap().to_vec();
+            if p == 0 {
+                leaf(&mut page);
+            }
+            s.append_page(f, &page).unwrap();
+        }
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&META_MAGIC.to_le_bytes());
+        meta.extend_from_slice(&t.meta.root.to_le_bytes());
+        meta.extend_from_slice(&t.meta.height.to_le_bytes());
+        meta.extend_from_slice(&t.meta.num_leaves.to_le_bytes());
+        meta.extend_from_slice(&num_entries.to_le_bytes());
+        crate::encoding::put_slice(&mut meta, t.min_key().unwrap());
+        crate::encoding::put_slice(&mut meta, t.max_key().unwrap());
+        s.append_page(f, &meta).unwrap();
+        BTree::open(s, f).unwrap()
+    }
+
+    /// The ordinal check is exact: a tree that claims one entry fewer than
+    /// its last leaf holds reports that leaf as corrupt to a search, a
+    /// cursor and a scan, while every earlier leaf still reads.
+    #[test]
+    fn a_leaf_one_ordinal_past_the_tree_is_corruption() {
+        let t = build(1000);
+        assert!(t.num_leaves() > 2);
+        let intact = copy_with(&t, 1000, |_| {});
+        assert_eq!(intact.search(b"key00000999").unwrap().unwrap().1, 999);
+        let short = copy_with(&t, 999, |_| {});
+        let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
+        assert_eq!(short.search(b"key00000000").unwrap().unwrap().1, 0);
+        assert!(corrupt(short.search(b"key00000999").map(drop)));
+        // An absent key that lands on the last leaf is refused too.
+        assert!(corrupt(short.search(b"key00000999x").map(drop)));
+        let mut cursor = crate::StatefulCursor::new(&short);
+        assert!(cursor.seek(b"key00000000").unwrap().is_some());
+        assert!(corrupt(cursor.seek(b"key00000999").map(drop)));
+        let mut scan = short.scan_all().unwrap();
+        let mut read = 0;
+        let end = loop {
+            match scan.advance() {
+                Ok(true) => read += 1,
+                other => break other.map(drop),
+            }
+        };
+        assert!(corrupt(end));
+        assert!(read > 0 && read < 999, "{read}");
+    }
+
+    /// An ordinal word so large that the leaf's last ordinal overflows a
+    /// `u64` is corruption, not a wrapped ordinal.
+    #[test]
+    fn an_overflowing_ordinal_word_is_corruption() {
+        let t = build(10);
+        assert_eq!(t.num_leaves(), 1);
+        let damaged = copy_with(&t, 10, |page| {
+            page[..8].copy_from_slice(&u64::MAX.to_le_bytes())
+        });
+        let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
+        assert!(corrupt(damaged.search(b"key00000003").map(drop)));
+        assert!(corrupt(damaged.scan_all().unwrap().advance().map(drop)));
+    }
+
+    /// A pinned search lends the value where it lies in the leaf page, and
+    /// the page stays readable through it once the file is gone.
+    #[test]
+    fn search_pinned_lends_the_value_in_its_leaf_page() {
+        let t = build(100);
+        let (v, ord) = t.search_pinned(b"key00000042").unwrap().unwrap();
+        assert_eq!((v.as_slice(), ord), (&b"v42"[..], 42));
+        let leaf = t
+            .read_leaf(t.locate_leaf(b"key00000042").unwrap().unwrap())
+            .unwrap();
+        let page = leaf.as_ptr_range();
+        assert!(page.contains(&v.as_ptr()), "the value is not copied");
+        drop(leaf);
+        t.destroy().unwrap();
+        assert_eq!(v.as_slice(), b"v42");
+    }
+
+    /// The router levels send each leaf's first key to that leaf, and a key
+    /// just below it to the leaf before.
+    #[test]
+    fn every_leaf_is_found_by_its_first_key() {
+        let t = build(3000);
+        assert!(t.height() >= 2);
+        for leaf_no in 0..t.num_leaves() {
+            let first = t.leaf_first_key(leaf_no).unwrap().unwrap();
+            assert_eq!(t.locate_leaf(&first).unwrap(), Some(leaf_no));
+            let data = t.read_leaf(leaf_no).unwrap();
+            assert_eq!(LeafPage::parse(&data).unwrap().key(0).unwrap(), first);
+            if leaf_no > 0 {
+                let below = &first[..first.len() - 1];
+                assert_eq!(t.locate_leaf(below).unwrap(), Some(leaf_no - 1));
+            }
         }
     }
 

@@ -3,19 +3,23 @@
 //! keys), mixed-width pages (empty keys included) and the one page an
 //! empty key can sit on — alone.
 //!
-//! * every accessor — `entry`, `key`, the scan from every start index,
-//!   `InternalPage::route` — answers what the model does;
+//! * every accessor — `entry`, `key`, the scan from every start index or
+//!   between any bounds, `InternalPage::route` — answers what the model
+//!   does, and pages written in turn through `take_shared` are the pages
+//!   a fresh builder writes;
 //! * `search`, `exponential_search` and `route` make exactly the probes
 //!   of a textbook binary search / gallop over a `Vec<Vec<u8>>`, so the
 //!   comparisons charged to the simulated clock cannot have moved;
 //! * flipped bytes and truncations of a valid leaf or router page read
 //!   back as `Ok` or `Error::Corruption` — never a panic or an
-//!   out-of-bounds slice.
+//!   out-of-bounds slice — and a leaf whose ordinal word puts it past the
+//!   tree's entry count is `Error::Corruption` to every reader that hands
+//!   out ordinals.
 
 use lsm_btree::encoding::put_slice;
 use lsm_btree::page::{InternalPage, InternalPageBuilder, LeafPage, LeafPageBuilder};
 use lsm_btree::tree::META_MAGIC;
-use lsm_btree::{BTree, BTreeBuilder, LeafView};
+use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
 use lsm_common::Error;
 use lsm_storage::{Storage, StorageOptions};
 use proptest::prelude::*;
@@ -157,10 +161,19 @@ fn ok_or_corruption<T>(r: &lsm_common::Result<T>) -> bool {
     }
 }
 
-/// Reads everything a damaged leaf claims to hold, through the view every
-/// reader uses and through a scan of a one-leaf tree over it.
+/// A tree over one leaf `page`, described by `meta`.
+fn one_leaf_tree(page: &[u8], meta: &[u8]) -> BTree {
+    let storage = Storage::new(StorageOptions::test());
+    let file = storage.create_file();
+    storage.append_page(file, page).unwrap();
+    storage.append_page(file, meta).unwrap();
+    BTree::open(storage, file).unwrap()
+}
+
+/// Reads everything a damaged leaf claims to hold, through the page view
+/// every reader uses and through a scan of a one-leaf tree over it.
 fn read_damaged_leaf(page: &[u8], meta: &[u8], probes: &[Vec<u8>]) -> Result<(), String> {
-    match LeafView::parse(page) {
+    match LeafPage::parse(page) {
         Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
         Ok(view) => {
             for i in 0..view.count() {
@@ -175,11 +188,7 @@ fn read_damaged_leaf(page: &[u8], meta: &[u8], probes: &[Vec<u8>]) -> Result<(),
             }
         }
     }
-    let storage = Storage::new(StorageOptions::test());
-    let file = storage.create_file();
-    storage.append_page(file, page).unwrap();
-    storage.append_page(file, meta).unwrap();
-    let tree = BTree::open(storage, file).unwrap();
+    let tree = one_leaf_tree(page, meta);
     for probe in probes {
         prop_assert!(ok_or_corruption(&tree.search(probe)));
     }
@@ -246,8 +255,6 @@ proptest! {
         let data = build_leaf(&entries, base);
         prop_assert_eq!(&data[8..12], &[&(n as u16).to_le_bytes()[..], &expected_width(&keys).to_le_bytes()].concat()[..]);
         let page = LeafPage::parse(&data).unwrap();
-        let view = LeafView::parse(&data).unwrap();
-        prop_assert!(matches!(view, LeafView::Plain(_)));
         prop_assert_eq!((page.count(), page.base_ordinal()), (n, base));
         for (i, (k, v)) in entries.iter().enumerate() {
             prop_assert_eq!(page.entry(i).unwrap(), (k.as_slice(), v.as_slice()), "entry {}", i);
@@ -328,6 +335,88 @@ proptest! {
             prop_assert_eq!(&got[..], &rows[i..], "scan from {}", i);
         }
     }
+
+    // A range scan of a multi-leaf tree, under any pair of bounds —
+    // included, excluded or open — yields the model's range with its
+    // ordinals, whether its bounds fall on keys, between them or outside.
+    #[test]
+    fn range_scans_agree_with_the_model(
+        shape in 0..5usize,
+        raw in raw_entries(),
+        lo in (0..3u8, proptest::collection::vec(byte(), 0..20)),
+        hi in (0..3u8, proptest::collection::vec(byte(), 0..20)),
+    ) {
+        let entries = model(shape, raw);
+        let storage = Storage::new(StorageOptions {
+            page_size: 512,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(storage);
+        for (k, v) in &entries {
+            b.add(k, v).unwrap();
+        }
+        let tree = b.finish().unwrap();
+        let bound = |(kind, key): (u8, Vec<u8>)| match kind {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(key),
+            _ => Bound::Excluded(key),
+        };
+        let (lo, hi) = (bound(lo), bound(hi));
+        let lo_ref = match &lo {
+            Bound::Unbounded => Bound::Unbounded,
+            Bound::Included(k) => Bound::Included(k.as_slice()),
+            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+        };
+        let above = |k: &[u8]| match &lo {
+            Bound::Unbounded => true,
+            Bound::Included(l) => k >= l.as_slice(),
+            Bound::Excluded(l) => k > l.as_slice(),
+        };
+        let below = |k: &[u8]| match &hi {
+            Bound::Unbounded => true,
+            Bound::Included(h) => k <= h.as_slice(),
+            Bound::Excluded(h) => k < h.as_slice(),
+        };
+        let want: Vec<(Vec<u8>, Vec<u8>, u64)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, (k, _))| above(k) && below(k))
+            .map(|(i, (k, v))| (k.clone(), v.clone(), i as u64))
+            .collect();
+        let mut scan = tree.scan(lo_ref, hi.clone()).unwrap();
+        let mut got = Vec::new();
+        while let Some(row) = scan.next_entry().unwrap() {
+            got.push(row);
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    // Leaves written one after another through `take_shared` — how the
+    // bulk loader writes them — are byte for byte the pages fresh builders
+    // `finish` over the same runs of entries and base ordinals.
+    #[test]
+    fn pages_written_in_turn_match_fresh_pages(
+        shape in 0..5usize,
+        raw in raw_entries(),
+        cuts in proptest::collection::vec(0..40usize, 1..6),
+        base in 0u64..1 << 40,
+    ) {
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = model(shape, raw).into_iter().collect();
+        let mut shared = LeafPageBuilder::new(1 << 24, base);
+        let (mut at, mut ordinal) = (0, base);
+        for cut in cuts {
+            let run: BTreeMap<Vec<u8>, Vec<u8>> =
+                entries[at..(at + cut).min(entries.len())].iter().cloned().collect();
+            for (k, v) in &run {
+                shared.add(k, v).unwrap();
+            }
+            at += run.len();
+            let next = ordinal + run.len() as u64;
+            let page = shared.take_shared(next);
+            prop_assert_eq!(&page[..], &build_leaf(&run, ordinal)[..], "run at {}", ordinal);
+            ordinal = next;
+        }
+    }
 }
 
 proptest! {
@@ -341,13 +430,30 @@ proptest! {
         raw in raw_entries(),
         flips in proptest::collection::vec((any::<usize>(), 1..=255u8), 1..4),
         probes in proptest::collection::vec(proptest::collection::vec(byte(), 0..20), 1..6),
+        ordinal_bit in 0..64u32,
     ) {
         let entries = model(shape, raw);
         let keys: Vec<Vec<u8>> = entries.keys().cloned().collect();
-        let probes: Vec<Vec<u8>> = probes.into_iter().chain(keys.iter().step_by(7).cloned()).collect();
+        let mut probes: Vec<Vec<u8>> = probes.into_iter().chain(keys.iter().step_by(7).cloned()).collect();
+        probes.sort();
         let leaf = build_leaf(&entries, 0);
         let meta = one_leaf_meta(&entries);
         let router = build_router(&keys);
+
+        // One flipped bit of the ordinal word moves the leaf past the
+        // tree's entries: still a well-formed page, but every search, cursor
+        // probe (descent and held leaf alike) and scan that would hand out
+        // one of its ordinals reports corruption instead.
+        let mut shifted = leaf.clone();
+        shifted[ordinal_bit as usize / 8] ^= 1 << (ordinal_bit % 8);
+        let tree = one_leaf_tree(&shifted, &meta);
+        let mut cursor = StatefulCursor::new(&tree);
+        for probe in &probes {
+            prop_assert!(matches!(tree.search(probe), Err(Error::Corruption(_))));
+            prop_assert!(matches!(cursor.seek(probe), Err(Error::Corruption(_))));
+        }
+        prop_assert!(matches!(tree.scan_all().unwrap().advance(), Err(Error::Corruption(_))));
+
         for cut in 0..leaf.len() {
             read_damaged_leaf(&leaf[..cut], &meta, &probes)?;
         }

@@ -4,15 +4,15 @@
 //! plus an unflushed tail) is mirrored into a `BTreeMap`; the same
 //! filter predicates then run through the one scan executor at its default
 //! `n = 1` (collecting and streaming), and fanned out at several `n`
-//! (collecting and streaming), across all four maintenance strategies and
-//! all three leaf-page encodings. Every execution must return *identical*
-//! records in primary-key order, matching the mirror —
+//! (collecting and streaming), across all four maintenance strategies.
+//! Every execution must return *identical* records in primary-key order,
+//! matching the mirror —
 //! including while background flushes, merges, and delete traffic churn
 //! components underneath the scans.
 
 use lsm_common::{Record, Result, Schema, Value};
 use lsm_engine::{Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, StrategyKind};
-use lsm_storage::{LeafEncoding, Storage, StorageOptions};
+use lsm_storage::{Storage, StorageOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -30,10 +30,9 @@ fn rec(id: i64, t: i64) -> Record {
     Record::new(vec![Value::Int(id), Value::Int(t)])
 }
 
-fn storage(encoding: LeafEncoding) -> Arc<Storage> {
+fn storage() -> Arc<Storage> {
     Storage::new(StorageOptions {
         cache_shards: 4,
-        leaf_encoding: encoding,
         ..StorageOptions::test()
     })
 }
@@ -162,119 +161,106 @@ const RANGES: [(Option<i64>, Option<i64>); 6] = [
 ];
 
 #[test]
-fn filter_scan_matches_oracle_across_strategies_and_encodings() {
-    for encoding in [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ] {
-        for (i, strategy) in all_strategies().into_iter().enumerate() {
-            let ds = Dataset::open(storage(encoding), None, config(strategy)).unwrap();
-            let mut mirror = BTreeMap::new();
-            apply_workload(&ds, &mut mirror, 31 + i as u64);
-            let label = format!("{strategy:?}/{}", encoding.name());
-            for (lo, hi) in RANGES {
-                check_range(&ds, &mirror, lo, hi, &[1, 2, 3, 7], &label);
-            }
+fn filter_scan_matches_oracle_across_strategies() {
+    for (i, strategy) in all_strategies().into_iter().enumerate() {
+        let ds = Dataset::open(storage(), None, config(strategy)).unwrap();
+        let mut mirror = BTreeMap::new();
+        apply_workload(&ds, &mut mirror, 31 + i as u64);
+        let label = format!("{strategy:?}");
+        for (lo, hi) in RANGES {
+            check_range(&ds, &mirror, lo, hi, &[1, 2, 3, 7], &label);
         }
     }
 }
 
 /// Scans race background flushes, merges, and delete traffic driven by a
 /// churn writer whose operations leave the logical content unchanged:
-/// every path must keep agreeing with the mirror throughout, on all three leaf
-/// encodings.
+/// every path must keep agreeing with the mirror throughout.
 #[test]
 fn filter_scan_matches_oracle_under_background_churn() {
-    for encoding in [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ] {
-        for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
-            let runtime = MaintenanceRuntime::start(
-                EngineConfig::builder()
-                    .workers(2)
-                    .query_workers(2)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            let mut cfg = config(strategy);
-            cfg.memory_budget = 24 * 1024; // churn trips background flushes
-            cfg.memory_ceiling = Some(usize::MAX);
-            let ds = Dataset::open_with_runtime(storage(encoding), None, cfg, &runtime).unwrap();
+    for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
+        let runtime = MaintenanceRuntime::start(
+            EngineConfig::builder()
+                .workers(2)
+                .query_workers(2)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let mut cfg = config(strategy);
+        cfg.memory_budget = 24 * 1024; // churn trips background flushes
+        cfg.memory_ceiling = Some(usize::MAX);
+        let ds = Dataset::open_with_runtime(storage(), None, cfg, &runtime).unwrap();
 
-            let mut mirror = BTreeMap::new();
-            let mut rng = StdRng::seed_from_u64(57);
-            for _ in 0..1500 {
-                let id = rng.gen_range(0..800i64);
-                let t = rng.gen_range(0..1000i64);
-                ds.upsert(&rec(id, t)).unwrap();
-                mirror.insert(id, t);
-            }
-            ds.maintenance().quiesce().unwrap();
-
-            let pairs: Vec<(i64, i64)> = mirror.iter().map(|(k, v)| (*k, *v)).collect();
-            let label = format!("churn/{strategy:?}/{}", encoding.name());
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                let ds_ref = &ds;
-                let stop_ref = &stop;
-                // If an assertion below panics, the unwind still has to get
-                // past the scope's implicit join — raise the stop flag on
-                // the way out so the churn writer exits instead of hanging
-                // the test forever.
-                struct StopOnUnwind<'a>(&'a std::sync::atomic::AtomicBool);
-                impl Drop for StopOnUnwind<'_> {
-                    fn drop(&mut self) {
-                        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-                let _stop_guard = StopOnUnwind(stop_ref);
-                let churn = scope.spawn(move || {
-                    // Re-upserts with unchanged values plus insert+delete of
-                    // transient ids far outside the mirror's domain: flushes,
-                    // merges, and anti-matter churn through the components
-                    // without ever changing the queryable content.
-                    let mut i = 0usize;
-                    while !stop_ref.load(std::sync::atomic::Ordering::Relaxed) {
-                        let (id, t) = pairs[i % pairs.len()];
-                        ds_ref.upsert(&rec(id, t)).unwrap();
-                        if i.is_multiple_of(5) {
-                            let ghost = 100_000 + (i % 7) as i64;
-                            ds_ref.upsert(&rec(ghost, 50_000)).unwrap();
-                            ds_ref.delete(&Value::Int(ghost)).unwrap();
-                        }
-                        i += 1;
-                    }
-                });
-                // Bounded predicates only while the churn writer runs: the
-                // transient records' filter value (50 000) is outside every
-                // queried range, so mid-flight ghosts cannot match.
-                for round in 0..8i64 {
-                    let lo = (round % 4) * 200;
-                    check_range(&ds, &mirror, Some(lo), Some(lo + 250), &[3], &label);
-                }
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                churn.join().unwrap();
-            });
-            // Clear any ghost left live by the final churn iteration, then
-            // the full sweep — unbounded predicate included — must agree.
-            for ghost in 100_000..100_007i64 {
-                ds.delete(&Value::Int(ghost)).unwrap();
-            }
-            ds.maintenance().quiesce().unwrap();
-            for (lo, hi) in RANGES {
-                check_range(&ds, &mirror, lo, hi, &[2, 7], &label);
-            }
-            let snap = ds.stats().snapshot();
-            assert!(snap.parallel_filter_scans > 0, "{label}");
-            assert!(
-                snap.filter_scan_partitions >= snap.parallel_filter_scans,
-                "{label}"
-            );
-            assert!(snap.flush_jobs > 0, "{label}: churn never flushed");
+        let mut mirror = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(57);
+        for _ in 0..1500 {
+            let id = rng.gen_range(0..800i64);
+            let t = rng.gen_range(0..1000i64);
+            ds.upsert(&rec(id, t)).unwrap();
+            mirror.insert(id, t);
         }
+        ds.maintenance().quiesce().unwrap();
+
+        let pairs: Vec<(i64, i64)> = mirror.iter().map(|(k, v)| (*k, *v)).collect();
+        let label = format!("churn/{strategy:?}");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let ds_ref = &ds;
+            let stop_ref = &stop;
+            // If an assertion below panics, the unwind still has to get
+            // past the scope's implicit join — raise the stop flag on
+            // the way out so the churn writer exits instead of hanging
+            // the test forever.
+            struct StopOnUnwind<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for StopOnUnwind<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+            let _stop_guard = StopOnUnwind(stop_ref);
+            let churn = scope.spawn(move || {
+                // Re-upserts with unchanged values plus insert+delete of
+                // transient ids far outside the mirror's domain: flushes,
+                // merges, and anti-matter churn through the components
+                // without ever changing the queryable content.
+                let mut i = 0usize;
+                while !stop_ref.load(std::sync::atomic::Ordering::Relaxed) {
+                    let (id, t) = pairs[i % pairs.len()];
+                    ds_ref.upsert(&rec(id, t)).unwrap();
+                    if i.is_multiple_of(5) {
+                        let ghost = 100_000 + (i % 7) as i64;
+                        ds_ref.upsert(&rec(ghost, 50_000)).unwrap();
+                        ds_ref.delete(&Value::Int(ghost)).unwrap();
+                    }
+                    i += 1;
+                }
+            });
+            // Bounded predicates only while the churn writer runs: the
+            // transient records' filter value (50 000) is outside every
+            // queried range, so mid-flight ghosts cannot match.
+            for round in 0..8i64 {
+                let lo = (round % 4) * 200;
+                check_range(&ds, &mirror, Some(lo), Some(lo + 250), &[3], &label);
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            churn.join().unwrap();
+        });
+        // Clear any ghost left live by the final churn iteration, then
+        // the full sweep — unbounded predicate included — must agree.
+        for ghost in 100_000..100_007i64 {
+            ds.delete(&Value::Int(ghost)).unwrap();
+        }
+        ds.maintenance().quiesce().unwrap();
+        for (lo, hi) in RANGES {
+            check_range(&ds, &mirror, lo, hi, &[2, 7], &label);
+        }
+        let snap = ds.stats().snapshot();
+        assert!(snap.parallel_filter_scans > 0, "{label}");
+        assert!(
+            snap.filter_scan_partitions >= snap.parallel_filter_scans,
+            "{label}"
+        );
+        assert!(snap.flush_jobs > 0, "{label}: churn never flushed");
     }
 }

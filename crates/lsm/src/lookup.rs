@@ -456,7 +456,7 @@ mod tests {
     use crate::bitmap::AtomicBitmap;
     use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
     use lsm_bloom::{build_filter, BloomFilter, BloomKind};
-    use lsm_storage::{LeafEncoding, Storage, StorageOptions};
+    use lsm_storage::{Storage, StorageOptions};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -645,6 +645,50 @@ mod tests {
         assert!(locate_valid(&t, &key(40)).unwrap().is_none());
         // point_lookup treats the invalidated entry as deleted too.
         assert!(point_lookup(&t, &key(40)).unwrap().is_none());
+    }
+
+    /// A flipped bit in a leaf's ordinal word would hand the validity
+    /// bitmap an ordinal past its end. Every read path that consults the
+    /// bitmap — a point lookup, each batched mode, a scan — reports
+    /// corruption instead of panicking inside the bitmap.
+    #[test]
+    fn a_leaf_ordinal_past_the_bitmap_is_corruption() {
+        let s = Storage::new(StorageOptions::test());
+        let t = LsmTree::new(s.clone(), LsmOptions::default());
+        for i in 0..300 {
+            t.put(key(i), LsmEntry::put(b"v".to_vec()), u64::from(i) + 1);
+        }
+        let comp = t.flush().unwrap().unwrap();
+        // The component's file again, with bit 40 of leaf 0's ordinal word
+        // set, under a bitmap sized for its real entries.
+        let (src, file) = (comp.btree().file(), s.create_file());
+        for p in 0..s.file_pages(src).unwrap() {
+            let mut page = s.page_data(src, p).unwrap().to_vec();
+            if p == 0 {
+                page[5] ^= 1;
+            }
+            s.append_page(file, &page).unwrap();
+        }
+        let bitmap = Arc::new(AtomicBitmap::new(comp.num_entries()));
+        let btree = lsm_btree::BTree::open(s.clone(), file).unwrap();
+        let damaged = DiskComponent::new(comp.id(), btree, None, None, Some(bitmap));
+        let t = LsmTree::new(s, LsmOptions::default());
+        t.push_newest(Arc::new(damaged));
+
+        let corrupt = |r: Result<()>| matches!(r, Err(lsm_common::Error::Corruption(_)));
+        assert!(corrupt(point_lookup(&t, &key(3)).map(drop)));
+        for (batched, stateful) in [(false, false), (true, false), (true, true)] {
+            let opts = LookupOptions {
+                batched,
+                stateful,
+                ..Default::default()
+            };
+            let keys = [key(3), key(4)];
+            assert!(corrupt(lookup_sorted(&t, &keys, &opts).map(drop)));
+        }
+        use std::ops::Bound::Unbounded;
+        let mut scan = t.scan(Unbounded, Unbounded, Default::default()).unwrap();
+        assert!(corrupt(scan.next_entry().map(drop)));
     }
 
     // ---- differential + pinned-cost tests ----------------------------------
@@ -985,12 +1029,6 @@ mod tests {
 
     // ---- the sorted walk against the per-key walk -----------------------------
 
-    const ENCODINGS: [LeafEncoding; 3] = [
-        LeafEncoding::Plain,
-        LeafEncoding::Prefix,
-        LeafEncoding::Columnar,
-    ];
-
     /// One hit of a walk: `(key index, component, ordinal, stored entry)`.
     type Hit = (usize, ComponentId, u64, Vec<u8>);
 
@@ -1006,9 +1044,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         // The sorted walk against one per-key walk per key, on 256-byte
-        // pages (a source of 24 keys is a tree of height 2) in each leaf
-        // codec, with per-key timestamp pruning and pID hints on and off,
-        // every third key asked for twice: the same key is found in the
+        // pages (a source of 24 keys is a tree of height 2), with per-key
+        // timestamp pruning and pID hints on and off, every third key asked
+        // for twice: the same key is found in the
         // same component at the same ordinal, the same filters are probed,
         // and the same trees searched — in no more descents. (Charged CPU
         // is not ordered in general: a gallop across a one-leaf tree can
@@ -1017,7 +1055,6 @@ mod tests {
         #[test]
         fn sorted_walk_matches_per_key_oracle(
             specs in arb_sources(),
-            encoding in 0..3usize,
             blocked in any::<bool>(),
             prune_ages in proptest::collection::vec(0..42u64, 2 * KEYS as usize),
             per_key_prune in any::<bool>(),
@@ -1027,7 +1064,6 @@ mod tests {
             let kind = if blocked { BloomKind::Blocked } else { BloomKind::Standard };
             let options = StorageOptions {
                 page_size: 256,
-                leaf_encoding: ENCODINGS[encoding],
                 ..StorageOptions::test()
             };
             let fx = fixture_on(options, &specs, false, kind);

@@ -558,7 +558,7 @@ mod tests {
     use crate::bitmap::AtomicBitmap;
     use crate::component_id::ComponentId;
     use crate::tree::ComponentBuilder;
-    use lsm_storage::{LeafEncoding, StorageOptions};
+    use lsm_storage::StorageOptions;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -1058,14 +1058,6 @@ mod tests {
         }
     }
 
-    fn arb_encoding() -> impl Strategy<Value = LeafEncoding> {
-        prop_oneof![
-            Just(LeafEncoding::Plain),
-            Just(LeafEncoding::Prefix),
-            Just(LeafEncoding::Columnar),
-        ]
-    }
-
     /// Runs `step` and returns its result with the CPU time it charged.
     fn billed<T>(s: &Storage, step: impl FnOnce() -> T) -> (T, u64) {
         let before = s.stats().cpu_ns;
@@ -1074,19 +1066,15 @@ mod tests {
     }
 
     /// The generated layout of a fixture: an optional memory run, which
-    /// scan options, the bounds (over [`one_byte_key`]s), the leaf codec and
-    /// the value padding.
-    type Shape = (
-        (bool, bool, bool),
-        (Bound<Key>, Bound<Key>),
-        (LeafEncoding, usize),
-    );
+    /// scan options, the bounds (over [`one_byte_key`]s) and the value
+    /// padding.
+    type Shape = ((bool, bool, bool), (Bound<Key>, Bound<Key>), usize);
 
     fn arb_shape() -> impl Strategy<Value = Shape> {
         (
             (any::<bool>(), any::<bool>(), any::<bool>()),
             (arb_bound(), arb_bound()),
-            (arb_encoding(), 0..400usize),
+            0..400usize,
         )
     }
 
@@ -1098,11 +1086,8 @@ mod tests {
         shape: Shape,
         key_of: fn(u8) -> Key,
     ) -> std::result::Result<(), String> {
-        let ((with_mem, respect_bitmaps, emit_anti_matter), (lo, hi), (leaf_encoding, pad)) = shape;
-        let s = Storage::new(StorageOptions {
-            leaf_encoding,
-            ..StorageOptions::test()
-        });
+        let ((with_mem, respect_bitmaps, emit_anti_matter), (lo, hi), pad) = shape;
+        let s = storage();
         let fx = fixture_padded(&s, specs, with_mem, pad, key_of);
         let opts = ScanOptions {
             emit_anti_matter,
@@ -1168,7 +1153,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // On every leaf codec, with sources that span several leaves.
+        // With sources that span several leaves.
         #[test]
         fn lending_scan_matches_owning_oracle(specs in arb_sources(), shape in arb_shape()) {
             check_against_owning_oracle(&specs, shape, one_byte_key)?;

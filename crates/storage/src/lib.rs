@@ -47,5 +47,5 @@ pub use pin::{PageSlice, ValueBuf};
 pub use profile::{CpuCosts, DiskProfile};
 pub use sim_clock::SimClock;
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use storage::{FileId, LeafEncoding, PageNo, Storage, StorageOptions};
+pub use storage::{FileId, PageNo, Storage, StorageOptions};
 pub use throttle::IoThrottle;

@@ -24,54 +24,6 @@ pub struct FileId(pub u32);
 /// Page number within a file.
 pub type PageNo = u32;
 
-/// On-disk encoding for B+-tree leaf pages built on this storage.
-///
-/// `Plain` keeps a page's keys uncompressed in one dense strip — a fixed
-/// stride when they share one width — with the values behind it, so a
-/// search reads keys and nothing else. `Prefix` shares key prefixes between
-/// adjacent entries with restart points every K entries, trading decode CPU
-/// for smaller leaves — and therefore more entries per buffer-cache page.
-/// `Columnar` keeps the same key compression but splits each page into a
-/// key strip and a value strip, so index-only scans and probe filtering
-/// read keys without ever decoding value bytes. On every encoding each
-/// value comes out as one contiguous page slice (the zero-copy fetch path).
-/// Readers detect the encoding per page, so mixed-encoding trees (old
-/// components plus new flushes) need no migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LeafEncoding {
-    /// The default: `[base_ordinal u64][count u16][key_width u16][keys]
-    /// [value end u32 × count][values]`, the keys either `count ×
-    /// key_width` bytes or — `key_width` 0, when widths differ — key ends
-    /// and then the key bytes (`lsm_btree::page`).
-    #[default]
-    Plain,
-    /// Prefix-compressed entries with periodic restart points.
-    Prefix,
-    /// Separate in-page key and value strips; keys prefix-compressed.
-    Columnar,
-}
-
-impl LeafEncoding {
-    /// Short name for reports and repro lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            LeafEncoding::Plain => "plain",
-            LeafEncoding::Prefix => "prefix",
-            LeafEncoding::Columnar => "columnar",
-        }
-    }
-
-    /// Parses [`LeafEncoding::name`] output back into an encoding.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "plain" => Some(LeafEncoding::Plain),
-            "prefix" => Some(LeafEncoding::Prefix),
-            "columnar" => Some(LeafEncoding::Columnar),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration for a [`Storage`] instance.
 #[derive(Debug, Clone)]
 pub struct StorageOptions {
@@ -90,10 +42,6 @@ pub struct StorageOptions {
     pub profile: DiskProfile,
     /// CPU cost model.
     pub cpu: CpuCosts,
-    /// Leaf-page encoding for B+-trees built on this storage (see
-    /// [`LeafEncoding`]). Defaults to [`LeafEncoding::Plain`], the
-    /// key-strip format.
-    pub leaf_encoding: LeafEncoding,
 }
 
 impl StorageOptions {
@@ -110,7 +58,6 @@ impl StorageOptions {
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::hdd(),
             cpu: CpuCosts::default(),
-            leaf_encoding: LeafEncoding::Plain,
         }
     }
 
@@ -126,7 +73,6 @@ impl StorageOptions {
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::ssd(),
             cpu: CpuCosts::default(),
-            leaf_encoding: LeafEncoding::Plain,
         }
     }
 
@@ -144,7 +90,6 @@ impl StorageOptions {
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::nvme(),
             cpu: CpuCosts::default(),
-            leaf_encoding: LeafEncoding::Plain,
         }
     }
 
@@ -167,7 +112,6 @@ impl StorageOptions {
             readahead_pages: 8,
             profile: DiskProfile::hdd(),
             cpu: CpuCosts::default(),
-            leaf_encoding: LeafEncoding::Plain,
         }
     }
 }
@@ -674,11 +618,6 @@ impl Storage {
     /// Number of buffer-cache shards.
     pub fn cache_shards(&self) -> usize {
         self.cache.num_shards()
-    }
-
-    /// Leaf-page encoding B+-tree builders on this storage should emit.
-    pub fn leaf_encoding(&self) -> LeafEncoding {
-        self.opts.leaf_encoding
     }
 
     /// Per-shard buffer-cache hit/miss/occupancy rows. The aggregate hits

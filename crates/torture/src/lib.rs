@@ -32,7 +32,7 @@ use lsm_common::{Record, Result as LsmResult, Value};
 use lsm_engine::recovery::{self, CheckpointState};
 use lsm_engine::{Dataset, DatasetConfig, MaintenanceMode, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{
-    FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, LeafEncoding, Storage, StorageOptions,
+    FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, Storage, StorageOptions,
 };
 use lsm_tree::MergeRange;
 use lsm_workload::{
@@ -191,8 +191,6 @@ pub struct TortureCase {
     pub device: DeviceKind,
     /// The scripted fault.
     pub fault: FaultKind,
-    /// Leaf-page encoding for the data storage's B+-trees.
-    pub leaf_encoding: LeafEncoding,
     /// Workload seed; the whole case is deterministic given the seed.
     pub seed: u64,
     /// Ingest-phase operations.
@@ -204,7 +202,7 @@ impl TortureCase {
     pub fn repro(&self) -> String {
         format!(
             "torture --seed {} --records {} --strategy {} --maintenance {} --device {} \
-             --fault {} --leaf-encoding {}",
+             --fault {}",
             self.seed,
             self.records,
             strategy_name(self.strategy),
@@ -215,7 +213,6 @@ impl TortureCase {
             },
             self.device.name(),
             self.fault.name(),
-            self.leaf_encoding.name(),
         )
     }
 }
@@ -341,9 +338,7 @@ fn pk_of(rec: &Record) -> i64 {
 impl<'a> Harness<'a> {
     fn new(case: &'a TortureCase) -> Result<Self, TortureFailure> {
         let plan = build_plan(case.fault);
-        let mut data_opts = case.device.options();
-        data_opts.leaf_encoding = case.leaf_encoding;
-        let data = Storage::new(data_opts);
+        let data = Storage::new(case.device.options());
         let wal = Storage::new(case.device.options());
         data.install_fault_plan(plan.clone());
         wal.install_fault_plan(plan.clone());
@@ -817,8 +812,7 @@ impl<'a> Harness<'a> {
             )));
         }
         // Primary-index filter scans must agree with the committed-prefix
-        // oracle too, on whichever leaf encoding the case runs: the
-        // unbounded predicate sees every live record, and the partitioned
+        // oracle too: the unbounded predicate sees every live record, and the partitioned
         // path must return exactly what the serial path returns.
         let report = self.chk(self.ds.filter_scan().count(), "oracle filter scan")?;
         if report.matches != expected as u64 {
@@ -858,32 +852,21 @@ impl<'a> Harness<'a> {
     }
 }
 
-/// All leaf-page encodings, in sweep order.
-pub const LEAF_ENCODINGS: [LeafEncoding; 3] = [
-    LeafEncoding::Plain,
-    LeafEncoding::Prefix,
-    LeafEncoding::Columnar,
-];
-
-/// The full sweep: every strategy x maintenance mode x device x fault kind
-/// x leaf encoding.
+/// The full sweep: every strategy x maintenance mode x device x fault kind.
 pub fn full_sweep(seed: u64, records: usize) -> Vec<TortureCase> {
     let mut cases = Vec::new();
     for strategy in STRATEGIES {
         for background in [false, true] {
             for device in DeviceKind::ALL {
                 for fault in FaultKind::ALL {
-                    for leaf_encoding in LEAF_ENCODINGS {
-                        cases.push(TortureCase {
-                            strategy,
-                            background,
-                            device,
-                            fault,
-                            leaf_encoding,
-                            seed,
-                            records,
-                        });
-                    }
+                    cases.push(TortureCase {
+                        strategy,
+                        background,
+                        device,
+                        fault,
+                        seed,
+                        records,
+                    });
                 }
             }
         }
@@ -892,23 +875,20 @@ pub fn full_sweep(seed: u64, records: usize) -> Vec<TortureCase> {
 }
 
 /// The CI smoke subset: two strategies on one device, all fault kinds,
-/// both maintenance modes, all leaf encodings.
+/// both maintenance modes.
 pub fn smoke_sweep(seed: u64, records: usize) -> Vec<TortureCase> {
     let mut cases = Vec::new();
     for strategy in [StrategyKind::Eager, StrategyKind::MutableBitmap] {
         for background in [false, true] {
             for fault in FaultKind::ALL {
-                for leaf_encoding in LEAF_ENCODINGS {
-                    cases.push(TortureCase {
-                        strategy,
-                        background,
-                        device: DeviceKind::Ssd,
-                        fault,
-                        leaf_encoding,
-                        seed,
-                        records,
-                    });
-                }
+                cases.push(TortureCase {
+                    strategy,
+                    background,
+                    device: DeviceKind::Ssd,
+                    fault,
+                    seed,
+                    records,
+                });
             }
         }
     }
@@ -925,7 +905,6 @@ mod tests {
             background: false,
             device: DeviceKind::Ssd,
             fault,
-            leaf_encoding: LeafEncoding::Plain,
             seed: 42,
             records: 400,
         }
@@ -973,35 +952,13 @@ mod tests {
         }
     }
 
-    /// Same seed + same plan => byte-identical fault schedule and report,
-    /// on either leaf encoding.
+    /// Same seed + same plan => byte-identical fault schedule and report.
     #[test]
     fn identical_cases_produce_identical_fault_schedules() {
-        for leaf_encoding in LEAF_ENCODINGS {
-            let c = TortureCase {
-                leaf_encoding,
-                ..case(StrategyKind::MutableBitmap, FaultKind::TornWalWrite)
-            };
-            let a = run_case(&c).unwrap_or_else(|f| panic!("{f}"));
-            let b = run_case(&c).unwrap_or_else(|f| panic!("{f}"));
-            assert_eq!(a, b);
-        }
-    }
-
-    /// Crash recovery over compressed leaves: flushed components written
-    /// in the prefix or columnar format survive the install-window crash
-    /// and the recovered filter scans agree with the oracle.
-    #[test]
-    fn compressed_encoded_cases_recover() {
-        for leaf_encoding in [LeafEncoding::Prefix, LeafEncoding::Columnar] {
-            for fault in [FaultKind::CrashFlushInstall, FaultKind::TornWalWrite] {
-                let c = TortureCase {
-                    leaf_encoding,
-                    ..case(StrategyKind::Validation, fault)
-                };
-                run_case(&c).unwrap_or_else(|f| panic!("{f}"));
-            }
-        }
+        let c = case(StrategyKind::MutableBitmap, FaultKind::TornWalWrite);
+        let a = run_case(&c).unwrap_or_else(|f| panic!("{f}"));
+        let b = run_case(&c).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1010,26 +967,19 @@ mod tests {
         let repro = c.repro();
         assert!(repro.contains("--strategy deleted-key-btree"));
         assert!(repro.contains("--fault short-wal-write"));
-        assert!(repro.contains("--leaf-encoding plain"));
         assert_eq!(parse_strategy("deleted-key-btree"), Some(c.strategy));
         assert_eq!(FaultKind::parse("short-wal-write"), Some(c.fault));
         assert_eq!(DeviceKind::parse("ssd"), Some(c.device));
-        assert_eq!(LeafEncoding::parse("plain"), Some(c.leaf_encoding));
-        assert_eq!(LeafEncoding::parse("prefix"), Some(LeafEncoding::Prefix));
-        assert_eq!(
-            LeafEncoding::parse("columnar"),
-            Some(LeafEncoding::Columnar)
-        );
     }
 
     #[test]
     fn sweeps_cover_the_advertised_matrix() {
-        assert_eq!(full_sweep(1, 100).len(), 4 * 2 * 3 * 9 * 3);
-        assert_eq!(smoke_sweep(1, 100).len(), 2 * 2 * 9 * 3);
+        assert_eq!(full_sweep(1, 100).len(), 4 * 2 * 3 * 9);
+        assert_eq!(smoke_sweep(1, 100).len(), 2 * 2 * 9);
         // Every repro line is unique — one line identifies one case.
         let mut lines: Vec<String> = full_sweep(1, 100).iter().map(|c| c.repro()).collect();
         lines.sort();
         lines.dedup();
-        assert_eq!(lines.len(), 4 * 2 * 3 * 9 * 3);
+        assert_eq!(lines.len(), 4 * 2 * 3 * 9);
     }
 }

@@ -8,7 +8,6 @@
 //! torture --list              # print the selected cases without running them
 //! ```
 
-use lsm_storage::LeafEncoding;
 use lsm_torture::{
     full_sweep, parse_strategy, run_case, smoke_sweep, strategy_name, DeviceKind, FaultKind,
     TortureCase,
@@ -23,7 +22,6 @@ struct Cli {
     maintenance: Option<String>,
     device: Option<String>,
     fault: Option<String>,
-    leaf_encoding: Option<String>,
     failures_file: String,
 }
 
@@ -45,7 +43,6 @@ OPTIONS:
                         crash-flush-install | crash-merge-install |
                         crash-checkpoint | torn-wal-write |
                         short-wal-write | transient-flush | transient-read
-  --leaf-encoding <E>   plain | prefix | columnar
   --failures-file <P>   where to write failing repro lines
                         (default torture-failures.txt, written only on failure)
   --help                this text
@@ -61,7 +58,6 @@ fn parse_cli() -> Result<Cli, String> {
         maintenance: None,
         device: None,
         fault: None,
-        leaf_encoding: None,
         failures_file: "torture-failures.txt".to_string(),
     };
     let mut args = std::env::args().skip(1);
@@ -89,7 +85,6 @@ fn parse_cli() -> Result<Cli, String> {
             "--maintenance" => cli.maintenance = Some(value("--maintenance")?),
             "--device" => cli.device = Some(value("--device")?),
             "--fault" => cli.fault = Some(value("--fault")?),
-            "--leaf-encoding" => cli.leaf_encoding = Some(value("--leaf-encoding")?),
             "--failures-file" => cli.failures_file = value("--failures-file")?,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -128,10 +123,6 @@ fn select_cases(cli: &Cli) -> Result<Vec<TortureCase>, String> {
         let k = FaultKind::parse(f).ok_or_else(|| format!("unknown fault {f}"))?;
         cases.retain(|c| c.fault == k);
     }
-    if let Some(e) = &cli.leaf_encoding {
-        let k = LeafEncoding::parse(e).ok_or_else(|| format!("unknown leaf encoding {e}"))?;
-        cases.retain(|c| c.leaf_encoding == k);
-    }
     if cases.is_empty() {
         return Err("the selected filters match no cases".to_string());
     }
@@ -140,7 +131,7 @@ fn select_cases(cli: &Cli) -> Result<Vec<TortureCase>, String> {
 
 fn label(case: &TortureCase) -> String {
     format!(
-        "{}/{}/{}/{}/{}",
+        "{}/{}/{}/{}",
         strategy_name(case.strategy),
         if case.background {
             "background"
@@ -149,7 +140,6 @@ fn label(case: &TortureCase) -> String {
         },
         case.device.name(),
         case.fault.name(),
-        case.leaf_encoding.name()
     )
 }
 
