@@ -20,7 +20,6 @@ fn prepare(cache_fraction: f64, n: usize) -> (Env, Arc<Dataset>) {
         dataset_bytes,
         cache_fraction,
         ssd: false,
-        ..Default::default()
     });
     let cfg = lsm_bench::tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
     let ds = lsm_bench::open_tweet_dataset(&env, cfg);

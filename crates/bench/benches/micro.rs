@@ -3,8 +3,8 @@
 //! blocked Bloom filter probes, by key and by precomputed hash, cold
 //! B+-tree search vs the stateful cursor, the in-leaf search over cold
 //! pages of fixed- and of mixed-width keys, and the route through one
-//! router page (btree) — the cache-hit page read
-//! (storage), the
+//! router page (btree) — the cache-hit page read, from one thread and
+//! from two at once (storage), the
 //! record codec and its allocation-free view (common), and the point
 //! lookup, the batched stateful fetch, the reconciling merge scan at a
 //! small and a large number of components — owning and lending, and over
@@ -78,7 +78,10 @@ fn bench_bloom(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Storage::read_page` of resident pages: 32 reads per iteration.
+/// `Storage::read_page` of resident pages: 32 reads per iteration
+/// (`read_hit`), and two scoped threads hitting the same 32 pages at once,
+/// 8,192 reads each per iteration (`read_hit_2threads`), whose hits share
+/// only the file-table read lock.
 fn bench_storage_read_hit(c: &mut Criterion) {
     let storage = Storage::new(StorageOptions::test());
     let file = storage.create_file();
@@ -86,12 +89,20 @@ fn bench_storage_read_hit(c: &mut Criterion) {
         storage.append_page(file, &p.to_le_bytes()).unwrap();
         storage.read_page(file, p).unwrap(); // admit
     }
+    let read_all = || {
+        for p in 0..32 {
+            black_box(storage.read_page(file, p).unwrap());
+        }
+    };
     let mut group = c.benchmark_group("storage");
-    group.bench_function("read_hit", |b| {
+    group.bench_function("read_hit", |b| b.iter(read_all));
+    group.bench_function("read_hit_2threads", |b| {
         b.iter(|| {
-            for p in 0..32 {
-                black_box(storage.read_page(file, p).unwrap());
-            }
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| (0..256).for_each(|_| read_all()));
+                }
+            })
         })
     });
     group.finish();

@@ -3,9 +3,9 @@
 //! datasets against one shared [`MaintenanceRuntime`] vs inline — a
 //! fairness scenario (hot flooding dataset vs quiet datasets on a
 //! quota-limited runtime), a query-heavy scenario (serial vs `parallel(4)`
-//! secondary range queries over a multi-component dataset on a sharded
-//! buffer cache), and a repair-heavy scenario (standalone repair of an
-//! update-heavy lazy dataset), a device sweep (the same inline ingest
+//! secondary range queries over a multi-component dataset), and a
+//! repair-heavy scenario (standalone repair of an update-heavy lazy
+//! dataset), a device sweep (the same inline ingest
 //! on the hdd / ssd / nvme profiles), a multi-writer scenario
 //! (1/2/4/8 writer threads committing `WriteBatch`es against one sharded,
 //! WAL-backed dataset — the group-commit measurement), a scan-heavy
@@ -14,7 +14,7 @@
 //! `index_only()` secondary range queries, with device bytes read),
 //! written as JSON so the perf trajectory accumulates across commits.
 //! Schema history is documented in `docs/OPERATIONS.md` (`schema_version`
-//! 9: one `scan_heavy` and one `index_only` row, no `encoding` field).
+//! 10: the `query_heavy` row no longer reports a cache shard count).
 //!
 //! ```sh
 //! cargo run -p lsm-bench --release --bin perf_snapshot
@@ -201,7 +201,6 @@ fn json_query_heavy(q: &QueryHeavyRun) -> String {
             "      \"records\": {},\n",
             "      \"queries\": {},\n",
             "      \"components\": {},\n",
-            "      \"cache_shards\": {},\n",
             "      \"rows\": {},\n",
             "      \"partitions\": {},\n",
             "      \"serial_wall_secs\": {:.4},\n",
@@ -215,7 +214,6 @@ fn json_query_heavy(q: &QueryHeavyRun) -> String {
         q.records,
         q.queries,
         q.components,
-        q.cache_shards,
         q.rows,
         q.partitions,
         q.serial_wall_secs,
@@ -406,7 +404,7 @@ fn main() {
 
     // Query-heavy scenario (schema_version 4): the same secondary range
     // queries serially and with parallel(4) over a multi-component dataset
-    // on an 8-shard buffer cache — the read-path acceptance measurement.
+    // — the read-path acceptance measurement.
     let query_heavy = [run_query_heavy_scenario(scaled(60_000), 24, 4)];
 
     // Repair-heavy scenario (schema_version 4): standalone repair of an
@@ -452,7 +450,7 @@ fn main() {
     let scan_body: Vec<String> = scan_heavy.iter().map(json_scan_heavy).collect();
     let index_only_body: Vec<String> = index_only.iter().map(json_index_only).collect();
     let json = format!(
-        "{{\n  \"schema_version\": 9,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema_version\": 10,\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"variants\": [\n{}\n  ],\n  \"maintenance_heavy\": [\n{}\n  ],\n  \"fairness\": [\n{}\n  ],\n  \"query_heavy\": [\n{}\n  ],\n  \"repair_heavy\": [\n{}\n  ],\n  \"device_sweep\": [\n{}\n  ],\n  \"multi_writer\": [\n{}\n  ],\n  \"scan_heavy\": [\n{}\n  ],\n  \"index_only\": [\n{}\n  ]\n}}\n",
         scale(),
         body.join(",\n"),
         multi_body.join(",\n"),
@@ -494,12 +492,11 @@ fn main() {
     }
     for q in &query_heavy {
         eprintln!(
-            "query_heavy: {} queries × {} recs over {} components ({} cache shards) — \
+            "query_heavy: {} queries × {} recs over {} components — \
              serial {:.3}s vs parallel({}) {:.3}s = {:.2}x ({} partitions)",
             q.queries,
             q.records,
             q.components,
-            q.cache_shards,
             q.serial_wall_secs,
             q.parallelism,
             q.parallel_wall_secs,

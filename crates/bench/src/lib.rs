@@ -144,9 +144,6 @@ pub struct EnvConfig {
     /// literals; [`Env::new_with_device`] overrides it for the three-way
     /// hdd/ssd/nvme sweeps.
     pub ssd: bool,
-    /// Buffer-cache shards (1 = the classic single CLOCK; raise for
-    /// parallel-query scenarios so readers stop serializing on one lock).
-    pub cache_shards: usize,
 }
 
 impl Default for EnvConfig {
@@ -155,7 +152,6 @@ impl Default for EnvConfig {
             dataset_bytes: 50 * 1024 * 1024,
             cache_fraction: 0.067,
             ssd: false,
-            cache_shards: 1,
         }
     }
 }
@@ -175,10 +171,7 @@ impl Env {
     /// ignoring `cfg.ssd`.
     pub fn new_with_device(device: BenchDevice, cfg: &EnvConfig) -> Self {
         let cache_bytes = (cfg.dataset_bytes as f64 * cfg.cache_fraction) as usize;
-        let opts = StorageOptions {
-            cache_shards: cfg.cache_shards.max(1),
-            ..device.options(cache_bytes)
-        };
+        let opts = device.options(cache_bytes);
         let clock = SimClock::new();
         let storage = Storage::with_clock(opts.clone(), clock.clone());
         let log_storage = Storage::with_clock(opts, clock.clone());
@@ -604,7 +597,7 @@ pub fn run_fairness_scenario(quiet: usize, n_hot: usize, n_quiet: usize) -> Fair
 
 /// What one query-heavy run measured: the same secondary range queries
 /// executed serially and with `parallel(n)` over a pre-loaded
-/// multi-component dataset on a sharded buffer cache.
+/// multi-component dataset.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryHeavyRun {
     /// Records pre-loaded into the dataset.
@@ -615,8 +608,6 @@ pub struct QueryHeavyRun {
     pub parallelism: usize,
     /// Disk components of the secondary index at query time.
     pub components: usize,
-    /// Buffer-cache shards configured on the data device.
-    pub cache_shards: usize,
     /// Wall seconds for the serial pass.
     pub serial_wall_secs: f64,
     /// Wall seconds for the parallel pass (same queries, cold cache both).
@@ -643,7 +634,6 @@ pub fn run_query_heavy_scenario(n: usize, queries: usize, parallelism: usize) ->
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
-        cache_shards: 8,
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
@@ -704,7 +694,6 @@ pub fn run_query_heavy_scenario(n: usize, queries: usize, parallelism: usize) ->
             .expect("index")
             .tree
             .num_disk_components(),
-        cache_shards: env.storage.cache_shards(),
         serial_wall_secs,
         parallel_wall_secs,
         speedup: serial_wall_secs / parallel_wall_secs.max(1e-9),
@@ -755,7 +744,6 @@ pub fn run_scan_heavy_scenario(n: usize, scans: usize, parallelism: usize) -> Sc
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
-        cache_shards: 8,
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
@@ -862,7 +850,6 @@ pub fn run_index_only_scenario(n: usize, queries: usize) -> IndexOnlyRun {
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
-        cache_shards: 8,
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Eager, dataset_bytes, 1);

@@ -18,11 +18,20 @@
 //!
 //! Both use the same double-hashing scheme (`g_i = h1 + i·h2`), which is the
 //! standard way to derive `k` probes from one 64-bit hash.
+//!
+//! A probe costs memory, not arithmetic. The reduction of `g_i` to a bit
+//! (or block) index is an exact remainder computed by multiplication
+//! (Lemire et al.'s fastmod), so no probe divides. A membership test reads
+//! all `k` bits and ANDs them: each bit an absent key tests is set about
+//! half the time, so an early exit would be a coin-flip branch that costs
+//! more in mispredictions than it saves in loads.
 
 #![warn(missing_docs)]
 
+mod fastmod;
 mod hash;
 
+use fastmod::Divisor;
 pub use hash::{fmix64, hash64};
 
 /// Block size of the blocked filter: one CPU cache line (64 bytes).
@@ -67,12 +76,6 @@ pub trait BloomFilter: Send + Sync {
     fn num_bits(&self) -> usize;
     /// True if a membership test touches a single cache line.
     fn is_blocked(&self) -> bool;
-    /// Tests many keys in one call, writing one verdict per key into `out`
-    /// (cleared first).
-    fn may_contain_batch(&self, keys: &[&[u8]], out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(keys.iter().map(|k| self.may_contain(k)));
-    }
 }
 
 /// Returns the optimal number of probes for a given bits-per-key budget.
@@ -91,7 +94,7 @@ pub fn bits_per_key_for_fpr(fpr: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct StandardBloom {
     bits: Vec<u64>,
-    nbits: u64,
+    nbits: Divisor,
     k: u32,
 }
 
@@ -109,17 +112,16 @@ impl StandardBloom {
         let words = nbits.div_ceil(64) as usize;
         StandardBloom {
             bits: vec![0; words],
-            nbits: words as u64 * 64,
+            nbits: Divisor::new(words as u64 * 64),
             k: optimal_k(bits_per_key),
         }
     }
 
-    fn set_bit(&mut self, bit: u64) {
-        self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-    }
-
-    fn get_bit(&self, bit: u64) -> bool {
-        self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
+    /// The key's `k` bit positions, `(h1 + i·h2) mod nbits` for `i` in
+    /// `0..k` (the sum wrapping in `u64`).
+    fn positions(&self, KeyHash { h1, h2 }: KeyHash) -> impl Iterator<Item = u64> {
+        let nbits = self.nbits;
+        (0..u64::from(self.k)).map(move |i| nbits.rem(h1.wrapping_add(i.wrapping_mul(h2))))
     }
 
     /// Memory footprint in bytes.
@@ -130,14 +132,16 @@ impl StandardBloom {
 
 impl BloomFilter for StandardBloom {
     fn insert(&mut self, key: &[u8]) {
-        let KeyHash { h1, h2 } = KeyHash::new(key);
-        for i in 0..self.k as u64 {
-            self.set_bit(h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits);
+        for bit in self.positions(KeyHash::new(key)) {
+            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
     }
 
-    fn may_contain_hash(&self, KeyHash { h1, h2 }: KeyHash) -> bool {
-        (0..self.k as u64).all(|i| self.get_bit(h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits))
+    fn may_contain_hash(&self, hash: KeyHash) -> bool {
+        let all = self.positions(hash).fold(1, |all, bit| {
+            all & (self.bits[(bit / 64) as usize] >> (bit % 64))
+        });
+        all & 1 == 1
     }
 
     fn num_probes(&self) -> u32 {
@@ -145,7 +149,7 @@ impl BloomFilter for StandardBloom {
     }
 
     fn num_bits(&self) -> usize {
-        self.nbits as usize
+        self.nbits.get() as usize
     }
 
     fn is_blocked(&self) -> bool {
@@ -162,6 +166,7 @@ impl BloomFilter for StandardBloom {
 pub struct BlockedBloom {
     /// Blocks of 8×u64 = 512 bits each.
     blocks: Vec<[u64; 8]>,
+    nblocks: Divisor,
     k: u32,
 }
 
@@ -179,6 +184,7 @@ impl BlockedBloom {
         let nblocks = nbits.div_ceil(BLOCK_BITS).max(1);
         BlockedBloom {
             blocks: vec![[0u64; 8]; nblocks],
+            nblocks: Divisor::new(nblocks as u64),
             // k is chosen from the *standard* budget: the extra bit is load
             // compensation, not additional probes.
             k: optimal_k(bits_per_key - 1.0),
@@ -186,7 +192,16 @@ impl BlockedBloom {
     }
 
     fn block_of(&self, h1: u64) -> usize {
-        (h1 % self.blocks.len() as u64) as usize
+        self.nblocks.rem(h1) as usize
+    }
+
+    /// The key's `k` in-block bit positions. They come from a different
+    /// rotation of the hash than the block, so block choice and bit
+    /// choices are independent.
+    fn positions(&self, KeyHash { h1, h2 }: KeyHash) -> impl Iterator<Item = usize> {
+        let g1 = h1.rotate_left(21);
+        (0..u64::from(self.k))
+            .map(move |i| (g1.wrapping_add(i.wrapping_mul(h2)) % BLOCK_BITS as u64) as usize)
     }
 
     /// Memory footprint in bytes.
@@ -197,25 +212,21 @@ impl BlockedBloom {
 
 impl BloomFilter for BlockedBloom {
     fn insert(&mut self, key: &[u8]) {
-        let KeyHash { h1, h2 } = KeyHash::new(key);
-        let b = self.block_of(h1);
+        let hash = KeyHash::new(key);
+        let b = self.block_of(hash.h1);
+        let positions = self.positions(hash);
         let block = &mut self.blocks[b];
-        // Derive in-block bits from a different rotation of the hash so the
-        // block choice and the bit choices are independent.
-        let g1 = h1.rotate_left(21);
-        for i in 0..self.k as u64 {
-            let bit = (g1.wrapping_add(i.wrapping_mul(h2)) % BLOCK_BITS as u64) as usize;
+        for bit in positions {
             block[bit / 64] |= 1 << (bit % 64);
         }
     }
 
-    fn may_contain_hash(&self, KeyHash { h1, h2 }: KeyHash) -> bool {
-        let block = &self.blocks[self.block_of(h1)];
-        let g1 = h1.rotate_left(21);
-        (0..self.k as u64).all(|i| {
-            let bit = (g1.wrapping_add(i.wrapping_mul(h2)) % BLOCK_BITS as u64) as usize;
-            block[bit / 64] & (1 << (bit % 64)) != 0
-        })
+    fn may_contain_hash(&self, hash: KeyHash) -> bool {
+        let block = &self.blocks[self.block_of(hash.h1)];
+        let all = self
+            .positions(hash)
+            .fold(1, |all, bit| all & (block[bit / 64] >> (bit % 64)));
+        all & 1 == 1
     }
 
     fn num_probes(&self) -> u32 {
@@ -344,23 +355,44 @@ mod tests {
         assert!(build_filter(BloomKind::Blocked, 10, 0.01).is_blocked());
     }
 
+    /// The division-free reductions pick the bits and blocks `%` would:
+    /// for random hashes and the extremes, over 64 bits, random multiples
+    /// of 64 up to past 2³², and every block count from one up.
     #[test]
-    fn batched_probe_agrees_with_single_probe() {
-        let mut s = StandardBloom::new(5_000, 0.01);
-        let mut b = BlockedBloom::new(5_000, 0.01);
-        for k in keys(5_000, 1) {
-            s.insert(&k);
-            b.insert(&k);
-        }
-        let mut probes = keys(2_000, 1);
-        probes.extend(keys(2_000, 2));
-        let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-        for f in [&s as &dyn BloomFilter, &b as &dyn BloomFilter] {
-            let mut out = vec![true; 3]; // must be cleared by the impl
-            f.may_contain_batch(&refs, &mut out);
-            assert_eq!(out.len(), refs.len());
-            for (k, got) in refs.iter().zip(&out) {
-                assert_eq!(*got, f.may_contain(k));
+    fn probe_positions_match_the_remainder() {
+        use crate::fastmod::tests::random;
+        let mut sizes = vec![1, 2, 64, 1 << 32, (1 << 32) + 64];
+        sizes.extend(random(7).take(100).map(|r| 64 * (1 + r % (1 << 28))));
+        let extremes = [0, 1, u64::MAX];
+        let mut hashes: Vec<KeyHash> = extremes
+            .iter()
+            .flat_map(|&h1| extremes.iter().map(move |&h2| KeyHash { h1, h2 }))
+            .collect();
+        let mut r = random(8);
+        hashes.extend((0..200).map(|_| KeyHash::new(&r.next().unwrap().to_le_bytes())));
+        hashes.extend((0..200).map(|_| KeyHash {
+            h1: r.next().unwrap(),
+            h2: r.next().unwrap(),
+        }));
+        for n in sizes {
+            let standard = StandardBloom {
+                bits: Vec::new(),
+                nbits: Divisor::new(n),
+                k: 30,
+            };
+            let blocked = BlockedBloom {
+                blocks: Vec::new(),
+                nblocks: Divisor::new(n),
+                k: 30,
+            };
+            for &hash in &hashes {
+                let KeyHash { h1, h2 } = hash;
+                let expected = (0..30u64).map(|i| h1.wrapping_add(i.wrapping_mul(h2)) % n);
+                assert!(
+                    standard.positions(hash).eq(expected),
+                    "{hash:?} over {n} bits"
+                );
+                assert_eq!(blocked.block_of(h1) as u64, h1 % n, "{h1} over {n} blocks");
             }
         }
     }
@@ -384,6 +416,72 @@ mod tests {
             }
             assert_eq!(fp, false_positives, "{kind:?}");
         }
+    }
+
+    /// The branch-free probe answers as the early-exit probe over `%`
+    /// positions did, key for key, on filters of every fill.
+    #[test]
+    fn verdicts_match_the_dividing_early_exit_probe() {
+        for n in [1, 100, 2_337] {
+            let mut s = StandardBloom::new(n, 0.01);
+            let mut b = BlockedBloom::new(n, 0.01);
+            for k in keys(n, 1) {
+                s.insert(&k);
+                b.insert(&k);
+            }
+            let nbits = s.num_bits() as u64;
+            let nblocks = b.blocks.len() as u64;
+            for k in keys(n, 1).iter().chain(&keys(5_000, 2)) {
+                let hash @ KeyHash { h1, h2 } = KeyHash::new(k);
+                let g = |i: u64, from: u64| from.wrapping_add(i.wrapping_mul(h2));
+                let standard = (0..u64::from(s.k)).all(|i| {
+                    let bit = g(i, h1) % nbits;
+                    s.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
+                });
+                let block = &b.blocks[(h1 % nblocks) as usize];
+                let blocked = (0..u64::from(b.k)).all(|i| {
+                    let bit = (g(i, h1.rotate_left(21)) % BLOCK_BITS as u64) as usize;
+                    block[bit / 64] & (1 << (bit % 64)) != 0
+                });
+                assert_eq!(s.may_contain_hash(hash), standard, "{k:?}");
+                assert_eq!(b.may_contain_hash(hash), blocked, "{k:?}");
+            }
+        }
+    }
+
+    /// FNV-1a over a bit array's length and words.
+    fn digest(words: &[u64]) -> u64 {
+        let len = (words.len() as u64).to_le_bytes();
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+        len.into_iter()
+            .chain(bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// No filter bit may move: the bit images of both kinds built from a
+    /// lone key, 100 keys, one `query_read` component's 2,337 and 65,536,
+    /// recorded from the commit whose probes still divided.
+    #[test]
+    fn built_filters_match_recorded_digests() {
+        let recorded: [(usize, u64, u64); 4] = [
+            (1, 0xcd61_fd3e_c95f_2cc5, 0xa33a_085f_5d94_cd68),
+            (100, 0x01d7_c593_d3e2_bdfe, 0x8acc_9f7e_1d98_06b1),
+            (2_337, 0x6688_3bdc_32ab_cc2a, 0xa101_ee15_6f82_e8a4),
+            (65_536, 0x89a9_b419_c10b_4e11, 0x9b10_63cd_97a4_53b9),
+        ];
+        let mut got = Vec::new();
+        for &(n, _, _) in &recorded {
+            let mut s = StandardBloom::new(n, 0.01);
+            let mut b = BlockedBloom::new(n, 0.01);
+            for k in keys(n, 1) {
+                s.insert(&k);
+                b.insert(&k);
+            }
+            got.push((n, digest(&s.bits), digest(b.blocks.as_flattened())));
+        }
+        assert_eq!(got, recorded);
     }
 
     #[test]

@@ -109,10 +109,10 @@
 //! tasks run on the runtime's shared [`QueryPool`] when
 //! [`EngineConfig::query_workers`](EngineConfig) is set (bounding
 //! engine-wide query parallelism; the caller always participates) and on
-//! ephemeral threads otherwise; the storage layer's sharded buffer cache
-//! (`StorageOptions::cache_shards`) keeps the partitions from serializing
-//! on one cache lock. See `ARCHITECTURE.md` ("The read path") for the
-//! design and `docs/OPERATIONS.md` for sizing guidance.
+//! ephemeral threads otherwise; a buffer-cache hit takes no lock beyond
+//! the storage file table's read lock, so the partitions do not serialize
+//! on the cache. See `ARCHITECTURE.md` ("The read path") for the design
+//! and `docs/OPERATIONS.md` for sizing guidance.
 //!
 //! ## Background maintenance
 //!

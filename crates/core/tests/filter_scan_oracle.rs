@@ -31,10 +31,7 @@ fn rec(id: i64, t: i64) -> Record {
 }
 
 fn storage() -> Arc<Storage> {
-    Storage::new(StorageOptions {
-        cache_shards: 4,
-        ..StorageOptions::test()
-    })
+    Storage::new(StorageOptions::test())
 }
 
 fn config(strategy: StrategyKind) -> DatasetConfig {

@@ -18,10 +18,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 fn storage() -> Arc<Storage> {
-    Storage::new(StorageOptions {
-        cache_shards: 4,
-        ..StorageOptions::test()
-    })
+    Storage::new(StorageOptions::test())
 }
 
 /// Pinned scan entries outlive the merge that destroys their source

@@ -9,9 +9,9 @@
 //!   [`DiskProfile`] cost model (seek + transfer for a random read, transfer
 //!   only for a sequential continuation, free on a buffer-cache hit);
 //! * a CLOCK (second-chance) buffer cache of configurable size decides
-//!   which accesses hit; it is split into independently locked
-//!   [`ShardedCache`] shards (one by default — the classic single CLOCK)
-//!   so parallel query partitions do not serialize on one cache lock;
+//!   which accesses hit. Residency and the reference bit live on each
+//!   stored page, so a hit takes no cache lock and computes no hash; only
+//!   a miss takes the one CLOCK mutex to admit the page and sweep;
 //! * read-ahead batches sequential scans the way the paper's 4MB read-ahead
 //!   does;
 //! * a [`SimClock`] accumulates simulated nanoseconds of I/O and CPU work,
@@ -32,7 +32,7 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod fault;
 pub mod pin;
 pub mod profile;
@@ -41,7 +41,6 @@ pub mod stats;
 pub mod storage;
 pub mod throttle;
 
-pub use cache::{BufferCache, CacheShardStats, ShardedCache};
 pub use fault::{FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, SiteOutcome};
 pub use pin::{PageSlice, ValueBuf};
 pub use profile::{CpuCosts, DiskProfile};

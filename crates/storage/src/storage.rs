@@ -8,13 +8,14 @@
 //! trade-offs — batched vs interleaved point lookups, scans vs index
 //! navigation — measurable here.
 
-use crate::cache::{CacheShardStats, ShardedCache};
+use crate::cache::{FileState, Frames, StoredPage};
 use crate::fault::{FaultAction, FaultOp, FaultPlan, SiteOutcome};
 use crate::profile::{CpuCosts, DiskProfile};
 use crate::sim_clock::SimClock;
 use crate::stats::{IoStats, IoStatsSnapshot};
 use lsm_common::{Error, Result};
 use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Identifies a simulated file.
@@ -31,11 +32,6 @@ pub struct StorageOptions {
     pub page_size: usize,
     /// Buffer cache capacity, in pages.
     pub cache_pages: usize,
-    /// Independently locked buffer-cache shards (see [`ShardedCache`]).
-    /// `1` — the default — behaves
-    /// exactly like the classic single CLOCK; raise it so parallel query
-    /// partitions stop serializing on one cache lock.
-    pub cache_shards: usize,
     /// Read-ahead window for scans, in pages (the paper uses 4MB).
     pub readahead_pages: u32,
     /// Device cost model.
@@ -54,7 +50,6 @@ impl StorageOptions {
         StorageOptions {
             page_size,
             cache_pages: cache_bytes.div_ceil(page_size),
-            cache_shards: 1,
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::hdd(),
             cpu: CpuCosts::default(),
@@ -69,7 +64,6 @@ impl StorageOptions {
         StorageOptions {
             page_size,
             cache_pages: cache_bytes.div_ceil(page_size),
-            cache_shards: 1,
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::ssd(),
             cpu: CpuCosts::default(),
@@ -86,7 +80,6 @@ impl StorageOptions {
         StorageOptions {
             page_size,
             cache_pages: cache_bytes.div_ceil(page_size),
-            cache_shards: 1,
             readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
             profile: DiskProfile::nvme(),
             cpu: CpuCosts::default(),
@@ -108,18 +101,11 @@ impl StorageOptions {
         StorageOptions {
             page_size: 4096,
             cache_pages: 64,
-            cache_shards: 1,
             readahead_pages: 8,
             profile: DiskProfile::hdd(),
             cpu: CpuCosts::default(),
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct FileState {
-    pages: Vec<Arc<[u8]>>,
-    deleted: bool,
 }
 
 /// The simulated storage device.
@@ -130,8 +116,11 @@ pub struct Storage {
     opts: StorageOptions,
     clock: SimClock,
     stats: IoStats,
+    /// The page table: every stored page with its cache state.
     files: RwLock<Vec<FileState>>,
-    cache: ShardedCache,
+    /// The buffer cache's CLOCK, taken by misses only, always inside the
+    /// `files` lock.
+    frames: Mutex<Frames>,
     /// Device head position: the last `(file, page)` that reached the
     /// device. A read is sequential only if it continues from here —
     /// interleaving reads across files moves the head and costs seeks,
@@ -141,6 +130,9 @@ pub struct Storage {
     last_write: Mutex<Option<FileId>>,
     /// Installed fault-injection script, if any (see [`FaultPlan`]).
     fault: RwLock<Option<Arc<FaultPlan>>>,
+    /// Whether `fault` holds a plan, so an operation on a device without
+    /// one takes no lock to find out. Written under `fault`'s write lock.
+    fault_installed: AtomicBool,
 }
 
 impl Storage {
@@ -152,16 +144,16 @@ impl Storage {
     /// Creates a storage device sharing an existing clock (e.g. the data and
     /// log devices of one node accumulate into one timeline).
     pub fn with_clock(opts: StorageOptions, clock: SimClock) -> Arc<Self> {
-        let cache = ShardedCache::new(opts.cache_pages, opts.cache_shards.max(1));
         Arc::new(Storage {
+            frames: Mutex::new(Frames::new(opts.cache_pages)),
             opts,
             clock,
             stats: IoStats::new(),
             files: RwLock::new(Vec::new()),
-            cache,
             head: Mutex::new(None),
             last_write: Mutex::new(None),
             fault: RwLock::new(None),
+            fault_installed: AtomicBool::new(false),
         })
     }
 
@@ -169,16 +161,23 @@ impl Storage {
     /// [`Arc<FaultPlan>`] may be installed on several devices (data + WAL)
     /// so their op counters share one deterministic schedule.
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.write() = Some(plan);
+        let mut fault = self.fault.write();
+        *fault = Some(plan);
+        self.fault_installed.store(true, Ordering::Release);
     }
 
     /// Removes the installed fault plan, if any.
     pub fn clear_fault_plan(&self) {
-        *self.fault.write() = None;
+        let mut fault = self.fault.write();
+        *fault = None;
+        self.fault_installed.store(false, Ordering::Release);
     }
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.fault_installed.load(Ordering::Acquire) {
+            return None;
+        }
         self.fault.read().clone()
     }
 
@@ -367,7 +366,7 @@ impl Storage {
             if state.deleted {
                 return Err(Error::Storage(format!("file {file:?} is deleted")));
             }
-            state.pages.push(stored);
+            state.pages.push(StoredPage::new(stored));
             (state.pages.len() - 1) as PageNo
         };
         if torn {
@@ -396,36 +395,21 @@ impl Storage {
 
     /// Number of pages in `file`.
     pub fn file_pages(&self, file: FileId) -> Result<u32> {
-        let files = self.files.read();
-        let state = files
-            .get(file.0 as usize)
-            .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
-        if state.deleted {
-            return Err(Error::Storage(format!("file {file:?} is deleted")));
-        }
-        Ok(state.pages.len() as u32)
+        Ok(live(&self.files.read(), file)?.len() as u32)
     }
 
     /// Reads one page, going through the buffer cache and charging the
     /// device model on a miss.
     pub fn read_page(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
         self.fault_check(FaultOp::Read, format_args!("read of {file:?}/{page}"))?;
-        let data = {
+        let (data, hit) = {
             let files = self.files.read();
-            let state = files
-                .get(file.0 as usize)
-                .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
-            if state.deleted {
-                return Err(Error::Storage(format!("file {file:?} is deleted")));
-            }
-            state
-                .pages
+            let stored = live(&files, file)?
                 .get(page as usize)
-                .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?
-                .clone()
+                .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
+            let hit = stored.touch() || self.admit(&files, file, page);
+            (stored.data.clone(), hit)
         };
-
-        let hit = self.cache.access(file, page);
         if hit {
             self.stats
                 .cache_hits
@@ -434,6 +418,13 @@ impl Storage {
         }
         self.charge_read(file, page, 1);
         Ok(data)
+    }
+
+    /// The miss path: admits `(file, page)` under the CLOCK mutex, inside
+    /// the caller's file-table lock `files`. Returns `true` if a racing
+    /// read admitted the page first, which makes this access a hit.
+    fn admit(&self, files: &[FileState], file: FileId, page: PageNo) -> bool {
+        self.frames.lock().admit(files, file, page)
     }
 
     /// Charges a device read of `count` pages starting at `(file, page)`.
@@ -452,7 +443,7 @@ impl Storage {
         let sequential = {
             let mut head = self.head.lock();
             let seq = page > 0 && *head == Some((file, page - 1));
-            *head = Some((file, page + count - 1));
+            *head = Some((file, page + (count - 1)));
             seq
         };
         let bytes = self.opts.page_size;
@@ -495,24 +486,29 @@ impl Storage {
             FaultOp::Read,
             format_args!("read burst of {file:?}/{page}+{count}"),
         )?;
-        let pages = self.page_data_batch(file, page, count)?;
-        // Admit all pages; charge only those not already resident. Each
-        // page locks only its own cache shard, so a burst never holds the
-        // whole cache against concurrent readers.
+        // Admit all pages; charge only those not already resident.
         let mut misses = 0u32;
         let mut first_miss = page;
-        for p in page..page + count {
-            if !self.cache.access(file, p) {
-                if misses == 0 {
-                    first_miss = p;
+        let pages = {
+            let files = self.files.read();
+            let burst = burst(live(&files, file)?, file, page, count)?;
+            for (p, stored) in (page..).zip(burst) {
+                if stored.touch() || self.admit(&files, file, p) {
+                    self.stats
+                        .cache_hits
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                } else {
+                    if misses == 0 {
+                        first_miss = p;
+                    }
+                    misses += 1;
                 }
-                misses += 1;
-            } else {
-                self.stats
-                    .cache_hits
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-        }
+            burst.iter().map(|p| p.data.clone()).collect()
+        };
+        self.stats
+            .batched_lookups_saved
+            .fetch_add(u64::from(count - 1), std::sync::atomic::Ordering::Relaxed);
         if misses > 0 {
             self.charge_read(file, first_miss, misses);
         }
@@ -528,17 +524,9 @@ impl Storage {
     /// — for readers holding pages in a private scan buffer that were
     /// already charged by a [`Storage::read_pages`] burst.
     pub fn page_data(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
-        let files = self.files.read();
-        let state = files
-            .get(file.0 as usize)
-            .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
-        if state.deleted {
-            return Err(Error::Storage(format!("file {file:?} is deleted")));
-        }
-        state
-            .pages
+        live(&self.files.read(), file)?
             .get(page as usize)
-            .cloned()
+            .map(|p| p.data.clone())
             .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))
     }
 
@@ -559,24 +547,8 @@ impl Storage {
         }
         let pages = {
             let files = self.files.read();
-            let state = files
-                .get(file.0 as usize)
-                .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
-            if state.deleted {
-                return Err(Error::Storage(format!("file {file:?} is deleted")));
-            }
-            state
-                .pages
-                .get(page as usize..(page + count) as usize)
-                .ok_or_else(|| {
-                    Error::Storage(format!(
-                        "page batch past end of {file:?} ({}..{} of {})",
-                        page,
-                        page + count,
-                        state.pages.len()
-                    ))
-                })?
-                .to_vec()
+            let burst = burst(live(&files, file)?, file, page, count)?;
+            burst.iter().map(|p| p.data.clone()).collect()
         };
         self.stats
             .batched_lookups_saved
@@ -594,8 +566,10 @@ impl Storage {
                 .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
             state.deleted = true;
             state.pages = Vec::new();
+            // Under the write lock: no miss may sweep a frame whose page
+            // is gone.
+            self.frames.lock().evict_file(file);
         }
-        self.cache.evict_file(file);
         {
             let mut head = self.head.lock();
             if head.map(|(f, _)| f) == Some(file) {
@@ -611,20 +585,11 @@ impl Storage {
 
     /// Drops everything from the buffer cache (cold-cache benchmarking).
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        {
+            let files = self.files.read();
+            self.frames.lock().clear(&files);
+        }
         *self.head.lock() = None;
-    }
-
-    /// Number of buffer-cache shards.
-    pub fn cache_shards(&self) -> usize {
-        self.cache.num_shards()
-    }
-
-    /// Per-shard buffer-cache hit/miss/occupancy rows. The aggregate hits
-    /// are also rolled into [`IoStats`] (`cache_hits`); these rows expose
-    /// the distribution, e.g. to spot a skewed shard hash.
-    pub fn cache_shard_stats(&self) -> Vec<CacheShardStats> {
-        self.cache.shard_stats()
     }
 
     /// Total bytes held by live files (for reporting dataset sizes).
@@ -633,9 +598,32 @@ impl Storage {
         files
             .iter()
             .filter(|f| !f.deleted)
-            .map(|f| f.pages.iter().map(|p| p.len() as u64).sum::<u64>())
+            .map(|f| f.pages.iter().map(|p| p.data.len() as u64).sum::<u64>())
             .sum()
     }
+}
+
+/// The pages of `file`, if it exists and is not deleted.
+fn live(files: &[FileState], file: FileId) -> Result<&[StoredPage]> {
+    let state = files
+        .get(file.0 as usize)
+        .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
+    if state.deleted {
+        return Err(Error::Storage(format!("file {file:?} is deleted")));
+    }
+    Ok(&state.pages)
+}
+
+/// `count` of `file`'s `pages` from `page` on.
+fn burst(pages: &[StoredPage], file: FileId, page: PageNo, count: u32) -> Result<&[StoredPage]> {
+    page.checked_add(count)
+        .and_then(|end| pages.get(page as usize..end as usize))
+        .ok_or_else(|| {
+            Error::Storage(format!(
+                "page batch past end of {file:?} ({page}+{count} of {})",
+                pages.len()
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -883,6 +871,376 @@ mod tests {
         assert!(s.read_pages(f, 0, 0).is_ok());
     }
 
+    /// Without a plan an operation skips the fault-plan lock; installing,
+    /// clearing and reinstalling one is seen by the very next operation and
+    /// crash-site probe.
+    #[test]
+    fn fault_plan_takes_effect_on_the_next_operation() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let s = storage();
+        let f = s.create_file();
+        s.append_page(f, b"x").unwrap();
+        let plan = || {
+            let plan = FaultPlan::new(vec![
+                FaultSpec {
+                    trigger: FaultTrigger::OpIndex {
+                        op: FaultOp::Read,
+                        index: 0,
+                    },
+                    action: FaultAction::TransientError,
+                },
+                FaultSpec {
+                    trigger: FaultTrigger::Site {
+                        name: "here".into(),
+                        hit: 0,
+                    },
+                    action: FaultAction::Crash,
+                },
+            ]);
+            plan.arm();
+            plan
+        };
+        assert!(s.fault_plan().is_none());
+        assert!(matches!(s.probe_crash_site("here"), SiteOutcome::Unarmed));
+        s.install_fault_plan(plan());
+        assert!(s.read_page(f, 0).is_err());
+        assert!(matches!(s.probe_crash_site("here"), SiteOutcome::Fired(_)));
+        s.clear_fault_plan();
+        assert!(s.fault_plan().is_none());
+        assert!(s.read_page(f, 0).is_ok());
+        s.install_fault_plan(plan());
+        assert!(s.read_pages(f, 0, 1).is_err());
+        assert_eq!(s.stats().faults_injected, 3);
+    }
+
+    /// A burst whose end does not fit a `u32` is out of range, in debug
+    /// and release builds alike, and reads nothing.
+    #[test]
+    fn burst_past_u32_max_is_an_error() {
+        let s = storage();
+        let f = s.create_file();
+        s.append_page(f, b"p").unwrap();
+        assert!(s.read_pages(f, u32::MAX, 2).is_err());
+        assert!(s.read_pages(f, 1, u32::MAX).is_err());
+        assert!(s.page_data_batch(f, u32::MAX, 2).is_err());
+        let io = s.stats();
+        assert_eq!((io.disk_reads(), io.cache_hits), (0, 0));
+        assert_eq!(s.cache_state(), (vec![], 0));
+    }
+
+    impl Storage {
+        /// The CLOCK's frames in sweep order and its hand, after checking
+        /// that the pages they name are exactly the resident ones.
+        fn cache_state(&self) -> (Vec<(FileId, PageNo)>, usize) {
+            let files = self.files.read();
+            let frames = self.frames.lock();
+            let resident: Vec<(FileId, PageNo)> = (0u32..)
+                .zip(files.iter())
+                .flat_map(|(f, state)| {
+                    let pages = (0u32..).zip(&state.pages);
+                    pages
+                        .filter(|(_, p)| p.is_resident())
+                        .map(move |(p, _)| (FileId(f), p))
+                })
+                .collect();
+            let (frames, hand) = frames.state();
+            let mut sorted = frames.clone();
+            sorted.sort();
+            assert_eq!(resident, sorted, "resident bits disagree with the frames");
+            (frames, hand)
+        }
+    }
+
+    /// A storage whose cache holds `pages`, with one file of `n` pages.
+    fn cached(pages: usize, n: u8) -> (Arc<Storage>, FileId) {
+        let s = Storage::new(StorageOptions {
+            cache_pages: pages,
+            ..StorageOptions::test()
+        });
+        let f = s.create_file();
+        for p in 0..n {
+            s.append_page(f, &[p]).unwrap();
+        }
+        (s, f)
+    }
+
+    /// Reads `page` of `file`; true on a cache hit.
+    fn hits(s: &Storage, file: FileId, page: PageNo) -> bool {
+        let before = s.stats().cache_hits;
+        s.read_page(file, page).unwrap();
+        s.stats().cache_hits > before
+    }
+
+    #[test]
+    fn zero_capacity_never_hits() {
+        let (s, f) = cached(0, 1);
+        assert!(!hits(&s, f, 0));
+        assert!(!hits(&s, f, 0));
+        assert_eq!(s.cache_state(), (vec![], 0));
+    }
+
+    #[test]
+    fn evicts_at_capacity() {
+        let (s, f) = cached(2, 3);
+        for p in 0..3 {
+            assert!(!hits(&s, f, p));
+        }
+        let (frames, _) = s.cache_state();
+        assert_eq!(frames.len(), 2);
+        assert!(frames.contains(&(f, 2)));
+    }
+
+    /// A page hit since the hand last passed survives the next sweep; the
+    /// unreferenced page after it goes instead.
+    #[test]
+    fn clock_gives_a_referenced_page_a_second_chance() {
+        let (s, f) = cached(3, 5);
+        for p in 0..4 {
+            s.read_page(f, p).unwrap(); // 3 evicts 0, clearing every bit
+        }
+        assert_eq!(s.cache_state(), (vec![(f, 3), (f, 1), (f, 2)], 1));
+        assert!(hits(&s, f, 1));
+        assert!(!hits(&s, f, 4));
+        assert_eq!(s.cache_state(), (vec![(f, 3), (f, 1), (f, 4)], 0));
+    }
+
+    #[test]
+    fn repeated_scan_larger_than_cache_always_misses() {
+        let (s, f) = cached(4, 8);
+        for round in 0..3 {
+            let hit_count = (0..8).filter(|&p| hits(&s, f, p)).count();
+            if round > 0 {
+                // Sequential flooding defeats CLOCK just as it defeats LRU —
+                // this mirrors the paper's full-scan behaviour on a cache
+                // smaller than the dataset.
+                assert!(hit_count <= 4, "round {round} had {hit_count} hits");
+            }
+        }
+    }
+
+    #[test]
+    fn delete_file_evicts_only_that_file() {
+        let (s, f1) = cached(8, 1);
+        let f2 = s.create_file();
+        s.append_page(f2, b"a").unwrap();
+        s.append_page(f2, b"b").unwrap();
+        for (f, p) in [(f1, 0), (f2, 0), (f2, 1)] {
+            s.read_page(f, p).unwrap();
+        }
+        s.delete_file(f2).unwrap();
+        assert_eq!(s.cache_state(), (vec![(f1, 0)], 0));
+        // The cache still works after the eviction.
+        let f3 = s.create_file();
+        s.append_page(f3, b"c").unwrap();
+        assert!(!hits(&s, f3, 0));
+        assert!(hits(&s, f3, 0));
+        assert!(hits(&s, f1, 0));
+    }
+
+    #[test]
+    fn clear_cache_empties() {
+        let (s, f) = cached(4, 1);
+        s.read_page(f, 0).unwrap();
+        s.clear_cache();
+        assert_eq!(s.cache_state(), (vec![], 0));
+        assert!(!hits(&s, f, 0));
+    }
+
+    /// Replays seeded traces of reads, bursts, file deletions and cache
+    /// clears at several capacities against the storage and against the
+    /// CLOCK it replaced (`cache::oracle`): every hit and miss, the frames in
+    /// sweep order, the hand and the simulated clock must agree.
+    #[test]
+    fn cache_matches_the_clock_it_replaced() {
+        use crate::cache::oracle::BufferCache;
+        const PAGES: u32 = 12;
+        for capacity in [0, 1, 2, 7, 64] {
+            for seed in 1..=4u64 {
+                let s = Storage::new(StorageOptions {
+                    cache_pages: capacity,
+                    ..StorageOptions::test()
+                });
+                let (rand_ns, seq_ns) = {
+                    let (profile, bytes) = (s.profile(), s.page_size());
+                    (
+                        profile.random_read_ns(bytes),
+                        profile.sequential_read_ns(bytes),
+                    )
+                };
+                let new_file = || {
+                    let f = s.create_file();
+                    for p in 0..PAGES {
+                        s.append_page(f, &p.to_le_bytes()).unwrap();
+                    }
+                    f
+                };
+                let mut live: Vec<FileId> = (0..3).map(|_| new_file()).collect();
+                let mut dead = Vec::new();
+                let mut oracle = BufferCache::new(capacity);
+                // The device head, as the charge model keeps it.
+                let mut head = None;
+                let charge = |head: &mut Option<(FileId, PageNo)>, f, p: PageNo, n: u32| {
+                    let seq = p > 0 && *head == Some((f, p - 1));
+                    *head = Some((f, p + n - 1));
+                    let n = u64::from(n);
+                    if seq {
+                        n * seq_ns
+                    } else {
+                        rand_ns + (n - 1) * seq_ns
+                    }
+                };
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = |n: usize| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    (rng % n as u64) as u32
+                };
+                for step in 0..1500 {
+                    let (io, mut t) = (s.stats(), s.clock().now_nanos());
+                    let (mut hits, mut cost) = (0, 0);
+                    match next(100) {
+                        0..=1 => {
+                            s.clear_cache();
+                            oracle.clear();
+                            head = None;
+                        }
+                        2..=4 => {
+                            let f = live.swap_remove(next(live.len()) as usize);
+                            s.delete_file(f).unwrap();
+                            oracle.evict_file(f);
+                            if head.map(|(h, _)| h) == Some(f) {
+                                head = None;
+                            }
+                            dead.push(f);
+                            live.push(new_file());
+                            t = s.clock().now_nanos(); // appends are charged
+                        }
+                        5..=6 if !dead.is_empty() => {
+                            let f = dead[next(dead.len()) as usize];
+                            assert!(s.read_page(f, 0).is_err());
+                            assert!(s.read_pages(f, 0, 2).is_err());
+                        }
+                        7..=20 => {
+                            let (f, p) = (live[next(live.len()) as usize], next(PAGES as usize));
+                            let n = 1 + next((PAGES - p).min(4) as usize);
+                            assert_eq!(s.read_pages(f, p, n).unwrap().len(), n as usize);
+                            let missed: Vec<PageNo> =
+                                (p..p + n).filter(|&q| !oracle.access(f, q)).collect();
+                            hits = u64::from(n) - missed.len() as u64;
+                            if let Some(&first) = missed.first() {
+                                cost = charge(&mut head, f, first, missed.len() as u32);
+                            }
+                        }
+                        _ => {
+                            let (f, p) = (live[next(live.len()) as usize], next(PAGES as usize));
+                            assert_eq!(*s.read_page(f, p).unwrap(), p.to_le_bytes());
+                            if oracle.access(f, p) {
+                                hits = 1;
+                            } else {
+                                cost = charge(&mut head, f, p, 1);
+                            }
+                        }
+                    }
+                    let at = format!("capacity {capacity}, seed {seed}, step {step}");
+                    assert_eq!(s.stats().since(&io).cache_hits, hits, "{at}");
+                    assert_eq!(s.clock().now_nanos() - t, cost, "{at}");
+                    assert_eq!(s.cache_state(), oracle.state(), "{at}");
+                }
+            }
+        }
+    }
+
+    /// Two readers hit and miss while a third thread appends, deletes files
+    /// and clears the cache, in rounds a `Barrier` starts together. The
+    /// readers read the same pages in the same order, so they miss the same
+    /// page at once and race to admit it. No read panics, the cache never
+    /// holds more pages than its capacity nor a frame twice or without its
+    /// resident bit, and every page a read returned is counted once, as a
+    /// hit or a device read.
+    #[test]
+    fn reads_race_appends_deletes_and_clears() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU32, AtomicU64};
+        use std::sync::Barrier;
+        const CAPACITY: usize = 8;
+        const ROUNDS: u32 = 1000;
+        let (s, _) = cached(CAPACITY, 16);
+        for _ in 1..4 {
+            let f = s.create_file();
+            for p in 0..16u8 {
+                s.append_page(f, &[p]).unwrap();
+            }
+        }
+        // Files `created - 4 .. created` are live.
+        let created = AtomicU32::new(4);
+        let accessed = AtomicU64::new(0);
+        let panics = AtomicU32::new(0);
+        let round = Barrier::new(3);
+        // A round that panics is counted, not propagated: the other
+        // threads would wait at the barrier forever.
+        let run_round = |f: &mut dyn FnMut()| {
+            if catch_unwind(AssertUnwindSafe(f)).is_err() {
+                panics.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (s, created, accessed, round) = (&s, &created, &accessed, &round);
+                scope.spawn(move || {
+                    for r in 0..ROUNDS {
+                        round.wait();
+                        run_round(&mut || {
+                            for i in 0..8 {
+                                let pick = r * 31 + i * 7;
+                                let f = FileId(created.load(Ordering::Acquire) - 1 - pick % 4);
+                                let p = pick % 15;
+                                let pages = if i % 3 == 0 {
+                                    s.read_pages(f, p, 2).map(|b| b.len())
+                                } else {
+                                    s.read_page(f, p).map(|_| 1)
+                                };
+                                // The file may have been deleted under the read.
+                                if let Ok(n) = pages {
+                                    accessed.fetch_add(n as u64, Ordering::Relaxed);
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+            for r in 0..ROUNDS {
+                round.wait();
+                run_round(&mut || {
+                    let newest = created.load(Ordering::Acquire) - 1;
+                    match r % 4 {
+                        0 => {
+                            s.delete_file(FileId(newest - 3)).unwrap();
+                            let f = s.create_file();
+                            for p in 0..16u8 {
+                                s.append_page(f, &[p]).unwrap();
+                            }
+                            created.store(f.0 + 1, Ordering::Release);
+                        }
+                        1 => {
+                            s.append_page(FileId(newest), b"more").unwrap();
+                        }
+                        2 => s.clear_cache(),
+                        _ => {}
+                    }
+                    assert!(s.cache_state().0.len() <= CAPACITY);
+                });
+            }
+        });
+        assert_eq!(panics.load(Ordering::Relaxed), 0);
+        let io = s.stats();
+        assert_eq!(
+            io.cache_hits + io.disk_reads(),
+            accessed.load(Ordering::Relaxed)
+        );
+        assert!(s.cache_state().0.len() <= CAPACITY);
+    }
+
     #[test]
     fn random_reads_cost_more_sim_time() {
         let opts = StorageOptions {
@@ -967,31 +1325,6 @@ mod tests {
         s.read_page(f, 0).unwrap();
         s.read_page(f, 0).unwrap();
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn sharded_cache_hits_roll_up_into_io_stats() {
-        let opts = StorageOptions {
-            cache_pages: 32,
-            cache_shards: 4,
-            ..StorageOptions::test()
-        };
-        let s = Storage::new(opts);
-        assert_eq!(s.cache_shards(), 4);
-        let f = s.create_file();
-        for _ in 0..8 {
-            s.append_page(f, b"p").unwrap();
-        }
-        for p in 0..8 {
-            s.read_page(f, p).unwrap(); // miss
-            s.read_page(f, p).unwrap(); // hit
-        }
-        let snap = s.stats();
-        assert_eq!(snap.cache_hits, 8);
-        assert_eq!(snap.disk_reads(), 8);
-        let shards = s.cache_shard_stats();
-        assert_eq!(shards.iter().map(|x| x.hits).sum::<u64>(), 8);
-        assert_eq!(shards.iter().map(|x| x.misses).sum::<u64>(), 8);
     }
 
     #[test]
