@@ -6,7 +6,8 @@
 //!
 //! The memory budget is left uncapped so the numbers isolate the commit
 //! path (key locks + memtable insert + WAL) from flush and merge cost;
-//! the `multi_writer` perf-snapshot scenario covers the full pipeline.
+//! the repo benchmark's `mixed_rw` workload (`benchmark/`) covers the full
+//! pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_bench::{scaled, tweet_dataset_config, Env, EnvConfig};

@@ -72,9 +72,6 @@ pub enum MaintenanceMode {
 /// let cfg = EngineConfig::builder()
 ///     .min_workers(1)
 ///     .max_workers(4)
-///     .io_read_limit(64 * 1024 * 1024) // throttle rebuild scans to 64MB/s
-///     .io_write_limit(32 * 1024 * 1024) // and rebuild output to 32MB/s
-///     .max_jobs_per_dataset(2) // ≤ 2 concurrent merges per dataset
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.max_workers, 4);
@@ -87,36 +84,6 @@ pub struct EngineConfig {
     /// than the live worker count, transient workers are spawned up to this
     /// cap and retire once the queue drains.
     pub max_workers: usize,
-    /// Token-bucket rate limit on device bytes *read* by maintenance jobs
-    /// (flush builds and merge/rebuild scans). `None` disables throttling.
-    pub io_read_bytes_per_sec: Option<u64>,
-    /// Read-bucket burst capacity in bytes. `None` defaults to one second
-    /// of the configured rate.
-    pub io_burst_bytes: Option<u64>,
-    /// Token-bucket rate limit on device bytes *written* by maintenance
-    /// jobs (flush builds and merge outputs). Foreground WAL/commit writes
-    /// are exempt. `None` disables write throttling.
-    pub io_write_bytes_per_sec: Option<u64>,
-    /// Write-bucket burst capacity in bytes. `None` defaults to one second
-    /// of the configured rate.
-    pub io_write_burst_bytes: Option<u64>,
-    /// Cap on *concurrently running merge* jobs per dataset. With
-    /// `Some(n)`, a dataset's merges never occupy more than `n` of the
-    /// runtime's workers, no matter how much work it has queued — the
-    /// fairness backstop that keeps one hot dataset from monopolizing the
-    /// pool with long merges. Flushes are exempt: they release stalled
-    /// writer memory, so a dataset's flush must never wait out its own
-    /// in-flight merge. `None` (the default, and the shape of
-    /// [`EngineConfig::fixed`] private pools) disables the cap.
-    pub max_jobs_per_dataset: Option<usize>,
-    /// Deficit-round-robin quantum in bytes for ordering merge jobs across
-    /// datasets within the merge priority class. Each time a dataset's
-    /// turn comes around it earns this many bytes of merge credit; a
-    /// dataset with a large merge waits several turns while datasets with
-    /// small merges are served — proportional fairness rather than global
-    /// smallest-first. Flush jobs are uniform and round-robin without
-    /// deficits.
-    pub fairness_quantum_bytes: u64,
     /// Worker threads in the runtime's shared **query pool**, used by
     /// [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) to fan
     /// partitioned scans and candidate fetches across cores. `0` (the
@@ -127,21 +94,11 @@ pub struct EngineConfig {
     pub query_workers: usize,
 }
 
-/// Default DRR quantum: 1 MiB per turn keeps small merges responsive while
-/// letting a 64 MiB merge through within ~64 scheduling turns.
-pub const DEFAULT_FAIRNESS_QUANTUM: u64 = 1024 * 1024;
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             min_workers: 1,
             max_workers: 4,
-            io_read_bytes_per_sec: None,
-            io_burst_bytes: None,
-            io_write_bytes_per_sec: None,
-            io_write_burst_bytes: None,
-            max_jobs_per_dataset: None,
-            fairness_quantum_bytes: DEFAULT_FAIRNESS_QUANTUM,
             query_workers: 0,
         }
     }
@@ -155,29 +112,14 @@ impl EngineConfig {
         }
     }
 
-    /// A fixed-size pool: `min_workers == max_workers == workers`, no
-    /// throttling (the shape of the per-dataset
-    /// [`MaintenanceMode::Background`] pool).
+    /// A fixed-size pool: `min_workers == max_workers == workers` (the
+    /// shape of the per-dataset [`MaintenanceMode::Background`] pool).
     pub fn fixed(workers: usize) -> Self {
         EngineConfig {
             min_workers: workers,
             max_workers: workers,
             ..EngineConfig::default()
         }
-    }
-
-    /// The effective read-bucket burst: configured value, or one second of
-    /// the rate.
-    pub fn effective_burst_bytes(&self) -> Option<u64> {
-        self.io_read_bytes_per_sec
-            .map(|rate| self.io_burst_bytes.unwrap_or(rate).max(1))
-    }
-
-    /// The effective write-bucket burst: configured value, or one second
-    /// of the rate.
-    pub fn effective_write_burst_bytes(&self) -> Option<u64> {
-        self.io_write_bytes_per_sec
-            .map(|rate| self.io_write_burst_bytes.unwrap_or(rate).max(1))
     }
 
     /// Validates internal consistency.
@@ -187,48 +129,6 @@ impl EngineConfig {
         }
         if self.max_workers < self.min_workers {
             return Err(Error::invalid("max_workers must be at least min_workers"));
-        }
-        if self.io_read_bytes_per_sec == Some(0) {
-            return Err(Error::invalid("io_read_bytes_per_sec must be non-zero"));
-        }
-        if self.io_burst_bytes.is_some() && self.io_read_bytes_per_sec.is_none() {
-            return Err(Error::invalid(
-                "io_burst_bytes requires io_read_bytes_per_sec (a burst without a rate \
-                 would silently leave maintenance I/O unthrottled)",
-            ));
-        }
-        if self.io_burst_bytes == Some(0) {
-            return Err(Error::invalid(
-                "io_burst_bytes must be non-zero (a zero burst would collapse maintenance \
-                 reads to one byte per refill regardless of the rate)",
-            ));
-        }
-        if self.io_write_bytes_per_sec == Some(0) {
-            return Err(Error::invalid("io_write_bytes_per_sec must be non-zero"));
-        }
-        if self.io_write_burst_bytes.is_some() && self.io_write_bytes_per_sec.is_none() {
-            return Err(Error::invalid(
-                "io_write_burst_bytes requires io_write_bytes_per_sec (a burst without a \
-                 rate would silently leave maintenance writes unthrottled)",
-            ));
-        }
-        if self.io_write_burst_bytes == Some(0) {
-            return Err(Error::invalid(
-                "io_write_burst_bytes must be non-zero (a zero burst would collapse \
-                 maintenance writes to one byte per refill regardless of the rate)",
-            ));
-        }
-        if self.max_jobs_per_dataset == Some(0) {
-            return Err(Error::invalid(
-                "max_jobs_per_dataset must be non-zero (a zero quota would deadlock every \
-                 dataset's maintenance)",
-            ));
-        }
-        if self.fairness_quantum_bytes == 0 {
-            return Err(Error::invalid(
-                "fairness_quantum_bytes must be non-zero (a zero quantum never accrues \
-                 merge credit, starving every merge)",
-            ));
         }
         Ok(())
     }
@@ -258,46 +158,6 @@ impl EngineConfigBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.min_workers = n;
         self.cfg.max_workers = n;
-        self
-    }
-
-    /// Throttles maintenance device reads to `bytes_per_sec`.
-    pub fn io_read_limit(mut self, bytes_per_sec: u64) -> Self {
-        self.cfg.io_read_bytes_per_sec = Some(bytes_per_sec);
-        self
-    }
-
-    /// Sets the read-throttle burst capacity.
-    pub fn io_burst(mut self, bytes: u64) -> Self {
-        self.cfg.io_burst_bytes = Some(bytes);
-        self
-    }
-
-    /// Throttles maintenance device writes (flush builds, merge outputs)
-    /// to `bytes_per_sec`. Foreground WAL/commit writes are exempt.
-    pub fn io_write_limit(mut self, bytes_per_sec: u64) -> Self {
-        self.cfg.io_write_bytes_per_sec = Some(bytes_per_sec);
-        self
-    }
-
-    /// Sets the write-throttle burst capacity.
-    pub fn io_write_burst(mut self, bytes: u64) -> Self {
-        self.cfg.io_write_burst_bytes = Some(bytes);
-        self
-    }
-
-    /// Caps how many of the runtime's workers one dataset's *merges* may
-    /// occupy concurrently (the per-dataset job quota; flushes are
-    /// exempt).
-    pub fn max_jobs_per_dataset(mut self, n: usize) -> Self {
-        self.cfg.max_jobs_per_dataset = Some(n);
-        self
-    }
-
-    /// Sets the deficit-round-robin quantum for cross-dataset merge
-    /// ordering (bytes of merge credit earned per scheduling turn).
-    pub fn fairness_quantum(mut self, bytes: u64) -> Self {
-        self.cfg.fairness_quantum_bytes = bytes;
         self
     }
 
@@ -632,73 +492,17 @@ mod tests {
             .max_workers(2)
             .build()
             .is_err());
-        assert!(EngineConfig::builder().io_read_limit(0).build().is_err());
-        assert!(
-            EngineConfig::builder().io_burst(4096).build().is_err(),
-            "burst without a rate must not validate"
-        );
-        assert!(
-            EngineConfig::builder()
-                .io_read_limit(1024)
-                .io_burst(0)
-                .build()
-                .is_err(),
-            "zero burst must not validate"
-        );
         let cfg = EngineConfig::builder()
             .workers(2)
-            .io_read_limit(1024)
+            .query_workers(3)
             .build()
             .unwrap();
-        assert_eq!((cfg.min_workers, cfg.max_workers), (2, 2));
-        assert_eq!(cfg.effective_burst_bytes(), Some(1024));
+        assert_eq!(
+            (cfg.min_workers, cfg.max_workers, cfg.query_workers),
+            (2, 2, 3)
+        );
         let fixed = EngineConfig::fixed(3);
         assert_eq!((fixed.min_workers, fixed.max_workers), (3, 3));
-        assert_eq!(fixed.effective_burst_bytes(), None);
-        assert_eq!(fixed.max_jobs_per_dataset, None, "private pools uncapped");
-    }
-
-    #[test]
-    fn engine_config_write_throttle_and_quota_validate() {
-        assert!(EngineConfig::builder().io_write_limit(0).build().is_err());
-        assert!(
-            EngineConfig::builder()
-                .io_write_burst(4096)
-                .build()
-                .is_err(),
-            "write burst without a rate must not validate"
-        );
-        assert!(
-            EngineConfig::builder()
-                .io_write_limit(1024)
-                .io_write_burst(0)
-                .build()
-                .is_err(),
-            "zero write burst must not validate"
-        );
-        assert!(
-            EngineConfig::builder()
-                .max_jobs_per_dataset(0)
-                .build()
-                .is_err(),
-            "a zero quota would deadlock maintenance"
-        );
-        assert!(
-            EngineConfig::builder().fairness_quantum(0).build().is_err(),
-            "a zero quantum starves every merge"
-        );
-        let cfg = EngineConfig::builder()
-            .workers(2)
-            .io_write_limit(2048)
-            .max_jobs_per_dataset(2)
-            .fairness_quantum(64 * 1024)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.effective_write_burst_bytes(), Some(2048));
-        assert_eq!(cfg.max_jobs_per_dataset, Some(2));
-        assert_eq!(cfg.fairness_quantum_bytes, 64 * 1024);
-        // Read and write throttles are independent knobs.
-        assert_eq!(cfg.effective_burst_bytes(), None);
     }
 
     #[test]

@@ -1212,10 +1212,9 @@ impl Dataset {
 
     /// Plans the policy's current merge work and enqueues it on the
     /// runtime through `handle`, counting each job actually added. Merges
-    /// run smallest-estimated-input-first within this dataset; across
-    /// datasets the runtime orders them deficit-round-robin (and honours
-    /// the per-dataset quota), so enqueueing a lot here cannot starve the
-    /// runtime's other datasets.
+    /// run smallest-estimated-input-first within this dataset, one at a
+    /// time; across datasets the runtime serves them round-robin, so
+    /// enqueueing a lot here cannot starve the runtime's other datasets.
     pub(crate) fn schedule_planned_merges(&self, handle: &RuntimeHandle) {
         for plan in self.plan_merges() {
             let est = self.estimate_merge_bytes(&plan);
@@ -1226,10 +1225,8 @@ impl Dataset {
     }
 
     /// Estimated input bytes of a planned merge — the cost that orders
-    /// merge jobs smallest-first within the dataset and that the runtime's
-    /// cross-dataset deficit-round-robin charges against the dataset's
-    /// credit. Stale plans (range no longer fits) estimate to 0 and are
-    /// skipped at execution time anyway.
+    /// merge jobs smallest-first within the dataset. Stale plans (range no
+    /// longer fits) estimate to 0 and are skipped at execution time anyway.
     pub(crate) fn estimate_merge_bytes(&self, plan: &MergePlan) -> u64 {
         fn range_bytes(tree: &LsmTree, range: MergeRange) -> u64 {
             tree.components_in_range(range)

@@ -72,10 +72,9 @@
 //! group-commit WAL, the maintenance strategies, and the
 //! shared-runtime contract — lives in `ARCHITECTURE.md` at the repository
 //! root; its examples compile and run as doctests of this crate (see
-//! [`ArchitectureGuide`]). Operational tuning — worker bounds, read/write
-//! throttles, quotas, and how to read the stats snapshots and CI perf
-//! artifacts — is covered by `docs/OPERATIONS.md` (doctested as
-//! [`OperationsGuide`]).
+//! [`ArchitectureGuide`]). Operational tuning — worker bounds, the
+//! scheduling rules, and how to read the stats snapshots — is covered by
+//! `docs/OPERATIONS.md` (doctested as [`OperationsGuide`]).
 //!
 //! Query processing implements the §3.2 point-lookup optimizations
 //! (batched lookups, stateful B+-tree cursors, blocked Bloom filters,
@@ -155,15 +154,12 @@
 //!
 //! **Priorities & fairness.** The queue is a fair scheduler, not FIFO:
 //! flush jobs run before merge jobs (flushes are what release stalled
-//! writer memory), with datasets served round-robin within the flush
-//! class. Merges are ordered **deficit-round-robin** across datasets —
-//! each dataset earns [`EngineConfig::fairness_quantum_bytes`] of credit
-//! per scheduling turn and runs its smallest queued merge once the credit
-//! covers that merge's estimated input — so ten registered datasets make
-//! progress even when one floods the queue, while merges within one
-//! dataset still run smallest-estimated-input-first. With
-//! [`EngineConfig::max_jobs_per_dataset`] set, a dataset's merges never
-//! occupy more than that many workers at once regardless of its backlog
+//! writer memory). Both classes serve datasets round-robin; a dataset's
+//! merge turn runs its smallest queued merge by estimated input — so ten
+//! registered datasets make progress even when one floods the queue. A
+//! dataset's merges serialize on its merge lock, so the scheduler never
+//! pops a second merge of a dataset whose merge is in flight: one dataset
+//! holds at most one worker with merges, regardless of its backlog
 //! (flushes are exempt — they release stalled writer memory, so a flush
 //! never waits out its own dataset's in-flight merge). Jobs stay deduped —
 //! one flush job per dataset, merges keyed by `(dataset, target,
@@ -171,26 +167,17 @@
 //! sharing before installation, retire-on-drop components) makes
 //! concurrent writes during rebuilds correct.
 //!
-//! **Adaptive workers & throttling.** `min_workers` threads are permanent;
-//! when the queue outgrows the live workers, transient workers spawn up to
+//! **Adaptive workers.** `min_workers` threads are permanent; when the
+//! queue outgrows the live workers, transient workers spawn up to
 //! `max_workers` — never beyond, which bounds maintenance threads for the
-//! whole engine — and retire once the queue drains. With
-//! `EngineConfig::io_read_bytes_per_sec` set, workers run every job under
-//! a read token bucket ([`lsm_storage::IoThrottle`]) charged on device
-//! reads, so rebuild scans cannot monopolize read bandwidth; with
-//! `EngineConfig::io_write_bytes_per_sec` set they additionally run under
-//! a write bucket charged on flush-build and merge-output page appends.
-//! Foreground queries are never read-throttled and WAL/commit writes are
-//! never write-throttled (the log wraps its appends in
-//! [`lsm_storage::throttle::exempt_writes`], so even a log force issued
-//! from a flush job passes untouched).
+//! whole engine — and retire once the queue drains.
 //!
 //! **Observability.** [`MaintenanceRuntime::stats`] returns one
 //! [`RuntimeStatsSnapshot`] covering every registered dataset: queue depth
 //! split by class, per-dataset queued/running rows
-//! ([`DatasetRuntimeStats`]), worker high-water mark, quota deferrals,
-//! cumulative read/write throttle waits, and the list of poisoned
-//! datasets; [`MaintenanceRuntime::poisoned`] returns the failed datasets
+//! ([`DatasetRuntimeStats`]), worker high-water mark, job and retry
+//! counts, and the list of poisoned datasets;
+//! [`MaintenanceRuntime::poisoned`] returns the failed datasets
 //! themselves so operators inspect causes without polling each one.
 //! Per-dataset counters come from [`EngineStats`], per-device ones from
 //! [`lsm_storage::IoStats`].
@@ -258,8 +245,8 @@ pub struct ArchitectureGuide;
 
 /// The repository's `docs/OPERATIONS.md`, rendered here so its every
 /// example compiles and runs as a doctest of this crate. Covers
-/// [`EngineConfig`] tuning, reading [`RuntimeStatsSnapshot`] and
-/// `BENCH_ingest.json`, and the recovery/quiesce contract.
+/// [`EngineConfig`] tuning, reading [`RuntimeStatsSnapshot`], and the
+/// recovery/quiesce contract.
 ///
 /// ---
 #[doc = include_str!("../../../docs/OPERATIONS.md")]

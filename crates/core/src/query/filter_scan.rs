@@ -32,10 +32,10 @@
 //! slices; a single partition — the default — runs inline on the calling
 //! thread, several are scattered over the engine's shared
 //! [`QueryPool`](crate::query::pool::QueryPool) (ephemeral threads when
-//! the dataset's runtime has none — the caller always participates, and
-//! each task re-installs the caller's I/O throttles). Every partition
-//! reads the same component list; reconciliation is per-key and keys never
-//! span partitions, so each partition's output is exactly the whole scan's
+//! the dataset's runtime has none — the caller always participates).
+//! Every partition reads the same component list; reconciliation is
+//! per-key and keys never span partitions, so each partition's output is
+//! exactly the whole scan's
 //! output restricted to its sub-range. Partitions are disjoint and
 //! ascending, so concatenating them in partition order *is* the k-way
 //! merge — the result is in primary-key order for every `n` (the

@@ -12,14 +12,6 @@
 //! the caller rather than deadlocking, and a pool of `n` workers bounds a
 //! whole engine's query parallelism at `n + callers` threads no matter how
 //! many datasets issue parallel queries.
-//!
-//! Throttle propagation: thread-local I/O throttles do not cross threads,
-//! so every scattered batch captures the caller's installed read/write
-//! buckets
-//! ([`lsm_storage::throttle::current_throttles`]) and re-installs them
-//! around every task. A parallel read issued from a throttled maintenance
-//! job (query-driven repair inside a rebuild, for example) therefore still
-//! respects the runtime's `io_read_limit` across all of its threads.
 
 use crate::dataset::Dataset;
 use lsm_common::Result;
@@ -151,11 +143,6 @@ struct Scatter<T> {
     done_cv: Condvar,
     /// First payload of a panicking task, re-raised on the caller.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The caller's thread-local throttles, re-installed around each task.
-    throttles: (
-        Option<Arc<lsm_storage::IoThrottle>>,
-        Option<Arc<lsm_storage::IoThrottle>>,
-    ),
 }
 
 impl<T: Send> Scatter<T> {
@@ -168,10 +155,7 @@ impl<T: Send> Scatter<T> {
         // INVARIANT: `next.fetch_add` hands out each in-range index exactly
         // once, and every slot started `Some` — no double claim is possible.
         let task = self.tasks.lock()[idx].take().expect("task claimed once");
-        let (read, write) = self.throttles.clone();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lsm_storage::throttle::with_throttles(read, write, task)
-        }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
         match outcome {
             Ok(value) => self.results.lock()[idx] = Some(value),
             Err(payload) => {
@@ -222,7 +206,6 @@ pub(crate) fn scatter<T: Send + 'static>(
         done_lock: Mutex::new(false),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
-        throttles: lsm_storage::throttle::current_throttles(),
     });
 
     let mut ephemeral: Vec<JoinHandle<()>> = Vec::new();
@@ -356,26 +339,5 @@ mod tests {
         // The pool is still usable after a panicking batch.
         let out = scatter::<usize>(Some(&pool), vec![Box::new(|| 42)]);
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn scatter_installs_callers_throttle_on_helpers() {
-        use lsm_storage::throttle::{consume_active_read, with_throttle};
-        use lsm_storage::IoThrottle;
-        let throttle = IoThrottle::new(1 << 40, 1 << 40);
-        let t2 = throttle.clone();
-        with_throttle(throttle, move || {
-            scatter::<()>(
-                None,
-                (0..4)
-                    .map(|_| {
-                        Box::new(|| {
-                            consume_active_read(100);
-                        }) as Box<dyn FnOnce() + Send>
-                    })
-                    .collect(),
-            );
-        });
-        assert_eq!(t2.throttled_bytes(), 400, "helpers charged caller's bucket");
     }
 }

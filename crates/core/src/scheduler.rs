@@ -19,20 +19,17 @@
 //!   [`MaintenanceMode::Background`](crate::MaintenanceMode)) and leave when
 //!   dropped; deregistration discards the dataset's queued jobs.
 //! * **Priorities** — flushes always run before merges (they release writer
-//!   memory). Within the flush class datasets are served round-robin;
-//!   within the merge class they are served **deficit-round-robin**: each
-//!   dataset earns [`EngineConfig::fairness_quantum_bytes`] of credit per
-//!   scheduling turn and its smallest queued merge runs once the credit
-//!   covers its estimated input, so ten datasets make progress even when
-//!   one floods the queue. Within one dataset merges still run
-//!   smallest-estimated-input-first.
-//! * **Quotas** — with [`EngineConfig::max_jobs_per_dataset`] set, a
-//!   dataset's *merges* never occupy more than that many workers at once,
-//!   no matter how much work it has queued; the scheduler skips it until
-//!   one of its merges finishes. Flushes are exempt from the quota (they
+//!   memory). Both classes are served round-robin across datasets; a
+//!   dataset's merge turn runs its smallest queued merge (by estimated
+//!   input, FIFO within ties), so ten datasets make progress even when one
+//!   floods the queue.
+//! * **One merge in flight per dataset** — a dataset's merges serialize on
+//!   its merge lock, so a second merge popped while one runs could only
+//!   block its worker. The scheduler therefore skips a dataset whose merge
+//!   is in flight until that merge finishes, and one hot dataset never
+//!   holds more than one worker with merges. Flushes are exempt: they
 //!   release stalled writer memory, so a dataset's flush must never wait
-//!   out its own in-flight merge). The fairness backstop against a hot
-//!   dataset holding every worker with long merges.
+//!   out its own in-flight merge.
 //! * **Dedup** — at most one flush job per dataset is queued at a time, and
 //!   merge jobs are keyed by `(dataset, target, MergeRange)`; re-enqueueing
 //!   queued work is a no-op.
@@ -40,13 +37,6 @@
 //!   permanent; when the queue outgrows the live workers, transient workers
 //!   spawn up to [`EngineConfig::max_workers`] (never beyond) and retire
 //!   once the queue drains.
-//! * **I/O throttling** — when [`EngineConfig::io_read_bytes_per_sec`] is
-//!   set, workers install the runtime's read token bucket
-//!   ([`lsm_storage::IoThrottle`]) for the duration of each job, so rebuild
-//!   scans cannot monopolize device read bandwidth; with
-//!   [`EngineConfig::io_write_bytes_per_sec`] set they additionally install
-//!   a write bucket charged on flush-build and merge-output page appends.
-//!   Foreground reads and WAL/commit writes are never throttled.
 //! * **Backpressure** — writers never block on the queue itself; they stall
 //!   only when active + flushing memory exceeds the hard ceiling
 //!   ([`DatasetConfig::memory_ceiling`](crate::DatasetConfig), default 2×
@@ -111,7 +101,7 @@ impl Ord for QueuedMerge {
 
 /// Per-dataset bookkeeping inside the runtime: the dataset's own job
 /// queues (the cross-dataset order lives in the scheduler's round-robin
-/// rings) plus quota and fairness state.
+/// rings) plus its in-flight state.
 #[derive(Debug)]
 struct DatasetEntry {
     ds: Weak<Dataset>,
@@ -125,14 +115,9 @@ struct DatasetEntry {
     queued: usize,
     /// This dataset's jobs popped but not yet finished (all classes).
     in_flight: usize,
-    /// The merge-class subset of `in_flight` — compared against
-    /// [`EngineConfig::max_jobs_per_dataset`] for the quota check.
-    /// Flushes are exempt from the quota: they are what releases stalled
-    /// writer memory, so a dataset's flush must never wait out its own
-    /// in-flight merge.
-    merges_in_flight: usize,
-    /// Deficit-round-robin credit (bytes) for the merge class.
-    deficit: u64,
+    /// True while one of this dataset's merges runs; no other merge of the
+    /// dataset pops until it finishes (flushes still do).
+    merge_in_flight: bool,
 }
 
 impl DatasetEntry {
@@ -144,8 +129,7 @@ impl DatasetEntry {
             merges_queued: HashSet::new(),
             queued: 0,
             in_flight: 0,
-            merges_in_flight: 0,
-            deficit: 0,
+            merge_in_flight: false,
         }
     }
 }
@@ -180,8 +164,6 @@ struct RuntimeCounters {
     merge_jobs: AtomicU64,
     workers_spawned: AtomicU64,
     workers_retired: AtomicU64,
-    /// Times the quota skipped a dataset that had runnable merges queued.
-    quota_deferrals: AtomicU64,
     /// Transient I/O failures retried in place instead of poisoning.
     transient_retries: AtomicU64,
 }
@@ -199,11 +181,6 @@ pub(crate) struct RuntimeShared {
     /// Backpressured writers wait here for a flush to free memory.
     stall_lock: Mutex<()>,
     stall_cv: Condvar,
-    /// Read-bandwidth token bucket installed by workers for each job.
-    read_throttle: Option<Arc<lsm_storage::IoThrottle>>,
-    /// Write-bandwidth token bucket installed by workers for each job
-    /// (flush builds, merge outputs; WAL appends are exempt).
-    write_throttle: Option<Arc<lsm_storage::IoThrottle>>,
     /// Transient (adaptively spawned) worker handles, joined on shutdown.
     extra: Mutex<Vec<JoinHandle<()>>>,
     counters: RuntimeCounters,
@@ -211,16 +188,6 @@ pub(crate) struct RuntimeShared {
 
 impl RuntimeShared {
     fn new(cfg: EngineConfig) -> Self {
-        let read_throttle = cfg
-            .io_read_bytes_per_sec
-            // INVARIANT: effective_burst_bytes() is Some whenever the read
-            // rate is Some (it defaults the burst to the rate itself).
-            .map(|rate| lsm_storage::IoThrottle::new(rate, cfg.effective_burst_bytes().unwrap()));
-        let write_throttle = cfg.io_write_bytes_per_sec.map(|rate| {
-            // INVARIANT: effective_write_burst_bytes() is Some whenever the
-            // write rate is Some (it defaults the burst to the rate itself).
-            lsm_storage::IoThrottle::new(rate, cfg.effective_write_burst_bytes().unwrap())
-        });
         RuntimeShared {
             cfg,
             state: Mutex::new(RuntimeState::default()),
@@ -228,8 +195,6 @@ impl RuntimeShared {
             idle_cv: Condvar::new(),
             stall_lock: Mutex::new(()),
             stall_cv: Condvar::new(),
-            read_throttle,
-            write_throttle,
             extra: Mutex::new(Vec::new()),
             counters: RuntimeCounters::default(),
         }
@@ -254,14 +219,6 @@ impl RuntimeShared {
         s.queued_total -= entry.queued;
         drop(s);
         self.idle_cv.notify_all();
-    }
-
-    /// True when `entry` has hit the per-dataset *merge* concurrency
-    /// quota. Flushes are never quota-checked.
-    fn at_quota(&self, entry: &DatasetEntry) -> bool {
-        self.cfg
-            .max_jobs_per_dataset
-            .is_some_and(|q| entry.merges_in_flight >= q)
     }
 
     /// Enqueues a flush job for `id` unless one is already queued. Returns
@@ -292,9 +249,8 @@ impl RuntimeShared {
 
     /// Enqueues a merge job for `id` unless an identical `(target, range)`
     /// job is already queued. `est_bytes` (estimated merge input size)
-    /// orders merges smallest-first within the dataset and is the cost the
-    /// cross-dataset deficit-round-robin charges. Returns `true` if a job
-    /// was added.
+    /// orders merges smallest-first within the dataset. Returns `true` if a
+    /// job was added.
     fn schedule_merge(self: &Arc<Self>, id: u64, plan: MergePlan, est_bytes: u64) -> bool {
         let mut s = self.state.lock();
         if s.shutdown {
@@ -397,25 +353,15 @@ impl RuntimeShared {
         }
     }
 
-    /// Pops the next runnable job under the fairness rules: the flush ring
-    /// first (plain round-robin, never quota-checked), then the merge ring
-    /// (deficit round robin, skipping datasets at their merge quota) —
-    /// `None` with work still queued means every queued merge belongs to
-    /// an at-quota dataset; the worker re-checks when a job finishes
-    /// ([`RuntimeShared::finish_job`] notifies `work_cv`).
+    /// Pops the next runnable job: the flush ring first, then the merge
+    /// ring, each round-robin across datasets. The merge ring skips a
+    /// dataset whose merge is in flight — `None` with work still queued
+    /// means every queued merge waits behind its dataset's running one; the
+    /// worker re-checks when a job finishes ([`RuntimeShared::finish_job`]
+    /// notifies `work_cv`).
     fn try_pop_locked(&self, s: &mut RuntimeState) -> Option<(u64, Job, Weak<Dataset>)> {
-        // Each dataset's quota deferral is counted at most once per pop —
-        // the DRR retry passes below revisit at-quota datasets, and the
-        // counter must mean "deferral events", not "ring rotations".
-        let mut quota_counted: Vec<u64> = Vec::new();
-        let mut count_deferral = |counters: &RuntimeCounters, id: u64| {
-            if !quota_counted.contains(&id) {
-                quota_counted.push(id);
-                counters.quota_deferrals.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        // Flush class: round-robin across datasets. Flushes are uniform
-        // (seal + build what is sealed), so plain rotation is fair.
+        // Flush class. Flushes are uniform (seal + build what is sealed),
+        // so plain rotation is fair.
         for _ in 0..s.flush_ring.len() {
             let Some(&id) = s.flush_ring.front() else {
                 break;
@@ -428,8 +374,8 @@ impl RuntimeShared {
                 s.flush_ring.pop_front(); // stale (defensive)
                 continue;
             }
-            // No quota check: a flush releases stalled writer memory, so
-            // it must never wait out the dataset's own in-flight merge.
+            // No in-flight check: a flush releases stalled writer memory,
+            // so it must never wait out the dataset's own running merge.
             entry.flush_queued = false;
             entry.queued -= 1;
             entry.in_flight += 1;
@@ -439,76 +385,41 @@ impl RuntimeShared {
             s.total_in_flight += 1;
             return Some((id, Job::Flush, weak));
         }
-        // Merge class: deficit round robin. A pass that serves nothing
-        // *because of deficits* computes the fewest whole turns after
-        // which some dataset can afford its head merge, grants that many
-        // quanta to every deficit-blocked dataset at once (preserving
-        // their relative credit order), and retries — so a pop costs at
-        // most a couple of ring passes under the lock, never
-        // max(est)/quantum of them. A pass blocked only by quotas (or an
-        // empty ring) returns None.
-        loop {
-            let quantum = self.cfg.fairness_quantum_bytes;
-            // Fewest whole quanta that would cover some deficit-blocked
-            // dataset's head merge; None when nothing was deficit-blocked.
-            let mut min_turns: Option<u64> = None;
-            for _ in 0..s.merge_ring.len() {
-                let Some(&id) = s.merge_ring.front() else {
-                    break;
-                };
-                let Some(entry) = s.datasets.get_mut(&id) else {
-                    s.merge_ring.pop_front(); // deregistered: drop lazily
-                    continue;
-                };
-                let Some(Reverse(head)) = entry.merges.peek() else {
-                    entry.deficit = 0;
-                    s.merge_ring.pop_front(); // stale (defensive)
-                    continue;
-                };
-                if self.at_quota(entry) {
-                    count_deferral(&self.counters, id);
-                    s.merge_ring.rotate_left(1);
-                    continue;
-                }
-                let cost = head.est_bytes;
-                if entry.deficit < cost {
-                    let turns = (cost - entry.deficit).div_ceil(quantum).max(1);
-                    min_turns = Some(min_turns.map_or(turns, |m| m.min(turns)));
-                    s.merge_ring.rotate_left(1);
-                    continue;
-                }
-                entry.deficit -= cost;
-                // INVARIANT: `merges.peek()` returned `Some(head)` above and
-                // the state lock is held; this pop yields that same job.
-                let Reverse(job) = entry.merges.pop().expect("peeked job present");
-                // Clear the dedup key immediately: work arriving while
-                // this job runs must be re-queueable (the job mutexes in
-                // `Dataset` serialize actual execution).
-                entry.merges_queued.remove(&job.plan);
-                entry.queued -= 1;
-                entry.in_flight += 1;
-                entry.merges_in_flight += 1;
-                let weak = entry.ds.clone();
-                if entry.merges.is_empty() {
-                    entry.deficit = 0;
-                    s.merge_ring.pop_front();
-                } else {
-                    s.merge_ring.rotate_left(1); // others get a turn
-                }
-                s.queued_total -= 1;
-                s.total_in_flight += 1;
-                return Some((id, Job::Merge(job.plan), weak));
+        // Merge class: one turn per dataset, each turn its smallest queued
+        // merge.
+        for _ in 0..s.merge_ring.len() {
+            let Some(&id) = s.merge_ring.front() else {
+                break;
+            };
+            let Some(entry) = s.datasets.get_mut(&id) else {
+                s.merge_ring.pop_front(); // deregistered: drop lazily
+                continue;
+            };
+            if entry.merge_in_flight {
+                s.merge_ring.rotate_left(1);
+                continue;
             }
-            let turns = min_turns?;
-            let credit = turns.saturating_mul(quantum);
-            for &id in s.merge_ring.iter() {
-                if let Some(entry) = s.datasets.get_mut(&id) {
-                    if !entry.merges.is_empty() && !self.at_quota(entry) {
-                        entry.deficit = entry.deficit.saturating_add(credit);
-                    }
-                }
+            let Some(Reverse(job)) = entry.merges.pop() else {
+                s.merge_ring.pop_front(); // stale (defensive)
+                continue;
+            };
+            // Clear the dedup key immediately: work arriving while this
+            // job runs must be re-queueable.
+            entry.merges_queued.remove(&job.plan);
+            entry.queued -= 1;
+            entry.in_flight += 1;
+            entry.merge_in_flight = true;
+            let weak = entry.ds.clone();
+            if entry.merges.is_empty() {
+                s.merge_ring.pop_front();
+            } else {
+                s.merge_ring.rotate_left(1); // others get a turn
             }
+            s.queued_total -= 1;
+            s.total_in_flight += 1;
+            return Some((id, Job::Merge(job.plan), weak));
         }
+        None
     }
 
     fn finish_job(&self, id: u64, was_merge: bool) {
@@ -517,13 +428,13 @@ impl RuntimeShared {
         if let Some(entry) = s.datasets.get_mut(&id) {
             entry.in_flight -= 1;
             if was_merge {
-                entry.merges_in_flight -= 1;
+                entry.merge_in_flight = false;
             }
         }
         drop(s);
         self.idle_cv.notify_all();
-        // A finished job may take its dataset back under quota, unblocking
-        // queued work a parked worker skipped.
+        // A finished merge releases its dataset's next merge, which a
+        // parked worker skipped.
         self.work_cv.notify_all();
     }
 
@@ -663,7 +574,7 @@ impl MaintenanceRuntime {
     }
 
     /// Point-in-time runtime statistics: cross-dataset aggregates (queue
-    /// depth by class, throttle totals) plus one
+    /// depth by class, job and worker counts) plus one
     /// [`DatasetRuntimeStats`] row per registered dataset — the operator's
     /// single view over everything the runtime serves.
     pub fn stats(&self) -> RuntimeStatsSnapshot {
@@ -689,32 +600,11 @@ impl MaintenanceRuntime {
                 merge_jobs: c.merge_jobs.load(Ordering::Relaxed),
                 workers_spawned: c.workers_spawned.load(Ordering::Relaxed),
                 workers_retired: c.workers_retired.load(Ordering::Relaxed),
-                quota_deferrals: c.quota_deferrals.load(Ordering::Relaxed),
                 transient_retries: c.transient_retries.load(Ordering::Relaxed),
                 faults_injected: 0,
                 torn_writes: 0,
                 crash_sites_armed: 0,
                 crash_sites_hit: 0,
-                throttle_wait_ns: self
-                    .shared
-                    .read_throttle
-                    .as_ref()
-                    .map_or(0, |t| t.waited_ns()),
-                throttled_bytes: self
-                    .shared
-                    .read_throttle
-                    .as_ref()
-                    .map_or(0, |t| t.throttled_bytes()),
-                write_throttle_wait_ns: self
-                    .shared
-                    .write_throttle
-                    .as_ref()
-                    .map_or(0, |t| t.waited_ns()),
-                write_throttled_bytes: self
-                    .shared
-                    .write_throttle
-                    .as_ref()
-                    .map_or(0, |t| t.throttled_bytes()),
                 per_dataset: Vec::new(),
                 poisoned: Vec::new(),
             };
@@ -838,9 +728,6 @@ pub struct RuntimeStatsSnapshot {
     pub workers_spawned: u64,
     /// Transient workers retired after the queue drained.
     pub workers_retired: u64,
-    /// Times the per-dataset quota skipped a dataset with runnable
-    /// merges (counted at most once per dataset per scheduling decision).
-    pub quota_deferrals: u64,
     /// Transient I/O failures workers retried in place instead of
     /// poisoning the dataset (a retried job may still fail permanently).
     pub transient_retries: u64,
@@ -854,14 +741,6 @@ pub struct RuntimeStatsSnapshot {
     pub crash_sites_armed: u64,
     /// Crash-site passages where a fault plan fired.
     pub crash_sites_hit: u64,
-    /// Wall-clock nanoseconds jobs spent waiting in the read throttle.
-    pub throttle_wait_ns: u64,
-    /// Bytes accounted against the read throttle.
-    pub throttled_bytes: u64,
-    /// Wall-clock nanoseconds jobs spent waiting in the write throttle.
-    pub write_throttle_wait_ns: u64,
-    /// Bytes accounted against the write throttle.
-    pub write_throttled_bytes: u64,
     /// Per-dataset queue/execution rows, sorted by dataset id.
     pub per_dataset: Vec<DatasetRuntimeStats>,
     /// Ids of registered datasets poisoned by a failed background job.
@@ -946,10 +825,10 @@ fn worker_loop(shared: &Arc<RuntimeShared>) {
 }
 
 /// Transient worker: executes while work exists, retires once the queue
-/// is truly empty. Work that is queued but quota-blocked does NOT retire
-/// the transient — it parks on `work_cv` (a finishing job notifies it) so
-/// the pool keeps its capacity for the moment the quota frees up, instead
-/// of draining a deep backlog at `min_workers`.
+/// is truly empty. A merge queued behind its dataset's running one does
+/// NOT retire the transient — it parks on `work_cv` (a finishing job
+/// notifies it) so the pool keeps its capacity for the moment that merge
+/// finishes, instead of draining a deep backlog at `min_workers`.
 fn transient_loop(shared: &Arc<RuntimeShared>) {
     loop {
         let popped = {
@@ -991,26 +870,8 @@ fn execute_job(shared: &Arc<RuntimeShared>, id: u64, job: Job, weak: &Weak<Datas
         let outcome = loop {
             attempt += 1;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                lsm_storage::throttle::with_throttles(
-                    shared.read_throttle.clone(),
-                    shared.write_throttle.clone(),
-                    || run_job(dataset, shared, job),
-                )
+                run_job(dataset, shared, job)
             }));
-            let waited = lsm_storage::throttle::take_scope_wait_ns();
-            if waited > 0 {
-                dataset
-                    .stats()
-                    .throttle_wait_ns
-                    .fetch_add(waited, Ordering::Relaxed);
-            }
-            let write_waited = lsm_storage::throttle::take_scope_write_wait_ns();
-            if write_waited > 0 {
-                dataset
-                    .stats()
-                    .write_throttle_wait_ns
-                    .fetch_add(write_waited, Ordering::Relaxed);
-            }
             // A transient I/O failure (device hiccup, injected fault) is
             // retried with backoff instead of poisoning the dataset: both
             // job kinds are retry-safe — a flush resumes from its sealed
@@ -1196,7 +1057,6 @@ mod tests {
         let rt = ds.runtime_handle().unwrap().runtime().clone();
         assert_eq!(rt.config().min_workers, 2);
         assert_eq!(rt.config().max_workers, 2);
-        assert_eq!(rt.config().max_jobs_per_dataset, None);
         assert_eq!(rt.stats().datasets, 1);
     }
 
@@ -1204,7 +1064,7 @@ mod tests {
     fn priority_queue_orders_flush_first_then_smallest_merge() {
         // Exercise the queue on a workerless shared state: jobs pushed in
         // "worst" order must pop flush-first, then merges smallest-first
-        // (one dataset, so DRR reduces to the intra-dataset order).
+        // (one dataset, so round-robin reduces to the intra-dataset order).
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let id = shared.register(&ds);
         assert!(shared.schedule_merge(id, plan(1), 900));
@@ -1213,7 +1073,8 @@ mod tests {
         assert!(shared.schedule_merge(id, plan(3), 500));
 
         let mut order = Vec::new();
-        while let Some((_, job)) = pop(&shared) {
+        while let Some((id, job)) = pop(&shared) {
+            shared.finish_job(id, matches!(job, Job::Merge(_)));
             order.push(job);
         }
         assert_eq!(
@@ -1282,89 +1143,73 @@ mod tests {
     }
 
     #[test]
-    fn merge_drr_interleaves_datasets_instead_of_globally_smallest() {
+    fn merges_round_robin_across_datasets() {
         // Dataset a floods 3 small merges; dataset b has one large merge.
-        // Global smallest-first (the old order) would run ALL of a's
-        // merges before b's. DRR must let b accrue credit and run its
-        // merge after at most a few of a's turns.
-        let quantum = 100;
-        let mut cfg = EngineConfig::fixed(1);
-        cfg.fairness_quantum_bytes = quantum;
-        let (shared, ds) = bare_runtime(cfg);
+        // Global smallest-first would run ALL of a's merges before b's;
+        // round-robin gives b the second turn.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(&ds);
         let b = shared.register(&ds);
-        for (i, est) in [(1, 50u64), (2, 50), (3, 50)] {
-            assert!(shared.schedule_merge(a, plan(i), est));
+        for i in 1..=3 {
+            assert!(shared.schedule_merge(a, plan(i), 50));
         }
         assert!(shared.schedule_merge(b, plan(9), 150));
-        let order: Vec<u64> = std::iter::from_fn(|| pop(&shared))
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(order.len(), 4);
-        let b_pos = order.iter().position(|&id| id == b).unwrap();
-        assert!(
-            b_pos < order.len() - 1,
-            "b's large merge must not be starved to the very end: {order:?}"
-        );
-    }
-
-    #[test]
-    fn quota_caps_concurrent_jobs_per_dataset() {
-        let mut cfg = EngineConfig::fixed(4);
-        cfg.max_jobs_per_dataset = Some(1);
-        let (shared, ds) = bare_runtime(cfg);
-        let a = shared.register(&ds);
-        for i in 1..=3 {
-            assert!(shared.schedule_merge(a, plan(i), 10));
+        let mut order = Vec::new();
+        while let Some((id, job)) = pop(&shared) {
+            shared.finish_job(id, matches!(job, Job::Merge(_)));
+            order.push(id);
         }
-        // First pop runs; the second is quota-blocked even though two more
-        // jobs are queued and workers are free.
-        let (popped, _) = pop(&shared).unwrap();
-        assert_eq!(popped, a);
-        assert!(pop(&shared).is_none(), "dataset at quota must be skipped");
-        assert_eq!(shared.queue_depth_for(a), 2);
-        // Finishing the job releases the quota slot.
-        shared.finish_job(a, true);
-        assert!(pop(&shared).is_some());
+        assert_eq!(order, vec![a, b, a, a]);
     }
 
     #[test]
-    fn flush_class_is_exempt_from_the_quota() {
-        // The priority-inversion regression: with quota 1 and a merge in
-        // flight, the dataset's own flush must still run immediately — a
-        // stalled writer is waiting on it, and making it queue out a long
-        // merge would stall the writer with workers idle.
-        let mut cfg = EngineConfig::fixed(4);
-        cfg.max_jobs_per_dataset = Some(1);
-        let (shared, ds) = bare_runtime(cfg);
+    fn one_merge_in_flight_per_dataset() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
+        let a = shared.register(&ds);
+        assert!(shared.schedule_merge(a, plan(1), 30));
+        assert!(shared.schedule_merge(a, plan(2), 10));
+        assert!(shared.schedule_merge(a, plan(3), 20));
+        // The smallest merge runs; the next stays queued even though two
+        // more are queued and workers are free.
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+        assert_eq!(pop(&shared), None, "a's merge is in flight");
+        assert_eq!(shared.queue_depth_for(a), 2);
+        // Finishing it releases the next-smallest.
+        shared.finish_job(a, true);
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(3)))));
+        assert_eq!(pop(&shared), None);
+    }
+
+    #[test]
+    fn flush_pops_while_the_datasets_merge_is_in_flight() {
+        // The priority-inversion regression: with a merge in flight, the
+        // dataset's own flush must still run immediately — a stalled
+        // writer is waiting on it, and making it queue out a long merge
+        // would stall the writer with workers idle.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let a = shared.register(&ds);
         assert!(shared.schedule_merge(a, plan(1), 10));
-        let (id, job) = pop(&shared).unwrap();
-        assert_eq!((id, job), (a, Job::Merge(plan(1)))); // merge in flight
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
         assert!(shared.schedule_flush(a));
+        assert!(shared.schedule_merge(a, plan(2), 10));
         assert_eq!(
             pop(&shared),
             Some((a, Job::Flush)),
-            "flush must bypass the merge quota"
+            "flush must not wait out the running merge"
         );
-        // Further merges stay quota-blocked until the first finishes.
-        assert!(shared.schedule_merge(a, plan(2), 10));
-        assert!(pop(&shared).is_none());
+        assert_eq!(pop(&shared), None, "the second merge waits");
         shared.finish_job(a, true);
         assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
     }
 
     #[test]
     fn quiet_datasets_flushes_complete_while_flood_still_queued() {
-        // The ISSUE's deterministic fairness scenario at the queue level:
-        // one flooding dataset enqueues 100 merges (and keeps a flush
-        // queued); 9 quiet datasets each need a single flush. Simulate a
-        // 4-worker pool popping with a quota of 1: every quiet dataset's
-        // flush must be served while the flood still has ≥ 90 merges
-        // queued.
-        let mut cfg = EngineConfig::fixed(4);
-        cfg.max_jobs_per_dataset = Some(1);
-        let (shared, ds) = bare_runtime(cfg);
+        // The deterministic fairness scenario at the queue level: one
+        // flooding dataset enqueues 100 merges (and keeps a flush queued);
+        // 9 quiet datasets each need a single flush. Simulate a 4-worker
+        // pool: every quiet dataset's flush must be served while the flood
+        // still has ≥ 90 merges queued.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let flood = shared.register(&ds);
         for i in 1..=100 {
             assert!(shared.schedule_merge(flood, plan(i), 1024));
@@ -1393,8 +1238,9 @@ mod tests {
             }
             served.extend(batch);
         }
-        // Every quiet flush done; the flood has burned at most one job per
-        // round (quota 1), so ≥ 90 of its merges are still queued.
+        // Every quiet flush done; the flood has burned at most one merge
+        // per round (one in flight), so ≥ 90 of its merges are still
+        // queued.
         for &q in &quiet {
             assert!(
                 served

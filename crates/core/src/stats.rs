@@ -38,12 +38,6 @@ pub struct EngineStats {
     /// This dataset's jobs waiting in the runtime queue (gauge, refreshed
     /// on writes).
     pub queue_depth: AtomicU64,
-    /// Wall-clock nanoseconds this dataset's background jobs spent waiting
-    /// in the runtime's I/O read throttle.
-    pub throttle_wait_ns: AtomicU64,
-    /// Wall-clock nanoseconds this dataset's background jobs spent waiting
-    /// in the runtime's I/O write throttle (flush builds, merge outputs).
-    pub write_throttle_wait_ns: AtomicU64,
     /// Queries fanned out with
     /// [`QueryBuilder::parallel(n)`](crate::QueryBuilder::parallel), `n > 1`
     /// (the default query and `parallel(1)` run one inline partition and
@@ -135,8 +129,6 @@ impl EngineStats {
             merge_jobs: self.merge_jobs.load(Ordering::Relaxed),
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            throttle_wait_ns: self.throttle_wait_ns.load(Ordering::Relaxed),
-            write_throttle_wait_ns: self.write_throttle_wait_ns.load(Ordering::Relaxed),
             parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
             query_partitions: self.query_partitions.load(Ordering::Relaxed),
             parallel_filter_scans: self.parallel_filter_scans.load(Ordering::Relaxed),
@@ -167,8 +159,6 @@ pub struct EngineStatsSnapshot {
     pub merge_jobs: u64,
     pub backpressure_stalls: u64,
     pub queue_depth: u64,
-    pub throttle_wait_ns: u64,
-    pub write_throttle_wait_ns: u64,
     pub parallel_queries: u64,
     pub query_partitions: u64,
     pub parallel_filter_scans: u64,

@@ -387,12 +387,9 @@ impl Wal {
         inner.writer_active = true;
         while let Some((page, n)) = inner.pending.pop_front() {
             drop(inner);
-            // Log writes are commit durability, not background rebuild
-            // output: never charge them to a maintenance write bucket,
-            // whichever thread happens to lead the group.
-            let res = self.group_write_site().and_then(|()| {
-                lsm_storage::throttle::exempt_writes(|| self.storage.append_page(self.file, &page))
-            });
+            let res = self
+                .group_write_site()
+                .and_then(|()| self.storage.append_page(self.file, &page));
             inner = self.inner.lock();
             match res {
                 Ok(_) => self.note_group(n),
@@ -449,9 +446,6 @@ impl Wal {
     /// Forces buffered records to the device: stages the partial page and
     /// drains the queue, waiting out (or taking over from) any active
     /// leader, so on return every record staged before the call is durable.
-    /// Exempt from maintenance write throttling even when called from a
-    /// flush job (flushes force the log to make flushed operations
-    /// durable).
     pub fn force(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.rotate_page();

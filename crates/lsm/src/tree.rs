@@ -675,7 +675,7 @@ impl LsmTree {
     /// of the Mutable-bitmap strategy), followed by
     /// [`LsmTree::install_sealed`]. Components are returned in shard
     /// order; when several shards have runs they are built in parallel on
-    /// scoped threads, each inheriting this thread's I/O throttles.
+    /// scoped threads.
     pub fn build_sealed(&self) -> Result<Vec<Arc<DiskComponent>>> {
         let Some(gen) = self.sealed.read().clone() else {
             return Ok(Vec::new());
@@ -688,19 +688,10 @@ impl LsmTree {
                 .map(|run| self.build_run(gen_id, run))
                 .collect();
         }
-        let (read_t, write_t) = lsm_storage::throttle::current_throttles();
         std::thread::scope(|scope| {
             let handles: Vec<_> = runs
                 .into_iter()
-                .map(|run| {
-                    let read_t = read_t.clone();
-                    let write_t = write_t.clone();
-                    scope.spawn(move || {
-                        lsm_storage::throttle::with_throttles(read_t, write_t, || {
-                            self.build_run(gen_id, run)
-                        })
-                    })
-                })
+                .map(|run| scope.spawn(move || self.build_run(gen_id, run)))
                 .collect();
             handles
                 .into_iter()

@@ -16,11 +16,6 @@
 //!   does;
 //! * a [`SimClock`] accumulates simulated nanoseconds of I/O and CPU work,
 //!   and [`IoStats`] counts every event for assertions and reporting;
-//! * opt-in [`IoThrottle`] token buckets rate-limit the device reads *and*
-//!   writes of threads that install them (background rebuild scans, flush
-//!   builds and merge outputs), leaving foreground reads and WAL/commit
-//!   writes untouched (see [`throttle::with_throttles`] and
-//!   [`throttle::exempt_writes`]);
 //! * a scripted [`FaultPlan`] can be installed on a device to inject
 //!   transient/permanent errors, torn or short writes, and crash triggers
 //!   deterministically — by op index or at named engine crash sites (the
@@ -39,7 +34,6 @@ pub mod profile;
 pub mod sim_clock;
 pub mod stats;
 pub mod storage;
-pub mod throttle;
 
 pub use fault::{FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, SiteOutcome};
 pub use pin::{PageSlice, ValueBuf};
@@ -47,4 +41,3 @@ pub use profile::{CpuCosts, DiskProfile};
 pub use sim_clock::SimClock;
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use storage::{FileId, PageNo, Storage, StorageOptions};
-pub use throttle::IoThrottle;

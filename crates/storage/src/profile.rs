@@ -7,11 +7,8 @@
 //! *ratios* between random and sequential access are what reproduce the
 //! paper's figure shapes; the absolute values only set the scale.
 //!
-//! The cost model charges *simulated* time; the orthogonal
-//! [`IoThrottle`](crate::IoThrottle) limits *wall-clock* read bandwidth for
-//! background rebuild scans, and its waits are reported separately through
-//! [`IoStats::throttle_wait_ns`](crate::IoStats) rather than folded into
-//! the device model.
+//! The cost model charges *simulated* time only; no device access sleeps
+//! on the wall clock.
 
 /// Cost model for the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq)]

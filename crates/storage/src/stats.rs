@@ -29,14 +29,6 @@ pub struct IoStats {
     pub bloom_negatives: AtomicU64,
     /// Simulated CPU nanoseconds charged.
     pub cpu_ns: AtomicU64,
-    /// Wall-clock nanoseconds reads on this device spent waiting in an
-    /// [`IoThrottle`](crate::IoThrottle) read bucket (background rebuild
-    /// scans).
-    pub throttle_wait_ns: AtomicU64,
-    /// Wall-clock nanoseconds writes on this device spent waiting in an
-    /// [`IoThrottle`](crate::IoThrottle) write bucket (background flush
-    /// builds and merge outputs; WAL appends are exempt).
-    pub write_throttle_wait_ns: AtomicU64,
     /// Faults injected by an installed [`FaultPlan`](crate::FaultPlan) on
     /// this device (errors, crashes, torn and short writes).
     pub faults_injected: AtomicU64,
@@ -73,8 +65,6 @@ impl IoStats {
             bloom_checks: self.bloom_checks.load(Ordering::Relaxed),
             bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
             cpu_ns: self.cpu_ns.load(Ordering::Relaxed),
-            throttle_wait_ns: self.throttle_wait_ns.load(Ordering::Relaxed),
-            write_throttle_wait_ns: self.write_throttle_wait_ns.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             torn_writes: self.torn_writes.load(Ordering::Relaxed),
             wal_groups: self.wal_groups.load(Ordering::Relaxed),
@@ -111,8 +101,6 @@ pub struct IoStatsSnapshot {
     pub bloom_checks: u64,
     pub bloom_negatives: u64,
     pub cpu_ns: u64,
-    pub throttle_wait_ns: u64,
-    pub write_throttle_wait_ns: u64,
     pub faults_injected: u64,
     pub torn_writes: u64,
     pub wal_groups: u64,
@@ -138,8 +126,6 @@ impl IoStatsSnapshot {
             bloom_checks: self.bloom_checks - earlier.bloom_checks,
             bloom_negatives: self.bloom_negatives - earlier.bloom_negatives,
             cpu_ns: self.cpu_ns - earlier.cpu_ns,
-            throttle_wait_ns: self.throttle_wait_ns - earlier.throttle_wait_ns,
-            write_throttle_wait_ns: self.write_throttle_wait_ns - earlier.write_throttle_wait_ns,
             faults_injected: self.faults_injected - earlier.faults_injected,
             torn_writes: self.torn_writes - earlier.torn_writes,
             wal_groups: self.wal_groups - earlier.wal_groups,

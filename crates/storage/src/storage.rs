@@ -327,18 +327,6 @@ impl Storage {
             )));
         }
         let injected = self.fault_check(FaultOp::Append, format_args!("append to {file:?}"))?;
-        // Rate-limit first: threads that installed a write IoThrottle
-        // (background flush builds and merge outputs) pay for the page
-        // before it reaches the device, so foreground writers see the
-        // bandwidth the bucket reserved for them. Foreground threads (and
-        // WAL appends, which run under `exempt_writes`) have no installed
-        // bucket and pass for free.
-        let waited = crate::throttle::consume_active_write(self.opts.page_size as u64);
-        if waited > 0 {
-            self.stats
-                .write_throttle_wait_ns
-                .fetch_add(waited, std::sync::atomic::Ordering::Relaxed);
-        }
         // What the device ends up holding, built BEFORE the file-table lock:
         // the page-sized allocation and copy would otherwise sit inside a
         // write lock every `read_page` in the process queues behind. An
@@ -429,17 +417,6 @@ impl Storage {
 
     /// Charges a device read of `count` pages starting at `(file, page)`.
     fn charge_read(&self, file: FileId, page: PageNo, count: u32) {
-        // Rate-limit first: threads that installed a read IoThrottle
-        // (background rebuild scans) pay for the bytes before the device
-        // model runs, so foreground readers see the bandwidth the bucket
-        // reserved for them.
-        let waited =
-            crate::throttle::consume_active_read(u64::from(count) * self.opts.page_size as u64);
-        if waited > 0 {
-            self.stats
-                .throttle_wait_ns
-                .fetch_add(waited, std::sync::atomic::Ordering::Relaxed);
-        }
         let sequential = {
             let mut head = self.head.lock();
             let seq = page > 0 && *head == Some((file, page - 1));
