@@ -506,6 +506,30 @@ mod tests {
     }
 
     #[test]
+    fn engine_config_default_is_a_valid_elastic_pool() {
+        let cfg = EngineConfig::default();
+        assert_eq!(
+            (cfg.min_workers, cfg.max_workers, cfg.query_workers),
+            (1, 4, 0)
+        );
+        cfg.validate().unwrap();
+        let built = EngineConfig::builder().build().unwrap();
+        assert_eq!(
+            (built.min_workers, built.max_workers, built.query_workers),
+            (1, 4, 0),
+            "the builder starts from the defaults"
+        );
+        assert!(EngineConfig::fixed(0).validate().is_err());
+        // The pool setters apply in call order.
+        let cfg = EngineConfig::builder()
+            .workers(3)
+            .max_workers(5)
+            .build()
+            .unwrap();
+        assert_eq!((cfg.min_workers, cfg.max_workers), (3, 5));
+    }
+
+    #[test]
     fn strategy_timestamps() {
         assert!(!StrategyKind::Eager.stores_timestamps());
         assert!(StrategyKind::Validation.stores_timestamps());

@@ -308,6 +308,15 @@ mod tests {
     }
 
     #[test]
+    fn scatter_runs_a_single_task_on_the_caller() {
+        // The caller participates, so one task needs no helper thread.
+        let caller = std::thread::current().id();
+        let out =
+            scatter::<std::thread::ThreadId>(None, vec![Box::new(|| std::thread::current().id())]);
+        assert_eq!(out, vec![caller]);
+    }
+
+    #[test]
     fn scatter_on_pool_runs_every_task_and_pool_survives() {
         let pool = QueryPool::new(2);
         assert_eq!(pool.workers(), 2);

@@ -1203,6 +1203,174 @@ mod tests {
     }
 
     #[test]
+    fn busy_datasets_merge_turn_passes_to_the_next_dataset() {
+        // a's merge is running; its next merge is skipped, and b's merge
+        // pops at once instead of the worker waiting on a.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
+        let a = shared.register(&ds);
+        let b = shared.register(&ds);
+        assert!(shared.schedule_merge(a, plan(1), 10));
+        assert!(shared.schedule_merge(a, plan(2), 20));
+        assert!(shared.schedule_merge(b, plan(3), 500));
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        assert_eq!(pop(&shared), Some((b, Job::Merge(plan(3)))));
+        assert_eq!(pop(&shared), None, "both datasets have a merge in flight");
+        shared.finish_job(b, true);
+        assert_eq!(pop(&shared), None, "b's finish does not release a");
+        shared.finish_job(a, true);
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+    }
+
+    #[test]
+    fn a_finished_merge_is_found_past_busy_datasets() {
+        // Three datasets, two merges each, one of each in flight. When only
+        // the last dataset in the ring finishes, the next pop walks past the
+        // two busy ones to it; the ring then serves the others in order.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
+        let ids: Vec<u64> = (0..3).map(|_| shared.register(&ds)).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert!(shared.schedule_merge(id, plan(10 * i + 1), 10));
+            assert!(shared.schedule_merge(id, plan(10 * i + 2), 20));
+        }
+        let first: Vec<u64> = (0..3).map(|_| pop(&shared).unwrap().0).collect();
+        assert_eq!(first, ids);
+        assert_eq!(pop(&shared), None);
+        shared.finish_job(ids[2], true);
+        assert_eq!(pop(&shared), Some((ids[2], Job::Merge(plan(22)))));
+        assert_eq!(pop(&shared), None);
+        shared.finish_job(ids[0], true);
+        shared.finish_job(ids[1], true);
+        assert_eq!(pop(&shared), Some((ids[0], Job::Merge(plan(2)))));
+        assert_eq!(pop(&shared), Some((ids[1], Job::Merge(plan(12)))));
+        assert_eq!(pop(&shared), None);
+    }
+
+    #[test]
+    fn equal_estimates_pop_in_enqueue_order() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
+        let a = shared.register(&ds);
+        for end in [3, 1, 2] {
+            assert!(shared.schedule_merge(a, plan(end), 64));
+        }
+        let mut order = Vec::new();
+        while let Some((id, job)) = pop(&shared) {
+            shared.finish_job(id, true);
+            order.push(job);
+        }
+        assert_eq!(
+            order,
+            vec![
+                Job::Merge(plan(3)),
+                Job::Merge(plan(1)),
+                Job::Merge(plan(2)),
+            ],
+            "FIFO within equal estimates"
+        );
+    }
+
+    #[test]
+    fn running_merge_can_be_requeued_but_waits_for_itself() {
+        // The dedup key clears on pop, so work arriving while a merge runs
+        // re-queues the same range; the copy pops only after the run ends.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
+        let a = shared.register(&ds);
+        assert!(shared.schedule_merge(a, plan(1), 10));
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        assert!(shared.schedule_merge(a, plan(1), 10), "re-queued");
+        assert!(!shared.schedule_merge(a, plan(1), 10), "deduped again");
+        assert_eq!(pop(&shared), None);
+        shared.finish_job(a, true);
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+    }
+
+    #[test]
+    fn finishing_a_flush_does_not_release_the_merge_slot() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
+        let a = shared.register(&ds);
+        assert!(shared.schedule_merge(a, plan(1), 10));
+        assert!(shared.schedule_merge(a, plan(2), 20));
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        assert!(shared.schedule_flush(a));
+        assert_eq!(pop(&shared), Some((a, Job::Flush)));
+        shared.finish_job(a, false);
+        assert_eq!(pop(&shared), None, "the merge is still in flight");
+        shared.finish_job(a, true);
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+    }
+
+    #[test]
+    fn deregister_drops_queued_merges_from_the_ring() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
+        let a = shared.register(&ds);
+        let b = shared.register(&ds);
+        for i in 1..=3 {
+            assert!(shared.schedule_merge(a, plan(i), 10));
+        }
+        assert!(shared.schedule_merge(b, plan(9), 10));
+        shared.deregister(a);
+        assert!(!shared.schedule_merge(a, plan(4), 10), "a is gone");
+        assert_eq!(pop(&shared), Some((b, Job::Merge(plan(9)))));
+        assert_eq!(pop(&shared), None);
+        let s = shared.state.lock();
+        assert_eq!(s.queued_total, 0);
+        assert!(s.merge_ring.is_empty(), "a's stale ring slot was dropped");
+    }
+
+    #[test]
+    fn finishing_a_deregistered_datasets_job_settles_the_counters() {
+        // A dataset dropped while its merge runs: the worker's finish finds
+        // no entry, yet the runtime's in-flight count must still fall so a
+        // whole-runtime quiesce returns.
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
+        let a = shared.register(&ds);
+        assert!(shared.schedule_merge(a, plan(1), 10));
+        assert!(shared.schedule_merge(a, plan(2), 10));
+        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        shared.deregister(a);
+        shared.finish_job(a, true);
+        {
+            let s = shared.state.lock();
+            assert_eq!((s.queued_total, s.total_in_flight), (0, 0));
+        }
+        shared.wait_idle_all();
+        shared.wait_idle_for(a);
+        assert_eq!(pop(&shared), None);
+    }
+
+    #[test]
+    fn stats_count_held_back_merges_as_queued() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
+        let rt = Arc::new(MaintenanceRuntime {
+            shared: shared.clone(),
+            permanent: Mutex::new(Vec::new()),
+            query_pool: None,
+        });
+        let a = shared.register(&ds);
+        for i in 1..=3 {
+            assert!(shared.schedule_merge(a, plan(i), 10));
+        }
+        assert!(pop(&shared).is_some());
+        assert_eq!(pop(&shared), None);
+        let stats = rt.stats();
+        assert_eq!(
+            (stats.queue_depth, stats.merge_queue_depth, stats.in_flight),
+            (2, 2, 1)
+        );
+        let row = stats.per_dataset.iter().find(|d| d.dataset == a).unwrap();
+        assert_eq!((row.queued, row.in_flight), (2, 1));
+    }
+
+    #[test]
+    fn shutdown_refuses_new_jobs() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
+        let a = shared.register(&ds);
+        shared.shutdown_and_join(Vec::new());
+        assert!(!shared.schedule_flush(a));
+        assert!(!shared.schedule_merge(a, plan(1), 10));
+        assert_eq!(shared.queue_depth_for(a), 0);
+    }
+
+    #[test]
     fn quiet_datasets_flushes_complete_while_flood_still_queued() {
         // The deterministic fairness scenario at the queue level: one
         // flooding dataset enqueues 100 merges (and keeps a flush queued);

@@ -280,6 +280,94 @@ fn background_merges_under_a_tiny_cache_stay_readable() {
 }
 
 #[test]
+fn background_flushes_write_the_data_device_and_the_log() {
+    // Flush builds run on the runtime's workers and write the data device;
+    // the WAL keeps its own device. Both fill, and every record reads back.
+    let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
+    let storage = Storage::new(StorageOptions::test());
+    let log = Storage::new(StorageOptions::test());
+    let mut cfg = config(StrategyKind::Validation, CcMethod::SideFile);
+    cfg.memory_budget = 8 * 1024;
+    let ds = Dataset::open_with_runtime(storage.clone(), Some(log.clone()), cfg, &runtime).unwrap();
+
+    for i in 0..4000i64 {
+        ds.upsert(&rec(i % 800, i)).unwrap();
+    }
+    ds.maintenance().quiesce().unwrap();
+
+    let rt = runtime.stats();
+    assert!(rt.flush_jobs > 0, "no background flush ran: {rt:?}");
+    assert!(ds.stats().snapshot().flush_jobs > 0);
+    assert!(storage.stats().bytes_written > 0, "flushes wrote nothing");
+    assert!(log.stats().bytes_written > 0, "the WAL was not written");
+    for i in [0, 399, 799] {
+        let r = ds.get(&Value::Int(i)).unwrap().expect("record present");
+        assert_eq!(r.get(1), &Value::Int(3200 + i), "id {i} stale");
+    }
+}
+
+#[test]
+fn foreground_wal_writes_queue_no_background_job() {
+    // Inserts that stay under the memory budget append WAL pages on the
+    // writer's thread and never enqueue maintenance.
+    let runtime = MaintenanceRuntime::start(EngineConfig::fixed(1)).unwrap();
+    let log = Storage::new(StorageOptions::test());
+    let mut cfg = config(StrategyKind::Eager, CcMethod::SideFile);
+    cfg.memory_budget = 64 * 1024 * 1024; // never trips
+    let ds = Dataset::open_with_runtime(
+        Storage::new(StorageOptions::test()),
+        Some(log.clone()),
+        cfg,
+        &runtime,
+    )
+    .unwrap();
+    // Enough records to rotate several WAL pages.
+    for i in 0..2000i64 {
+        ds.upsert(&rec(i, i)).unwrap();
+    }
+    assert!(
+        log.stats().bytes_written > 0,
+        "the workload must actually write WAL pages"
+    );
+    let rt = runtime.stats();
+    assert_eq!(rt.jobs_executed, 0, "{rt:?}");
+    assert_eq!((rt.queue_depth, rt.in_flight), (0, 0), "{rt:?}");
+    assert_eq!(ds.stats().snapshot().jobs_enqueued, 0);
+    assert!(ds.get(&Value::Int(1999)).unwrap().is_some());
+}
+
+#[test]
+fn runtime_start_rejects_invalid_configs() {
+    // The fields are public, so `start` re-validates whatever it is given.
+    let no_workers = EngineConfig {
+        min_workers: 0,
+        ..EngineConfig::default()
+    };
+    assert!(MaintenanceRuntime::start(no_workers).is_err());
+    let inverted = EngineConfig {
+        min_workers: 3,
+        max_workers: 2,
+        query_workers: 0,
+    };
+    assert!(MaintenanceRuntime::start(inverted).is_err());
+    let runtime = MaintenanceRuntime::start(
+        EngineConfig::builder()
+            .workers(1)
+            .query_workers(2)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    assert_eq!(runtime.query_pool().map(|p| p.workers()), Some(2));
+    let stats = runtime.stats();
+    assert_eq!((stats.min_workers, stats.max_workers), (1, 1));
+    assert!(MaintenanceRuntime::start(EngineConfig::fixed(1))
+        .unwrap()
+        .query_pool()
+        .is_none());
+}
+
+#[test]
 fn hot_dataset_cannot_starve_quiet_datasets() {
     // The starvation stress: one hot writer floods the shared queue while
     // 9 quiet datasets each need a couple of flushes. With one merge in
