@@ -3,36 +3,43 @@
 //!
 //! The paper's §5.3 machinery lets writers proceed while components are
 //! rebuilt; this bench measures what that buys: with inline maintenance
-//! every N-th upsert absorbs a full flush+merge, while in background mode
-//! the writer only enqueues work and stalls at the hard memory ceiling.
+//! every N-th upsert absorbs a full flush+merge, while on a maintenance
+//! runtime the writer only enqueues work and stalls at the hard memory
+//! ceiling.
 //!
 //! Reported per variant: cumulative wall-clock seconds at 25/50/75/100% of
 //! the workload, wall seconds for the trailing quiesce (draining the queue
-//! — zero inline), and writer-side throughput. Background mode is the
+//! — zero inline), and writer-side throughput. A two-worker runtime is the
 //! default configuration here; inline is the baseline it is compared
 //! against.
 
 use lsm_bench::{
     row, run_shared_runtime_scenario, scaled, table_header, tweet_dataset_config, Env, EnvConfig,
 };
-use lsm_engine::{Dataset, EngineConfig, MaintenanceMode, MaintenanceRuntime, StrategyKind};
+use lsm_engine::{Dataset, EngineConfig, MaintenanceRuntime, StrategyKind};
 use lsm_workload::{TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
 
-fn open(env: &Env, mode: MaintenanceMode, dataset_bytes: u64) -> Arc<Dataset> {
-    let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
-    cfg.maintenance = mode;
-    Dataset::open(env.storage.clone(), Some(env.log_storage.clone()), cfg).expect("dataset")
+/// Opens the dataset inline for `workers == 0`, else on a runtime of its
+/// own with that many workers.
+fn open(env: &Env, workers: usize, dataset_bytes: u64) -> Arc<Dataset> {
+    let cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
+    let (storage, log) = (env.storage.clone(), Some(env.log_storage.clone()));
+    if workers == 0 {
+        return Dataset::open(storage, log, cfg).expect("dataset");
+    }
+    let rt = MaintenanceRuntime::start(EngineConfig::fixed(workers)).expect("runtime");
+    Dataset::open_with_runtime(storage, log, cfg, &rt).expect("dataset")
 }
 
-fn run(mode: MaintenanceMode, n: usize) -> (Vec<f64>, f64, f64) {
+fn run(workers: usize, n: usize) -> (Vec<f64>, f64, f64) {
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
         ssd: true,
         ..Default::default()
     });
-    let ds = open(&env, mode, dataset_bytes);
+    let ds = open(&env, workers, dataset_bytes);
     let mut workload =
         UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
     let start = std::time::Instant::now();
@@ -59,16 +66,13 @@ fn main() {
         &format!("upsert ingestion, inline vs background maintenance ({n} ops)"),
         &["variant", "25%", "50%", "75%", "100%", "quiesce", "ops/s"],
     );
-    for (label, mode) in [
-        (
-            "background-2w (default)",
-            MaintenanceMode::Background { workers: 2 },
-        ),
-        ("background-1w", MaintenanceMode::Background { workers: 1 }),
-        ("background-4w", MaintenanceMode::Background { workers: 4 }),
-        ("inline", MaintenanceMode::Inline),
+    for (label, workers) in [
+        ("background-2w (default)", 2),
+        ("background-1w", 1),
+        ("background-4w", 4),
+        ("inline", 0),
     ] {
-        let (series, quiesce, throughput) = run(mode, n);
+        let (series, quiesce, throughput) = run(workers, n);
         let mut values = series;
         values.push(quiesce);
         values.push(throughput);

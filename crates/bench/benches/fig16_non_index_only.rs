@@ -10,7 +10,7 @@
 //! selectivity; Timestamp validation filters them via the pk index; with
 //! merge repair both validation methods approach Eager.
 
-use lsm_bench::{prepare_dataset, row, scaled, table_header, Env, EnvConfig, Timer};
+use lsm_bench::{row, scaled, table_header, Env, EnvConfig, Timer};
 use lsm_engine::query::ValidationMethod;
 use lsm_engine::{Dataset, StrategyKind};
 use lsm_workload::{SelectivityQueries, UpdateDistribution};
@@ -102,5 +102,4 @@ fn main() {
             &query_times(&repaired, ValidationMethod::Timestamp, false),
         );
     }
-    let _ = prepare_dataset;
 }

@@ -35,7 +35,7 @@ use fastmod::Divisor;
 pub use hash::{fmix64, hash64};
 
 /// Block size of the blocked filter: one CPU cache line (64 bytes).
-pub const BLOCK_BITS: usize = 512;
+const BLOCK_BITS: usize = 512;
 
 /// The double-hashing pair every probe of a key is derived from
 /// (`g_i = h1 + i·h2`). It depends on the key alone — not on a filter's
@@ -79,13 +79,13 @@ pub trait BloomFilter: Send + Sync {
 }
 
 /// Returns the optimal number of probes for a given bits-per-key budget.
-pub fn optimal_k(bits_per_key: f64) -> u32 {
+fn optimal_k(bits_per_key: f64) -> u32 {
     ((bits_per_key * std::f64::consts::LN_2).round() as u32).clamp(1, 30)
 }
 
 /// Returns the bits-per-key budget achieving a target false-positive rate
 /// for a standard Bloom filter: `bits/key = -ln(p) / ln(2)^2`.
-pub fn bits_per_key_for_fpr(fpr: f64) -> f64 {
+fn bits_per_key_for_fpr(fpr: f64) -> f64 {
     let fpr = fpr.clamp(1e-9, 0.5);
     -fpr.ln() / (std::f64::consts::LN_2 * std::f64::consts::LN_2)
 }
@@ -107,7 +107,7 @@ impl StandardBloom {
     }
 
     /// Creates a filter with an explicit bits-per-key budget.
-    pub fn with_bits_per_key(expected_keys: usize, bits_per_key: f64) -> Self {
+    fn with_bits_per_key(expected_keys: usize, bits_per_key: f64) -> Self {
         let nbits = ((expected_keys.max(1) as f64 * bits_per_key).ceil() as u64).max(64);
         let words = nbits.div_ceil(64) as usize;
         StandardBloom {
@@ -179,7 +179,7 @@ impl BlockedBloom {
     }
 
     /// Creates a filter with an explicit bits-per-key budget.
-    pub fn with_bits_per_key(expected_keys: usize, bits_per_key: f64) -> Self {
+    fn with_bits_per_key(expected_keys: usize, bits_per_key: f64) -> Self {
         let nbits = (expected_keys.max(1) as f64 * bits_per_key).ceil() as usize;
         let nblocks = nbits.div_ceil(BLOCK_BITS).max(1);
         BlockedBloom {

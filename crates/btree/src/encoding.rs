@@ -3,7 +3,7 @@
 use lsm_common::{Error, Result};
 
 /// Appends a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -16,7 +16,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 varint, returning `(value, bytes_consumed)`.
-pub fn get_varint(buf: &[u8]) -> Result<(u64, usize)> {
+fn get_varint(buf: &[u8]) -> Result<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0;
     for (i, &b) in buf.iter().enumerate() {
@@ -32,7 +32,7 @@ pub fn get_varint(buf: &[u8]) -> Result<(u64, usize)> {
     Err(Error::corruption("truncated varint"))
 }
 
-/// Number of bytes [`put_varint`] writes for `v`.
+/// Number of bytes the LEB128 varint encoding of `v` takes.
 pub fn varint_len(v: u64) -> usize {
     if v == 0 {
         return 1;

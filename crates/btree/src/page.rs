@@ -267,7 +267,7 @@ impl LeafPageBuilder {
     }
 
     /// Bytes the page would occupy if finished now.
-    pub fn current_size(&self) -> usize {
+    fn current_size(&self) -> usize {
         LEAF_HEADER + self.keys.size() + self.value_ends.len() * 4 + self.values.len()
     }
 
@@ -581,7 +581,7 @@ impl InternalPageBuilder {
     }
 
     /// Bytes the page would occupy if finished now.
-    pub fn current_size(&self) -> usize {
+    fn current_size(&self) -> usize {
         INTERNAL_HEADER + self.keys.size() + self.children.len() * 4
     }
 

@@ -77,14 +77,6 @@ impl Schema {
         &self.fields
     }
 
-    /// Resolves a field name to its position.
-    pub fn field_index(&self, name: &str) -> Result<usize> {
-        self.fields
-            .iter()
-            .position(|f| f.name == name)
-            .ok_or_else(|| Error::invalid(format!("no field named {name:?}")))
-    }
-
     /// Validates that `record` conforms to this schema.
     pub fn check(&self, record: &Record) -> Result<()> {
         if record.values.len() != self.fields.len() {
@@ -278,8 +270,8 @@ mod tests {
     fn schema_construction_and_lookup() {
         let s = tweet_schema();
         assert_eq!(s.arity(), 5);
-        assert_eq!(s.field_index("location").unwrap(), 2);
-        assert!(s.field_index("nope").is_err());
+        assert_eq!(s.fields()[2].name, "location");
+        assert_eq!(s.fields()[2].ty, FieldType::Str);
     }
 
     #[test]

@@ -36,31 +36,6 @@ impl StrategyKind {
     }
 }
 
-/// Where structural maintenance (flushes and merges) runs.
-///
-/// The paper's concurrency-control machinery (Section 5.3) is designed so
-/// that writers proceed *while* components are rebuilt; this knob decides
-/// whether the rebuilds themselves happen on the writer's thread or on a
-/// pool of background workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenanceMode {
-    /// Flush and merge synchronously on the ingesting thread when the
-    /// memory budget trips. Deterministic — the mode used by the simulated
-    /// (`sim_clock`) experiments and most tests.
-    Inline,
-    /// Enqueue flush/merge jobs on a private
-    /// [`MaintenanceRuntime`](crate::MaintenanceRuntime) with exactly
-    /// `workers` threads; writers only stall when memory exceeds the hard
-    /// ceiling ([`DatasetConfig::memory_ceiling`]). To share one runtime
-    /// across many datasets, open them with
-    /// [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime)
-    /// instead.
-    Background {
-        /// Worker threads in the pool (at least 1).
-        workers: usize,
-    },
-}
-
 /// Configuration of an engine-wide
 /// [`MaintenanceRuntime`](crate::MaintenanceRuntime): one bounded worker
 /// pool serving every registered dataset, instead of one pool per dataset.
@@ -84,14 +59,6 @@ pub struct EngineConfig {
     /// than the live worker count, transient workers are spawned up to this
     /// cap and retire once the queue drains.
     pub max_workers: usize,
-    /// Worker threads in the runtime's shared **query pool**, used by
-    /// [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) to fan
-    /// partitioned scans and candidate fetches across cores. `0` (the
-    /// default) starts no pool: parallel queries on datasets registered
-    /// with the runtime then fall back to ephemeral threads per query. A
-    /// shared pool bounds engine-wide query parallelism the same way
-    /// `max_workers` bounds maintenance threads.
-    pub query_workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -99,7 +66,6 @@ impl Default for EngineConfig {
         EngineConfig {
             min_workers: 1,
             max_workers: 4,
-            query_workers: 0,
         }
     }
 }
@@ -112,13 +78,11 @@ impl EngineConfig {
         }
     }
 
-    /// A fixed-size pool: `min_workers == max_workers == workers` (the
-    /// shape of the per-dataset [`MaintenanceMode::Background`] pool).
+    /// A fixed-size pool: `min_workers == max_workers == workers`.
     pub fn fixed(workers: usize) -> Self {
         EngineConfig {
             min_workers: workers,
             max_workers: workers,
-            ..EngineConfig::default()
         }
     }
 
@@ -158,14 +122,6 @@ impl EngineConfigBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.min_workers = n;
         self.cfg.max_workers = n;
-        self
-    }
-
-    /// Starts a shared query pool of `n` worker threads on the runtime,
-    /// serving every registered dataset's
-    /// [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) queries.
-    pub fn query_workers(mut self, n: usize) -> Self {
-        self.cfg.query_workers = n;
         self
     }
 
@@ -249,13 +205,11 @@ pub struct DatasetConfig {
     /// Use Bloom filters of the primary key index to skip validation during
     /// repair (Section 4.4; requires correlated merges).
     pub repair_bloom_opt: bool,
-    /// Where flushes and merges run (inline on the writer, or on a
-    /// background worker pool).
-    pub maintenance: MaintenanceMode,
-    /// Hard memory ceiling for backpressure in background mode: writers
-    /// stall once active + flushing memory exceeds this. `None` defaults to
-    /// twice the memory budget. Ignored in inline mode (the writer flushes
-    /// before it can overshoot).
+    /// Hard memory ceiling for backpressure on a dataset opened with
+    /// [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime):
+    /// writers stall once active + flushing memory exceeds this. `None`
+    /// defaults to twice the memory budget. Ignored under inline
+    /// maintenance (the writer flushes before it can overshoot).
     pub memory_ceiling: Option<usize>,
     /// Concurrency-control method used when a *background* merge of
     /// mutable-bitmap components races live writers (Section 5.3). Inline
@@ -285,14 +239,13 @@ impl DatasetConfig {
             bloom_fpr: 0.01,
             merge_repair: true,
             repair_bloom_opt: false,
-            maintenance: MaintenanceMode::Inline,
             memory_ceiling: None,
             cc_method: crate::cc::CcMethod::SideFile,
             memtable_shards: 1,
         }
     }
 
-    /// The effective backpressure ceiling (Background mode): configured
+    /// The effective backpressure ceiling (background maintenance): configured
     /// value, or twice the memory budget.
     pub fn effective_memory_ceiling(&self) -> usize {
         self.memory_ceiling
@@ -339,11 +292,6 @@ impl DatasetConfig {
         if self.repair_bloom_opt && !self.merge.correlated {
             return Err(Error::invalid(
                 "the repair Bloom-filter optimization requires correlated merges",
-            ));
-        }
-        if matches!(self.maintenance, MaintenanceMode::Background { workers: 0 }) {
-            return Err(Error::invalid(
-                "background maintenance requires at least one worker",
             ));
         }
         if let Some(ceiling) = self.memory_ceiling {
@@ -454,15 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn background_mode_requires_workers() {
-        let mut c = DatasetConfig::new(schema(), 0);
-        c.maintenance = MaintenanceMode::Background { workers: 0 };
-        assert!(c.validate().is_err());
-        c.maintenance = MaintenanceMode::Background { workers: 2 };
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn memtable_shards_must_be_positive() {
         let mut c = DatasetConfig::new(schema(), 0);
         assert_eq!(c.memtable_shards, 1, "default is the classic memtable");
@@ -492,15 +431,8 @@ mod tests {
             .max_workers(2)
             .build()
             .is_err());
-        let cfg = EngineConfig::builder()
-            .workers(2)
-            .query_workers(3)
-            .build()
-            .unwrap();
-        assert_eq!(
-            (cfg.min_workers, cfg.max_workers, cfg.query_workers),
-            (2, 2, 3)
-        );
+        let cfg = EngineConfig::builder().workers(2).build().unwrap();
+        assert_eq!((cfg.min_workers, cfg.max_workers), (2, 2));
         let fixed = EngineConfig::fixed(3);
         assert_eq!((fixed.min_workers, fixed.max_workers), (3, 3));
     }
@@ -508,15 +440,12 @@ mod tests {
     #[test]
     fn engine_config_default_is_a_valid_elastic_pool() {
         let cfg = EngineConfig::default();
-        assert_eq!(
-            (cfg.min_workers, cfg.max_workers, cfg.query_workers),
-            (1, 4, 0)
-        );
+        assert_eq!((cfg.min_workers, cfg.max_workers), (1, 4));
         cfg.validate().unwrap();
         let built = EngineConfig::builder().build().unwrap();
         assert_eq!(
-            (built.min_workers, built.max_workers, built.query_workers),
-            (1, 4, 0),
+            (built.min_workers, built.max_workers),
+            (1, 4),
             "the builder starts from the defaults"
         );
         assert!(EngineConfig::fixed(0).validate().is_err());

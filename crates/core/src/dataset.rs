@@ -7,7 +7,7 @@
 //! sharing one memory budget so they always flush together. Component IDs
 //! are `(minTS, maxTS)` intervals over a per-dataset logical clock.
 
-use crate::config::{DatasetConfig, EngineConfig, MaintenanceMode, StrategyKind};
+use crate::config::{DatasetConfig, StrategyKind};
 use crate::keys::{encode_pk, encode_sk_pk};
 use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
@@ -17,7 +17,7 @@ use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Val
 use lsm_storage::Storage;
 use lsm_tree::{locate_valid, point_lookup, LsmEntry, LsmOptions, LsmTree, MergeRange};
 use parking_lot::{Mutex, RwLock};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// One secondary index: definition + LSM-tree.
 pub struct SecondaryIndex {
@@ -54,13 +54,11 @@ pub struct Dataset {
     /// flush only reads memory; a merge only reads disk components), but
     /// two merges racing would work from stale component indices.
     merge_mutex: Mutex<()>,
-    /// This dataset's registration on a [`MaintenanceRuntime`] (set once,
-    /// lock-free thereafter — the hot write path must not take a mutex per
-    /// op). Holding the handle keeps the runtime alive; a dataset opened
-    /// with [`MaintenanceMode::Background`] owns a private fixed-size
-    /// runtime, one opened with [`Dataset::open_with_runtime`] shares the
-    /// caller's.
-    runtime: std::sync::OnceLock<RuntimeHandle>,
+    /// This dataset's registration on the [`MaintenanceRuntime`] it was
+    /// opened with ([`Dataset::open_with_runtime`]); `None` = inline
+    /// maintenance. Fixed at construction, so the hot write path reads it
+    /// without a lock. Holding the handle keeps the runtime alive.
+    runtime: Option<RuntimeHandle>,
     /// Mutable-bitmap flushes: deletes of versions sitting in the sealed
     /// (immutable, mid-flush) snapshot are routed here and applied to the
     /// new component's bitmap before it becomes visible — the §5.3
@@ -71,10 +69,6 @@ pub struct Dataset {
     /// caller on the next write instead of aborting the worker's process.
     poison: Mutex<Option<Error>>,
     poisoned: std::sync::atomic::AtomicBool,
-    /// Weak handle to the `Arc` this dataset lives in, so the fluent
-    /// facade can hand worker threads a reference without keeping the
-    /// dataset alive forever.
-    self_ref: Weak<Dataset>,
 }
 
 /// Which index (or index group) a planned merge applies to.
@@ -133,7 +127,7 @@ impl Drop for Dataset {
     /// rebuilds — possibly on a worker thread (a job holds a temporary
     /// strong reference), which the runtime handles by detaching itself.
     fn drop(&mut self) {
-        if let Some(handle) = self.runtime.get() {
+        if let Some(handle) = &self.runtime {
             handle.deregister();
         }
     }
@@ -144,45 +138,37 @@ impl Dataset {
     /// given (the paper dedicates a second disk to the WAL).
     ///
     /// Returns an [`Arc`] so the dataset can be shared with concurrent
-    /// writers and with background maintenance workers.
-    /// [`MaintenanceMode::Background`] starts a *private* fixed-size
-    /// [`MaintenanceRuntime`] for this dataset; to share one bounded
-    /// runtime across many datasets use [`Dataset::open_with_runtime`].
-    /// Dropping the last handle deregisters the dataset (and shuts a
-    /// private runtime down after draining in-flight rebuilds).
+    /// writers. Maintenance runs **inline**: the writer that trips the
+    /// memory budget flushes and merges on its own thread. For background
+    /// maintenance open with [`Dataset::open_with_runtime`] instead.
     pub fn open(
         storage: Arc<Storage>,
         log_storage: Option<Arc<Storage>>,
         cfg: DatasetConfig,
     ) -> Result<Arc<Self>> {
-        let ds = Self::build(storage, log_storage, cfg)?;
-        if let MaintenanceMode::Background { workers } = ds.cfg.maintenance {
-            ds.start_background(workers)?;
-        }
-        Ok(ds)
+        Self::build(storage, log_storage, cfg, None)
     }
 
-    /// Opens an empty dataset registered on an existing shared
-    /// [`MaintenanceRuntime`]: flushes and merges are enqueued on the
-    /// runtime's prioritized queue and executed by its bounded worker pool
-    /// alongside every other registered dataset's jobs. Any
-    /// [`MaintenanceMode::Background`] worker count in `cfg` is ignored —
-    /// the shared runtime's [`EngineConfig`] governs.
+    /// Opens an empty dataset registered on a [`MaintenanceRuntime`]:
+    /// flushes and merges are enqueued on the runtime's prioritized queue
+    /// and executed by its bounded worker pool alongside every other
+    /// registered dataset's jobs. Dropping the dataset's last handle
+    /// deregisters it; the runtime shuts down, draining in-flight
+    /// rebuilds, once its own last handle is gone.
     pub fn open_with_runtime(
         storage: Arc<Storage>,
         log_storage: Option<Arc<Storage>>,
         cfg: DatasetConfig,
         runtime: &Arc<MaintenanceRuntime>,
     ) -> Result<Arc<Self>> {
-        let ds = Self::build(storage, log_storage, cfg)?;
-        ds.attach_runtime(runtime.clone())?;
-        Ok(ds)
+        Self::build(storage, log_storage, cfg, Some(runtime))
     }
 
     fn build(
         storage: Arc<Storage>,
         log_storage: Option<Arc<Storage>>,
         cfg: DatasetConfig,
+        runtime: Option<&Arc<MaintenanceRuntime>>,
     ) -> Result<Arc<Self>> {
         cfg.validate()?;
         let primary = LsmTree::new(
@@ -247,11 +233,13 @@ impl Dataset {
             dataset_lock: RwLock::new(()),
             flush_mutex: Mutex::new(()),
             merge_mutex: Mutex::new(()),
-            runtime: std::sync::OnceLock::new(),
+            // Registered with the weak handle being built. No job can exist
+            // before the dataset queues one, and a stats read that races
+            // construction fails to upgrade it, as for a dropped dataset.
+            runtime: runtime.map(|rt| RuntimeHandle::new(rt.clone(), rt.register(weak.clone()))),
             flush_deletes: Mutex::new(None),
             poison: Mutex::new(None),
             poisoned: std::sync::atomic::AtomicBool::new(false),
-            self_ref: weak.clone(),
             storage,
             cfg,
         });
@@ -260,49 +248,10 @@ impl Dataset {
 
     // ---- background maintenance --------------------------------------------
 
-    /// Starts a private fixed-size runtime for this dataset
-    /// ([`Maintenance::background`](crate::Maintenance::background) is the
-    /// public entry point).
-    pub(crate) fn start_background(&self, workers: usize) -> Result<()> {
-        if workers == 0 {
-            return Err(Error::invalid(
-                "background maintenance requires at least one worker",
-            ));
-        }
-        self.attach_runtime(MaintenanceRuntime::start(EngineConfig::fixed(workers))?)
-    }
-
-    /// Registers this dataset on `runtime`. Errors if it is already
-    /// registered (on any runtime).
-    fn attach_runtime(&self, runtime: Arc<MaintenanceRuntime>) -> Result<()> {
-        let arc = self
-            .self_ref
-            .upgrade()
-            .ok_or_else(|| Error::invalid("dataset is shutting down"))?;
-        let id = runtime.register(&arc);
-        let handle = RuntimeHandle::new(runtime, id);
-        if let Err(handle) = self.runtime.set(handle) {
-            handle.deregister();
-            return Err(Error::invalid("background maintenance already running"));
-        }
-        Ok(())
-    }
-
     /// This dataset's runtime registration, when background maintenance
     /// runs (lock-free: read on every write operation).
     pub(crate) fn runtime_handle(&self) -> Option<&RuntimeHandle> {
-        self.runtime.get()
-    }
-
-    /// True if a background maintenance runtime is serving this dataset.
-    pub fn is_background(&self) -> bool {
-        self.runtime.get().is_some()
-    }
-
-    /// The maintenance runtime serving this dataset, if any (private or
-    /// shared) — e.g. for [`MaintenanceRuntime::stats`].
-    pub fn maintenance_runtime(&self) -> Option<&Arc<MaintenanceRuntime>> {
-        self.runtime.get().map(|h| h.runtime())
+        self.runtime.as_ref()
     }
 
     /// This dataset's registration id on its maintenance runtime, if any —
@@ -310,28 +259,7 @@ impl Dataset {
     /// uses in its `per_dataset` rows and `poisoned` list, so operators
     /// can map a runtime stats row back to the dataset handle they hold.
     pub fn runtime_dataset_id(&self) -> Option<u64> {
-        self.runtime.get().map(|h| h.dataset_id())
-    }
-
-    /// The shared query pool serving this dataset's
-    /// [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) queries,
-    /// if its maintenance runtime started one
-    /// ([`EngineConfig::query_workers`](crate::EngineConfig) > 0).
-    /// Without a pool, parallel queries use ephemeral threads.
-    pub fn query_pool(&self) -> Option<Arc<crate::query::QueryPool>> {
-        self.runtime
-            .get()
-            .and_then(|h| h.runtime().query_pool().cloned())
-    }
-
-    /// Upgrades the dataset's own weak self-reference into an [`Arc`] —
-    /// parallel query phases hand clones to worker threads. Succeeds
-    /// whenever a strong handle exists (always, for a caller borrowing
-    /// through one).
-    pub(crate) fn shared(&self) -> Result<Arc<Dataset>> {
-        self.self_ref
-            .upgrade()
-            .ok_or_else(|| Error::invalid("dataset is shutting down"))
+        self.runtime.as_ref().map(|h| h.dataset_id())
     }
 
     /// Records a fatal background-maintenance failure. The first error
@@ -2023,6 +1951,32 @@ mod tests {
             (1.0..=1.05).contains(&(mean / budget)),
             "mean flush of {mean} bytes against a budget of {budget}"
         );
+    }
+
+    /// Inline, `Maintenance::flush` flushes and nothing more: the merges
+    /// wait for the next write that trips the budget.
+    #[test]
+    fn inline_flush_leaves_merges_to_the_next_budget_trip() {
+        let mut cfg = config(StrategyKind::Validation);
+        cfg.memory_budget = 32 * 1024;
+        cfg.merge.max_mergeable_bytes = u64::MAX;
+        let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+        for round in 0..4 {
+            for i in 0..20 {
+                ds.upsert(&rec(i, "CA", round)).unwrap();
+            }
+            assert!(ds.maintenance().flush().unwrap());
+        }
+        let snap = ds.stats().snapshot();
+        assert_eq!((snap.flushes, snap.merges), (4, 0));
+        assert_eq!(ds.primary().num_disk_components(), 4);
+        let mut id = 1000;
+        while ds.stats().snapshot().flushes == 4 {
+            ds.upsert(&rec(id, "CA", 0)).unwrap();
+            id += 1;
+        }
+        assert!(ds.stats().snapshot().merges > 0);
+        assert!(ds.primary().num_disk_components() < 5);
     }
 
     #[test]

@@ -41,12 +41,6 @@ pub fn split_sk_pk(key: &[u8]) -> Result<(&[u8], &[u8])> {
     Ok((parts.field_bytes(0)?, parts.field_bytes(1)?))
 }
 
-/// Splits a secondary index key back into `(secondary key, primary key)`.
-pub fn decode_sk_pk(key: &[u8]) -> Result<(Value, Value)> {
-    let (sk, pk) = split_sk_pk(key)?;
-    Ok((Value::decode_from(sk)?.0, Value::decode_from(pk)?.0))
-}
-
 /// Borrows an owned key bound as the byte-slice bound the scan layer takes
 /// (`LsmScan` / `mem_snapshot_range`). Shared by the collecting and
 /// streaming query paths, which build owned `Bound<Key>` ranges via
@@ -96,13 +90,12 @@ mod tests {
     fn sk_pk_roundtrip() {
         let (sk, pk) = (Value::Str("CA".into()), Value::Int(101));
         let k = encode_sk_pk(&sk, &pk);
-        assert_eq!(decode_sk_pk(&k).unwrap(), (sk.clone(), pk.clone()));
         assert_eq!(
             split_sk_pk(&k).unwrap(),
             (sk.encode().as_slice(), pk.encode().as_slice())
         );
         // One part, three parts, a damaged part: corruption, never a panic.
-        assert!(decode_sk_pk(&encode_pk(&Value::Int(1))).is_err());
+        assert!(split_sk_pk(&encode_pk(&Value::Int(1))).is_err());
         assert!(split_sk_pk(&[k.as_slice(), &encode_pk(&pk)].concat()).is_err());
         assert!(split_sk_pk(&k[..k.len() - 1]).is_err());
     }

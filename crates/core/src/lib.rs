@@ -104,34 +104,32 @@
 //! `sort_output`, so results are identical for every `n` and always in
 //! primary-key order, from both
 //! [`PreparedQuery::execute`](query::PreparedQuery::execute) and
-//! [`PreparedQuery::stream`](query::PreparedQuery::stream). Partition
-//! tasks run on the runtime's shared [`QueryPool`] when
-//! [`EngineConfig::query_workers`](EngineConfig) is set (bounding
-//! engine-wide query parallelism; the caller always participates) and on
-//! ephemeral threads otherwise; a buffer-cache hit takes no lock beyond
-//! the storage file table's read lock, so the partitions do not serialize
-//! on the cache. See `ARCHITECTURE.md` ("The read path") for the design
-//! and `docs/OPERATIONS.md` for sizing guidance.
+//! [`PreparedQuery::stream`](query::PreparedQuery::stream). The calling
+//! thread runs the first partition and one scoped thread per other
+//! partition runs the rest, all joined before the stage returns — the
+//! engine keeps no query threads between calls. A buffer-cache hit takes
+//! no lock beyond the storage file table's read lock, so the partitions do
+//! not serialize on the cache. See `ARCHITECTURE.md` ("The read path") for
+//! the design.
 //!
 //! ## Background maintenance
 //!
-//! Structural maintenance (flush + merge) is either **inline** — the
-//! writer that trips the memory budget pays for the flush and the
-//! follow-up merges synchronously; deterministic, used by the `sim_clock`
-//! experiments and most tests — or runs on a [`MaintenanceRuntime`]: a
-//! bounded, engine-wide worker pool shared by every dataset registered
-//! with it.
+//! Structural maintenance (flush + merge) is either **inline** — a dataset
+//! opened with [`Dataset::open`]: the writer that trips the memory budget
+//! pays for the flush and the follow-up merges synchronously;
+//! deterministic, used by the `sim_clock` experiments and most tests — or
+//! runs on a [`MaintenanceRuntime`]: a bounded, engine-wide worker pool
+//! shared by every dataset registered with it.
 //!
 //! **Registration.** Build a runtime from an [`EngineConfig`]
-//! (`EngineConfig::builder().min_workers(1).max_workers(4).build()`) with
+//! (`EngineConfig::builder().min_workers(1).max_workers(4).build()`, or
+//! `EngineConfig::fixed(n)` for `n` permanent workers) with
 //! [`MaintenanceRuntime::start`], then open datasets on it with
 //! [`Dataset::open_with_runtime`] — hundreds of datasets share one bounded
-//! pool instead of spawning one pool each. Opening with
-//! [`MaintenanceMode::Background`]`{ workers }` (or calling
-//! `ds.maintenance().background(n)`) instead gives the dataset a *private*
-//! fixed-size runtime, preserving the PR 2 per-dataset behaviour. A
-//! dataset deregisters on drop, discarding its queued jobs; the runtime
-//! shuts down, draining in-flight rebuilds, when its last handle drops.
+//! pool instead of spawning one pool each, and a runtime serving a single
+//! dataset is that dataset's own background pool. A dataset deregisters
+//! on drop, discarding its queued jobs; the runtime shuts down, draining
+//! in-flight rebuilds, when its last handle drops.
 //!
 //! ```
 //! use lsm_engine::{Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime};
@@ -218,8 +216,7 @@ pub mod txn;
 
 pub use batch::{BatchOpResult, WriteBatch};
 pub use config::{
-    DatasetConfig, EngineConfig, EngineConfigBuilder, MaintenanceMode, MergeConfig,
-    SecondaryIndexDef, StrategyKind,
+    DatasetConfig, EngineConfig, EngineConfigBuilder, MergeConfig, SecondaryIndexDef, StrategyKind,
 };
 pub use dataset::{Dataset, MergePlan, MergeTarget, SecondaryIndex};
 // Re-exported so consumers can set `DatasetConfig::bloom_kind` without a
@@ -228,7 +225,7 @@ pub use lsm_bloom::BloomKind;
 pub use maintenance::{Maintenance, RepairPlan};
 pub use query::{
     FilterScanBuilder, FilterScanReport, FilterScanStream, PreparedQuery, QueryBuilder,
-    QueryOptions, QueryPool, QueryResult, RecordStream, ValidationMethod,
+    QueryOptions, QueryResult, RecordStream, ValidationMethod,
 };
 pub use repair::{RepairMode, RepairOptions, RepairReport};
 pub use scheduler::{DatasetRuntimeStats, MaintenanceRuntime, RuntimeStatsSnapshot};

@@ -67,35 +67,22 @@ impl<'a> Maintenance<'a> {
         self.plan().repair_primary()
     }
 
-    /// Flushes all memory components together (alias of
-    /// [`Maintenance::flush_now`]: synchronous in either maintenance mode,
-    /// handing follow-up merges to the background pool when one runs).
+    /// Flushes all memory components together, synchronously on the
+    /// calling thread whether or not the dataset has a maintenance runtime.
+    /// On a runtime, the follow-up merges are handed to its workers;
+    /// inline, they are left to the next write that trips the budget.
+    /// Returns `true` if anything was flushed.
     pub fn flush(&self) -> Result<bool> {
-        self.flush_now()
+        let flushed = self.ds.flush_all()?;
+        if let Some(handle) = self.ds.runtime_handle() {
+            self.ds.schedule_planned_merges(handle);
+        }
+        Ok(flushed)
     }
 
     /// Runs policy-driven merges until quiescent.
     pub fn run_merges(&self) -> Result<()> {
         self.ds.run_merges()
-    }
-
-    // ---- background maintenance -------------------------------------------
-
-    /// Moves maintenance off the writer's critical path: starts a private
-    /// fixed-size [`MaintenanceRuntime`](crate::MaintenanceRuntime) with
-    /// `workers` threads executing this dataset's flush and merge jobs.
-    /// Writers then only *enqueue* work when the memory budget trips, and
-    /// stall solely at the hard ceiling
-    /// ([`DatasetConfig::memory_ceiling`](crate::DatasetConfig)). Errors if
-    /// the dataset is already registered on a runtime or `workers` is zero.
-    ///
-    /// Datasets opened with
-    /// [`MaintenanceMode::Background`](crate::MaintenanceMode) start their
-    /// private runtime automatically; datasets opened with
-    /// [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime)
-    /// share the caller's.
-    pub fn background(&self, workers: usize) -> Result<()> {
-        self.ds.start_background(workers)
     }
 
     /// Blocks until *this dataset's* background jobs — queued and
@@ -107,17 +94,6 @@ impl<'a> Maintenance<'a> {
         self.ds.drain_background();
         self.ds.maintenance_stats_refresh();
         self.ds.check_poisoned()
-    }
-
-    /// Flushes synchronously on the calling thread regardless of mode,
-    /// handing any follow-up merge work to the background runtime when one
-    /// is attached. Returns `true` if anything was flushed.
-    pub fn flush_now(&self) -> Result<bool> {
-        let flushed = self.ds.flush_all()?;
-        if let Some(handle) = self.ds.runtime_handle() {
-            self.ds.schedule_planned_merges(handle);
-        }
-        Ok(flushed)
     }
 }
 

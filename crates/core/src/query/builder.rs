@@ -159,11 +159,9 @@ impl<'a> QueryBuilder<'a> {
 
     /// Executes the query across up to `n` partitions in parallel: the
     /// secondary scan is split along component page boundaries and the
-    /// record fetch into contiguous primary-key chunks, each running on
-    /// its own thread (the engine's shared query pool when the dataset's
-    /// [`MaintenanceRuntime`](crate::MaintenanceRuntime) has one — see
-    /// [`EngineConfig::query_workers`](crate::EngineConfig) — ephemeral
-    /// threads otherwise; the calling thread always participates).
+    /// record fetch into contiguous primary-key chunks. The calling thread
+    /// runs the first partition and one scoped thread per other partition
+    /// runs the rest; all of them are joined before the stage returns.
     ///
     /// Implies [`sort_output`](QueryBuilder::sort_output): results always
     /// arrive in primary-key order, both from [`PreparedQuery::execute`]

@@ -32,10 +32,10 @@
 //!    concatenating the chunks yields primary-key order with no merge.
 //!
 //! A single partition (or chunk) runs inline on the calling thread;
-//! several are scattered over the dataset's query pool
-//! (`run_partitions`). `.parallel(n)` implies `sort_output`, so its result
-//! shape does not depend on `n` — and `parallel(1)` costs exactly what the
-//! default query with `sort_output(true)` costs, on both clocks.
+//! with several, the caller runs the first and scoped helper threads the
+//! rest (`run_partitions`). `.parallel(n)` implies `sort_output`, so its
+//! result shape does not depend on `n` — and `parallel(1)` costs exactly
+//! what the default query with `sort_output(true)` costs, on both clocks.
 
 use crate::dataset::Dataset;
 use crate::keys::{bound_as_ref, sk_range, split_sk_pk};
@@ -315,17 +315,15 @@ pub(crate) fn gather(
         ds.stats().record_parallel_query(partitions.len());
     }
     let tasks = split_run(mem.unwrap_or_default(), partitions);
-    let comps = Arc::new(comps);
-    let (scan_comps, scan_opts) = (comps.clone(), *opts);
-    let scan_partition = move |ds: &Dataset, (mem, (plo, phi)): ScanTask| {
+    let scan_partition = |ds: &Dataset, (mem, (plo, phi)): ScanTask| {
         let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
-        let mut cands = scan_candidates(ds, mem, &scan_comps, plo, phi)?;
-        sort_dedup_candidates(ds, &mut cands, &scan_opts);
+        let mut cands = scan_candidates(ds, mem, &comps, plo, phi)?;
+        sort_dedup_candidates(ds, &mut cands, opts);
         let mut marks = Vec::new();
-        let cands = validate_candidates(ds, cands, &scan_opts, &mut marks)?;
+        let cands = validate_candidates(ds, cands, opts, &mut marks)?;
         Ok::<_, Error>((cands, marks))
     };
-    let outcomes = run_partitions(ds, tasks, scan_partition)?;
+    let outcomes = run_partitions(ds, tasks, scan_partition);
 
     let mut partial: Vec<Vec<Candidate>> = Vec::with_capacity(outcomes.len());
     let mut marks: Vec<RepairMark> = Vec::new();
@@ -433,9 +431,8 @@ impl FetchPlan {
             .map(|start| start..(start + chunk).min(len))
             .collect();
         let sort = self.opts.sort_output;
-        let plan = Arc::new(self);
         let mut records = Vec::new();
-        for part in run_partitions(ds, ranges, move |ds, r| plan.fetch_chunk(ds, r, sort))? {
+        for part in run_partitions(ds, ranges, |ds, r| self.fetch_chunk(ds, r, sort)) {
             append(&mut records, part?);
         }
         Ok(records)

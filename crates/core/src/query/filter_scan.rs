@@ -30,9 +30,8 @@
 //! component leaf boundaries ([`LsmScan::partition_scan`], free of I/O for
 //! `n = 1`) and the captured memory run is cut into owned per-partition
 //! slices; a single partition — the default — runs inline on the calling
-//! thread, several are scattered over the engine's shared
-//! [`QueryPool`](crate::query::pool::QueryPool) (ephemeral threads when
-//! the dataset's runtime has none — the caller always participates).
+//! thread; with several, the caller runs the first and scoped helper
+//! threads the rest, all joined before the scan returns.
 //! Every partition reads the same component list; reconciliation is
 //! per-key and keys never span partitions, so each partition's output is
 //! exactly the whole scan's
@@ -282,10 +281,9 @@ impl ScanPlan {
             partitions: partitions.len() as u64,
         };
         let tasks = split_run(self.mem.take().unwrap_or_default(), partitions);
-        let plan = Arc::new(self);
-        let body = move |ds: &Dataset, task| plan.scan_partition(ds, task, collect);
+        let body = |ds: &Dataset, task| self.scan_partition(ds, task, collect);
         let mut records = Vec::new();
-        for part in run_partitions(ds, tasks, body)? {
+        for part in run_partitions(ds, tasks, body) {
             let (count, rows) = part?;
             report.matches += count;
             append(&mut records, rows);
@@ -365,11 +363,10 @@ impl FilterScanBuilder<'_> {
     }
 
     /// Executes the scan across up to `n` primary-key partitions in
-    /// parallel (the engine's shared query pool when the dataset's runtime
-    /// has one, ephemeral threads otherwise; the caller always
-    /// participates). Results are identical for every `n` and in
-    /// primary-key order; the default is `n = 1`, one partition run inline
-    /// on the calling thread.
+    /// parallel: the calling thread runs the first and one scoped thread
+    /// per other partition runs the rest. Results are identical for every
+    /// `n` and in primary-key order; the default is `n = 1`, one partition
+    /// run inline on the calling thread.
     pub fn parallel(mut self, n: usize) -> Self {
         self.partitions = n.max(1);
         self

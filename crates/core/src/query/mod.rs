@@ -27,12 +27,11 @@
 pub mod builder;
 mod exec;
 pub mod filter_scan;
-pub mod pool;
+mod pool;
 pub mod stream;
 
 pub use builder::{PreparedQuery, QueryBuilder};
 pub use filter_scan::{FilterScanBuilder, FilterScanReport, FilterScanStream};
-pub use pool::QueryPool;
 pub use stream::RecordStream;
 
 use lsm_common::{Record, Value};

@@ -70,12 +70,6 @@ impl<'a> RecordStream<'a> {
         }
     }
 
-    /// Candidates that passed validation (an upper bound on the number of
-    /// records the stream will yield).
-    pub fn candidate_count(&self) -> usize {
-        self.plan.keys.len()
-    }
-
     /// Keys fetched per batch (derived from `batch_bytes` and the primary
     /// index's average record size).
     pub fn keys_per_batch(&self) -> usize {

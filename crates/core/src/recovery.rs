@@ -83,8 +83,8 @@ fn max_component_ts(ds: &Dataset) -> Timestamp {
 /// bitmap (the paper's "regular checkpointing ... to flush dirty pages of
 /// bitmaps", Section 5.2).
 ///
-/// Serialized behind the dataset's flush and merge locks: under
-/// [`MaintenanceMode::Background`](crate::MaintenanceMode) a concurrent
+/// Serialized behind the dataset's flush and merge locks: on a
+/// [`MaintenanceRuntime`](crate::MaintenanceRuntime) a concurrent
 /// merge could otherwise retire a component between the bitmap snapshot
 /// and the LSN stamp, leaving a checkpoint that names components which no
 /// longer exist at its LSN.
@@ -272,31 +272,37 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DatasetConfig, MaintenanceMode, StrategyKind};
+    use crate::config::{DatasetConfig, EngineConfig, StrategyKind};
+    use crate::MaintenanceRuntime;
     use lsm_common::{FieldType, Schema, Value};
     use lsm_storage::{Storage, StorageOptions};
     use std::sync::Arc;
 
+    /// Maintenance runs inline for `workers == None`, else on a runtime of
+    /// its own with that many workers.
     fn dataset_with(
         strategy: StrategyKind,
-        mode: MaintenanceMode,
+        workers: Option<usize>,
         memory_budget: usize,
     ) -> Arc<Dataset> {
         let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Int)]).unwrap();
         let mut cfg = DatasetConfig::new(schema, 0);
         cfg.strategy = strategy;
         cfg.memory_budget = memory_budget;
-        cfg.maintenance = mode;
-        Dataset::open(
-            Storage::new(StorageOptions::test()),
-            Some(Storage::new(StorageOptions::test())),
-            cfg,
-        )
+        let storage = Storage::new(StorageOptions::test());
+        let log = Some(Storage::new(StorageOptions::test()));
+        match workers {
+            None => Dataset::open(storage, log, cfg),
+            Some(n) => {
+                let runtime = MaintenanceRuntime::start(EngineConfig::fixed(n)).unwrap();
+                Dataset::open_with_runtime(storage, log, cfg, &runtime)
+            }
+        }
         .unwrap()
     }
 
     fn dataset(strategy: StrategyKind) -> Arc<Dataset> {
-        dataset_with(strategy, MaintenanceMode::Inline, usize::MAX)
+        dataset_with(strategy, None, usize::MAX)
     }
 
     fn rec(id: i64, v: i64) -> Record {
@@ -305,17 +311,14 @@ mod tests {
 
     /// The crash-recovery matrix: every strategy with a WAL-relevant replay
     /// path, under inline AND background maintenance.
-    fn matrix() -> Vec<(StrategyKind, MaintenanceMode)> {
+    fn matrix() -> Vec<(StrategyKind, Option<usize>)> {
         let strategies = [
             StrategyKind::Eager,
             StrategyKind::Validation,
             StrategyKind::MutableBitmap,
             StrategyKind::DeletedKeyBTree,
         ];
-        let modes = [
-            MaintenanceMode::Inline,
-            MaintenanceMode::Background { workers: 2 },
-        ];
+        let modes = [None, Some(2)];
         strategies
             .into_iter()
             .flat_map(|s| modes.into_iter().map(move |m| (s, m)))
@@ -330,7 +333,7 @@ mod tests {
             for i in 0..50 {
                 ds.insert(&rec(i, i)).unwrap();
             }
-            ds.maintenance().flush_now().unwrap(); // durable (and forces the WAL)
+            ds.maintenance().flush().unwrap(); // durable (and forces the WAL)
             ds.maintenance().quiesce().unwrap();
             for i in 50..80 {
                 ds.insert(&rec(i, i)).unwrap();
@@ -367,7 +370,7 @@ mod tests {
             let ds = dataset_with(strategy, mode, usize::MAX);
             let state = CheckpointState::new();
             ds.insert(&rec(1, 1)).unwrap();
-            ds.maintenance().flush_now().unwrap();
+            ds.maintenance().flush().unwrap();
             ds.maintenance().quiesce().unwrap();
             ds.insert(&rec(2, 2)).unwrap(); // in mem, WAL not forced
             simulate_crash(&ds, &state).unwrap();
@@ -384,16 +387,13 @@ mod tests {
 
     #[test]
     fn bitmap_mutations_replayed_after_crash() {
-        for mode in [
-            MaintenanceMode::Inline,
-            MaintenanceMode::Background { workers: 2 },
-        ] {
+        for mode in [None, Some(2)] {
             let ds = dataset_with(StrategyKind::MutableBitmap, mode, usize::MAX);
             let state = CheckpointState::new();
             for i in 0..20 {
                 ds.insert(&rec(i, i)).unwrap();
             }
-            ds.maintenance().flush_now().unwrap();
+            ds.maintenance().flush().unwrap();
             ds.maintenance().quiesce().unwrap();
             checkpoint(&ds, &state).unwrap();
             // These upserts set bits in the flushed component's bitmap...
@@ -429,15 +429,11 @@ mod tests {
     /// deterministically opens the snapshot/stamp window the lock closes.
     #[test]
     fn checkpoint_blocks_on_inflight_merge() {
-        let ds = dataset_with(
-            StrategyKind::MutableBitmap,
-            MaintenanceMode::Background { workers: 1 },
-            usize::MAX,
-        );
+        let ds = dataset_with(StrategyKind::MutableBitmap, Some(1), usize::MAX);
         for i in 0..20 {
             ds.insert(&rec(i, i)).unwrap();
         }
-        ds.maintenance().flush_now().unwrap();
+        ds.maintenance().flush().unwrap();
         ds.maintenance().quiesce().unwrap();
 
         let merge_guard = ds.merge_serialization().lock();
@@ -466,11 +462,7 @@ mod tests {
     /// the oracle state.
     #[test]
     fn checkpoint_consistent_under_background_merges() {
-        let ds = dataset_with(
-            StrategyKind::MutableBitmap,
-            MaintenanceMode::Background { workers: 2 },
-            16 * 1024,
-        );
+        let ds = dataset_with(StrategyKind::MutableBitmap, Some(2), 16 * 1024);
         let state = CheckpointState::new();
         // Churn updates over a small key space so merges retire components
         // while checkpoints run unsynchronized with them.
@@ -557,20 +549,17 @@ mod tests {
     }
 
     /// Regression (background jobs racing replay): with a small budget and
-    /// Background mode, replay trips the memory budget — maintenance must
-    /// run inline on the recovery thread, never on the runtime's workers.
+    /// a maintenance runtime, replay trips the memory budget — maintenance
+    /// must run inline on the recovery thread, never on the runtime's
+    /// workers.
     #[test]
     fn replay_maintains_inline_under_background_mode() {
-        let ds = dataset_with(
-            StrategyKind::Validation,
-            MaintenanceMode::Background { workers: 2 },
-            4 * 1024,
-        );
+        let ds = dataset_with(StrategyKind::Validation, Some(2), 4 * 1024);
         let state = CheckpointState::new();
         for i in 0..100 {
             ds.insert(&rec(i, i)).unwrap();
         }
-        ds.maintenance().flush_now().unwrap();
+        ds.maintenance().flush().unwrap();
         ds.maintenance().quiesce().unwrap();
         // A committed tail big enough that replaying it trips the budget —
         // written without the maintenance hook so it is all still in memory

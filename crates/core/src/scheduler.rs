@@ -14,10 +14,8 @@
 //! Contracts:
 //!
 //! * **Registration** — datasets join on
-//!   [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime) (or
-//!   get a private fixed-size runtime from
-//!   [`MaintenanceMode::Background`](crate::MaintenanceMode)) and leave when
-//!   dropped; deregistration discards the dataset's queued jobs.
+//!   [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime) and
+//!   leave when dropped; deregistration discards the dataset's queued jobs.
 //! * **Priorities** — flushes always run before merges (they release writer
 //!   memory). Both classes are served round-robin across datasets; a
 //!   dataset's merge turn runs its smallest queued merge (by estimated
@@ -69,7 +67,7 @@ const STALL_RECHECK: Duration = Duration::from_millis(20);
 
 /// A unit of background maintenance work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Job {
+enum Job {
     /// Seal and flush all of the dataset's memory components.
     Flush,
     /// Run the merge planned for the dataset (the embedded plan is the
@@ -200,11 +198,11 @@ impl RuntimeShared {
         }
     }
 
-    fn register(&self, ds: &Arc<Dataset>) -> u64 {
+    fn register(&self, ds: Weak<Dataset>) -> u64 {
         let mut s = self.state.lock();
         let id = s.next_dataset;
         s.next_dataset += 1;
-        s.datasets.insert(id, DatasetEntry::new(Arc::downgrade(ds)));
+        s.datasets.insert(id, DatasetEntry::new(ds));
         id
     }
 
@@ -512,26 +510,17 @@ impl RuntimeShared {
 /// [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime); each
 /// dataset keeps a handle, so the runtime outlives all of its datasets and
 /// shuts down (draining in-flight rebuilds) when the last handle drops.
-/// Datasets opened with
-/// [`MaintenanceMode::Background`](crate::MaintenanceMode) get a private
-/// fixed-size runtime automatically.
 #[derive(Debug)]
 pub struct MaintenanceRuntime {
     shared: Arc<RuntimeShared>,
     permanent: Mutex<Vec<JoinHandle<()>>>,
-    /// Shared query worker pool ([`EngineConfig::query_workers`] > 0):
-    /// every registered dataset's parallel queries scatter their partition
-    /// tasks here, bounding engine-wide query parallelism.
-    query_pool: Option<Arc<crate::query::QueryPool>>,
 }
 
 impl MaintenanceRuntime {
-    /// Validates `cfg`, spawns the permanent workers (and the query pool
-    /// when configured), and returns the runtime handle.
+    /// Validates `cfg`, spawns the permanent workers, and returns the
+    /// runtime handle.
     pub fn start(cfg: EngineConfig) -> Result<Arc<Self>> {
         cfg.validate()?;
-        let query_pool =
-            (cfg.query_workers > 0).then(|| crate::query::QueryPool::new(cfg.query_workers));
         let shared = Arc::new(RuntimeShared::new(cfg));
         {
             let mut s = shared.state.lock();
@@ -552,19 +541,7 @@ impl MaintenanceRuntime {
         Ok(Arc::new(MaintenanceRuntime {
             shared,
             permanent: Mutex::new(handles),
-            query_pool,
         }))
-    }
-
-    /// The runtime configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.shared.cfg
-    }
-
-    /// The shared query pool, when [`EngineConfig::query_workers`] is
-    /// non-zero.
-    pub fn query_pool(&self) -> Option<&Arc<crate::query::QueryPool>> {
-        self.query_pool.as_ref()
     }
 
     /// Blocks until every registered dataset's queue is drained and all
@@ -661,7 +638,7 @@ impl MaintenanceRuntime {
             .collect()
     }
 
-    pub(crate) fn register(&self, ds: &Arc<Dataset>) -> u64 {
+    pub(crate) fn register(&self, ds: Weak<Dataset>) -> u64 {
         self.shared.register(ds)
     }
 
@@ -759,10 +736,6 @@ pub(crate) struct RuntimeHandle {
 impl RuntimeHandle {
     pub(crate) fn new(runtime: Arc<MaintenanceRuntime>, id: u64) -> Self {
         RuntimeHandle { runtime, id }
-    }
-
-    pub(crate) fn runtime(&self) -> &Arc<MaintenanceRuntime> {
-        &self.runtime
     }
 
     /// The runtime-assigned dataset id (the key of the runtime's stats
@@ -967,7 +940,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DatasetConfig, MaintenanceMode, SecondaryIndexDef, StrategyKind};
+    use crate::config::{DatasetConfig, SecondaryIndexDef, StrategyKind};
     use lsm_common::{FieldType, Record, Schema, Value};
     use lsm_storage::{Storage, StorageOptions};
 
@@ -988,8 +961,13 @@ mod tests {
             field: 1,
         }];
         cfg.memory_budget = 32 * 1024;
-        cfg.maintenance = MaintenanceMode::Background { workers: 2 };
         cfg
+    }
+
+    /// A dataset on its own two-worker runtime.
+    fn open(storage: Arc<Storage>, strategy: StrategyKind) -> Arc<Dataset> {
+        let rt = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
+        Dataset::open_with_runtime(storage, None, config(strategy), &rt).unwrap()
     }
 
     fn rec(id: i64, loc: &str, time: i64) -> Record {
@@ -1027,12 +1005,10 @@ mod tests {
 
     #[test]
     fn background_mode_flushes_off_the_writer_path() {
-        let ds = Dataset::open(
+        let ds = open(
             Storage::new(StorageOptions::test()),
-            None,
-            config(StrategyKind::Validation),
-        )
-        .unwrap();
+            StrategyKind::Validation,
+        );
         for i in 0..4000 {
             ds.insert(&rec(i, "CA", i)).unwrap();
         }
@@ -1047,17 +1023,43 @@ mod tests {
     }
 
     #[test]
-    fn private_runtime_is_fixed_size() {
-        let ds = Dataset::open(
-            Storage::new(StorageOptions::test()),
-            None,
-            config(StrategyKind::Eager),
-        )
-        .unwrap();
-        let rt = ds.runtime_handle().unwrap().runtime().clone();
-        assert_eq!(rt.config().min_workers, 2);
-        assert_eq!(rt.config().max_workers, 2);
-        assert_eq!(rt.stats().datasets, 1);
+    fn a_fixed_runtime_serves_its_dataset_until_dropped() {
+        let rt = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
+        let cfg = config(StrategyKind::Eager);
+        let ds = Dataset::open_with_runtime(Storage::new(StorageOptions::test()), None, cfg, &rt)
+            .unwrap();
+        let stats = rt.stats();
+        assert_eq!(
+            (stats.min_workers, stats.max_workers, stats.datasets),
+            (2, 2, 1)
+        );
+        assert_eq!(Some(stats.per_dataset[0].dataset), ds.runtime_dataset_id());
+        drop(ds);
+        assert_eq!(rt.stats().datasets, 0, "a dropped dataset deregisters");
+        let cfg = config(StrategyKind::Eager);
+        let inline = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+        assert_eq!(inline.runtime_dataset_id(), None);
+    }
+
+    #[test]
+    fn flush_on_a_runtime_hands_follow_up_merges_to_the_workers() {
+        let mut cfg = config(StrategyKind::Validation);
+        cfg.memory_budget = usize::MAX; // only the explicit flushes below
+        cfg.merge.max_mergeable_bytes = u64::MAX;
+        let rt = MaintenanceRuntime::start(EngineConfig::fixed(1)).unwrap();
+        let ds = Dataset::open_with_runtime(Storage::new(StorageOptions::test()), None, cfg, &rt)
+            .unwrap();
+        for round in 0..4 {
+            for i in 0..200 {
+                ds.upsert(&rec(i, "CA", round)).unwrap();
+            }
+            assert!(ds.maintenance().flush().unwrap());
+        }
+        ds.maintenance().quiesce().unwrap();
+        let snap = ds.stats().snapshot();
+        assert_eq!(snap.flushes, 4, "every flush ran on the caller");
+        assert_eq!(snap.flush_jobs, 0, "no flush ran as a job");
+        assert!(snap.merge_jobs > 0 && snap.merges > 0, "{snap:?}");
     }
 
     #[test]
@@ -1066,7 +1068,7 @@ mod tests {
         // "worst" order must pop flush-first, then merges smallest-first
         // (one dataset, so round-robin reduces to the intra-dataset order).
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let id = shared.register(&ds);
+        let id = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(id, plan(1), 900));
         assert!(shared.schedule_merge(id, plan(2), 100));
         assert!(shared.schedule_flush(id));
@@ -1091,7 +1093,7 @@ mod tests {
     #[test]
     fn dedup_one_flush_job_at_a_time() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let id = shared.register(&ds);
+        let id = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_flush(id));
         assert!(!shared.schedule_flush(id), "second flush deduped");
         assert!(shared.schedule_merge(id, plan(1), 10));
@@ -1105,8 +1107,8 @@ mod tests {
     #[test]
     fn deregister_discards_queued_jobs() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         shared.schedule_flush(a);
         shared.schedule_flush(b);
         shared.deregister(a);
@@ -1120,8 +1122,8 @@ mod tests {
         // Workerless shared state: dataset b has a queued job forever, yet
         // waiting on a must return immediately (a hang fails the test run).
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_flush(b));
         shared.wait_idle_for(a);
         assert_eq!(shared.queue_depth_for(b), 1, "b's job untouched");
@@ -1132,7 +1134,9 @@ mod tests {
         // Three datasets each queue a flush; they must pop in registration
         // ring order regardless of enqueue interleaving, one per dataset.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let ids: Vec<u64> = (0..3).map(|_| shared.register(&ds)).collect();
+        let ids: Vec<u64> = (0..3)
+            .map(|_| shared.register(Arc::downgrade(&ds)))
+            .collect();
         shared.schedule_flush(ids[1]);
         shared.schedule_flush(ids[0]);
         shared.schedule_flush(ids[2]);
@@ -1148,8 +1152,8 @@ mod tests {
         // Global smallest-first would run ALL of a's merges before b's;
         // round-robin gives b the second turn.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         for i in 1..=3 {
             assert!(shared.schedule_merge(a, plan(i), 50));
         }
@@ -1165,7 +1169,7 @@ mod tests {
     #[test]
     fn one_merge_in_flight_per_dataset() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 30));
         assert!(shared.schedule_merge(a, plan(2), 10));
         assert!(shared.schedule_merge(a, plan(3), 20));
@@ -1187,7 +1191,7 @@ mod tests {
         // writer is waiting on it, and making it queue out a long merge
         // would stall the writer with workers idle.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 10));
         assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
         assert!(shared.schedule_flush(a));
@@ -1207,8 +1211,8 @@ mod tests {
         // a's merge is running; its next merge is skipped, and b's merge
         // pops at once instead of the worker waiting on a.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 10));
         assert!(shared.schedule_merge(a, plan(2), 20));
         assert!(shared.schedule_merge(b, plan(3), 500));
@@ -1227,7 +1231,9 @@ mod tests {
         // the last dataset in the ring finishes, the next pop walks past the
         // two busy ones to it; the ring then serves the others in order.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let ids: Vec<u64> = (0..3).map(|_| shared.register(&ds)).collect();
+        let ids: Vec<u64> = (0..3)
+            .map(|_| shared.register(Arc::downgrade(&ds)))
+            .collect();
         for (i, &id) in ids.iter().enumerate() {
             assert!(shared.schedule_merge(id, plan(10 * i + 1), 10));
             assert!(shared.schedule_merge(id, plan(10 * i + 2), 20));
@@ -1248,7 +1254,7 @@ mod tests {
     #[test]
     fn equal_estimates_pop_in_enqueue_order() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         for end in [3, 1, 2] {
             assert!(shared.schedule_merge(a, plan(end), 64));
         }
@@ -1273,7 +1279,7 @@ mod tests {
         // The dedup key clears on pop, so work arriving while a merge runs
         // re-queues the same range; the copy pops only after the run ends.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 10));
         assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
         assert!(shared.schedule_merge(a, plan(1), 10), "re-queued");
@@ -1286,7 +1292,7 @@ mod tests {
     #[test]
     fn finishing_a_flush_does_not_release_the_merge_slot() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 10));
         assert!(shared.schedule_merge(a, plan(2), 20));
         assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
@@ -1301,8 +1307,8 @@ mod tests {
     #[test]
     fn deregister_drops_queued_merges_from_the_ring() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         for i in 1..=3 {
             assert!(shared.schedule_merge(a, plan(i), 10));
         }
@@ -1322,7 +1328,7 @@ mod tests {
         // no entry, yet the runtime's in-flight count must still fall so a
         // whole-runtime quiesce returns.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         assert!(shared.schedule_merge(a, plan(1), 10));
         assert!(shared.schedule_merge(a, plan(2), 10));
         assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
@@ -1343,9 +1349,8 @@ mod tests {
         let rt = Arc::new(MaintenanceRuntime {
             shared: shared.clone(),
             permanent: Mutex::new(Vec::new()),
-            query_pool: None,
         });
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         for i in 1..=3 {
             assert!(shared.schedule_merge(a, plan(i), 10));
         }
@@ -1363,7 +1368,7 @@ mod tests {
     #[test]
     fn shutdown_refuses_new_jobs() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
         shared.shutdown_and_join(Vec::new());
         assert!(!shared.schedule_flush(a));
         assert!(!shared.schedule_merge(a, plan(1), 10));
@@ -1378,12 +1383,14 @@ mod tests {
         // pool: every quiet dataset's flush must be served while the flood
         // still has ≥ 90 merges queued.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
-        let flood = shared.register(&ds);
+        let flood = shared.register(Arc::downgrade(&ds));
         for i in 1..=100 {
             assert!(shared.schedule_merge(flood, plan(i), 1024));
         }
         assert!(shared.schedule_flush(flood));
-        let quiet: Vec<u64> = (0..9).map(|_| shared.register(&ds)).collect();
+        let quiet: Vec<u64> = (0..9)
+            .map(|_| shared.register(Arc::downgrade(&ds)))
+            .collect();
         for &q in &quiet {
             assert!(shared.schedule_flush(q));
         }
@@ -1426,12 +1433,7 @@ mod tests {
 
     #[test]
     fn quiesce_waits_for_queue_drain() {
-        let ds = Dataset::open(
-            Storage::new(StorageOptions::test()),
-            None,
-            config(StrategyKind::Eager),
-        )
-        .unwrap();
+        let ds = open(Storage::new(StorageOptions::test()), StrategyKind::Eager);
         for i in 0..3000 {
             ds.insert(&rec(i, "NY", i)).unwrap();
         }
@@ -1442,12 +1444,10 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_workers() {
-        let ds = Dataset::open(
+        let ds = open(
             Storage::new(StorageOptions::test()),
-            None,
-            config(StrategyKind::Validation),
-        )
-        .unwrap();
+            StrategyKind::Validation,
+        );
         for i in 0..2000 {
             ds.insert(&rec(i, "CA", i)).unwrap();
         }
@@ -1456,13 +1456,10 @@ mod tests {
 
     #[test]
     fn poisoned_dataset_fails_next_write_and_is_listed() {
-        let ds = Dataset::open(
-            Storage::new(StorageOptions::test()),
-            None,
-            config(StrategyKind::Validation),
-        )
-        .unwrap();
-        let rt = ds.runtime_handle().unwrap().runtime().clone();
+        let rt = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
+        let storage = Storage::new(StorageOptions::test());
+        let cfg = config(StrategyKind::Validation);
+        let ds = Dataset::open_with_runtime(storage, None, cfg, &rt).unwrap();
         assert!(rt.poisoned().is_empty());
         ds.poison(lsm_common::Error::invalid("simulated worker failure"));
         let err = ds.insert(&rec(1, "CA", 1)).unwrap_err();
@@ -1493,10 +1490,9 @@ mod tests {
         let rt = Arc::new(MaintenanceRuntime {
             shared: shared.clone(),
             permanent: Mutex::new(Vec::new()),
-            query_pool: None,
         });
-        let a = shared.register(&ds);
-        let b = shared.register(&ds);
+        let a = shared.register(Arc::downgrade(&ds));
+        let b = shared.register(Arc::downgrade(&ds));
         shared.schedule_flush(a);
         shared.schedule_merge(a, plan(1), 10);
         shared.schedule_merge(b, plan(2), 10);
@@ -1535,7 +1531,9 @@ mod tests {
         }]);
         storage.install_fault_plan(plan.clone());
         plan.arm();
-        let ds = Dataset::open(storage, None, config(StrategyKind::Validation)).unwrap();
+        let rt = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
+        let cfg = config(StrategyKind::Validation);
+        let ds = Dataset::open_with_runtime(storage, None, cfg, &rt).unwrap();
         // Trip the memory budget: the background flush's first append to
         // the data device fails transiently, once.
         for i in 0..4000 {
@@ -1546,7 +1544,6 @@ mod tests {
         assert_eq!(plan.faults_injected(), 1, "the fault fired exactly once");
         let snap = ds.stats().snapshot();
         assert!(snap.flushes > 0, "the retried flush completed");
-        let rt = ds.runtime_handle().unwrap().runtime().clone();
         let stats = rt.stats();
         assert!(stats.transient_retries >= 1, "{stats:?}");
         assert!(stats.faults_injected >= 1, "{stats:?}");

@@ -143,14 +143,6 @@ impl LockManager {
         self.unlock_shared(key);
         out
     }
-
-    /// Runs `f` under an exclusive lock on `key`.
-    pub fn with_exclusive<T>(&self, key: &[u8], f: impl FnOnce() -> T) -> T {
-        self.lock_exclusive(key);
-        let out = f();
-        self.unlock_exclusive(key);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -206,12 +198,12 @@ mod tests {
             let counter = counter.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    m.with_exclusive(b"shared-key", || {
-                        // Non-atomic read-modify-write made safe by the lock.
-                        let v = counter.load(Ordering::Relaxed);
-                        std::hint::black_box(v);
-                        counter.store(v + 1, Ordering::Relaxed);
-                    });
+                    m.lock_exclusive(b"shared-key");
+                    // Non-atomic read-modify-write made safe by the lock.
+                    let v = counter.load(Ordering::Relaxed);
+                    std::hint::black_box(v);
+                    counter.store(v + 1, Ordering::Relaxed);
+                    m.unlock_exclusive(b"shared-key");
                 }
             }));
         }
@@ -244,13 +236,13 @@ mod tests {
                     start.wait();
                     for i in 0..ROUNDS {
                         let k = ((t + i) % 4) as usize;
-                        m.with_exclusive(keys[k], || {
-                            for c in &counters[k] {
-                                let v = c.load(Ordering::Relaxed);
-                                std::hint::black_box(v);
-                                c.store(v + 1, Ordering::Relaxed);
-                            }
-                        });
+                        m.lock_exclusive(keys[k]);
+                        for c in &counters[k] {
+                            let v = c.load(Ordering::Relaxed);
+                            std::hint::black_box(v);
+                            c.store(v + 1, Ordering::Relaxed);
+                        }
+                        m.unlock_exclusive(keys[k]);
                         if i % 4 == 0 {
                             let k = (k + 1) % 4;
                             m.with_shared(keys[k], || {

@@ -66,7 +66,7 @@ use std::sync::{Arc, OnceLock};
 /// Crash site probed by the group-commit leader immediately before each
 /// device page write: a crash here loses the whole staged group, which is
 /// exactly the committed-prefix contract torture verifies.
-pub const GROUP_WRITE_SITE: &str = "wal_group_write";
+const GROUP_WRITE_SITE: &str = "wal_group_write";
 
 /// Logical operation kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +284,6 @@ struct WalBuf {
     pending: VecDeque<(Vec<u8>, u64)>,
     /// True while a leader is writing pending pages outside the lock.
     writer_active: bool,
-    last_checkpoint: Timestamp,
 }
 
 impl WalBuf {
@@ -471,14 +470,7 @@ impl Wal {
             value: Vec::new(),
             update_bit: false,
         })?;
-        self.force()?;
-        self.inner.lock().last_checkpoint = lsn;
-        Ok(())
-    }
-
-    /// LSN of the last checkpoint (0 if none).
-    pub fn last_checkpoint(&self) -> Timestamp {
-        self.inner.lock().last_checkpoint
+        self.force()
     }
 
     /// Reads back all records with `lsn > after_lsn`, sorted by LSN
@@ -726,12 +718,18 @@ mod tests {
     #[test]
     fn checkpoint_tracks_lsn() {
         let w = wal();
-        assert_eq!(w.last_checkpoint(), 0);
         w.append(&rec(5, LogOp::Insert)).unwrap();
         w.checkpoint(5).unwrap();
-        assert_eq!(w.last_checkpoint(), 5);
-        // Replay after the checkpoint LSN skips the old record but sees the
-        // checkpoint marker? No: markers carry lsn=5 too, filtered out.
+        // The marker is forced, behind the record it covers.
+        let forced: Vec<_> = w
+            .replay(0, false)
+            .unwrap()
+            .iter()
+            .map(|r| (r.op, r.lsn))
+            .collect();
+        assert_eq!(forced, vec![(LogOp::Insert, 5), (LogOp::Checkpoint, 5)]);
+        // Replay after the checkpoint LSN skips the old record and the
+        // marker, which carries the same LSN.
         assert!(w.replay(5, false).unwrap().is_empty());
     }
 

@@ -10,7 +10,9 @@
 
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::cc::CcMethod;
-use lsm_engine::{Dataset, DatasetConfig, MaintenanceMode, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{
+    Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind,
+};
 use lsm_storage::{Storage, StorageOptions};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -47,9 +49,14 @@ fn dataset(strategy: StrategyKind, cc: CcMethod) -> Arc<Dataset> {
     // under the writers.
     cfg.memory_budget = 24 * 1024;
     cfg.merge.max_mergeable_bytes = u64::MAX;
-    cfg.maintenance = MaintenanceMode::Background { workers: 2 };
     cfg.cc_method = cc;
-    Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap()
+    open_on_runtime(cfg, 2)
+}
+
+/// Opens `cfg` on a maintenance runtime of its own with `workers` workers.
+fn open_on_runtime(cfg: DatasetConfig, workers: usize) -> Arc<Dataset> {
+    let runtime = MaintenanceRuntime::start(EngineConfig::fixed(workers)).unwrap();
+    Dataset::open_with_runtime(Storage::new(StorageOptions::test()), None, cfg, &runtime).unwrap()
 }
 
 /// Writer `t`'s deterministic op sequence over its own id stripe
@@ -168,8 +175,7 @@ fn backpressure_stalls_writers_at_the_ceiling() {
     cfg.strategy = StrategyKind::Validation;
     cfg.memory_budget = 16 * 1024;
     cfg.memory_ceiling = Some(24 * 1024);
-    cfg.maintenance = MaintenanceMode::Background { workers: 1 };
-    let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+    let ds = open_on_runtime(cfg, 1);
 
     // Fat records fill memory much faster than the single worker can build
     // components, so writers must hit the hard ceiling and stall.

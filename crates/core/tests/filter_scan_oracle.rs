@@ -176,14 +176,7 @@ fn filter_scan_matches_oracle_across_strategies() {
 #[test]
 fn filter_scan_matches_oracle_under_background_churn() {
     for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
-        let runtime = MaintenanceRuntime::start(
-            EngineConfig::builder()
-                .workers(2)
-                .query_workers(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
         let mut cfg = config(strategy);
         cfg.memory_budget = 24 * 1024; // churn trips background flushes
         cfg.memory_ceiling = Some(usize::MAX);

@@ -235,23 +235,11 @@ fn parallel_query_driven_repair_marks_apply_once() {
 #[test]
 fn parallel_matches_serial_under_background_maintenance() {
     for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
-        let runtime = MaintenanceRuntime::start(
-            EngineConfig::builder()
-                .workers(2)
-                .query_workers(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
         let mut cfg = config(strategy);
         cfg.memory_budget = 24 * 1024; // churn trips background flushes
         cfg.memory_ceiling = Some(usize::MAX);
         let ds = Dataset::open_with_runtime(storage(), None, cfg, &runtime).unwrap();
-        assert!(
-            ds.query_pool().is_some(),
-            "runtime pool reaches the dataset"
-        );
-        assert_eq!(ds.query_pool().unwrap().workers(), 2);
 
         let mut oracle = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(21);

@@ -347,24 +347,12 @@ fn runtime_start_rejects_invalid_configs() {
     let inverted = EngineConfig {
         min_workers: 3,
         max_workers: 2,
-        query_workers: 0,
     };
     assert!(MaintenanceRuntime::start(inverted).is_err());
-    let runtime = MaintenanceRuntime::start(
-        EngineConfig::builder()
-            .workers(1)
-            .query_workers(2)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    assert_eq!(runtime.query_pool().map(|p| p.workers()), Some(2));
+    let runtime =
+        MaintenanceRuntime::start(EngineConfig::builder().workers(1).build().unwrap()).unwrap();
     let stats = runtime.stats();
     assert_eq!((stats.min_workers, stats.max_workers), (1, 1));
-    assert!(MaintenanceRuntime::start(EngineConfig::fixed(1))
-        .unwrap()
-        .query_pool()
-        .is_none());
 }
 
 #[test]

@@ -54,15 +54,6 @@ impl AtomicBitmap {
         prev & mask == 0
     }
 
-    /// Clears bit `pos` back to 0 (transaction abort). Returns `true` if the
-    /// bit changed.
-    pub fn unset(&self, pos: u64) -> bool {
-        assert!(pos < self.len, "bitmap index {pos} out of {}", self.len);
-        let mask = 1u64 << (pos % 64);
-        let prev = self.words[(pos / 64) as usize].fetch_and(!mask, Ordering::AcqRel);
-        prev & mask != 0
-    }
-
     /// Number of set (invalid) bits.
     pub fn count_set(&self) -> u64 {
         self.words
@@ -93,14 +84,6 @@ pub struct BitmapSnapshot {
 }
 
 impl BitmapSnapshot {
-    /// An all-zero snapshot (for components that have no bitmap).
-    pub fn zeroes(len: u64) -> Self {
-        BitmapSnapshot {
-            words: vec![0; len.div_ceil(64) as usize],
-            len,
-        }
-    }
-
     /// Number of entries covered.
     pub fn len(&self) -> u64 {
         self.len
@@ -129,17 +112,15 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn set_get_unset() {
+    fn set_reports_whether_the_bit_changed() {
         let b = AtomicBitmap::new(130);
         assert!(!b.get(0));
         assert!(!b.get(129));
         assert!(b.set(129));
         assert!(b.get(129));
         assert!(!b.set(129)); // already set
-        assert!(b.unset(129));
-        assert!(!b.get(129));
-        assert!(!b.unset(129)); // already clear
-        assert_eq!(b.count_set(), 0);
+        assert!(!b.get(128));
+        assert_eq!(b.count_set(), 1);
     }
 
     #[test]
@@ -159,14 +140,6 @@ mod tests {
         assert!(b.get(6));
         assert_eq!(snap.count_set(), 1);
         assert_eq!(b.count_set(), 2);
-    }
-
-    #[test]
-    fn zeroes_snapshot() {
-        let z = BitmapSnapshot::zeroes(77);
-        assert_eq!(z.len(), 77);
-        assert_eq!(z.count_set(), 0);
-        assert!(!z.get(76));
     }
 
     #[test]

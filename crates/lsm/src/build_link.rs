@@ -100,28 +100,10 @@ impl BuildLink {
         }
     }
 
-    /// Writer (abort path): withdraws a previously registered direct delete.
-    pub fn undo_direct_delete(&self, key: &[u8]) -> bool {
-        let mut s = self.scanned.lock();
-        if let Ok(idx) = s.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-            let idx = idx as u64;
-            if let Some(pos) = s.direct_deletes.iter().position(|&d| d == idx) {
-                s.direct_deletes.swap_remove(pos);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Builder: drains the registered direct deletes (positions in the new
     /// component) once the build is finished.
     pub fn take_direct_deletes(&self) -> Vec<u64> {
         std::mem::take(&mut self.scanned.lock().direct_deletes)
-    }
-
-    /// The largest key scanned so far (`C'.ScannedKey`), if any.
-    pub fn scanned_watermark(&self) -> Option<Key> {
-        self.scanned.lock().keys.last().cloned()
     }
 
     // ---- Side-file method ------------------------------------------------
@@ -138,20 +120,6 @@ impl BuildLink {
         true
     }
 
-    /// Writer (abort path): appends an "anti-matter" undo of a previous
-    /// side-file delete. Returns `false` if the side-file is closed.
-    pub fn try_append_side_file_undo(&self, key: Key) -> bool {
-        let mut sf = self.side_file.lock();
-        if sf.closed {
-            return false;
-        }
-        // An undo cancels the latest matching delete.
-        if let Some(pos) = sf.keys.iter().rposition(|k| *k == key) {
-            sf.keys.swap_remove(pos);
-        }
-        true
-    }
-
     /// Builder (Figure 11a, catch-up phase): closes the side-file and
     /// returns its contents, sorted.
     pub fn close_side_file(&self) -> Vec<Key> {
@@ -160,11 +128,6 @@ impl BuildLink {
         let mut keys = std::mem::take(&mut sf.keys);
         keys.sort_unstable();
         keys
-    }
-
-    /// True once the side-file has been closed.
-    pub fn side_file_closed(&self) -> bool {
-        self.side_file.lock().closed
     }
 }
 
@@ -175,9 +138,10 @@ mod tests {
     #[test]
     fn lock_method_direct_delete_flow() {
         let link = BuildLink::new();
+        // Nothing scanned yet: no direct delete can land.
+        assert!(!link.try_direct_delete(b"a"));
         assert_eq!(link.publish_scanned(b"a".to_vec()), 0);
         assert_eq!(link.publish_scanned(b"c".to_vec()), 1);
-        assert_eq!(link.scanned_watermark().unwrap(), b"c".to_vec());
 
         // Key already scanned: direct delete lands.
         assert!(link.try_direct_delete(b"a"));
@@ -188,41 +152,23 @@ mod tests {
     }
 
     #[test]
-    fn lock_method_undo() {
-        let link = BuildLink::new();
-        link.publish_scanned(b"a".to_vec());
-        assert!(link.try_direct_delete(b"a"));
-        assert!(link.undo_direct_delete(b"a"));
-        assert!(!link.undo_direct_delete(b"a"));
-        assert!(link.take_direct_deletes().is_empty());
-    }
-
-    #[test]
     fn side_file_flow() {
         let link = BuildLink::new();
         assert!(link.try_append_side_file(b"z".to_vec()));
         assert!(link.try_append_side_file(b"a".to_vec()));
-        assert!(!link.side_file_closed());
         let drained = link.close_side_file();
         assert_eq!(drained, vec![b"a".to_vec(), b"z".to_vec()]);
-        assert!(link.side_file_closed());
         // After close, writers must go to the new component directly.
         assert!(!link.try_append_side_file(b"b".to_vec()));
     }
 
     #[test]
-    fn side_file_undo_cancels_delete() {
-        let link = BuildLink::new();
-        link.try_append_side_file(b"k".to_vec());
-        assert!(link.try_append_side_file_undo(b"k".to_vec()));
+    fn lock_method_link_sends_writers_to_direct_deletes() {
+        let link = BuildLink::new_lock_method();
+        assert!(!link.try_append_side_file(b"k".to_vec()), "born closed");
+        link.publish_scanned(b"k".to_vec());
+        assert!(link.try_direct_delete(b"k"));
+        assert_eq!(link.take_direct_deletes(), vec![0]);
         assert!(link.close_side_file().is_empty());
-        assert!(!link.try_append_side_file_undo(b"k".to_vec()));
-    }
-
-    #[test]
-    fn watermark_empty_initially() {
-        let link = BuildLink::new();
-        assert!(link.scanned_watermark().is_none());
-        assert!(!link.try_direct_delete(b"x"));
     }
 }

@@ -161,11 +161,6 @@ impl DiskComponent {
         positive
     }
 
-    /// True if the component has a Bloom filter.
-    pub fn has_bloom(&self) -> bool {
-        self.bloom.is_some()
-    }
-
     /// Searches the B+-tree (no Bloom check). Returns the decoded entry and
     /// its ordinal position. The entry's value pins the cached leaf page —
     /// no copy until the caller asks for owned bytes.
@@ -220,14 +215,6 @@ impl DiskComponent {
         match &*self.bitmap.read() {
             Some(b) => !b.get(ordinal),
             None => true,
-        }
-    }
-
-    /// Fraction of entries marked invalid (0.0 with no bitmap).
-    pub fn invalid_fraction(&self) -> f64 {
-        match &*self.bitmap.read() {
-            Some(b) if !b.is_empty() => b.count_set() as f64 / b.len() as f64,
-            _ => 0.0,
         }
     }
 
@@ -345,13 +332,11 @@ mod tests {
     fn bitmap_validity() {
         let (_s, c) = component(10, false);
         assert!(c.is_valid(3));
-        assert_eq!(c.invalid_fraction(), 0.0);
         let bm = Arc::new(AtomicBitmap::new(10));
         bm.set(3);
         c.set_bitmap(bm).unwrap();
         assert!(!c.is_valid(3));
         assert!(c.is_valid(4));
-        assert!((c.invalid_fraction() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl ComponentId {
         self.min_ts <= other.max_ts && other.min_ts <= self.max_ts
     }
 
-    /// True if every entry in `self` is strictly newer than every entry in
-    /// `other`.
-    pub fn strictly_newer_than(&self, other: &ComponentId) -> bool {
-        self.min_ts > other.max_ts
-    }
-
     /// True if the whole interval is at or before `ts`.
     pub fn at_or_before(&self, ts: Timestamp) -> bool {
         self.max_ts <= ts
@@ -85,9 +79,9 @@ mod tests {
     fn recency_ordering() {
         let old = ComponentId::new(1, 15);
         let new = ComponentId::new(16, 18);
-        assert!(new.strictly_newer_than(&old));
-        assert!(!old.strictly_newer_than(&new));
-        assert!(!new.strictly_newer_than(&new));
+        assert!(old.at_or_before(15));
+        assert!(!new.at_or_before(15), "the newer component postdates 15");
+        assert!(new.at_or_before(18));
     }
 
     #[test]

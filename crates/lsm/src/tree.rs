@@ -195,7 +195,7 @@ pub type ComponentList = Arc<[Arc<DiskComponent>]>;
 
 /// A captured in-memory run (key-ordered, active merged over sealed) plus
 /// the disk component list — see [`LsmTree::mem_and_disk_snapshot_if`].
-pub type TreeSnapshot = (Option<Vec<(Key, LsmEntry)>>, ComponentList);
+type TreeSnapshot = (Option<Vec<(Key, LsmEntry)>>, ComponentList);
 
 /// One atomically sealed memory generation: the per-shard immutable runs
 /// (indexed like the active shard vector; `None` = shard was empty) and
@@ -407,30 +407,6 @@ impl LsmTree {
         self.mem[self.shard_of(key)].lock().widen_filter(v);
     }
 
-    /// The in-memory range filter: the union over every active shard and
-    /// the sealed generation's runs, so filter pruning never hides entries
-    /// that are buffered or mid-flush.
-    pub fn mem_filter(&self) -> Option<RangeFilter> {
-        let mut acc: Option<RangeFilter> = None;
-        let mut fold = |f: &RangeFilter| match &mut acc {
-            Some(a) => a.union(f),
-            None => acc = Some(f.clone()),
-        };
-        for m in &self.mem {
-            if let Some(f) = m.lock().filter() {
-                fold(f);
-            }
-        }
-        if let Some(gen) = self.sealed.read().as_ref() {
-            for run in gen.runs() {
-                if let Some(f) = run.filter() {
-                    fold(f);
-                }
-            }
-        }
-        acc
-    }
-
     /// Copies the in-memory entries in `[lo, hi]` in key order, merging the
     /// active shards over the sealed generation (active entries win).
     ///
@@ -439,7 +415,7 @@ impl LsmTree {
     /// transition — so the snapshot can never observe the torn state where
     /// entries have left the active shards but the sealed slot still reads
     /// empty.
-    pub fn mem_snapshot_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Key, LsmEntry)> {
+    fn mem_snapshot_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Key, LsmEntry)> {
         let guards = self.lock_all_shards();
         let sealed = self.sealed.read().clone();
         let runs = Self::capture_mem_runs(&guards, sealed.as_deref(), lo, hi);
@@ -1185,7 +1161,19 @@ mod tests {
         t.widen_mem_filter(&key(1), &Value::Int(7));
         let c = t.flush().unwrap().unwrap();
         assert!(c.range_filter().is_some());
-        assert!(t.mem_filter().is_none(), "filter reset after flush");
+        // The next memory component starts from an empty filter: one new
+        // value must yield exactly [9, 9], not the pre-flush [7, 9].
+        t.put(key(2), LsmEntry::put(vec![]), 2);
+        t.widen_mem_filter(&key(2), &Value::Int(9));
+        let mut ran = false;
+        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+        t.mem_and_disk_snapshot_if(lo, hi, |f, _| {
+            let f = f.expect("the new entry widened the filter");
+            assert_eq!((f.min(), f.max()), (&Value::Int(9), &Value::Int(9)));
+            ran = true;
+            false
+        });
+        assert!(ran, "the filter callback ran");
     }
 
     // ---- sharded memory components ----------------------------------------

@@ -25,6 +25,13 @@
 //! 5. **Guide links** — relative links in ARCHITECTURE.md and
 //!    docs/OPERATIONS.md must resolve (absorbed from the CI docs job's old
 //!    grep step).
+//! 6. **Dead `pub` surface** — every `pub` fn, struct, enum, trait, type,
+//!    const or static declared on a non-test line under `crates/*/src` must
+//!    be named in some *other* `.rs` file under `crates/`, `examples/` or
+//!    `benchmark/` (comment lines and `pub use` re-exports do not count),
+//!    or carry a `dead-pub <path> <name> <reason>` line in the allowlist. An
+//!    allowlist line without a reason, or whose item is gone or now named
+//!    elsewhere, is itself a finding.
 //!
 //! All checks are pure functions over a workspace root, so the fixture trees
 //! under `tests/fixtures/` exercise each violation class hermetically.
@@ -47,8 +54,18 @@ const ENGINE_CRATES: [&str; 3] = ["crates/core", "crates/lsm", "crates/storage"]
 /// The operator guides whose relative links must resolve.
 const GUIDES: [&str; 2] = ["ARCHITECTURE.md", "docs/OPERATIONS.md"];
 
-/// Root-relative path of the unwrap/expect allowlist.
-pub const ALLOWLIST_PATH: &str = "crates/sanity/allowlist.txt";
+/// Root-relative path of the allowlist (unwrap/expect debt and dead-pub
+/// exemptions).
+const ALLOWLIST_PATH: &str = "crates/sanity/allowlist.txt";
+
+/// First word of a dead-pub allowlist line.
+const DEAD_PUB_TAG: &str = "dead-pub";
+
+/// Item kinds the dead-pub check covers, as the keyword after `pub`.
+const PUB_ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Trees whose files can name a `pub` item.
+const CALLER_TREES: [&str; 3] = ["crates", "examples", "benchmark"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,6 +115,7 @@ pub fn run_all(root: &Path) -> Vec<Violation> {
     out.extend(check_crash_sites(root));
     out.extend(check_counter_parity(root));
     out.extend(check_markdown_links(root));
+    out.extend(check_dead_pub(root));
     out
 }
 
@@ -234,11 +252,12 @@ fn check_std_sync(root: &Path) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 // check 2: unwrap/expect ratchet
 
-/// Parses the allowlist: `path<space>count` lines, `#` comments.
+/// Parses the unwrap/expect half of the allowlist: `path<space>count`
+/// lines, `#` comments.
 fn parse_allowlist(src: &str) -> Vec<(String, usize)> {
     src.lines()
         .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.starts_with(DEAD_PUB_TAG))
         .filter_map(|l| {
             let (path, count) = l.rsplit_once(char::is_whitespace)?;
             Some((path.trim().to_string(), count.parse().ok()?))
@@ -595,6 +614,132 @@ fn check_markdown_links(root: &Path) -> Vec<Violation> {
     out
 }
 
+// ---------------------------------------------------------------------------
+// check 6: dead pub surface
+
+/// The kind and name a `pub` item line declares, if it declares one of
+/// [`PUB_ITEM_KINDS`] (`const fn` and `unsafe fn` count as fns).
+fn pub_item_name(line: &str) -> Option<(&str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut words = rest.split_whitespace();
+    let (mut kind, mut name) = (words.next()?, words.next()?);
+    while matches!(kind, "const" | "unsafe" | "async") && matches!(name, "fn" | "unsafe") {
+        (kind, name) = (name, words.next()?);
+    }
+    if !PUB_ITEM_KINDS.contains(&kind) {
+        return None;
+    }
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    (end > 0).then(|| (kind, &name[..end]))
+}
+
+/// Identifier tokens of the lines of `src` that can name an item: comment
+/// lines and `pub use` re-exports do not.
+fn mentions(src: &str) -> BTreeSet<&str> {
+    src.lines()
+        .filter(|l| !is_comment_line(l) && !l.trim_start().starts_with("pub use "))
+        .flat_map(|l| code_part(l).split(|c: char| !(c.is_alphanumeric() || c == '_')))
+        .filter(|t| !t.is_empty())
+        .collect()
+}
+
+/// One `dead-pub <path> <name> <reason>` allowlist line.
+struct DeadPubEntry {
+    line: usize,
+    path: String,
+    name: String,
+    reason: String,
+}
+
+fn parse_dead_pub_allowlist(src: &str) -> Vec<DeadPubEntry> {
+    src.lines()
+        .enumerate()
+        .filter_map(|(i, l)| {
+            let rest = l.trim().strip_prefix(DEAD_PUB_TAG)?.trim_start();
+            let (path, rest) = rest.split_once(char::is_whitespace)?;
+            let rest = rest.trim_start();
+            let (name, reason) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+            Some(DeadPubEntry {
+                line: i + 1,
+                path: path.to_string(),
+                name: name.to_string(),
+                reason: reason.trim().to_string(),
+            })
+        })
+        .collect()
+}
+
+fn check_dead_pub(root: &Path) -> Vec<Violation> {
+    let files: Vec<(PathBuf, String)> = CALLER_TREES
+        .iter()
+        .flat_map(|tree| rust_files(root, tree))
+        .filter_map(|rel| read(root, &rel).map(|src| (rel, src)))
+        .collect();
+    let tokens: Vec<BTreeSet<&str>> = files.iter().map(|(_, src)| mentions(src)).collect();
+    let named_elsewhere = |file: &Path, name: &str| {
+        files
+            .iter()
+            .zip(&tokens)
+            .any(|((rel, _), toks)| rel != file && toks.contains(name))
+    };
+    let allow = read(root, Path::new(ALLOWLIST_PATH))
+        .map(|s| parse_dead_pub_allowlist(&s))
+        .unwrap_or_default();
+
+    let mut out = Vec::new();
+    let mut declared: BTreeSet<(PathBuf, &str)> = BTreeSet::new();
+    for (rel, src) in &files {
+        let mut parts = rel.components().map(|c| c.as_os_str());
+        let crate_src =
+            parts.next() == Some("crates".as_ref()) && parts.nth(1) == Some("src".as_ref());
+        if !crate_src {
+            continue;
+        }
+        for (n, line) in non_test_lines(src) {
+            let Some((kind, name)) = pub_item_name(line) else {
+                continue;
+            };
+            declared.insert((rel.clone(), name));
+            let allowed = allow
+                .iter()
+                .any(|e| Path::new(&e.path) == rel && e.name == name);
+            if !allowed && !named_elsewhere(rel, name) {
+                out.push(violation(
+                    rel,
+                    n,
+                    "dead-pub",
+                    format!(
+                        "pub {kind} `{name}` is named in no other file under crates/, examples/ \
+                         or benchmark/: delete it, narrow it to pub(crate) or private, or add \
+                         `{DEAD_PUB_TAG} {} {name} <reason>` to {ALLOWLIST_PATH}",
+                        rel.display()
+                    ),
+                ));
+            }
+        }
+    }
+    for e in &allow {
+        let why = if e.reason.is_empty() {
+            "carries no reason"
+        } else if !declared.contains(&(PathBuf::from(&e.path), e.name.as_str())) {
+            "names an item that no longer exists"
+        } else if named_elsewhere(Path::new(&e.path), &e.name) {
+            "names an item that is now named elsewhere"
+        } else {
+            continue;
+        };
+        out.push(violation(
+            Path::new(ALLOWLIST_PATH),
+            e.line,
+            "dead-pub",
+            format!("allowlist entry `{} {}` {why}", e.path, e.name),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,6 +781,99 @@ mod tests {
         .replace(".unwrap()", super::UNWRAP_PAT)
         .replace("INVARIANT:", &super::INVARIANT_PAT[3..]);
         assert_eq!(panic_sites(&src).len(), 2);
+    }
+
+    #[test]
+    fn dead_pub_allowlist_parsing_and_item_names() {
+        let src = "crates/core/src/a.rs 3\n\
+                   dead-pub crates/core/src/a.rs Guide  rendered docs, named by nothing\n\
+                   dead-pub crates/core/src/b.rs bare\n";
+        assert_eq!(
+            parse_allowlist(src),
+            vec![("crates/core/src/a.rs".into(), 3)]
+        );
+        let got: Vec<_> = parse_dead_pub_allowlist(src)
+            .into_iter()
+            .map(|e| (e.line, e.path, e.name, e.reason))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (
+                    2,
+                    "crates/core/src/a.rs".into(),
+                    "Guide".into(),
+                    "rendered docs, named by nothing".into()
+                ),
+                (
+                    3,
+                    "crates/core/src/b.rs".into(),
+                    "bare".into(),
+                    String::new()
+                ),
+            ]
+        );
+        assert_eq!(
+            pub_item_name("    pub fn new(x: u8) -> Self {"),
+            Some(("fn", "new"))
+        );
+        assert_eq!(
+            pub_item_name("pub const fn lanes() -> u8 {"),
+            Some(("fn", "lanes"))
+        );
+        assert_eq!(
+            pub_item_name("pub const MAX: usize = 4;"),
+            Some(("const", "MAX"))
+        );
+        assert_eq!(
+            pub_item_name("pub struct Plan<'a> {"),
+            Some(("struct", "Plan"))
+        );
+        assert_eq!(pub_item_name("pub(crate) fn hidden() {}"), None);
+        assert_eq!(pub_item_name("pub mod query;"), None);
+        assert_eq!(pub_item_name("    pub field: u64,"), None);
+        let toks = mentions("// Plan\npub use a::Plan;\nlet p = Plan::new(); // Other\n");
+        assert!(toks.contains("Plan") && toks.contains("new") && !toks.contains("Other"));
+    }
+
+    /// An exemption still suppresses its item's finding, but an exemption
+    /// without a reason, or for an item another file now names, is itself
+    /// a finding.
+    #[test]
+    fn dead_pub_flags_reasonless_and_outdated_exemptions() {
+        let root = std::env::temp_dir().join(format!("lsm-sanity-dead-pub-{}", std::process::id()));
+        let write = |rel: &str, body: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, body).unwrap();
+        };
+        write(
+            "crates/core/src/lib.rs",
+            "pub fn bare() {}\npub fn called() {}\n",
+        );
+        write("examples/main.rs", "fn main() { called(); }\n");
+        write(
+            ALLOWLIST_PATH,
+            "dead-pub crates/core/src/lib.rs bare\n\
+             dead-pub crates/core/src/lib.rs called kept for a caller that exists now\n",
+        );
+        let found = check_dead_pub(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let messages: Vec<_> = found.iter().map(|v| (v.line, v.message.as_str())).collect();
+        assert_eq!(
+            messages,
+            vec![
+                (
+                    1,
+                    "allowlist entry `crates/core/src/lib.rs bare` carries no reason"
+                ),
+                (
+                    2,
+                    "allowlist entry `crates/core/src/lib.rs called` names an item that is now \
+                     named elsewhere"
+                ),
+            ]
+        );
     }
 
     #[test]

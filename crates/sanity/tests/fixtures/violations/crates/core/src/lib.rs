@@ -9,3 +9,5 @@ pub fn fresh_panic(v: Option<u32>) -> u32 {
 pub fn probe(ds: &Dataset) {
     ds.crash_site("phantom_window");
 }
+
+pub fn never_called() {}

@@ -64,13 +64,26 @@ fn violations_fixture_flags_every_class() {
     // 5. Broken relative link in a guide.
     let v = find(&vs, "md-link", "does-not-exist.md");
     assert_eq!(v.file, Path::new("ARCHITECTURE.md"));
+
+    // 6a. A pub item no other file names…
+    let v = find(&vs, "dead-pub", "`never_called`");
+    assert_eq!(v.file, Path::new("crates/core/src/lib.rs"));
+    assert_eq!(v.line, 13);
+    // 6b. …and an allowlist exemption for an item that is gone.
+    let v = find(
+        &vs,
+        "dead-pub",
+        "removed_helper` names an item that no longer exists",
+    );
+    assert_eq!(v.file, Path::new("crates/sanity/allowlist.txt"));
+    assert_eq!(v.line, 5);
 }
 
 #[test]
 fn violations_fixture_has_no_unexpected_findings() {
-    // Every violation in the seeded tree is one we planted: 10 in total.
+    // Every violation in the seeded tree is one we planted: 12 in total.
     let vs = run_all(&fixture("violations"));
-    assert_eq!(vs.len(), 10, "{vs:#?}");
+    assert_eq!(vs.len(), 12, "{vs:#?}");
 }
 
 #[test]

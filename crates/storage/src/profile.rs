@@ -42,17 +42,6 @@ impl DiskProfile {
         }
     }
 
-    /// NVMe drive: 15µs access, 2.5GB/s transfer. The random/sequential
-    /// gap nearly vanishes, which is what flattens the paper's
-    /// batched-vs-interleaved lookup trade-off on this device class.
-    pub fn nvme() -> Self {
-        DiskProfile {
-            seek_ns: 15_000,
-            transfer_ns_per_byte: 0.4, // 2.5 GB/s
-            write_seek_ns: 15_000,
-        }
-    }
-
     /// Transfer cost of `bytes` bytes.
     pub fn transfer_ns(&self, bytes: usize) -> u64 {
         (bytes as f64 * self.transfer_ns_per_byte) as u64
@@ -118,10 +107,6 @@ mod tests {
         // ...while on SSD the gap is small.
         let ssd = DiskProfile::ssd();
         assert!(ssd.random_read_ns(page) < 2 * ssd.sequential_read_ns(page));
-        // ...and on NVMe it nearly vanishes while everything gets faster.
-        let nvme = DiskProfile::nvme();
-        assert!(nvme.random_read_ns(page) < ssd.random_read_ns(page));
-        assert!(nvme.sequential_read_ns(page) < ssd.sequential_read_ns(page));
     }
 
     #[test]

@@ -37,38 +37,6 @@ impl SimClock {
     pub fn now_secs(&self) -> f64 {
         self.now_nanos() as f64 / 1e9
     }
-
-    /// Resets the clock to zero (benchmarks reuse a dataset across queries).
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A scoped stopwatch over a [`SimClock`], for measuring one operation.
-#[derive(Debug)]
-pub struct SimStopwatch {
-    clock: SimClock,
-    start: u64,
-}
-
-impl SimStopwatch {
-    /// Starts measuring.
-    pub fn start(clock: &SimClock) -> Self {
-        SimStopwatch {
-            clock: clock.clone(),
-            start: clock.now_nanos(),
-        }
-    }
-
-    /// Simulated nanoseconds elapsed since `start`.
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.clock.now_nanos() - self.start
-    }
-
-    /// Simulated seconds elapsed since `start`.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed_nanos() as f64 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -92,21 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn stopwatch_measures_deltas() {
-        let c = SimClock::new();
-        c.advance(100);
-        let w = SimStopwatch::start(&c);
-        c.advance(250);
-        assert_eq!(w.elapsed_nanos(), 250);
-    }
-
-    #[test]
     fn clones_share_time() {
         let c = SimClock::new();
         let d = c.clone();
         c.advance(10);
         assert_eq!(d.now_nanos(), 10);
-        d.reset();
-        assert_eq!(c.now_nanos(), 0);
+        d.advance(5);
+        assert_eq!(c.now_nanos(), 15);
     }
 }

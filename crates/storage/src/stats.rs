@@ -41,8 +41,7 @@ pub struct IoStats {
     /// (`wal_grouped_records / wal_groups` = mean group size).
     pub wal_grouped_records: AtomicU64,
     /// Per-page file-table lookups avoided by batched page reads
-    /// ([`Storage::page_data_batch`](crate::Storage::page_data_batch) /
-    /// [`Storage::read_pages`](crate::Storage::read_pages)): `count - 1`
+    /// ([`Storage::read_pages`](crate::Storage::read_pages)): `count - 1`
     /// per batch, versus fetching each page individually.
     pub batched_lookups_saved: AtomicU64,
 }

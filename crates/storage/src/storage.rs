@@ -70,32 +70,6 @@ impl StorageOptions {
         }
     }
 
-    /// An NVMe drive scaled to a given cache size in bytes: much smaller
-    /// pages and a near-flat random/sequential gap compared to
-    /// [`StorageOptions::hdd`]/[`StorageOptions::ssd`]. Like those, the
-    /// page count rounds up so a small non-zero `cache_bytes` never
-    /// disables the cache.
-    pub fn nvme(cache_bytes: usize) -> Self {
-        let page_size = 16 * 1024;
-        StorageOptions {
-            page_size,
-            cache_pages: cache_bytes.div_ceil(page_size),
-            readahead_pages: (4 * 1024 * 1024 / page_size) as u32,
-            profile: DiskProfile::nvme(),
-            cpu: CpuCosts::default(),
-        }
-    }
-
-    /// The NVMe profile with a deliberately tiny (single-page) buffer
-    /// cache: every re-read reaches the device, which is what makes device
-    /// latencies — not cache policy — dominate a measurement.
-    pub fn nvme_tiny_cache() -> Self {
-        StorageOptions {
-            cache_pages: 1,
-            ..StorageOptions::nvme(1)
-        }
-    }
-
     /// Small configuration for unit tests.
     pub fn test() -> Self {
         StorageOptions {
@@ -174,7 +148,7 @@ impl Storage {
     }
 
     /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         if !self.fault_installed.load(Ordering::Acquire) {
             return None;
         }
@@ -505,32 +479,6 @@ impl Storage {
             .get(page as usize)
             .map(|p| p.data.clone())
             .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))
-    }
-
-    /// Returns `count` consecutive page handles from one file-table lookup,
-    /// without touching the cache or charging the device — the batched
-    /// sibling of [`Storage::page_data`] for readers consuming a burst that
-    /// [`Storage::read_pages`] already charged. Each page beyond the first
-    /// is a per-page lock acquisition the caller no longer pays; the saving
-    /// is counted in [`IoStats::batched_lookups_saved`].
-    pub fn page_data_batch(
-        &self,
-        file: FileId,
-        page: PageNo,
-        count: u32,
-    ) -> Result<Vec<Arc<[u8]>>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let pages = {
-            let files = self.files.read();
-            let burst = burst(live(&files, file)?, file, page, count)?;
-            burst.iter().map(|p| p.data.clone()).collect()
-        };
-        self.stats
-            .batched_lookups_saved
-            .fetch_add(u64::from(count - 1), std::sync::atomic::Ordering::Relaxed);
-        Ok(pages)
     }
 
     /// Deletes a file, dropping its pages and evicting its cached entries.
@@ -899,7 +847,6 @@ mod tests {
         s.append_page(f, b"p").unwrap();
         assert!(s.read_pages(f, u32::MAX, 2).is_err());
         assert!(s.read_pages(f, 1, u32::MAX).is_err());
-        assert!(s.page_data_batch(f, u32::MAX, 2).is_err());
         let io = s.stats();
         assert_eq!((io.disk_reads(), io.cache_hits), (0, 0));
         assert_eq!(s.cache_state(), (vec![], 0));

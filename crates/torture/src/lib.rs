@@ -30,7 +30,9 @@
 
 use lsm_common::{Record, Result as LsmResult, Value};
 use lsm_engine::recovery::{self, CheckpointState};
-use lsm_engine::{Dataset, DatasetConfig, MaintenanceMode, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{
+    Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind,
+};
 use lsm_storage::{
     FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, Storage, StorageOptions,
 };
@@ -50,20 +52,17 @@ pub enum DeviceKind {
     Hdd,
     /// 32KB pages, cheap seeks.
     Ssd,
-    /// 16KB pages, near-free seeks.
-    Nvme,
 }
 
 impl DeviceKind {
     /// All devices, in sweep order.
-    pub const ALL: [DeviceKind; 3] = [DeviceKind::Hdd, DeviceKind::Ssd, DeviceKind::Nvme];
+    const ALL: [DeviceKind; 2] = [DeviceKind::Hdd, DeviceKind::Ssd];
 
     /// CLI name.
     pub fn name(self) -> &'static str {
         match self {
             DeviceKind::Hdd => "hdd",
             DeviceKind::Ssd => "ssd",
-            DeviceKind::Nvme => "nvme",
         }
     }
 
@@ -78,7 +77,6 @@ impl DeviceKind {
         match self {
             DeviceKind::Hdd => StorageOptions::hdd(1024 * 1024),
             DeviceKind::Ssd => StorageOptions::ssd(1024 * 1024),
-            DeviceKind::Nvme => StorageOptions::nvme(1024 * 1024),
         }
     }
 }
@@ -119,7 +117,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All fault kinds, in sweep order.
-    pub const ALL: [FaultKind; 9] = [
+    const ALL: [FaultKind; 9] = [
         FaultKind::CrashWalAppend,
         FaultKind::CrashGroupCommit,
         FaultKind::CrashFlushInstall,
@@ -150,11 +148,6 @@ impl FaultKind {
     pub fn parse(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|f| f.name() == s)
     }
-
-    /// True if the case runs crash recovery after the fault.
-    pub fn is_crash(self) -> bool {
-        !matches!(self, FaultKind::TransientFlush | FaultKind::TransientRead)
-    }
 }
 
 /// CLI name of a maintenance strategy.
@@ -173,7 +166,7 @@ pub fn parse_strategy(s: &str) -> Option<StrategyKind> {
 }
 
 /// All maintenance strategies, in sweep order.
-pub const STRATEGIES: [StrategyKind; 4] = [
+const STRATEGIES: [StrategyKind; 4] = [
     StrategyKind::Eager,
     StrategyKind::Validation,
     StrategyKind::MutableBitmap,
@@ -351,12 +344,13 @@ impl<'a> Harness<'a> {
         }];
         cfg.filter_field = Some(3);
         cfg.memory_budget = 96 * 1024;
-        cfg.maintenance = if case.background {
-            MaintenanceMode::Background { workers: 2 }
+        let ds = if case.background {
+            MaintenanceRuntime::start(EngineConfig::fixed(2))
+                .and_then(|rt| Dataset::open_with_runtime(data, Some(wal), cfg, &rt))
         } else {
-            MaintenanceMode::Inline
+            Dataset::open(data, Some(wal), cfg)
         };
-        let ds = Dataset::open(data, Some(wal), cfg).map_err(|e| TortureFailure {
+        let ds = ds.map_err(|e| TortureFailure {
             repro: case.repro(),
             message: format!("dataset open failed: {e}"),
         })?;
@@ -973,13 +967,33 @@ mod tests {
     }
 
     #[test]
+    fn device_names_round_trip() {
+        for device in DeviceKind::ALL {
+            assert_eq!(DeviceKind::parse(device.name()), Some(device));
+        }
+        assert_eq!(DeviceKind::parse("tape"), None);
+    }
+
+    #[test]
+    fn smoke_sweep_is_two_strategies_on_ssd_in_both_modes() {
+        let cases = smoke_sweep(1, 100);
+        assert!(cases.iter().all(|c| c.device == DeviceKind::Ssd));
+        let strategies: Vec<_> = cases.iter().map(|c| c.strategy).collect();
+        assert!(strategies
+            .iter()
+            .all(|s| matches!(s, StrategyKind::Eager | StrategyKind::MutableBitmap)));
+        let background = cases.iter().filter(|c| c.background).count();
+        assert_eq!(background * 2, cases.len(), "half the cases run background");
+    }
+
+    #[test]
     fn sweeps_cover_the_advertised_matrix() {
-        assert_eq!(full_sweep(1, 100).len(), 4 * 2 * 3 * 9);
+        assert_eq!(full_sweep(1, 100).len(), 4 * 2 * 2 * 9);
         assert_eq!(smoke_sweep(1, 100).len(), 2 * 2 * 9);
         // Every repro line is unique — one line identifies one case.
         let mut lines: Vec<String> = full_sweep(1, 100).iter().map(|c| c.repro()).collect();
         lines.sort();
         lines.dedup();
-        assert_eq!(lines.len(), 4 * 2 * 3 * 9);
+        assert_eq!(lines.len(), 4 * 2 * 2 * 9);
     }
 }

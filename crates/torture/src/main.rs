@@ -38,7 +38,7 @@ OPTIONS:
   --records <N>         ingest operations per case (default 1200, smoke 300)
   --strategy <S>        eager | validation | mutable-bitmap | deleted-key-btree
   --maintenance <M>     inline | background
-  --device <D>          hdd | ssd | nvme
+  --device <D>          hdd | ssd
   --fault <F>           crash-wal-append | crash-group-commit |
                         crash-flush-install | crash-merge-install |
                         crash-checkpoint | torn-wal-write |
