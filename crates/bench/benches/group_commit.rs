@@ -1,7 +1,7 @@
 //! Criterion microbenchmark for the group-commit WAL and the `WriteBatch`
 //! commit path (PR 7): the same upsert stream logged one WAL append per
 //! record vs staged in `WriteBatch`es (one group append per batch), plus a
-//! concurrent variant where four writers on a four-shard dataset share
+//! concurrent variant where four writers on one dataset share
 //! leader-drained groups.
 //!
 //! The memory budget is left uncapped so the numbers isolate the commit
@@ -30,7 +30,7 @@ fn ops(n: usize, seed: u64) -> Vec<Op> {
     (0..n).map(|_| workload.next_op()).collect()
 }
 
-fn open(shards: usize, n: usize) -> Arc<Dataset> {
+fn open(n: usize) -> Arc<Dataset> {
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
@@ -38,7 +38,6 @@ fn open(shards: usize, n: usize) -> Arc<Dataset> {
         ..Default::default()
     });
     let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
-    cfg.memtable_shards = shards;
     cfg.memory_budget = usize::MAX; // commit path only: no flushes
     Dataset::open(env.storage.clone(), Some(env.log_storage.clone()), cfg).expect("dataset")
 }
@@ -62,7 +61,7 @@ fn bench_group_commit(c: &mut Criterion) {
 
     group.bench_function("single_op", |b| {
         b.iter_batched(
-            || (open(1, n), ops(n, 1)),
+            || (open(n), ops(n, 1)),
             |(ds, ops)| {
                 for op in &ops {
                     lsm_bench::apply(&ds, op);
@@ -75,7 +74,7 @@ fn bench_group_commit(c: &mut Criterion) {
 
     group.bench_function(&format!("batch_{BATCH}"), |b| {
         b.iter_batched(
-            || (open(1, n), ops(n, 1)),
+            || (open(n), ops(n, 1)),
             |(ds, ops)| {
                 commit_batched(&ds, &ops);
                 ds.wal().expect("wal").force().expect("force");
@@ -88,7 +87,7 @@ fn bench_group_commit(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let per_writer: Vec<Vec<Op>> = (0..4).map(|w| ops(n / 4, w as u64 + 1)).collect();
-                (open(4, n), per_writer)
+                (open(n), per_writer)
             },
             |(ds, per_writer)| {
                 std::thread::scope(|scope| {
@@ -106,7 +105,7 @@ fn bench_group_commit(c: &mut Criterion) {
 
     // Achieved group size, printed once from a fresh concurrent run: the
     // tentpole's acceptance signal (`> 1` record per device append).
-    let ds = open(4, n);
+    let ds = open(n);
     std::thread::scope(|scope| {
         for w in 0..4u64 {
             let ds = &ds;

@@ -210,8 +210,8 @@ pub fn merge_primary_with_cc(
         }
         primary.replace_range(range, new_p.clone(), true)?;
         // Crash window: the primary's merged component is installed, the
-        // pk index still holds the pre-merge components (mirrors
-        // [`Dataset::merge_correlated`]'s window; recovery realigns it).
+        // pk index still holds the pre-merge components (the plain
+        // correlated merge has the same window; recovery realigns it).
         ds.crash_site("merge_install")?;
         pk_tree.replace_range(range, new_k, true)?;
         drop(guard);

@@ -211,15 +211,15 @@ pub struct DatasetConfig {
     /// defaults to twice the memory budget. Ignored under inline
     /// maintenance (the writer flushes before it can overshoot).
     pub memory_ceiling: Option<usize>,
-    /// Concurrency-control method used when a *background* merge of
-    /// mutable-bitmap components races live writers (Section 5.3). Inline
-    /// merges need no coordination — there are no concurrent rebuilds.
+    /// Concurrency-control method of every correlated merge of a
+    /// Mutable-bitmap dataset (Section 5.3). Inline or background, such a
+    /// merge can race live writers that mark entries of the very
+    /// components it rebuilds, so it always coordinates with them.
     pub cc_method: crate::cc::CcMethod,
-    /// Hash shards for each index's active memory component. `1` (the
-    /// default) is byte-identical to the classic single-memtable engine;
-    /// larger values let concurrent writers on different shards ingest
-    /// without contending, at the cost of one disk component per non-empty
-    /// shard per flush.
+    /// Active memory components per index; `1` is the only legal value
+    /// ([`DatasetConfig::validate`] refuses any other). The field stays
+    /// only because the repository benchmark names it, and goes with that
+    /// benchmark's next change.
     pub memtable_shards: usize,
 }
 
@@ -301,9 +301,9 @@ impl DatasetConfig {
                 ));
             }
         }
-        if self.memtable_shards == 0 {
+        if self.memtable_shards != 1 {
             return Err(Error::invalid(
-                "memtable_shards must be at least 1 (1 = the classic single memtable)",
+                "memtable_shards must be 1: each index has one memory component",
             ));
         }
         Ok(())
@@ -402,13 +402,14 @@ mod tests {
     }
 
     #[test]
-    fn memtable_shards_must_be_positive() {
+    fn memtable_shards_must_be_one() {
         let mut c = DatasetConfig::new(schema(), 0);
-        assert_eq!(c.memtable_shards, 1, "default is the classic memtable");
-        c.memtable_shards = 0;
-        assert!(c.validate().is_err());
-        c.memtable_shards = 8;
+        assert_eq!(c.memtable_shards, 1, "default is the one legal value");
         c.validate().unwrap();
+        for shards in [0, 2, 8] {
+            c.memtable_shards = shards;
+            assert!(c.validate().is_err(), "{shards} refused");
+        }
     }
 
     #[test]

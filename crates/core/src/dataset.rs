@@ -179,7 +179,7 @@ impl Dataset {
                 bloom_kind: cfg.bloom_kind,
                 bloom_fpr: cfg.bloom_fpr,
                 mutable_bitmaps: cfg.strategy == StrategyKind::MutableBitmap,
-                mem_shards: cfg.memtable_shards,
+                ..LsmOptions::default()
             },
         );
         let pk_index = cfg.with_pk_index.then(|| {
@@ -193,7 +193,7 @@ impl Dataset {
                     // The pk-index component SHARES the primary component's
                     // bitmap; it does not create its own.
                     mutable_bitmaps: false,
-                    mem_shards: cfg.memtable_shards,
+                    ..LsmOptions::default()
                 },
             )
         });
@@ -211,7 +211,7 @@ impl Dataset {
                         bloom_kind: cfg.bloom_kind,
                         bloom_fpr: cfg.bloom_fpr,
                         mutable_bitmaps: false,
-                        mem_shards: cfg.memtable_shards,
+                        ..LsmOptions::default()
                     },
                 ),
             })
@@ -681,7 +681,7 @@ impl Dataset {
                 .put(encode_sk_pk(sk, pk), LsmEntry::put_ts(Vec::new(), ets), ts);
         }
         if let Some(v) = self.filter_value(record) {
-            self.primary.widen_mem_filter(pk_key, &v);
+            self.primary.widen_mem_filter(&v);
         }
         self.stats.bump(&self.stats.inserts);
         Ok(true)
@@ -733,7 +733,7 @@ impl Dataset {
                         .put(encode_sk_pk(&sk, pk), LsmEntry::anti_matter_ts(ets), ts);
                 }
                 if let Some(f) = self.cfg.filter_field {
-                    self.primary.widen_mem_filter(pk_key, &old_record.field(f)?);
+                    self.primary.widen_mem_filter(&old_record.field(f)?);
                 }
             }
             StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
@@ -980,10 +980,10 @@ impl Dataset {
                 // Filters maintained on BOTH the old and new record
                 // (Figure 3).
                 if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(pk_key, &v);
+                    self.primary.widen_mem_filter(&v);
                 }
                 if let (Some(old_rec), Some(f)) = (&old_record, self.cfg.filter_field) {
-                    self.primary.widen_mem_filter(pk_key, &old_rec.field(f)?);
+                    self.primary.widen_mem_filter(&old_rec.field(f)?);
                 }
             }
             StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
@@ -1004,7 +1004,7 @@ impl Dataset {
                 self.local_secondary_cleanup(pk, old, Some(record), ets, ts)?;
                 // Filters maintained on the new record only (Figure 4).
                 if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(pk_key, &v);
+                    self.primary.widen_mem_filter(&v);
                 }
             }
             StrategyKind::MutableBitmap => {
@@ -1028,7 +1028,7 @@ impl Dataset {
                 self.local_secondary_cleanup(pk, old, Some(record), ets, ts)?;
                 // Filters maintained on the new record only (Figure 9).
                 if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(pk_key, &v);
+                    self.primary.widen_mem_filter(&v);
                 }
             }
         }
@@ -1366,8 +1366,8 @@ impl Dataset {
             }
             self.flush_sealed_mutable_bitmap()
         } else {
-            let primary_comps = self.primary.flush_sealed()?;
-            // Crash window: the primary generation is installed, the pk
+            let primary_comp = self.primary.flush_sealed()?;
+            // Crash window: the primary component is installed, the pk
             // index's is not yet.
             self.crash_site("flush_install")?;
             if let Some(pk_tree) = &self.pk_index {
@@ -1376,7 +1376,7 @@ impl Dataset {
             for sec in &self.secondaries {
                 sec.tree.flush_sealed()?;
             }
-            Ok(!primary_comps.is_empty())
+            Ok(primary_comp.is_some())
         }
     }
 
@@ -1399,26 +1399,23 @@ impl Dataset {
     /// therefore either appends to the open side-file or sees the fully
     /// installed component; it can never lose its mark.
     fn flush_sealed_mutable_bitmap(&self) -> Result<bool> {
-        let primary_comps = self.primary.build_sealed()?;
-        let pk_comps = match &self.pk_index {
+        let primary_comp = self.primary.build_sealed()?;
+        let pk_comp = match &self.pk_index {
             Some(t) => t.build_sealed()?,
-            None => Vec::new(),
+            None => None,
         };
         for sec in &self.secondaries {
             sec.tree.flush_sealed()?;
         }
-        // The primary and pk index receive identical key/timestamp streams,
-        // so their sealed generations have identical shard occupancy: the
-        // component vectors align position-for-position, and each pair
-        // shares one bitmap.
-        if self.pk_index.is_some() && primary_comps.len() != pk_comps.len() {
-            return Err(Error::corruption(format!(
-                "mutable-bitmap flush shard mismatch: {} primary vs {} pk components",
-                primary_comps.len(),
-                pk_comps.len()
-            )));
+        // The primary and pk index receive identical key/timestamp streams
+        // and seal together, so they flush together: each pair shares one
+        // bitmap, ordinal for ordinal.
+        if self.pk_index.is_some() && primary_comp.is_some() != pk_comp.is_some() {
+            return Err(Error::corruption(
+                "mutable-bitmap flush mismatch: only one of the primary and pk index flushed",
+            ));
         }
-        for (p, k) in primary_comps.iter().zip(&pk_comps) {
+        if let (Some(p), Some(k)) = (&primary_comp, &pk_comp) {
             let bitmap = p
                 .bitmap()
                 .ok_or_else(|| Error::corruption("primary flush produced no bitmap"))?;
@@ -1426,27 +1423,22 @@ impl Dataset {
         }
         let _drain = self.dataset_lock.write();
         let routed = self.flush_deletes.lock().take().unwrap_or_default();
-        for key in &routed {
-            // A key lives in exactly one shard of the generation; mark it
-            // in whichever component holds it.
-            for p in &primary_comps {
-                if let (Some(bitmap), Some((_, ordinal))) = (p.bitmap(), p.search(key)?) {
-                    bitmap.set(ordinal);
-                    break;
+        let flushed = primary_comp.is_some();
+        if let Some(p) = primary_comp {
+            if let Some(bitmap) = p.bitmap() {
+                for key in &routed {
+                    if let Some((_, ordinal)) = p.search(key)? {
+                        bitmap.set(ordinal);
+                    }
                 }
             }
+            self.primary.install_sealed(p);
         }
-        let flushed = !primary_comps.is_empty();
-        if flushed {
-            self.primary.install_sealed(primary_comps);
-        }
-        // Crash window: the primary generation is published, the paired
-        // pk-index generation is not yet.
+        // Crash window: the primary component is published, the paired
+        // pk-index component is not yet.
         self.crash_site("flush_install")?;
-        if let Some(pk_tree) = &self.pk_index {
-            if !pk_comps.is_empty() {
-                pk_tree.install_sealed(pk_comps);
-            }
+        if let (Some(pk_tree), Some(k)) = (&self.pk_index, pk_comp) {
+            pk_tree.install_sealed(k);
         }
         Ok(flushed)
     }
@@ -1499,8 +1491,8 @@ impl Dataset {
     ///
     /// A correlated merge of a Mutable-bitmap dataset races live writers
     /// that mutate the very bitmaps being merged — under background
-    /// maintenance, and equally under inline maintenance now that sharded
-    /// memtables invite concurrent writers (one writer's inline merge runs
+    /// maintenance, and equally under inline maintenance whenever the
+    /// dataset has more than one writer (one writer's inline merge runs
     /// beside the others' upserts/deletes). It therefore always runs
     /// through the Section 5.3 concurrency-control path
     /// ([`crate::cc::merge_primary_with_cc`]) with the configured
@@ -1587,30 +1579,18 @@ impl Dataset {
     }
 
     /// Merges all of the dataset's indexes over the same component range
-    /// (the correlated merge policy of Sections 4.4/5.1).
-    pub fn merge_correlated(&self, range: MergeRange) -> Result<()> {
-        let new_primary = self.primary.merge_range(range)?;
+    /// (the correlated merge policy of Section 4.4). Mutable-bitmap
+    /// datasets never come here: their correlated merges take the cc path.
+    fn merge_correlated(&self, range: MergeRange) -> Result<()> {
+        self.primary.merge_range(range)?;
         self.stats.bump(&self.stats.merges);
         // Crash window: the primary's merged component is installed, the
         // pk index and secondaries still hold the pre-merge components.
         self.crash_site("merge_install")?;
         if let Some(pk_tree) = &self.pk_index {
             if pk_tree.num_disk_components() > range.end {
-                let new_pk = pk_tree.merge_range(range)?;
+                pk_tree.merge_range(range)?;
                 self.stats.bump(&self.stats.merges);
-                if self.cfg.strategy == StrategyKind::MutableBitmap {
-                    if new_primary.num_entries() != new_pk.num_entries() {
-                        return Err(Error::corruption(format!(
-                            "correlated merge misalignment: primary has {} entries, pk index {}",
-                            new_primary.num_entries(),
-                            new_pk.num_entries()
-                        )));
-                    }
-                    let bitmap = new_primary
-                        .bitmap()
-                        .ok_or_else(|| Error::corruption("merged primary has no bitmap"))?;
-                    new_pk.set_bitmap(bitmap)?;
-                }
             }
         }
         for sec in &self.secondaries {

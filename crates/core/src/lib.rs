@@ -68,7 +68,7 @@
 //! # Architecture
 //!
 //! The full system map — the 8-crate layering, the write path
-//! (shard → seal → flush → merge), the [`WriteBatch`] commit path and the
+//! (seal → flush → merge), the [`WriteBatch`] commit path and the
 //! group-commit WAL, the maintenance strategies, and the
 //! shared-runtime contract — lives in `ARCHITECTURE.md` at the repository
 //! root; its examples compile and run as doctests of this crate (see

@@ -1,17 +1,16 @@
-//! Multi-writer oracle stress for sharded memtables (PR 7).
+//! Multi-writer oracle stress on one memory component per index.
 //!
-//! Writer threads on disjoint key ranges hammer a dataset whose active
-//! memtables are sharded (`memtable_shards = 4`) while flushes and merges
-//! churn, then the final logical state is compared key-for-key against a
-//! single-shard dataset that applied the same operations sequentially —
-//! the oracle. Runs the matrix the tentpole promises: {Eager, Validation,
-//! MutableBitmap} × {inline, background} maintenance.
+//! Writer threads on disjoint key ranges hammer one dataset while flushes
+//! and merges churn, then the final logical state is compared key-for-key
+//! against a dataset that applied the same operations sequentially — the
+//! oracle. Runs the matrix {Eager, Validation, MutableBitmap} × {inline,
+//! background} maintenance; the writers meet on each index's memory
+//! component lock.
 //!
-//! Also pins the `memtable_shards = 1` compatibility contract (one disk
-//! component per flush — the pre-sharding layout) and exercises
-//! concurrent `WriteBatch` commits against a WAL, asserting the
-//! group-commit counters and that crash recovery replays every forced
-//! group.
+//! Also pins the one-component-per-flush layout that merge selection and
+//! crash recovery rely on, and exercises concurrent `WriteBatch` commits
+//! against a WAL, asserting the group-commit counters and that crash
+//! recovery replays every forced group.
 
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::recovery::{recover, simulate_crash, CheckpointState};
@@ -44,14 +43,13 @@ fn rec(id: i64, round: i64) -> Record {
     Record::new(vec![Value::Int(id), Value::Int(round), Value::Str(grp(id))])
 }
 
-fn config(strategy: StrategyKind, shards: usize) -> DatasetConfig {
+fn config(strategy: StrategyKind) -> DatasetConfig {
     let mut cfg = DatasetConfig::new(schema(), 0);
     cfg.strategy = strategy;
     cfg.secondary_indexes = vec![SecondaryIndexDef {
         name: "grp".into(),
         field: 2,
     }];
-    cfg.memtable_shards = shards;
     // Small budget + uncapped tiering so flushes and merges churn under
     // the writers.
     cfg.memory_budget = 16 * 1024;
@@ -61,9 +59,8 @@ fn config(strategy: StrategyKind, shards: usize) -> DatasetConfig {
 
 /// Writer `w`'s deterministic op sequence over its own key range
 /// `[w*KEYS_PER_WRITER, (w+1)*KEYS_PER_WRITER)`: `(id, None)` = delete,
-/// `(id, Some(round))` = upsert. Disjoint ranges mean writers on
-/// different shards never contend on key locks, which is the contention
-/// profile sharding targets.
+/// `(id, Some(round))` = upsert. Disjoint ranges mean writers never
+/// contend on key locks, only on the indexes' memory components.
 fn writer_ops(w: usize) -> Vec<(i64, Option<i64>)> {
     let base = w as i64 * KEYS_PER_WRITER;
     let mut x: i64 = 0x9E37_79B9 ^ (w as i64);
@@ -125,7 +122,7 @@ fn assert_matches_oracle(ds: &Dataset, label: &str) {
     }
 }
 
-fn run_sharded_writers(strategy: StrategyKind, background: bool) {
+fn run_concurrent_writers(strategy: StrategyKind, background: bool) {
     let label = format!("{strategy:?}/background={background}");
 
     let runtime = background.then(|| {
@@ -142,16 +139,13 @@ fn run_sharded_writers(strategy: StrategyKind, background: bool) {
         Some(rt) => Dataset::open_with_runtime(
             Storage::new(StorageOptions::test()),
             None,
-            config(strategy, 4),
+            config(strategy),
             rt,
         )
         .unwrap(),
-        None => Dataset::open(
-            Storage::new(StorageOptions::test()),
-            None,
-            config(strategy, 4),
-        )
-        .unwrap(),
+        None => {
+            Dataset::open(Storage::new(StorageOptions::test()), None, config(strategy)).unwrap()
+        }
     };
 
     std::thread::scope(|scope| {
@@ -172,13 +166,9 @@ fn run_sharded_writers(strategy: StrategyKind, background: bool) {
         "{label}: the small budget must have forced flushes"
     );
 
-    // The oracle: same operations, sequential, on a single-shard dataset.
-    let oracle = Dataset::open(
-        Storage::new(StorageOptions::test()),
-        None,
-        config(strategy, 1),
-    )
-    .unwrap();
+    // The oracle: same operations, sequential, on a fresh dataset.
+    let oracle =
+        Dataset::open(Storage::new(StorageOptions::test()), None, config(strategy)).unwrap();
     for w in 0..WRITERS {
         for (id, op) in writer_ops(w) {
             apply(&oracle, id, op);
@@ -189,44 +179,49 @@ fn run_sharded_writers(strategy: StrategyKind, background: bool) {
 }
 
 #[test]
-fn eager_sharded_writers_match_single_shard_oracle_inline() {
-    run_sharded_writers(StrategyKind::Eager, false);
+fn eager_writers_match_sequential_oracle_inline() {
+    run_concurrent_writers(StrategyKind::Eager, false);
 }
 
 #[test]
-fn eager_sharded_writers_match_single_shard_oracle_background() {
-    run_sharded_writers(StrategyKind::Eager, true);
+fn eager_writers_match_sequential_oracle_background() {
+    run_concurrent_writers(StrategyKind::Eager, true);
 }
 
 #[test]
-fn validation_sharded_writers_match_single_shard_oracle_inline() {
-    run_sharded_writers(StrategyKind::Validation, false);
+fn validation_writers_match_sequential_oracle_inline() {
+    run_concurrent_writers(StrategyKind::Validation, false);
 }
 
 #[test]
-fn validation_sharded_writers_match_single_shard_oracle_background() {
-    run_sharded_writers(StrategyKind::Validation, true);
+fn validation_writers_match_sequential_oracle_background() {
+    run_concurrent_writers(StrategyKind::Validation, true);
 }
 
 #[test]
-fn mutable_bitmap_sharded_writers_match_single_shard_oracle_inline() {
-    run_sharded_writers(StrategyKind::MutableBitmap, false);
+fn mutable_bitmap_writers_match_sequential_oracle_inline() {
+    run_concurrent_writers(StrategyKind::MutableBitmap, false);
 }
 
 #[test]
-fn mutable_bitmap_sharded_writers_match_single_shard_oracle_background() {
-    run_sharded_writers(StrategyKind::MutableBitmap, true);
+fn mutable_bitmap_writers_match_sequential_oracle_background() {
+    run_concurrent_writers(StrategyKind::MutableBitmap, true);
 }
 
-/// `memtable_shards = 1` (the default) must preserve the pre-sharding
-/// on-disk layout: every flush produces exactly one disk component per
-/// index, and shard counts 1/2/4 agree on the final logical state.
+/// Every flush adds exactly one component to every index it touches, with
+/// an interval no other component carries. Merge selection hands the
+/// policy one size per component and recovery tells flushed from merged
+/// components by interval, so both rely on this.
 #[test]
-fn shard_counts_agree_and_one_shard_keeps_single_component_flushes() {
-    let mut datasets = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let mut cfg = config(StrategyKind::Validation, shards);
-        cfg.memory_budget = usize::MAX; // flush manually
+fn every_flush_adds_one_component_per_index() {
+    for strategy in [
+        StrategyKind::Eager,
+        StrategyKind::Validation,
+        StrategyKind::MutableBitmap,
+        StrategyKind::DeletedKeyBTree,
+    ] {
+        let mut cfg = config(strategy);
+        cfg.memory_budget = usize::MAX; // flush manually, never merge
         let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
         for round in 0..3 {
             for w in 0..WRITERS {
@@ -234,28 +229,21 @@ fn shard_counts_agree_and_one_shard_keeps_single_component_flushes() {
                     apply(&ds, id, op);
                 }
             }
-            ds.flush_all().unwrap();
-            if shards == 1 {
-                // The compatibility contract: one component per flush.
+            assert!(ds.flush_all().unwrap(), "{strategy:?}: flush {round}");
+            let pk_tree = ds.pk_index().expect("every strategy here keeps a pk index");
+            let trees = [("primary", ds.primary()), ("pk index", pk_tree)]
+                .into_iter()
+                .chain(ds.secondaries().iter().map(|s| ("secondary", &s.tree)));
+            for (name, tree) in trees {
+                let comps = tree.disk_components();
                 assert_eq!(
-                    ds.primary().num_disk_components(),
+                    comps.len(),
                     round + 1,
-                    "single-shard flush {round} must add exactly one component"
+                    "{strategy:?}: {name} after flush {round}"
                 );
+                let ids: HashSet<_> = comps.iter().map(|c| c.id()).collect();
+                assert_eq!(ids.len(), comps.len(), "{strategy:?}: {name} ids distinct");
             }
-        }
-        datasets.push((shards, ds));
-    }
-    // Default config = 1 shard.
-    assert_eq!(DatasetConfig::new(schema(), 0).memtable_shards, 1);
-    // All shard counts converge to the same logical state.
-    let reference: Vec<Option<Record>> = (0..WRITERS as i64 * KEYS_PER_WRITER)
-        .map(|id| datasets[0].1.get(&Value::Int(id)).unwrap())
-        .collect();
-    for (shards, ds) in &datasets[1..] {
-        for (id, want) in reference.iter().enumerate() {
-            let got = ds.get(&Value::Int(id as i64)).unwrap();
-            assert_eq!(&got, want, "shards={shards}: id {id} diverged");
         }
     }
 }
@@ -266,7 +254,7 @@ fn shard_counts_agree_and_one_shard_keeps_single_component_flushes() {
 /// nothing that was committed.
 #[test]
 fn concurrent_batches_group_commit_and_recover() {
-    let mut cfg = config(StrategyKind::Validation, 4);
+    let mut cfg = config(StrategyKind::Validation);
     cfg.memory_budget = usize::MAX; // keep everything replayable from the log
     let ds = Dataset::open(
         Storage::new(StorageOptions::test()),

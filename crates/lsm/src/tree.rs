@@ -5,29 +5,18 @@
 //! one primary index, one primary key index, and N secondary indexes over
 //! these trees and layers the maintenance strategies on top.
 //!
-//! # Sharded memory components
+//! # Seal, flush, merge
 //!
-//! The active memory component can be split into `mem_shards` hash shards
-//! (default 1 — one `BTreeMap` under one mutex, the classic shape).
-//! Writers hash their key to a shard and contend only with writers on the
-//! same shard, so concurrent ingest scales with cores the way the sharded
-//! buffer cache made reads scale. A key always hashes to the same shard,
-//! so all versions of a key live in one shard and per-key recency is
-//! preserved.
-//!
-//! Sealing is atomic across shards: [`LsmTree::seal_mem`] locks every
-//! shard (in index order) and captures one **sealed generation** — the
-//! per-shard immutable runs plus the generation's component ID, the
-//! `(minTS, maxTS)` interval across *all* shards. Each non-empty shard run
-//! is built into its own disk component (in parallel when there are
-//! several), and every component of the generation carries the *shared
-//! generation ID*: the engine seals all indexes under its drain lock, so
-//! generations are temporally disjoint and interval-based recovery
-//! reasoning (torn-install rollback, merged-interval containment) keeps
-//! working unchanged. Merge selection groups consecutive same-ID
-//! components back into generations and only ever merges whole
-//! generations, which keeps merged intervals distinguishable from flush
-//! generations.
+//! Each tree has one active memory component (a `BTreeMap` under one
+//! mutex) and at most one sealed one. [`LsmTree::seal_mem`] turns the
+//! active component into the sealed snapshot in one step; writers then
+//! fill a fresh active component while [`LsmTree::flush_sealed`] builds
+//! the snapshot into one disk component carrying the snapshot's own
+//! `(minTS, maxTS)` interval. Readers see both memory components (the
+//! active entry shadows the sealed one) until the disk component is
+//! installed. Every flush therefore adds exactly one component, and a
+//! merged component's interval spans at least two flushes — recovery
+//! tells the two apart by interval alone.
 
 use crate::component::DiskComponent;
 use crate::component_id::ComponentId;
@@ -41,7 +30,6 @@ use lsm_btree::BTreeBuilder;
 use lsm_common::{Error, Key, Result, Timestamp, Value};
 use lsm_storage::Storage;
 use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,9 +49,10 @@ pub struct LsmOptions {
     /// Attach a zeroed mutable bitmap to every new disk component
     /// (Mutable-bitmap strategy).
     pub mutable_bitmaps: bool,
-    /// Hash shards for the active memory component (at least 1). `1` is
-    /// byte-identical to the unsharded tree; larger values let concurrent
-    /// writers on different shards proceed without contending.
+    /// Active memory components per tree; `1` is the only legal value
+    /// ([`LsmTree::new`] panics on any other). The field stays only
+    /// because the repository benchmark names it, and goes with that
+    /// benchmark's next change.
     pub mem_shards: usize,
 }
 
@@ -197,45 +186,20 @@ pub type ComponentList = Arc<[Arc<DiskComponent>]>;
 /// the disk component list — see [`LsmTree::mem_and_disk_snapshot_if`].
 type TreeSnapshot = (Option<Vec<(Key, LsmEntry)>>, ComponentList);
 
-/// One atomically sealed memory generation: the per-shard immutable runs
-/// (indexed like the active shard vector; `None` = shard was empty) and
-/// the generation's component ID — the timestamp interval across all
-/// shards, shared by every disk component the generation builds.
-#[derive(Debug)]
-struct SealedGen {
-    id: ComponentId,
-    shards: Vec<Option<Arc<MemComponent>>>,
-}
-
-impl SealedGen {
-    fn runs(&self) -> impl Iterator<Item = &Arc<MemComponent>> {
-        self.shards.iter().flatten()
-    }
-
-    fn bytes(&self) -> usize {
-        self.runs().map(|s| s.bytes()).sum()
-    }
-
-    fn len(&self) -> usize {
-        self.runs().map(|s| s.len()).sum()
-    }
-}
-
 /// An LSM-tree index.
 pub struct LsmTree {
     opts: LsmOptions,
     storage: Arc<Storage>,
-    /// Active memory component, hash-sharded by key. Writers lock exactly
-    /// one shard; whole-tree captures lock all shards in index order.
-    mem: Vec<Mutex<MemComponent>>,
-    /// Aggregate bytes across the active shards, maintained under the
-    /// shard locks — the flush-trigger metric must stay cheap to read on
-    /// every write without touching N mutexes.
+    /// Active memory component.
+    mem: Mutex<MemComponent>,
+    /// The active component's bytes, mirrored outside its lock: the
+    /// engine's write path reads every index's size on every write, and
+    /// that read should not take one lock per index.
     mem_bytes_total: AtomicUsize,
-    /// Memory generation sealed for an in-progress flush. Writers fill
-    /// fresh active shards while the builder turns these immutable
-    /// snapshots into disk components; readers see both (active wins).
-    sealed: RwLock<Option<Arc<SealedGen>>>,
+    /// Memory component sealed for an in-progress flush. Writers fill a
+    /// fresh active component while the builder turns this immutable
+    /// snapshot into a disk component; readers see both (active wins).
+    sealed: RwLock<Option<Arc<MemComponent>>>,
     /// Disk components, newest first (as drawn in Figure 1, reading
     /// right-to-left). The list behind the `Arc` is never mutated: the
     /// four installers (`install_sealed`, `replace_range`, `push_newest`,
@@ -248,7 +212,6 @@ impl std::fmt::Debug for LsmTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LsmTree")
             .field("name", &self.opts.name)
-            .field("mem_shards", &self.mem.len())
             .field("disk_components", &self.disk.read().len())
             .finish()
     }
@@ -256,14 +219,20 @@ impl std::fmt::Debug for LsmTree {
 
 impl LsmTree {
     /// Creates an empty tree.
+    ///
+    /// # Panics
+    ///
+    /// If `opts.mem_shards` is not 1.
     pub fn new(storage: Arc<Storage>, opts: LsmOptions) -> Self {
-        let shards = opts.mem_shards.max(1);
+        assert_eq!(
+            opts.mem_shards, 1,
+            "{}: a tree has exactly one memory component",
+            opts.name
+        );
         LsmTree {
             opts,
             storage,
-            mem: (0..shards)
-                .map(|_| Mutex::new(MemComponent::new()))
-                .collect(),
+            mem: Mutex::new(MemComponent::new()),
             mem_bytes_total: AtomicUsize::new(0),
             sealed: RwLock::new(None),
             disk: RwLock::new(Arc::new([])),
@@ -280,71 +249,29 @@ impl LsmTree {
         &self.storage
     }
 
-    /// Number of active memory shards.
-    pub fn mem_shards(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// The shard `key` hashes to (FNV-1a; stable across seals, so every
-    /// version of a key lives in the same shard).
-    fn shard_of(&self, key: &[u8]) -> usize {
-        let n = self.mem.len();
-        if n == 1 {
-            return 0;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % n as u64) as usize
-    }
-
-    /// Locks every shard, in index order (the one multi-shard lock order,
-    /// shared by seals and whole-tree captures; single-shard writers take
-    /// one of these and therefore cannot deadlock against it).
-    fn lock_all_shards(&self) -> Vec<parking_lot::MutexGuard<'_, MemComponent>> {
-        // Same-class multi-acquisition, always in index order — sanctioned
-        // via the detector's escape hatch (ARCHITECTURE.md, "Lock
-        // hierarchy": mem-shard rank, ordered within the class).
-        parking_lot::ordered_acquisition(|| self.mem.iter().map(|m| m.lock()).collect())
-    }
-
     // ---- memory component -------------------------------------------------
 
     /// Writes an entry into the memory component. `op_ts` is the operation
     /// timestamp used for the component ID. Returns the replaced entry.
     pub fn put(&self, key: Key, entry: LsmEntry, op_ts: Timestamp) -> Option<LsmEntry> {
         self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
-        let shard = self.shard_of(&key);
-        let mut mem = self.mem[shard].lock();
-        let before = mem.bytes();
+        let mut mem = self.mem.lock();
         let old = mem.put(key, entry, op_ts);
-        let after = mem.bytes();
-        drop(mem);
-        if after >= before {
-            self.mem_bytes_total
-                .fetch_add(after - before, Ordering::Relaxed);
-        } else {
-            self.mem_bytes_total
-                .fetch_sub(before - after, Ordering::Relaxed);
-        }
+        self.mem_bytes_total.store(mem.bytes(), Ordering::Relaxed);
         old
     }
 
-    /// Reads the memory component: the active shard first, then the sealed
-    /// snapshot of an in-progress flush (the active entry, being newer,
-    /// shadows the sealed one).
+    /// Reads the memory component: the active component first, then the
+    /// sealed snapshot of an in-progress flush (the active entry, being
+    /// newer, shadows the sealed one).
     pub fn mem_get(&self, key: &[u8]) -> Option<LsmEntry> {
         self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
-        let shard = self.shard_of(key);
-        if let Some(e) = self.mem[shard].lock().get(key).cloned() {
+        if let Some(e) = self.mem.lock().get(key).cloned() {
             return Some(e);
         }
         self.sealed
             .read()
             .as_ref()
-            .and_then(|g| g.shards[shard].as_ref())
             .and_then(|s| s.get(key).cloned())
     }
 
@@ -356,100 +283,65 @@ impl LsmTree {
     /// record, so neither copies it.
     pub fn mem_get_active(&self, key: &[u8]) -> Option<LsmEntry> {
         self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
-        self.mem[self.shard_of(key)]
-            .lock()
-            .get(key)
-            .map(LsmEntry::key_only)
+        self.mem.lock().get(key).map(LsmEntry::key_only)
     }
 
     /// The header of `key`'s entry in the sealed (flushing) snapshot only.
     pub fn sealed_get(&self, key: &[u8]) -> Option<LsmEntry> {
-        let shard = self.shard_of(key);
         self.sealed
             .read()
             .as_ref()
-            .and_then(|g| g.shards[shard].as_ref())
             .and_then(|s| s.get(key).map(LsmEntry::key_only))
     }
 
-    /// True if a sealed generation is pending (a flush is mid-build, or a
+    /// True if a sealed snapshot is pending (a flush is mid-build, or a
     /// previous flush attempt failed and should be retried).
     pub fn has_sealed(&self) -> bool {
         self.sealed.read().is_some()
     }
 
-    /// Approximate size of the *active* memory component in bytes, across
-    /// all shards (the flush-trigger metric; a sealed generation is
-    /// already on its way out). Lock-free: maintained as an aggregate so
-    /// the per-write budget check does not serialize the shards it just
-    /// unserialized.
+    /// Approximate size of the *active* memory component in bytes (the
+    /// flush-trigger metric; a sealed snapshot is already on its way out).
+    /// Lock-free.
     pub fn mem_bytes(&self) -> usize {
         self.mem_bytes_total.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes of the sealed (flushing) generation, if any —
+    /// Approximate bytes of the sealed (flushing) snapshot, if any —
     /// memory that is still held but no longer accepts writes.
     /// Backpressure counts this on top of [`LsmTree::mem_bytes`].
     pub fn sealed_bytes(&self) -> usize {
-        self.sealed.read().as_ref().map_or(0, |g| g.bytes())
+        self.sealed.read().as_ref().map_or(0, |s| s.bytes())
     }
 
     /// Number of keys buffered in memory (active + sealed).
     pub fn mem_len(&self) -> usize {
-        let active: usize = self.mem.iter().map(|m| m.lock().len()).sum();
-        active + self.sealed.read().as_ref().map_or(0, |g| g.len())
+        let active = self.mem.lock().len();
+        active + self.sealed.read().as_ref().map_or(0, |s| s.len())
     }
 
-    /// Widens the memory component's range filter. `key` routes the update
-    /// to the entry's shard, so each shard's filter describes exactly the
-    /// entries that will flush with it.
-    pub fn widen_mem_filter(&self, key: &[u8], v: &Value) {
-        self.mem[self.shard_of(key)].lock().widen_filter(v);
+    /// Widens the active memory component's range filter.
+    pub fn widen_mem_filter(&self, v: &Value) {
+        self.mem.lock().widen_filter(v);
     }
 
     /// Copies the in-memory entries in `[lo, hi]` in key order, merging the
-    /// active shards over the sealed generation (active entries win).
+    /// active component over the sealed snapshot (active entries win).
     ///
-    /// All shard locks are taken FIRST (in index order) and held while the
-    /// sealed slot is read — the same order `seal_mem` uses for its
-    /// transition — so the snapshot can never observe the torn state where
-    /// entries have left the active shards but the sealed slot still reads
-    /// empty.
+    /// The active lock is taken FIRST and held while the sealed slot is
+    /// read — the same order `seal_mem` uses for its transition — so the
+    /// snapshot can never observe the torn state where entries have left
+    /// the active component but the sealed slot still reads empty.
     fn mem_snapshot_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Key, LsmEntry)> {
-        let guards = self.lock_all_shards();
+        let mem = self.mem.lock();
         let sealed = self.sealed.read().clone();
-        let runs = Self::capture_mem_runs(&guards, sealed.as_deref(), lo, hi);
-        drop(guards);
-        interleave_disjoint_runs(runs)
-    }
-
-    /// Per-shard merged runs (active over sealed) of `[lo, hi]`, captured
-    /// under the shard guards. Shards hold disjoint key sets, so the final
-    /// view is a plain ordered interleave of these runs.
-    fn capture_mem_runs(
-        guards: &[parking_lot::MutexGuard<'_, MemComponent>],
-        sealed: Option<&SealedGen>,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> Vec<Vec<(Key, LsmEntry)>> {
-        guards
-            .iter()
-            .enumerate()
-            .map(|(i, mem)| {
-                let active: Vec<(Key, LsmEntry)> = mem
-                    .range(lo, hi)
-                    .map(|(k, e)| (k.clone(), e.clone()))
-                    .collect();
-                let run = sealed.and_then(|g| g.shards[i].clone());
-                merge_mem_runs(active, run, lo, hi)
-            })
-            .collect()
+        merge_mem_runs(&mem, sealed.as_deref(), lo, hi)
     }
 
     /// An atomically consistent view of the tree: the merged in-memory
     /// entries of `[lo, hi]` plus the disk components, captured so that an
     /// entry mid-flush appears in exactly one of the two (lock order
-    /// shards → sealed → disk matches `seal_mem` and `install_sealed`,
+    /// active → sealed → disk matches `seal_mem` and `install_sealed`,
     /// whose transitions therefore cannot interleave with the capture).
     /// Scans that do NOT reconcile duplicates (the Mutable-bitmap filter
     /// scan) need this; reconciling readers can capture memory and disk
@@ -468,41 +360,27 @@ impl LsmTree {
         hi: Bound<&[u8]>,
         include_mem: impl FnOnce(Option<&RangeFilter>, &[Arc<DiskComponent>]) -> bool,
     ) -> TreeSnapshot {
-        let guards = self.lock_all_shards();
-        let sealed_guard = self.sealed.read();
+        let mem = self.mem.lock();
+        let sealed = self.sealed.read();
         let disk = self.disk_components();
-        let mut filter: Option<RangeFilter> = None;
-        let mut fold = |f: &RangeFilter| match &mut filter {
-            Some(acc) => acc.union(f),
-            None => filter = Some(f.clone()),
-        };
-        for mem in &guards {
-            if let Some(f) = mem.filter() {
-                fold(f);
+        let mut filter = mem.filter().cloned();
+        if let Some(f) = sealed.as_ref().and_then(|s| s.filter()) {
+            match &mut filter {
+                Some(acc) => acc.union(f),
+                None => filter = Some(f.clone()),
             }
         }
-        if let Some(gen) = sealed_guard.as_ref() {
-            for run in gen.runs() {
-                if let Some(f) = run.filter() {
-                    fold(f);
-                }
-            }
-        }
-        let has_entries = guards.iter().any(|m| !m.is_empty()) || sealed_guard.is_some();
-        let snapshot = (has_entries && include_mem(filter.as_ref(), &disk)).then(|| {
-            let runs = Self::capture_mem_runs(&guards, sealed_guard.as_deref(), lo, hi);
-            interleave_disjoint_runs(runs)
-        });
-        drop(sealed_guard);
-        drop(guards);
+        let has_entries = !mem.is_empty() || sealed.is_some();
+        let snapshot = (has_entries && include_mem(filter.as_ref(), &disk))
+            .then(|| merge_mem_runs(&mem, sealed.as_deref(), lo, hi));
+        drop(sealed);
+        drop(mem);
         (snapshot, disk)
     }
 
     /// Discards the memory components (crash simulation in recovery tests).
     pub fn clear_mem(&self) {
-        for m in &self.mem {
-            m.lock().clear();
-        }
+        self.mem.lock().clear();
         self.mem_bytes_total.store(0, Ordering::Relaxed);
         *self.sealed.write() = None;
     }
@@ -538,10 +416,7 @@ impl LsmTree {
     /// Removes the newest disk component and destroys its files. Crash
     /// recovery uses this to roll back a torn flush install — a component
     /// published by a crash-interrupted flush whose sibling indexes never
-    /// installed theirs; the WAL still covers its committed entries. A
-    /// sharded generation rolls back one component per call: every
-    /// component of the torn generation postdates the sibling index, so
-    /// the recovery loop peels them all.
+    /// installed theirs; the WAL still covers its committed entries.
     pub fn uninstall_newest(&self) -> Option<ComponentId> {
         let comp = {
             let mut disk = self.disk.write();
@@ -592,24 +467,16 @@ impl LsmTree {
         Ok(Arc::new(builder.finish()?))
     }
 
-    /// Seals the active memory shards for flushing — atomically, under
-    /// every shard lock, so no operation is ever split across the seal:
-    /// writers continue into fresh active shards while
-    /// [`LsmTree::flush_sealed`] builds the generation into disk
-    /// components. Returns `false` (and seals nothing) if every shard is
-    /// empty. Errors if a sealed generation is already pending — callers
+    /// Seals the active memory component for flushing — atomically, under
+    /// its lock, so no operation is ever split across the seal: writers
+    /// continue into a fresh active component while
+    /// [`LsmTree::flush_sealed`] builds the snapshot into a disk component.
+    /// Returns `false` (and seals nothing) if the active component is
+    /// empty. Errors if a sealed snapshot is already pending — callers
     /// must serialize flushes (the engine holds a per-dataset flush lock).
     pub fn seal_mem(&self) -> Result<bool> {
-        let mut guards = self.lock_all_shards();
-        let mut min_ts = Timestamp::MAX;
-        let mut max_ts = 0;
-        for g in &guards {
-            if let Some(id) = g.id() {
-                min_ts = min_ts.min(id.min_ts);
-                max_ts = max_ts.max(id.max_ts);
-            }
-        }
-        if max_ts == 0 {
+        let mut mem = self.mem.lock();
+        if mem.id().is_none() {
             return Ok(false);
         }
         let mut sealed = self.sealed.write();
@@ -619,66 +486,38 @@ impl LsmTree {
                 self.opts.name
             )));
         }
-        let shards: Vec<Option<Arc<MemComponent>>> = guards
-            .iter_mut()
-            .map(|g| g.id().is_some().then(|| Arc::new(std::mem::take(&mut **g))))
-            .collect();
+        *sealed = Some(Arc::new(std::mem::take(&mut *mem)));
         self.mem_bytes_total.store(0, Ordering::Relaxed);
-        *sealed = Some(Arc::new(SealedGen {
-            id: ComponentId::new(min_ts, max_ts),
-            shards,
-        }));
         Ok(true)
     }
 
-    /// Builds the sealed generation into disk components (one per
-    /// non-empty shard, each stamped with the shared generation ID) and
-    /// installs them as the newest. Returns an empty vector when nothing
-    /// is sealed. The generation stays visible to readers throughout, so
-    /// there is no window where its entries are neither in memory nor on
-    /// disk.
-    pub fn flush_sealed(&self) -> Result<Vec<Arc<DiskComponent>>> {
-        let comps = self.build_sealed()?;
-        if self.has_sealed() {
-            self.install_sealed(comps.clone());
+    /// Builds the sealed snapshot into a disk component and installs it as
+    /// the newest. Returns `None` when nothing is sealed. The snapshot
+    /// stays visible to readers throughout, so there is no window where
+    /// its entries are neither in memory nor on disk.
+    pub fn flush_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
+        let comp = self.build_sealed()?;
+        if let Some(c) = &comp {
+            self.install_sealed(c.clone());
         }
-        Ok(comps)
+        Ok(comp)
     }
 
-    /// Builds the sealed generation's disk components WITHOUT installing
-    /// them — the engine uses this when the components need preparation
-    /// before becoming visible (shared-bitmap attachment, routed deletes
-    /// of the Mutable-bitmap strategy), followed by
-    /// [`LsmTree::install_sealed`]. Components are returned in shard
-    /// order; when several shards have runs they are built in parallel on
-    /// scoped threads.
-    pub fn build_sealed(&self) -> Result<Vec<Arc<DiskComponent>>> {
-        let Some(gen) = self.sealed.read().clone() else {
-            return Ok(Vec::new());
+    /// Builds the sealed snapshot's disk component WITHOUT installing it —
+    /// the engine uses this when the component needs preparation before
+    /// becoming visible (shared-bitmap attachment, routed deletes of the
+    /// Mutable-bitmap strategy), followed by [`LsmTree::install_sealed`].
+    /// The component carries the snapshot's own interval.
+    pub fn build_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
+        let Some(snapshot) = self.sealed.read().clone() else {
+            return Ok(None);
         };
-        let gen_id = gen.id;
-        let runs: Vec<&Arc<MemComponent>> = gen.runs().collect();
-        if runs.len() <= 1 {
-            return runs
-                .into_iter()
-                .map(|run| self.build_run(gen_id, run))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = runs
-                .into_iter()
-                .map(|run| scope.spawn(move || self.build_run(gen_id, run)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    }
-
-    /// Builds one shard run into a disk component carrying the
-    /// generation's shared ID.
-    fn build_run(&self, id: ComponentId, snapshot: &MemComponent) -> Result<Arc<DiskComponent>> {
+        let id = snapshot.id().ok_or_else(|| {
+            Error::invalid(format!(
+                "{}: sealed memory component is empty",
+                self.opts.name
+            ))
+        })?;
         let mut builder = ComponentBuilder::new(
             self.storage.clone(),
             id,
@@ -694,30 +533,25 @@ impl LsmTree {
         for (k, e) in snapshot.iter() {
             builder.add(k, e)?;
         }
-        Ok(Arc::new(builder.finish()?))
+        Ok(Some(Arc::new(builder.finish()?)))
     }
 
-    /// Publishes the components built by [`LsmTree::build_sealed`] (the
-    /// whole generation at once, preserving shard order) and releases the
-    /// sealed generation. The sealed lock is held across the disk insert
-    /// (lock order sealed → disk), and the components are inserted before
-    /// the generation clears: a reconciling reader that captures memory
-    /// first either sees the entries in the sealed generation, on disk, or
-    /// both (never neither), while the atomic
+    /// Publishes the component built by [`LsmTree::build_sealed`] and
+    /// releases the sealed snapshot. The sealed lock is held across the
+    /// disk insert (lock order sealed → disk), and the component is
+    /// inserted before the snapshot clears: a reconciling reader that
+    /// captures memory first either sees the entries in the sealed
+    /// snapshot, on disk, or both (never neither), while the atomic
     /// [`LsmTree::mem_and_disk_snapshot_if`] capture sees them exactly once.
-    pub fn install_sealed(&self, comps: Vec<Arc<DiskComponent>>) {
+    pub fn install_sealed(&self, comp: Arc<DiskComponent>) {
         let mut sealed = self.sealed.write();
-        let mut disk = self.disk.write();
-        *disk = comps.into_iter().chain(disk.iter().cloned()).collect();
-        drop(disk);
+        self.push_newest(comp);
         *sealed = None;
     }
 
-    /// Flushes the memory component into new disk components.
-    /// Returns `None` if the memory component was empty, otherwise the
-    /// first (shard-order) component of the new generation — with one
-    /// shard, the generation's only component. A generation left sealed
-    /// by a previous failed attempt is flushed first, so transient build
+    /// Flushes the memory component into a new disk component. Returns
+    /// `None` if the memory component was empty. A snapshot left sealed by
+    /// a previous failed attempt is flushed first, so transient build
     /// errors stay retryable.
     pub fn flush(&self) -> Result<Option<Arc<DiskComponent>>> {
         if self.has_sealed() {
@@ -726,45 +560,21 @@ impl LsmTree {
         if !self.seal_mem()? {
             return Ok(None);
         }
-        Ok(self.flush_sealed()?.into_iter().next())
+        self.flush_sealed()
     }
 
     // ---- merging -----------------------------------------------------------
 
-    /// Oldest-first component index ranges grouped into generations: runs
-    /// of consecutive components sharing a ComponentId are the per-shard
-    /// outputs of one sealed generation. Merged components carry unique
-    /// spanning intervals and group alone.
-    fn generation_groups(disk: &[Arc<DiskComponent>]) -> Vec<(usize, usize, u64)> {
-        let mut groups: Vec<(usize, usize, u64)> = Vec::new();
-        for (i, c) in disk.iter().rev().enumerate() {
-            match groups.last_mut() {
-                Some(g) if disk[disk.len() - 1 - g.1].id() == c.id() => {
-                    g.1 = i;
-                    g.2 += c.byte_size();
-                }
-                _ => groups.push((i, i, c.byte_size())),
-            }
-        }
-        groups
-    }
-
     /// Applies `policy` to the current disk components; returns the chosen
-    /// range (oldest-first indexing) without performing the merge. The
-    /// policy sees one size per *generation* and selected ranges always
-    /// cover whole generations, so a merge never splits the per-shard
-    /// siblings of one flush (and a merged interval therefore always spans
-    /// at least two generations, keeping it distinguishable from any flush
-    /// generation's interval — recovery relies on that).
+    /// range (oldest-first indexing) without performing the merge.
     pub fn select_merge(&self, policy: &dyn MergePolicy) -> Option<MergeRange> {
-        let disk = self.disk_components();
-        let groups = Self::generation_groups(&disk);
-        let sizes: Vec<u64> = groups.iter().map(|g| g.2).collect();
-        let r = policy.select(&sizes)?;
-        Some(MergeRange {
-            start: groups[r.start].0,
-            end: groups[r.end].1,
-        })
+        let sizes: Vec<u64> = self
+            .disk_components()
+            .iter()
+            .rev()
+            .map(|c| c.byte_size())
+            .collect();
+        policy.select(&sizes)
     }
 
     /// Components of `range` (oldest-first indexing), returned newest-first.
@@ -912,14 +722,18 @@ impl LsmTree {
     }
 }
 
-/// Merges the active-shard run over the same shard's sealed run `[lo, hi]`
-/// range; both are key-ordered, and the active entry wins a collision.
+/// Copies the `[lo, hi]` entries of the active component merged over the
+/// sealed snapshot, in key order; the active entry wins a collision.
 fn merge_mem_runs(
-    active: Vec<(Key, LsmEntry)>,
-    sealed: Option<Arc<MemComponent>>,
+    active: &MemComponent,
+    sealed: Option<&MemComponent>,
     lo: Bound<&[u8]>,
     hi: Bound<&[u8]>,
 ) -> Vec<(Key, LsmEntry)> {
+    let active: Vec<(Key, LsmEntry)> = active
+        .range(lo, hi)
+        .map(|(k, e)| (k.clone(), e.clone()))
+        .collect();
     let Some(sealed) = sealed else {
         return active;
     };
@@ -948,39 +762,6 @@ fn merge_mem_runs(
     out
 }
 
-/// Interleaves key-ordered runs with pairwise-disjoint key sets (the
-/// per-shard memory runs) into one ordered run.
-fn interleave_disjoint_runs(runs: Vec<Vec<(Key, LsmEntry)>>) -> Vec<(Key, LsmEntry)> {
-    let mut queues: Vec<VecDeque<(Key, LsmEntry)>> = runs
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .map(VecDeque::from)
-        .collect();
-    if queues.len() == 1 {
-        // INVARIANT: length is exactly 1, so the pop yields the only queue.
-        return queues.pop().unwrap().into();
-    }
-    let mut out = Vec::with_capacity(queues.iter().map(VecDeque::len).sum());
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, q) in queues.iter().enumerate() {
-            if let Some((k, _)) = q.front() {
-                best = match best {
-                    // INVARIANT: `b` was only ever set for a queue with a
-                    // non-empty front, and nothing is popped in this scan.
-                    Some(b) if queues[b].front().unwrap().0 <= *k => Some(b),
-                    _ => Some(i),
-                };
-            }
-        }
-        let Some(b) = best else { break };
-        // INVARIANT: `best` points at a queue seen non-empty in the scan
-        // just above; nothing was popped since.
-        out.push(queues[b].pop_front().unwrap());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -989,16 +770,6 @@ mod tests {
 
     fn tree() -> LsmTree {
         LsmTree::new(Storage::new(StorageOptions::test()), LsmOptions::default())
-    }
-
-    fn sharded_tree(shards: usize) -> LsmTree {
-        LsmTree::new(
-            Storage::new(StorageOptions::test()),
-            LsmOptions {
-                mem_shards: shards,
-                ..Default::default()
-            },
-        )
     }
 
     fn key(i: u32) -> Key {
@@ -1143,10 +914,10 @@ mod tests {
     fn merged_filter_is_union_of_inputs() {
         let t = tree();
         t.put(key(1), LsmEntry::put(vec![]), 1);
-        t.widen_mem_filter(&key(1), &Value::Int(2015));
+        t.widen_mem_filter(&Value::Int(2015));
         t.flush().unwrap();
         t.put(key(2), LsmEntry::put(vec![]), 2);
-        t.widen_mem_filter(&key(2), &Value::Int(2018));
+        t.widen_mem_filter(&Value::Int(2018));
         t.flush().unwrap();
         let merged = t.merge_range(MergeRange { start: 0, end: 1 }).unwrap();
         let f = merged.range_filter().unwrap();
@@ -1158,13 +929,13 @@ mod tests {
     fn mem_filter_snapshot_on_flush() {
         let t = tree();
         t.put(key(1), LsmEntry::put(vec![]), 1);
-        t.widen_mem_filter(&key(1), &Value::Int(7));
+        t.widen_mem_filter(&Value::Int(7));
         let c = t.flush().unwrap().unwrap();
         assert!(c.range_filter().is_some());
         // The next memory component starts from an empty filter: one new
         // value must yield exactly [9, 9], not the pre-flush [7, 9].
         t.put(key(2), LsmEntry::put(vec![]), 2);
-        t.widen_mem_filter(&key(2), &Value::Int(9));
+        t.widen_mem_filter(&Value::Int(9));
         let mut ran = false;
         let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
         t.mem_and_disk_snapshot_if(lo, hi, |f, _| {
@@ -1176,134 +947,164 @@ mod tests {
         assert!(ran, "the filter callback ran");
     }
 
-    // ---- sharded memory components ----------------------------------------
+    // ---- memory component --------------------------------------------------
 
     #[test]
-    fn sharded_puts_and_gets_roundtrip() {
-        let t = sharded_tree(4);
-        for i in 0..200 {
-            t.put(key(i), LsmEntry::put(vec![i as u8]), u64::from(i) + 1);
-        }
-        assert_eq!(t.mem_len(), 200);
-        for i in 0..200 {
-            assert_eq!(t.mem_get(&key(i)).unwrap().value, vec![i as u8]);
-        }
-        // Replacement stays within the key's shard and wins.
-        t.put(key(7), LsmEntry::put(b"new".to_vec()), 300);
-        assert_eq!(t.mem_get(&key(7)).unwrap().value, b"new");
-        assert_eq!(t.mem_len(), 200);
-    }
-
-    #[test]
-    fn sharded_flush_components_share_the_generation_id() {
-        let t = sharded_tree(4);
-        for i in 0..100 {
-            t.put(key(i), LsmEntry::put(vec![b'v']), u64::from(i) + 1);
-        }
-        t.flush().unwrap().unwrap();
-        let comps = t.disk_components();
-        assert!(comps.len() > 1, "expected several shard components");
-        assert!(comps.len() <= 4);
-        for c in comps.iter() {
-            assert_eq!(c.id(), ComponentId::new(1, 100), "shared generation id");
-        }
-        let total: u64 = comps.iter().map(|c| c.num_entries()).sum();
-        assert_eq!(total, 100);
-        assert_eq!(t.mem_len(), 0);
-        // Every key remains reachable in exactly one shard component.
-        for i in 0..100 {
-            let hits = comps
-                .iter()
-                .filter(|c| c.search(&key(i)).unwrap().is_some())
-                .count();
-            assert_eq!(hits, 1, "key {i} in exactly one shard component");
-        }
-    }
-
-    #[test]
-    fn sharded_snapshot_is_globally_key_ordered() {
-        let t = sharded_tree(3);
+    fn active_shadows_sealed_in_a_mid_flush_snapshot() {
+        let t = tree();
         for i in (0..60).rev() {
             t.put(key(i), LsmEntry::put(vec![]), u64::from(60 - i));
         }
-        // Seal mid-stream, then overwrite a few keys in the fresh shards.
+        // Seal mid-stream, then overwrite a few keys in the fresh component.
         t.seal_mem().unwrap();
         t.put(key(5), LsmEntry::put(b"new".to_vec()), 100);
         t.put(key(40), LsmEntry::anti_matter(), 101);
+        t.put(key(99), LsmEntry::put(b"only-active".to_vec()), 102);
         let snap = t.mem_snapshot_range(Bound::Unbounded, Bound::Unbounded);
-        assert_eq!(snap.len(), 60);
+        assert_eq!(snap.len(), 61);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "ordered");
         let e5 = snap.iter().find(|(k, _)| k == &key(5)).unwrap();
         assert_eq!(e5.1.value, b"new", "active shadows sealed");
         let e40 = snap.iter().find(|(k, _)| k == &key(40)).unwrap();
         assert!(e40.1.anti_matter);
-        t.flush_sealed().unwrap();
+        assert_eq!(t.mem_get(&key(5)).unwrap().value, b"new");
+        assert!(t.sealed_get(&key(5)).is_some(), "the sealed version stays");
+        assert!(t.sealed_get(&key(99)).is_none(), "written after the seal");
+        let c = t.flush_sealed().unwrap().expect("a sealed snapshot");
+        assert_eq!(
+            c.id(),
+            ComponentId::new(1, 60),
+            "the snapshot's own interval"
+        );
         assert!(!t.has_sealed());
+        assert!(t.flush_sealed().unwrap().is_none(), "nothing left sealed");
     }
 
     #[test]
-    fn sharded_merge_selection_covers_whole_generations() {
-        let t = sharded_tree(4);
-        let policy = TieringPolicy::new(u64::MAX);
-        let mut ts = 1u64;
-        for _ in 0..3 {
-            for i in 0..80 {
-                t.put(key(i), LsmEntry::put(vec![0; 16]), ts);
-                ts += 1;
-            }
-            t.flush().unwrap();
-        }
-        let n = t.num_disk_components();
-        assert!(n > 3, "three generations of shard components");
-        let range = t.select_merge(&policy).expect("generations mergeable");
-        assert_eq!((range.start, range.end), (0, n - 1), "whole generations");
-        let merged = t.merge_range(range).unwrap();
-        assert_eq!(t.num_disk_components(), 1);
-        assert_eq!(merged.num_entries(), 80, "duplicates reconciled");
-    }
-
-    #[test]
-    fn single_generation_is_never_selected_for_merge() {
-        // A lone sharded generation must not merge with itself: its merged
-        // interval would equal the generation's, and recovery could no
-        // longer tell a merged component from a flush generation.
-        let t = sharded_tree(4);
-        let policy = TieringPolicy::new(u64::MAX);
-        for i in 0..80 {
-            t.put(key(i), LsmEntry::put(vec![0; 16]), u64::from(i) + 1);
-        }
-        t.flush().unwrap();
-        assert!(t.num_disk_components() > 1);
-        assert!(t.select_merge(&policy).is_none());
-    }
-
-    #[test]
-    fn shard_one_matches_unsharded_layout() {
-        // memtable_shards = 1 must be byte-identical to the historical
-        // unsharded tree: one component per flush, exact interval ids.
-        let t = sharded_tree(1);
-        for i in 0..50 {
-            t.put(key(i), LsmEntry::put(vec![b'x']), u64::from(i) + 1);
-        }
-        let c = t.flush().unwrap().unwrap();
-        assert_eq!(t.num_disk_components(), 1);
-        assert_eq!(c.id(), ComponentId::new(1, 50));
-        assert_eq!(c.num_entries(), 50);
-    }
-
-    #[test]
-    fn sharded_mem_bytes_tracks_all_shards() {
-        let t = sharded_tree(4);
+    fn sealed_bytes_leave_the_active_count() {
+        let t = tree();
         assert_eq!(t.mem_bytes(), 0);
         for i in 0..40 {
             t.put(key(i), LsmEntry::put(vec![0; 50]), u64::from(i) + 1);
         }
         let total = t.mem_bytes();
-        assert!(total > 40 * 50, "aggregate covers every shard: {total}");
+        assert!(total > 40 * 50, "every put is counted: {total}");
         t.seal_mem().unwrap();
-        assert_eq!(t.mem_bytes(), 0, "sealed bytes move out of the active sum");
-        assert!(t.sealed_bytes() >= total);
+        assert_eq!(
+            t.mem_bytes(),
+            0,
+            "sealed bytes move out of the active count"
+        );
+        assert_eq!(t.sealed_bytes(), total);
+        t.put(key(1), LsmEntry::put(vec![0; 50]), 41);
+        assert!(t.mem_bytes() > 50, "the fresh component counts from zero");
         t.flush_sealed().unwrap();
         assert_eq!(t.sealed_bytes(), 0);
+    }
+
+    #[test]
+    fn puts_stay_readable_through_seal_and_flush() {
+        let t = tree();
+        for i in 0..30 {
+            t.put(key(i), LsmEntry::put(vec![i as u8]), u64::from(i) + 1);
+        }
+        assert!(t.seal_mem().unwrap());
+        for i in 30..40 {
+            t.put(key(i), LsmEntry::put(vec![i as u8]), u64::from(i) + 1);
+        }
+        assert!(t.seal_mem().is_err(), "one sealed snapshot at a time");
+        assert_eq!(t.mem_len(), 40, "active and sealed both count");
+        for i in 0..40 {
+            assert_eq!(t.mem_get(&key(i)).unwrap().value, vec![i as u8]);
+            let in_active = t.mem_get_active(&key(i)).is_some();
+            assert_eq!(in_active, i >= 30, "key {i} lives in one component");
+        }
+        let c = t.flush_sealed().unwrap().unwrap();
+        assert_eq!(c.num_entries(), 30);
+        assert_eq!(t.mem_len(), 10);
+        assert!(t.mem_get(&key(0)).is_none(), "the flushed keys left memory");
+        assert!(c.search(&key(0)).unwrap().is_some());
+        assert!(t.mem_get(&key(35)).is_some());
+    }
+
+    #[test]
+    fn each_flush_carries_its_own_disjoint_interval() {
+        let t = tree();
+        let mut ids = Vec::new();
+        let mut ts = 1u64;
+        for round in 0..3 {
+            for i in 0..10 {
+                t.put(key(round * 10 + i), LsmEntry::put(vec![]), ts);
+                ts += 1;
+            }
+            ids.push(t.flush().unwrap().unwrap().id());
+        }
+        assert_eq!(
+            ids,
+            vec![
+                ComponentId::new(1, 10),
+                ComponentId::new(11, 20),
+                ComponentId::new(21, 30),
+            ]
+        );
+        let merged = t.merge_range(MergeRange { start: 0, end: 2 }).unwrap();
+        assert_eq!(merged.id(), ComponentId::new(1, 30), "spans every input");
+    }
+
+    #[test]
+    fn the_policy_sees_one_size_per_component_oldest_first() {
+        struct Record(Mutex<Vec<u64>>);
+        impl MergePolicy for Record {
+            fn select(&self, sizes: &[u64]) -> Option<MergeRange> {
+                *self.0.lock() = sizes.to_vec();
+                None
+            }
+        }
+        let t = tree();
+        let mut ts = 1u64;
+        for n in [5u32, 80, 30] {
+            for i in 0..n {
+                t.put(key(i), LsmEntry::put(vec![0; 200]), ts);
+                ts += 1;
+            }
+            t.flush().unwrap();
+        }
+        let policy = Record(Mutex::new(Vec::new()));
+        assert!(t.select_merge(&policy).is_none());
+        let expected: Vec<u64> = t
+            .disk_components()
+            .iter()
+            .rev()
+            .map(|c| c.byte_size())
+            .collect();
+        assert_eq!(expected.len(), 3);
+        assert!(expected[1] > expected[2] && expected[2] > expected[0]);
+        assert_eq!(*policy.0.lock(), expected);
+    }
+
+    #[test]
+    fn a_lone_component_is_never_selected_for_merge() {
+        // A merged interval must span at least two flushes, or recovery
+        // could no longer tell a merged component from a flushed one.
+        let t = tree();
+        let policy = TieringPolicy::new(u64::MAX);
+        for i in 0..80 {
+            t.put(key(i), LsmEntry::put(vec![0; 16]), u64::from(i) + 1);
+        }
+        t.flush().unwrap();
+        assert_eq!(t.num_disk_components(), 1);
+        assert!(t.select_merge(&policy).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one memory component")]
+    fn a_second_memory_component_is_refused() {
+        LsmTree::new(
+            Storage::new(StorageOptions::test()),
+            LsmOptions {
+                mem_shards: 2,
+                ..Default::default()
+            },
+        );
     }
 }

@@ -31,7 +31,8 @@
 use lsm_common::{Record, Result as LsmResult, Value};
 use lsm_engine::recovery::{self, CheckpointState};
 use lsm_engine::{
-    Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind,
+    Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, MergePlan, MergeTarget,
+    SecondaryIndexDef, StrategyKind,
 };
 use lsm_storage::{
     FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, Storage, StorageOptions,
@@ -498,6 +499,22 @@ impl<'a> Harness<'a> {
         Ok(())
     }
 
+    /// Upserts eight fresh records without forcing the WAL, so they sit
+    /// staged on its open page. Residual ingest memory is flushed first:
+    /// otherwise the upserts can trip a budget flush, and under background
+    /// maintenance a worker would then force the WAL and install a
+    /// component holding them before the trigger's own force.
+    fn stage_pending(&mut self) -> Result<Vec<Record>, TortureFailure> {
+        self.chk(self.ds.flush_all(), "pre-staging flush")?;
+        let mut pending = Vec::new();
+        for _ in 0..8 {
+            let r = self.extra_record();
+            self.chk(self.ds.upsert(&r), "staged upsert")?;
+            pending.push(r);
+        }
+        Ok(pending)
+    }
+
     fn expect_crash_err<T: std::fmt::Debug>(
         &self,
         r: LsmResult<T>,
@@ -539,12 +556,7 @@ impl<'a> Harness<'a> {
                 // failed page is dropped, so every member of the group must
                 // be absent after recovery while the committed prefix
                 // before the group survives.
-                let mut pending = Vec::new();
-                for _ in 0..8 {
-                    let r = self.extra_record();
-                    self.chk(self.ds.upsert(&r), "staged group upsert")?;
-                    pending.push(r);
-                }
+                let pending = self.stage_pending()?;
                 let wal = self.ds.wal().expect("wal");
                 self.plan.arm();
                 let r = wal.force();
@@ -577,16 +589,31 @@ impl<'a> Harness<'a> {
                     self.commit_extras(12)?;
                     self.chk(self.ds.flush_all(), "pre-merge flush")?;
                 }
-                let n = self.ds.primary().num_disk_components();
+                // No merge may move the component counts between planning
+                // and executing, and a correlated plan must fit both trees
+                // (only Mutable-bitmap keeps their merges in lockstep).
+                self.chk(self.ds.maintenance().quiesce(), "pre-merge quiesce")?;
+                let primary = self.ds.primary().num_disk_components();
+                let pk = self
+                    .ds
+                    .pk_index()
+                    .map_or(primary, |t| t.num_disk_components());
+                let n = primary.min(pk);
                 if n < 2 {
                     return Err(self.fail(format!(
-                        "expected >= 2 primary components before the merge, found {n}"
+                        "expected >= 2 primary and pk components before the merge, found {n}"
                     )));
                 }
+                // The merge the engine itself runs: Mutable-bitmap datasets
+                // go through the Section 5.3 cc path and crash at its
+                // install site.
                 self.plan.arm();
-                let r = self.ds.merge_correlated(MergeRange {
-                    start: 0,
-                    end: n - 1,
+                let r = self.ds.execute_merge_plan(&MergePlan {
+                    target: MergeTarget::Correlated,
+                    range: MergeRange {
+                        start: 0,
+                        end: n - 1,
+                    },
                 });
                 self.plan.disarm();
                 self.expect_crash_err(r, "merge with crashing install")?;
@@ -611,12 +638,7 @@ impl<'a> Harness<'a> {
                 // the page as the force writes it. The force itself
                 // reports success — torn writes are only discovered by
                 // recovery, like on real hardware.
-                let mut pending = Vec::new();
-                for _ in 0..8 {
-                    let r = self.extra_record();
-                    self.chk(self.ds.upsert(&r), "pending upsert")?;
-                    pending.push(r);
-                }
+                let pending = self.stage_pending()?;
                 let wal = self.ds.wal().expect("wal");
                 self.plan.arm();
                 self.chk(wal.force(), "torn wal force")?;
