@@ -79,36 +79,22 @@ fn main() {
         row(label, &values);
     }
 
-    // Maintenance-heavy: 8 small datasets, inline vs one shared bounded
-    // runtime (the per-dataset-pool design would run 16+ threads here; the
-    // shared runtime is capped at 4).
+    // Maintenance-heavy: 8 small datasets, inline vs one shared runtime
+    // (the per-dataset-pool design would run 16+ threads here; the shared
+    // runtime runs 4).
     let datasets = 8;
     let n_per = scaled(40_000) / datasets;
     table_header(
         "Shared maintenance runtime",
         &format!("{datasets} datasets × {n_per} upserts each"),
-        &["variant", "aggregate ops/s", "quiesce", "peak workers"],
+        &["variant", "aggregate ops/s", "quiesce"],
     );
     let r = run_shared_runtime_scenario(None, datasets, n_per);
-    row(
-        "multi-inline",
-        &[r.ingest_ops_per_sec, r.quiesce_wall_secs, 0.0],
-    );
-    let rt = MaintenanceRuntime::start(
-        EngineConfig::builder()
-            .min_workers(1)
-            .max_workers(4)
-            .build()
-            .expect("runtime config"),
-    )
-    .expect("runtime");
+    row("multi-inline", &[r.ingest_ops_per_sec, r.quiesce_wall_secs]);
+    let rt = MaintenanceRuntime::start(EngineConfig::fixed(4)).expect("runtime");
     let r = run_shared_runtime_scenario(Some(&rt), datasets, n_per);
     row(
         "multi-shared-4w",
-        &[
-            r.ingest_ops_per_sec,
-            r.quiesce_wall_secs,
-            r.peak_workers as f64,
-        ],
+        &[r.ingest_ops_per_sec, r.quiesce_wall_secs],
     );
 }

@@ -75,18 +75,14 @@ pub mod alloc_track {
     }
 }
 
-/// Scale factor for bench sizes; override with `LSM_BENCH_SCALE` (e.g. 0.2
-/// for a quick smoke run, 4.0 for a long run).
-pub fn scale() -> f64 {
-    std::env::var("LSM_BENCH_SCALE")
+/// `n` scaled by the bench scale factor, `LSM_BENCH_SCALE` (default 1.0;
+/// e.g. 0.2 for a quick smoke run, 4.0 for a long run).
+pub fn scaled(n: usize) -> usize {
+    let scale: f64 = std::env::var("LSM_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// `n` scaled by [`scale`].
-pub fn scaled(n: usize) -> usize {
-    ((n as f64) * scale()).max(16.0) as usize
+        .unwrap_or(1.0);
+    ((n as f64) * scale).max(16.0) as usize
 }
 
 /// A scaled experimental environment.
@@ -215,8 +211,6 @@ pub struct SharedRuntimeRun {
     pub flush_jobs: u64,
     /// Background merge jobs executed, summed over the datasets.
     pub merge_jobs: u64,
-    /// The runtime's maintenance-thread high-water mark (0 inline).
-    pub peak_workers: usize,
 }
 
 /// The maintenance-heavy scenario behind the `background_ingestion`
@@ -295,7 +289,6 @@ pub fn run_shared_runtime_scenario(
         quiesce_wall_secs,
         flush_jobs,
         merge_jobs,
-        peak_workers: runtime.map_or(0, |rt| rt.stats().peak_workers),
     }
 }
 

@@ -29,11 +29,11 @@ impl FieldType {
 
 /// A named, typed field.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldDef {
+struct FieldDef {
     /// Field name (unique within a schema).
-    pub name: String,
+    name: String,
     /// Field type.
-    pub ty: FieldType,
+    ty: FieldType,
 }
 
 /// An ordered collection of fields. Field 0 conventions are decided by the
@@ -70,11 +70,6 @@ impl Schema {
     /// Number of fields.
     pub fn arity(&self) -> usize {
         self.fields.len()
-    }
-
-    /// The fields, in order.
-    pub fn fields(&self) -> &[FieldDef] {
-        &self.fields
     }
 
     /// Validates that `record` conforms to this schema.
@@ -270,8 +265,8 @@ mod tests {
     fn schema_construction_and_lookup() {
         let s = tweet_schema();
         assert_eq!(s.arity(), 5);
-        assert_eq!(s.fields()[2].name, "location");
-        assert_eq!(s.fields()[2].ty, FieldType::Str);
+        assert_eq!(s.fields[2].name, "location");
+        assert_eq!(s.fields[2].ty, FieldType::Str);
     }
 
     #[test]

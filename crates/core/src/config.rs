@@ -37,36 +37,25 @@ impl StrategyKind {
 }
 
 /// Configuration of an engine-wide
-/// [`MaintenanceRuntime`](crate::MaintenanceRuntime): one bounded worker
-/// pool serving every registered dataset, instead of one pool per dataset.
-///
-/// Build with [`EngineConfig::builder`]:
+/// [`MaintenanceRuntime`](crate::MaintenanceRuntime): one fixed-size pool
+/// of worker threads serving every registered dataset, instead of one pool
+/// per dataset.
 ///
 /// ```
 /// use lsm_engine::EngineConfig;
-/// let cfg = EngineConfig::builder()
-///     .min_workers(1)
-///     .max_workers(4)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.max_workers, 4);
+/// let cfg = EngineConfig::builder().workers(4).build().unwrap();
+/// assert_eq!(cfg.workers, EngineConfig::fixed(4).workers);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Permanent worker threads (spawned at startup, always running).
-    pub min_workers: usize,
-    /// Hard cap on concurrent maintenance threads. When the queue is deeper
-    /// than the live worker count, transient workers are spawned up to this
-    /// cap and retire once the queue drains.
-    pub max_workers: usize,
+    /// Worker threads, spawned at startup and running until the runtime
+    /// shuts down; also the cap on concurrently executing jobs.
+    pub workers: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            min_workers: 1,
-            max_workers: 4,
-        }
+        EngineConfig::fixed(1)
     }
 }
 
@@ -75,24 +64,19 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             cfg: EngineConfig::default(),
+            cap: None,
         }
     }
 
-    /// A fixed-size pool: `min_workers == max_workers == workers`.
+    /// A pool of `workers` threads.
     pub fn fixed(workers: usize) -> Self {
-        EngineConfig {
-            min_workers: workers,
-            max_workers: workers,
-        }
+        EngineConfig { workers }
     }
 
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<()> {
-        if self.min_workers == 0 {
+        if self.workers == 0 {
             return Err(Error::invalid("runtime requires at least one worker"));
-        }
-        if self.max_workers < self.min_workers {
-            return Err(Error::invalid("max_workers must be at least min_workers"));
         }
         Ok(())
     }
@@ -102,31 +86,42 @@ impl EngineConfig {
 #[derive(Debug, Clone)]
 pub struct EngineConfigBuilder {
     cfg: EngineConfig,
+    /// A thread cap the caller asked for, checked against the pool size at
+    /// build.
+    cap: Option<usize>,
 }
 
 impl EngineConfigBuilder {
-    /// Sets the permanent worker count.
-    pub fn min_workers(mut self, n: usize) -> Self {
-        self.cfg.min_workers = n;
-        self
-    }
-
-    /// Sets the maintenance-thread cap.
-    pub fn max_workers(mut self, n: usize) -> Self {
-        self.cfg.max_workers = n;
-        self
-    }
-
-    /// Fixes the pool size: `min_workers = max_workers = n` (no adaptive
-    /// scaling).
+    /// Sets the pool size.
     pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.min_workers = n;
-        self.cfg.max_workers = n;
+        self.cfg.workers = n;
+        self
+    }
+
+    /// Sets the pool size; [`build`](Self::build) refuses a
+    /// [`max_workers`](Self::max_workers) that differs. Kept only because
+    /// the repository benchmark names it; goes with that benchmark's next
+    /// change.
+    pub fn min_workers(mut self, n: usize) -> Self {
+        self.cfg.workers = n;
+        self
+    }
+
+    /// Must equal [`min_workers`](Self::min_workers): the pool does not
+    /// grow. Kept only because the repository benchmark names it; goes with
+    /// that benchmark's next change.
+    pub fn max_workers(mut self, n: usize) -> Self {
+        self.cap = Some(n);
         self
     }
 
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<EngineConfig> {
+        if self.cap.is_some_and(|cap| cap != self.cfg.workers) {
+            return Err(Error::invalid(
+                "min_workers and max_workers must agree: the pool has a fixed size",
+            ));
+        }
         self.cfg.validate()?;
         Ok(self.cfg)
     }
@@ -425,38 +420,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_builder_validates() {
-        assert!(EngineConfig::builder().min_workers(0).build().is_err());
-        assert!(EngineConfig::builder()
-            .min_workers(3)
-            .max_workers(2)
-            .build()
-            .is_err());
-        let cfg = EngineConfig::builder().workers(2).build().unwrap();
-        assert_eq!((cfg.min_workers, cfg.max_workers), (2, 2));
-        let fixed = EngineConfig::fixed(3);
-        assert_eq!((fixed.min_workers, fixed.max_workers), (3, 3));
-    }
-
-    #[test]
-    fn engine_config_default_is_a_valid_elastic_pool() {
-        let cfg = EngineConfig::default();
-        assert_eq!((cfg.min_workers, cfg.max_workers), (1, 4));
-        cfg.validate().unwrap();
-        let built = EngineConfig::builder().build().unwrap();
+    fn engine_config_is_one_fixed_pool() {
+        assert_eq!(EngineConfig::default().workers, 1);
+        assert_eq!(EngineConfig::builder().build().unwrap().workers, 1);
+        assert_eq!(EngineConfig::fixed(3).workers, 3);
         assert_eq!(
-            (built.min_workers, built.max_workers),
-            (1, 4),
-            "the builder starts from the defaults"
+            EngineConfig::builder().workers(2).build().unwrap().workers,
+            2
         );
         assert!(EngineConfig::fixed(0).validate().is_err());
-        // The pool setters apply in call order.
-        let cfg = EngineConfig::builder()
-            .workers(3)
-            .max_workers(5)
+        assert!(EngineConfig::builder().workers(0).build().is_err());
+        // The two setters the benchmark names build only when they agree.
+        let agreed = EngineConfig::builder().min_workers(2).max_workers(2);
+        assert_eq!(agreed.build().unwrap().workers, 2);
+        assert!(EngineConfig::builder().min_workers(0).build().is_err());
+        assert!(EngineConfig::builder()
+            .min_workers(1)
+            .max_workers(4)
             .build()
-            .unwrap();
-        assert_eq!((cfg.min_workers, cfg.max_workers), (3, 5));
+            .is_err());
+        assert!(EngineConfig::builder().max_workers(4).build().is_err());
     }
 
     #[test]

@@ -118,12 +118,11 @@
 //! opened with [`Dataset::open`]: the writer that trips the memory budget
 //! pays for the flush and the follow-up merges synchronously;
 //! deterministic, used by the `sim_clock` experiments and most tests — or
-//! runs on a [`MaintenanceRuntime`]: a bounded, engine-wide worker pool
+//! runs on a [`MaintenanceRuntime`]: a fixed-size, engine-wide worker pool
 //! shared by every dataset registered with it.
 //!
 //! **Registration.** Build a runtime from an [`EngineConfig`]
-//! (`EngineConfig::builder().min_workers(1).max_workers(4).build()`, or
-//! `EngineConfig::fixed(n)` for `n` permanent workers) with
+//! (`EngineConfig::fixed(n)` for `n` workers) with
 //! [`MaintenanceRuntime::start`], then open datasets on it with
 //! [`Dataset::open_with_runtime`] — hundreds of datasets share one bounded
 //! pool instead of spawning one pool each, and a runtime serving a single
@@ -137,9 +136,7 @@
 //! # use lsm_common::{FieldType, Schema};
 //! # let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
 //! // One runtime, N datasets.
-//! let runtime = MaintenanceRuntime::start(
-//!     EngineConfig::builder().min_workers(1).max_workers(2).build()?,
-//! )?;
+//! let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2))?;
 //! let a = Dataset::open_with_runtime(
 //!     Storage::new(StorageOptions::test()), None,
 //!     DatasetConfig::new(schema.clone(), 0), &runtime)?;
@@ -165,20 +162,17 @@
 //! sharing before installation, retire-on-drop components) makes
 //! concurrent writes during rebuilds correct.
 //!
-//! **Adaptive workers.** `min_workers` threads are permanent; when the
-//! queue outgrows the live workers, transient workers spawn up to
-//! `max_workers` — never beyond, which bounds maintenance threads for the
-//! whole engine — and retire once the queue drains.
+//! **Fixed workers.** The pool's `workers` threads start with the runtime
+//! and run until it shuts down, which bounds maintenance threads — and
+//! concurrently executing jobs — for the whole engine.
 //!
 //! **Observability.** [`MaintenanceRuntime::stats`] returns one
 //! [`RuntimeStatsSnapshot`] covering every registered dataset: queue depth
 //! split by class, per-dataset queued/running rows
-//! ([`DatasetRuntimeStats`]), worker high-water mark, job and retry
-//! counts, and the list of poisoned datasets;
-//! [`MaintenanceRuntime::poisoned`] returns the failed datasets
-//! themselves so operators inspect causes without polling each one.
-//! Per-dataset counters come from [`EngineStats`], per-device ones from
-//! [`lsm_storage::IoStats`].
+//! ([`DatasetRuntimeStats`]), pool size, job and retry counts, and the ids
+//! of poisoned datasets ([`Dataset::check_poisoned`] yields the cause).
+//! Per-dataset counters, fault-injection ones included, come from
+//! [`EngineStats`], per-device ones from [`lsm_storage::IoStats`].
 //!
 //! **Backpressure.** Writers never block on the queue. Crossing the memory
 //! *budget* only schedules a flush; a writer stalls solely when active +

@@ -109,12 +109,6 @@ pub struct RepairPlan<'a> {
 }
 
 impl RepairPlan<'_> {
-    /// Overrides the validation mode outright.
-    pub fn mode(mut self, mode: RepairMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Toggles the Bloom-filter optimization (Section 4.4) within the
     /// primary-key-index mode; a no-op for the deleted-key B+-tree mode.
     pub fn bloom(mut self, on: bool) -> Self {

@@ -351,20 +351,9 @@ impl<'a> PreparedQuery<'a> {
         &self.options
     }
 
-    /// The queried index name.
-    pub fn index(&self) -> &str {
-        &self.index
-    }
-
     /// The resolved result cap, if any.
     pub fn limit(&self) -> Option<usize> {
         self.limit
-    }
-
-    /// The resolved partition fan-out (1 when [`QueryBuilder::parallel`]
-    /// was not requested).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Runs the query, collecting all results into a [`QueryResult`].

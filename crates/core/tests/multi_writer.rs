@@ -125,16 +125,7 @@ fn assert_matches_oracle(ds: &Dataset, label: &str) {
 fn run_concurrent_writers(strategy: StrategyKind, background: bool) {
     let label = format!("{strategy:?}/background={background}");
 
-    let runtime = background.then(|| {
-        MaintenanceRuntime::start(
-            EngineConfig::builder()
-                .min_workers(1)
-                .max_workers(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap()
-    });
+    let runtime = background.then(|| MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap());
     let ds = match &runtime {
         Some(rt) => Dataset::open_with_runtime(
             Storage::new(StorageOptions::test()),

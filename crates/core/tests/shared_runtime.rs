@@ -2,11 +2,11 @@
 //! many datasets, one bounded worker pool.
 //!
 //! The stress test is the scaling-cliff regression: 10 datasets × 1 writer
-//! thread each churn upserts/deletes against a runtime capped at 4 workers,
-//! then every dataset is verified against a single-threaded oracle and the
-//! runtime's thread high-water mark is asserted never to have exceeded the
-//! cap — the per-dataset-pool design this replaces would have run 20+
-//! maintenance threads.
+//! thread each churn upserts/deletes against a four-worker runtime, then
+//! every dataset is verified against a single-threaded oracle; a watcher
+//! asserts throughout that no more than four jobs ever run at once — the
+//! per-dataset-pool design this replaces would have run 20+ maintenance
+//! threads.
 
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::cc::CcMethod;
@@ -85,14 +85,7 @@ fn oracle(d: usize) -> HashMap<i64, Option<i64>> {
 
 #[test]
 fn ten_datasets_share_a_four_worker_runtime() {
-    let runtime = MaintenanceRuntime::start(
-        EngineConfig::builder()
-            .min_workers(2)
-            .max_workers(4)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let runtime = MaintenanceRuntime::start(EngineConfig::fixed(4)).unwrap();
 
     let datasets: Vec<Arc<Dataset>> = (0..DATASETS)
         .map(|d| {
@@ -108,30 +101,51 @@ fn ten_datasets_share_a_four_worker_runtime() {
         .collect();
     assert_eq!(runtime.stats().datasets, DATASETS);
 
-    // One writer thread per dataset, all contending for the shared pool.
-    std::thread::scope(|scope| {
-        for (d, ds) in datasets.iter().enumerate() {
-            scope.spawn(move || {
-                for (id, op) in dataset_ops(d) {
-                    match op {
-                        None => {
-                            ds.delete(&Value::Int(id)).unwrap();
+    // One writer thread per dataset, all contending for the shared pool,
+    // while a watcher samples how many jobs run at once.
+    let writing = std::sync::atomic::AtomicBool::new(true);
+    let peak_in_flight = std::thread::scope(|scope| {
+        let writers: Vec<_> = datasets
+            .iter()
+            .enumerate()
+            .map(|(d, ds)| {
+                scope.spawn(move || {
+                    for (id, op) in dataset_ops(d) {
+                        match op {
+                            None => {
+                                ds.delete(&Value::Int(id)).unwrap();
+                            }
+                            Some(round) => ds.upsert(&rec(id, round)).unwrap(),
                         }
-                        Some(round) => ds.upsert(&rec(id, round)).unwrap(),
                     }
-                }
-            });
+                })
+            })
+            .collect();
+        let (runtime, writing) = (&runtime, &writing);
+        let watcher = scope.spawn(move || {
+            let mut peak = 0;
+            while writing.load(std::sync::atomic::Ordering::Relaxed) {
+                peak = peak.max(runtime.stats().in_flight);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            peak
+        });
+        for w in writers {
+            w.join().unwrap();
         }
+        writing.store(false, std::sync::atomic::Ordering::Relaxed);
+        watcher.join().unwrap()
     });
+    assert!(
+        peak_in_flight <= 4,
+        "more jobs in flight than workers: {peak_in_flight}"
+    );
     for ds in &datasets {
         ds.maintenance().quiesce().unwrap();
     }
 
     let stats = runtime.stats();
-    assert!(
-        stats.peak_workers <= 4,
-        "maintenance threads exceeded max_workers: {stats:?}"
-    );
+    assert_eq!(stats.workers, 4, "{stats:?}");
     assert!(stats.flush_jobs > 0, "shared pool ran flushes: {stats:?}");
     assert!(stats.merge_jobs > 0, "shared pool ran merges: {stats:?}");
     assert_eq!(stats.queue_depth, 0, "drained after quiesce");
@@ -180,65 +194,6 @@ fn ten_datasets_share_a_four_worker_runtime() {
     // Dropping the datasets deregisters them; the runtime survives.
     drop(datasets);
     assert_eq!(runtime.stats().datasets, 0);
-}
-
-#[test]
-fn adaptive_workers_spawn_under_load_and_retire() {
-    let runtime = MaintenanceRuntime::start(
-        EngineConfig::builder()
-            .min_workers(1)
-            .max_workers(4)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let datasets: Vec<Arc<Dataset>> = (0..8)
-        .map(|_| {
-            Dataset::open_with_runtime(
-                Storage::new(StorageOptions::test()),
-                None,
-                config(StrategyKind::Validation, CcMethod::SideFile),
-                &runtime,
-            )
-            .unwrap()
-        })
-        .collect();
-
-    // Concurrent writers on 8 datasets flood the single permanent worker
-    // with flush jobs; the queue must outgrow it and spawn transients.
-    std::thread::scope(|scope| {
-        for ds in &datasets {
-            scope.spawn(move || {
-                for i in 0..1200i64 {
-                    ds.upsert(&rec(i % 200, i)).unwrap();
-                }
-            });
-        }
-    });
-    runtime.quiesce();
-
-    let stats = runtime.stats();
-    assert!(
-        stats.workers_spawned > 0,
-        "queue pressure never spawned a transient worker: {stats:?}"
-    );
-    assert!(stats.peak_workers > 1, "never scaled past min: {stats:?}");
-    assert!(stats.peak_workers <= 4, "exceeded the cap: {stats:?}");
-
-    // Transients retire once the queue is dry (each exits on its next
-    // empty pop; poll briefly to absorb that scheduling delay).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let s = runtime.stats();
-        if s.workers_retired == s.workers_spawned && s.cur_workers == 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "transient workers never retired: {s:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
 }
 
 #[test]
@@ -338,21 +293,17 @@ fn foreground_wal_writes_queue_no_background_job() {
 
 #[test]
 fn runtime_start_rejects_invalid_configs() {
-    // The fields are public, so `start` re-validates whatever it is given.
-    let no_workers = EngineConfig {
-        min_workers: 0,
-        ..EngineConfig::default()
-    };
-    assert!(MaintenanceRuntime::start(no_workers).is_err());
-    let inverted = EngineConfig {
-        min_workers: 3,
-        max_workers: 2,
-    };
-    assert!(MaintenanceRuntime::start(inverted).is_err());
+    // The field is public, so `start` re-validates whatever it is given.
+    assert!(MaintenanceRuntime::start(EngineConfig { workers: 0 }).is_err());
+    // The pool does not grow: a cap above the size is refused at build.
+    assert!(EngineConfig::builder()
+        .min_workers(2)
+        .max_workers(4)
+        .build()
+        .is_err());
     let runtime =
         MaintenanceRuntime::start(EngineConfig::builder().workers(1).build().unwrap()).unwrap();
-    let stats = runtime.stats();
-    assert_eq!((stats.min_workers, stats.max_workers), (1, 1));
+    assert_eq!(runtime.stats().workers, 1);
 }
 
 #[test]
@@ -362,14 +313,7 @@ fn hot_dataset_cannot_starve_quiet_datasets() {
     // flight per dataset and round-robin flush scheduling, every quiet
     // dataset's flush must complete while the hot dataset still has work
     // queued.
-    let runtime = MaintenanceRuntime::start(
-        EngineConfig::builder()
-            .min_workers(2)
-            .max_workers(4)
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
     let hot = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
         None,
@@ -456,8 +400,6 @@ fn hot_dataset_cannot_starve_quiet_datasets() {
         "flush latency spread unbounded: median {median:?}, worst {worst:?}"
     );
     hot.maintenance().quiesce().unwrap();
-    let stats = runtime.stats();
-    assert!(stats.peak_workers <= 4, "{stats:?}");
 }
 
 #[test]

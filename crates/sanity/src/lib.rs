@@ -28,15 +28,17 @@
 //! 6. **Dead `pub` surface** — every `pub` fn, struct, enum, trait, type,
 //!    const or static declared on a non-test line under `crates/*/src` must
 //!    be named in some *other* `.rs` file under `crates/`, `examples/` or
-//!    `benchmark/` (comment lines and `pub use` re-exports do not count),
-//!    or carry a `dead-pub <path> <name> <reason>` line in the allowlist. An
-//!    allowlist line without a reason, or whose item is gone or now named
-//!    elsewhere, is itself a finding.
+//!    `benchmark/` (comment lines and `pub use` re-exports do not count; a
+//!    fn counts only where it is called, `name(` or `name::<…>(`, or
+//!    pathed, `::name`, so a field or local of the same name does not hide
+//!    it), or carry a `dead-pub <path> <name> <reason>` line in the
+//!    allowlist. An allowlist line without a reason, or whose item is gone
+//!    or now named elsewhere, is itself a finding.
 //!
 //! All checks are pure functions over a workspace root, so the fixture trees
 //! under `tests/fixtures/` exercise each violation class hermetically.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -635,14 +637,47 @@ fn pub_item_name(line: &str) -> Option<(&str, &str)> {
     (end > 0).then(|| (kind, &name[..end]))
 }
 
-/// Identifier tokens of the lines of `src` that can name an item: comment
-/// lines and `pub use` re-exports do not.
-fn mentions(src: &str) -> BTreeSet<&str> {
+/// The code of the lines of `src` that can name an item: comment lines and
+/// `pub use` re-exports do not.
+fn naming_lines(src: &str) -> impl Iterator<Item = &str> {
     src.lines()
         .filter(|l| !is_comment_line(l) && !l.trim_start().starts_with("pub use "))
-        .flat_map(|l| code_part(l).split(|c: char| !(c.is_alphanumeric() || c == '_')))
+        .map(code_part)
+}
+
+/// Identifier tokens of the lines of `src` that can name an item.
+fn mentions(src: &str) -> BTreeSet<&str> {
+    naming_lines(src)
+        .flat_map(|l| l.split(|c: char| !(c.is_alphanumeric() || c == '_')))
         .filter(|t| !t.is_empty())
         .collect()
+}
+
+/// Identifier tokens of the lines of `src` used the way a fn is: called
+/// (`name(`, `name::<…>(`) or pathed (`::name`). A field or local that
+/// shares a fn's name is neither.
+fn calls(src: &str) -> BTreeSet<&str> {
+    let mut out = BTreeSet::new();
+    for code in naming_lines(src) {
+        let mut start = None;
+        for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
+            match (start, c.is_alphanumeric() || c == '_') {
+                (None, true) => start = Some(i),
+                (Some(s), false) => {
+                    let after = &code[i..];
+                    if code[..s].ends_with("::")
+                        || after.starts_with('(')
+                        || after.starts_with("::<")
+                    {
+                        out.insert(&code[s..i]);
+                    }
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
 }
 
 /// One `dead-pub <path> <name> <reason>` allowlist line.
@@ -677,19 +712,23 @@ fn check_dead_pub(root: &Path) -> Vec<Violation> {
         .flat_map(|tree| rust_files(root, tree))
         .filter_map(|rel| read(root, &rel).map(|src| (rel, src)))
         .collect();
-    let tokens: Vec<BTreeSet<&str>> = files.iter().map(|(_, src)| mentions(src)).collect();
-    let named_elsewhere = |file: &Path, name: &str| {
-        files
-            .iter()
-            .zip(&tokens)
-            .any(|((rel, _), toks)| rel != file && toks.contains(name))
+    let tokens: Vec<(BTreeSet<&str>, BTreeSet<&str>)> = files
+        .iter()
+        .map(|(_, src)| (mentions(src), calls(src)))
+        .collect();
+    // A fn is named only where it is called or pathed; any other item
+    // wherever its name appears.
+    let named_elsewhere = |file: &Path, kind: &str, name: &str| {
+        files.iter().zip(&tokens).any(|((rel, _), (any, called))| {
+            rel != file && if kind == "fn" { called } else { any }.contains(name)
+        })
     };
     let allow = read(root, Path::new(ALLOWLIST_PATH))
         .map(|s| parse_dead_pub_allowlist(&s))
         .unwrap_or_default();
 
     let mut out = Vec::new();
-    let mut declared: BTreeSet<(PathBuf, &str)> = BTreeSet::new();
+    let mut declared: BTreeMap<(PathBuf, &str), &str> = BTreeMap::new();
     for (rel, src) in &files {
         let mut parts = rel.components().map(|c| c.as_os_str());
         let crate_src =
@@ -701,11 +740,11 @@ fn check_dead_pub(root: &Path) -> Vec<Violation> {
             let Some((kind, name)) = pub_item_name(line) else {
                 continue;
             };
-            declared.insert((rel.clone(), name));
+            declared.insert((rel.clone(), name), kind);
             let allowed = allow
                 .iter()
                 .any(|e| Path::new(&e.path) == rel && e.name == name);
-            if !allowed && !named_elsewhere(rel, name) {
+            if !allowed && !named_elsewhere(rel, kind, name) {
                 out.push(violation(
                     rel,
                     n,
@@ -721,14 +760,13 @@ fn check_dead_pub(root: &Path) -> Vec<Violation> {
         }
     }
     for e in &allow {
-        let why = if e.reason.is_empty() {
-            "carries no reason"
-        } else if !declared.contains(&(PathBuf::from(&e.path), e.name.as_str())) {
-            "names an item that no longer exists"
-        } else if named_elsewhere(Path::new(&e.path), &e.name) {
-            "names an item that is now named elsewhere"
-        } else {
-            continue;
+        let why = match declared.get(&(PathBuf::from(&e.path), e.name.as_str())) {
+            _ if e.reason.is_empty() => "carries no reason",
+            None => "names an item that no longer exists",
+            Some(kind) if named_elsewhere(Path::new(&e.path), kind, &e.name) => {
+                "names an item that is now named elsewhere"
+            }
+            Some(_) => continue,
         };
         out.push(violation(
             Path::new(ALLOWLIST_PATH),
@@ -834,6 +872,23 @@ mod tests {
         assert_eq!(pub_item_name("    pub field: u64,"), None);
         let toks = mentions("// Plan\npub use a::Plan;\nlet p = Plan::new(); // Other\n");
         assert!(toks.contains("Plan") && toks.contains("new") && !toks.contains("Other"));
+    }
+
+    #[test]
+    fn only_calls_and_paths_name_a_fn() {
+        let src = "let n = s.fields.len() + specs;\n\
+                   ds.warmup().x; mode (1);\n\
+                   let v = parse::<u8>(b); map(Schema::width);\n\
+                   use crate::fault::replay;\n\
+                   // total_bytes()\n\
+                   pub use crate::q::index;\n\
+                   Stats { population: 3, scale: f() };\n";
+        let got: Vec<&str> = calls(src).into_iter().collect();
+        assert_eq!(
+            got,
+            vec!["f", "fault", "len", "map", "parse", "replay", "warmup", "width"]
+        );
+        assert!(mentions(src).contains("fields") && mentions(src).contains("population"));
     }
 
     /// An exemption still suppresses its item's finding, but an exemption

@@ -11,3 +11,5 @@ pub fn probe(ds: &Dataset) {
 }
 
 pub fn never_called() {}
+
+pub fn hidden_by_a_field() {}

@@ -69,7 +69,10 @@ fn violations_fixture_flags_every_class() {
     let v = find(&vs, "dead-pub", "`never_called`");
     assert_eq!(v.file, Path::new("crates/core/src/lib.rs"));
     assert_eq!(v.line, 13);
-    // 6b. …and an allowlist exemption for an item that is gone.
+    // 6b. A pub fn another file names only as a field is not called…
+    let v = find(&vs, "dead-pub", "`hidden_by_a_field`");
+    assert_eq!(v.line, 15);
+    // 6c. …and an allowlist exemption for an item that is gone.
     let v = find(
         &vs,
         "dead-pub",
@@ -81,9 +84,9 @@ fn violations_fixture_flags_every_class() {
 
 #[test]
 fn violations_fixture_has_no_unexpected_findings() {
-    // Every violation in the seeded tree is one we planted: 12 in total.
+    // Every violation in the seeded tree is one we planted: 13 in total.
     let vs = run_all(&fixture("violations"));
-    assert_eq!(vs.len(), 12, "{vs:#?}");
+    assert_eq!(vs.len(), 13, "{vs:#?}");
 }
 
 #[test]

@@ -187,11 +187,6 @@ impl FaultPlan {
         self.faults_injected.load(Ordering::SeqCst)
     }
 
-    /// The scripted faults.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// The ordered log of fired faults, e.g. `["append#3 -> transient",
     /// "site:flush_install#0 -> crash"]`. Two runs of the same plan over
     /// the same deterministic phase produce identical logs.

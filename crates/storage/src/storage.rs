@@ -225,11 +225,6 @@ impl Storage {
         &self.opts.cpu
     }
 
-    /// The device cost model.
-    pub fn profile(&self) -> &DiskProfile {
-        &self.opts.profile
-    }
-
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -515,16 +510,6 @@ impl Storage {
             self.frames.lock().clear(&files);
         }
         *self.head.lock() = None;
-    }
-
-    /// Total bytes held by live files (for reporting dataset sizes).
-    pub fn total_bytes(&self) -> u64 {
-        let files = self.files.read();
-        files
-            .iter()
-            .filter(|f| !f.deleted)
-            .map(|f| f.pages.iter().map(|p| p.data.len() as u64).sum::<u64>())
-            .sum()
     }
 }
 
@@ -985,7 +970,7 @@ mod tests {
                     ..StorageOptions::test()
                 });
                 let (rand_ns, seq_ns) = {
-                    let (profile, bytes) = (s.profile(), s.page_size());
+                    let (profile, bytes) = (&s.opts.profile, s.page_size());
                     (
                         profile.random_read_ns(bytes),
                         profile.sequential_read_ns(bytes),
@@ -1249,17 +1234,5 @@ mod tests {
         s.read_page(f, 0).unwrap();
         s.read_page(f, 0).unwrap();
         assert_eq!(s.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn total_bytes_counts_live_files_only() {
-        let s = storage();
-        let f1 = s.create_file();
-        let f2 = s.create_file();
-        s.append_page(f1, &[0u8; 100]).unwrap();
-        s.append_page(f2, &[0u8; 50]).unwrap();
-        assert_eq!(s.total_bytes(), 150);
-        s.delete_file(f1).unwrap();
-        assert_eq!(s.total_bytes(), 50);
     }
 }

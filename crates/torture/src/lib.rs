@@ -243,7 +243,7 @@ impl std::error::Error for TortureFailure {}
 
 /// Builds the [`FaultPlan`] a fault kind scripts. Exposed so recovery tests
 /// can be re-expressed as torture plans against their own datasets.
-pub fn build_plan(fault: FaultKind) -> Arc<FaultPlan> {
+fn build_plan(fault: FaultKind) -> Arc<FaultPlan> {
     let site = |name: &str| FaultTrigger::Site {
         name: name.to_string(),
         hit: 0,

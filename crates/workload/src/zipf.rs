@@ -29,11 +29,6 @@ impl ZipfSampler {
         }
     }
 
-    /// Current population size.
-    pub fn population(&self) -> u64 {
-        self.n
-    }
-
     /// Grows the population to `n` (no-op if already at least `n`).
     pub fn grow_to(&mut self, n: u64) {
         while self.n < n {
@@ -98,7 +93,7 @@ mod tests {
         z.grow_to(100);
         let zeta_100 = z.zeta_n;
         z.grow_to(50); // no-op
-        assert_eq!(z.population(), 100);
+        assert_eq!(z.n, 100);
         assert_eq!(z.zeta_n, zeta_100);
         z.grow_to(200);
         assert!(z.zeta_n > zeta_100);
