@@ -72,7 +72,7 @@ pub struct Dataset {
 }
 
 /// Which index (or index group) a planned merge applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeTarget {
     /// All of the dataset's indexes over the same range (the correlated
     /// merge policy of Sections 4.4/5.1).
@@ -86,13 +86,15 @@ pub enum MergeTarget {
 }
 
 /// One unit of planned merge work: [`Dataset::plan_merges`] returns these
-/// instead of looping internally, so a scheduler can queue, dedup, and
-/// execute them on worker threads ([`Dataset::execute_merge_plan`]).
+/// instead of looping internally, so a caller can execute them one at a
+/// time ([`Dataset::execute_merge_plan`]).
 ///
 /// `range` uses oldest-first component indexing, which stays stable across
-/// concurrent flushes (flushes prepend at the *newest* end); only another
-/// merge invalidates a plan, and merges are serialized per dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// concurrent flushes (flushes add at the *newest* end), so only another
+/// merge makes a plan inapplicable. A flush can still change what the
+/// policy would pick — a tiering range runs to the newest component — so
+/// the engine's own merges plan when they run, never ahead of time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergePlan {
     /// The index (group) to merge.
     pub target: MergeTarget,
@@ -1138,53 +1140,6 @@ impl Dataset {
         &self.merge_mutex
     }
 
-    /// Plans the policy's current merge work and enqueues it on the
-    /// runtime through `handle`, counting each job actually added. Merges
-    /// run smallest-estimated-input-first within this dataset, one at a
-    /// time; across datasets the runtime serves them round-robin, so
-    /// enqueueing a lot here cannot starve the runtime's other datasets.
-    pub(crate) fn schedule_planned_merges(&self, handle: &RuntimeHandle) {
-        for plan in self.plan_merges() {
-            let est = self.estimate_merge_bytes(&plan);
-            if handle.schedule_merge(plan, est) {
-                self.stats.bump(&self.stats.jobs_enqueued);
-            }
-        }
-    }
-
-    /// Estimated input bytes of a planned merge — the cost that orders
-    /// merge jobs smallest-first within the dataset. Stale plans (range no
-    /// longer fits) estimate to 0 and are skipped at execution time anyway.
-    pub(crate) fn estimate_merge_bytes(&self, plan: &MergePlan) -> u64 {
-        fn range_bytes(tree: &LsmTree, range: MergeRange) -> u64 {
-            tree.components_in_range(range)
-                .iter()
-                .map(|c| c.byte_size())
-                .sum()
-        }
-        match plan.target {
-            MergeTarget::Correlated => {
-                let mut total = range_bytes(&self.primary, plan.range);
-                if let Some(pk_tree) = &self.pk_index {
-                    total += range_bytes(pk_tree, plan.range);
-                }
-                for sec in &self.secondaries {
-                    total += range_bytes(&sec.tree, plan.range);
-                }
-                total
-            }
-            MergeTarget::Primary => range_bytes(&self.primary, plan.range),
-            MergeTarget::PkIndex => self
-                .pk_index
-                .as_ref()
-                .map_or(0, |t| range_bytes(t, plan.range)),
-            MergeTarget::Secondary(i) => self
-                .secondaries
-                .get(i)
-                .map_or(0, |s| range_bytes(&s.tree, plan.range)),
-        }
-    }
-
     /// Blocks until this dataset's background jobs (queued + in-flight)
     /// are drained; a no-op in inline mode. Recovery uses this to pause
     /// structural maintenance before touching component state.
@@ -1445,8 +1400,9 @@ impl Dataset {
 
     /// Applies the merge policy to the current component lists and returns
     /// the work it calls for — one plan per index (or one correlated plan)
-    /// — without executing anything. Schedulers queue these; inline callers
-    /// use [`Dataset::run_merges`], which plans and executes to quiescence.
+    /// — without executing anything. [`Dataset::run_merges`] plans and
+    /// executes to quiescence; a background merge job plans and executes
+    /// one such round.
     pub fn plan_merges(&self) -> Vec<MergePlan> {
         let policy = self.cfg.merge.policy();
         let mut plans = Vec::new();
@@ -1515,8 +1471,8 @@ impl Dataset {
                 // has installed the primary's new component but not yet the
                 // pk index's: the per-tree counts disagree for an instant,
                 // and a cc merge started then would pair mismatched
-                // component lists. Skip — the post-flush planning pass
-                // re-enqueues the merge against consistent counts.
+                // component lists. Skip — the flush re-arms merging once
+                // it has installed both.
                 if let Some(pk_tree) = &self.pk_index {
                     if stale(pk_tree) {
                         return Ok(false);
@@ -1566,16 +1522,21 @@ impl Dataset {
     /// Runs policy-driven merges until quiescent. Merges are serialized per
     /// dataset (they re-index components); flushes may proceed in parallel.
     pub fn run_merges(&self) -> Result<()> {
+        while self.merge_round()? {}
+        Ok(())
+    }
+
+    /// One merge round: plans under the merge lock and executes every plan
+    /// of that round. Returns whether the policy called for any merge.
+    /// Inline maintenance repeats rounds until quiescent; a background
+    /// merge job runs one, planned when the job starts.
+    pub(crate) fn merge_round(&self) -> Result<bool> {
         let _merges = self.merge_mutex.lock();
-        loop {
-            let plans = self.plan_merges();
-            if plans.is_empty() {
-                return Ok(());
-            }
-            for plan in &plans {
-                self.execute_merge_plan_locked(plan)?;
-            }
+        let plans = self.plan_merges();
+        for plan in &plans {
+            self.execute_merge_plan_locked(plan)?;
         }
+        Ok(!plans.is_empty())
     }
 
     /// Merges all of the dataset's indexes over the same component range

@@ -149,16 +149,17 @@
 //!
 //! **Priorities & fairness.** The queue is a fair scheduler, not FIFO:
 //! flush jobs run before merge jobs (flushes are what release stalled
-//! writer memory). Both classes serve datasets round-robin; a dataset's
-//! merge turn runs its smallest queued merge by estimated input — so ten
-//! registered datasets make progress even when one floods the queue. A
-//! dataset's merges serialize on its merge lock, so the scheduler never
-//! pops a second merge of a dataset whose merge is in flight: one dataset
-//! holds at most one worker with merges, regardless of its backlog
-//! (flushes are exempt — they release stalled writer memory, so a flush
-//! never waits out its own dataset's in-flight merge). Jobs stay deduped —
-//! one flush job per dataset, merges keyed by `(dataset, target,
-//! range)`. The §5.3 machinery (`BuildLink` redirection, bitmap
+//! writer memory). Both classes serve datasets round-robin, so ten
+//! registered datasets make progress even when one keeps finding merge
+//! work. Each class is one flag per dataset: at most one flush job and
+//! one merge job per dataset wait in the queue. A merge job plans when it
+//! runs — it runs one round of the same merge loop inline maintenance
+//! runs ([`Dataset::run_merges`]) — and raises the flag again if the
+//! policy still calls for work. A dataset's merges serialize on its merge
+//! lock, so the scheduler never pops a merge of a dataset whose merge is
+//! in flight: one dataset holds at most one worker with merges (flushes
+//! are exempt — they release stalled writer memory, so a flush never waits
+//! out its own dataset's in-flight merge). The §5.3 machinery (`BuildLink` redirection, bitmap
 //! sharing before installation, retire-on-drop components) makes
 //! concurrent writes during rebuilds correct.
 //!
@@ -169,10 +170,11 @@
 //! **Observability.** [`MaintenanceRuntime::stats`] returns one
 //! [`RuntimeStatsSnapshot`] covering every registered dataset: queue depth
 //! split by class, per-dataset queued/running rows
-//! ([`DatasetRuntimeStats`]), pool size, job and retry counts, and the ids
-//! of poisoned datasets ([`Dataset::check_poisoned`] yields the cause).
-//! Per-dataset counters, fault-injection ones included, come from
-//! [`EngineStats`], per-device ones from [`lsm_storage::IoStats`].
+//! ([`DatasetRuntimeStats`]), pool size, the retry count, and the ids of
+//! poisoned datasets ([`Dataset::check_poisoned`] yields the cause).
+//! Per-dataset counters — flush and merge jobs executed, fault-injection
+//! counters — come from [`EngineStats`], per-device ones from
+//! [`lsm_storage::IoStats`].
 //!
 //! **Backpressure.** Writers never block on the queue. Crossing the memory
 //! *budget* only schedules a flush; a writer stalls solely when active +

@@ -75,7 +75,7 @@ impl<'a> Maintenance<'a> {
     pub fn flush(&self) -> Result<bool> {
         let flushed = self.ds.flush_all()?;
         if let Some(handle) = self.ds.runtime_handle() {
-            self.ds.schedule_planned_merges(handle);
+            handle.schedule_merge_if_planned(self.ds);
         }
         Ok(flushed)
     }

@@ -17,10 +17,11 @@
 //!   [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime) and
 //!   leave when dropped; deregistration discards the dataset's queued jobs.
 //! * **Priorities** — flushes always run before merges (they release writer
-//!   memory). Both classes are served round-robin across datasets; a
-//!   dataset's merge turn runs its smallest queued merge (by estimated
-//!   input, FIFO within ties), so ten datasets make progress even when one
-//!   floods the queue.
+//!   memory). Both classes are served round-robin across datasets, so ten
+//!   datasets make progress even when one keeps re-arming its merges.
+//!   A merge job runs one merge round, planned when the job starts — the
+//!   same round inline maintenance repeats until quiescent — so it never
+//!   executes a plan the component list has outgrown.
 //! * **One merge in flight per dataset** — a dataset's merges serialize on
 //!   its merge lock, so a second merge popped while one runs could only
 //!   block its worker. The scheduler therefore skips a dataset whose merge
@@ -28,9 +29,10 @@
 //!   holds more than one worker with merges. Flushes are exempt: they
 //!   release stalled writer memory, so a dataset's flush must never wait
 //!   out its own in-flight merge.
-//! * **Dedup** — at most one flush job per dataset is queued at a time, and
-//!   merge jobs are keyed by `(dataset, target, MergeRange)`; re-enqueueing
-//!   queued work is a no-op.
+//! * **Dedup** — each class is one flag per dataset: at most one flush job
+//!   and one merge job per dataset are queued at a time, and re-enqueueing
+//!   queued work is a no-op. A flag clears when its job pops, so work
+//!   arriving while the job runs queues it again.
 //! * **Fixed pool** — [`EngineConfig::workers`] threads spawn at start and
 //!   run until shutdown, so at most that many jobs execute at once.
 //! * **Backpressure** — writers never block on the queue itself; they stall
@@ -47,11 +49,10 @@
 //!   before the workers exit.
 
 use crate::config::EngineConfig;
-use crate::dataset::{Dataset, MergePlan};
+use crate::dataset::Dataset;
 use lsm_common::Result;
 use parking_lot::{Condvar, Mutex};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -62,56 +63,33 @@ use std::time::Duration;
 /// safety net against lost wakeups.
 const STALL_RECHECK: Duration = Duration::from_millis(20);
 
-/// A unit of background maintenance work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A unit of background maintenance work, and the class it is queued in
+/// (flushes first: [`Job::CLASSES`] is the pop order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Job {
     /// Seal and flush all of the dataset's memory components.
-    Flush,
-    /// Run the merge planned for the dataset (the embedded plan is the
-    /// dedup key; execution re-plans under the merge lock, so a stale range
-    /// is never applied).
-    Merge(MergePlan),
+    Flush = 0,
+    /// Run one merge round ([`Dataset::merge_round`]), planned when the job
+    /// starts.
+    Merge = 1,
 }
 
-/// One queued merge with its intra-dataset priority key: ordered by
-/// `(est_bytes, seq)` ascending — smallest estimated input first, FIFO
-/// within ties.
-#[derive(Debug, PartialEq, Eq)]
-struct QueuedMerge {
-    est_bytes: u64,
-    seq: u64,
-    plan: MergePlan,
+impl Job {
+    const CLASSES: [Job; 2] = [Job::Flush, Job::Merge];
 }
 
-impl PartialOrd for QueuedMerge {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedMerge {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.est_bytes, self.seq).cmp(&(other.est_bytes, other.seq))
-    }
-}
-
-/// Per-dataset bookkeeping inside the runtime: the dataset's own job
-/// queues (the cross-dataset order lives in the scheduler's round-robin
+/// Per-dataset bookkeeping inside the runtime: one queued flag per job
+/// class (the cross-dataset order lives in the scheduler's round-robin
 /// rings) plus its in-flight state.
 #[derive(Debug)]
 struct DatasetEntry {
     ds: Weak<Dataset>,
-    /// Dedup: one flush job per dataset.
-    flush_queued: bool,
-    /// Queued merges, smallest-estimated-input-first within this dataset.
-    merges: BinaryHeap<Reverse<QueuedMerge>>,
-    /// Dedup: merges keyed by `(target, range)`.
-    merges_queued: HashSet<MergePlan>,
-    /// This dataset's jobs currently queued (flush + merges).
-    queued: usize,
+    /// Dedup: one queued job per class, indexed by `Job as usize`.
+    queued: [bool; 2],
     /// This dataset's jobs popped but not yet finished (all classes).
     in_flight: usize,
-    /// True while one of this dataset's merges runs; no other merge of the
-    /// dataset pops until it finishes (flushes still do).
+    /// True while one of this dataset's merges runs; its next merge does
+    /// not pop until it finishes (flushes still do).
     merge_in_flight: bool,
 }
 
@@ -119,41 +97,31 @@ impl DatasetEntry {
     fn new(ds: Weak<Dataset>) -> Self {
         DatasetEntry {
             ds,
-            flush_queued: false,
-            merges: BinaryHeap::new(),
-            merges_queued: HashSet::new(),
-            queued: 0,
+            queued: [false; 2],
             in_flight: 0,
             merge_in_flight: false,
         }
+    }
+
+    /// Jobs currently queued for this dataset (one per raised flag).
+    fn queued_jobs(&self) -> usize {
+        self.queued.iter().filter(|&&q| q).count()
     }
 }
 
 #[derive(Debug, Default)]
 struct RuntimeState {
     datasets: HashMap<u64, DatasetEntry>,
-    /// Round-robin ring over datasets with a queued flush (each id at most
-    /// once — one flush per dataset). Stale ids (deregistered datasets)
-    /// are dropped lazily on pop.
-    flush_ring: VecDeque<u64>,
-    /// Round-robin ring over datasets with queued merges (each id at most
-    /// once — inserted on the empty→non-empty transition).
-    merge_ring: VecDeque<u64>,
+    /// One round-robin ring per job class over the datasets with that
+    /// class queued (each id at most once — it joins when its flag is
+    /// raised). Stale ids (deregistered datasets) are dropped lazily on
+    /// pop.
+    rings: [VecDeque<u64>; 2],
     /// Total queued jobs across all datasets.
     queued_total: usize,
-    next_seq: u64,
     next_dataset: u64,
     total_in_flight: usize,
     shutdown: bool,
-}
-
-#[derive(Debug, Default)]
-struct RuntimeCounters {
-    jobs_executed: AtomicU64,
-    flush_jobs: AtomicU64,
-    merge_jobs: AtomicU64,
-    /// Transient I/O failures retried in place instead of poisoning.
-    transient_retries: AtomicU64,
 }
 
 /// State shared between the runtime handle, its workers, registered
@@ -169,7 +137,8 @@ pub(crate) struct RuntimeShared {
     /// Backpressured writers wait here for a flush to free memory.
     stall_lock: Mutex<()>,
     stall_cv: Condvar,
-    counters: RuntimeCounters,
+    /// Transient I/O failures retried in place instead of poisoning.
+    transient_retries: AtomicU64,
 }
 
 impl RuntimeShared {
@@ -181,7 +150,7 @@ impl RuntimeShared {
             idle_cv: Condvar::new(),
             stall_lock: Mutex::new(()),
             stall_cv: Condvar::new(),
-            counters: RuntimeCounters::default(),
+            transient_retries: AtomicU64::new(0),
         }
     }
 
@@ -201,14 +170,14 @@ impl RuntimeShared {
         let Some(entry) = s.datasets.remove(&id) else {
             return;
         };
-        s.queued_total -= entry.queued;
+        s.queued_total -= entry.queued_jobs();
         drop(s);
         self.idle_cv.notify_all();
     }
 
-    /// Enqueues a flush job for `id` unless one is already queued. Returns
-    /// `true` if a job was added.
-    fn schedule_flush(&self, id: u64) -> bool {
+    /// Raises dataset `id`'s `job` flag unless it is already raised.
+    /// Returns `true` if a job was added.
+    fn schedule(&self, id: u64, job: Job) -> bool {
         let mut s = self.state.lock();
         if s.shutdown {
             return false;
@@ -216,51 +185,22 @@ impl RuntimeShared {
         let Some(entry) = s.datasets.get_mut(&id) else {
             return false;
         };
-        if entry.flush_queued {
+        if std::mem::replace(&mut entry.queued[job as usize], true) {
             return false;
         }
-        entry.flush_queued = true;
-        entry.queued += 1;
-        s.flush_ring.push_back(id);
+        s.rings[job as usize].push_back(id);
         s.queued_total += 1;
         drop(s);
         self.work_cv.notify_one();
         true
     }
 
-    /// Enqueues a merge job for `id` unless an identical `(target, range)`
-    /// job is already queued. `est_bytes` (estimated merge input size)
-    /// orders merges smallest-first within the dataset. Returns `true` if a
-    /// job was added.
-    fn schedule_merge(&self, id: u64, plan: MergePlan, est_bytes: u64) -> bool {
-        let mut s = self.state.lock();
-        if s.shutdown {
-            return false;
+    /// Raises dataset `id`'s merge flag if the policy calls for a merge now,
+    /// counting the job if one was added.
+    fn schedule_merge_if_planned(&self, id: u64, ds: &Dataset) {
+        if !ds.plan_merges().is_empty() && self.schedule(id, Job::Merge) {
+            ds.stats().bump(&ds.stats().jobs_enqueued);
         }
-        // Take the seq up front (burning one on a deduped call is harmless
-        // — seq only breaks FIFO ties) so the entry is looked up once.
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let Some(entry) = s.datasets.get_mut(&id) else {
-            return false;
-        };
-        if !entry.merges_queued.insert(plan) {
-            return false;
-        }
-        let was_empty = entry.merges.is_empty();
-        entry.merges.push(Reverse(QueuedMerge {
-            est_bytes,
-            seq,
-            plan,
-        }));
-        entry.queued += 1;
-        if was_empty {
-            s.merge_ring.push_back(id);
-        }
-        s.queued_total += 1;
-        drop(s);
-        self.work_cv.notify_one();
-        true
     }
 
     /// Pops the next runnable job: the flush ring first, then the merge
@@ -268,66 +208,40 @@ impl RuntimeShared {
     /// dataset whose merge is in flight — `None` with work still queued
     /// means every queued merge waits behind its dataset's running one; the
     /// worker re-checks when a job finishes ([`RuntimeShared::finish_job`]
-    /// notifies `work_cv`).
+    /// notifies `work_cv`). A flush never waits: it releases stalled writer
+    /// memory, so it must not wait out the dataset's own running merge.
     fn try_pop_locked(&self, s: &mut RuntimeState) -> Option<(u64, Job, Weak<Dataset>)> {
-        // Flush class. Flushes are uniform (seal + build what is sealed),
-        // so plain rotation is fair.
-        for _ in 0..s.flush_ring.len() {
-            let Some(&id) = s.flush_ring.front() else {
-                break;
-            };
-            let Some(entry) = s.datasets.get_mut(&id) else {
-                s.flush_ring.pop_front(); // deregistered: drop lazily
-                continue;
-            };
-            if !entry.flush_queued {
-                s.flush_ring.pop_front(); // stale (defensive)
-                continue;
+        let RuntimeState {
+            datasets,
+            rings,
+            queued_total,
+            total_in_flight,
+            ..
+        } = s;
+        for job in Job::CLASSES {
+            let ring = &mut rings[job as usize];
+            for _ in 0..ring.len() {
+                let Some(&id) = ring.front() else {
+                    break;
+                };
+                let Some(entry) = datasets.get_mut(&id) else {
+                    ring.pop_front(); // deregistered: drop lazily
+                    continue;
+                };
+                if job == Job::Merge && entry.merge_in_flight {
+                    ring.rotate_left(1);
+                    continue;
+                }
+                ring.pop_front();
+                // Clear the flag at once: work arriving while this job
+                // runs must be able to queue it again.
+                entry.queued[job as usize] = false;
+                entry.in_flight += 1;
+                entry.merge_in_flight |= job == Job::Merge;
+                *queued_total -= 1;
+                *total_in_flight += 1;
+                return Some((id, job, entry.ds.clone()));
             }
-            // No in-flight check: a flush releases stalled writer memory,
-            // so it must never wait out the dataset's own running merge.
-            entry.flush_queued = false;
-            entry.queued -= 1;
-            entry.in_flight += 1;
-            let weak = entry.ds.clone();
-            s.flush_ring.pop_front();
-            s.queued_total -= 1;
-            s.total_in_flight += 1;
-            return Some((id, Job::Flush, weak));
-        }
-        // Merge class: one turn per dataset, each turn its smallest queued
-        // merge.
-        for _ in 0..s.merge_ring.len() {
-            let Some(&id) = s.merge_ring.front() else {
-                break;
-            };
-            let Some(entry) = s.datasets.get_mut(&id) else {
-                s.merge_ring.pop_front(); // deregistered: drop lazily
-                continue;
-            };
-            if entry.merge_in_flight {
-                s.merge_ring.rotate_left(1);
-                continue;
-            }
-            let Some(Reverse(job)) = entry.merges.pop() else {
-                s.merge_ring.pop_front(); // stale (defensive)
-                continue;
-            };
-            // Clear the dedup key immediately: work arriving while this
-            // job runs must be re-queueable.
-            entry.merges_queued.remove(&job.plan);
-            entry.queued -= 1;
-            entry.in_flight += 1;
-            entry.merge_in_flight = true;
-            let weak = entry.ds.clone();
-            if entry.merges.is_empty() {
-                s.merge_ring.pop_front();
-            } else {
-                s.merge_ring.rotate_left(1); // others get a turn
-            }
-            s.queued_total -= 1;
-            s.total_in_flight += 1;
-            return Some((id, Job::Merge(job.plan), weak));
         }
         None
     }
@@ -350,7 +264,11 @@ impl RuntimeShared {
 
     /// Jobs currently queued for dataset `id`.
     fn queue_depth_for(&self, id: u64) -> usize {
-        self.state.lock().datasets.get(&id).map_or(0, |e| e.queued)
+        self.state
+            .lock()
+            .datasets
+            .get(&id)
+            .map_or(0, DatasetEntry::queued_jobs)
     }
 
     /// Blocks until dataset `id` has no queued and no in-flight jobs.
@@ -361,7 +279,7 @@ impl RuntimeShared {
         loop {
             match s.datasets.get(&id) {
                 None => return,
-                Some(e) if e.queued == 0 && e.in_flight == 0 => return,
+                Some(e) if e.queued_jobs() == 0 && e.in_flight == 0 => return,
                 Some(_) => self.idle_cv.wait(&mut s),
             }
         }
@@ -456,7 +374,7 @@ impl MaintenanceRuntime {
     }
 
     /// Point-in-time runtime statistics: cross-dataset aggregates (queue
-    /// depth by class, job counts, pool size) plus one
+    /// depth by class, pool size, retries) plus one
     /// [`DatasetRuntimeStats`] row per registered dataset — the operator's
     /// single view over everything the runtime serves.
     pub fn stats(&self) -> RuntimeStatsSnapshot {
@@ -465,8 +383,11 @@ impl MaintenanceRuntime {
         // which deregisters — re-entering this lock.
         let (mut snapshot, rows) = {
             let s = self.shared.state.lock();
-            let c = &self.shared.counters;
-            let flush_queue_depth = s.datasets.values().filter(|e| e.flush_queued).count();
+            let flush_queue_depth = s
+                .datasets
+                .values()
+                .filter(|e| e.queued[Job::Flush as usize])
+                .count();
             let snapshot = RuntimeStatsSnapshot {
                 datasets: s.datasets.len(),
                 queue_depth: s.queued_total,
@@ -474,17 +395,14 @@ impl MaintenanceRuntime {
                 merge_queue_depth: s.queued_total - flush_queue_depth,
                 in_flight: s.total_in_flight,
                 workers: self.shared.cfg.workers,
-                jobs_executed: c.jobs_executed.load(Ordering::Relaxed),
-                flush_jobs: c.flush_jobs.load(Ordering::Relaxed),
-                merge_jobs: c.merge_jobs.load(Ordering::Relaxed),
-                transient_retries: c.transient_retries.load(Ordering::Relaxed),
+                transient_retries: self.shared.transient_retries.load(Ordering::Relaxed),
                 per_dataset: Vec::new(),
                 poisoned: Vec::new(),
             };
             let rows: Vec<(u64, usize, usize, Weak<Dataset>)> = s
                 .datasets
                 .iter()
-                .map(|(&id, e)| (id, e.queued, e.in_flight, e.ds.clone()))
+                .map(|(&id, e)| (id, e.queued_jobs(), e.in_flight, e.ds.clone()))
                 .collect();
             (snapshot, rows)
         };
@@ -549,20 +467,15 @@ pub struct RuntimeStatsSnapshot {
     pub datasets: usize,
     /// Total queued jobs across all datasets.
     pub queue_depth: usize,
-    /// Queued flush jobs (the class served first).
+    /// Queued flush jobs (the class served first; at most one per
+    /// dataset).
     pub flush_queue_depth: usize,
-    /// Queued merge jobs.
+    /// Queued merge jobs (at most one per dataset).
     pub merge_queue_depth: usize,
     /// Jobs currently executing (never more than `workers`).
     pub in_flight: usize,
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Total jobs executed.
-    pub jobs_executed: u64,
-    /// Flush jobs executed.
-    pub flush_jobs: u64,
-    /// Merge jobs executed.
-    pub merge_jobs: u64,
     /// Transient I/O failures workers retried in place instead of
     /// poisoning the dataset (a retried job may still fail permanently).
     pub transient_retries: u64,
@@ -593,11 +506,12 @@ impl RuntimeHandle {
     }
 
     pub(crate) fn schedule_flush(&self) -> bool {
-        self.runtime.shared.schedule_flush(self.id)
+        self.runtime.shared.schedule(self.id, Job::Flush)
     }
 
-    pub(crate) fn schedule_merge(&self, plan: MergePlan, est_bytes: u64) -> bool {
-        self.runtime.shared.schedule_merge(self.id, plan, est_bytes)
+    /// Raises the merge flag if `ds` (this handle's dataset) has merge work.
+    pub(crate) fn schedule_merge_if_planned(&self, ds: &Dataset) {
+        self.runtime.shared.schedule_merge_if_planned(self.id, ds);
     }
 
     /// Jobs queued for this dataset (not the whole runtime).
@@ -652,26 +566,20 @@ const TRANSIENT_ATTEMPTS: u32 = 3;
 fn execute_job(shared: &Arc<RuntimeShared>, id: u64, job: Job, weak: &Weak<Dataset>) {
     let dataset = weak.upgrade();
     if let Some(dataset) = &dataset {
-        shared
-            .counters
-            .jobs_executed
-            .fetch_add(1, Ordering::Relaxed);
         let mut attempt = 0u32;
         let outcome = loop {
             attempt += 1;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_job(dataset, shared, job)
+                run_job(dataset, shared, id, job)
             }));
             // A transient I/O failure (device hiccup, injected fault) is
             // retried with backoff instead of poisoning the dataset: both
             // job kinds are retry-safe — a flush resumes from its sealed
-            // snapshots, a merge re-plans against the current components.
+            // snapshots, a merge round re-plans against the current
+            // components.
             match &outcome {
                 Ok(Err(e)) if e.is_transient() && attempt < TRANSIENT_ATTEMPTS => {
-                    shared
-                        .counters
-                        .transient_retries
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.transient_retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
                 }
                 _ => break outcome,
@@ -692,7 +600,7 @@ fn execute_job(shared: &Arc<RuntimeShared>, id: u64, job: Job, weak: &Weak<Datas
             }
         }
     }
-    shared.finish_job(id, matches!(job, Job::Merge(_)));
+    shared.finish_job(id, job == Job::Merge);
     // Wake stalled writers after every job: flushes free memory, and a
     // poisoned dataset must fail fast rather than hang its writers.
     shared.notify_stalled();
@@ -702,46 +610,32 @@ fn execute_job(shared: &Arc<RuntimeShared>, id: u64, job: Job, weak: &Weak<Datas
     drop(dataset);
 }
 
-fn run_job(ds: &Arc<Dataset>, shared: &Arc<RuntimeShared>, job: Job) -> Result<()> {
-    // The dataset's own handle points at this runtime — jobs re-arm
-    // through it so follow-up work lands on the same shared queue.
-    let handle = ds
-        .runtime_handle()
-        .cloned()
-        .ok_or_else(|| lsm_common::Error::invalid("dataset lost its runtime registration"))?;
+fn run_job(ds: &Dataset, shared: &RuntimeShared, id: u64, job: Job) -> Result<()> {
     match job {
         Job::Flush => {
-            shared.counters.flush_jobs.fetch_add(1, Ordering::Relaxed);
             let flushed = ds.flush_all()?;
             ds.stats().record_flush_job();
             shared.notify_stalled();
-            // Flushes create merge work; enqueue it (deduped) rather than
-            // blocking this worker's next flush on a long merge.
-            ds.schedule_planned_merges(&handle);
             // Writers that raced past the budget while we flushed would
             // only re-trigger on their next write — but stalled writers
             // make no writes, so the flush job re-arms itself.
             if flushed
                 && ds.mem_total_bytes() > ds.config().memory_budget
-                && handle.schedule_flush()
+                && shared.schedule(id, Job::Flush)
             {
                 ds.stats().bump(&ds.stats().jobs_enqueued);
             }
-            Ok(())
         }
-        Job::Merge(plan) => {
-            shared.counters.merge_jobs.fetch_add(1, Ordering::Relaxed);
+        Job::Merge => {
             ds.stats().record_merge_job();
-            // Execute the planned merge (serialized by the dataset's merge
-            // lock; a stale plan is skipped), then enqueue whatever the
-            // policy calls for next — the queue converges to quiescence
-            // one targeted job at a time instead of holding the merge lock
-            // for a full cascade.
-            ds.execute_merge_plan(&plan)?;
-            ds.schedule_planned_merges(&handle);
-            Ok(())
+            ds.merge_round()?;
         }
     }
+    // Flushes create merge work and a round may leave some: raise the
+    // flag rather than holding this worker (and the merge lock) for a
+    // whole cascade, so a flush can pop between rounds.
+    shared.schedule_merge_if_planned(id, ds);
+    Ok(())
 }
 
 impl Dataset {
@@ -808,13 +702,6 @@ mod tests {
         (shared, ds)
     }
 
-    fn plan(end: usize) -> MergePlan {
-        MergePlan {
-            target: crate::dataset::MergeTarget::Primary,
-            range: lsm_tree::MergeRange { start: 0, end },
-        }
-    }
-
     fn pop(shared: &Arc<RuntimeShared>) -> Option<(u64, Job)> {
         let mut s = shared.state.lock();
         shared.try_pop_locked(&mut s).map(|(id, job, _)| (id, job))
@@ -877,45 +764,65 @@ mod tests {
     }
 
     #[test]
-    fn priority_queue_orders_flush_first_then_smallest_merge() {
-        // Exercise the queue on a workerless shared state: jobs pushed in
-        // "worst" order must pop flush-first, then merges smallest-first
-        // (one dataset, so round-robin reduces to the intra-dataset order).
+    fn a_merge_job_runs_what_the_policy_picks_when_it_pops() {
+        // The merge flag goes up after three equal flushes, when the
+        // tiering policy picks components 0..=2; two more flushes land
+        // before the job pops. The job plans then, so it merges all five
+        // into one component — not the three the policy picked at enqueue.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let id = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(id, plan(1), 900));
-        assert!(shared.schedule_merge(id, plan(2), 100));
-        assert!(shared.schedule_flush(id));
-        assert!(shared.schedule_merge(id, plan(3), 500));
+        let a = shared.register(Arc::downgrade(&ds));
+        let flush = |round| {
+            for i in 0..200 {
+                ds.upsert(&rec(i, "CA", round)).unwrap();
+            }
+            assert!(ds.flush_all().unwrap());
+        };
+        let newest_range = |end| lsm_tree::MergeRange { start: 0, end };
+        (0..3).for_each(flush);
+        assert_eq!(ds.plan_merges()[0].range, newest_range(2));
+        shared.schedule_merge_if_planned(a, &ds);
+        (3..5).for_each(flush);
+        assert_eq!(ds.plan_merges()[0].range, newest_range(4));
 
-        let mut order = Vec::new();
-        while let Some((id, job)) = pop(&shared) {
-            shared.finish_job(id, matches!(job, Job::Merge(_)));
-            order.push(job);
-        }
-        assert_eq!(
-            order,
-            vec![
-                Job::Flush,
-                Job::Merge(plan(2)),
-                Job::Merge(plan(3)),
-                Job::Merge(plan(1)),
-            ]
-        );
+        let (id, job, weak) = {
+            let mut s = shared.state.lock();
+            shared.try_pop_locked(&mut s).unwrap()
+        };
+        assert_eq!((id, job), (a, Job::Merge));
+        execute_job(&shared, id, job, &weak);
+        assert!(!ds.is_poisoned());
+        assert_eq!(ds.primary().num_disk_components(), 1);
+        assert_eq!(ds.pk_index().unwrap().num_disk_components(), 1);
+        assert_eq!(ds.stats().snapshot().merge_jobs, 1);
+        assert_eq!(shared.queue_depth_for(a), 0, "nothing left to merge");
     }
 
     #[test]
-    fn dedup_one_flush_job_at_a_time() {
+    fn priority_queue_orders_flush_first() {
+        // Jobs raised in "worst" order must pop flush-first (one dataset,
+        // so round-robin plays no part).
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let id = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_flush(id));
-        assert!(!shared.schedule_flush(id), "second flush deduped");
-        assert!(shared.schedule_merge(id, plan(1), 10));
-        assert!(
-            !shared.schedule_merge(id, plan(1), 10),
-            "same range deduped"
-        );
+        assert!(shared.schedule(id, Job::Merge));
+        assert!(shared.schedule(id, Job::Flush));
+        let mut order = Vec::new();
+        while let Some((id, job)) = pop(&shared) {
+            shared.finish_job(id, job == Job::Merge);
+            order.push(job);
+        }
+        assert_eq!(order, vec![Job::Flush, Job::Merge]);
+    }
+
+    #[test]
+    fn dedup_one_job_per_class_at_a_time() {
+        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
+        let id = shared.register(Arc::downgrade(&ds));
+        for job in Job::CLASSES {
+            assert!(shared.schedule(id, job));
+            assert!(!shared.schedule(id, job), "second {job:?} deduped");
+        }
         assert_eq!(shared.queue_depth_for(id), 2);
+        assert_eq!(shared.state.lock().queued_total, 2);
     }
 
     #[test]
@@ -923,8 +830,8 @@ mod tests {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        shared.schedule_flush(a);
-        shared.schedule_flush(b);
+        shared.schedule(a, Job::Flush);
+        shared.schedule(b, Job::Flush);
         shared.deregister(a);
         let popped = pop(&shared).unwrap();
         assert_eq!(popped.0, b, "only b's job survives");
@@ -938,7 +845,7 @@ mod tests {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_flush(b));
+        assert!(shared.schedule(b, Job::Flush));
         shared.wait_idle_for(a);
         assert_eq!(shared.queue_depth_for(b), 1, "b's job untouched");
     }
@@ -951,9 +858,9 @@ mod tests {
         let ids: Vec<u64> = (0..3)
             .map(|_| shared.register(Arc::downgrade(&ds)))
             .collect();
-        shared.schedule_flush(ids[1]);
-        shared.schedule_flush(ids[0]);
-        shared.schedule_flush(ids[2]);
+        shared.schedule(ids[1], Job::Flush);
+        shared.schedule(ids[0], Job::Flush);
+        shared.schedule(ids[2], Job::Flush);
         let order: Vec<u64> = std::iter::from_fn(|| pop(&shared))
             .map(|(id, _)| id)
             .collect();
@@ -962,19 +869,22 @@ mod tests {
 
     #[test]
     fn merges_round_robin_across_datasets() {
-        // Dataset a floods 3 small merges; dataset b has one large merge.
-        // Global smallest-first would run ALL of a's merges before b's;
-        // round-robin gives b the second turn.
+        // Dataset a re-raises its merge flag after every round (its policy
+        // keeps finding work); dataset b's one merge still gets the
+        // second turn.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        for i in 1..=3 {
-            assert!(shared.schedule_merge(a, plan(i), 50));
-        }
-        assert!(shared.schedule_merge(b, plan(9), 150));
+        assert!(shared.schedule(a, Job::Merge));
+        assert!(shared.schedule(b, Job::Merge));
+        let mut rounds_left = 2;
         let mut order = Vec::new();
         while let Some((id, job)) = pop(&shared) {
-            shared.finish_job(id, matches!(job, Job::Merge(_)));
+            shared.finish_job(id, job == Job::Merge);
+            if id == a && rounds_left > 0 {
+                rounds_left -= 1;
+                assert!(shared.schedule(a, Job::Merge));
+            }
             order.push(id);
         }
         assert_eq!(order, vec![a, b, a, a]);
@@ -984,17 +894,16 @@ mod tests {
     fn one_merge_in_flight_per_dataset() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let a = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 30));
-        assert!(shared.schedule_merge(a, plan(2), 10));
-        assert!(shared.schedule_merge(a, plan(3), 20));
-        // The smallest merge runs; the next stays queued even though two
-        // more are queued and workers are free.
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        // The running round leaves work: the flag goes up again, but the
+        // next merge stays queued although workers are free.
+        assert!(shared.schedule(a, Job::Merge));
         assert_eq!(pop(&shared), None, "a's merge is in flight");
-        assert_eq!(shared.queue_depth_for(a), 2);
-        // Finishing it releases the next-smallest.
+        assert_eq!(shared.queue_depth_for(a), 1);
+        // Finishing it releases the next round.
         shared.finish_job(a, true);
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(3)))));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
         assert_eq!(pop(&shared), None);
     }
 
@@ -1006,10 +915,10 @@ mod tests {
         // would stall the writer with workers idle.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let a = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 10));
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
-        assert!(shared.schedule_flush(a));
-        assert!(shared.schedule_merge(a, plan(2), 10));
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        assert!(shared.schedule(a, Job::Flush));
+        assert!(shared.schedule(a, Job::Merge));
         assert_eq!(
             pop(&shared),
             Some((a, Job::Flush)),
@@ -1017,105 +926,85 @@ mod tests {
         );
         assert_eq!(pop(&shared), None, "the second merge waits");
         shared.finish_job(a, true);
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
     }
 
     #[test]
     fn busy_datasets_merge_turn_passes_to_the_next_dataset() {
-        // a's merge is running; its next merge is skipped, and b's merge
-        // pops at once instead of the worker waiting on a.
+        // a's merge is running and its flag is up again; a is skipped, and
+        // b's merge pops at once instead of the worker waiting on a.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 10));
-        assert!(shared.schedule_merge(a, plan(2), 20));
-        assert!(shared.schedule_merge(b, plan(3), 500));
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
-        assert_eq!(pop(&shared), Some((b, Job::Merge(plan(3)))));
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        assert!(shared.schedule(a, Job::Merge));
+        assert!(shared.schedule(b, Job::Merge));
+        assert_eq!(pop(&shared), Some((b, Job::Merge)));
         assert_eq!(pop(&shared), None, "both datasets have a merge in flight");
         shared.finish_job(b, true);
         assert_eq!(pop(&shared), None, "b's finish does not release a");
         shared.finish_job(a, true);
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
     }
 
     #[test]
     fn a_finished_merge_is_found_past_busy_datasets() {
-        // Three datasets, two merges each, one of each in flight. When only
-        // the last dataset in the ring finishes, the next pop walks past the
-        // two busy ones to it; the ring then serves the others in order.
+        // Three datasets, each with a merge in flight and its flag up
+        // again. When only the last dataset in the ring finishes, the next
+        // pop walks past the two busy ones to it; the ring then serves the
+        // others in order.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let ids: Vec<u64> = (0..3)
             .map(|_| shared.register(Arc::downgrade(&ds)))
             .collect();
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(shared.schedule_merge(id, plan(10 * i + 1), 10));
-            assert!(shared.schedule_merge(id, plan(10 * i + 2), 20));
+        for &id in &ids {
+            assert!(shared.schedule(id, Job::Merge));
         }
         let first: Vec<u64> = (0..3).map(|_| pop(&shared).unwrap().0).collect();
         assert_eq!(first, ids);
+        for &id in &ids {
+            assert!(shared.schedule(id, Job::Merge));
+        }
         assert_eq!(pop(&shared), None);
         shared.finish_job(ids[2], true);
-        assert_eq!(pop(&shared), Some((ids[2], Job::Merge(plan(22)))));
+        assert_eq!(pop(&shared), Some((ids[2], Job::Merge)));
         assert_eq!(pop(&shared), None);
         shared.finish_job(ids[0], true);
         shared.finish_job(ids[1], true);
-        assert_eq!(pop(&shared), Some((ids[0], Job::Merge(plan(2)))));
-        assert_eq!(pop(&shared), Some((ids[1], Job::Merge(plan(12)))));
+        assert_eq!(pop(&shared), Some((ids[0], Job::Merge)));
+        assert_eq!(pop(&shared), Some((ids[1], Job::Merge)));
         assert_eq!(pop(&shared), None);
-    }
-
-    #[test]
-    fn equal_estimates_pop_in_enqueue_order() {
-        let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
-        let a = shared.register(Arc::downgrade(&ds));
-        for end in [3, 1, 2] {
-            assert!(shared.schedule_merge(a, plan(end), 64));
-        }
-        let mut order = Vec::new();
-        while let Some((id, job)) = pop(&shared) {
-            shared.finish_job(id, true);
-            order.push(job);
-        }
-        assert_eq!(
-            order,
-            vec![
-                Job::Merge(plan(3)),
-                Job::Merge(plan(1)),
-                Job::Merge(plan(2)),
-            ],
-            "FIFO within equal estimates"
-        );
     }
 
     #[test]
     fn running_merge_can_be_requeued_but_waits_for_itself() {
-        // The dedup key clears on pop, so work arriving while a merge runs
-        // re-queues the same range; the copy pops only after the run ends.
+        // The flag clears on pop, so work arriving while a merge runs
+        // raises it again; that job pops only after the run ends.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
         let a = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 10));
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
-        assert!(shared.schedule_merge(a, plan(1), 10), "re-queued");
-        assert!(!shared.schedule_merge(a, plan(1), 10), "deduped again");
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        assert!(shared.schedule(a, Job::Merge), "re-queued");
+        assert!(!shared.schedule(a, Job::Merge), "deduped again");
         assert_eq!(pop(&shared), None);
         shared.finish_job(a, true);
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
     }
 
     #[test]
     fn finishing_a_flush_does_not_release_the_merge_slot() {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let a = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 10));
-        assert!(shared.schedule_merge(a, plan(2), 20));
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
-        assert!(shared.schedule_flush(a));
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        assert!(shared.schedule(a, Job::Merge));
+        assert!(shared.schedule(a, Job::Flush));
         assert_eq!(pop(&shared), Some((a, Job::Flush)));
         shared.finish_job(a, false);
         assert_eq!(pop(&shared), None, "the merge is still in flight");
         shared.finish_job(a, true);
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(2)))));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
     }
 
     #[test]
@@ -1123,17 +1012,18 @@ mod tests {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        for i in 1..=3 {
-            assert!(shared.schedule_merge(a, plan(i), 10));
-        }
-        assert!(shared.schedule_merge(b, plan(9), 10));
+        assert!(shared.schedule(a, Job::Merge));
+        assert!(shared.schedule(b, Job::Merge));
         shared.deregister(a);
-        assert!(!shared.schedule_merge(a, plan(4), 10), "a is gone");
-        assert_eq!(pop(&shared), Some((b, Job::Merge(plan(9)))));
+        assert!(!shared.schedule(a, Job::Merge), "a is gone");
+        assert_eq!(pop(&shared), Some((b, Job::Merge)));
         assert_eq!(pop(&shared), None);
         let s = shared.state.lock();
         assert_eq!(s.queued_total, 0);
-        assert!(s.merge_ring.is_empty(), "a's stale ring slot was dropped");
+        assert!(
+            s.rings[Job::Merge as usize].is_empty(),
+            "a's stale ring slot was dropped"
+        );
     }
 
     #[test]
@@ -1143,9 +1033,9 @@ mod tests {
         // whole-runtime quiesce returns.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(2));
         let a = shared.register(Arc::downgrade(&ds));
-        assert!(shared.schedule_merge(a, plan(1), 10));
-        assert!(shared.schedule_merge(a, plan(2), 10));
-        assert_eq!(pop(&shared), Some((a, Job::Merge(plan(1)))));
+        assert!(shared.schedule(a, Job::Merge));
+        assert_eq!(pop(&shared), Some((a, Job::Merge)));
+        assert!(shared.schedule(a, Job::Merge));
         shared.deregister(a);
         shared.finish_job(a, true);
         {
@@ -1159,24 +1049,26 @@ mod tests {
 
     #[test]
     fn stats_count_held_back_merges_as_queued() {
+        // A dataset queues at most one merge, even while one runs; the
+        // held-back one counts as queued, the running one as in flight.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let rt = Arc::new(MaintenanceRuntime {
             shared: shared.clone(),
             workers: Mutex::new(Vec::new()),
         });
         let a = shared.register(Arc::downgrade(&ds));
-        for i in 1..=3 {
-            assert!(shared.schedule_merge(a, plan(i), 10));
-        }
+        assert!(shared.schedule(a, Job::Merge));
         assert!(pop(&shared).is_some());
+        assert!(shared.schedule(a, Job::Merge));
+        assert!(!shared.schedule(a, Job::Merge));
         assert_eq!(pop(&shared), None);
         let stats = rt.stats();
         assert_eq!(
             (stats.queue_depth, stats.merge_queue_depth, stats.in_flight),
-            (2, 2, 1)
+            (1, 1, 1)
         );
         let row = stats.per_dataset.iter().find(|d| d.dataset == a).unwrap();
-        assert_eq!((row.queued, row.in_flight), (2, 1));
+        assert_eq!((row.queued, row.in_flight), (1, 1));
     }
 
     #[test]
@@ -1184,8 +1076,9 @@ mod tests {
         let (shared, ds) = bare_runtime(EngineConfig::fixed(1));
         let a = shared.register(Arc::downgrade(&ds));
         shared.shutdown_and_join(Vec::new());
-        assert!(!shared.schedule_flush(a));
-        assert!(!shared.schedule_merge(a, plan(1), 10));
+        for job in Job::CLASSES {
+            assert!(!shared.schedule(a, job));
+        }
         assert_eq!(shared.queue_depth_for(a), 0);
     }
 
@@ -1197,8 +1090,9 @@ mod tests {
         let (shared, _ds) = bare_runtime(EngineConfig::fixed(2));
         let ids: Vec<u64> = (0..6).map(|_| shared.register(Weak::new())).collect();
         for &id in &ids {
-            assert!(shared.schedule_flush(id));
-            assert!(shared.schedule_merge(id, plan(1), 10));
+            for job in Job::CLASSES {
+                assert!(shared.schedule(id, job));
+            }
         }
         shared.state.lock().shutdown = true;
         let workers = (0..shared.cfg.workers)
@@ -1212,9 +1106,12 @@ mod tests {
         assert_eq!((s.queued_total, s.total_in_flight), (0, 0));
         for id in &ids {
             let e = &s.datasets[id];
-            assert_eq!((e.queued, e.in_flight, e.merge_in_flight), (0, 0, false));
+            assert_eq!(
+                (e.queued_jobs(), e.in_flight, e.merge_in_flight),
+                (0, 0, false)
+            );
         }
-        assert!(s.flush_ring.is_empty() && s.merge_ring.is_empty());
+        assert!(s.rings.iter().all(VecDeque::is_empty));
     }
 
     #[test]
@@ -1224,14 +1121,13 @@ mod tests {
         let rt = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
         let ids: Vec<u64> = (0..3).map(|_| rt.register(Weak::new())).collect();
         for &id in &ids {
-            assert!(rt.shared.schedule_flush(id));
-            assert!(rt.shared.schedule_merge(id, plan(1), 10));
-            assert!(rt.shared.schedule_merge(id, plan(2), 20));
+            for job in Job::CLASSES {
+                assert!(rt.shared.schedule(id, job));
+            }
         }
         rt.quiesce();
         let stats = rt.stats();
         assert_eq!((stats.queue_depth, stats.in_flight), (0, 0), "{stats:?}");
-        assert_eq!(stats.jobs_executed, 0, "no dataset to run them on");
         assert_eq!(stats.datasets, ids.len());
         assert!(stats.poisoned.is_empty());
     }
@@ -1239,21 +1135,20 @@ mod tests {
     #[test]
     fn quiet_datasets_flushes_complete_while_flood_still_queued() {
         // The deterministic fairness scenario at the queue level: one
-        // flooding dataset enqueues 100 merges (and keeps a flush queued);
-        // 9 quiet datasets each need a single flush. Simulate a 4-worker
-        // pool: every quiet dataset's flush must be served while the flood
-        // still has ≥ 90 merges queued.
+        // flooding dataset always has a merge queued (every round it runs
+        // leaves more) and keeps a flush queued; 9 quiet datasets each
+        // need a single flush. Simulate a 4-worker pool: every quiet
+        // dataset's flush is served within the three rounds that ten
+        // flushes need, while the flood runs at most one merge per round.
         let (shared, ds) = bare_runtime(EngineConfig::fixed(4));
         let flood = shared.register(Arc::downgrade(&ds));
-        for i in 1..=100 {
-            assert!(shared.schedule_merge(flood, plan(i), 1024));
-        }
-        assert!(shared.schedule_flush(flood));
+        assert!(shared.schedule(flood, Job::Merge));
+        assert!(shared.schedule(flood, Job::Flush));
         let quiet: Vec<u64> = (0..9)
             .map(|_| shared.register(Arc::downgrade(&ds)))
             .collect();
         for &q in &quiet {
-            assert!(shared.schedule_flush(q));
+            assert!(shared.schedule(q, Job::Flush));
         }
 
         // Drive 4 simulated workers: pop up to 4 concurrent jobs, finish
@@ -1262,34 +1157,33 @@ mod tests {
         let mut rounds = 0;
         while served.iter().filter(|(id, _)| quiet.contains(id)).count() < quiet.len() {
             rounds += 1;
-            assert!(rounds < 100, "fairness livelock: served {served:?}");
+            assert!(rounds <= 3, "quiet flushes starved: served {served:?}");
             let mut batch = Vec::new();
             for _ in 0..4 {
                 if let Some((id, job)) = pop(&shared) {
                     batch.push((id, job));
                 }
             }
-            for (id, job) in &batch {
-                shared.finish_job(*id, matches!(job, Job::Merge(_)));
+            for &(id, job) in &batch {
+                shared.finish_job(id, job == Job::Merge);
+                if id == flood && job == Job::Merge {
+                    assert!(shared.schedule(flood, Job::Merge));
+                }
             }
             served.extend(batch);
         }
-        // Every quiet flush done; the flood has burned at most one merge
-        // per round (one in flight), so ≥ 90 of its merges are still
-        // queued.
         for &q in &quiet {
             assert!(
-                served
-                    .iter()
-                    .any(|(id, job)| *id == q && *job == Job::Flush),
+                served.contains(&(q, Job::Flush)),
                 "quiet dataset {q} never flushed"
             );
         }
+        let flood_merges = served.iter().filter(|&&j| j == (flood, Job::Merge)).count();
         assert!(
-            shared.queue_depth_for(flood) >= 90,
-            "flood drained too fast: {} left",
-            shared.queue_depth_for(flood)
+            flood_merges <= rounds,
+            "{flood_merges} merges in {rounds} rounds"
         );
+        assert_eq!(shared.queue_depth_for(flood), 1, "the flood's merge waits");
     }
 
     #[test]
@@ -1351,9 +1245,9 @@ mod tests {
         });
         let a = shared.register(Arc::downgrade(&ds));
         let b = shared.register(Arc::downgrade(&ds));
-        shared.schedule_flush(a);
-        shared.schedule_merge(a, plan(1), 10);
-        shared.schedule_merge(b, plan(2), 10);
+        shared.schedule(a, Job::Flush);
+        shared.schedule(a, Job::Merge);
+        shared.schedule(b, Job::Merge);
         let stats = rt.stats();
         assert_eq!(stats.queue_depth, 3);
         assert_eq!(stats.flush_queue_depth, 1);

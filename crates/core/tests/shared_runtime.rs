@@ -11,7 +11,8 @@
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::cc::CcMethod;
 use lsm_engine::{
-    Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind,
+    Dataset, DatasetConfig, EngineConfig, EngineStatsSnapshot, MaintenanceRuntime,
+    SecondaryIndexDef, StrategyKind,
 };
 use lsm_storage::{Storage, StorageOptions};
 use std::collections::{HashMap, HashSet};
@@ -146,8 +147,11 @@ fn ten_datasets_share_a_four_worker_runtime() {
 
     let stats = runtime.stats();
     assert_eq!(stats.workers, 4, "{stats:?}");
-    assert!(stats.flush_jobs > 0, "shared pool ran flushes: {stats:?}");
-    assert!(stats.merge_jobs > 0, "shared pool ran merges: {stats:?}");
+    let jobs = |f: fn(&EngineStatsSnapshot) -> u64| -> u64 {
+        datasets.iter().map(|ds| f(&ds.stats().snapshot())).sum()
+    };
+    assert!(jobs(|s| s.flush_jobs) > 0, "shared pool ran no flush");
+    assert!(jobs(|s| s.merge_jobs) > 0, "shared pool ran no merge");
     assert_eq!(stats.queue_depth, 0, "drained after quiesce");
     assert_eq!(stats.in_flight, 0, "nothing mid-job after quiesce");
 
@@ -214,8 +218,8 @@ fn background_merges_under_a_tiny_cache_stay_readable() {
     }
     ds.maintenance().quiesce().unwrap();
 
-    let rt = runtime.stats();
-    assert!(rt.merge_jobs > 0, "no background merge ran: {rt:?}");
+    let snap = ds.stats().snapshot();
+    assert!(snap.merge_jobs > 0, "no background merge ran: {snap:?}");
     assert!(
         storage.stats().disk_reads() > 0,
         "merges never hit the device"
@@ -250,9 +254,8 @@ fn background_flushes_write_the_data_device_and_the_log() {
     }
     ds.maintenance().quiesce().unwrap();
 
-    let rt = runtime.stats();
-    assert!(rt.flush_jobs > 0, "no background flush ran: {rt:?}");
-    assert!(ds.stats().snapshot().flush_jobs > 0);
+    let snap = ds.stats().snapshot();
+    assert!(snap.flush_jobs > 0, "no background flush ran: {snap:?}");
     assert!(storage.stats().bytes_written > 0, "flushes wrote nothing");
     assert!(log.stats().bytes_written > 0, "the WAL was not written");
     for i in [0, 399, 799] {
@@ -285,9 +288,12 @@ fn foreground_wal_writes_queue_no_background_job() {
         "the workload must actually write WAL pages"
     );
     let rt = runtime.stats();
-    assert_eq!(rt.jobs_executed, 0, "{rt:?}");
     assert_eq!((rt.queue_depth, rt.in_flight), (0, 0), "{rt:?}");
-    assert_eq!(ds.stats().snapshot().jobs_enqueued, 0);
+    let snap = ds.stats().snapshot();
+    assert_eq!(
+        (snap.jobs_enqueued, snap.flush_jobs, snap.merge_jobs),
+        (0, 0, 0)
+    );
     assert!(ds.get(&Value::Int(1999)).unwrap().is_some());
 }
 

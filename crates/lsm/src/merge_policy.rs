@@ -14,7 +14,7 @@
 
 /// A merge decision: merge components `start..=end` (indices into an
 /// oldest-first size list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeRange {
     /// Oldest component index (oldest-first ordering).
     pub start: usize,
