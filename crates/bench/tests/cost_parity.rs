@@ -24,9 +24,19 @@
 //! they did, but are shorter (Validation 35 508 396 → 34 749 714, Eager
 //! 34 373 993 → 33 513 160). Every other field — `data_pages_written`
 //! included — is the parent's.
+//!
+//! Four churn rows, one per strategy, pin every write path and log
+//! replay: a fixed-seed 12 k-op churn of upserts, deletes and rejected
+//! duplicate inserts on two secondary indexes, a checkpoint, a crash and
+//! the recovery after it (see [`churn`]). Their figures were recorded
+//! while the strategies still had a write function per operation and
+//! replay went through the public writes; folding all of them into one
+//! locked write left every figure unchanged.
 
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
-use lsm_engine::StrategyKind;
+use lsm_common::Value;
+use lsm_engine::recovery::{checkpoint, recover, simulate_crash, CheckpointState};
+use lsm_engine::{SecondaryIndexDef, StrategyKind};
 use lsm_workload::{TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::atomic::Ordering;
 
@@ -130,4 +140,210 @@ fn eager_ingest_is_charged_what_the_parent_charged() {
         repair: [10_035, 10_014, 0, 0],
     };
     assert_eq!(ingest(StrategyKind::Eager), recorded);
+}
+
+const CHURN_OPS: usize = 12_000;
+const CHURN_CHECKPOINT_AT: usize = 9_000;
+
+/// Everything a churn, the crash after it and the recovery were charged.
+#[derive(Debug, PartialEq, Eq)]
+struct ChurnCosts {
+    sim_ns: u64,
+    /// The simulated time `recover` took.
+    recovery_sim_ns: u64,
+    cpu_ns: u64,
+    data_bytes_written: u64,
+    data_pages_written: u64,
+    data_bytes_read: u64,
+    log_bytes_written: u64,
+    log_pages_written: u64,
+    bloom_checks: u64,
+    flushes: u64,
+    merges: u64,
+    deletes: u64,
+    inserts_rejected: u64,
+    maintenance_lookups: u64,
+    replayed: u64,
+    skipped: u64,
+    /// Memory components after recovery: the replayed tail.
+    mem_total_bytes: u64,
+    /// The logical clock after recovery: one tick per write that took a
+    /// timestamp, before and after the crash.
+    clock: u64,
+    /// Records in the log after recovery, its unforced tail included:
+    /// replay appends none.
+    log_records: u64,
+}
+
+/// A fixed-seed churn under `strategy`, inline maintenance. Upserts at
+/// update ratio 0.5; every 7th op deletes an earlier key (possibly one
+/// already deleted) and every 13th inserts a duplicate of the key upserted
+/// last. The indexes are on `user_id` and on `location`, whose 50 values
+/// leave the key unchanged by one update in fifty. A checkpoint at op
+/// 9 000; then the log is forced, the process crashes and recovers.
+fn churn(strategy: StrategyKind) -> ChurnCosts {
+    let env = Env::new(&EnvConfig {
+        dataset_bytes: DATASET_BYTES,
+        ..EnvConfig::default()
+    });
+    let mut cfg = tweet_dataset_config(strategy, DATASET_BYTES, 2);
+    cfg.secondary_indexes[1] = SecondaryIndexDef {
+        name: "location".into(),
+        field: 2,
+    };
+    let ds = open_tweet_dataset(&env, cfg);
+    let state = CheckpointState::new();
+    let mut workload =
+        UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    let mut last = None;
+    for i in 1..=CHURN_OPS {
+        if i % 7 == 0 {
+            let issued = workload.generator();
+            let key = issued.issued_key(i * 7_919 % issued.num_issued());
+            ds.delete(&Value::Int(key)).expect("delete");
+        } else if i % 13 == 0 {
+            let dup = last.as_ref().expect("an upsert came first");
+            ds.insert(dup).expect("insert");
+        } else {
+            let op = workload.next_op();
+            apply(&ds, &op);
+            last = Some(op.record().clone());
+        }
+        if i == CHURN_CHECKPOINT_AT {
+            checkpoint(&ds, &state).expect("checkpoint");
+        }
+    }
+    let wal = ds.wal().expect("bench datasets log");
+    wal.force().expect("force");
+    simulate_crash(&ds, &state).expect("crash");
+    let before = env.clock.now_nanos();
+    let report = recover(&ds, &state).expect("recover");
+    let sim_ns = env.clock.now_nanos();
+    let (data, log, stats) = (env.storage.stats(), env.log_storage.stats(), ds.stats());
+    ChurnCosts {
+        sim_ns,
+        recovery_sim_ns: sim_ns - before,
+        cpu_ns: data.cpu_ns,
+        data_bytes_written: data.bytes_written,
+        data_pages_written: data.pages_written,
+        data_bytes_read: data.bytes_read,
+        log_bytes_written: log.bytes_written,
+        log_pages_written: log.pages_written,
+        bloom_checks: data.bloom_checks,
+        flushes: stats.flushes.load(Ordering::Relaxed),
+        merges: stats.merges.load(Ordering::Relaxed),
+        deletes: stats.deletes.load(Ordering::Relaxed),
+        inserts_rejected: stats.inserts_rejected.load(Ordering::Relaxed),
+        maintenance_lookups: stats.maintenance_lookups.load(Ordering::Relaxed),
+        replayed: report.replayed,
+        skipped: report.skipped,
+        mem_total_bytes: ds.mem_total_bytes() as u64,
+        clock: ds.clock().now(),
+        // Last: reading the log charges the log device.
+        log_records: wal.replay(0, true).expect("read the log").len() as u64,
+    }
+}
+
+#[test]
+fn eager_churn_is_charged_what_the_parent_charged() {
+    let recorded = ChurnCosts {
+        sim_ns: 39_571_952_360,
+        recovery_sim_ns: 260_054_070,
+        cpu_ns: 88_314_600,
+        data_bytes_written: 15_802_939,
+        data_pages_written: 554,
+        data_bytes_read: 534_642_688,
+        log_bytes_written: 5_466_372,
+        log_pages_written: 50,
+        bloom_checks: 27_068,
+        flushes: 42,
+        merges: 75,
+        deletes: 1441,
+        inserts_rejected: 792,
+        maintenance_lookups: 12_035,
+        replayed: 35,
+        skipped: 2706,
+        mem_total_bytes: 37_143,
+        clock: 11_208,
+        log_records: 10_932,
+    };
+    assert_eq!(churn(StrategyKind::Eager), recorded);
+}
+
+#[test]
+fn validation_churn_is_charged_what_the_parent_charged() {
+    let recorded = ChurnCosts {
+        sim_ns: 4_986_954_920,
+        recovery_sim_ns: 107_885_920,
+        cpu_ns: 224_031_400,
+        data_bytes_written: 16_886_230,
+        data_pages_written: 563,
+        data_bytes_read: 36_175_872,
+        log_bytes_written: 5_476_067,
+        log_pages_written: 76,
+        bloom_checks: 1,
+        flushes: 37,
+        merges: 66,
+        deletes: 1742,
+        inserts_rejected: 792,
+        maintenance_lookups: 792,
+        replayed: 183,
+        skipped: 2619,
+        mem_total_bytes: 165_972,
+        clock: 11_208,
+        log_records: 11_209,
+    };
+    assert_eq!(churn(StrategyKind::Validation), recorded);
+}
+
+#[test]
+fn mutable_bitmap_churn_is_charged_what_the_parent_charged() {
+    let recorded = ChurnCosts {
+        sim_ns: 4_560_327_015,
+        recovery_sim_ns: 112_434_170,
+        cpu_ns: 140_182_375,
+        data_bytes_written: 14_747_987,
+        data_pages_written: 535,
+        data_bytes_read: 32_768_000,
+        log_bytes_written: 5_476_067,
+        log_pages_written: 76,
+        bloom_checks: 54_090,
+        flushes: 37,
+        merges: 42,
+        deletes: 1742,
+        inserts_rejected: 792,
+        maintenance_lookups: 792,
+        replayed: 1408,
+        skipped: 1394,
+        mem_total_bytes: 165_972,
+        clock: 11_208,
+        log_records: 11_209,
+    };
+    assert_eq!(churn(StrategyKind::MutableBitmap), recorded);
+}
+
+#[test]
+fn deleted_key_btree_churn_is_charged_what_the_parent_charged() {
+    let recorded = ChurnCosts {
+        sim_ns: 5_588_343_735,
+        recovery_sim_ns: 107_885_920,
+        cpu_ns: 226_280_375,
+        data_bytes_written: 17_043_690,
+        data_pages_written: 631,
+        data_bytes_read: 39_976_960,
+        log_bytes_written: 5_476_067,
+        log_pages_written: 76,
+        bloom_checks: 1,
+        flushes: 37,
+        merges: 66,
+        deletes: 1742,
+        inserts_rejected: 792,
+        maintenance_lookups: 792,
+        replayed: 183,
+        skipped: 2619,
+        mem_total_bytes: 165_972,
+        clock: 11_208,
+        log_records: 11_209,
+    };
+    assert_eq!(churn(StrategyKind::DeletedKeyBTree), recorded);
 }

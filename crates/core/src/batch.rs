@@ -53,7 +53,7 @@
 //! ]);
 //! ```
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, WriteOp};
 use lsm_common::{Error, Record, Result, Value};
 
 /// One staged operation inside a [`WriteBatch`], in caller order.
@@ -65,6 +65,17 @@ pub(crate) enum StagedOp {
     Upsert(Record),
     /// Delete by primary key.
     Delete(Value),
+}
+
+impl StagedOp {
+    /// The write this operation applies.
+    pub(crate) fn as_write(&self) -> WriteOp<'_> {
+        match self {
+            StagedOp::Insert(r) => WriteOp::Insert(r),
+            StagedOp::Upsert(r) => WriteOp::Upsert(r),
+            StagedOp::Delete(pk) => WriteOp::Delete(pk),
+        }
+    }
 }
 
 /// Per-operation outcome of [`WriteBatch::commit`], positionally aligned

@@ -41,8 +41,6 @@ pub struct Dataset {
     wal: Option<Wal>,
     /// Record-level key locks (Section 5.2).
     locks: LockManager,
-    /// Set during recovery replay (suppresses re-logging to the WAL).
-    recovering: std::sync::atomic::AtomicBool,
     /// Dataset-level lock used by the Side-file method to drain ongoing
     /// operations (Figure 11a): writers hold it shared per operation, the
     /// component builder takes it exclusively at phase boundaries.
@@ -103,13 +101,26 @@ pub struct MergePlan {
 }
 
 /// Where a write operation's log record goes: straight to the WAL (the
-/// single-operation paths), or into a [`WriteBatch`](crate::WriteBatch)'s
-/// staging buffer for one group append at commit.
+/// single-operation paths), into a [`WriteBatch`](crate::WriteBatch)'s
+/// staging buffer for one group append at commit, or nowhere (replay).
 pub(crate) enum LogSink<'a> {
     /// Append to the WAL immediately, probing the `wal_append` crash site.
     Immediate,
     /// Collect records for a batch-wide group append.
     Staged(&'a mut Vec<LogRecord>),
+    /// Log nothing: recovery re-executes a record the log already holds.
+    Replay,
+}
+
+/// One write operation, as [`Dataset::write_locked`] applies it.
+#[derive(Clone, Copy)]
+pub(crate) enum WriteOp<'a> {
+    /// Insert with the key-uniqueness check (Section 3.1).
+    Insert(&'a Record),
+    /// Insert-or-replace.
+    Upsert(&'a Record),
+    /// Delete by primary key.
+    Delete(&'a Value),
 }
 
 impl std::fmt::Debug for Dataset {
@@ -231,7 +242,6 @@ impl Dataset {
             stats,
             wal,
             locks: LockManager::new(),
-            recovering: std::sync::atomic::AtomicBool::new(false),
             dataset_lock: RwLock::new(()),
             flush_mutex: Mutex::new(()),
             merge_mutex: Mutex::new(()),
@@ -370,14 +380,6 @@ impl Dataset {
         }
     }
 
-    pub(crate) fn pk_of(&self, record: &Record) -> Value {
-        record.get(self.cfg.pk_field).clone()
-    }
-
-    fn filter_value(&self, record: &Record) -> Option<Value> {
-        self.cfg.filter_field.map(|f| record.get(f).clone())
-    }
-
     /// Views a stored primary-index value, for reading single fields of it.
     /// A value with fewer fields than the schema is rejected here, before
     /// the caller has changed anything on its account.
@@ -391,12 +393,6 @@ impl Dataset {
             )));
         }
         Ok(view)
-    }
-
-    /// Marks the dataset as replaying the log (operations are not re-logged).
-    pub(crate) fn set_recovering(&self, on: bool) {
-        self.recovering
-            .store(on, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Re-executes the bitmap mutation of a logged delete/upsert whose entry
@@ -580,35 +576,34 @@ impl Dataset {
         ts: Timestamp,
         update_bit: bool,
     ) -> Result<()> {
-        if self.recovering.load(std::sync::atomic::Ordering::SeqCst) {
+        let Some(wal) = &self.wal else {
             return Ok(());
-        }
-        if let Some(wal) = &self.wal {
-            match sink {
-                LogSink::Immediate => {
-                    // Crash *before* the record is even buffered: the
-                    // operation is simply not durable, as if the process
-                    // died entering the log call.
-                    self.crash_site_on(wal.storage(), "wal_append")?;
-                    // Borrowed: the staging page takes the only copy.
-                    wal.append_frame(Frame {
-                        lsn: ts,
-                        op,
-                        update_bit,
-                        key,
-                        value,
-                    })?;
-                }
-                // A batch stages its records and appends them as one group
-                // at commit ([`WriteBatch::commit`](crate::WriteBatch)).
-                LogSink::Staged(buf) => buf.push(LogRecord {
+        };
+        match sink {
+            LogSink::Immediate => {
+                // Crash *before* the record is even buffered: the
+                // operation is simply not durable, as if the process
+                // died entering the log call.
+                self.crash_site_on(wal.storage(), "wal_append")?;
+                // Borrowed: the staging page takes the only copy.
+                wal.append_frame(Frame {
                     lsn: ts,
                     op,
-                    key: key.to_vec(),
-                    value: value.to_vec(),
                     update_bit,
-                }),
+                    key,
+                    value,
+                })?;
             }
+            // A batch stages its records and appends them as one group
+            // at commit ([`WriteBatch::commit`](crate::WriteBatch)).
+            LogSink::Staged(buf) => buf.push(LogRecord {
+                lsn: ts,
+                op,
+                key: key.to_vec(),
+                value: value.to_vec(),
+                update_bit,
+            }),
+            LogSink::Replay => {}
         }
         Ok(())
     }
@@ -619,7 +614,7 @@ impl Dataset {
     /// lock is held, so the records cannot be forced or checkpointed out
     /// from under the commit.
     pub(crate) fn log_staged(&self, records: &[LogRecord]) -> Result<()> {
-        if records.is_empty() || self.recovering.load(std::sync::atomic::Ordering::SeqCst) {
+        if records.is_empty() {
             return Ok(());
         }
         if let Some(wal) = &self.wal {
@@ -634,169 +629,183 @@ impl Dataset {
     /// Inserts a record; returns `false` if the primary key already exists
     /// (the key-uniqueness check of Section 3.1).
     pub fn insert(&self, record: &Record) -> Result<bool> {
-        self.check_poisoned()?;
-        self.cfg.schema.check(record)?;
-        let _ds = self.dataset_lock.read();
-        let pk = self.pk_of(record);
-        let pk_key = encode_pk(&pk);
-        self.locks.lock_exclusive(&pk_key);
-        let out = self.insert_locked(record, &pk, &pk_key, &mut LogSink::Immediate);
-        self.locks.unlock_exclusive(&pk_key);
-        let out = out?;
-        drop(_ds);
+        let inserted = self.write(WriteOp::Insert(record), &mut LogSink::Immediate)?;
         self.maybe_flush_and_merge()?;
-        Ok(out)
-    }
-
-    pub(crate) fn insert_locked(
-        &self,
-        record: &Record,
-        pk: &Value,
-        pk_key: &[u8],
-        sink: &mut LogSink<'_>,
-    ) -> Result<bool> {
-        // Key-uniqueness check: the primary key index can be searched
-        // instead of the primary index for efficiency (Section 3.1);
-        // Figure 13 evaluates exactly this choice.
-        self.stats.bump(&self.stats.maintenance_lookups);
-        let existing = match &self.pk_index {
-            Some(pk_tree) => point_lookup(pk_tree, pk_key)?,
-            None => point_lookup(&self.primary, pk_key)?,
-        };
-        if existing.is_some_and(|e| !e.anti_matter) {
-            self.stats.bump(&self.stats.inserts_rejected);
-            return Ok(false);
-        }
-
-        let ts = self.clock.tick();
-        let record_bytes = record.encode();
-        self.log(sink, LogOp::Insert, pk_key, &record_bytes, ts, false)?;
-        let ets = self.ts_for_entries(ts);
-        self.primary
-            .put(pk_key.to_vec(), LsmEntry::put_ts(record_bytes, ets), ts);
-        if let Some(pk_tree) = &self.pk_index {
-            pk_tree.put(pk_key.to_vec(), LsmEntry::put_ts(Vec::new(), ets), ts);
-        }
-        for sec in &self.secondaries {
-            let sk = record.get(sec.field);
-            sec.tree
-                .put(encode_sk_pk(sk, pk), LsmEntry::put_ts(Vec::new(), ets), ts);
-        }
-        if let Some(v) = self.filter_value(record) {
-            self.primary.widen_mem_filter(&v);
-        }
-        self.stats.bump(&self.stats.inserts);
-        Ok(true)
+        Ok(inserted)
     }
 
     /// Deletes by primary key. Returns `true` if the strategy knows a record
     /// was removed (the lazy strategies apply deletes blindly and return
     /// `true` unconditionally).
     pub fn delete(&self, pk: &Value) -> Result<bool> {
-        self.check_poisoned()?;
-        let _ds = self.dataset_lock.read();
-        let pk_key = encode_pk(pk);
-        self.locks.lock_exclusive(&pk_key);
-        let out = self.delete_locked(pk, &pk_key, &mut LogSink::Immediate);
-        self.locks.unlock_exclusive(&pk_key);
-        let out = out?;
-        drop(_ds);
+        let deleted = self.write(WriteOp::Delete(pk), &mut LogSink::Immediate)?;
         self.maybe_flush_and_merge()?;
-        Ok(out)
-    }
-
-    pub(crate) fn delete_locked(
-        &self,
-        pk: &Value,
-        pk_key: &[u8],
-        sink: &mut LogSink<'_>,
-    ) -> Result<bool> {
-        let ts = self.clock.tick();
-        let ets = self.ts_for_entries(ts);
-        match self.cfg.strategy {
-            StrategyKind::Eager => {
-                // Fetch the old record to produce secondary anti-matter and
-                // maintain filters (Section 3.1).
-                self.stats.bump(&self.stats.maintenance_lookups);
-                let old = point_lookup(&self.primary, pk_key)?;
-                let Some(old) = old.filter(|e| !e.anti_matter) else {
-                    return Ok(false); // key absent: ignored
-                };
-                let old_record = self.stored_record(&old.value)?;
-                self.log(sink, LogOp::Delete, pk_key, &[], ts, false)?;
-                self.primary
-                    .put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                }
-                for sec in &self.secondaries {
-                    let sk = old_record.field(sec.field)?;
-                    sec.tree
-                        .put(encode_sk_pk(&sk, pk), LsmEntry::anti_matter_ts(ets), ts);
-                }
-                if let Some(f) = self.cfg.filter_field {
-                    self.primary.widen_mem_filter(&old_record.field(f)?);
-                }
-            }
-            StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
-                // Anti-matter into the primary index and the primary key
-                // index only (Section 4.2); secondaries are cleaned lazily.
-                self.log(sink, LogOp::Delete, pk_key, &[], ts, false)?;
-                let old = self
-                    .primary
-                    .put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                }
-                // Memory-component optimization (Section 4.2): an old record
-                // still in memory yields free secondary anti-matter.
-                self.local_secondary_cleanup(pk, old, None, ets, ts)?;
-            }
-            StrategyKind::MutableBitmap => {
-                // Mark the old version deleted in place through the shared
-                // bitmap, located via the primary key index (Section 5.2).
-                let update_bit = self.mark_old_version_deleted(pk_key)?;
-                self.log(sink, LogOp::Delete, pk_key, &[], ts, update_bit)?;
-                let old = self
-                    .primary
-                    .put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::anti_matter_ts(ets), ts);
-                }
-                self.local_secondary_cleanup(pk, old, None, ets, ts)?;
-            }
-        }
-        self.stats.bump(&self.stats.deletes);
-        Ok(true)
+        Ok(deleted)
     }
 
     /// Upserts a record (insert-or-replace).
     pub fn upsert(&self, record: &Record) -> Result<()> {
-        self.check_poisoned()?;
-        self.cfg.schema.check(record)?;
-        let _ds = self.dataset_lock.read();
-        let pk = self.pk_of(record);
-        let pk_key = encode_pk(&pk);
-        self.locks.lock_exclusive(&pk_key);
-        let out = self.upsert_locked(record, &pk, &pk_key, &mut LogSink::Immediate);
-        self.locks.unlock_exclusive(&pk_key);
-        out?;
-        drop(_ds);
+        self.write(WriteOp::Upsert(record), &mut LogSink::Immediate)?;
         self.maybe_flush_and_merge()
     }
 
     /// Upsert without the flush/merge check (used by concurrent-writer
     /// benchmarks that must not trigger reentrant structural operations).
     pub fn upsert_no_maintenance(&self, record: &Record) -> Result<()> {
+        self.write(WriteOp::Upsert(record), &mut LogSink::Immediate)?;
+        Ok(())
+    }
+
+    /// Re-executes a logged operation during recovery: the write without
+    /// its log record, then inline maintenance. Replay rewinds the clock
+    /// per record, and a background job racing that would stamp components
+    /// with rewound timestamps — recovery is single-threaded (Section 2.2).
+    pub(crate) fn replay(&self, op: WriteOp<'_>) -> Result<()> {
+        self.write(op, &mut LogSink::Replay)?;
+        self.maintain_inline()
+    }
+
+    /// One write under the dataset drain lock (shared) and its key's lock.
+    fn write(&self, op: WriteOp<'_>, sink: &mut LogSink<'_>) -> Result<bool> {
         self.check_poisoned()?;
-        self.cfg.schema.check(record)?;
+        let pk = match op {
+            WriteOp::Insert(record) | WriteOp::Upsert(record) => {
+                self.cfg.schema.check(record)?;
+                record.get(self.cfg.pk_field)
+            }
+            WriteOp::Delete(pk) => pk,
+        };
+        let pk_key = encode_pk(pk);
         let _ds = self.dataset_lock.read();
-        let pk = self.pk_of(record);
-        let pk_key = encode_pk(&pk);
         self.locks.lock_exclusive(&pk_key);
-        let out = self.upsert_locked(record, &pk, &pk_key, &mut LogSink::Immediate);
+        let out = self.write_locked(op, pk, &pk_key, sink);
         self.locks.unlock_exclusive(&pk_key);
         out
+    }
+
+    /// Applies one write with its key locked. Returns `false` for a
+    /// rejected duplicate insert and for an Eager delete of an absent key,
+    /// else `true`.
+    ///
+    /// The strategies differ only in the old version of the key. Eager
+    /// fetches it by a point lookup, for secondary anti-matter and filter
+    /// maintenance (Section 3.1). Mutable-bitmap marks it deleted in place
+    /// (Section 5.2). Validation and DeletedKeyBTree — and Mutable-bitmap's
+    /// secondaries — clean up only an old version still in the memory
+    /// component, which the primary put hands back for free (Section 4.2).
+    /// Everything after that step is one sequence.
+    pub(crate) fn write_locked(
+        &self,
+        op: WriteOp<'_>,
+        pk: &Value,
+        pk_key: &[u8],
+        sink: &mut LogSink<'_>,
+    ) -> Result<bool> {
+        let (log_op, record) = match op {
+            WriteOp::Insert(record) => (LogOp::Insert, Some(record)),
+            WriteOp::Upsert(record) => (LogOp::Upsert, Some(record)),
+            WriteOp::Delete(_) => (LogOp::Delete, None),
+        };
+        let insert = log_op == LogOp::Insert;
+        if insert {
+            // Key-uniqueness check: the primary key index can be searched
+            // instead of the primary index for efficiency (Section 3.1);
+            // Figure 13 evaluates exactly this choice.
+            self.stats.bump(&self.stats.maintenance_lookups);
+            let existing = match &self.pk_index {
+                Some(pk_tree) => point_lookup(pk_tree, pk_key)?,
+                None => point_lookup(&self.primary, pk_key)?,
+            };
+            if existing.is_some_and(|e| !e.anti_matter) {
+                self.stats.bump(&self.stats.inserts_rejected);
+                return Ok(false);
+            }
+        }
+        let ts = self.clock.tick();
+        let ets = self.ts_for_entries(ts);
+        let eager = self.cfg.strategy == StrategyKind::Eager;
+
+        // The old version. An insert has none: its uniqueness check passed.
+        let mut update_bit = false;
+        let fetched = match self.cfg.strategy {
+            _ if insert => None,
+            StrategyKind::Eager => {
+                self.stats.bump(&self.stats.maintenance_lookups);
+                let old = point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter);
+                if old.is_none() && record.is_none() {
+                    return Ok(false); // delete of an absent key: ignored
+                }
+                old
+            }
+            StrategyKind::MutableBitmap => {
+                update_bit = self.mark_old_version_deleted(pk_key)?;
+                None
+            }
+            StrategyKind::Validation | StrategyKind::DeletedKeyBTree => None,
+        };
+        // Only single fields of the old record are wanted: read them
+        // through a view, never decoding the rest. Validated before the
+        // operation is logged.
+        let fetched = fetched
+            .as_ref()
+            .map(|e| self.stored_record(&e.value))
+            .transpose()?;
+
+        let value = record.map_or_else(Vec::new, Record::encode);
+        self.log(sink, log_op, pk_key, &value, ts, update_bit)?;
+        let entry = |value| match record {
+            Some(_) => LsmEntry::put_ts(value, ets),
+            None => LsmEntry::anti_matter_ts(ets),
+        };
+        let replaced = self.primary.put(pk_key.to_vec(), entry(value), ts);
+        if let Some(pk_tree) = &self.pk_index {
+            pk_tree.put(pk_key.to_vec(), entry(Vec::new()), ts);
+        }
+        // Eager's memory entry, if any, is the version it fetched.
+        let replaced = replaced.filter(|e| !e.anti_matter && !eager);
+        let old = match fetched {
+            Some(view) => Some(view),
+            None => replaced
+                .as_ref()
+                .map(|e| self.stored_record(&e.value))
+                .transpose()?,
+        };
+
+        for sec in &self.secondaries {
+            let new_sk = record.map(|r| r.get(sec.field));
+            if let Some(old) = &old {
+                let old_sk = old.field(sec.field)?;
+                if new_sk == Some(&old_sk) {
+                    if eager {
+                        continue; // unchanged: no maintenance (Section 3.1)
+                    }
+                } else {
+                    sec.tree
+                        .put(encode_sk_pk(&old_sk, pk), LsmEntry::anti_matter_ts(ets), ts);
+                }
+            }
+            if let Some(sk) = new_sk {
+                sec.tree
+                    .put(encode_sk_pk(sk, pk), LsmEntry::put_ts(Vec::new(), ets), ts);
+            }
+        }
+
+        // Filters widen with the new record; Eager's also with the old one
+        // (Figure 3 against Figures 4 and 9).
+        if let Some(f) = self.cfg.filter_field {
+            if let Some(record) = record {
+                self.primary.widen_mem_filter(record.get(f));
+            }
+            if let (true, Some(old)) = (eager, &old) {
+                self.primary.widen_mem_filter(&old.field(f)?);
+            }
+        }
+        self.stats.bump(match op {
+            WriteOp::Insert(_) => &self.stats.inserts,
+            WriteOp::Upsert(_) => &self.stats.upserts,
+            WriteOp::Delete(_) => &self.stats.deletes,
+        });
+        Ok(true)
     }
 
     /// Starts a fluent multi-operation write batch; see
@@ -819,26 +828,21 @@ impl Dataset {
         // Validate up front; data-level failures become per-op outcomes and
         // their slots drop out of the key set.
         let mut outcomes: Vec<Option<BatchOpResult>> = Vec::with_capacity(ops.len());
-        let mut keyed: Vec<Option<(Value, Vec<u8>)>> = Vec::with_capacity(ops.len());
+        let mut keyed: Vec<Option<(&Value, Vec<u8>)>> = Vec::with_capacity(ops.len());
         for op in &ops {
-            match op {
-                StagedOp::Insert(r) | StagedOp::Upsert(r) => {
-                    if let Err(e) = self.cfg.schema.check(r) {
+            let pk = match op.as_write() {
+                WriteOp::Insert(r) | WriteOp::Upsert(r) => match self.cfg.schema.check(r) {
+                    Ok(()) => r.get(self.cfg.pk_field),
+                    Err(e) => {
                         outcomes.push(Some(BatchOpResult::Failed(e)));
                         keyed.push(None);
-                    } else {
-                        let pk = self.pk_of(r);
-                        let key = encode_pk(&pk);
-                        outcomes.push(None);
-                        keyed.push(Some((pk, key)));
+                        continue;
                     }
-                }
-                StagedOp::Delete(pk) => {
-                    let key = encode_pk(pk);
-                    outcomes.push(None);
-                    keyed.push(Some((pk.clone(), key)));
-                }
-            }
+                },
+                WriteOp::Delete(pk) => pk,
+            };
+            outcomes.push(None);
+            keyed.push(Some((pk, encode_pk(pk))));
         }
 
         // Lock every touched key in sorted, deduplicated order — two
@@ -866,21 +870,14 @@ impl Dataset {
             // did not already resolve into `outcomes[i]` (checked above).
             let (pk, key) = keyed[i].as_ref().expect("validated op has a key");
             let mut sink = LogSink::Staged(&mut staged);
-            let res = match op {
-                StagedOp::Insert(r) => self.insert_locked(r, pk, key, &mut sink).map(|ok| {
-                    if ok {
-                        BatchOpResult::Inserted
-                    } else {
-                        BatchOpResult::RejectedDuplicate
-                    }
-                }),
-                StagedOp::Upsert(r) => self
-                    .upsert_locked(r, pk, key, &mut sink)
-                    .map(|()| BatchOpResult::Upserted),
-                StagedOp::Delete(pk_value) => self
-                    .delete_locked(pk_value, key, &mut sink)
-                    .map(BatchOpResult::Deleted),
-            };
+            let res = self
+                .write_locked(op.as_write(), pk, key, &mut sink)
+                .map(|done| match op {
+                    StagedOp::Insert(_) if done => BatchOpResult::Inserted,
+                    StagedOp::Insert(_) => BatchOpResult::RejectedDuplicate,
+                    StagedOp::Upsert(_) => BatchOpResult::Upserted,
+                    StagedOp::Delete(_) => BatchOpResult::Deleted(done),
+                });
             match res {
                 Ok(outcome) => outcomes[i] = Some(outcome),
                 Err(e) => {
@@ -920,148 +917,6 @@ impl Dataset {
             // infra error already returned `Err` before this point.
             .map(|o| o.expect("every staged op resolved"))
             .collect())
-    }
-
-    pub(crate) fn upsert_locked(
-        &self,
-        record: &Record,
-        pk: &Value,
-        pk_key: &[u8],
-        sink: &mut LogSink<'_>,
-    ) -> Result<()> {
-        let ts = self.clock.tick();
-        let ets = self.ts_for_entries(ts);
-        let record_bytes = record.encode();
-        match self.cfg.strategy {
-            StrategyKind::Eager => {
-                // Point lookup to fetch the old record (Section 3.1).
-                self.stats.bump(&self.stats.maintenance_lookups);
-                let old = point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter);
-                // Only single fields of the old record are wanted: read
-                // them through a view, never decoding the rest.
-                let old_record = old
-                    .as_ref()
-                    .map(|e| self.stored_record(&e.value))
-                    .transpose()?;
-                self.log(sink, LogOp::Upsert, pk_key, &record_bytes, ts, false)?;
-                self.primary
-                    .put(pk_key.to_vec(), LsmEntry::put_ts(record_bytes, ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::put_ts(Vec::new(), ets), ts);
-                }
-                for sec in &self.secondaries {
-                    let new_sk = record.get(sec.field);
-                    match &old_record {
-                        Some(old_rec) => {
-                            let old_sk = old_rec.field(sec.field)?;
-                            if &old_sk == new_sk {
-                                // Unchanged secondary key: skip maintenance
-                                // (the Section 3.1 optimization).
-                                continue;
-                            }
-                            sec.tree.put(
-                                encode_sk_pk(&old_sk, pk),
-                                LsmEntry::anti_matter_ts(ets),
-                                ts,
-                            );
-                            sec.tree.put(
-                                encode_sk_pk(new_sk, pk),
-                                LsmEntry::put_ts(Vec::new(), ets),
-                                ts,
-                            );
-                        }
-                        None => {
-                            sec.tree.put(
-                                encode_sk_pk(new_sk, pk),
-                                LsmEntry::put_ts(Vec::new(), ets),
-                                ts,
-                            );
-                        }
-                    }
-                }
-                // Filters maintained on BOTH the old and new record
-                // (Figure 3).
-                if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(&v);
-                }
-                if let (Some(old_rec), Some(f)) = (&old_record, self.cfg.filter_field) {
-                    self.primary.widen_mem_filter(&old_rec.field(f)?);
-                }
-            }
-            StrategyKind::Validation | StrategyKind::DeletedKeyBTree => {
-                self.log(sink, LogOp::Upsert, pk_key, &record_bytes, ts, false)?;
-                let old =
-                    self.primary
-                        .put(pk_key.to_vec(), LsmEntry::put_ts(record_bytes, ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::put_ts(Vec::new(), ets), ts);
-                }
-                for sec in &self.secondaries {
-                    sec.tree.put(
-                        encode_sk_pk(record.get(sec.field), pk),
-                        LsmEntry::put_ts(Vec::new(), ets),
-                        ts,
-                    );
-                }
-                self.local_secondary_cleanup(pk, old, Some(record), ets, ts)?;
-                // Filters maintained on the new record only (Figure 4).
-                if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(&v);
-                }
-            }
-            StrategyKind::MutableBitmap => {
-                let update_bit = self.mark_old_version_deleted(pk_key)?;
-                self.log(sink, LogOp::Upsert, pk_key, &record_bytes, ts, update_bit)?;
-                let old =
-                    self.primary
-                        .put(pk_key.to_vec(), LsmEntry::put_ts(record_bytes, ets), ts);
-                if let Some(pk_tree) = &self.pk_index {
-                    pk_tree.put(pk_key.to_vec(), LsmEntry::put_ts(Vec::new(), ets), ts);
-                }
-                // Secondary indexes are maintained with the Validation
-                // strategy (Section 5.2 / 6.3.2).
-                for sec in &self.secondaries {
-                    sec.tree.put(
-                        encode_sk_pk(record.get(sec.field), pk),
-                        LsmEntry::put_ts(Vec::new(), ets),
-                        ts,
-                    );
-                }
-                self.local_secondary_cleanup(pk, old, Some(record), ets, ts)?;
-                // Filters maintained on the new record only (Figure 9).
-                if let Some(v) = self.filter_value(record) {
-                    self.primary.widen_mem_filter(&v);
-                }
-            }
-        }
-        self.stats.bump(&self.stats.upserts);
-        Ok(())
-    }
-
-    /// The Section 4.2 memory-component optimization: when the replaced
-    /// primary memory entry held the old record, emit local anti-matter for
-    /// the secondary indexes without any I/O.
-    fn local_secondary_cleanup(
-        &self,
-        pk: &Value,
-        old_mem_entry: Option<LsmEntry>,
-        new_record: Option<&Record>,
-        ets: Timestamp,
-        ts: Timestamp,
-    ) -> Result<()> {
-        let Some(old) = old_mem_entry.filter(|e| !e.anti_matter) else {
-            return Ok(());
-        };
-        let old_record = self.stored_record(&old.value)?;
-        for sec in &self.secondaries {
-            let old_sk = old_record.field(sec.field)?;
-            if new_record.is_some_and(|new_rec| new_rec.get(sec.field) == &old_sk) {
-                continue; // the new entry replaced it under the same key
-            }
-            sec.tree
-                .put(encode_sk_pk(&old_sk, pk), LsmEntry::anti_matter_ts(ets), ts);
-        }
-        Ok(())
     }
 
     /// Mutable-bitmap delete/upsert probe (Section 5.2): search the primary
@@ -1200,23 +1055,8 @@ impl Dataset {
     }
 
     pub(crate) fn maybe_flush_and_merge(&self) -> Result<()> {
-        // Recovery replay rewinds the clock between operations
-        // (`advance_to` per log record); a background job racing that would
-        // stamp components and stall writers against a queue nobody else
-        // drains — recovery is single-threaded (Section 2.2), so replay
-        // always maintains inline.
-        let handle = if self.recovering.load(std::sync::atomic::Ordering::SeqCst) {
-            None
-        } else {
-            self.runtime_handle()
-        };
-        let Some(handle) = handle else {
-            // Inline mode: the writer pays for maintenance synchronously.
-            if self.mem_total_bytes() > self.cfg.memory_budget {
-                self.flush_all()?;
-                self.run_merges()?;
-            }
-            return Ok(());
+        let Some(handle) = self.runtime_handle() else {
+            return self.maintain_inline();
         };
         // Background mode: enqueue (deduped) and keep going; stall only at
         // the hard ceiling, preserving the shared-memory-budget semantics.
@@ -1239,6 +1079,16 @@ impl Dataset {
             self.stats.bump(&self.stats.backpressure_stalls);
             handle.stall_until(|| self.mem_unflushed_bytes() <= ceiling || self.is_poisoned());
             self.check_poisoned()?;
+        }
+        Ok(())
+    }
+
+    /// Inline maintenance: the writer that trips the memory budget pays for
+    /// the flush and the merges synchronously.
+    fn maintain_inline(&self) -> Result<()> {
+        if self.mem_total_bytes() > self.cfg.memory_budget {
+            self.flush_all()?;
+            self.run_merges()?;
         }
         Ok(())
     }

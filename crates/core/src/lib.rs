@@ -220,8 +220,8 @@ pub use dataset::{Dataset, MergePlan, MergeTarget, SecondaryIndex};
 pub use lsm_bloom::BloomKind;
 pub use maintenance::{Maintenance, RepairPlan};
 pub use query::{
-    FilterScanBuilder, FilterScanReport, FilterScanStream, PreparedQuery, QueryBuilder,
-    QueryOptions, QueryResult, RecordStream, ValidationMethod,
+    FilterScanBuilder, FilterScanReport, PreparedQuery, QueryBuilder, QueryOptions, QueryResult,
+    RecordStream, ValidationMethod,
 };
 pub use repair::{RepairMode, RepairOptions, RepairReport};
 pub use scheduler::{DatasetRuntimeStats, MaintenanceRuntime, RuntimeStatsSnapshot};

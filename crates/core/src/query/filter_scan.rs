@@ -19,9 +19,8 @@
 //!
 //! # One plan, `n` partitions
 //!
-//! Every execution — [`count`](FilterScanBuilder::count),
-//! [`records`](FilterScanBuilder::records) or
-//! [`stream`](FilterScanBuilder::stream), with or without
+//! Every execution — [`count`](FilterScanBuilder::count) or
+//! [`records`](FilterScanBuilder::records), with or without
 //! [`parallel(n)`](FilterScanBuilder::parallel) — captures exactly **one**
 //! plan (`capture_plan`: the strategy's component-inclusion decision, the
 //! memory run and, under Mutable-bitmap, the frozen bitmaps, taken
@@ -40,12 +39,6 @@
 //! merge — the result is in primary-key order for every `n` (the
 //! Mutable-bitmap branch, which visits in component order, sorts each
 //! partition locally).
-//!
-//! The one thing `n = 1` can do that a fan-out cannot is *stream*: for the
-//! reconciled strategies a single-partition
-//! [`stream`](FilterScanBuilder::stream) yields straight from the merge
-//! scan over the captured plan with bounded memory; every other stream
-//! replays the collected matches.
 
 use crate::config::StrategyKind;
 use crate::dataset::Dataset;
@@ -204,19 +197,6 @@ impl ScanPlan {
         self.strategy != StrategyKind::MutableBitmap
     }
 
-    /// The reconciling merge scan of `[lo, hi]` over `mem` plus the
-    /// included components.
-    fn merge_scan(
-        &self,
-        ds: &Dataset,
-        mem: Option<Vec<(Key, LsmEntry)>>,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> Result<LsmScan> {
-        let opts = ScanOptions::default();
-        LsmScan::new(ds.storage().clone(), mem, &self.included, lo, hi, opts)
-    }
-
     /// The one partition body: scans `task`'s sub-range, returning its
     /// match count plus — when `collect` is set — the matching records in
     /// primary-key order. Entries are lent by the scan and the predicate
@@ -244,7 +224,8 @@ impl ScanPlan {
             Ok(())
         };
         if self.reconciles() {
-            let mut scan = self.merge_scan(ds, mem, plo, phi)?;
+            let opts = ScanOptions::default();
+            let mut scan = LsmScan::new(ds.storage().clone(), mem, &self.included, plo, phi, opts)?;
             while let Some(lent) = scan.next_lent()? {
                 if !lent.entry.anti_matter {
                     visit(lent.key, lent.entry)?;
@@ -383,80 +364,6 @@ impl FilterScanBuilder<'_> {
     pub fn records(self) -> Result<Vec<Record>> {
         let plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
         Ok(plan.run(self.ds, self.partitions, true)?.1)
-    }
-
-    /// Runs the scan as an iterator of matching records in primary-key
-    /// order, over one captured plan. A single-partition scan of a
-    /// reconciled strategy streams from the underlying merge scan with
-    /// bounded memory; the Mutable-bitmap strategy (which must sort) and
-    /// fanned-out scans materialize the matches first, so their streams
-    /// replay a buffer.
-    pub fn stream(self) -> Result<FilterScanStream> {
-        let mut plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
-        let inner = if plan.reconciles() && self.partitions == 1 {
-            let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
-            let mem = plan.mem.take();
-            let scan = plan.merge_scan(self.ds, mem, lo, hi)?;
-            // The plan rides along: it holds the predicate, and dropping
-            // its components would retire their files mid-scan.
-            StreamInner::Scan {
-                scan,
-                plan: Box::new(plan),
-            }
-        } else {
-            let records = plan.run(self.ds, self.partitions, true)?.1;
-            StreamInner::Buffered(records.into_iter())
-        };
-        Ok(FilterScanStream { inner })
-    }
-}
-
-/// Streaming filter-scan results in primary-key order; obtained from
-/// [`FilterScanBuilder::stream`].
-pub struct FilterScanStream {
-    inner: StreamInner,
-}
-
-enum StreamInner {
-    /// Live merge scan over the captured plan (bounded memory).
-    Scan { scan: LsmScan, plan: Box<ScanPlan> },
-    /// Pre-materialized matches (Mutable-bitmap / fanned-out execution).
-    Buffered(std::vec::IntoIter<Record>),
-}
-
-impl std::fmt::Debug for FilterScanStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            StreamInner::Scan { .. } => f.write_str("FilterScanStream::Scan"),
-            StreamInner::Buffered(it) => f
-                .debug_struct("FilterScanStream::Buffered")
-                .field("remaining", &it.len())
-                .finish(),
-        }
-    }
-}
-
-impl Iterator for FilterScanStream {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            StreamInner::Buffered(it) => it.next().map(Ok),
-            StreamInner::Scan { scan, plan } => loop {
-                let entry = match scan.next_lent() {
-                    Ok(Some(lent)) => lent.entry,
-                    Ok(None) => return None,
-                    Err(e) => return Some(Err(e)),
-                };
-                if entry.anti_matter {
-                    continue;
-                }
-                match plan.predicate.select(entry.value, plan.arity).transpose() {
-                    Some(row) => return Some(row),
-                    None => continue,
-                }
-            },
-        }
     }
 }
 
@@ -682,10 +589,6 @@ mod tests {
                     };
                     assert!(scan().count().is_err_and(is_corruption), "{s:?} n={n}");
                     assert!(scan().records().is_err_and(is_corruption), "{s:?} n={n}");
-                    let streamed = scan()
-                        .stream()
-                        .and_then(|it| it.collect::<Result<Vec<_>>>());
-                    assert!(streamed.is_err_and(is_corruption), "{s:?} n={n}");
                 }
                 assert!(ds.filter_scan().count().is_err(), "{s:?} default");
             }
@@ -693,8 +596,7 @@ mod tests {
     }
 
     /// Every execution captures exactly one plan (the Mutable-bitmap
-    /// capture takes the dataset write lock and freezes bitmaps — `stream`
-    /// used to pay for it twice).
+    /// capture takes the dataset write lock and freezes bitmaps).
     #[test]
     fn every_execution_captures_exactly_once() {
         for s in all_strategies() {
@@ -714,16 +616,11 @@ mod tests {
                     captures(&|b| assert_eq!(b.records().unwrap().len(), 201)),
                     1
                 );
-                assert_eq!(
-                    captures(&|b| assert_eq!(b.stream().unwrap().count(), 201)),
-                    1,
-                    "{s:?} n={n} stream"
-                );
             }
         }
     }
 
-    /// The builder's serial/parallel/stream outputs agree with each other
+    /// The builder's serial/parallel outputs agree with each other
     /// and with the count, across strategies and fan-outs (the in-crate
     /// miniature of the `filter_scan_oracle` integration test).
     #[test]
@@ -770,22 +667,12 @@ mod tests {
                 // Serial records are in pk order.
                 let ids: Vec<i64> = serial.iter().map(|r| r.get(0).as_int().unwrap()).collect();
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "{s:?} unordered");
-                let streamed: Vec<Record> =
-                    scan().stream().unwrap().collect::<Result<_>>().unwrap();
-                assert_eq!(streamed, serial, "{s:?} stream [{lo:?},{hi:?}]");
                 for n in [1, 2, 3, 7] {
                     let par = scan().parallel(n).records().unwrap();
                     assert_eq!(par, serial, "{s:?} parallel({n}) [{lo:?},{hi:?}]");
                     let report = scan().parallel(n).count().unwrap();
                     assert_eq!(report.matches, serial.len() as u64, "{s:?} n={n}");
                     assert!(report.partitions >= 1 && report.partitions <= n as u64);
-                    let streamed: Vec<Record> = scan()
-                        .parallel(n)
-                        .stream()
-                        .unwrap()
-                        .collect::<Result<_>>()
-                        .unwrap();
-                    assert_eq!(streamed, serial, "{s:?} parallel({n}) stream");
                 }
             }
         }

@@ -31,7 +31,7 @@ mod pool;
 pub mod stream;
 
 pub use builder::{PreparedQuery, QueryBuilder};
-pub use filter_scan::{FilterScanBuilder, FilterScanReport, FilterScanStream};
+pub use filter_scan::{FilterScanBuilder, FilterScanReport};
 pub use stream::RecordStream;
 
 use lsm_common::{Record, Value};

@@ -21,11 +21,13 @@
 //!   a component between the bitmap snapshot and the LSN stamp (or between
 //!   `set_bitmap` calls), corrupting the checkpoint.
 //! * [`recover`] drains the dataset's queued/in-flight background jobs and
-//!   replays with maintenance forced *inline* (the `recovering` flag):
-//!   replay rewinds the logical clock per record, and a background flush
-//!   racing that would stamp components with rewound timestamps.
+//!   replays through `Dataset::replay`, which logs nothing and maintains
+//!   *inline*: replay rewinds the logical clock per record, and a
+//!   background flush racing that would stamp components with rewound
+//!   timestamps.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, WriteOp};
+use crate::keys::decode_pk;
 use crate::txn::LogOp;
 use lsm_common::{Error, Record, Result, Timestamp};
 use lsm_tree::BitmapSnapshot;
@@ -188,21 +190,16 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
         .wal()
         .ok_or_else(|| Error::invalid("recovery requires a write-ahead log"))?;
 
-    // Replay runs single-threaded (Section 2.2) with maintenance forced
-    // inline: the `recovering` flag reroutes the budget checks inside
-    // `upsert`/`delete` away from the background queue, and the drain
-    // guarantees no pre-crash job is still rebuilding components.
-    ds.set_recovering(true);
+    // Replay runs single-threaded (Section 2.2) with maintenance inline
+    // (`Dataset::replay`); the drain guarantees no pre-crash job is still
+    // rebuilding components.
     ds.drain_background();
 
     // A crash inside a flush/merge install window leaves the primary index
     // structurally ahead of its siblings; repair that before deciding what
     // to replay (a rolled-back torn flush lowers the maximum component LSN
     // so its committed entries replay from the log).
-    if let Err(e) = ds.realign_after_crash() {
-        ds.set_recovering(false);
-        return Err(e);
-    }
+    ds.realign_after_crash()?;
 
     // Maximum component LSN: the newest timestamp durable in any component.
     let max_comp_ts = max_component_ts(ds);
@@ -230,35 +227,23 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
             // Position the clock so the replayed operation re-acquires its
             // original timestamp.
             ds.clock().advance_to(rec.lsn - 1);
-            let pk = crate::keys::decode_pk(&rec.key)?;
-            match rec.op {
-                LogOp::Insert | LogOp::Upsert => {
-                    let record = Record::decode(&rec.value)?;
-                    if needs_entry_replay {
-                        ds.upsert(&record)?;
-                    } else {
-                        // Only the bitmap mutation was lost: redo it by
-                        // re-marking the replaced version (idempotent).
-                        // Note this path does not tick the clock.
-                        ds.redo_bitmap_mark(&rec.key, rec.lsn)?;
-                    }
-                }
-                LogOp::Delete => {
-                    if needs_entry_replay {
-                        ds.delete(&pk)?;
-                    } else {
-                        ds.redo_bitmap_mark(&rec.key, rec.lsn)?;
-                    }
-                }
-                LogOp::Checkpoint => unreachable!("filtered above"),
+            if !needs_entry_replay {
+                // Only the bitmap mutation was lost: redo it by re-marking
+                // the replaced version (idempotent). Note this path does
+                // not tick the clock.
+                ds.redo_bitmap_mark(&rec.key, rec.lsn)?;
+            } else if rec.op == LogOp::Delete {
+                ds.replay(WriteOp::Delete(&decode_pk(&rec.key)?))?;
+            } else {
+                // A logged insert passed its uniqueness check: replay it
+                // as the upsert it amounts to.
+                ds.replay(WriteOp::Upsert(&Record::decode(&rec.value)?))?;
             }
-            let _ = pk;
             max_replayed = max_replayed.max(rec.lsn);
             report.replayed += 1;
         }
         Ok(())
     })();
-    ds.set_recovering(false);
     // New timestamps must stay strictly above everything replayed or
     // durable: a trailing bitmap-only replay leaves the clock at
     // `rec.lsn - 1` (redo does not tick), and a replay-free recovery
