@@ -1,21 +1,20 @@
-//! Ablation studies for design choices the paper fixes without sweeping:
+//! Ablation studies for design choices the paper fixes without sweeping,
+//! on the paper's tiering merge policy (§6.1):
 //!
-//! 1. **Merge policy** — tiering (the paper's §6.1 choice) vs leveling vs
-//!    no merging at all, on ingestion and point-query cost.
-//! 2. **Bloom filters** — point-lookup cost with standard, blocked, and no
+//! 1. **Bloom filters** — point-lookup cost with standard and blocked
 //!    Bloom filters on the primary/pk components.
-//! 3. **Query-driven repair** (our §7 future-work extension) — repeated
+//! 2. **Query-driven repair** (our §7 future-work extension) — repeated
 //!    query cost on an update-heavy dataset with and without it.
 
 use lsm_bench::{apply, row, scaled, table_header, Env, EnvConfig, Timer};
 use lsm_bloom::BloomKind;
 use lsm_engine::query::ValidationMethod;
 use lsm_engine::{Dataset, StrategyKind};
-use lsm_tree::{LevelingPolicy, MergePolicy, NoMergePolicy, TieringPolicy};
+use lsm_tree::{MergePolicy, TieringPolicy};
 use lsm_workload::{SelectivityQueries, TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
 
-fn build(n: usize, bloom: BloomKind, with_merges: Option<&dyn MergePolicy>) -> (Env, Arc<Dataset>) {
+fn build(n: usize, bloom: BloomKind, policy: &dyn MergePolicy) -> Arc<Dataset> {
     let dataset_bytes = (n as u64) * 550;
     let env = Env::new(&EnvConfig {
         dataset_bytes,
@@ -24,7 +23,7 @@ fn build(n: usize, bloom: BloomKind, with_merges: Option<&dyn MergePolicy>) -> (
     let mut cfg = lsm_bench::tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
     cfg.bloom_kind = bloom;
     // Disable the built-in merge pipeline (an unreachable trigger ratio);
-    // we drive merges explicitly so the policy can vary.
+    // merges are driven explicitly with the given policy.
     cfg.merge.max_mergeable_bytes = u64::MAX;
     cfg.merge.size_ratio = f64::INFINITY;
     let ds = lsm_bench::open_tweet_dataset(&env, cfg);
@@ -33,18 +32,16 @@ fn build(n: usize, bloom: BloomKind, with_merges: Option<&dyn MergePolicy>) -> (
     for i in 0..n {
         apply(&ds, &workload.next_op());
         if i % 512 == 0 {
-            if let Some(policy) = with_merges {
-                while ds.primary().maybe_merge(policy).expect("merge") {}
-                if let Some(pk) = ds.pk_index() {
-                    while pk.maybe_merge(policy).expect("merge") {}
-                }
-                let sec = &ds.secondaries()[0].tree;
-                while sec.maybe_merge(policy).expect("merge") {}
+            while ds.primary().maybe_merge(policy).expect("merge") {}
+            if let Some(pk) = ds.pk_index() {
+                while pk.maybe_merge(policy).expect("merge") {}
             }
+            let sec = &ds.secondaries()[0].tree;
+            while sec.maybe_merge(policy).expect("merge") {}
         }
     }
     ds.flush_all().expect("flush");
-    (env, ds)
+    ds
 }
 
 fn point_query_time(ds: &Dataset) -> f64 {
@@ -67,30 +64,9 @@ fn point_query_time(ds: &Dataset) -> f64 {
 fn main() {
     let n = scaled(40_000);
 
-    // ---- 1: merge policy -------------------------------------------------
+    // ---- 1: bloom filters ---------------------------------------------------
     table_header(
         "Ablation 1",
-        &format!("merge policy ({n} upserts, 10% updates)"),
-        &["policy", "ingest_sim_min", "components", "query_sim_s"],
-    );
-    let tiering = TieringPolicy::new(u64::MAX);
-    let leveling = LevelingPolicy { size_ratio: 10.0 };
-    let policies: [(&str, Option<&dyn MergePolicy>); 3] = [
-        ("tiering(1.2)", Some(&tiering)),
-        ("leveling(10)", Some(&leveling)),
-        ("no merging", Some(&NoMergePolicy)),
-    ];
-    for (label, policy) in policies {
-        let (env, ds) = build(n, BloomKind::Standard, policy);
-        let ingest_min = env.clock.now_secs() / 60.0;
-        let comps = ds.primary().num_disk_components() as f64;
-        let q = point_query_time(&ds);
-        row(label, &[ingest_min, comps, q]);
-    }
-
-    // ---- 2: bloom filters ---------------------------------------------------
-    table_header(
-        "Ablation 2",
         &format!("bloom filter variant ({n} upserts; 0.05% point queries)"),
         &["bloom", "query_sim_s", "bloom_negatives_per_query"],
     );
@@ -99,22 +75,22 @@ fn main() {
         ("standard", BloomKind::Standard),
         ("blocked", BloomKind::Blocked),
     ] {
-        let (_env, ds) = build(n, kind, Some(&tiering));
+        let ds = build(n, kind, &tiering);
         let neg0 = ds.storage().stats().bloom_negatives;
         let q = point_query_time(&ds);
         let negs = (ds.storage().stats().bloom_negatives - neg0) as f64 / 5.0;
         row(label, &[q, negs]);
     }
 
-    // ---- 3: query-driven repair ------------------------------------------------
+    // ---- 2: query-driven repair ------------------------------------------------
     table_header(
-        "Ablation 3",
+        "Ablation 2",
         "query-driven repair: same query repeated on an update-heavy dataset",
         &["variant", "run1_sim_ms", "run2_sim_ms", "run3_sim_ms"],
     );
     for (label, qdr) in [("off", false), ("on", true)] {
         let tiering = TieringPolicy::new(u64::MAX);
-        let (_env, ds) = build(n, BloomKind::Standard, Some(&tiering));
+        let ds = build(n, BloomKind::Standard, &tiering);
         let mut q = SelectivityQueries::new(23);
         let (lo, hi) = q.user_id_range(0.05);
         let mut runs = Vec::new();

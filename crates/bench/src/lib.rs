@@ -22,7 +22,7 @@
 //! shapes.
 
 use lsm_common::{Record, Value};
-use lsm_engine::{Dataset, DatasetConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{SimClock, Storage, StorageOptions};
 use lsm_workload::{Op, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
@@ -196,207 +196,6 @@ pub fn prepare_dataset(
     }
     ds.flush_all().expect("flush");
     (ds, workload)
-}
-
-/// What one maintenance-heavy multi-dataset run measured.
-#[derive(Debug, Clone, Copy)]
-pub struct SharedRuntimeRun {
-    /// Wall seconds for the concurrent ingest phase.
-    pub ingest_wall_secs: f64,
-    /// Aggregate writer throughput across all datasets.
-    pub ingest_ops_per_sec: f64,
-    /// Wall seconds draining every dataset's background queue.
-    pub quiesce_wall_secs: f64,
-    /// Background flush jobs executed, summed over the datasets.
-    pub flush_jobs: u64,
-    /// Background merge jobs executed, summed over the datasets.
-    pub merge_jobs: u64,
-}
-
-/// The maintenance-heavy scenario behind the `background_ingestion`
-/// bench: `datasets` small tweet datasets ingest
-/// `n_per` upserts each on one writer thread apiece (distinct workload
-/// seeds), either maintaining inline (`runtime` = `None` — every writer
-/// pays its own flush/merge cost) or all registered on one shared
-/// [`MaintenanceRuntime`].
-pub fn run_shared_runtime_scenario(
-    runtime: Option<&Arc<MaintenanceRuntime>>,
-    datasets: usize,
-    n_per: usize,
-) -> SharedRuntimeRun {
-    let dataset_bytes = (n_per as u64) * 550;
-    let handles: Vec<Arc<Dataset>> = (0..datasets)
-        .map(|_| {
-            let env = Env::new(&EnvConfig {
-                dataset_bytes,
-                ssd: true,
-                ..Default::default()
-            });
-            let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
-            // The scenario exists to exercise maintenance: size the budget
-            // below the ingested data even at bench-smoke scale, where the
-            // tweet config's 256KB floor would otherwise mean zero flushes.
-            cfg.memory_budget = ((dataset_bytes / 16) as usize).max(16 * 1024);
-            match runtime {
-                Some(rt) => Dataset::open_with_runtime(
-                    env.storage.clone(),
-                    Some(env.log_storage.clone()),
-                    cfg,
-                    rt,
-                )
-                .expect("dataset"),
-                None => Dataset::open(env.storage.clone(), Some(env.log_storage.clone()), cfg)
-                    .expect("dataset"),
-            }
-        })
-        .collect();
-
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for (d, ds) in handles.iter().enumerate() {
-            scope.spawn(move || {
-                let mut workload = UpsertWorkload::new(
-                    TweetConfig {
-                        seed: d as u64 + 1,
-                        ..TweetConfig::default()
-                    },
-                    0.5,
-                    UpdateDistribution::Uniform,
-                );
-                for _ in 0..n_per {
-                    apply(ds, &workload.next_op());
-                }
-            });
-        }
-    });
-    let ingest_wall_secs = start.elapsed().as_secs_f64();
-    let q = std::time::Instant::now();
-    for ds in &handles {
-        ds.maintenance().quiesce().expect("quiesce");
-    }
-    let quiesce_wall_secs = q.elapsed().as_secs_f64();
-
-    let mut flush_jobs = 0;
-    let mut merge_jobs = 0;
-    for ds in &handles {
-        let snap = ds.stats().snapshot();
-        flush_jobs += snap.flush_jobs;
-        merge_jobs += snap.merge_jobs;
-    }
-    SharedRuntimeRun {
-        ingest_wall_secs,
-        ingest_ops_per_sec: (datasets * n_per) as f64 / ingest_wall_secs,
-        quiesce_wall_secs,
-        flush_jobs,
-        merge_jobs,
-    }
-}
-
-/// What one query-heavy run measured: the same secondary range queries
-/// executed serially and with `parallel(n)` over a pre-loaded
-/// multi-component dataset.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryHeavyRun {
-    /// Records pre-loaded into the dataset.
-    pub records: usize,
-    /// Secondary range queries per pass.
-    pub queries: usize,
-    /// The `parallel(n)` fan-out measured against serial.
-    pub parallelism: usize,
-    /// Disk components of the secondary index at query time.
-    pub components: usize,
-    /// Wall seconds for the serial pass.
-    pub serial_wall_secs: f64,
-    /// Wall seconds for the parallel pass (same queries, cold cache both).
-    pub parallel_wall_secs: f64,
-    /// `serial_wall_secs / parallel_wall_secs` — ≥ 1 means parallel won.
-    pub speedup: f64,
-    /// Rows returned per pass (asserted identical between the passes).
-    pub rows: usize,
-    /// Scan partitions actually planned across the parallel pass.
-    pub partitions: u64,
-}
-
-/// The query-heavy scenario behind the `parallel_query` bench: pre-load a
-/// Validation tweet dataset with enough flush/merge churn to leave several
-/// disk components, then run `queries`
-/// secondary `user_id` range queries twice — serially and with
-/// `parallel(n)` — from a cold cache each time, comparing wall-clock time.
-/// Queries sweep rotating ~10% slices of the `user_id` domain: wide
-/// analytical ranges whose scan and record-fetch work is what the
-/// partitioned path spreads across cores.
-pub fn run_query_heavy_scenario(n: usize, queries: usize, parallelism: usize) -> QueryHeavyRun {
-    use lsm_workload::USER_ID_DOMAIN;
-    let dataset_bytes = (n as u64) * 550;
-    let env = Env::new(&EnvConfig {
-        dataset_bytes,
-        ssd: true,
-        ..Default::default()
-    });
-    let mut cfg = tweet_dataset_config(StrategyKind::Validation, dataset_bytes, 1);
-    // Size memory so the load leaves a real component stack behind.
-    cfg.memory_budget = ((dataset_bytes / 24) as usize).max(64 * 1024);
-    let ds = open_tweet_dataset(&env, cfg);
-    let mut workload =
-        UpsertWorkload::new(TweetConfig::default(), 0.3, UpdateDistribution::Uniform);
-    for _ in 0..n {
-        apply(&ds, &workload.next_op());
-    }
-    ds.flush_all().expect("flush");
-
-    let slice = (USER_ID_DOMAIN / 10).max(1);
-    let range_of = |q: usize| {
-        let lo = (q as i64 * slice * 3) % (USER_ID_DOMAIN - slice);
-        (lo, lo + slice - 1)
-    };
-
-    env.storage.clear_cache();
-    let serial_t = std::time::Instant::now();
-    let mut serial_rows = 0usize;
-    for q in 0..queries {
-        let (lo, hi) = range_of(q);
-        serial_rows += ds
-            .query("user_id")
-            .range(lo, hi)
-            .execute()
-            .expect("serial query")
-            .len();
-    }
-    let serial_wall_secs = serial_t.elapsed().as_secs_f64();
-
-    env.storage.clear_cache();
-    let before = ds.stats().snapshot();
-    let par_t = std::time::Instant::now();
-    let mut par_rows = 0usize;
-    for q in 0..queries {
-        let (lo, hi) = range_of(q);
-        par_rows += ds
-            .query("user_id")
-            .range(lo, hi)
-            .parallel(parallelism)
-            .execute()
-            .expect("parallel query")
-            .len();
-    }
-    let parallel_wall_secs = par_t.elapsed().as_secs_f64();
-    assert_eq!(serial_rows, par_rows, "parallel pass changed the answer");
-    let snap = ds.stats().snapshot();
-
-    QueryHeavyRun {
-        records: n,
-        queries,
-        parallelism,
-        components: ds
-            .secondary("user_id")
-            .expect("index")
-            .tree
-            .num_disk_components(),
-        serial_wall_secs,
-        parallel_wall_secs,
-        speedup: serial_wall_secs / parallel_wall_secs.max(1e-9),
-        rows: serial_rows,
-        partitions: snap.query_partitions - before.query_partitions,
-    }
 }
 
 /// A stopwatch pairing simulated and wall-clock time.

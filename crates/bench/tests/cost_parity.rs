@@ -32,12 +32,18 @@
 //! while the strategies still had a write function per operation and
 //! replay went through the public writes; folding all of them into one
 //! locked write left every figure unchanged.
+//!
+//! Four `WriteBatch` rows pin the batch commit path: the ingest's upsert
+//! stream committed 1 and 32 operations per batch under Validation and
+//! Eager (see [`batched_ingest`]). A batch of one is charged exactly what
+//! the single-operation ingest is charged at its last flush. Batches of 32
+//! check the memory budget once per commit, so they flush less often.
 
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::Value;
 use lsm_engine::recovery::{checkpoint, recover, simulate_crash, CheckpointState};
 use lsm_engine::{SecondaryIndexDef, StrategyKind};
-use lsm_workload::{TweetConfig, UpdateDistribution, UpsertWorkload};
+use lsm_workload::{Op, TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::atomic::Ordering;
 
 const UPSERTS: usize = 20_000;
@@ -346,4 +352,139 @@ fn deleted_key_btree_churn_is_charged_what_the_parent_charged() {
         log_records: 11_209,
     };
     assert_eq!(churn(StrategyKind::DeletedKeyBTree), recorded);
+}
+
+/// Everything the ingest stream was charged when committed through
+/// `WriteBatch`es.
+#[derive(Debug, PartialEq, Eq)]
+struct BatchCosts {
+    sim_ns: u64,
+    cpu_ns: u64,
+    data_bytes_written: u64,
+    data_pages_written: u64,
+    log_bytes_written: u64,
+    log_pages_written: u64,
+    /// Group appends, and the records they carried.
+    wal_groups: u64,
+    wal_grouped_records: u64,
+    flushes: u64,
+    merges: u64,
+    maintenance_lookups: u64,
+    /// The logical clock: one tick per committed write.
+    clock: u64,
+}
+
+/// [`ingest`]'s fixed-seed 20 k-upsert stream under `strategy`, committed
+/// through `ds.batch()` `batch` operations at a time (Figures 13 and 14
+/// commit 32), then flushed. No repair.
+fn batched_ingest(strategy: StrategyKind, batch: usize) -> BatchCosts {
+    let env = Env::new(&EnvConfig {
+        dataset_bytes: DATASET_BYTES,
+        ..EnvConfig::default()
+    });
+    let ds = open_tweet_dataset(&env, tweet_dataset_config(strategy, DATASET_BYTES, 1));
+    let mut workload =
+        UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..UPSERTS / batch {
+        let mut b = ds.batch();
+        for _ in 0..batch {
+            b = match workload.next_op() {
+                Op::Insert(r) => b.insert(&r),
+                Op::Upsert(r) => b.upsert(&r),
+            };
+        }
+        b.commit().expect("commit");
+    }
+    ds.flush_all().expect("flush");
+    let (data, log, stats) = (env.storage.stats(), env.log_storage.stats(), ds.stats());
+    BatchCosts {
+        sim_ns: env.clock.now_nanos(),
+        cpu_ns: data.cpu_ns,
+        data_bytes_written: data.bytes_written,
+        data_pages_written: data.pages_written,
+        log_bytes_written: log.bytes_written,
+        log_pages_written: log.pages_written,
+        wal_groups: stats.wal_groups.load(Ordering::Relaxed),
+        wal_grouped_records: stats.wal_grouped_records.load(Ordering::Relaxed),
+        flushes: stats.flushes.load(Ordering::Relaxed),
+        merges: stats.merges.load(Ordering::Relaxed),
+        maintenance_lookups: stats.maintenance_lookups.load(Ordering::Relaxed),
+        clock: ds.clock().now(),
+    }
+}
+
+#[test]
+fn validation_batch_1_ingest_is_charged_what_the_parent_charged() {
+    let recorded = BatchCosts {
+        sim_ns: 6_894_315_085,
+        cpu_ns: 375_285_325,
+        data_bytes_written: 34_749_714,
+        data_pages_written: 892,
+        log_bytes_written: 11_404_627,
+        log_pages_written: 135,
+        wal_groups: 135,
+        wal_grouped_records: 20_000,
+        flushes: 68,
+        merges: 81,
+        maintenance_lookups: 0,
+        clock: 20_000,
+    };
+    assert_eq!(batched_ingest(StrategyKind::Validation, 1), recorded);
+}
+
+#[test]
+fn validation_batch_32_ingest_is_charged_what_the_parent_charged() {
+    let recorded = BatchCosts {
+        sim_ns: 6_340_112_745,
+        cpu_ns: 353_330_025,
+        data_bytes_written: 33_995_384,
+        data_pages_written: 827,
+        log_bytes_written: 11_404_627,
+        log_pages_written: 124,
+        wal_groups: 124,
+        wal_grouped_records: 20_000,
+        flushes: 62,
+        merges: 74,
+        maintenance_lookups: 0,
+        clock: 20_000,
+    };
+    assert_eq!(batched_ingest(StrategyKind::Validation, 32), recorded);
+}
+
+#[test]
+fn eager_batch_1_ingest_is_charged_what_the_parent_charged() {
+    let recorded = BatchCosts {
+        sim_ns: 127_165_279_285,
+        cpu_ns: 201_603_125,
+        data_bytes_written: 33_513_160,
+        data_pages_written: 941,
+        log_bytes_written: 11_404_627,
+        log_pages_written: 145,
+        wal_groups: 145,
+        wal_grouped_records: 20_000,
+        flushes: 73,
+        merges: 92,
+        maintenance_lookups: 20_000,
+        clock: 20_000,
+    };
+    assert_eq!(batched_ingest(StrategyKind::Eager, 1), recorded);
+}
+
+#[test]
+fn eager_batch_32_ingest_is_charged_what_the_parent_charged() {
+    let recorded = BatchCosts {
+        sim_ns: 128_575_684_745,
+        cpu_ns: 195_558_025,
+        data_bytes_written: 32_028_107,
+        data_pages_written: 880,
+        log_bytes_written: 11_404_627,
+        log_pages_written: 137,
+        wal_groups: 137,
+        wal_grouped_records: 20_000,
+        flushes: 69,
+        merges: 86,
+        maintenance_lookups: 20_000,
+        clock: 20_000,
+    };
+    assert_eq!(batched_ingest(StrategyKind::Eager, 32), recorded);
 }

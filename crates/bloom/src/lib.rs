@@ -10,7 +10,7 @@
 //! * [`StandardBloom`] — the classic filter: `k` independent bit probes
 //!   spread across the whole bit array. Each probe is a likely CPU cache
 //!   miss.
-//! * [`BlockedBloom`] — the cache-friendly variant of Putze et al.
+//! * [`BloomKind::Blocked`] — the cache-friendly variant of Putze et al.
 //!   (Section 3.2, "Blocked Bloom Filter"): the first hash selects one
 //!   cache-line-sized block and all `k` probes stay inside it, so a
 //!   membership test costs a single cache miss, at the price of roughly one
@@ -163,7 +163,7 @@ impl BloomFilter for StandardBloom {
 /// block. One extra bit per key is budgeted relative to the standard filter
 /// to compensate for the uneven per-block load, per the paper.
 #[derive(Debug, Clone)]
-pub struct BlockedBloom {
+pub(crate) struct BlockedBloom {
     /// Blocks of 8×u64 = 512 bits each.
     blocks: Vec<[u64; 8]>,
     nblocks: Divisor,
@@ -202,11 +202,6 @@ impl BlockedBloom {
         let g1 = h1.rotate_left(21);
         (0..u64::from(self.k))
             .map(move |i| (g1.wrapping_add(i.wrapping_mul(h2)) % BLOCK_BITS as u64) as usize)
-    }
-
-    /// Memory footprint in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.blocks.len() * 64
     }
 }
 

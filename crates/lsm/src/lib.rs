@@ -4,8 +4,8 @@
 //! architecture (Section 3, Figure 1): an in-memory component plus immutable
 //! disk components, each a bulk-loaded B+-tree with an optional Bloom
 //! filter, range filter, and validity bitmap; component IDs as
-//! `(minTS, maxTS)` intervals; flush and merge operations under tiering /
-//! leveling policies; reconciling range scans; and the point-lookup
+//! `(minTS, maxTS)` intervals; flush and merge operations under the tiering
+//! policy; reconciling range scans; and the point-lookup
 //! algorithms of Section 3.2 (naive, batched, stateful-cursor,
 //! component-ID-pruned).
 //!
@@ -37,7 +37,7 @@ pub use lookup::{
     WalkStats,
 };
 pub use memtable::MemComponent;
-pub use merge_policy::{LevelingPolicy, MergePolicy, MergeRange, NoMergePolicy, TieringPolicy};
+pub use merge_policy::{MergePolicy, MergeRange, TieringPolicy};
 pub use range_filter::RangeFilter;
 pub use scan::{scan_components_sequential, Lent, LsmScan, ScanOptions, ScanPartition};
 pub use tree::{BuildOptions, ComponentBuilder, ComponentList, LsmOptions, LsmTree};

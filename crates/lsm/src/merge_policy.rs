@@ -8,9 +8,10 @@
 //! components accumulate over the experiment — which is exactly the effect
 //! the paper wants to measure.
 //!
-//! A simple **leveling** policy is included for completeness, and the
-//! dataset-level *correlated* policy (Sections 4.4, 5.1) is implemented in
-//! the engine by applying one index's decision to all indexes of a dataset.
+//! Tiering is the only policy the engine builds; the [`MergePolicy`] trait
+//! stays so tests can substitute their own. The dataset-level *correlated*
+//! policy (Sections 4.4, 5.1) is implemented in the engine by applying one
+//! index's decision to all indexes of a dataset.
 
 /// A merge decision: merge components `start..=end` (indices into an
 /// oldest-first size list).
@@ -80,50 +81,6 @@ impl MergePolicy for TieringPolicy {
     }
 }
 
-/// Simple leveling policy: the newest component is merged into its
-/// predecessor once it reaches `1/size_ratio` of the predecessor's size,
-/// keeping one exponentially-growing component per level.
-#[derive(Debug, Clone)]
-pub struct LevelingPolicy {
-    /// Size multiplier between adjacent levels.
-    pub size_ratio: f64,
-}
-
-impl Default for LevelingPolicy {
-    fn default() -> Self {
-        LevelingPolicy { size_ratio: 10.0 }
-    }
-}
-
-impl MergePolicy for LevelingPolicy {
-    fn select(&self, sizes: &[u64]) -> Option<MergeRange> {
-        let n = sizes.len();
-        if n < 2 {
-            return None;
-        }
-        let newest = sizes[n - 1];
-        let prev = sizes[n - 2];
-        if newest as f64 * self.size_ratio >= prev as f64 {
-            Some(MergeRange {
-                start: n - 2,
-                end: n - 1,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// Never merges (used to isolate flush behaviour in tests/benches).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoMergePolicy;
-
-impl MergePolicy for NoMergePolicy {
-    fn select(&self, _sizes: &[u64]) -> Option<MergeRange> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,24 +122,6 @@ mod tests {
         let p = TieringPolicy::new(u64::MAX);
         assert_eq!(p.select(&[10]), None);
         assert_eq!(p.select(&[]), None);
-    }
-
-    #[test]
-    fn leveling_merges_adjacent_pair() {
-        let p = LevelingPolicy { size_ratio: 10.0 };
-        // newest 10 * 10 >= 50 → merge the top pair.
-        assert_eq!(
-            p.select(&[500, 50, 10]),
-            Some(MergeRange { start: 1, end: 2 })
-        );
-        // newest 1 * 10 < 50 → wait.
-        assert_eq!(p.select(&[500, 50, 1]), None);
-        assert_eq!(p.select(&[5]), None);
-    }
-
-    #[test]
-    fn no_merge_policy_never_fires() {
-        assert_eq!(NoMergePolicy.select(&[1, 1, 1, 1, 1]), None);
     }
 
     #[test]
