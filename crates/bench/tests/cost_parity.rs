@@ -25,6 +25,13 @@
 //! 34 373 993 → 33 513 160). Every other field — `data_pages_written`
 //! included — is the parent's.
 //!
+//! One correlated row runs the same ingest under Figure 20's
+//! Bloom-optimized repair configuration, where every merge is a correlated
+//! one (see [`validation_correlated_ingest_is_charged_what_the_parent_charged`]).
+//! Recorded at commit e4a77ae; it fails if the correlated merge of the
+//! non-Mutable-bitmap strategies skips the secondaries, which no other row
+//! notices.
+//!
 //! Four churn rows, one per strategy, pin every write path and log
 //! replay: a fixed-seed 12 k-op churn of upserts, deletes and rejected
 //! duplicate inserts on two secondary indexes, a checkpoint, a crash and
@@ -42,7 +49,7 @@
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::Value;
 use lsm_engine::recovery::{checkpoint, recover, simulate_crash, CheckpointState};
-use lsm_engine::{SecondaryIndexDef, StrategyKind};
+use lsm_engine::{DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_workload::{Op, TweetConfig, UpdateDistribution, UpsertWorkload};
 use std::sync::atomic::Ordering;
 
@@ -71,11 +78,16 @@ struct Costs {
 }
 
 fn ingest(strategy: StrategyKind) -> Costs {
+    ingest_config(tweet_dataset_config(strategy, DATASET_BYTES, 1))
+}
+
+/// [`ingest`] under a dataset configured as `cfg`.
+fn ingest_config(cfg: DatasetConfig) -> Costs {
     let env = Env::new(&EnvConfig {
         dataset_bytes: DATASET_BYTES,
         ..EnvConfig::default()
     });
-    let ds = open_tweet_dataset(&env, tweet_dataset_config(strategy, DATASET_BYTES, 1));
+    let ds = open_tweet_dataset(&env, cfg);
     let mut workload =
         UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
     for _ in 0..UPSERTS {
@@ -146,6 +158,37 @@ fn eager_ingest_is_charged_what_the_parent_charged() {
         repair: [10_035, 10_014, 0, 0],
     };
     assert_eq!(ingest(StrategyKind::Eager), recorded);
+}
+
+/// The ingest under Figure 20's Bloom-optimized repair configuration:
+/// Validation with correlated merges, every merge repairing the secondary
+/// index, the repair Bloom-filter optimization and blocked Bloom filters.
+/// Every merge is a correlated one, so this row pins that path for the
+/// strategies other than Mutable-bitmap: the primary, the pk index and the
+/// secondary merge over one range, the secondary by merge repair.
+#[test]
+fn validation_correlated_ingest_is_charged_what_the_parent_charged() {
+    let mut cfg = tweet_dataset_config(StrategyKind::Validation, DATASET_BYTES, 1);
+    cfg.merge.correlated = true;
+    cfg.merge_repair = true;
+    cfg.repair_bloom_opt = true;
+    cfg.bloom_kind = lsm_bloom::BloomKind::Blocked;
+    let recorded = Costs {
+        ingest_sim_ns: 6_325_225_925,
+        ingest_cpu_ns: 114_307_525,
+        sim_ns: 7_134_588_110,
+        cpu_ns: 150_879_950,
+        data_bytes_written: 29_204_102,
+        data_pages_written: 834,
+        data_bytes_read: 60_162_048,
+        log_bytes_written: 11_404_627,
+        log_pages_written: 135,
+        bloom_checks: 196_065,
+        flushes: 68,
+        merges: 81,
+        repair: [18_671, 7_822, 9_498, 7_327],
+    };
+    assert_eq!(ingest_config(cfg), recorded);
 }
 
 const CHURN_OPS: usize = 12_000;

@@ -29,6 +29,9 @@ pub struct BTreeBuilder {
     /// next key must exceed and, at `finish`, the tree's `max_key`. One
     /// buffer, overwritten per entry.
     last_key: Vec<u8>,
+    /// Set by a successful [`BTreeBuilder::finish`]: a builder dropped
+    /// without it deletes its file.
+    finished: bool,
 }
 
 impl BTreeBuilder {
@@ -47,6 +50,7 @@ impl BTreeBuilder {
             num_entries: 0,
             min_key: None,
             last_key: Vec::new(),
+            finished: false,
         }
     }
 
@@ -145,8 +149,8 @@ impl BTreeBuilder {
             height,
             num_leaves,
             num_entries: self.num_entries,
-            min_key: self.min_key,
-            max_key: (self.num_entries > 0).then_some(self.last_key),
+            min_key: self.min_key.take(),
+            max_key: (self.num_entries > 0).then(|| std::mem::take(&mut self.last_key)),
         };
         let mut meta_page = Vec::new();
         meta_page.extend_from_slice(&META_MAGIC.to_le_bytes());
@@ -160,8 +164,19 @@ impl BTreeBuilder {
             return Err(Error::Storage("metadata page overflow".into()));
         }
         self.storage.append_page(self.file, &meta_page)?;
+        self.finished = true;
+        Ok(BTree::from_parts(self.storage.clone(), self.file, meta))
+    }
+}
 
-        Ok(BTree::from_parts(self.storage, self.file, meta))
+impl Drop for BTreeBuilder {
+    /// A build abandoned before [`BTreeBuilder::finish`] succeeded — an
+    /// error mid-build, or a caller that gave up — deletes its partial
+    /// file, so no pages outlive the failed build.
+    fn drop(&mut self) {
+        if !self.finished {
+            let _ = self.storage.delete_file(self.file);
+        }
     }
 }
 
@@ -199,6 +214,23 @@ mod tests {
         assert_eq!(ord, 0);
         assert!(t.search(b"j").unwrap().is_none());
         assert!(t.search(b"l").unwrap().is_none());
+    }
+
+    #[test]
+    fn an_abandoned_build_deletes_its_file() {
+        let s = storage();
+        let mut b = BTreeBuilder::new(s.clone());
+        let file = b.file;
+        for i in 0..2000 {
+            let (k, v) = kv(i);
+            b.add(&k, &v).unwrap();
+        }
+        assert!(s.file_pages(file).unwrap() > 0, "leaves were written");
+        drop(b);
+        assert!(s.file_pages(file).is_err(), "the partial file is gone");
+        // A finished build keeps its file.
+        let t = BTreeBuilder::new(s.clone()).finish().unwrap();
+        assert_eq!(s.file_pages(t.file()).unwrap(), 1);
     }
 
     #[test]

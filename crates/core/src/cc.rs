@@ -19,10 +19,7 @@
 
 use crate::dataset::Dataset;
 use lsm_common::{Error, Result};
-use lsm_tree::{
-    AtomicBitmap, BitmapSnapshot, BuildLink, ComponentBuilder, ComponentId, DiskComponent, LsmScan,
-    MergeRange, ScanOptions,
-};
+use lsm_tree::{BitmapSnapshot, BuildLink, DiskComponent, LsmScan, MergeRange, ScanOptions};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -49,8 +46,8 @@ pub fn merge_primary_with_cc(
     let pk_tree = ds
         .pk_index()
         .ok_or_else(|| Error::invalid("cc merge requires the primary key index"))?;
-    let p_inputs = primary.components_in_range(range);
-    let k_inputs = pk_tree.components_in_range(range);
+    let (p_inputs, mut p_builder, drop_anti) = primary.merge_start(range)?;
+    let (k_inputs, mut k_builder, _) = pk_tree.merge_start(range)?;
     if p_inputs.len() < 2 {
         return Err(Error::invalid("cc merge needs at least two components"));
     }
@@ -61,13 +58,6 @@ pub fn merge_primary_with_cc(
             k_inputs.len()
         )));
     }
-    let drop_anti = primary.range_includes_oldest(range);
-    let id = ComponentId::merged(p_inputs.iter().map(|c| c.id()))
-        .ok_or_else(|| Error::invalid("cc merge inputs carry no component IDs"))?;
-    let expected: u64 = p_inputs.iter().map(|c| c.num_entries()).sum();
-
-    let mut p_builder = builder_for(ds, &p_inputs, id, expected, true)?;
-    let mut k_builder = builder_for(ds, &k_inputs, id, expected, false)?;
 
     let link = match method {
         CcMethod::Baseline => None,
@@ -176,11 +166,12 @@ pub fn merge_primary_with_cc(
     }
 
     // --- catch-up / install phase ------------------------------------------
-    let n = p_builder.num_entries();
+    // The pk-index component shares the primary's bitmap, as a flush's does.
     let new_p = Arc::new(p_builder.finish()?);
     let new_k = Arc::new(k_builder.finish()?);
-    let bitmap = Arc::new(AtomicBitmap::new(n));
-    new_p.set_bitmap(bitmap.clone())?;
+    let bitmap = new_p
+        .bitmap()
+        .ok_or_else(|| Error::invalid("cc merge requires a Mutable-bitmap primary index"))?;
     new_k.set_bitmap(bitmap.clone())?;
 
     {
@@ -218,36 +209,4 @@ pub fn merge_primary_with_cc(
     }
     ds.stats().bump(&ds.stats().merges);
     Ok(new_p)
-}
-
-fn builder_for(
-    ds: &Dataset,
-    inputs: &[Arc<DiskComponent>],
-    id: ComponentId,
-    expected: u64,
-    is_primary: bool,
-) -> Result<ComponentBuilder> {
-    let mut filter = None;
-    if is_primary {
-        for c in inputs {
-            if let Some(f) = c.range_filter() {
-                match &mut filter {
-                    None => filter = Some(f.clone()),
-                    Some(acc) => acc.union(f),
-                }
-            }
-        }
-    }
-    ComponentBuilder::new(
-        ds.storage().clone(),
-        id,
-        lsm_tree::BuildOptions {
-            with_bloom: true,
-            bloom_kind: ds.config().bloom_kind,
-            bloom_fpr: ds.config().bloom_fpr,
-            expected_keys: expected as usize,
-            filter,
-            make_mutable_bitmap: false,
-        },
-    )
 }

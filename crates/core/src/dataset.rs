@@ -15,7 +15,9 @@ use crate::txn::wal::Frame;
 use crate::txn::{LockManager, LogOp, LogRecord, Wal};
 use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
-use lsm_tree::{locate_valid, point_lookup, LsmEntry, LsmOptions, LsmTree, MergeRange};
+use lsm_tree::{
+    locate_valid, point_lookup, DiskComponent, LsmEntry, LsmOptions, LsmTree, MergeRange,
+};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -500,9 +502,8 @@ impl Dataset {
         // Torn flush installs (newest-first): roll back primary components
         // that postdate every sibling component. When a pk index exists it
         // is the reference — it flushes in lockstep with the primary and is
-        // the *next* install after the primary in every flush path, so it
-        // (not the secondaries, which the Mutable-bitmap path installs
-        // first) tells a torn flush from a torn merge: a merged component's
+        // the *next* install after the primary (the secondaries follow it),
+        // so it tells a torn flush from a torn merge: a merged component's
         // interval still covers old pk components, a flushed one's doesn't.
         while let Some(newest) = self.primary.disk_components().first() {
             let ahead = match &self.pk_index {
@@ -1157,32 +1158,77 @@ impl Dataset {
             || self.secondaries.iter().any(|s| s.tree.has_sealed())
     }
 
-    /// Builds and installs whatever is sealed, per strategy.
+    /// Builds whatever is sealed into one component per index (pages
+    /// written primary, pk index, secondaries), then publishes them: one
+    /// sequence for every strategy. Under Mutable-bitmap the pk-index
+    /// component takes the primary's bitmap (Section 5.1: both sealed
+    /// under one drain lock, so their ordinals coincide). Then, under the
+    /// drain lock with no writer mid-op, the flush side-file (only
+    /// Mutable-bitmap opens one) closes with its routed deletes marked, and
+    /// the components are published, the primary first. A concurrent delete
+    /// probe therefore either appends to the open side-file or sees the
+    /// installed component; it never loses its mark. A failed flush retires
+    /// what it built but did not publish; the snapshots stay sealed.
     fn build_and_install_sealed(&self, mutable_bitmap: bool) -> Result<bool> {
         if mutable_bitmap {
             // Make sure the side-file is open before (re)building: a retry
             // after a failure must capture deletes routed meanwhile.
-            {
-                let _drain = self.dataset_lock.write();
-                let mut side = self.flush_deletes.lock();
-                if side.is_none() {
-                    *side = Some(Vec::new());
+            let _drain = self.dataset_lock.write();
+            self.flush_deletes.lock().get_or_insert_with(Vec::new);
+        }
+        let trees: Vec<&LsmTree> = std::iter::once(&self.primary)
+            .chain(&self.pk_index)
+            .chain(self.secondaries.iter().map(|s| &s.tree))
+            .collect();
+        let mut built = Unpublished(Vec::with_capacity(trees.len()));
+        for tree in &trees {
+            built.0.push(tree.build_sealed()?);
+        }
+        if mutable_bitmap && self.pk_index.is_some() {
+            // The primary and pk index receive identical key/timestamp
+            // streams and seal together, so they flush together: each pair
+            // shares one bitmap, ordinal for ordinal.
+            match (&built.0[0], &built.0[1]) {
+                (Some(p), Some(k)) => {
+                    let bitmap = p
+                        .bitmap()
+                        .ok_or_else(|| Error::corruption("primary flush produced no bitmap"))?;
+                    k.set_bitmap(bitmap)?;
+                }
+                (None, None) => {}
+                _ => {
+                    return Err(Error::corruption(
+                        "mutable-bitmap flush mismatch: only one of the primary and pk index \
+                         flushed",
+                    ))
                 }
             }
-            self.flush_sealed_mutable_bitmap()
-        } else {
-            let primary_comp = self.primary.flush_sealed()?;
-            // Crash window: the primary component is installed, the pk
-            // index's is not yet.
-            self.crash_site("flush_install")?;
-            if let Some(pk_tree) = &self.pk_index {
-                pk_tree.flush_sealed()?;
-            }
-            for sec in &self.secondaries {
-                sec.tree.flush_sealed()?;
-            }
-            Ok(primary_comp.is_some())
         }
+        let _drain = self.dataset_lock.write();
+        {
+            // The side-file closes only once its deletes are marked: a
+            // flush that fails here keeps them for the retry.
+            let mut side = self.flush_deletes.lock();
+            if let (Some(p), Some(routed)) = (&built.0[0], side.as_ref()) {
+                if let Some(bitmap) = p.bitmap() {
+                    for key in routed {
+                        if let Some((_, ordinal)) = p.search(key)? {
+                            bitmap.set(ordinal);
+                        }
+                    }
+                }
+            }
+            *side = None;
+        }
+        let flushed = built.0[0].is_some();
+        built.publish(0, &self.primary);
+        // Crash window: the primary component is published, the pk index's
+        // and the secondaries' are not yet.
+        self.crash_site("flush_install")?;
+        for (i, tree) in trees.iter().enumerate().skip(1) {
+            built.publish(i, tree);
+        }
+        Ok(flushed)
     }
 
     /// Post-flush bookkeeping: count it and force the WAL (flushed
@@ -1193,59 +1239,6 @@ impl Dataset {
             wal.force()?;
         }
         Ok(())
-    }
-
-    /// The Mutable-bitmap flush: build the primary and pk-index components,
-    /// share the primary's bitmap (Section 5.1 — both sealed under one
-    /// drain lock, so entries are pk-ordered with coinciding ordinals),
-    /// then atomically — under the drain lock, with no writer mid-op —
-    /// close the flush side-file, mark the routed deletes in the new
-    /// bitmap, and publish both components. A concurrent delete probe
-    /// therefore either appends to the open side-file or sees the fully
-    /// installed component; it can never lose its mark.
-    fn flush_sealed_mutable_bitmap(&self) -> Result<bool> {
-        let primary_comp = self.primary.build_sealed()?;
-        let pk_comp = match &self.pk_index {
-            Some(t) => t.build_sealed()?,
-            None => None,
-        };
-        for sec in &self.secondaries {
-            sec.tree.flush_sealed()?;
-        }
-        // The primary and pk index receive identical key/timestamp streams
-        // and seal together, so they flush together: each pair shares one
-        // bitmap, ordinal for ordinal.
-        if self.pk_index.is_some() && primary_comp.is_some() != pk_comp.is_some() {
-            return Err(Error::corruption(
-                "mutable-bitmap flush mismatch: only one of the primary and pk index flushed",
-            ));
-        }
-        if let (Some(p), Some(k)) = (&primary_comp, &pk_comp) {
-            let bitmap = p
-                .bitmap()
-                .ok_or_else(|| Error::corruption("primary flush produced no bitmap"))?;
-            k.set_bitmap(bitmap)?;
-        }
-        let _drain = self.dataset_lock.write();
-        let routed = self.flush_deletes.lock().take().unwrap_or_default();
-        let flushed = primary_comp.is_some();
-        if let Some(p) = primary_comp {
-            if let Some(bitmap) = p.bitmap() {
-                for key in &routed {
-                    if let Some((_, ordinal)) = p.search(key)? {
-                        bitmap.set(ordinal);
-                    }
-                }
-            }
-            self.primary.install_sealed(p);
-        }
-        // Crash window: the primary component is published, the paired
-        // pk-index component is not yet.
-        self.crash_site("flush_install")?;
-        if let (Some(pk_tree), Some(k)) = (&self.pk_index, pk_comp) {
-            pk_tree.install_sealed(k);
-        }
-        Ok(flushed)
     }
 
     /// Applies the merge policy to the current component lists and returns
@@ -1328,15 +1321,26 @@ impl Dataset {
                         return Ok(false);
                     }
                 }
+                // The indexes merge in lockstep (Section 4.4): the primary
+                // first, then the pk index, then every secondary.
                 if self.cfg.strategy == StrategyKind::MutableBitmap {
                     crate::cc::merge_primary_with_cc(self, plan.range, self.cfg.cc_method)?;
-                    for sec in &self.secondaries {
-                        if !stale(&sec.tree) {
-                            self.merge_secondary(sec, plan.range)?;
-                        }
-                    }
                 } else {
-                    self.merge_correlated(plan.range)?;
+                    self.primary.merge_range(plan.range)?;
+                    self.stats.bump(&self.stats.merges);
+                    // Crash window: the primary's merged component is
+                    // installed, the pk index and secondaries still hold
+                    // the pre-merge components.
+                    self.crash_site("merge_install")?;
+                    if let Some(pk_tree) = &self.pk_index {
+                        pk_tree.merge_range(plan.range)?;
+                        self.stats.bump(&self.stats.merges);
+                    }
+                }
+                for sec in &self.secondaries {
+                    if !stale(&sec.tree) {
+                        self.merge_secondary(sec, plan.range)?;
+                    }
                 }
             }
             MergeTarget::Primary => {
@@ -1387,29 +1391,6 @@ impl Dataset {
             self.execute_merge_plan_locked(plan)?;
         }
         Ok(!plans.is_empty())
-    }
-
-    /// Merges all of the dataset's indexes over the same component range
-    /// (the correlated merge policy of Section 4.4). Mutable-bitmap
-    /// datasets never come here: their correlated merges take the cc path.
-    fn merge_correlated(&self, range: MergeRange) -> Result<()> {
-        self.primary.merge_range(range)?;
-        self.stats.bump(&self.stats.merges);
-        // Crash window: the primary's merged component is installed, the
-        // pk index and secondaries still hold the pre-merge components.
-        self.crash_site("merge_install")?;
-        if let Some(pk_tree) = &self.pk_index {
-            if pk_tree.num_disk_components() > range.end {
-                pk_tree.merge_range(range)?;
-                self.stats.bump(&self.stats.merges);
-            }
-        }
-        for sec in &self.secondaries {
-            if sec.tree.num_disk_components() > range.end {
-                self.merge_secondary(sec, range)?;
-            }
-        }
-        Ok(())
     }
 
     /// Merges one secondary index range, repairing it when the strategy
@@ -1479,6 +1460,29 @@ impl Dataset {
         }
         self.locks
             .with_shared(pk_key, || point_lookup(&self.primary, pk_key))
+    }
+}
+
+/// The components one flush built, one slot per index in publish order
+/// (primary, pk index, secondaries). Dropping the set retires every
+/// component still in a slot, so a flush that fails after building leaves
+/// no file behind.
+struct Unpublished(Vec<Option<Arc<DiskComponent>>>);
+
+impl Unpublished {
+    /// Installs slot `i`'s component, if one was built, as `tree`'s newest.
+    fn publish(&mut self, i: usize, tree: &LsmTree) {
+        if let Some(comp) = self.0[i].take() {
+            tree.install_sealed(comp);
+        }
+    }
+}
+
+impl Drop for Unpublished {
+    fn drop(&mut self) {
+        for comp in self.0.iter().flatten() {
+            comp.retire();
+        }
     }
 }
 
@@ -1676,7 +1680,7 @@ mod tests {
         // snapshot: the delete must be routed, not dropped.
         ds.delete(&Value::Int(1)).unwrap();
         assert_eq!(ds.flush_deletes.lock().as_ref().unwrap().len(), 1);
-        ds.flush_sealed_mutable_bitmap().unwrap();
+        ds.build_and_install_sealed(true).unwrap();
         assert!(ds.flush_deletes.lock().is_none(), "side-file closed");
 
         let comp = &ds.primary().disk_components()[0];

@@ -24,8 +24,8 @@ use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Error, Key, RecordView, Result, Timestamp};
 use lsm_storage::Storage;
 use lsm_tree::{
-    any_may_contain, sorted_timestamps, AtomicBitmap, ComponentBuilder, ComponentId, ComponentList,
-    DiskComponent, EntryRef, LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions, WalkStats,
+    any_may_contain, sorted_timestamps, AtomicBitmap, ComponentList, DiskComponent, EntryRef,
+    LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions, WalkStats,
 };
 use std::ops::Bound;
 use std::sync::Arc;
@@ -437,27 +437,11 @@ fn merge_repair_against(
     range: MergeRange,
     opts: &RepairOptions,
 ) -> Result<RepairReport> {
-    let inputs = sec_tree.components_in_range(range);
-    let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
-        .ok_or_else(|| Error::invalid("merge repair range holds no components"))?;
+    let (inputs, mut builder, drop_anti) = sec_tree.merge_start(range)?;
     let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
-    let drop_anti = sec_tree.range_includes_oldest(range);
-    let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
     let storage = sec_tree.storage();
 
     let mut report = RepairReport::default();
-    let mut builder = ComponentBuilder::new(
-        storage.clone(),
-        id,
-        lsm_tree::BuildOptions {
-            with_bloom: sec_tree.options().with_bloom,
-            bloom_kind: sec_tree.options().bloom_kind,
-            bloom_fpr: sec_tree.options().bloom_fpr,
-            expected_keys: expected as usize,
-            filter: None,
-            make_mutable_bitmap: false,
-        },
-    )?;
     let mut validation = Validation::new(storage, pk_components, prune_ts, opts);
 
     // Scan all merging components (Figure 7 lines 1-7): valid entries go to
@@ -570,7 +554,7 @@ pub(crate) fn repair_all_secondaries(
 ) -> Result<Vec<RepairReport>> {
     let pk_tree = dataset
         .pk_index()
-        .ok_or_else(|| lsm_common::Error::invalid("index repair requires the primary key index"))?;
+        .ok_or_else(|| Error::invalid("index repair requires the primary key index"))?;
     if parallel && dataset.secondaries().len() > 1 {
         let mut reports = vec![RepairReport::default(); dataset.secondaries().len()];
         std::thread::scope(|scope| -> Result<()> {

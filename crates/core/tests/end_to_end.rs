@@ -4,7 +4,9 @@
 
 use lsm_common::Value;
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
-use lsm_storage::{Storage, StorageOptions};
+use lsm_storage::{
+    FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, FileId, Storage, StorageOptions,
+};
 use lsm_workload::{TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -203,4 +205,83 @@ fn stats_reflect_strategy_costs() {
     let l = lazy.stats().snapshot();
     assert!(e.maintenance_lookups > l.maintenance_lookups);
     assert_eq!(l.maintenance_lookups, 0, "upserts do no lookups under lazy");
+}
+
+/// `n` tweet upserts held in memory (the budget never trips), so one
+/// `flush_all` builds every index's component. No log: the data device
+/// holds component files only.
+fn loaded_for_one_flush(strategy: StrategyKind, n: usize) -> Arc<Dataset> {
+    let mut cfg = DatasetConfig::new(TweetGenerator::schema(), 0);
+    cfg.strategy = strategy;
+    cfg.secondary_indexes = vec![SecondaryIndexDef {
+        name: "user_id".into(),
+        field: 1,
+    }];
+    cfg.memory_budget = usize::MAX;
+    let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+    let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..n {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    ds
+}
+
+/// Files on `s` that hold pages.
+fn files_with_pages(s: &Storage) -> usize {
+    let end = s.create_file().0;
+    (0..end)
+        .filter(|&f| s.file_pages(FileId(f)).is_ok_and(|n| n > 0))
+        .count()
+}
+
+fn installed_components(ds: &Dataset) -> usize {
+    std::iter::once(ds.primary())
+        .chain(ds.pk_index())
+        .chain(ds.secondaries().iter().map(|s| &s.tree))
+        .map(|t| t.num_disk_components())
+        .sum()
+}
+
+/// A flush that fails mid-build leaves no file behind, whichever build
+/// fails: the failing builder deletes its partial file, and the components
+/// built before it are retired unpublished. The retry publishes one
+/// component per index, and no other file holds pages.
+#[test]
+fn a_failed_flush_build_leaves_no_file_behind() {
+    for strategy in strategies() {
+        // Where the primary's build ends, measured on a twin flushed
+        // without a fault: the pk index's build starts there.
+        let twin = loaded_for_one_flush(strategy, 3000);
+        twin.flush_all().unwrap();
+        let primary_file = twin.primary().disk_components()[0].btree().file();
+        let primary_pages = u64::from(twin.storage().file_pages(primary_file).unwrap());
+        for (build, index) in [("primary", 3), ("pk index", primary_pages + 2)] {
+            let ds = loaded_for_one_flush(strategy, 3000);
+            let plan = FaultPlan::new(vec![FaultSpec {
+                trigger: FaultTrigger::OpIndex {
+                    op: FaultOp::Append,
+                    index,
+                },
+                action: FaultAction::TransientError,
+            }]);
+            ds.storage().install_fault_plan(plan.clone());
+            plan.arm();
+            let err = ds.flush_all().unwrap_err();
+            plan.disarm();
+            let case = format!("{strategy:?}, fault in the {build} build");
+            assert!(err.is_transient(), "{case}: {err}");
+            assert_eq!(installed_components(&ds), 0, "{case}: nothing published");
+            assert_eq!(files_with_pages(ds.storage()), 0, "{case}: a file leaked");
+
+            assert!(ds.flush_all().unwrap(), "{case}: the retry flushes");
+            let installed = installed_components(&ds);
+            assert_eq!(installed, 2 + ds.secondaries().len(), "{case}");
+            assert_eq!(files_with_pages(ds.storage()), installed, "{case}");
+            assert_eq!(
+                ds.primary().disk_entries(),
+                twin.primary().disk_entries(),
+                "{case}: the retry flushed everything"
+            );
+        }
+    }
 }

@@ -10,13 +10,13 @@
 //! Each tree has one active memory component (a `BTreeMap` under one
 //! mutex) and at most one sealed one. [`LsmTree::seal_mem`] turns the
 //! active component into the sealed snapshot in one step; writers then
-//! fill a fresh active component while [`LsmTree::flush_sealed`] builds
+//! fill a fresh active component while [`LsmTree::build_sealed`] builds
 //! the snapshot into one disk component carrying the snapshot's own
 //! `(minTS, maxTS)` interval. Readers see both memory components (the
-//! active entry shadows the sealed one) until the disk component is
-//! installed. Every flush therefore adds exactly one component, and a
-//! merged component's interval spans at least two flushes — recovery
-//! tells the two apart by interval alone.
+//! active entry shadows the sealed one) until [`LsmTree::install_sealed`]
+//! publishes the disk component. Every flush therefore adds exactly one
+//! component, and a merged component's interval spans at least two
+//! flushes — recovery tells the two apart by interval alone.
 
 use crate::component::DiskComponent;
 use crate::component_id::ComponentId;
@@ -438,17 +438,10 @@ impl LsmTree {
     /// ordinal-for-ordinal alignment the shared-bitmap design requires,
     /// which re-merging the pk index's own (bitmap-filtered) inputs cannot.
     pub fn mirror_component(&self, source: &Arc<DiskComponent>) -> Result<Arc<DiskComponent>> {
-        let mut builder = ComponentBuilder::new(
-            self.storage.clone(),
+        let mut builder = self.component_builder(
             source.id(),
-            BuildOptions {
-                with_bloom: self.opts.with_bloom,
-                bloom_kind: self.opts.bloom_kind,
-                bloom_fpr: self.opts.bloom_fpr,
-                expected_keys: source.num_entries() as usize,
-                filter: source.range_filter().cloned(),
-                make_mutable_bitmap: self.opts.mutable_bitmaps,
-            },
+            source.num_entries() as usize,
+            source.range_filter().cloned(),
         )?;
         let mut scan = LsmScan::new(
             self.storage.clone(),
@@ -470,7 +463,7 @@ impl LsmTree {
     /// Seals the active memory component for flushing — atomically, under
     /// its lock, so no operation is ever split across the seal: writers
     /// continue into a fresh active component while
-    /// [`LsmTree::flush_sealed`] builds the snapshot into a disk component.
+    /// [`LsmTree::build_sealed`] builds the snapshot into a disk component.
     /// Returns `false` (and seals nothing) if the active component is
     /// empty. Errors if a sealed snapshot is already pending — callers
     /// must serialize flushes (the engine holds a per-dataset flush lock).
@@ -495,7 +488,7 @@ impl LsmTree {
     /// the newest. Returns `None` when nothing is sealed. The snapshot
     /// stays visible to readers throughout, so there is no window where
     /// its entries are neither in memory nor on disk.
-    pub fn flush_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
+    fn flush_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
         let comp = self.build_sealed()?;
         if let Some(c) = &comp {
             self.install_sealed(c.clone());
@@ -504,10 +497,9 @@ impl LsmTree {
     }
 
     /// Builds the sealed snapshot's disk component WITHOUT installing it —
-    /// the engine uses this when the component needs preparation before
-    /// becoming visible (shared-bitmap attachment, routed deletes of the
-    /// Mutable-bitmap strategy), followed by [`LsmTree::install_sealed`].
-    /// The component carries the snapshot's own interval.
+    /// the engine builds every index's component before it publishes any
+    /// with [`LsmTree::install_sealed`]. The component carries the
+    /// snapshot's own interval.
     pub fn build_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
         let Some(snapshot) = self.sealed.read().clone() else {
             return Ok(None);
@@ -518,18 +510,7 @@ impl LsmTree {
                 self.opts.name
             ))
         })?;
-        let mut builder = ComponentBuilder::new(
-            self.storage.clone(),
-            id,
-            BuildOptions {
-                with_bloom: self.opts.with_bloom,
-                bloom_kind: self.opts.bloom_kind,
-                bloom_fpr: self.opts.bloom_fpr,
-                expected_keys: snapshot.len(),
-                filter: snapshot.filter().cloned(),
-                make_mutable_bitmap: self.opts.mutable_bitmaps,
-            },
-        )?;
+        let mut builder = self.component_builder(id, snapshot.len(), snapshot.filter().cloned())?;
         for (k, e) in snapshot.iter() {
             builder.add(k, e)?;
         }
@@ -580,7 +561,7 @@ impl LsmTree {
     /// Components of `range` (oldest-first indexing), returned newest-first.
     /// Returns an empty vector when the range no longer fits the component
     /// list (a stale plan after a concurrent merge).
-    pub fn components_in_range(&self, range: MergeRange) -> Vec<Arc<DiskComponent>> {
+    fn components_in_range(&self, range: MergeRange) -> Vec<Arc<DiskComponent>> {
         let disk = self.disk_components();
         let n = disk.len();
         if range.end >= n || range.start > range.end {
@@ -592,10 +573,51 @@ impl LsmTree {
         disk[lo..=hi].to_vec()
     }
 
-    /// True if `range` includes the oldest disk component (anti-matter can
-    /// then be dropped by the merge).
-    pub fn range_includes_oldest(&self, range: MergeRange) -> bool {
-        range.start == 0
+    /// What every merge of `range` starts from: the input components
+    /// (newest first), a builder carrying the merged ID, the union of the
+    /// inputs' range filters and a Bloom filter sized for their entries,
+    /// and whether the merge drops anti-matter.
+    pub fn merge_start(
+        &self,
+        range: MergeRange,
+    ) -> Result<(Vec<Arc<DiskComponent>>, ComponentBuilder, bool)> {
+        let inputs = self.components_in_range(range);
+        let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
+            .ok_or_else(|| Error::invalid("merge range holds no components"))?;
+        let mut filter: Option<RangeFilter> = None;
+        for f in inputs.iter().filter_map(|c| c.range_filter()) {
+            match &mut filter {
+                None => filter = Some(f.clone()),
+                Some(acc) => acc.union(f),
+            }
+        }
+        let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
+        let builder = self.component_builder(id, expected as usize, filter)?;
+        // Anti-matter can go once the range includes the oldest component.
+        Ok((inputs, builder, range.start == 0))
+    }
+
+    /// A builder for a component `id` of this tree, with the tree's own
+    /// Bloom and bitmap options and a Bloom filter sized for
+    /// `expected_keys`.
+    fn component_builder(
+        &self,
+        id: ComponentId,
+        expected_keys: usize,
+        filter: Option<RangeFilter>,
+    ) -> Result<ComponentBuilder> {
+        ComponentBuilder::new(
+            self.storage.clone(),
+            id,
+            BuildOptions {
+                with_bloom: self.opts.with_bloom,
+                bloom_kind: self.opts.bloom_kind,
+                bloom_fpr: self.opts.bloom_fpr,
+                expected_keys,
+                filter,
+                make_mutable_bitmap: self.opts.mutable_bitmaps,
+            },
+        )
     }
 
     /// Merges the components in `range` into one new component.
@@ -605,35 +627,10 @@ impl LsmTree {
     /// component. Returns the new component after swapping it in and
     /// destroying the inputs.
     pub fn merge_range(&self, range: MergeRange) -> Result<Arc<DiskComponent>> {
-        let inputs = self.components_in_range(range);
+        let (inputs, mut builder, drop_anti) = self.merge_start(range)?;
         if inputs.len() < 2 {
             return Err(Error::invalid("merge needs at least two components"));
         }
-        let drop_anti = self.range_includes_oldest(range);
-        let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
-            .ok_or_else(|| Error::invalid("merge inputs carry no component IDs"))?;
-        let mut filter: Option<RangeFilter> = None;
-        for c in &inputs {
-            if let Some(f) = c.range_filter() {
-                match &mut filter {
-                    None => filter = Some(f.clone()),
-                    Some(acc) => acc.union(f),
-                }
-            }
-        }
-        let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
-        let mut builder = ComponentBuilder::new(
-            self.storage.clone(),
-            id,
-            BuildOptions {
-                with_bloom: self.opts.with_bloom,
-                bloom_kind: self.opts.bloom_kind,
-                bloom_fpr: self.opts.bloom_fpr,
-                expected_keys: expected as usize,
-                filter,
-                make_mutable_bitmap: self.opts.mutable_bitmaps,
-            },
-        )?;
         let mut scan = LsmScan::new(
             self.storage.clone(),
             None,

@@ -37,7 +37,7 @@ use lsm_engine::{
 use lsm_storage::{
     FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, Storage, StorageOptions,
 };
-use lsm_tree::MergeRange;
+use lsm_tree::{ComponentId, MergeRange};
 use lsm_workload::{
     Op, SelectivityQueries, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload,
     USER_ID_DOMAIN,
@@ -95,10 +95,12 @@ pub enum FaultKind {
     /// not at all.
     CrashGroupCommit,
     /// Crash at the `flush_install` site: the primary's flushed component
-    /// is installed, the primary key index's is not.
+    /// is installed, the primary key index's and the secondaries' are not
+    /// — in every strategy, and checked before recovery.
     CrashFlushInstall,
     /// Crash at the `merge_install` site: the primary's merged component is
-    /// installed, the primary key index still holds the merge inputs.
+    /// installed, the primary key index and the secondaries still hold the
+    /// merge inputs — in every strategy, and checked before recovery.
     CrashMergeInstall,
     /// Crash at the `checkpoint` site: the checkpoint record is logged but
     /// no snapshot is taken; the previous checkpoint must stay usable.
@@ -573,10 +575,15 @@ impl<'a> Harness<'a> {
                 // primary and the primary key index, and recovery must
                 // still produce them.
                 self.commit_extras(16)?;
+                // No background job may move a component list under the
+                // install-window check.
+                self.chk(self.ds.maintenance().quiesce(), "pre-flush quiesce")?;
+                let before = self.component_ids();
                 self.plan.arm();
                 let r = self.ds.flush_all();
                 self.plan.disarm();
                 self.expect_crash_err(r, "flush with crashing install")?;
+                self.check_install_window(&before, "flush_install")?;
                 Ok(Some(Trigger {
                     pending: Vec::new(),
                     rule: PendingRule::Absent,
@@ -607,6 +614,7 @@ impl<'a> Harness<'a> {
                 // The merge the engine itself runs: Mutable-bitmap datasets
                 // go through the Section 5.3 cc path and crash at its
                 // install site.
+                let before = self.component_ids();
                 self.plan.arm();
                 let r = self.ds.execute_merge_plan(&MergePlan {
                     target: MergeTarget::Correlated,
@@ -617,6 +625,7 @@ impl<'a> Harness<'a> {
                 });
                 self.plan.disarm();
                 self.expect_crash_err(r, "merge with crashing install")?;
+                self.check_install_window(&before, "merge_install")?;
                 Ok(Some(Trigger {
                     pending: Vec::new(),
                     rule: PendingRule::Absent,
@@ -713,6 +722,42 @@ impl<'a> Harness<'a> {
                 Ok(None)
             }
         }
+    }
+
+    /// The disk-component IDs of every index, newest first: the primary,
+    /// then the primary key index, then each secondary.
+    fn component_ids(&self) -> Vec<Vec<ComponentId>> {
+        std::iter::once(self.ds.primary())
+            .chain(self.ds.pk_index())
+            .chain(self.ds.secondaries().iter().map(|s| &s.tree))
+            .map(|t| t.disk_components().iter().map(|c| c.id()).collect())
+            .collect()
+    }
+
+    /// A crash at an install site (`flush_install`, `merge_install`) must
+    /// find exactly the primary published: its component list changed,
+    /// while the primary key index and every secondary still hold the
+    /// components they held before the install began.
+    fn check_install_window(
+        &self,
+        before: &[Vec<ComponentId>],
+        site: &str,
+    ) -> Result<(), TortureFailure> {
+        let after = self.component_ids();
+        if after[0] == before[0] {
+            return Err(self.fail(format!(
+                "crash at {site}: the primary published nothing before the site"
+            )));
+        }
+        if after[1..] != before[1..] {
+            return Err(self.fail(format!(
+                "crash at {site}: a sibling index published before the primary's \
+                 install window closed: {:?} became {:?}",
+                &before[1..],
+                &after[1..]
+            )));
+        }
+        Ok(())
     }
 
     // ---- phase 4: verify ------------------------------------------------
@@ -928,8 +973,8 @@ mod tests {
 
     /// The acceptance window: a crash between the primary's component
     /// install and the primary key index's during a flush, for every
-    /// strategy (the Mutable-bitmap flush installs through a different
-    /// path than the build-then-install strategies).
+    /// strategy (all four flush through one build-then-publish sequence;
+    /// Mutable-bitmap adds the shared bitmap and the side-file).
     #[test]
     fn crash_between_primary_and_pk_flush_install_recovers() {
         for strategy in STRATEGIES {
@@ -940,9 +985,12 @@ mod tests {
         }
     }
 
+    /// The same window in a correlated merge, for every strategy:
+    /// Mutable-bitmap crashes inside the Section 5.3 cc merge, the others
+    /// between the primary's and the pk index's `merge_range`.
     #[test]
     fn crash_in_merge_install_window_recovers() {
-        for strategy in [StrategyKind::Eager, StrategyKind::MutableBitmap] {
+        for strategy in STRATEGIES {
             let c = case(strategy, FaultKind::CrashMergeInstall);
             let report = run_case(&c).unwrap_or_else(|f| panic!("{f}"));
             assert_eq!(report.events, vec!["site:merge_install#0 -> crash"]);
