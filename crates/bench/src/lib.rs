@@ -1,14 +1,14 @@
-//! Shared harness for the figure-reproduction benchmarks.
+//! Shared harness for the figure reproduction.
 //!
-//! Every bench target in `benches/` regenerates one figure of Section 6.
-//! The paper's testbed (80M tweets ≈ 30GB on a 7200rpm disk, 2GB buffer
-//! cache, 128MB memory components, 1GB maximum mergeable components) is
-//! scaled down by roughly 200× while preserving the *ratios* that shape the
-//! results:
+//! [`figures`] regenerates every figure of Section 6; `benches/figures.rs`
+//! prints them. The paper's testbed (80M tweets ≈ 30GB on a 7200rpm disk,
+//! 2GB buffer cache, 128MB memory components, 1GB maximum mergeable
+//! components) is scaled down by roughly 200× while preserving the *ratios*
+//! that shape the results:
 //!
 //! | knob                     | paper    | here (default)        |
 //! |--------------------------|----------|-----------------------|
-//! | records                  | 80M      | ~100K (per bench)     |
+//! | records                  | 80M      | ~100K (per figure)    |
 //! | record size              | ~500B    | 500B                  |
 //! | buffer cache / dataset   | ~6.7%    | same ratio            |
 //! | memory comps / dataset   | ~0.4%    | ~1% (merge pacing)    |
@@ -17,15 +17,15 @@
 //! | bloom FPR                | 1%       | 1%                    |
 //! | tiering size ratio       | 1.2      | 1.2                   |
 //!
-//! Results are reported in **simulated seconds** (the paper's y-axes) with
-//! wall-clock seconds alongside. `EXPERIMENTS.md` records paper-vs-measured
-//! shapes.
+//! Results are reported in **simulated seconds** (the paper's y-axes).
+//! Each figure function's doc states the shape the paper reports.
 
-use lsm_common::{Record, Value};
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{SimClock, Storage, StorageOptions};
 use lsm_workload::{Op, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::sync::Arc;
+
+pub mod figures;
 
 /// Allocation counting for the zero-copy acceptance numbers.
 ///
@@ -73,16 +73,6 @@ pub mod alloc_track {
     pub fn allocations() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed)
     }
-}
-
-/// `n` scaled by the bench scale factor, `LSM_BENCH_SCALE` (default 1.0;
-/// e.g. 0.2 for a quick smoke run, 4.0 for a long run).
-pub fn scaled(n: usize) -> usize {
-    let scale: f64 = std::env::var("LSM_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    ((n as f64) * scale).max(16.0) as usize
 }
 
 /// A scaled experimental environment.
@@ -187,75 +177,24 @@ pub fn prepare_dataset(
     update_ratio: f64,
     distribution: UpdateDistribution,
 ) -> (Arc<Dataset>, UpsertWorkload) {
-    let cfg = tweet_dataset_config(strategy, dataset_bytes, 1);
-    let ds = open_tweet_dataset(env, cfg);
-    let mut workload = UpsertWorkload::new(TweetConfig::default(), update_ratio, distribution);
-    for _ in 0..n {
-        let op = workload.next_op();
-        apply(&ds, &op);
-    }
-    ds.flush_all().expect("flush");
+    let ds = open_tweet_dataset(env, tweet_dataset_config(strategy, dataset_bytes, 1));
+    let workload = loaded(&ds, n, update_ratio, distribution);
     (ds, workload)
 }
 
-/// A stopwatch pairing simulated and wall-clock time.
-pub struct Timer {
-    clock: SimClock,
-    sim_start: f64,
-    wall_start: std::time::Instant,
-}
-
-impl Timer {
-    /// Starts timing on `clock`.
-    pub fn start(clock: &SimClock) -> Self {
-        Timer {
-            clock: clock.clone(),
-            sim_start: clock.now_secs(),
-            wall_start: std::time::Instant::now(),
-        }
+/// Upserts `n` default tweets into `ds`, `update_ratio` of them updates of
+/// earlier keys drawn from `distribution`, and flushes. Returns the
+/// workload, whose generator knows the keys and times it issued.
+fn loaded(
+    ds: &Dataset,
+    n: usize,
+    update_ratio: f64,
+    distribution: UpdateDistribution,
+) -> UpsertWorkload {
+    let mut workload = UpsertWorkload::new(TweetConfig::default(), update_ratio, distribution);
+    for _ in 0..n {
+        apply(ds, &workload.next_op());
     }
-
-    /// `(simulated seconds, wall seconds)` since start.
-    pub fn elapsed(&self) -> (f64, f64) {
-        (
-            self.clock.now_secs() - self.sim_start,
-            self.wall_start.elapsed().as_secs_f64(),
-        )
-    }
-}
-
-/// Prints a table header for a figure.
-pub fn table_header(figure: &str, title: &str, columns: &[&str]) {
-    println!();
-    println!("=== {figure}: {title} ===");
-    println!("{}", columns.join("\t"));
-}
-
-/// Prints one row of numbers.
-pub fn row(label: &str, values: &[f64]) {
-    let cells: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
-    println!("{label}\t{}", cells.join("\t"));
-}
-
-/// Builds a `creation_time` range predicate selecting the most recent
-/// `days` out of `total_days` over a dataset whose creation times span
-/// `0..max_time`.
-pub fn recent_time_range(
-    max_time: i64,
-    days: i64,
-    total_days: i64,
-) -> (Option<Value>, Option<Value>) {
-    let lo = max_time - max_time * days / total_days;
-    (Some(Value::Int(lo)), None)
-}
-
-/// Range predicate selecting the OLDEST `days` out of `total_days`.
-pub fn old_time_range(max_time: i64, days: i64, total_days: i64) -> (Option<Value>, Option<Value>) {
-    let hi = max_time * days / total_days;
-    (None, Some(Value::Int(hi)))
-}
-
-/// Convenience: a record's primary key value.
-pub fn pk_of(r: &Record) -> i64 {
-    r.get(0).as_int().expect("int pk")
+    ds.flush_all().expect("flush");
+    workload
 }
