@@ -45,6 +45,13 @@
 //! Eager (see [`batched_ingest`]). A batch of one is charged exactly what
 //! the single-operation ingest is charged at its last flush. Batches of 32
 //! check the memory budget once per commit, so they flush less often.
+//!
+//! Four read rows, one per strategy, pin the read path: the ingest's
+//! upsert stream, flushed and left unrepaired, then a fixed script of
+//! point reads, secondary-index queries in every form and filter scans
+//! (see [`read_script`]). Recorded at commit 2e74b00, whose queries and
+//! filter scans still ran on a partition executor at its one-partition
+//! default; the single-pass executor that replaced it is charged the same.
 
 use lsm_bench::{apply, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::Value;
@@ -530,4 +537,187 @@ fn eager_batch_32_ingest_is_charged_what_the_parent_charged() {
         clock: 20_000,
     };
     assert_eq!(batched_ingest(StrategyKind::Eager, 32), recorded);
+}
+
+/// Everything the read script was charged, and what it returned.
+#[derive(Debug, PartialEq, Eq)]
+struct ReadCosts {
+    sim_ns: u64,
+    cpu_ns: u64,
+    seq_reads: u64,
+    rand_reads: u64,
+    cache_hits: u64,
+    bytes_read: u64,
+    bloom_checks: u64,
+    bloom_negatives: u64,
+    batched_lookups_saved: u64,
+    /// Records returned by gets, record queries and the stream.
+    rows: u64,
+    /// Primary keys returned by index-only queries.
+    keys: u64,
+    /// Filter-scan matches: counted and collected.
+    matches: u64,
+}
+
+/// [`ingest`]'s fixed-seed 20 k-upsert stream under `strategy`, flushed
+/// and left unrepaired, then one fixed read script, charged alone: 200
+/// gets (one in ten of an absent key); `eq` and `range` queries with the
+/// strategy's default validation; a query-driven-repair query, then the
+/// index-only query over its range, which reads the marks it left; a
+/// `limit(10)` query; a collected stream; and filter scans, counted and
+/// collected, over an old, a middle and a recent window of creation time.
+fn read_script(strategy: StrategyKind) -> ReadCosts {
+    let env = Env::new(&EnvConfig {
+        dataset_bytes: DATASET_BYTES,
+        ..EnvConfig::default()
+    });
+    let ds = open_tweet_dataset(&env, tweet_dataset_config(strategy, DATASET_BYTES, 1));
+    let mut workload =
+        UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..UPSERTS {
+        apply(&ds, &workload.next_op());
+    }
+    ds.flush_all().expect("flush");
+    let issued = workload.generator();
+    let (t0, before) = (env.clock.now_nanos(), env.storage.stats());
+
+    let (mut rows, mut keys, mut matches) = (0u64, 0u64, 0u64);
+    for i in 0..200usize {
+        let pk = if i % 10 == 9 {
+            -1 - i as i64
+        } else {
+            issued.issued_key(i * 7_919 % issued.num_issued())
+        };
+        rows += u64::from(ds.get(&Value::Int(pk)).expect("get").is_some());
+    }
+    let query = |lo: i64, hi: i64| ds.query("user_id").range(lo, hi);
+    for uid in [7, 4_242, 55_555, 99_999] {
+        rows += ds.query("user_id").eq(uid).execute().expect("eq").len() as u64;
+    }
+    for (lo, hi) in [(0, 9_999), (50_000, 50_999)] {
+        rows += query(lo, hi).execute().expect("range").len() as u64;
+    }
+    let repairing = query(10_000, 19_999).query_driven_repair(true);
+    rows += repairing.execute().expect("repair").len() as u64;
+    let index_only = query(10_000, 19_999).index_only();
+    keys += index_only.execute().expect("index-only").len() as u64;
+    let limited = query(20_000, 39_999).limit(10);
+    rows += limited.execute().expect("limit").len() as u64;
+    let stream = query(60_000, 69_999).stream().expect("stream");
+    rows += stream
+        .collect::<lsm_common::Result<Vec<_>>>()
+        .expect("stream")
+        .len() as u64;
+    let watermark = issued.time_watermark();
+    for (lo, hi) in [
+        (None, Some(watermark / 10)),
+        (Some(watermark / 2), Some(watermark / 2 + watermark / 20)),
+        (Some(watermark - watermark / 10), None),
+    ] {
+        let scan = || {
+            let scan = ds.filter_scan();
+            let scan = match lo {
+                Some(lo) => scan.range_from(lo),
+                None => scan,
+            };
+            match hi {
+                Some(hi) => scan.range_to(hi),
+                None => scan,
+            }
+        };
+        matches += scan().count().expect("count").matches;
+        matches += scan().records().expect("records").len() as u64;
+    }
+
+    let io = env.storage.stats().since(&before);
+    ReadCosts {
+        sim_ns: env.clock.now_nanos() - t0,
+        cpu_ns: io.cpu_ns,
+        seq_reads: io.seq_reads,
+        rand_reads: io.rand_reads,
+        cache_hits: io.cache_hits,
+        bytes_read: io.bytes_read,
+        bloom_checks: io.bloom_checks,
+        bloom_negatives: io.bloom_negatives,
+        batched_lookups_saved: io.batched_lookups_saved,
+        rows,
+        keys,
+        matches,
+    }
+}
+
+#[test]
+fn eager_reads_are_charged_what_the_parent_charged() {
+    let recorded = ReadCosts {
+        sim_ns: 5_801_616_445,
+        cpu_ns: 47_281_725,
+        seq_reads: 533,
+        rand_reads: 543,
+        cache_hits: 384,
+        bytes_read: 141_033_472,
+        bloom_checks: 33_609,
+        bloom_negatives: 28_143,
+        batched_lookups_saved: 241,
+        rows: 3_253,
+        keys: 1_037,
+        matches: 5_074,
+    };
+    assert_eq!(read_script(StrategyKind::Eager), recorded);
+}
+
+#[test]
+fn validation_reads_are_charged_what_the_parent_charged() {
+    let recorded = ReadCosts {
+        sim_ns: 5_845_747_630,
+        cpu_ns: 49_695_150,
+        seq_reads: 508,
+        rand_reads: 551,
+        cache_hits: 362,
+        bytes_read: 138_805_248,
+        bloom_checks: 35_673,
+        bloom_negatives: 30_153,
+        batched_lookups_saved: 239,
+        rows: 3_253,
+        keys: 1_037,
+        matches: 5_074,
+    };
+    assert_eq!(read_script(StrategyKind::Validation), recorded);
+}
+
+#[test]
+fn mutable_bitmap_reads_are_charged_what_the_parent_charged() {
+    let recorded = ReadCosts {
+        sim_ns: 7_987_810_195,
+        cpu_ns: 81_385_875,
+        seq_reads: 328,
+        rand_reads: 803,
+        cache_hits: 342,
+        bytes_read: 148_242_432,
+        bloom_checks: 63_384,
+        bloom_negatives: 54_533,
+        batched_lookups_saved: 48,
+        rows: 3_253,
+        keys: 1_037,
+        matches: 5_074,
+    };
+    assert_eq!(read_script(StrategyKind::MutableBitmap), recorded);
+}
+
+#[test]
+fn deleted_key_btree_reads_are_charged_what_the_parent_charged() {
+    let recorded = ReadCosts {
+        sim_ns: 6_219_824_215,
+        cpu_ns: 53_874_775,
+        seq_reads: 570,
+        rand_reads: 582,
+        cache_hits: 421,
+        bytes_read: 150_994_944,
+        bloom_checks: 41_222,
+        bloom_negatives: 34_646,
+        batched_lookups_saved: 239,
+        rows: 3_253,
+        keys: 1_037,
+        matches: 5_074,
+    };
+    assert_eq!(read_script(StrategyKind::DeletedKeyBTree), recorded);
 }

@@ -260,10 +260,11 @@ impl BTree {
         self.storage.read_page(self.file, leaf_no)
     }
 
-    /// The first key stored on leaf page `leaf_no` — a natural partition
-    /// boundary: every key on earlier leaves sorts strictly below it.
-    /// `None` only for an empty leaf (which the bulk loader never writes).
-    pub fn leaf_first_key(&self, leaf_no: PageNo) -> Result<Option<Vec<u8>>> {
+    /// The first key stored on leaf page `leaf_no`: every key on earlier
+    /// leaves sorts strictly below it. `None` only for an empty leaf (which
+    /// the bulk loader never writes). Tests check leaf location with it.
+    #[cfg(test)]
+    pub(crate) fn leaf_first_key(&self, leaf_no: PageNo) -> Result<Option<Vec<u8>>> {
         let data = self.read_leaf(leaf_no)?;
         let leaf = LeafPage::parse(&data)?;
         Ok(leaf.first_key()?.map(<[u8]>::to_vec))

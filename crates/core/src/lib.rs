@@ -88,29 +88,19 @@
 //! for mutable bitmaps implements both the Lock and Side-file methods
 //! (§5.3).
 //!
-//! ## One read path, `n` partitions
+//! ## One read path, one pass
 //!
 //! Secondary-index queries and primary-index filter scans each run
-//! through one executor over `n` partitions of the key space; the default
-//! is `n = 1`, a single partition executed inline on the calling thread.
-//! [`QueryBuilder::parallel(n)`](query::QueryBuilder::parallel) fans the
-//! Figure 5 pipeline across up to `n` threads: the secondary scan is
-//! partitioned along component page boundaries over one atomically
-//! captured index snapshot, per-partition candidates are validated and —
-//! when more than one partition produced any — k-way merged and globally
-//! deduplicated (query-driven repair marks are collected and applied
-//! once), and the record fetch fans out over contiguous primary-key
-//! chunks, each a live batched lookup. `parallel(n)` implies
-//! `sort_output`, so results are identical for every `n` and always in
-//! primary-key order, from both
-//! [`PreparedQuery::execute`](query::PreparedQuery::execute) and
-//! [`PreparedQuery::stream`](query::PreparedQuery::stream). The calling
-//! thread runs the first partition and one scoped thread per other
-//! partition runs the rest, all joined before the stage returns — the
-//! engine keeps no query threads between calls. A buffer-cache hit takes
-//! no lock beyond the storage file table's read lock, so the partitions do
-//! not serialize on the cache. See `ARCHITECTURE.md` ("The read path") for
-//! the design.
+//! through one executor, as one pass on the calling thread: the Figure 5
+//! pipeline scans one atomically captured index snapshot, validates the
+//! candidates (applying query-driven repair marks once), and fetches the
+//! records through live batched lookups — one chunk for
+//! [`PreparedQuery::execute`](query::PreparedQuery::execute), one batch
+//! at a time for [`PreparedQuery::stream`](query::PreparedQuery::stream).
+//! The engine spawns no query threads; a buffer-cache hit takes no lock
+//! beyond the storage file table's read lock, so concurrent readers do not
+//! serialize on the cache. See `ARCHITECTURE.md` ("The read path") for the
+//! design.
 //!
 //! ## Background maintenance
 //!

@@ -12,7 +12,7 @@
 //! ds.maintenance().repair_all()?;                      // strategy-aware defaults
 //! ds.maintenance().repair_index("user_id")?;           // one index
 //! ds.maintenance().repair_primary()?;                  // DELI baseline
-//! ds.maintenance().plan().bloom(true).parallel(true).repair_all()?;
+//! ds.maintenance().plan().bloom(true).merge_scan(false).repair_all()?;
 //! ```
 //!
 //! Strategy awareness: a `DeletedKeyBTree` dataset resolves to
@@ -47,7 +47,6 @@ impl<'a> Maintenance<'a> {
             ds: self.ds,
             mode: self.ds.config().default_repair_mode(),
             merge_scan: true,
-            parallel: false,
             with_merge: false,
         }
     }
@@ -104,7 +103,6 @@ pub struct RepairPlan<'a> {
     ds: &'a Dataset,
     mode: RepairMode,
     merge_scan: bool,
-    parallel: bool,
     with_merge: bool,
 }
 
@@ -122,12 +120,6 @@ impl RepairPlan<'_> {
     /// Section 4.4).
     pub fn merge_scan(mut self, on: bool) -> Self {
         self.merge_scan = on;
-        self
-    }
-
-    /// Repairs secondary indexes on one thread each (Section 6.5).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
         self
     }
 
@@ -150,7 +142,7 @@ impl RepairPlan<'_> {
     /// Brings every secondary index up-to-date with standalone repairs
     /// (the Figure 20 measurement loop).
     pub fn repair_all(self) -> Result<Vec<RepairReport>> {
-        repair::repair_all_secondaries(self.ds, &self.options(), self.parallel)
+        repair::repair_all_secondaries(self.ds, &self.options())
     }
 
     /// Repairs the named secondary index: a standalone repair (fresh

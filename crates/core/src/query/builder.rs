@@ -65,14 +65,8 @@ pub struct QueryBuilder<'a> {
     hi: Option<Value>,
     index_only: Option<bool>,
     limit: Option<usize>,
-    parallel: Option<usize>,
-    naive: bool,
-    // §3.2 knob overrides; `None` = resolve a default.
+    // Knob overrides; `None` = resolve a default.
     validation: Option<ValidationMethod>,
-    batched: Option<bool>,
-    batch_bytes: Option<usize>,
-    stateful: Option<bool>,
-    propagate_component_ids: Option<bool>,
     sort_output: Option<bool>,
     query_driven_repair: Option<bool>,
     base: Option<QueryOptions>,
@@ -93,13 +87,7 @@ impl Dataset {
             hi: None,
             index_only: None,
             limit: None,
-            parallel: None,
-            naive: false,
             validation: None,
-            batched: None,
-            batch_bytes: None,
-            stateful: None,
-            propagate_component_ids: None,
             sort_output: None,
             query_driven_repair: None,
             base: None,
@@ -150,61 +138,12 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Uses the naive point-lookup configuration of Section 6.2 (sorted
-    /// keys, per-key probing) instead of the batched/stateful default.
-    pub fn naive(mut self) -> Self {
-        self.naive = true;
-        self
-    }
-
-    /// Executes the query across up to `n` partitions in parallel: the
-    /// secondary scan is split along component page boundaries and the
-    /// record fetch into contiguous primary-key chunks. The calling thread
-    /// runs the first partition and one scoped thread per other partition
-    /// runs the rest; all of them are joined before the stage returns.
-    ///
-    /// Implies [`sort_output`](QueryBuilder::sort_output): results always
-    /// arrive in primary-key order, both from [`PreparedQuery::execute`]
-    /// and batch by batch from [`PreparedQuery::stream`], and are identical
-    /// for every `n`. The default query is the same executor at `n = 1`
-    /// (one partition, run inline on the calling thread), so `parallel(1)`
-    /// differs from it only by the implied sort.
-    pub fn parallel(mut self, n: usize) -> Self {
-        self.parallel = Some(n.max(1));
-        self
-    }
-
-    // ---- §3.2 knob overrides ----------------------------------------------
+    // ---- knob overrides ---------------------------------------------------
 
     /// Overrides the candidate-validation method; without this, a
     /// strategy-aware default is resolved (see the module docs).
     pub fn validation(mut self, method: ValidationMethod) -> Self {
         self.validation = Some(method);
-        self
-    }
-
-    /// Toggles the batched point-lookup algorithm.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = Some(on);
-        self
-    }
-
-    /// Sets the batching memory (16MB in Section 6.2); determines keys per
-    /// batch from the average record size.
-    pub fn batch_bytes(mut self, bytes: usize) -> Self {
-        self.batch_bytes = Some(bytes);
-        self
-    }
-
-    /// Toggles stateful B+-tree cursors with exponential search.
-    pub fn stateful(mut self, on: bool) -> Self {
-        self.stateful = Some(on);
-        self
-    }
-
-    /// Toggles secondary-component-ID propagation ("pID").
-    pub fn propagate_component_ids(mut self, on: bool) -> Self {
-        self.propagate_component_ids = Some(on);
         self
     }
 
@@ -225,9 +164,10 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// Seeds every knob from a complete [`QueryOptions`] (benchmarks sweep
-    /// these); individual setters called afterwards still override, but no
-    /// strategy-aware defaults are resolved on top.
+    /// Seeds every knob from a complete [`QueryOptions`] — the one way to
+    /// set the §3.2 point-lookup knobs (batching, stateful cursors, pID),
+    /// which benchmarks sweep. The builder's setters still override, but
+    /// no strategy-aware defaults are resolved on top.
     pub fn with_options(mut self, opts: QueryOptions) -> Self {
         self.base = Some(opts);
         self
@@ -238,38 +178,13 @@ impl<'a> QueryBuilder<'a> {
     pub fn build(self) -> Result<PreparedQuery<'a>> {
         self.ds.secondary(&self.index)?; // fail fast on unknown indexes
         let explicit_base = self.base.is_some();
-        let mut opts = self.base.unwrap_or_else(|| {
-            if self.naive {
-                QueryOptions::naive()
-            } else {
-                QueryOptions::default()
-            }
-        });
-        if explicit_base && self.naive {
-            opts.batched = false;
-            opts.stateful = false;
-        }
+        let mut opts = self.base.unwrap_or_default();
         if let Some(v) = self.index_only {
             opts.index_only = v;
-        }
-        if let Some(v) = self.batched {
-            opts.batched = v;
-        }
-        if let Some(v) = self.batch_bytes {
-            opts.batch_bytes = v;
-        }
-        if let Some(v) = self.stateful {
-            opts.stateful = v;
-        }
-        if let Some(v) = self.propagate_component_ids {
-            opts.propagate_component_ids = v;
         }
         if let Some(v) = self.sort_output {
             opts.sort_output = v;
         }
-        // Partition outputs are concatenated, which only yields a defined
-        // order when every chunk is sorted: `.parallel(n)` implies it.
-        opts.sort_output |= self.parallel.is_some();
         if let Some(v) = self.query_driven_repair {
             opts.query_driven_repair = v;
         }
@@ -288,7 +203,6 @@ impl<'a> QueryBuilder<'a> {
             lo: self.lo,
             hi: self.hi,
             limit: self.limit,
-            parallelism: self.parallel.unwrap_or(1),
             options: opts,
         })
     }
@@ -341,7 +255,6 @@ pub struct PreparedQuery<'a> {
     lo: Option<Value>,
     hi: Option<Value>,
     limit: Option<usize>,
-    parallelism: usize,
     options: QueryOptions,
 }
 
@@ -357,8 +270,8 @@ impl<'a> PreparedQuery<'a> {
     }
 
     /// Runs the query, collecting all results into a [`QueryResult`].
-    /// Record order follows the fetch unless `sort_output` is set (which
-    /// [`QueryBuilder::parallel`] implies); then it is primary-key order.
+    /// Record order follows the fetch unless `sort_output` is set; then it
+    /// is primary-key order.
     pub fn execute(&self) -> Result<QueryResult> {
         exec::execute(
             self.ds,
@@ -367,14 +280,13 @@ impl<'a> PreparedQuery<'a> {
             self.hi.as_ref(),
             &self.options,
             self.limit,
-            self.parallelism,
         )
     }
 
     /// Runs the query as a stream that fetches records one batch at a time
     /// (bounded memory, primary-key order; see [`RecordStream`]). The
-    /// candidate gathering (scan + validation) fans across the resolved
-    /// partitions up front; the fetch is lazy.
+    /// candidate gathering (scan + validation) runs up front; the fetch is
+    /// lazy.
     pub fn stream(&self) -> Result<RecordStream<'a>> {
         RecordStream::open(
             self.ds,
@@ -383,7 +295,6 @@ impl<'a> PreparedQuery<'a> {
             self.hi.as_ref(),
             &self.options,
             self.limit,
-            self.parallelism,
         )
     }
 }

@@ -1,27 +1,18 @@
 //! The one query executor: the Figure 5 pipeline of secondary-index scan →
-//! candidate sort/dedup → validation → record fetch, over `n` partitions
-//! of the key space.
+//! candidate sort/dedup → validation → record fetch, run as one pass on
+//! the calling thread.
 //!
 //! Every query — [`PreparedQuery::execute`](crate::query::PreparedQuery::execute)
-//! and [`PreparedQuery::stream`](crate::query::PreparedQuery::stream), with
-//! or without [`QueryBuilder::parallel`](crate::QueryBuilder::parallel) —
-//! runs the same two stages; the un-partitioned query is the `n = 1` case,
-//! not a second engine:
+//! and [`PreparedQuery::stream`](crate::query::PreparedQuery::stream) —
+//! runs the same two stages:
 //!
 //! 1. **Scan + validation** (`gather`). One atomically captured snapshot
-//!    of the secondary index (in-memory run + disk components) is split
-//!    into ≤ `n` disjoint secondary-key sub-ranges along component page
-//!    boundaries ([`LsmScan::partition_scan`], free of I/O for `n = 1`),
-//!    the captured memory run is cut into owned per-partition slices, and
-//!    each partition scans, sorts, deduplicates, and (when requested)
-//!    Timestamp-validates its own candidates. When more than one partition
-//!    produced candidates, the pk-ordered partial lists are k-way merged
-//!    and deduplicated globally (an updated record leaves entries under
-//!    old and new secondary keys, possibly in different partitions).
-//!    Query-driven repair marks are collected by the partitions and applied
-//!    once, after the merge.
+//!    of the secondary index (in-memory run + disk components) is scanned,
+//!    and its candidates are sorted, deduplicated and (when requested)
+//!    Timestamp-validated. Query-driven repair marks are applied once,
+//!    after the validation.
 //! 2. **Record fetch** (`FetchPlan::fetch_chunk`). The validated primary
-//!    keys are fetched in contiguous ascending chunks — ≤ `n` chunks for a
+//!    keys are fetched in contiguous ascending chunks — one for a
 //!    collecting query, `keys_per_batch`-sized chunks for a stream — each
 //!    through one live [`lookup_sorted`] call. No primary-index snapshot is
 //!    shared between chunks: `lookup_sorted` reads the memory component
@@ -30,21 +21,14 @@
 //!    or both — never neither), which is the only guarantee the pipeline
 //!    needs. With `sort_output` each chunk is restored to key order, so
 //!    concatenating the chunks yields primary-key order with no merge.
-//!
-//! A single partition (or chunk) runs inline on the calling thread;
-//! with several, the caller runs the first and scoped helper threads the
-//! rest (`run_partitions`). `.parallel(n)` implies `sort_output`, so its
-//! result shape does not depend on `n` — and `parallel(1)` costs exactly
-//! what the default query with `sort_output(true)` costs, on both clocks.
 
 use crate::dataset::Dataset;
 use crate::keys::{bound_as_ref, sk_range, split_sk_pk};
-use crate::query::pool::{append, run_partitions};
 use crate::query::{QueryOptions, QueryResult, RecordStream, ValidationMethod};
 use lsm_common::{Error, Key, Record, RecordView, Result, Timestamp, Value};
 use lsm_tree::{
     lookup_sorted, sorted_timestamps, ComponentId, DiskComponent, LookupOptions, LsmEntry, LsmScan,
-    ScanOptions, ScanPartition,
+    ScanOptions,
 };
 use std::ops::{Bound, Range};
 use std::sync::Arc;
@@ -120,38 +104,7 @@ struct Candidate {
 /// the component list the candidates were scanned from.
 type RepairMark = (usize, u64);
 
-/// One partition of a captured index view: its owned slice of the memory
-/// run (`None` = nothing buffered in the sub-range) and its key bounds.
-pub(crate) type ScanTask = (Option<Vec<(Key, LsmEntry)>>, ScanPartition);
-
-/// Cuts a captured, key-ordered memory run into owned per-partition slices.
-/// `partitions` are the ascending, contiguous sub-ranges
-/// [`LsmScan::partition_scan`] planned over the range the run was captured
-/// for, so each slice is peeled off the back at its partition's lower bound
-/// and the first partition keeps the rest — entries are moved, never cloned.
-pub(crate) fn split_run(
-    mut run: Vec<(Key, LsmEntry)>,
-    partitions: Vec<ScanPartition>,
-) -> Vec<ScanTask> {
-    let mut tasks: Vec<ScanTask> = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.into_iter().enumerate().rev() {
-        let slice = if i == 0 {
-            std::mem::take(&mut run)
-        } else {
-            let start = match &part.0 {
-                Bound::Unbounded => 0,
-                Bound::Included(k) => run.partition_point(|(key, _)| key < k),
-                Bound::Excluded(k) => run.partition_point(|(key, _)| key <= k),
-            };
-            run.split_off(start)
-        };
-        tasks.push(((!slice.is_empty()).then_some(slice), part));
-    }
-    tasks.reverse();
-    tasks
-}
-
-/// Step 1 of Figure 5 for one partition: scans `[lo, hi]` of the captured
+/// Step 1 of Figure 5: scans `[lo, hi]` of the captured
 /// secondary-index view. Candidate `source` indices refer to `comps`.
 fn scan_candidates(
     ds: &Dataset,
@@ -160,6 +113,9 @@ fn scan_candidates(
     lo: Bound<&[u8]>,
     hi: Bound<&[u8]>,
 ) -> Result<Vec<Candidate>> {
+    // An empty memory run is no source: the scan charges its merge by the
+    // number of sources, and the ranks below count memory only if present.
+    let mem = mem.filter(|run| !run.is_empty());
     let has_mem = mem.is_some();
     let opts = ScanOptions::default();
     let mut scan = LsmScan::new(ds.storage().clone(), mem, comps, lo, hi, opts)?;
@@ -263,89 +219,29 @@ fn validate_candidates(
     Ok(valid)
 }
 
-/// K-way merges per-partition candidate lists (each sorted by
-/// `(pk asc, ts desc)`) into one list in the same order. Entries are
-/// moved, not cloned; the fan-out is small, so a per-element linear scan
-/// over the part heads beats heap bookkeeping.
-fn merge_candidates(parts: Vec<Vec<Candidate>>) -> Vec<Candidate> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<Candidate>> =
-        parts.into_iter().map(Vec::into_iter).collect();
-    loop {
-        let mut best: Option<(usize, &Candidate)> = None;
-        for (i, iter) in iters.iter().enumerate() {
-            let Some(cand) = iter.as_slice().first() else {
-                continue;
-            };
-            // Same comparator as the per-partition sort: pk asc, ts desc.
-            if best.is_none_or(|(_, bc)| (&cand.pk_key, bc.ts) < (&bc.pk_key, cand.ts)) {
-                best = Some((i, cand));
-            }
-        }
-        let Some((i, _)) = best else { break };
-        merged.extend(iters[i].next());
-    }
-    merged
-}
-
-/// Steps 1-3 of Figure 5 over ≤ `n` partitions (see the module docs):
-/// returns the validated candidates — distinct primary keys, ascending —
-/// packaged with everything the record fetch needs.
+/// Steps 1-3 of Figure 5 (see the module docs): returns the validated
+/// candidates — distinct primary keys, ascending — packaged with
+/// everything the record fetch needs.
 pub(crate) fn gather(
     ds: &Dataset,
     index: &str,
     lo: Option<&Value>,
     hi: Option<&Value>,
     opts: &QueryOptions,
-    n: usize,
 ) -> Result<FetchPlan> {
     let sec = ds.secondary(index)?;
     let (lo_b, hi_b) = sk_range(lo, hi);
     let (lo_ref, hi_ref) = (bound_as_ref(&lo_b), bound_as_ref(&hi_b));
 
-    // One atomically captured view of the secondary index: every partition
-    // scans the same in-memory run and component list, so an entry
-    // mid-flush is seen exactly once across the whole fan-out.
+    // One atomically captured view of the secondary index: an entry
+    // mid-flush is seen exactly once.
     let (mem, comps) = sec
         .tree
         .mem_and_disk_snapshot_if(lo_ref, hi_ref, |_, _| true);
-    let partitions = LsmScan::partition_scan(&comps, lo_ref, hi_ref, n)?;
-    if n > 1 {
-        ds.stats().record_parallel_query(partitions.len());
-    }
-    let tasks = split_run(mem.unwrap_or_default(), partitions);
-    let scan_partition = |ds: &Dataset, (mem, (plo, phi)): ScanTask| {
-        let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
-        let mut cands = scan_candidates(ds, mem, &comps, plo, phi)?;
-        sort_dedup_candidates(ds, &mut cands, opts);
-        let mut marks = Vec::new();
-        let cands = validate_candidates(ds, cands, opts, &mut marks)?;
-        Ok::<_, Error>((cands, marks))
-    };
-    let outcomes = run_partitions(ds, tasks, scan_partition);
-
-    let mut partial: Vec<Vec<Candidate>> = Vec::with_capacity(outcomes.len());
-    let mut marks: Vec<RepairMark> = Vec::new();
-    for outcome in outcomes {
-        let (cands, part_marks) = outcome?;
-        if !cands.is_empty() {
-            partial.push(cands);
-        }
-        marks.extend(part_marks);
-    }
-    let candidates = if partial.len() > 1 {
-        // The same pk can match in several sk partitions: merge the
-        // pk-ordered lists and repeat the per-partition deduplication
-        // globally.
-        charge_sort(ds, partial.iter().map(Vec::len).sum::<usize>() as u64);
-        let mut merged = merge_candidates(partial);
-        merged.dedup_by(|a, b| a.pk_key == b.pk_key && a.ts == b.ts);
-        merged.dedup_by(|a, b| a.pk_key == b.pk_key);
-        merged
-    } else {
-        partial.pop().unwrap_or_default()
-    };
+    let mut candidates = scan_candidates(ds, mem, &comps, lo_ref, hi_ref)?;
+    sort_dedup_candidates(ds, &mut candidates, opts);
+    let mut marks = Vec::new();
+    let candidates = validate_candidates(ds, candidates, opts, &mut marks)?;
     for (idx, ordinal) in marks {
         comps[idx].bitmap_or_create().set(ordinal);
     }
@@ -421,21 +317,13 @@ impl FetchPlan {
         Ok(records)
     }
 
-    /// The collecting fetch: ≤ `n` contiguous ascending chunks, each
-    /// re-sorted when `sort_output` is set, concatenated in chunk order.
-    fn fetch_all(self, ds: &Dataset, n: usize) -> Result<Vec<Record>> {
-        let len = self.keys.len();
-        let chunk = len.div_ceil(n).max(1);
-        let ranges: Vec<Range<usize>> = (0..len)
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(len))
-            .collect();
-        let sort = self.opts.sort_output;
-        let mut records = Vec::new();
-        for part in run_partitions(ds, ranges, |ds, r| self.fetch_chunk(ds, r, sort)) {
-            append(&mut records, part?);
+    /// The collecting fetch: every key in one chunk, re-sorted when
+    /// `sort_output` is set. A query with no candidates looks nothing up.
+    fn fetch_all(self, ds: &Dataset) -> Result<Vec<Record>> {
+        if self.keys.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(records)
+        self.fetch_chunk(ds, 0..self.keys.len(), self.opts.sort_output)
     }
 }
 
@@ -471,8 +359,7 @@ fn fetch_missing_under_lock(
     Ok(())
 }
 
-/// Runs the full query pipeline over ≤ `n` partitions, collecting every
-/// result (up to `limit`).
+/// Runs the full query pipeline, collecting every result (up to `limit`).
 pub(crate) fn execute(
     ds: &Dataset,
     index: &str,
@@ -480,9 +367,8 @@ pub(crate) fn execute(
     hi: Option<&Value>,
     opts: &QueryOptions,
     limit: Option<usize>,
-    n: usize,
 ) -> Result<QueryResult> {
-    let plan = gather(ds, index, lo, hi, opts, n)?;
+    let plan = gather(ds, index, lo, hi, opts)?;
     let cap = limit.unwrap_or(usize::MAX);
 
     // Index-only fast path: no record fetch needed.
@@ -502,7 +388,7 @@ pub(crate) fn execute(
         let records = RecordStream::over(ds, plan, limit).collect::<Result<_>>()?;
         return Ok(QueryResult::Records(records));
     }
-    let records = plan.fetch_all(ds, n)?;
+    let records = plan.fetch_all(ds)?;
     if opts.index_only {
         // Direct validation + index-only still had to fetch records.
         let pk_field = ds.config().pk_field;
@@ -536,70 +422,74 @@ fn keys_per_batch(ds: &Dataset, batch_bytes: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn cand(pk: u8, ts: u64) -> Candidate {
-        Candidate {
+    /// An empty memory run is no source: over one disk component, the
+    /// candidate scan finds and is charged the same with it as without it
+    /// (one more source would double the scan's per-key merge charge).
+    #[test]
+    fn an_empty_memory_run_is_no_source() {
+        use crate::config::{DatasetConfig, SecondaryIndexDef};
+        use lsm_common::{FieldType, Schema};
+        let schema = Schema::new(vec![("id", FieldType::Int), ("group", FieldType::Int)]).unwrap();
+        let mut cfg = DatasetConfig::new(schema, 0);
+        cfg.memory_budget = usize::MAX;
+        cfg.secondary_indexes = vec![SecondaryIndexDef {
+            name: "group".into(),
+            field: 1,
+        }];
+        let storage = lsm_storage::Storage::new(lsm_storage::StorageOptions::test());
+        let ds = Dataset::open(storage, None, cfg).unwrap();
+        for id in 0..50 {
+            ds.insert(&Record::new(vec![Value::Int(id), Value::Int(id % 5)]))
+                .unwrap();
+        }
+        ds.flush_all().unwrap();
+        let comps = ds.secondary("group").unwrap().tree.disk_components();
+        assert_eq!(comps.len(), 1);
+        let scan = |mem: Option<Vec<(Key, LsmEntry)>>| {
+            let before = ds.storage().stats().cpu_ns;
+            let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+            let found = scan_candidates(&ds, mem, &comps, lo, hi).unwrap().len();
+            (found, ds.storage().stats().cpu_ns - before)
+        };
+        assert_eq!(scan(Some(Vec::new())), scan(None));
+        assert_eq!(scan(None).0, 50);
+    }
+
+    /// Step 2 orders candidates by pk, newest first, and drops exact
+    /// `(pk, ts)` duplicates; without Timestamp validation it also keeps
+    /// only the newest candidate of each pk. An updated record leaves one
+    /// candidate per version it was indexed under, so this is what returns
+    /// it once.
+    #[test]
+    fn candidates_sort_by_pk_then_newest_first_and_dedup() {
+        use crate::config::DatasetConfig;
+        use lsm_common::{FieldType, Schema};
+        let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
+        let storage = lsm_storage::Storage::new(lsm_storage::StorageOptions::test());
+        let ds = Dataset::open(storage, None, DatasetConfig::new(schema, 0)).unwrap();
+        let cand = |pk: u8, ts: Timestamp| Candidate {
             pk_key: vec![pk],
             ts,
             repaired_ts: 0,
             source_id: ComponentId::new(1, 1),
             source: None,
-        }
-    }
-
-    #[test]
-    fn merge_orders_by_pk_then_ts_desc() {
-        let merged = merge_candidates(vec![
-            vec![cand(1, 5), cand(3, 2)],
-            vec![cand(1, 9), cand(2, 1)],
-            vec![],
-        ]);
-        let got: Vec<(u8, u64)> = merged.iter().map(|c| (c.pk_key[0], c.ts)).collect();
-        assert_eq!(got, vec![(1, 9), (1, 5), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn split_run_respects_bounds() {
-        let run: Vec<(Key, LsmEntry)> = (0u8..10)
-            .map(|i| (vec![i], LsmEntry::put(vec![])))
-            .collect();
-        let lens = |parts: Vec<ScanPartition>| -> Vec<usize> {
-            split_run(run.clone(), parts)
-                .into_iter()
-                .map(|(mem, _)| mem.map_or(0, |m| m.len()))
-                .collect()
         };
-        assert_eq!(lens(vec![(Bound::Unbounded, Bound::Unbounded)]), vec![10]);
+        let sorted = |validation: ValidationMethod| -> Vec<(u8, Timestamp)> {
+            let mut cands = vec![cand(3, 2), cand(1, 5), cand(2, 1), cand(1, 9), cand(1, 5)];
+            let opts = QueryOptions {
+                validation,
+                ..QueryOptions::default()
+            };
+            sort_dedup_candidates(&ds, &mut cands, &opts);
+            cands.iter().map(|c| (c.pk_key[0], c.ts)).collect()
+        };
         assert_eq!(
-            lens(vec![
-                (Bound::Unbounded, Bound::Excluded(vec![3])),
-                (Bound::Included(vec![3]), Bound::Excluded(vec![7])),
-                (Bound::Included(vec![7]), Bound::Excluded(vec![20])),
-                (Bound::Included(vec![20]), Bound::Unbounded),
-            ]),
-            vec![3, 4, 3, 0]
+            sorted(ValidationMethod::Timestamp),
+            vec![(1, 9), (1, 5), (2, 1), (3, 2)]
         );
-        assert_eq!(
-            lens(vec![
-                (Bound::Unbounded, Bound::Included(vec![3])),
-                (Bound::Excluded(vec![3]), Bound::Unbounded),
-            ]),
-            vec![4, 6]
-        );
-        // Slices are contiguous, ordered, and `None` when empty.
-        let tasks = split_run(
-            run.clone(),
-            vec![
-                (Bound::Unbounded, Bound::Excluded(vec![5])),
-                (Bound::Included(vec![5]), Bound::Unbounded),
-            ],
-        );
-        assert_eq!(tasks[0].0.as_ref().unwrap()[4].0, vec![4]);
-        assert_eq!(tasks[1].0.as_ref().unwrap()[0].0, vec![5]);
-        assert!(
-            split_run(Vec::new(), vec![(Bound::Unbounded, Bound::Unbounded)])[0]
-                .0
-                .is_none()
-        );
+        for validation in [ValidationMethod::None, ValidationMethod::Direct] {
+            assert_eq!(sorted(validation), vec![(1, 9), (2, 1), (3, 2)]);
+        }
     }
 
     // ---- Timestamp validation against the per-key probes ---------------------

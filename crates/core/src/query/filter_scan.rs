@@ -17,34 +17,20 @@
 //!   components are scanned one by one, independently, with no
 //!   reconciliation and full pruning.
 //!
-//! # One plan, `n` partitions
+//! # One plan, one pass
 //!
 //! Every execution — [`count`](FilterScanBuilder::count) or
-//! [`records`](FilterScanBuilder::records), with or without
-//! [`parallel(n)`](FilterScanBuilder::parallel) — captures exactly **one**
+//! [`records`](FilterScanBuilder::records) — captures exactly **one**
 //! plan (`capture_plan`: the strategy's component-inclusion decision, the
 //! memory run and, under Mutable-bitmap, the frozen bitmaps, taken
-//! atomically) and consumes it through one partition body. The plan is
-//! split into ≤ `n` disjoint, ascending primary-key sub-ranges along
-//! component leaf boundaries ([`LsmScan::partition_scan`], free of I/O for
-//! `n = 1`) and the captured memory run is cut into owned per-partition
-//! slices; a single partition — the default — runs inline on the calling
-//! thread; with several, the caller runs the first and scoped helper
-//! threads the rest, all joined before the scan returns.
-//! Every partition reads the same component list; reconciliation is
-//! per-key and keys never span partitions, so each partition's output is
-//! exactly the whole scan's
-//! output restricted to its sub-range. Partitions are disjoint and
-//! ascending, so concatenating them in partition order *is* the k-way
-//! merge — the result is in primary-key order for every `n` (the
-//! Mutable-bitmap branch, which visits in component order, sorts each
-//! partition locally).
+//! atomically) and consumes it in one pass on the calling thread. The
+//! result is in primary-key order: the reconciling scan visits keys in
+//! order, and the Mutable-bitmap branch, which visits in component order,
+//! sorts what it returns.
 
 use crate::config::StrategyKind;
 use crate::dataset::Dataset;
-use crate::keys::bound_as_ref;
-use crate::query::exec::{self, split_run, FieldRange, ScanTask};
-use crate::query::pool::{append, run_partitions};
+use crate::query::exec::{self, FieldRange};
 use lsm_common::{Key, Record, Result, Value};
 use lsm_tree::{
     scan_components_sequential, BitmapSnapshot, DiskComponent, EntryRef, LsmEntry, LsmScan,
@@ -62,10 +48,6 @@ pub struct FilterScanReport {
     pub components_scanned: u64,
     /// Disk components pruned by their range filters.
     pub components_pruned: u64,
-    /// Scan partitions actually run: 1 by default, at most `n` under
-    /// [`parallel(n)`](FilterScanBuilder::parallel) (small trees may split
-    /// into fewer partitions than requested).
-    pub partitions: u64,
 }
 
 fn overlaps(filter: Option<&RangeFilter>, lo: Option<&Value>, hi: Option<&Value>) -> bool {
@@ -93,7 +75,6 @@ struct ScanPlan {
     /// Bitmap snapshots frozen atomically with the capture, one per
     /// included component — `None` throughout except under Mutable-bitmap
     /// (the other strategies never mutate primary bitmaps in place).
-    /// Shared by every partition.
     bitmaps: Vec<Option<BitmapSnapshot>>,
     components_pruned: u64,
 }
@@ -197,21 +178,16 @@ impl ScanPlan {
         self.strategy != StrategyKind::MutableBitmap
     }
 
-    /// The one partition body: scans `task`'s sub-range, returning its
-    /// match count plus — when `collect` is set — the matching records in
-    /// primary-key order. Entries are lent by the scan and the predicate
-    /// runs on the stored bytes where they lie; a key is copied and a
-    /// [`Record`] built only for a row that is returned. Every scanned
-    /// record is validated whole, exactly once, so a corrupt record value —
-    /// damaged behind the predicate's field, dropped by the predicate, or
-    /// shorter than the schema — fails the scan under every strategy.
-    fn scan_partition(
-        &self,
-        ds: &Dataset,
-        (mem, (plo, phi)): ScanTask,
-        collect: bool,
-    ) -> Result<(u64, Vec<Record>)> {
-        let (plo, phi) = (bound_as_ref(&plo), bound_as_ref(&phi));
+    /// Runs the plan, returning the report plus — when `collect` is set —
+    /// the matching records in primary-key order. Entries are lent by the
+    /// scan and the predicate runs on the stored bytes where they lie; a
+    /// key is copied and a [`Record`] built only for a row that is
+    /// returned. Every scanned record is validated whole, exactly once, so
+    /// a corrupt record value — damaged behind the predicate's field,
+    /// dropped by the predicate, or shorter than the schema — fails the
+    /// scan under every strategy.
+    fn run(self, ds: &Dataset, collect: bool) -> Result<(FilterScanReport, Vec<Record>)> {
+        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
         let mut count = 0u64;
         let mut rows: Vec<(Key, Record)> = Vec::new();
         let mut visit = |key: &[u8], e: EntryRef<'_>| -> Result<()> {
@@ -225,51 +201,25 @@ impl ScanPlan {
         };
         if self.reconciles() {
             let opts = ScanOptions::default();
-            let mut scan = LsmScan::new(ds.storage().clone(), mem, &self.included, plo, phi, opts)?;
+            let mut scan =
+                LsmScan::new(ds.storage().clone(), self.mem, &self.included, lo, hi, opts)?;
             while let Some(lent) = scan.next_lent()? {
                 if !lent.entry.anti_matter {
                     visit(lent.key, lent.entry)?;
                 }
             }
         } else {
-            scan_components_sequential(mem, &self.included, &self.bitmaps, plo, phi, visit)?;
-            // Component order → primary-key order; with disjoint ascending
-            // partitions the local sorts add up to the global order.
+            scan_components_sequential(self.mem, &self.included, &self.bitmaps, lo, hi, visit)?;
+            // Component order → primary-key order.
             exec::charge_sort(ds, rows.len() as u64);
             rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
-        Ok((count, rows.into_iter().map(|(_, r)| r).collect()))
-    }
-
-    /// Runs the plan over ≤ `n` partitions (see the module docs), returning
-    /// the report plus — when `collect` is set — the matching records in
-    /// primary-key order.
-    fn run(
-        mut self,
-        ds: &Dataset,
-        n: usize,
-        collect: bool,
-    ) -> Result<(FilterScanReport, Vec<Record>)> {
-        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
-        let partitions = LsmScan::partition_scan(&self.included, lo, hi, n)?;
-        if n > 1 {
-            ds.stats().record_parallel_filter_scan(partitions.len());
-        }
-        let mut report = FilterScanReport {
-            matches: 0,
+        let report = FilterScanReport {
+            matches: count,
             components_scanned: self.included.len() as u64,
             components_pruned: self.components_pruned,
-            partitions: partitions.len() as u64,
         };
-        let tasks = split_run(self.mem.take().unwrap_or_default(), partitions);
-        let body = |ds: &Dataset, task| self.scan_partition(ds, task, collect);
-        let mut records = Vec::new();
-        for part in run_partitions(ds, tasks, body) {
-            let (count, rows) = part?;
-            report.matches += count;
-            append(&mut records, rows);
-        }
-        Ok((report, records))
+        Ok((report, rows.into_iter().map(|(_, r)| r).collect()))
     }
 }
 
@@ -293,11 +243,10 @@ impl Dataset {
     ///     ds.insert(&Record::new(vec![Value::Int(i), Value::Int(i * 100)])).unwrap();
     /// }
     ///
-    /// // Count matches; or fetch them, in primary-key order, optionally
-    /// // across partitions.
+    /// // Count matches; or fetch them, in primary-key order.
     /// let report = ds.filter_scan().range_to(499).count().unwrap();
     /// assert_eq!(report.matches, 5);
-    /// let records = ds.filter_scan().range_to(499).parallel(2).records().unwrap();
+    /// let records = ds.filter_scan().range_to(499).records().unwrap();
     /// assert_eq!(records.len(), 5);
     /// ```
     pub fn filter_scan(&self) -> FilterScanBuilder<'_> {
@@ -305,22 +254,19 @@ impl Dataset {
             ds: self,
             lo: None,
             hi: None,
-            partitions: 1,
         }
     }
 }
 
 /// A fluent primary-index filter scan under construction; obtained from
 /// [`Dataset::filter_scan`]. The predicate is on the dataset's configured
-/// filter field; the scan runs as one partition on the calling thread
-/// unless [`parallel(n)`](FilterScanBuilder::parallel) asks for more.
+/// filter field; the scan runs on the calling thread.
 #[derive(Debug, Clone)]
 #[must_use = "a FilterScanBuilder does nothing until executed"]
 pub struct FilterScanBuilder<'a> {
     ds: &'a Dataset,
     lo: Option<Value>,
     hi: Option<Value>,
-    partitions: usize,
 }
 
 impl FilterScanBuilder<'_> {
@@ -343,27 +289,17 @@ impl FilterScanBuilder<'_> {
         self
     }
 
-    /// Executes the scan across up to `n` primary-key partitions in
-    /// parallel: the calling thread runs the first and one scoped thread
-    /// per other partition runs the rest. Results are identical for every
-    /// `n` and in primary-key order; the default is `n = 1`, one partition
-    /// run inline on the calling thread.
-    pub fn parallel(mut self, n: usize) -> Self {
-        self.partitions = n.max(1);
-        self
-    }
-
     /// Runs the scan, returning the match count plus pruning statistics.
     pub fn count(self) -> Result<FilterScanReport> {
         let plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
-        Ok(plan.run(self.ds, self.partitions, false)?.0)
+        Ok(plan.run(self.ds, false)?.0)
     }
 
     /// Runs the scan and collects the matching records in primary-key
     /// order.
     pub fn records(self) -> Result<Vec<Record>> {
         let plan = capture_plan(self.ds, self.lo.as_ref(), self.hi.as_ref())?;
-        Ok(plan.run(self.ds, self.partitions, true)?.1)
+        Ok(plan.run(self.ds, true)?.1)
     }
 }
 
@@ -408,7 +344,7 @@ mod tests {
         }
     }
 
-    /// Counts `time ∈ [lo, hi]` through the default (one-partition) scan.
+    /// Counts `time ∈ [lo, hi]`.
     fn count(ds: &Dataset, lo: Option<i64>, hi: Option<i64>) -> Result<FilterScanReport> {
         let mut scan = ds.filter_scan();
         if let Some(lo) = lo {
@@ -539,8 +475,8 @@ mod tests {
         let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();
         let cfg = DatasetConfig::new(schema, 0);
         let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
-        assert!(ds.filter_scan().parallel(2).count().is_err());
         assert!(ds.filter_scan().count().is_err());
+        assert!(ds.filter_scan().records().is_err());
     }
 
     /// Regression: a corrupt primary value must fail an unbounded scan under
@@ -579,18 +515,12 @@ mod tests {
                 );
                 let is_corruption =
                     |e: lsm_common::Error| matches!(e, lsm_common::Error::Corruption(_));
-                for n in [1, 3] {
-                    let scan = || {
-                        let scan = ds.filter_scan().parallel(n);
-                        match hi {
-                            Some(hi) => scan.range_to(hi),
-                            None => scan,
-                        }
-                    };
-                    assert!(scan().count().is_err_and(is_corruption), "{s:?} n={n}");
-                    assert!(scan().records().is_err_and(is_corruption), "{s:?} n={n}");
-                }
-                assert!(ds.filter_scan().count().is_err(), "{s:?} default");
+                let scan = || match hi {
+                    Some(hi) => ds.filter_scan().range_to(hi),
+                    None => ds.filter_scan(),
+                };
+                assert!(scan().count().is_err_and(is_corruption), "{s:?}");
+                assert!(scan().records().is_err_and(is_corruption), "{s:?}");
             }
         }
     }
@@ -602,27 +532,25 @@ mod tests {
         for s in all_strategies() {
             let ds = dataset(s);
             load(&ds);
-            for n in [1, 3] {
-                let captures = |run: &dyn Fn(FilterScanBuilder<'_>)| {
-                    let before = CAPTURES.with(|c| c.get());
-                    run(ds.filter_scan().range(50, 250).parallel(n));
-                    CAPTURES.with(|c| c.get()) - before
-                };
-                assert_eq!(
-                    captures(&|b| assert_eq!(b.count().unwrap().matches, 201)),
-                    1
-                );
-                assert_eq!(
-                    captures(&|b| assert_eq!(b.records().unwrap().len(), 201)),
-                    1
-                );
-            }
+            let captures = |run: &dyn Fn(FilterScanBuilder<'_>)| {
+                let before = CAPTURES.with(|c| c.get());
+                run(ds.filter_scan().range(50, 250));
+                CAPTURES.with(|c| c.get()) - before
+            };
+            assert_eq!(
+                captures(&|b| assert_eq!(b.count().unwrap().matches, 201)),
+                1
+            );
+            assert_eq!(
+                captures(&|b| assert_eq!(b.records().unwrap().len(), 201)),
+                1
+            );
         }
     }
 
-    /// The builder's serial/parallel outputs agree with each other
-    /// and with the count, across strategies and fan-outs (the in-crate
-    /// miniature of the `filter_scan_oracle` integration test).
+    /// The builder's collected records agree with its count and come back
+    /// in primary-key order, across strategies (the in-crate miniature of
+    /// the `filter_scan_oracle` integration test).
     #[test]
     fn builder_paths_agree_across_strategies() {
         for s in [
@@ -658,49 +586,15 @@ mod tests {
                     }
                     b
                 };
-                let serial = scan().records().unwrap();
+                let records = scan().records().unwrap();
                 assert_eq!(
-                    serial.len() as u64,
+                    records.len() as u64,
                     scan().count().unwrap().matches,
                     "{s:?} [{lo:?},{hi:?}]"
                 );
-                // Serial records are in pk order.
-                let ids: Vec<i64> = serial.iter().map(|r| r.get(0).as_int().unwrap()).collect();
+                let ids: Vec<i64> = records.iter().map(|r| r.get(0).as_int().unwrap()).collect();
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "{s:?} unordered");
-                for n in [1, 2, 3, 7] {
-                    let par = scan().parallel(n).records().unwrap();
-                    assert_eq!(par, serial, "{s:?} parallel({n}) [{lo:?},{hi:?}]");
-                    let report = scan().parallel(n).count().unwrap();
-                    assert_eq!(report.matches, serial.len() as u64, "{s:?} n={n}");
-                    assert!(report.partitions >= 1 && report.partitions <= n as u64);
-                }
             }
         }
-    }
-
-    #[test]
-    fn partitioned_scans_are_counted() {
-        let ds = dataset(StrategyKind::Eager);
-        load(&ds);
-        let before = ds.stats().snapshot();
-        let report = ds.filter_scan().parallel(3).count().unwrap();
-        let after = ds.stats().snapshot();
-        assert_eq!(
-            after.parallel_filter_scans - before.parallel_filter_scans,
-            1
-        );
-        assert_eq!(
-            after.filter_scan_partitions - before.filter_scan_partitions,
-            report.partitions
-        );
-        // The default scan and `parallel(1)` are the same single inline
-        // partition: both report it, neither touches the fan-out counters.
-        for r in [
-            ds.filter_scan().count().unwrap(),
-            ds.filter_scan().parallel(1).count().unwrap(),
-        ] {
-            assert_eq!(r.partitions, 1);
-        }
-        assert_eq!(ds.stats().snapshot(), after);
     }
 }

@@ -16,18 +16,14 @@
 //! [`Dataset::query`](crate::Dataset::query), which resolves a correct
 //! [`ValidationMethod`] from the dataset's maintenance strategy and offers
 //! a collecting ([`PreparedQuery::execute`]) and a streaming
-//! ([`PreparedQuery::stream`]) form of the **one** read path: the pipeline
-//! runs over `n` partitions of the key space, `n = 1` — a single partition
-//! executed inline on the calling thread — unless
-//! [`QueryBuilder::parallel`] asks for more (crate-private `exec` module).
+//! ([`PreparedQuery::stream`]) form of the **one** read path, which runs
+//! as one pass on the calling thread (crate-private `exec` module).
 //! Primary-index filter scans ([`Dataset::filter_scan`](crate::Dataset::filter_scan),
-//! [`filter_scan`]) follow the same shape: one captured plan, `n`
-//! partitions, one partition body.
+//! [`filter_scan`]) follow the same shape: one captured plan, one pass.
 
 pub mod builder;
 mod exec;
 pub mod filter_scan;
-mod pool;
 pub mod stream;
 
 pub use builder::{PreparedQuery, QueryBuilder};
@@ -71,8 +67,7 @@ pub struct QueryOptions {
     /// (Jia's "pID" optimization).
     pub propagate_component_ids: bool,
     /// Re-sort fetched records into primary-key order (batching destroys
-    /// the order; Figure 12d measures this). Implied by
-    /// [`QueryBuilder::parallel`].
+    /// the order; Figure 12d measures this).
     pub sort_output: bool,
     /// Query-driven maintenance (the paper's future-work direction inspired
     /// by database cracking, Section 7): when Timestamp validation proves a
@@ -392,29 +387,27 @@ mod tests {
                 ds.flush_all().unwrap();
             }
         }
-        let base = ds
-            .query("user_id")
-            .range(2, 3)
-            .naive()
-            .validation(ValidationMethod::Timestamp)
-            .sort_output(true)
-            .execute()
-            .unwrap();
+        let query = |opts: QueryOptions| {
+            let opts = QueryOptions {
+                validation: ValidationMethod::Timestamp,
+                sort_output: true,
+                ..opts
+            };
+            let q = ds.query("user_id").range(2, 3).with_options(opts);
+            q.execute().unwrap()
+        };
+        let base = query(QueryOptions::naive());
         for (batched, stateful, pid) in [
             (true, false, false),
             (true, true, false),
             (true, true, true),
         ] {
-            let res = ds
-                .query("user_id")
-                .range(2, 3)
-                .validation(ValidationMethod::Timestamp)
-                .batched(batched)
-                .stateful(stateful)
-                .propagate_component_ids(pid)
-                .sort_output(true)
-                .execute()
-                .unwrap();
+            let res = query(QueryOptions {
+                batched,
+                stateful,
+                propagate_component_ids: pid,
+                ..QueryOptions::default()
+            });
             assert_eq!(res, base, "batched={batched} stateful={stateful} pid={pid}");
         }
     }

@@ -37,8 +37,8 @@ pub struct RecordStream<'a> {
 }
 
 impl<'a> RecordStream<'a> {
-    /// Gathers the candidates over ≤ `n` partitions (steps 1-3 of Figure 5)
-    /// and opens a stream over them.
+    /// Gathers the candidates (steps 1-3 of Figure 5) and opens a stream
+    /// over them.
     pub(crate) fn open(
         ds: &'a Dataset,
         index: &str,
@@ -46,14 +46,13 @@ impl<'a> RecordStream<'a> {
         hi: Option<&Value>,
         opts: &QueryOptions,
         limit: Option<usize>,
-        n: usize,
     ) -> Result<Self> {
         if opts.index_only {
             return Err(lsm_common::Error::invalid(
                 "index-only queries return keys, not records; use execute()",
             ));
         }
-        let plan = exec::gather(ds, index, lo, hi, opts, n)?;
+        let plan = exec::gather(ds, index, lo, hi, opts)?;
         Ok(Self::over(ds, plan, limit))
     }
 

@@ -544,40 +544,20 @@ fn write_deleted_key_btree(sec_tree: &LsmTree, comp: &DiskComponent) -> Result<(
     Ok(())
 }
 
-/// Brings every secondary index up-to-date with standalone repairs
-/// (the Figure 20 measurement loop). Secondary indexes are repaired
-/// sequentially or in parallel (Section 6.5 uses one thread each).
+/// Brings every secondary index up-to-date with standalone repairs, one
+/// index after another (the Figure 20 measurement loop).
 pub(crate) fn repair_all_secondaries(
     dataset: &Dataset,
     opts: &RepairOptions,
-    parallel: bool,
 ) -> Result<Vec<RepairReport>> {
     let pk_tree = dataset
         .pk_index()
         .ok_or_else(|| Error::invalid("index repair requires the primary key index"))?;
-    if parallel && dataset.secondaries().len() > 1 {
-        let mut reports = vec![RepairReport::default(); dataset.secondaries().len()];
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            for (i, sec) in dataset.secondaries().iter().enumerate() {
-                handles.push((
-                    i,
-                    scope.spawn(move || standalone_repair(&sec.tree, pk_tree, opts)),
-                ));
-            }
-            for (i, h) in handles {
-                reports[i] = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?;
-            }
-            Ok(())
-        })?;
-        Ok(reports)
-    } else {
-        dataset
-            .secondaries()
-            .iter()
-            .map(|sec| standalone_repair(&sec.tree, pk_tree, opts))
-            .collect()
-    }
+    dataset
+        .secondaries()
+        .iter()
+        .map(|sec| standalone_repair(&sec.tree, pk_tree, opts))
+        .collect()
 }
 
 /// DELI-style primary repair (Section 4.1, evaluated in Figures 20-22):
@@ -740,6 +720,85 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].invalidated, 50);
         assert_eq!(live_secondary_entries(&ds), 100);
+    }
+
+    /// With more than one secondary index, `repair_all` repairs them one
+    /// after another in declaration order: its reports, its cost and the
+    /// marks it leaves are those of `repair_index` called on each in turn.
+    #[test]
+    fn repair_all_repairs_each_secondary_in_turn() {
+        let open = || {
+            let schema = Schema::new(vec![
+                ("id", FieldType::Int),
+                ("location", FieldType::Str),
+                ("zip", FieldType::Int),
+            ])
+            .unwrap();
+            let mut cfg = DatasetConfig::new(schema, 0);
+            cfg.strategy = StrategyKind::Validation;
+            cfg.merge_repair = false;
+            cfg.memory_budget = usize::MAX;
+            cfg.secondary_indexes = vec![
+                SecondaryIndexDef {
+                    name: "location".into(),
+                    field: 1,
+                },
+                SecondaryIndexDef {
+                    name: "zip".into(),
+                    field: 2,
+                },
+            ];
+            let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+            let rec = |id: i64, loc: &str, zip: i64| {
+                Record::new(vec![
+                    Value::Int(id),
+                    Value::Str(loc.into()),
+                    Value::Int(zip),
+                ])
+            };
+            for i in 0..100 {
+                ds.insert(&rec(i, "CA", i % 7)).unwrap();
+            }
+            ds.flush_all().unwrap();
+            for i in 0..50 {
+                ds.upsert(&rec(i, "NY", i % 7)).unwrap();
+            }
+            for i in 50..70 {
+                ds.upsert(&rec(i, "CA", 100 + i)).unwrap();
+            }
+            ds.flush_all().unwrap();
+            ds
+        };
+        let marks = |ds: &Dataset| -> Vec<u64> {
+            let marked = |comps: ComponentList| -> u64 {
+                comps
+                    .iter()
+                    .filter_map(|c| c.bitmap())
+                    .map(|b| b.count_set())
+                    .sum()
+            };
+            let secondaries = ds.secondaries().iter();
+            secondaries
+                .map(|sec| marked(sec.tree.disk_components()))
+                .collect()
+        };
+        let cost = |ds: &Dataset, t0: u64, s0| {
+            let storage = ds.storage();
+            (storage.clock().now_nanos() - t0, storage.stats().since(&s0))
+        };
+        let (all, each) = (open(), open());
+        let (t0, s0) = (all.storage().clock().now_nanos(), all.storage().stats());
+        let reports = all.maintenance().repair_all().unwrap();
+        let all_cost = cost(&all, t0, s0);
+        let (t0, s0) = (each.storage().clock().now_nanos(), each.storage().stats());
+        let one_by_one = ["location", "zip"]
+            .map(|name| each.maintenance().repair_index(name).unwrap())
+            .to_vec();
+        let each_cost = cost(&each, t0, s0);
+        assert_eq!(reports, one_by_one);
+        assert_eq!(all_cost, each_cost);
+        assert_eq!(marks(&all), marks(&each));
+        assert!(reports.iter().all(|r| r.invalidated > 0), "{reports:?}");
     }
 
     #[test]

@@ -38,24 +38,6 @@ pub struct EngineStats {
     /// This dataset's jobs waiting in the runtime queue (gauge, refreshed
     /// on writes).
     pub queue_depth: AtomicU64,
-    /// Queries fanned out with
-    /// [`QueryBuilder::parallel(n)`](crate::QueryBuilder::parallel), `n > 1`
-    /// (the default query and `parallel(1)` run one inline partition and
-    /// are not counted).
-    pub parallel_queries: AtomicU64,
-    /// Scan partitions planned across all parallel queries (divide by
-    /// `parallel_queries` for the average fan-out actually achieved —
-    /// small ranges may split into fewer partitions than requested).
-    pub query_partitions: AtomicU64,
-    /// Primary-index filter scans fanned out with
-    /// [`FilterScanBuilder::parallel(n)`](crate::FilterScanBuilder::parallel),
-    /// `n > 1`.
-    pub parallel_filter_scans: AtomicU64,
-    /// Scan partitions planned across all partitioned filter scans (divide
-    /// by `parallel_filter_scans` for the average fan-out actually
-    /// achieved — small trees may split into fewer partitions than
-    /// requested).
-    pub filter_scan_partitions: AtomicU64,
     /// Passages through an engine crash site (`wal_append`,
     /// `flush_install`, `merge_install`, `checkpoint`) while an armed
     /// [`FaultPlan`](lsm_storage::FaultPlan) was installed on the dataset's
@@ -92,21 +74,6 @@ impl EngineStats {
         self.bump(&self.merge_jobs);
     }
 
-    /// Counts one fanned-out (`n > 1`) query planned into `partitions`.
-    pub(crate) fn record_parallel_query(&self, partitions: usize) {
-        self.bump(&self.parallel_queries);
-        self.query_partitions
-            .fetch_add(partitions as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one fanned-out (`n > 1`) filter scan planned into
-    /// `partitions`.
-    pub(crate) fn record_parallel_filter_scan(&self, partitions: usize) {
-        self.bump(&self.parallel_filter_scans);
-        self.filter_scan_partitions
-            .fetch_add(partitions as u64, Ordering::Relaxed);
-    }
-
     /// Total records that entered the dataset (inserts + upserts).
     pub fn records_ingested(&self) -> u64 {
         self.inserts.load(Ordering::Relaxed) + self.upserts.load(Ordering::Relaxed)
@@ -129,10 +96,6 @@ impl EngineStats {
             merge_jobs: self.merge_jobs.load(Ordering::Relaxed),
             backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
-            query_partitions: self.query_partitions.load(Ordering::Relaxed),
-            parallel_filter_scans: self.parallel_filter_scans.load(Ordering::Relaxed),
-            filter_scan_partitions: self.filter_scan_partitions.load(Ordering::Relaxed),
             crash_sites_armed: self.crash_sites_armed.load(Ordering::Relaxed),
             crash_sites_hit: self.crash_sites_hit.load(Ordering::Relaxed),
             wal_groups: self.wal_groups.load(Ordering::Relaxed),
@@ -159,10 +122,6 @@ pub struct EngineStatsSnapshot {
     pub merge_jobs: u64,
     pub backpressure_stalls: u64,
     pub queue_depth: u64,
-    pub parallel_queries: u64,
-    pub query_partitions: u64,
-    pub parallel_filter_scans: u64,
-    pub filter_scan_partitions: u64,
     pub crash_sites_armed: u64,
     pub crash_sites_hit: u64,
     pub wal_groups: u64,

@@ -6,7 +6,7 @@
 //!   100k-record dataset while holding at most one batch in memory.
 
 use lsm_common::{FieldType, Record, Schema, Value};
-use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{Dataset, DatasetConfig, QueryOptions, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,6 +26,16 @@ fn dataset(strategy: StrategyKind, memory_budget: usize) -> Arc<Dataset> {
 
 fn rec(id: i64, group: i64) -> Record {
     Record::new(vec![Value::Int(id), Value::Int(group)])
+}
+
+/// `ds`'s strategy-resolved options for a record query on `group`, with
+/// the record fetch batched `bytes` at a time.
+fn batched(ds: &Dataset, bytes: usize) -> QueryOptions {
+    let resolved = *ds.query("group").build().unwrap().options();
+    QueryOptions {
+        batch_bytes: bytes,
+        ..resolved
+    }
 }
 
 fn all_strategies() -> [StrategyKind; 4] {
@@ -200,7 +210,7 @@ fn stream_matches_execute_with_bounded_batches() {
     let query = || {
         ds.query("group")
             .range(0, 9)
-            .batch_bytes(small_batch)
+            .with_options(batched(&ds, small_batch))
             .sort_output(true)
     };
     let collected = query().execute().unwrap();
@@ -264,11 +274,13 @@ fn stream_modes_and_limits() {
 
     // Naive, batched, and pID streams all agree with the collecting path.
     for (naive, pid) in [(true, false), (false, false), (false, true)] {
-        let mut q = ds.query("group").range(2, 3).batch_bytes(4 * 1024);
-        if naive {
-            q = q.naive();
-        }
-        q = q.propagate_component_ids(pid);
+        let opts = QueryOptions {
+            batched: !naive,
+            stateful: !naive,
+            propagate_component_ids: pid,
+            ..batched(&ds, 4 * 1024)
+        };
+        let q = ds.query("group").range(2, 3).with_options(opts);
         let streamed: Vec<Record> = q.stream().unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(streamed, base, "naive={naive} pid={pid}");
     }
@@ -277,7 +289,7 @@ fn stream_modes_and_limits() {
     let limited: Vec<Record> = ds
         .query("group")
         .range(2, 3)
-        .batch_bytes(4 * 1024)
+        .with_options(batched(&ds, 4 * 1024))
         .limit(11)
         .stream()
         .unwrap()
@@ -307,7 +319,7 @@ fn limit_stops_fetching_early() {
     let full = ds
         .query("group")
         .eq(1)
-        .batch_bytes(16 * 1024)
+        .with_options(batched(&ds, 16 * 1024))
         .execute()
         .unwrap();
     let full_io = ds.storage().stats().since(&before);
@@ -318,7 +330,7 @@ fn limit_stops_fetching_early() {
     let limited = ds
         .query("group")
         .eq(1)
-        .batch_bytes(16 * 1024)
+        .with_options(batched(&ds, 16 * 1024))
         .limit(20)
         .execute()
         .unwrap();

@@ -1,14 +1,14 @@
-//! Fan-out equivalence oracle for the one query executor.
+//! Differential oracle for the query executor.
 //!
 //! A randomized workload (inserts, upserts, deletes, interleaved flushes,
 //! plus an unflushed tail) is mirrored into a `BTreeMap` oracle; the same
-//! query set then runs at `n = 1` (the default query), fanned out with
-//! `parallel(n)`, and through the fanned-out stream, across the Eager,
-//! Validation, and Mutable-bitmap strategies. All three must return
-//! *identical* results in primary-key order, matching the oracle —
-//! including while background maintenance churns components underneath the
-//! queries. A cost-clock test pins that the default query and
-//! `parallel(1)` are the same execution, not merely the same answer.
+//! query set then runs collected, collected in primary-key order
+//! (`sort_output`) and streamed, across the Eager, Validation, and
+//! Mutable-bitmap strategies. Each must match the oracle — for index-only
+//! and limited queries and under query-driven repair too, and while
+//! background maintenance churns components underneath the queries. Two
+//! targeted cases pin that a record updated inside the queried range comes
+//! back once, and that a query with no candidates costs no record fetch.
 
 use lsm_common::{FieldType, Record, Schema, Value};
 use lsm_engine::{
@@ -81,52 +81,45 @@ fn ids_of(res: &QueryResult) -> Vec<i64> {
         .collect()
 }
 
-/// Runs one query at `n = 1`, fanned out, and fanned out as a stream, and
-/// checks all three against the oracle.
-fn check_range(ds: &Dataset, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64, n: usize) {
+/// Runs one query collected, collected in primary-key order and streamed,
+/// and checks all three against the oracle.
+fn check_range(ds: &Dataset, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64) {
     let want = expected(oracle, lo, hi);
 
-    let serial = ds
+    let collected = ds.query("val").range(lo, hi).execute().unwrap();
+    let sorted = ds
         .query("val")
         .range(lo, hi)
         .sort_output(true)
         .execute()
         .unwrap();
-    let par = ds.query("val").range(lo, hi).parallel(n).execute().unwrap();
     let streamed: Vec<Record> = ds
         .query("val")
         .range(lo, hi)
-        .parallel(n)
         .stream()
         .unwrap()
         .collect::<lsm_common::Result<Vec<_>>>()
         .unwrap();
 
-    assert_eq!(ids_of(&serial), want, "serial vs oracle [{lo},{hi}]");
+    assert_eq!(ids_of(&sorted), want, "sort_output vs oracle [{lo},{hi}]");
+    let mut ids = ids_of(&collected);
+    ids.sort_unstable();
+    assert_eq!(ids, want, "execute() vs oracle [{lo},{hi}]");
     assert_eq!(
-        serial, par,
-        "parallel({n}).execute() differs from serial [{lo},{hi}]"
-    );
-    assert_eq!(
-        serial.records(),
+        sorted.records(),
         streamed.as_slice(),
-        "parallel({n}).stream() differs from serial [{lo},{hi}]"
-    );
-    let par_ids = ids_of(&par);
-    assert!(
-        par_ids.windows(2).all(|w| w[0] < w[1]),
-        "parallel output not strictly pk-ordered [{lo},{hi}]"
+        "stream() differs from sort_output [{lo},{hi}]"
     );
 }
 
-fn check_all_ranges(ds: &Dataset, oracle: &BTreeMap<i64, i64>, n: usize) {
+fn check_all_ranges(ds: &Dataset, oracle: &BTreeMap<i64, i64>) {
     for (lo, hi) in [(0, 99), (10, 30), (42, 42), (95, 99), (500, 600)] {
-        check_range(ds, oracle, lo, hi, n);
+        check_range(ds, oracle, lo, hi);
     }
 }
 
 #[test]
-fn parallel_matches_serial_across_strategies() {
+fn queries_match_oracle_across_strategies() {
     for (seed, strategy) in [
         (11, StrategyKind::Eager),
         (12, StrategyKind::Validation),
@@ -135,77 +128,50 @@ fn parallel_matches_serial_across_strategies() {
         let ds = Dataset::open(storage(), None, config(strategy)).unwrap();
         let mut oracle = BTreeMap::new();
         apply_workload(&ds, &mut oracle, seed);
-        for n in [2, 3, 7] {
-            check_all_ranges(&ds, &oracle, n);
-        }
-        // parallel(1) and a parallel query on an unknown index behave
-        // like their serial counterparts.
-        check_range(&ds, &oracle, 10, 30, 1);
-        assert!(ds.query("nope").parallel(4).execute().is_err());
+        check_all_ranges(&ds, &oracle);
+        assert!(ds.query("nope").execute().is_err());
     }
 }
 
 #[test]
-fn parallel_index_only_and_limit_match_serial() {
+fn index_only_and_limit_match_oracle() {
     let ds = Dataset::open(storage(), None, config(StrategyKind::Validation)).unwrap();
     let mut oracle = BTreeMap::new();
     apply_workload(&ds, &mut oracle, 99);
 
     let want = expected(&oracle, 20, 60);
-    let serial = ds
+    let keys = ds
         .query("val")
         .range(20, 60)
         .index_only()
         .execute()
         .unwrap();
-    let par = ds
-        .query("val")
-        .range(20, 60)
-        .index_only()
-        .parallel(3)
-        .execute()
-        .unwrap();
-    let keys: Vec<i64> = par.keys().iter().map(|k| k.as_int().unwrap()).collect();
-    assert_eq!(keys, want, "parallel index-only vs oracle");
-    assert_eq!(serial.keys(), par.keys(), "index-only serial vs parallel");
+    let keys: Vec<i64> = keys.keys().iter().map(|k| k.as_int().unwrap()).collect();
+    assert_eq!(keys, want, "index-only vs oracle");
 
-    // Limited queries stay pk-ordered and cap the fan-in.
-    let limited = ds
-        .query("val")
-        .range(20, 60)
-        .parallel(3)
-        .limit(7)
-        .execute()
-        .unwrap();
+    // Limited queries come back in primary-key order.
+    let limited = ds.query("val").range(20, 60).limit(7).execute().unwrap();
     assert_eq!(ids_of(&limited), want[..7.min(want.len())].to_vec());
 
-    // Streaming an index-only parallel query is rejected like the serial
-    // stream.
-    assert!(ds
-        .query("val")
-        .range(20, 60)
-        .index_only()
-        .parallel(3)
-        .stream()
-        .is_err());
+    // Index-only queries have no record stream.
+    assert!(ds.query("val").range(20, 60).index_only().stream().is_err());
 }
 
 #[test]
-fn parallel_query_driven_repair_marks_apply_once() {
+fn query_driven_repair_marks_and_matches_oracle() {
     let ds = Dataset::open(storage(), None, config(StrategyKind::Validation)).unwrap();
     let mut oracle = BTreeMap::new();
     apply_workload(&ds, &mut oracle, 7);
 
-    // A repair-marking parallel query returns correct results...
+    // A repair-marking query returns correct results...
     let want = expected(&oracle, 0, 99);
-    let res = ds
-        .query("val")
-        .range(0, 99)
-        .query_driven_repair(true)
-        .parallel(3)
-        .execute()
-        .unwrap();
-    assert_eq!(ids_of(&res), want);
+    let repairing = || {
+        ds.query("val")
+            .range(0, 99)
+            .query_driven_repair(true)
+            .sort_output(true)
+    };
+    assert_eq!(ids_of(&repairing().execute().unwrap()), want);
     // ...and leaves obsolescence marks behind: the updated/deleted keys'
     // stale entries are now invalidated in their secondary components.
     let marked: u64 = ds
@@ -217,23 +183,17 @@ fn parallel_query_driven_repair_marks_apply_once() {
         .filter_map(|c| c.bitmap().map(|b| b.count_set()))
         .sum();
     assert!(marked > 0, "repair-marking query left no bitmap marks");
-    // A second identical query (serial, also repair-marking) still agrees.
-    let again = ds
-        .query("val")
-        .range(0, 99)
-        .query_driven_repair(true)
-        .sort_output(true)
-        .execute()
-        .unwrap();
-    assert_eq!(ids_of(&again), want);
+    // A second identical query, which skips the marked entries, still
+    // agrees.
+    assert_eq!(ids_of(&repairing().execute().unwrap()), want);
 }
 
 /// Queries race background flushes and merges driven by a churn writer
 /// that re-upserts records with UNCHANGED values: the logical content is
-/// constant, so serial, parallel, and stream must keep agreeing with the
+/// constant, so every form of the query must keep agreeing with the
 /// oracle throughout, on both Validation and Mutable-bitmap datasets.
 #[test]
-fn parallel_matches_serial_under_background_maintenance() {
+fn queries_match_oracle_under_background_maintenance() {
     for strategy in [StrategyKind::Validation, StrategyKind::MutableBitmap] {
         let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
         let mut cfg = config(strategy);
@@ -266,22 +226,72 @@ fn parallel_matches_serial_under_background_maintenance() {
             });
             for round in 0..8 {
                 let lo = (round % 4) * 20;
-                check_range(ds_ref, &oracle, lo, lo + 25, 3);
+                check_range(ds_ref, &oracle, lo, lo + 25);
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             churn.join().unwrap();
         });
         ds.maintenance().quiesce().unwrap();
-        check_all_ranges(&ds, &oracle, 4);
-        let snap = ds.stats().snapshot();
-        assert!(snap.parallel_queries > 0);
-        assert!(snap.query_partitions >= snap.parallel_queries);
+        check_all_ranges(&ds, &oracle);
+        assert!(ds.stats().snapshot().flush_jobs > 0, "churn never flushed");
+    }
+}
+
+/// A record updated within the queried range has a candidate under its
+/// old and its new secondary key, on disk or in memory: every form of the
+/// query returns it once, with its newest value, under every strategy.
+#[test]
+fn an_update_inside_the_range_is_returned_once() {
+    for strategy in [
+        StrategyKind::Eager,
+        StrategyKind::Validation,
+        StrategyKind::MutableBitmap,
+        StrategyKind::DeletedKeyBTree,
+    ] {
+        let ds = Dataset::open(storage(), None, config(strategy)).unwrap();
+        let mut oracle = BTreeMap::new();
+        for id in 0..100 {
+            ds.insert(&rec(id, id % 10)).unwrap();
+            oracle.insert(id, id % 10);
+        }
+        ds.flush_all().unwrap();
+        // Flushed moves, then moves left in memory, all inside [0, 10].
+        for (ids, flush) in [(0..20, true), (20..40, false)] {
+            for id in ids {
+                ds.upsert(&rec(id, id % 10 + 1)).unwrap();
+                oracle.insert(id, id % 10 + 1);
+            }
+            if flush {
+                ds.flush_all().unwrap();
+            }
+        }
+        check_range(&ds, &oracle, 0, 10);
+        let sorted = ds
+            .query("val")
+            .range(0, 10)
+            .sort_output(true)
+            .execute()
+            .unwrap();
+        let got: Vec<(i64, i64)> = sorted
+            .records()
+            .iter()
+            .map(|r| (r.get(0).as_int().unwrap(), r.get(1).as_int().unwrap()))
+            .collect();
+        let want: Vec<(i64, i64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, want, "{strategy:?}");
+        let keys = ds.query("val").range(0, 10).index_only().execute().unwrap();
+        let mut keys: Vec<i64> = keys.keys().iter().map(|k| k.as_int().unwrap()).collect();
+        keys.sort_unstable(); // Direct validation fetches, in batch order
+        assert_eq!(
+            keys,
+            (0..100).collect::<Vec<_>>(),
+            "{strategy:?} index-only"
+        );
     }
 }
 
 /// Runs one read and returns its result with its whole cost: simulated
-/// nanoseconds plus the I/O counter delta (pages and bytes read, cache
-/// hits, Bloom checks, CPU charge).
+/// nanoseconds plus the I/O counter delta.
 fn cost<T>(ds: &Dataset, read: impl FnOnce() -> T) -> (T, u64, IoStatsSnapshot) {
     let storage = ds.storage();
     let (t0, before) = (storage.clock().now_nanos(), storage.stats());
@@ -290,13 +300,12 @@ fn cost<T>(ds: &Dataset, read: impl FnOnce() -> T) -> (T, u64, IoStatsSnapshot) 
     (out, sim_ns, storage.stats().since(&before))
 }
 
-/// The default read *is* the `n = 1` case of the partitioned executor:
-/// on two identically seeded datasets, the default forms and their
-/// `parallel(1)` spellings return equal results at equal cost on the
-/// deterministic clock — sim time, pages, bytes, Bloom checks — for
-/// queries, index-only queries and filter scans, under every strategy.
+/// A query whose range holds no candidates looks nothing up: collected or
+/// streamed, it returns nothing and costs exactly its index-only form,
+/// which fetches no records. Each read runs on its own identically seeded
+/// dataset, so no read warms the cache for another.
 #[test]
-fn default_is_parallel_one_on_the_cost_clock() {
+fn a_query_with_no_candidates_fetches_nothing() {
     for strategy in [
         StrategyKind::Eager,
         StrategyKind::Validation,
@@ -304,47 +313,22 @@ fn default_is_parallel_one_on_the_cost_clock() {
         StrategyKind::DeletedKeyBTree,
     ] {
         let open = || {
-            let mut cfg = config(strategy);
-            cfg.filter_field = Some(1);
-            let ds = Dataset::open(storage(), None, cfg).unwrap();
-            apply_workload(&ds, &mut BTreeMap::new(), 5);
+            let ds = Dataset::open(storage(), None, config(strategy)).unwrap();
+            apply_workload(&ds, &mut BTreeMap::new(), 3);
             ds
         };
-        let (a, b) = (open(), open());
-        for (lo, hi) in [(0, 99), (10, 30), (42, 42), (500, 600)] {
-            let label = format!("{strategy:?} [{lo},{hi}]");
-            let (qa, qb) = (a.query("val").range(lo, hi), b.query("val").range(lo, hi));
-            assert_eq!(
-                cost(&a, || qa.clone().sort_output(true).execute().unwrap()),
-                cost(&b, || qb.clone().parallel(1).execute().unwrap()),
-                "{label}: query"
-            );
-            // Index-only queries fetch no records — except under the
-            // deleted-key baseline, whose Direct validation does, so there
-            // `parallel(1)`'s implied sort has something to order.
-            let fetches = strategy == StrategyKind::DeletedKeyBTree;
-            assert_eq!(
-                cost(&a, || qa
-                    .index_only()
-                    .sort_output(fetches)
-                    .execute()
-                    .unwrap()),
-                cost(&b, || qb.index_only().parallel(1).execute().unwrap()),
-                "{label}: index-only"
-            );
-            assert_eq!(
-                cost(&a, || a.filter_scan().range(lo, hi).count().unwrap()),
-                cost(&b, || b
-                    .filter_scan()
-                    .range(lo, hi)
-                    .parallel(1)
-                    .count()
-                    .unwrap()),
-                "{label}: filter scan"
-            );
-        }
-        // Asking for one partition is not a fan-out.
-        assert_eq!(a.stats().snapshot(), b.stats().snapshot(), "{strategy:?}");
-        assert_eq!(b.stats().snapshot().parallel_queries, 0, "{strategy:?}");
+        let (a, b, c) = (open(), open(), open());
+        let (keys, key_ns, key_io) =
+            cost(&a, || a.query("val").range(500, 600).index_only().execute());
+        assert!(keys.unwrap().keys().is_empty(), "{strategy:?}");
+        let (records, rec_ns, rec_io) = cost(&b, || b.query("val").range(500, 600).execute());
+        assert!(records.unwrap().records().is_empty(), "{strategy:?}");
+        assert_eq!((rec_ns, rec_io), (key_ns, key_io), "{strategy:?} execute()");
+        let (streamed, str_ns, str_io) = cost(&c, || {
+            let stream = c.query("val").range(500, 600).stream().unwrap();
+            stream.collect::<lsm_common::Result<Vec<_>>>().unwrap()
+        });
+        assert!(streamed.is_empty(), "{strategy:?}");
+        assert_eq!((str_ns, str_io), (key_ns, key_io), "{strategy:?} stream()");
     }
 }

@@ -173,10 +173,10 @@ pub fn any_may_contain(
 ///
 /// The memory component is read live through `tree` and the disk-component
 /// list is captured *after* the memory pass, so an entry mid-flush is seen
-/// in memory or on disk (never neither) — which is why concurrent chunk
-/// fetches of one query need no shared snapshot. Every call builds its own
-/// per-component stateful cursors — concurrent callers (query partitions
-/// fetching their own sorted chunks) share no cursor state.
+/// in memory or on disk (never neither) — which is why the chunk fetches
+/// of one query need no shared snapshot. Every call builds its own
+/// per-component stateful cursors, so concurrent callers share no cursor
+/// state.
 pub fn lookup_sorted(
     tree: &LsmTree,
     keys: &[Key],

@@ -421,90 +421,6 @@ fn clone_bound(b: &Bound<&[u8]>) -> Bound<Vec<u8>> {
     }
 }
 
-/// One sub-range of a partitioned scan: the keys in `lo..hi` (owned bounds,
-/// ready to be borrowed via `Bound::as_ref`-style helpers for
-/// [`LsmScan::new`]). Produced by [`LsmScan::partition_scan`]; the
-/// partitions of one call are disjoint, ascending, and cover the planned
-/// range exactly.
-pub type ScanPartition = (Bound<Key>, Bound<Key>);
-
-impl LsmScan {
-    /// Plans a partitioned scan: splits `[lo, hi]` into at most `k`
-    /// disjoint, covering sub-ranges along disk-component page boundaries,
-    /// so `k` independent [`LsmScan`]s (one per sub-range, each over the
-    /// same component list) together see exactly what one scan of the whole
-    /// range would.
-    ///
-    /// Separator keys are taken from the leaf-page boundaries of the
-    /// component with the most leaf pages — the best available proxy for
-    /// the data distribution (every leaf holds roughly the same byte
-    /// volume), at the cost of reading one (likely cached) leaf page per
-    /// separator. With no disk components, a single-leaf range, or `k <= 1`
-    /// the plan degenerates to one partition covering the whole range.
-    pub fn partition_scan(
-        components: &[Arc<DiskComponent>],
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-        k: usize,
-    ) -> Result<Vec<ScanPartition>> {
-        let whole = vec![(clone_bound(&lo), clone_bound(&hi))];
-        if k <= 1 {
-            return Ok(whole);
-        }
-        let Some(comp) = components.iter().max_by_key(|c| c.btree().num_leaves()) else {
-            return Ok(whole);
-        };
-        let bt = comp.btree();
-        if bt.num_leaves() < 2 {
-            return Ok(whole);
-        }
-        let leaf_lo = match &lo {
-            Bound::Unbounded => 0,
-            Bound::Included(key) | Bound::Excluded(key) => bt.locate_leaf(key)?.unwrap_or(0),
-        };
-        let leaf_hi = match &hi {
-            Bound::Unbounded => bt.num_leaves() - 1,
-            Bound::Included(key) | Bound::Excluded(key) => {
-                bt.locate_leaf(key)?.unwrap_or(bt.num_leaves() - 1)
-            }
-        };
-        if leaf_hi <= leaf_lo {
-            return Ok(whole);
-        }
-        let span = u64::from(leaf_hi - leaf_lo) + 1;
-        let parts = (k as u64).min(span);
-        let below_hi = |key: &[u8]| match &hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => key <= *h,
-            Bound::Excluded(h) => key < *h,
-        };
-        let above_lo = |key: &[u8]| match &lo {
-            Bound::Unbounded => true,
-            Bound::Included(l) | Bound::Excluded(l) => key > *l,
-        };
-        let mut separators: Vec<Key> = Vec::with_capacity(parts as usize - 1);
-        for i in 1..parts {
-            let leaf = leaf_lo + (span * i / parts) as u32;
-            let Some(first) = bt.leaf_first_key(leaf)? else {
-                continue;
-            };
-            // Keep only separators strictly inside the range; duplicates
-            // (possible when the range is dense on few leaves) are dropped.
-            if above_lo(&first) && below_hi(&first) && separators.last() != Some(&first) {
-                separators.push(first);
-            }
-        }
-        let mut partitions = Vec::with_capacity(separators.len() + 1);
-        let mut cur_lo = clone_bound(&lo);
-        for sep in separators {
-            partitions.push((cur_lo, Bound::Excluded(sep.clone())));
-            cur_lo = Bound::Included(sep);
-        }
-        partitions.push((cur_lo, clone_bound(&hi)));
-        Ok(partitions)
-    }
-}
-
 /// Scans components one at a time with **no reconciliation** — the
 /// Mutable-bitmap strategy's scan mode (Section 6.4.2) — over the key range
 /// `[lo, hi]`. Entries arrive grouped by component, not in global key
@@ -520,8 +436,7 @@ impl LsmScan {
 /// capture could therefore observe the mark without the replacement and
 /// lose the record. Callers racing in-place deletes must freeze the
 /// bitmaps atomically with the memory+disk capture (the filter-scan
-/// capture does this under the dataset write lock) and every partition of
-/// a partitioned scan must reuse the same frozen snapshots.
+/// capture does this under the dataset write lock).
 pub fn scan_components_sequential(
     mem_snapshot: Option<Vec<(Key, LsmEntry)>>,
     components: &[Arc<DiskComponent>],
@@ -740,82 +655,6 @@ mod tests {
             Bound::Included(k) => Bound::Included(k.as_slice()),
             Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
         }
-    }
-
-    fn collect_range(
-        s: &Arc<Storage>,
-        comps: &[Arc<DiskComponent>],
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> Vec<Key> {
-        let mut scan =
-            LsmScan::new(s.clone(), None, comps, lo, hi, ScanOptions::default()).unwrap();
-        let mut keys = Vec::new();
-        while let Some((k, _)) = scan.next_entry().unwrap() {
-            keys.push(k);
-        }
-        keys
-    }
-
-    /// Partitioned scans must see exactly what one whole-range scan sees,
-    /// in the same order, with disjoint ascending sub-ranges.
-    #[test]
-    fn partition_scan_covers_range_exactly() {
-        let s = storage();
-        // Two overlapping components, enough entries for many leaves.
-        let mk = |lo: u32, hi: u32, id: ComponentId| {
-            let entries: Vec<(String, LsmEntry)> = (lo..hi)
-                .map(|i| (format!("k{i:06}"), LsmEntry::put(vec![b'v'; 40])))
-                .collect();
-            let refs: Vec<(&str, LsmEntry)> = entries
-                .iter()
-                .map(|(k, e)| (k.as_str(), e.clone()))
-                .collect();
-            build(&s, id, &refs)
-        };
-        let newer = mk(200, 700, ComponentId::new(1000, 1999));
-        let older = mk(0, 1000, ComponentId::new(1, 999));
-        let comps = vec![newer, older];
-
-        for (lo, hi) in [
-            (Bound::Unbounded, Bound::Unbounded),
-            (
-                Bound::Included(b"k000100".as_slice()),
-                Bound::Excluded(b"k000900".as_slice()),
-            ),
-            (
-                Bound::Included(b"k000450".as_slice()),
-                Bound::Included(b"k000460".as_slice()),
-            ),
-        ] {
-            let whole = collect_range(&s, &comps, lo, hi);
-            for k in [1usize, 2, 4, 7] {
-                let parts = LsmScan::partition_scan(&comps, lo, hi, k).unwrap();
-                assert!(parts.len() <= k.max(1), "{k} -> {}", parts.len());
-                let mut merged = Vec::new();
-                for (plo, phi) in &parts {
-                    merged.extend(collect_range(&s, &comps, bound_ref(plo), bound_ref(phi)));
-                }
-                assert_eq!(merged, whole, "k={k} lo={lo:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_scan_degenerates_gracefully() {
-        let s = storage();
-        // No components: one partition covering the range.
-        let parts = LsmScan::partition_scan(&[], Bound::Unbounded, Bound::Unbounded, 4).unwrap();
-        assert_eq!(parts.len(), 1);
-        // A single-leaf component cannot be split.
-        let tiny = build(
-            &s,
-            ComponentId::new(1, 2),
-            &[("a", LsmEntry::put(vec![])), ("b", LsmEntry::put(vec![]))],
-        );
-        let parts =
-            LsmScan::partition_scan(&[tiny], Bound::Unbounded, Bound::Unbounded, 4).unwrap();
-        assert_eq!(parts.len(), 1);
     }
 
     /// One generated source: `(key, anti-matter?, bitmap bit set?)` per

@@ -440,14 +440,13 @@ impl<'a> Harness<'a> {
                 self.chk(self.ds.delete(&Value::Int(victim)), "ingest delete")?;
                 self.committed.remove(&victim);
             }
-            // Keep parallel queries in flight while maintenance churns.
+            // Keep queries in flight while maintenance churns.
             if i % 256 == 255 {
                 let (lo, hi) = queries.user_id_range(0.1);
                 self.chk(
                     self.ds
                         .query("user_id")
                         .range(Value::Int(lo), Value::Int(hi))
-                        .parallel(2)
                         .execute(),
                     "ingest query",
                 )?;
@@ -861,7 +860,6 @@ impl<'a> Harness<'a> {
             self.ds
                 .query("user_id")
                 .range(Value::Int(0), Value::Int(USER_ID_DOMAIN - 1))
-                .parallel(2)
                 .execute(),
             "oracle query",
         )?;
@@ -873,8 +871,8 @@ impl<'a> Harness<'a> {
             )));
         }
         // Primary-index filter scans must agree with the committed-prefix
-        // oracle too: the unbounded predicate sees every live record, and the partitioned
-        // path must return exactly what the serial path returns.
+        // oracle too: the unbounded predicate sees every live record, counted
+        // or collected, and collects them in primary-key order.
         let report = self.chk(self.ds.filter_scan().count(), "oracle filter scan")?;
         if report.matches != expected as u64 {
             return Err(self.fail(format!(
@@ -882,20 +880,19 @@ impl<'a> Harness<'a> {
                 report.matches
             )));
         }
-        let serial = self.chk(
+        let records = self.chk(
             self.ds.filter_scan().records(),
             "oracle filter-scan records",
         )?;
-        let partitioned = self.chk(
-            self.ds.filter_scan().parallel(2).records(),
-            "oracle partitioned filter scan",
-        )?;
-        if partitioned != serial {
+        if records.len() != expected {
             return Err(self.fail(format!(
-                "after {when}: partitioned filter scan diverged from serial \
-                 ({} vs {} records)",
-                partitioned.len(),
-                serial.len()
+                "after {when}: filter scan collected {} records, expected {expected}",
+                records.len()
+            )));
+        }
+        if !records.windows(2).all(|w| pk_of(&w[0]) < pk_of(&w[1])) {
+            return Err(self.fail(format!(
+                "after {when}: filter scan records are not in primary-key order"
             )));
         }
         Ok(())

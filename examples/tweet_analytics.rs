@@ -10,7 +10,7 @@
 //! navigation, Section 3.2) and time-window scans over the range filter.
 
 use lsm_common::Value;
-use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{Dataset, DatasetConfig, QueryOptions, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{Storage, StorageOptions};
 use lsm_workload::{
     SelectivityQueries, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload,
@@ -76,10 +76,13 @@ fn main() {
             let t0 = clock.now_secs();
             for _ in 0..3 {
                 let (lo, hi) = queries.user_id_range(sel);
-                let mut q = ds.query("user_id").range(lo, hi);
-                if naive {
-                    q = q.naive();
-                }
+                let q = ds.query("user_id").range(lo, hi);
+                let opts = *q.clone().build().expect("query").options();
+                let q = q.with_options(QueryOptions {
+                    batched: !naive,
+                    stateful: !naive,
+                    ..opts
+                });
                 let res = q.execute().expect("query");
                 std::hint::black_box(res.len());
             }
