@@ -7,14 +7,15 @@
 //!
 //! Two variants are provided:
 //!
-//! * [`StandardBloom`] — the classic filter: `k` independent bit probes
-//!   spread across the whole bit array. Each probe is a likely CPU cache
-//!   miss.
-//! * [`BloomKind::Blocked`] — the cache-friendly variant of Putze et al.
-//!   (Section 3.2, "Blocked Bloom Filter"): the first hash selects one
-//!   cache-line-sized block and all `k` probes stay inside it, so a
-//!   membership test costs a single cache miss, at the price of roughly one
-//!   extra bit per key for the same false-positive rate.
+//! * [`BloomKind::Blocked`], the default — the cache-friendly variant of
+//!   Putze et al. (Section 3.2, "Blocked Bloom Filter"): the first hash
+//!   selects one cache-line-sized, cache-line-aligned block and all `k`
+//!   probes stay inside it, so a membership test costs a single cache
+//!   miss, at the price of roughly one extra bit per key for the same
+//!   false-positive rate.
+//! * [`StandardBloom`] — the classic filter, the paper's baseline in
+//!   Figure 12: `k` independent bit probes spread across the whole bit
+//!   array. Each probe is a likely CPU cache miss.
 //!
 //! Both use the same double-hashing scheme (`g_i = h1 + i·h2`), which is the
 //! standard way to derive `k` probes from one 64-bit hash.
@@ -157,6 +158,12 @@ impl BloomFilter for StandardBloom {
     }
 }
 
+/// One block of the blocked filter: 8×u64 = 512 bits, aligned to the cache
+/// line it fills, so a probe touches exactly one line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Block([u64; 8]);
+
 /// Cache-line blocked Bloom filter (Putze et al.).
 ///
 /// The first hash selects a 512-bit block; the `k` probes index within that
@@ -164,8 +171,7 @@ impl BloomFilter for StandardBloom {
 /// to compensate for the uneven per-block load, per the paper.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockedBloom {
-    /// Blocks of 8×u64 = 512 bits each.
-    blocks: Vec<[u64; 8]>,
+    blocks: Vec<Block>,
     nblocks: Divisor,
     k: u32,
 }
@@ -183,7 +189,7 @@ impl BlockedBloom {
         let nbits = (expected_keys.max(1) as f64 * bits_per_key).ceil() as usize;
         let nblocks = nbits.div_ceil(BLOCK_BITS).max(1);
         BlockedBloom {
-            blocks: vec![[0u64; 8]; nblocks],
+            blocks: vec![Block([0; 8]); nblocks],
             nblocks: Divisor::new(nblocks as u64),
             // k is chosen from the *standard* budget: the extra bit is load
             // compensation, not additional probes.
@@ -210,14 +216,14 @@ impl BloomFilter for BlockedBloom {
         let hash = KeyHash::new(key);
         let b = self.block_of(hash.h1);
         let positions = self.positions(hash);
-        let block = &mut self.blocks[b];
+        let Block(block) = &mut self.blocks[b];
         for bit in positions {
             block[bit / 64] |= 1 << (bit % 64);
         }
     }
 
     fn may_contain_hash(&self, hash: KeyHash) -> bool {
-        let block = &self.blocks[self.block_of(hash.h1)];
+        let Block(block) = &self.blocks[self.block_of(hash.h1)];
         let all = self
             .positions(hash)
             .fold(1, |all, bit| all & (block[bit / 64] >> (bit % 64)));
@@ -238,12 +244,17 @@ impl BloomFilter for BlockedBloom {
 }
 
 /// Which Bloom filter variant a component should build.
+///
+/// [`BloomKind::default`] is the one place the engine's choice is made:
+/// every configuration that does not name a kind builds `Blocked`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BloomKind {
-    /// Classic filter: k scattered probes.
-    #[default]
+    /// Classic filter: k scattered probes, each a likely cache miss. The
+    /// paper's baseline in Figure 12; built only where it is named.
     Standard,
-    /// Cache-line blocked filter (Section 3.2 optimization).
+    /// Cache-line blocked filter (Section 3.2 optimization): one cache
+    /// miss per probe for one extra bit per key. The default.
+    #[default]
     Blocked,
 }
 
@@ -348,6 +359,7 @@ mod tests {
     fn build_filter_dispatches() {
         assert!(!build_filter(BloomKind::Standard, 10, 0.01).is_blocked());
         assert!(build_filter(BloomKind::Blocked, 10, 0.01).is_blocked());
+        assert_eq!(BloomKind::default(), BloomKind::Blocked);
     }
 
     /// The division-free reductions pick the bits and blocks `%` would:
@@ -433,7 +445,7 @@ mod tests {
                     let bit = g(i, h1) % nbits;
                     s.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
                 });
-                let block = &b.blocks[(h1 % nblocks) as usize];
+                let Block(block) = &b.blocks[(h1 % nblocks) as usize];
                 let blocked = (0..u64::from(b.k)).all(|i| {
                     let bit = (g(i, h1.rotate_left(21)) % BLOCK_BITS as u64) as usize;
                     block[bit / 64] & (1 << (bit % 64)) != 0
@@ -474,9 +486,20 @@ mod tests {
                 s.insert(&k);
                 b.insert(&k);
             }
-            got.push((n, digest(&s.bits), digest(b.blocks.as_flattened())));
+            let blocks: Vec<u64> = b.blocks.iter().flat_map(|&Block(words)| words).collect();
+            got.push((n, digest(&s.bits), digest(&blocks)));
         }
         assert_eq!(got, recorded);
+    }
+
+    /// Every block of a large filter starts a cache line, so a probe reads
+    /// one line, never the ends of two.
+    #[test]
+    fn blocks_are_cache_line_aligned() {
+        assert_eq!(std::mem::size_of::<Block>(), 64);
+        let b = BlockedBloom::new(100_000, 0.01);
+        assert!(b.blocks.len() > 1_000, "{} blocks", b.blocks.len());
+        assert_eq!(b.blocks.as_ptr() as usize % 64, 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Default for LsmOptions {
         LsmOptions {
             name: "lsm".into(),
             with_bloom: true,
-            bloom_kind: BloomKind::Standard,
+            bloom_kind: BloomKind::default(),
             bloom_fpr: 0.01,
             mutable_bitmaps: false,
             mem_shards: 1,
@@ -106,7 +106,7 @@ impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
             with_bloom: true,
-            bloom_kind: BloomKind::Standard,
+            bloom_kind: BloomKind::default(),
             bloom_fpr: 0.01,
             expected_keys: 1024,
             filter: None,
@@ -771,6 +771,12 @@ mod tests {
 
     fn key(i: u32) -> Key {
         format!("k{i:06}").into_bytes()
+    }
+
+    #[test]
+    fn default_options_build_blocked_filters() {
+        assert_eq!(LsmOptions::default().bloom_kind, BloomKind::Blocked);
+        assert_eq!(BuildOptions::default().bloom_kind, BloomKind::Blocked);
     }
 
     #[test]
