@@ -33,6 +33,20 @@ pub struct TreeMeta {
     pub max_key: Option<Vec<u8>>,
 }
 
+/// One of the [`Storage`] page reads: `read_page` or `read_page_forward`.
+type PageRead = fn(&Storage, FileId, PageNo) -> Result<Arc<[u8]>>;
+
+/// Where a root-to-leaf walk ended (see `BTree::descend`).
+struct Descent {
+    leaf: PageNo,
+    /// Comparisons made on the router pages.
+    cmps: u32,
+    /// Whether the fence buffer was written.
+    fenced: bool,
+    /// The leaf the `upto` key routes to, where the walk found it.
+    upto_leaf: Option<PageNo>,
+}
+
 /// An immutable B+-tree stored in one simulated file.
 #[derive(Debug, Clone)]
 pub struct BTree {
@@ -149,18 +163,27 @@ impl BTree {
     /// has one — the first key of the next leaf, read off a page the walk
     /// has just searched. The rightmost leaf (and the only leaf of a
     /// height-1 tree) has none, and the buffer is left as it was.
+    ///
+    /// An `upto` key is routed too, on the same pages, while it takes the
+    /// same child as `key`; its comparisons are added to the count. The
+    /// last return is the leaf `upto` routes to when the two keys part on
+    /// the leaves' parent page or not at all — `None` when they part
+    /// higher up (the walk reads no page of `upto`'s own), on a height-1
+    /// tree, and without `upto`.
     fn descend(
         &self,
         key: &[u8],
         mut fence: Option<&mut Vec<u8>>,
-    ) -> Result<Option<(PageNo, u32, bool)>> {
+        mut upto: Option<&[u8]>,
+    ) -> Result<Option<Descent>> {
         if self.meta.height == 0 {
             return Ok(None);
         }
         let mut page_no = self.meta.root;
         let mut cmps = 0;
         let mut fenced = false;
-        for _ in 1..self.meta.height {
+        let mut upto_leaf = None;
+        for level in (1..self.meta.height).rev() {
             let data = self.storage.read_page(self.file, page_no)?;
             let page = InternalPage::parse(&data)?;
             let (idx, child, c) = page.route(key)?;
@@ -172,9 +195,23 @@ impl BTree {
                 }
             }
             cmps += c;
+            if let Some(upto_key) = upto {
+                let (_, upto_child, c) = page.route(upto_key)?;
+                cmps += c;
+                if level == 1 {
+                    upto_leaf = Some(upto_child);
+                } else if upto_child != child {
+                    upto = None;
+                }
+            }
             page_no = child;
         }
-        Ok(Some((page_no, cmps, fenced)))
+        Ok(Some(Descent {
+            leaf: page_no,
+            cmps,
+            fenced,
+            upto_leaf,
+        }))
     }
 
     /// Descends to the leaf page that would contain `key`.
@@ -193,11 +230,11 @@ impl BTree {
         key: &[u8],
         fence: Option<&mut Vec<u8>>,
     ) -> Result<Option<(PageNo, bool)>> {
-        let Some((leaf_no, cmps, fenced)) = self.descend(key, fence)? else {
+        let Some(walk) = self.descend(key, fence, None)? else {
             return Ok(None);
         };
-        self.charge_nodes(self.meta.height - 1, cmps);
-        Ok(Some((leaf_no, fenced)))
+        self.charge_nodes(self.meta.height - 1, walk.cmps);
+        Ok(Some((walk.leaf, walk.fenced)))
     }
 
     /// Point lookup. Returns `(value, global ordinal)` if the key exists.
@@ -211,13 +248,26 @@ impl BTree {
     /// [`BTree::search`] copies at the same spot callers always paid. The
     /// whole root-to-leaf walk is charged in one call.
     pub fn search_pinned(&self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
-        let Some((leaf_no, router_cmps, _)) = self.descend(key, None)? else {
+        self.search_with(key, Storage::read_page)
+    }
+
+    /// [`BTree::search_pinned`] for one probe of an ascending sequence —
+    /// the sorted fetch of Section 3.2: the leaf is read with
+    /// [`Storage::read_page_forward`], so a leaf a few pages past the last
+    /// one the device read is streamed to instead of sought.
+    pub fn search_pinned_forward(&self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
+        self.search_with(key, Storage::read_page_forward)
+    }
+
+    /// The point search, reading its leaf with `read_leaf`.
+    fn search_with(&self, key: &[u8], read_leaf: PageRead) -> Result<Option<(PageSlice, u64)>> {
+        let Some(walk) = self.descend(key, None, None)? else {
             return Ok(None);
         };
-        let data = self.storage.read_page(self.file, leaf_no)?;
+        let data = read_leaf(&self.storage, self.file, walk.leaf)?;
         let leaf = LeafPage::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
-        self.charge_nodes(self.meta.height, router_cmps + cmps);
+        self.charge_nodes(self.meta.height, walk.cmps + cmps);
         self.pinned_match(&data, &leaf, found)
     }
 
@@ -271,13 +321,26 @@ impl BTree {
     }
 
     /// Creates a scan over entries in `[lo, hi]` (bounds on encoded keys).
+    ///
+    /// A scan with both bounds reads ahead no further than its range's last
+    /// leaf: the descent to `lo` routes `hi` on the router pages it reads
+    /// anyway (charged as key comparisons), and no read-ahead burst — nor
+    /// any leaf read — goes past the leaf `hi` routes to, whose successors
+    /// hold only keys above `hi`. When `lo` and `hi` part above the leaves'
+    /// parent page, or `lo` is unbounded, the scan reads ahead as far as
+    /// the tree goes.
     pub fn scan(&self, lo: Bound<&[u8]>, hi: Bound<Vec<u8>>) -> Result<BTreeScan> {
-        let (start_leaf, start_idx) = match &lo {
-            Bound::Unbounded => (0, 0),
-            Bound::Included(k) | Bound::Excluded(k) => match self.locate_leaf(k)? {
-                None => (0, 0),
-                Some(leaf_no) => {
-                    let data = self.read_leaf(leaf_no)?;
+        let upto = match &hi {
+            Bound::Included(h) | Bound::Excluded(h) => Some(h.as_slice()),
+            Bound::Unbounded => None,
+        };
+        let (start_leaf, start_idx, upto_leaf) = match &lo {
+            Bound::Unbounded => (0, 0, None),
+            Bound::Included(k) | Bound::Excluded(k) => match self.descend(k, None, upto)? {
+                None => (0, 0, None),
+                Some(walk) => {
+                    self.charge_nodes(self.meta.height - 1, walk.cmps);
+                    let data = self.read_leaf(walk.leaf)?;
                     let leaf = LeafPage::parse(&data)?;
                     let (found, cmps) = leaf.search(k)?;
                     self.charge_nodes(1, cmps);
@@ -286,11 +349,19 @@ impl BTree {
                         (Ok(i), _) => i + 1,
                         (Err(i), _) => i,
                     };
-                    (leaf_no, idx)
+                    (walk.leaf, idx, walk.upto_leaf)
                 }
             },
         };
-        Ok(BTreeScan::new(self.clone(), start_leaf, start_idx, hi))
+        let leaves = self.meta.num_leaves;
+        let end_leaf = upto_leaf.map_or(leaves, |leaf| leaf.saturating_add(1).min(leaves));
+        Ok(BTreeScan::new(
+            self.clone(),
+            start_leaf,
+            start_idx,
+            end_leaf,
+            hi,
+        ))
     }
 
     /// Scans the whole tree in key order.
@@ -322,6 +393,9 @@ pub struct BTreeScan {
     done: bool,
     /// The leaf [`BTreeScan::advance`] loads once the current one runs out.
     next_leaf: PageNo,
+    /// One past the last leaf the range can reach: no leaf from here on is
+    /// read, nor read ahead.
+    end_leaf: PageNo,
     /// Entry index the walk over `next_leaf` starts at (non-zero only for
     /// the first leaf of a lower-bounded scan).
     start_idx: usize,
@@ -343,12 +417,19 @@ pub struct BTreeScan {
 }
 
 impl BTreeScan {
-    fn new(tree: BTree, start_leaf: PageNo, start_idx: usize, hi: Bound<Vec<u8>>) -> Self {
+    fn new(
+        tree: BTree,
+        start_leaf: PageNo,
+        start_idx: usize,
+        end_leaf: PageNo,
+        hi: Bound<Vec<u8>>,
+    ) -> Self {
         BTreeScan {
             done: tree.meta.num_leaves == 0,
             tree,
             hi,
             next_leaf: start_leaf,
+            end_leaf,
             start_idx,
             next_readahead: start_leaf,
             buffer_start: 0,
@@ -387,7 +468,7 @@ impl BTreeScan {
                     return Ok(true);
                 }
             }
-            if self.next_leaf >= self.tree.meta.num_leaves {
+            if self.next_leaf >= self.end_leaf {
                 self.done = true;
                 return Ok(false);
             }
@@ -404,7 +485,7 @@ impl BTreeScan {
         // for pages evicted from the shared cache.
         if leaf_no >= self.next_readahead {
             let ra = self.tree.storage.readahead_pages();
-            let count = ra.min(self.tree.meta.num_leaves - leaf_no);
+            let count = ra.min(self.end_leaf - leaf_no);
             // One batched call charges the burst AND returns the page
             // handles — no per-page `page_data` re-locking.
             self.buffer = self
@@ -702,6 +783,127 @@ mod tests {
             }
             proptest::prop_assert_eq!(&owned, &want);
         }
+    }
+
+    /// The entries a scan over `[lo, hi]` returns.
+    #[allow(clippy::type_complexity)]
+    fn scanned(
+        t: &BTree,
+        lo: &Bound<Vec<u8>>,
+        hi: &Bound<Vec<u8>>,
+    ) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+        let lo = match lo {
+            Bound::Unbounded => Bound::Unbounded,
+            Bound::Included(k) => Bound::Included(k.as_slice()),
+            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+        };
+        let mut scan = t.scan(lo, hi.clone()).unwrap();
+        let mut out = Vec::new();
+        while let Some(row) = scan.next_entry().unwrap() {
+            out.push(row);
+        }
+        out
+    }
+
+    /// A tree of `n` entries on `page_size`-byte pages: keys `key00000`,
+    /// `key00002`, … (the odd numbers are absent).
+    fn build_on(page_size: usize, n: u32) -> BTree {
+        let s = Storage::new(StorageOptions {
+            page_size,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s);
+        for i in 0..n {
+            b.add(
+                format!("key{:05}", 2 * i).as_bytes(),
+                format!("v{i}").as_bytes(),
+            )
+            .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// A range clipped at the leaf its upper bound routes to returns what
+    /// the entries read one by one say it holds: for included and excluded
+    /// upper bounds on a leaf's first key (a router separator), just below
+    /// and above it, past the last key and below the lower bound — on
+    /// trees of height 2 and 3, whose bounds part above the leaves' parent
+    /// page for wide ranges.
+    #[test]
+    fn a_clipped_scan_returns_what_the_range_holds() {
+        for (page_size, n) in [(4096, 3000), (256, 900)] {
+            let t = build_on(page_size, n);
+            assert!(t.height() >= 2);
+            let key = |i: u32| format!("key{i:05}").into_bytes();
+            let mut his = vec![key(2 * n + 7), key(0), b"kex".to_vec()];
+            for leaf_no in 1..t.num_leaves() {
+                let first = t.leaf_first_key(leaf_no).unwrap().unwrap();
+                let mut above = first.clone();
+                above.push(0);
+                his.extend([first.clone(), first[..first.len() - 1].to_vec(), above]);
+            }
+            for lo_leaf in [0, 1, t.num_leaves() / 2] {
+                let first = t.leaf_first_key(lo_leaf).unwrap().unwrap();
+                for lo in [Bound::Included(first.clone()), Bound::Excluded(first)] {
+                    for hi in &his {
+                        for hi in [Bound::Included(hi.clone()), Bound::Excluded(hi.clone())] {
+                            let want = entries_by_index(&t, &lo, &hi);
+                            assert_eq!(scanned(&t, &lo, &hi), want, "{lo:?}..{hi:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a cold cache, a scan whose range ends on leaf `b` reads the root
+    /// and leaves `a..=b` and nothing past them — where the unclipped
+    /// read-ahead read eight leaves from `a` — yet still reads ahead across
+    /// a range longer than one burst.
+    #[test]
+    fn a_clipped_scan_reads_no_leaf_past_its_last() {
+        let t = build(8000);
+        assert_eq!(t.height(), 2);
+        let ra = t.storage().readahead_pages();
+        assert!(t.num_leaves() > 2 * ra + 4, "{} leaves", t.num_leaves());
+        let first = |leaf_no| t.leaf_first_key(leaf_no).unwrap().unwrap();
+        for (a, b) in [
+            (0, 0),
+            (3, 3),
+            (3, 4),
+            (3, 6),
+            (2, 2 + ra),
+            (1, 1 + 2 * ra + 1),
+        ] {
+            let lo = Bound::Included(first(a));
+            let last = first(b + 1);
+            for hi in [
+                Bound::Excluded(last[..last.len() - 1].to_vec()),
+                Bound::Included(first(b)),
+                Bound::Excluded(first(b)),
+            ] {
+                t.storage().clear_cache();
+                let before = t.storage().stats();
+                let rows = scanned(&t, &lo, &hi);
+                let d = t.storage().stats().since(&before);
+                assert_eq!(rows, entries_by_index(&t, &lo, &hi));
+                let leaves = u64::from(b - a + 1);
+                assert_eq!(d.disk_reads(), 1 + leaves, "leaves {a}..={b}, {hi:?}");
+                assert_eq!(d.bytes_read, (1 + leaves) * 4096);
+                // The first leaf is read by the descent and again, as a
+                // hit, by the first burst.
+                assert_eq!(d.cache_hits, 1);
+            }
+        }
+        // A lower bound alone reads ahead as before.
+        t.storage().clear_cache();
+        let before = t.storage().stats();
+        let mut scan = t
+            .scan(Bound::Included(&first(3)), Bound::Unbounded)
+            .unwrap();
+        assert!(scan.advance().unwrap());
+        let d = t.storage().stats().since(&before);
+        assert_eq!(d.disk_reads(), 1 + u64::from(ra));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   between component files, turning every read into a random I/O;
 //! * **batched**: keys are split into batches and, per batch, components
 //!   are probed *one at a time*, newest to oldest, each component's pages
-//!   being touched in ascending key order — sequential where density allows;
+//!   being touched in ascending key order — sequential where density allows,
+//!   and a short gap between two wanted leaves streamed rather than sought
+//!   (`Storage::read_page_forward`);
 //! * per-component probes optionally use the **stateful cursor** with
 //!   exponential search, and Bloom filters (standard or **blocked**) gate
 //!   every component probe;
@@ -312,7 +314,11 @@ pub fn sorted_timestamps<'k>(
 /// enters, in the same order, and stops where it stops: pruned components
 /// are neither probed nor billed, so Bloom checks, negatives and their
 /// charge are the per-key walk's, key for key. What differs is the order
-/// of page accesses and, with the cursor, the B+-tree work per probe.
+/// of page accesses and, with the cursor, the B+-tree work per probe —
+/// and the device charge: the walk reads each leaf with
+/// [`Storage::read_page_forward`], which streams a short gap past the
+/// device head instead of seeking, where the per-key walk (the naive
+/// fetch, gets and a lone key) reads with [`Storage::read_page`].
 ///
 /// Keys must ascend (repeats allowed): the cursor only moves forward, and
 /// a key behind its position would read as absent, so order is checked —
@@ -386,7 +392,7 @@ fn walk_sorted<'k>(
             let j = remaining[slot];
             let hit = match &mut cursor {
                 Some(c) => c.seek_pinned(key_of(j))?,
-                None => comp.btree().search_pinned(key_of(j))?,
+                None => comp.btree().search_pinned_forward(key_of(j))?,
             };
             if let Some((raw, ordinal)) = hit {
                 on_hit(j, comp, raw, ordinal)?;
@@ -456,7 +462,7 @@ mod tests {
     use crate::bitmap::AtomicBitmap;
     use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
     use lsm_bloom::{build_filter, BloomFilter, BloomKind};
-    use lsm_storage::{Storage, StorageOptions};
+    use lsm_storage::{DiskProfile, Storage, StorageOptions};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -581,6 +587,76 @@ mod tests {
         // Batching changes the ORDER of page accesses, not the pages;
         // leaf-page volume is the same (router pages may differ via cache).
         assert!(batched.seq_reads > naive.seq_reads);
+    }
+
+    /// Only the sorted walk streams short forward gaps. Over two striped
+    /// components whose leaves are cold and whose routers are warm, sparse
+    /// sorted keys of the older component — which any walk reads in
+    /// ascending leaf order — make the batched walk, with and without the
+    /// cursor, bridge gaps; the naive walk and point lookups bridge none,
+    /// and read
+    /// with `read_page` alone: one device read or cache hit per page a tree
+    /// search asks for (a router and a leaf), each charged a seek plus a
+    /// transfer or a transfer alone. All four return the same entries.
+    #[test]
+    fn naive_walks_and_point_lookups_never_bridge() {
+        let t = LsmTree::new(Storage::new(StorageOptions::test()), LsmOptions::default());
+        let n = 20_000u32;
+        for (ts, stripe) in [(1, 0), (2, 1)] {
+            for i in (0..n).filter(|i| i % 2 == stripe) {
+                t.put(key(i), LsmEntry::put_ts(vec![b'x'; 20], ts), ts);
+            }
+            t.flush().unwrap();
+        }
+        let s = t.storage().clone();
+        let comps = t.disk_components();
+        assert!(comps.iter().all(|c| c.btree().height() == 2));
+        let keys: Vec<Key> = (0..n).step_by(662).map(key).collect();
+        let cold_leaves = || {
+            s.clear_cache();
+            for c in comps.iter() {
+                c.btree().locate_leaf(b"").unwrap();
+            }
+        };
+        let run = |batched: bool, stateful: bool| {
+            cold_leaves();
+            let (before, t0) = (s.stats(), s.clock().now_nanos());
+            let opts = LookupOptions {
+                batched,
+                stateful,
+                ..Default::default()
+            };
+            let found = sorted_by_index(lookup_sorted(&t, &keys, &opts).unwrap());
+            (found, s.stats().since(&before), s.clock().now_nanos() - t0)
+        };
+        let (want, naive, naive_ns) = run(false, false);
+        assert_eq!(want.len(), keys.len());
+        for stateful in [false, true] {
+            let (found, batched, _) = run(true, stateful);
+            assert_eq!(found, want, "stateful={stateful}");
+            assert!(
+                batched.bridged_pages > 0,
+                "stateful={stateful}: {batched:?}"
+            );
+        }
+
+        cold_leaves();
+        let (before, t0) = (s.stats(), s.clock().now_nanos());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(point_lookup(&t, k).unwrap().as_ref(), Some(&want[i].1));
+        }
+        let gets = s.stats().since(&before);
+        let gets_ns = s.clock().now_nanos() - t0;
+
+        let (profile, bytes) = (DiskProfile::hdd(), s.page_size());
+        for (what, d, ns) in [("naive", naive, naive_ns), ("gets", gets, gets_ns)] {
+            assert_eq!(d.bridged_pages, 0, "{what}");
+            let searches = d.bloom_checks - d.bloom_negatives;
+            assert_eq!(d.disk_reads() + d.cache_hits, 2 * searches, "{what}");
+            let device = d.rand_reads * profile.random_read_ns(bytes)
+                + d.seq_reads * profile.sequential_read_ns(bytes);
+            assert_eq!(ns, device + d.cpu_ns, "{what}");
+        }
     }
 
     #[test]

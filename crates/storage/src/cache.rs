@@ -58,7 +58,8 @@ impl StoredPage {
         hit
     }
 
-    #[cfg(test)]
+    /// Whether a frame holds the page; unlike [`StoredPage::touch`], sets
+    /// no reference bit.
     pub(crate) fn is_resident(&self) -> bool {
         self.resident.load(Relaxed)
     }

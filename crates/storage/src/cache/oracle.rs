@@ -55,6 +55,11 @@ impl BufferCache {
         false
     }
 
+    /// Whether `(file, page)` is resident; marks nothing.
+    pub(crate) fn contains(&self, file: FileId, page: PageNo) -> bool {
+        self.map.contains_key(&PageKey { file, page })
+    }
+
     fn admit(&mut self, key: PageKey) {
         if self.frames.len() < self.capacity {
             self.map.insert(key, self.frames.len());

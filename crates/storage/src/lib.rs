@@ -13,7 +13,13 @@
 //!   stored page, so a hit takes no cache lock and computes no hash; only
 //!   a miss takes the one CLOCK mutex to admit the page and sweep;
 //! * read-ahead batches sequential scans the way the paper's 4MB read-ahead
-//!   does;
+//!   does, and a B+-tree scan with both bounds reads ahead no further than
+//!   the leaf its upper bound routes to;
+//! * a forward read ([`Storage::read_page_forward`], what the sorted fetch
+//!   of Section 3.2 reads its leaves with) streams a short gap past the
+//!   device head instead of seeking over it: a gap of `g` pages is bridged
+//!   when `g × transfer(page) < seek` — 6 pages of 128 KiB on the HDD, 1
+//!   of 32 KiB on the SSD;
 //! * a [`SimClock`] accumulates simulated nanoseconds of I/O and CPU work,
 //!   and [`IoStats`] counts every event for assertions and reporting;
 //! * a scripted [`FaultPlan`] can be installed on a device to inject

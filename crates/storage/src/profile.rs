@@ -56,6 +56,19 @@ impl DiskProfile {
     pub fn sequential_read_ns(&self, bytes: usize) -> u64 {
         self.transfer_ns(bytes)
     }
+
+    /// The longest forward gap, in pages of `page_bytes`, that is cheaper
+    /// to stream than to seek over: the largest `g` with `g ×
+    /// transfer(page) < seek` — 6 pages of 128 KiB on the HDD, 1 page of
+    /// 32 KiB on the SSD.
+    pub(crate) fn bridge_pages(&self, page_bytes: usize) -> u32 {
+        let pages = self
+            .seek_ns
+            .saturating_sub(1)
+            .checked_div(self.transfer_ns(page_bytes))
+            .unwrap_or(u64::MAX);
+        u32::try_from(pages).unwrap_or(u32::MAX)
+    }
 }
 
 /// CPU cost model, charged by the index layers so that the in-memory

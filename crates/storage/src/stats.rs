@@ -44,6 +44,10 @@ pub struct IoStats {
     /// ([`Storage::read_pages`](crate::Storage::read_pages)): `count - 1`
     /// per batch, versus fetching each page individually.
     pub batched_lookups_saved: AtomicU64,
+    /// Gap pages a forward read streamed instead of seeking over them
+    /// ([`Storage::read_page_forward`](crate::Storage::read_page_forward)).
+    /// They are device reads too, counted in `seq_reads` and `bytes_read`.
+    pub bridged_pages: AtomicU64,
 }
 
 impl IoStats {
@@ -69,6 +73,7 @@ impl IoStats {
             wal_groups: self.wal_groups.load(Ordering::Relaxed),
             wal_grouped_records: self.wal_grouped_records.load(Ordering::Relaxed),
             batched_lookups_saved: self.batched_lookups_saved.load(Ordering::Relaxed),
+            bridged_pages: self.bridged_pages.load(Ordering::Relaxed),
         }
     }
 
@@ -105,6 +110,7 @@ pub struct IoStatsSnapshot {
     pub wal_groups: u64,
     pub wal_grouped_records: u64,
     pub batched_lookups_saved: u64,
+    pub bridged_pages: u64,
 }
 
 impl IoStatsSnapshot {
@@ -130,6 +136,7 @@ impl IoStatsSnapshot {
             wal_groups: self.wal_groups - earlier.wal_groups,
             wal_grouped_records: self.wal_grouped_records - earlier.wal_grouped_records,
             batched_lookups_saved: self.batched_lookups_saved - earlier.batched_lookups_saved,
+            bridged_pages: self.bridged_pages - earlier.bridged_pages,
         }
     }
 

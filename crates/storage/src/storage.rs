@@ -7,6 +7,12 @@
 //! page) from random accesses. This is what makes the paper's central
 //! trade-offs — batched vs interleaved point lookups, scans vs index
 //! navigation — measurable here.
+//!
+//! A forward read ([`Storage::read_page_forward`]) is the one read that
+//! turns a skip into a continuation: a miss `g` pages past the head on the
+//! same file streams the gap when `g × transfer(page) < seek`, because the
+//! device would rather read `g` pages it does not need than seek over
+//! them.
 
 use crate::cache::{FileState, Frames, StoredPage};
 use crate::fault::{FaultAction, FaultOp, FaultPlan, SiteOutcome};
@@ -100,6 +106,9 @@ pub struct Storage {
     /// interleaving reads across files moves the head and costs seeks,
     /// which is exactly the effect the paper's batched point lookups avoid.
     head: Mutex<Option<(FileId, PageNo)>>,
+    /// The longest forward gap [`Storage::read_page_forward`] streams
+    /// instead of seeking, from the profile and the page size.
+    bridge_pages: u32,
     /// Last file appended to, for write-seek charging.
     last_write: Mutex<Option<FileId>>,
     /// Installed fault-injection script, if any (see [`FaultPlan`]).
@@ -120,6 +129,7 @@ impl Storage {
     pub fn with_clock(opts: StorageOptions, clock: SimClock) -> Arc<Self> {
         Arc::new(Storage {
             frames: Mutex::new(Frames::new(opts.cache_pages)),
+            bridge_pages: opts.profile.bridge_pages(opts.page_size),
             opts,
             clock,
             stats: IoStats::new(),
@@ -358,40 +368,86 @@ impl Storage {
     /// Reads one page, going through the buffer cache and charging the
     /// device model on a miss.
     pub fn read_page(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
+        self.read_one(file, page, 0)
+    }
+
+    /// [`Storage::read_page`] for a reader that moves forward through
+    /// `file` — the sorted fetch of Section 3.2, whose next wanted leaf
+    /// often lies a few pages past the last one read. A miss whose page
+    /// lies a short gap of `g` pages past the device head on the same file
+    /// streams the gap instead of seeking: pages `head+1..=page` are
+    /// charged as one seek-free burst of `g + 1` page transfers, and the
+    /// gap pages not yet resident are admitted to the cache. A gap is short
+    /// when `g × transfer(page) < seek`. A hit, a backward read, a read of
+    /// another file, a device with no head and a longer gap are charged
+    /// exactly what [`Storage::read_page`] charges. Allocates nothing.
+    pub fn read_page_forward(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
+        self.read_one(file, page, self.bridge_pages)
+    }
+
+    /// One page through the cache; a miss streams a forward gap of at most
+    /// `bridge` pages past the head (see [`Storage::read_page_forward`]).
+    /// The miss is decided, admitted and charged under one acquisition of
+    /// the head lock, so no other read moves the head in between.
+    fn read_one(&self, file: FileId, page: PageNo, bridge: u32) -> Result<Arc<[u8]>> {
         self.fault_check(FaultOp::Read, format_args!("read of {file:?}/{page}"))?;
-        let (data, hit) = {
-            let files = self.files.read();
-            let stored = live(&files, file)?
-                .get(page as usize)
-                .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
-            let hit = stored.touch() || self.admit(&files, file, page);
-            (stored.data.clone(), hit)
-        };
-        if hit {
-            self.stats
-                .cache_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Ok(data);
-        }
-        self.charge_read(file, page, 1);
-        Ok(data)
-    }
-
-    /// The miss path: admits `(file, page)` under the CLOCK mutex, inside
-    /// the caller's file-table lock `files`. Returns `true` if a racing
-    /// read admitted the page first, which makes this access a hit.
-    fn admit(&self, files: &[FileState], file: FileId, page: PageNo) -> bool {
-        self.frames.lock().admit(files, file, page)
-    }
-
-    /// Charges a device read of `count` pages starting at `(file, page)`.
-    fn charge_read(&self, file: FileId, page: PageNo, count: u32) {
-        let sequential = {
+        let files = self.files.read();
+        let pages = live(&files, file)?;
+        let stored = pages
+            .get(page as usize)
+            .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
+        if !stored.touch() {
             let mut head = self.head.lock();
-            let seq = page > 0 && *head == Some((file, page - 1));
-            *head = Some((file, page + (count - 1)));
-            seq
-        };
+            let mut frames = self.frames.lock();
+            if !frames.admit(&files, file, page) {
+                let from = match *head {
+                    Some((f, h)) if f == file && h < page && page - h - 1 <= bridge => h + 1,
+                    _ => page,
+                };
+                // Streamed past on the way: the gap pages not yet resident
+                // are admitted, the resident ones left as they were.
+                for (p, gap) in (from..page).zip(&pages[from as usize..page as usize]) {
+                    if !gap.is_resident() {
+                        frames.admit(&files, file, p);
+                    }
+                }
+                drop(frames);
+                if from < page {
+                    self.stats
+                        .bridged_pages
+                        .fetch_add(u64::from(page - from), std::sync::atomic::Ordering::Relaxed);
+                }
+                self.charge_read(&mut head, file, from, page - from + 1);
+                return Ok(stored.data.clone());
+            }
+        }
+        self.stats
+            .cache_hits
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(stored.data.clone())
+    }
+
+    /// Charges a device read of `count` pages starting at `(file, page)`
+    /// and moves `head`, the locked device head, to the last of them. The
+    /// read is sequential only if it starts on exactly the page after the
+    /// head: transfer alone. Anything else — another file, a backward read,
+    /// a forward skip, no head — pays a seek first. Two rules keep
+    /// selective reads off that seek and off pages they do not need:
+    ///
+    /// * [`Storage::read_page_forward`] turns a forward skip of `g` pages
+    ///   with `g × transfer(page) < seek` into a sequential read, by
+    ///   starting it on the page after the head;
+    /// * a B+-tree scan with both bounds sizes its [`Storage::read_pages`]
+    ///   bursts to end at the leaf its upper bound routes to.
+    fn charge_read(
+        &self,
+        head: &mut Option<(FileId, PageNo)>,
+        file: FileId,
+        page: PageNo,
+        count: u32,
+    ) {
+        let sequential = page > 0 && *head == Some((file, page - 1));
+        *head = Some((file, page + (count - 1)));
         let bytes = self.opts.page_size;
         let cost = if sequential {
             self.stats
@@ -439,7 +495,7 @@ impl Storage {
             let files = self.files.read();
             let burst = burst(live(&files, file)?, file, page, count)?;
             for (p, stored) in (page..).zip(burst) {
-                if stored.touch() || self.admit(&files, file, p) {
+                if stored.touch() || self.frames.lock().admit(&files, file, p) {
                     self.stats
                         .cache_hits
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -456,7 +512,7 @@ impl Storage {
             .batched_lookups_saved
             .fetch_add(u64::from(count - 1), std::sync::atomic::Ordering::Relaxed);
         if misses > 0 {
-            self.charge_read(file, first_miss, misses);
+            self.charge_read(&mut self.head.lock(), file, first_miss, misses);
         }
         Ok(pages)
     }
@@ -955,10 +1011,11 @@ mod tests {
         assert!(!hits(&s, f, 0));
     }
 
-    /// Replays seeded traces of reads, bursts, file deletions and cache
-    /// clears at several capacities against the storage and against the
-    /// CLOCK it replaced (`cache::oracle`): every hit and miss, the frames in
-    /// sweep order, the hand and the simulated clock must agree.
+    /// Replays seeded traces of reads, forward reads, bursts, file
+    /// deletions and cache clears at several capacities against the
+    /// storage and against the CLOCK it replaced (`cache::oracle`): every
+    /// hit and miss, the frames in sweep order, the hand and the simulated
+    /// clock must agree.
     #[test]
     fn cache_matches_the_clock_it_replaced() {
         use crate::cache::oracle::BufferCache;
@@ -1028,7 +1085,29 @@ mod tests {
                         5..=6 if !dead.is_empty() => {
                             let f = dead[next(dead.len()) as usize];
                             assert!(s.read_page(f, 0).is_err());
+                            assert!(s.read_page_forward(f, 0).is_err());
                             assert!(s.read_pages(f, 0, 2).is_err());
+                        }
+                        21..=40 => {
+                            // Every forward gap of a 12-page file is short on
+                            // this profile: a miss past the head on its file
+                            // streams from the page after the head.
+                            let (f, p) = (live[next(live.len()) as usize], next(PAGES as usize));
+                            assert_eq!(*s.read_page_forward(f, p).unwrap(), p.to_le_bytes());
+                            if oracle.access(f, p) {
+                                hits = 1;
+                            } else {
+                                let from = match head {
+                                    Some((h_file, h)) if h_file == f && h < p => h + 1,
+                                    _ => p,
+                                };
+                                for q in from..p {
+                                    if !oracle.contains(f, q) {
+                                        oracle.access(f, q);
+                                    }
+                                }
+                                cost = charge(&mut head, f, from, p - from + 1);
+                            }
                         }
                         7..=20 => {
                             let (f, p) = (live[next(live.len()) as usize], next(PAGES as usize));
@@ -1148,6 +1227,158 @@ mod tests {
             accessed.load(Ordering::Relaxed)
         );
         assert!(s.cache_state().0.len() <= CAPACITY);
+    }
+
+    /// A storage with no cache limit to speak of and one file of `n` pages,
+    /// whose head stands on page `head` after one read.
+    fn headed(n: u32, head: PageNo) -> (Arc<Storage>, FileId) {
+        let s = Storage::new(StorageOptions {
+            cache_pages: 1024,
+            ..StorageOptions::test()
+        });
+        let f = s.create_file();
+        for p in 0..n {
+            s.append_page(f, &p.to_le_bytes()).unwrap();
+        }
+        s.read_page(f, head).unwrap();
+        (s, f)
+    }
+
+    /// What one `read` charged: the clock and the counters it moved, and
+    /// the cache it left.
+    #[allow(clippy::type_complexity)]
+    fn charged(
+        s: &Storage,
+        read: impl FnOnce(&Storage) -> Result<Arc<[u8]>>,
+    ) -> (u64, IoStatsSnapshot, (Vec<(FileId, PageNo)>, usize)) {
+        let (t, io) = (s.clock().now_nanos(), s.stats());
+        read(s).unwrap();
+        (
+            s.clock().now_nanos() - t,
+            s.stats().since(&io),
+            s.cache_state(),
+        )
+    }
+
+    /// The longest gap a forward read streams is the largest `g` with `g ×
+    /// transfer(page) < seek`: 6 pages of 128 KiB on the HDD, 1 of 32 KiB
+    /// on the SSD, 195 of 4 KiB on the test profile's HDD.
+    #[test]
+    fn bridge_limits_follow_the_profile() {
+        let limit = |opts: StorageOptions| Storage::new(opts).bridge_pages;
+        assert_eq!(limit(StorageOptions::hdd(0)), 6);
+        assert_eq!(limit(StorageOptions::ssd(0)), 1);
+        assert_eq!(limit(StorageOptions::test()), 195);
+        let hdd = DiskProfile::hdd();
+        let transfer = hdd.transfer_ns(128 * 1024);
+        assert!(6 * transfer < hdd.seek_ns && 7 * transfer >= hdd.seek_ns);
+    }
+
+    /// A forward gap of `g` pages up to the limit is streamed: `g + 1`
+    /// transfers and no seek, the gap pages admitted behind the wanted one,
+    /// and the head left on the wanted page.
+    #[test]
+    fn a_short_forward_gap_is_streamed_not_sought() {
+        let transfer = DiskProfile::hdd().transfer_ns(4096);
+        for g in [1, 2, 100, 195] {
+            let (s, f) = headed(400, 3);
+            let p = 3 + g + 1;
+            let (ns, io, (frames, _)) = charged(&s, |s| s.read_page_forward(f, p));
+            assert_eq!(ns, u64::from(g + 1) * transfer, "gap {g}");
+            assert_eq!((io.rand_reads, io.seq_reads), (0, u64::from(g + 1)));
+            assert_eq!(io.bridged_pages, u64::from(g));
+            assert_eq!(io.bytes_read, u64::from(g + 1) * 4096);
+            assert_eq!((io.cache_hits, io.batched_lookups_saved), (0, 0));
+            let mut want = vec![(f, 3), (f, p)];
+            want.extend((4..p).map(|q| (f, q)));
+            assert_eq!(frames, want);
+            // The stream ended on the wanted page: the next page continues it.
+            let (ns, io, _) = charged(&s, |s| s.read_page(f, p + 1));
+            assert_eq!((ns, io.seq_reads, io.rand_reads), (transfer, 1, 0));
+        }
+    }
+
+    /// A gap one page past the limit seeks, exactly as a plain read does,
+    /// and admits no gap page.
+    #[test]
+    fn a_long_forward_gap_seeks_and_admits_no_gap_page() {
+        let (s, f) = headed(400, 3);
+        let p = 3 + 196 + 1;
+        let (ns, io, (frames, _)) = charged(&s, |s| s.read_page_forward(f, p));
+        assert_eq!(ns, DiskProfile::hdd().random_read_ns(4096));
+        assert_eq!((io.rand_reads, io.seq_reads, io.bridged_pages), (1, 0, 0));
+        assert_eq!(frames, vec![(f, 3), (f, p)]);
+    }
+
+    /// A backward read, a read of another file, a read with no head and a
+    /// read of a resident page are never bridged: a forward read of each
+    /// is charged exactly what a plain read is, in clock, counters and
+    /// cache.
+    #[test]
+    fn forward_reads_bridge_nothing_else() {
+        type Setup = fn() -> (Arc<Storage>, FileId, PageNo);
+        let cases: [(&str, Setup); 4] = [
+            ("backward", || {
+                let (s, f) = headed(40, 20);
+                (s, f, 10)
+            }),
+            ("other file", || {
+                let (s, _) = headed(40, 20);
+                let g = s.create_file();
+                for p in 0..40u32 {
+                    s.append_page(g, &p.to_le_bytes()).unwrap();
+                }
+                (s, g, 22)
+            }),
+            ("no head", || {
+                let (s, f) = headed(40, 20);
+                s.clear_cache();
+                (s, f, 22)
+            }),
+            ("resident", || {
+                let (s, f) = headed(40, 20);
+                s.read_page(f, 25).unwrap();
+                s.read_page(f, 5).unwrap();
+                s.read_page(f, 4).unwrap();
+                (s, f, 25)
+            }),
+        ];
+        for (what, setup) in cases {
+            let (s, f, p) = setup();
+            let plain = charged(&s, |s| s.read_page(f, p));
+            let (s, f, p) = setup();
+            let forward = charged(&s, |s| s.read_page_forward(f, p));
+            assert_eq!(forward, plain, "{what}");
+            assert_eq!(forward.1.bridged_pages, 0, "{what}");
+        }
+    }
+
+    /// An installed read fault fails a forward read before it touches the
+    /// cache, the head or the clock.
+    #[test]
+    fn a_faulted_forward_read_charges_nothing() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let (s, f) = headed(40, 3);
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Read,
+                index: 0,
+            },
+            action: FaultAction::TransientError,
+        }]);
+        s.install_fault_plan(plan.clone());
+        plan.arm();
+        let (t, io, cache) = (s.clock().now_nanos(), s.stats(), s.cache_state());
+        assert!(s.read_page_forward(f, 6).is_err());
+        let d = s.stats().since(&io);
+        assert_eq!(s.clock().now_nanos(), t);
+        assert_eq!((d.disk_reads(), d.cache_hits, d.bridged_pages), (0, 0, 0));
+        assert_eq!((d.bytes_read, d.faults_injected), (0, 1));
+        assert_eq!(s.cache_state(), cache);
+        // The head did not move: the retry still bridges from page 3.
+        s.clear_fault_plan();
+        let (_, io, _) = charged(&s, |s| s.read_page_forward(f, 6));
+        assert_eq!((io.rand_reads, io.bridged_pages), (0, 2));
     }
 
     #[test]
