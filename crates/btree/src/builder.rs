@@ -98,7 +98,7 @@ impl BTreeBuilder {
             .to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
         let page = self.leaf.take_shared(next_base);
-        let page_no = self.storage.append_page_shared(self.file, page)?;
+        let (page_no, _) = self.storage.append_page_shared(self.file, page)?;
         debug_assert_eq!(page_no, self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
@@ -117,7 +117,18 @@ impl BTreeBuilder {
         }
         let num_leaves = self.next_page;
 
-        // Build router levels bottom-up until a single root remains.
+        // Build router levels bottom-up until a single root remains. The
+        // handle keeps each router page as the device stored it.
+        let mut routers: Vec<Arc<[u8]>> = Vec::new();
+        let mut append_router = |page: InternalPageBuilder| -> Result<(Vec<u8>, u32)> {
+            let first = page.first_key().unwrap().to_vec();
+            let (page_no, stored) = self
+                .storage
+                .append_page_shared(self.file, page.finish().into())?;
+            debug_assert_eq!(page_no as usize, num_leaves as usize + routers.len());
+            routers.push(stored);
+            Ok((first, page_no))
+        };
         let mut level: Vec<(Vec<u8>, u32)> = self.leaf_index.clone();
         let mut height: u32 = if num_leaves > 0 { 1 } else { 0 };
         let mut root = if num_leaves == 1 { 0 } else { u32::MAX };
@@ -129,15 +140,11 @@ impl BTreeBuilder {
                 if !builder.fits(key) && !builder.is_empty() {
                     let done =
                         std::mem::replace(&mut builder, InternalPageBuilder::new(self.page_size));
-                    let first = done.first_key().unwrap().to_vec();
-                    let page_no = self.storage.append_page(self.file, &done.finish())?;
-                    next_level.push((first, page_no));
+                    next_level.push(append_router(done)?);
                 }
                 builder.add(key, *child)?;
             }
-            let first = builder.first_key().unwrap().to_vec();
-            let page_no = self.storage.append_page(self.file, &builder.finish())?;
-            next_level.push((first, page_no));
+            next_level.push(append_router(builder)?);
             if next_level.len() == 1 {
                 root = next_level[0].1;
             }
@@ -165,7 +172,12 @@ impl BTreeBuilder {
         }
         self.storage.append_page(self.file, &meta_page)?;
         self.finished = true;
-        Ok(BTree::from_parts(self.storage.clone(), self.file, meta))
+        Ok(BTree::from_parts(
+            self.storage.clone(),
+            self.file,
+            meta,
+            routers.into(),
+        ))
     }
 }
 

@@ -8,6 +8,8 @@
 //!   written contiguously so scans are sequential;
 //! * [`tree::BTree`] — point search (returning each entry's global ordinal,
 //!   which validity bitmaps index by), range scans, key-range metadata;
+//!   the handle holds the tree's router pages, so a descent reads only
+//!   its leaf;
 //! * [`tree::BTreeScan`] — the range scan: a leaf at a time, lending each
 //!   entry as slices of the page it holds (owning wrappers for callers
 //!   that keep entries);
@@ -20,7 +22,10 @@
 //!   and every key and value is a slice of the page.
 //!
 //! All page reads go through [`lsm_storage::Storage`], so every search and
-//! scan is charged to the simulated device and CPU cost models.
+//! scan is charged to the simulated device and CPU cost models. The router
+//! pages are read once — kept by the builder as the device stored them, or
+//! read by [`tree::BTree::open`] — and a walk over them is charged its node
+//! visits and key comparisons, as a walk that read them was.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,18 @@
 //! Read-side of the immutable B+-tree.
 //!
 //! A [`BTree`] is a handle over a finished component file: it knows the root,
-//! height, leaf count, and key range, and provides point search (returning
-//! the entry's global ordinal, which bitmaps index by), leaf location for
-//! cursors, and range/full scans that read leaves sequentially.
+//! height, leaf count, and key range, holds the router pages, and provides
+//! point search (returning the entry's global ordinal, which bitmaps index
+//! by), leaf location for cursors, and range/full scans that read leaves
+//! sequentially.
+//!
+//! The router pages are read once — written by the builder, or read by
+//! [`BTree::open`] — and kept in the handle, the way the LSM layer keeps a
+//! component's Bloom filter: a root-to-leaf walk routes on them without
+//! asking the storage layer, so a point search reads one page, its leaf.
+//! They are a small share of the file (one router page per fanout's worth
+//! of leaves), as in the paper's testbed, whose router levels never leave
+//! the buffer cache.
 
 use crate::encoding::get_slice;
 use crate::page::{InternalPage, LeafPage, LeafShape};
@@ -48,23 +57,43 @@ struct Descent {
 }
 
 /// An immutable B+-tree stored in one simulated file.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct BTree {
     storage: Arc<Storage>,
     file: FileId,
     meta: TreeMeta,
+    /// The router pages `num_leaves..` of the file, in page order, each
+    /// the very buffer the device stores.
+    routers: Arc<[Arc<[u8]>]>,
+}
+
+impl std::fmt::Debug for BTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BTree")
+            .field("file", &self.file)
+            .field("meta", &self.meta)
+            .field("routers", &self.routers.len())
+            .finish()
+    }
 }
 
 impl BTree {
-    pub(crate) fn from_parts(storage: Arc<Storage>, file: FileId, meta: TreeMeta) -> Self {
+    pub(crate) fn from_parts(
+        storage: Arc<Storage>,
+        file: FileId,
+        meta: TreeMeta,
+        routers: Arc<[Arc<[u8]>]>,
+    ) -> Self {
         BTree {
             storage,
             file,
             meta,
+            routers,
         }
     }
 
-    /// Opens a tree previously built in `file` (reads the metadata page).
+    /// Opens a tree previously built in `file`: reads the metadata page,
+    /// then each router page once, and keeps the router pages.
     pub fn open(storage: Arc<Storage>, file: FileId) -> Result<Self> {
         let pages = storage.file_pages(file)?;
         if pages == 0 {
@@ -89,6 +118,14 @@ impl BTree {
         } else {
             (Some(min_raw.to_vec()), Some(max_raw.to_vec()))
         };
+        if num_leaves > pages - 1 {
+            return Err(Error::corruption(format!(
+                "metadata claims {num_leaves} leaves in a file of {pages} pages"
+            )));
+        }
+        let routers = (num_leaves..pages - 1)
+            .map(|page_no| storage.read_page(file, page_no))
+            .collect::<Result<_>>()?;
         Ok(BTree {
             storage,
             file,
@@ -100,6 +137,7 @@ impl BTree {
                 min_key,
                 max_key,
             },
+            routers,
         })
     }
 
@@ -152,11 +190,29 @@ impl BTree {
         );
     }
 
+    /// Router page `page_no`, from the handle: [`Error::Corruption`] when
+    /// the file has no router page of that number.
+    fn router(&self, page_no: PageNo) -> Result<&[u8]> {
+        page_no
+            .checked_sub(self.meta.num_leaves)
+            .and_then(|i| self.routers.get(i as usize))
+            .map(|page| &**page)
+            .ok_or_else(|| {
+                Error::corruption(format!(
+                    "routed to page {page_no}, not one of the router pages {}..{}",
+                    self.meta.num_leaves,
+                    self.meta.num_leaves as usize + self.routers.len()
+                ))
+            })
+    }
+
     /// Walks the router levels down to the leaf page that would contain
-    /// `key`, charging nothing: returns the leaf, the comparisons made on
-    /// the `height - 1` internal pages — for the caller to charge together
+    /// `key`, charging nothing and reading no page: the router pages are
+    /// the handle's. Returns the leaf, the comparisons made on the
+    /// `height - 1` internal pages — for the caller to charge together
     /// with its own leaf visit — and whether `fence` was written. `None`
-    /// on an empty tree.
+    /// on an empty tree; [`Error::Corruption`] when a child number names
+    /// no router page above the leaves' parent, or no leaf below it.
     ///
     /// A `fence` buffer receives the leaf's exclusive upper bound: the
     /// separator after the child taken, from the lowest router page that
@@ -168,7 +224,7 @@ impl BTree {
     /// same child as `key`; its comparisons are added to the count. The
     /// last return is the leaf `upto` routes to when the two keys part on
     /// the leaves' parent page or not at all — `None` when they part
-    /// higher up (the walk reads no page of `upto`'s own), on a height-1
+    /// higher up (the walk searches no page of `upto`'s own), on a height-1
     /// tree, and without `upto`.
     fn descend(
         &self,
@@ -184,8 +240,7 @@ impl BTree {
         let mut fenced = false;
         let mut upto_leaf = None;
         for level in (1..self.meta.height).rev() {
-            let data = self.storage.read_page(self.file, page_no)?;
-            let page = InternalPage::parse(&data)?;
+            let page = InternalPage::parse(self.router(page_no)?)?;
             let (idx, child, c) = page.route(key)?;
             if let Some(fence) = fence.as_deref_mut() {
                 if idx + 1 < page.count() {
@@ -205,6 +260,12 @@ impl BTree {
                 }
             }
             page_no = child;
+        }
+        if page_no >= self.meta.num_leaves {
+            return Err(Error::corruption(format!(
+                "routed to page {page_no}, not one of the {} leaves",
+                self.meta.num_leaves
+            )));
         }
         Ok(Some(Descent {
             leaf: page_no,
@@ -323,7 +384,7 @@ impl BTree {
     /// Creates a scan over entries in `[lo, hi]` (bounds on encoded keys).
     ///
     /// A scan with both bounds reads ahead no further than its range's last
-    /// leaf: the descent to `lo` routes `hi` on the router pages it reads
+    /// leaf: the descent to `lo` routes `hi` on the router pages it walks
     /// anyway (charged as key comparisons), and no read-ahead burst — nor
     /// any leaf read — goes past the leaf `hi` routes to, whose successors
     /// hold only keys above `hi`. When `lo` and `hi` part above the leaves'
@@ -588,7 +649,7 @@ fn pin(page: Option<&Arc<[u8]>>, span: Span, from: usize) -> PageSlice {
 mod tests {
     use super::*;
     use crate::builder::BTreeBuilder;
-    use lsm_storage::StorageOptions;
+    use lsm_storage::{DiskProfile, StorageOptions};
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())
@@ -856,10 +917,10 @@ mod tests {
         }
     }
 
-    /// On a cold cache, a scan whose range ends on leaf `b` reads the root
-    /// and leaves `a..=b` and nothing past them — where the unclipped
-    /// read-ahead read eight leaves from `a` — yet still reads ahead across
-    /// a range longer than one burst.
+    /// On a cold cache, a scan whose range ends on leaf `b` reads leaves
+    /// `a..=b` and nothing past them — where the unclipped read-ahead read
+    /// eight leaves from `a` — yet still reads ahead across a range longer
+    /// than one burst. The root is the handle's and is not read.
     #[test]
     fn a_clipped_scan_reads_no_leaf_past_its_last() {
         let t = build(8000);
@@ -888,8 +949,8 @@ mod tests {
                 let d = t.storage().stats().since(&before);
                 assert_eq!(rows, entries_by_index(&t, &lo, &hi));
                 let leaves = u64::from(b - a + 1);
-                assert_eq!(d.disk_reads(), 1 + leaves, "leaves {a}..={b}, {hi:?}");
-                assert_eq!(d.bytes_read, (1 + leaves) * 4096);
+                assert_eq!(d.disk_reads(), leaves, "leaves {a}..={b}, {hi:?}");
+                assert_eq!(d.bytes_read, leaves * 4096);
                 // The first leaf is read by the descent and again, as a
                 // hit, by the first burst.
                 assert_eq!(d.cache_hits, 1);
@@ -903,7 +964,7 @@ mod tests {
             .unwrap();
         assert!(scan.advance().unwrap());
         let d = t.storage().stats().since(&before);
-        assert_eq!(d.disk_reads(), 1 + u64::from(ra));
+        assert_eq!(d.disk_reads(), u64::from(ra));
     }
 
     #[test]
@@ -948,16 +1009,14 @@ mod tests {
     }
 
     /// A copy of `t`'s file whose metadata page claims `num_entries`
-    /// entries, and `leaf` applied to leaf page 0.
-    fn copy_with(t: &BTree, num_entries: u64, leaf: impl Fn(&mut [u8])) -> BTree {
+    /// entries, with `damage` applied to every other page.
+    fn copy_with(t: &BTree, num_entries: u64, damage: impl Fn(PageNo, &mut Vec<u8>)) -> BTree {
         let s = t.storage().clone();
         let f = s.create_file();
         let pages = s.file_pages(t.file()).unwrap();
         for p in 0..pages - 1 {
             let mut page = s.page_data(t.file(), p).unwrap().to_vec();
-            if p == 0 {
-                leaf(&mut page);
-            }
+            damage(p, &mut page);
             s.append_page(f, &page).unwrap();
         }
         let mut meta = Vec::new();
@@ -979,9 +1038,9 @@ mod tests {
     fn a_leaf_one_ordinal_past_the_tree_is_corruption() {
         let t = build(1000);
         assert!(t.num_leaves() > 2);
-        let intact = copy_with(&t, 1000, |_| {});
+        let intact = copy_with(&t, 1000, |_, _| {});
         assert_eq!(intact.search(b"key00000999").unwrap().unwrap().1, 999);
-        let short = copy_with(&t, 999, |_| {});
+        let short = copy_with(&t, 999, |_, _| {});
         let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
         assert_eq!(short.search(b"key00000000").unwrap().unwrap().1, 0);
         assert!(corrupt(short.search(b"key00000999").map(drop)));
@@ -1008,8 +1067,10 @@ mod tests {
     fn an_overflowing_ordinal_word_is_corruption() {
         let t = build(10);
         assert_eq!(t.num_leaves(), 1);
-        let damaged = copy_with(&t, 10, |page| {
-            page[..8].copy_from_slice(&u64::MAX.to_le_bytes())
+        let damaged = copy_with(&t, 10, |p, page| {
+            if p == 0 {
+                page[..8].copy_from_slice(&u64::MAX.to_le_bytes())
+            }
         });
         let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
         assert!(corrupt(damaged.search(b"key00000003").map(drop)));
@@ -1047,6 +1108,233 @@ mod tests {
             if leaf_no > 0 {
                 let below = &first[..first.len() - 1];
                 assert_eq!(t.locate_leaf(below).unwrap(), Some(leaf_no - 1));
+            }
+        }
+    }
+
+    /// A height-3 tree on 256-byte pages: 900 entries, keys `key00000`,
+    /// `key00002`, …
+    fn height_3() -> BTree {
+        let t = build_on(256, 900);
+        assert_eq!(t.height(), 3);
+        t
+    }
+
+    /// Keys present, absent inside the key range, and below and above it.
+    fn probes() -> Vec<Vec<u8>> {
+        let mut keys: Vec<Vec<u8>> = (0..1800)
+            .step_by(37)
+            .map(|i| format!("key{i:05}").into_bytes())
+            .collect();
+        keys.extend([
+            b"a".to_vec(),
+            b"key".to_vec(),
+            b"key99999".to_vec(),
+            b"z".to_vec(),
+        ]);
+        keys
+    }
+
+    /// The comparisons a root-to-leaf search of `key` makes, counted on the
+    /// file's pages as stored (read without a charge).
+    fn search_cmps(t: &BTree, key: &[u8]) -> u32 {
+        let page = |p| t.storage().page_data(t.file(), p).unwrap();
+        let (mut page_no, mut cmps) = (t.meta.root, 0);
+        for _ in 1..t.height() {
+            let (_, child, c) = InternalPage::parse(&page(page_no))
+                .unwrap()
+                .route(key)
+                .unwrap();
+            (page_no, cmps) = (child, cmps + c);
+        }
+        cmps + LeafPage::parse(&page(page_no))
+            .unwrap()
+            .search(key)
+            .unwrap()
+            .1
+    }
+
+    /// On a cold cache a point search reads one page, its leaf, at one
+    /// seek's cost, and is charged a node visit per level and a comparison
+    /// per key compared on the way down — router levels included.
+    #[test]
+    fn a_cold_search_reads_its_leaf_alone() {
+        let t = height_3();
+        let s = t.storage();
+        let (cpu, profile) = (*s.cpu(), DiskProfile::hdd());
+        let all = entries_by_index(&t, &Bound::Unbounded, &Bound::Unbounded);
+        // Descending, so no leaf read continues the one before it.
+        for key in probes().iter().rev() {
+            s.clear_cache();
+            let (before, t0) = (s.stats(), s.clock().now_nanos());
+            let hit = t.search_pinned(key).unwrap();
+            let (d, ns) = (s.stats().since(&before), s.clock().now_nanos() - t0);
+            let key_str = String::from_utf8_lossy(key);
+            let want = all.iter().find(|(k, _, _)| k == key);
+            assert_eq!(
+                hit.map(|(v, ord)| (v.to_vec(), ord)),
+                want.map(|(_, v, ord)| (v.clone(), *ord)),
+                "{key_str}"
+            );
+            assert_eq!(
+                (d.rand_reads, d.seq_reads, d.cache_hits),
+                (1, 0, 0),
+                "{key_str}"
+            );
+            let charged =
+                3 * cpu.btree_node_visit_ns + u64::from(search_cmps(&t, key)) * cpu.key_cmp_ns;
+            assert_eq!(d.cpu_ns, charged, "{key_str}");
+            assert_eq!(ns, profile.random_read_ns(s.page_size()) + charged);
+        }
+    }
+
+    /// [`BTree::open`] reads the metadata page and each router page once,
+    /// keeps the very pages the device stores, and no descent through the
+    /// reopened handle reads a page.
+    #[test]
+    fn open_reads_each_router_page_once_and_no_descent_reads_one() {
+        let built = height_3();
+        let s = built.storage().clone();
+        let (leaves, pages) = (built.num_leaves(), s.file_pages(built.file()).unwrap());
+        let routers = pages - 1 - leaves;
+        assert!(routers > 2, "{routers} router pages");
+        s.clear_cache();
+        let before = s.stats();
+        let t = BTree::open(s.clone(), built.file()).unwrap();
+        let d = s.stats().since(&before);
+        assert_eq!((d.disk_reads(), d.cache_hits), (u64::from(1 + routers), 0));
+        assert_eq!(t.routers.len(), routers as usize);
+        for (i, page) in t.routers.iter().enumerate() {
+            let stored = s.page_data(t.file(), leaves + i as PageNo).unwrap();
+            assert!(Arc::ptr_eq(page, &stored), "router page {i}");
+            assert!(Arc::ptr_eq(page, &built.routers[i]), "router page {i}");
+        }
+        s.clear_cache();
+        let before = s.stats();
+        for key in probes() {
+            t.locate_leaf(&key).unwrap();
+        }
+        let d = s.stats().since(&before);
+        assert_eq!((d.disk_reads(), d.cache_hits), (0, 0));
+        // A search reads its leaf, and nothing else.
+        for key in probes() {
+            let want = built.search(&key).unwrap();
+            let before = s.stats();
+            assert_eq!(t.search(&key).unwrap(), want);
+            let d = s.stats().since(&before);
+            assert_eq!(d.disk_reads() + d.cache_hits, 1, "{key:?}");
+        }
+    }
+
+    /// A router child pointer that names no router page — a leaf, the
+    /// metadata page, a page past the file — or, on the leaves' parent,
+    /// no leaf, is corruption to a search, a leaf location, a cursor and
+    /// a bounded scan; no read is attempted through it.
+    #[test]
+    fn a_router_child_outside_the_router_range_is_corruption() {
+        let t = height_3();
+        let (root, leaves) = (t.meta.root, t.num_leaves());
+        let meta_page = t.storage().file_pages(t.file()).unwrap() - 1;
+        // Every child of page `target` set to `child`.
+        let repoint = |target: PageNo, child: u32| {
+            move |p: PageNo, page: &mut Vec<u8>| {
+                if p == target {
+                    let router = InternalPage::parse(page).unwrap();
+                    // Children are fixed-width: the page keeps its size.
+                    let mut b = crate::page::InternalPageBuilder::new(4096);
+                    for i in 0..router.count() {
+                        b.add(router.entry(i).unwrap().0, child).unwrap();
+                    }
+                    *page = b.finish();
+                }
+            }
+        };
+        let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
+        for (target, child) in [
+            (root, 0),
+            (root, leaves - 1),
+            (root, meta_page),
+            (root, meta_page + 1),
+            (root, u32::MAX),
+            (leaves, leaves),
+            (leaves, root),
+            (leaves, meta_page),
+            (leaves, u32::MAX),
+        ] {
+            let damaged = copy_with(&t, t.num_entries(), repoint(target, child));
+            let s = damaged.storage();
+            let before = s.stats();
+            // Keys the damaged page routes: all of them through the root,
+            // those of the first leaves through router page `leaves`.
+            for key in [b"key00000".to_vec(), b"a".to_vec()] {
+                let what = format!("page {target} -> {child}, {key:?}");
+                assert!(corrupt(damaged.search_pinned(&key).map(drop)), "{what}");
+                assert!(corrupt(damaged.locate_leaf(&key).map(drop)), "{what}");
+                let mut cursor = crate::StatefulCursor::new(&damaged);
+                assert!(corrupt(cursor.seek(&key).map(drop)), "{what}");
+                let hi = Bound::Included(b"key00100".to_vec());
+                assert!(
+                    corrupt(damaged.scan(Bound::Included(&key), hi).map(drop)),
+                    "{what}"
+                );
+            }
+            let d = s.stats().since(&before);
+            assert_eq!(
+                (d.disk_reads(), d.cache_hits),
+                (0, 0),
+                "page {target} -> {child}"
+            );
+        }
+    }
+
+    /// A router page whose append a fault tore is held torn: the handle
+    /// keeps the page the device stores, byte for byte and buffer for
+    /// buffer, so a search through the built handle answers what one
+    /// through a reopened handle does.
+    #[test]
+    fn a_torn_router_append_is_held_torn() {
+        use lsm_storage::{FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger};
+        let intact = height_3();
+        let leaves = intact.num_leaves();
+        for (k, keep_bytes) in [(0, 20), (1, 6), (intact.routers.len() - 1, 9)] {
+            let s = Storage::new(StorageOptions {
+                page_size: 256,
+                ..StorageOptions::test()
+            });
+            let plan = FaultPlan::new(vec![FaultSpec {
+                trigger: FaultTrigger::OpIndex {
+                    op: FaultOp::Append,
+                    index: u64::from(leaves) + k as u64,
+                },
+                action: FaultAction::TornWrite { keep_bytes },
+            }]);
+            s.install_fault_plan(plan.clone());
+            plan.arm();
+            let mut b = BTreeBuilder::new(s.clone());
+            for i in 0..900u32 {
+                b.add(
+                    format!("key{:05}", 2 * i).as_bytes(),
+                    format!("v{i}").as_bytes(),
+                )
+                .unwrap();
+            }
+            let t = b.finish().unwrap();
+            s.clear_fault_plan();
+            assert_eq!(s.stats().torn_writes, 1);
+            let torn = &t.routers[k];
+            assert_ne!(&**torn, &*intact.routers[k], "router page {k}");
+            assert!(torn[keep_bytes..].iter().all(|&b| b == 0));
+            for (i, page) in t.routers.iter().enumerate() {
+                let stored = s.read_page(t.file(), leaves + i as PageNo).unwrap();
+                assert!(Arc::ptr_eq(page, &stored), "router page {i}");
+            }
+            let reopened = BTree::open(s.clone(), t.file()).unwrap();
+            for key in probes() {
+                assert_eq!(
+                    format!("{:?}", t.search(&key)),
+                    format!("{:?}", reopened.search(&key)),
+                    "router page {k}, {key:?}"
+                );
             }
         }
     }

@@ -281,23 +281,26 @@ impl Storage {
     /// Appends are charged as sequential writes, with a seek when the write
     /// target switches files.
     pub fn append_page(&self, file: FileId, data: &[u8]) -> Result<PageNo> {
-        self.append(file, data, || data.into())
+        Ok(self.append(file, data, || data.into())?.0)
     }
 
     /// [`Storage::append_page`] for a page the caller built in a shared
     /// buffer: the device keeps that very buffer instead of a copy of it.
-    pub fn append_page_shared(&self, file: FileId, page: Arc<[u8]>) -> Result<PageNo> {
+    /// Returns the page number and the page as the device stores it — the
+    /// caller's buffer, or the damaged image a torn or short write left —
+    /// so a caller that keeps the page holds exactly what a read returns.
+    pub fn append_page_shared(&self, file: FileId, page: Arc<[u8]>) -> Result<(PageNo, Arc<[u8]>)> {
         self.append(file, &page, || page.clone())
     }
 
     /// Appends `data`; `whole` yields the stored page when no fault
-    /// mutates it.
+    /// mutates it. Returns the page number and the stored page.
     fn append(
         &self,
         file: FileId,
         data: &[u8],
         whole: impl FnOnce() -> Arc<[u8]>,
-    ) -> Result<PageNo> {
+    ) -> Result<(PageNo, Arc<[u8]>)> {
         if data.len() > self.opts.page_size {
             return Err(Error::Storage(format!(
                 "page of {} bytes exceeds page size {}",
@@ -333,7 +336,7 @@ impl Storage {
             if state.deleted {
                 return Err(Error::Storage(format!("file {file:?} is deleted")));
             }
-            state.pages.push(StoredPage::new(stored));
+            state.pages.push(StoredPage::new(stored.clone()));
             (state.pages.len() - 1) as PageNo
         };
         if torn {
@@ -357,7 +360,7 @@ impl Storage {
         self.stats
             .bytes_written
             .fetch_add(data.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        Ok(page_no)
+        Ok((page_no, stored))
     }
 
     /// Number of pages in `file`.
@@ -657,14 +660,17 @@ mod tests {
 
     /// A shared append keeps the caller's buffer itself — no second copy
     /// of the page image — unless a fault damages the page, which must not
-    /// reach through to the buffer the caller still holds.
+    /// reach through to the buffer the caller still holds. Either way it
+    /// returns the very page a read returns.
     #[test]
     fn shared_append_stores_the_callers_buffer_unless_a_fault_tears_it() {
         use crate::fault::{FaultSpec, FaultTrigger};
         let s = storage();
         let f = s.create_file();
         let page: Arc<[u8]> = Arc::from(&b"abcdef"[..]);
-        s.append_page_shared(f, page.clone()).unwrap();
+        let (no, stored) = s.append_page_shared(f, page.clone()).unwrap();
+        assert_eq!(no, 0);
+        assert!(Arc::ptr_eq(&stored, &page));
         assert!(Arc::ptr_eq(&s.read_page(f, 0).unwrap(), &page));
 
         let plan = FaultPlan::new(vec![FaultSpec {
@@ -676,9 +682,11 @@ mod tests {
         }]);
         s.install_fault_plan(plan.clone());
         plan.arm();
-        s.append_page_shared(f, page.clone()).unwrap();
+        let (no, torn) = s.append_page_shared(f, page.clone()).unwrap();
         s.clear_fault_plan();
+        assert_eq!(no, 1);
         assert_eq!(&*s.read_page(f, 1).unwrap(), b"ab\0\0\0\0");
+        assert!(Arc::ptr_eq(&torn, &s.read_page(f, 1).unwrap()));
         assert_eq!(&*page, b"abcdef");
         let io = s.stats();
         assert_eq!(
