@@ -1,5 +1,7 @@
 //! Prints the paper's figures (Section 6) and the ablations as
-//! tab-separated tables:
+//! tab-separated tables, in the text of the golden files under
+//! `crates/bench/golden/` (`lsm_bench::figures::Table`) with the measured
+//! wall-clock seconds in place of their `-` cells:
 //!
 //! ```text
 //! cargo bench -p lsm-bench --bench figures [-- NAME...]

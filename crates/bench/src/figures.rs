@@ -7,7 +7,13 @@
 //! them, so a test can read them; `benches/figures.rs` prints them. Each
 //! function's "Expected shape (paper)" doc is the claim its tables
 //! reproduce. Times are on the dataset's simulated clock, except Figure
-//! 14's `wall_s` column and Figure 23, which are wall-clock seconds.
+//! 14's `wall_s` column and Figure 23, which are wall-clock seconds
+//! ([`Table::wall`]).
+//!
+//! [`tsv`] runs every figure at a scale as the text of a golden file
+//! ([`crate::golden`]): tier-1 compares scale 0.01 with
+//! `figures-0.01.tsv`, and an ignored test compares scale 1 with
+//! `figures-1.tsv`.
 
 use crate::{apply, loaded, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::{Record, Value};
@@ -26,42 +32,154 @@ use std::sync::Arc;
 
 /// One table of a figure: a title, column headers and one labelled row of
 /// numbers per variant.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`Table::tsv`] writes a table as tab-separated text and
+/// [`Table::parse`] reads that text back, every number bit for bit. It is
+/// the text of the golden files under `crates/bench/golden/`, and of
+/// [`Table::print`] with the wall-clock cells filled in (`→` marks a tab):
+///
+/// ```text
+/// # Figure 14a: upsert ingestion, no updates (60000 ops)
+/// Figure 14a→strategy→sim_minutes→krec_per_sim_min→wall_s
+/// Figure 14a→eager→0.8310927326666667→72.1941098046693→-
+/// ```
+///
+/// A `#` line names the figure and its title; the header and every row
+/// follow, each after the figure's name, so each line of a diff names its
+/// table. A number is written in Rust's shortest round-trip form. A
+/// wall-clock cell is written as `-`: it is the one cell that differs
+/// between two runs.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// The figure (and panel) the table reproduces, e.g. `Figure 12a`.
-    pub figure: &'static str,
+    pub figure: String,
     /// What the numbers are and the workload that produced them.
     pub title: String,
     /// Column headers, the label column's first.
     pub columns: Vec<String>,
     /// `(label, one value per column after the label column)`.
     pub rows: Vec<(String, Vec<f64>)>,
+    /// One flag per column after the label column: whether its cells are
+    /// wall-clock seconds.
+    pub wall: Vec<bool>,
 }
 
 impl Table {
-    fn new(figure: &'static str, title: impl Into<String>, columns: &[&str]) -> Self {
+    fn new(figure: impl Into<String>, title: impl Into<String>, columns: &[&str]) -> Self {
         Table {
-            figure,
+            figure: figure.into(),
             title: title.into(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
+            wall: vec![false; columns.len().saturating_sub(1)],
         }
+    }
+
+    /// Marks `columns` as wall-clock seconds.
+    fn wall_clock(mut self, columns: &[&str]) -> Self {
+        for (wall, column) in self.wall.iter_mut().zip(&self.columns[1..]) {
+            *wall |= columns.contains(&column.as_str());
+        }
+        self
     }
 
     fn row(&mut self, label: impl Into<String>, values: Vec<f64>) {
-        self.rows.push((label.into(), values));
+        let label = label.into();
+        let valid =
+            values.len() == self.wall.len() && values.iter().all(|v| v.is_finite() && *v >= 0.0);
+        let figure = &self.figure;
+        assert!(
+            valid,
+            "{figure} `{label}`: {values:?} is not one finite value ≥ 0 per column"
+        );
+        self.rows.push((label, values));
     }
 
-    /// Prints the table as tab-separated text under an
-    /// `=== figure: title ===` header, each value to three decimals.
+    /// The table as text, its wall-clock cells as `-` (see [`Table`]).
+    pub fn tsv(&self) -> String {
+        self.text(false)
+    }
+
+    /// Prints [`Table::tsv`]'s text with the measured wall-clock seconds
+    /// in place of its `-` cells.
     pub fn print(&self) {
-        println!();
-        println!("=== {}: {} ===", self.figure, self.title);
-        println!("{}", self.columns.join("\t"));
+        println!("{}", self.text(true));
+    }
+
+    fn text(&self, show_wall: bool) -> String {
+        let figure = &self.figure;
+        let mut out = format!("# {figure}: {}\n", self.title);
+        out += &format!("{figure}\t{}\n", self.columns.join("\t"));
         for (label, values) in &self.rows {
-            let cells: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
-            println!("{label}\t{}", cells.join("\t"));
+            out += &format!("{figure}\t{label}");
+            for (value, &wall) in values.iter().zip(&self.wall) {
+                if wall && !show_wall {
+                    out += "\t-";
+                } else {
+                    out += &format!("\t{value}");
+                }
+            }
+            out.push('\n');
         }
+        out
+    }
+
+    /// The tables of `text` as [`Table::tsv`] wrote them, blank lines
+    /// between them skipped. A `-` cell reads back as a wall-clock cell
+    /// holding NaN.
+    pub fn parse(text: &str) -> Result<Vec<Table>, String> {
+        let mut tables: Vec<Table> = Vec::new();
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            let bad = |why: &str| format!("{why}: `{line}`");
+            if let Some(head) = line.strip_prefix("# ") {
+                let (figure, title) = head.split_once(": ").ok_or_else(|| bad("no title"))?;
+                tables.push(Table::new(figure, title, &[]));
+                continue;
+            }
+            let table = tables.last_mut().ok_or_else(|| bad("no `#` line before"))?;
+            let mut fields = line.split('\t');
+            if fields.next() != Some(table.figure.as_str()) {
+                return Err(bad(&format!("not a line of `{}`", table.figure)));
+            }
+            if table.columns.is_empty() {
+                table.columns = fields.map(String::from).collect();
+                table.wall = vec![false; table.columns.len().saturating_sub(1)];
+                continue;
+            }
+            let label = fields.next().ok_or_else(|| bad("no label"))?.to_string();
+            let cells: Vec<&str> = fields.collect();
+            if cells.len() != table.wall.len() {
+                return Err(bad("not one value per column"));
+            }
+            let mut values = Vec::with_capacity(cells.len());
+            for (cell, wall) in cells.into_iter().zip(&mut table.wall) {
+                *wall |= cell == "-";
+                values.push(match cell {
+                    "-" => f64::NAN,
+                    _ => cell
+                        .parse()
+                        .map_err(|_| bad(&format!("`{cell}` is no number")))?,
+                });
+            }
+            table.rows.push((label, values));
+        }
+        Ok(tables)
+    }
+}
+
+/// Equal up to wall-clock cells: every other number bit for bit.
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        let same_cells = |x: &[f64], y: &[f64]| {
+            x.len() == y.len()
+                && (x.iter().zip(y).zip(&self.wall))
+                    .all(|((u, v), &wall)| wall || u.to_bits() == v.to_bits())
+        };
+        (&self.figure, &self.title, &self.columns, &self.wall)
+            == (&other.figure, &other.title, &other.columns, &other.wall)
+            && self.rows.len() == other.rows.len()
+            && (self.rows.iter().zip(&other.rows))
+                .all(|((a, x), (b, y))| a == b && same_cells(x, y))
     }
 }
 
@@ -85,6 +203,20 @@ pub const FIGURES: [(&str, Figure); 13] = [
     ("fig23", fig23),
     ("ablation", ablation),
 ];
+
+/// Every figure of [`FIGURES`] at `scale`, as the text of the golden file
+/// `figures-{scale}.tsv`: each table's [`Table::tsv`], a blank line
+/// between two tables.
+pub fn tsv(scale: f64) -> String {
+    let mut tables = Vec::new();
+    for (name, run) in FIGURES {
+        let figure = run(scale);
+        let empty = figure.is_empty() || figure.iter().any(|t| t.rows.is_empty());
+        assert!(!empty, "{name} returned no table or a table without rows");
+        tables.extend(figure.iter().map(Table::tsv));
+    }
+    tables.join("\n")
+}
 
 /// `n` operations at `scale`, at least 16.
 fn scaled(scale: f64, n: usize) -> usize {
@@ -315,11 +447,11 @@ fn run_query(ds: &Dataset, ranges: &[(i64, i64)], opts: &QueryOptions) -> f64 {
 /// probe misses cache). The same ordering holds on SSD with smaller gaps.
 fn fig13(scale: f64) -> Vec<Table> {
     let n = scaled(scale, 60_000);
-    [false, true]
+    [("Figure 13a", false), ("Figure 13b", true)]
         .into_iter()
-        .map(|ssd| {
+        .map(|(figure, ssd)| {
             let mut table = Table::new(
-                "Figure 13",
+                figure,
                 format!(
                     "insert ingestion on {} ({n} ops; cumulative sim-minutes at 25/50/75/100%)",
                     if ssd { "SSD" } else { "hard disk" }
@@ -394,18 +526,24 @@ fn insert_series(ds: &Dataset, dup_ratio: f64, n: usize) -> Vec<f64> {
 fn fig14(scale: f64) -> Vec<Table> {
     let n = scaled(scale, 60_000);
     let workloads = [
-        ("no updates", 0.0, UpdateDistribution::Uniform),
-        ("50% uniform", 0.5, UpdateDistribution::Uniform),
-        ("50% zipf", 0.5, UpdateDistribution::Zipf),
+        ("Figure 14a", "no updates", 0.0, UpdateDistribution::Uniform),
+        (
+            "Figure 14b",
+            "50% uniform",
+            0.5,
+            UpdateDistribution::Uniform,
+        ),
+        ("Figure 14c", "50% zipf", 0.5, UpdateDistribution::Zipf),
     ];
     workloads
         .into_iter()
-        .map(|(wname, update_ratio, distribution)| {
+        .map(|(figure, wname, update_ratio, distribution)| {
             let mut table = Table::new(
-                "Figure 14",
+                figure,
                 format!("upsert ingestion, {wname} ({n} ops)"),
                 &["strategy", "sim_minutes", "krec_per_sim_min", "wall_s"],
-            );
+            )
+            .wall_clock(&["wall_s"]);
             for (name, strategy, merge_repair) in [
                 ("eager", StrategyKind::Eager, false),
                 ("validation (no repair)", StrategyKind::Validation, false),
@@ -545,20 +683,21 @@ fn selectivity_sweep(
         .collect()
 }
 
-/// Figures 16 and 17: one table per update ratio (0% and 50%) of query
-/// sim-seconds on Eager, then on unrepaired and on merge-repaired
-/// Validation, each queried with every method of `methods`.
+/// Figures 16 and 17: one table per update ratio (0% and 50%, the panels
+/// `figures`) of query sim-seconds on Eager, then on unrepaired and on
+/// merge-repaired Validation, each queried with every method of `methods`.
 fn validation_figure(
-    figure: &'static str,
+    figures: [&str; 2],
     kind: &str,
     scale: f64,
     index_only: bool,
     methods: &[(&str, ValidationMethod)],
 ) -> Vec<Table> {
     let n = scaled(scale, 80_000);
-    [0.0, 0.5]
+    figures
         .into_iter()
-        .map(|update_ratio| {
+        .zip([0.0, 0.5])
+        .map(|(figure, update_ratio)| {
             let mut table = Table::new(
                 figure,
                 format!(
@@ -607,7 +746,7 @@ fn validation_figure(
 /// merge repair both validation methods approach Eager.
 fn fig16(scale: f64) -> Vec<Table> {
     validation_figure(
-        "Figure 16",
+        ["Figure 16a", "Figure 16b"],
         "non-index-only",
         scale,
         false,
@@ -629,7 +768,7 @@ fn fig16(scale: f64) -> Vec<Table> {
 /// timestamps (more pk-index pruning) and by removing obsolete entries.
 fn fig17(scale: f64) -> Vec<Table> {
     validation_figure(
-        "Figure 17",
+        ["Figure 17a", "Figure 17b"],
         "index-only",
         scale,
         true,
@@ -686,15 +825,15 @@ fn fig18(scale: f64) -> Vec<Table> {
 fn fig19(scale: f64) -> Vec<Table> {
     let n = scaled(scale, 80_000);
     let configs = [
-        ("recent + 50% updates", 0.5, true),
-        ("old + 0% updates", 0.0, false),
-        ("old + 50% updates", 0.5, false),
+        ("Figure 19a", "recent + 50% updates", 0.5, true),
+        ("Figure 19b", "old + 0% updates", 0.0, false),
+        ("Figure 19c", "old + 50% updates", 0.5, false),
     ];
     configs
         .into_iter()
-        .map(|(cname, update_ratio, recent)| {
+        .map(|(figure, cname, update_ratio, recent)| {
             let mut table = Table::new(
-                "Figure 19",
+                figure,
                 format!("range-filter scan sim-seconds, {cname} ({n} ops)"),
                 &["strategy", "1d", "7d", "30d", "180d", "365d"],
             );
@@ -859,11 +998,11 @@ fn bloom_opt(cfg: &mut DatasetConfig) {
 /// primary repairs under updates but costs extra in append-only workloads.
 fn fig20(scale: f64) -> Vec<Table> {
     let n = scaled(scale, 50_000);
-    [0.0, 0.5]
+    [("Figure 20a", 0.0), ("Figure 20b", 0.5)]
         .into_iter()
-        .map(|update_ratio| {
+        .map(|(figure, update_ratio)| {
             let mut table = Table::new(
-                "Figure 20",
+                figure,
                 format!(
                     "repair sim-seconds after each 20% of {n} ops, update ratio {:.0}%",
                     update_ratio * 100.0
@@ -965,7 +1104,7 @@ fn fig23(scale: f64) -> Vec<Table> {
     // One row per method; one cell per `(records per component, record
     // bytes, update ratio)`.
     let sweep = |figure, title: String, columns: &[&str], cells: [(usize, usize, f64); 5]| {
-        let mut table = Table::new(figure, title, columns);
+        let mut table = Table::new(figure, title, columns).wall_clock(&columns[1..]);
         for (label, method) in [
             ("baseline", CcMethod::Baseline),
             ("side-file", CcMethod::SideFile),

@@ -1,10 +1,11 @@
 //! Shared harness for the figure reproduction.
 //!
 //! [`figures`] regenerates every figure of Section 6; `benches/figures.rs`
-//! prints them. The paper's testbed (80M tweets ≈ 30GB on a 7200rpm disk,
-//! 2GB buffer cache, 128MB memory components, 1GB maximum mergeable
-//! components) is scaled down by roughly 200× while preserving the *ratios*
-//! that shape the results:
+//! prints them, and [`golden`] compares them with their committed record.
+//! The paper's testbed (80M tweets ≈ 30GB on a 7200rpm disk, 2GB buffer
+//! cache, 128MB memory components, 1GB maximum mergeable components) is
+//! scaled down by roughly 200× while preserving the *ratios* that shape
+//! the results:
 //!
 //! | knob                     | paper    | here (default)        |
 //! |--------------------------|----------|-----------------------|
@@ -26,6 +27,7 @@ use lsm_workload::{Op, TweetConfig, TweetGenerator, UpdateDistribution, UpsertWo
 use std::sync::Arc;
 
 pub mod figures;
+pub mod golden;
 
 /// Allocation counting for the zero-copy acceptance numbers.
 ///
@@ -185,7 +187,7 @@ pub fn prepare_dataset(
 /// Upserts `n` default tweets into `ds`, `update_ratio` of them updates of
 /// earlier keys drawn from `distribution`, and flushes. Returns the
 /// workload, whose generator knows the keys and times it issued.
-fn loaded(
+pub fn loaded(
     ds: &Dataset,
     n: usize,
     update_ratio: f64,
