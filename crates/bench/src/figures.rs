@@ -251,7 +251,7 @@ const BATCH: usize = 32;
 /// A stopwatch pairing simulated and wall-clock time.
 struct Timer {
     clock: SimClock,
-    sim_start: f64,
+    sim_start: u64,
     wall_start: std::time::Instant,
 }
 
@@ -259,15 +259,16 @@ impl Timer {
     fn start(ds: &Dataset) -> Self {
         let clock = ds.storage().clock().clone();
         Timer {
-            sim_start: clock.now_secs(),
+            sim_start: clock.now_nanos(),
             clock,
             wall_start: std::time::Instant::now(),
         }
     }
 
-    /// Simulated seconds since start.
+    /// Simulated seconds since start: the nanoseconds charged, converted
+    /// once, so equal charges give equal cells wherever the clock stood.
     fn sim(&self) -> f64 {
-        self.clock.now_secs() - self.sim_start
+        (self.clock.now_nanos() - self.sim_start) as f64 / 1e9
     }
 
     /// Wall seconds since start.
