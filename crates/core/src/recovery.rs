@@ -578,6 +578,171 @@ mod tests {
         assert!(ds.get(&Value::Int(599)).unwrap().is_some());
     }
 
+    use crate::dataset::{MergePlan, MergeTarget};
+
+    /// Eager twins: one dataset asks its pk index before each old-version
+    /// lookup, the other has no pk index and always searches the primary.
+    type Twins = [Arc<Dataset>; 2];
+    /// id → secondary value of every live record.
+    type Model = std::collections::BTreeMap<i64, i64>;
+
+    fn eager_twins() -> Twins {
+        [true, false].map(|with_pk_index| {
+            let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Int)]).unwrap();
+            let mut cfg = DatasetConfig::new(schema, 0);
+            cfg.strategy = StrategyKind::Eager;
+            cfg.with_pk_index = with_pk_index;
+            cfg.secondary_indexes = vec![crate::config::SecondaryIndexDef {
+                name: "v".into(),
+                field: 1,
+            }];
+            let log = Some(Storage::new(StorageOptions::test()));
+            Dataset::open(Storage::new(StorageOptions::test()), log, cfg).unwrap()
+        })
+    }
+
+    fn upsert_twins(twins: &Twins, model: &mut Model, ids: std::ops::Range<i64>, salt: i64) {
+        for id in ids {
+            let v = (id * 7 + salt) % 11;
+            for ds in twins {
+                ds.upsert(&rec(id, v)).unwrap();
+            }
+            model.insert(id, v);
+        }
+    }
+
+    /// Eager reports whether a record was removed: both twins must know.
+    fn delete_twins(twins: &Twins, model: &mut Model, ids: std::ops::Range<i64>) {
+        for id in ids {
+            let present = model.remove(&id).is_some();
+            for ds in twins {
+                assert_eq!(ds.delete(&Value::Int(id)).unwrap(), present, "delete {id}");
+            }
+        }
+    }
+
+    /// Both twins hold the same reconciled secondary entries (anti-matter
+    /// included), and every secondary query answers as the model does.
+    fn assert_twins_agree(twins: &Twins, model: &Model, when: &str) {
+        let entries = |ds: &Dataset| {
+            let opts = lsm_tree::ScanOptions {
+                emit_anti_matter: true,
+                respect_bitmaps: true,
+            };
+            let tree = &ds.secondary("v").unwrap().tree;
+            let mut scan = tree
+                .scan(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, opts)
+                .unwrap();
+            let mut out = Vec::new();
+            while let Some((key, e)) = scan.next_entry().unwrap() {
+                out.push((key, e.anti_matter, e.ts));
+            }
+            out
+        };
+        assert_eq!(entries(&twins[0]), entries(&twins[1]), "{when}: entries");
+        for v in 0..11 {
+            let want: Vec<Value> = model
+                .iter()
+                .filter(|(_, x)| **x == v)
+                .map(|(id, _)| Value::Int(*id))
+                .collect();
+            for (ds, name) in twins.iter().zip(["pk index", "no pk index"]) {
+                let keys = ds.query("v").eq(v).index_only().execute().unwrap();
+                let mut keys = keys.keys().to_vec();
+                keys.sort();
+                assert_eq!(keys, want, "{when}, {name}: keys of v = {v}");
+                let records = ds.query("v").eq(v).execute().unwrap();
+                let mut ids: Vec<Value> =
+                    records.records().iter().map(|r| r.get(0).clone()).collect();
+                ids.sort();
+                assert_eq!(ids, want, "{when}, {name}: records of v = {v}");
+            }
+        }
+    }
+
+    /// The pk-index gate of Eager's old-version step loses no old version:
+    /// one op stream on Eager twins, the old versions in the active memory
+    /// component, a sealed flush snapshot, the newest disk component and a
+    /// merged older one, behind a delete, and across a crash and recovery
+    /// (replay runs the same gated write).
+    #[test]
+    fn eager_pk_gate_finds_every_old_version_its_twin_finds() {
+        let twins = eager_twins();
+        let mut model = Model::new();
+        // Two flushed components, merged into one older component.
+        upsert_twins(&twins, &mut model, 0..40, 0);
+        twins.iter().for_each(|ds| assert!(ds.flush_all().unwrap()));
+        upsert_twins(&twins, &mut model, 40..100, 0);
+        for ds in &twins {
+            ds.flush_all().unwrap();
+            let targets = [MergeTarget::Primary, MergeTarget::Secondary(0)];
+            let pk = ds.pk_index().map(|_| MergeTarget::PkIndex);
+            for target in targets.into_iter().chain(pk) {
+                let range = lsm_tree::MergeRange { start: 0, end: 1 };
+                assert!(ds.execute_merge_plan(&MergePlan { target, range }).unwrap());
+            }
+            assert_eq!(ds.primary().num_disk_components(), 1, "merged");
+        }
+        // The newest disk component.
+        upsert_twins(&twins, &mut model, 100..140, 0);
+        twins.iter().for_each(|ds| assert!(ds.flush_all().unwrap()));
+        // A sealed snapshot (a flush mid-build), then the active component.
+        upsert_twins(&twins, &mut model, 140..180, 0);
+        for ds in &twins {
+            let _drain = ds.dataset_lock().write();
+            let trees = std::iter::once(ds.primary()).chain(ds.pk_index());
+            for tree in trees.chain(ds.secondaries().iter().map(|s| &s.tree)) {
+                assert!(tree.seal_mem().unwrap());
+            }
+        }
+        upsert_twins(&twins, &mut model, 180..220, 0);
+        assert_twins_agree(&twins, &model, "loaded");
+
+        // Overwrite each position, add new keys, delete some and re-upsert
+        // them behind their anti-matter.
+        for ids in [0..10, 40..50, 100..110, 140..150, 180..190, 1000..1040] {
+            upsert_twins(&twins, &mut model, ids, 1);
+        }
+        for ids in [20..25, 30..33, 145..148, 185..188, 5000..5003] {
+            delete_twins(&twins, &mut model, ids);
+        }
+        upsert_twins(&twins, &mut model, 20..25, 2);
+        upsert_twins(&twins, &mut model, 185..188, 2);
+        assert_twins_agree(&twins, &model, "overwritten");
+        for ds in &twins {
+            ds.flush_all().unwrap(); // builds the sealed snapshot, then the rest
+            assert!(!ds.primary().has_sealed());
+        }
+        upsert_twins(&twins, &mut model, 30..33, 3); // behind flushed anti-matter
+        assert_twins_agree(&twins, &model, "flushed");
+
+        // Unflushed writes over disk versions, logged, then a crash: replay
+        // redoes them against the recovered trees.
+        upsert_twins(&twins, &mut model, 60..70, 4);
+        upsert_twins(&twins, &mut model, 2000..2010, 4);
+        delete_twins(&twins, &mut model, 105..108);
+        for ds in &twins {
+            let state = CheckpointState::new();
+            ds.wal().unwrap().force().unwrap();
+            simulate_crash(ds, &state).unwrap();
+            assert!(recover(ds, &state).unwrap().replayed > 0);
+        }
+        assert_twins_agree(&twins, &model, "recovered");
+        // Old versions in replayed memory, on disk, and behind deletes.
+        upsert_twins(&twins, &mut model, 60..65, 5);
+        upsert_twins(&twins, &mut model, 2000..2005, 5);
+        upsert_twins(&twins, &mut model, 0..5, 5);
+        upsert_twins(&twins, &mut model, 105..108, 5);
+        upsert_twins(&twins, &mut model, 3000..3010, 5);
+        delete_twins(&twins, &mut model, 1000..1005);
+        assert_twins_agree(&twins, &model, "after recovery");
+        for ds in &twins {
+            ds.flush_all().unwrap();
+            ds.run_merges().unwrap();
+        }
+        assert_twins_agree(&twins, &model, "merged after recovery");
+    }
+
     #[test]
     fn recovery_without_wal_fails() {
         let schema = Schema::new(vec![("id", FieldType::Int)]).unwrap();

@@ -25,7 +25,10 @@ pub struct EngineStats {
     pub merges: AtomicU64,
     /// Secondary-index repair operations.
     pub repairs: AtomicU64,
-    /// Point lookups performed for maintenance (the Eager strategy's cost).
+    /// Point lookups performed for maintenance (the Eager strategy's cost):
+    /// an insert's uniqueness check, and each Eager upsert or delete whose
+    /// key the primary key index may hold. A key the pk index proves new
+    /// searches nothing and counts nothing.
     pub maintenance_lookups: AtomicU64,
     /// Maintenance jobs enqueued on the background scheduler.
     pub jobs_enqueued: AtomicU64,

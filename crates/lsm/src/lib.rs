@@ -33,8 +33,8 @@ pub use component::DiskComponent;
 pub use component_id::ComponentId;
 pub use entry::{EntryRef, LsmEntry};
 pub use lookup::{
-    any_may_contain, locate_valid, lookup_sorted, point_lookup, sorted_timestamps, LookupOptions,
-    WalkStats,
+    any_may_contain, locate_valid, lookup_sorted, may_contain, point_lookup, sorted_timestamps,
+    LookupOptions, WalkStats,
 };
 pub use memtable::MemComponent;
 pub use merge_policy::{MergePolicy, MergeRange, TieringPolicy};

@@ -170,6 +170,18 @@ pub fn any_may_contain(
     touched
 }
 
+/// True if `tree` may hold any version of `key` (live, anti-matter or
+/// bitmap-dead): its memory component holds one, or a disk component's
+/// Bloom filter may contain the key. `false` is a proof of absence —
+/// filters have no false negatives, and memory is read before the disk
+/// list is captured, as [`point_lookup`] reads them, so a concurrent
+/// flush cannot hide an entry. The disk probes are
+/// [`any_may_contain`]'s: one hash, one bill. Allocates nothing.
+pub fn may_contain(tree: &LsmTree, key: &[u8]) -> bool {
+    tree.mem_contains(key)
+        || any_may_contain(tree.storage(), &tree.disk_components(), key, |_| true)
+}
+
 /// Fetches many keys, which must be sorted ascending (repeats allowed;
 /// [`Error::InvalidArgument`] otherwise). See [`LookupOptions`].
 ///
@@ -1336,6 +1348,33 @@ mod tests {
             let once = billed(&s, || got = any_may_contain(&s, &comps, &k, keep));
             assert_eq!((got, once), (want, each), "key {k:?} after {after}");
         }
+    }
+
+    /// `may_contain` says "maybe" wherever a version lives — the active
+    /// memory component, a sealed snapshot, any disk component, anti-matter
+    /// included — and for a key held nowhere asks every filter, billed as
+    /// `any_may_contain` bills, plus the memory probe.
+    #[test]
+    fn may_contain_sees_memory_sealed_and_disk_versions() {
+        let t = sample_tree();
+        let s = t.storage().clone();
+        let memtable_ns = s.cpu().memtable_op_ns;
+        for i in [0, 5, 150, 275] {
+            assert!(may_contain(&t, &key(i)), "key {i}");
+        }
+        t.put(key(7000), LsmEntry::put(b"sealed".to_vec()), 9000);
+        t.seal_mem().unwrap();
+        t.put(key(8000), LsmEntry::anti_matter(), 9001);
+        assert!(may_contain(&t, &key(7000)), "sealed");
+        assert!(may_contain(&t, &key(8000)), "active anti-matter");
+        let comps = t.disk_components();
+        let absent = key(9999);
+        let want = billed(&s, || {
+            assert!(!any_may_contain(&s, &comps, &absent, |_| true))
+        });
+        let got = billed(&s, || assert!(!may_contain(&t, &absent)));
+        assert_eq!(got, (want.0 + memtable_ns, want.1, want.2));
+        assert_eq!(got.1, comps.len() as u64, "one probe per component");
     }
 
     // ---- component-list snapshots -------------------------------------------
