@@ -173,12 +173,14 @@ pub fn any_may_contain(
 /// True if `tree` may hold any version of `key` (live, anti-matter or
 /// bitmap-dead): its memory component holds one, or a disk component's
 /// Bloom filter may contain the key. `false` is a proof of absence —
-/// filters have no false negatives, and memory is read before the disk
-/// list is captured, as [`point_lookup`] reads them, so a concurrent
-/// flush cannot hide an entry. The disk probes are
-/// [`any_may_contain`]'s: one hash, one bill. Allocates nothing.
+/// filters have no false negatives, and the active component, the sealed
+/// snapshot and the disk list are read in that order, as [`point_lookup`]
+/// reads them, so a concurrent flush cannot hide an entry. The memory
+/// probes copy headers only and the disk probes are [`any_may_contain`]'s
+/// (one hash, one bill): the call allocates nothing.
 pub fn may_contain(tree: &LsmTree, key: &[u8]) -> bool {
-    tree.mem_contains(key)
+    tree.mem_get_active(key).is_some()
+        || tree.sealed_get(key).is_some()
         || any_may_contain(tree.storage(), &tree.disk_components(), key, |_| true)
 }
 

@@ -294,21 +294,6 @@ impl LsmTree {
             .and_then(|s| s.get(key).map(LsmEntry::key_only))
     }
 
-    /// True if the memory component holds an entry for `key`, active
-    /// snapshot first, then sealed — in the order [`LsmTree::mem_get`]
-    /// reads them, so an entry mid-seal is seen in one or the other. The
-    /// same one charge as `mem_get`; copies nothing.
-    pub fn mem_contains(&self, key: &[u8]) -> bool {
-        self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
-        if self.mem.lock().get(key).is_some() {
-            return true;
-        }
-        self.sealed
-            .read()
-            .as_ref()
-            .is_some_and(|s| s.get(key).is_some())
-    }
-
     /// True if a sealed snapshot is pending (a flush is mid-build, or a
     /// previous flush attempt failed and should be retried).
     pub fn has_sealed(&self) -> bool {
