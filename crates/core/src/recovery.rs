@@ -258,6 +258,7 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
 mod tests {
     use super::*;
     use crate::config::{DatasetConfig, EngineConfig, StrategyKind};
+    use crate::dataset::{MergePlan, MergeTarget};
     use crate::MaintenanceRuntime;
     use lsm_common::{FieldType, Schema, Value};
     use lsm_storage::{Storage, StorageOptions};
@@ -577,8 +578,6 @@ mod tests {
         ds.maintenance().quiesce().unwrap();
         assert!(ds.get(&Value::Int(599)).unwrap().is_some());
     }
-
-    use crate::dataset::{MergePlan, MergeTarget};
 
     /// Eager twins: one dataset asks its pk index before each old-version
     /// lookup, the other has no pk index and always searches the primary.
