@@ -1,7 +1,8 @@
-//! Every figure of `lsm_bench::figures`, run once, equals its committed
-//! table in `crates/bench/golden/`: the simulated clock makes every
-//! sim-time cell a function of the workload, and wall-clock cells are
-//! written as `-`. A mismatch names only the lines that moved.
+//! Every figure of `lsm_bench::figures` with a simulated-time cell, run
+//! once, equals its committed table in `crates/bench/golden/`: the
+//! simulated clock makes every sim-time cell a function of the workload,
+//! and wall-clock cells are written as `-`. A mismatch names only the
+//! lines that moved.
 
 use lsm_bench::{figures, golden};
 
