@@ -20,7 +20,7 @@ use lsm_common::{Record, Value};
 use lsm_engine::cc::{merge_primary_with_cc, CcMethod};
 use lsm_engine::query::{QueryOptions, ValidationMethod};
 use lsm_engine::{BatchOpResult, BloomKind, Dataset, DatasetConfig, RepairPlan, StrategyKind};
-use lsm_storage::SimClock;
+use lsm_storage::Storage;
 use lsm_tree::{MergeRange, TieringPolicy};
 use lsm_workload::{
     InsertWorkload, Op, SelectivityQueries, TweetConfig, TweetGenerator, UpdateDistribution,
@@ -255,25 +255,34 @@ const BATCH: usize = 32;
 
 /// A stopwatch pairing simulated and wall-clock time.
 struct Timer {
-    clock: SimClock,
+    /// The dataset's data device, then its log device if any, each with
+    /// the nanoseconds it had charged at start.
+    devices: Vec<(Arc<Storage>, u64)>,
     sim_start: u64,
     wall_start: std::time::Instant,
 }
 
 impl Timer {
     fn start(ds: &Dataset) -> Self {
-        let clock = ds.storage().clock().clone();
+        let devices = std::iter::once(ds.storage()).chain(ds.wal().map(|wal| wal.storage()));
         Timer {
-            sim_start: clock.now_nanos(),
-            clock,
+            devices: devices.map(|s| (s.clone(), s.charged_ns())).collect(),
+            sim_start: ds.storage().clock().now_nanos(),
             wall_start: std::time::Instant::now(),
         }
     }
 
     /// Simulated seconds since start: the nanoseconds charged, converted
     /// once, so equal charges give equal cells wherever the clock stood.
+    /// Asserts that they are what the dataset's devices counted, priced: no
+    /// timed figure runs a second thread to move the clock meanwhile.
     fn sim(&self) -> f64 {
-        (self.clock.now_nanos() - self.sim_start) as f64 / 1e9
+        let ns = self.devices[0].0.clock().now_nanos() - self.sim_start;
+        let priced: u64 = (self.devices.iter())
+            .map(|(device, start)| device.charged_ns() - start)
+            .sum();
+        assert_eq!(ns, priced, "the clock moved by other than Σ count × price");
+        ns as f64 / 1e9
     }
 
     /// Wall seconds since start.

@@ -19,6 +19,12 @@
 //! * [`read_script`]: the stream, flushed and left unrepaired, then gets,
 //!   secondary-index queries in every form and filter scans.
 //!
+//! Every row also checks the clock against the counters: the data and log
+//! devices share one clock, and it reads exactly Σ count × price over
+//! both ([`Prices::assert_clock`]). And the prices steer nothing: the churn
+//! script at doubled prices counts every event it counts at the ledger's
+//! and is charged exactly twice the time ([`prices_steer_nothing`]).
+//!
 //! A change that means to move a charged cost rewrites the ledger and the
 //! figure tables beside it (about a minute optimized) and commits the diff,
 //! saying in CHANGES.md why each line moved:
@@ -28,11 +34,15 @@
 //! ```
 
 use lsm_bench::golden::{self, Costs};
-use lsm_bench::{figures, loaded, open_tweet_dataset, tweet_dataset_config, Env};
+use lsm_bench::{figures, loaded, open_tweet_dataset, tweet_dataset_config, Env, EnvConfig};
 use lsm_common::Value;
 use lsm_engine::recovery::{checkpoint, recover, simulate_crash, CheckpointState};
 use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
+use lsm_storage::{
+    CpuCosts, DiskProfile, Event, IoStatsSnapshot, SimClock, Storage, StorageOptions,
+};
 use lsm_workload::{Op, TweetConfig, UpdateDistribution::Uniform, UpsertWorkload};
+use std::sync::Arc;
 use StrategyKind::{DeletedKeyBTree, Eager, MutableBitmap, Validation};
 
 const UPSERTS: usize = 20_000;
@@ -86,25 +96,121 @@ fn rewrite_golden_files() {
     }
 }
 
+/// The ledger rows' environment: `Env::new`'s for a dataset of
+/// `DATASET_BYTES`.
+fn env_config() -> EnvConfig {
+    EnvConfig {
+        dataset_bytes: DATASET_BYTES,
+        ..Default::default()
+    }
+}
+
+/// Every price of an environment: its devices' and its CPU's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Prices {
+    disk: DiskProfile,
+    cpu: CpuCosts,
+}
+
+impl Prices {
+    /// The prices `Env::new` charges: the HDD and the default CPU costs.
+    fn ledger() -> Self {
+        Prices {
+            disk: DiskProfile::hdd(),
+            cpu: CpuCosts::default(),
+        }
+    }
+
+    /// Every price twice over.
+    fn doubled(self) -> Self {
+        let (d, c) = (self.disk, self.cpu);
+        Prices {
+            disk: DiskProfile {
+                seek_ns: 2 * d.seek_ns,
+                transfer_ns_per_byte: 2 * d.transfer_ns_per_byte,
+                write_seek_ns: 2 * d.write_seek_ns,
+            },
+            cpu: CpuCosts {
+                key_cmp_ns: 2 * c.key_cmp_ns,
+                bloom_probe_miss_ns: 2 * c.bloom_probe_miss_ns,
+                bloom_probe_hit_ns: 2 * c.bloom_probe_hit_ns,
+                btree_node_visit_ns: 2 * c.btree_node_visit_ns,
+                memtable_op_ns: 2 * c.memtable_op_ns,
+                sort_entry_ns: 2 * c.sort_entry_ns,
+            },
+        }
+    }
+
+    /// `Env::new(&env_config())` built by hand, at these prices.
+    fn env(&self) -> Env {
+        let cfg = env_config();
+        let cache_bytes = (cfg.dataset_bytes as f64 * cfg.cache_fraction) as usize;
+        let opts = StorageOptions {
+            profile: self.disk,
+            cpu: self.cpu,
+            ..StorageOptions::hdd(cache_bytes)
+        };
+        let clock = SimClock::new();
+        Env {
+            storage: Storage::with_clock(opts.clone(), clock.clone()),
+            log_storage: Storage::with_clock(opts, clock.clone()),
+            clock,
+        }
+    }
+
+    fn price(&self, event: Event) -> u64 {
+        let cpu = &self.cpu;
+        match event {
+            Event::KeyCmp => cpu.key_cmp_ns,
+            Event::NodeVisit => cpu.btree_node_visit_ns,
+            Event::BloomProbeMiss => cpu.bloom_probe_miss_ns,
+            Event::BloomProbeHit => cpu.bloom_probe_hit_ns,
+            Event::MemtableOp => cpu.memtable_op_ns,
+            Event::SortEntry => cpu.sort_entry_ns,
+        }
+    }
+
+    /// Σ count × price of what `io` counted on a device of `page`-byte
+    /// pages: read seeks, pages read, write seeks, pages written and every
+    /// CPU event.
+    fn of(&self, io: &IoStatsSnapshot, page: usize) -> u64 {
+        let (disk, transfer) = (&self.disk, self.disk.transfer_ns(page));
+        let cpu_ns: u64 = io.events().iter().map(|&(e, n)| n * self.price(e)).sum();
+        assert_eq!(io.cpu_ns, cpu_ns, "cpu_ns is not the CPU counts priced");
+        io.rand_reads * disk.seek_ns
+            + io.disk_reads() * transfer
+            + io.write_seeks * disk.write_seek_ns
+            + io.pages_written * transfer
+            + cpu_ns
+    }
+
+    /// Asserts that `env`'s clock reads Σ count × price over its data and
+    /// log devices, the only devices on that clock.
+    fn assert_clock(&self, env: &Env) {
+        let priced = [&env.storage, &env.log_storage]
+            .map(|s| self.of(&s.stats(), s.page_size()))
+            .iter()
+            .sum::<u64>();
+        assert_eq!(env.clock.now_nanos(), priced, "clock ≠ Σ count × price");
+    }
+}
+
 /// A change to the scripts' dataset configuration.
 type Tweak = fn(&mut DatasetConfig);
 
-/// A fresh environment holding the tweet dataset under `strategy` with
-/// `indexes` secondary indexes, its config changed by `tweak`.
-fn open(strategy: StrategyKind, indexes: usize, tweak: Tweak) -> (Env, std::sync::Arc<Dataset>) {
-    let env = Env::new(&lsm_bench::EnvConfig {
-        dataset_bytes: DATASET_BYTES,
-        ..Default::default()
-    });
+/// The tweet dataset on `env` under `strategy` with `indexes` secondary
+/// indexes, its config changed by `tweak`.
+fn open(env: &Env, strategy: StrategyKind, indexes: usize, tweak: Tweak) -> Arc<Dataset> {
     let mut cfg = tweet_dataset_config(strategy, DATASET_BYTES, indexes);
     tweak(&mut cfg);
-    let ds = open_tweet_dataset(&env, cfg);
-    (env, ds)
+    open_tweet_dataset(env, cfg)
 }
 
 /// The clock, what the data and log devices were charged, and the
 /// flushes and merges so far: the fields every write script records.
-fn charged(env: &Env, ds: &Dataset) -> Costs {
+/// Asserts first that the clock is `prices` times the counts.
+fn charged(env: &Env, ds: &Dataset, prices: &Prices) -> Costs {
+    prices.assert_clock(env);
     let (data, log) = (env.storage.stats(), env.log_storage.stats());
     let stats = ds.stats().snapshot();
     vec![
@@ -133,13 +239,14 @@ fn correlated(cfg: &mut DatasetConfig) {
 /// Records the clocks when the last flush returned (`ingest_*`), what the
 /// ingest and the repair were charged, and the repair's totals.
 fn ingest(strategy: StrategyKind, tweak: Tweak) -> Costs {
-    let (env, ds) = open(strategy, 1, tweak);
+    let env = Env::new(&env_config());
+    let ds = open(&env, strategy, 1, tweak);
     loaded(&ds, UPSERTS, 0.5, Uniform);
     let (ingest_sim_ns, ingest_cpu_ns) = (env.clock.now_nanos(), env.storage.stats().cpu_ns);
     let reports = ds.maintenance().repair_all().expect("repair");
     let sum = |f: fn(&lsm_engine::RepairReport) -> u64| reports.iter().map(f).sum();
     let data = env.storage.stats();
-    let mut costs = charged(&env, &ds);
+    let mut costs = charged(&env, &ds, &Prices::ledger());
     costs.extend([
         ("ingest_sim_ns", ingest_sim_ns),
         ("ingest_cpu_ns", ingest_cpu_ns),
@@ -160,7 +267,12 @@ fn ingest(strategy: StrategyKind, tweak: Tweak) -> Costs {
 /// crashes and recovers. Records the counters, the replay report, the
 /// memory components (the replayed tail), the clock and the log's length.
 fn churn(strategy: StrategyKind) -> Costs {
-    let (env, ds) = open(strategy, 2, |cfg| {
+    churn_on(&Env::new(&env_config()), &Prices::ledger(), strategy)
+}
+
+/// [`churn`] on `env`, whose prices are `prices`.
+fn churn_on(env: &Env, prices: &Prices, strategy: StrategyKind) -> Costs {
+    let ds = open(env, strategy, 2, |cfg| {
         cfg.secondary_indexes[1] = SecondaryIndexDef {
             name: "location".into(),
             field: 2,
@@ -192,7 +304,7 @@ fn churn(strategy: StrategyKind) -> Costs {
     let before = env.clock.now_nanos();
     let report = recover(&ds, &state).expect("recover");
     let (data, stats) = (env.storage.stats(), ds.stats().snapshot());
-    let mut costs = charged(&env, &ds);
+    let mut costs = charged(env, &ds, prices);
     costs.extend([
         ("recovery_sim_ns", env.clock.now_nanos() - before),
         ("data_bytes_read", data.bytes_read),
@@ -208,13 +320,41 @@ fn churn(strategy: StrategyKind) -> Costs {
     // Last: reading the log charges the log device.
     let log_records = wal.replay(0, true).expect("read the log").len();
     costs.push(("log_records", log_records as u64));
+    prices.assert_clock(env);
     costs
+}
+
+/// The churn script at twice every price counts every event on both
+/// devices that it counts at the ledger's prices, records every field of
+/// its ledger row but the times, and is charged exactly twice the time:
+/// its clock is Σ count × doubled price.
+#[test]
+fn prices_steer_nothing() {
+    let counted = |prices: Prices| {
+        let env = prices.env();
+        let costs = churn_on(&env, &prices, MutableBitmap);
+        (costs, [env.storage.stats(), env.log_storage.stats()])
+    };
+    let (costs, io) = counted(Prices::ledger());
+    let (doubled, doubled_io) = counted(Prices::ledger().doubled());
+    let uncharged = |io: [IoStatsSnapshot; 2]| io.map(|d| IoStatsSnapshot { cpu_ns: 0, ..d });
+    assert_eq!(uncharged(doubled_io), uncharged(io));
+    let halved = doubled.iter().map(|&(field, v)| match field {
+        "sim_ns" | "cpu_ns" | "recovery_sim_ns" => {
+            assert_eq!(v % 2, 0, "{field}");
+            (field, v / 2)
+        }
+        _ => (field, v),
+    });
+    assert_eq!(halved.collect::<Costs>(), costs);
+    golden::check_ledger("mutable_bitmap_churn", costs);
 }
 
 /// A batch of one is charged what [`ingest`] is at its last flush;
 /// batches of 32 check the memory budget once per commit, so flush less.
 fn batched_ingest(strategy: StrategyKind, batch: usize) -> Costs {
-    let (env, ds) = open(strategy, 1, |_| {});
+    let env = Env::new(&env_config());
+    let ds = open(&env, strategy, 1, |_| {});
     let mut workload = UpsertWorkload::new(TweetConfig::default(), 0.5, Uniform);
     for _ in 0..UPSERTS / batch {
         let mut b = ds.batch();
@@ -228,7 +368,7 @@ fn batched_ingest(strategy: StrategyKind, batch: usize) -> Costs {
     }
     ds.flush_all().expect("flush");
     let stats = ds.stats().snapshot();
-    let mut costs = charged(&env, &ds);
+    let mut costs = charged(&env, &ds, &Prices::ledger());
     costs.extend([
         ("wal_groups", stats.wal_groups),
         ("wal_grouped_records", stats.wal_grouped_records),
@@ -243,7 +383,8 @@ fn batched_ingest(strategy: StrategyKind, batch: usize) -> Costs {
 /// reads the marks it left; `limit(10)`; a stream; and filter scans,
 /// counted and collected, over an old, a middle and a recent window.
 fn read_script(strategy: StrategyKind) -> Costs {
-    let (env, ds) = open(strategy, 1, |_| {});
+    let env = Env::new(&env_config());
+    let ds = open(&env, strategy, 1, |_| {});
     let workload = loaded(&ds, UPSERTS, 0.5, Uniform);
     let issued = workload.generator();
     let (t0, before) = (env.clock.now_nanos(), env.storage.stats());
@@ -280,6 +421,7 @@ fn read_script(strategy: StrategyKind) -> Costs {
         matches += scan.records().expect("records").len() as u64;
     }
     let io = env.storage.stats().since(&before);
+    Prices::ledger().assert_clock(&env);
     vec![
         ("sim_ns", env.clock.now_nanos() - t0),
         ("cpu_ns", io.cpu_ns),

@@ -216,9 +216,7 @@ mod oracle {
             } else {
                 leaf.search(key)?
             };
-            let storage = self.tree.storage();
-            let cpu = storage.cpu();
-            storage.charge_cpu(cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns);
+            self.tree.charge_nodes(1, cmps);
 
             let pos = match found {
                 Ok(i) => i,

@@ -18,7 +18,7 @@ use crate::encoding::get_slice;
 use crate::page::{InternalPage, LeafPage, LeafShape};
 use crate::walk::{LeafWalk, Slot, Span};
 use lsm_common::{Error, Result};
-use lsm_storage::{FileId, PageNo, PageSlice, Storage, ValueBuf};
+use lsm_storage::{Event, FileId, PageNo, PageSlice, Storage, ValueBuf};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -184,10 +184,10 @@ impl BTree {
     /// Charges `nodes` node visits and the `cmps` key comparisons made
     /// inside them.
     pub(crate) fn charge_nodes(&self, nodes: u32, cmps: u32) {
-        let cpu = self.storage.cpu();
-        self.storage.charge_cpu(
-            u64::from(nodes) * cpu.btree_node_visit_ns + u64::from(cmps) * cpu.key_cmp_ns,
-        );
+        self.storage.charge_each([
+            (Event::NodeVisit, u64::from(nodes)),
+            (Event::KeyCmp, u64::from(cmps)),
+        ]);
     }
 
     /// Router page `page_no`, from the handle: [`Error::Corruption`] when
@@ -524,8 +524,7 @@ impl BTreeScan {
                     }
                     self.cur = slot;
                     // Streaming cost: one comparison-equivalent per entry.
-                    let storage = &self.tree.storage;
-                    storage.charge_cpu(storage.cpu().key_cmp_ns);
+                    self.tree.storage.charge(Event::KeyCmp, 1);
                     return Ok(true);
                 }
             }
@@ -649,7 +648,7 @@ fn pin(page: Option<&Arc<[u8]>>, span: Span, from: usize) -> PageSlice {
 mod tests {
     use super::*;
     use crate::builder::BTreeBuilder;
-    use lsm_storage::{DiskProfile, StorageOptions};
+    use lsm_storage::{CpuCosts, DiskProfile, StorageOptions};
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())
@@ -803,7 +802,7 @@ mod tests {
                 Bound::Included(k) => Bound::Included(k.as_slice()),
                 Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
             };
-            let key_cmp_ns = s.cpu().key_cmp_ns;
+            let key_cmp_ns = CpuCosts::default().key_cmp_ns;
 
             let mut scan = t.scan(lo_ref, hi.clone()).unwrap();
             let mut held: Option<&(Vec<u8>, Vec<u8>, u64)> = None;
@@ -1161,7 +1160,7 @@ mod tests {
     fn a_cold_search_reads_its_leaf_alone() {
         let t = height_3();
         let s = t.storage();
-        let (cpu, profile) = (*s.cpu(), DiskProfile::hdd());
+        let (cpu, profile) = (CpuCosts::default(), DiskProfile::hdd());
         let all = entries_by_index(&t, &Bound::Unbounded, &Bound::Unbounded);
         // Descending, so no leaf read continues the one before it.
         for key in probes().iter().rev() {
@@ -1184,7 +1183,10 @@ mod tests {
             let charged =
                 3 * cpu.btree_node_visit_ns + u64::from(search_cmps(&t, key)) * cpu.key_cmp_ns;
             assert_eq!(d.cpu_ns, charged, "{key_str}");
-            assert_eq!(ns, profile.random_read_ns(s.page_size()) + charged);
+            assert_eq!(
+                ns,
+                profile.seek_ns + profile.transfer_ns(s.page_size()) + charged
+            );
         }
     }
 

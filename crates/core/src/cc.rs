@@ -19,6 +19,7 @@
 
 use crate::dataset::Dataset;
 use lsm_common::{Error, Result};
+use lsm_storage::Event;
 use lsm_tree::{BitmapSnapshot, BuildLink, DiskComponent, LsmScan, MergeRange, ScanOptions};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -182,8 +183,7 @@ pub fn merge_primary_with_cc(
             match method {
                 CcMethod::SideFile => {
                     let keys = link.close_side_file();
-                    ds.storage()
-                        .charge_cpu(keys.len() as u64 * ds.storage().cpu().sort_entry_ns);
+                    ds.storage().charge(Event::SortEntry, keys.len() as u64);
                     for key in keys {
                         if let Some((_, ord)) = new_k.search(&key)? {
                             bitmap.set(ord);

@@ -1560,9 +1560,9 @@ mod tests {
     }
 
     /// A dataset configured by `DatasetConfig::new` builds blocked filters
-    /// on its primary and pk-index components: one probe is charged one
+    /// on its primary and pk-index components: one probe is counted one
     /// cache miss and `k − 1` hits (`k` = 7 at the default 1 % rate).
-    /// Secondary components build none, so probing one charges nothing.
+    /// Secondary components build none, so probing one counts nothing.
     #[test]
     fn default_config_builds_blocked_filters() {
         let cfg = config(StrategyKind::Validation);
@@ -1573,19 +1573,17 @@ mod tests {
         }
         ds.flush_all().unwrap();
         let storage = ds.storage();
-        let cpu = storage.cpu();
-        let blocked_probe_ns = cpu.bloom_probe_miss_ns + 6 * cpu.bloom_probe_hit_ns;
         let probe = |tree: &LsmTree| {
             let components = tree.disk_components();
             assert_eq!(components.len(), 1);
             let before = storage.stats();
             components[0].bloom_may_contain(storage, &encode_pk(&Value::Int(-1)));
             let io = storage.stats().since(&before);
-            (io.cpu_ns, io.bloom_checks)
+            (io.bloom_probe_misses, io.bloom_probe_hits, io.bloom_checks)
         };
-        assert_eq!(probe(ds.primary()), (blocked_probe_ns, 1));
-        assert_eq!(probe(ds.pk_index().unwrap()), (blocked_probe_ns, 1));
-        assert_eq!(probe(&ds.secondary("location").unwrap().tree), (0, 0));
+        assert_eq!(probe(ds.primary()), (1, 6, 1));
+        assert_eq!(probe(ds.pk_index().unwrap()), (1, 6, 1));
+        assert_eq!(probe(&ds.secondary("location").unwrap().tree), (0, 0, 0));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::dataset::Dataset;
 use crate::keys::{bound_as_ref, sk_range, split_sk_pk};
 use crate::query::{QueryOptions, QueryResult, RecordStream, ValidationMethod};
 use lsm_common::{Error, Key, Record, RecordView, Result, Timestamp, Value};
+use lsm_storage::{Event, Storage};
 use lsm_tree::{
     lookup_sorted, sorted_timestamps, ComponentId, DiskComponent, LookupOptions, LsmEntry, LsmScan,
     ScanOptions,
@@ -153,7 +154,7 @@ fn scan_candidates(
 /// exact `(pk, ts)` duplicates always, and down to one (the newest)
 /// candidate per pk when no Timestamp validation will follow.
 fn sort_dedup_candidates(ds: &Dataset, candidates: &mut Vec<Candidate>, opts: &QueryOptions) {
-    charge_sort(ds, candidates.len() as u64);
+    charge_sort(ds.storage(), candidates.len() as u64);
     candidates.sort_by(|a, b| (&a.pk_key, b.ts).cmp(&(&b.pk_key, a.ts)));
     candidates.dedup_by(|a, b| a.pk_key == b.pk_key && a.ts == b.ts);
     if opts.validation != ValidationMethod::Timestamp {
@@ -299,7 +300,7 @@ impl FetchPlan {
         let mut found = lookup_sorted(ds.primary(), keys, &lopts)?;
         fetch_missing_under_lock(ds, keys, &mut found)?;
         if sort {
-            charge_sort(ds, found.len() as u64);
+            charge_sort(ds.storage(), found.len() as u64);
             found.sort_by_key(|(i, _)| *i);
         }
         let direct = self.opts.validation == ValidationMethod::Direct;
@@ -401,12 +402,12 @@ pub(crate) fn execute(
     Ok(QueryResult::Records(records))
 }
 
-/// Charges the CPU cost model for an `n log n` sort.
-pub(crate) fn charge_sort(ds: &Dataset, n: u64) {
+/// Charges an `n log n` sort: `n` times the bit length of `n`
+/// (`⌊log₂ n⌋ + 1`) sort entries.
+pub(crate) fn charge_sort(storage: &Storage, n: u64) {
     if n > 1 {
         let log_n = u64::from(64 - n.leading_zeros());
-        ds.storage()
-            .charge_cpu(n * log_n * ds.storage().cpu().sort_entry_ns);
+        storage.charge(Event::SortEntry, n * log_n);
     }
 }
 

@@ -211,7 +211,7 @@ impl ScanPlan {
         } else {
             scan_components_sequential(self.mem, &self.included, &self.bitmaps, lo, hi, visit)?;
             // Component order → primary-key order.
-            exec::charge_sort(ds, rows.len() as u64);
+            exec::charge_sort(ds.storage(), rows.len() as u64);
             rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         let report = FilterScanReport {

@@ -27,6 +27,7 @@ pub mod filter_scan;
 pub mod stream;
 
 pub use builder::{PreparedQuery, QueryBuilder};
+pub(crate) use exec::charge_sort;
 pub use filter_scan::{FilterScanBuilder, FilterScanReport};
 pub use stream::RecordStream;
 

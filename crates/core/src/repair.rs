@@ -22,7 +22,7 @@
 use crate::dataset::Dataset;
 use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Error, Key, RecordView, Result, Timestamp};
-use lsm_storage::Storage;
+use lsm_storage::{Event, Storage};
 use lsm_tree::{
     any_may_contain, sorted_timestamps, AtomicBitmap, ComponentList, DiskComponent, EntryRef,
     LsmEntry, LsmScan, LsmTree, MergeRange, ScanOptions, WalkStats,
@@ -139,13 +139,6 @@ fn unpruned(pk_components: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Vec<Ar
         .collect()
 }
 
-fn charge_sort(storage: &Storage, n: u64) {
-    if n > 1 {
-        let log_n = u64::from(64 - n.leading_zeros());
-        storage.charge_cpu(n * log_n * storage.cpu().sort_entry_ns);
-    }
-}
-
 /// Sorts the candidates and validates them against `pk_components` — the
 /// unpruned part of the repair's one primary-key-index snapshot — setting
 /// bitmap bits for the invalid ones.
@@ -159,7 +152,7 @@ fn validate_candidates(
 ) -> Result<()> {
     let keys = candidates.keys.as_slice();
     let candidates = candidates.list.as_mut_slice();
-    charge_sort(storage, candidates.len() as u64);
+    crate::query::charge_sort(storage, candidates.len() as u64);
     // Key order, decided by the prefixes wherever they differ. Unstable:
     // candidates of one primary key are validated independently, each into
     // the bit of its own `position`, so their order changes no bit.
@@ -599,9 +592,7 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
                 *head = scans[i].next_entry()?;
             }
         }
-        dataset
-            .storage()
-            .charge_cpu(dataset.storage().cpu().sort_entry_ns);
+        dataset.storage().charge(Event::SortEntry, 1);
         // Newest version (index 0) wins; older record versions are obsolete.
         let newest = &versions[0];
         let newest_record = (!newest.anti_matter)

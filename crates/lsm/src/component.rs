@@ -17,32 +17,34 @@ use crate::entry::LsmEntry;
 use crate::range_filter::RangeFilter;
 use lsm_bloom::{BloomFilter, KeyHash};
 use lsm_common::{Result, Timestamp};
-use lsm_storage::Storage;
+use lsm_storage::{Event, Storage};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bloom probes a lookup has made but not yet accounted for. A lookup
-/// walks many components per key, so it tallies each probe's simulated CPU
-/// cost and outcome here and applies the sums in one call — before the next
-/// fallible step, so nothing probed goes unbilled. The totals are exactly
-/// those of billing probe by probe.
+/// walks many components per key, so it tallies each probe's cache misses
+/// and hits and its outcome here and applies the sums in one call — before
+/// the next fallible step, so nothing probed goes unbilled. The totals are
+/// exactly those of billing probe by probe.
 #[derive(Debug, Default)]
 pub(crate) struct BloomTally {
-    cpu_ns: u64,
+    misses: u64,
+    hits: u64,
     checks: u64,
     negatives: u64,
 }
 
 impl BloomTally {
-    /// Charges the tallied CPU time, records the tallied checks, and
-    /// resets the tally.
+    /// Charges the tallied misses and hits, records the tallied checks,
+    /// and resets the tally.
     pub(crate) fn apply(&mut self, storage: &Storage) {
         if self.checks > 0 {
-            storage.charge_cpu(self.cpu_ns);
-            storage
-                .raw_stats()
-                .record_bloom_checks(self.checks, self.negatives);
+            storage.charge_each([
+                (Event::BloomProbeMiss, self.misses),
+                (Event::BloomProbeHit, self.hits),
+            ]);
+            storage.record_bloom_checks(self.checks, self.negatives);
             *self = BloomTally::default();
         }
     }
@@ -53,9 +55,9 @@ pub struct DiskComponent {
     id: ComponentId,
     btree: lsm_btree::BTree,
     bloom: Option<Box<dyn BloomFilter>>,
-    /// Simulated CPU cost of one probe of `bloom`: a blocked filter pays
-    /// one cache miss and `k - 1` hits, a standard filter `k` misses.
-    bloom_probe_ns: u64,
+    /// The CPU-cache `(misses, hits)` of one probe of `bloom`: a blocked
+    /// filter pays one miss and `k - 1` hits, a standard filter `k` misses.
+    bloom_probe: (u64, u64),
     filter: Option<RangeFilter>,
     bitmap: RwLock<Option<Arc<AtomicBitmap>>>,
     /// Largest primary-key-index timestamp this component has been validated
@@ -89,20 +91,17 @@ impl DiskComponent {
         filter: Option<RangeFilter>,
         bitmap: Option<Arc<AtomicBitmap>>,
     ) -> Self {
-        let cpu = btree.storage().cpu();
-        let bloom_probe_ns = bloom.as_ref().map_or(0, |b| {
-            let k = u64::from(b.num_probes());
-            if b.is_blocked() {
-                cpu.bloom_probe_miss_ns + (k - 1) * cpu.bloom_probe_hit_ns
-            } else {
-                k * cpu.bloom_probe_miss_ns
-            }
-        });
+        let bloom_probe = bloom
+            .as_ref()
+            .map_or((0, 0), |b| match u64::from(b.num_probes()) {
+                k if b.is_blocked() => (1, k - 1),
+                k => (k, 0),
+            });
         DiskComponent {
             id,
             btree,
             bloom,
-            bloom_probe_ns,
+            bloom_probe,
             filter,
             bitmap: RwLock::new(bitmap),
             repaired_ts: AtomicU64::new(0),
@@ -137,15 +136,16 @@ impl DiskComponent {
     }
 
     /// Probes the Bloom filter with a key's precomputed hash, adding the
-    /// probe's cost and outcome to `tally` instead of billing it. Returns
-    /// `true` if the key may be present; with no filter that is always,
-    /// and nothing is tallied.
+    /// probe's cache misses, hits and outcome to `tally` instead of billing
+    /// it. Returns `true` if the key may be present; with no filter that is
+    /// always, and nothing is tallied.
     pub(crate) fn bloom_probe(&self, hash: KeyHash, tally: &mut BloomTally) -> bool {
         let Some(bloom) = &self.bloom else {
             return true;
         };
         let positive = bloom.may_contain_hash(hash);
-        tally.cpu_ns += self.bloom_probe_ns;
+        tally.misses += self.bloom_probe.0;
+        tally.hits += self.bloom_probe.1;
         tally.checks += 1;
         tally.negatives += u64::from(!positive);
         positive
@@ -325,7 +325,10 @@ mod tests {
         assert!(c.bloom_may_contain(&s, b"whatever"));
         let d = s.stats().since(&before);
         assert_eq!(d.bloom_checks, 0);
-        assert_eq!(d.cpu_ns, 0);
+        assert_eq!(
+            (d.bloom_probe_misses, d.bloom_probe_hits, d.cpu_ns),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -380,16 +383,24 @@ mod tests {
         let c_standard =
             DiskComponent::new(ComponentId::new(1, 1), btree, Some(standard), None, None);
 
-        let before = storage.stats().cpu_ns;
+        let k = 7; // the probes of a 1 % filter
+        let before = storage.stats();
         for i in 0..1000 {
             c_standard.bloom_may_contain(&storage, format!("a{i}").as_bytes());
         }
-        let standard_cost = storage.stats().cpu_ns - before;
-        let before = storage.stats().cpu_ns;
+        let d = storage.stats().since(&before);
+        assert_eq!((d.bloom_probe_misses, d.bloom_probe_hits), (1000 * k, 0));
+        let standard_cost = d.cpu_ns;
+        let before = storage.stats();
         for i in 0..1000 {
             c_blocked.bloom_may_contain(&storage, format!("a{i}").as_bytes());
         }
-        let blocked_cost = storage.stats().cpu_ns - before;
+        let d = storage.stats().since(&before);
+        assert_eq!(
+            (d.bloom_probe_misses, d.bloom_probe_hits),
+            (1000, 1000 * (k - 1))
+        );
+        let blocked_cost = d.cpu_ns;
         assert!(
             blocked_cost * 2 < standard_cost,
             "blocked {blocked_cost} standard {standard_cost}"

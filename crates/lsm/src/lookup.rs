@@ -476,7 +476,7 @@ mod tests {
     use crate::bitmap::AtomicBitmap;
     use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
     use lsm_bloom::{build_filter, BloomFilter, BloomKind};
-    use lsm_storage::{DiskProfile, Storage, StorageOptions};
+    use lsm_storage::{CpuCosts, DiskProfile, Storage, StorageOptions};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -659,8 +659,8 @@ mod tests {
             assert_eq!(d.bridged_pages, 0, "{what}");
             let searches = d.bloom_checks - d.bloom_negatives;
             assert_eq!(d.disk_reads() + d.cache_hits, searches, "{what}");
-            let device = d.rand_reads * profile.random_read_ns(bytes)
-                + d.seq_reads * profile.sequential_read_ns(bytes);
+            let device =
+                d.rand_reads * profile.seek_ns + d.disk_reads() * profile.transfer_ns(bytes);
             assert_eq!(ns, device + d.cpu_ns, "{what}");
         }
     }
@@ -1032,7 +1032,7 @@ mod tests {
             let fx = fixture(&specs, with_mem, kind);
             let t = &fx.tree;
             let s = t.storage().clone();
-            let cpu = *s.cpu();
+            let cpu = CpuCosts::default();
             let keys = all_keys();
             let comps = t.disk_components();
             let probe_ns = |f: &dyn BloomFilter| {
@@ -1360,7 +1360,7 @@ mod tests {
     fn may_contain_sees_memory_sealed_and_disk_versions() {
         let t = sample_tree();
         let s = t.storage().clone();
-        let memtable_ns = s.cpu().memtable_op_ns;
+        let memtable_ns = CpuCosts::default().memtable_op_ns;
         for i in [0, 5, 150, 275] {
             assert!(may_contain(&t, &key(i)), "key {i}");
         }

@@ -18,7 +18,7 @@ use crate::component::DiskComponent;
 use crate::entry::{EntryHeader, EntryRef, LsmEntry};
 use lsm_btree::BTreeScan;
 use lsm_common::{Key, Result};
-use lsm_storage::Storage;
+use lsm_storage::{Event, Storage};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -187,9 +187,9 @@ impl Source {
 }
 
 /// Reconciling k-way merge scan: a binary heap over the sources' head
-/// entries. Producing one key is charged `key_cmp_ns` times the bit length
-/// of k (`⌊log2 k⌋ + 1`), k being the number of sources the scan was opened
-/// on.
+/// entries. Producing one key is charged as many key comparisons as the
+/// bit length of k (`⌊log2 k⌋ + 1`), k being the number of sources the
+/// scan was opened on.
 ///
 /// The heap orders *source indexes*; the heads stay where they are — in the
 /// leaf page each source's B-tree scan holds — and a reconciled entry is
@@ -366,8 +366,7 @@ impl LsmScan {
 
         // Charge the reconciliation cost: one heap round over the sources.
         let log_k = (usize::BITS - self.sources.len().leading_zeros()) as u64;
-        self.storage
-            .charge_cpu(self.storage.cpu().key_cmp_ns * log_k.max(1));
+        self.storage.charge(Event::KeyCmp, log_k.max(1));
 
         // Older versions of the winning key are consumed with it.
         // (The winner's own next key is past it: keys ascend in a source.)
@@ -870,7 +869,7 @@ mod tests {
             .filter(|(_, _, dead)| !dead)
             .map(|(key, _, _)| key)
             .collect();
-        let key_cmp_ns = s.cpu().key_cmp_ns;
+        let key_cmp_ns = lsm_storage::CpuCosts::default().key_cmp_ns;
         prop_assert_eq!(
             charged,
             streamed as u64 * key_cmp_ns + reconciled.len() as u64 * key_cmp_ns * bit_length

@@ -10,7 +10,7 @@ use crate::component::DiskComponent;
 use crate::entry::LsmEntry;
 use lsm_btree::BTreeScan;
 use lsm_common::{Key, Result};
-use lsm_storage::Storage;
+use lsm_storage::{Event, Storage};
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Bound;
@@ -197,8 +197,7 @@ impl OwningScan {
 
         // Charge the reconciliation cost: one heap round over the sources.
         let log_k = (usize::BITS - self.sources.len().leading_zeros()) as u64;
-        self.storage
-            .charge_cpu(self.storage.cpu().key_cmp_ns * log_k.max(1));
+        self.storage.charge(Event::KeyCmp, log_k.max(1));
 
         // Older versions of the winning key are consumed with it.
         while self.heads.peek().is_some_and(|h| h.key == winner.key) {

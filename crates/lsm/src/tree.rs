@@ -28,7 +28,7 @@ use crate::scan::{LsmScan, ScanOptions};
 use lsm_bloom::{build_filter, BloomFilter, BloomKind};
 use lsm_btree::BTreeBuilder;
 use lsm_common::{Error, Key, Result, Timestamp, Value};
-use lsm_storage::Storage;
+use lsm_storage::{Event, Storage};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,7 +149,7 @@ impl ComponentBuilder {
             bloom.insert(key);
         }
         // Streaming cost of pushing one entry through the build pipeline.
-        self.storage.charge_cpu(self.storage.cpu().sort_entry_ns);
+        self.storage.charge(Event::SortEntry, 1);
         Ok(ordinal)
     }
 
@@ -254,7 +254,7 @@ impl LsmTree {
     /// Writes an entry into the memory component. `op_ts` is the operation
     /// timestamp used for the component ID. Returns the replaced entry.
     pub fn put(&self, key: Key, entry: LsmEntry, op_ts: Timestamp) -> Option<LsmEntry> {
-        self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
+        self.storage.charge(Event::MemtableOp, 1);
         let mut mem = self.mem.lock();
         let old = mem.put(key, entry, op_ts);
         self.mem_bytes_total.store(mem.bytes(), Ordering::Relaxed);
@@ -265,7 +265,7 @@ impl LsmTree {
     /// sealed snapshot of an in-progress flush (the active entry, being
     /// newer, shadows the sealed one).
     pub fn mem_get(&self, key: &[u8]) -> Option<LsmEntry> {
-        self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
+        self.storage.charge(Event::MemtableOp, 1);
         if let Some(e) = self.mem.lock().get(key).cloned() {
             return Some(e);
         }
@@ -282,7 +282,7 @@ impl LsmTree {
     /// this together with [`LsmTree::sealed_get`]; neither needs the
     /// record, so neither copies it.
     pub fn mem_get_active(&self, key: &[u8]) -> Option<LsmEntry> {
-        self.storage.charge_cpu(self.storage.cpu().memtable_op_ns);
+        self.storage.charge(Event::MemtableOp, 1);
         self.mem.lock().get(key).map(LsmEntry::key_only)
     }
 

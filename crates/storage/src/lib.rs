@@ -43,7 +43,7 @@ pub mod storage;
 
 pub use fault::{FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, SiteOutcome};
 pub use pin::{PageSlice, ValueBuf};
-pub use profile::{CpuCosts, DiskProfile};
+pub use profile::{CpuCosts, DiskProfile, Event};
 pub use sim_clock::SimClock;
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use storage::{FileId, PageNo, Storage, StorageOptions};

@@ -8,15 +8,18 @@
 //! paper's figure shapes; the absolute values only set the scale.
 //!
 //! The cost model charges *simulated* time only; no device access sleeps
-//! on the wall clock.
+//! on the wall clock. Every price is a whole number of nanoseconds, and
+//! only [`Storage`](crate::Storage) reads them: it counts each event and
+//! advances the clock by the count times the price.
 
-/// Cost model for the simulated disk.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Cost model for the simulated disk. Every price is an integer number of
+/// nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskProfile {
     /// Cost of positioning before a non-sequential read (seek + rotation).
     pub seek_ns: u64,
     /// Streaming transfer cost per byte.
-    pub transfer_ns_per_byte: f64,
+    pub transfer_ns_per_byte: u64,
     /// Cost of positioning before an appended write. Writes in an LSM are
     /// almost always sequential (flush/merge/WAL), so this is charged only
     /// when switching the write target between files.
@@ -28,7 +31,7 @@ impl DiskProfile {
     pub fn hdd() -> Self {
         DiskProfile {
             seek_ns: 8_000_000,
-            transfer_ns_per_byte: 10.0, // 100 MB/s
+            transfer_ns_per_byte: 10, // 100 MB/s
             write_seek_ns: 8_000_000,
         }
     }
@@ -37,24 +40,14 @@ impl DiskProfile {
     pub fn ssd() -> Self {
         DiskProfile {
             seek_ns: 100_000,
-            transfer_ns_per_byte: 2.0, // 500 MB/s
+            transfer_ns_per_byte: 2, // 500 MB/s
             write_seek_ns: 100_000,
         }
     }
 
     /// Transfer cost of `bytes` bytes.
     pub fn transfer_ns(&self, bytes: usize) -> u64 {
-        (bytes as f64 * self.transfer_ns_per_byte) as u64
-    }
-
-    /// Cost of a random read of `bytes` bytes.
-    pub fn random_read_ns(&self, bytes: usize) -> u64 {
-        self.seek_ns + self.transfer_ns(bytes)
-    }
-
-    /// Cost of a sequential continuation read of `bytes` bytes.
-    pub fn sequential_read_ns(&self, bytes: usize) -> u64 {
-        self.transfer_ns(bytes)
+        bytes as u64 * self.transfer_ns_per_byte
     }
 
     /// The longest forward gap, in pages of `page_bytes`, that is cheaper
@@ -71,10 +64,33 @@ impl DiskProfile {
     }
 }
 
+/// A unit of CPU work the cost model prices: callers name the event and
+/// how many of it they did, [`Storage::charge`](crate::Storage::charge)
+/// counts them and charges their price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// One key comparison (priced [`CpuCosts::key_cmp_ns`]).
+    KeyCmp,
+    /// One B+-tree node visited ([`CpuCosts::btree_node_visit_ns`]).
+    NodeVisit,
+    /// One Bloom-filter probe that misses CPU cache
+    /// ([`CpuCosts::bloom_probe_miss_ns`]).
+    BloomProbeMiss,
+    /// One Bloom-filter probe within a loaded cache line
+    /// ([`CpuCosts::bloom_probe_hit_ns`]).
+    BloomProbeHit,
+    /// One memtable operation ([`CpuCosts::memtable_op_ns`]).
+    MemtableOp,
+    /// One entry streamed through a sort or merge
+    /// ([`CpuCosts::sort_entry_ns`]).
+    SortEntry,
+}
+
 /// CPU cost model, charged by the index layers so that the in-memory
 /// optimizations of Section 3.2 (stateful B+-tree search, blocked Bloom
 /// filters) are visible in simulated time exactly where the paper sees them:
-/// at high selectivities, where disk time stops dominating.
+/// at high selectivities, where disk time stops dominating. Every price is
+/// an integer number of nanoseconds per [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuCosts {
     /// One key comparison (includes the dependent cache access).
@@ -92,6 +108,20 @@ pub struct CpuCosts {
     pub memtable_op_ns: u64,
     /// Per-entry cost of streaming an entry through a sort or merge.
     pub sort_entry_ns: u64,
+}
+
+impl CpuCosts {
+    /// The price of one `event`.
+    pub(crate) fn price(&self, event: Event) -> u64 {
+        match event {
+            Event::KeyCmp => self.key_cmp_ns,
+            Event::NodeVisit => self.btree_node_visit_ns,
+            Event::BloomProbeMiss => self.bloom_probe_miss_ns,
+            Event::BloomProbeHit => self.bloom_probe_hit_ns,
+            Event::MemtableOp => self.memtable_op_ns,
+            Event::SortEntry => self.sort_entry_ns,
+        }
+    }
 }
 
 impl Default for CpuCosts {
@@ -116,10 +146,10 @@ mod tests {
         let hdd = DiskProfile::hdd();
         let page = 128 * 1024;
         // A random 128KB read is dominated by the seek...
-        assert!(hdd.random_read_ns(page) > 5 * hdd.sequential_read_ns(page));
+        assert!(hdd.seek_ns > 4 * hdd.transfer_ns(page));
         // ...while on SSD the gap is small.
         let ssd = DiskProfile::ssd();
-        assert!(ssd.random_read_ns(page) < 2 * ssd.sequential_read_ns(page));
+        assert!(ssd.seek_ns < ssd.transfer_ns(page));
     }
 
     #[test]

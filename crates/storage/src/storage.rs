@@ -13,15 +13,29 @@
 //! same file streams the gap when `g × transfer(page) < seek`, because the
 //! device would rather read `g` pages it does not need than seek over
 //! them.
+//!
+//! Simulated time moves in one place, [`Storage`]'s `bill`: it counts each
+//! event in [`IoStats`] and advances the clock by the count times the
+//! event's price. Device reads and writes bill themselves; the layers above
+//! name a CPU [`Event`] and a count ([`Storage::charge`]) and never see a
+//! price. So, over the devices sharing a clock,
+//!
+//! ```text
+//! clock = Σ rand_reads·seek + disk_reads·transfer(page)
+//!           + write_seeks·write_seek + pages_written·transfer(page)
+//!           + Σ CPU count·price
+//! ```
+//!
+//! which [`Storage::charged_ns`] computes per device.
 
 use crate::cache::{FileState, Frames, StoredPage};
 use crate::fault::{FaultAction, FaultOp, FaultPlan, SiteOutcome};
-use crate::profile::{CpuCosts, DiskProfile};
+use crate::profile::{CpuCosts, DiskProfile, Event};
 use crate::sim_clock::SimClock;
 use crate::stats::{IoStats, IoStatsSnapshot};
 use lsm_common::{Error, Result};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies a simulated file.
@@ -40,7 +54,7 @@ pub struct StorageOptions {
     pub cache_pages: usize,
     /// Read-ahead window for scans, in pages (the paper uses 4MB).
     pub readahead_pages: u32,
-    /// Device cost model.
+    /// Device cost model: with `cpu`, the only prices of the simulation.
     pub profile: DiskProfile,
     /// CPU cost model.
     pub cpu: CpuCosts,
@@ -230,11 +244,6 @@ impl Storage {
         self.opts.page_size
     }
 
-    /// The CPU cost model.
-    pub fn cpu(&self) -> &CpuCosts {
-        &self.opts.cpu
-    }
-
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -242,7 +251,20 @@ impl Storage {
 
     /// Snapshot of the I/O counters.
     pub fn stats(&self) -> IoStatsSnapshot {
-        self.stats.snapshot()
+        self.stats.snapshot(&self.opts.cpu)
+    }
+
+    /// The simulated nanoseconds this device has charged to its clock:
+    /// every count times its price. The clock reads the sum of this over
+    /// the devices sharing it.
+    pub fn charged_ns(&self) -> u64 {
+        let io = self.stats();
+        let (profile, page) = (&self.opts.profile, self.opts.page_size);
+        io.rand_reads * profile.seek_ns
+            + io.disk_reads() * profile.transfer_ns(page)
+            + io.write_seeks * profile.write_seek_ns
+            + io.pages_written * profile.transfer_ns(page)
+            + io.cpu_ns
     }
 
     /// Records one WAL group commit: a single device append that covered
@@ -256,17 +278,35 @@ impl Storage {
             .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Live counters (for recording bloom checks etc. from upper layers).
-    pub fn raw_stats(&self) -> &IoStats {
-        &self.stats
+    /// Records `checks` Bloom filter checks, `negatives` of which pruned.
+    /// Their CPU cost is charged apart, as probe [`Event`]s.
+    pub fn record_bloom_checks(&self, checks: u64, negatives: u64) {
+        self.stats.record_bloom_checks(checks, negatives);
     }
 
-    /// Charges `ns` of CPU work to the simulated clock.
-    pub fn charge_cpu(&self, ns: u64) {
+    /// Counts `n` of `event` and charges `n ×` its price to the clock.
+    pub fn charge(&self, event: Event, n: u64) {
+        self.charge_each([(event, n)]);
+    }
+
+    /// [`Storage::charge`] for several events done together: each is
+    /// counted, and the clock advances once, by the sum of their prices.
+    pub fn charge_each<const N: usize>(&self, events: [(Event, u64); N]) {
+        let cpu = &self.opts.cpu;
+        self.bill(events.map(|(e, n)| (self.stats.count_of(e), n, cpu.price(e))));
+    }
+
+    /// Adds each `(counter, n, price)`'s `n` to its counter and advances
+    /// the clock once by Σ `n × price`: the one place simulated time moves.
+    fn bill<const N: usize>(&self, events: [(&AtomicU64, u64, u64); N]) {
+        let mut ns = 0;
+        for (counter, n, price) in events {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+                ns += n * price;
+            }
+        }
         self.clock.advance(ns);
-        self.stats
-            .cpu_ns
-            .fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Creates an empty file.
@@ -344,19 +384,15 @@ impl Storage {
                 .torn_writes
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        let mut seek = 0;
-        {
+        let seeks = {
             let mut lw = self.last_write.lock();
-            if *lw != Some(file) {
-                seek = self.opts.profile.write_seek_ns;
-                *lw = Some(file);
-            }
-        }
-        self.clock
-            .advance(seek + self.opts.profile.transfer_ns(self.opts.page_size));
-        self.stats
-            .pages_written
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            u64::from(lw.replace(file) != Some(file))
+        };
+        let (profile, page) = (&self.opts.profile, self.opts.page_size);
+        self.bill([
+            (&self.stats.write_seeks, seeks, profile.write_seek_ns),
+            (&self.stats.pages_written, 1, profile.transfer_ns(page)),
+        ]);
         self.stats
             .bytes_written
             .fetch_add(data.len() as u64, std::sync::atomic::Ordering::Relaxed);
@@ -452,26 +488,17 @@ impl Storage {
         let sequential = page > 0 && *head == Some((file, page - 1));
         *head = Some((file, page + (count - 1)));
         let bytes = self.opts.page_size;
-        let cost = if sequential {
-            self.stats
-                .seq_reads
-                .fetch_add(u64::from(count), std::sync::atomic::Ordering::Relaxed);
-            u64::from(count) * self.opts.profile.sequential_read_ns(bytes)
-        } else {
-            self.stats
-                .rand_reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.stats
-                .seq_reads
-                .fetch_add(u64::from(count - 1), std::sync::atomic::Ordering::Relaxed);
-            self.opts.profile.random_read_ns(bytes)
-                + u64::from(count - 1) * self.opts.profile.sequential_read_ns(bytes)
-        };
+        let (profile, transfer) = (&self.opts.profile, self.opts.profile.transfer_ns(bytes));
+        // A seek, if any, is paid by the burst's first page.
+        let seeks = u64::from(!sequential);
+        self.bill([
+            (&self.stats.rand_reads, seeks, profile.seek_ns + transfer),
+            (&self.stats.seq_reads, u64::from(count) - seeks, transfer),
+        ]);
         self.stats.bytes_read.fetch_add(
             u64::from(count) * bytes as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        self.clock.advance(cost);
     }
 
     /// Reads `count` pages starting at `page` as one read-ahead burst: one
@@ -1035,10 +1062,10 @@ mod tests {
                     ..StorageOptions::test()
                 });
                 let (rand_ns, seq_ns) = {
-                    let (profile, bytes) = (&s.opts.profile, s.page_size());
+                    let (profile, bytes) = (DiskProfile::hdd(), s.page_size());
                     (
-                        profile.random_read_ns(bytes),
-                        profile.sequential_read_ns(bytes),
+                        profile.seek_ns + profile.transfer_ns(bytes),
+                        profile.transfer_ns(bytes),
                     )
                 };
                 let new_file = || {
@@ -1313,7 +1340,8 @@ mod tests {
         let (s, f) = headed(400, 3);
         let p = 3 + 196 + 1;
         let (ns, io, (frames, _)) = charged(&s, |s| s.read_page_forward(f, p));
-        assert_eq!(ns, DiskProfile::hdd().random_read_ns(4096));
+        let hdd = DiskProfile::hdd();
+        assert_eq!(ns, hdd.seek_ns + hdd.transfer_ns(4096));
         assert_eq!((io.rand_reads, io.seq_reads, io.bridged_pages), (1, 0, 0));
         assert_eq!(frames, vec![(f, 3), (f, p)]);
     }
@@ -1426,13 +1454,42 @@ mod tests {
         assert!(s.file_pages(f).is_err());
     }
 
+    /// Charging `n` of an event counts `n` of it, and only it, and moves
+    /// the clock and `cpu_ns` by `n ×` its price; charging several events
+    /// at once is charging each.
     #[test]
-    fn charge_cpu_advances_clock_and_stats() {
+    fn charge_counts_each_event_at_its_price() {
+        let cpu = CpuCosts::default();
         let s = storage();
-        let t0 = s.clock().now_nanos();
-        s.charge_cpu(123);
-        assert_eq!(s.clock().now_nanos() - t0, 123);
-        assert_eq!(s.stats().cpu_ns, 123);
+        let cases = [
+            (Event::KeyCmp, cpu.key_cmp_ns),
+            (Event::NodeVisit, cpu.btree_node_visit_ns),
+            (Event::BloomProbeMiss, cpu.bloom_probe_miss_ns),
+            (Event::BloomProbeHit, cpu.bloom_probe_hit_ns),
+            (Event::MemtableOp, cpu.memtable_op_ns),
+            (Event::SortEntry, cpu.sort_entry_ns),
+        ];
+        for (n, (event, price)) in (1u64..).zip(cases) {
+            let (t, io) = (s.clock().now_nanos(), s.stats());
+            s.charge(event, n);
+            let d = s.stats().since(&io);
+            let counts = d.events().map(|(e, _)| (e, if e == event { n } else { 0 }));
+            assert_eq!(d.events(), counts, "{event:?}");
+            assert_eq!(s.clock().now_nanos() - t, n * price, "{event:?}");
+            assert_eq!(d.cpu_ns, n * price, "{event:?}");
+            assert_eq!(d.disk_reads() + d.pages_written + d.write_seeks, 0);
+        }
+        let (t, io) = (s.clock().now_nanos(), s.stats());
+        s.charge_each([
+            (Event::NodeVisit, 2),
+            (Event::KeyCmp, 7),
+            (Event::SortEntry, 0),
+        ]);
+        let d = s.stats().since(&io);
+        assert_eq!((d.node_visits, d.key_cmps, d.sort_entries), (2, 7, 0));
+        let want = 2 * cpu.btree_node_visit_ns + 7 * cpu.key_cmp_ns;
+        assert_eq!((s.clock().now_nanos() - t, d.cpu_ns), (want, want));
+        assert_eq!(s.charged_ns(), s.clock().now_nanos());
     }
 
     #[test]
@@ -1441,13 +1498,17 @@ mod tests {
         let f1 = s.create_file();
         let f2 = s.create_file();
         s.append_page(f1, b"a").unwrap();
+        assert_eq!(s.stats().write_seeks, 1); // the first append seeks
         let t0 = s.clock().now_nanos();
         s.append_page(f1, b"b").unwrap(); // same file: no seek
         let seq_cost = s.clock().now_nanos() - t0;
+        assert_eq!(s.stats().write_seeks, 1);
         let t1 = s.clock().now_nanos();
         s.append_page(f2, b"c").unwrap(); // switch: seek
         let switch_cost = s.clock().now_nanos() - t1;
-        assert!(switch_cost > seq_cost);
+        assert_eq!(s.stats().write_seeks, 2);
+        assert_eq!(switch_cost - seq_cost, DiskProfile::hdd().write_seek_ns);
+        assert_eq!(s.charged_ns(), s.clock().now_nanos());
     }
 
     #[test]
