@@ -10,15 +10,11 @@
 //! * falls back to a root descent only when the probe key leaves the
 //!   current leaf's key range.
 //!
-//! The leaf's key range is bounded by its **fence**: the separator that
-//! follows it on the router page the descent walked (the first key of the
-//! next leaf), so a descent reads nothing of the leaf but what its search
-//! compares. A key below the fence but above the leaf's last key lies in
-//! the gap between two leaves — in no leaf at all; the gallop runs off the
-//! end of the page, and the probe is then redone as the descent a last-key
-//! bound would have sent it on, so every probe returns, counts and charges
-//! what it would under that bound. The rightmost leaf has no fence and is
-//! bounded by its last key.
+//! The remembered leaf is bounded by its own last key, copied once each
+//! time the cursor changes leaf. A key above it descends, even when it
+//! routes back to the same leaf (a key in the gap below the next leaf's
+//! first key, or past the rightmost leaf): no fast-path probe runs off the
+//! end of its page.
 //!
 //! The cursor **keeps the page** of its remembered leaf. A probe the leaf
 //! covers searches those bytes and asks the storage layer nothing: a
@@ -58,21 +54,8 @@ struct CursorState {
     /// Leaf `leaf_no`'s page, as the descent that reached it read it.
     page: Arc<[u8]>,
     pos: usize,
-    /// Upper bound of the keys leaf `leaf_no` can hold: its fence
-    /// (exclusive) when `fenced`, else its last key (inclusive). Rewritten
-    /// only by a descent.
-    bound: Vec<u8>,
-    fenced: bool,
-}
-
-impl CursorState {
-    fn covers(&self, key: &[u8]) -> bool {
-        if self.fenced {
-            key < self.bound.as_slice()
-        } else {
-            key <= self.bound.as_slice()
-        }
-    }
+    /// Leaf `leaf_no`'s last key: the largest key the leaf covers.
+    last_key: Vec<u8>,
 }
 
 impl<'t> StatefulCursor<'t> {
@@ -97,27 +80,18 @@ impl<'t> StatefulCursor<'t> {
     /// page instead of being copied — the zero-copy batched-probe path.
     pub fn seek_pinned(&mut self, key: &[u8]) -> Result<Option<(PageSlice, u64)>> {
         // Fast path: the remembered leaf still covers `key`.
-        if let Some(state) = self.state.as_mut().filter(|s| s.covers(key)) {
+        if let Some(state) = self.state.as_mut().filter(|s| key <= s.last_key.as_slice()) {
+            self.leaf_hits += 1;
             let leaf = LeafPage::parse(&state.page)?;
             let (found, cmps) = leaf.exponential_search(key, state.pos)?;
-            // Off the end of the page: a gap key under the fence. Nothing
-            // is counted or charged; the descent below answers it.
-            if found != Err(leaf.count()) {
-                self.leaf_hits += 1;
-                let (Ok(pos) | Err(pos)) = found;
-                state.pos = pos;
-                self.tree.charge_nodes(1, cmps);
-                return self.tree.pinned_match(&state.page, &leaf, found);
-            }
+            let (Ok(pos) | Err(pos)) = found;
+            state.pos = pos;
+            self.tree.charge_nodes(1, cmps);
+            return self.tree.pinned_match(&state.page, &leaf, found);
         }
-        // Slow path: descend from the root, into the bound buffer the
-        // cursor already owns.
+        // Slow path: descend from the root.
         self.descents += 1;
-        let (prev_leaf, mut bound) = match self.state.take() {
-            Some(s) => (Some(s.leaf_no), s.bound),
-            None => (None, Vec::new()),
-        };
-        let Some((leaf_no, fenced)) = self.tree.locate_leaf_fenced(key, Some(&mut bound))? else {
+        let Some(leaf_no) = self.tree.locate_leaf(key)? else {
             return Ok(None);
         };
         let page = self
@@ -126,34 +100,36 @@ impl<'t> StatefulCursor<'t> {
             .read_page_forward(self.tree.file(), leaf_no)?;
         let leaf = LeafPage::parse(&page)?;
         let (found, cmps) = leaf.search(key)?;
-        // No fence: the rightmost leaf, bounded by its last key — which
-        // `bound` still holds when the descent came back to the same leaf.
-        if !fenced && prev_leaf != Some(leaf_no) {
-            bound.clear();
-            if let Some(k) = leaf.last_key()? {
-                bound.extend_from_slice(k);
-            }
-        }
         let (Ok(pos) | Err(pos)) = found;
         let pos = pos.min(leaf.count().saturating_sub(1));
         self.tree.charge_nodes(1, cmps);
         let hit = self.tree.pinned_match(&page, &leaf, found);
+        // The same leaf keeps its last key; a new leaf refills the one key
+        // buffer the cursor owns.
+        let last_key = match self.state.take() {
+            Some(s) if s.leaf_no == leaf_no => s.last_key,
+            s => {
+                let mut last_key = s.map(|s| s.last_key).unwrap_or_default();
+                last_key.clear();
+                last_key.extend_from_slice(leaf.last_key()?.unwrap_or_default());
+                last_key
+            }
+        };
         self.state = Some(CursorState {
             leaf_no,
             page,
             pos,
-            bound,
-            fenced,
+            last_key,
         });
         hit
     }
 }
 
-/// The last-key cursor, the differential test's oracle: it bounds the
-/// remembered leaf by a copy of the leaf's own last key, taken on every
-/// descent that changes leaf, and so never meets a gap key on its fast
-/// path. What it returns, counts and charges defines what
-/// [`StatefulCursor`](super::StatefulCursor) must.
+/// The differential test's oracle: a last-key cursor that keeps a page
+/// number, not the page, and reads its leaf again for every probe. What it
+/// returns, counts and charges defines what
+/// [`StatefulCursor`](super::StatefulCursor) must; holding the page may
+/// save only page reads.
 #[cfg(test)]
 mod oracle {
     use crate::page::LeafPage;
@@ -438,15 +414,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         // Every probe of a sorted sequence — present keys, absent keys
-        // inside a leaf, keys in the gap between two leaves (below the
-        // fence, above the last key), keys past the last leaf, repeats —
-        // returns, counts and charges what the last-key cursor does, and
-        // reads pages only to descend: one read, the leaf, per descent,
-        // none for a probe the held leaf serves (the last-key cursor reads
-        // the leaf again for each). Gap pages a forward read streamed are
+        // inside a leaf, keys in the gap between two leaves (above one
+        // leaf's last key, below the next one's first), keys past the last
+        // leaf, repeats — returns, counts and charges what the last-key
+        // cursor does, and reads pages only to descend: one read, the leaf,
+        // per descent, none for a probe the held leaf serves (the last-key
+        // cursor reads the leaf again for each). Gap pages a forward read streamed are
         // device reads the probe did not ask for, and are not counted.
         #[test]
-        fn fenced_cursor_matches_the_last_key_cursor(
+        fn held_page_cursor_matches_the_last_key_cursor(
             size in 0..3usize,
             picks in proptest::collection::vec((0..2048u32, any::<bool>()), 0..80),
             every_gap in any::<bool>(),

@@ -45,17 +45,6 @@ pub struct TreeMeta {
 /// One of the [`Storage`] page reads: `read_page` or `read_page_forward`.
 type PageRead = fn(&Storage, FileId, PageNo) -> Result<Arc<[u8]>>;
 
-/// Where a root-to-leaf walk ended (see `BTree::descend`).
-struct Descent {
-    leaf: PageNo,
-    /// Comparisons made on the router pages.
-    cmps: u32,
-    /// Whether the fence buffer was written.
-    fenced: bool,
-    /// The leaf the `upto` key routes to, where the walk found it.
-    upto_leaf: Option<PageNo>,
-}
-
 /// An immutable B+-tree stored in one simulated file.
 #[derive(Clone)]
 pub struct BTree {
@@ -208,57 +197,19 @@ impl BTree {
 
     /// Walks the router levels down to the leaf page that would contain
     /// `key`, charging nothing and reading no page: the router pages are
-    /// the handle's. Returns the leaf, the comparisons made on the
-    /// `height - 1` internal pages — for the caller to charge together
-    /// with its own leaf visit — and whether `fence` was written. `None`
-    /// on an empty tree; [`Error::Corruption`] when a child number names
-    /// no router page above the leaves' parent, or no leaf below it.
-    ///
-    /// A `fence` buffer receives the leaf's exclusive upper bound: the
-    /// separator after the child taken, from the lowest router page that
-    /// has one — the first key of the next leaf, read off a page the walk
-    /// has just searched. The rightmost leaf (and the only leaf of a
-    /// height-1 tree) has none, and the buffer is left as it was.
-    ///
-    /// An `upto` key is routed too, on the same pages, while it takes the
-    /// same child as `key`; its comparisons are added to the count. The
-    /// last return is the leaf `upto` routes to when the two keys part on
-    /// the leaves' parent page or not at all — `None` when they part
-    /// higher up (the walk searches no page of `upto`'s own), on a height-1
-    /// tree, and without `upto`.
-    fn descend(
-        &self,
-        key: &[u8],
-        mut fence: Option<&mut Vec<u8>>,
-        mut upto: Option<&[u8]>,
-    ) -> Result<Option<Descent>> {
+    /// the handle's. Returns the leaf and the comparisons made on the
+    /// `height - 1` internal pages, for the caller to charge. `None` on an
+    /// empty tree; [`Error::Corruption`] when a child number names no
+    /// router page above the leaves' parent, or no leaf below it.
+    fn descend(&self, key: &[u8]) -> Result<Option<(PageNo, u32)>> {
         if self.meta.height == 0 {
             return Ok(None);
         }
         let mut page_no = self.meta.root;
         let mut cmps = 0;
-        let mut fenced = false;
-        let mut upto_leaf = None;
-        for level in (1..self.meta.height).rev() {
-            let page = InternalPage::parse(self.router(page_no)?)?;
-            let (idx, child, c) = page.route(key)?;
-            if let Some(fence) = fence.as_deref_mut() {
-                if idx + 1 < page.count() {
-                    fence.clear();
-                    fence.extend_from_slice(page.entry(idx + 1)?.0);
-                    fenced = true;
-                }
-            }
+        for _ in 1..self.meta.height {
+            let (_, child, c) = InternalPage::parse(self.router(page_no)?)?.route(key)?;
             cmps += c;
-            if let Some(upto_key) = upto {
-                let (_, upto_child, c) = page.route(upto_key)?;
-                cmps += c;
-                if level == 1 {
-                    upto_leaf = Some(upto_child);
-                } else if upto_child != child {
-                    upto = None;
-                }
-            }
             page_no = child;
         }
         if page_no >= self.meta.num_leaves {
@@ -267,35 +218,18 @@ impl BTree {
                 self.meta.num_leaves
             )));
         }
-        Ok(Some(Descent {
-            leaf: page_no,
-            cmps,
-            fenced,
-            upto_leaf,
-        }))
+        Ok(Some((page_no, cmps)))
     }
 
-    /// Descends to the leaf page that would contain `key`.
-    /// Returns `None` on an empty tree.
-    pub fn locate_leaf(&self, key: &[u8]) -> Result<Option<PageNo>> {
-        Ok(self
-            .locate_leaf_fenced(key, None)?
-            .map(|(leaf_no, _)| leaf_no))
-    }
-
-    /// [`BTree::locate_leaf`] for the stateful cursor: same walk, same
-    /// charge, and `fence` receives the leaf's exclusive upper bound when
-    /// the router has one (see `descend`); the flag says whether it did.
-    pub(crate) fn locate_leaf_fenced(
-        &self,
-        key: &[u8],
-        fence: Option<&mut Vec<u8>>,
-    ) -> Result<Option<(PageNo, bool)>> {
-        let Some(walk) = self.descend(key, fence, None)? else {
+    /// Descends to the leaf page that would contain `key`, charging the
+    /// router levels' node visits and comparisons. Returns `None` on an
+    /// empty tree.
+    pub(crate) fn locate_leaf(&self, key: &[u8]) -> Result<Option<PageNo>> {
+        let Some((leaf_no, cmps)) = self.descend(key)? else {
             return Ok(None);
         };
-        self.charge_nodes(self.meta.height - 1, walk.cmps);
-        Ok(Some((walk.leaf, walk.fenced)))
+        self.charge_nodes(self.meta.height - 1, cmps);
+        Ok(Some(leaf_no))
     }
 
     /// Point lookup. Returns `(value, global ordinal)` if the key exists.
@@ -322,13 +256,13 @@ impl BTree {
 
     /// The point search, reading its leaf with `read_leaf`.
     fn search_with(&self, key: &[u8], read_leaf: PageRead) -> Result<Option<(PageSlice, u64)>> {
-        let Some(walk) = self.descend(key, None, None)? else {
+        let Some((leaf_no, router_cmps)) = self.descend(key)? else {
             return Ok(None);
         };
-        let data = read_leaf(&self.storage, self.file, walk.leaf)?;
+        let data = read_leaf(&self.storage, self.file, leaf_no)?;
         let leaf = LeafPage::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
-        self.charge_nodes(self.meta.height, walk.cmps + cmps);
+        self.charge_nodes(self.meta.height, router_cmps + cmps);
         self.pinned_match(&data, &leaf, found)
     }
 
@@ -366,7 +300,7 @@ impl BTree {
 
     /// Reads leaf page `leaf_no`, returning the raw page bytes for
     /// [`LeafPage::parse`], which reads the header alone.
-    pub fn read_leaf(&self, leaf_no: PageNo) -> Result<Arc<[u8]>> {
+    pub(crate) fn read_leaf(&self, leaf_no: PageNo) -> Result<Arc<[u8]>> {
         debug_assert!(leaf_no < self.meta.num_leaves);
         self.storage.read_page(self.file, leaf_no)
     }
@@ -383,39 +317,40 @@ impl BTree {
 
     /// Creates a scan over entries in `[lo, hi]` (bounds on encoded keys).
     ///
-    /// A scan with both bounds reads ahead no further than its range's last
-    /// leaf: the descent to `lo` routes `hi` on the router pages it walks
-    /// anyway (charged as key comparisons), and no read-ahead burst — nor
-    /// any leaf read — goes past the leaf `hi` routes to, whose successors
-    /// hold only keys above `hi`. When `lo` and `hi` part above the leaves'
-    /// parent page, or `lo` is unbounded, the scan reads ahead as far as
-    /// the tree goes.
+    /// A bounded `hi` is routed with a descent of its own (its router
+    /// comparisons charged as [`Event::KeyCmp`]), and no read-ahead burst —
+    /// nor any leaf read — goes past the leaf it routes to, whose
+    /// successors hold only keys above `hi`. Only a scan with an unbounded
+    /// `hi` reads ahead as far as the tree goes.
     pub fn scan(&self, lo: Bound<&[u8]>, hi: Bound<Vec<u8>>) -> Result<BTreeScan> {
-        let upto = match &hi {
-            Bound::Included(h) | Bound::Excluded(h) => Some(h.as_slice()),
-            Bound::Unbounded => None,
-        };
-        let (start_leaf, start_idx, upto_leaf) = match &lo {
-            Bound::Unbounded => (0, 0, None),
-            Bound::Included(k) | Bound::Excluded(k) => match self.descend(k, None, upto)? {
-                None => (0, 0, None),
-                Some(walk) => {
-                    self.charge_nodes(self.meta.height - 1, walk.cmps);
-                    let data = self.read_leaf(walk.leaf)?;
+        let (start_leaf, start_idx) = match lo {
+            Bound::Unbounded => (0, 0),
+            Bound::Included(k) | Bound::Excluded(k) => match self.locate_leaf(k)? {
+                None => (0, 0),
+                Some(leaf_no) => {
+                    let data = self.read_leaf(leaf_no)?;
                     let leaf = LeafPage::parse(&data)?;
                     let (found, cmps) = leaf.search(k)?;
                     self.charge_nodes(1, cmps);
-                    let idx = match (found, &lo) {
+                    let idx = match (found, lo) {
                         (Ok(i), Bound::Included(_)) => i,
                         (Ok(i), _) => i + 1,
                         (Err(i), _) => i,
                     };
-                    (walk.leaf, idx, walk.upto_leaf)
+                    (leaf_no, idx)
                 }
             },
         };
-        let leaves = self.meta.num_leaves;
-        let end_leaf = upto_leaf.map_or(leaves, |leaf| leaf.saturating_add(1).min(leaves));
+        let end_leaf = match &hi {
+            Bound::Unbounded => self.meta.num_leaves,
+            Bound::Included(h) | Bound::Excluded(h) => match self.descend(h)? {
+                None => 0,
+                Some((leaf_no, cmps)) => {
+                    self.storage.charge(Event::KeyCmp, u64::from(cmps));
+                    leaf_no + 1
+                }
+            },
+        };
         Ok(BTreeScan::new(
             self.clone(),
             start_leaf,
@@ -886,9 +821,9 @@ mod tests {
     /// A range clipped at the leaf its upper bound routes to returns what
     /// the entries read one by one say it holds: for included and excluded
     /// upper bounds on a leaf's first key (a router separator), just below
-    /// and above it, past the last key and below the lower bound — on
-    /// trees of height 2 and 3, whose bounds part above the leaves' parent
-    /// page for wide ranges.
+    /// and above it, past the last key and below the lower bound, under an
+    /// unbounded lower bound too — on trees of height 2 and 3, whose bounds
+    /// part above the leaves' parent page for wide ranges.
     #[test]
     fn a_clipped_scan_returns_what_the_range_holds() {
         for (page_size, n) in [(4096, 3000), (256, 900)] {
@@ -902,24 +837,57 @@ mod tests {
                 above.push(0);
                 his.extend([first.clone(), first[..first.len() - 1].to_vec(), above]);
             }
+            let mut los = vec![Bound::Unbounded];
             for lo_leaf in [0, 1, t.num_leaves() / 2] {
                 let first = t.leaf_first_key(lo_leaf).unwrap().unwrap();
-                for lo in [Bound::Included(first.clone()), Bound::Excluded(first)] {
-                    for hi in &his {
-                        for hi in [Bound::Included(hi.clone()), Bound::Excluded(hi.clone())] {
-                            let want = entries_by_index(&t, &lo, &hi);
-                            assert_eq!(scanned(&t, &lo, &hi), want, "{lo:?}..{hi:?}");
-                        }
+                los.extend([Bound::Included(first.clone()), Bound::Excluded(first)]);
+            }
+            for lo in &los {
+                for hi in &his {
+                    for hi in [Bound::Included(hi.clone()), Bound::Excluded(hi.clone())] {
+                        let want = entries_by_index(&t, lo, &hi);
+                        assert_eq!(scanned(&t, lo, &hi), want, "{lo:?}..{hi:?}");
                     }
                 }
             }
         }
     }
 
+    /// Scans `[lo, hi]` on a cold cache: it returns what the range holds
+    /// and reads leaves `a..=b` from the device, none past them. A bounded
+    /// `lo`'s descent reads leaf `a`, and the first burst reads it again,
+    /// as a hit.
+    fn assert_reads_leaves(t: &BTree, lo: &Bound<Vec<u8>>, hi: &Bound<Vec<u8>>, a: u32, b: u32) {
+        t.storage().clear_cache();
+        let before = t.storage().stats();
+        let rows = scanned(t, lo, hi);
+        let d = t.storage().stats().since(&before);
+        assert_eq!(rows, entries_by_index(t, lo, hi), "{lo:?}..{hi:?}");
+        let leaves = u64::from(b - a + 1);
+        assert_eq!(d.disk_reads(), leaves, "leaves {a}..={b}, {lo:?}..{hi:?}");
+        assert_eq!(d.bytes_read, leaves * t.storage().page_size() as u64);
+        assert_eq!(d.cache_hits, u64::from(*lo != Bound::Unbounded));
+    }
+
+    /// The upper bounds that route to leaf `b` and let the range reach
+    /// into it: just below leaf `b + 1`'s first key, and on leaf `b`'s own.
+    fn bounds_ending_on(t: &BTree, b: u32) -> [Bound<Vec<u8>>; 3] {
+        let first = t.leaf_first_key(b).unwrap().unwrap();
+        let next = t.leaf_first_key(b + 1).unwrap().unwrap();
+        [
+            Bound::Excluded(next[..next.len() - 1].to_vec()),
+            Bound::Included(first.clone()),
+            Bound::Excluded(first),
+        ]
+    }
+
     /// On a cold cache, a scan whose range ends on leaf `b` reads leaves
     /// `a..=b` and nothing past them — where the unclipped read-ahead read
     /// eight leaves from `a` — yet still reads ahead across a range longer
-    /// than one burst. The root is the handle's and is not read.
+    /// than one burst; so does one with no lower bound, from leaf 0. On a
+    /// height-3 tree the same holds for bounds that part on the root,
+    /// above the leaves' parent page. The routers are the handle's and are
+    /// not read.
     #[test]
     fn a_clipped_scan_reads_no_leaf_past_its_last() {
         let t = build(8000);
@@ -935,24 +903,13 @@ mod tests {
             (2, 2 + ra),
             (1, 1 + 2 * ra + 1),
         ] {
-            let lo = Bound::Included(first(a));
-            let last = first(b + 1);
-            for hi in [
-                Bound::Excluded(last[..last.len() - 1].to_vec()),
-                Bound::Included(first(b)),
-                Bound::Excluded(first(b)),
-            ] {
-                t.storage().clear_cache();
-                let before = t.storage().stats();
-                let rows = scanned(&t, &lo, &hi);
-                let d = t.storage().stats().since(&before);
-                assert_eq!(rows, entries_by_index(&t, &lo, &hi));
-                let leaves = u64::from(b - a + 1);
-                assert_eq!(d.disk_reads(), leaves, "leaves {a}..={b}, {hi:?}");
-                assert_eq!(d.bytes_read, leaves * 4096);
-                // The first leaf is read by the descent and again, as a
-                // hit, by the first burst.
-                assert_eq!(d.cache_hits, 1);
+            for hi in &bounds_ending_on(&t, b) {
+                assert_reads_leaves(&t, &Bound::Included(first(a)), hi, a, b);
+            }
+        }
+        for b in [0, 2, 1 + ra] {
+            for hi in &bounds_ending_on(&t, b) {
+                assert_reads_leaves(&t, &Bound::Unbounded, hi, 0, b);
             }
         }
         // A lower bound alone reads ahead as before.
@@ -964,6 +921,23 @@ mod tests {
         assert!(scan.advance().unwrap());
         let d = t.storage().stats().since(&before);
         assert_eq!(d.disk_reads(), u64::from(ra));
+
+        let t = build_on(256, 900);
+        assert_eq!(t.height(), 3);
+        let root = InternalPage::parse(t.router(t.meta.root).unwrap()).unwrap();
+        // The first leaf below the root's second child: it and the leaf
+        // before it have different parents.
+        let parted = t.locate_leaf(root.entry(1).unwrap().0).unwrap().unwrap();
+        assert!(parted > 1 && parted + ra + 1 < t.num_leaves());
+        let first = |leaf_no| t.leaf_first_key(leaf_no).unwrap().unwrap();
+        for (a, b) in [(parted - 1, parted), (1, parted + ra)] {
+            for hi in &bounds_ending_on(&t, b) {
+                assert_reads_leaves(&t, &Bound::Included(first(a)), hi, a, b);
+            }
+        }
+        for hi in &bounds_ending_on(&t, parted) {
+            assert_reads_leaves(&t, &Bound::Unbounded, hi, 0, parted);
+        }
     }
 
     #[test]

@@ -431,10 +431,8 @@ impl Wal {
         }
     }
 
-    /// Counts one durable group of `records` on the device and engine
-    /// counters.
+    /// Counts one durable group of `records` on the engine counters.
     fn note_group(&self, records: u64) {
-        self.storage.note_wal_group(records);
         if let Some(s) = self.stats.get() {
             s.bump(&s.wal_groups);
             s.wal_grouped_records
@@ -772,12 +770,9 @@ mod tests {
             w.append(&rec(i, LogOp::Upsert)).unwrap();
         }
         w.force().unwrap();
-        let io = w.storage().stats();
-        assert!(io.wal_groups >= 2, "several pages → several groups");
-        assert_eq!(io.wal_grouped_records, n as u64, "every record grouped");
         let snap = stats.snapshot();
-        assert_eq!(snap.wal_groups, io.wal_groups);
-        assert_eq!(snap.wal_grouped_records, io.wal_grouped_records);
+        assert!(snap.wal_groups >= 2, "several pages → several groups");
+        assert_eq!(snap.wal_grouped_records, n as u64, "every record grouped");
         assert!(snap.wal_grouped_records / snap.wal_groups > 1);
     }
 
@@ -846,6 +841,8 @@ mod tests {
         // replay exactly once, LSN-sorted, and the forced tail must be
         // covered by group-commit appends.
         let w = Arc::new(wal());
+        let stats = Arc::new(EngineStats::new());
+        w.bind_stats(stats.clone());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let w = Arc::clone(&w);
@@ -861,9 +858,9 @@ mod tests {
         let all = w.replay(0, false).unwrap();
         assert_eq!(all.len(), 800);
         assert!(all.windows(2).all(|p| p[0].lsn < p[1].lsn));
-        let io = w.storage().stats();
-        assert_eq!(io.wal_grouped_records, 800);
-        assert!(io.wal_groups >= 1);
+        let snap = stats.snapshot();
+        assert_eq!(snap.wal_grouped_records, 800);
+        assert!(snap.wal_groups >= 1);
     }
 
     #[test]

@@ -85,8 +85,6 @@ impl MemComponent {
         lo: Bound<&'a [u8]>,
         hi: Bound<&'a [u8]>,
     ) -> impl Iterator<Item = (&'a Key, &'a LsmEntry)> + 'a {
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
         self.map.range::<[u8], _>((lo, hi))
     }
 
@@ -116,10 +114,6 @@ impl MemComponent {
         self.bytes = 0;
         self.filter = None;
     }
-}
-
-fn map_bound(b: Bound<&[u8]>) -> Bound<&[u8]> {
-    b
 }
 
 #[cfg(test)]

@@ -52,12 +52,6 @@ pub struct IoStats {
     pub faults_injected: AtomicU64,
     /// Appends damaged by an injected torn or short write.
     pub torn_writes: AtomicU64,
-    /// WAL group commits: device appends that each covered one committer
-    /// group's page.
-    pub wal_groups: AtomicU64,
-    /// Log records covered by those group commits
-    /// (`wal_grouped_records / wal_groups` = mean group size).
-    pub wal_grouped_records: AtomicU64,
     /// Per-page file-table lookups avoided by batched page reads
     /// ([`Storage::read_pages`](crate::Storage::read_pages)): `count - 1`
     /// per batch, versus fetching each page individually.
@@ -108,8 +102,6 @@ impl IoStats {
             sort_entries: self.sort_entries.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             torn_writes: self.torn_writes.load(Ordering::Relaxed),
-            wal_groups: self.wal_groups.load(Ordering::Relaxed),
-            wal_grouped_records: self.wal_grouped_records.load(Ordering::Relaxed),
             batched_lookups_saved: self.batched_lookups_saved.load(Ordering::Relaxed),
             bridged_pages: self.bridged_pages.load(Ordering::Relaxed),
         };
@@ -155,8 +147,6 @@ pub struct IoStatsSnapshot {
     pub sort_entries: u64,
     pub faults_injected: u64,
     pub torn_writes: u64,
-    pub wal_groups: u64,
-    pub wal_grouped_records: u64,
     pub batched_lookups_saved: u64,
     pub bridged_pages: u64,
 }
@@ -200,8 +190,6 @@ impl IoStatsSnapshot {
             sort_entries: self.sort_entries - earlier.sort_entries,
             faults_injected: self.faults_injected - earlier.faults_injected,
             torn_writes: self.torn_writes - earlier.torn_writes,
-            wal_groups: self.wal_groups - earlier.wal_groups,
-            wal_grouped_records: self.wal_grouped_records - earlier.wal_grouped_records,
             batched_lookups_saved: self.batched_lookups_saved - earlier.batched_lookups_saved,
             bridged_pages: self.bridged_pages - earlier.bridged_pages,
         }

@@ -267,17 +267,6 @@ impl Storage {
             + io.cpu_ns
     }
 
-    /// Records one WAL group commit: a single device append that covered
-    /// `records` staged log records.
-    pub fn note_wal_group(&self, records: u64) {
-        self.stats
-            .wal_groups
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.stats
-            .wal_grouped_records
-            .fetch_add(records, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Records `checks` Bloom filter checks, `negatives` of which pruned.
     /// Their CPU cost is charged apart, as probe [`Event`]s.
     pub fn record_bloom_checks(&self, checks: u64, negatives: u64) {
