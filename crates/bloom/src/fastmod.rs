@@ -45,7 +45,7 @@ impl Divisor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::fmix64;
+    use crate::hash::fmix64;
 
     /// A deterministic, well-spread stream of `u64`s.
     pub(crate) fn random(seed: u64) -> impl Iterator<Item = u64> {

@@ -26,7 +26,7 @@ pub fn hash64(data: &[u8], seed: u64) -> u64 {
 
 /// MurmurHash3's 64-bit finalizer: full avalanche of all input bits.
 #[inline]
-pub fn fmix64(mut h: u64) -> u64 {
+pub(crate) fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;

@@ -33,7 +33,7 @@ mod fastmod;
 mod hash;
 
 use fastmod::Divisor;
-pub use hash::{fmix64, hash64};
+pub use hash::hash64;
 
 /// Block size of the blocked filter: one CPU cache line (64 bytes).
 const BLOCK_BITS: usize = 512;

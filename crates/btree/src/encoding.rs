@@ -33,7 +33,7 @@ fn get_varint(buf: &[u8]) -> Result<(u64, usize)> {
 }
 
 /// Number of bytes the LEB128 varint encoding of `v` takes.
-pub fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     if v == 0 {
         return 1;
     }
@@ -47,7 +47,7 @@ pub fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
 }
 
 /// Reads a length-prefixed byte slice, returning `(slice, bytes_consumed)`.
-pub fn get_slice(buf: &[u8]) -> Result<(&[u8], usize)> {
+pub(crate) fn get_slice(buf: &[u8]) -> Result<(&[u8], usize)> {
     let (len, n) = get_varint(buf)?;
     let len = len as usize;
     // `n <= buf.len()`: the varint was read from `buf`. A damaged length
@@ -59,7 +59,7 @@ pub fn get_slice(buf: &[u8]) -> Result<(&[u8], usize)> {
 }
 
 /// Encoded size of a length-prefixed slice.
-pub fn slice_len(s: &[u8]) -> usize {
+pub(crate) fn slice_len(s: &[u8]) -> usize {
     varint_len(s.len() as u64) + s.len()
 }
 

@@ -274,7 +274,7 @@ impl LeafPageBuilder {
     /// True if `(key, value)` fits in the remaining budget: the page holds
     /// fewer than [`u16::MAX`] entries and, with the entry, stays within the
     /// page size both as written and in slotted accounting.
-    pub fn fits(&self, key: &[u8], value: &[u8]) -> bool {
+    pub(crate) fn fits(&self, key: &[u8], value: &[u8]) -> bool {
         let n = self.count() + 1;
         n <= MAX_ENTRIES
             && self.slotted + 4 + slice_len(key) + slice_len(value) <= self.page_size
@@ -588,7 +588,7 @@ impl InternalPageBuilder {
     /// True if a `(separator, child)` entry fits: the page holds fewer
     /// than [`u16::MAX`] children and, with the entry, stays within the
     /// page size both as written and in slotted accounting.
-    pub fn fits(&self, key: &[u8]) -> bool {
+    pub(crate) fn fits(&self, key: &[u8]) -> bool {
         let n = self.count() + 1;
         n <= MAX_ENTRIES
             && self.slotted + 4 + slice_len(key) + 5 <= self.page_size

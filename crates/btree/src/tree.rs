@@ -156,12 +156,14 @@ impl BTree {
     }
 
     /// Smallest stored key.
-    pub fn min_key(&self) -> Option<&[u8]> {
+    #[cfg(test)]
+    pub(crate) fn min_key(&self) -> Option<&[u8]> {
         self.meta.min_key.as_deref()
     }
 
     /// Largest stored key.
-    pub fn max_key(&self) -> Option<&[u8]> {
+    #[cfg(test)]
+    pub(crate) fn max_key(&self) -> Option<&[u8]> {
         self.meta.max_key.as_deref()
     }
 

@@ -16,6 +16,12 @@
 //! The baseline is the same merge with no coordination at all — unsafe
 //! under concurrency, measured only to isolate the methods' overhead
 //! (Figure 23).
+//!
+//! The engine's own correlated merges ([`Dataset::execute_merge_plan`])
+//! always use the Side-file method, which Figure 23 finds the cheaper of
+//! the two. Lock and the baseline stay as that figure's other arms:
+//! [`merge_primary_with_cc`] takes the method, so the figure and the
+//! concurrency tests run all three.
 
 use crate::dataset::Dataset;
 use lsm_common::{Error, Result};
@@ -24,7 +30,8 @@ use lsm_tree::{BitmapSnapshot, BuildLink, DiskComponent, LsmScan, MergeRange, Sc
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Concurrency-control method for a merge with concurrent writers.
+/// Concurrency-control method for a merge with concurrent writers; the
+/// engine's merges use [`CcMethod::SideFile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcMethod {
     /// No coordination (baseline; unsafe under writes).

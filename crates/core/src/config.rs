@@ -20,7 +20,9 @@ pub enum StrategyKind {
     Validation,
     /// Deletes applied in place to disk components through mutable bitmaps,
     /// located via the primary key index (Section 5). Secondary indexes are
-    /// maintained with the Validation strategy.
+    /// maintained with the Validation strategy. Merges are correlated and
+    /// coordinate with concurrent writers by the Side-file method
+    /// (Section 5.3), the cheaper of the paper's two (Figure 23).
     MutableBitmap,
     /// AsterixDB's deleted-key B+-tree baseline: lazy inserts like
     /// Validation, but merge-time cleanup validates against the full primary
@@ -31,7 +33,7 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// True if index entries carry ingestion timestamps.
-    pub fn stores_timestamps(self) -> bool {
+    pub(crate) fn stores_timestamps(self) -> bool {
         !matches!(self, StrategyKind::Eager)
     }
 }
@@ -74,7 +76,7 @@ impl EngineConfig {
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.workers == 0 {
             return Err(Error::invalid("runtime requires at least one worker"));
         }
@@ -163,7 +165,6 @@ impl MergeConfig {
         TieringPolicy {
             size_ratio: self.size_ratio,
             max_mergeable_bytes: self.max_mergeable_bytes,
-            min_merge_components: 2,
         }
     }
 }
@@ -202,7 +203,9 @@ pub struct DatasetConfig {
     /// Repair secondary indexes during merges (Validation strategy).
     pub merge_repair: bool,
     /// Use Bloom filters of the primary key index to skip validation during
-    /// repair (Section 4.4; requires correlated merges).
+    /// repair (Section 4.4). Sound only under correlated merges: set
+    /// `merge.correlated` too, except on a Mutable-bitmap dataset, whose
+    /// merges are always correlated.
     pub repair_bloom_opt: bool,
     /// Hard memory ceiling for backpressure on a dataset opened with
     /// [`Dataset::open_with_runtime`](crate::Dataset::open_with_runtime):
@@ -210,13 +213,8 @@ pub struct DatasetConfig {
     /// defaults to twice the memory budget. Ignored under inline
     /// maintenance (the writer flushes before it can overshoot).
     pub memory_ceiling: Option<usize>,
-    /// Concurrency-control method of every correlated merge of a
-    /// Mutable-bitmap dataset (Section 5.3). Inline or background, such a
-    /// merge can race live writers that mark entries of the very
-    /// components it rebuilds, so it always coordinates with them.
-    pub cc_method: crate::cc::CcMethod,
     /// Active memory components per index; `1` is the only legal value
-    /// ([`DatasetConfig::validate`] refuses any other). The field stays
+    /// (opening a dataset with any other fails). The field stays
     /// only because the repository benchmark names it, and goes with that
     /// benchmark's next change.
     pub memtable_shards: usize,
@@ -239,20 +237,19 @@ impl DatasetConfig {
             merge_repair: true,
             repair_bloom_opt: false,
             memory_ceiling: None,
-            cc_method: crate::cc::CcMethod::SideFile,
             memtable_shards: 1,
         }
     }
 
     /// The effective backpressure ceiling (background maintenance): configured
     /// value, or twice the memory budget.
-    pub fn effective_memory_ceiling(&self) -> usize {
+    pub(crate) fn effective_memory_ceiling(&self) -> usize {
         self.memory_ceiling
             .unwrap_or_else(|| self.memory_budget.saturating_mul(2))
     }
 
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.pk_field >= self.schema.arity() {
             return Err(Error::invalid("pk_field out of range"));
         }
@@ -288,7 +285,7 @@ impl DatasetConfig {
                 "this maintenance strategy requires the primary key index",
             ));
         }
-        if self.repair_bloom_opt && !self.merge.correlated {
+        if self.repair_bloom_opt && !self.requires_correlated_merges() {
             return Err(Error::invalid(
                 "the repair Bloom-filter optimization requires correlated merges",
             ));
@@ -308,9 +305,9 @@ impl DatasetConfig {
         Ok(())
     }
 
-    /// True if the dataset needs correlated merges regardless of the merge
-    /// config (Mutable-bitmap pairs primary and primary-key components).
-    pub fn requires_correlated_merges(&self) -> bool {
+    /// True if the dataset's merges are correlated: configured so, or forced
+    /// for Mutable-bitmap, which pairs primary and primary-key components.
+    pub(crate) fn requires_correlated_merges(&self) -> bool {
         matches!(self.strategy, StrategyKind::MutableBitmap) || self.merge.correlated
     }
 
@@ -319,7 +316,7 @@ impl DatasetConfig {
     /// writes its extra trees (Section 4.1); everything else validates with
     /// repaired-timestamp pruning, honouring `repair_bloom_opt`. Shared by
     /// merge-time repair and the [`Maintenance`](crate::Maintenance) facade.
-    pub fn default_repair_mode(&self) -> crate::repair::RepairMode {
+    pub(crate) fn default_repair_mode(&self) -> crate::repair::RepairMode {
         match self.strategy {
             StrategyKind::DeletedKeyBTree => crate::repair::RepairMode::DeletedKeyBTree,
             _ => crate::repair::RepairMode::PrimaryKeyIndex {
@@ -398,6 +395,13 @@ mod tests {
         assert!(c.validate().is_err());
         c.merge.correlated = true;
         c.validate().unwrap();
+        // Mutable-bitmap merges are correlated whatever the merge config
+        // says, so the optimization needs no flag there.
+        c.merge.correlated = false;
+        c.strategy = StrategyKind::MutableBitmap;
+        c.validate().unwrap();
+        c.strategy = StrategyKind::Validation;
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -366,12 +366,12 @@ impl Dataset {
     }
 
     /// The record-level lock manager.
-    pub fn locks(&self) -> &LockManager {
+    pub(crate) fn locks(&self) -> &LockManager {
         &self.locks
     }
 
     /// The dataset-level drain lock (Side-file method).
-    pub fn dataset_lock(&self) -> &RwLock<()> {
+    pub(crate) fn dataset_lock(&self) -> &RwLock<()> {
         &self.dataset_lock
     }
 
@@ -1313,9 +1313,9 @@ impl Dataset {
     /// dataset has more than one writer (one writer's inline merge runs
     /// beside the others' upserts/deletes). It therefore always runs
     /// through the Section 5.3 concurrency-control path
-    /// ([`crate::cc::merge_primary_with_cc`]) with the configured
-    /// [`CcMethod`](crate::cc::CcMethod); the plain path would scan a
-    /// bitmap one moment and its sibling index the next, losing any
+    /// ([`crate::cc::merge_primary_with_cc`]) with the Side-file method,
+    /// the cheaper of the paper's two (Figure 23); the plain path would
+    /// scan a bitmap one moment and its sibling index the next, losing any
     /// delete that landed in between.
     pub fn execute_merge_plan(&self, plan: &MergePlan) -> Result<bool> {
         let _merges = self.merge_mutex.lock();
@@ -1343,7 +1343,8 @@ impl Dataset {
                 // The indexes merge in lockstep (Section 4.4): the primary
                 // first, then the pk index, then every secondary.
                 if self.cfg.strategy == StrategyKind::MutableBitmap {
-                    crate::cc::merge_primary_with_cc(self, plan.range, self.cfg.cc_method)?;
+                    use crate::cc::{merge_primary_with_cc, CcMethod};
+                    merge_primary_with_cc(self, plan.range, CcMethod::SideFile)?;
                 } else {
                     self.primary.merge_range(plan.range)?;
                     self.stats.bump(&self.stats.merges);
@@ -1415,27 +1416,18 @@ impl Dataset {
     /// Merges one secondary index range, repairing it when the strategy
     /// calls for it.
     fn merge_secondary(&self, sec: &SecondaryIndex, range: MergeRange) -> Result<()> {
-        use crate::repair::{merge_repair, RepairOptions};
+        use crate::repair::merge_repair;
         let repair = match self.cfg.strategy {
             StrategyKind::Validation | StrategyKind::MutableBitmap => self.cfg.merge_repair,
             StrategyKind::DeletedKeyBTree => true,
             StrategyKind::Eager => false,
         };
         if repair {
-            let mode = self.cfg.default_repair_mode();
             let pk_tree = self
                 .pk_index
                 .as_ref()
                 .ok_or_else(|| Error::invalid("merge repair requires the primary key index"))?;
-            merge_repair(
-                &sec.tree,
-                pk_tree,
-                range,
-                &RepairOptions {
-                    mode,
-                    ..Default::default()
-                },
-            )?;
+            merge_repair(&sec.tree, pk_tree, range, self.cfg.default_repair_mode())?;
             self.stats.bump(&self.stats.merges);
             self.stats.bump(&self.stats.repairs);
         } else {

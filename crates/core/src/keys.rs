@@ -14,7 +14,7 @@ pub fn encode_pk(pk: &Value) -> Key {
 }
 
 /// Decodes a primary key.
-pub fn decode_pk(key: &[u8]) -> Result<Value> {
+pub(crate) fn decode_pk(key: &[u8]) -> Result<Value> {
     Value::decode_exact(key)
 }
 
@@ -30,7 +30,7 @@ pub fn encode_sk_pk(sk: &Value, pk: &Value) -> Key {
 /// `(secondary key, primary key)`, borrowed from `key` — for callers that
 /// want the primary key as *bytes* (a lookup key), not as a [`Value`].
 /// Both parts are fully validated; anything but two parts is corruption.
-pub fn split_sk_pk(key: &[u8]) -> Result<(&[u8], &[u8])> {
+pub(crate) fn split_sk_pk(key: &[u8]) -> Result<(&[u8], &[u8])> {
     let parts = RecordView::parse(key)?;
     if parts.arity() != 2 {
         return Err(Error::corruption(format!(

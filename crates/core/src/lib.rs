@@ -213,7 +213,7 @@ pub use query::{
     FilterScanBuilder, FilterScanReport, PreparedQuery, QueryBuilder, QueryOptions, QueryResult,
     RecordStream, ValidationMethod,
 };
-pub use repair::{RepairMode, RepairOptions, RepairReport};
+pub use repair::{RepairMode, RepairReport};
 pub use scheduler::{DatasetRuntimeStats, MaintenanceRuntime, RuntimeStatsSnapshot};
 pub use stats::{EngineStats, EngineStatsSnapshot};
 

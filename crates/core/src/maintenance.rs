@@ -3,17 +3,22 @@
 //!
 //! Index repair (Section 4.4) comes in four forms — standalone repair of
 //! every secondary index or of one, merge repair, and the DELI-style
-//! primary repair — whose trees and option structs must stay consistent
+//! primary repair — whose trees and validation mode must stay consistent
 //! with the dataset's strategy. The facade is their only public entry
-//! point: three verbs, with a [`RepairPlan`] builder for the mode /
-//! Bloom-filter / merge-scan knobs:
+//! point: three verbs, with a [`RepairPlan`] builder for the Bloom-filter
+//! and piggybacked-merge knobs:
 //!
 //! ```text
 //! ds.maintenance().repair_all()?;                      // strategy-aware defaults
 //! ds.maintenance().repair_index("user_id")?;           // one index
 //! ds.maintenance().repair_primary()?;                  // DELI baseline
-//! ds.maintenance().plan().bloom(true).merge_scan(false).repair_all()?;
+//! ds.maintenance().plan().bloom(true).repair_all()?;
+//! ds.maintenance().plan().with_merge(true).repair_index("user_id")?;
 //! ```
+//!
+//! Validation picks point probes or a merge join with the primary key index
+//! from its input (Section 4.4's merge-scan optimization), so no plan names
+//! it.
 //!
 //! Strategy awareness: a `DeletedKeyBTree` dataset resolves to
 //! [`RepairMode::DeletedKeyBTree`] (full validation + deleted-key B+-tree
@@ -23,7 +28,7 @@
 //! the four strategies without the caller naming a mode.
 
 use crate::dataset::Dataset;
-use crate::repair::{self, RepairMode, RepairOptions, RepairReport};
+use crate::repair::{self, RepairMode, RepairReport};
 use lsm_common::{Error, Result};
 use lsm_tree::MergeRange;
 
@@ -46,7 +51,6 @@ impl<'a> Maintenance<'a> {
         RepairPlan {
             ds: self.ds,
             mode: self.ds.config().default_repair_mode(),
-            merge_scan: true,
             with_merge: false,
         }
     }
@@ -102,7 +106,6 @@ impl<'a> Maintenance<'a> {
 pub struct RepairPlan<'a> {
     ds: &'a Dataset,
     mode: RepairMode,
-    merge_scan: bool,
     with_merge: bool,
 }
 
@@ -116,13 +119,6 @@ impl RepairPlan<'_> {
         self
     }
 
-    /// Toggles the merge-scan optimization (point validation vs merge join,
-    /// Section 4.4).
-    pub fn merge_scan(mut self, on: bool) -> Self {
-        self.merge_scan = on;
-        self
-    }
-
     /// Piggybacks a merge: [`RepairPlan::repair_index`] merge-repairs all of
     /// the index's components into one (Figure 7); `repair_primary`
     /// additionally merges the primary components, as DELI does.
@@ -131,18 +127,10 @@ impl RepairPlan<'_> {
         self
     }
 
-    /// The resolved low-level options (inspectable in tests and benches).
-    pub fn options(&self) -> RepairOptions {
-        RepairOptions {
-            mode: self.mode,
-            merge_scan_opt: self.merge_scan,
-        }
-    }
-
     /// Brings every secondary index up-to-date with standalone repairs
     /// (the Figure 20 measurement loop).
     pub fn repair_all(self) -> Result<Vec<RepairReport>> {
-        repair::repair_all_secondaries(self.ds, &self.options())
+        repair::repair_all_secondaries(self.ds, self.mode)
     }
 
     /// Repairs the named secondary index: a standalone repair (fresh
@@ -170,10 +158,10 @@ impl RepairPlan<'_> {
                     start: 0,
                     end: n - 1,
                 },
-                &self.options(),
+                self.mode,
             )
         } else {
-            repair::standalone_repair(&sec.tree, pk_tree, &self.options())
+            repair::standalone_repair(&sec.tree, pk_tree, self.mode)
         }
     }
 

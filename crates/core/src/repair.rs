@@ -14,7 +14,8 @@
 //!   absence from all unpruned primary-key-index components proves them
 //!   untouched (sound when merges are correlated, Section 4.4);
 //! * the **merge-scan optimization** switches from point validation to a
-//!   merge join when there are more candidates than recently ingested keys;
+//!   merge join whenever there are more candidates than entries in the
+//!   unpruned primary-key-index components — chosen by the input, not set;
 //! * **primary repair** is DELI's approach (Tang et al.): scan (or merge)
 //!   the *primary* index components, detect obsolete record versions, and
 //!   emit secondary anti-matter — paying full-record I/O.
@@ -44,25 +45,6 @@ pub enum RepairMode {
     /// primary key index (no pruning) and write a per-component deleted-key
     /// B+-tree holding the invalid keys.
     DeletedKeyBTree,
-}
-
-/// Repair configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RepairOptions {
-    /// Validation mode.
-    pub mode: RepairMode,
-    /// Use a merge join instead of point lookups when candidates outnumber
-    /// the unpruned primary-key-index entries (Section 4.4 optimization).
-    pub merge_scan_opt: bool,
-}
-
-impl Default for RepairOptions {
-    fn default() -> Self {
-        RepairOptions {
-            mode: RepairMode::PrimaryKeyIndex { bloom_opt: false },
-            merge_scan_opt: true,
-        }
-    }
 }
 
 /// What a repair operation did.
@@ -141,13 +123,14 @@ fn unpruned(pk_components: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Vec<Ar
 
 /// Sorts the candidates and validates them against `pk_components` — the
 /// unpruned part of the repair's one primary-key-index snapshot — setting
-/// bitmap bits for the invalid ones.
+/// bitmap bits for the invalid ones. A merge join with the components
+/// replaces the point probes when the candidates outnumber their entries
+/// (Section 4.4's merge-scan optimization).
 fn validate_candidates(
     storage: &Arc<Storage>,
     pk_components: &[Arc<DiskComponent>],
     candidates: &mut Candidates,
     bitmap: &AtomicBitmap,
-    opts: &RepairOptions,
     report: &mut RepairReport,
 ) -> Result<()> {
     let keys = candidates.keys.as_slice();
@@ -172,7 +155,7 @@ fn validate_candidates(
     };
 
     let pk_entries: u64 = pk_components.iter().map(|c| c.num_entries()).sum();
-    if opts.merge_scan_opt && candidates.len() as u64 > pk_entries {
+    if candidates.len() as u64 > pk_entries {
         // Merge join the sorted candidates with a reconciling scan of the
         // unpruned pk-index components.
         let mut scan = LsmScan::new(
@@ -347,7 +330,7 @@ fn new_repaired_ts(unpruned: &[Arc<DiskComponent>], prune_ts: Timestamp) -> Time
 /// return a stale entry.
 struct Validation<'a> {
     storage: &'a Arc<Storage>,
-    opts: &'a RepairOptions,
+    mode: RepairMode,
     prune_ts: Timestamp,
     /// Components of the snapshot newer than `prune_ts`, newest first.
     unpruned: Vec<Arc<DiskComponent>>,
@@ -362,14 +345,14 @@ impl<'a> Validation<'a> {
         storage: &'a Arc<Storage>,
         pk_components: ComponentList,
         prune_ts: Timestamp,
-        opts: &'a RepairOptions,
+        mode: RepairMode,
     ) -> Self {
         Validation {
             storage,
-            opts,
+            mode,
             prune_ts,
             unpruned: unpruned(&pk_components, prune_ts),
-            whole: (opts.mode == RepairMode::DeletedKeyBTree).then_some(pk_components),
+            whole: (mode == RepairMode::DeletedKeyBTree).then_some(pk_components),
             candidates: Candidates::default(),
         }
     }
@@ -386,7 +369,7 @@ impl<'a> Validation<'a> {
         report: &mut RepairReport,
     ) -> Result<()> {
         let pk_key = split_sk_pk(key)?.1;
-        let bloom_opt = self.opts.mode == RepairMode::PrimaryKeyIndex { bloom_opt: true };
+        let bloom_opt = self.mode == RepairMode::PrimaryKeyIndex { bloom_opt: true };
         if bloom_opt && !touched_since(self.storage, &self.unpruned, pk_key, ts) {
             report.skipped_by_bloom += 1;
             return Ok(());
@@ -403,7 +386,6 @@ impl<'a> Validation<'a> {
             self.whole.as_deref().unwrap_or(&self.unpruned),
             &mut self.candidates,
             bitmap,
-            self.opts,
             report,
         )?;
         Ok(new_repaired_ts(&self.unpruned, self.prune_ts))
@@ -416,9 +398,9 @@ pub(crate) fn merge_repair(
     sec_tree: &LsmTree,
     pk_tree: &LsmTree,
     range: MergeRange,
-    opts: &RepairOptions,
+    mode: RepairMode,
 ) -> Result<RepairReport> {
-    merge_repair_against(sec_tree, pk_tree.disk_components(), range, opts)
+    merge_repair_against(sec_tree, pk_tree.disk_components(), range, mode)
 }
 
 /// [`merge_repair`] against one snapshot of the primary key index's
@@ -428,14 +410,14 @@ fn merge_repair_against(
     sec_tree: &LsmTree,
     pk_components: ComponentList,
     range: MergeRange,
-    opts: &RepairOptions,
+    mode: RepairMode,
 ) -> Result<RepairReport> {
     let (inputs, mut builder, drop_anti) = sec_tree.merge_start(range)?;
     let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
     let storage = sec_tree.storage();
 
     let mut report = RepairReport::default();
-    let mut validation = Validation::new(storage, pk_components, prune_ts, opts);
+    let mut validation = Validation::new(storage, pk_components, prune_ts, mode);
 
     // Scan all merging components (Figure 7 lines 1-7): valid entries go to
     // the new component; (pkey, ts, position) go to the sorter.
@@ -472,7 +454,7 @@ fn merge_repair_against(
     }
     new_comp.set_repaired_ts(repaired_ts);
 
-    if opts.mode == RepairMode::DeletedKeyBTree {
+    if mode == RepairMode::DeletedKeyBTree {
         write_deleted_key_btree(sec_tree, &new_comp)?;
     }
 
@@ -485,13 +467,13 @@ fn merge_repair_against(
 pub(crate) fn standalone_repair(
     sec_tree: &LsmTree,
     pk_tree: &LsmTree,
-    opts: &RepairOptions,
+    mode: RepairMode,
 ) -> Result<RepairReport> {
     let storage = sec_tree.storage();
     let mut report = RepairReport::default();
     for comp in sec_tree.disk_components().iter() {
         let pk_components = pk_tree.disk_components();
-        let mut validation = Validation::new(storage, pk_components, comp.repaired_ts(), opts);
+        let mut validation = Validation::new(storage, pk_components, comp.repaired_ts(), mode);
         if validation.unpruned.is_empty() && pk_tree.mem_len() == 0 {
             continue; // nothing new to validate against
         }
@@ -541,7 +523,7 @@ fn write_deleted_key_btree(sec_tree: &LsmTree, comp: &DiskComponent) -> Result<(
 /// index after another (the Figure 20 measurement loop).
 pub(crate) fn repair_all_secondaries(
     dataset: &Dataset,
-    opts: &RepairOptions,
+    mode: RepairMode,
 ) -> Result<Vec<RepairReport>> {
     let pk_tree = dataset
         .pk_index()
@@ -549,7 +531,7 @@ pub(crate) fn repair_all_secondaries(
     dataset
         .secondaries()
         .iter()
-        .map(|sec| standalone_repair(&sec.tree, pk_tree, opts))
+        .map(|sec| standalone_repair(&sec.tree, pk_tree, mode))
         .collect()
 }
 
@@ -826,26 +808,46 @@ mod tests {
         assert!(comp.repaired_ts() > 0);
     }
 
+    /// Once the primary key index has merged its versions away, a merge
+    /// repair of the whole secondary index has more candidates than the
+    /// pk index has entries and joins the two instead of probing; it marks
+    /// the bits and sets the repaired timestamp that per-key validation does
+    /// on the same records with the pk index unmerged. The pk merge leaves
+    /// out the oldest component, so it keeps the deletes' anti-matter.
     #[test]
     fn merge_scan_path_used_for_large_candidate_sets() {
-        let ds = dataset(StrategyKind::Validation);
-        obsolete_setup(&ds);
-        let sec = &ds.secondaries()[0].tree;
-        // 150 candidates vs 150 pk entries: force merge scan by thresholds.
-        let report = merge_repair(
-            sec,
-            ds.pk_index().unwrap(),
-            MergeRange { start: 0, end: 1 },
-            &RepairOptions {
-                merge_scan_opt: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // candidates (150) > unpruned entries? pk index has 150 entries in
-        // 2 components; equality fails the strict >, so take whichever path
-        // ran — the outcome must match the point-lookup path.
-        assert_eq!(report.invalidated, 50);
+        let merge_repair_all = |merge_pk_first: bool| {
+            let ds = dataset(StrategyKind::Validation);
+            churn(&ds);
+            let pk_tree = ds.pk_index().unwrap();
+            let last = pk_tree.num_disk_components() - 1;
+            if merge_pk_first {
+                pk_tree
+                    .merge_range(MergeRange {
+                        start: 1,
+                        end: last,
+                    })
+                    .unwrap();
+            }
+            let plan = ds.maintenance().plan().with_merge(true);
+            let report = plan.repair_index("location").unwrap();
+            let comps = ds.secondaries()[0].tree.disk_components();
+            let bitmaps: Vec<_> = comps
+                .iter()
+                .map(|c| c.bitmap().map(|b| b.snapshot()))
+                .collect();
+            let repaired_ts: Vec<_> = comps.iter().map(|c| c.repaired_ts()).collect();
+            (report, bitmaps, repaired_ts)
+        };
+        let (join, join_bitmaps, join_ts) = merge_repair_all(true);
+        let (per_key, per_key_bitmaps, per_key_ts) = oracle::with(|| merge_repair_all(false));
+        assert!(join.used_merge_scan, "{join:?}");
+        assert!(!per_key.used_merge_scan, "{per_key:?}");
+        assert_eq!(join.pk_tree_probes, 0, "a join probes no tree");
+        assert!(join.invalidated > 0, "{join:?}");
+        assert_eq!(join.invalidated, per_key.invalidated);
+        assert_eq!(join_bitmaps, per_key_bitmaps);
+        assert_eq!(join_ts, per_key_ts);
     }
 
     /// A flush may install a primary-key-index component while a repair
@@ -877,7 +879,7 @@ mod tests {
             sec,
             before_flush,
             MergeRange { start: 0, end: 1 },
-            &RepairOptions::default(),
+            RepairMode::PrimaryKeyIndex { bloom_opt: false },
         )
         .unwrap();
         assert_eq!(report.invalidated, 0, "the update is not in the snapshot");
@@ -914,7 +916,7 @@ mod tests {
             sec,
             ds.pk_index().unwrap(),
             MergeRange { start: 1, end: 1 },
-            &RepairOptions::default(),
+            RepairMode::PrimaryKeyIndex { bloom_opt: false },
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
@@ -936,13 +938,7 @@ mod tests {
             ds.upsert(&rec(i, "NY")).unwrap();
         }
         ds.flush_all().unwrap();
-        let reports = ds
-            .maintenance()
-            .plan()
-            .bloom(true)
-            .merge_scan(false)
-            .repair_all()
-            .unwrap();
+        let reports = ds.maintenance().plan().bloom(true).repair_all().unwrap();
         let r = &reports[0];
         // Most of the 100 old entries skip validation via Bloom filters
         // (false positives allowed).
@@ -972,19 +968,25 @@ mod tests {
         assert_eq!(ds.maintenance().repair_primary().unwrap(), 0);
     }
 
+    /// The facade resolves the DeletedKeyBTree mode from the strategy: the
+    /// same merge repair marks the same entries as under Validation and
+    /// writes more pages, the deleted-key B+-tree's.
     #[test]
     fn deleted_key_btree_mode_writes_extra_files() {
-        let ds = dataset(StrategyKind::DeletedKeyBTree);
-        obsolete_setup(&ds);
-        let before = ds.storage().stats();
-        // The facade resolves the DeletedKeyBTree mode from the strategy.
-        let plan = ds.maintenance().plan().merge_scan(false).with_merge(true);
-        assert_eq!(plan.options().mode, RepairMode::DeletedKeyBTree);
-        let report = plan.repair_index("location").unwrap();
-        let d = ds.storage().stats().since(&before);
-        assert_eq!(report.invalidated, 50);
-        assert!(d.pages_written > 0);
-        assert_eq!(live_secondary_entries(&ds), 100);
+        let pages_written = |strategy| {
+            let ds = dataset(strategy);
+            obsolete_setup(&ds);
+            let before = ds.storage().stats();
+            let plan = ds.maintenance().plan().with_merge(true);
+            let report = plan.repair_index("location").unwrap();
+            let d = ds.storage().stats().since(&before);
+            assert_eq!(report.invalidated, 50);
+            assert_eq!(live_secondary_entries(&ds), 100);
+            d.pages_written
+        };
+        let baseline = pages_written(StrategyKind::DeletedKeyBTree);
+        let validation = pages_written(StrategyKind::Validation);
+        assert!(baseline > validation, "{baseline} vs {validation}");
     }
 
     #[test]
@@ -1045,13 +1047,19 @@ mod tests {
     }
 
     /// Runs `repair` on a freshly churned dataset, after one earlier repair
-    /// and one more flush so that repaired timestamps prune.
+    /// and one more flush so that repaired timestamps prune. That flush also
+    /// inserts 400 new records, so the pk-index component that pruning
+    /// leaves outnumbers the candidates of any older secondary component and
+    /// validation probes rather than joins.
     fn outcome(repair: impl Fn(&Dataset) -> RepairReport) -> Outcome {
         let ds = dataset(StrategyKind::Validation);
         churn(&ds);
         ds.maintenance().repair_all().unwrap();
         for i in 0..60 {
             ds.upsert(&rec(i * 5, "OR")).unwrap();
+        }
+        for i in 400..800 {
+            ds.insert(&rec(i, "CA")).unwrap();
         }
         ds.flush_all().unwrap();
         let before = ds.storage().stats();
@@ -1082,7 +1090,7 @@ mod tests {
         for with_merge in [true, false] {
             for bloom in [false, true] {
                 let repair = |ds: &Dataset| {
-                    let plan = ds.maintenance().plan().merge_scan(false).bloom(bloom);
+                    let plan = ds.maintenance().plan().bloom(bloom);
                     plan.with_merge(with_merge)
                         .repair_index("location")
                         .unwrap()
@@ -1154,14 +1162,12 @@ mod tests {
                 candidates.push(&crate::keys::encode_pk(&Value::Int(pk)), ts, position);
             }
             let bitmap = AtomicBitmap::new(triples.len() as u64);
-            let opts = RepairOptions::default();
             let mut report = RepairReport::default();
             validate_candidates(
                 storage,
                 &pk_components,
                 &mut candidates,
                 &bitmap,
-                &opts,
                 &mut report,
             )
             .unwrap();

@@ -64,7 +64,7 @@ impl LockManager {
 
     /// Acquires a shared lock on `key`, blocking while an exclusive holder
     /// exists.
-    pub fn lock_shared(&self, key: &[u8]) {
+    pub(crate) fn lock_shared(&self, key: &[u8]) {
         let shard = self.shard(key);
         let mut table = shard.table.lock();
         loop {
@@ -82,7 +82,7 @@ impl LockManager {
     }
 
     /// Acquires an exclusive lock on `key`, blocking while any holder exists.
-    pub fn lock_exclusive(&self, key: &[u8]) {
+    pub(crate) fn lock_exclusive(&self, key: &[u8]) {
         let shard = self.shard(key);
         let mut table = shard.table.lock();
         loop {
@@ -100,7 +100,7 @@ impl LockManager {
     }
 
     /// Releases a shared lock.
-    pub fn unlock_shared(&self, key: &[u8]) {
+    pub(crate) fn unlock_shared(&self, key: &[u8]) {
         let shard = self.shard(key);
         let mut table = shard.table.lock();
         // INVARIANT: callers pair this with a successful lock_shared (the
@@ -119,7 +119,7 @@ impl LockManager {
     }
 
     /// Releases an exclusive lock.
-    pub fn unlock_exclusive(&self, key: &[u8]) {
+    pub(crate) fn unlock_exclusive(&self, key: &[u8]) {
         let shard = self.shard(key);
         let mut table = shard.table.lock();
         // INVARIANT: callers pair this with a successful lock_exclusive (the
@@ -137,7 +137,7 @@ impl LockManager {
     }
 
     /// Runs `f` under a shared lock on `key`.
-    pub fn with_shared<T>(&self, key: &[u8], f: impl FnOnce() -> T) -> T {
+    pub(crate) fn with_shared<T>(&self, key: &[u8], f: impl FnOnce() -> T) -> T {
         self.lock_shared(key);
         let out = f();
         self.unlock_shared(key);

@@ -318,7 +318,7 @@ impl Wal {
     /// Binds the owning engine's counters so group commits (and crash-site
     /// passages) show up in [`EngineStats`]. Idempotent; later binds are
     /// ignored.
-    pub fn bind_stats(&self, stats: Arc<EngineStats>) {
+    pub(crate) fn bind_stats(&self, stats: Arc<EngineStats>) {
         let _ = self.stats.set(stats);
     }
 
@@ -538,7 +538,7 @@ impl Wal {
     /// Drops buffered, unforced records — the staging page and any pending
     /// pages that never reached the device (simulates losing them in a
     /// crash).
-    pub fn drop_unforced(&self) {
+    pub(crate) fn drop_unforced(&self) {
         let mut inner = self.inner.lock();
         inner.page.clear();
         inner.page_records = 0;

@@ -3,13 +3,13 @@
 //! flushes and merges concurrently, then full verification against a
 //! single-threaded oracle.
 //!
-//! The Mutable-bitmap runs drive the Section 5.3 concurrency-control path
+//! The Mutable-bitmap run drives the Section 5.3 concurrency-control path
 //! end to end: background correlated merges rebuild components through
-//! `merge_primary_with_cc` (Lock and Side-file methods) while writers mark
-//! deletes through the `BuildLink` redirection machinery.
+//! `merge_primary_with_cc` (the Side-file method) while writers mark
+//! deletes through the `BuildLink` redirection machinery. The Lock method
+//! under concurrent writers is `concurrency.rs`'s.
 
 use lsm_common::{FieldType, Record, Schema, Value};
-use lsm_engine::cc::CcMethod;
 use lsm_engine::{
     Dataset, DatasetConfig, EngineConfig, MaintenanceRuntime, SecondaryIndexDef, StrategyKind,
 };
@@ -38,7 +38,7 @@ fn rec(id: i64, round: i64) -> Record {
     Record::new(vec![Value::Int(id), Value::Int(round), Value::Str(grp(id))])
 }
 
-fn dataset(strategy: StrategyKind, cc: CcMethod) -> Arc<Dataset> {
+fn dataset(strategy: StrategyKind) -> Arc<Dataset> {
     let mut cfg = DatasetConfig::new(schema(), 0);
     cfg.strategy = strategy;
     cfg.secondary_indexes = vec![SecondaryIndexDef {
@@ -49,7 +49,6 @@ fn dataset(strategy: StrategyKind, cc: CcMethod) -> Arc<Dataset> {
     // under the writers.
     cfg.memory_budget = 24 * 1024;
     cfg.merge.max_mergeable_bytes = u64::MAX;
-    cfg.cc_method = cc;
     open_on_runtime(cfg, 2)
 }
 
@@ -93,8 +92,8 @@ fn run_writer(ds: &Dataset, t: usize) {
     }
 }
 
-fn stress(strategy: StrategyKind, cc: CcMethod) {
-    let ds = dataset(strategy, cc);
+fn stress(strategy: StrategyKind) {
+    let ds = dataset(strategy);
     std::thread::scope(|scope| {
         for t in 0..WRITERS {
             let ds = &ds;
@@ -119,14 +118,10 @@ fn stress(strategy: StrategyKind, cc: CcMethod) {
     for (&id, expect) in &oracle {
         let got = ds.get(&Value::Int(id)).unwrap();
         match expect {
-            None => assert!(got.is_none(), "{strategy:?}/{cc:?}: id {id} resurrected"),
+            None => assert!(got.is_none(), "{strategy:?}: id {id} resurrected"),
             Some(round) => {
-                let r = got.unwrap_or_else(|| panic!("{strategy:?}/{cc:?}: id {id} vanished"));
-                assert_eq!(
-                    r.get(1),
-                    &Value::Int(*round),
-                    "{strategy:?}/{cc:?}: id {id} stale"
-                );
+                let r = got.unwrap_or_else(|| panic!("{strategy:?}: id {id} vanished"));
+                assert_eq!(r.get(1), &Value::Int(*round), "{strategy:?}: id {id} stale");
             }
         }
     }
@@ -145,28 +140,28 @@ fn stress(strategy: StrategyKind, cc: CcMethod) {
             .iter()
             .map(|r| r.get(0).as_int().unwrap())
             .collect();
-        assert_eq!(got, want, "{strategy:?}/{cc:?}: group g{g} mismatch");
+        assert_eq!(got, want, "{strategy:?}: group g{g} mismatch");
     }
 }
 
 #[test]
 fn eager_background_maintenance_stress() {
-    stress(StrategyKind::Eager, CcMethod::SideFile);
+    stress(StrategyKind::Eager);
 }
 
 #[test]
 fn validation_background_maintenance_stress() {
-    stress(StrategyKind::Validation, CcMethod::SideFile);
+    stress(StrategyKind::Validation);
 }
 
 #[test]
 fn mutable_bitmap_side_file_background_stress() {
-    stress(StrategyKind::MutableBitmap, CcMethod::SideFile);
+    stress(StrategyKind::MutableBitmap);
 }
 
 #[test]
-fn mutable_bitmap_lock_background_stress() {
-    stress(StrategyKind::MutableBitmap, CcMethod::Lock);
+fn deleted_key_btree_background_stress() {
+    stress(StrategyKind::DeletedKeyBTree);
 }
 
 #[test]

@@ -9,7 +9,6 @@
 //! threads.
 
 use lsm_common::{FieldType, Record, Schema, Value};
-use lsm_engine::cc::CcMethod;
 use lsm_engine::{
     Dataset, DatasetConfig, EngineConfig, EngineStatsSnapshot, MaintenanceRuntime,
     SecondaryIndexDef, StrategyKind,
@@ -39,7 +38,7 @@ fn rec(id: i64, round: i64) -> Record {
     Record::new(vec![Value::Int(id), Value::Int(round), Value::Str(grp(id))])
 }
 
-fn config(strategy: StrategyKind, cc: CcMethod) -> DatasetConfig {
+fn config(strategy: StrategyKind) -> DatasetConfig {
     let mut cfg = DatasetConfig::new(schema(), 0);
     cfg.strategy = strategy;
     cfg.secondary_indexes = vec![SecondaryIndexDef {
@@ -50,16 +49,15 @@ fn config(strategy: StrategyKind, cc: CcMethod) -> DatasetConfig {
     // under the writers.
     cfg.memory_budget = 16 * 1024;
     cfg.merge.max_mergeable_bytes = u64::MAX;
-    cfg.cc_method = cc;
     cfg
 }
 
-fn strategy_for(d: usize) -> (StrategyKind, CcMethod) {
+fn strategy_for(d: usize) -> StrategyKind {
     match d % 4 {
-        0 => (StrategyKind::Eager, CcMethod::SideFile),
-        1 => (StrategyKind::Validation, CcMethod::SideFile),
-        2 => (StrategyKind::MutableBitmap, CcMethod::SideFile),
-        _ => (StrategyKind::MutableBitmap, CcMethod::Lock),
+        0 => StrategyKind::Eager,
+        1 => StrategyKind::Validation,
+        2 => StrategyKind::MutableBitmap,
+        _ => StrategyKind::DeletedKeyBTree,
     }
 }
 
@@ -90,11 +88,11 @@ fn ten_datasets_share_a_four_worker_runtime() {
 
     let datasets: Vec<Arc<Dataset>> = (0..DATASETS)
         .map(|d| {
-            let (strategy, cc) = strategy_for(d);
+            let strategy = strategy_for(d);
             Dataset::open_with_runtime(
                 Storage::new(StorageOptions::test()),
                 None,
-                config(strategy, cc),
+                config(strategy),
                 &runtime,
             )
             .unwrap()
@@ -157,22 +155,18 @@ fn ten_datasets_share_a_four_worker_runtime() {
 
     // Every dataset matches its single-threaded oracle.
     for (d, ds) in datasets.iter().enumerate() {
-        let (strategy, cc) = strategy_for(d);
+        let strategy = strategy_for(d);
         let expect = oracle(d);
         for (&id, state) in &expect {
             let got = ds.get(&Value::Int(id)).unwrap();
             match state {
-                None => assert!(
-                    got.is_none(),
-                    "{strategy:?}/{cc:?} ds{d}: id {id} resurrected"
-                ),
+                None => assert!(got.is_none(), "{strategy:?} ds{d}: id {id} resurrected"),
                 Some(round) => {
-                    let r = got
-                        .unwrap_or_else(|| panic!("{strategy:?}/{cc:?} ds{d}: id {id} vanished"));
+                    let r = got.unwrap_or_else(|| panic!("{strategy:?} ds{d}: id {id} vanished"));
                     assert_eq!(
                         r.get(1),
                         &Value::Int(*round),
-                        "{strategy:?}/{cc:?} ds{d}: id {id} stale"
+                        "{strategy:?} ds{d}: id {id} stale"
                     );
                 }
             }
@@ -191,7 +185,7 @@ fn ten_datasets_share_a_four_worker_runtime() {
                 .iter()
                 .map(|r| r.get(0).as_int().unwrap())
                 .collect();
-            assert_eq!(got, want, "{strategy:?}/{cc:?} ds{d}: group g{g} mismatch");
+            assert_eq!(got, want, "{strategy:?} ds{d}: group g{g} mismatch");
         }
     }
 
@@ -209,7 +203,7 @@ fn background_merges_under_a_tiny_cache_stay_readable() {
         cache_pages: 4,
         ..StorageOptions::test()
     });
-    let mut cfg = config(StrategyKind::Validation, CcMethod::SideFile);
+    let mut cfg = config(StrategyKind::Validation);
     cfg.memory_budget = 8 * 1024;
     let ds = Dataset::open_with_runtime(storage.clone(), None, cfg, &runtime).unwrap();
 
@@ -245,7 +239,7 @@ fn background_flushes_write_the_data_device_and_the_log() {
     let runtime = MaintenanceRuntime::start(EngineConfig::fixed(2)).unwrap();
     let storage = Storage::new(StorageOptions::test());
     let log = Storage::new(StorageOptions::test());
-    let mut cfg = config(StrategyKind::Validation, CcMethod::SideFile);
+    let mut cfg = config(StrategyKind::Validation);
     cfg.memory_budget = 8 * 1024;
     let ds = Dataset::open_with_runtime(storage.clone(), Some(log.clone()), cfg, &runtime).unwrap();
 
@@ -270,7 +264,7 @@ fn foreground_wal_writes_queue_no_background_job() {
     // writer's thread and never enqueue maintenance.
     let runtime = MaintenanceRuntime::start(EngineConfig::fixed(1)).unwrap();
     let log = Storage::new(StorageOptions::test());
-    let mut cfg = config(StrategyKind::Eager, CcMethod::SideFile);
+    let mut cfg = config(StrategyKind::Eager);
     cfg.memory_budget = 64 * 1024 * 1024; // never trips
     let ds = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
@@ -323,7 +317,7 @@ fn hot_dataset_cannot_starve_quiet_datasets() {
     let hot = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
         None,
-        config(StrategyKind::Validation, CcMethod::SideFile),
+        config(StrategyKind::Validation),
         &runtime,
     )
     .unwrap();
@@ -332,7 +326,7 @@ fn hot_dataset_cannot_starve_quiet_datasets() {
             Dataset::open_with_runtime(
                 Storage::new(StorageOptions::test()),
                 None,
-                config(StrategyKind::Validation, CcMethod::SideFile),
+                config(StrategyKind::Validation),
                 &runtime,
             )
             .unwrap()
@@ -414,14 +408,14 @@ fn per_dataset_quiesce_ignores_other_datasets() {
     let a = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
         None,
-        config(StrategyKind::Eager, CcMethod::SideFile),
+        config(StrategyKind::Eager),
         &runtime,
     )
     .unwrap();
     let b = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
         None,
-        config(StrategyKind::Eager, CcMethod::SideFile),
+        config(StrategyKind::Eager),
         &runtime,
     )
     .unwrap();
@@ -443,7 +437,7 @@ fn runtime_shuts_down_with_last_dataset() {
     let ds = Dataset::open_with_runtime(
         Storage::new(StorageOptions::test()),
         None,
-        config(StrategyKind::Validation, CcMethod::SideFile),
+        config(StrategyKind::Validation),
         &runtime,
     )
     .unwrap();

@@ -27,7 +27,7 @@ impl ComponentId {
     }
 
     /// The ID of a component formed by merging components with these IDs.
-    pub fn merged(ids: impl IntoIterator<Item = ComponentId>) -> Option<ComponentId> {
+    pub(crate) fn merged(ids: impl IntoIterator<Item = ComponentId>) -> Option<ComponentId> {
         let mut out: Option<ComponentId> = None;
         for id in ids {
             out = Some(match out {

@@ -51,7 +51,7 @@ impl LsmEntry {
     }
 
     /// An anti-matter (delete) entry.
-    pub fn anti_matter() -> Self {
+    pub(crate) fn anti_matter() -> Self {
         LsmEntry {
             anti_matter: true,
             ts: NO_TIMESTAMP,
@@ -101,14 +101,15 @@ impl LsmEntry {
     /// page: flags and timestamp are parsed out, and the payload stays a
     /// [`PageSlice`] into the same page — no allocation, no copy. This is
     /// the zero-copy twin of [`LsmEntry::decode`].
-    pub fn decode_slice(raw: PageSlice) -> Result<Self> {
+    pub(crate) fn decode_slice(raw: PageSlice) -> Result<Self> {
         let header = EntryHeader::parse(&raw)?;
         Ok(header.entry(raw.slice_from(header.payload_at()).into()))
     }
 
     /// Deserializes from either representation: zero-copy when `raw` is
     /// pinned, copying (exactly like [`LsmEntry::decode`]) when owned.
-    pub fn decode_buf(raw: ValueBuf) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn decode_buf(raw: ValueBuf) -> Result<Self> {
         match raw {
             ValueBuf::Owned(v) => Self::decode(&v),
             ValueBuf::Pinned(s) => Self::decode_slice(s),
@@ -116,7 +117,7 @@ impl LsmEntry {
     }
 
     /// Approximate in-memory footprint, for memory-budget accounting.
-    pub fn mem_size(&self) -> usize {
+    pub(crate) fn mem_size(&self) -> usize {
         std::mem::size_of::<LsmEntry>() + self.value.len()
     }
 }
@@ -250,7 +251,7 @@ impl<'a> EntryRef<'a> {
     }
 
     /// An owned copy.
-    pub fn to_entry(&self) -> LsmEntry {
+    pub(crate) fn to_entry(self) -> LsmEntry {
         LsmEntry {
             anti_matter: self.anti_matter,
             ts: self.ts,

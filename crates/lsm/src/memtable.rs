@@ -94,7 +94,7 @@ impl MemComponent {
     }
 
     /// Widens the range filter to include `v` (creating it if absent).
-    pub fn widen_filter(&mut self, v: &Value) {
+    pub(crate) fn widen_filter(&mut self, v: &Value) {
         match &mut self.filter {
             Some(f) => f.widen(v),
             None => self.filter = Some(RangeFilter::of(v.clone())),

@@ -37,8 +37,6 @@ pub struct TieringPolicy {
     pub size_ratio: f64,
     /// Components at least this large are never merged again (1GB in §6.1).
     pub max_mergeable_bytes: u64,
-    /// Do not merge fewer than this many components (2 minimum).
-    pub min_merge_components: usize,
 }
 
 impl TieringPolicy {
@@ -47,7 +45,6 @@ impl TieringPolicy {
         TieringPolicy {
             size_ratio: 1.2,
             max_mergeable_bytes,
-            min_merge_components: 2,
         }
     }
 }
@@ -69,11 +66,10 @@ impl MergePolicy for TieringPolicy {
             {
                 continue;
             }
+            // `start < n - 1`, so every sequence holds at least two
+            // components.
             let younger: u64 = sizes[start + 1..].iter().sum();
-            let count = n - start;
-            if count >= self.min_merge_components.max(2)
-                && younger as f64 >= self.size_ratio * oldest as f64
-            {
+            if younger as f64 >= self.size_ratio * oldest as f64 {
                 return Some(MergeRange { start, end: n - 1 });
             }
         }

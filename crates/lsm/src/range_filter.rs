@@ -47,7 +47,7 @@ impl RangeFilter {
     }
 
     /// Widens the interval to include `v`.
-    pub fn widen(&mut self, v: &Value) {
+    pub(crate) fn widen(&mut self, v: &Value) {
         if *v < self.min {
             self.min = v.clone();
         }
@@ -57,7 +57,7 @@ impl RangeFilter {
     }
 
     /// Widens the interval to include all of `other`.
-    pub fn union(&mut self, other: &RangeFilter) {
+    pub(crate) fn union(&mut self, other: &RangeFilter) {
         self.widen(&other.min.clone());
         self.widen(&other.max.clone());
     }

@@ -408,7 +408,7 @@ impl LsmTree {
     }
 
     /// Pushes a component as the newest (recovery / tests).
-    pub fn push_newest(&self, comp: Arc<DiskComponent>) {
+    pub(crate) fn push_newest(&self, comp: Arc<DiskComponent>) {
         let mut disk = self.disk.write();
         *disk = std::iter::once(comp).chain(disk.iter().cloned()).collect();
     }

@@ -173,7 +173,7 @@ impl FaultPlan {
     }
 
     /// True while armed.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed.load(Ordering::SeqCst)
     }
 
@@ -208,7 +208,7 @@ impl FaultPlan {
 
     /// Counts one operation of class `op` and returns the action to apply,
     /// if a spec fires. Returns `None` when disarmed.
-    pub fn on_op(&self, op: FaultOp) -> Option<FaultAction> {
+    pub(crate) fn on_op(&self, op: FaultOp) -> Option<FaultAction> {
         if !self.is_armed() {
             return None;
         }
@@ -226,7 +226,7 @@ impl FaultPlan {
     /// Counts one passage through the crash site `name` and returns the
     /// action to apply, if a spec fires. Returns `None` when disarmed (the
     /// passage is then not counted).
-    pub fn on_site(&self, name: &str) -> Option<FaultAction> {
+    pub(crate) fn on_site(&self, name: &str) -> Option<FaultAction> {
         if !self.is_armed() {
             return None;
         }
@@ -248,7 +248,7 @@ impl FaultPlan {
     }
 
     /// Builds the error for an error-like action fired at `what`.
-    pub fn action_error(action: FaultAction, what: &str) -> Error {
+    pub(crate) fn action_error(action: FaultAction, what: &str) -> Error {
         match action {
             FaultAction::TransientError => {
                 Error::transient_io(format!("injected transient fault at {what}"))

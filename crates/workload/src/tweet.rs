@@ -118,7 +118,7 @@ impl TweetGenerator {
     /// Generates a tweet whose primary key duplicates/updates the issued key
     /// at `index` (the record content is fresh — an update changes all
     /// non-key attributes except `creation_time`'s monotonicity).
-    pub fn next_update_of(&mut self, index: usize) -> Record {
+    pub(crate) fn next_update_of(&mut self, index: usize) -> Record {
         let id = self.issued[index];
         self.record_with_id(id)
     }

@@ -30,7 +30,7 @@ impl ZipfSampler {
     }
 
     /// Grows the population to `n` (no-op if already at least `n`).
-    pub fn grow_to(&mut self, n: u64) {
+    pub(crate) fn grow_to(&mut self, n: u64) {
         while self.n < n {
             self.n += 1;
             self.zeta_n += 1.0 / (self.n as f64).powf(self.theta);
