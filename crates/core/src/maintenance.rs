@@ -17,8 +17,7 @@
 //! ```
 //!
 //! Validation picks point probes or a merge join with the primary key index
-//! from its input (Section 4.4's merge-scan optimization), so no plan names
-//! it.
+//! from its input (Section 4.4's merge-scan optimization).
 //!
 //! Strategy awareness: a `DeletedKeyBTree` dataset resolves to
 //! [`RepairMode::DeletedKeyBTree`] (full validation + deleted-key B+-tree

@@ -15,7 +15,7 @@
 //!   untouched (sound when merges are correlated, Section 4.4);
 //! * the **merge-scan optimization** switches from point validation to a
 //!   merge join whenever there are more candidates than entries in the
-//!   unpruned primary-key-index components — chosen by the input, not set;
+//!   unpruned primary-key-index components;
 //! * **primary repair** is DELI's approach (Tang et al.): scan (or merge)
 //!   the *primary* index components, detect obsolete record versions, and
 //!   emit secondary anti-matter — paying full-record I/O.
