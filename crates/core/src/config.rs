@@ -311,6 +311,17 @@ impl DatasetConfig {
         matches!(self.strategy, StrategyKind::MutableBitmap) || self.merge.correlated
     }
 
+    /// True if the pk index keeps anti-matter through every merge, the
+    /// oldest component's included: every strategy but Eager validates
+    /// secondary entries against the pk index (Timestamp validation,
+    /// repair), where a deleted key's anti-matter is the only proof that
+    /// its stale secondary entries are obsolete. A correlated merge keeps
+    /// it in the primary too, so paired components stay entry-for-entry
+    /// alike.
+    pub(crate) fn keeps_anti_matter(&self) -> bool {
+        self.strategy != StrategyKind::Eager
+    }
+
     /// The repair mode implied by the maintenance strategy: the deleted-key
     /// B+-tree baseline validates against the full primary key index and
     /// writes its extra trees (Section 4.1); everything else validates with

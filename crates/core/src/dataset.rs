@@ -1346,14 +1346,15 @@ impl Dataset {
                     use crate::cc::{merge_primary_with_cc, CcMethod};
                     merge_primary_with_cc(self, plan.range, CcMethod::SideFile)?;
                 } else {
-                    self.primary.merge_range(plan.range)?;
+                    let keep = self.cfg.keeps_anti_matter();
+                    self.primary.merge_range_with(plan.range, keep)?;
                     self.stats.bump(&self.stats.merges);
                     // Crash window: the primary's merged component is
                     // installed, the pk index and secondaries still hold
                     // the pre-merge components.
                     self.crash_site("merge_install")?;
                     if let Some(pk_tree) = &self.pk_index {
-                        pk_tree.merge_range(plan.range)?;
+                        pk_tree.merge_range_with(plan.range, keep)?;
                         self.stats.bump(&self.stats.merges);
                     }
                 }
@@ -1377,7 +1378,7 @@ impl Dataset {
                 if stale(pk_tree) {
                     return Ok(false);
                 }
-                pk_tree.merge_range(plan.range)?;
+                pk_tree.merge_range_with(plan.range, self.cfg.keeps_anti_matter())?;
                 self.stats.bump(&self.stats.merges);
             }
             MergeTarget::Secondary(i) => {
@@ -1847,6 +1848,63 @@ mod tests {
         {
             assert_eq!(pc.num_entries(), kc.num_entries());
             assert!(Arc::ptr_eq(&pc.bitmap().unwrap(), &kc.bitmap().unwrap()));
+        }
+    }
+
+    /// Regression (pk-index merges dropped anti-matter): a merge of the
+    /// pk index that reached its oldest component dropped a deleted key's
+    /// anti-matter, after which Timestamp validation — index-only queries,
+    /// repair — read the key's stale secondary entry as valid again. Every
+    /// merge path of a dataset validated against its pk index: the pk
+    /// index merged on its own, a correlated merge, Mutable-bitmap's.
+    #[test]
+    fn merges_keep_deleted_keys_obsolete_to_validation() {
+        let correlated = |strategy| {
+            let mut cfg = config(strategy);
+            cfg.merge.correlated = true;
+            cfg
+        };
+        let cases = [
+            (
+                config(StrategyKind::Validation),
+                vec![MergeTarget::Primary, MergeTarget::PkIndex],
+            ),
+            (
+                correlated(StrategyKind::Validation),
+                vec![MergeTarget::Correlated],
+            ),
+            (
+                config(StrategyKind::MutableBitmap),
+                vec![MergeTarget::Correlated],
+            ),
+        ];
+        let ca = |ds: &Dataset| {
+            let res = ds.query("location").eq("CA").index_only().execute();
+            let mut keys = res.unwrap().keys().to_vec();
+            keys.sort();
+            keys
+        };
+        let want: Vec<Value> = (0..10).filter(|&i| i != 3).map(Value::Int).collect();
+        for (mut cfg, targets) in cases {
+            cfg.merge_repair = false;
+            cfg.memory_budget = usize::MAX;
+            let strategy = cfg.strategy;
+            let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+            for i in 0..10 {
+                ds.insert(&rec(i, "CA", i)).unwrap();
+            }
+            ds.flush_all().unwrap();
+            ds.delete(&Value::Int(3)).unwrap();
+            ds.flush_all().unwrap();
+            assert_eq!(ca(&ds), want, "{strategy:?}: before the merge");
+            for target in targets {
+                let range = MergeRange { start: 0, end: 1 };
+                assert!(ds.execute_merge_plan(&MergePlan { target, range }).unwrap());
+            }
+            assert_eq!(ca(&ds), want, "{strategy:?}: after the merge");
+            let reports = ds.maintenance().repair_all().unwrap();
+            let invalidated: u64 = reports.iter().map(|r| r.invalidated).sum();
+            assert_eq!(invalidated, 1, "{strategy:?}: repair invalidates id 3");
         }
     }
 

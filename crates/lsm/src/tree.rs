@@ -627,7 +627,19 @@ impl LsmTree {
     /// component. Returns the new component after swapping it in and
     /// destroying the inputs.
     pub fn merge_range(&self, range: MergeRange) -> Result<Arc<DiskComponent>> {
+        self.merge_range_with(range, false)
+    }
+
+    /// [`LsmTree::merge_range`], keeping anti-matter even past the oldest
+    /// component if `keep_anti_matter`: a delete stays visible to readers
+    /// that ask this tree when a key was last written.
+    pub fn merge_range_with(
+        &self,
+        range: MergeRange,
+        keep_anti_matter: bool,
+    ) -> Result<Arc<DiskComponent>> {
         let (inputs, mut builder, drop_anti) = self.merge_start(range)?;
+        let drop_anti = drop_anti && !keep_anti_matter;
         if inputs.len() < 2 {
             return Err(Error::invalid("merge needs at least two components"));
         }
