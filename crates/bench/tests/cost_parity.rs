@@ -264,8 +264,9 @@ fn ingest(strategy: StrategyKind, tweak: Tweak) -> Costs {
 /// inserts a duplicate of the last upsert. The second index is on
 /// `location`, whose 50 values leave it unchanged by one update in fifty.
 /// A checkpoint at op 9 000, then the log is forced and the process
-/// crashes and recovers. Records the counters, the replay report, the
-/// memory components (the replayed tail), the clock and the log's length.
+/// crashes and recovers. Records the counters, the replay report, the log
+/// pages recovery read, the memory components (the replayed tail), the
+/// clock and the log's length.
 fn churn(strategy: StrategyKind) -> Costs {
     churn_on(&Env::new(&env_config()), &Prices::ledger(), strategy)
 }
@@ -301,12 +302,19 @@ fn churn_on(env: &Env, prices: &Prices, strategy: StrategyKind) -> Costs {
     let wal = ds.wal().expect("bench datasets log");
     wal.force().expect("force");
     simulate_crash(&ds, &state).expect("crash");
-    let before = env.clock.now_nanos();
+    // Every page read on the log device, whether the cache held it or not.
+    let log_pages_read = || {
+        let log = env.log_storage.stats();
+        log.disk_reads() + log.cache_hits
+    };
+    let (before, log_before) = (env.clock.now_nanos(), log_pages_read());
     let report = recover(&ds, &state).expect("recover");
+    let recovery_log_pages_read = log_pages_read() - log_before;
     let (data, stats) = (env.storage.stats(), ds.stats().snapshot());
     let mut costs = charged(env, &ds, prices);
     costs.extend([
         ("recovery_sim_ns", env.clock.now_nanos() - before),
+        ("recovery_log_pages_read", recovery_log_pages_read),
         ("data_bytes_read", data.bytes_read),
         ("bloom_checks", data.bloom_checks),
         ("deletes", stats.deletes),
