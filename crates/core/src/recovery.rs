@@ -11,6 +11,20 @@
 //! clock is advanced past everything durable and replayed before new
 //! writes are admitted.
 //!
+//! # Redo point
+//!
+//! Replay reads the log from a **redo page**, not from page 0. A
+//! checkpoint computes `low = min(checkpoint LSN, maximum component LSN)`
+//! and stamps, with its LSN, the first log page holding a record above
+//! `low` (`Wal::redo_page`); every page before it holds only records at
+//! or below `low`. Recovery replays the records above
+//! `from = min(checkpoint LSN, maximum component LSN at recovery)`, so it
+//! starts at the redo page whenever `from >= low`, and at page 0 otherwise
+//! (a rolled-back torn flush can lower the maximum component LSN below
+//! what the checkpoint saw). Its cost thus follows the log written since
+//! the checkpoint, not the log's whole history. The pages before the redo
+//! point are dead but still kept: the log is never truncated.
+//!
 //! # Interaction with background maintenance
 //!
 //! All three entry points cooperate with a running
@@ -30,27 +44,40 @@ use crate::dataset::{Dataset, WriteOp};
 use crate::keys::decode_pk;
 use crate::txn::LogOp;
 use lsm_common::{Error, Record, Result, Timestamp};
+use lsm_storage::PageNo;
 use lsm_tree::BitmapSnapshot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Checkpointed bitmap state, keyed by component ID interval (component
-/// files are immutable, so the ID identifies the component).
+/// files are immutable, so the ID identifies the component), and the
+/// master record: the checkpoint LSN with its redo point.
 #[derive(Debug)]
 pub struct CheckpointState {
     bitmaps: Mutex<HashMap<(Timestamp, Timestamp), BitmapSnapshot>>,
-    lsn: Mutex<Timestamp>,
+    stamp: Mutex<Stamp>,
+}
+
+/// What a completed checkpoint stamps, all three at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Stamp {
+    /// The checkpoint LSN.
+    lsn: Timestamp,
+    /// `min(lsn, maximum component LSN)` when the checkpoint was taken.
+    low: Timestamp,
+    /// The first log page holding a record above `low`.
+    redo_page: PageNo,
 }
 
 impl CheckpointState {
     /// Creates empty checkpoint state.
     pub fn new() -> Self {
         // Constructed field-by-field (not via derive) so the two locks get
-        // distinct lock classes: `checkpoint` stamps `lsn` while holding
-        // `bitmaps` (checkpoint-bitmaps -> checkpoint-lsn edge).
+        // distinct lock classes: `checkpoint` stamps `stamp` while holding
+        // `bitmaps` (checkpoint-bitmaps -> checkpoint-stamp edge).
         CheckpointState {
             bitmaps: Mutex::new(HashMap::new()),
-            lsn: Mutex::new(0),
+            stamp: Mutex::new(Stamp::default()),
         }
     }
 }
@@ -106,9 +133,13 @@ pub fn checkpoint(ds: &Dataset, state: &CheckpointState) -> Result<()> {
         wal.checkpoint(lsn)?;
     }
     // Crash window: the checkpoint record is durable in the log, but the
-    // bitmap snapshots and the LSN stamp have not been taken — the old
-    // checkpoint state must remain usable.
+    // bitmap snapshots and the stamp have not been taken — the old
+    // checkpoint state, redo point included, must remain usable.
     ds.checkpoint_crash_site()?;
+    // Read from the log before either checkpoint-state lock is taken: the
+    // log's lock ranks outside them (ARCHITECTURE.md, "Lock hierarchy").
+    let low = lsn.min(max_component_ts(ds));
+    let redo_page = ds.wal().map_or(0, |wal| wal.redo_page(low));
     let mut bitmaps = state.bitmaps.lock();
     bitmaps.clear();
     for comp in ds.primary().disk_components().iter() {
@@ -116,7 +147,11 @@ pub fn checkpoint(ds: &Dataset, state: &CheckpointState) -> Result<()> {
             bitmaps.insert((comp.id().min_ts, comp.id().max_ts), b.snapshot());
         }
     }
-    *state.lsn.lock() = lsn;
+    *state.stamp.lock() = Stamp {
+        lsn,
+        low,
+        redo_page,
+    };
     Ok(())
 }
 
@@ -182,9 +217,10 @@ pub fn simulate_crash(ds: &Dataset, state: &CheckpointState) -> Result<()> {
 }
 
 /// Recovers after [`simulate_crash`]: replays committed (forced) log
-/// records newer than the maximum component timestamp, then advances the
-/// clock past everything durable and replayed so post-recovery writes can
-/// never reuse a replayed timestamp.
+/// records newer than the maximum component timestamp, reading the log
+/// from the checkpoint's redo point (see the module docs), then advances
+/// the clock past everything durable and replayed so post-recovery writes
+/// can never reuse a replayed timestamp.
 pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> {
     let wal = ds
         .wal()
@@ -207,13 +243,19 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
     // Bitmap mutations since the checkpoint were lost, so bitmap-bearing
     // records must be replayed from the checkpoint LSN even if their entry
     // landed in a component already.
-    let checkpoint_lsn = *state.lsn.lock();
+    let stamp = *state.stamp.lock();
+    let checkpoint_lsn = stamp.lsn;
     let from = checkpoint_lsn.min(max_comp_ts);
+    let first_page = if from >= stamp.low {
+        stamp.redo_page
+    } else {
+        0
+    };
 
     let mut report = RecoveryReport::default();
     let mut max_replayed: Timestamp = 0;
     let result = (|| -> Result<()> {
-        let records = wal.replay(from, false)?;
+        let records = wal.replay_from(first_page, from, false)?;
         for rec in records {
             if rec.op == LogOp::Checkpoint {
                 continue; // marker record: empty key, nothing to redo
@@ -740,6 +782,185 @@ mod tests {
             ds.run_merges().unwrap();
         }
         assert_twins_agree(&twins, &model, "merged after recovery");
+    }
+
+    /// Pages written to the log device, which holds the log alone.
+    fn log_pages(ds: &Dataset) -> u64 {
+        ds.wal().unwrap().storage().stats().pages_written
+    }
+
+    /// Log pages `recover` reads, hits and misses alike.
+    fn log_pages_read(ds: &Dataset, state: &CheckpointState) -> (RecoveryReport, u64) {
+        let log = ds.wal().unwrap().storage().clone();
+        let pages = |io: lsm_storage::IoStatsSnapshot| io.disk_reads() + io.cache_hits;
+        let before = pages(log.stats());
+        let report = recover(ds, state).unwrap();
+        (report, pages(log.stats()) - before)
+    }
+
+    /// A checkpoint over an unflushed memtable: the maximum component LSN
+    /// lies below the checkpoint LSN, so the redo point lies before the
+    /// checkpoint's own page, and every memtable record still replays.
+    #[test]
+    fn checkpoint_over_unflushed_memtable_replays_it() {
+        for (strategy, mode) in matrix() {
+            let ds = dataset_with(strategy, mode, usize::MAX);
+            let state = CheckpointState::new();
+            for i in 0..300 {
+                ds.insert(&rec(i, i)).unwrap();
+            }
+            ds.maintenance().flush().unwrap();
+            ds.maintenance().quiesce().unwrap();
+            for i in 300..550 {
+                ds.insert(&rec(i, i)).unwrap(); // still in memory
+            }
+            checkpoint(&ds, &state).unwrap();
+            // The log device holds the log alone: its pages written are the
+            // log's pages, the checkpoint marker on the last of them.
+            let checkpoint_page = log_pages(&ds) - 1;
+            let stamp = *state.stamp.lock();
+            assert!(stamp.low < stamp.lsn, "{strategy:?}/{mode:?}");
+            assert!(
+                (1..checkpoint_page).contains(&u64::from(stamp.redo_page)),
+                "{strategy:?}/{mode:?}: redo page {} of {checkpoint_page}",
+                stamp.redo_page
+            );
+
+            simulate_crash(&ds, &state).unwrap();
+            let report = recover(&ds, &state).unwrap();
+            assert_eq!(report.replayed, 250, "{strategy:?}/{mode:?}");
+            for i in 0..550 {
+                assert!(
+                    ds.get(&Value::Int(i)).unwrap().is_some(),
+                    "{strategy:?}/{mode:?}: id {i}"
+                );
+            }
+        }
+    }
+
+    /// After a flush and a checkpoint, recovery reads the log's tail — the
+    /// pages written since, plus at most the checkpoint's own page — not
+    /// its whole history.
+    #[test]
+    fn recovery_reads_only_the_tail_since_the_checkpoint() {
+        let ds = dataset(StrategyKind::Validation);
+        let state = CheckpointState::new();
+        for i in 0..1000 {
+            ds.insert(&rec(i, i)).unwrap();
+        }
+        ds.flush_all().unwrap();
+        checkpoint(&ds, &state).unwrap();
+        let history = log_pages(&ds);
+        for i in 1000..1150 {
+            ds.insert(&rec(i, i)).unwrap();
+        }
+        ds.wal().unwrap().force().unwrap();
+        let tail = log_pages(&ds) - history;
+        assert!(
+            history > tail + 1,
+            "{history} pages of history, {tail} of tail"
+        );
+
+        simulate_crash(&ds, &state).unwrap();
+        let (report, read) = log_pages_read(&ds, &state);
+        assert_eq!(report.replayed, 150);
+        assert!(
+            read <= tail + 1,
+            "read {read} log pages for a tail of {tail}"
+        );
+        assert!(ds.get(&Value::Int(1149)).unwrap().is_some());
+    }
+
+    /// A crash inside `checkpoint` leaves the previous stamp, redo point
+    /// included, and recovery from it restores every committed record.
+    #[test]
+    fn crash_mid_checkpoint_keeps_the_previous_redo_point() {
+        use lsm_storage::fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
+        for (strategy, mode) in matrix() {
+            let ds = dataset_with(strategy, mode, usize::MAX);
+            let state = CheckpointState::new();
+            let mut model = std::collections::BTreeMap::new();
+            let mut upsert = |id: i64, v: i64| {
+                ds.upsert(&rec(id, v)).unwrap();
+                model.insert(id, v);
+            };
+            (0..300).for_each(|i| upsert(i, i));
+            ds.maintenance().flush().unwrap();
+            ds.maintenance().quiesce().unwrap();
+            checkpoint(&ds, &state).unwrap();
+            let previous = *state.stamp.lock();
+            assert!(previous.redo_page > 0, "{strategy:?}/{mode:?}");
+            // Updates of flushed keys and new keys, flushed...
+            (300..400).for_each(|i| upsert(i % 350, -i));
+            ds.maintenance().flush().unwrap();
+            ds.maintenance().quiesce().unwrap();
+            // ...then more of both, left in memory.
+            (400..500).for_each(|i| upsert(i % 450, -i));
+            let plan = FaultPlan::new(vec![FaultSpec {
+                trigger: FaultTrigger::Site {
+                    name: "checkpoint".into(),
+                    hit: 0,
+                },
+                action: FaultAction::Crash,
+            }]);
+            ds.storage().install_fault_plan(plan.clone());
+            plan.arm();
+            assert!(checkpoint(&ds, &state).is_err(), "{strategy:?}/{mode:?}");
+            ds.storage().clear_fault_plan();
+            assert_eq!(*state.stamp.lock(), previous, "{strategy:?}/{mode:?}");
+
+            simulate_crash(&ds, &state).unwrap();
+            let report = recover(&ds, &state).unwrap();
+            // Under Mutable-bitmap the flushed updates of the 50 keys
+            // flushed before the stamped checkpoint redo their marks.
+            let marks = if strategy == StrategyKind::MutableBitmap {
+                50
+            } else {
+                0
+            };
+            assert_eq!(report.replayed, 100 + marks, "{strategy:?}/{mode:?}");
+            for (&id, &v) in &model {
+                let got = ds.get(&Value::Int(id)).unwrap();
+                assert_eq!(
+                    got.map(|r| r.get(1).clone()),
+                    Some(Value::Int(v)),
+                    "{strategy:?}/{mode:?}: id {id}"
+                );
+            }
+        }
+    }
+
+    /// A checkpoint taken over a torn flush install counts the torn
+    /// component's entries as durable; recovery rolls that component back,
+    /// lowering the maximum component LSN below the stamped `low`, so it
+    /// must read the log from page 0 to replay them.
+    #[test]
+    fn rolled_back_flush_below_the_redo_point_replays_from_page_zero() {
+        use lsm_storage::fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
+        let ds = dataset(StrategyKind::Validation);
+        let state = CheckpointState::new();
+        for i in 0..300 {
+            ds.insert(&rec(i, i)).unwrap();
+        }
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::Site {
+                name: "flush_install".into(),
+                hit: 0,
+            },
+            action: FaultAction::Crash,
+        }]);
+        ds.storage().install_fault_plan(plan.clone());
+        plan.arm();
+        assert!(ds.flush_all().is_err());
+        ds.storage().clear_fault_plan();
+        checkpoint(&ds, &state).unwrap();
+        assert!(state.stamp.lock().redo_page > 0);
+
+        simulate_crash(&ds, &state).unwrap();
+        assert_eq!(recover(&ds, &state).unwrap().replayed, 300);
+        for i in 0..300 {
+            assert!(ds.get(&Value::Int(i)).unwrap().is_some(), "id {i}");
+        }
     }
 
     #[test]

@@ -47,6 +47,18 @@
 //! LSNs. [`Wal::replay`] therefore stable-sorts the decoded records by
 //! LSN, which recovery's idempotent redo requires.
 //!
+//! ## Redo point
+//!
+//! The log remembers the largest LSN of each durable page (8 B a page,
+//! pushed by the leader only once the page's append succeeded). For an LSN
+//! `low`, `Wal::redo_page` is the first durable page holding a record
+//! above `low`: every page before it holds only records at or below `low`,
+//! so a replay of the records above any LSN `>= low` may start there. The
+//! per-page *maximum* is what makes this sound under out-of-order LSNs — a
+//! page's first LSN says nothing about the records behind it. Recovery
+//! stamps the redo page into the checkpoint state, not this in-memory
+//! list, which a restart would lose.
+//!
 //! Each record carries a checksum of its body, so a torn or short write of
 //! the log's final page (a crash mid-write, or an injected
 //! [`FaultPlan`](lsm_storage::FaultPlan) tear) is detected at replay.
@@ -58,7 +70,7 @@
 
 use crate::stats::EngineStats;
 use lsm_common::{Bytes, Error, Key, Result, Timestamp};
-use lsm_storage::{FileId, SiteOutcome, Storage};
+use lsm_storage::{FileId, PageNo, SiteOutcome, Storage};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -278,21 +290,35 @@ struct WalBuf {
     page: Vec<u8>,
     /// Records staged into `page`.
     page_records: u64,
-    /// Completed pages awaiting the device, oldest first, each with its
-    /// record count. Only the group-commit leader pops from this, front to
-    /// back — see the frame-ordering invariant in the module docs.
-    pending: VecDeque<(Vec<u8>, u64)>,
+    /// Largest LSN staged into `page`.
+    page_max_lsn: Timestamp,
+    /// Completed pages awaiting the device, oldest first. Only the
+    /// group-commit leader pops from this, front to back — see the
+    /// frame-ordering invariant in the module docs.
+    pending: VecDeque<StagedPage>,
     /// True while a leader is writing pending pages outside the lock.
     writer_active: bool,
+    /// Largest LSN of each durable page, indexed by device page number.
+    durable_max_lsn: Vec<Timestamp>,
+}
+
+/// A completed page on its way to the device.
+#[derive(Debug)]
+struct StagedPage {
+    bytes: Vec<u8>,
+    records: u64,
+    max_lsn: Timestamp,
 }
 
 impl WalBuf {
     /// Moves the filling page (if any) onto the pending queue.
     fn rotate_page(&mut self) {
         if !self.page.is_empty() {
-            let page = std::mem::take(&mut self.page);
-            let n = std::mem::replace(&mut self.page_records, 0);
-            self.pending.push_back((page, n));
+            self.pending.push_back(StagedPage {
+                bytes: std::mem::take(&mut self.page),
+                records: std::mem::replace(&mut self.page_records, 0),
+                max_lsn: std::mem::replace(&mut self.page_max_lsn, 0),
+            });
         }
     }
 }
@@ -367,6 +393,7 @@ impl Wal {
             }
             frame.encode_into(&mut inner.page);
             inner.page_records += 1;
+            inner.page_max_lsn = inner.page_max_lsn.max(frame.lsn);
         }
         if inner.pending.is_empty() || inner.writer_active {
             // Nothing to write, or an active leader will pick the pages up
@@ -384,14 +411,21 @@ impl Wal {
     fn drain_as_leader<'a>(&'a self, mut inner: MutexGuard<'a, WalBuf>) -> Result<()> {
         debug_assert!(!inner.writer_active);
         inner.writer_active = true;
-        while let Some((page, n)) = inner.pending.pop_front() {
+        while let Some(page) = inner.pending.pop_front() {
             drop(inner);
             let res = self
                 .group_write_site()
-                .and_then(|()| self.storage.append_page(self.file, &page));
+                .and_then(|()| self.storage.append_page(self.file, &page.bytes));
             inner = self.inner.lock();
             match res {
-                Ok(_) => self.note_group(n),
+                Ok(page_no) => {
+                    // Only this log appends to its file, and a failed
+                    // append adds no page, so the list stays indexed by
+                    // device page number.
+                    debug_assert_eq!(page_no as usize, inner.durable_max_lsn.len());
+                    inner.durable_max_lsn.push(page.max_lsn);
+                    self.note_group(page.records);
+                }
                 Err(e) => {
                     // Drop the failed page (its records were never promised
                     // durable) and stand down WITHOUT touching later pages:
@@ -471,6 +505,19 @@ impl Wal {
         self.force()
     }
 
+    /// The first durable page holding a record with an LSN above `low`, or
+    /// the durable page count if none does (see "Redo point" in the module
+    /// docs): for any `after >= low`, [`Wal::replay_from`] this page
+    /// returns what [`Wal::replay`] returns.
+    pub(crate) fn redo_page(&self, low: Timestamp) -> PageNo {
+        let inner = self.inner.lock();
+        let durable = &inner.durable_max_lsn;
+        durable
+            .iter()
+            .position(|&max| max > low)
+            .unwrap_or(durable.len()) as PageNo
+    }
+
     /// Reads back all records with `lsn > after_lsn`, sorted by LSN
     /// (stable, so a checkpoint marker stays after the equal-LSN operation
     /// it covers — concurrent committers may stage out of LSN order, see
@@ -478,9 +525,20 @@ impl Wal {
     /// `include_unforced` — a crash loses those, which is what recovery
     /// tests exercise.
     pub fn replay(&self, after_lsn: Timestamp, include_unforced: bool) -> Result<Vec<LogRecord>> {
+        self.replay_from(0, after_lsn, include_unforced)
+    }
+
+    /// [`Wal::replay`] reading the device from page `first_page` on:
+    /// records on earlier pages are neither read nor returned.
+    pub(crate) fn replay_from(
+        &self,
+        first_page: PageNo,
+        after_lsn: Timestamp,
+        include_unforced: bool,
+    ) -> Result<Vec<LogRecord>> {
         let mut out = Vec::new();
         let pages = self.storage.file_pages(self.file)?;
-        for p in 0..pages {
+        for p in first_page..pages {
             let data = self.storage.read_page(self.file, p)?;
             let last_page = p + 1 == pages;
             let mut off = 0;
@@ -512,7 +570,8 @@ impl Wal {
         }
         if include_unforced {
             let inner = self.inner.lock();
-            for (page, _) in &inner.pending {
+            for staged in &inner.pending {
+                let page = &staged.bytes;
                 let mut off = 0;
                 while off + 4 <= page.len() {
                     let (rec, used) = LogRecord::decode(&page[off..])?;
@@ -542,6 +601,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         inner.page.clear();
         inner.page_records = 0;
+        inner.page_max_lsn = 0;
         inner.pending.clear();
     }
 }
@@ -616,6 +676,57 @@ mod tests {
                 let mut flipped = frame.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 prop_assert!(LogRecord::decode(&flipped).is_err(), "flip of bit {bit} accepted");
+            }
+        }
+    }
+
+    /// The LSNs of device page `p`, in frame order.
+    fn page_lsns(w: &Wal, p: PageNo) -> Vec<Timestamp> {
+        let data = w.storage().read_page(w.file, p).unwrap();
+        let mut off = 0;
+        let mut lsns = Vec::new();
+        while off + 4 <= data.len() && le32(&data[off..off + 4]) != 0 {
+            let (r, used) = LogRecord::decode(&data[off..]).unwrap();
+            lsns.push(r.lsn);
+            off += used;
+        }
+        lsns
+    }
+
+    proptest! {
+        // Concurrent committers stage out of LSN order, across page
+        // boundaries too: for every LSN `l`, the redo page is the first
+        // page holding a record above `l` — not the first page whose first
+        // LSN is above it — and replay from there returns exactly what
+        // replay from page 0 returns.
+        #[test]
+        fn replay_from_redo_page_matches_full_replay(
+            staged in proptest::collection::vec((0u64..24, 0usize..1200, 0u8..8), 1..80),
+        ) {
+            let w = wal();
+            for (i, &(jitter, value_len, force)) in staged.iter().enumerate() {
+                w.append(&LogRecord {
+                    lsn: 1 + 8 * i as u64 + jitter,
+                    op: LogOp::Upsert,
+                    key: (i as u64).to_be_bytes().to_vec(),
+                    value: vec![7; value_len],
+                    update_bit: false,
+                })
+                .unwrap();
+                if force == 0 {
+                    w.force().unwrap(); // a partly filled page
+                }
+            }
+            w.force().unwrap();
+            let pages: Vec<_> = (0..w.storage().file_pages(w.file).unwrap())
+                .map(|p| page_lsns(&w, p))
+                .collect();
+            // Both sides change only where `l` crosses a staged LSN.
+            for l in std::iter::once(0).chain(pages.iter().flatten().copied()) {
+                let first = pages.iter().position(|lsns| lsns.iter().any(|&x| x > l));
+                let redo = w.redo_page(l);
+                prop_assert_eq!(redo as usize, first.unwrap_or(pages.len()), "redo page of {}", l);
+                prop_assert_eq!(w.replay_from(redo, l, false).unwrap(), w.replay(l, false).unwrap());
             }
         }
     }
@@ -812,17 +923,7 @@ mod tests {
         assert!(pages >= 2);
         let mut prev_max = 0u64;
         for p in 0..pages {
-            let data = w.storage().read_page(w.file, p).unwrap();
-            let mut off = 0;
-            let mut page_lsns = Vec::new();
-            while off + 4 <= data.len() {
-                if u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) == 0 {
-                    break;
-                }
-                let (r, used) = LogRecord::decode(&data[off..]).unwrap();
-                page_lsns.push(r.lsn);
-                off += used;
-            }
+            let page_lsns = page_lsns(&w, p);
             assert!(!page_lsns.is_empty());
             assert!(
                 *page_lsns.first().unwrap() > prev_max,
