@@ -54,9 +54,9 @@ pub fn merge_primary_with_cc(
     let pk_tree = ds
         .pk_index()
         .ok_or_else(|| Error::invalid("cc merge requires the primary key index"))?;
-    let (p_inputs, mut p_builder, drop_anti) = primary.merge_start(range)?;
-    let drop_anti = drop_anti && !ds.config().keeps_anti_matter();
-    let (k_inputs, mut k_builder, _) = pk_tree.merge_start(range)?;
+    let keep_anti_matter = ds.config().keeps_anti_matter();
+    let (p_inputs, mut p_builder, drop_anti) = primary.merge_start(range, keep_anti_matter)?;
+    let (k_inputs, mut k_builder, _) = pk_tree.merge_start(range, keep_anti_matter)?;
     if p_inputs.len() < 2 {
         return Err(Error::invalid("cc merge needs at least two components"));
     }

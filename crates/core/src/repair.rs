@@ -412,7 +412,7 @@ fn merge_repair_against(
     range: MergeRange,
     mode: RepairMode,
 ) -> Result<RepairReport> {
-    let (inputs, mut builder, drop_anti) = sec_tree.merge_start(range)?;
+    let (inputs, mut builder, drop_anti) = sec_tree.merge_start(range, false)?;
     let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
     let storage = sec_tree.storage();
 

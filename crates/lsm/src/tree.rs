@@ -576,10 +576,12 @@ impl LsmTree {
     /// What every merge of `range` starts from: the input components
     /// (newest first), a builder carrying the merged ID, the union of the
     /// inputs' range filters and a Bloom filter sized for their entries,
-    /// and whether the merge drops anti-matter.
+    /// and whether the merge drops anti-matter: it may once the range
+    /// includes the oldest component, unless `keep_anti_matter`.
     pub fn merge_start(
         &self,
         range: MergeRange,
+        keep_anti_matter: bool,
     ) -> Result<(Vec<Arc<DiskComponent>>, ComponentBuilder, bool)> {
         let inputs = self.components_in_range(range);
         let id = ComponentId::merged(inputs.iter().map(|c| c.id()))
@@ -593,8 +595,7 @@ impl LsmTree {
         }
         let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
         let builder = self.component_builder(id, expected as usize, filter)?;
-        // Anti-matter can go once the range includes the oldest component.
-        Ok((inputs, builder, range.start == 0))
+        Ok((inputs, builder, range.start == 0 && !keep_anti_matter))
     }
 
     /// A builder for a component `id` of this tree, with the tree's own
@@ -638,8 +639,7 @@ impl LsmTree {
         range: MergeRange,
         keep_anti_matter: bool,
     ) -> Result<Arc<DiskComponent>> {
-        let (inputs, mut builder, drop_anti) = self.merge_start(range)?;
-        let drop_anti = drop_anti && !keep_anti_matter;
+        let (inputs, mut builder, drop_anti) = self.merge_start(range, keep_anti_matter)?;
         if inputs.len() < 2 {
             return Err(Error::invalid("merge needs at least two components"));
         }
