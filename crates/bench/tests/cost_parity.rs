@@ -265,8 +265,8 @@ fn ingest(strategy: StrategyKind, tweak: Tweak) -> Costs {
 /// `location`, whose 50 values leave it unchanged by one update in fifty.
 /// A checkpoint at op 9 000, then the log is forced and the process
 /// crashes and recovers. Records the counters, the replay report, the log
-/// pages recovery read, the memory components (the replayed tail), the
-/// clock and the log's length.
+/// and data pages recovery read, the memory components (the replayed
+/// tail), the clock and the log's length.
 fn churn(strategy: StrategyKind) -> Costs {
     churn_on(&Env::new(&env_config()), &Prices::ledger(), strategy)
 }
@@ -302,19 +302,22 @@ fn churn_on(env: &Env, prices: &Prices, strategy: StrategyKind) -> Costs {
     let wal = ds.wal().expect("bench datasets log");
     wal.force().expect("force");
     simulate_crash(&ds, &state).expect("crash");
-    // Every page read on the log device, whether the cache held it or not.
-    let log_pages_read = || {
-        let log = env.log_storage.stats();
-        log.disk_reads() + log.cache_hits
+    // Every page read on a device, whether the cache held it or not.
+    let pages_read = |device: &Storage| {
+        let io = device.stats();
+        io.disk_reads() + io.cache_hits
     };
-    let (before, log_before) = (env.clock.now_nanos(), log_pages_read());
+    let before = env.clock.now_nanos();
+    let (log_before, data_before) = (pages_read(&env.log_storage), pages_read(&env.storage));
     let report = recover(&ds, &state).expect("recover");
-    let recovery_log_pages_read = log_pages_read() - log_before;
+    let recovery_log_pages_read = pages_read(&env.log_storage) - log_before;
+    let recovery_data_pages_read = pages_read(&env.storage) - data_before;
     let (data, stats) = (env.storage.stats(), ds.stats().snapshot());
     let mut costs = charged(env, &ds, prices);
     costs.extend([
         ("recovery_sim_ns", env.clock.now_nanos() - before),
         ("recovery_log_pages_read", recovery_log_pages_read),
+        ("recovery_data_pages_read", recovery_data_pages_read),
         ("data_bytes_read", data.bytes_read),
         ("bloom_checks", data.bloom_checks),
         ("deletes", stats.deletes),
