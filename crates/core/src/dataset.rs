@@ -13,13 +13,14 @@ use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
 use crate::txn::wal::Frame;
 use crate::txn::{LockManager, LogOp, LogRecord, Wal};
-use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
+use lsm_common::{Error, Key, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
 use lsm_tree::{
-    locate_valid, may_contain, point_lookup, DiskComponent, LsmEntry, LsmOptions, LsmTree,
-    MergeRange,
+    locate_valid, lookup_sorted, may_contain, point_lookup, DiskComponent, LookupOptions, LsmEntry,
+    LsmOptions, LsmTree, MergeRange,
 };
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One secondary index: definition + LSM-tree.
@@ -112,8 +113,15 @@ pub(crate) enum LogSink<'a> {
     /// Collect records for a batch-wide group append.
     Staged(&'a mut Vec<LogRecord>),
     /// Log nothing: recovery re-executes a record the log already holds.
-    Replay,
+    /// `Some` carries Eager's old version of the key, fetched before replay
+    /// began ([`Dataset::prefetch_old_versions`]; `Some(None)`: it has
+    /// none), and is taken by the step that would look it up.
+    Replay(Option<Option<LsmEntry>>),
 }
+
+/// Eager's old versions of a replay tail's keys: each key's newest live
+/// primary version, `None` when it has none.
+pub(crate) type OldVersions = HashMap<Key, Option<LsmEntry>>;
 
 /// One write operation, as [`Dataset::write_locked`] applies it.
 #[derive(Clone, Copy)]
@@ -605,7 +613,7 @@ impl Dataset {
                 value: value.to_vec(),
                 update_bit,
             }),
-            LogSink::Replay => {}
+            LogSink::Replay(_) => {}
         }
         Ok(())
     }
@@ -662,13 +670,70 @@ impl Dataset {
     /// its log record, then inline maintenance. Replay rewinds the clock
     /// per record, and a background job racing that would stamp components
     /// with rewound timestamps — recovery is single-threaded (Section 2.2).
-    pub(crate) fn replay(&self, op: WriteOp<'_>) -> Result<()> {
-        self.write(op, &mut LogSink::Replay)?;
+    /// `prefetched` is Eager's old version of the key when the record is
+    /// the key's first in the tail (see [`LogSink::Replay`]).
+    pub(crate) fn replay(
+        &self,
+        op: WriteOp<'_>,
+        prefetched: Option<Option<LsmEntry>>,
+    ) -> Result<()> {
+        self.write(op, &mut LogSink::Replay(prefetched))?;
         self.maintain_inline()
     }
 
+    /// Eager's old-version step for a whole replay tail, as Section 3.2's
+    /// batched point lookup: the tail's distinct `keys` are sorted, and
+    /// those the primary key index may hold have their newest primary
+    /// versions fetched in one batched, stateful walk, each counting one
+    /// maintenance lookup. A key the pk index proves new maps to `None`,
+    /// searched for and counted by nothing, as in [`Dataset::write_locked`].
+    /// Other strategies fetch nothing: the map is empty.
+    ///
+    /// A key's version stays right until its first replayed record: no
+    /// earlier record writes the key, and a flush or merge never changes a
+    /// key's newest version (a merge that drops anti-matter leaves no
+    /// version, which reads as none either way).
+    pub(crate) fn prefetch_old_versions<'k>(
+        &self,
+        keys: impl Iterator<Item = &'k [u8]>,
+    ) -> Result<OldVersions> {
+        if self.cfg.strategy != StrategyKind::Eager {
+            return Ok(OldVersions::new());
+        }
+        let mut keys: Vec<Key> = keys.map(<[u8]>::to_vec).collect();
+        crate::query::charge_sort(&self.storage, keys.len() as u64);
+        keys.sort_unstable();
+        keys.dedup();
+        let (batch, new): (Vec<Key>, Vec<Key>) = keys
+            .into_iter()
+            .partition(|key| self.may_have_old_version(key));
+        self.stats
+            .maintenance_lookups
+            .fetch_add(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        let opts = LookupOptions {
+            batched: true,
+            stateful: true,
+            ..LookupOptions::default()
+        };
+        let mut versions: Vec<Option<LsmEntry>> = batch.iter().map(|_| None).collect();
+        for (i, entry) in lookup_sorted(&self.primary, &batch, &opts)? {
+            versions[i] = Some(entry);
+        }
+        let new = new.into_iter().map(|key| (key, None));
+        Ok(batch.into_iter().zip(versions).chain(new).collect())
+    }
+
+    /// Whether Eager's old-version step must search the primary for
+    /// `pk_key`: the primary key index, when there is one, may hold it
+    /// (see [`Dataset::write_locked`]).
+    fn may_have_old_version(&self, pk_key: &[u8]) -> bool {
+        self.pk_index
+            .as_ref()
+            .is_none_or(|pk_tree| may_contain(pk_tree, pk_key))
+    }
+
     /// One write under the dataset drain lock (shared) and its key's lock.
-    fn write(&self, op: WriteOp<'_>, sink: &mut LogSink<'_>) -> Result<bool> {
+    pub(crate) fn write(&self, op: WriteOp<'_>, sink: &mut LogSink<'_>) -> Result<bool> {
         self.check_poisoned()?;
         let pk = match op {
             WriteOp::Insert(record) | WriteOp::Upsert(record) => {
@@ -742,15 +807,17 @@ impl Dataset {
         let fetched = match self.cfg.strategy {
             _ if insert => None,
             StrategyKind::Eager => {
-                let seen = match &self.pk_index {
-                    Some(pk_tree) => may_contain(pk_tree, pk_key),
-                    None => true,
+                let prefetched = match sink {
+                    LogSink::Replay(prefetched) => prefetched.take(),
+                    _ => None,
                 };
-                let old = if seen {
-                    self.stats.bump(&self.stats.maintenance_lookups);
-                    point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter)
-                } else {
-                    None // the pk index holds no version: neither does the primary
+                let old = match prefetched {
+                    Some(old) => old, // fetched with the rest of the replay tail
+                    None if self.may_have_old_version(pk_key) => {
+                        self.stats.bump(&self.stats.maintenance_lookups);
+                        point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter)
+                    }
+                    None => None, // the pk index holds no version: neither does the primary
                 };
                 if old.is_none() && record.is_none() {
                     return Ok(false); // delete of an absent key: ignored

@@ -25,6 +25,24 @@
 //! the checkpoint, not the log's whole history. The pages before the redo
 //! point are dead but still kept: the log is never truncated.
 //!
+//! # Eager's old versions
+//!
+//! An Eager write fetches its key's old version to clean the secondary
+//! indexes and widen the filters (Section 3.1). Replay would make that a
+//! random read per record; since it holds the whole tail before it replays
+//! the first record, it fetches them all up front instead, as Section 3.2's
+//! batched point lookup (`Dataset::prefetch_old_versions`): the distinct
+//! keys of the records above the maximum component LSN are sorted, those
+//! the primary key index may hold are looked up in one batched, stateful
+//! walk over the primary, and the rest — proven new by the pk index — are
+//! looked up not at all. Each key's version serves its **first** replayed
+//! record only; later records of the key take the ordinary write, which
+//! finds the version the first one left in memory (or, after a mid-replay
+//! flush, on disk). The served version is the one a per-record lookup
+//! would find: no earlier record writes the key, and flushes and merges
+//! never change a key's newest version. Eager's recovery cost thus follows
+//! the tail's distinct keys, read in key order.
+//!
 //! # Interaction with background maintenance
 //!
 //! All three entry points cooperate with a running
@@ -256,6 +274,13 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
     let mut max_replayed: Timestamp = 0;
     let result = (|| -> Result<()> {
         let records = wal.replay_from(first_page, from, false)?;
+        // Eager's old versions of every key the tail writes, in one sorted
+        // pass; each is served to its key's first replayed record.
+        let entry_replays = records
+            .iter()
+            .filter(|rec| rec.op != LogOp::Checkpoint && rec.lsn > max_comp_ts);
+        let mut prefetched =
+            ds.prefetch_old_versions(entry_replays.map(|rec| rec.key.as_slice()))?;
         for rec in records {
             if rec.op == LogOp::Checkpoint {
                 continue; // marker record: empty key, nothing to redo
@@ -275,11 +300,13 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
                 // not tick the clock.
                 ds.redo_bitmap_mark(&rec.key, rec.lsn)?;
             } else if rec.op == LogOp::Delete {
-                ds.replay(WriteOp::Delete(&decode_pk(&rec.key)?))?;
+                let old = prefetched.remove(&rec.key);
+                ds.replay(WriteOp::Delete(&decode_pk(&rec.key)?), old)?;
             } else {
                 // A logged insert passed its uniqueness check: replay it
                 // as the upsert it amounts to.
-                ds.replay(WriteOp::Upsert(&Record::decode(&rec.value)?))?;
+                let old = prefetched.remove(&rec.key);
+                ds.replay(WriteOp::Upsert(&Record::decode(&rec.value)?), old)?;
             }
             max_replayed = max_replayed.max(rec.lsn);
             report.replayed += 1;
@@ -627,19 +654,28 @@ mod tests {
     /// id → secondary value of every live record.
     type Model = std::collections::BTreeMap<i64, i64>;
 
+    /// An Eager dataset with a secondary index and a range filter on `v`.
+    fn eager_dataset(with_pk_index: bool, memory_budget: usize) -> Arc<Dataset> {
+        let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Int)]).unwrap();
+        let mut cfg = DatasetConfig::new(schema, 0);
+        cfg.strategy = StrategyKind::Eager;
+        cfg.with_pk_index = with_pk_index;
+        cfg.memory_budget = memory_budget;
+        cfg.filter_field = Some(1);
+        cfg.secondary_indexes = vec![crate::config::SecondaryIndexDef {
+            name: "v".into(),
+            field: 1,
+        }];
+        let log = Some(Storage::new(StorageOptions::test()));
+        Dataset::open(Storage::new(StorageOptions::test()), log, cfg).unwrap()
+    }
+
+    fn eager_twins_with(memory_budget: usize) -> Twins {
+        [true, false].map(|with_pk_index| eager_dataset(with_pk_index, memory_budget))
+    }
+
     fn eager_twins() -> Twins {
-        [true, false].map(|with_pk_index| {
-            let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Int)]).unwrap();
-            let mut cfg = DatasetConfig::new(schema, 0);
-            cfg.strategy = StrategyKind::Eager;
-            cfg.with_pk_index = with_pk_index;
-            cfg.secondary_indexes = vec![crate::config::SecondaryIndexDef {
-                name: "v".into(),
-                field: 1,
-            }];
-            let log = Some(Storage::new(StorageOptions::test()));
-            Dataset::open(Storage::new(StorageOptions::test()), log, cfg).unwrap()
-        })
+        eager_twins_with(usize::MAX)
     }
 
     fn upsert_twins(twins: &Twins, model: &mut Model, ids: std::ops::Range<i64>, salt: i64) {
@@ -662,43 +698,52 @@ mod tests {
         }
     }
 
-    /// Both twins hold the same reconciled secondary entries (anti-matter
-    /// included), and every secondary query answers as the model does.
-    fn assert_twins_agree(twins: &Twins, model: &Model, when: &str) {
-        let entries = |ds: &Dataset| {
-            let opts = lsm_tree::ScanOptions {
-                emit_anti_matter: true,
-                respect_bitmaps: true,
-            };
-            let tree = &ds.secondary("v").unwrap().tree;
-            let mut scan = tree
-                .scan(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, opts)
-                .unwrap();
-            let mut out = Vec::new();
-            while let Some((key, e)) = scan.next_entry().unwrap() {
-                out.push((key, e.anti_matter, e.ts));
-            }
-            out
+    /// The reconciled entries of the secondary on `v`, anti-matter
+    /// included.
+    fn secondary_entries(ds: &Dataset) -> Vec<(Vec<u8>, bool, Timestamp)> {
+        let opts = lsm_tree::ScanOptions {
+            emit_anti_matter: true,
+            respect_bitmaps: true,
         };
-        assert_eq!(entries(&twins[0]), entries(&twins[1]), "{when}: entries");
-        for v in 0..11 {
+        let tree = &ds.secondary("v").unwrap().tree;
+        let mut scan = tree
+            .scan(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, opts)
+            .unwrap();
+        let mut out = Vec::new();
+        while let Some((key, e)) = scan.next_entry().unwrap() {
+            out.push((key, e.anti_matter, e.ts));
+        }
+        out
+    }
+
+    /// Every secondary query on a `v` in `0..64`, index-only and fetching,
+    /// answers as the model does.
+    fn assert_queries_answer(ds: &Dataset, model: &Model, when: &str) {
+        for v in 0..64 {
             let want: Vec<Value> = model
                 .iter()
                 .filter(|(_, x)| **x == v)
                 .map(|(id, _)| Value::Int(*id))
                 .collect();
-            for (ds, name) in twins.iter().zip(["pk index", "no pk index"]) {
-                let keys = ds.query("v").eq(v).index_only().execute().unwrap();
-                let mut keys = keys.keys().to_vec();
-                keys.sort();
-                assert_eq!(keys, want, "{when}, {name}: keys of v = {v}");
-                let records = ds.query("v").eq(v).execute().unwrap();
-                let mut ids: Vec<Value> =
-                    records.records().iter().map(|r| r.get(0).clone()).collect();
-                ids.sort();
-                assert_eq!(ids, want, "{when}, {name}: records of v = {v}");
-            }
+            let keys = ds.query("v").eq(v).index_only().execute().unwrap();
+            let mut keys = keys.keys().to_vec();
+            keys.sort();
+            assert_eq!(keys, want, "{when}: keys of v = {v}");
+            let records = ds.query("v").eq(v).execute().unwrap();
+            let mut ids: Vec<Value> = records.records().iter().map(|r| r.get(0).clone()).collect();
+            ids.sort();
+            assert_eq!(ids, want, "{when}: records of v = {v}");
         }
+    }
+
+    /// Both twins hold the same reconciled secondary entries (anti-matter
+    /// included), and every secondary query answers as the model does.
+    fn assert_twins_agree(twins: &Twins, model: &Model, when: &str) {
+        let [with_pk, without_pk] = twins;
+        let entries = secondary_entries(with_pk);
+        assert_eq!(entries, secondary_entries(without_pk), "{when}: entries");
+        assert_queries_answer(with_pk, model, &format!("{when}, pk index"));
+        assert_queries_answer(without_pk, model, &format!("{when}, no pk index"));
     }
 
     /// The pk-index gate of Eager's old-version step loses no old version:
@@ -782,6 +827,213 @@ mod tests {
             ds.run_merges().unwrap();
         }
         assert_twins_agree(&twins, &model, "merged after recovery");
+    }
+
+    /// One write through the path `insert`, `upsert` and `delete` take;
+    /// without `maintain` it skips their flush and merge check, so the
+    /// write stays in memory until a crash loses it.
+    fn write_op(ds: &Dataset, op: WriteOp<'_>, maintain: bool) -> bool {
+        let done = ds
+            .write(op, &mut crate::dataset::LogSink::Immediate)
+            .unwrap();
+        if maintain {
+            ds.maybe_flush_and_merge().unwrap();
+        }
+        done
+    }
+
+    /// Each primary disk component's ID and range filter.
+    fn filters(ds: &Dataset) -> Vec<(lsm_tree::ComponentId, Option<lsm_tree::RangeFilter>)> {
+        let components = ds.primary().disk_components();
+        let filter = |c: &Arc<lsm_tree::DiskComponent>| (c.id(), c.range_filter().cloned());
+        components.iter().map(filter).collect()
+    }
+
+    /// Gets of every id the test wrote, and filter scans of every range of
+    /// `v`, answer as the model does.
+    fn assert_reads_answer(ds: &Dataset, model: &Model, ids: &[i64], when: &str) {
+        for &id in ids {
+            let got = ds.get(&Value::Int(id)).unwrap();
+            let got = got.map(|r| r.get(1).as_int().unwrap());
+            assert_eq!(got, model.get(&id).copied(), "{when}: get {id}");
+        }
+        for (lo, hi) in [(0, 63), (0, 9), (10, 19), (25, 34), (30, 30), (40, 59)] {
+            let scanned = ds.filter_scan().range(lo, hi).records().unwrap();
+            let scanned: Vec<(i64, i64)> = scanned
+                .iter()
+                .map(|r| (r.get(0).as_int().unwrap(), r.get(1).as_int().unwrap()))
+                .collect();
+            let want: Vec<(i64, i64)> = model
+                .iter()
+                .filter(|(_, v)| (lo..=hi).contains(*v))
+                .map(|(&id, &v)| (id, v))
+                .collect();
+            assert_eq!(scanned, want, "{when}: filter scan of v in [{lo}, {hi}]");
+        }
+    }
+
+    /// Eager's replay serves each key's prefetched old version to the
+    /// key's first replayed record only. The tail writes keys two and three
+    /// times, deletes present and absent keys, inserts duplicates (which
+    /// are rejected) and new keys, rewrites records with their secondary
+    /// key unchanged, and holds more than a memory budget, so replay
+    /// flushes and merges mid-tail. Replayed on both Eager twins, it leaves
+    /// each as its twin that never crashed holds, and all four answer as
+    /// the model: index-only queries (where a stale secondary entry would
+    /// show), fetching queries, filters, filter scans and gets.
+    #[test]
+    fn eager_replay_leaves_what_a_twin_that_never_crashed_holds() {
+        enum Step {
+            Upsert(i64, i64),
+            Insert(i64, i64),
+            Delete(i64),
+        }
+        let crashed = eager_twins_with(16 * 1024);
+        let intact = eager_twins_with(16 * 1024);
+        let mut model = Model::new();
+        // Every dataset takes each step; a crashed twin skips maintenance
+        // in the tail, so the whole tail replays.
+        let mut run = |steps: Vec<Step>, tail: bool| {
+            for step in steps {
+                let (op, want, record);
+                match step {
+                    Step::Upsert(id, v) => {
+                        record = rec(id, v);
+                        op = WriteOp::Upsert(&record);
+                        want = true;
+                        model.insert(id, v);
+                    }
+                    Step::Insert(id, v) => {
+                        record = rec(id, v);
+                        op = WriteOp::Insert(&record);
+                        want = !model.contains_key(&id);
+                        model.entry(id).or_insert(v);
+                    }
+                    Step::Delete(id) => {
+                        record = rec(id, 0);
+                        op = WriteOp::Delete(record.get(0));
+                        want = model.remove(&id).is_some();
+                    }
+                }
+                for ds in &crashed {
+                    assert_eq!(write_op(ds, op, !tail), want, "crashed twin");
+                }
+                for ds in &intact {
+                    assert_eq!(write_op(ds, op, true), want, "intact twin");
+                }
+            }
+        };
+        // Each salt's values have a decade of their own, so components'
+        // filters are narrow and Eager's widening by old values matters.
+        let v = |id: i64, salt: i64| salt * 10 + (id * 7 + salt) % 10;
+        let upsert = |id: i64, salt: i64| Step::Upsert(id, v(id, salt));
+        // Durable: 400 records on disk.
+        run((0..400).map(|id| upsert(id, 0)).collect(), false);
+        for ds in crashed.iter().chain(&intact) {
+            ds.flush_all().unwrap();
+        }
+
+        // The tail. Disk keys and new keys in scattered order...
+        let mut tail: Vec<Step> = (0..600).map(|j| upsert(j * 389 % 600, 1)).collect();
+        // ...deletes of present keys, of absent keys and of keys just
+        // deleted...
+        let deleted = || (0..40).map(|j| j * 13 % 600);
+        tail.extend(deleted().map(Step::Delete));
+        tail.extend((5000..5005).chain(deleted().take(5)).map(Step::Delete));
+        // ...duplicate inserts, inserts behind anti-matter, new keys...
+        let inserts = (100..110).chain(deleted().skip(20)).chain(700..720);
+        tail.extend(inserts.map(|id| Step::Insert(id, v(id, 2))));
+        // ...second and third writes, then 20 records rewritten with the
+        // secondary key they hold...
+        tail.extend((0..300).map(|j| upsert(j * 7 % 300, 3)));
+        tail.extend((0..100).rev().map(|id| upsert(id, 4)));
+        tail.extend((200..220).map(|id| upsert(id, 3)));
+        // ...and deletes of rewritten keys, some written again after.
+        tail.extend((250..270).map(Step::Delete));
+        tail.extend((260..265).map(|id| upsert(id, 5)));
+        run(tail, true);
+
+        for ds in &crashed {
+            let state = CheckpointState::new();
+            ds.wal().unwrap().force().unwrap();
+            simulate_crash(ds, &state).unwrap();
+            let before = ds.stats().snapshot();
+            let report = recover(ds, &state).unwrap();
+            let after = ds.stats().snapshot();
+            assert!(report.replayed > 1000, "{report:?}");
+            assert!(
+                after.flushes > before.flushes + 1,
+                "replay flushed mid-tail"
+            );
+            assert!(after.merges > before.merges, "replay merged mid-tail");
+        }
+        let ids: Vec<i64> = (0..720).chain(5000..5005).collect();
+        for flushed in [false, true] {
+            let when = if flushed { "flushed" } else { "recovered" };
+            for (c, i) in crashed.iter().zip(&intact) {
+                assert_eq!(filters(c), filters(i), "{when}: filters");
+                assert_eq!(
+                    secondary_entries(c),
+                    secondary_entries(i),
+                    "{when}: entries"
+                );
+            }
+            for (ds, name) in crashed
+                .iter()
+                .chain(&intact)
+                .zip(["crashed", "intact"].repeat(2))
+            {
+                let when = format!("{when}, {name}");
+                assert_queries_answer(ds, &model, &when);
+                assert_reads_answer(ds, &model, &ids, &when);
+            }
+            for ds in crashed.iter().chain(&intact) {
+                ds.flush_all().unwrap();
+            }
+        }
+    }
+
+    /// Recovery fetches Eager's old versions in key order (Section 3.2):
+    /// a tail that rewrites one record per leaf of the flushed primary, in
+    /// scattered order, reads those leaves from a cold cache with fewer
+    /// random reads than it has records — the walk streams forward over
+    /// the gaps between them.
+    #[test]
+    fn eager_recovery_fetches_old_versions_in_key_order() {
+        const KEYS: i64 = 20_000;
+        const SPACING: i64 = 200;
+        let ds = eager_dataset(true, usize::MAX);
+        let state = CheckpointState::new();
+        for id in 0..KEYS {
+            ds.upsert(&rec(id, id % 11)).unwrap();
+        }
+        assert!(ds.flush_all().unwrap());
+        let leaves = ds.primary().disk_components()[0].btree().num_leaves();
+        assert!(i64::from(leaves) > KEYS / SPACING, "{leaves} leaves");
+        let tail = KEYS / SPACING;
+        for j in 0..tail {
+            let id = j * 37 % tail * SPACING;
+            ds.upsert(&rec(id, (id + 1) % 11)).unwrap();
+        }
+        ds.wal().unwrap().force().unwrap();
+        simulate_crash(&ds, &state).unwrap();
+        ds.storage().clear_cache(); // a restarted process starts cold
+
+        let before = ds.storage().stats();
+        let report = recover(&ds, &state).unwrap();
+        let io = ds.storage().stats().since(&before);
+        assert_eq!(report.replayed, tail as u64);
+        assert!(
+            io.rand_reads < tail as u64,
+            "{} random reads for {tail} records over disk versions",
+            io.rand_reads
+        );
+        assert!(io.seq_reads + io.bridged_pages > 0, "{io:?}");
+        for j in 0..tail {
+            let id = j * SPACING;
+            let got = ds.get(&Value::Int(id)).unwrap().unwrap();
+            assert_eq!(got.get(1), &Value::Int((id + 1) % 11), "id {id}");
+        }
     }
 
     /// Pages written to the log device, which holds the log alone.
