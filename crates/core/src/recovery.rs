@@ -670,12 +670,8 @@ mod tests {
         Dataset::open(Storage::new(StorageOptions::test()), log, cfg).unwrap()
     }
 
-    fn eager_twins_with(memory_budget: usize) -> Twins {
+    fn eager_twins(memory_budget: usize) -> Twins {
         [true, false].map(|with_pk_index| eager_dataset(with_pk_index, memory_budget))
-    }
-
-    fn eager_twins() -> Twins {
-        eager_twins_with(usize::MAX)
     }
 
     fn upsert_twins(twins: &Twins, model: &mut Model, ids: std::ops::Range<i64>, salt: i64) {
@@ -753,7 +749,7 @@ mod tests {
     /// (replay runs the same gated write).
     #[test]
     fn eager_pk_gate_finds_every_old_version_its_twin_finds() {
-        let twins = eager_twins();
+        let twins = eager_twins(usize::MAX);
         let mut model = Model::new();
         // Two flushed components, merged into one older component.
         upsert_twins(&twins, &mut model, 0..40, 0);
@@ -888,8 +884,8 @@ mod tests {
             Insert(i64, i64),
             Delete(i64),
         }
-        let crashed = eager_twins_with(16 * 1024);
-        let intact = eager_twins_with(16 * 1024);
+        let crashed = eager_twins(16 * 1024);
+        let intact = eager_twins(16 * 1024);
         let mut model = Model::new();
         // Every dataset takes each step; a crashed twin skips maintenance
         // in the tail, so the whole tail replays.
@@ -968,8 +964,9 @@ mod tests {
             assert!(after.merges > before.merges, "replay merged mid-tail");
         }
         let ids: Vec<i64> = (0..720).chain(5000..5005).collect();
-        for flushed in [false, true] {
-            let when = if flushed { "flushed" } else { "recovered" };
+        // Recovered, then with every memory component flushed (so the
+        // memory filters reach the disk components' filters).
+        for when in ["recovered", "flushed"] {
             for (c, i) in crashed.iter().zip(&intact) {
                 assert_eq!(filters(c), filters(i), "{when}: filters");
                 assert_eq!(
