@@ -495,13 +495,16 @@ impl Dataset {
     ///   index at once. (Entries that were never forced are lost with the
     ///   log tail, which is exactly the no-force contract: a flush is only
     ///   durable once `note_flush_durable` forces the WAL.)
-    /// * **Torn merge install** — the primary swapped in a merged component
-    ///   but the pk index still holds the pre-merge components *covered by
-    ///   its interval*. Nothing was lost; redo the pk side by mirroring the
-    ///   merged primary component (same keys/timestamps/anti-matter in the
-    ///   same order), which restores the ordinal alignment the shared
-    ///   bitmaps of the Mutable-bitmap strategy require. Secondaries need
-    ///   no repair — their merge simply re-runs when next planned.
+    /// * **Torn merge install** (correlated merges only) — the primary
+    ///   swapped in a merged component but the pk index still holds the
+    ///   pre-merge components *covered by its interval*. Nothing was lost;
+    ///   redo the pk side by mirroring the merged primary component (same
+    ///   keys/timestamps/anti-matter in the same order), which restores the
+    ///   ordinal alignment the shared bitmaps of the Mutable-bitmap
+    ///   strategy require. Secondaries need no repair — their merge simply
+    ///   re-runs when next planned. Under uncorrelated merges the same
+    ///   shape is the ordinary state of two independent merge schedules,
+    ///   and is left alone.
     ///
     /// Idempotent: on an aligned dataset this is a no-op.
     pub(crate) fn realign_after_crash(&self) -> Result<()> {
@@ -538,10 +541,16 @@ impl Dataset {
             self.primary.uninstall_newest();
         }
         // Torn merge installs: mirror any merged primary component whose
-        // pre-merge counterparts are still installed in the pk index.
+        // pre-merge counterparts are still installed in the pk index. Only
+        // a correlated merge installs across indexes; uncorrelated ones
+        // merge each index on its own schedule, so a primary component the
+        // pk index lacks is no torn install.
         let Some(pk_tree) = &self.pk_index else {
             return Ok(());
         };
+        if !self.cfg.requires_correlated_merges() {
+            return Ok(());
+        }
         for p in self.primary.disk_components().iter() {
             let pk_comps = pk_tree.disk_components(); // newest first
             if pk_comps.iter().any(|c| c.id() == p.id()) {

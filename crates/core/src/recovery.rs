@@ -825,6 +825,48 @@ mod tests {
         assert_twins_agree(&twins, &model, "merged after recovery");
     }
 
+    /// Under uncorrelated merges the primary and its pk index merge on
+    /// schedules of their own, so a merged primary component the pk index
+    /// lacks is no torn merge install: recovery after a clean crash writes
+    /// no data page and leaves every component ID as it was.
+    #[test]
+    fn uncorrelated_merges_are_not_taken_for_a_torn_install() {
+        let ds = eager_dataset(true, usize::MAX);
+        assert!(!ds.config().merge.correlated);
+        for salt in 0..2 {
+            for id in 0..100 {
+                ds.upsert(&rec(id, (id + salt) % 11)).unwrap();
+            }
+            assert!(ds.flush_all().unwrap());
+        }
+        let range = lsm_tree::MergeRange { start: 0, end: 1 };
+        let plan = MergePlan {
+            target: MergeTarget::Primary,
+            range,
+        };
+        assert!(ds.execute_merge_plan(&plan).unwrap());
+        let ids = |ds: &Dataset| {
+            let trees = std::iter::once(ds.primary()).chain(ds.pk_index());
+            let trees = trees.chain(ds.secondaries().iter().map(|s| &s.tree));
+            let ids = |t: &lsm_tree::LsmTree| t.disk_components().iter().map(|c| c.id()).collect();
+            trees.map(ids).collect::<Vec<Vec<lsm_tree::ComponentId>>>()
+        };
+        let merged = ids(&ds);
+        assert_eq!((merged[0].len(), merged[1].len()), (1, 2), "{merged:?}");
+
+        let state = CheckpointState::new();
+        simulate_crash(&ds, &state).unwrap();
+        let before = ds.storage().stats();
+        recover(&ds, &state).unwrap();
+        let io = ds.storage().stats().since(&before);
+        assert_eq!((io.pages_written, io.write_seeks), (0, 0), "{io:?}");
+        assert_eq!(ids(&ds), merged);
+        for id in 0..100 {
+            let got = ds.get(&Value::Int(id)).unwrap().unwrap();
+            assert_eq!(got.get(1), &Value::Int((id + 1) % 11), "id {id}");
+        }
+    }
+
     /// One write through the path `insert`, `upsert` and `delete` take;
     /// without `maintain` it skips their flush and merge check, so the
     /// write stays in memory until a crash loses it.
