@@ -288,14 +288,16 @@ impl FetchPlan {
         sort: bool,
     ) -> Result<Vec<Record>> {
         let keys = &self.keys[range.clone()];
+        let direct = self.opts.validation == ValidationMethod::Direct;
+        // pID skips the primary components a candidate's source does not
+        // overlap, newer ones included: sound only for candidates proven
+        // newest. Direct validation proves nothing before the fetch — its
+        // re-check must see each key's newest version.
         let lopts = LookupOptions {
             batched: self.opts.batched,
             keys_per_batch: self.keys_per_batch,
             stateful: self.opts.stateful,
-            id_hints: self
-                .opts
-                .propagate_component_ids
-                .then(|| &self.hints[range]),
+            id_hints: (self.opts.propagate_component_ids && !direct).then(|| &self.hints[range]),
         };
         let mut found = lookup_sorted(ds.primary(), keys, &lopts)?;
         fetch_missing_under_lock(ds, keys, &mut found)?;
@@ -303,7 +305,6 @@ impl FetchPlan {
             charge_sort(ds.storage(), found.len() as u64);
             found.sort_by_key(|(i, _)| *i);
         }
-        let direct = self.opts.validation == ValidationMethod::Direct;
         let arity = ds.config().schema.arity();
         let mut records = Vec::with_capacity(found.len());
         for (_, entry) in found {

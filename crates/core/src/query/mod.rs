@@ -65,7 +65,8 @@ pub struct QueryOptions {
     /// Use stateful B+-tree cursors with exponential search.
     pub stateful: bool,
     /// Propagate secondary-component IDs to prune primary components
-    /// (Jia's "pID" optimization).
+    /// (Jia's "pID" optimization). Ignored under Direct validation, whose
+    /// re-check needs each candidate's newest version wherever it lies.
     pub propagate_component_ids: bool,
     /// Re-sort fetched records into primary-key order (batching destroys
     /// the order; Figure 12d measures this).

@@ -367,3 +367,30 @@ fn repair_without_pk_index_errors_cleanly() {
     assert!(ds.maintenance().repair_all().is_err());
     assert!(ds.maintenance().repair_index("group").is_err());
 }
+
+/// pID prunes the primary components a candidate's source does not
+/// overlap, newer ones included, so it is sound only for candidates
+/// validation has proved newest. A record moved out of the queried group,
+/// both versions flushed, leaves a stale secondary entry behind under the
+/// lazy strategies; with pID on, every strategy answers as without it.
+#[test]
+fn pid_never_serves_a_replaced_version() {
+    for strategy in all_strategies() {
+        let ds = dataset(strategy, usize::MAX);
+        ds.insert(&rec(1, 2)).unwrap();
+        ds.flush_all().unwrap();
+        ds.upsert(&rec(1, 5)).unwrap();
+        ds.flush_all().unwrap();
+        for (group, want) in [(2, vec![]), (5, vec![rec(1, 5)])] {
+            let plain = ds.query("group").range(group, group).execute().unwrap();
+            assert_eq!(plain.records(), want, "{strategy:?}, group {group}");
+            let opts = QueryOptions {
+                propagate_component_ids: true,
+                ..batched(&ds, 16 * 1024)
+            };
+            let q = ds.query("group").range(group, group).with_options(opts);
+            let pid = q.execute().unwrap();
+            assert_eq!(pid.records(), want, "{strategy:?} with pID, group {group}");
+        }
+    }
+}
