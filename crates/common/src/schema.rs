@@ -235,6 +235,34 @@ impl<'a> RecordView<'a> {
         }
     }
 
+    /// Splits the view after its first `fields` fields: the record they
+    /// form and the record the rest form.
+    ///
+    /// # Errors
+    /// [`Error::Corruption`] when the view holds fewer than `fields`.
+    pub fn split_at(&self, fields: usize) -> Result<(RecordView<'a>, RecordView<'a>)> {
+        if fields > self.arity {
+            return Err(Error::corruption(format!(
+                "record has {} fields, {fields} wanted",
+                self.arity
+            )));
+        }
+        let mut at = 0;
+        for _ in 0..fields {
+            at += validate_from(&self.buf[at..])?;
+        }
+        let (head, rest) = self.buf.split_at(at);
+        let head = RecordView {
+            buf: head,
+            arity: fields,
+        };
+        let rest = RecordView {
+            buf: rest,
+            arity: self.arity - fields,
+        };
+        Ok((head, rest))
+    }
+
     /// Decodes field `idx` alone.
     pub fn field(&self, idx: usize) -> Result<Value> {
         Ok(Value::decode_from(self.field_bytes(idx)?)?.0)
@@ -318,5 +346,24 @@ mod tests {
             Value::Null,
         ]);
         assert_eq!(Record::decode(&r.encode()).unwrap(), r);
+    }
+
+    #[test]
+    fn view_splits_after_its_leading_fields() {
+        let values = vec![
+            Value::Int(-5),
+            Value::Str("with\0nul".into()),
+            Value::Null,
+            Value::Int(7),
+        ];
+        let stored = Record::new(values.clone()).encode();
+        let view = RecordView::parse(&stored).unwrap();
+        for at in 0..=values.len() {
+            let (head, rest) = view.split_at(at).unwrap();
+            assert_eq!((head.arity(), rest.arity()), (at, values.len() - at));
+            assert_eq!(head.to_record().unwrap().values, values[..at]);
+            assert_eq!(rest.to_record().unwrap().values, values[at..]);
+        }
+        assert!(view.split_at(values.len() + 1).is_err());
     }
 }

@@ -13,14 +13,13 @@ use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
 use crate::txn::wal::Frame;
 use crate::txn::{LockManager, LogOp, LogRecord, Wal};
-use lsm_common::{Error, Key, LogicalClock, Record, RecordView, Result, Timestamp, Value};
+use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
 use lsm_tree::{
-    locate_valid, lookup_sorted, may_contain, point_lookup, DiskComponent, LookupOptions, LsmEntry,
-    LsmOptions, LsmTree, MergeRange,
+    locate_valid, may_contain, point_lookup, DiskComponent, LsmEntry, LsmOptions, LsmTree,
+    MergeRange,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One secondary index: definition + LSM-tree.
@@ -113,15 +112,11 @@ pub(crate) enum LogSink<'a> {
     /// Collect records for a batch-wide group append.
     Staged(&'a mut Vec<LogRecord>),
     /// Log nothing: recovery re-executes a record the log already holds.
-    /// `Some` carries Eager's old version of the key, fetched before replay
-    /// began ([`Dataset::prefetch_old_versions`]; `Some(None)`: it has
-    /// none), and is taken by the step that would look it up.
-    Replay(Option<Option<LsmEntry>>),
+    /// Under Eager it carries the old version's maintained fields the
+    /// record logged ([`Dataset::split_logged`]), `None` when the key had no
+    /// old version; Eager's write reads them instead of looking it up.
+    Replay(Option<RecordView<'a>>),
 }
-
-/// Eager's old versions of a replay tail's keys: each key's newest live
-/// primary version, `None` when it has none.
-pub(crate) type OldVersions = HashMap<Key, Option<LsmEntry>>;
 
 /// One write operation, as [`Dataset::write_locked`] applies it.
 #[derive(Clone, Copy)]
@@ -586,15 +581,9 @@ impl Dataset {
         Ok(())
     }
 
-    fn log(
-        &self,
-        sink: &mut LogSink<'_>,
-        op: LogOp,
-        key: &[u8],
-        value: &[u8],
-        ts: Timestamp,
-        update_bit: bool,
-    ) -> Result<()> {
+    /// Logs one write where `sink` says: its record and, appended to it,
+    /// Eager's old fields (see [`LogRecord::value`]).
+    fn log(&self, sink: &mut LogSink<'_>, frame: Frame<'_>) -> Result<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
@@ -605,22 +594,16 @@ impl Dataset {
                 // died entering the log call.
                 self.crash_site_on(wal.storage(), "wal_append")?;
                 // Borrowed: the staging page takes the only copy.
-                wal.append_frame(Frame {
-                    lsn: ts,
-                    op,
-                    update_bit,
-                    key,
-                    value,
-                })?;
+                wal.append_frame(frame)?;
             }
             // A batch stages its records and appends them as one group
             // at commit ([`WriteBatch::commit`](crate::WriteBatch)).
             LogSink::Staged(buf) => buf.push(LogRecord {
-                lsn: ts,
-                op,
-                key: key.to_vec(),
-                value: value.to_vec(),
-                update_bit,
+                lsn: frame.lsn,
+                op: frame.op,
+                key: frame.key.to_vec(),
+                value: [frame.value, frame.appended].concat(),
+                update_bit: frame.update_bit,
             }),
             LogSink::Replay(_) => {}
         }
@@ -679,66 +662,76 @@ impl Dataset {
     /// its log record, then inline maintenance. Replay rewinds the clock
     /// per record, and a background job racing that would stamp components
     /// with rewound timestamps — recovery is single-threaded (Section 2.2).
-    /// `prefetched` is Eager's old version of the key when the record is
-    /// the key's first in the tail (see [`LogSink::Replay`]).
-    pub(crate) fn replay(
-        &self,
-        op: WriteOp<'_>,
-        prefetched: Option<Option<LsmEntry>>,
-    ) -> Result<()> {
-        self.write(op, &mut LogSink::Replay(prefetched))?;
+    /// `old_fields` is what the record logged of Eager's old version (see
+    /// [`LogSink::Replay`]).
+    pub(crate) fn replay(&self, op: WriteOp<'_>, old_fields: Option<RecordView<'_>>) -> Result<()> {
+        self.write(op, &mut LogSink::Replay(old_fields))?;
         self.maintain_inline()
     }
 
-    /// Eager's old-version step for a whole replay tail, as Section 3.2's
-    /// batched point lookup: the tail's distinct `keys` are sorted, and
-    /// those the primary key index may hold have their newest primary
-    /// versions fetched in one batched, stateful walk, each counting one
-    /// maintenance lookup. A key the pk index proves new maps to `None`,
-    /// searched for and counted by nothing, as in [`Dataset::write_locked`].
-    /// Other strategies fetch nothing: the map is empty.
-    ///
-    /// A key's version stays right until its first replayed record: no
-    /// earlier record writes the key, and a flush or merge never changes a
-    /// key's newest version (a merge that drops anti-matter leaves no
-    /// version, which reads as none either way).
-    pub(crate) fn prefetch_old_versions<'k>(
-        &self,
-        keys: impl Iterator<Item = &'k [u8]>,
-    ) -> Result<OldVersions> {
-        if self.cfg.strategy != StrategyKind::Eager {
-            return Ok(OldVersions::new());
-        }
-        let mut keys: Vec<Key> = keys.map(<[u8]>::to_vec).collect();
-        crate::query::charge_sort(&self.storage, keys.len() as u64);
-        keys.sort_unstable();
-        keys.dedup();
-        let (batch, new): (Vec<Key>, Vec<Key>) = keys
-            .into_iter()
-            .partition(|key| self.may_have_old_version(key));
-        self.stats
-            .maintenance_lookups
-            .fetch_add(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        let opts = LookupOptions {
-            batched: true,
-            stateful: true,
-            ..LookupOptions::default()
-        };
-        let mut versions: Vec<Option<LsmEntry>> = batch.iter().map(|_| None).collect();
-        for (i, entry) in lookup_sorted(&self.primary, &batch, &opts)? {
-            versions[i] = Some(entry);
-        }
-        let new = new.into_iter().map(|key| (key, None));
-        Ok(batch.into_iter().zip(versions).chain(new).collect())
+    /// The fields Eager's maintenance reads of a key's old version: each
+    /// secondary index's field, in index order, then the filter field.
+    fn maintained_fields(&self) -> impl Iterator<Item = usize> + '_ {
+        let secondary = self.secondaries.iter().map(|s| s.field);
+        secondary.chain(self.cfg.filter_field)
     }
 
-    /// Whether Eager's old-version step must search the primary for
-    /// `pk_key`: the primary key index, when there is one, may hold it
-    /// (see [`Dataset::write_locked`]).
-    fn may_have_old_version(&self, pk_key: &[u8]) -> bool {
-        self.pk_index
-            .as_ref()
-            .is_none_or(|pk_tree| may_contain(pk_tree, pk_key))
+    /// Splits a logged write's value (see [`LogRecord::value`]) into the
+    /// record it writes, `None` for a delete, and Eager's old fields, `None`
+    /// when the key had no old version. Every logged Eager delete carries
+    /// them, even none at all: a delete of an absent key is not logged.
+    ///
+    /// # Errors
+    /// [`Error::Corruption`] when the value is no sequence of encoded
+    /// values, or the fields after the record are not exactly the ones the
+    /// dataset maintains (nothing at all, but under Eager).
+    pub(crate) fn split_logged<'v>(
+        &self,
+        op: LogOp,
+        value: &'v [u8],
+    ) -> Result<(Option<Record>, Option<RecordView<'v>>)> {
+        let delete = op == LogOp::Delete;
+        let arity = if delete { 0 } else { self.cfg.schema.arity() };
+        let (record, old) = RecordView::parse(value)?.split_at(arity)?;
+        let eager = self.cfg.strategy == StrategyKind::Eager;
+        let (fields, maintained) = (old.arity(), self.maintained_fields().count());
+        let old = match (eager, delete) {
+            (true, true) if fields == maintained => Some(old),
+            (true, false) if fields == maintained && fields > 0 => Some(old),
+            (_, false) | (false, true) if fields == 0 => None,
+            _ => {
+                return Err(Error::corruption(format!(
+                    "logged {op:?} carries {fields} fields after its record; \
+                     the {:?} dataset maintains {maintained}",
+                    self.cfg.strategy
+                )))
+            }
+        };
+        let record = (!delete).then(|| record.to_record()).transpose()?;
+        Ok((record, old))
+    }
+
+    /// Eager's old-version step: looks `pk_key`'s newest live version up in
+    /// the primary, but only when the primary key index may hold the key
+    /// (see [`Dataset::write_locked`]), and appends its maintained fields
+    /// to `out`. Returns whether there was one.
+    fn fetch_old_fields(&self, pk_key: &[u8], out: &mut Vec<u8>) -> Result<bool> {
+        if let Some(pk_tree) = &self.pk_index {
+            if !may_contain(pk_tree, pk_key) {
+                return Ok(false); // the pk index holds no version: neither does the primary
+            }
+        }
+        self.stats.bump(&self.stats.maintenance_lookups);
+        let Some(old) = point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter) else {
+            return Ok(false);
+        };
+        // Only single fields of the old record are wanted: read them
+        // through a view, never decoding the rest.
+        let stored = self.stored_record(&old.value)?;
+        for field in self.maintained_fields() {
+            out.extend_from_slice(stored.field_bytes(field)?);
+        }
+        Ok(true)
     }
 
     /// One write under the dataset drain lock (shared) and its key's lock.
@@ -775,7 +768,9 @@ impl Dataset {
     /// flush's components or none; a merge keeps each key's newest
     /// version; `realign_after_crash` rolls the primary back whenever it is
     /// ahead of the pk index; and Bloom filters have no false negatives.
-    /// Mutable-bitmap marks the old version deleted in place (Section 5.2).
+    /// Eager logs the fields of the old version it reads, and its replay
+    /// takes them from the log record ([`LogSink::Replay`]) instead of
+    /// looking anything up. Mutable-bitmap marks the old version deleted in place (Section 5.2).
     /// Validation and DeletedKeyBTree — and Mutable-bitmap's secondaries —
     /// clean up only an old version still in the memory component, which
     /// the primary put hands back for free (Section 4.2). Everything after
@@ -812,21 +807,18 @@ impl Dataset {
         let eager = self.cfg.strategy == StrategyKind::Eager;
 
         // The old version. An insert has none: its uniqueness check passed.
+        // Eager reads only the maintained fields of it, and logs them.
         let mut update_bit = false;
+        let mut old_fields = Vec::new();
         let fetched = match self.cfg.strategy {
             _ if insert => None,
             StrategyKind::Eager => {
-                let prefetched = match sink {
-                    LogSink::Replay(prefetched) => prefetched.take(),
-                    _ => None,
-                };
-                let old = match prefetched {
-                    Some(old) => old, // fetched with the rest of the replay tail
-                    None if self.may_have_old_version(pk_key) => {
-                        self.stats.bump(&self.stats.maintenance_lookups);
-                        point_lookup(&self.primary, pk_key)?.filter(|e| !e.anti_matter)
-                    }
-                    None => None, // the pk index holds no version: neither does the primary
+                let old = match sink {
+                    LogSink::Replay(logged) => *logged,
+                    _ => self
+                        .fetch_old_fields(pk_key, &mut old_fields)?
+                        .then(|| RecordView::parse(&old_fields))
+                        .transpose()?,
                 };
                 if old.is_none() && record.is_none() {
                     return Ok(false); // delete of an absent key: ignored
@@ -839,16 +831,17 @@ impl Dataset {
             }
             StrategyKind::Validation | StrategyKind::DeletedKeyBTree => None,
         };
-        // Only single fields of the old record are wanted: read them
-        // through a view, never decoding the rest. Validated before the
-        // operation is logged.
-        let fetched = fetched
-            .as_ref()
-            .map(|e| self.stored_record(&e.value))
-            .transpose()?;
 
         let value = record.map_or_else(Vec::new, Record::encode);
-        self.log(sink, log_op, pk_key, &value, ts, update_bit)?;
+        let frame = Frame {
+            lsn: ts,
+            op: log_op,
+            update_bit,
+            key: pk_key,
+            value: &value,
+            appended: &old_fields,
+        };
+        self.log(sink, frame)?;
         let entry = |value| match record {
             Some(_) => LsmEntry::put_ts(value, ets),
             None => LsmEntry::anti_matter_ts(ets),
@@ -857,20 +850,25 @@ impl Dataset {
         if let Some(pk_tree) = &self.pk_index {
             pk_tree.put(pk_key.to_vec(), entry(Vec::new()), ts);
         }
-        // Eager's memory entry, if any, is the version it fetched.
+        // Eager's memory entry, if any, is the version it fetched. The
+        // others read a replaced memory entry through a view of it, never
+        // decoding the fields they do not want.
         let replaced = replaced.filter(|e| !e.anti_matter && !eager);
-        let old = match fetched {
-            Some(view) => Some(view),
-            None => replaced
-                .as_ref()
-                .map(|e| self.stored_record(&e.value))
-                .transpose()?,
+        let replaced = replaced
+            .as_ref()
+            .map(|e| self.stored_record(&e.value))
+            .transpose()?;
+        // The old version's key in the `i`-th secondary: Eager's maintained
+        // fields hold it at `i`, a whole record at the index's field.
+        let old_sk = |i: usize, sec: &SecondaryIndex| match (&fetched, &replaced) {
+            (Some(fields), _) => fields.field(i).map(Some),
+            (None, Some(stored)) => stored.field(sec.field).map(Some),
+            (None, None) => Ok(None),
         };
 
-        for sec in &self.secondaries {
+        for (i, sec) in self.secondaries.iter().enumerate() {
             let new_sk = record.map(|r| r.get(sec.field));
-            if let Some(old) = &old {
-                let old_sk = old.field(sec.field)?;
+            if let Some(old_sk) = old_sk(i, sec)? {
                 if new_sk == Some(&old_sk) {
                     if eager {
                         continue; // unchanged: no maintenance (Section 3.1)
@@ -887,13 +885,15 @@ impl Dataset {
         }
 
         // Filters widen with the new record; Eager's also with the old one
-        // (Figure 3 against Figures 4 and 9).
+        // (Figure 3 against Figures 4 and 9), whose filter field is its last
+        // maintained field.
         if let Some(f) = self.cfg.filter_field {
             if let Some(record) = record {
                 self.primary.widen_mem_filter(record.get(f));
             }
-            if let (true, Some(old)) = (eager, &old) {
-                self.primary.widen_mem_filter(&old.field(f)?);
+            if let Some(fields) = &fetched {
+                self.primary
+                    .widen_mem_filter(&fields.field(self.secondaries.len())?);
             }
         }
         self.stats.bump(match op {

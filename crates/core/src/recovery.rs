@@ -25,23 +25,19 @@
 //! the checkpoint, not the log's whole history. The pages before the redo
 //! point are dead but still kept: the log is never truncated.
 //!
-//! # Eager's old versions
+//! # Eager's replay reads the log alone
 //!
 //! An Eager write fetches its key's old version to clean the secondary
-//! indexes and widen the filters (Section 3.1). Replay would make that a
-//! random read per record; since it holds the whole tail before it replays
-//! the first record, it fetches them all up front instead, as Section 3.2's
-//! batched point lookup (`Dataset::prefetch_old_versions`): the distinct
-//! keys of the records above the maximum component LSN are sorted, those
-//! the primary key index may hold are looked up in one batched, stateful
-//! walk over the primary, and the rest — proven new by the pk index — are
-//! looked up not at all. Each key's version serves its **first** replayed
-//! record only; later records of the key take the ordinary write, which
-//! finds the version the first one left in memory (or, after a mid-replay
-//! flush, on disk). The served version is the one a per-record lookup
-//! would find: no earlier record writes the key, and flushes and merges
-//! never change a key's newest version. Eager's recovery cost thus follows
-//! the tail's distinct keys, read in key order.
+//! indexes and widen the filters (Section 3.1). It needs only the old
+//! version's secondary keys and filter value, and it logs them: its log
+//! record appends them to the new record (see `LogRecord::value`), as
+//! AsterixDB logs index-level operations whose redo looks nothing up.
+//! Replay splits each logged value at the schema's arity and hands the old
+//! fields to the write (`Dataset::split_logged`), so Eager's recovery reads
+//! the log and no data page; a logged value whose appended part is not the
+//! fields the dataset maintains is corruption. The logged fields are the
+//! ones a lookup at replay would find: replay redoes the records in LSN
+//! order from the state the first of them was written on.
 //!
 //! # Interaction with background maintenance
 //!
@@ -61,7 +57,7 @@
 use crate::dataset::{Dataset, WriteOp};
 use crate::keys::decode_pk;
 use crate::txn::LogOp;
-use lsm_common::{Error, Record, Result, Timestamp};
+use lsm_common::{Error, Result, Timestamp};
 use lsm_storage::PageNo;
 use lsm_tree::BitmapSnapshot;
 use parking_lot::Mutex;
@@ -273,15 +269,7 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
     let mut report = RecoveryReport::default();
     let mut max_replayed: Timestamp = 0;
     let result = (|| -> Result<()> {
-        let records = wal.replay_from(first_page, from, false)?;
-        // Eager's old versions of every key the tail writes, in one sorted
-        // pass; each is served to its key's first replayed record.
-        let entry_replays = records
-            .iter()
-            .filter(|rec| rec.op != LogOp::Checkpoint && rec.lsn > max_comp_ts);
-        let mut prefetched =
-            ds.prefetch_old_versions(entry_replays.map(|rec| rec.key.as_slice()))?;
-        for rec in records {
+        for rec in wal.replay_from(first_page, from, false)? {
             if rec.op == LogOp::Checkpoint {
                 continue; // marker record: empty key, nothing to redo
             }
@@ -299,14 +287,14 @@ pub fn recover(ds: &Dataset, state: &CheckpointState) -> Result<RecoveryReport> 
                 // the replaced version (idempotent). Note this path does
                 // not tick the clock.
                 ds.redo_bitmap_mark(&rec.key, rec.lsn)?;
-            } else if rec.op == LogOp::Delete {
-                let old = prefetched.remove(&rec.key);
-                ds.replay(WriteOp::Delete(&decode_pk(&rec.key)?), old)?;
             } else {
                 // A logged insert passed its uniqueness check: replay it
                 // as the upsert it amounts to.
-                let old = prefetched.remove(&rec.key);
-                ds.replay(WriteOp::Upsert(&Record::decode(&rec.value)?), old)?;
+                let (record, old_fields) = ds.split_logged(rec.op, &rec.value)?;
+                match &record {
+                    Some(record) => ds.replay(WriteOp::Upsert(record), old_fields)?,
+                    None => ds.replay(WriteOp::Delete(&decode_pk(&rec.key)?), old_fields)?,
+                }
             }
             max_replayed = max_replayed.max(rec.lsn);
             report.replayed += 1;
@@ -328,8 +316,9 @@ mod tests {
     use super::*;
     use crate::config::{DatasetConfig, EngineConfig, StrategyKind};
     use crate::dataset::{MergePlan, MergeTarget};
+    use crate::txn::LogRecord;
     use crate::MaintenanceRuntime;
-    use lsm_common::{FieldType, Schema, Value};
+    use lsm_common::{FieldType, Record, Schema, Value};
     use lsm_storage::{Storage, StorageOptions};
     use std::sync::Arc;
 
@@ -910,21 +899,26 @@ mod tests {
         }
     }
 
-    /// Eager's replay serves each key's prefetched old version to the
-    /// key's first replayed record only. The tail writes keys two and three
-    /// times, deletes present and absent keys, inserts duplicates (which
-    /// are rejected) and new keys, rewrites records with their secondary
-    /// key unchanged, and holds more than a memory budget, so replay
-    /// flushes and merges mid-tail. Replayed on both Eager twins, it leaves
-    /// each as its twin that never crashed holds, and all four answer as
-    /// the model: index-only queries (where a stale secondary entry would
-    /// show), fetching queries, filters, filter scans and gets.
+    /// Eager's replay takes each record's old fields from the log. The
+    /// tail opens with a `WriteBatch` that writes keys several times each,
+    /// writes keys two and three times, deletes present and absent keys,
+    /// inserts duplicates (which are rejected) and new keys, rewrites
+    /// records with their secondary key unchanged, and holds more than a
+    /// memory budget, so replay flushes and merges mid-tail. Replayed on
+    /// both Eager twins, it leaves each as its twin that never crashed
+    /// holds, and all four answer as the model: index-only queries (where a
+    /// stale secondary entry would show), fetching queries, filters, filter
+    /// scans and gets.
     #[test]
     fn eager_replay_leaves_what_a_twin_that_never_crashed_holds() {
+        use crate::batch::BatchOpResult;
         enum Step {
             Upsert(i64, i64),
             Insert(i64, i64),
             Delete(i64),
+            /// One `WriteBatch`: an upsert of `(id, v)` for `Some(v)`, a
+            /// delete of `id` for `None`.
+            Batch(Vec<(i64, Option<i64>)>),
         }
         let crashed = eager_twins(16 * 1024);
         let intact = eager_twins(16 * 1024);
@@ -952,6 +946,27 @@ mod tests {
                         op = WriteOp::Delete(record.get(0));
                         want = model.remove(&id).is_some();
                     }
+                    Step::Batch(ops) => {
+                        let want: Vec<BatchOpResult> = ops
+                            .iter()
+                            .map(|&(id, v)| match v {
+                                Some(v) => {
+                                    model.insert(id, v);
+                                    BatchOpResult::Upserted
+                                }
+                                None => BatchOpResult::Deleted(model.remove(&id).is_some()),
+                            })
+                            .collect();
+                        // Small enough that its commit flushes nothing.
+                        for ds in crashed.iter().chain(&intact) {
+                            let batch = ops.iter().fold(ds.batch(), |batch, &(id, v)| match v {
+                                Some(v) => batch.upsert(&rec(id, v)),
+                                None => batch.delete(&Value::Int(id)),
+                            });
+                            assert_eq!(batch.commit().unwrap(), want, "batch");
+                        }
+                        continue;
+                    }
                 }
                 for ds in &crashed {
                     assert_eq!(write_op(ds, op, !tail), want, "crashed twin");
@@ -971,8 +986,23 @@ mod tests {
             ds.flush_all().unwrap();
         }
 
-        // The tail. Disk keys and new keys in scattered order...
-        let mut tail: Vec<Step> = (0..600).map(|j| upsert(j * 389 % 600, 1)).collect();
+        // The tail. A batch writing a disk key and a new key several
+        // times each, deleting them in between...
+        let batched = |id: i64, salt: i64| (id, Some(v(id, salt)));
+        let mut tail = vec![Step::Batch(vec![
+            batched(3, 2),
+            batched(800, 2),
+            batched(3, 3),
+            (800, None),
+            (3, None),
+            (800, None),
+            batched(3, 4),
+            batched(800, 4),
+            batched(800, 5),
+            batched(3, 5),
+        ])];
+        // ...disk keys and new keys in scattered order...
+        tail.extend((0..600).map(|j| upsert(j * 389 % 600, 1)));
         // ...deletes of present keys, of absent keys and of keys just
         // deleted...
         let deleted = || (0..40).map(|j| j * 13 % 600);
@@ -1005,7 +1035,7 @@ mod tests {
             );
             assert!(after.merges > before.merges, "replay merged mid-tail");
         }
-        let ids: Vec<i64> = (0..720).chain(5000..5005).collect();
+        let ids: Vec<i64> = (0..720).chain([800]).chain(5000..5005).collect();
         // Recovered, then with every memory component flushed (so the
         // memory filters reach the disk components' filters).
         for when in ["recovered", "flushed"] {
@@ -1032,46 +1062,145 @@ mod tests {
         }
     }
 
-    /// Recovery fetches Eager's old versions in key order (Section 3.2):
-    /// a tail that rewrites one record per leaf of the flushed primary, in
-    /// scattered order, reads those leaves from a cold cache with fewer
-    /// random reads than it has records — the walk streams forward over
-    /// the gaps between them.
+    /// Eager's replay reads the log and no data page: a tail that rewrites
+    /// and deletes records whose old versions lie on disk, replayed after
+    /// the data device's cache is emptied (as a restarted process starts),
+    /// reads no data page and no more log pages than the tail holds, and
+    /// leaves every secondary query, filter scan and get answering as the
+    /// model does.
     #[test]
-    fn eager_recovery_fetches_old_versions_in_key_order() {
-        const KEYS: i64 = 20_000;
-        const SPACING: i64 = 200;
-        let ds = eager_dataset(true, usize::MAX);
-        let state = CheckpointState::new();
-        for id in 0..KEYS {
-            ds.upsert(&rec(id, id % 11)).unwrap();
-        }
-        assert!(ds.flush_all().unwrap());
-        let leaves = ds.primary().disk_components()[0].btree().num_leaves();
-        assert!(i64::from(leaves) > KEYS / SPACING, "{leaves} leaves");
-        let tail = KEYS / SPACING;
-        for j in 0..tail {
-            let id = j * 37 % tail * SPACING;
-            ds.upsert(&rec(id, (id + 1) % 11)).unwrap();
-        }
-        ds.wal().unwrap().force().unwrap();
-        simulate_crash(&ds, &state).unwrap();
-        ds.storage().clear_cache(); // a restarted process starts cold
+    fn eager_replay_reads_the_log_and_no_data_page() {
+        for with_pk_index in [true, false] {
+            let ds = eager_dataset(with_pk_index, usize::MAX);
+            let state = CheckpointState::new();
+            let mut model = Model::new();
+            for id in 0..2000 {
+                ds.upsert(&rec(id, id % 11)).unwrap();
+                model.insert(id, id % 11);
+            }
+            assert!(ds.flush_all().unwrap());
+            checkpoint(&ds, &state).unwrap();
+            let history = log_pages(&ds);
+            for j in 0..200 {
+                let id = j * 37 % 200 * 10;
+                ds.upsert(&rec(id, (id + 1) % 11 + 20)).unwrap();
+                model.insert(id, (id + 1) % 11 + 20);
+            }
+            for id in (5..2000).step_by(50) {
+                assert!(ds.delete(&Value::Int(id)).unwrap());
+                model.remove(&id);
+            }
+            ds.wal().unwrap().force().unwrap();
+            let tail = log_pages(&ds) - history;
+            simulate_crash(&ds, &state).unwrap();
+            ds.storage().clear_cache();
 
-        let before = ds.storage().stats();
-        let report = recover(&ds, &state).unwrap();
-        let io = ds.storage().stats().since(&before);
-        assert_eq!(report.replayed, tail as u64);
-        assert!(
-            io.rand_reads < tail as u64,
-            "{} random reads for {tail} records over disk versions",
-            io.rand_reads
-        );
-        assert!(io.seq_reads + io.bridged_pages > 0, "{io:?}");
-        for j in 0..tail {
-            let id = j * SPACING;
-            let got = ds.get(&Value::Int(id)).unwrap().unwrap();
-            assert_eq!(got.get(1), &Value::Int((id + 1) % 11), "id {id}");
+            let data = ds.storage().clone();
+            let pages = |io: lsm_storage::IoStatsSnapshot| io.disk_reads() + io.cache_hits;
+            let (before, lookups) = (data.stats(), ds.stats().snapshot().maintenance_lookups);
+            let (report, log_read) = log_pages_read(&ds, &state);
+            let io = data.stats().since(&before);
+            assert_eq!(report.replayed, 240, "pk index: {with_pk_index}");
+            assert_eq!(pages(io), 0, "pk index: {with_pk_index}: {io:?}");
+            assert!(
+                log_read <= tail + 1,
+                "read {log_read} log pages for a tail of {tail}"
+            );
+            assert_eq!(ds.stats().snapshot().maintenance_lookups, lookups);
+            let when = format!("recovered, pk index: {with_pk_index}");
+            assert_queries_answer(&ds, &model, &when);
+            assert_reads_answer(&ds, &model, &[0, 5, 10, 55, 1990, 1995], &when);
+        }
+    }
+
+    /// An Eager dataset with no secondary index and no filter maintains no
+    /// field: its logged deletes append nothing, and still apply on replay
+    /// — a delete of an absent key is never logged.
+    #[test]
+    fn eager_delete_with_nothing_appended_applies_on_replay() {
+        for with_pk_index in [true, false] {
+            let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Int)]).unwrap();
+            let mut cfg = DatasetConfig::new(schema, 0);
+            cfg.strategy = StrategyKind::Eager;
+            cfg.with_pk_index = with_pk_index;
+            let log = Some(Storage::new(StorageOptions::test()));
+            let ds = Dataset::open(Storage::new(StorageOptions::test()), log, cfg).unwrap();
+            let state = CheckpointState::new();
+            for id in 0..100 {
+                ds.upsert(&rec(id, id)).unwrap();
+            }
+            assert!(ds.flush_all().unwrap());
+            for id in 0..20 {
+                assert!(ds.delete(&Value::Int(id)).unwrap());
+            }
+            assert!(!ds.delete(&Value::Int(500)).unwrap());
+            ds.upsert(&rec(30, -30)).unwrap();
+            ds.wal().unwrap().force().unwrap();
+            let tail = ds.wal().unwrap().replay(0, true).unwrap();
+            let deletes = tail.iter().filter(|r| r.op == LogOp::Delete);
+            assert!(deletes.clone().all(|r| r.value.is_empty()));
+            assert_eq!(deletes.count(), 20, "an absent key's delete is not logged");
+
+            simulate_crash(&ds, &state).unwrap();
+            assert_eq!(recover(&ds, &state).unwrap().replayed, 21);
+            for id in 0..100 {
+                let got = ds.get(&Value::Int(id)).unwrap().map(|r| r.get(1).clone());
+                let want = match id {
+                    0..20 => None,
+                    30 => Some(Value::Int(-30)),
+                    _ => Some(Value::Int(id)),
+                };
+                assert_eq!(got, want, "pk index: {with_pk_index}, id {id}");
+            }
+        }
+    }
+
+    /// A logged value whose fields after the record are not the ones the
+    /// dataset maintains fails recovery as corruption, never as a panic:
+    /// an upsert carrying some of them, a delete carrying none, too few or
+    /// too many, bytes that encode no value, and a record a lazy strategy
+    /// logged with fields it never appends.
+    #[test]
+    fn logged_old_fields_that_do_not_match_the_schema_are_corruption() {
+        use StrategyKind::{Eager, Validation};
+        let record = rec(7, 3).encode();
+        let fields =
+            |vs: &[i64]| -> Vec<u8> { vs.iter().flat_map(|&v| Value::Int(v).encode()).collect() };
+        let after = |vs: &[i64]| [record.clone(), fields(vs)].concat();
+        let cases = [
+            (Eager, LogOp::Upsert, after(&[1])),
+            (Eager, LogOp::Insert, after(&[1, 2, 3])),
+            (Eager, LogOp::Delete, fields(&[])),
+            (Eager, LogOp::Delete, fields(&[1])),
+            (Eager, LogOp::Delete, fields(&[1, 2, 3])),
+            (Eager, LogOp::Upsert, fields(&[7])),
+            (Eager, LogOp::Upsert, [record.clone(), vec![0xEE]].concat()),
+            (Eager, LogOp::Delete, vec![0x02, 0x01]),
+            (Validation, LogOp::Upsert, after(&[1])),
+            (Validation, LogOp::Delete, fields(&[1])),
+        ];
+        for (strategy, op, value) in cases {
+            let ds = match strategy {
+                Eager => eager_dataset(true, usize::MAX),
+                _ => dataset(strategy),
+            };
+            let state = CheckpointState::new();
+            ds.upsert(&rec(7, 1)).unwrap();
+            assert!(ds.flush_all().unwrap());
+            let wal = ds.wal().unwrap();
+            let logged = LogRecord {
+                lsn: ds.clock().now() + 1,
+                op,
+                key: crate::keys::encode_pk(&Value::Int(7)),
+                value: value.clone(),
+                update_bit: false,
+            };
+            wal.append(&logged).unwrap();
+            wal.force().unwrap();
+            simulate_crash(&ds, &state).unwrap();
+            let err = recover(&ds, &state).unwrap_err();
+            let case = format!("{strategy:?} {op:?} {value:?}");
+            assert!(matches!(err, Error::Corruption(_)), "{case}: {err}");
         }
     }
 

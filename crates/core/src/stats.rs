@@ -27,10 +27,9 @@ pub struct EngineStats {
     pub repairs: AtomicU64,
     /// Point lookups performed for maintenance (the Eager strategy's cost):
     /// an insert's uniqueness check, and each Eager upsert or delete whose
-    /// key the primary key index may hold — in replay, one per distinct key
-    /// recovery's batched old-version fetch looks up, plus the lookup of
-    /// each later record of a key. A key the pk index proves new searches
-    /// nothing and counts nothing.
+    /// key the primary key index may hold. A key the pk index proves new
+    /// searches nothing and counts nothing, and replay counts none: an
+    /// Eager log record carries the old fields its redo needs.
     pub maintenance_lookups: AtomicU64,
     /// Maintenance jobs enqueued on the background scheduler.
     pub jobs_enqueued: AtomicU64,

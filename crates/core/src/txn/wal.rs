@@ -115,7 +115,13 @@ pub struct LogRecord {
     pub op: LogOp,
     /// Encoded primary key (empty for checkpoints).
     pub key: Key,
-    /// Encoded record for inserts/upserts (empty otherwise).
+    /// What replay needs besides the key, as a sequence of self-delimiting
+    /// [`Value`](lsm_common::Value) encodings: for an insert or upsert the
+    /// encoded record; for a delete nothing. Under Eager, an upsert or
+    /// delete of a key with an old version appends that version's values of
+    /// the fields Eager maintenance reads — each secondary index's field in
+    /// index order, then the filter field — so replay never looks the old
+    /// version up.
     pub value: Bytes,
     /// True if the operation mutated a disk component's bitmap
     /// (Mutable-bitmap strategy's update bit).
@@ -175,7 +181,9 @@ fn checksum(data: &[u8]) -> u32 {
 
 /// One log record borrowed from whoever is committing it. Every append
 /// goes through this view, so a record's key and value are copied exactly
-/// once — by [`Frame::encode_into`], into the staging page.
+/// once — by [`Frame::encode_into`], into the staging page. The value is
+/// `value` followed by `appended`, so a writer can log two buffers it holds
+/// apart (a record and Eager's old fields) without joining them first.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Frame<'a> {
     pub(crate) lsn: Timestamp,
@@ -183,12 +191,18 @@ pub(crate) struct Frame<'a> {
     pub(crate) update_bit: bool,
     pub(crate) key: &'a [u8],
     pub(crate) value: &'a [u8],
+    pub(crate) appended: &'a [u8],
 }
 
 impl Frame<'_> {
+    /// Length of the logged value.
+    fn value_len(&self) -> usize {
+        self.value.len() + self.appended.len()
+    }
+
     /// Encoded length, known before a byte is written.
     fn len(&self) -> usize {
-        FRAME_OVERHEAD + self.key.len() + self.value.len()
+        FRAME_OVERHEAD + self.key.len() + self.value_len()
     }
 
     /// Appends `[len][lsn][op][update_bit][klen][key][vlen][value][sum]`
@@ -202,8 +216,9 @@ impl Frame<'_> {
         page.push(u8::from(self.update_bit));
         page.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
         page.extend_from_slice(self.key);
-        page.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        page.extend_from_slice(&(self.value_len() as u32).to_le_bytes());
         page.extend_from_slice(self.value);
+        page.extend_from_slice(self.appended);
         let sum = checksum(&page[start + 4..]);
         page.extend_from_slice(&sum.to_le_bytes());
     }
@@ -217,6 +232,7 @@ impl LogRecord {
             update_bit: self.update_bit,
             key: &self.key,
             value: &self.value,
+            appended: &[],
         }
     }
 
@@ -677,6 +693,16 @@ mod tests {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 prop_assert!(LogRecord::decode(&flipped).is_err(), "flip of bit {bit} accepted");
             }
+        }
+
+        // A value handed over as two buffers logs the frame of the joined
+        // value, byte for byte.
+        #[test]
+        fn split_value_frames_as_the_joined_value(rec in arb_record(), at in any::<usize>()) {
+            let (value, appended) = rec.value.split_at(at % (rec.value.len() + 1));
+            let mut frame = Vec::new();
+            Frame { value, appended, ..rec.frame() }.encode_into(&mut frame);
+            prop_assert_eq!(frame, encode(&rec));
         }
     }
 
