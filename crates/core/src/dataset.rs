@@ -770,11 +770,11 @@ impl Dataset {
     /// ahead of the pk index; and Bloom filters have no false negatives.
     /// Eager logs the fields of the old version it reads, and its replay
     /// takes them from the log record ([`LogSink::Replay`]) instead of
-    /// looking anything up. Mutable-bitmap marks the old version deleted in place (Section 5.2).
-    /// Validation and DeletedKeyBTree — and Mutable-bitmap's secondaries —
-    /// clean up only an old version still in the memory component, which
-    /// the primary put hands back for free (Section 4.2). Everything after
-    /// that step is one sequence.
+    /// looking anything up. Mutable-bitmap marks the old version deleted
+    /// in place (Section 5.2). Validation and DeletedKeyBTree — and
+    /// Mutable-bitmap's secondaries — clean up only an old version still in
+    /// the memory component, which the primary put hands back for free
+    /// (Section 4.2). Everything after that step is one sequence.
     pub(crate) fn write_locked(
         &self,
         op: WriteOp<'_>,
