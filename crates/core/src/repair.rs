@@ -309,6 +309,15 @@ pub(crate) mod oracle {
     }
 }
 
+/// The timestamp at or below which no primary-key-index component can
+/// invalidate an entry of `comp`: its repaired timestamp, or, if later, its
+/// oldest entry's — a component whose versions are all at or before an
+/// entry's own timestamp holds no newer one. A fresh flush output has
+/// repaired nothing yet, but prunes every component older than itself.
+fn prune_floor(comp: &DiskComponent) -> Timestamp {
+    comp.repaired_ts().max(comp.id().min_ts)
+}
+
 /// The new repaired timestamp: the maximum timestamp of the unpruned
 /// primary-key-index components the candidates were validated against
 /// (Section 4.4), never less than the old watermark.
@@ -413,7 +422,7 @@ fn merge_repair_against(
     mode: RepairMode,
 ) -> Result<RepairReport> {
     let (inputs, mut builder, drop_anti) = sec_tree.merge_start(range, false)?;
-    let prune_ts = inputs.iter().map(|c| c.repaired_ts()).min().unwrap_or(0);
+    let prune_ts = inputs.iter().map(|c| prune_floor(c)).min().unwrap_or(0);
     let storage = sec_tree.storage();
 
     let mut report = RepairReport::default();
@@ -473,7 +482,7 @@ pub(crate) fn standalone_repair(
     let mut report = RepairReport::default();
     for comp in sec_tree.disk_components().iter() {
         let pk_components = pk_tree.disk_components();
-        let mut validation = Validation::new(storage, pk_components, comp.repaired_ts(), mode);
+        let mut validation = Validation::new(storage, pk_components, prune_floor(comp), mode);
         if validation.unpruned.is_empty() && pk_tree.mem_len() == 0 {
             continue; // nothing new to validate against
         }
@@ -904,6 +913,99 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Runs `repair` on a fresh dataset prepared by `setup` under each way
+    /// of validating: point probes with and without the Bloom filter
+    /// optimization, the deleted-key baseline — which validates against the
+    /// whole primary key index, pruning nothing — and per-key probes with
+    /// the optimization. Returns each run's report and secondary bitmaps.
+    fn four_ways(
+        setup: impl Fn(&Dataset),
+        repair: impl Fn(&Dataset, RepairMode) -> RepairReport,
+    ) -> Vec<(RepairReport, Vec<Option<lsm_tree::BitmapSnapshot>>)> {
+        let run = |mode| {
+            let ds = dataset(StrategyKind::Validation);
+            setup(&ds);
+            let report = repair(&ds, mode);
+            let comps = ds.secondaries()[0].tree.disk_components();
+            let bitmaps = comps.iter().map(|c| c.bitmap().map(|b| b.snapshot()));
+            (report, bitmaps.collect())
+        };
+        let bloom = RepairMode::PrimaryKeyIndex { bloom_opt: true };
+        vec![
+            run(RepairMode::PrimaryKeyIndex { bloom_opt: false }),
+            run(bloom),
+            run(RepairMode::DeletedKeyBTree),
+            oracle::with(|| run(bloom)),
+        ]
+    }
+
+    fn merge_all(ds: &Dataset, mode: RepairMode) -> RepairReport {
+        let sec = &ds.secondaries()[0].tree;
+        let end = sec.num_disk_components() - 1;
+        let pk_components = ds.pk_index().unwrap().disk_components();
+        merge_repair_against(sec, pk_components, MergeRange { start: 0, end }, mode).unwrap()
+    }
+
+    fn standalone(ds: &Dataset, mode: RepairMode) -> RepairReport {
+        standalone_repair(&ds.secondaries()[0].tree, ds.pk_index().unwrap(), mode).unwrap()
+    }
+
+    /// Repaired components and a fresh flush: the flush output has repaired
+    /// nothing, but none of its entries predates it, so a merge repair of
+    /// all three — and a standalone repair of the flush output — prunes
+    /// every primary-key-index component but the flush's own. With the
+    /// Bloom filter optimization that skips every older entry whose key
+    /// the flush did not write; every way of validating marks the same
+    /// bits as validating against the whole index.
+    #[test]
+    fn a_fresh_flush_prunes_the_components_before_it() {
+        let setup = |ds: &Dataset| {
+            obsolete_setup(ds); // (CA, 0..100), then (NY, 0..50)
+            ds.maintenance().repair_all().unwrap();
+            for i in 60..80 {
+                ds.upsert(&rec(i, "TX")).unwrap();
+            }
+            ds.flush_all().unwrap();
+        };
+        for repair in [merge_all, standalone] {
+            let runs = four_ways(setup, repair);
+            let (bloom, bitmaps) = &runs[1];
+            // Unpruned, the 50 NY entries and the CA entries of keys 0..50
+            // (the NY flush wrote them) would all be candidates.
+            assert!(bloom.skipped_by_bloom >= 70, "{bloom:?}");
+            assert!(bloom.invalidated >= 20, "{bloom:?}");
+            for (report, other) in &runs {
+                assert_eq!(other, bitmaps, "{report:?}");
+                assert_eq!(report.invalidated, bloom.invalidated, "{report:?}");
+            }
+        }
+    }
+
+    /// An unrepaired merged component spans the flushes that obsoleted its
+    /// older entries: its floor is its oldest entry's timestamp, not its
+    /// newest, or the merge repair would prune the primary-key-index
+    /// components that hold the newer versions and keep (CA, 0..25) valid.
+    #[test]
+    fn an_unrepaired_merged_input_prunes_from_its_oldest_entry() {
+        let setup = |ds: &Dataset| {
+            obsolete_setup(ds); // (CA, 0..100), then (NY, 0..50)
+            let sec = &ds.secondaries()[0].tree;
+            sec.merge_range(MergeRange { start: 0, end: 1 }).unwrap();
+            for i in 25..75 {
+                ds.upsert(&rec(i, "TX")).unwrap();
+            }
+            ds.flush_all().unwrap();
+        };
+        let runs = four_ways(setup, merge_all);
+        let (whole, bitmaps) = &runs[2];
+        // CA 0..75 and NY 25..50 are obsolete.
+        assert_eq!(whole.invalidated, 100, "{whole:?}");
+        for (report, other) in &runs {
+            assert_eq!(other, bitmaps, "{report:?}");
+            assert_eq!(report.invalidated, whole.invalidated, "{report:?}");
+        }
+    }
+
     /// A plan gone stale — its range no longer fits the component list —
     /// is an error to the caller, not a panic on a maintenance worker.
     #[test]
@@ -1046,15 +1148,17 @@ mod tests {
         cpu_ns: u64,
     }
 
-    /// Runs `repair` on a freshly churned dataset, after one earlier repair
-    /// and one more flush so that repaired timestamps prune. That flush also
-    /// inserts 400 new records, so the pk-index component that pruning
-    /// leaves outnumbers the candidates of any older secondary component and
-    /// validation probes rather than joins.
-    fn outcome(repair: impl Fn(&Dataset) -> RepairReport) -> Outcome {
+    /// Runs `repair` on a freshly churned dataset, after one more flush and,
+    /// if `repaired_first`, one earlier repair so that repaired timestamps
+    /// prune. That flush also inserts 400 new records, so the pk-index
+    /// component that pruning leaves outnumbers the candidates of any older
+    /// secondary component and validation probes rather than joins.
+    fn outcome(repaired_first: bool, repair: impl Fn(&Dataset) -> RepairReport) -> Outcome {
         let ds = dataset(StrategyKind::Validation);
         churn(&ds);
-        ds.maintenance().repair_all().unwrap();
+        if repaired_first {
+            ds.maintenance().repair_all().unwrap();
+        }
         for i in 0..60 {
             ds.upsert(&rec(i * 5, "OR")).unwrap();
         }
@@ -1084,7 +1188,10 @@ mod tests {
     /// candidate and component decided, from the same Bloom probes (the
     /// optimization's too: hashed once per key, billed once, where the
     /// oracle hashes and bills per component) — in one descent per
-    /// pk-index leaf visited instead of one per probe.
+    /// pk-index leaf visited instead of one per probe. The merge repairs
+    /// every component, fresh ones included, so repaired timestamps would
+    /// prune it down to the pk-index components that hold its fresh
+    /// inputs' own entries, and it would join; it runs unrepaired.
     #[test]
     fn repairs_on_the_sorted_walk_match_per_key_validation() {
         for with_merge in [true, false] {
@@ -1095,8 +1202,8 @@ mod tests {
                         .repair_index("location")
                         .unwrap()
                 };
-                let walk = outcome(repair);
-                let per_key = oracle::with(|| outcome(repair));
+                let walk = outcome(!with_merge, repair);
+                let per_key = oracle::with(|| outcome(!with_merge, repair));
                 let case = format!("with_merge={with_merge} bloom={bloom}");
                 assert!(walk.report.invalidated > 0, "{case}: {walk:?}");
                 assert!(!walk.report.used_merge_scan, "{case}");
