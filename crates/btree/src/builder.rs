@@ -5,6 +5,13 @@
 //! bottom-up from a sorted entry stream: leaves are packed and written first
 //! (contiguously, so range scans read pages sequentially), then each internal
 //! level, then a metadata page last.
+//!
+//! Leaves are written through the device's buffer cache
+//! ([`Storage::append_page_cached`]), unreferenced: a merge that soon reads
+//! a fresh component finds its leaves resident, and a build never evicts a
+//! page a read has referenced since the CLOCK hand last passed it. Router
+//! pages are not cached — the returned handle holds them — and neither is
+//! the metadata page.
 
 use crate::encoding::put_slice;
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
@@ -98,7 +105,7 @@ impl BTreeBuilder {
             .to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
         let page = self.leaf.take_shared(next_base);
-        let (page_no, _) = self.storage.append_page_shared(self.file, page)?;
+        let (page_no, _) = self.storage.append_page_cached(self.file, page)?;
         debug_assert_eq!(page_no, self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
@@ -282,6 +289,36 @@ mod tests {
         }
         assert!(t.search(b"key99999999x").unwrap().is_none());
         assert!(t.search(b"a").unwrap().is_none());
+    }
+
+    /// Leaves are written through the buffer cache; router and meta pages
+    /// are not (the handle keeps the routers, and the meta page is read
+    /// only to reopen a tree). After a build the cache holds whole, every
+    /// leaf's first read hits, and every other page's misses.
+    #[test]
+    fn leaves_are_written_through_the_cache_routers_and_meta_are_not() {
+        let s = Storage::new(StorageOptions {
+            cache_pages: 1024,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s.clone());
+        for i in 0..5000u32 {
+            let (k, v) = kv(i);
+            b.add(&k, &v).unwrap();
+        }
+        let t = b.finish().unwrap();
+        let (leaves, pages) = (t.num_leaves(), s.file_pages(t.file()).unwrap());
+        assert!(t.height() >= 2, "routers: {pages} pages, {leaves} leaves");
+        let reads = |range: std::ops::Range<u32>| {
+            let before = s.stats();
+            for p in range {
+                s.read_page(t.file(), p).unwrap();
+            }
+            let io = s.stats().since(&before);
+            (io.cache_hits, io.disk_reads())
+        };
+        assert_eq!(reads(0..leaves), (u64::from(leaves), 0));
+        assert_eq!(reads(leaves..pages), (0, u64::from(pages - leaves)));
     }
 
     #[test]

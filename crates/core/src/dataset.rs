@@ -2034,6 +2034,54 @@ mod tests {
         }
     }
 
+    /// Flush outputs are written through the data device's buffer cache:
+    /// a merge of freshly flushed primary-key-index components reads no
+    /// device page while the cache holds them, and reads each of them once
+    /// the cache is cleared. The log device caches nothing it writes: a
+    /// replay of the log reads every page from the device.
+    #[test]
+    fn merging_fresh_pk_components_reads_no_device_page() {
+        let merge_reads = |cold: bool| {
+            let (data, log) = (
+                Storage::new(StorageOptions::test()),
+                Storage::new(StorageOptions::test()),
+            );
+            let mut cfg = config(StrategyKind::Validation);
+            cfg.memory_budget = usize::MAX; // flushes are explicit here
+            cfg.merge.max_mergeable_bytes = 0; // and so are merges
+            let ds = Dataset::open(data.clone(), Some(log.clone()), cfg).unwrap();
+            for round in 0..3 {
+                for i in 0..200 {
+                    ds.upsert(&rec(i * 3 + round, "CA", i)).unwrap();
+                }
+                ds.flush_all().unwrap();
+            }
+            let pk_tree = ds.pk_index().unwrap();
+            assert_eq!(pk_tree.num_disk_components(), 3);
+            let leaves: u64 = pk_tree
+                .disk_components()
+                .iter()
+                .map(|c| u64::from(c.btree().num_leaves()))
+                .sum();
+            if cold {
+                data.clear_cache();
+            }
+            let before = data.stats();
+            pk_tree
+                .merge_range(lsm_tree::MergeRange { start: 0, end: 2 })
+                .unwrap();
+            let logged = log.stats();
+            ds.wal().unwrap().replay(0, true).unwrap();
+            let replay = log.stats().since(&logged);
+            assert_eq!(replay.cache_hits, 0);
+            assert!(replay.disk_reads() > 0);
+            (data.stats().since(&before).disk_reads(), leaves)
+        };
+        assert_eq!(merge_reads(false).0, 0);
+        let (cold_reads, leaves) = merge_reads(true);
+        assert_eq!(cold_reads, leaves);
+    }
+
     #[test]
     fn wal_records_ingestion() {
         let storage = Storage::new(StorageOptions::test());

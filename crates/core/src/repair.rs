@@ -7,7 +7,8 @@
 //! * **merge repair** (Figure 7) rebuilds the component(s) while validating:
 //!   scan → stream into the new component → sort `(pkey, ts, position)` →
 //!   validate against the primary key index (pruning components at or below
-//!   the repaired timestamp) → set bitmap bits;
+//!   the inputs' smallest floor: an input's repaired timestamp or, if later,
+//!   its oldest entry's) → set bitmap bits;
 //! * **standalone repair** only produces a fresh bitmap for an existing
 //!   component;
 //! * the **Bloom filter optimization** skips sorting/validating keys whose

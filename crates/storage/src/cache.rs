@@ -5,6 +5,13 @@
 //! the device cost model is charged and the page is admitted, possibly
 //! evicting another page chosen by the CLOCK hand.
 //!
+//! A B+-tree leaf is admitted when it is written, too, but *unreferenced*
+//! ([`Frames::admit_written`]): it takes a free frame, or the first frame
+//! from the hand on whose reference bit is clear, and clears no bit on the
+//! way. So a build never evicts a page a read has referenced since the hand
+//! last passed it, and the hand's next pass evicts a written page no read
+//! has wanted.
+//!
 //! CLOCK is the classic database buffer replacement policy: a circular array
 //! of frames with reference bits, giving LRU-like behaviour with O(1)
 //! amortized eviction and no list surgery on every hit.
@@ -12,9 +19,10 @@
 //! Each [`StoredPage`] of the file table carries its own `resident` and
 //! `referenced` bits, so a hit — what nearly every read of a warm cache is —
 //! is one load and one store on the page's own entry, under the file-table
-//! read lock the read holds anyway: no cache lock and no hash. Only a miss
-//! takes the [`Frames`] mutex (the frame array and its hand), while still
-//! holding that read lock, so every frame names a page that exists.
+//! read lock the read holds anyway: no cache lock and no hash. Only a miss,
+//! or a written leaf's admission, takes the [`Frames`] mutex (the frame
+//! array and its hand), while holding that read lock, so every frame names a
+//! page that exists.
 
 use crate::storage::{FileId, PageNo};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -126,6 +134,36 @@ impl Frames {
         new.referenced.store(true, Relaxed);
         new.resident.store(true, Relaxed);
         false
+    }
+
+    /// Admits `(file, page)`, which was just written, *unreferenced*: the
+    /// next pass of the hand evicts it unless a read references it first.
+    /// It takes the first unreferenced frame from the hand on and clears no
+    /// reference bit on the way, so it never evicts a page a read has
+    /// referenced since the hand last passed it; if every frame is
+    /// referenced, the page is not admitted. Nor is it if a racing read has
+    /// admitted it already. `files` is the file table the caller holds
+    /// locked, and must hold the page.
+    pub(crate) fn admit_written(&mut self, files: &[FileState], file: FileId, page: PageNo) {
+        let key = (file, page);
+        let new = slot(files, key);
+        if self.capacity == 0 || new.is_resident() {
+            return;
+        }
+        if self.frames.len() < self.capacity {
+            self.frames.push(key);
+        } else {
+            let n = self.frames.len();
+            let unreferenced = |&at: &usize| !slot(files, self.frames[at]).referenced.load(Relaxed);
+            let Some(at) = (self.hand..n).chain(0..self.hand).find(unreferenced) else {
+                return;
+            };
+            slot(files, self.frames[at]).resident.store(false, Relaxed);
+            self.frames[at] = key;
+            self.hand = (at + 1) % n;
+        }
+        new.referenced.store(false, Relaxed);
+        new.resident.store(true, Relaxed);
     }
 
     /// Drops the frames of `file`, whose pages are being deleted. Eviction

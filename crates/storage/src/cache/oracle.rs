@@ -1,8 +1,8 @@
 //! The buffer cache [`Frames`](super::Frames) replaced, kept as its test
 //! oracle: a CLOCK behind a `(file, page)` hash map, whose frames own their
-//! reference bits. Replaying one trace through both must give the same hit
-//! or miss on every access, the same frames in the same order, and the same
-//! hand.
+//! reference bits, plus the admission of written pages. Replaying one trace
+//! of reads and writes through both must give the same hit or miss on
+//! every access, the same frames in the same order, and the same hand.
 
 use crate::storage::{FileId, PageNo};
 use std::collections::HashMap;
@@ -84,6 +84,36 @@ impl BufferCache {
                 self.hand = (self.hand + 1) % self.frames.len();
                 return;
             }
+        }
+    }
+
+    /// Admits `(file, page)`, just written, unreferenced: into a free
+    /// frame, else into the first unreferenced frame from the hand on,
+    /// clearing no reference bit; not at all if every frame is referenced
+    /// or the page is resident already.
+    pub(crate) fn admit_written(&mut self, file: FileId, page: PageNo) {
+        let key = PageKey { file, page };
+        if self.capacity == 0 || self.map.contains_key(&key) {
+            return;
+        }
+        let frame = Frame {
+            key,
+            referenced: false,
+        };
+        if self.frames.len() < self.capacity {
+            self.map.insert(key, self.frames.len());
+            self.frames.push(frame);
+            return;
+        }
+        let n = self.frames.len();
+        let victim = (0..n)
+            .map(|i| (self.hand + i) % n)
+            .find(|&i| !self.frames[i].referenced);
+        if let Some(at) = victim {
+            self.map.remove(&self.frames[at].key);
+            self.map.insert(key, at);
+            self.frames[at] = frame;
+            self.hand = (at + 1) % n;
         }
     }
 

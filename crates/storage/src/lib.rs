@@ -12,6 +12,11 @@
 //!   which accesses hit. Residency and the reference bit live on each
 //!   stored page, so a hit takes no cache lock and computes no hash; only
 //!   a miss takes the one CLOCK mutex to admit the page and sweep;
+//! * a B+-tree leaf written by a flush or merge build is admitted to that
+//!   cache as it is written, unreferenced, so the merge that reads a fresh
+//!   component finds it resident, yet the build evicts no page a read has
+//!   referenced since the hand last passed; WAL, meta and router pages are
+//!   not admitted;
 //! * read-ahead batches sequential scans the way the paper's 4MB read-ahead
 //!   does, and a B+-tree scan with both bounds reads ahead no further than
 //!   the leaf its upper bound routes to;

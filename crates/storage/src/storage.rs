@@ -8,6 +8,15 @@
 //! trade-offs — batched vs interleaved point lookups, scans vs index
 //! navigation — measurable here.
 //!
+//! Writes reach the cache on one path only: [`Storage::append_page_cached`],
+//! with which a B+-tree build writes its leaves, admits the stored page
+//! *unreferenced*, so a merge that soon reads a fresh flush or merge output
+//! finds it resident, while the CLOCK hand evicts it before any page a read
+//! has referenced since the hand last passed. [`Storage::append_page`] (the
+//! WAL, a tree's meta page) and [`Storage::append_page_shared`] (router
+//! pages, which the tree handle holds) admit nothing. Either way an append
+//! is charged the same.
+//!
 //! A forward read ([`Storage::read_page_forward`]) is the one read that
 //! turns a skip into a continuation: a miss `g` pages past the head on the
 //! same file streams the gap when `g × transfer(page) < seek`, because the
@@ -320,6 +329,22 @@ impl Storage {
     /// so a caller that keeps the page holds exactly what a read returns.
     pub fn append_page_shared(&self, file: FileId, page: Arc<[u8]>) -> Result<(PageNo, Arc<[u8]>)> {
         self.append(file, &page, || page.clone())
+    }
+
+    /// [`Storage::append_page_shared`] for a page a read may soon want: a
+    /// B+-tree leaf that a flush or merge writes. The page as stored is
+    /// also admitted to the buffer cache, *unreferenced*, so it is the
+    /// CLOCK's first choice to evict and never displaces a page a read has
+    /// referenced since the hand last passed it. Charged exactly what
+    /// [`Storage::append_page_shared`] is charged.
+    pub fn append_page_cached(&self, file: FileId, page: Arc<[u8]>) -> Result<(PageNo, Arc<[u8]>)> {
+        let (page_no, stored) = self.append(file, &page, || page.clone())?;
+        let files = self.files.read();
+        // A delete may have dropped the file since the append.
+        if live(&files, file).is_ok_and(|pages| (page_no as usize) < pages.len()) {
+            self.frames.lock().admit_written(&files, file, page_no);
+        }
+        Ok((page_no, stored))
     }
 
     /// Appends `data`; `whole` yields the stored page when no fault
@@ -1035,11 +1060,125 @@ mod tests {
         assert!(!hits(&s, f, 0));
     }
 
+    /// Appends `n` one-byte pages to a new file of `s` through the cache,
+    /// as a B+-tree build writes its leaves.
+    fn built(s: &Storage, n: u8) -> FileId {
+        let f = s.create_file();
+        for p in 0..n {
+            s.append_page_cached(f, Arc::from(&[p][..])).unwrap();
+        }
+        f
+    }
+
+    /// A written-through page is resident from its append on: its first
+    /// read is a hit, and the append is charged exactly what an uncached
+    /// one is. Plain and shared appends — the log's, a tree's meta and
+    /// router pages — admit nothing.
+    #[test]
+    fn a_built_page_is_a_hit_on_its_first_read() {
+        let (s, plain) = cached(8, 2);
+        s.append_page_shared(plain, Arc::from(&b"router"[..]))
+            .unwrap();
+        assert_eq!(s.cache_state(), (vec![], 0));
+        let before = s.stats();
+        let t = s.clock().now_nanos();
+        let f = built(&s, 2);
+        let (written, cached_ns) = (s.stats().since(&before), s.clock().now_nanos() - t);
+        let twin = Storage::new(StorageOptions::test());
+        let g = twin.create_file();
+        for p in 0..2u8 {
+            twin.append_page_shared(g, Arc::from(&[p][..])).unwrap();
+        }
+        assert_eq!(cached_ns, twin.clock().now_nanos());
+        assert_eq!(written, twin.stats());
+        assert_eq!(s.cache_state(), (vec![(f, 0), (f, 1)], 0));
+        assert!(hits(&s, f, 0) && hits(&s, f, 1));
+        for p in 0..3 {
+            assert!(!hits(&s, plain, p), "plain page {p}");
+        }
+    }
+
+    /// A written page enters unreferenced: the hand's first pass evicts
+    /// it, but it evicts no page a read referenced since the hand last
+    /// passed, and a build larger than the whole cache leaves such a page
+    /// resident. With every frame referenced, a written page is not
+    /// admitted at all.
+    #[test]
+    fn a_referenced_page_survives_a_build_larger_than_the_cache() {
+        let (s, f) = cached(4, 1);
+        assert!(!hits(&s, f, 0)); // admitted referenced
+        let b = built(&s, 10);
+        assert_eq!(s.cache_state(), (vec![(f, 0), (b, 9), (b, 7), (b, 8)], 2));
+        assert!(hits(&s, f, 0));
+        // A read miss sweeps as before: the built pages go first.
+        let g = s.create_file();
+        s.append_page(g, b"x").unwrap();
+        assert!(!hits(&s, g, 0));
+        assert_eq!(s.cache_state(), (vec![(f, 0), (b, 9), (g, 0), (b, 8)], 3));
+
+        let (s, f) = cached(2, 2);
+        for p in 0..2 {
+            assert!(!hits(&s, f, p));
+        }
+        let b = built(&s, 1);
+        assert_eq!(s.cache_state(), (vec![(f, 0), (f, 1)], 0));
+        assert!(!hits(&s, b, 0));
+    }
+
+    /// Deleting a built file drops its pages from the cache, and clearing
+    /// the cache drops every built page; neither is read from the cache
+    /// again.
+    #[test]
+    fn delete_file_and_clear_cache_drop_built_pages() {
+        let s = Storage::new(StorageOptions {
+            cache_pages: 8,
+            ..StorageOptions::test()
+        });
+        let (gone, kept) = (built(&s, 3), built(&s, 2));
+        s.delete_file(gone).unwrap();
+        assert_eq!(s.cache_state(), (vec![(kept, 0), (kept, 1)], 0));
+        assert!(s.read_page(gone, 0).is_err());
+        s.clear_cache();
+        assert_eq!(s.cache_state(), (vec![], 0));
+        assert!(!hits(&s, kept, 0));
+        // The delete came first: a later append to the file fails and
+        // admits nothing.
+        assert!(s.append_page_cached(gone, Arc::from(&b"late"[..])).is_err());
+        assert_eq!(s.cache_state(), (vec![(kept, 0)], 0));
+    }
+
+    /// A torn write through the cache caches the page as the device stored
+    /// it: the read that hits it returns the damaged image, the very page
+    /// the append returned.
+    #[test]
+    fn a_torn_built_page_is_cached_as_stored() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let (s, f) = cached(8, 0);
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Append,
+                index: 0,
+            },
+            action: FaultAction::TornWrite { keep_bytes: 2 },
+        }]);
+        s.install_fault_plan(plan.clone());
+        plan.arm();
+        let leaf: Arc<[u8]> = Arc::from(&b"abcdef"[..]);
+        let (no, stored) = s.append_page_cached(f, leaf.clone()).unwrap();
+        s.clear_fault_plan();
+        assert_eq!(&*leaf, b"abcdef");
+        assert!(hits(&s, f, no));
+        let read = s.read_page(f, no).unwrap();
+        assert_eq!(&*read, b"ab\0\0\0\0");
+        assert!(Arc::ptr_eq(&read, &stored));
+    }
+
     /// Replays seeded traces of reads, forward reads, bursts, file
-    /// deletions and cache clears at several capacities against the
+    /// deletions, cache clears and builds — files written, and pages
+    /// appended, through the cache — at several capacities against the
     /// storage and against the CLOCK it replaced (`cache::oracle`): every
     /// hit and miss, the frames in sweep order, the hand and the simulated
-    /// clock must agree.
+    /// clock must agree, and the cache never holds more than its capacity.
     #[test]
     fn cache_matches_the_clock_it_replaced() {
         use crate::cache::oracle::BufferCache;
@@ -1057,16 +1196,23 @@ mod tests {
                         profile.transfer_ns(bytes),
                     )
                 };
-                let new_file = || {
+                let mut oracle = BufferCache::new(capacity);
+                // A file of `PAGES` pages, built through the cache if `cached`.
+                let new_file = |oracle: &mut BufferCache, cached: bool| {
                     let f = s.create_file();
                     for p in 0..PAGES {
-                        s.append_page(f, &p.to_le_bytes()).unwrap();
+                        let page = Arc::from(&p.to_le_bytes()[..]);
+                        if cached {
+                            s.append_page_cached(f, page).unwrap();
+                            oracle.admit_written(f, p);
+                        } else {
+                            s.append_page_shared(f, page).unwrap();
+                        }
                     }
                     f
                 };
-                let mut live: Vec<FileId> = (0..3).map(|_| new_file()).collect();
+                let mut live: Vec<FileId> = (0..3).map(|i| new_file(&mut oracle, i == 0)).collect();
                 let mut dead = Vec::new();
-                let mut oracle = BufferCache::new(capacity);
                 // The device head, as the charge model keeps it.
                 let mut head = None;
                 let charge = |head: &mut Option<(FileId, PageNo)>, f, p: PageNo, n: u32| {
@@ -1103,8 +1249,20 @@ mod tests {
                                 head = None;
                             }
                             dead.push(f);
-                            live.push(new_file());
+                            let cached = next(2) == 0;
+                            live.push(new_file(&mut oracle, cached));
                             t = s.clock().now_nanos(); // appends are charged
+                        }
+                        41..=46 => {
+                            // A build going on beside the reads: pages past
+                            // the ones the reads pick.
+                            let f = live[next(live.len()) as usize];
+                            for _ in 0..=next(3) {
+                                let (p, _) =
+                                    s.append_page_cached(f, Arc::from(&b"more"[..])).unwrap();
+                                oracle.admit_written(f, p);
+                            }
+                            t = s.clock().now_nanos();
                         }
                         5..=6 if !dead.is_empty() => {
                             let f = dead[next(dead.len()) as usize];
@@ -1158,13 +1316,15 @@ mod tests {
                     assert_eq!(s.stats().since(&io).cache_hits, hits, "{at}");
                     assert_eq!(s.clock().now_nanos() - t, cost, "{at}");
                     assert_eq!(s.cache_state(), oracle.state(), "{at}");
+                    assert!(s.cache_state().0.len() <= capacity, "{at}");
                 }
             }
         }
     }
 
-    /// Two readers hit and miss while a third thread appends, deletes files
-    /// and clears the cache, in rounds a `Barrier` starts together. The
+    /// Two readers hit and miss while a third thread writes pages through
+    /// the cache, deletes files and clears it, in rounds a `Barrier` starts
+    /// together. The
     /// readers read the same pages in the same order, so they miss the same
     /// page at once and race to admit it. No read panics, the cache never
     /// holds more pages than its capacity nor a frame twice or without its
@@ -1228,14 +1388,12 @@ mod tests {
                     match r % 4 {
                         0 => {
                             s.delete_file(FileId(newest - 3)).unwrap();
-                            let f = s.create_file();
-                            for p in 0..16u8 {
-                                s.append_page(f, &[p]).unwrap();
-                            }
+                            let f = built(&s, 16);
                             created.store(f.0 + 1, Ordering::Release);
                         }
                         1 => {
-                            s.append_page(FileId(newest), b"more").unwrap();
+                            let more = Arc::from(&b"more"[..]);
+                            s.append_page_cached(FileId(newest), more).unwrap();
                         }
                         2 => s.clear_cache(),
                         _ => {}
