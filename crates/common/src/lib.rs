@@ -13,11 +13,14 @@
 //! * [`clock::LogicalClock`] — the monotonic per-dataset clock that stands in
 //!   for the node-local wall-clock time used by the paper for ingestion
 //!   timestamps and component IDs;
-//! * [`error::Error`] — the workspace-wide error type.
+//! * [`error::Error`] — the workspace-wide error type;
+//! * [`counters!`] — declares a struct of event counters and its snapshot
+//!   from one list.
 
 #![warn(missing_docs)]
 
 pub mod clock;
+mod counters;
 pub mod error;
 pub mod schema;
 pub mod value;

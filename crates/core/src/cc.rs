@@ -193,9 +193,7 @@ pub fn merge_primary_with_cc(
                     let keys = link.close_side_file();
                     ds.storage().charge(Event::SortEntry, keys.len() as u64);
                     for key in keys {
-                        if let Some((_, ord)) = new_k.search(&key)? {
-                            bitmap.set(ord);
-                        }
+                        new_k.mark_deleted(&key)?;
                     }
                 }
                 CcMethod::Lock => {

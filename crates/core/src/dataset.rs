@@ -446,24 +446,10 @@ impl Dataset {
 
     /// Probes the named engine crash site against a
     /// [`FaultPlan`](lsm_storage::FaultPlan) installed on `device`,
-    /// feeding the crash-site coverage counters: a passage while a plan is
-    /// armed bumps `crash_sites_armed`; a passage where the plan fires
-    /// additionally bumps `crash_sites_hit` and returns the injected error
-    /// (aborting the enclosing operation mid-window, exactly like a crash
-    /// at that point would).
+    /// feeding the crash-site coverage counters
+    /// ([`EngineStats::count_crash_site`]).
     fn crash_site_on(&self, device: &Storage, name: &str) -> Result<()> {
-        match device.probe_crash_site(name) {
-            lsm_storage::SiteOutcome::Unarmed => Ok(()),
-            lsm_storage::SiteOutcome::Armed => {
-                self.stats.bump(&self.stats.crash_sites_armed);
-                Ok(())
-            }
-            lsm_storage::SiteOutcome::Fired(e) => {
-                self.stats.bump(&self.stats.crash_sites_armed);
-                self.stats.bump(&self.stats.crash_sites_hit);
-                Err(e)
-            }
-        }
+        EngineStats::count_crash_site(Some(&self.stats), device.probe_crash_site(name))
     }
 
     /// Probes the named crash site on the dataset's data device.
@@ -1063,11 +1049,7 @@ impl Dataset {
             if let Some(new_comp) = link.new_component() {
                 // Build finished: mark the key deleted in the new component
                 // directly (Figure 11b lines 8-9 / Figure 10b lines 6-7).
-                if let Some((_, ord)) = new_comp.search(pk_key)? {
-                    if let Some(bm) = new_comp.bitmap() {
-                        bm.set(ord);
-                    }
-                }
+                new_comp.mark_deleted(pk_key)?;
             } else if !link.try_append_side_file(pk_key.to_vec()) {
                 // Lock method (side-file born closed): register against the
                 // scanned prefix of the new component.
@@ -1118,14 +1100,7 @@ impl Dataset {
     /// flush-trigger metric (snapshots sealed for an in-progress flush are
     /// counted by [`Dataset::mem_unflushed_bytes`] instead).
     pub fn mem_total_bytes(&self) -> usize {
-        let mut total = self.primary.mem_bytes();
-        if let Some(pk_tree) = &self.pk_index {
-            total += pk_tree.mem_bytes();
-        }
-        for sec in &self.secondaries {
-            total += sec.tree.mem_bytes();
-        }
-        total
+        self.mem_usage().0
     }
 
     /// Combined unflushed memory (active + sealed-for-flush components):
@@ -1137,17 +1112,18 @@ impl Dataset {
 
     /// `(active, active + sealed)` bytes across all indexes, in one pass.
     fn mem_usage(&self) -> (usize, usize) {
-        let mut active = self.primary.mem_bytes();
-        let mut sealed = self.primary.sealed_bytes();
-        if let Some(pk_tree) = &self.pk_index {
-            active += pk_tree.mem_bytes();
-            sealed += pk_tree.sealed_bytes();
-        }
-        for sec in &self.secondaries {
-            active += sec.tree.mem_bytes();
-            sealed += sec.tree.sealed_bytes();
-        }
-        (active, active + sealed)
+        self.trees().fold((0, 0), |(active, unflushed), t| {
+            let bytes = t.mem_bytes();
+            (active + bytes, unflushed + bytes + t.sealed_bytes())
+        })
+    }
+
+    /// Every index tree in page-write and publish order: the primary, the
+    /// primary key index, then the secondaries.
+    pub(crate) fn trees(&self) -> impl Iterator<Item = &LsmTree> {
+        std::iter::once(&self.primary)
+            .chain(&self.pk_index)
+            .chain(self.secondaries.iter().map(|s| &s.tree))
     }
 
     pub(crate) fn maybe_flush_and_merge(&self) -> Result<()> {
@@ -1214,12 +1190,9 @@ impl Dataset {
             let _drain = self.dataset_lock.write();
             // Exact: the drain lock excludes every writer.
             let sealing = self.mem_total_bytes() as u64;
-            let mut any = self.primary.seal_mem()?;
-            if let Some(pk_tree) = &self.pk_index {
-                any |= pk_tree.seal_mem()?;
-            }
-            for sec in &self.secondaries {
-                any |= sec.tree.seal_mem()?;
+            let mut any = false;
+            for tree in self.trees() {
+                any |= tree.seal_mem()?;
             }
             if any && mutable_bitmap {
                 // Open the flush side-file: deletes of versions caught in
@@ -1248,9 +1221,7 @@ impl Dataset {
     /// True if any index has a snapshot sealed (an in-progress or failed
     /// flush).
     fn has_sealed_pending(&self) -> bool {
-        self.primary.has_sealed()
-            || self.pk_index.as_ref().is_some_and(|t| t.has_sealed())
-            || self.secondaries.iter().any(|s| s.tree.has_sealed())
+        self.trees().any(LsmTree::has_sealed)
     }
 
     /// Builds whatever is sealed into one component per index (pages
@@ -1271,10 +1242,7 @@ impl Dataset {
             let _drain = self.dataset_lock.write();
             self.flush_deletes.lock().get_or_insert_with(Vec::new);
         }
-        let trees: Vec<&LsmTree> = std::iter::once(&self.primary)
-            .chain(&self.pk_index)
-            .chain(self.secondaries.iter().map(|s| &s.tree))
-            .collect();
+        let trees: Vec<&LsmTree> = self.trees().collect();
         let mut built = Unpublished(Vec::with_capacity(trees.len()));
         for tree in &trees {
             built.0.push(tree.build_sealed()?);
@@ -1305,12 +1273,8 @@ impl Dataset {
             // flush that fails here keeps them for the retry.
             let mut side = self.flush_deletes.lock();
             if let (Some(p), Some(routed)) = (&built.0[0], side.as_ref()) {
-                if let Some(bitmap) = p.bitmap() {
-                    for key in routed {
-                        if let Some((_, ordinal)) = p.search(key)? {
-                            bitmap.set(ordinal);
-                        }
-                    }
+                for key in routed {
+                    p.mark_deleted(key)?;
                 }
             }
             *side = None;
@@ -1765,6 +1729,10 @@ mod tests {
     fn eager_delete_of_absent_key_is_noop() {
         let ds = dataset(StrategyKind::Eager);
         assert!(!ds.delete(&Value::Int(5)).unwrap());
+        assert_eq!(ds.stats().snapshot().deletes, 0, "ignored, so not counted");
+        ds.insert(&rec(5, "CA", 2015)).unwrap();
+        assert!(ds.delete(&Value::Int(5)).unwrap());
+        assert_eq!(ds.stats().snapshot().deletes, 1);
     }
 
     #[test]

@@ -59,7 +59,7 @@ use crate::keys::decode_pk;
 use crate::txn::LogOp;
 use lsm_common::{Error, Result, Timestamp};
 use lsm_storage::PageNo;
-use lsm_tree::BitmapSnapshot;
+use lsm_tree::{BitmapSnapshot, LsmTree};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -190,13 +190,7 @@ pub fn simulate_crash(ds: &Dataset, state: &CheckpointState) -> Result<()> {
     ds.drain_background();
     let _flush = ds.flush_serialization().lock();
     let _merges = ds.merge_serialization().lock();
-    ds.primary().clear_mem();
-    if let Some(pk) = ds.pk_index() {
-        pk.clear_mem();
-    }
-    for sec in ds.secondaries() {
-        sec.tree.clear_mem();
-    }
+    ds.trees().for_each(LsmTree::clear_mem);
     if let Some(wal) = ds.wal() {
         wal.drop_unforced();
     }

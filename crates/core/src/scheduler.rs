@@ -614,7 +614,7 @@ fn run_job(ds: &Dataset, shared: &RuntimeShared, id: u64, job: Job) -> Result<()
     match job {
         Job::Flush => {
             let flushed = ds.flush_all()?;
-            ds.stats().record_flush_job();
+            ds.stats().bump(&ds.stats().flush_jobs);
             shared.notify_stalled();
             // Writers that raced past the budget while we flushed would
             // only re-trigger on their next write — but stalled writers
@@ -627,7 +627,7 @@ fn run_job(ds: &Dataset, shared: &RuntimeShared, id: u64, job: Job) -> Result<()
             }
         }
         Job::Merge => {
-            ds.stats().record_merge_job();
+            ds.stats().bump(&ds.stats().merge_jobs);
             ds.merge_round()?;
         }
     }

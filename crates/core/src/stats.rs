@@ -1,61 +1,71 @@
 //! Engine-level operation counters.
 
+use lsm_common::Result;
+use lsm_storage::SiteOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters for dataset operations.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    /// Records successfully inserted.
-    pub inserts: AtomicU64,
-    /// Inserts rejected by the key-uniqueness check.
-    pub inserts_rejected: AtomicU64,
-    /// Upserts applied.
-    pub upserts: AtomicU64,
-    /// Deletes applied (including no-op deletes of absent keys).
-    pub deletes: AtomicU64,
-    /// Flush operations.
-    pub flushes: AtomicU64,
-    /// Active memory-component bytes (all indexes) at the moment each
-    /// flush sealed them, summed: divided by [`EngineStats::flushes`] it is
-    /// the mean flush size — `memory_budget` inline, between one and two
-    /// budgets in the background (docs/OPERATIONS.md, "Flush size follows
-    /// worker lag").
-    pub flush_sealed_bytes: AtomicU64,
-    /// Merge operations.
-    pub merges: AtomicU64,
-    /// Secondary-index repair operations.
-    pub repairs: AtomicU64,
-    /// Point lookups performed for maintenance (the Eager strategy's cost):
-    /// an insert's uniqueness check, and each Eager upsert or delete whose
-    /// key the primary key index may hold. A key the pk index proves new
-    /// searches nothing and counts nothing, and replay counts none: an
-    /// Eager log record carries the old fields its redo needs.
-    pub maintenance_lookups: AtomicU64,
-    /// Maintenance jobs enqueued on the background scheduler.
-    pub jobs_enqueued: AtomicU64,
-    /// Flush jobs executed by background workers.
-    pub flush_jobs: AtomicU64,
-    /// Merge jobs executed by background workers.
-    pub merge_jobs: AtomicU64,
-    /// Times a writer stalled on the hard memory ceiling (backpressure).
-    pub backpressure_stalls: AtomicU64,
-    /// This dataset's jobs waiting in the runtime queue (gauge, refreshed
-    /// on writes).
-    pub queue_depth: AtomicU64,
-    /// Passages through an engine crash site (`wal_append`,
-    /// `flush_install`, `merge_install`, `checkpoint`) while an armed
-    /// [`FaultPlan`](lsm_storage::FaultPlan) was installed on the dataset's
-    /// storage — a torture run's coverage signal.
-    pub crash_sites_armed: AtomicU64,
-    /// Crash-site passages where the fault plan actually fired.
-    pub crash_sites_hit: AtomicU64,
-    /// WAL group commits: single device appends that each made one
-    /// committer group's page durable.
-    pub wal_groups: AtomicU64,
-    /// Log records covered by those group commits;
-    /// `wal_grouped_records / wal_groups` is the achieved group size
-    /// (`> 1` under concurrent commit).
-    pub wal_grouped_records: AtomicU64,
+lsm_common::counters! {
+    /// Live counters for dataset operations.
+    pub struct EngineStats;
+    /// Immutable snapshot of [`EngineStats`].
+    pub struct EngineStatsSnapshot;
+    counters {
+        /// Records successfully inserted.
+        inserts,
+        /// Inserts rejected by the key-uniqueness check.
+        inserts_rejected,
+        /// Upserts applied.
+        upserts,
+        /// Deletes applied, each one logged anti-matter entry. The
+        /// strategies that do not look up the old version count a delete of
+        /// an absent key too; Eager ignores it and counts nothing.
+        deletes,
+        /// Flush operations.
+        flushes,
+        /// Active memory-component bytes (all indexes) at the moment each
+        /// flush sealed them, summed: divided by [`EngineStats::flushes`] it is
+        /// the mean flush size — `memory_budget` inline, between one and two
+        /// budgets in the background (docs/OPERATIONS.md, "Flush size follows
+        /// worker lag").
+        flush_sealed_bytes,
+        /// Merge operations.
+        merges,
+        /// Secondary-index repair operations.
+        repairs,
+        /// Point lookups performed for maintenance (the Eager strategy's cost):
+        /// an insert's uniqueness check, and each Eager upsert or delete whose
+        /// key the primary key index may hold. A key the pk index proves new
+        /// searches nothing and counts nothing, and replay counts none: an
+        /// Eager log record carries the old fields its redo needs.
+        maintenance_lookups,
+        /// Maintenance jobs enqueued on the background scheduler.
+        jobs_enqueued,
+        /// Flush jobs executed by background workers.
+        flush_jobs,
+        /// Merge jobs executed by background workers.
+        merge_jobs,
+        /// Times a writer stalled on the hard memory ceiling (backpressure).
+        backpressure_stalls,
+        /// Passages through an engine crash site (`wal_append`,
+        /// `wal_group_write`, `flush_install`, `merge_install`, `checkpoint`)
+        /// while an armed [`FaultPlan`](lsm_storage::FaultPlan) was installed
+        /// on the dataset's storage — a torture run's coverage signal.
+        crash_sites_armed,
+        /// Crash-site passages where the fault plan actually fired.
+        crash_sites_hit,
+        /// WAL group commits: single device appends that each made one
+        /// committer group's page durable.
+        wal_groups,
+        /// Log records covered by those group commits;
+        /// `wal_grouped_records / wal_groups` is the achieved group size
+        /// (`> 1` under concurrent commit).
+        wal_grouped_records,
+    }
+    gauges {
+        /// This dataset's jobs waiting in the runtime queue (gauge, refreshed
+        /// on writes).
+        queue_depth,
+    }
 }
 
 impl EngineStats {
@@ -68,14 +78,23 @@ impl EngineStats {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a background flush job execution.
-    pub(crate) fn record_flush_job(&self) {
-        self.bump(&self.flush_jobs);
-    }
-
-    /// Counts a background merge job execution.
-    pub(crate) fn record_merge_job(&self) {
-        self.bump(&self.merge_jobs);
+    /// Counts one crash-site passage on `stats`, if bound: an armed plan
+    /// bumps `crash_sites_armed`, one that fired `crash_sites_hit` too.
+    /// Returns the injected error of a fired site, which aborts the
+    /// enclosing operation mid-window, as a crash at that point would.
+    pub(crate) fn count_crash_site(stats: Option<&Self>, outcome: SiteOutcome) -> Result<()> {
+        let fired = match outcome {
+            SiteOutcome::Unarmed => return Ok(()),
+            SiteOutcome::Armed => None,
+            SiteOutcome::Fired(e) => Some(e),
+        };
+        if let Some(s) = stats {
+            s.bump(&s.crash_sites_armed);
+            if fired.is_some() {
+                s.bump(&s.crash_sites_hit);
+            }
+        }
+        fired.map_or(Ok(()), Err)
     }
 
     /// Total records that entered the dataset (inserts + upserts).
@@ -85,51 +104,8 @@ impl EngineStats {
 
     /// Point-in-time copy.
     pub fn snapshot(&self) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            inserts: self.inserts.load(Ordering::Relaxed),
-            inserts_rejected: self.inserts_rejected.load(Ordering::Relaxed),
-            upserts: self.upserts.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            flush_sealed_bytes: self.flush_sealed_bytes.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            maintenance_lookups: self.maintenance_lookups.load(Ordering::Relaxed),
-            jobs_enqueued: self.jobs_enqueued.load(Ordering::Relaxed),
-            flush_jobs: self.flush_jobs.load(Ordering::Relaxed),
-            merge_jobs: self.merge_jobs.load(Ordering::Relaxed),
-            backpressure_stalls: self.backpressure_stalls.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            crash_sites_armed: self.crash_sites_armed.load(Ordering::Relaxed),
-            crash_sites_hit: self.crash_sites_hit.load(Ordering::Relaxed),
-            wal_groups: self.wal_groups.load(Ordering::Relaxed),
-            wal_grouped_records: self.wal_grouped_records.load(Ordering::Relaxed),
-        }
+        self.load()
     }
-}
-
-/// Immutable snapshot of [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct EngineStatsSnapshot {
-    pub inserts: u64,
-    pub inserts_rejected: u64,
-    pub upserts: u64,
-    pub deletes: u64,
-    pub flushes: u64,
-    pub flush_sealed_bytes: u64,
-    pub merges: u64,
-    pub repairs: u64,
-    pub maintenance_lookups: u64,
-    pub jobs_enqueued: u64,
-    pub flush_jobs: u64,
-    pub merge_jobs: u64,
-    pub backpressure_stalls: u64,
-    pub queue_depth: u64,
-    pub crash_sites_armed: u64,
-    pub crash_sites_hit: u64,
-    pub wal_groups: u64,
-    pub wal_grouped_records: u64,
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@
 
 use crate::stats::EngineStats;
 use lsm_common::{Bytes, Error, Key, Result, Timestamp};
-use lsm_storage::{FileId, PageNo, SiteOutcome, Storage};
+use lsm_storage::{FileId, PageNo, Storage};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -460,25 +460,11 @@ impl Wal {
         Ok(())
     }
 
-    /// Probes the [`GROUP_WRITE_SITE`] crash site, mirroring the engine's
-    /// armed/hit accounting when stats are bound.
+    /// Probes the [`GROUP_WRITE_SITE`] crash site, counted on the engine
+    /// counters when they are bound.
     fn group_write_site(&self) -> Result<()> {
-        match self.storage.probe_crash_site(GROUP_WRITE_SITE) {
-            SiteOutcome::Unarmed => Ok(()),
-            SiteOutcome::Armed => {
-                if let Some(s) = self.stats.get() {
-                    s.bump(&s.crash_sites_armed);
-                }
-                Ok(())
-            }
-            SiteOutcome::Fired(e) => {
-                if let Some(s) = self.stats.get() {
-                    s.bump(&s.crash_sites_armed);
-                    s.bump(&s.crash_sites_hit);
-                }
-                Err(e)
-            }
-        }
+        let outcome = self.storage.probe_crash_site(GROUP_WRITE_SITE);
+        EngineStats::count_crash_site(self.stats.get().map(Arc::as_ref), outcome)
     }
 
     /// Counts one durable group of `records` on the engine counters.
@@ -911,6 +897,36 @@ mod tests {
         assert!(snap.wal_groups >= 2, "several pages → several groups");
         assert_eq!(snap.wal_grouped_records, n as u64, "every record grouped");
         assert!(snap.wal_grouped_records / snap.wal_groups > 1);
+    }
+
+    #[test]
+    fn group_write_site_counts_armed_and_hit_passages() {
+        use lsm_storage::fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
+        let w = wal();
+        let stats = Arc::new(EngineStats::new());
+        w.bind_stats(stats.clone());
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::Site {
+                name: GROUP_WRITE_SITE.to_string(),
+                hit: 1,
+            },
+            action: FaultAction::Crash,
+        }]);
+        w.storage().install_fault_plan(plan.clone());
+        plan.arm();
+        // Each force writes one page: the first passage is armed, the
+        // second fires.
+        let counts = || {
+            let snap = stats.snapshot();
+            (snap.crash_sites_armed, snap.crash_sites_hit)
+        };
+        w.append(&rec(1, LogOp::Upsert)).unwrap();
+        w.force().unwrap();
+        assert_eq!(counts(), (1, 0));
+        w.append(&rec(2, LogOp::Upsert)).unwrap();
+        assert!(w.force().is_err(), "the fired site aborts the group write");
+        assert_eq!(counts(), (2, 1));
+        w.storage().clear_fault_plan();
     }
 
     #[test]

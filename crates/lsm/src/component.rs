@@ -171,6 +171,17 @@ impl DiskComponent {
         }
     }
 
+    /// Marks `key`'s entry deleted in the validity bitmap, if the component
+    /// has one and holds the key (one [`DiskComponent::search`]).
+    pub fn mark_deleted(&self, key: &[u8]) -> Result<()> {
+        if let Some(bitmap) = self.bitmap() {
+            if let Some((_, ordinal)) = self.search(key)? {
+                bitmap.set(ordinal);
+            }
+        }
+        Ok(())
+    }
+
     /// The current validity bitmap, if any.
     pub fn bitmap(&self) -> Option<Arc<AtomicBitmap>> {
         self.bitmap.read().clone()

@@ -1,7 +1,7 @@
 //! `lsm-sanity` — a line-level static lint over the workspace sources.
 //!
 //! The engine owns its sync primitives (the vendored `parking_lot` shim) and
-//! its fault-injection vocabulary (crash sites, stats counters), so a small
+//! its fault-injection vocabulary (crash sites, runtime counters), so a small
 //! purpose-built lint can enforce invariants rustc cannot see:
 //!
 //! 1. **Sync-shim enforcement** — `std::sync` `Mutex`/`RwLock`/`Condvar` are
@@ -18,12 +18,10 @@
 //!    must appear in the torture harness's fault table (so every window has
 //!    deterministic crash coverage) and in ARCHITECTURE.md's crash-site
 //!    table; and vice versa (no orphaned trigger rows).
-//! 4. **Counter parity** — every `AtomicU64` counter of `EngineStats` /
-//!    `IoStats` has a same-named field in its `…Snapshot` twin (a missing
-//!    field compiles fine and silently never reports) and every snapshot
-//!    field a live counter, but for the few the snapshot computes from
-//!    other counters (`IoStatsSnapshot::cpu_ns`: CPU counts × prices), and every
-//!    `RuntimeStatsSnapshot` field is documented in docs/OPERATIONS.md.
+//! 4. **Runtime counters documented** — every `RuntimeStatsSnapshot` field
+//!    is documented in docs/OPERATIONS.md. (`EngineStats` and `IoStats`
+//!    need no check: `lsm_common::counters!` declares each counter once for
+//!    the live struct and its snapshot, so a counter cannot lack its twin.)
 //! 5. **Guide links** — relative links in ARCHITECTURE.md and
 //!    docs/OPERATIONS.md must resolve (absorbed from the CI docs job's old
 //!    grep step).
@@ -117,7 +115,7 @@ pub fn run_all(root: &Path) -> Vec<Violation> {
     out.extend(check_std_sync(root));
     out.extend(check_unwrap_ratchet(root));
     out.extend(check_crash_sites(root));
-    out.extend(check_counter_parity(root));
+    out.extend(check_counter_docs(root));
     out.extend(check_markdown_links(root));
     out.extend(check_dead_pub(root));
     out
@@ -479,10 +477,10 @@ fn check_crash_sites(root: &Path) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// check 4: counter parity
+// check 4: runtime counters documented
 
-/// Field names of `struct name { … }` in `src` whose type contains `ty`.
-fn struct_fields(src: &str, name: &str, ty: &str) -> Vec<String> {
+/// Field names of `struct name { … }` in `src`.
+fn struct_fields(src: &str, name: &str) -> Vec<String> {
     let mut out = Vec::new();
     let header = format!("struct {name} {{");
     let mut in_struct = false;
@@ -500,84 +498,24 @@ fn struct_fields(src: &str, name: &str, ty: &str) -> Vec<String> {
         if is_comment_line(t) || t.starts_with('#') {
             continue;
         }
-        let Some((field, fty)) = t.trim_start_matches("pub ").split_once(':') else {
-            continue;
-        };
-        if fty.contains(ty) {
+        if let Some((field, _)) = t.trim_start_matches("pub ").split_once(':') {
             out.push(field.trim().to_string());
         }
     }
     out
 }
 
-/// Checks that the counters of struct `live` and the fields of struct
-/// `snap` in `rel` match, but for `derived`: snapshot fields computed from
-/// other counters, which must have no live counter of their own.
-fn parity(
-    root: &Path,
-    rel: &str,
-    live: (&str, &str),
-    snap: (&str, &str),
-    derived: &[&str],
-    out: &mut Vec<Violation>,
-) {
-    let Some(src) = read(root, Path::new(rel)) else {
-        return;
-    };
-    let live_fields: BTreeSet<String> = struct_fields(&src, live.0, live.1).into_iter().collect();
-    let snap_fields: BTreeSet<String> = struct_fields(&src, snap.0, snap.1).into_iter().collect();
-    if live_fields.is_empty() {
-        return; // struct moved: surfaced by the RuntimeStatsSnapshot check or tests
-    }
-    for f in live_fields.difference(&snap_fields) {
-        out.push(violation(
-            Path::new(rel),
-            0,
-            "counter-parity",
-            format!(
-                "{}.{f} has no matching field in {} — the counter would silently \
-                 never be reported",
-                live.0, snap.0
-            ),
-        ));
-    }
-    for f in &snap_fields {
-        let message = match (live_fields.contains(f), derived.contains(&f.as_str())) {
-            (false, false) => format!("{}.{f} has no matching live counter in {}", snap.0, live.0),
-            (true, true) => format!("{}.{f} is computed, yet {} counts it too", snap.0, live.0),
-            _ => continue,
-        };
-        out.push(violation(Path::new(rel), 0, "counter-parity", message));
-    }
-}
-
-fn check_counter_parity(root: &Path) -> Vec<Violation> {
+fn check_counter_docs(root: &Path) -> Vec<Violation> {
     let mut out = Vec::new();
-    parity(
-        root,
-        "crates/core/src/stats.rs",
-        ("EngineStats", "AtomicU64"),
-        ("EngineStatsSnapshot", "u64"),
-        &[],
-        &mut out,
-    );
-    parity(
-        root,
-        "crates/storage/src/stats.rs",
-        ("IoStats", "AtomicU64"),
-        ("IoStatsSnapshot", "u64"),
-        &["cpu_ns"],
-        &mut out,
-    );
     // Every operator-visible runtime counter must be documented.
     if let Some(sched) = read(root, Path::new("crates/core/src/scheduler.rs")) {
         let ops = read(root, Path::new("docs/OPERATIONS.md")).unwrap_or_default();
-        for f in struct_fields(&sched, "RuntimeStatsSnapshot", "") {
+        for f in struct_fields(&sched, "RuntimeStatsSnapshot") {
             if !ops.contains(&format!("`{f}`")) {
                 out.push(violation(
                     Path::new("crates/core/src/scheduler.rs"),
                     0,
-                    "counter-parity",
+                    "counter-docs",
                     format!(
                         "RuntimeStatsSnapshot.{f} is not documented in docs/OPERATIONS.md \
                          (\"Reading RuntimeStatsSnapshot\")"
@@ -961,8 +899,7 @@ pub struct Bar {
     pub a: u64,
 }
 ";
-        assert_eq!(struct_fields(src, "Foo", "AtomicU64"), vec!["a", "c"]);
-        assert_eq!(struct_fields(src, "Bar", "u64"), vec!["a"]);
-        assert_eq!(struct_fields(src, "Foo", ""), vec!["a", "b", "c"]);
+        assert_eq!(struct_fields(src, "Foo"), vec!["a", "b", "c"]);
+        assert_eq!(struct_fields(src, "Bar"), vec!["a"]);
     }
 }

@@ -3,5 +3,5 @@ fn main() {
     let counter: Option<Counter> = None;
     let _ = (counter, get(Some(1)));
     probe(&dataset());
-    let _: Option<(EngineStats, EngineStatsSnapshot, RuntimeStatsSnapshot)> = None;
+    let _: Option<RuntimeStatsSnapshot> = None;
 }

@@ -3,7 +3,7 @@
 fn main() {
     let _ = (&SLOT, fresh_panic(Some(1)), one_site(Some(2)));
     probe(&dataset());
-    let _: Option<(EngineStats, EngineStatsSnapshot, RuntimeStatsSnapshot)> = None;
+    let _: Option<RuntimeStatsSnapshot> = None;
     build_plan();
     let _ = dataset().hidden_by_a_field;
 }

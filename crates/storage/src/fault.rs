@@ -259,21 +259,6 @@ impl FaultPlan {
     }
 }
 
-/// Expands to a crash-site probe against `$storage` (anything with a
-/// `probe_crash_site(&str) -> SiteOutcome` method, i.e. a
-/// [`Storage`](crate::Storage)), returning early with the injected error
-/// when the site fires. Use plain
-/// [`Storage::probe_crash_site`](crate::Storage::probe_crash_site) when the
-/// armed/hit outcome needs to feed per-engine counters.
-#[macro_export]
-macro_rules! crash_site {
-    ($storage:expr, $name:expr) => {
-        if let $crate::fault::SiteOutcome::Fired(e) = $storage.probe_crash_site($name) {
-            return Err(e);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -190,9 +190,8 @@ impl Storage {
 
     /// Probes the crash site `name` against the installed fault plan:
     /// engine layers thread these probes through their WAL / flush / merge
-    /// / checkpoint paths (the [`crash_site!`](crate::crash_site) macro
-    /// wraps the early return). Non-error actions scripted on a site
-    /// (torn/short writes) are meaningless there and fail permanently.
+    /// / checkpoint paths. Non-error actions scripted on a site (torn/short
+    /// writes) are meaningless there and fail permanently.
     pub fn probe_crash_site(&self, name: &str) -> SiteOutcome {
         let Some(plan) = self.fault_plan() else {
             return SiteOutcome::Unarmed;
