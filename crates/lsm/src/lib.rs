@@ -40,4 +40,4 @@ pub use memtable::MemComponent;
 pub use merge_policy::{MergePolicy, MergeRange, TieringPolicy};
 pub use range_filter::RangeFilter;
 pub use scan::{scan_components_sequential, Lent, LsmScan, ScanOptions};
-pub use tree::{BuildOptions, ComponentBuilder, ComponentList, LsmOptions, LsmTree};
+pub use tree::{ComponentBuilder, ComponentList, LsmOptions, LsmTree};

@@ -474,7 +474,7 @@ mod tests {
     use super::oracle::*;
     use super::*;
     use crate::bitmap::AtomicBitmap;
-    use crate::tree::{BuildOptions, ComponentBuilder, LsmOptions, LsmTree};
+    use crate::tree::{LsmOptions, LsmTree};
     use lsm_bloom::{build_filter, BloomFilter, BloomKind};
     use lsm_storage::{CpuCosts, DiskProfile, Storage, StorageOptions};
     use proptest::prelude::*;
@@ -845,17 +845,7 @@ mod tests {
                 .map(|&(k, anti, dead)| (k, (anti, dead)))
                 .collect();
             let id = disk_id(age);
-            let mut builder = ComponentBuilder::new(
-                fx.tree.storage().clone(),
-                id,
-                BuildOptions {
-                    bloom_kind: kind,
-                    bloom_fpr: FPR,
-                    expected_keys: distinct.len(),
-                    ..BuildOptions::default()
-                },
-            )
-            .unwrap();
+            let mut builder = fx.tree.component_builder(id, distinct.len(), None);
             let mut filter = build_filter(kind, distinct.len(), FPR);
             let mut rows = BTreeMap::new();
             let bitmap = AtomicBitmap::new(distinct.len() as u64);

@@ -471,7 +471,7 @@ mod tests {
     use super::*;
     use crate::bitmap::AtomicBitmap;
     use crate::component_id::ComponentId;
-    use crate::tree::ComponentBuilder;
+    use crate::tree::{ComponentBuilder, LsmOptions, LsmTree};
     use lsm_storage::StorageOptions;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -480,12 +480,18 @@ mod tests {
         Storage::new(StorageOptions::test())
     }
 
+    /// A builder for component `id` on `storage`, with a default tree's
+    /// options.
+    fn builder(storage: &Arc<Storage>, id: ComponentId) -> ComponentBuilder {
+        LsmTree::new(storage.clone(), LsmOptions::default()).component_builder(id, 1024, None)
+    }
+
     fn build(
         storage: &Arc<Storage>,
         id: ComponentId,
         entries: &[(&str, LsmEntry)],
     ) -> Arc<DiskComponent> {
-        let mut b = ComponentBuilder::new(storage.clone(), id, Default::default()).unwrap();
+        let mut b = builder(storage, id);
         for (k, e) in entries {
             b.add(k.as_bytes(), e).unwrap();
         }
@@ -735,7 +741,7 @@ mod tests {
             } else {
                 // Newest-first: later ranks get older IDs.
                 let id = ComponentId::new(1000 - rank as u64, 1000 - rank as u64);
-                let mut b = ComponentBuilder::new(s.clone(), id, Default::default()).unwrap();
+                let mut b = builder(s, id);
                 for (k, e, _) in &rows {
                     b.add(k, e).unwrap();
                 }

@@ -85,51 +85,28 @@ pub struct ComponentBuilder {
     encoded: Vec<u8>,
 }
 
-/// Options for [`ComponentBuilder`].
-#[derive(Debug, Clone)]
-pub struct BuildOptions {
-    /// Build a Bloom filter over the keys.
-    pub with_bloom: bool,
-    /// Bloom variant.
-    pub bloom_kind: BloomKind,
-    /// Bloom false-positive rate.
-    pub bloom_fpr: f64,
-    /// Expected number of keys (Bloom sizing).
-    pub expected_keys: usize,
-    /// Range filter carried by the new component.
-    pub filter: Option<RangeFilter>,
-    /// Attach an all-zero mutable bitmap on finish.
-    pub make_mutable_bitmap: bool,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            with_bloom: true,
-            bloom_kind: BloomKind::default(),
-            bloom_fpr: 0.01,
-            expected_keys: 1024,
-            filter: None,
-            make_mutable_bitmap: false,
-        }
-    }
-}
-
 impl ComponentBuilder {
-    /// Starts building a component with the given ID.
-    pub fn new(storage: Arc<Storage>, id: ComponentId, opts: BuildOptions) -> Result<Self> {
+    /// Starts building component `id` with a tree's Bloom and bitmap
+    /// options, its Bloom filter sized for `expected_keys`.
+    fn new(
+        storage: Arc<Storage>,
+        id: ComponentId,
+        opts: &LsmOptions,
+        expected_keys: usize,
+        filter: Option<RangeFilter>,
+    ) -> Self {
         let bloom = opts
             .with_bloom
-            .then(|| build_filter(opts.bloom_kind, opts.expected_keys, opts.bloom_fpr));
-        Ok(ComponentBuilder {
+            .then(|| build_filter(opts.bloom_kind, expected_keys, opts.bloom_fpr));
+        ComponentBuilder {
             btree: BTreeBuilder::new(storage.clone()),
             storage,
             id,
             bloom,
-            filter: opts.filter,
-            make_mutable_bitmap: opts.make_mutable_bitmap,
+            filter,
+            make_mutable_bitmap: opts.mutable_bitmaps,
             encoded: Vec::new(),
-        })
+        }
     }
 
     /// Appends an entry (keys strictly ascending) and returns its ordinal
@@ -442,7 +419,7 @@ impl LsmTree {
             source.id(),
             source.num_entries() as usize,
             source.range_filter().cloned(),
-        )?;
+        );
         let mut scan = LsmScan::new(
             self.storage.clone(),
             None,
@@ -510,7 +487,7 @@ impl LsmTree {
                 self.opts.name
             ))
         })?;
-        let mut builder = self.component_builder(id, snapshot.len(), snapshot.filter().cloned())?;
+        let mut builder = self.component_builder(id, snapshot.len(), snapshot.filter().cloned());
         for (k, e) in snapshot.iter() {
             builder.add(k, e)?;
         }
@@ -594,31 +571,20 @@ impl LsmTree {
             }
         }
         let expected: u64 = inputs.iter().map(|c| c.num_entries()).sum();
-        let builder = self.component_builder(id, expected as usize, filter)?;
+        let builder = self.component_builder(id, expected as usize, filter);
         Ok((inputs, builder, range.start == 0 && !keep_anti_matter))
     }
 
     /// A builder for a component `id` of this tree, with the tree's own
     /// Bloom and bitmap options and a Bloom filter sized for
     /// `expected_keys`.
-    fn component_builder(
+    pub(crate) fn component_builder(
         &self,
         id: ComponentId,
         expected_keys: usize,
         filter: Option<RangeFilter>,
-    ) -> Result<ComponentBuilder> {
-        ComponentBuilder::new(
-            self.storage.clone(),
-            id,
-            BuildOptions {
-                with_bloom: self.opts.with_bloom,
-                bloom_kind: self.opts.bloom_kind,
-                bloom_fpr: self.opts.bloom_fpr,
-                expected_keys,
-                filter,
-                make_mutable_bitmap: self.opts.mutable_bitmaps,
-            },
-        )
+    ) -> ComponentBuilder {
+        ComponentBuilder::new(self.storage.clone(), id, &self.opts, expected_keys, filter)
     }
 
     /// Merges the components in `range` into one new component.
@@ -788,7 +754,6 @@ mod tests {
     #[test]
     fn default_options_build_blocked_filters() {
         assert_eq!(LsmOptions::default().bloom_kind, BloomKind::Blocked);
-        assert_eq!(BuildOptions::default().bloom_kind, BloomKind::Blocked);
     }
 
     #[test]
