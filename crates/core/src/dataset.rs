@@ -1362,7 +1362,9 @@ impl Dataset {
         self.execute_merge_plan_locked(plan)
     }
 
-    fn execute_merge_plan_locked(&self, plan: &MergePlan) -> Result<bool> {
+    /// [`Dataset::execute_merge_plan`] for a caller that holds the merge
+    /// lock.
+    pub(crate) fn execute_merge_plan_locked(&self, plan: &MergePlan) -> Result<bool> {
         let stale = |tree: &LsmTree| tree.num_disk_components() <= plan.range.end;
         match plan.target {
             MergeTarget::Correlated => {

@@ -449,6 +449,23 @@ mod tests {
         assert_eq!(r.matches, 1);
     }
 
+    /// Regression: a primary repair that merges merges the pk index with
+    /// the primary, so the two keep sharing the merged component's bitmap
+    /// and later upserts and deletes still mark the versions they replace.
+    #[test]
+    fn mutable_bitmap_deletes_survive_a_merging_primary_repair() {
+        let ds = dataset(StrategyKind::MutableBitmap);
+        load(&ds);
+        let plan = ds.maintenance().plan().with_merge(true);
+        plan.repair_primary().unwrap();
+        for i in 0..10 {
+            ds.upsert(&rec(i, 290)).unwrap();
+        }
+        ds.delete(&Value::Int(150)).unwrap();
+        ds.flush_all().unwrap();
+        assert_eq!(count(&ds, None, None).unwrap().matches, 299);
+    }
+
     /// Regression: an unflushed update whose new filter value does NOT
     /// overlap the query must still override its old on-disk version under
     /// Validation — the memory run cannot be pruned by its own filter when

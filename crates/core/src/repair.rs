@@ -21,7 +21,7 @@
 //!   the *primary* index components, detect obsolete record versions, and
 //!   emit secondary anti-matter — paying full-record I/O.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, MergePlan, MergeTarget};
 use crate::keys::{encode_sk_pk, split_sk_pk};
 use lsm_common::{Error, Key, RecordView, Result, Timestamp};
 use lsm_storage::{Event, Storage};
@@ -628,14 +628,23 @@ pub(crate) fn deli_primary_repair(dataset: &Dataset, with_merge: bool) -> Result
 
     if with_merge {
         // Re-derive the component count under the merge lock: a background
-        // merge may have shrunk the list since the repair scan.
+        // merge may have shrunk the list since the repair scan. A dataset
+        // whose indexes merge in lockstep merges them all, so the primary
+        // never parts from its pk index (nor, under Mutable-bitmap, from
+        // the bitmap the two share).
         let _merges = dataset.merge_serialization().lock();
         let n = primary.num_disk_components();
         if n >= 2 {
-            primary.merge_range(MergeRange {
+            let target = if dataset.config().requires_correlated_merges() {
+                MergeTarget::Correlated
+            } else {
+                MergeTarget::Primary
+            };
+            let range = MergeRange {
                 start: 0,
                 end: n - 1,
-            })?;
+            };
+            dataset.execute_merge_plan_locked(&MergePlan { target, range })?;
         }
     }
     Ok(repaired)
