@@ -7,18 +7,19 @@
 //!
 //! - acquires the dataset drain lock **once** for the whole batch (a
 //!   single-operation call pays that read-lock per operation);
-//! - appends all of its log records to the WAL as **one group** — a
-//!   single staging step that the group-commit leader makes durable with
-//!   one device write ([`Wal::append_batch`](crate::txn::wal::Wal));
 //! - runs the flush/merge admission check once, after every operation
 //!   has been applied.
+//!
+//! Each operation is logged and then applied exactly as a single write
+//! is: its record goes to the WAL before it touches a memory component.
 //!
 //! Per-operation failures that are *data* problems (schema mismatch, a
 //! duplicate primary key on insert) do not abort the batch: they are
 //! reported per operation in the returned [`BatchOpResult`] vector,
 //! positionally aligned with the staging order. Only infrastructure
-//! failures (poisoned dataset, storage errors, a WAL append failure)
-//! abort the commit with an `Err`.
+//! failures (a dataset poisoned by background maintenance, storage
+//! errors, a WAL append failure) abort the commit with an `Err`; the
+//! operations before the failing one stay applied and logged.
 //!
 //! Key locks for every operation in the batch are taken up front in
 //! sorted, deduplicated order — two batches touching overlapping key
@@ -145,16 +146,15 @@ impl<'a> WriteBatch<'a> {
         self.ops.is_empty()
     }
 
-    /// Applies every staged operation and makes the batch durable as one
-    /// WAL group. Returns one [`BatchOpResult`] per staged operation, in
-    /// staging order.
+    /// Applies every staged operation in staging order, each logged before
+    /// it is applied. Returns one [`BatchOpResult`] per staged operation,
+    /// in staging order.
     ///
     /// Data-level failures (schema mismatch, duplicate key) surface as
     /// [`BatchOpResult::Failed`] / [`BatchOpResult::RejectedDuplicate`]
-    /// without aborting the rest of the batch; infrastructure failures
-    /// abort with `Err` and poison the dataset if operations had already
-    /// been applied in memory (their durability can no longer be
-    /// guaranteed).
+    /// without aborting the rest of the batch; an infrastructure failure
+    /// aborts with `Err`, leaving the operations before it applied and
+    /// logged, as that many single writes would.
     pub fn commit(self) -> Result<Vec<BatchOpResult>> {
         self.ds.apply_batch(self.ops)
     }
@@ -297,5 +297,50 @@ mod tests {
 
     fn loc_field() -> &'static str {
         "location"
+    }
+
+    /// A batch whose log append fails at its `k`-th operation has logged
+    /// and applied exactly the operations before it, and the dataset stays
+    /// usable; a crash and recovery leave the same operations visible.
+    #[test]
+    fn failed_batch_leaves_memory_equal_to_the_log() {
+        use crate::recovery::{recover, simulate_crash, CheckpointState};
+        use lsm_storage::fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
+        let visible = |ds: &Dataset| -> Vec<i64> {
+            (0..5)
+                .filter(|&id| ds.get(&Value::Int(id)).unwrap().is_some())
+                .collect()
+        };
+        for strategy in [StrategyKind::Validation, StrategyKind::Eager] {
+            for k in [0, 2] {
+                let case = format!("{strategy:?}, fault at op {k}");
+                let mut cfg = DatasetConfig::new(schema(), 0);
+                cfg.strategy = strategy;
+                let log = Storage::new(StorageOptions::test());
+                let storage = Storage::new(StorageOptions::test());
+                let ds = Dataset::open(storage, Some(log.clone()), cfg).unwrap();
+                let plan = FaultPlan::new(vec![FaultSpec {
+                    trigger: FaultTrigger::Site {
+                        name: "wal_append".into(),
+                        hit: k,
+                    },
+                    action: FaultAction::PermanentError,
+                }]);
+                log.install_fault_plan(plan.clone());
+                plan.arm();
+                let batch = (0..5).fold(ds.batch(), |b, id| b.upsert(&rec(id, "CA")));
+                assert!(batch.commit().is_err(), "{case}");
+                log.clear_fault_plan();
+                assert!(!ds.is_poisoned(), "{case}");
+                let logged: Vec<i64> = (0..k as i64).collect();
+                assert_eq!(visible(&ds), logged, "{case}: before the crash");
+
+                ds.wal().unwrap().force().unwrap();
+                let state = CheckpointState::new();
+                simulate_crash(&ds, &state).unwrap();
+                recover(&ds, &state).unwrap();
+                assert_eq!(visible(&ds), logged, "{case}: after recovery");
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::keys::{encode_pk, encode_sk_pk};
 use crate::scheduler::{MaintenanceRuntime, RuntimeHandle};
 use crate::stats::EngineStats;
 use crate::txn::wal::Frame;
-use crate::txn::{LockManager, LogOp, LogRecord, Wal};
+use crate::txn::{LockManager, LogOp, Wal};
 use lsm_common::{Error, LogicalClock, Record, RecordView, Result, Timestamp, Value};
 use lsm_storage::Storage;
 use lsm_tree::{
@@ -103,14 +103,13 @@ pub struct MergePlan {
     pub range: MergeRange,
 }
 
-/// Where a write operation's log record goes: straight to the WAL (the
-/// single-operation paths), into a [`WriteBatch`](crate::WriteBatch)'s
-/// staging buffer for one group append at commit, or nowhere (replay).
+/// Where a write operation's log record goes: to the WAL before the write
+/// touches a memory component (every live write, batched or not), or
+/// nowhere (replay).
+#[derive(Clone, Copy)]
 pub(crate) enum LogSink<'a> {
-    /// Append to the WAL immediately, probing the `wal_append` crash site.
+    /// Append to the WAL, probing the `wal_append` crash site.
     Immediate,
-    /// Collect records for a batch-wide group append.
-    Staged(&'a mut Vec<LogRecord>),
     /// Log nothing: recovery re-executes a record the log already holds.
     /// Under Eager it carries the old version's maintained fields the
     /// record logged ([`Dataset::split_logged`]), `None` when the key had no
@@ -280,10 +279,10 @@ impl Dataset {
         self.runtime.as_ref().map(|h| h.dataset_id())
     }
 
-    /// Records a fatal background-maintenance failure. The first error
-    /// wins; every subsequent write fails with it ("poisoned-state flag
-    /// surfaced on the next write") instead of the worker aborting the
-    /// process.
+    /// Records a fatal background-maintenance failure, the one thing that
+    /// poisons a dataset. The first error wins; every subsequent write
+    /// fails with it ("poisoned-state flag surfaced on the next write")
+    /// instead of the worker aborting the process.
     pub(crate) fn poison(&self, err: Error) {
         {
             let mut g = self.poison.lock();
@@ -314,7 +313,7 @@ impl Dataset {
             .clone()
             .unwrap_or_else(|| Error::invalid("unknown failure"));
         Err(Error::invalid(format!(
-            "dataset poisoned by background maintenance: {cause}"
+            "dataset poisoned by a failed background maintenance job: {cause}"
         )))
     }
 
@@ -567,49 +566,18 @@ impl Dataset {
         Ok(())
     }
 
-    /// Logs one write where `sink` says: its record and, appended to it,
-    /// Eager's old fields (see [`LogRecord::value`]).
-    fn log(&self, sink: &mut LogSink<'_>, frame: Frame<'_>) -> Result<()> {
-        let Some(wal) = &self.wal else {
+    /// Logs one write unless `sink` is a replay: its record and, appended
+    /// to it, Eager's old fields (see
+    /// [`LogRecord::value`](crate::txn::LogRecord::value)).
+    fn log(&self, sink: LogSink<'_>, frame: Frame<'_>) -> Result<()> {
+        let (Some(wal), LogSink::Immediate) = (&self.wal, sink) else {
             return Ok(());
         };
-        match sink {
-            LogSink::Immediate => {
-                // Crash *before* the record is even buffered: the
-                // operation is simply not durable, as if the process
-                // died entering the log call.
-                self.crash_site_on(wal.storage(), "wal_append")?;
-                // Borrowed: the staging page takes the only copy.
-                wal.append_frame(frame)?;
-            }
-            // A batch stages its records and appends them as one group
-            // at commit ([`WriteBatch::commit`](crate::WriteBatch)).
-            LogSink::Staged(buf) => buf.push(LogRecord {
-                lsn: frame.lsn,
-                op: frame.op,
-                key: frame.key.to_vec(),
-                value: [frame.value, frame.appended].concat(),
-                update_bit: frame.update_bit,
-            }),
-            LogSink::Replay(_) => {}
-        }
-        Ok(())
-    }
-
-    /// Appends a batch's staged records as one WAL group (probing the
-    /// `wal_append` crash site once for the whole group). Called by
-    /// [`WriteBatch::commit`](crate::WriteBatch) while the dataset drain
-    /// lock is held, so the records cannot be forced or checkpointed out
-    /// from under the commit.
-    pub(crate) fn log_staged(&self, records: &[LogRecord]) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        if let Some(wal) = &self.wal {
-            self.crash_site_on(wal.storage(), "wal_append")?;
-            wal.append_batch(records)?;
-        }
-        Ok(())
+        // Crash *before* the record is even buffered: the operation is
+        // simply not durable, as if the process died entering the log call.
+        self.crash_site_on(wal.storage(), "wal_append")?;
+        // Borrowed: the staging page takes the only copy.
+        wal.append_frame(frame)
     }
 
     // ---- ingestion ----------------------------------------------------------
@@ -617,7 +585,7 @@ impl Dataset {
     /// Inserts a record; returns `false` if the primary key already exists
     /// (the key-uniqueness check of Section 3.1).
     pub fn insert(&self, record: &Record) -> Result<bool> {
-        let inserted = self.write(WriteOp::Insert(record), &mut LogSink::Immediate)?;
+        let inserted = self.write(WriteOp::Insert(record), LogSink::Immediate)?;
         self.maybe_flush_and_merge()?;
         Ok(inserted)
     }
@@ -626,21 +594,21 @@ impl Dataset {
     /// was removed (the lazy strategies apply deletes blindly and return
     /// `true` unconditionally).
     pub fn delete(&self, pk: &Value) -> Result<bool> {
-        let deleted = self.write(WriteOp::Delete(pk), &mut LogSink::Immediate)?;
+        let deleted = self.write(WriteOp::Delete(pk), LogSink::Immediate)?;
         self.maybe_flush_and_merge()?;
         Ok(deleted)
     }
 
     /// Upserts a record (insert-or-replace).
     pub fn upsert(&self, record: &Record) -> Result<()> {
-        self.write(WriteOp::Upsert(record), &mut LogSink::Immediate)?;
+        self.write(WriteOp::Upsert(record), LogSink::Immediate)?;
         self.maybe_flush_and_merge()
     }
 
     /// Upsert without the flush/merge check (used by concurrent-writer
     /// benchmarks that must not trigger reentrant structural operations).
     pub fn upsert_no_maintenance(&self, record: &Record) -> Result<()> {
-        self.write(WriteOp::Upsert(record), &mut LogSink::Immediate)?;
+        self.write(WriteOp::Upsert(record), LogSink::Immediate)?;
         Ok(())
     }
 
@@ -651,7 +619,7 @@ impl Dataset {
     /// `old_fields` is what the record logged of Eager's old version (see
     /// [`LogSink::Replay`]).
     pub(crate) fn replay(&self, op: WriteOp<'_>, old_fields: Option<RecordView<'_>>) -> Result<()> {
-        self.write(op, &mut LogSink::Replay(old_fields))?;
+        self.write(op, LogSink::Replay(old_fields))?;
         self.maintain_inline()
     }
 
@@ -662,9 +630,10 @@ impl Dataset {
         secondary.chain(self.cfg.filter_field)
     }
 
-    /// Splits a logged write's value (see [`LogRecord::value`]) into the
-    /// record it writes, `None` for a delete, and Eager's old fields, `None`
-    /// when the key had no old version. Every logged Eager delete carries
+    /// Splits a logged write's value (see
+    /// [`LogRecord::value`](crate::txn::LogRecord::value)) into the record
+    /// it writes, `None` for a delete, and Eager's old fields, `None` when
+    /// the key had no old version. Every logged Eager delete carries
     /// them, even none at all: a delete of an absent key is not logged.
     ///
     /// # Errors
@@ -721,7 +690,7 @@ impl Dataset {
     }
 
     /// One write under the dataset drain lock (shared) and its key's lock.
-    pub(crate) fn write(&self, op: WriteOp<'_>, sink: &mut LogSink<'_>) -> Result<bool> {
+    pub(crate) fn write(&self, op: WriteOp<'_>, sink: LogSink<'_>) -> Result<bool> {
         self.check_poisoned()?;
         let pk = match op {
             WriteOp::Insert(record) | WriteOp::Upsert(record) => {
@@ -766,7 +735,7 @@ impl Dataset {
         op: WriteOp<'_>,
         pk: &Value,
         pk_key: &[u8],
-        sink: &mut LogSink<'_>,
+        sink: LogSink<'_>,
     ) -> Result<bool> {
         let (log_op, record) = match op {
             WriteOp::Insert(record) => (LogOp::Insert, Some(record)),
@@ -800,7 +769,7 @@ impl Dataset {
             _ if insert => None,
             StrategyKind::Eager => {
                 let old = match sink {
-                    LogSink::Replay(logged) => *logged,
+                    LogSink::Replay(logged) => logged,
                     _ => self
                         .fetch_old_fields(pk_key, &mut old_fields)?
                         .then(|| RecordView::parse(&old_fields))
@@ -897,7 +866,8 @@ impl Dataset {
     }
 
     /// Applies a staged batch: one drain-lock acquisition, sorted-order
-    /// key locking, operations in staging order, one WAL group append.
+    /// key locking, then each operation in staging order, logged before it
+    /// is applied.
     /// Backs [`WriteBatch::commit`](crate::WriteBatch::commit).
     pub(crate) fn apply_batch(
         &self,
@@ -942,7 +912,9 @@ impl Dataset {
             self.locks.lock_exclusive(key);
         }
 
-        let mut staged: Vec<LogRecord> = Vec::new();
+        // Each operation logs, then applies, as a single write does; the
+        // first infrastructure error stops the batch with the operations
+        // before it applied and logged.
         let mut infra_err: Option<Error> = None;
         for (i, op) in ops.iter().enumerate() {
             if outcomes[i].is_some() {
@@ -951,9 +923,8 @@ impl Dataset {
             // INVARIANT: the validation pass set `keyed[i]` for every op it
             // did not already resolve into `outcomes[i]` (checked above).
             let (pk, key) = keyed[i].as_ref().expect("validated op has a key");
-            let mut sink = LogSink::Staged(&mut staged);
             let res = self
-                .write_locked(op.as_write(), pk, key, &mut sink)
+                .write_locked(op.as_write(), pk, key, LogSink::Immediate)
                 .map(|done| match op {
                     StagedOp::Insert(_) if done => BatchOpResult::Inserted,
                     StagedOp::Insert(_) => BatchOpResult::RejectedDuplicate,
@@ -969,26 +940,11 @@ impl Dataset {
             }
         }
 
-        // One group append for the whole batch, while the drain lock and
-        // key locks are still held.
-        if infra_err.is_none() {
-            if let Err(e) = self.log_staged(&staged) {
-                infra_err = Some(e);
-            }
-        }
-
         for key in lock_keys.iter().rev() {
             self.locks.unlock_exclusive(key);
         }
         drop(_ds);
-
         if let Some(e) = infra_err {
-            // Operations may already be applied in memory without their log
-            // records having reached the WAL; durability for them can no
-            // longer be promised, so fail every subsequent write too.
-            if !staged.is_empty() {
-                self.poison(e.clone());
-            }
             return Err(e);
         }
 

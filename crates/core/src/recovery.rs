@@ -854,9 +854,7 @@ mod tests {
     /// without `maintain` it skips their flush and merge check, so the
     /// write stays in memory until a crash loses it.
     fn write_op(ds: &Dataset, op: WriteOp<'_>, maintain: bool) -> bool {
-        let done = ds
-            .write(op, &mut crate::dataset::LogSink::Immediate)
-            .unwrap();
+        let done = ds.write(op, crate::dataset::LogSink::Immediate).unwrap();
         if maintain {
             ds.maybe_flush_and_merge().unwrap();
         }

@@ -373,10 +373,10 @@ impl Wal {
         self.append_batch(std::slice::from_ref(rec))
     }
 
-    /// Appends a batch of records under ONE lock acquisition, so a
-    /// multi-operation commit stages its group atomically and triggers at
-    /// most one leader election. Page rotation still happens per fill —
-    /// a large batch simply queues several pages for the same leader.
+    /// Appends a batch of records under ONE lock acquisition, so they are
+    /// staged back to back and trigger at most one leader election. Page
+    /// rotation still happens per fill — a large batch simply queues
+    /// several pages for the same leader.
     pub fn append_batch(&self, recs: &[LogRecord]) -> Result<()> {
         if recs.is_empty() {
             return Ok(());
