@@ -206,14 +206,30 @@ fn open(env: &Env, strategy: StrategyKind, indexes: usize, tweak: Tweak) -> Arc<
     open_tweet_dataset(env, cfg)
 }
 
-/// The clock, what the data and log devices were charged, and the
-/// flushes and merges so far: the fields every write script records.
-/// Asserts first that the clock is `prices` times the counts.
+/// The disk components of `ds`'s primary, its pk index and its
+/// secondary indexes (summed): the shape the merge schedule left, which
+/// every row records.
+fn components(ds: &Dataset) -> [(&'static str, u64); 3] {
+    let count = |t: &lsm_tree::LsmTree| t.num_disk_components() as u64;
+    [
+        ("primary_components", count(ds.primary())),
+        ("pk_components", ds.pk_index().map_or(0, count)),
+        (
+            "secondary_components",
+            ds.secondaries().iter().map(|s| count(&s.tree)).sum(),
+        ),
+    ]
+}
+
+/// The clock, what the data and log devices were charged, the flushes
+/// and merges so far and the components they left: the fields every
+/// write script records. Asserts first that the clock is `prices` times
+/// the counts.
 fn charged(env: &Env, ds: &Dataset, prices: &Prices) -> Costs {
     prices.assert_clock(env);
     let (data, log) = (env.storage.stats(), env.log_storage.stats());
     let stats = ds.stats().snapshot();
-    vec![
+    let mut costs = vec![
         ("sim_ns", env.clock.now_nanos()),
         ("cpu_ns", data.cpu_ns),
         ("data_bytes_written", data.bytes_written),
@@ -222,7 +238,9 @@ fn charged(env: &Env, ds: &Dataset, prices: &Prices) -> Costs {
         ("log_pages_written", log.pages_written),
         ("flushes", stats.flushes),
         ("merges", stats.merges),
-    ]
+    ];
+    costs.extend(components(ds));
+    costs
 }
 
 /// Figure 20's Bloom-optimized repair configuration: correlated merges,
@@ -433,7 +451,7 @@ fn read_script(strategy: StrategyKind) -> Costs {
     }
     let io = env.storage.stats().since(&before);
     Prices::ledger().assert_clock(&env);
-    vec![
+    let mut costs = vec![
         ("sim_ns", env.clock.now_nanos() - t0),
         ("cpu_ns", io.cpu_ns),
         ("seq_reads", io.seq_reads),
@@ -447,5 +465,7 @@ fn read_script(strategy: StrategyKind) -> Costs {
         ("rows", rows),
         ("keys", keys),
         ("matches", matches),
-    ]
+    ];
+    costs.extend(components(&ds));
+    costs
 }
