@@ -7,7 +7,7 @@
 //! level, then a metadata page last.
 //!
 //! Leaves are written through the device's buffer cache
-//! ([`Storage::append_page_cached`]), unreferenced: a merge that soon reads
+//! ([`CacheAdmission::Unreferenced`]), unreferenced: a merge that soon reads
 //! a fresh component finds its leaves resident, and a build never evicts a
 //! page a read has referenced since the CLOCK hand last passed it. Router
 //! pages are not cached — the returned handle holds them — and neither is
@@ -17,7 +17,7 @@ use crate::encoding::put_slice;
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
 use crate::tree::{BTree, TreeMeta, META_MAGIC};
 use lsm_common::{Error, Result};
-use lsm_storage::{FileId, Storage};
+use lsm_storage::{CacheAdmission, FileId, Storage};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
@@ -105,7 +105,9 @@ impl BTreeBuilder {
             .to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
         let page = self.leaf.take_shared(next_base);
-        let (page_no, _) = self.storage.append_page_cached(self.file, page)?;
+        let (page_no, _) =
+            self.storage
+                .append_page_shared(self.file, page, CacheAdmission::Unreferenced)?;
         debug_assert_eq!(page_no, self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
@@ -129,9 +131,11 @@ impl BTreeBuilder {
         let mut routers: Vec<Arc<[u8]>> = Vec::new();
         let mut append_router = |page: InternalPageBuilder| -> Result<(Vec<u8>, u32)> {
             let first = page.first_key().unwrap().to_vec();
-            let (page_no, stored) = self
-                .storage
-                .append_page_shared(self.file, page.finish().into())?;
+            let (page_no, stored) = self.storage.append_page_shared(
+                self.file,
+                page.finish().into(),
+                CacheAdmission::Skip,
+            )?;
             debug_assert_eq!(page_no as usize, num_leaves as usize + routers.len());
             routers.push(stored);
             Ok((first, page_no))

@@ -8,14 +8,14 @@
 //! trade-offs — batched vs interleaved point lookups, scans vs index
 //! navigation — measurable here.
 //!
-//! Writes reach the cache on one path only: [`Storage::append_page_cached`],
-//! with which a B+-tree build writes its leaves, admits the stored page
-//! *unreferenced*, so a merge that soon reads a fresh flush or merge output
-//! finds it resident, while the CLOCK hand evicts it before any page a read
-//! has referenced since the hand last passed. [`Storage::append_page`] (the
-//! WAL, a tree's meta page) and [`Storage::append_page_shared`] (router
-//! pages, which the tree handle holds) admit nothing. Either way an append
-//! is charged the same.
+//! Writes reach the cache on one path only: [`Storage::append_page_shared`]
+//! with [`CacheAdmission::Unreferenced`], with which a B+-tree build writes
+//! its leaves, admits the stored page *unreferenced*, so a merge that soon
+//! reads a fresh flush or merge output finds it resident, while the CLOCK
+//! hand evicts it before any page a read has referenced since the hand last
+//! passed. [`Storage::append_page`] (the WAL, a tree's footer-only page) and
+//! [`CacheAdmission::Skip`] (router pages, which the tree handle holds) admit
+//! nothing. Either way an append is charged the same.
 //!
 //! A forward read ([`Storage::read_page_forward`]) is the one read that
 //! turns a skip into a continuation: a miss `g` pages past the head on the
@@ -53,6 +53,18 @@ pub struct FileId(pub u32);
 
 /// Page number within a file.
 pub type PageNo = u32;
+
+/// Whether [`Storage::append_page_shared`] admits the page it stores to
+/// the buffer cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheAdmission {
+    /// The page stays out of the cache: a router page, which the tree
+    /// handle holds.
+    Skip,
+    /// The page enters the cache *unreferenced*, the CLOCK's first choice
+    /// to evict: a B+-tree leaf, which a merge may soon read.
+    Unreferenced,
+}
 
 /// Configuration for a [`Storage`] instance.
 #[derive(Debug, Clone)]
@@ -326,22 +338,21 @@ impl Storage {
     /// Returns the page number and the page as the device stores it — the
     /// caller's buffer, or the damaged image a torn or short write left —
     /// so a caller that keeps the page holds exactly what a read returns.
-    pub fn append_page_shared(&self, file: FileId, page: Arc<[u8]>) -> Result<(PageNo, Arc<[u8]>)> {
-        self.append(file, &page, || page.clone())
-    }
-
-    /// [`Storage::append_page_shared`] for a page a read may soon want: a
-    /// B+-tree leaf that a flush or merge writes. The page as stored is
-    /// also admitted to the buffer cache, *unreferenced*, so it is the
-    /// CLOCK's first choice to evict and never displaces a page a read has
-    /// referenced since the hand last passed it. Charged exactly what
-    /// [`Storage::append_page_shared`] is charged.
-    pub fn append_page_cached(&self, file: FileId, page: Arc<[u8]>) -> Result<(PageNo, Arc<[u8]>)> {
+    /// `admission` says whether the stored page also enters the buffer
+    /// cache; the append is charged the same either way.
+    pub fn append_page_shared(
+        &self,
+        file: FileId,
+        page: Arc<[u8]>,
+        admission: CacheAdmission,
+    ) -> Result<(PageNo, Arc<[u8]>)> {
         let (page_no, stored) = self.append(file, &page, || page.clone())?;
-        let files = self.files.read();
-        // A delete may have dropped the file since the append.
-        if live(&files, file).is_ok_and(|pages| (page_no as usize) < pages.len()) {
-            self.frames.lock().admit_written(&files, file, page_no);
+        if admission == CacheAdmission::Unreferenced {
+            let files = self.files.read();
+            // A delete may have dropped the file since the append.
+            if live(&files, file).is_ok_and(|pages| (page_no as usize) < pages.len()) {
+                self.frames.lock().admit_written(&files, file, page_no);
+            }
         }
         Ok((page_no, stored))
     }
@@ -637,6 +648,7 @@ fn burst(pages: &[StoredPage], file: FileId, page: PageNo, count: u32) -> Result
 
 #[cfg(test)]
 mod tests {
+    use super::CacheAdmission::{Skip, Unreferenced};
     use super::*;
 
     fn storage() -> Arc<Storage> {
@@ -708,7 +720,7 @@ mod tests {
         let s = storage();
         let f = s.create_file();
         let page: Arc<[u8]> = Arc::from(&b"abcdef"[..]);
-        let (no, stored) = s.append_page_shared(f, page.clone()).unwrap();
+        let (no, stored) = s.append_page_shared(f, page.clone(), Skip).unwrap();
         assert_eq!(no, 0);
         assert!(Arc::ptr_eq(&stored, &page));
         assert!(Arc::ptr_eq(&s.read_page(f, 0).unwrap(), &page));
@@ -722,7 +734,7 @@ mod tests {
         }]);
         s.install_fault_plan(plan.clone());
         plan.arm();
-        let (no, torn) = s.append_page_shared(f, page.clone()).unwrap();
+        let (no, torn) = s.append_page_shared(f, page.clone(), Skip).unwrap();
         s.clear_fault_plan();
         assert_eq!(no, 1);
         assert_eq!(&*s.read_page(f, 1).unwrap(), b"ab\0\0\0\0");
@@ -734,7 +746,7 @@ mod tests {
             (2, 12, 1)
         );
         assert!(s
-            .append_page_shared(f, vec![0; s.page_size() + 1].into())
+            .append_page_shared(f, vec![0; s.page_size() + 1].into(), Skip)
             .is_err());
     }
 
@@ -1064,19 +1076,20 @@ mod tests {
     fn built(s: &Storage, n: u8) -> FileId {
         let f = s.create_file();
         for p in 0..n {
-            s.append_page_cached(f, Arc::from(&[p][..])).unwrap();
+            s.append_page_shared(f, Arc::from(&[p][..]), Unreferenced)
+                .unwrap();
         }
         f
     }
 
     /// A written-through page is resident from its append on: its first
     /// read is a hit, and the append is charged exactly what an uncached
-    /// one is. Plain and shared appends — the log's, a tree's meta and
-    /// router pages — admit nothing.
+    /// one is. Plain appends and skipping shared ones — the log's pages, a
+    /// tree's footer-only and router pages — admit nothing.
     #[test]
     fn a_built_page_is_a_hit_on_its_first_read() {
         let (s, plain) = cached(8, 2);
-        s.append_page_shared(plain, Arc::from(&b"router"[..]))
+        s.append_page_shared(plain, Arc::from(&b"router"[..]), Skip)
             .unwrap();
         assert_eq!(s.cache_state(), (vec![], 0));
         let before = s.stats();
@@ -1086,7 +1099,8 @@ mod tests {
         let twin = Storage::new(StorageOptions::test());
         let g = twin.create_file();
         for p in 0..2u8 {
-            twin.append_page_shared(g, Arc::from(&[p][..])).unwrap();
+            twin.append_page_shared(g, Arc::from(&[p][..]), Skip)
+                .unwrap();
         }
         assert_eq!(cached_ns, twin.clock().now_nanos());
         assert_eq!(written, twin.stats());
@@ -1142,7 +1156,9 @@ mod tests {
         assert!(!hits(&s, kept, 0));
         // The delete came first: a later append to the file fails and
         // admits nothing.
-        assert!(s.append_page_cached(gone, Arc::from(&b"late"[..])).is_err());
+        assert!(s
+            .append_page_shared(gone, Arc::from(&b"late"[..]), Unreferenced)
+            .is_err());
         assert_eq!(s.cache_state(), (vec![(kept, 0)], 0));
     }
 
@@ -1163,7 +1179,7 @@ mod tests {
         s.install_fault_plan(plan.clone());
         plan.arm();
         let leaf: Arc<[u8]> = Arc::from(&b"abcdef"[..]);
-        let (no, stored) = s.append_page_cached(f, leaf.clone()).unwrap();
+        let (no, stored) = s.append_page_shared(f, leaf.clone(), Unreferenced).unwrap();
         s.clear_fault_plan();
         assert_eq!(&*leaf, b"abcdef");
         assert!(hits(&s, f, no));
@@ -1201,11 +1217,10 @@ mod tests {
                     let f = s.create_file();
                     for p in 0..PAGES {
                         let page = Arc::from(&p.to_le_bytes()[..]);
+                        let admission = if cached { Unreferenced } else { Skip };
+                        s.append_page_shared(f, page, admission).unwrap();
                         if cached {
-                            s.append_page_cached(f, page).unwrap();
                             oracle.admit_written(f, p);
-                        } else {
-                            s.append_page_shared(f, page).unwrap();
                         }
                     }
                     f
@@ -1257,8 +1272,8 @@ mod tests {
                             // the ones the reads pick.
                             let f = live[next(live.len()) as usize];
                             for _ in 0..=next(3) {
-                                let (p, _) =
-                                    s.append_page_cached(f, Arc::from(&b"more"[..])).unwrap();
+                                let more = Arc::from(&b"more"[..]);
+                                let (p, _) = s.append_page_shared(f, more, Unreferenced).unwrap();
                                 oracle.admit_written(f, p);
                             }
                             t = s.clock().now_nanos();
@@ -1392,7 +1407,8 @@ mod tests {
                         }
                         1 => {
                             let more = Arc::from(&b"more"[..]);
-                            s.append_page_cached(FileId(newest), more).unwrap();
+                            s.append_page_shared(FileId(newest), more, Unreferenced)
+                                .unwrap();
                         }
                         2 => s.clear_cache(),
                         _ => {}
