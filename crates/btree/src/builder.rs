@@ -4,18 +4,20 @@
 //! component or by a merge of existing components — so the tree is built
 //! bottom-up from a sorted entry stream: leaves are packed and written first
 //! (contiguously, so range scans read pages sequentially), then each internal
-//! level, then a metadata page last.
+//! level, the root last. The tree's metadata is a footer on its last page —
+//! the root router, or the lone leaf of a one-leaf tree — so a build writes
+//! no page for it; only an empty tree, or a last page without room for the
+//! footer, appends a page that holds the footer alone.
 //!
 //! Leaves are written through the device's buffer cache
-//! ([`CacheAdmission::Unreferenced`]), unreferenced: a merge that soon reads
-//! a fresh component finds its leaves resident, and a build never evicts a
-//! page a read has referenced since the CLOCK hand last passed it. Router
-//! pages are not cached — the returned handle holds them — and neither is
-//! the metadata page.
+//! ([`CacheAdmission::Unreferenced`]): a merge that soon reads a fresh
+//! component finds its leaves resident, and a build never evicts a page a
+//! read has referenced since the CLOCK hand last passed it. Router pages are
+//! not cached — the returned handle holds them — and neither is a
+//! footer-only page.
 
-use crate::encoding::put_slice;
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
-use crate::tree::{BTree, TreeMeta, META_MAGIC};
+use crate::tree::{BTree, TreeMeta};
 use lsm_common::{Error, Result};
 use lsm_storage::{CacheAdmission, FileId, Storage};
 use std::sync::Arc;
@@ -29,7 +31,10 @@ pub struct BTreeBuilder {
     leaf: LeafPageBuilder,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
     leaf_index: Vec<(Vec<u8>, u32)>,
+    /// Leaves written so far: the next leaf's page number.
     next_page: u32,
+    /// The router pages written so far, as the device stored them.
+    routers: Vec<Arc<[u8]>>,
     num_entries: u64,
     min_key: Option<Vec<u8>>,
     /// The key added last (meaningful once `num_entries > 0`): what the
@@ -54,6 +59,7 @@ impl BTreeBuilder {
             leaf,
             leaf_index: Vec::new(),
             next_page: 0,
+            routers: Vec::new(),
             num_entries: 0,
             min_key: None,
             last_key: Vec::new(),
@@ -73,7 +79,7 @@ impl BTreeBuilder {
             if self.leaf.is_empty() {
                 return Err(Error::invalid("entry larger than page size"));
             }
-            self.flush_leaf()?;
+            self.flush_leaf(&[])?;
         }
         self.leaf.add(key, value)?;
         self.num_entries += 1;
@@ -97,14 +103,16 @@ impl BTreeBuilder {
         self.num_entries
     }
 
-    fn flush_leaf(&mut self) -> Result<()> {
+    /// Writes the open leaf, with `footer` behind it (empty but on the
+    /// tree's last page), and restarts the builder for the next leaf.
+    fn flush_leaf(&mut self, footer: &[u8]) -> Result<()> {
         let first = self
             .leaf
             .first_key()
             .expect("flush_leaf on empty leaf")
             .to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
-        let page = self.leaf.take_shared(next_base);
+        let page = self.leaf.take_shared(next_base, footer);
         let (page_no, _) =
             self.storage
                 .append_page_shared(self.file, page, CacheAdmission::Unreferenced)?;
@@ -119,30 +127,23 @@ impl BTreeBuilder {
         self.num_entries - self.leaf.count() as u64
     }
 
-    /// Finalizes the tree and returns a reader over it.
-    pub fn finish(mut self) -> Result<BTree> {
-        if !self.leaf.is_empty() {
-            self.flush_leaf()?;
-        }
-        let num_leaves = self.next_page;
+    /// Appends router page `page`, which the handle keeps as the device
+    /// stored it, and returns its page number.
+    fn append_router(&mut self, page: Vec<u8>) -> Result<u32> {
+        let (page_no, stored) =
+            self.storage
+                .append_page_shared(self.file, page.into(), CacheAdmission::Skip)?;
+        debug_assert_eq!(page_no, self.next_page + self.routers.len() as u32);
+        self.routers.push(stored);
+        Ok(page_no)
+    }
 
-        // Build router levels bottom-up until a single root remains. The
-        // handle keeps each router page as the device stored it.
-        let mut routers: Vec<Arc<[u8]>> = Vec::new();
-        let mut append_router = |page: InternalPageBuilder| -> Result<(Vec<u8>, u32)> {
-            let first = page.first_key().unwrap().to_vec();
-            let (page_no, stored) = self.storage.append_page_shared(
-                self.file,
-                page.finish().into(),
-                CacheAdmission::Skip,
-            )?;
-            debug_assert_eq!(page_no as usize, num_leaves as usize + routers.len());
-            routers.push(stored);
-            Ok((first, page_no))
-        };
-        let mut level: Vec<(Vec<u8>, u32)> = self.leaf_index.clone();
-        let mut height: u32 = if num_leaves > 0 { 1 } else { 0 };
-        let mut root = if num_leaves == 1 { 0 } else { u32::MAX };
+    /// Writes every router level but the root, bottom-up, and returns the
+    /// root — unwritten, for the footer to ride on — and the tree's
+    /// height. `None` for a tree of at most one leaf, which has no router.
+    fn build_routers(&mut self) -> Result<Option<(InternalPageBuilder, u32)>> {
+        let mut level = std::mem::take(&mut self.leaf_index);
+        let mut height = 1;
         while level.len() > 1 {
             height += 1;
             let mut next_level: Vec<(Vec<u8>, u32)> = Vec::new();
@@ -151,38 +152,71 @@ impl BTreeBuilder {
                 if !builder.fits(key) && !builder.is_empty() {
                     let done =
                         std::mem::replace(&mut builder, InternalPageBuilder::new(self.page_size));
-                    next_level.push(append_router(done)?);
+                    let first = done.first_key().unwrap_or_default().to_vec();
+                    next_level.push((first, self.append_router(done.finish())?));
                 }
                 builder.add(key, *child)?;
             }
-            next_level.push(append_router(builder)?);
-            if next_level.len() == 1 {
-                root = next_level[0].1;
+            if next_level.is_empty() {
+                return Ok(Some((builder, height)));
             }
+            let first = builder.first_key().unwrap_or_default().to_vec();
+            next_level.push((first, self.append_router(builder.finish())?));
             level = next_level;
         }
+        Ok(None)
+    }
 
+    /// Finalizes the tree and returns a reader over it. The tree's last
+    /// page — the root router, or the lone leaf of a one-leaf tree —
+    /// carries the metadata footer ([`TreeMeta::footer`]); only an empty
+    /// tree, or a last page without room for it, writes the footer as a
+    /// page of its own.
+    pub fn finish(mut self) -> Result<BTree> {
+        let lone_leaf = self.leaf_index.is_empty() && !self.leaf.is_empty();
+        if !lone_leaf && !self.leaf.is_empty() {
+            self.flush_leaf(&[])?;
+        }
+        let num_leaves = self.next_page + u32::from(lone_leaf);
+        let root = self.build_routers()?;
+        let (root_no, height) = match &root {
+            Some((_, height)) => (num_leaves + self.routers.len() as u32, *height),
+            None if num_leaves > 0 => (0, 1),
+            None => (u32::MAX, 0),
+        };
         let meta = TreeMeta {
-            root,
+            root: root_no,
             height,
             num_leaves,
             num_entries: self.num_entries,
             min_key: self.min_key.take(),
             max_key: (self.num_entries > 0).then(|| std::mem::take(&mut self.last_key)),
         };
-        let mut meta_page = Vec::new();
-        meta_page.extend_from_slice(&META_MAGIC.to_le_bytes());
-        meta_page.extend_from_slice(&meta.root.to_le_bytes());
-        meta_page.extend_from_slice(&meta.height.to_le_bytes());
-        meta_page.extend_from_slice(&meta.num_leaves.to_le_bytes());
-        meta_page.extend_from_slice(&meta.num_entries.to_le_bytes());
-        put_slice(&mut meta_page, meta.min_key.as_deref().unwrap_or(b""));
-        put_slice(&mut meta_page, meta.max_key.as_deref().unwrap_or(b""));
-        if meta_page.len() > self.page_size {
-            return Err(Error::Storage("metadata page overflow".into()));
+        let footer = meta.footer();
+        let page_size = self.page_size;
+        let room = |page_len: usize| page_len + footer.len() <= page_size;
+        let carried = match root {
+            Some((root, _)) => {
+                let mut page = root.finish();
+                let fits = room(page.len());
+                if fits {
+                    page.extend_from_slice(&footer);
+                }
+                self.append_router(page)?;
+                fits
+            }
+            None if lone_leaf => {
+                let fits = room(self.leaf.current_size());
+                self.flush_leaf(if fits { &footer } else { &[] })?;
+                fits
+            }
+            None => false,
+        };
+        if !carried {
+            self.storage.append_page(self.file, &footer)?;
         }
-        self.storage.append_page(self.file, &meta_page)?;
         self.finished = true;
+        let routers = std::mem::take(&mut self.routers);
         Ok(BTree::from_parts(
             self.storage.clone(),
             self.file,
@@ -295,10 +329,10 @@ mod tests {
         assert!(t.search(b"a").unwrap().is_none());
     }
 
-    /// Leaves are written through the buffer cache; router and meta pages
-    /// are not (the handle keeps the routers, and the meta page is read
-    /// only to reopen a tree). After a build the cache holds whole, every
-    /// leaf's first read hits, and every other page's misses.
+    /// Leaves are written through the buffer cache; router pages are not
+    /// (the handle keeps them, the root with the footer it carries). After
+    /// a build the cache holds whole, every leaf's first read hits, and
+    /// every other page's misses.
     #[test]
     fn leaves_are_written_through_the_cache_routers_and_meta_are_not() {
         let s = Storage::new(StorageOptions {
@@ -444,8 +478,11 @@ mod tests {
 
     /// The builder must not move a byte by accident: one fixed stream,
     /// digests recorded from the commit before the builder's allocation
-    /// diet and re-recorded once, when leaves and router pages became key
-    /// strips (the page count held: no page boundary moved).
+    /// diet and re-recorded twice: when leaves and router pages became key
+    /// strips (the page count held: no page boundary moved), and when the
+    /// metadata page became a footer on the root router (56 → 55 pages;
+    /// the leaf digest held, only the root page and the missing metadata
+    /// page moved `whole`).
     #[test]
     fn built_pages_match_recorded_digests() {
         let s = storage();
@@ -459,10 +496,10 @@ mod tests {
         assert_eq!(t.num_entries(), 3000);
         assert_eq!(t.min_key().unwrap(), b"user00000/item0000000");
         assert_eq!(t.max_key().unwrap(), b"user00074/item0038987");
-        assert_eq!(s.file_pages(t.file()).unwrap(), 56);
+        assert_eq!(s.file_pages(t.file()).unwrap(), 55);
         assert_eq!(
             tree_digest(&t, &s),
-            (0xbecd_8134_723f_9cdb, 0x8e3a_06b5_c3cf_511c)
+            (0xbecd_8134_723f_9cdb, 0x1091_2b10_cb40_cd10)
         );
     }
 

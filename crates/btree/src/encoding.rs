@@ -41,7 +41,7 @@ pub(crate) fn varint_len(v: u64) -> usize {
 }
 
 /// Appends a length-prefixed byte slice.
-pub fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
+pub(crate) fn put_slice(out: &mut Vec<u8>, s: &[u8]) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s);
 }

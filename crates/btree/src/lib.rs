@@ -31,7 +31,7 @@
 
 pub mod builder;
 pub mod cursor;
-pub mod encoding;
+mod encoding;
 pub mod page;
 pub mod tree;
 mod walk;

@@ -267,7 +267,7 @@ impl LeafPageBuilder {
     }
 
     /// Bytes the page would occupy if finished now.
-    fn current_size(&self) -> usize {
+    pub(crate) fn current_size(&self) -> usize {
         LEAF_HEADER + self.keys.size() + self.value_ends.len() * 4 + self.values.len()
     }
 
@@ -333,15 +333,22 @@ impl LeafPageBuilder {
         out
     }
 
-    /// Serializes the page straight into the shared buffer the storage
-    /// layer keeps ([`lsm_storage::Storage::append_page_shared`]) — the page
-    /// image is written once, where [`LeafPageBuilder::finish`] followed by
-    /// a copying append writes it twice — and restarts the builder, buffers
-    /// kept, for the leaf whose first entry has ordinal `next_base`.
-    pub fn take_shared(&mut self, next_base: u64) -> Arc<[u8]> {
-        let mut page: Arc<[u8]> = std::iter::repeat_n(0, self.current_size()).collect();
+    /// Serializes the page, with `footer` behind it, straight into the
+    /// shared buffer the storage layer keeps
+    /// ([`lsm_storage::Storage::append_page_shared`]) — the page image is
+    /// written once, where [`LeafPageBuilder::finish`] followed by a
+    /// copying append writes it twice — and restarts the builder, buffers
+    /// kept, for the leaf whose first entry has ordinal `next_base`. The
+    /// footer is the tree's metadata when this leaf is a one-leaf tree's
+    /// last page, and empty otherwise.
+    pub fn take_shared(&mut self, next_base: u64, footer: &[u8]) -> Arc<[u8]> {
+        let size = self.current_size();
+        let mut page: Arc<[u8]> = std::iter::repeat_n(0, size + footer.len()).collect();
         // INVARIANT: `page` was created on the line above and never cloned.
-        self.write_into(Arc::get_mut(&mut page).expect("a fresh Arc is unshared"));
+        let out = Arc::get_mut(&mut page).expect("a fresh Arc is unshared");
+        let (image, tail) = out.split_at_mut(size);
+        self.write_into(image);
+        tail.copy_from_slice(footer);
         self.base_ordinal = next_base;
         self.keys.clear();
         self.value_ends.clear();
@@ -806,7 +813,7 @@ mod tests {
                 shared.add(k, v).unwrap();
             }
             let next = base + entries.len() as u64;
-            let page = shared.take_shared(next);
+            let page = shared.take_shared(next, &[]);
             assert_eq!(&page[..], &build_leaf(entries, base)[..], "page at {base}");
             assert!(shared.is_empty());
             assert_eq!(shared.current_size(), LEAF_HEADER);

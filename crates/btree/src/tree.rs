@@ -14,7 +14,7 @@
 //! of leaves), as in the paper's testbed, whose router levels never leave
 //! the buffer cache.
 
-use crate::encoding::get_slice;
+use crate::encoding::{get_slice, put_slice};
 use crate::page::{InternalPage, LeafPage, LeafShape};
 use crate::walk::{LeafWalk, Slot, Span};
 use lsm_common::{Error, Result};
@@ -22,8 +22,15 @@ use lsm_storage::{Event, FileId, PageNo, PageSlice, Storage, ValueBuf};
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Magic number identifying a tree metadata page.
+/// Magic number ending a tree's metadata footer.
 pub const META_MAGIC: u32 = 0x4C53_4D42; // "LSMB"
+
+/// The footer's fixed-width fields: root, height, leaves (`u32` each) and
+/// entries (`u64`).
+const FOOTER_FIXED: usize = 20;
+
+/// Bytes after the footer's fields: their length and [`META_MAGIC`].
+const FOOTER_TAIL: usize = 8;
 
 /// Decoded tree metadata.
 #[derive(Debug, Clone)]
@@ -40,6 +47,80 @@ pub struct TreeMeta {
     pub min_key: Option<Vec<u8>>,
     /// Largest key, if any.
     pub max_key: Option<Vec<u8>>,
+}
+
+impl TreeMeta {
+    /// The footer that ends a tree's last page:
+    ///
+    /// ```text
+    /// [root u32][height u32][num_leaves u32][num_entries u64]
+    /// [min_key slice][max_key slice][length of the above u32][META_MAGIC u32]
+    /// ```
+    ///
+    /// It rides on the root router, or on the lone leaf of a one-leaf
+    /// tree; an empty tree, or a last page without room for it, writes it
+    /// as a page of its own.
+    pub(crate) fn footer(&self) -> Vec<u8> {
+        let (min, max) = (self.min_key.as_deref(), self.max_key.as_deref());
+        let keys = [min, max].map(|k| crate::encoding::slice_len(k.unwrap_or(b"")));
+        let mut out = Vec::with_capacity(FOOTER_FIXED + keys[0] + keys[1] + FOOTER_TAIL);
+        out.extend_from_slice(&self.root.to_le_bytes());
+        out.extend_from_slice(&self.height.to_le_bytes());
+        out.extend_from_slice(&self.num_leaves.to_le_bytes());
+        out.extend_from_slice(&self.num_entries.to_le_bytes());
+        put_slice(&mut out, min.unwrap_or(b""));
+        put_slice(&mut out, max.unwrap_or(b""));
+        let fields = out.len() as u32;
+        out.extend_from_slice(&fields.to_le_bytes());
+        out.extend_from_slice(&META_MAGIC.to_le_bytes());
+        out
+    }
+
+    /// Decodes the footer that ends `page`. Returns the metadata and the
+    /// length of the page the footer rides on: 0 for a footer-only page.
+    /// A page that does not end in a whole footer is
+    /// [`Error::Corruption`].
+    fn from_footer(page: &[u8]) -> Result<(Self, usize)> {
+        let corrupt = |what: &str| Error::corruption(format!("btree footer: {what}"));
+        let (rest, tail) = page
+            .split_last_chunk::<FOOTER_TAIL>()
+            .ok_or_else(|| corrupt("page too short"))?;
+        let [l0, l1, l2, l3, magic @ ..] = *tail;
+        if magic != META_MAGIC.to_le_bytes() {
+            return Err(corrupt("bad magic"));
+        }
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let carrier = rest
+            .len()
+            .checked_sub(len)
+            .ok_or_else(|| corrupt("longer than its page"))?;
+        let fields = &rest[carrier..];
+        let (fixed, keys) = fields
+            .split_first_chunk::<FOOTER_FIXED>()
+            .ok_or_else(|| corrupt("fields too short"))?;
+        let word = |at: usize| u32::from_le_bytes(std::array::from_fn(|i| fixed[at + i]));
+        let (root, height, num_leaves) = (word(0), word(4), word(8));
+        let num_entries = u64::from_le_bytes(std::array::from_fn(|i| fixed[12 + i]));
+        let (min_raw, n) = get_slice(keys)?;
+        let (max_raw, m) = get_slice(&keys[n..])?;
+        if n + m != keys.len() {
+            return Err(corrupt("fields shorter than its length"));
+        }
+        let (min_key, max_key) = if num_entries == 0 {
+            (None, None)
+        } else {
+            (Some(min_raw.to_vec()), Some(max_raw.to_vec()))
+        };
+        let meta = TreeMeta {
+            root,
+            height,
+            num_leaves,
+            num_entries,
+            min_key,
+            max_key,
+        };
+        Ok((meta, carrier))
+    }
 }
 
 /// One of the [`Storage`] page reads: `read_page` or `read_page_forward`.
@@ -81,51 +162,48 @@ impl BTree {
         }
     }
 
-    /// Opens a tree previously built in `file`: reads the metadata page,
-    /// then each router page once, and keeps the router pages.
+    /// Opens a tree previously built in `file`: reads the file's last
+    /// page and the footer that ends it, then each other router page once,
+    /// and keeps the router pages. The last page is a router (the root) or
+    /// the lone leaf when the footer rides on it, and is skipped when it
+    /// holds the footer alone.
     pub fn open(storage: Arc<Storage>, file: FileId) -> Result<Self> {
-        let pages = storage.file_pages(file)?;
-        if pages == 0 {
-            return Err(Error::corruption("btree file has no pages"));
-        }
-        let data = storage.read_page(file, pages - 1)?;
-        if data.len() < 24 {
-            return Err(Error::corruption("metadata page too short"));
-        }
-        let magic = u32::from_le_bytes(data[0..4].try_into().unwrap());
-        if magic != META_MAGIC {
-            return Err(Error::corruption("bad btree magic"));
-        }
-        let root = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        let height = u32::from_le_bytes(data[8..12].try_into().unwrap());
-        let num_leaves = u32::from_le_bytes(data[12..16].try_into().unwrap());
-        let num_entries = u64::from_le_bytes(data[16..24].try_into().unwrap());
-        let (min_raw, n) = get_slice(&data[24..])?;
-        let (max_raw, _) = get_slice(&data[24 + n..])?;
-        let (min_key, max_key) = if num_entries == 0 {
-            (None, None)
-        } else {
-            (Some(min_raw.to_vec()), Some(max_raw.to_vec()))
-        };
-        if num_leaves > pages - 1 {
+        let last_no = storage
+            .file_pages(file)?
+            .checked_sub(1)
+            .ok_or_else(|| Error::corruption("btree file has no pages"))?;
+        let last = storage.read_page(file, last_no)?;
+        let (meta, carrier) = TreeMeta::from_footer(&last)?;
+        // One past the tree's last page: a footer-only page is none of its.
+        let end = if carrier > 0 { last_no + 1 } else { last_no };
+        if meta.num_leaves > end {
             return Err(Error::corruption(format!(
-                "metadata claims {num_leaves} leaves in a file of {pages} pages"
+                "footer claims {} leaves in a tree of {end} pages",
+                meta.num_leaves
             )));
         }
-        let routers = (num_leaves..pages - 1)
-            .map(|page_no| storage.read_page(file, page_no))
-            .collect::<Result<_>>()?;
+        let routers = (meta.num_leaves..end)
+            .map(|page_no| {
+                if page_no == last_no {
+                    Ok(last.clone())
+                } else {
+                    storage.read_page(file, page_no)
+                }
+            })
+            .collect::<Result<Arc<[_]>>>()?;
+        // Each router level holds a page: a taller tree would descend
+        // through pages it does not have, or loop on a damaged one.
+        if meta.height as usize > routers.len() + 1 {
+            return Err(Error::corruption(format!(
+                "footer claims height {} over {} router pages",
+                meta.height,
+                routers.len()
+            )));
+        }
         Ok(BTree {
             storage,
             file,
-            meta: TreeMeta {
-                root,
-                height,
-                num_leaves,
-                num_entries,
-                min_key,
-                max_key,
-            },
+            meta,
             routers,
         })
     }
@@ -960,20 +1038,18 @@ mod tests {
         let mut leaf = crate::page::LeafPageBuilder::new(s.page_size(), 0);
         leaf.add(b"k", b"v").unwrap();
         s.append_page(f, &leaf.finish()).unwrap();
-        s.append_page(
-            f,
-            &crate::page::InternalPageBuilder::new(s.page_size()).finish(),
-        )
-        .unwrap();
-        let mut meta = Vec::new();
-        meta.extend_from_slice(&META_MAGIC.to_le_bytes());
-        meta.extend_from_slice(&1u32.to_le_bytes()); // root: the empty page
-        meta.extend_from_slice(&2u32.to_le_bytes()); // height
-        meta.extend_from_slice(&1u32.to_le_bytes()); // leaves
-        meta.extend_from_slice(&1u64.to_le_bytes()); // entries
-        crate::encoding::put_slice(&mut meta, b"k");
-        crate::encoding::put_slice(&mut meta, b"k");
-        s.append_page(f, &meta).unwrap();
+        // The root router, empty, carries the footer.
+        let mut root = crate::page::InternalPageBuilder::new(s.page_size()).finish();
+        let meta = TreeMeta {
+            root: 1,
+            height: 2,
+            num_leaves: 1,
+            num_entries: 1,
+            min_key: Some(b"k".to_vec()),
+            max_key: Some(b"k".to_vec()),
+        };
+        root.extend_from_slice(&meta.footer());
+        s.append_page(f, &root).unwrap();
         let t = BTree::open(s, f).unwrap();
         for res in [
             t.search_pinned(b"k").map(|_| ()),
@@ -983,26 +1059,28 @@ mod tests {
         }
     }
 
-    /// A copy of `t`'s file whose metadata page claims `num_entries`
-    /// entries, with `damage` applied to every other page.
+    /// A copy of `t`'s file whose footer claims `num_entries` entries,
+    /// with `damage` applied to every page (the last one without its
+    /// footer).
     fn copy_with(t: &BTree, num_entries: u64, damage: impl Fn(PageNo, &mut Vec<u8>)) -> BTree {
         let s = t.storage().clone();
         let f = s.create_file();
-        let pages = s.file_pages(t.file()).unwrap();
-        for p in 0..pages - 1 {
+        let last = s.file_pages(t.file()).unwrap() - 1;
+        for p in 0..=last {
             let mut page = s.page_data(t.file(), p).unwrap().to_vec();
+            if p == last {
+                page.truncate(TreeMeta::from_footer(&page).unwrap().1);
+            }
             damage(p, &mut page);
+            if p == last {
+                let meta = TreeMeta {
+                    num_entries,
+                    ..t.meta.clone()
+                };
+                page.extend_from_slice(&meta.footer());
+            }
             s.append_page(f, &page).unwrap();
         }
-        let mut meta = Vec::new();
-        meta.extend_from_slice(&META_MAGIC.to_le_bytes());
-        meta.extend_from_slice(&t.meta.root.to_le_bytes());
-        meta.extend_from_slice(&t.meta.height.to_le_bytes());
-        meta.extend_from_slice(&t.meta.num_leaves.to_le_bytes());
-        meta.extend_from_slice(&num_entries.to_le_bytes());
-        crate::encoding::put_slice(&mut meta, t.min_key().unwrap());
-        crate::encoding::put_slice(&mut meta, t.max_key().unwrap());
-        s.append_page(f, &meta).unwrap();
         BTree::open(s, f).unwrap()
     }
 
@@ -1166,21 +1244,22 @@ mod tests {
         }
     }
 
-    /// [`BTree::open`] reads the metadata page and each router page once,
-    /// keeps the very pages the device stores, and no descent through the
-    /// reopened handle reads a page.
+    /// [`BTree::open`] reads each router page once — the root, last,
+    /// with the footer it carries — keeps the very pages the device
+    /// stores, and no descent through the reopened handle reads a page.
     #[test]
     fn open_reads_each_router_page_once_and_no_descent_reads_one() {
         let built = height_3();
         let s = built.storage().clone();
         let (leaves, pages) = (built.num_leaves(), s.file_pages(built.file()).unwrap());
-        let routers = pages - 1 - leaves;
+        let routers = pages - leaves;
         assert!(routers > 2, "{routers} router pages");
+        assert_eq!(built.meta.root, pages - 1, "the root carries the footer");
         s.clear_cache();
         let before = s.stats();
         let t = BTree::open(s.clone(), built.file()).unwrap();
         let d = s.stats().since(&before);
-        assert_eq!((d.disk_reads(), d.cache_hits), (u64::from(1 + routers), 0));
+        assert_eq!((d.disk_reads(), d.cache_hits), (u64::from(routers), 0));
         assert_eq!(t.routers.len(), routers as usize);
         for (i, page) in t.routers.iter().enumerate() {
             let stored = s.page_data(t.file(), leaves + i as PageNo).unwrap();
@@ -1204,15 +1283,15 @@ mod tests {
         }
     }
 
-    /// A router child pointer that names no router page — a leaf, the
-    /// metadata page, a page past the file — or, on the leaves' parent,
-    /// no leaf, is corruption to a search, a leaf location, a cursor and
-    /// a bounded scan; no read is attempted through it.
+    /// A router child pointer that names no router page — a leaf, a page
+    /// past the file — or, on the leaves' parent, no leaf, is corruption
+    /// to a search, a leaf location, a cursor and a bounded scan; no read
+    /// is attempted through it.
     #[test]
     fn a_router_child_outside_the_router_range_is_corruption() {
         let t = height_3();
         let (root, leaves) = (t.meta.root, t.num_leaves());
-        let meta_page = t.storage().file_pages(t.file()).unwrap() - 1;
+        let end = t.storage().file_pages(t.file()).unwrap();
         // Every child of page `target` set to `child`.
         let repoint = |target: PageNo, child: u32| {
             move |p: PageNo, page: &mut Vec<u8>| {
@@ -1231,12 +1310,12 @@ mod tests {
         for (target, child) in [
             (root, 0),
             (root, leaves - 1),
-            (root, meta_page),
-            (root, meta_page + 1),
+            (root, end),
+            (root, end + 1),
             (root, u32::MAX),
             (leaves, leaves),
             (leaves, root),
-            (leaves, meta_page),
+            (leaves, end),
             (leaves, u32::MAX),
         ] {
             let damaged = copy_with(&t, t.num_entries(), repoint(target, child));
@@ -1268,7 +1347,8 @@ mod tests {
     /// A router page whose append a fault tore is held torn: the handle
     /// keeps the page the device stores, byte for byte and buffer for
     /// buffer, so a search through the built handle answers what one
-    /// through a reopened handle does.
+    /// through a reopened handle does. A torn root tears the footer it
+    /// carries, and the file no longer opens: [`Error::Corruption`].
     #[test]
     fn a_torn_router_append_is_held_torn() {
         use lsm_storage::{FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger};
@@ -1306,7 +1386,15 @@ mod tests {
                 let stored = s.read_page(t.file(), leaves + i as PageNo).unwrap();
                 assert!(Arc::ptr_eq(page, &stored), "router page {i}");
             }
-            let reopened = BTree::open(s.clone(), t.file()).unwrap();
+            let reopened = BTree::open(s.clone(), t.file());
+            if k == t.routers.len() - 1 {
+                assert!(
+                    matches!(reopened, Err(Error::Corruption(_))),
+                    "{reopened:?}"
+                );
+                continue;
+            }
+            let reopened = reopened.unwrap();
             for key in probes() {
                 assert_eq!(
                     format!("{:?}", t.search(&key)),
@@ -1323,5 +1411,121 @@ mod tests {
         let f = s.create_file();
         s.append_page(f, b"not a btree").unwrap();
         assert!(BTree::open(s, f).is_err());
+    }
+
+    /// `n` entries of a `key_len`-byte key and a `value_len`-byte value,
+    /// built on `page_size`-byte pages.
+    fn build_sized(page_size: usize, n: u32, key_len: usize, value_len: usize) -> BTree {
+        let s = Storage::new(StorageOptions {
+            page_size,
+            ..StorageOptions::test()
+        });
+        let mut b = BTreeBuilder::new(s);
+        for i in 0..n {
+            let key = format!("{i:0key_len$}");
+            b.add(key.as_bytes(), &vec![7; value_len]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Reopens `built`'s file and checks that the handle [`BTree::open`]
+    /// returns is the one the build returned: the same metadata, the same
+    /// router pages and the same answers. Returns the file's page count.
+    fn reopens_as_built(built: &BTree) -> u32 {
+        let s = built.storage().clone();
+        let t = BTree::open(s.clone(), built.file()).unwrap();
+        let (m, b) = (&t.meta, &built.meta);
+        assert_eq!(
+            (m.root, m.height, m.num_leaves, m.num_entries),
+            (b.root, b.height, b.num_leaves, b.num_entries)
+        );
+        assert_eq!((&m.min_key, &m.max_key), (&b.min_key, &b.max_key));
+        assert_eq!(t.routers, built.routers);
+        let entries = |t: &BTree| {
+            let mut scan = t.scan_all().unwrap();
+            std::iter::from_fn(|| scan.next_entry().unwrap()).collect::<Vec<_>>()
+        };
+        let all = entries(built);
+        assert_eq!(entries(&t), all);
+        for (key, value, ordinal) in &all {
+            assert_eq!(t.search(key).unwrap(), Some((value.clone(), *ordinal)));
+        }
+        s.file_pages(built.file()).unwrap()
+    }
+
+    /// The footer rides on the tree's last page, so a build writes no page
+    /// for it: a one-leaf tree is one page, its leaf, and an n-leaf tree
+    /// is its leaves and its router pages, the root last. Only an empty
+    /// tree, or a last page without room for the footer, writes a page
+    /// that holds the footer alone. [`BTree::open`] reopens all four.
+    #[test]
+    fn the_footer_rides_on_the_last_page_unless_it_has_no_room() {
+        // An empty tree: the footer alone.
+        let t = build_sized(256, 0, 4, 4);
+        assert_eq!((t.height(), t.num_leaves()), (0, 0));
+        assert_eq!(reopens_as_built(&t), 1);
+
+        // One leaf: the leaf, carrying the footer, is the whole file.
+        let t = build_sized(4096, 10, 8, 8);
+        assert_eq!((t.meta.root, t.height(), t.num_leaves()), (0, 1, 1));
+        assert_eq!(reopens_as_built(&t), 1);
+
+        // Many leaves: leaves, then routers; the root carries the footer.
+        let t = build_sized(4096, 5000, 8, 8);
+        assert!(t.height() >= 2);
+        let routers = t.routers.len() as u32;
+        assert_eq!(reopens_as_built(&t), t.num_leaves() + routers);
+        assert_eq!(t.meta.root, t.num_leaves() + routers - 1);
+        let root = &t.routers[routers as usize - 1];
+        assert!(root.ends_with(&META_MAGIC.to_le_bytes()));
+
+        // A lone leaf of 255 bytes has no room for a 32-byte footer on a
+        // 256-byte page: the footer follows it on a page of its own.
+        let t = build_sized(256, 1, 1, 238);
+        let leaf = t.storage().page_data(t.file(), 0).unwrap();
+        assert_eq!((t.num_leaves(), leaf.len()), (1, 255));
+        assert_eq!(reopens_as_built(&t), 2);
+
+        // Three one-entry leaves under a root of three 60-byte separators
+        // (196 bytes) leave no room for a 150-byte footer either.
+        let t = build_sized(256, 3, 60, 100);
+        assert_eq!((t.num_leaves(), t.height(), t.routers.len()), (3, 2, 1));
+        assert_eq!(t.routers[0].len(), 196);
+        assert_eq!(reopens_as_built(&t), 5);
+    }
+
+    /// A file whose last page is cut short or torn anywhere in its footer
+    /// does not open: [`Error::Corruption`], whichever page carries it.
+    #[test]
+    fn a_damaged_footer_is_corruption() {
+        for built in [
+            build_sized(256, 0, 4, 4),
+            build_sized(4096, 10, 8, 8),
+            build_sized(256, 1, 1, 238),
+            height_3(),
+        ] {
+            let s = built.storage().clone();
+            let last = s.file_pages(built.file()).unwrap() - 1;
+            let page = s.page_data(built.file(), last).unwrap();
+            let (_, carrier) = TreeMeta::from_footer(&page).unwrap();
+            for keep in carrier..page.len() {
+                let mut torn = page.to_vec();
+                torn[keep..].fill(0);
+                for damaged in [&page[..keep], &torn[..]] {
+                    let f = s.create_file();
+                    for p in 0..last {
+                        s.append_page(f, &s.page_data(built.file(), p).unwrap())
+                            .unwrap();
+                    }
+                    s.append_page(f, damaged).unwrap();
+                    let opened = BTree::open(s.clone(), f).map(drop);
+                    assert!(
+                        matches!(opened, Err(Error::Corruption(_))),
+                        "keep {keep} of {}: {opened:?}",
+                        page.len()
+                    );
+                }
+            }
+        }
     }
 }

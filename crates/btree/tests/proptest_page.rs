@@ -16,7 +16,6 @@
 //!   tree's entry count is `Error::Corruption` to every reader that hands
 //!   out ordinals.
 
-use lsm_btree::encoding::put_slice;
 use lsm_btree::page::{InternalPage, InternalPageBuilder, LeafPage, LeafPageBuilder};
 use lsm_btree::tree::META_MAGIC;
 use lsm_btree::{BTree, BTreeBuilder, StatefulCursor};
@@ -161,36 +160,59 @@ fn ok_or_corruption<T>(r: &lsm_common::Result<T>) -> bool {
     }
 }
 
-/// A tree over one leaf `page`, described by `meta`.
-fn one_leaf_tree(page: &[u8], meta: &[u8]) -> BTree {
-    let storage = Storage::new(StorageOptions::test());
-    let file = storage.create_file();
-    storage.append_page(file, page).unwrap();
-    storage.append_page(file, meta).unwrap();
-    BTree::open(storage, file).unwrap()
+/// The one page of a one-leaf tree over `entries` as [`BTreeBuilder`]
+/// writes it, split into the leaf and the footer behind it (an empty map
+/// builds an empty tree: no leaf, the footer alone).
+fn one_leaf_page(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> (Vec<u8>, Vec<u8>) {
+    let storage = Storage::new(StorageOptions {
+        page_size: 1 << 16,
+        ..StorageOptions::test()
+    });
+    let mut b = BTreeBuilder::new(storage.clone());
+    for (k, v) in entries {
+        b.add(k, v).unwrap();
+    }
+    let tree = b.finish().unwrap();
+    assert_eq!(storage.file_pages(tree.file()).unwrap(), 1);
+    let mut page = storage.read_page(tree.file(), 0).unwrap().to_vec();
+    let tail = page.len() - 8;
+    assert_eq!(page[tail + 4..], META_MAGIC.to_le_bytes());
+    let fields = u32::from_le_bytes(page[tail..tail + 4].try_into().unwrap()) as usize;
+    let footer = page.split_off(tail - fields);
+    (page, footer)
 }
 
-/// Reads everything a damaged leaf claims to hold, through the page view
-/// every reader uses and through a scan of a one-leaf tree over it.
-fn read_damaged_leaf(page: &[u8], meta: &[u8], probes: &[Vec<u8>]) -> Result<(), String> {
-    match LeafPage::parse(page) {
-        Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
-        Ok(view) => {
-            for i in 0..view.count() {
-                prop_assert!(ok_or_corruption(&view.entry(i)));
-                prop_assert!(ok_or_corruption(&view.key(i)));
-            }
-            for probe in probes {
-                prop_assert!(ok_or_corruption(&view.search(probe)));
-                for from in [0, view.count() / 2, view.count()] {
-                    prop_assert!(ok_or_corruption(&view.exponential_search(probe, from)));
-                }
-            }
+/// Opens a tree whose file is the one page `page`.
+fn open_one_page(page: &[u8]) -> lsm_common::Result<BTree> {
+    let storage = Storage::new(StorageOptions {
+        page_size: 1 << 16,
+        ..StorageOptions::test()
+    });
+    let file = storage.create_file();
+    storage.append_page(file, page).unwrap();
+    BTree::open(storage, file)
+}
+
+/// A tree over one leaf `page`, described by the `footer` behind it.
+fn one_leaf_tree(page: &[u8], footer: &[u8]) -> lsm_common::Result<BTree> {
+    open_one_page(&[page, footer].concat())
+}
+
+/// Reads everything a tree opened over a damaged page claims to hold —
+/// searches, cursor seeks and a full scan — expecting `Ok` or
+/// `Error::Corruption` from each.
+fn read_damaged_tree(tree: &lsm_common::Result<BTree>, probes: &[Vec<u8>]) -> Result<(), String> {
+    let tree = match tree {
+        Err(e) => {
+            prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}");
+            return Ok(());
         }
-    }
-    let tree = one_leaf_tree(page, meta);
+        Ok(tree) => tree,
+    };
+    let mut cursor = StatefulCursor::new(tree);
     for probe in probes {
         prop_assert!(ok_or_corruption(&tree.search(probe)));
+        prop_assert!(ok_or_corruption(&cursor.seek(probe)));
     }
     let mut scan = tree.scan_all().unwrap();
     loop {
@@ -208,6 +230,27 @@ fn read_damaged_leaf(page: &[u8], meta: &[u8], probes: &[Vec<u8>]) -> Result<(),
     Ok(())
 }
 
+/// Reads everything a damaged leaf claims to hold, through the page view
+/// every reader uses and through a scan of a one-leaf tree over it.
+fn read_damaged_leaf(page: &[u8], footer: &[u8], probes: &[Vec<u8>]) -> Result<(), String> {
+    match LeafPage::parse(page) {
+        Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+        Ok(view) => {
+            for i in 0..view.count() {
+                prop_assert!(ok_or_corruption(&view.entry(i)));
+                prop_assert!(ok_or_corruption(&view.key(i)));
+            }
+            for probe in probes {
+                prop_assert!(ok_or_corruption(&view.search(probe)));
+                for from in [0, view.count() / 2, view.count()] {
+                    prop_assert!(ok_or_corruption(&view.exponential_search(probe, from)));
+                }
+            }
+        }
+    }
+    read_damaged_tree(&one_leaf_tree(page, footer), probes)
+}
+
 fn read_damaged_router(page: &[u8], probes: &[Vec<u8>]) -> Result<(), String> {
     match InternalPage::parse(page) {
         Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
@@ -221,19 +264,6 @@ fn read_damaged_router(page: &[u8], probes: &[Vec<u8>]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// The metadata page of a one-leaf tree over `entries`.
-fn one_leaf_meta(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<u8> {
-    let mut meta = Vec::new();
-    meta.extend_from_slice(&META_MAGIC.to_le_bytes());
-    meta.extend_from_slice(&0u32.to_le_bytes()); // root: the leaf
-    meta.extend_from_slice(&1u32.to_le_bytes()); // height
-    meta.extend_from_slice(&1u32.to_le_bytes()); // leaves
-    meta.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    put_slice(&mut meta, entries.keys().next().map_or(&[][..], |k| k));
-    put_slice(&mut meta, entries.keys().next_back().map_or(&[][..], |k| k));
-    meta
 }
 
 proptest! {
@@ -412,7 +442,7 @@ proptest! {
             }
             at += run.len();
             let next = ordinal + run.len() as u64;
-            let page = shared.take_shared(next);
+            let page = shared.take_shared(next, &[]);
             prop_assert_eq!(&page[..], &build_leaf(&run, ordinal)[..], "run at {}", ordinal);
             ordinal = next;
         }
@@ -423,7 +453,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // Every truncation and random byte flips of a valid leaf or router
-    // page read back as `Ok` or `Error::Corruption`.
+    // page read back as `Ok` or `Error::Corruption`. A one-leaf tree's
+    // page whose final append was cut short or torn does not open
+    // (`Error::Corruption`), and one whose footer bytes were flipped opens
+    // as `Ok` or `Error::Corruption` and reads the same way.
     #[test]
     fn damaged_pages_are_corruption_not_panics(
         shape in 0..5usize,
@@ -437,25 +470,47 @@ proptest! {
         let mut probes: Vec<Vec<u8>> = probes.into_iter().chain(keys.iter().step_by(7).cloned()).collect();
         probes.sort();
         let leaf = build_leaf(&entries, 0);
-        let meta = one_leaf_meta(&entries);
+        let (built, footer) = one_leaf_page(&entries);
+        // The bulk loader's lone leaf is the page builder's leaf; an empty
+        // map builds no leaf at all.
+        prop_assert_eq!(&built[..], if entries.is_empty() { &[][..] } else { &leaf[..] });
         let router = build_router(&keys);
 
         // One flipped bit of the ordinal word moves the leaf past the
         // tree's entries: still a well-formed page, but every search, cursor
         // probe (descent and held leaf alike) and scan that would hand out
         // one of its ordinals reports corruption instead.
-        let mut shifted = leaf.clone();
-        shifted[ordinal_bit as usize / 8] ^= 1 << (ordinal_bit % 8);
-        let tree = one_leaf_tree(&shifted, &meta);
-        let mut cursor = StatefulCursor::new(&tree);
-        for probe in &probes {
-            prop_assert!(matches!(tree.search(probe), Err(Error::Corruption(_))));
-            prop_assert!(matches!(cursor.seek(probe), Err(Error::Corruption(_))));
+        if !entries.is_empty() {
+            let mut shifted = leaf.clone();
+            shifted[ordinal_bit as usize / 8] ^= 1 << (ordinal_bit % 8);
+            let tree = one_leaf_tree(&shifted, &footer).unwrap();
+            let mut cursor = StatefulCursor::new(&tree);
+            for probe in &probes {
+                prop_assert!(matches!(tree.search(probe), Err(Error::Corruption(_))));
+                prop_assert!(matches!(cursor.seek(probe), Err(Error::Corruption(_))));
+            }
+            prop_assert!(matches!(tree.scan_all().unwrap().advance(), Err(Error::Corruption(_))));
         }
-        prop_assert!(matches!(tree.scan_all().unwrap().advance(), Err(Error::Corruption(_))));
+
+        // The footer ends the page, so a short or torn final append — cut
+        // anywhere in the footer, or in the leaf before it — loses its tail.
+        let page = [&built[..], &footer[..]].concat();
+        for keep in [0, built.len() / 2].into_iter().chain(built.len()..page.len()) {
+            let mut torn = page.clone();
+            torn[keep..].fill(0);
+            for damaged in [&page[..keep], &torn[..]] {
+                let opened = open_one_page(damaged).map(drop);
+                prop_assert!(matches!(opened, Err(Error::Corruption(_))), "keep {}: {:?}", keep, opened);
+            }
+        }
+        let mut flipped = page.clone();
+        for &(at, mask) in &flips {
+            flipped[built.len() + at % footer.len()] ^= mask;
+            read_damaged_tree(&open_one_page(&flipped), &probes)?;
+        }
 
         for cut in 0..leaf.len() {
-            read_damaged_leaf(&leaf[..cut], &meta, &probes)?;
+            read_damaged_leaf(&leaf[..cut], &footer, &probes)?;
         }
         for cut in 0..router.len() {
             read_damaged_router(&router[..cut], &probes)?;
@@ -466,7 +521,7 @@ proptest! {
             leaf[at % len] ^= mask;
             let len = router.len();
             router[at % len] ^= mask;
-            read_damaged_leaf(&leaf, &meta, &probes)?;
+            read_damaged_leaf(&leaf, &footer, &probes)?;
             read_damaged_router(&router, &probes)?;
         }
     }

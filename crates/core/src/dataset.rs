@@ -1766,8 +1766,18 @@ mod tests {
         assert!(ds.get(&Value::Int(1999)).unwrap().is_some());
     }
 
+    /// Tiering (ratio 1.2, no cap) merges until no sequence qualifies:
+    /// then each component outweighs all younger ones together over 1.2,
+    /// so the total at least grows by 11/6 per component, oldest-ward,
+    /// and `n` components, the newest at least a page, hold more than
+    /// (11/6)^(n−1) pages. The bound is what the policy promises; the count
+    /// follows the page sizes tiering sees. Here each flush is one leaf
+    /// carrying its footer, and the primary ends at 36, 8, 4, 1 and 1
+    /// pages: five components, where two-page flushes (a leaf and a
+    /// metadata page) had left at most four.
     #[test]
     fn merges_run_under_policy() {
+        use lsm_tree::{MergePolicy, TieringPolicy};
         let mut cfg = config(StrategyKind::Validation);
         cfg.memory_budget = 32 * 1024;
         cfg.merge.max_mergeable_bytes = u64::MAX;
@@ -1778,8 +1788,21 @@ mod tests {
         let snap = ds.stats().snapshot();
         assert!(snap.flushes >= 3, "flushes {}", snap.flushes);
         assert!(snap.merges > 0, "merges {}", snap.merges);
-        // Tiering with unlimited cap keeps the component count low.
-        assert!(ds.primary().num_disk_components() <= 4);
+        let sizes: Vec<u64> = ds
+            .primary()
+            .disk_components()
+            .iter()
+            .rev()
+            .map(|c| c.byte_size())
+            .collect();
+        let policy = TieringPolicy::new(u64::MAX);
+        assert_eq!(policy.select(&sizes), None, "{sizes:?}");
+        let pages = sizes.iter().sum::<u64>() / ds.storage().page_size() as u64;
+        let n = sizes.len() as i32;
+        assert!(
+            (11.0f64 / 6.0).powi(n - 1) < pages as f64,
+            "{n} components, {pages} pages"
+        );
         assert!(ds.get(&Value::Int(3999)).unwrap().is_some());
     }
 
