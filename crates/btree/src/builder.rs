@@ -106,11 +106,9 @@ impl BTreeBuilder {
     /// Writes the open leaf, with `footer` behind it (empty but on the
     /// tree's last page), and restarts the builder for the next leaf.
     fn flush_leaf(&mut self, footer: &[u8]) -> Result<()> {
-        let first = self
-            .leaf
-            .first_key()
-            .expect("flush_leaf on empty leaf")
-            .to_vec();
+        // INVARIANT: every caller checks that the open leaf holds an entry.
+        let first = self.leaf.first_key().expect("flush_leaf on empty leaf");
+        let first = first.to_vec();
         let next_base = self.leaf.count() as u64 + self.leaf_base();
         let page = self.leaf.take_shared(next_base, footer);
         let (page_no, _) =

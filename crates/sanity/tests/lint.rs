@@ -36,10 +36,21 @@ fn violations_fixture_flags_every_class() {
     assert_eq!(v.file, Path::new("crates/core/src/lib.rs"));
     assert_eq!(v.line, 1);
 
-    // 2a. A fresh unwrap beyond the (absent) allowlist entry.
-    let v = find(&vs, "unwrap-ratchet", "allowlist permits 0");
-    assert_eq!(v.file, Path::new("crates/core/src/lib.rs"));
-    assert_eq!(v.line, 6);
+    // 2a. A fresh unwrap beyond the (absent) allowlist entry, in an
+    // engine crate and in the B+-tree crate, whose decoders read device
+    // bytes.
+    let fresh: Vec<(&Path, usize)> = vs
+        .iter()
+        .filter(|v| v.check == "unwrap-ratchet" && v.message.contains("allowlist permits 0"))
+        .map(|v| (v.file.as_path(), v.line))
+        .collect();
+    assert_eq!(
+        fresh,
+        [
+            (Path::new("crates/btree/src/lib.rs"), 3),
+            (Path::new("crates/core/src/lib.rs"), 6)
+        ]
+    );
     // 2b. Debt that shrank without ratcheting the allowlist down.
     find(&vs, "unwrap-ratchet", "debt shrank");
     // 2c. An allowlist entry whose file no longer exists.
@@ -82,9 +93,12 @@ fn violations_fixture_flags_every_class() {
 
 #[test]
 fn violations_fixture_has_no_unexpected_findings() {
-    // Every violation in the seeded tree is one we planted: 12 in total.
+    // Every violation in the seeded tree is one we planted: 13 in total.
+    // The B+-tree crate's probe of an unknown crash site is not one: the
+    // crash-site scan covers the engine crates alone.
     let vs = run_all(&fixture("violations"));
-    assert_eq!(vs.len(), 12, "{vs:#?}");
+    assert_eq!(vs.len(), 13, "{vs:#?}");
+    assert!(!vs.iter().any(|v| v.message.contains("btree_only_window")));
 }
 
 #[test]
