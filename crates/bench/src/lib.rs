@@ -18,6 +18,13 @@
 //! | bloom FPR                | 1%       | 1%                    |
 //! | tiering size ratio       | 1.2      | 1.2                   |
 //!
+//! Keeping the page size while shrinking the data shrinks components to a
+//! few pages each, so any fixed number of pages per component weighs far
+//! more here than at the paper's 1GB (≈8,000-page) components. A component
+//! therefore carries its tree's metadata as a footer on its last page
+//! rather than in a page of its own, which had been a quarter or more of the
+//! data pages an ingest wrote.
+//!
 //! Results are reported in **simulated seconds** (the paper's y-axes).
 //! Each figure function's doc states the shape the paper reports.
 

@@ -167,7 +167,7 @@ impl BTreeBuilder {
 
     /// Finalizes the tree and returns a reader over it. The tree's last
     /// page — the root router, or the lone leaf of a one-leaf tree —
-    /// carries the metadata footer ([`TreeMeta::footer`]); only an empty
+    /// carries the metadata footer (`TreeMeta::footer`); only an empty
     /// tree, or a last page without room for it, writes the footer as a
     /// page of its own.
     pub fn finish(mut self) -> Result<BTree> {

@@ -13,6 +13,10 @@
 //! They are a small share of the file (one router page per fanout's worth
 //! of leaves), as in the paper's testbed, whose router levels never leave
 //! the buffer cache.
+//!
+//! The tree's metadata is no page of its own: it is a footer
+//! (`TreeMeta::footer`) on the file's last page — the root router, or a
+//! one-leaf tree's leaf — unless that page had no room for it.
 
 use crate::encoding::{get_slice, put_slice};
 use crate::page::{InternalPage, LeafPage, LeafShape};
