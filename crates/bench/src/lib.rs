@@ -22,8 +22,8 @@
 //! few pages each, so any fixed number of pages per component weighs far
 //! more here than at the paper's 1GB (≈8,000-page) components. A component
 //! therefore carries its tree's metadata as a footer on its last page
-//! rather than in a page of its own, which had been a quarter or more of the
-//! data pages an ingest wrote.
+//! rather than in a page of its own, which at this scale would be a quarter
+//! or more of the data pages an ingest writes.
 //!
 //! Results are reported in **simulated seconds** (the paper's y-axes).
 //! Each figure function's doc states the shape the paper reports.

@@ -65,15 +65,13 @@ impl TreeMeta {
     /// tree; an empty tree, or a last page without room for it, writes it
     /// as a page of its own.
     pub(crate) fn footer(&self) -> Vec<u8> {
-        let (min, max) = (self.min_key.as_deref(), self.max_key.as_deref());
-        let keys = [min, max].map(|k| crate::encoding::slice_len(k.unwrap_or(b"")));
-        let mut out = Vec::with_capacity(FOOTER_FIXED + keys[0] + keys[1] + FOOTER_TAIL);
+        let mut out = Vec::new();
         out.extend_from_slice(&self.root.to_le_bytes());
         out.extend_from_slice(&self.height.to_le_bytes());
         out.extend_from_slice(&self.num_leaves.to_le_bytes());
         out.extend_from_slice(&self.num_entries.to_le_bytes());
-        put_slice(&mut out, min.unwrap_or(b""));
-        put_slice(&mut out, max.unwrap_or(b""));
+        put_slice(&mut out, self.min_key.as_deref().unwrap_or(b""));
+        put_slice(&mut out, self.max_key.as_deref().unwrap_or(b""));
         let fields = out.len() as u32;
         out.extend_from_slice(&fields.to_le_bytes());
         out.extend_from_slice(&META_MAGIC.to_le_bytes());
@@ -108,7 +106,7 @@ impl TreeMeta {
         let (min_raw, n) = get_slice(keys)?;
         let (max_raw, m) = get_slice(&keys[n..])?;
         if n + m != keys.len() {
-            return Err(corrupt("fields shorter than its length"));
+            return Err(corrupt("length does not match its fields"));
         }
         let (min_key, max_key) = if num_entries == 0 {
             (None, None)
@@ -1496,6 +1494,29 @@ mod tests {
         assert_eq!((t.num_leaves(), t.height(), t.routers.len()), (3, 2, 1));
         assert_eq!(t.routers[0].len(), 196);
         assert_eq!(reopens_as_built(&t), 5);
+    }
+
+    /// A footer that claims more router levels than the file has router
+    /// pages does not open: a descent through a damaged router that routes
+    /// to itself would otherwise loop once per claimed level.
+    #[test]
+    fn a_footer_taller_than_its_routers_is_corruption() {
+        let t = build(10);
+        let s = t.storage().clone();
+        let page = s.page_data(t.file(), 0).unwrap();
+        let (meta, carrier) = TreeMeta::from_footer(&page).unwrap();
+        for height in [2, u32::MAX] {
+            let f = s.create_file();
+            let footer = TreeMeta {
+                height,
+                ..meta.clone()
+            }
+            .footer();
+            s.append_page(f, &[&page[..carrier], &footer].concat())
+                .unwrap();
+            let opened = BTree::open(s.clone(), f).map(drop);
+            assert!(matches!(opened, Err(Error::Corruption(_))), "{opened:?}");
+        }
     }
 
     /// A file whose last page is cut short or torn anywhere in its footer

@@ -1771,10 +1771,9 @@ mod tests {
     /// so the total at least grows by 11/6 per component, oldest-ward,
     /// and `n` components, the newest at least a page, hold more than
     /// (11/6)^(n−1) pages. The bound is what the policy promises; the count
-    /// follows the page sizes tiering sees. Here each flush is one leaf
-    /// carrying its footer, and the primary ends at 36, 8, 4, 1 and 1
-    /// pages: five components, where two-page flushes (a leaf and a
-    /// metadata page) had left at most four.
+    /// follows the page sizes tiering sees. Here each flush is one page, a
+    /// leaf carrying its footer, and the primary ends at 36, 8, 4, 1 and 1
+    /// pages: five components.
     #[test]
     fn merges_run_under_policy() {
         use lsm_tree::{MergePolicy, TieringPolicy};
