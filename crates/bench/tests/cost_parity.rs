@@ -221,9 +221,10 @@ fn components(ds: &Dataset) -> [(&'static str, u64); 3] {
     ]
 }
 
-/// The clock, what the data and log devices were charged, the flushes
-/// and merges so far and the components they left: the fields every
-/// write script records. Asserts first that the clock is `prices` times
+/// The clock, what the data and log devices were charged (with the data
+/// device's write seeks: one per switch of the file appended to), the
+/// flushes and merges so far and the components they left: the fields
+/// every write script records. Asserts first that the clock is `prices` times
 /// the counts.
 fn charged(env: &Env, ds: &Dataset, prices: &Prices) -> Costs {
     prices.assert_clock(env);
@@ -234,6 +235,7 @@ fn charged(env: &Env, ds: &Dataset, prices: &Prices) -> Costs {
         ("cpu_ns", data.cpu_ns),
         ("data_bytes_written", data.bytes_written),
         ("data_pages_written", data.pages_written),
+        ("data_write_seeks", data.write_seeks),
         ("log_bytes_written", log.bytes_written),
         ("log_pages_written", log.pages_written),
         ("flushes", stats.flushes),
@@ -450,6 +452,7 @@ fn read_script(strategy: StrategyKind) -> Costs {
         matches += scan.records().expect("records").len() as u64;
     }
     let io = env.storage.stats().since(&before);
+    assert_eq!(io.pages_written, 0, "the reads write no page");
     Prices::ledger().assert_clock(&env);
     let mut costs = vec![
         ("sim_ns", env.clock.now_nanos() - t0),
@@ -462,6 +465,8 @@ fn read_script(strategy: StrategyKind) -> Costs {
         ("bloom_negatives", io.bloom_negatives),
         ("batched_lookups_saved", io.batched_lookups_saved),
         ("bridged_pages", io.bridged_pages),
+        // The reads write nothing: these are the load's flushes and merges.
+        ("data_write_seeks", env.storage.stats().write_seeks),
         ("rows", rows),
         ("keys", keys),
         ("matches", matches),
