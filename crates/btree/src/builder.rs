@@ -19,7 +19,7 @@
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
 use crate::tree::{BTree, TreeMeta};
 use lsm_common::{Error, Result};
-use lsm_storage::{CacheAdmission, FileId, Storage};
+use lsm_storage::{CacheAdmission, FileId, PageNo, Storage};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
@@ -27,6 +27,9 @@ use std::sync::Arc;
 pub struct BTreeBuilder {
     storage: Arc<Storage>,
     file: FileId,
+    /// The file's page the tree starts on: its page 0. Every page number
+    /// the tree stores is relative to it.
+    first: PageNo,
     page_size: usize,
     leaf: LeafPageBuilder,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
@@ -42,7 +45,7 @@ pub struct BTreeBuilder {
     /// buffer, overwritten per entry.
     last_key: Vec<u8>,
     /// Set by a successful [`BTreeBuilder::finish`]: a builder dropped
-    /// without it deletes its file.
+    /// without it releases the pages it wrote.
     finished: bool,
 }
 
@@ -50,11 +53,24 @@ impl BTreeBuilder {
     /// Starts building a tree in a fresh file of `storage`.
     pub fn new(storage: Arc<Storage>) -> Self {
         let file = storage.create_file();
+        Self::at(storage, file, 0)
+    }
+
+    /// Starts building a tree at the end of `file`, after the trees
+    /// already built there; the tree owns the pages it appends. Nothing
+    /// else may append to `file` until the build finishes or is dropped.
+    pub fn append_to(storage: Arc<Storage>, file: FileId) -> Result<Self> {
+        let first = storage.file_pages(file)?;
+        Ok(Self::at(storage, file, first))
+    }
+
+    fn at(storage: Arc<Storage>, file: FileId, first: PageNo) -> Self {
         let page_size = storage.page_size();
         let leaf = LeafPageBuilder::new(page_size, 0);
         BTreeBuilder {
             storage,
             file,
+            first,
             page_size,
             leaf,
             leaf_index: Vec::new(),
@@ -114,7 +130,7 @@ impl BTreeBuilder {
         let (page_no, _) =
             self.storage
                 .append_page_shared(self.file, page, CacheAdmission::Unreferenced)?;
-        debug_assert_eq!(page_no, self.next_page);
+        debug_assert_eq!(page_no, self.first + self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
         Ok(())
@@ -125,13 +141,19 @@ impl BTreeBuilder {
         self.num_entries - self.leaf.count() as u64
     }
 
+    /// Pages the build has appended so far.
+    fn pages_written(&self) -> u32 {
+        self.next_page + self.routers.len() as u32
+    }
+
     /// Appends router page `page`, which the handle keeps as the device
-    /// stored it, and returns its page number.
+    /// stored it, and returns its page number in the tree.
     fn append_router(&mut self, page: Vec<u8>) -> Result<u32> {
-        let (page_no, stored) =
+        let page_no = self.pages_written();
+        let (stored_no, stored) =
             self.storage
                 .append_page_shared(self.file, page.into(), CacheAdmission::Skip)?;
-        debug_assert_eq!(page_no, self.next_page + self.routers.len() as u32);
+        debug_assert_eq!(stored_no, self.first + page_no);
         self.routers.push(stored);
         Ok(page_no)
     }
@@ -214,10 +236,12 @@ impl BTreeBuilder {
             self.storage.append_page(self.file, &footer)?;
         }
         self.finished = true;
+        let pages = self.first..self.first + self.pages_written() + u32::from(!carried);
         let routers = std::mem::take(&mut self.routers);
         Ok(BTree::from_parts(
             self.storage.clone(),
             self.file,
+            pages,
             meta,
             routers.into(),
         ))
@@ -226,11 +250,13 @@ impl BTreeBuilder {
 
 impl Drop for BTreeBuilder {
     /// A build abandoned before [`BTreeBuilder::finish`] succeeded — an
-    /// error mid-build, or a caller that gave up — deletes its partial
-    /// file, so no pages outlive the failed build.
+    /// error mid-build, or a caller that gave up — releases the pages it
+    /// wrote, so none outlive the failed build; a file left with no live
+    /// page is deleted.
     fn drop(&mut self) {
         if !self.finished {
-            let _ = self.storage.delete_file(self.file);
+            let end = self.first + self.pages_written();
+            let _ = self.storage.release_pages(self.file, self.first..end);
         }
     }
 }
@@ -271,6 +297,8 @@ mod tests {
         assert!(t.search(b"l").unwrap().is_none());
     }
 
+    /// A build abandoned in a fresh file releases its pages, which deletes
+    /// the file.
     #[test]
     fn an_abandoned_build_deletes_its_file() {
         let s = storage();
@@ -286,6 +314,74 @@ mod tests {
         // A finished build keeps its file.
         let t = BTreeBuilder::new(s.clone()).finish().unwrap();
         assert_eq!(s.file_pages(t.file()).unwrap(), 1);
+    }
+
+    /// Two trees built back to back in one file each own a page range,
+    /// with the pages each would have in a file of its own. Each reopens
+    /// from its last page and answers alone; a build abandoned after them
+    /// releases only its own pages; destroying one tree leaves the other
+    /// whole, and the file goes with the second.
+    #[test]
+    fn trees_built_back_to_back_share_a_file() {
+        let s = storage();
+        let fill = |mut b: BTreeBuilder, keys: std::ops::Range<u32>| {
+            for i in keys {
+                let (k, v) = kv(i);
+                b.add(&k, &v).unwrap();
+            }
+            b
+        };
+        let file = s.create_file();
+        let append = || BTreeBuilder::append_to(s.clone(), file).unwrap();
+        let a = fill(append(), 0..2000).finish().unwrap();
+        let b = fill(append(), 5000..5010).finish().unwrap();
+        assert!(a.height() >= 2);
+        assert_eq!((a.pages().start, a.pages().end), (0, b.pages().start));
+        assert_eq!(b.pages().end, s.file_pages(file).unwrap());
+        let alone = fill(BTreeBuilder::new(s.clone()), 0..2000)
+            .finish()
+            .unwrap();
+        assert_eq!(
+            (a.pages().len(), a.byte_size()),
+            (alone.pages().len(), alone.byte_size())
+        );
+        for (p, q) in a.pages().zip(alone.pages()) {
+            assert_eq!(
+                s.page_data(file, p).unwrap(),
+                s.page_data(alone.file(), q).unwrap()
+            );
+        }
+
+        let a = BTree::open_at(s.clone(), file, a.pages().end - 1).unwrap();
+        let b = BTree::open(s.clone(), file).unwrap();
+        let found = |t: &BTree, i| t.search(&kv(i).0).unwrap().map(|(v, _)| v);
+        for i in (0..2000).step_by(37).chain(5000..5010) {
+            let (mine, other) = if i < 2000 { (&a, &b) } else { (&b, &a) };
+            assert_eq!(found(mine, i), Some(kv(i).1), "{i}");
+            assert_eq!(found(other, i), None, "{i}");
+        }
+        let count = |t: &BTree| {
+            let mut scan = t.scan_all().unwrap();
+            std::iter::from_fn(|| scan.next_entry().unwrap()).count()
+        };
+        assert_eq!((count(&a), count(&b)), (2000, 10));
+
+        let end = b.pages().end;
+        drop(fill(append(), 9000..9500));
+        let written = s.file_pages(file).unwrap();
+        assert!(written > end, "the abandoned build wrote pages");
+        assert!((end..written).all(|p| s.page_data(file, p).is_err()));
+
+        a.destroy().unwrap();
+        assert!(a.pages().all(|p| s.page_data(file, p).is_err()));
+        assert!(s.read_page(file, 0).is_err());
+        assert_eq!(found(&b, 5003), Some(kv(5003).1));
+        assert_eq!(count(&b), 10);
+        b.destroy().unwrap();
+        assert!(
+            s.file_pages(file).is_err(),
+            "the file went with its last tree"
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl<'t> StatefulCursor<'t> {
         let page = self
             .tree
             .storage()
-            .read_page_forward(self.tree.file(), leaf_no)?;
+            .read_page_forward(self.tree.file(), self.tree.pages().start + leaf_no)?;
         let leaf = LeafPage::parse(&page)?;
         let (found, cmps) = leaf.search(key)?;
         let (Ok(pos) | Err(pos)) = found;

@@ -23,7 +23,7 @@ use crate::page::{InternalPage, LeafPage, LeafShape};
 use crate::walk::{LeafWalk, Slot, Span};
 use lsm_common::{Error, Result};
 use lsm_storage::{Event, FileId, PageNo, PageSlice, Storage, ValueBuf};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 /// Magic number ending a tree's metadata footer.
@@ -128,13 +128,17 @@ impl TreeMeta {
 /// One of the [`Storage`] page reads: `read_page` or `read_page_forward`.
 type PageRead = fn(&Storage, FileId, PageNo) -> Result<Arc<[u8]>>;
 
-/// An immutable B+-tree stored in one simulated file.
+/// An immutable B+-tree stored in a range of pages of one simulated file.
 #[derive(Clone)]
 pub struct BTree {
     storage: Arc<Storage>,
     file: FileId,
+    /// The file's pages the tree owns, a footer-only page included. Every
+    /// page number the tree stores — in its routers and its footer — is
+    /// relative to their start.
+    pages: Range<PageNo>,
     meta: TreeMeta,
-    /// The router pages `num_leaves..` of the file, in page order, each
+    /// The router pages `num_leaves..` of the tree, in page order, each
     /// the very buffer the device stores.
     routers: Arc<[Arc<[u8]>]>,
 }
@@ -143,6 +147,7 @@ impl std::fmt::Debug for BTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BTree")
             .field("file", &self.file)
+            .field("pages", &self.pages)
             .field("meta", &self.meta)
             .field("routers", &self.routers.len())
             .finish()
@@ -153,38 +158,61 @@ impl BTree {
     pub(crate) fn from_parts(
         storage: Arc<Storage>,
         file: FileId,
+        pages: Range<PageNo>,
         meta: TreeMeta,
         routers: Arc<[Arc<[u8]>]>,
     ) -> Self {
         BTree {
             storage,
             file,
+            pages,
             meta,
             routers,
         }
     }
 
-    /// Opens a tree previously built in `file`: reads the file's last
-    /// page and the footer that ends it, then each other router page once,
-    /// and keeps the router pages. The last page is a router (the root) or
-    /// the lone leaf when the footer rides on it, and is skipped when it
-    /// holds the footer alone.
+    /// Opens the tree that ends on `file`'s last page: see
+    /// [`BTree::open_at`].
     pub fn open(storage: Arc<Storage>, file: FileId) -> Result<Self> {
         let last_no = storage
             .file_pages(file)?
             .checked_sub(1)
             .ok_or_else(|| Error::corruption("btree file has no pages"))?;
+        Self::open_at(storage, file, last_no)
+    }
+
+    /// Opens the tree built in `file` whose last page is `last_no`: reads
+    /// that page and the footer that ends it, then each other router page
+    /// once, and keeps the router pages. The last page is a router (the
+    /// root) or the lone leaf when the footer rides on it, and is skipped
+    /// when it holds the footer alone. The footer's root gives the tree's
+    /// page count, so its first page.
+    pub fn open_at(storage: Arc<Storage>, file: FileId, last_no: PageNo) -> Result<Self> {
         let last = storage.read_page(file, last_no)?;
         let (meta, carrier) = TreeMeta::from_footer(&last)?;
-        // One past the tree's last page: a footer-only page is none of its.
-        let end = if carrier > 0 { last_no + 1 } else { last_no };
+        // One past the tree's last page in the tree's numbering: a
+        // footer-only page is none of its.
+        let end = match meta.height {
+            0 => Some(0),
+            _ => meta.root.checked_add(1),
+        };
+        let first = end
+            .and_then(|end| end.checked_add(u32::from(carrier == 0)))
+            .filter(|&count| count > 0)
+            .and_then(|count| (last_no + 1).checked_sub(count));
+        let (Some(end), Some(first)) = (end, first) else {
+            return Err(Error::corruption(format!(
+                "footer's root {} of height {} does not end on page {last_no}",
+                meta.root, meta.height
+            )));
+        };
         if meta.num_leaves > end {
             return Err(Error::corruption(format!(
                 "footer claims {} leaves in a tree of {end} pages",
                 meta.num_leaves
             )));
         }
-        let routers = (meta.num_leaves..end)
+        let routers = (first + meta.num_leaves..first + end)
             .map(|page_no| {
                 if page_no == last_no {
                     Ok(last.clone())
@@ -205,6 +233,7 @@ impl BTree {
         Ok(BTree {
             storage,
             file,
+            pages: first..last_no + 1,
             meta,
             routers,
         })
@@ -247,9 +276,14 @@ impl BTree {
         self.meta.max_key.as_deref()
     }
 
-    /// Approximate on-disk size in bytes.
+    /// The file's pages the tree owns.
+    pub fn pages(&self) -> Range<PageNo> {
+        self.pages.clone()
+    }
+
+    /// On-disk size in bytes: the tree's pages, whole.
     pub fn byte_size(&self) -> u64 {
-        self.storage.file_pages(self.file).unwrap_or(0) as u64 * self.storage.page_size() as u64
+        self.pages.len() as u64 * self.storage.page_size() as u64
     }
 
     /// Charges `nodes` node visits and the `cmps` key comparisons made
@@ -341,7 +375,7 @@ impl BTree {
         let Some((leaf_no, router_cmps)) = self.descend(key)? else {
             return Ok(None);
         };
-        let data = read_leaf(&self.storage, self.file, leaf_no)?;
+        let data = read_leaf(&self.storage, self.file, self.pages.start + leaf_no)?;
         let leaf = LeafPage::parse(&data)?;
         let (found, cmps) = leaf.search(key)?;
         self.charge_nodes(self.meta.height, router_cmps + cmps);
@@ -384,7 +418,8 @@ impl BTree {
     /// [`LeafPage::parse`], which reads the header alone.
     pub(crate) fn read_leaf(&self, leaf_no: PageNo) -> Result<Arc<[u8]>> {
         debug_assert!(leaf_no < self.meta.num_leaves);
-        self.storage.read_page(self.file, leaf_no)
+        self.storage
+            .read_page(self.file, self.pages.start + leaf_no)
     }
 
     /// The first key stored on leaf page `leaf_no`: every key on earlier
@@ -447,9 +482,10 @@ impl BTree {
         self.scan(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Deletes the backing file (after the component is dropped by a merge).
+    /// Releases the tree's pages (after the component is dropped by a
+    /// merge); the file goes with the last tree in it.
     pub fn destroy(&self) -> Result<()> {
-        self.storage.delete_file(self.file)
+        self.storage.release_pages(self.file, self.pages.clone())
     }
 }
 
@@ -565,10 +601,11 @@ impl BTreeScan {
             let count = ra.min(self.end_leaf - leaf_no);
             // One batched call charges the burst AND returns the page
             // handles — no per-page `page_data` re-locking.
-            self.buffer = self
-                .tree
-                .storage
-                .read_pages(self.tree.file, leaf_no, count)?;
+            self.buffer = self.tree.storage.read_pages(
+                self.tree.file,
+                self.tree.pages.start + leaf_no,
+                count,
+            )?;
             self.buffer_start = leaf_no;
             self.next_readahead = leaf_no + count;
         }

@@ -1200,8 +1200,10 @@ impl Dataset {
         }
         let trees: Vec<&LsmTree> = self.trees().collect();
         let mut built = Unpublished(Vec::with_capacity(trees.len()));
+        // One file for the whole flush: its appends switch files once.
+        let file = self.storage.create_file();
         for tree in &trees {
-            built.0.push(tree.build_sealed()?);
+            built.0.push(tree.build_sealed(file)?);
         }
         if mutable_bitmap && self.pk_index.is_some() {
             // The primary and pk index receive identical key/timestamp

@@ -2,11 +2,13 @@
 //! against every maintenance strategy, checking query answers against an
 //! oracle and exercising flushes, merges, repair, and filter scans together.
 
+use lsm_btree::{BTree, BTreeBuilder};
 use lsm_common::Value;
-use lsm_engine::{Dataset, DatasetConfig, SecondaryIndexDef, StrategyKind};
+use lsm_engine::{Dataset, DatasetConfig, MergePlan, MergeTarget, SecondaryIndexDef, StrategyKind};
 use lsm_storage::{
     FaultAction, FaultOp, FaultPlan, FaultSpec, FaultTrigger, FileId, Storage, StorageOptions,
 };
+use lsm_tree::{DiskComponent, MergeRange};
 use lsm_workload::{TweetConfig, TweetGenerator, UpdateDistribution, UpsertWorkload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -226,12 +228,17 @@ fn loaded_for_one_flush(strategy: StrategyKind, n: usize) -> Arc<Dataset> {
     ds
 }
 
-/// Files on `s` that hold pages.
+/// Files on `s` that hold a page a read still returns: a released page
+/// does not count.
 fn files_with_pages(s: &Storage) -> usize {
     let end = s.create_file().0;
-    (0..end)
-        .filter(|&f| s.file_pages(FileId(f)).is_ok_and(|n| n > 0))
-        .count()
+    (0..end).filter(|&f| live_pages(s, FileId(f)) > 0).count()
+}
+
+/// The pages of `file` a read still returns.
+fn live_pages(s: &Storage, file: FileId) -> usize {
+    let pages = s.file_pages(file).unwrap_or(0);
+    (0..pages).filter(|&p| s.page_data(file, p).is_ok()).count()
 }
 
 fn installed_components(ds: &Dataset) -> usize {
@@ -242,10 +249,21 @@ fn installed_components(ds: &Dataset) -> usize {
         .sum()
 }
 
-/// A flush that fails mid-build leaves no file behind, whichever build
-/// fails: the failing builder deletes its partial file, and the components
-/// built before it are retired unpublished. The retry publishes one
-/// component per index, and no other file holds pages.
+/// The newest disk component of every index, in flush order: primary, pk
+/// index, secondaries.
+fn newest_components(ds: &Dataset) -> Vec<Arc<DiskComponent>> {
+    std::iter::once(ds.primary())
+        .chain(ds.pk_index())
+        .chain(ds.secondaries().iter().map(|s| &s.tree))
+        .filter_map(|t| t.disk_components().first().cloned())
+        .collect()
+}
+
+/// A flush that fails mid-build leaves no page behind, whichever build
+/// fails: the failing builder releases its pages, and the components
+/// built before it are retired unpublished, which deletes the flush's
+/// file. The retry publishes one component per index, all in one file,
+/// and no other file holds pages.
 #[test]
 fn a_failed_flush_build_leaves_no_file_behind() {
     for strategy in strategies() {
@@ -253,8 +271,8 @@ fn a_failed_flush_build_leaves_no_file_behind() {
         // without a fault: the pk index's build starts there.
         let twin = loaded_for_one_flush(strategy, 3000);
         twin.flush_all().unwrap();
-        let primary_file = twin.primary().disk_components()[0].btree().file();
-        let primary_pages = u64::from(twin.storage().file_pages(primary_file).unwrap());
+        let primary = &twin.primary().disk_components()[0];
+        let primary_pages = primary.btree().pages().len() as u64;
         for (build, index) in [("primary", 3), ("pk index", primary_pages + 2)] {
             let ds = loaded_for_one_flush(strategy, 3000);
             let plan = FaultPlan::new(vec![FaultSpec {
@@ -276,12 +294,152 @@ fn a_failed_flush_build_leaves_no_file_behind() {
             assert!(ds.flush_all().unwrap(), "{case}: the retry flushes");
             let installed = installed_components(&ds);
             assert_eq!(installed, 2 + ds.secondaries().len(), "{case}");
-            assert_eq!(files_with_pages(ds.storage()), installed, "{case}");
+            assert_eq!(files_with_pages(ds.storage()), 1, "{case}");
             assert_eq!(
                 ds.primary().disk_entries(),
                 twin.primary().disk_entries(),
                 "{case}: the retry flushed everything"
             );
         }
+    }
+}
+
+/// `n` tweet upserts held in memory by a Validation dataset with a pk
+/// index and two secondary indexes, `user_id` and `location`.
+fn validation_with_two_secondaries(n: usize) -> Arc<Dataset> {
+    let mut cfg = DatasetConfig::new(TweetGenerator::schema(), 0);
+    cfg.strategy = StrategyKind::Validation;
+    cfg.secondary_indexes = ["user_id", "location"]
+        .iter()
+        .zip(1..)
+        .map(|(name, field)| SecondaryIndexDef {
+            name: (*name).into(),
+            field,
+        })
+        .collect();
+    cfg.memory_budget = usize::MAX;
+    let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+    let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..n {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    ds
+}
+
+/// `tree`'s entries built alone into a file of their own, on a device
+/// with the same page size.
+fn rebuilt_alone(tree: &BTree) -> BTree {
+    let mut b = BTreeBuilder::new(Storage::new(StorageOptions::test()));
+    let mut scan = tree.scan_all().unwrap();
+    while let Some((key, value, _)) = scan.next_entry().unwrap() {
+        b.add(&key, &value).unwrap();
+    }
+    b.finish().unwrap()
+}
+
+/// One flush of four indexes writes them back to back into one file, so
+/// it pays one write seek, not four. Each tree owns a page range of that
+/// file holding exactly the pages the tree would hold in a file of its
+/// own, so the flush writes the pages and bytes it wrote before, and each
+/// component's size is its own pages'. The file goes with the last of
+/// its trees that merges retire.
+#[test]
+fn a_flush_writes_every_index_into_one_file_with_one_write_seek() {
+    let ds = validation_with_two_secondaries(3000);
+    let s = ds.storage().clone();
+    let before = s.stats();
+    assert!(ds.flush_all().unwrap());
+    let io = s.stats().since(&before);
+    assert_eq!(io.write_seeks, 1);
+    let flushed = newest_components(&ds);
+    assert_eq!(flushed.len(), 4);
+    let file = flushed[0].btree().file();
+    let (mut next, mut bytes) = (0, 0);
+    for (i, comp) in flushed.iter().enumerate() {
+        let tree = comp.btree();
+        assert_eq!((tree.file(), tree.pages().start), (file, next), "tree {i}");
+        next = tree.pages().end;
+        let alone = rebuilt_alone(tree);
+        assert_eq!(tree.pages().len(), alone.pages().len(), "tree {i}");
+        assert_eq!(comp.byte_size(), alone.byte_size(), "tree {i}");
+        assert_eq!(comp.byte_size(), tree.pages().len() as u64 * 4096);
+        for (p, q) in tree.pages().zip(alone.pages()) {
+            let page = s.page_data(file, p).unwrap();
+            assert_eq!(page, alone.storage().page_data(alone.file(), q).unwrap());
+            bytes += page.len() as u64;
+        }
+    }
+    assert_eq!(s.file_pages(file).unwrap(), next);
+    assert_eq!(
+        (io.pages_written, io.bytes_written),
+        (u64::from(next), bytes)
+    );
+
+    // A second flush, then merges that retire the first flush's trees one
+    // index at a time: the file stays while any of its trees is live.
+    let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..500 {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    assert!(ds.flush_all().unwrap());
+    drop(flushed);
+    let targets = [
+        MergeTarget::Primary,
+        MergeTarget::PkIndex,
+        MergeTarget::Secondary(0),
+        MergeTarget::Secondary(1),
+    ];
+    for (i, target) in targets.into_iter().enumerate() {
+        assert_eq!(s.file_pages(file).unwrap(), next, "before merge {i}");
+        let range = MergeRange { start: 0, end: 1 };
+        assert!(ds.execute_merge_plan(&MergePlan { target, range }).unwrap());
+    }
+    assert!(s.file_pages(file).is_err(), "the flush file is deleted");
+    assert_eq!(files_with_pages(&s), 4, "one file per merged index");
+}
+
+/// A permanent error at any append of a flush — in the primary's, the pk
+/// index's or a secondary index's pages — fails the flush without
+/// poisoning the dataset and leaves no live page behind. The retry is a
+/// flush of one write seek into one file.
+#[test]
+fn a_flush_failing_at_any_append_leaves_no_live_page() {
+    const UPSERTS: usize = 600;
+    let twin = validation_with_two_secondaries(UPSERTS);
+    twin.flush_all().unwrap();
+    let ends: Vec<u64> = newest_components(&twin)
+        .iter()
+        .map(|c| u64::from(c.btree().pages().end))
+        .collect();
+    let appends = ends[3];
+    assert!(
+        ends.windows(2).all(|w| w[0] < w[1]),
+        "every tree has pages: {ends:?}"
+    );
+    for index in 0..appends {
+        let case = format!("append {index} of {appends} (trees end at {ends:?})");
+        let ds = validation_with_two_secondaries(UPSERTS);
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Append,
+                index,
+            },
+            action: FaultAction::PermanentError,
+        }]);
+        ds.storage().install_fault_plan(plan.clone());
+        plan.arm();
+        let err = ds.flush_all().unwrap_err();
+        ds.storage().clear_fault_plan();
+        assert!(!err.is_transient(), "{case}: {err}");
+        assert!(!ds.is_poisoned(), "{case}");
+        assert_eq!(installed_components(&ds), 0, "{case}: nothing published");
+        assert_eq!(files_with_pages(ds.storage()), 0, "{case}: a page leaked");
+
+        let before = ds.storage().stats();
+        assert!(ds.flush_all().unwrap(), "{case}: the retry flushes");
+        assert_eq!(ds.storage().stats().since(&before).write_seeks, 1, "{case}");
+        assert_eq!(installed_components(&ds), 4, "{case}");
+        assert_eq!(files_with_pages(ds.storage()), 1, "{case}");
+        assert_eq!(ds.primary().disk_entries(), twin.primary().disk_entries());
     }
 }

@@ -28,7 +28,7 @@ use crate::scan::{LsmScan, ScanOptions};
 use lsm_bloom::{build_filter, BloomFilter, BloomKind};
 use lsm_btree::BTreeBuilder;
 use lsm_common::{Error, Key, Result, Timestamp, Value};
-use lsm_storage::{Event, Storage};
+use lsm_storage::{Event, FileId, Storage};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,10 +86,11 @@ pub struct ComponentBuilder {
 }
 
 impl ComponentBuilder {
-    /// Starts building component `id` with a tree's Bloom and bitmap
-    /// options, its Bloom filter sized for `expected_keys`.
+    /// Starts building component `id` on `btree` with a tree's Bloom and
+    /// bitmap options, its Bloom filter sized for `expected_keys`.
     fn new(
         storage: Arc<Storage>,
+        btree: BTreeBuilder,
         id: ComponentId,
         opts: &LsmOptions,
         expected_keys: usize,
@@ -99,8 +100,8 @@ impl ComponentBuilder {
             .with_bloom
             .then(|| build_filter(opts.bloom_kind, expected_keys, opts.bloom_fpr));
         ComponentBuilder {
-            btree: BTreeBuilder::new(storage.clone()),
             storage,
+            btree,
             id,
             bloom,
             filter,
@@ -466,7 +467,7 @@ impl LsmTree {
     /// stays visible to readers throughout, so there is no window where
     /// its entries are neither in memory nor on disk.
     fn flush_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
-        let comp = self.build_sealed()?;
+        let comp = self.build_sealed(self.storage.create_file())?;
         if let Some(c) = &comp {
             self.install_sealed(c.clone());
         }
@@ -476,8 +477,10 @@ impl LsmTree {
     /// Builds the sealed snapshot's disk component WITHOUT installing it —
     /// the engine builds every index's component before it publishes any
     /// with [`LsmTree::install_sealed`]. The component carries the
-    /// snapshot's own interval.
-    pub fn build_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
+    /// snapshot's own interval, and its B+-tree takes the pages it appends
+    /// to `file`, after any tree already built there: a flush builds all
+    /// of a dataset's indexes back to back in one file.
+    pub fn build_sealed(&self, file: FileId) -> Result<Option<Arc<DiskComponent>>> {
         let Some(snapshot) = self.sealed.read().clone() else {
             return Ok(None);
         };
@@ -487,7 +490,16 @@ impl LsmTree {
                 self.opts.name
             ))
         })?;
-        let mut builder = self.component_builder(id, snapshot.len(), snapshot.filter().cloned());
+        let btree = BTreeBuilder::append_to(self.storage.clone(), file)?;
+        let filter = snapshot.filter().cloned();
+        let mut builder = ComponentBuilder::new(
+            self.storage.clone(),
+            btree,
+            id,
+            &self.opts,
+            snapshot.len(),
+            filter,
+        );
         for (k, e) in snapshot.iter() {
             builder.add(k, e)?;
         }
@@ -575,16 +587,24 @@ impl LsmTree {
         Ok((inputs, builder, range.start == 0 && !keep_anti_matter))
     }
 
-    /// A builder for a component `id` of this tree, with the tree's own
-    /// Bloom and bitmap options and a Bloom filter sized for
-    /// `expected_keys`.
+    /// A builder for a component `id` of this tree in a file of its own,
+    /// with the tree's own Bloom and bitmap options and a Bloom filter
+    /// sized for `expected_keys`.
     pub(crate) fn component_builder(
         &self,
         id: ComponentId,
         expected_keys: usize,
         filter: Option<RangeFilter>,
     ) -> ComponentBuilder {
-        ComponentBuilder::new(self.storage.clone(), id, &self.opts, expected_keys, filter)
+        let btree = BTreeBuilder::new(self.storage.clone());
+        ComponentBuilder::new(
+            self.storage.clone(),
+            btree,
+            id,
+            &self.opts,
+            expected_keys,
+            filter,
+        )
     }
 
     /// Merges the components in `range` into one new component.

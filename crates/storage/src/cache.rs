@@ -25,6 +25,7 @@
 //! page that exists.
 
 use crate::storage::{FileId, PageNo};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -38,7 +39,9 @@ pub(crate) mod oracle;
 /// access is `Relaxed`.
 #[derive(Debug)]
 pub(crate) struct StoredPage {
-    pub(crate) data: Arc<[u8]>,
+    /// The page's bytes; `None` once the range holding the page was
+    /// released.
+    pub(crate) data: Option<Arc<[u8]>>,
     /// Held by a frame. Written only under the [`Frames`] mutex.
     resident: AtomicBool,
     /// The CLOCK reference bit: set by every hit, cleared by the sweep.
@@ -48,7 +51,7 @@ pub(crate) struct StoredPage {
 impl StoredPage {
     pub(crate) fn new(data: Arc<[u8]>) -> Self {
         StoredPage {
-            data,
+            data: Some(data),
             resident: AtomicBool::new(false),
             referenced: AtomicBool::new(false),
         }
@@ -71,12 +74,23 @@ impl StoredPage {
     pub(crate) fn is_resident(&self) -> bool {
         self.resident.load(Relaxed)
     }
+
+    /// Drops the page's bytes and clears its cache bits; the caller holds
+    /// the file table write-locked and evicts the page's frame.
+    pub(crate) fn release(&mut self) {
+        self.data = None;
+        *self.resident.get_mut() = false;
+        *self.referenced.get_mut() = false;
+    }
 }
 
 /// One file of the page table.
 #[derive(Debug, Default)]
 pub(crate) struct FileState {
     pub(crate) pages: Vec<StoredPage>,
+    /// Pages appended and not yet released: the release that takes the
+    /// last one deletes the file.
+    pub(crate) live: u32,
     pub(crate) deleted: bool,
 }
 
@@ -166,10 +180,11 @@ impl Frames {
         new.resident.store(true, Relaxed);
     }
 
-    /// Drops the frames of `file`, whose pages are being deleted. Eviction
-    /// here is bookkeeping only — no cost is charged.
-    pub(crate) fn evict_file(&mut self, file: FileId) {
-        self.frames.retain(|&(f, _)| f != file);
+    /// Drops the frames of `file`'s `pages`, which are being released.
+    /// Eviction here is bookkeeping only — no cost is charged.
+    pub(crate) fn evict_range(&mut self, file: FileId, pages: Range<PageNo>) {
+        self.frames
+            .retain(|&(f, p)| f != file || !pages.contains(&p));
         self.hand = match self.frames.len() {
             0 => 0,
             n => self.hand % n,

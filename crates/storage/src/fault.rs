@@ -29,7 +29,8 @@ pub enum FaultOp {
     /// [`Storage::read_pages`](crate::Storage::read_pages) burst (one count
     /// per call).
     Read,
-    /// [`Storage::delete_file`](crate::Storage::delete_file).
+    /// A [`Storage::release_pages`](crate::Storage::release_pages) that
+    /// deletes its file: one releasing the file's last live page.
     Delete,
 }
 

@@ -44,6 +44,7 @@ use crate::sim_clock::SimClock;
 use crate::stats::{IoStats, IoStatsSnapshot};
 use lsm_common::{Error, Result};
 use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -349,8 +350,13 @@ impl Storage {
         let (page_no, stored) = self.append(file, &page, || page.clone())?;
         if admission == CacheAdmission::Unreferenced {
             let files = self.files.read();
-            // A delete may have dropped the file since the append.
-            if live(&files, file).is_ok_and(|pages| (page_no as usize) < pages.len()) {
+            // A release may have dropped the page since the append.
+            let kept = live(&files, file).is_ok_and(|pages| {
+                pages
+                    .get(page_no as usize)
+                    .is_some_and(|p| p.data.is_some())
+            });
+            if kept {
                 self.frames.lock().admit_written(&files, file, page_no);
             }
         }
@@ -401,6 +407,7 @@ impl Storage {
                 return Err(Error::Storage(format!("file {file:?} is deleted")));
             }
             state.pages.push(StoredPage::new(stored.clone()));
+            state.live += 1;
             (state.pages.len() - 1) as PageNo
         };
         if torn {
@@ -423,7 +430,7 @@ impl Storage {
         Ok((page_no, stored))
     }
 
-    /// Number of pages in `file`.
+    /// Number of pages appended to `file`, released ones included.
     pub fn file_pages(&self, file: FileId) -> Result<u32> {
         Ok(live(&self.files.read(), file)?.len() as u32)
     }
@@ -456,9 +463,7 @@ impl Storage {
         self.fault_check(FaultOp::Read, format_args!("read of {file:?}/{page}"))?;
         let files = self.files.read();
         let pages = live(&files, file)?;
-        let stored = pages
-            .get(page as usize)
-            .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
+        let (stored, data) = held(pages, file, page)?;
         if !stored.touch() {
             let mut head = self.head.lock();
             let mut frames = self.frames.lock();
@@ -468,9 +473,10 @@ impl Storage {
                     _ => page,
                 };
                 // Streamed past on the way: the gap pages not yet resident
-                // are admitted, the resident ones left as they were.
+                // are admitted, the resident and the released ones left as
+                // they were.
                 for (p, gap) in (from..page).zip(&pages[from as usize..page as usize]) {
-                    if !gap.is_resident() {
+                    if gap.data.is_some() && !gap.is_resident() {
                         frames.admit(&files, file, p);
                     }
                 }
@@ -481,13 +487,13 @@ impl Storage {
                         .fetch_add(u64::from(page - from), std::sync::atomic::Ordering::Relaxed);
                 }
                 self.charge_read(&mut head, file, from, page - from + 1);
-                return Ok(stored.data.clone());
+                return Ok(data.clone());
             }
         }
         self.stats
             .cache_hits
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(stored.data.clone())
+        Ok(data.clone())
     }
 
     /// Charges a device read of `count` pages starting at `(file, page)`
@@ -548,6 +554,13 @@ impl Storage {
         let pages = {
             let files = self.files.read();
             let burst = burst(live(&files, file)?, file, page, count)?;
+            let pages = burst
+                .iter()
+                .map(|p| p.data.clone())
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| {
+                    Error::Storage(format!("page batch {page}+{count} of {file:?} is released"))
+                })?;
             for (p, stored) in (page..).zip(burst) {
                 if stored.touch() || self.frames.lock().admit(&files, file, p) {
                     self.stats
@@ -560,7 +573,7 @@ impl Storage {
                     misses += 1;
                 }
             }
-            burst.iter().map(|p| p.data.clone()).collect()
+            pages
         };
         self.stats
             .batched_lookups_saved
@@ -580,34 +593,59 @@ impl Storage {
     /// — for readers holding pages in a private scan buffer that were
     /// already charged by a [`Storage::read_pages`] burst.
     pub fn page_data(&self, file: FileId, page: PageNo) -> Result<Arc<[u8]>> {
-        live(&self.files.read(), file)?
-            .get(page as usize)
-            .map(|p| p.data.clone())
-            .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))
+        let files = self.files.read();
+        Ok(held(live(&files, file)?, file, page)?.1.clone())
     }
 
-    /// Deletes a file, dropping its pages and evicting its cached entries.
-    pub fn delete_file(&self, file: FileId) -> Result<()> {
-        self.fault_check(FaultOp::Delete, format_args!("delete of {file:?}"))?;
-        {
+    /// Releases `pages` of `file` — the range a B+-tree holds: drops their
+    /// bytes, evicts exactly their cached frames and, if the device head
+    /// stands on one of them, forgets the head. A caller's `Arc` of a page
+    /// stays readable; the device no longer reads the page. The release
+    /// that takes the file's last live page, or an empty range of a file
+    /// with none, deletes the file, and only such a release counts as a
+    /// [`FaultOp::Delete`]; a fault there releases nothing. Releasing
+    /// pages of a deleted file does nothing.
+    pub fn release_pages(&self, file: FileId, pages: Range<PageNo>) -> Result<()> {
+        let deleted = {
             let mut files = self.files.write();
             let state = files
                 .get_mut(file.0 as usize)
                 .ok_or_else(|| Error::Storage(format!("no such file {file:?}")))?;
-            state.deleted = true;
-            state.pages = Vec::new();
+            if state.deleted {
+                return Ok(());
+            }
+            let range = state
+                .pages
+                .get_mut(pages.start as usize..pages.end as usize)
+                .ok_or_else(|| {
+                    Error::Storage(format!(
+                        "release of pages {pages:?} past the end of {file:?}"
+                    ))
+                })?;
+            let released = range.iter().filter(|p| p.data.is_some()).count() as u32;
+            let deletes = released == state.live;
+            if deletes {
+                self.fault_check(FaultOp::Delete, format_args!("delete of {file:?}"))?;
+            }
+            range.iter_mut().for_each(StoredPage::release);
+            state.live -= released;
+            if deletes {
+                state.deleted = true;
+                state.pages = Vec::new();
+            }
             // Under the write lock: no miss may sweep a frame whose page
             // is gone.
-            self.frames.lock().evict_file(file);
-        }
+            self.frames.lock().evict_range(file, pages.clone());
+            deletes
+        };
         {
             let mut head = self.head.lock();
-            if head.map(|(f, _)| f) == Some(file) {
+            if head.is_some_and(|(f, p)| f == file && (deleted || pages.contains(&p))) {
                 *head = None;
             }
         }
         let mut lw = self.last_write.lock();
-        if *lw == Some(file) {
+        if deleted && *lw == Some(file) {
             *lw = None;
         }
         Ok(())
@@ -634,6 +672,19 @@ fn live(files: &[FileState], file: FileId) -> Result<&[StoredPage]> {
     Ok(&state.pages)
 }
 
+/// Page `page` of `file`'s `pages` and its bytes, unless it is out of
+/// bounds or released.
+fn held(pages: &[StoredPage], file: FileId, page: PageNo) -> Result<(&StoredPage, &Arc<[u8]>)> {
+    let stored = pages
+        .get(page as usize)
+        .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
+    let data = stored
+        .data
+        .as_ref()
+        .ok_or_else(|| Error::Storage(format!("page {page} of {file:?} is released")))?;
+    Ok((stored, data))
+}
+
 /// `count` of `file`'s `pages` from `page` on.
 fn burst(pages: &[StoredPage], file: FileId, page: PageNo, count: u32) -> Result<&[StoredPage]> {
     page.checked_add(count)
@@ -653,6 +704,12 @@ mod tests {
 
     fn storage() -> Arc<Storage> {
         Storage::new(StorageOptions::test())
+    }
+
+    /// Deletes `file` the one way there is: by releasing every page of it.
+    fn delete(s: &Storage, file: FileId) {
+        s.release_pages(file, 0..s.file_pages(file).unwrap())
+            .unwrap();
     }
 
     #[test]
@@ -1052,7 +1109,7 @@ mod tests {
         for (f, p) in [(f1, 0), (f2, 0), (f2, 1)] {
             s.read_page(f, p).unwrap();
         }
-        s.delete_file(f2).unwrap();
+        delete(&s, f2);
         assert_eq!(s.cache_state(), (vec![(f1, 0)], 0));
         // The cache still works after the eviction.
         let f3 = s.create_file();
@@ -1148,7 +1205,7 @@ mod tests {
             ..StorageOptions::test()
         });
         let (gone, kept) = (built(&s, 3), built(&s, 2));
-        s.delete_file(gone).unwrap();
+        delete(&s, gone);
         assert_eq!(s.cache_state(), (vec![(kept, 0), (kept, 1)], 0));
         assert!(s.read_page(gone, 0).is_err());
         s.clear_cache();
@@ -1257,7 +1314,7 @@ mod tests {
                         }
                         2..=4 => {
                             let f = live.swap_remove(next(live.len()) as usize);
-                            s.delete_file(f).unwrap();
+                            delete(&s, f);
                             oracle.evict_file(f);
                             if head.map(|(h, _)| h) == Some(f) {
                                 head = None;
@@ -1401,7 +1458,7 @@ mod tests {
                     let newest = created.load(Ordering::Acquire) - 1;
                     match r % 4 {
                         0 => {
-                            s.delete_file(FileId(newest - 3)).unwrap();
+                            delete(&s, FileId(newest - 3));
                             let f = built(&s, 16);
                             created.store(f.0 + 1, Ordering::Release);
                         }
@@ -1610,10 +1667,169 @@ mod tests {
         let f = s.create_file();
         s.append_page(f, b"x").unwrap();
         s.read_page(f, 0).unwrap();
-        s.delete_file(f).unwrap();
+        delete(&s, f);
         assert!(s.read_page(f, 0).is_err());
         assert!(s.append_page(f, b"y").is_err());
         assert!(s.file_pages(f).is_err());
+    }
+
+    /// A storage whose cache holds `pages` and whose one file holds a
+    /// range of pages per entry of `ranges`, each page one byte: its
+    /// number.
+    fn ranged(pages: usize, ranges: &[u32]) -> (Arc<Storage>, FileId, Vec<Range<PageNo>>) {
+        let s = Storage::new(StorageOptions {
+            cache_pages: pages,
+            ..StorageOptions::test()
+        });
+        let f = s.create_file();
+        let mut start = 0;
+        let ranges = ranges
+            .iter()
+            .map(|&n| {
+                for p in start..start + n {
+                    s.append_page(f, &[p as u8]).unwrap();
+                }
+                start += n;
+                start - n..start
+            })
+            .collect();
+        (s, f, ranges)
+    }
+
+    /// Releasing a range evicts exactly its frames and leaves the CLOCK
+    /// hand where deleting a file of the same pages, read in the same
+    /// order, leaves it: three ranges of one file against three files.
+    #[test]
+    fn releasing_a_range_evicts_its_frames_as_deleting_a_file_does() {
+        let (s, f, ranges) = ranged(5, &[2, 3, 2]);
+        let twin = Storage::new(StorageOptions {
+            cache_pages: 5,
+            ..StorageOptions::test()
+        });
+        let files: Vec<FileId> = ranges
+            .iter()
+            .map(|r| {
+                let g = twin.create_file();
+                for p in r.clone() {
+                    twin.append_page(g, &[p as u8]).unwrap();
+                }
+                g
+            })
+            .collect();
+        // The twin's page of `(range, page)` named as the ranged file's.
+        let named = |(g, p): (FileId, PageNo)| {
+            let i = files.iter().position(|&h| h == g).unwrap();
+            (f, ranges[i].start + p)
+        };
+        let state = |twin: &Storage| {
+            let (frames, hand) = twin.cache_state();
+            (frames.into_iter().map(named).collect::<Vec<_>>(), hand)
+        };
+        for (i, p) in [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (0, 1), (1, 2)] {
+            assert!(!hits(&s, f, ranges[i].start + p));
+            assert!(!hits(&twin, files[i], p));
+        }
+        assert_eq!(s.cache_state(), state(&twin));
+        assert_eq!(s.cache_state().1, 2, "the hand has moved");
+        s.release_pages(f, ranges[1].clone()).unwrap();
+        delete(&twin, files[1]);
+        assert_eq!(s.cache_state(), state(&twin));
+        assert_eq!(s.cache_state(), (vec![(f, 1), (f, 5), (f, 6)], 2));
+        // The cache goes on as the twin's does.
+        assert!(!hits(&s, f, 0) && !hits(&twin, files[0], 0));
+        assert!(hits(&s, f, 6) && hits(&twin, files[2], 1));
+        assert_eq!(s.cache_state(), state(&twin));
+    }
+
+    /// A release forgets the device head only when the head stands on one
+    /// of its pages: a read after it that continues the head is
+    /// sequential, one that would have continued a forgotten head seeks.
+    #[test]
+    fn releasing_a_range_resets_the_head_only_inside_it() {
+        let (s, f, ranges) = ranged(0, &[3, 3, 2]);
+        s.read_page(f, 1).unwrap();
+        s.release_pages(f, ranges[2].clone()).unwrap();
+        let io = s.stats();
+        s.read_page(f, 2).unwrap();
+        let d = s.stats().since(&io);
+        assert_eq!((d.seq_reads, d.rand_reads), (1, 0), "the head outlived it");
+        s.release_pages(f, ranges[0].clone()).unwrap();
+        let io = s.stats();
+        s.read_page(f, 3).unwrap();
+        let d = s.stats().since(&io);
+        assert_eq!(
+            (d.seq_reads, d.rand_reads),
+            (0, 1),
+            "the head was forgotten"
+        );
+    }
+
+    /// Every read of a released page fails, a burst that reaches one
+    /// reads nothing, and a page a caller still holds stays readable; the
+    /// other ranges read as before. A forward read streams over released
+    /// pages but admits none of them.
+    #[test]
+    fn released_pages_read_as_errors_while_a_held_page_still_reads() {
+        let (s, f, ranges) = ranged(16, &[2, 2, 2]);
+        let held = s.read_page(f, 2).unwrap();
+        s.read_page(f, 1).unwrap();
+        s.release_pages(f, ranges[1].clone()).unwrap();
+        assert!(s.read_page(f, 2).is_err());
+        assert!(s.read_page_forward(f, 3).is_err());
+        assert!(s.page_data(f, 3).is_err());
+        let io = s.stats();
+        assert!(s.read_pages(f, 1, 2).is_err());
+        assert_eq!(s.stats().since(&io).cache_hits, 0, "the burst read nothing");
+        assert_eq!(&*held, &[2]);
+        assert_eq!(s.read_pages(f, 0, 2).unwrap().len(), 2);
+        assert_eq!(s.file_pages(f).unwrap(), 6);
+        // The burst left the head on page 0: page 4 streams over pages 1
+        // to 3, and admits neither released one.
+        let (_, io, (frames, _)) = charged(&s, |s| s.read_page_forward(f, 4));
+        assert_eq!((io.rand_reads, io.seq_reads, io.bridged_pages), (0, 4, 3));
+        assert_eq!(frames, vec![(f, 1), (f, 0), (f, 4)]);
+        assert_eq!(&*s.read_page(f, 5).unwrap(), &[5]);
+    }
+
+    /// The release of a file's last live page deletes the file, and only
+    /// that release is a [`FaultOp::Delete`]: a fault on it releases
+    /// nothing, and the retry deletes. An empty range of a file without
+    /// pages deletes it too; a release in a deleted file does nothing.
+    #[test]
+    fn the_last_release_deletes_the_file() {
+        use crate::fault::{FaultSpec, FaultTrigger};
+        let (s, f, ranges) = ranged(8, &[1, 2]);
+        let plan = FaultPlan::new(vec![FaultSpec {
+            trigger: FaultTrigger::OpIndex {
+                op: FaultOp::Delete,
+                index: 0,
+            },
+            action: FaultAction::TransientError,
+        }]);
+        s.install_fault_plan(plan.clone());
+        plan.arm();
+        s.release_pages(f, ranges[1].clone()).unwrap();
+        // Releasing released pages deletes nothing either.
+        s.release_pages(f, ranges[1].clone()).unwrap();
+        assert_eq!(s.stats().faults_injected, 0);
+        assert!(s.release_pages(f, ranges[0].clone()).is_err());
+        assert_eq!(s.stats().faults_injected, 1);
+        assert_eq!(
+            &*s.read_page(f, 0).unwrap(),
+            &[0],
+            "the fault released nothing"
+        );
+        s.release_pages(f, ranges[0].clone()).unwrap();
+        s.clear_fault_plan();
+        assert!(s.file_pages(f).is_err(), "the file is gone");
+        assert!(s.append_page(f, b"late").is_err());
+        s.release_pages(f, 0..9).unwrap();
+        assert!(s.release_pages(FileId(99), 0..0).is_err());
+
+        let empty = s.create_file();
+        assert!(s.release_pages(empty, 0..1).is_err(), "past its end");
+        s.release_pages(empty, 0..0).unwrap();
+        assert!(s.file_pages(empty).is_err());
     }
 
     /// Charging `n` of an event counts `n` of it, and only it, and moves
