@@ -25,6 +25,15 @@
 //! rather than in a page of its own, which at this scale would be a quarter
 //! or more of the data pages an ingest writes.
 //!
+//! The same holds for a fixed write seek per flushed tree: the device bills
+//! one each time an append switches files, and a flush of a few pages per
+//! index paid one per index, about a third of an ingest's simulated time.
+//! A flush therefore builds all of a dataset's indexes back to back into
+//! one file, each tree owning a page range of it, and pays one seek. A
+//! merge keeps a file per output: it reads its inputs between its appends,
+//! so a shared file would save a seek the model bills but a disk would
+//! still pay.
+//!
 //! Results are reported in **simulated seconds** (the paper's y-axes).
 //! Each figure function's doc states the shape the paper reports.
 

@@ -9,6 +9,14 @@
 //! no page for it; only an empty tree, or a last page without room for the
 //! footer, appends a page that holds the footer alone.
 //!
+//! A build owns the pages it appends: a range of a fresh file
+//! ([`BTreeBuilder::new`]), or of a caller's file after the trees already
+//! built there ([`BTreeBuilder::append_to`]: a flush builds all of a
+//! dataset's indexes into one file). Page numbers inside the tree — leaf
+//! and router numbers, the footer's root — count from the range's first
+//! page, so a tree's pages are the same bytes in either kind of file. A
+//! build dropped before it finishes releases its pages.
+//!
 //! Leaves are written through the device's buffer cache
 //! ([`CacheAdmission::Unreferenced`]): a merge that soon reads a fresh
 //! component finds its leaves resident, and a build never evicts a page a
@@ -372,7 +380,9 @@ mod tests {
         assert!(written > end, "the abandoned build wrote pages");
         assert!((end..written).all(|p| s.page_data(file, p).is_err()));
 
+        let size = a.byte_size();
         a.destroy().unwrap();
+        assert_eq!(a.byte_size(), size, "a released tree keeps its size");
         assert!(a.pages().all(|p| s.page_data(file, p).is_err()));
         assert!(s.read_page(file, 0).is_err());
         assert_eq!(found(&b, 5003), Some(kv(5003).1));

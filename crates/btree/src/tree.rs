@@ -1,7 +1,9 @@
 //! Read-side of the immutable B+-tree.
 //!
-//! A [`BTree`] is a handle over a finished component file: it knows the root,
-//! height, leaf count, and key range, holds the router pages, and provides
+//! A [`BTree`] is a handle over a finished tree: the page range of a file it
+//! owns (the whole file, or its share of a flush's file), its root, height,
+//! leaf count and key range. Its size is its own pages, and
+//! [`BTree::destroy`] releases them. It holds the router pages and provides
 //! point search (returning the entry's global ordinal, which bitmaps index
 //! by), leaf location for cursors, and range/full scans that read leaves
 //! sequentially.
@@ -15,8 +17,9 @@
 //! the buffer cache.
 //!
 //! The tree's metadata is no page of its own: it is a footer
-//! (`TreeMeta::footer`) on the file's last page — the root router, or a
+//! (`TreeMeta::footer`) on the range's last page — the root router, or a
 //! one-leaf tree's leaf — unless that page had no room for it.
+//! [`BTree::open_at`] reopens a tree from that page.
 
 use crate::encoding::{get_slice, put_slice};
 use crate::page::{InternalPage, LeafPage, LeafShape};

@@ -1,7 +1,13 @@
 //! The simulated storage manager: files of pages plus cost accounting.
 //!
 //! Files are append-only sequences of fixed-size pages — exactly the shape of
-//! LSM disk components and the WAL. Reads go through the buffer cache;
+//! LSM disk components and the WAL. A B+-tree owns a range of a file's
+//! pages: a merge writes one tree to a file of its own, a dataset flush
+//! writes all of its indexes back to back into one file, so it pays one
+//! write seek, not one per index. [`Storage::release_pages`] is the one way
+//! to free pages: it drops a range, evicts exactly its cached frames and
+//! forgets the device head if the head stands in it, and the release of a
+//! file's last live page deletes the file. Reads go through the buffer cache;
 //! misses are charged to the [`DiskProfile`], distinguishing sequential
 //! continuations (the previous read on the *same file* was the previous
 //! page) from random accesses. This is what makes the paper's central
@@ -554,13 +560,10 @@ impl Storage {
         let pages = {
             let files = self.files.read();
             let burst = burst(live(&files, file)?, file, page, count)?;
-            let pages = burst
-                .iter()
-                .map(|p| p.data.clone())
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| {
-                    Error::Storage(format!("page batch {page}+{count} of {file:?} is released"))
-                })?;
+            let mut pages = Vec::with_capacity(burst.len());
+            for (p, stored) in (page..).zip(burst) {
+                pages.push(bytes(stored, file, p)?.clone());
+            }
             for (p, stored) in (page..).zip(burst) {
                 if stored.touch() || self.frames.lock().admit(&files, file, p) {
                     self.stats
@@ -678,11 +681,15 @@ fn held(pages: &[StoredPage], file: FileId, page: PageNo) -> Result<(&StoredPage
     let stored = pages
         .get(page as usize)
         .ok_or_else(|| Error::Storage(format!("page {page} out of bounds in {file:?}")))?;
-    let data = stored
+    Ok((stored, bytes(stored, file, page)?))
+}
+
+/// The bytes of `stored`, page `page` of `file`, unless it is released.
+fn bytes(stored: &StoredPage, file: FileId, page: PageNo) -> Result<&Arc<[u8]>> {
+    stored
         .data
         .as_ref()
-        .ok_or_else(|| Error::Storage(format!("page {page} of {file:?} is released")))?;
-    Ok((stored, data))
+        .ok_or_else(|| Error::Storage(format!("page {page} of {file:?} is released")))
 }
 
 /// `count` of `file`'s `pages` from `page` on.
