@@ -143,16 +143,15 @@ pub struct Storage {
     /// The buffer cache's CLOCK, taken by misses only, always inside the
     /// `files` lock.
     frames: Mutex<Frames>,
-    /// Device head position: the last `(file, page)` that reached the
-    /// device. A read is sequential only if it continues from here —
-    /// interleaving reads across files moves the head and costs seeks,
-    /// which is exactly the effect the paper's batched point lookups avoid.
+    /// Device head position: the last `(file, page)` the device read or
+    /// wrote. A read or an append is sequential only if it continues from
+    /// here — interleaving reads across files moves the head and costs
+    /// seeks, which is exactly the effect the paper's batched point lookups
+    /// avoid, and a read between two appends makes the second one seek.
     head: Mutex<Option<(FileId, PageNo)>>,
     /// The longest forward gap [`Storage::read_page_forward`] streams
     /// instead of seeking, from the profile and the page size.
     bridge_pages: u32,
-    /// Last file appended to, for write-seek charging.
-    last_write: Mutex<Option<FileId>>,
     /// Installed fault-injection script, if any (see [`FaultPlan`]).
     fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Whether `fault` holds a plan, so an operation on a device without
@@ -177,7 +176,6 @@ impl Storage {
             stats: IoStats::new(),
             files: RwLock::new(Vec::new()),
             head: Mutex::new(None),
-            last_write: Mutex::new(None),
             fault: RwLock::new(None),
             fault_installed: AtomicBool::new(false),
         })
@@ -334,8 +332,9 @@ impl Storage {
 
     /// Appends one page (at most `page_size` bytes). Returns its page number.
     ///
-    /// Appends are charged as sequential writes, with a seek when the write
-    /// target switches files.
+    /// An append is charged as a sequential write when it lands on the page
+    /// after the device head, in the same file, and with a write seek
+    /// otherwise; either way it moves the head to the page it wrote.
     pub fn append_page(&self, file: FileId, data: &[u8]) -> Result<PageNo> {
         Ok(self.append(file, data, || data.into())?.0)
     }
@@ -422,8 +421,10 @@ impl Storage {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         let seeks = {
-            let mut lw = self.last_write.lock();
-            u64::from(lw.replace(file) != Some(file))
+            let mut head = self.head.lock();
+            let sequential = page_no > 0 && *head == Some((file, page_no - 1));
+            *head = Some((file, page_no));
+            u64::from(!sequential)
         };
         let (profile, page) = (&self.opts.profile, self.opts.page_size);
         self.bill([
@@ -641,15 +642,9 @@ impl Storage {
             self.frames.lock().evict_range(file, pages.clone());
             deletes
         };
-        {
-            let mut head = self.head.lock();
-            if head.is_some_and(|(f, p)| f == file && (deleted || pages.contains(&p))) {
-                *head = None;
-            }
-        }
-        let mut lw = self.last_write.lock();
-        if deleted && *lw == Some(file) {
-            *lw = None;
+        let mut head = self.head.lock();
+        if head.is_some_and(|(f, p)| f == file && (deleted || pages.contains(&p))) {
+            *head = None;
         }
         Ok(())
     }
@@ -1258,6 +1253,8 @@ mod tests {
     /// storage and against the CLOCK it replaced (`cache::oracle`): every
     /// hit and miss, the frames in sweep order, the hand and the simulated
     /// clock must agree, and the cache never holds more than its capacity.
+    /// Reads and appends share the oracle's one device head: an append
+    /// continues it or pays a write seek, and moves it.
     #[test]
     fn cache_matches_the_clock_it_replaced() {
         use crate::cache::oracle::BufferCache;
@@ -1268,29 +1265,15 @@ mod tests {
                     cache_pages: capacity,
                     ..StorageOptions::test()
                 });
-                let (rand_ns, seq_ns) = {
+                let (rand_ns, seq_ns, write_seek_ns) = {
                     let (profile, bytes) = (DiskProfile::hdd(), s.page_size());
                     (
                         profile.seek_ns + profile.transfer_ns(bytes),
                         profile.transfer_ns(bytes),
+                        profile.write_seek_ns,
                     )
                 };
                 let mut oracle = BufferCache::new(capacity);
-                // A file of `PAGES` pages, built through the cache if `cached`.
-                let new_file = |oracle: &mut BufferCache, cached: bool| {
-                    let f = s.create_file();
-                    for p in 0..PAGES {
-                        let page = Arc::from(&p.to_le_bytes()[..]);
-                        let admission = if cached { Unreferenced } else { Skip };
-                        s.append_page_shared(f, page, admission).unwrap();
-                        if cached {
-                            oracle.admit_written(f, p);
-                        }
-                    }
-                    f
-                };
-                let mut live: Vec<FileId> = (0..3).map(|i| new_file(&mut oracle, i == 0)).collect();
-                let mut dead = Vec::new();
                 // The device head, as the charge model keeps it.
                 let mut head = None;
                 let charge = |head: &mut Option<(FileId, PageNo)>, f, p: PageNo, n: u32| {
@@ -1303,6 +1286,32 @@ mod tests {
                         rand_ns + (n - 1) * seq_ns
                     }
                 };
+                let write = |head: &mut Option<(FileId, PageNo)>, f, p: PageNo| {
+                    let seq = p > 0 && *head == Some((f, p - 1));
+                    *head = Some((f, p));
+                    seq_ns + if seq { 0 } else { write_seek_ns }
+                };
+                // A file of `PAGES` pages, built through the cache if
+                // `cached`, and what its appends cost.
+                let new_file = |oracle: &mut BufferCache,
+                                head: &mut Option<(FileId, PageNo)>,
+                                cached: bool| {
+                    let (f, mut cost) = (s.create_file(), 0);
+                    for p in 0..PAGES {
+                        let page = Arc::from(&p.to_le_bytes()[..]);
+                        let admission = if cached { Unreferenced } else { Skip };
+                        s.append_page_shared(f, page, admission).unwrap();
+                        if cached {
+                            oracle.admit_written(f, p);
+                        }
+                        cost += write(head, f, p);
+                    }
+                    (f, cost)
+                };
+                let mut live: Vec<FileId> = (0..3)
+                    .map(|i| new_file(&mut oracle, &mut head, i == 0).0)
+                    .collect();
+                let mut dead = Vec::new();
                 let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let mut next = |n: usize| {
                     rng ^= rng << 13;
@@ -1311,7 +1320,7 @@ mod tests {
                     (rng % n as u64) as u32
                 };
                 for step in 0..1500 {
-                    let (io, mut t) = (s.stats(), s.clock().now_nanos());
+                    let (io, t) = (s.stats(), s.clock().now_nanos());
                     let (mut hits, mut cost) = (0, 0);
                     match next(100) {
                         0..=1 => {
@@ -1328,8 +1337,9 @@ mod tests {
                             }
                             dead.push(f);
                             let cached = next(2) == 0;
-                            live.push(new_file(&mut oracle, cached));
-                            t = s.clock().now_nanos(); // appends are charged
+                            let (g, appended) = new_file(&mut oracle, &mut head, cached);
+                            live.push(g);
+                            cost = appended;
                         }
                         41..=46 => {
                             // A build going on beside the reads: pages past
@@ -1339,8 +1349,8 @@ mod tests {
                                 let more = Arc::from(&b"more"[..]);
                                 let (p, _) = s.append_page_shared(f, more, Unreferenced).unwrap();
                                 oracle.admit_written(f, p);
+                                cost += write(&mut head, f, p);
                             }
-                            t = s.clock().now_nanos();
                         }
                         5..=6 if !dead.is_empty() => {
                             let f = dead[next(dead.len()) as usize];
@@ -1894,6 +1904,73 @@ mod tests {
         assert_eq!(s.stats().write_seeks, 2);
         assert_eq!(switch_cost - seq_cost, DiskProfile::hdd().write_seek_ns);
         assert_eq!(s.charged_ns(), s.clock().now_nanos());
+    }
+
+    /// Write seeks of `f(s)`.
+    fn write_seeks(s: &Storage, f: impl FnOnce()) -> u64 {
+        let io = s.stats();
+        f();
+        s.stats().since(&io).write_seeks
+    }
+
+    /// Reads and appends share one head: a device read of another file
+    /// between two appends to one file makes the second append seek, and
+    /// so does a read back inside the file itself.
+    #[test]
+    fn an_append_after_a_device_read_of_another_file_seeks() {
+        let s = storage();
+        let (f, g) = (s.create_file(), s.create_file());
+        s.append_page(g, b"g").unwrap();
+        s.append_page(f, b"a").unwrap();
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"b"))), 0);
+        s.read_page(g, 0).unwrap();
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"c"))), 1);
+        // Reads of `f`'s first pages leave the head short of its end.
+        let io = s.stats();
+        s.read_page(f, 0).unwrap();
+        s.read_page(f, 1).unwrap();
+        assert_eq!(
+            s.stats().since(&io).rand_reads,
+            1,
+            "page 1 continues page 0"
+        );
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"d"))), 1);
+        assert_eq!(s.charged_ns(), s.clock().now_nanos());
+    }
+
+    /// A cache hit leaves the head where the last append put it, so the
+    /// next append still continues it.
+    #[test]
+    fn an_append_after_a_cache_hit_does_not_seek() {
+        let s = storage();
+        let f = s.create_file();
+        let page = |b: &[u8]| Arc::<[u8]>::from(b);
+        s.append_page_shared(f, page(b"a"), Unreferenced).unwrap();
+        let seeks = write_seeks(&s, || {
+            s.append_page_shared(f, page(b"b"), Unreferenced).unwrap();
+            let io = s.stats();
+            s.read_page(f, 0).unwrap();
+            assert_eq!(s.stats().since(&io).cache_hits, 1, "the read hit");
+            s.append_page_shared(f, page(b"c"), Unreferenced).unwrap();
+        });
+        assert_eq!(seeks, 0, "appends move the head, hits do not");
+    }
+
+    /// Clearing the cache and releasing the page under the head forget the
+    /// head, so the next append seeks; a release beside the head keeps it.
+    #[test]
+    fn clear_cache_and_a_release_under_the_head_forget_it() {
+        let s = storage();
+        let f = s.create_file();
+        for b in [b"a", b"b", b"c"] {
+            s.append_page(f, b).unwrap();
+        }
+        s.clear_cache();
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"d"))), 1);
+        s.release_pages(f, 0..2).unwrap();
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"e"))), 0);
+        s.release_pages(f, 3..5).unwrap();
+        assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"f"))), 1);
     }
 
     #[test]
