@@ -9,13 +9,17 @@
 //! no page for it; only an empty tree, or a last page without room for the
 //! footer, appends a page that holds the footer alone.
 //!
-//! A build owns the pages it appends: a range of a fresh file
-//! ([`BTreeBuilder::new`]), or of a caller's file after the trees already
-//! built there ([`BTreeBuilder::append_to`]: a flush builds all of a
-//! dataset's indexes into one file). Page numbers inside the tree — leaf
-//! and router numbers, the footer's root — count from the range's first
-//! page, so a tree's pages are the same bytes in either kind of file. A
-//! build dropped before it finishes releases its pages.
+//! A build owns the page range it appends at the device's write frontier
+//! ([`Storage::claim_frontier`]), after the trees already built there, so
+//! flushes, merges and repairs that follow one another with no device read
+//! between them pay one write seek in all. The build holds the frontier
+//! until it finishes or is dropped; a build that starts while another holds
+//! it — the pk-index build of a merge that builds two trees in lockstep, a
+//! second worker's build — writes a fresh file of its own. Page numbers
+//! inside the tree — leaf and router numbers, the footer's root — count
+//! from the range's first page, so a tree's pages are the same bytes in
+//! either kind of file. A build dropped before it finishes releases its
+//! pages.
 //!
 //! Leaves are written through the device's buffer cache
 //! ([`CacheAdmission::Unreferenced`]): a merge that soon reads a fresh
@@ -27,14 +31,15 @@
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
 use crate::tree::{BTree, TreeMeta};
 use lsm_common::{Error, Result};
-use lsm_storage::{CacheAdmission, FileId, PageNo, Storage};
+use lsm_storage::{CacheAdmission, PageNo, Storage, WriteFile};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
 /// then call [`BTreeBuilder::finish`].
 pub struct BTreeBuilder {
     storage: Arc<Storage>,
-    file: FileId,
+    /// The file the build appends to, claimed until the builder drops.
+    file: WriteFile,
     /// The file's page the tree starts on: its page 0. Every page number
     /// the tree stores is relative to it.
     first: PageNo,
@@ -58,29 +63,17 @@ pub struct BTreeBuilder {
 }
 
 impl BTreeBuilder {
-    /// Starts building a tree in a fresh file of `storage`.
+    /// Starts building a tree at `storage`'s write frontier, or in a fresh
+    /// file if another build holds the frontier.
     pub fn new(storage: Arc<Storage>) -> Self {
-        let file = storage.create_file();
-        Self::at(storage, file, 0)
-    }
-
-    /// Starts building a tree at the end of `file`, after the trees
-    /// already built there; the tree owns the pages it appends. Nothing
-    /// else may append to `file` until the build finishes or is dropped.
-    pub fn append_to(storage: Arc<Storage>, file: FileId) -> Result<Self> {
-        let first = storage.file_pages(file)?;
-        Ok(Self::at(storage, file, first))
-    }
-
-    fn at(storage: Arc<Storage>, file: FileId, first: PageNo) -> Self {
+        let file = storage.claim_frontier();
         let page_size = storage.page_size();
-        let leaf = LeafPageBuilder::new(page_size, 0);
         BTreeBuilder {
-            storage,
+            first: file.first(),
             file,
-            first,
+            storage,
             page_size,
-            leaf,
+            leaf: LeafPageBuilder::new(page_size, 0),
             leaf_index: Vec::new(),
             next_page: 0,
             routers: Vec::new(),
@@ -137,7 +130,7 @@ impl BTreeBuilder {
         let page = self.leaf.take_shared(next_base, footer);
         let (page_no, _) =
             self.storage
-                .append_page_shared(self.file, page, CacheAdmission::Unreferenced)?;
+                .append_page_shared(self.file.id(), page, CacheAdmission::Unreferenced)?;
         debug_assert_eq!(page_no, self.first + self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
@@ -160,7 +153,7 @@ impl BTreeBuilder {
         let page_no = self.pages_written();
         let (stored_no, stored) =
             self.storage
-                .append_page_shared(self.file, page.into(), CacheAdmission::Skip)?;
+                .append_page_shared(self.file.id(), page.into(), CacheAdmission::Skip)?;
         debug_assert_eq!(stored_no, self.first + page_no);
         self.routers.push(stored);
         Ok(page_no)
@@ -241,14 +234,14 @@ impl BTreeBuilder {
             None => false,
         };
         if !carried {
-            self.storage.append_page(self.file, &footer)?;
+            self.storage.append_page(self.file.id(), &footer)?;
         }
         self.finished = true;
         let pages = self.first..self.first + self.pages_written() + u32::from(!carried);
         let routers = std::mem::take(&mut self.routers);
         Ok(BTree::from_parts(
             self.storage.clone(),
-            self.file,
+            self.file.id(),
             pages,
             meta,
             routers.into(),
@@ -259,12 +252,12 @@ impl BTreeBuilder {
 impl Drop for BTreeBuilder {
     /// A build abandoned before [`BTreeBuilder::finish`] succeeded — an
     /// error mid-build, or a caller that gave up — releases the pages it
-    /// wrote, so none outlive the failed build; a file left with no live
-    /// page is deleted.
+    /// wrote, so none outlive the failed build; a fresh file left with no
+    /// live page is deleted. Either way the frontier goes back after.
     fn drop(&mut self) {
         if !self.finished {
             let end = self.first + self.pages_written();
-            let _ = self.storage.release_pages(self.file, self.first..end);
+            let _ = self.storage.release_pages(self.file.id(), self.first..end);
         }
     }
 }
@@ -305,48 +298,61 @@ mod tests {
         assert!(t.search(b"l").unwrap().is_none());
     }
 
-    /// A build abandoned in a fresh file releases its pages, which deletes
-    /// the file.
-    #[test]
-    fn an_abandoned_build_deletes_its_file() {
-        let s = storage();
-        let mut b = BTreeBuilder::new(s.clone());
-        let file = b.file;
-        for i in 0..2000 {
+    fn fill(mut b: BTreeBuilder, keys: std::ops::Range<u32>) -> BTreeBuilder {
+        for i in keys {
             let (k, v) = kv(i);
             b.add(&k, &v).unwrap();
         }
+        b
+    }
+
+    /// An abandoned build releases its pages. In a fresh file — a build
+    /// started while another holds the frontier — that deletes the file.
+    /// The frontier file stays, and the next build appends after the
+    /// released pages.
+    #[test]
+    fn an_abandoned_build_deletes_its_file() {
+        let s = storage();
+        let holder = BTreeBuilder::new(s.clone());
+        let frontier = holder.file.id();
+        let b = fill(BTreeBuilder::new(s.clone()), 0..2000);
+        let file = b.file.id();
+        assert_ne!(file, frontier, "the frontier was held");
         assert!(s.file_pages(file).unwrap() > 0, "leaves were written");
         drop(b);
         assert!(s.file_pages(file).is_err(), "the partial file is gone");
-        // A finished build keeps its file.
+
+        drop(fill(holder, 0..2000));
+        let end = s.file_pages(frontier).unwrap();
+        assert!(end > 0, "leaves were written");
+        assert!((0..end).all(|p| s.page_data(frontier, p).is_err()));
         let t = BTreeBuilder::new(s.clone()).finish().unwrap();
-        assert_eq!(s.file_pages(t.file()).unwrap(), 1);
+        assert_eq!((t.file(), t.pages()), (frontier, end..end + 1));
     }
 
-    /// Two trees built back to back in one file each own a page range,
-    /// with the pages each would have in a file of its own. Each reopens
-    /// from its last page and answers alone; a build abandoned after them
+    /// Trees built one after another append at the frontier: each owns a
+    /// page range of one file, with the pages it would have in a file of
+    /// its own, and the second build pays no write seek. Each reopens from
+    /// its last page and answers alone; a build abandoned after them
     /// releases only its own pages; destroying one tree leaves the other
-    /// whole, and the file goes with the second.
+    /// whole, and the frontier file outlives both.
     #[test]
     fn trees_built_back_to_back_share_a_file() {
         let s = storage();
-        let fill = |mut b: BTreeBuilder, keys: std::ops::Range<u32>| {
-            for i in keys {
-                let (k, v) = kv(i);
-                b.add(&k, &v).unwrap();
-            }
-            b
-        };
-        let file = s.create_file();
-        let append = || BTreeBuilder::append_to(s.clone(), file).unwrap();
-        let a = fill(append(), 0..2000).finish().unwrap();
-        let b = fill(append(), 5000..5010).finish().unwrap();
+        let a = fill(BTreeBuilder::new(s.clone()), 0..2000)
+            .finish()
+            .unwrap();
+        let seeks = s.stats().write_seeks;
+        let b = fill(BTreeBuilder::new(s.clone()), 5000..5010)
+            .finish()
+            .unwrap();
+        assert_eq!(s.stats().write_seeks, seeks, "b continued a");
+        let file = a.file();
+        assert_eq!(b.file(), file, "the frontier came back after a");
         assert!(a.height() >= 2);
         assert_eq!((a.pages().start, a.pages().end), (0, b.pages().start));
         assert_eq!(b.pages().end, s.file_pages(file).unwrap());
-        let alone = fill(BTreeBuilder::new(s.clone()), 0..2000)
+        let alone = fill(BTreeBuilder::new(storage()), 0..2000)
             .finish()
             .unwrap();
         assert_eq!(
@@ -356,7 +362,7 @@ mod tests {
         for (p, q) in a.pages().zip(alone.pages()) {
             assert_eq!(
                 s.page_data(file, p).unwrap(),
-                s.page_data(alone.file(), q).unwrap()
+                alone.storage().page_data(alone.file(), q).unwrap()
             );
         }
 
@@ -375,7 +381,7 @@ mod tests {
         assert_eq!((count(&a), count(&b)), (2000, 10));
 
         let end = b.pages().end;
-        drop(fill(append(), 9000..9500));
+        drop(fill(BTreeBuilder::new(s.clone()), 9000..9500));
         let written = s.file_pages(file).unwrap();
         assert!(written > end, "the abandoned build wrote pages");
         assert!((end..written).all(|p| s.page_data(file, p).is_err()));
@@ -388,10 +394,13 @@ mod tests {
         assert_eq!(found(&b, 5003), Some(kv(5003).1));
         assert_eq!(count(&b), 10);
         b.destroy().unwrap();
-        assert!(
-            s.file_pages(file).is_err(),
-            "the file went with its last tree"
+        assert_eq!(
+            s.file_pages(file).unwrap(),
+            written,
+            "the frontier outlived its last tree"
         );
+        let c = BTreeBuilder::new(s.clone()).finish().unwrap();
+        assert_eq!((c.file(), c.pages().start), (file, written));
     }
 
     #[test]

@@ -1181,8 +1181,8 @@ impl Dataset {
     }
 
     /// Builds whatever is sealed into one component per index, back to
-    /// back into one new file (pages written primary, pk index,
-    /// secondaries; each tree owns its page range), then publishes them: one
+    /// back at the device's write frontier (pages written primary, pk
+    /// index, secondaries; each tree owns its page range), then publishes them: one
     /// sequence for every strategy. Under Mutable-bitmap the pk-index
     /// component takes the primary's bitmap (Section 5.1: both sealed
     /// under one drain lock, so their ordinals coincide). Then, under the
@@ -1201,11 +1201,8 @@ impl Dataset {
         }
         let trees: Vec<&LsmTree> = self.trees().collect();
         let mut built = Unpublished(Vec::with_capacity(trees.len()));
-        // One file for the whole flush: its appends switch files once. A
-        // merge later retires each tree alone; the file goes with the last.
-        let file = self.storage.create_file();
         for tree in &trees {
-            built.0.push(tree.build_sealed(file)?);
+            built.0.push(tree.build_sealed()?);
         }
         if mutable_bitmap && self.pk_index.is_some() {
             // The primary and pk index receive identical key/timestamp

@@ -70,7 +70,7 @@
 
 use crate::stats::EngineStats;
 use lsm_common::{Bytes, Error, Key, Result, Timestamp};
-use lsm_storage::{FileId, PageNo, Storage};
+use lsm_storage::{PageNo, Storage, WriteFile};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -288,7 +288,9 @@ impl LogRecord {
 #[derive(Debug)]
 pub struct Wal {
     storage: Arc<Storage>,
-    file: FileId,
+    /// The log's file: its device's write frontier, held for as long as
+    /// the log lives.
+    file: WriteFile,
     inner: Mutex<WalBuf>,
     /// Signaled each time a group-commit leader finishes (or aborts) its
     /// drain; [`Wal::force`] waits here.
@@ -340,9 +342,9 @@ impl WalBuf {
 }
 
 impl Wal {
-    /// Creates a log in a fresh file of `storage`.
+    /// Creates a log at the write frontier of `storage`, its own device.
     pub fn new(storage: Arc<Storage>) -> Self {
-        let file = storage.create_file();
+        let file = storage.claim_frontier();
         Wal {
             storage,
             file,
@@ -431,7 +433,7 @@ impl Wal {
             drop(inner);
             let res = self
                 .group_write_site()
-                .and_then(|()| self.storage.append_page(self.file, &page.bytes));
+                .and_then(|()| self.storage.append_page(self.file.id(), &page.bytes));
             inner = self.inner.lock();
             match res {
                 Ok(page_no) => {
@@ -539,9 +541,9 @@ impl Wal {
         include_unforced: bool,
     ) -> Result<Vec<LogRecord>> {
         let mut out = Vec::new();
-        let pages = self.storage.file_pages(self.file)?;
+        let pages = self.storage.file_pages(self.file.id())?;
         for p in first_page..pages {
-            let data = self.storage.read_page(self.file, p)?;
+            let data = self.storage.read_page(self.file.id(), p)?;
             let last_page = p + 1 == pages;
             let mut off = 0;
             while off + 4 <= data.len() {
@@ -694,7 +696,7 @@ mod tests {
 
     /// The LSNs of device page `p`, in frame order.
     fn page_lsns(w: &Wal, p: PageNo) -> Vec<Timestamp> {
-        let data = w.storage().read_page(w.file, p).unwrap();
+        let data = w.storage().read_page(w.file.id(), p).unwrap();
         let mut off = 0;
         let mut lsns = Vec::new();
         while off + 4 <= data.len() && le32(&data[off..off + 4]) != 0 {
@@ -730,7 +732,7 @@ mod tests {
                 }
             }
             w.force().unwrap();
-            let pages: Vec<_> = (0..w.storage().file_pages(w.file).unwrap())
+            let pages: Vec<_> = (0..w.storage().file_pages(w.file.id()).unwrap())
                 .map(|p| page_lsns(&w, p))
                 .collect();
             // Both sides change only where `l` crosses a staged LSN.
@@ -961,7 +963,7 @@ mod tests {
         w.force().unwrap();
         // Decode the device pages raw: the first LSN of each page must be
         // larger than every LSN of the page before it.
-        let pages = w.storage().file_pages(w.file).unwrap();
+        let pages = w.storage().file_pages(w.file.id()).unwrap();
         assert!(pages >= 2);
         let mut prev_max = 0u64;
         for p in 0..pages {

@@ -337,12 +337,13 @@ fn rebuilt_alone(tree: &BTree) -> BTree {
     b.finish().unwrap()
 }
 
-/// One flush of four indexes writes them back to back into one file, so
-/// it pays one write seek, not four. Each tree owns a page range of that
-/// file holding exactly the pages the tree would hold in a file of its
-/// own, so the flush writes the pages and bytes it wrote before, and each
-/// component's size is its own pages'. The file goes with the last of
-/// its trees that merges retire.
+/// One flush of four indexes writes them back to back at the write
+/// frontier, so it pays one write seek, not four. Each tree owns a page
+/// range of that file holding exactly the pages the tree would hold in a
+/// file of its own, so the flush writes the pages and bytes it wrote
+/// before, and each component's size is its own pages'. Merges that
+/// retire the flush's trees one index at a time append their outputs
+/// after them, and the frontier file outlives every tree it held.
 #[test]
 fn a_flush_writes_every_index_into_one_file_with_one_write_seek() {
     let ds = validation_with_two_secondaries(3000);
@@ -376,7 +377,7 @@ fn a_flush_writes_every_index_into_one_file_with_one_write_seek() {
     );
 
     // A second flush, then merges that retire the first flush's trees one
-    // index at a time: the file stays while any of its trees is live.
+    // index at a time, each writing its output at the frontier.
     let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
     for _ in 0..500 {
         ds.upsert(w.next_op().record()).unwrap();
@@ -389,13 +390,125 @@ fn a_flush_writes_every_index_into_one_file_with_one_write_seek() {
         MergeTarget::Secondary(0),
         MergeTarget::Secondary(1),
     ];
-    for (i, target) in targets.into_iter().enumerate() {
-        assert_eq!(s.file_pages(file).unwrap(), next, "before merge {i}");
+    for target in targets {
         let range = MergeRange { start: 0, end: 1 };
         assert!(ds.execute_merge_plan(&MergePlan { target, range }).unwrap());
     }
-    assert!(s.file_pages(file).is_err(), "the flush file is deleted");
-    assert_eq!(files_with_pages(&s), 4, "one file per merged index");
+    assert!(
+        (0..next).all(|p| s.page_data(file, p).is_err()),
+        "the first flush's trees are released"
+    );
+    let merged = newest_components(&ds);
+    assert!(merged.iter().all(|c| c.btree().file() == file));
+    assert_eq!(files_with_pages(&s), 1, "the frontier holds every tree");
+}
+
+/// A Validation dataset with a pk index and a cache that holds all of its
+/// pages, so merges find their inputs resident.
+fn resident(n: usize, w: &mut UpsertWorkload) -> Arc<Dataset> {
+    let mut cfg = DatasetConfig::new(TweetGenerator::schema(), 0);
+    cfg.strategy = StrategyKind::Validation;
+    cfg.secondary_indexes = vec![SecondaryIndexDef {
+        name: "user_id".into(),
+        field: 1,
+    }];
+    cfg.memory_budget = usize::MAX;
+    let storage = Storage::new(StorageOptions {
+        cache_pages: 1 << 14,
+        ..StorageOptions::test()
+    });
+    let ds = Dataset::open(storage, None, cfg).unwrap();
+    for _ in 0..n {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    ds
+}
+
+/// Merges every index's two newest components.
+fn merge_round(ds: &Dataset) {
+    let targets = std::iter::once(MergeTarget::Primary)
+        .chain(ds.pk_index().map(|_| MergeTarget::PkIndex))
+        .chain((0..ds.secondaries().len()).map(MergeTarget::Secondary));
+    for target in targets {
+        let range = MergeRange { start: 0, end: 1 };
+        assert!(ds.execute_merge_plan(&MergePlan { target, range }).unwrap());
+    }
+}
+
+/// Every build appends at the write frontier, so builds with no device
+/// read between them pay one write seek in all: two flushes and a merge
+/// round over resident inputs write one file with one seek. A merge whose
+/// inputs come from the device moves the head between its appends and
+/// pays seeks of its own.
+#[test]
+fn flushes_and_merges_over_resident_inputs_pay_one_write_seek() {
+    let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    let ds = resident(2000, &mut w);
+    let s = ds.storage().clone();
+    let before = s.stats();
+    assert!(ds.flush_all().unwrap());
+    for _ in 0..2000 {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    assert!(ds.flush_all().unwrap());
+    merge_round(&ds);
+    let io = s.stats().since(&before);
+    assert_eq!((io.write_seeks, io.disk_reads()), (1, 0));
+    assert_eq!(files_with_pages(&s), 1);
+
+    for _ in 0..2000 {
+        ds.upsert(w.next_op().record()).unwrap();
+    }
+    assert!(ds.flush_all().unwrap());
+    s.clear_cache();
+    let before = s.stats();
+    merge_round(&ds);
+    let io = s.stats().since(&before);
+    assert!(io.disk_reads() > 0, "the inputs came from the device");
+    assert!(io.write_seeks >= 3, "each merge seeks: {}", io.write_seeks);
+    assert_eq!(files_with_pages(&s), 1);
+}
+
+/// The entries of `tree`, in order.
+fn entries(tree: &BTree) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut scan = tree.scan_all().unwrap();
+    std::iter::from_fn(|| scan.next_entry().unwrap().map(|(k, v, _)| (k, v))).collect()
+}
+
+/// A Mutable-bitmap merge builds the primary and the pk index in lockstep
+/// (the Side-file method): the primary's build holds the frontier, so the
+/// pk index's build writes a fresh file. Each tree is one contiguous page
+/// range and reopens alone from its last page.
+#[test]
+fn a_side_file_merge_writes_each_tree_contiguously() {
+    let mut cfg = DatasetConfig::new(TweetGenerator::schema(), 0);
+    cfg.strategy = StrategyKind::MutableBitmap;
+    cfg.memory_budget = usize::MAX;
+    let ds = Dataset::open(Storage::new(StorageOptions::test()), None, cfg).unwrap();
+    let s = ds.storage().clone();
+    let mut w = UpsertWorkload::new(TweetConfig::default(), 0.5, UpdateDistribution::Uniform);
+    for _ in 0..2 {
+        for _ in 0..1500 {
+            ds.upsert(w.next_op().record()).unwrap();
+        }
+        assert!(ds.flush_all().unwrap());
+    }
+    let plan = MergePlan {
+        target: MergeTarget::Correlated,
+        range: MergeRange { start: 0, end: 1 },
+    };
+    assert!(ds.execute_merge_plan(&plan).unwrap());
+    let primary = ds.primary().disk_components()[0].clone();
+    let pk = ds.pk_index().unwrap().disk_components()[0].clone();
+    let (p, k) = (primary.btree(), pk.btree());
+    assert_ne!(p.file(), k.file(), "the pk build found the frontier held");
+    assert_eq!(k.pages(), 0..s.file_pages(k.file()).unwrap());
+    for tree in [p, k] {
+        let reopened = BTree::open_at(s.clone(), tree.file(), tree.pages().end - 1).unwrap();
+        assert_eq!(reopened.num_entries(), tree.num_entries());
+        assert_eq!(entries(&reopened), entries(tree));
+    }
+    assert!(p.pages().len() > 1 && k.pages().len() > 1);
 }
 
 /// A permanent error at any append of a flush — in the primary's, the pk

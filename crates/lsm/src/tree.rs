@@ -28,7 +28,7 @@ use crate::scan::{LsmScan, ScanOptions};
 use lsm_bloom::{build_filter, BloomFilter, BloomKind};
 use lsm_btree::BTreeBuilder;
 use lsm_common::{Error, Key, Result, Timestamp, Value};
-use lsm_storage::{Event, FileId, Storage};
+use lsm_storage::{Event, Storage};
 use parking_lot::{Mutex, RwLock};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -467,7 +467,7 @@ impl LsmTree {
     /// stays visible to readers throughout, so there is no window where
     /// its entries are neither in memory nor on disk.
     fn flush_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
-        let comp = self.build_sealed(self.storage.create_file())?;
+        let comp = self.build_sealed()?;
         if let Some(c) = &comp {
             self.install_sealed(c.clone());
         }
@@ -477,10 +477,10 @@ impl LsmTree {
     /// Builds the sealed snapshot's disk component WITHOUT installing it —
     /// the engine builds every index's component before it publishes any
     /// with [`LsmTree::install_sealed`]. The component carries the
-    /// snapshot's own interval, and its B+-tree takes the pages it appends
-    /// to `file`, after any tree already built there: a flush builds all
-    /// of a dataset's indexes back to back in one file.
-    pub fn build_sealed(&self, file: FileId) -> Result<Option<Arc<DiskComponent>>> {
+    /// snapshot's own interval, and its B+-tree appends at the device's
+    /// write frontier, so a flush writes all of a dataset's indexes back
+    /// to back.
+    pub fn build_sealed(&self) -> Result<Option<Arc<DiskComponent>>> {
         let Some(snapshot) = self.sealed.read().clone() else {
             return Ok(None);
         };
@@ -490,16 +490,8 @@ impl LsmTree {
                 self.opts.name
             ))
         })?;
-        let btree = BTreeBuilder::append_to(self.storage.clone(), file)?;
         let filter = snapshot.filter().cloned();
-        let mut builder = ComponentBuilder::new(
-            self.storage.clone(),
-            btree,
-            id,
-            &self.opts,
-            snapshot.len(),
-            filter,
-        );
+        let mut builder = self.component_builder(id, snapshot.len(), filter);
         for (k, e) in snapshot.iter() {
             builder.add(k, e)?;
         }
@@ -587,9 +579,9 @@ impl LsmTree {
         Ok((inputs, builder, range.start == 0 && !keep_anti_matter))
     }
 
-    /// A builder for a component `id` of this tree in a file of its own,
-    /// with the tree's own Bloom and bitmap options and a Bloom filter
-    /// sized for `expected_keys`.
+    /// A builder for a component `id` of this tree at the device's write
+    /// frontier, with the tree's own Bloom and bitmap options and a Bloom
+    /// filter sized for `expected_keys`.
     pub(crate) fn component_builder(
         &self,
         id: ComponentId,

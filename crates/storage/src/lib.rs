@@ -51,4 +51,4 @@ pub use pin::{PageSlice, ValueBuf};
 pub use profile::{CpuCosts, DiskProfile, Event};
 pub use sim_clock::SimClock;
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use storage::{CacheAdmission, FileId, PageNo, Storage, StorageOptions};
+pub use storage::{CacheAdmission, FileId, PageNo, Storage, StorageOptions, WriteFile};

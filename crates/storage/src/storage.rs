@@ -61,6 +61,53 @@ pub struct FileId(pub u32);
 /// Page number within a file.
 pub type PageNo = u32;
 
+/// Bytes of pages past which a claim of the write frontier starts a new
+/// frontier file, one write seek per roll. Every page the frontier file
+/// ever held keeps a slot in the page table, released or not, so this
+/// bounds that table.
+const FRONTIER_BYTES: usize = 1 << 30;
+
+/// [`Storage`]'s `frontier` word: the frontier file's id in the low 32
+/// bits, `FRONTIER_SET` once there is one and `FRONTIER_CLAIMED` while a
+/// writer holds it.
+const FRONTIER_SET: u64 = 1 << 32;
+const FRONTIER_CLAIMED: u64 = 1 << 33;
+
+/// The file a writer appends to, from [`Storage::claim_frontier`]: the
+/// device's write frontier, held until this is dropped, or a fresh file
+/// when another writer holds the frontier.
+#[derive(Debug)]
+pub struct WriteFile {
+    storage: Arc<Storage>,
+    file: FileId,
+    first: PageNo,
+    frontier: bool,
+}
+
+impl WriteFile {
+    /// The file.
+    pub fn id(&self) -> FileId {
+        self.file
+    }
+
+    /// The page the writer's first append lands on: the file's page count
+    /// when it was claimed.
+    pub fn first(&self) -> PageNo {
+        self.first
+    }
+}
+
+impl Drop for WriteFile {
+    /// Hands the frontier back for the next writer to claim.
+    fn drop(&mut self) {
+        if self.frontier {
+            self.storage
+                .frontier
+                .fetch_and(!FRONTIER_CLAIMED, Ordering::Release);
+        }
+    }
+}
+
 /// Whether [`Storage::append_page_shared`] admits the page it stores to
 /// the buffer cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +199,10 @@ pub struct Storage {
     /// The longest forward gap [`Storage::read_page_forward`] streams
     /// instead of seeking, from the profile and the page size.
     bridge_pages: u32,
+    /// The write frontier, packed as `FRONTIER_SET` and `FRONTIER_CLAIMED`
+    /// say. A claim sets the claimed bit without a lock; the file changes
+    /// only under the `files` write lock, where a release reads it.
+    frontier: AtomicU64,
     /// Installed fault-injection script, if any (see [`FaultPlan`]).
     fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Whether `fault` holds a plan, so an operation on a device without
@@ -176,6 +227,7 @@ impl Storage {
             stats: IoStats::new(),
             files: RwLock::new(Vec::new()),
             head: Mutex::new(None),
+            frontier: AtomicU64::new(0),
             fault: RwLock::new(None),
             fault_installed: AtomicBool::new(false),
         })
@@ -325,9 +377,69 @@ impl Storage {
 
     /// Creates an empty file.
     pub fn create_file(&self) -> FileId {
+        new_file(&mut self.files.write())
+    }
+
+    /// Claims the device's write frontier: the one file every build
+    /// appends its page range to, one build at a time, so builds that
+    /// follow each other with no device read between them pay one write
+    /// seek in all. A claim while another writer holds the frontier gets a
+    /// fresh file instead. The frontier file is never deleted while it is
+    /// the frontier; a claim that finds it holding `FRONTIER_BYTES` of
+    /// pages starts a new one, and the old one goes with its last live
+    /// page.
+    pub fn claim_frontier(self: &Arc<Self>) -> WriteFile {
+        let at = self.frontier.load(Ordering::Acquire);
+        let claimed = at & FRONTIER_CLAIMED == 0
+            && self
+                .frontier
+                .compare_exchange(
+                    at,
+                    at | FRONTIER_CLAIMED,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .is_ok();
         let mut files = self.files.write();
-        files.push(FileState::default());
-        FileId((files.len() - 1) as u32)
+        let file = match claimed {
+            true => self.roll_frontier(&mut files, at),
+            false => new_file(&mut files),
+        };
+        let first = files.get(file.0 as usize).map_or(0, |f| f.pages.len()) as PageNo;
+        WriteFile {
+            storage: self.clone(),
+            file,
+            first,
+            frontier: claimed,
+        }
+    }
+
+    /// The frontier file for the claim that found `at`: `at`'s file, or a
+    /// new one when there is none yet or it holds `FRONTIER_BYTES`. A
+    /// frontier left behind without a live page is deleted.
+    fn roll_frontier(&self, files: &mut Vec<FileState>, at: u64) -> FileId {
+        let old = (at & FRONTIER_SET != 0).then_some(at as u32 as usize);
+        let full = |f: &FileState| f.pages.len() * self.opts.page_size >= FRONTIER_BYTES;
+        match old.and_then(|i| files.get(i)) {
+            Some(f) if !full(f) => return FileId(at as u32),
+            _ => {}
+        }
+        let file = new_file(files);
+        self.frontier.store(
+            u64::from(file.0) | FRONTIER_SET | FRONTIER_CLAIMED,
+            Ordering::Release,
+        );
+        if let Some(left) = old.and_then(|i| files.get_mut(i)).filter(|f| f.live == 0) {
+            left.deleted = true;
+            left.pages = Vec::new();
+        }
+        file
+    }
+
+    /// Whether `file` is the write frontier. Stable under the `files` lock.
+    fn is_frontier(&self, file: FileId) -> bool {
+        let at = self.frontier.load(Ordering::Acquire);
+        at & FRONTIER_SET != 0 && at as u32 == file.0
     }
 
     /// Appends one page (at most `page_size` bytes). Returns its page number.
@@ -606,9 +718,9 @@ impl Storage {
     /// stands on one of them, forgets the head. A caller's `Arc` of a page
     /// stays readable; the device no longer reads the page. The release
     /// that takes the file's last live page, or an empty range of a file
-    /// with none, deletes the file, and only such a release counts as a
-    /// [`FaultOp::Delete`]; a fault there releases nothing. Releasing
-    /// pages of a deleted file does nothing.
+    /// with none, deletes the file unless it is the write frontier, and
+    /// only such a release counts as a [`FaultOp::Delete`]; a fault there
+    /// releases nothing. Releasing pages of a deleted file does nothing.
     pub fn release_pages(&self, file: FileId, pages: Range<PageNo>) -> Result<()> {
         let deleted = {
             let mut files = self.files.write();
@@ -627,7 +739,7 @@ impl Storage {
                     ))
                 })?;
             let released = range.iter().filter(|p| p.data.is_some()).count() as u32;
-            let deletes = released == state.live;
+            let deletes = released == state.live && !self.is_frontier(file);
             if deletes {
                 self.fault_check(FaultOp::Delete, format_args!("delete of {file:?}"))?;
             }
@@ -657,6 +769,12 @@ impl Storage {
         }
         *self.head.lock() = None;
     }
+}
+
+/// Adds an empty file to `files`.
+fn new_file(files: &mut Vec<FileState>) -> FileId {
+    files.push(FileState::default());
+    FileId((files.len() - 1) as u32)
 }
 
 /// The pages of `file`, if it exists and is not deleted.
@@ -1971,6 +2089,62 @@ mod tests {
         assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"e"))), 0);
         s.release_pages(f, 3..5).unwrap();
         assert_eq!(write_seeks(&s, || drop(s.append_page(f, b"f"))), 1);
+    }
+
+    /// The frontier is one file, claimed by one writer at a time: a claim
+    /// while it is held gets a fresh file, and the claim after it is handed
+    /// back appends after its pages. A release of its last live page keeps
+    /// it; the same release of a fresh file deletes that file.
+    #[test]
+    fn the_frontier_is_claimed_by_one_writer_and_never_deleted() {
+        let s = storage();
+        let held = s.claim_frontier();
+        let fresh = s.claim_frontier();
+        assert_ne!(held.id(), fresh.id());
+        for w in [&held, &fresh] {
+            s.append_page(w.id(), b"a").unwrap();
+            assert_eq!(w.first(), 0);
+        }
+        let (frontier, other) = (held.id(), fresh.id());
+        drop((held, fresh));
+        s.release_pages(frontier, 0..1).unwrap();
+        s.release_pages(other, 0..1).unwrap();
+        assert!(s.file_pages(other).is_err(), "a fresh file goes");
+        let again = s.claim_frontier();
+        assert_eq!((again.id(), again.first()), (frontier, 1));
+        assert_eq!(s.file_pages(frontier).unwrap(), 1, "the frontier stays");
+        assert_eq!(write_seeks(&s, || drop(s.append_page(frontier, b"b"))), 1);
+    }
+
+    /// A claim that finds the frontier holding `FRONTIER_BYTES` of pages
+    /// starts a new frontier file; the old one goes with its last live page,
+    /// at the roll if it has none left.
+    #[test]
+    fn the_frontier_rolls_over_at_its_size_bound() {
+        let s = Storage::new(StorageOptions {
+            page_size: FRONTIER_BYTES / 4,
+            ..StorageOptions::test()
+        });
+        let fill = |n| {
+            let w = s.claim_frontier();
+            for _ in 0..n {
+                s.append_page(w.id(), b"p").unwrap();
+            }
+            w.id()
+        };
+        let first = fill(3);
+        assert_eq!(fill(1), first, "three pages are short of the bound");
+        let second = fill(1);
+        assert_ne!(second, first, "four pages reach it");
+        s.release_pages(first, 0..4).unwrap();
+        assert!(s.file_pages(first).is_err(), "no longer the frontier");
+        let (seeks, kept) = (s.stats().write_seeks, fill(3));
+        assert_eq!((kept, s.stats().write_seeks), (second, seeks));
+        s.release_pages(second, 0..4).unwrap();
+        assert!(s.file_pages(second).is_ok(), "still the frontier");
+        let third = fill(1);
+        assert_ne!(third, second);
+        assert!(s.file_pages(second).is_err(), "the roll deleted it");
     }
 
     #[test]

@@ -1013,6 +1013,20 @@ mod tests {
         }
     }
 
+    /// Regression: a release that takes the write frontier's last live
+    /// page must leave the file, or the next build claims a deleted file
+    /// and fails with "storage: file FileId(0) is deleted". This case hits
+    /// that release under background maintenance.
+    #[test]
+    fn the_frontier_survives_the_release_of_its_last_page() {
+        let c = TortureCase {
+            background: true,
+            records: 1200,
+            ..case(StrategyKind::Validation, FaultKind::TransientRead)
+        };
+        run_case(&c).unwrap_or_else(|f| panic!("{f}"));
+    }
+
     /// Same seed + same plan => byte-identical fault schedule and report.
     #[test]
     fn identical_cases_produce_identical_fault_schedules() {
