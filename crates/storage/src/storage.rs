@@ -2,17 +2,23 @@
 //!
 //! Files are append-only sequences of fixed-size pages — exactly the shape of
 //! LSM disk components and the WAL. A B+-tree owns a range of a file's
-//! pages: a merge writes one tree to a file of its own, a dataset flush
-//! writes all of its indexes back to back into one file, so it pays one
-//! write seek, not one per index. [`Storage::release_pages`] is the one way
-//! to free pages: it drops a range, evicts exactly its cached frames and
-//! forgets the device head if the head stands in it, and the release of a
-//! file's last live page deletes the file. Reads go through the buffer cache;
-//! misses are charged to the [`DiskProfile`], distinguishing sequential
-//! continuations (the previous read on the *same file* was the previous
-//! page) from random accesses. This is what makes the paper's central
-//! trade-offs — batched vs interleaved point lookups, scans vs index
-//! navigation — measurable here.
+//! pages, appended at the device's write frontier
+//! ([`Storage::claim_frontier`]): one file that one writer at a time
+//! holds, so builds that follow one another with no device read between
+//! them pay one write seek in all. A claim while the frontier is held gets
+//! a fresh file. [`Storage::release_pages`] is the one way to free pages:
+//! it drops a range, evicts exactly its cached frames and forgets the
+//! device head if the head stands in it, and the release of a file's last
+//! live page deletes the file, unless it is the frontier. Reads go through
+//! the buffer cache; misses are charged to the [`DiskProfile`].
+//!
+//! The device has one head, for reads and appends alike: a read or an
+//! append is sequential only if it lands on the page after the head, in
+//! the same file, and pays a seek otherwise (a read seek, or a write seek
+//! for an append); either one moves the head. So interleaving reads
+//! across files costs seeks, and so does a read between two appends. This
+//! is what makes the paper's central trade-offs — batched vs interleaved
+//! point lookups, scans vs index navigation — measurable here.
 //!
 //! Writes reach the cache on one path only: [`Storage::append_page_shared`]
 //! with [`CacheAdmission::Unreferenced`], with which a B+-tree build writes
@@ -68,10 +74,8 @@ pub type PageNo = u32;
 const FRONTIER_BYTES: usize = 1 << 30;
 
 /// [`Storage`]'s `frontier` word: the frontier file's id in the low 32
-/// bits, `FRONTIER_SET` once there is one and `FRONTIER_CLAIMED` while a
-/// writer holds it.
-const FRONTIER_SET: u64 = 1 << 32;
-const FRONTIER_CLAIMED: u64 = 1 << 33;
+/// bits, and this bit while a writer holds it.
+const FRONTIER_CLAIMED: u64 = 1 << 32;
 
 /// The file a writer appends to, from [`Storage::claim_frontier`]: the
 /// device's write frontier, held until this is dropped, or a fresh file
@@ -199,9 +203,11 @@ pub struct Storage {
     /// The longest forward gap [`Storage::read_page_forward`] streams
     /// instead of seeking, from the profile and the page size.
     bridge_pages: u32,
-    /// The write frontier, packed as `FRONTIER_SET` and `FRONTIER_CLAIMED`
-    /// say. A claim sets the claimed bit without a lock; the file changes
-    /// only under the `files` write lock, where a release reads it.
+    /// The write frontier, packed as `FRONTIER_CLAIMED` says; file 0, made
+    /// with the device, until a roll. Only a claim sets it, under the
+    /// `files` write lock, where a release reads it; a hand-back clears the
+    /// claimed bit with a `Release` that the claim's `Acquire` load pairs
+    /// with, as a lock's would.
     frontier: AtomicU64,
     /// Installed fault-injection script, if any (see [`FaultPlan`]).
     fault: RwLock<Option<Arc<FaultPlan>>>,
@@ -225,7 +231,7 @@ impl Storage {
             opts,
             clock,
             stats: IoStats::new(),
-            files: RwLock::new(Vec::new()),
+            files: RwLock::new(vec![FileState::default()]),
             head: Mutex::new(None),
             frontier: AtomicU64::new(0),
             fault: RwLock::new(None),
@@ -389,20 +395,11 @@ impl Storage {
     /// pages starts a new one, and the old one goes with its last live
     /// page.
     pub fn claim_frontier(self: &Arc<Self>) -> WriteFile {
-        let at = self.frontier.load(Ordering::Acquire);
-        let claimed = at & FRONTIER_CLAIMED == 0
-            && self
-                .frontier
-                .compare_exchange(
-                    at,
-                    at | FRONTIER_CLAIMED,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok();
         let mut files = self.files.write();
-        let file = match claimed {
-            true => self.roll_frontier(&mut files, at),
+        let at = self.frontier.load(Ordering::Acquire);
+        let frontier = at & FRONTIER_CLAIMED == 0;
+        let file = match frontier {
+            true => self.roll_frontier(&mut files, FileId(at as u32)),
             false => new_file(&mut files),
         };
         let first = files.get(file.0 as usize).map_or(0, |f| f.pages.len()) as PageNo;
@@ -410,36 +407,31 @@ impl Storage {
             storage: self.clone(),
             file,
             first,
-            frontier: claimed,
+            frontier,
         }
     }
 
-    /// The frontier file for the claim that found `at`: `at`'s file, or a
-    /// new one when there is none yet or it holds `FRONTIER_BYTES`. A
-    /// frontier left behind without a live page is deleted.
-    fn roll_frontier(&self, files: &mut Vec<FileState>, at: u64) -> FileId {
-        let old = (at & FRONTIER_SET != 0).then_some(at as u32 as usize);
-        let full = |f: &FileState| f.pages.len() * self.opts.page_size >= FRONTIER_BYTES;
-        match old.and_then(|i| files.get(i)) {
-            Some(f) if !full(f) => return FileId(at as u32),
-            _ => {}
+    /// Claims `frontier`, or a new frontier file in its place if it holds
+    /// `FRONTIER_BYTES` of pages; one left behind without a live page is
+    /// deleted.
+    fn roll_frontier(&self, files: &mut Vec<FileState>, frontier: FileId) -> FileId {
+        let mut file = frontier;
+        let full = |f: &&mut FileState| f.pages.len() * self.opts.page_size >= FRONTIER_BYTES;
+        if let Some(old) = files.get_mut(frontier.0 as usize).filter(full) {
+            if old.live == 0 {
+                old.deleted = true;
+                old.pages = Vec::new();
+            }
+            file = new_file(files);
         }
-        let file = new_file(files);
-        self.frontier.store(
-            u64::from(file.0) | FRONTIER_SET | FRONTIER_CLAIMED,
-            Ordering::Release,
-        );
-        if let Some(left) = old.and_then(|i| files.get_mut(i)).filter(|f| f.live == 0) {
-            left.deleted = true;
-            left.pages = Vec::new();
-        }
+        self.frontier
+            .store(u64::from(file.0) | FRONTIER_CLAIMED, Ordering::Release);
         file
     }
 
     /// Whether `file` is the write frontier. Stable under the `files` lock.
     fn is_frontier(&self, file: FileId) -> bool {
-        let at = self.frontier.load(Ordering::Acquire);
-        at & FRONTIER_SET != 0 && at as u32 == file.0
+        self.frontier.load(Ordering::Acquire) as u32 == file.0
     }
 
     /// Appends one page (at most `page_size` bytes). Returns its page number.
