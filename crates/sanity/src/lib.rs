@@ -34,6 +34,11 @@
 //!    it), or carry a `dead-pub <path> <name> <reason>` line in the
 //!    allowlist. An allowlist line without a reason, or whose item is gone
 //!    or now named elsewhere, is itself a finding.
+//! 7. **Builds append at the write frontier** — non-test code of the
+//!    B+-tree, LSM and engine crates may not call `Storage::create_file`:
+//!    a component build reaches its file through `BTreeBuilder::new`,
+//!    which claims the device's write frontier, and the WAL claims its log
+//!    device's. Tests, examples and benches may create files freely.
 //!
 //! All checks are pure functions over a workspace root, so the fixture trees
 //! under `tests/fixtures/` exercise each violation class hermetically.
@@ -61,6 +66,14 @@ const RATCHET_CRATES: [&str; 4] = [
     "crates/lsm",
     "crates/storage",
 ];
+
+/// Crates whose non-test code reaches a device file only through the
+/// write frontier (check 7): every ratchet crate but the storage crate
+/// itself.
+const FRONTIER_CRATES: [&str; 3] = ["crates/btree", "crates/core", "crates/lsm"];
+
+/// What check 7 looks for.
+const CREATE_FILE_PAT: &str = concat!("create_file", "(");
 
 /// The operator guides whose relative links must resolve.
 const GUIDES: [&str; 2] = ["ARCHITECTURE.md", "docs/OPERATIONS.md"];
@@ -127,6 +140,7 @@ pub fn run_all(root: &Path) -> Vec<Violation> {
     out.extend(check_counter_docs(root));
     out.extend(check_markdown_links(root));
     out.extend(check_dead_pub(root));
+    out.extend(check_create_file(root));
     out
 }
 
@@ -729,6 +743,32 @@ fn check_dead_pub(root: &Path) -> Vec<Violation> {
             "dead-pub",
             format!("allowlist entry `{} {}` {why}", e.path, e.name),
         ));
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// check 7: builds append at the write frontier
+
+fn check_create_file(root: &Path) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for krate in FRONTIER_CRATES {
+        for rel in rust_files(root, &format!("{krate}/src")) {
+            let Some(src) = read(root, &rel) else {
+                continue;
+            };
+            for (n, line) in non_test_lines(&src) {
+                if !is_comment_line(line) && code_part(line).contains(CREATE_FILE_PAT) {
+                    out.push(violation(
+                        &rel,
+                        n,
+                        "create-file",
+                        "a new file outside the storage crate bypasses the write frontier — \
+                         build through `BTreeBuilder::new` or claim `Storage::claim_frontier`",
+                    ));
+                }
+            }
+        }
     }
     out
 }

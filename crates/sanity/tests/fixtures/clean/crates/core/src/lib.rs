@@ -19,4 +19,9 @@ mod tests {
     fn tests_may_unwrap_freely() {
         Some(1).unwrap();
     }
+
+    #[test]
+    fn tests_may_create_files() {
+        Storage::new(StorageOptions::test()).create_file();
+    }
 }

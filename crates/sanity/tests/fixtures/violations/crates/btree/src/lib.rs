@@ -6,3 +6,7 @@ fn decode(bytes: &[u8]) -> u32 {
 fn not_an_engine_site(ds: &Dataset) {
     ds.crash_site("btree_only_window");
 }
+
+fn fresh_file(storage: &Storage) -> FileId {
+    storage.create_file()
+}

@@ -89,15 +89,20 @@ fn violations_fixture_flags_every_class() {
     );
     assert_eq!(v.file, Path::new("crates/sanity/allowlist.txt"));
     assert_eq!(v.line, 5);
+
+    // 7. A build path that creates its own file, bypassing the frontier.
+    let v = find(&vs, "create-file", "write frontier");
+    assert_eq!(v.file, Path::new("crates/btree/src/lib.rs"));
+    assert_eq!(v.line, 11);
 }
 
 #[test]
 fn violations_fixture_has_no_unexpected_findings() {
-    // Every violation in the seeded tree is one we planted: 13 in total.
+    // Every violation in the seeded tree is one we planted: 14 in total.
     // The B+-tree crate's probe of an unknown crash site is not one: the
     // crash-site scan covers the engine crates alone.
     let vs = run_all(&fixture("violations"));
-    assert_eq!(vs.len(), 13, "{vs:#?}");
+    assert_eq!(vs.len(), 14, "{vs:#?}");
     assert!(!vs.iter().any(|v| v.message.contains("btree_only_window")));
 }
 

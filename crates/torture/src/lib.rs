@@ -1015,8 +1015,10 @@ mod tests {
 
     /// Regression: a release that takes the write frontier's last live
     /// page must leave the file, or the next build claims a deleted file
-    /// and fails with "storage: file FileId(0) is deleted". This case hits
-    /// that release under background maintenance.
+    /// and fails with "storage: file FileId(0) is deleted". Whether this
+    /// case meets such a release depends on how the background worker
+    /// interleaves with the writer; `a_failed_flush_build_leaves_no_file_behind`
+    /// (`lsm-engine`) meets one on every run.
     #[test]
     fn the_frontier_survives_the_release_of_its_last_page() {
         let c = TortureCase {
