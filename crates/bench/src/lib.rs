@@ -25,14 +25,17 @@
 //! rather than in a page of its own, which at this scale would be a quarter
 //! or more of the data pages an ingest writes.
 //!
-//! The same holds for a fixed write seek per flushed tree: the device bills
-//! one each time an append switches files, and a flush of a few pages per
-//! index paid one per index, about a third of an ingest's simulated time.
-//! A flush therefore builds all of a dataset's indexes back to back into
-//! one file, each tree owning a page range of it, and pays one seek. A
-//! merge keeps a file per output: it reads its inputs between its appends,
-//! so a shared file would save a seek the model bills but a disk would
-//! still pay.
+//! The same holds for a fixed write seek per built tree: a flush of a few
+//! pages per index once paid one per index, about a third of an ingest's
+//! simulated time. The device has one head for reads and appends, and an
+//! append pays a write seek unless it lands on the page after the head in
+//! the same file. Every build — flush, merge, repair — appends its tree's
+//! page range at the device's write frontier, one file one build at a
+//! time holds, so builds with no device read between them pay one seek in
+//! all, and a merge that reads its inputs from the device between its
+//! appends pays the seeks a disk would pay. A merge over inputs still
+//! resident in the cache reads nothing from the device and seeks no more
+//! than the flush before it.
 //!
 //! Results are reported in **simulated seconds** (the paper's y-axes).
 //! Each figure function's doc states the shape the paper reports.

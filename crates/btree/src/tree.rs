@@ -1,7 +1,8 @@
 //! Read-side of the immutable B+-tree.
 //!
 //! A [`BTree`] is a handle over a finished tree: the page range of a file it
-//! owns (the whole file, or its share of a flush's file), its root, height,
+//! owns (its share of the device's write frontier, or a fresh file of its
+//! own when its build found the frontier held), its root, height,
 //! leaf count and key range. Its size is its own pages, and
 //! [`BTree::destroy`] releases them. It holds the router pages and provides
 //! point search (returning the entry's global ordinal, which bitmaps index
