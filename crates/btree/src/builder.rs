@@ -31,7 +31,7 @@
 use crate::page::{InternalPageBuilder, LeafPageBuilder};
 use crate::tree::{BTree, TreeMeta};
 use lsm_common::{Error, Result};
-use lsm_storage::{CacheAdmission, PageNo, Storage, WriteFile};
+use lsm_storage::{CacheAdmission, Storage, WriteFile};
 use std::sync::Arc;
 
 /// Streaming bulk loader. Feed strictly ascending keys via [`BTreeBuilder::add`],
@@ -39,10 +39,9 @@ use std::sync::Arc;
 pub struct BTreeBuilder {
     storage: Arc<Storage>,
     /// The file the build appends to, claimed until the builder drops.
+    /// Its first page is the tree's page 0: every page number the tree
+    /// stores is relative to it.
     file: WriteFile,
-    /// The file's page the tree starts on: its page 0. Every page number
-    /// the tree stores is relative to it.
-    first: PageNo,
     page_size: usize,
     leaf: LeafPageBuilder,
     /// `(first_key, page_no)` of each completed leaf, for the router levels.
@@ -69,7 +68,6 @@ impl BTreeBuilder {
         let file = storage.claim_frontier();
         let page_size = storage.page_size();
         BTreeBuilder {
-            first: file.first(),
             file,
             storage,
             page_size,
@@ -131,7 +129,7 @@ impl BTreeBuilder {
         let (page_no, _) =
             self.storage
                 .append_page_shared(self.file.id(), page, CacheAdmission::Unreferenced)?;
-        debug_assert_eq!(page_no, self.first + self.next_page);
+        debug_assert_eq!(page_no, self.file.first() + self.next_page);
         self.leaf_index.push((first, self.next_page));
         self.next_page += 1;
         Ok(())
@@ -154,7 +152,7 @@ impl BTreeBuilder {
         let (stored_no, stored) =
             self.storage
                 .append_page_shared(self.file.id(), page.into(), CacheAdmission::Skip)?;
-        debug_assert_eq!(stored_no, self.first + page_no);
+        debug_assert_eq!(stored_no, self.file.first() + page_no);
         self.routers.push(stored);
         Ok(page_no)
     }
@@ -237,7 +235,8 @@ impl BTreeBuilder {
             self.storage.append_page(self.file.id(), &footer)?;
         }
         self.finished = true;
-        let pages = self.first..self.first + self.pages_written() + u32::from(!carried);
+        let first = self.file.first();
+        let pages = first..first + self.pages_written() + u32::from(!carried);
         let routers = std::mem::take(&mut self.routers);
         Ok(BTree::from_parts(
             self.storage.clone(),
@@ -256,8 +255,9 @@ impl Drop for BTreeBuilder {
     /// live page is deleted. Either way the frontier goes back after.
     fn drop(&mut self) {
         if !self.finished {
-            let end = self.first + self.pages_written();
-            let _ = self.storage.release_pages(self.file.id(), self.first..end);
+            let first = self.file.first();
+            let pages = first..first + self.pages_written();
+            let _ = self.storage.release_pages(self.file.id(), pages);
         }
     }
 }
