@@ -1182,8 +1182,8 @@ impl Dataset {
 
     /// Builds whatever is sealed into one component per index, back to
     /// back at the device's write frontier (pages written primary, pk
-    /// index, secondaries; each tree owns its page range), then publishes them: one
-    /// sequence for every strategy. Under Mutable-bitmap the pk-index
+    /// index, secondaries; each tree owns its page range), then publishes
+    /// them: one sequence for every strategy. Under Mutable-bitmap the pk-index
     /// component takes the primary's bitmap (Section 5.1: both sealed
     /// under one drain lock, so their ordinals coincide). Then, under the
     /// drain lock with no writer mid-op, the flush side-file (only
